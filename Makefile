@@ -4,20 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify race lint bench bench-gate bench-all bench-multicore bench-durability bench-dataplane fuzz trace chaos durable partition
-
-# Allocation budget for the warm-scratch clustering kernel
-# (cluster.AssignInto with a reused Scratch). The hot path is designed
-# to be allocation-free; the budget is 0 and any regression fails
-# `make bench-gate`.
-ENCODE_ALLOC_BUDGET ?= 0
-
-# Allocation budget for the warm-scratch forwarding fast path
-# (dataplane.ProcessInto with a reused SwitchScratch), enforced per
-# packet across all three switch tiers by the elmo-bench dataplane
-# stage. The fast path is allocation-free by design; any regression
-# fails `make bench-gate`.
-DATAPLANE_ALLOC_BUDGET ?= 0
+.PHONY: all build test verify race lint bench-gate bench-all fuzz trace chaos durable partition
 
 all: verify
 
@@ -47,66 +34,22 @@ lint:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
 	fi
 
-# bench runs the controller-scale benchmarks and records the
-# machine-readable perf trajectory. It fails when elmo-bench measures a
-# regression >20% against the checked-in baseline (BENCH_baseline.json;
-# promote a trusted BENCH_controller.json run with
-# `cp BENCH_controller.json BENCH_baseline.json` — until that file
-# exists the comparison is skipped).
-bench:
-	$(GO) test -bench 'ControllerInstallBatch|ChurnPipeline|ControllerRuleGeneration' -benchmem -run '^$$' .
-	$(GO) run ./cmd/elmo-bench -groups 100000 -events 20000 -out BENCH_controller.json -baseline BENCH_baseline.json
-
-# bench-gate is the fast performance gate: the encode-hot-path
-# allocation budget (clustering-kernel alloc-parity tests plus the
-# elmo-bench encode stage, failing when warm-scratch AssignInto
-# allocates more per op than ENCODE_ALLOC_BUDGET), the ops-plane
-# alloc-parity gate (a fabric with a disabled observer attached must
-# allocate exactly as much per send as a bare fabric — 0 bytes added —
-# with the enabled-path budget logged), the data-plane forwarding
-# budget (zero-alloc/equivalence tests plus the elmo-bench dataplane
-# stage, failing when warm-scratch ProcessInto allocates more per
-# packet than DATAPLANE_ALLOC_BUDGET), then the multi-core speedup
-# gate (bench-multicore). It does not overwrite the checked-in BENCH
-# files.
+# bench-gate is the performance gate, made only of exact checks (no
+# wall-clock number, so it can block merges on shared runners): the
+# warm-scratch clustering kernel allocates nothing, a fabric with a
+# disabled observer attached allocates exactly as much per send as a
+# bare one, the forwarding fast path allocates nothing and emits what
+# the frozen reference pipeline emits, and a short run of the repo's
+# benchmark (BENCHMARK.json) passes its own oracles and exits 0.
 bench-gate:
 	$(GO) test -run 'TestAssignIntoWarmScratchZeroAlloc' -count=1 ./internal/cluster/
-	$(GO) test -bench 'BenchmarkAssignIntoWarmScratch$$' -benchmem -run '^$$' ./internal/cluster/
 	$(GO) test -run 'TestObserverDisabledAddsNoAllocations' -count=1 -v ./internal/obs/
-	$(GO) run ./cmd/elmo-bench -encode-only -encode-sets 500 -encode-out '' -max-allocs $(ENCODE_ALLOC_BUDGET)
 	$(GO) test -run 'TestProcessIntoZeroAllocs|TestProcessIntoEquivalence' -count=1 ./internal/dataplane/
-	$(GO) run ./cmd/elmo-bench -dataplane-only -dataplane-sends 4000 -dataplane-udp-sends 0 \
-		-dataplane-out '' -dataplane-max-allocs $(DATAPLANE_ALLOC_BUDGET)
-	$(MAKE) bench-multicore
-
-# bench-dataplane refreshes the checked-in forwarding fast-path figures
-# (packets/sec per tier, sync + UDP end-to-end, allocs/packet, p99 hop
-# latency) in BENCH_dataplane.json.
-bench-dataplane:
-	$(GO) run ./cmd/elmo-bench -dataplane-only -dataplane-out BENCH_dataplane.json \
-		-dataplane-max-allocs $(DATAPLANE_ALLOC_BUDGET)
+	bash benchmark/run.sh --workload fanout-sync --seed 1 --seconds 2 --trace 0
 
 # bench-all runs the full figure/table benchmark suite.
 bench-all:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
-
-# bench-multicore runs the controller bench at GOMAXPROCS=4 with the
-# speedup gate BLOCKING: parallel install/churn must beat serial by at
-# least SPEEDUP_GATE on every reliable scaling point, or the target
-# fails. On hosts without real parallelism (NumCPU < 2) elmo-bench
-# skips the gate with a notice — the figures would measure
-# time-slicing there, not scaling — so the gate bites exactly where it
-# is meaningful (multi-core CI runners, developer machines).
-SPEEDUP_GATE ?= 1.0
-bench-multicore:
-	GOMAXPROCS=4 $(GO) run ./cmd/elmo-bench -groups 50000 -events 20000 -out '' -encode-out '' \
-		-scaling 1,2,4 -gate-speedup $(SPEEDUP_GATE)
-
-# bench-durability measures the durable-controller trio: group-commit
-# throughput under real fsync, full-scale (1M-group) crash recovery,
-# and chaos-injected failover. Writes BENCH_durability.json.
-bench-durability:
-	$(GO) run ./cmd/elmo-bench -durability-only -durability-out BENCH_durability.json
 
 # fuzz gives each fuzz target a short budget; the checked-in seed
 # corpora run as regression tests on every plain `go test` already,

@@ -527,8 +527,8 @@ func buildBatchSpecs(dep *placement.Deployment, groups []groupgen.Group, seed in
 // BenchmarkControllerInstallBatch measures the parallel bulk-install
 // pipeline (§5.1.3 controller scale): groups/sec at 1 worker vs
 // GOMAXPROCS workers, with the byte-identical-result guarantee checked
-// separately by TestInstallBatchDeterministicAcrossWorkers. Run
-// cmd/elmo-bench for the recorded BENCH_controller.json trajectory.
+// separately by TestInstallBatchDeterministicAcrossWorkers. The gated
+// end-to-end figure is the bulk-recover workload of BENCHMARK.json.
 func BenchmarkControllerInstallBatch(b *testing.B) {
 	topo := topology.MustNew(benchTopo())
 	dep, err := placement.Place(topo, placement.Config{

@@ -13,6 +13,7 @@ import (
 	"elmo/internal/fabric"
 	"elmo/internal/header"
 	"elmo/internal/livefabric"
+	"elmo/internal/raceflag"
 	"elmo/internal/reliable"
 	"elmo/internal/topology"
 	"elmo/internal/udpfabric"
@@ -204,8 +205,10 @@ func concurrentSoak(t *testing.T, n int, send func(frame []byte) error,
 				corrupted++ // corrupted past framing: counts as loss
 				continue
 			}
-			if _, ok := openPayload(m.Payload); !ok {
-				corrupted++ // payload bit-flip: discard, NAK recovers it
+			// The sealed body names its own sequence, so the check also
+			// catches a flip in the frame's sequence field.
+			if body, ok := openPayload(m.Payload); !ok || body != fmt.Sprintf("soak-%d", m.Seq) {
+				corrupted++ // bit-flip: discard, NAK recovers it
 				continue
 			}
 			out, _, err := r.Handle(frame)
@@ -307,8 +310,8 @@ func TestChaosSoakLiveFabric(t *testing.T) {
 	cfg := ambientChaos
 	cfg.Seed = 2017
 	ctrl, base, inj, addr, key := concurrentGroup(t, cfg)
+	base.SetInjector(inj)
 	lf := livefabric.New(base, livefabric.DefaultConfig())
-	lf.SetInjector(inj)
 	if _, err := lf.InstallGroup(ctrl, key); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +351,7 @@ func TestChaosSoakUDPFabric(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(u.Close)
-	u.SetInjector(inj)
+	base.SetInjector(inj)
 	if _, err := u.InstallGroup(ctrl, key); err != nil {
 		t.Fatal(err)
 	}
@@ -379,6 +382,7 @@ func TestChaosSoakUDPFabric(t *testing.T) {
 // path: a fabric with a disabled injector attached allocates exactly
 // as much per multicast send as a fabric with no injector at all.
 func TestChaosDisabledAllocParity(t *testing.T) {
+	raceflag.SkipExactAllocs(t)
 	build := func(attach bool) *fabric.Fabric {
 		topo := topology.MustNew(topology.PaperExample())
 		ccfg := controller.PaperConfig(0)

@@ -14,10 +14,9 @@ import (
 //     ReferenceAssign against randomized inputs and require
 //     byte-identical output (same p-rules, s-rules, default rule, and
 //     redundancy).
-//   - It is the benchmark baseline: the encode benchmark gate
-//     (cmd/elmo-bench, BENCH_encode.json) measures the allocation and
-//     throughput delta of the rewrite against it, so the "allocs/op
-//     reduction" claim stays measured rather than remembered.
+//   - It is the benchmark baseline: BenchmarkReferenceAssignWVESizedGroup
+//     beside BenchmarkAssignIntoWarmScratch keeps the allocation and
+//     throughput delta of the rewrite measurable.
 //
 // Do not optimize or otherwise modify this implementation.
 

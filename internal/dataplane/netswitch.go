@@ -119,11 +119,6 @@ type NetworkSwitch struct {
 	fence EpochFence
 
 	stats Stats
-
-	// procScratch backs the Process convenience wrapper so occasional
-	// callers get the fast path without owning a scratch. Bulk callers
-	// (the fabrics) hold their own per-worker SwitchScratch instead.
-	procScratch SwitchScratch
 }
 
 // NewLeaf creates the leaf switch for the given ID.
@@ -177,39 +172,12 @@ func (sw *NetworkSwitch) RemoveSRule(addr GroupAddr) {
 // SRuleCount returns the current group-table occupancy.
 func (sw *NetworkSwitch) SRuleCount() int { return len(sw.groupTable) }
 
-// Process runs the switch pipeline on one packet and returns the
-// emitted copies. A nil error with no emissions means the packet was
-// dropped (see Stats().Drops).
-//
-// Process is a cloning wrapper over ProcessInto: it runs the fast path
-// against a per-switch scratch and returns emissions whose memory is
-// independent of the scratch, so callers may hold them indefinitely.
-// Bulk callers (the fabric event loops) should call ProcessInto with
-// their own scratch instead and skip the copies.
-func (sw *NetworkSwitch) Process(p Packet) ([]Emission, error) {
-	sw.procScratch.Reset()
-	out, err := sw.ProcessInto(p, &sw.procScratch)
-	if err != nil || len(out) == 0 {
-		return nil, err
-	}
-	res := make([]Emission, len(out))
-	copy(res, out)
-	if sw.procScratch.stamped {
-		// Stamped streams alias the scratch arena; detach them. Unstamped
-		// streams alias the input packet, exactly as the reference
-		// pipeline's emissions did.
-		for i := range res {
-			res[i].Packet.Elmo = append([]byte(nil), res[i].Packet.Elmo...)
-		}
-	}
-	return res, nil
-}
-
 // ProcessInto runs the switch pipeline on one packet using the
-// caller-owned scratch and returns the emitted copies. It is
-// emission-identical to Process and ReferenceProcess (asserted by
-// randomized tests) and performs no heap allocation once the scratch
-// is warm.
+// caller-owned scratch and returns the emitted copies. A nil error
+// with no emissions means the packet was dropped (see Stats().Drops).
+// It is emission-identical to the frozen reference pipeline (asserted
+// by randomized tests) and performs no heap allocation once the
+// scratch is warm.
 //
 // The returned slice aliases s and is valid only until the next
 // ProcessInto call with the same scratch. INT-stamped streams alias

@@ -8,6 +8,13 @@ import (
 	"elmo/internal/topology"
 )
 
+// Process runs the switch pipeline against a scratch of its own, so
+// tests may hold the emissions indefinitely (ProcessInto's alias the
+// caller's scratch until it is reused).
+func (sw *NetworkSwitch) Process(p Packet) ([]Emission, error) {
+	return sw.ProcessInto(p, new(SwitchScratch))
+}
+
 // spineUpstreamPacket builds a packet as a spine would receive it from
 // a source leaf: u-spine at the front.
 func spineUpstreamPacket(t *testing.T, l header.Layout, down, up []int, multipath bool, tail *header.Header) Packet {

@@ -9,8 +9,7 @@ import (
 
 // This file freezes the original allocating Process implementation as
 // ReferenceProcess. It is the equivalence oracle for the scratch-based
-// fast path (ProcessInto) and the baseline the dataplane benchmark
-// stage compares against — the same role cluster.ReferenceAssign plays
+// fast path (ProcessInto) — the same role cluster.ReferenceAssign plays
 // for the encode path. Do not optimize it.
 
 // ReferenceProcess runs the original (allocating) switch pipeline on

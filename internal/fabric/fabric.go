@@ -36,11 +36,6 @@ type Fabric struct {
 	injector dataplane.FaultInjector
 	metrics  *Metrics
 	observer dataplane.FlowObserver
-
-	// refProcess routes forwarding through the frozen allocating
-	// pipeline (ReferenceProcess) instead of the scratch fast path —
-	// the benchmark baseline. See SetReferenceProcessing.
-	refProcess bool
 }
 
 // New builds the fabric with the given per-switch s-rule capacity.
@@ -128,12 +123,14 @@ func (f *Fabric) SetInjector(inj dataplane.FaultInjector) { f.injector = inj }
 // allocation.
 func (f *Fabric) SetObserver(o dataplane.FlowObserver) { f.observer = o }
 
-// traceLost records a copy dropped at a failed switch.
-func (f *Fabric) traceLost(tier trace.Tier, id int, pkt dataplane.Packet) {
+// traceLost records a copy dropped at a failed switch. trace.Tier and
+// dataplane.LinkTier enumerate host, leaf, spine, core in the same
+// order (TestLinkTierMatchesTraceTier pins it).
+func (f *Fabric) traceLost(tier dataplane.LinkTier, id int32, pkt *dataplane.Packet) {
 	if !trace.On(f.tracer, trace.CatFabric) {
 		return
 	}
-	ev := trace.Event{Cat: trace.CatFabric, Kind: trace.KindDrop, Tier: tier, Switch: int32(id)}
+	ev := trace.Event{Cat: trace.CatFabric, Kind: trace.KindDrop, Tier: trace.Tier(tier), Switch: id}
 	if addr, ok := dataplane.GroupAddrFromOuter(pkt.Outer); ok {
 		ev.VNI, ev.Group = addr.VNI, addr.Group
 	}
@@ -211,14 +208,10 @@ type Delivery struct {
 	Malformed int
 }
 
-// kindHost marks an event that is a host delivery rather than a
-// switch traversal (only used internally by forward).
-const kindHost dataplane.SwitchKind = -1
-
-// event is one packet arriving somewhere in the fabric.
+// event is one packet arriving at the device (tier, id).
 type event struct {
-	kind dataplane.SwitchKind
-	id   int
+	tier dataplane.LinkTier
+	id   int32
 	pkt  dataplane.Packet
 }
 
@@ -259,21 +252,6 @@ type fwd struct {
 	ps         *procState
 	n          int
 	vni, group uint32
-}
-
-// SetReferenceProcessing switches forwarding to the frozen allocating
-// pipeline (dataplane.ReferenceProcess) when on is true — the pre-PR
-// baseline the dataplane benchmark stage compares the fast path
-// against. Call while the fabric is quiet.
-func (f *Fabric) SetReferenceProcessing(on bool) { f.refProcess = on }
-
-// process runs one switch over one packet through the configured
-// pipeline (scratch fast path by default).
-func (f *Fabric) process(sw *dataplane.NetworkSwitch, pkt *dataplane.Packet, ps *procState) ([]dataplane.Emission, error) {
-	if f.refProcess {
-		return sw.ReferenceProcess(*pkt)
-	}
-	return sw.ProcessInto(*pkt, &ps.scratch)
 }
 
 // admit applies the fault injector's verdict for one link crossing and
@@ -349,17 +327,9 @@ func (f *Fabric) Send(sender topology.HostID, a dataplane.GroupAddr, inner []byt
 // so the chaos monitor can observe a physically repaired switch that
 // the controller still believes failed.
 func (f *Fabric) forward(src topology.HostID, pkt dataplane.Packet) (*Delivery, error) {
-	var ps *procState
-	if f.refProcess {
-		// Reference mode reproduces the pre-fast-path forwarding cost
-		// faithfully: the queue state was allocated per send then, so
-		// the baseline must not borrow the pool either.
-		ps = new(procState)
-	} else {
-		ps = fwdPool.Get().(*procState)
-		ps.reset()
-		defer fwdPool.Put(ps)
-	}
+	ps := fwdPool.Get().(*procState)
+	ps.reset()
+	defer fwdPool.Put(ps)
 	st := fwd{d: &Delivery{Received: make(map[topology.HostID][]byte, 16)}, ps: ps}
 	d := st.d
 	if a, ok := dataplane.GroupAddrFromOuter(pkt.Outer); ok {
@@ -381,16 +351,12 @@ func (f *Fabric) forward(src topology.HostID, pkt dataplane.Packet) (*Delivery, 
 	// Host NIC -> leaf link.
 	d.LinkBytes += pkt.WireSize()
 	d.Links++
-	srcLeaf := f.topo.HostLeaf(src)
+	up := f.uplink(src)
 	// aev is the admit staging slot, reused for every crossing so no
 	// event literal is copied through the call (admit copies it into the
 	// queue itself).
-	var aev event
-	aev = event{kind: dataplane.KindLeaf, id: int(srcLeaf), pkt: pkt}
-	f.admit(&st, dataplane.Link{
-		FromTier: dataplane.LinkHost, From: int32(src),
-		ToTier: dataplane.LinkLeaf, To: int32(srcLeaf),
-	}, &aev)
+	aev := event{tier: up.ToTier, id: up.To, pkt: pkt}
+	f.admit(&st, up, &aev)
 	for st.n = 0; ps.head < len(ps.queue) || len(ps.held) > 0; st.n++ {
 		if st.n >= maxEvents {
 			return nil, fmt.Errorf("fabric: forwarding loop detected after %d events", st.n)
@@ -414,110 +380,33 @@ func (f *Fabric) forward(src topology.HostID, pkt dataplane.Packet) (*Delivery, 
 		// old one stays valid for the duration of this iteration.
 		ev := &ps.queue[ps.head]
 		ps.head++
-		if ev.kind == kindHost {
+		if ev.tier == dataplane.LinkHost {
 			f.deliverHost(d, topology.HostID(ev.id), &ev.pkt)
 			continue
 		}
 		d.Hops++
-		switch ev.kind {
-		case dataplane.KindLeaf:
-			leaf := topology.LeafID(ev.id)
-			ems, err := f.process(f.Leaves[ev.id], &ev.pkt, ps)
-			if err != nil {
-				if chaos {
-					// A corrupted header is dropped where parsing fails,
-					// not surfaced as a fabric error.
-					d.Malformed++
-					continue
-				}
-				return nil, err
+		ems, err := f.switchAt(ev.tier, ev.id).ProcessInto(ev.pkt, &ps.scratch)
+		if err != nil {
+			if chaos {
+				// A corrupted header is dropped where parsing fails,
+				// not surfaced as a fabric error.
+				d.Malformed++
+				continue
 			}
-			for i := range ems {
-				em := &ems[i]
-				d.LinkBytes += em.Packet.WireSize()
-				d.Links++
-				if em.Up {
-					spine := f.topo.LeafUpstream(leaf, em.Port)
-					if f.failures.SpineFailed(spine) && !probe {
-						d.Lost++
-						f.traceLost(trace.TierSpine, int(spine), em.Packet)
-						continue
-					}
-					aev = event{kind: dataplane.KindSpine, id: int(spine), pkt: em.Packet}
-					f.admit(&st, dataplane.Link{
-						FromTier: dataplane.LinkLeaf, From: int32(leaf),
-						ToTier: dataplane.LinkSpine, To: int32(spine),
-					}, &aev)
-				} else {
-					host := f.topo.HostAt(leaf, em.Port)
-					aev = event{kind: kindHost, id: int(host), pkt: em.Packet}
-					f.admit(&st, dataplane.Link{
-						FromTier: dataplane.LinkLeaf, From: int32(leaf),
-						ToTier: dataplane.LinkHost, To: int32(host),
-					}, &aev)
-				}
+			return nil, err
+		}
+		for i := range ems {
+			em := &ems[i]
+			d.LinkBytes += em.Packet.WireSize()
+			d.Links++
+			l := f.NextHop(ev.tier, ev.id, em)
+			if !probe && f.declaredFailed(l.ToTier, l.To) {
+				d.Lost++
+				f.traceLost(l.ToTier, l.To, &em.Packet)
+				continue
 			}
-		case dataplane.KindSpine:
-			spine := topology.SpineID(ev.id)
-			ems, err := f.process(f.Spines[ev.id], &ev.pkt, ps)
-			if err != nil {
-				if chaos {
-					d.Malformed++
-					continue
-				}
-				return nil, err
-			}
-			for i := range ems {
-				em := &ems[i]
-				d.LinkBytes += em.Packet.WireSize()
-				d.Links++
-				if em.Up {
-					core := f.topo.SpineUpstream(spine, em.Port)
-					if f.failures.CoreFailed(core) && !probe {
-						d.Lost++
-						f.traceLost(trace.TierCore, int(core), em.Packet)
-						continue
-					}
-					aev = event{kind: dataplane.KindCore, id: int(core), pkt: em.Packet}
-					f.admit(&st, dataplane.Link{
-						FromTier: dataplane.LinkSpine, From: int32(spine),
-						ToTier: dataplane.LinkCore, To: int32(core),
-					}, &aev)
-				} else {
-					leaf := f.topo.SpineDownstream(spine, em.Port)
-					aev = event{kind: dataplane.KindLeaf, id: int(leaf), pkt: em.Packet}
-					f.admit(&st, dataplane.Link{
-						FromTier: dataplane.LinkSpine, From: int32(spine),
-						ToTier: dataplane.LinkLeaf, To: int32(leaf),
-					}, &aev)
-				}
-			}
-		case dataplane.KindCore:
-			core := topology.CoreID(ev.id)
-			ems, err := f.process(f.Cores[ev.id], &ev.pkt, ps)
-			if err != nil {
-				if chaos {
-					d.Malformed++
-					continue
-				}
-				return nil, err
-			}
-			for i := range ems {
-				em := &ems[i]
-				d.LinkBytes += em.Packet.WireSize()
-				d.Links++
-				spine := f.topo.CoreDownstream(core, topology.PodID(em.Port))
-				if f.failures.SpineFailed(spine) && !probe {
-					d.Lost++
-					f.traceLost(trace.TierSpine, int(spine), em.Packet)
-					continue
-				}
-				aev = event{kind: dataplane.KindSpine, id: int(spine), pkt: em.Packet}
-				f.admit(&st, dataplane.Link{
-					FromTier: dataplane.LinkCore, From: int32(core),
-					ToTier: dataplane.LinkSpine, To: int32(spine),
-				}, &aev)
-			}
+			aev = event{tier: l.ToTier, id: l.To, pkt: em.Packet}
+			f.admit(&st, l, &aev)
 		}
 	}
 	f.metrics.observeDelivery(d)
@@ -532,6 +421,18 @@ func (f *Fabric) forward(src topology.HostID, pkt dataplane.Packet) (*Delivery, 
 		})
 	}
 	return d, nil
+}
+
+// declaredFailed reports whether the controller believes the switch at
+// (tier, id) is down; only spines and cores can be declared failed.
+func (f *Fabric) declaredFailed(tier dataplane.LinkTier, id int32) bool {
+	switch tier {
+	case dataplane.LinkSpine:
+		return f.failures.SpineFailed(topology.SpineID(id))
+	case dataplane.LinkCore:
+		return f.failures.CoreFailed(topology.CoreID(id))
+	}
+	return false
 }
 
 func (f *Fabric) deliverHost(d *Delivery, h topology.HostID, pkt *dataplane.Packet) {

@@ -6,6 +6,7 @@ import (
 
 	"elmo/internal/controller"
 	"elmo/internal/dataplane"
+	"elmo/internal/raceflag"
 	"elmo/internal/telemetry"
 	"elmo/internal/topology"
 )
@@ -107,6 +108,7 @@ func TestMetricsExposition(t *testing.T) {
 // fabric — counters are atomic adds into preallocated cells, so even
 // the enabled path is allocation-free.
 func TestMetricsAttachedAddsNoAllocations(t *testing.T) {
+	raceflag.SkipExactAllocs(t)
 	send := func(f *Fabric) func() {
 		addr := dataplane.GroupAddr{VNI: 1, Group: 1}
 		payload := []byte("alloc probe")

@@ -8,6 +8,7 @@ import (
 
 	"elmo/internal/controller"
 	"elmo/internal/dataplane"
+	"elmo/internal/raceflag"
 	"elmo/internal/topology"
 	"elmo/internal/trace"
 )
@@ -211,6 +212,7 @@ func TestTraceChromeExportFromSend(t *testing.T) {
 // disabled path: a fabric with a disabled recorder attached allocates
 // exactly as much per packet as a fabric with no recorder at all.
 func TestTraceDisabledAddsNoAllocations(t *testing.T) {
+	raceflag.SkipExactAllocs(t)
 	send := func(f *Fabric) func() {
 		addr := dataplane.GroupAddr{VNI: 1, Group: 1}
 		payload := []byte("alloc probe")

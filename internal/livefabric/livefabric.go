@@ -1,19 +1,20 @@
 // Package livefabric runs the emulated Elmo fabric as a concurrent
 // system: every leaf, spine, and core switch is a goroutine consuming
-// fully marshaled wire frames from its ingress channel, running the
-// dataplane pipeline (parse → match → replicate → pop), and writing the
-// resulting frames to its neighbors' channels. Hosts receive decoded
-// frames on per-host channels.
+// fully marshaled wire frames from its ingress channel and stepping
+// fabric.WireEngine over them (parse → match → replicate → pop →
+// marshal), which writes the resulting frames to the neighbors'
+// channels. Hosts receive decoded frames on per-host channels.
 //
 // Where package fabric forwards synchronously for deterministic
 // measurement, livefabric exercises the same switch pipelines under
 // real concurrency and real (de)serialization per hop — the form the
-// example applications (market data feeds, chat) run on.
+// example applications (market data feeds, chat) run on. This package
+// is only the channel transport: queues, Drain, and the
+// congestion-aware picker that reads queue depths.
 package livefabric
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"elmo/internal/controller"
@@ -21,15 +22,10 @@ import (
 	"elmo/internal/fabric"
 	"elmo/internal/header"
 	"elmo/internal/topology"
-	"elmo/internal/trace"
 )
 
 // HostPacket is one frame delivered to a host's VMs.
-type HostPacket struct {
-	Addr      dataplane.GroupAddr
-	Inner     []byte
-	Telemetry []header.INTRecord
-}
+type HostPacket = fabric.HostPacket
 
 // Config tunes the live fabric.
 type Config struct {
@@ -37,7 +33,7 @@ type Config struct {
 	// enough to block model congestion; frames are never dropped.
 	QueueDepth int
 	// HostQueueDepth is each host RX channel's capacity; overflow
-	// drops the frame (receiver too slow), counted in Stats.
+	// drops the frame (receiver too slow), counted in HostDrops.
 	HostQueueDepth int
 }
 
@@ -45,29 +41,14 @@ type Config struct {
 func DefaultConfig() Config { return Config{QueueDepth: 4096, HostQueueDepth: 4096} }
 
 // LiveFabric wraps a fabric's switches with goroutines and channels.
+// Tracer, injector and observer are the base fabric's: set them there
+// before Start.
 type LiveFabric struct {
-	topo   *topology.Topology
-	layout header.Layout
-	base   *fabric.Fabric
-	cfg    Config
-
-	leafIn  []chan []byte
-	spineIn []chan []byte
-	coreIn  []chan []byte
-	hostRx  []chan HostPacket
-
-	stop     chan struct{}
-	wg       sync.WaitGroup
-	started  bool
-	tracer   trace.Recorder
-	injector dataplane.FaultInjector
-	metrics  *Metrics
-
-	mu sync.Mutex
-	// HostDrops counts frames dropped at full host queues.
-	HostDrops int
-	// Malformed counts frames a switch failed to parse.
-	Malformed int
+	base *fabric.Fabric
+	eng  *fabric.WireEngine
+	// in holds the switch ingress queues by link tier and switch ID
+	// (hosts have none: the last hop steps the host inline).
+	in [dataplane.LinkCore + 1][]chan []byte
 }
 
 // New wraps an existing (already configured) fabric. Group state must
@@ -75,20 +56,11 @@ type LiveFabric struct {
 // only moves packets.
 func New(base *fabric.Fabric, cfg Config) *LiveFabric {
 	topo := base.Topology()
-	lf := &LiveFabric{
-		topo:   topo,
-		layout: header.LayoutFor(topo),
-		base:   base,
-		cfg:    cfg,
-		stop:   make(chan struct{}),
-	}
-	lf.leafIn = makeChans(topo.NumLeaves(), cfg.QueueDepth)
-	lf.spineIn = makeChans(topo.NumSpines(), cfg.QueueDepth)
-	lf.coreIn = makeChans(topo.NumCores(), cfg.QueueDepth)
-	lf.hostRx = make([]chan HostPacket, topo.NumHosts())
-	for i := range lf.hostRx {
-		lf.hostRx[i] = make(chan HostPacket, cfg.HostQueueDepth)
-	}
+	lf := &LiveFabric{base: base}
+	lf.in[dataplane.LinkLeaf] = makeChans(topo.NumLeaves(), cfg.QueueDepth)
+	lf.in[dataplane.LinkSpine] = makeChans(topo.NumSpines(), cfg.QueueDepth)
+	lf.in[dataplane.LinkCore] = makeChans(topo.NumCores(), cfg.QueueDepth)
+	lf.eng = fabric.NewWireEngine(base, cfg.HostQueueDepth, lf.transmit)
 	return lf
 }
 
@@ -100,59 +72,68 @@ func makeChans(n, depth int) []chan []byte {
 	return chs
 }
 
-// Base returns the wrapped fabric (for group installation).
+// Base returns the wrapped fabric (for group installation and hooks).
 func (lf *LiveFabric) Base() *fabric.Fabric { return lf.base }
 
-// SetTracer attaches a flight recorder to the underlying switches and
-// hypervisors and to the live fabric's own transport events (host
-// queue overflows, malformed frames). Call before Start.
-func (lf *LiveFabric) SetTracer(r trace.Recorder) {
-	lf.tracer = r
-	lf.base.SetTracer(r)
-}
-
-// SetInjector attaches a fault injector to every link crossing (and to
-// the base fabric). Call before Start. Delay verdicts are interpreted
-// as milliseconds here; an inactive injector costs one nil check plus
-// one atomic load per crossing.
-func (lf *LiveFabric) SetInjector(inj dataplane.FaultInjector) {
-	lf.injector = inj
-	lf.base.SetInjector(inj)
-}
-
 // HostRx returns the delivery channel for a host.
-func (lf *LiveFabric) HostRx(h topology.HostID) <-chan HostPacket { return lf.hostRx[h] }
+func (lf *LiveFabric) HostRx(h topology.HostID) <-chan HostPacket { return lf.eng.HostRx(h) }
 
-// Start launches one goroutine per switch.
+// HostDrops counts frames dropped at full host queues.
+func (lf *LiveFabric) HostDrops() int64 { return lf.eng.HostDrops() }
+
+// Malformed counts frames a switch or host failed to parse.
+func (lf *LiveFabric) Malformed() int64 { return lf.eng.Malformed() }
+
+// Send encapsulates at the sender's hypervisor and injects the frame
+// at its leaf. It returns once the frame is queued; deliveries arrive
+// on HostRx channels.
+func (lf *LiveFabric) Send(sender topology.HostID, addr dataplane.GroupAddr, inner []byte) error {
+	return lf.eng.Send(sender, addr, inner)
+}
+
+// transmit queues a copy of the frame at the next switch, blocking on
+// a full queue (congestion) unless the fabric stops. The leaf→host hop
+// has no queue: the host is stepped in the leaf's goroutine.
+func (lf *LiveFabric) transmit(l dataplane.Link, wire []byte) error {
+	if l.ToTier == dataplane.LinkHost {
+		lf.eng.Step(l.ToTier, l.To, wire, nil)
+		return nil
+	}
+	select {
+	case lf.in[l.ToTier][l.To] <- append([]byte(nil), wire...):
+		return nil
+	case <-lf.eng.Stopped():
+		return fmt.Errorf("livefabric: stopped")
+	}
+}
+
+// Start launches one goroutine per switch. The fabric is one-shot:
+// Start after Stop does nothing.
 func (lf *LiveFabric) Start() {
-	if lf.started {
-		return
-	}
-	lf.started = true
-	for i := range lf.leafIn {
-		lf.wg.Add(1)
-		go lf.runLeaf(topology.LeafID(i))
-	}
-	for i := range lf.spineIn {
-		lf.wg.Add(1)
-		go lf.runSpine(topology.SpineID(i))
-	}
-	for i := range lf.coreIn {
-		lf.wg.Add(1)
-		go lf.runCore(topology.CoreID(i))
+	lf.eng.Start(func() {
+		for tier, chs := range lf.in {
+			for id, ch := range chs {
+				lf.eng.Go(func() { lf.run(dataplane.LinkTier(tier), int32(id), ch) })
+			}
+		}
+	})
+}
+
+func (lf *LiveFabric) run(tier dataplane.LinkTier, id int32, ch <-chan []byte) {
+	var sc fabric.WireScratch
+	for {
+		select {
+		case <-lf.eng.Stopped():
+			return
+		case wire := <-ch:
+			lf.eng.Step(tier, id, wire, &sc)
+		}
 	}
 }
 
 // Stop terminates the switch goroutines. In-flight frames may be lost;
 // call Drain first for a clean shutdown.
-func (lf *LiveFabric) Stop() {
-	if !lf.started {
-		return
-	}
-	close(lf.stop)
-	lf.wg.Wait()
-	lf.started = false
-}
+func (lf *LiveFabric) Stop() { lf.eng.Stop(nil) }
 
 // Drain waits until all switch ingress queues are empty (quiescence),
 // up to the timeout. It does not guarantee host channels were read.
@@ -175,270 +156,14 @@ func (lf *LiveFabric) Drain(timeout time.Duration) error {
 }
 
 func (lf *LiveFabric) queuesEmpty() bool {
-	for _, ch := range lf.leafIn {
-		if len(ch) > 0 {
-			return false
-		}
-	}
-	for _, ch := range lf.spineIn {
-		if len(ch) > 0 {
-			return false
-		}
-	}
-	for _, ch := range lf.coreIn {
-		if len(ch) > 0 {
-			return false
+	for _, chs := range lf.in {
+		for _, ch := range chs {
+			if len(ch) > 0 {
+				return false
+			}
 		}
 	}
 	return true
-}
-
-// Send encapsulates at the sender's hypervisor and injects the frame
-// at its leaf. It returns immediately; deliveries arrive on HostRx
-// channels.
-func (lf *LiveFabric) Send(sender topology.HostID, addr dataplane.GroupAddr, inner []byte) error {
-	pkt, err := lf.base.Hypervisors[sender].Encap(addr, inner)
-	if err != nil {
-		return err
-	}
-	wire, err := pkt.Marshal(nil)
-	if err != nil {
-		return err
-	}
-	leaf := lf.topo.HostLeaf(sender)
-	if dataplane.FaultsOn(lf.injector) {
-		l := dataplane.Link{
-			FromTier: dataplane.LinkHost, From: int32(sender),
-			ToTier: dataplane.LinkLeaf, To: int32(leaf),
-		}
-		lf.admitWire(l, addr.VNI, addr.Group, lf.leafIn[leaf], wire)
-		return nil
-	}
-	select {
-	case lf.leafIn[leaf] <- wire:
-		return nil
-	case <-lf.stop:
-		return fmt.Errorf("livefabric: stopped")
-	}
-}
-
-func (lf *LiveFabric) runLeaf(id topology.LeafID) {
-	defer lf.wg.Done()
-	sw := lf.base.Leaves[id]
-	var sc dataplane.SwitchScratch
-	for {
-		select {
-		case <-lf.stop:
-			return
-		case wire := <-lf.leafIn[id]:
-			ems, ok := lf.process(sw, wire, &sc)
-			if !ok {
-				continue
-			}
-			for _, em := range ems {
-				if em.Up {
-					spine := lf.topo.LeafUpstream(id, em.Port)
-					lf.forwardWire(dataplane.Link{
-						FromTier: dataplane.LinkLeaf, From: int32(id),
-						ToTier: dataplane.LinkSpine, To: int32(spine),
-					}, lf.spineIn[spine], em.Packet)
-				} else {
-					lf.deliverHost(id, lf.topo.HostAt(id, em.Port), em.Packet)
-				}
-			}
-		}
-	}
-}
-
-func (lf *LiveFabric) runSpine(id topology.SpineID) {
-	defer lf.wg.Done()
-	sw := lf.base.Spines[id]
-	var sc dataplane.SwitchScratch
-	for {
-		select {
-		case <-lf.stop:
-			return
-		case wire := <-lf.spineIn[id]:
-			ems, ok := lf.process(sw, wire, &sc)
-			if !ok {
-				continue
-			}
-			for _, em := range ems {
-				if em.Up {
-					core := lf.topo.SpineUpstream(id, em.Port)
-					lf.forwardWire(dataplane.Link{
-						FromTier: dataplane.LinkSpine, From: int32(id),
-						ToTier: dataplane.LinkCore, To: int32(core),
-					}, lf.coreIn[core], em.Packet)
-				} else {
-					leaf := lf.topo.SpineDownstream(id, em.Port)
-					lf.forwardWire(dataplane.Link{
-						FromTier: dataplane.LinkSpine, From: int32(id),
-						ToTier: dataplane.LinkLeaf, To: int32(leaf),
-					}, lf.leafIn[leaf], em.Packet)
-				}
-			}
-		}
-	}
-}
-
-func (lf *LiveFabric) runCore(id topology.CoreID) {
-	defer lf.wg.Done()
-	sw := lf.base.Cores[id]
-	var sc dataplane.SwitchScratch
-	for {
-		select {
-		case <-lf.stop:
-			return
-		case wire := <-lf.coreIn[id]:
-			ems, ok := lf.process(sw, wire, &sc)
-			if !ok {
-				continue
-			}
-			for _, em := range ems {
-				spine := lf.topo.CoreDownstream(id, topology.PodID(em.Port))
-				lf.forwardWire(dataplane.Link{
-					FromTier: dataplane.LinkCore, From: int32(id),
-					ToTier: dataplane.LinkSpine, To: int32(spine),
-				}, lf.spineIn[spine], em.Packet)
-			}
-		}
-	}
-}
-
-// process unmarshals and runs the switch pipeline through the
-// goroutine's scratch, counting malformed frames. The scratch is reset
-// per frame: every emission is fully consumed (re-marshaled onward or
-// delivered to a host) before the goroutine picks up its next frame,
-// so no arena bytes outlive the call.
-func (lf *LiveFabric) process(sw *dataplane.NetworkSwitch, wire []byte, sc *dataplane.SwitchScratch) ([]dataplane.Emission, bool) {
-	pkt, err := dataplane.Unmarshal(lf.layout, wire)
-	if err != nil {
-		lf.countMalformed()
-		return nil, false
-	}
-	sc.Reset()
-	ems, err := sw.ProcessInto(pkt, sc)
-	if err != nil {
-		lf.countMalformed()
-		return nil, false
-	}
-	return ems, true
-}
-
-// forwardWire marshals and enqueues a frame, blocking on a full queue
-// (congestion) unless the fabric stops. With an active injector the
-// link crossing may drop, duplicate, corrupt, or delay the frame.
-func (lf *LiveFabric) forwardWire(l dataplane.Link, ch chan []byte, pkt dataplane.Packet) {
-	wire, err := pkt.Marshal(nil)
-	if err != nil {
-		lf.countMalformed()
-		return
-	}
-	if dataplane.FaultsOn(lf.injector) {
-		a, _ := dataplane.GroupAddrFromOuter(pkt.Outer)
-		lf.admitWire(l, a.VNI, a.Group, ch, wire)
-		return
-	}
-	select {
-	case ch <- wire:
-	case <-lf.stop:
-	}
-}
-
-// admitWire applies the injector verdict to a marshaled frame and
-// enqueues the surviving copies; the frame is owned by this call.
-func (lf *LiveFabric) admitWire(l dataplane.Link, vni, group uint32, ch chan []byte, wire []byte) {
-	v := lf.injector.Cross(l, vni, group)
-	if v.Drop {
-		return
-	}
-	if v.Corrupt {
-		lf.injector.CorruptWire(wire)
-	}
-	if v.Duplicate {
-		dup := append([]byte(nil), wire...)
-		lf.enqueue(ch, dup, 0)
-	}
-	lf.enqueue(ch, wire, v.DelaySteps)
-}
-
-// enqueue writes a frame to a switch queue, after delayMS milliseconds
-// when positive (injected delay/reordering).
-func (lf *LiveFabric) enqueue(ch chan []byte, wire []byte, delayMS int32) {
-	if delayMS > 0 {
-		lf.wg.Add(1)
-		go func() {
-			defer lf.wg.Done()
-			select {
-			case <-time.After(time.Duration(delayMS) * time.Millisecond):
-			case <-lf.stop:
-				return
-			}
-			select {
-			case ch <- wire:
-			case <-lf.stop:
-			}
-		}()
-		return
-	}
-	select {
-	case ch <- wire:
-	case <-lf.stop:
-	}
-}
-
-func (lf *LiveFabric) deliverHost(from topology.LeafID, h topology.HostID, pkt dataplane.Packet) {
-	if dataplane.FaultsOn(lf.injector) {
-		a, _ := dataplane.GroupAddrFromOuter(pkt.Outer)
-		v := lf.injector.Cross(dataplane.Link{
-			FromTier: dataplane.LinkLeaf, From: int32(from),
-			ToTier: dataplane.LinkHost, To: int32(h),
-		}, a.VNI, a.Group)
-		// The last hop applies loss and duplication only: the frame is
-		// already decoded, and host-queue latency dominates any injected
-		// delay at this point.
-		if v.Drop {
-			return
-		}
-		if v.Duplicate {
-			lf.deliverHostDirect(h, pkt)
-		}
-	}
-	lf.deliverHostDirect(h, pkt)
-}
-
-func (lf *LiveFabric) deliverHostDirect(h topology.HostID, pkt dataplane.Packet) {
-	inner, tel, ok := lf.base.Hypervisors[h].DeliverFull(pkt)
-	if !ok {
-		return
-	}
-	addr, _ := dataplane.GroupAddrFromOuter(pkt.Outer)
-	hp := HostPacket{Addr: addr, Inner: inner, Telemetry: tel}
-	select {
-	case lf.hostRx[h] <- hp:
-	default:
-		lf.mu.Lock()
-		lf.HostDrops++
-		lf.mu.Unlock()
-		lf.metrics.onHostDrop()
-		if trace.On(lf.tracer, trace.CatFabric) {
-			lf.tracer.Record(trace.Event{
-				Cat: trace.CatFabric, Kind: trace.KindHostDrop, Tier: trace.TierHost,
-				Switch: int32(h), VNI: addr.VNI, Group: addr.Group,
-			})
-		}
-	}
-}
-
-func (lf *LiveFabric) countMalformed() {
-	lf.mu.Lock()
-	lf.Malformed++
-	lf.mu.Unlock()
-	lf.metrics.onMalformed()
-	if trace.On(lf.tracer, trace.CatFabric) {
-		lf.tracer.Record(trace.Event{Cat: trace.CatFabric, Kind: trace.KindMalformed})
-	}
 }
 
 // EnableCongestionAwareMultipath replaces flow-hash ECMP with a
@@ -447,28 +172,25 @@ func (lf *LiveFabric) countMalformed() {
 // shortest (ties broken by flow hash so steady state stays spread).
 // Call before Start.
 func (lf *LiveFabric) EnableCongestionAwareMultipath() {
-	cfg := lf.topo.Config()
-	for i, sw := range lf.base.Leaves {
-		leaf := topology.LeafID(i)
-		sw.UpstreamPicker = func(f header.OuterFields, alive []int) int {
-			return lf.leastLoaded(alive, f, func(port int) int {
-				return len(lf.spineIn[lf.topo.LeafUpstream(leaf, port)])
+	picker := func(tier dataplane.LinkTier, id int) func(header.OuterFields, []int) int {
+		return func(f header.OuterFields, alive []int) int {
+			return leastLoaded(alive, f, func(port int) int {
+				l := lf.base.NextHop(tier, int32(id), &dataplane.Emission{Port: port, Up: true})
+				return len(lf.in[l.ToTier][l.To])
 			})
 		}
 	}
+	for i, sw := range lf.base.Leaves {
+		sw.UpstreamPicker = picker(dataplane.LinkLeaf, i)
+	}
 	for i, sw := range lf.base.Spines {
-		plane := lf.topo.SpinePlane(topology.SpineID(i))
-		sw.UpstreamPicker = func(f header.OuterFields, alive []int) int {
-			return lf.leastLoaded(alive, f, func(port int) int {
-				return len(lf.coreIn[plane*cfg.CoresPerPlane+port])
-			})
-		}
+		sw.UpstreamPicker = picker(dataplane.LinkSpine, i)
 	}
 }
 
 // leastLoaded returns the alive port with the smallest queue estimate,
 // breaking ties with the flow hash.
-func (lf *LiveFabric) leastLoaded(alive []int, f header.OuterFields, depth func(port int) int) int {
+func leastLoaded(alive []int, f header.OuterFields, depth func(port int) int) int {
 	best := alive[0]
 	bestDepth := depth(best)
 	for _, p := range alive[1:] {

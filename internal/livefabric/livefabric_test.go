@@ -84,8 +84,8 @@ func TestLiveDelivery(t *testing.T) {
 	if err := lf.Drain(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if lf.Malformed != 0 || lf.HostDrops != 0 {
-		t.Fatalf("malformed=%d drops=%d", lf.Malformed, lf.HostDrops)
+	if lf.Malformed() != 0 || lf.HostDrops() != 0 {
+		t.Fatalf("malformed=%d drops=%d", lf.Malformed(), lf.HostDrops())
 	}
 }
 
@@ -147,6 +147,42 @@ func TestLiveStopIsIdempotent(t *testing.T) {
 	lf.Start() // no-op
 	lf.Stop()
 	lf.Stop() // no-op
+}
+
+// TestLiveRestartAfterStop is the regression test for the lifecycle
+// bug: Start→Stop→Start→Stop used to panic closing the stop channel
+// twice and ran a fabric whose switches had already exited. The fabric
+// is one-shot now.
+func TestLiveRestartAfterStop(t *testing.T) {
+	lf, _, key, _ := liveFixture(t, false)
+	lf.Start()
+	lf.Stop()
+	lf.Start()
+	lf.Stop()
+	// No switch is running, so nothing is delivered.
+	addr := dataplane.GroupAddr{VNI: key.Tenant, Group: key.Group}
+	_ = lf.Send(0, addr, []byte("after stop")) // queued or refused, never forwarded
+	select {
+	case p := <-lf.HostRx(1):
+		t.Fatalf("stopped fabric delivered %q", p.Inner)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// TestLiveConcurrentStartStop races Start and Stop from many
+// goroutines (run under -race: the old started flag was a plain bool).
+func TestLiveConcurrentStartStop(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		lf, _, _, _ := liveFixture(t, false)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(2)
+			go func() { defer wg.Done(); lf.Start() }()
+			go func() { defer wg.Done(); lf.Stop() }()
+		}
+		wg.Wait()
+		lf.Stop()
+	}
 }
 
 func TestLiveSendUnknownGroupFails(t *testing.T) {

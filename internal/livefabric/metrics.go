@@ -27,26 +27,13 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	}
 }
 
-func (m *Metrics) onHostDrop() {
-	if m != nil {
-		m.hostDrops.Inc()
-	}
-}
-
-func (m *Metrics) onMalformed() {
-	if m != nil {
-		m.malformed.Inc()
-	}
-}
-
 // SetMetrics attaches telemetry to the live fabric's transport and the
 // wrapped fabric's switches and hypervisors. Call before Start; nil
 // detaches.
 func (lf *LiveFabric) SetMetrics(m *Metrics) {
-	lf.metrics = m
-	if m != nil {
-		lf.base.SetMetrics(m.Fabric)
-	} else {
-		lf.base.SetMetrics(nil)
+	if m == nil {
+		m = &Metrics{}
 	}
+	lf.base.SetMetrics(m.Fabric)
+	lf.eng.SetCounters(m.malformed, m.hostDrops)
 }

@@ -32,7 +32,7 @@ func TestTracePathOverLiveFabric(t *testing.T) {
 
 	rec := trace.New(trace.Config{})
 	rec.Enable(trace.CatHop, trace.CatHost, trace.CatFabric)
-	lf.SetTracer(rec)
+	base.SetTracer(rec)
 
 	key := controller.GroupKey{Tenant: 1, Group: 1}
 	hosts := []topology.HostID{0, 1, 40, 48, 49, 63}

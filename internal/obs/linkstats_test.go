@@ -7,7 +7,9 @@ import (
 	"elmo/internal/controller"
 	"elmo/internal/dataplane"
 	"elmo/internal/fabric"
+	"elmo/internal/livefabric"
 	"elmo/internal/topology"
+	"elmo/internal/udpfabric"
 )
 
 func paperTopo() *topology.Topology { return topology.MustNew(topology.PaperExample()) }
@@ -110,10 +112,49 @@ func (o *teeObserver) ObserveLink(l dataplane.Link, b int) {
 }
 func (o *teeObserver) ObserveSend(s dataplane.SendSample) { o.p.ObserveSend(s) }
 
+// linkTotals snapshots the table's cumulative bytes per link index.
+func linkTotals(lt *LinkTable) (totals []int64, sum int64) {
+	totals = make([]int64, lt.NumLinks())
+	for idx := range totals {
+		totals[idx], _ = lt.Totals(idx)
+		sum += totals[idx]
+	}
+	return totals, sum
+}
+
+// wireTierTotals replays the multicast sends of
+// TestLinkTableMatchesExactCounting over a wire-engine tier built by
+// start, and returns the per-link totals once wantSum bytes crossed.
+func wireTierTotals(t *testing.T, wantSum int64, start func(*fabric.Fabric) (send func(topology.HostID, dataplane.GroupAddr, []byte) error, stop func())) []int64 {
+	t.Helper()
+	ctrl, f := testCluster(t)
+	installGroup(t, ctrl, f, controller.GroupKey{Tenant: 1, Group: 1}, figure3Hosts())
+	p := New(Options{Topology: f.Topology()})
+	p.Enable()
+	f.SetObserver(p)
+	send, stop := start(f)
+	defer stop()
+	for _, sender := range figure3Hosts() {
+		if err := send(sender, dataplane.GroupAddr{VNI: 1, Group: 1}, []byte("accuracy probe")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		totals, sum := linkTotals(p.Links())
+		if sum == wantSum {
+			return totals
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("tier moved %d bytes, sync fabric %d", sum, wantSum)
+		}
+	}
+}
+
 // TestLinkTableMatchesExactCounting sends a seeded multicast workload
 // and asserts the dense cumulative counters agree byte-for-byte with
 // an exact map keyed by the raw link structs, and with the Delivery
-// totals.
+// totals — and that the channel and UDP tiers, which report crossings
+// from the wire engine, fill the table identically link for link.
 func TestLinkTableMatchesExactCounting(t *testing.T) {
 	ctrl, f := testCluster(t)
 	key := controller.GroupKey{Tenant: 1, Group: 1}
@@ -132,6 +173,7 @@ func TestLinkTableMatchesExactCounting(t *testing.T) {
 		}
 		wantBytes += d.LinkBytes
 	}
+	multicast, multicastSum := linkTotals(p.Links())
 	// Baseline unicast crosses links too and must land in the table.
 	du, err := f.SendUnicast(0, figure3Hosts(), []byte("unicast probe"))
 	if err != nil {
@@ -156,6 +198,30 @@ func TestLinkTableMatchesExactCounting(t *testing.T) {
 		got, _ := lt.Totals(idx)
 		if got != want {
 			t.Errorf("link %+v: table %d bytes, exact %d", l, got, want)
+		}
+	}
+
+	tiers := map[string]func(*fabric.Fabric) (func(topology.HostID, dataplane.GroupAddr, []byte) error, func()){
+		"channel": func(base *fabric.Fabric) (func(topology.HostID, dataplane.GroupAddr, []byte) error, func()) {
+			lf := livefabric.New(base, livefabric.DefaultConfig())
+			lf.Start()
+			return lf.Send, lf.Stop
+		},
+		"udp": func(base *fabric.Fabric) (func(topology.HostID, dataplane.GroupAddr, []byte) error, func()) {
+			u, err := udpfabric.New(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			u.Start()
+			return u.Send, u.Close
+		},
+	}
+	for name, start := range tiers {
+		got := wireTierTotals(t, multicastSum, start)
+		for idx, want := range multicast {
+			if got[idx] != want {
+				t.Errorf("%s tier, link %s: %d bytes, sync fabric %d", name, lt.name(idx), got[idx], want)
+			}
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"elmo/internal/controller"
 	"elmo/internal/dataplane"
 	"elmo/internal/fabric"
+	"elmo/internal/raceflag"
 	"elmo/internal/telemetry"
 	"elmo/internal/topology"
 )
@@ -228,6 +229,7 @@ func TestOpsPlaneEndpoints(t *testing.T) {
 // metrics). It also records the enabled-path budget so regressions
 // show up in -v output.
 func TestObserverDisabledAddsNoAllocations(t *testing.T) {
+	raceflag.SkipExactAllocs(t)
 	send := func(f *fabric.Fabric) func() {
 		addr := dataplane.GroupAddr{VNI: 1, Group: 1}
 		payload := []byte("alloc probe")

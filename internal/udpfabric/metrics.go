@@ -63,25 +63,13 @@ func (m *Metrics) onRetry() {
 	}
 }
 
-func (m *Metrics) onMalformed() {
-	if m != nil {
-		m.malformed.Inc()
-	}
-}
-
-func (m *Metrics) onHostDrop() {
-	if m != nil {
-		m.hostDrops.Inc()
-	}
-}
-
 // SetMetrics attaches telemetry to the UDP transport and the wrapped
 // fabric's switches and hypervisors. Call before Start; nil detaches.
 func (u *UDPFabric) SetMetrics(m *Metrics) {
 	u.metrics = m
-	if m != nil {
-		u.base.SetMetrics(m.Fabric)
-	} else {
-		u.base.SetMetrics(nil)
+	if m == nil {
+		m = &Metrics{}
 	}
+	u.base.SetMetrics(m.Fabric)
+	u.eng.SetCounters(m.malformed, m.hostDrops)
 }

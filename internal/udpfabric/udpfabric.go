@@ -9,69 +9,51 @@
 // channels, udpfabric exercises the full marshal → socket → parse path
 // per hop, the shape a userspace software-switch deployment (PISCES/
 // OVS-style) actually has. It is used by tests and examples, not by
-// the large-scale simulations.
+// the large-scale simulations. This package is only the socket
+// transport — binding, the batched reader and send accounting; the
+// per-hop step is fabric.WireEngine's.
 package udpfabric
 
 import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"elmo/internal/controller"
 	"elmo/internal/dataplane"
 	"elmo/internal/fabric"
-	"elmo/internal/header"
 	"elmo/internal/topology"
-	"elmo/internal/trace"
 )
 
 // maxFrame bounds one datagram (outer + 512-byte header budget + MTU).
 const maxFrame = 4096
 
+// hostQueue is each host delivery channel's capacity.
+const hostQueue = 1024
+
 // HostPacket is a frame delivered to a host endpoint.
-type HostPacket struct {
-	Addr      dataplane.GroupAddr
-	Inner     []byte
-	Telemetry []header.INTRecord
-}
+type HostPacket = fabric.HostPacket
 
-// UDPFabric binds a fabric's switches to UDP sockets.
+// UDPFabric binds a fabric's switches and hosts to UDP sockets.
+// Tracer, injector and observer are the base fabric's: set them there
+// before Start.
 type UDPFabric struct {
-	topo   *topology.Topology
-	layout header.Layout
-	base   *fabric.Fabric
+	base *fabric.Fabric
+	eng  *fabric.WireEngine
 
-	leafConn  []*net.UDPConn
-	spineConn []*net.UDPConn
-	coreConn  []*net.UDPConn
-	hostConn  []*net.UDPConn
+	// conn holds one socket per device, by link tier and device ID;
+	// addr holds the same sockets' addresses, resolved once at bind time
+	// so the hot path never repeats the LocalAddr type assertion.
+	conn [dataplane.LinkCore + 1][]*net.UDPConn
+	addr [dataplane.LinkCore + 1][]*net.UDPAddr
 
-	// Destination addresses resolved once at bind time, so the hot
-	// forwarding path never repeats the LocalAddr type assertion per
-	// datagram.
-	leafAddr  []*net.UDPAddr
-	spineAddr []*net.UDPAddr
-	coreAddr  []*net.UDPAddr
-	hostAddr  []*net.UDPAddr
-
-	hostRx []chan HostPacket
-
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stopped   chan struct{}
-	wg        sync.WaitGroup
-	tracer    trace.Recorder
-	injector  dataplane.FaultInjector
-	metrics   *Metrics
-
-	mu sync.Mutex
-	// Malformed counts undecodable datagrams; Dropped counts frames
-	// discarded at full host queues; ReadErrors counts transient socket
-	// read errors the readers retried past; SendErrors counts datagram
-	// writes the socket rejected.
-	Malformed, Dropped, ReadErrors, SendErrors int
+	metrics *Metrics
+	// readErrors counts transient socket read errors the readers
+	// retried past; sendErrors counts datagram writes the socket
+	// rejected.
+	readErrors, sendErrors atomic.Int64
 }
 
 // New binds one ephemeral localhost UDP socket per switch and host of
@@ -80,116 +62,84 @@ type UDPFabric struct {
 // must happen while the fabric is quiet, same contract as livefabric).
 func New(base *fabric.Fabric) (*UDPFabric, error) {
 	topo := base.Topology()
-	u := &UDPFabric{
-		topo:    topo,
-		layout:  header.LayoutFor(topo),
-		base:    base,
-		stopped: make(chan struct{}),
-	}
-	var err error
-	if u.leafConn, err = listenN(topo.NumLeaves()); err != nil {
-		return nil, err
-	}
-	if u.spineConn, err = listenN(topo.NumSpines()); err != nil {
-		u.Close()
-		return nil, err
-	}
-	if u.coreConn, err = listenN(topo.NumCores()); err != nil {
-		u.Close()
-		return nil, err
-	}
-	if u.hostConn, err = listenN(topo.NumHosts()); err != nil {
-		u.Close()
-		return nil, err
-	}
-	u.leafAddr = addrsOf(u.leafConn)
-	u.spineAddr = addrsOf(u.spineConn)
-	u.coreAddr = addrsOf(u.coreConn)
-	u.hostAddr = addrsOf(u.hostConn)
-	u.hostRx = make([]chan HostPacket, topo.NumHosts())
-	for i := range u.hostRx {
-		u.hostRx[i] = make(chan HostPacket, 1024)
+	u := &UDPFabric{base: base}
+	u.eng = fabric.NewWireEngine(base, hostQueue, u.transmit)
+	for tier, n := range [...]int{
+		dataplane.LinkHost: topo.NumHosts(), dataplane.LinkLeaf: topo.NumLeaves(),
+		dataplane.LinkSpine: topo.NumSpines(), dataplane.LinkCore: topo.NumCores(),
+	} {
+		for i := 0; i < n; i++ {
+			c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+			if err != nil {
+				u.Close()
+				return nil, fmt.Errorf("udpfabric: %w", err)
+			}
+			u.conn[tier] = append(u.conn[tier], c)
+			u.addr[tier] = append(u.addr[tier], c.LocalAddr().(*net.UDPAddr))
+		}
 	}
 	return u, nil
 }
 
 // Start spawns the per-switch and per-host reader goroutines. It is
 // idempotent and safe to call from multiple goroutines; only the first
-// call spawns readers.
+// call spawns readers, and none after Close.
 func (u *UDPFabric) Start() {
-	u.startOnce.Do(func() {
-		for i := range u.leafConn {
-			u.wg.Add(1)
-			go u.runLeaf(topology.LeafID(i))
-		}
-		for i := range u.spineConn {
-			u.wg.Add(1)
-			go u.runSpine(topology.SpineID(i))
-		}
-		for i := range u.coreConn {
-			u.wg.Add(1)
-			go u.runCore(topology.CoreID(i))
-		}
-		for i := range u.hostConn {
-			u.wg.Add(1)
-			go u.runHost(topology.HostID(i))
+	u.eng.Start(func() {
+		for tier, conns := range u.conn {
+			for id, c := range conns {
+				// Each reader owns one scratch, reused across datagrams.
+				u.eng.Go(func() {
+					var sc fabric.WireScratch
+					u.readLoop(c, func(wire []byte) {
+						u.eng.Step(dataplane.LinkTier(tier), int32(id), wire, &sc)
+					})
+				})
+			}
 		}
 	})
 }
 
-func addrsOf(conns []*net.UDPConn) []*net.UDPAddr {
-	addrs := make([]*net.UDPAddr, len(conns))
-	for i, c := range conns {
-		addrs[i] = c.LocalAddr().(*net.UDPAddr)
-	}
-	return addrs
-}
-
-func listenN(n int) ([]*net.UDPConn, error) {
-	conns := make([]*net.UDPConn, n)
-	for i := range conns {
-		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-		if err != nil {
-			for _, prev := range conns[:i] {
-				prev.Close()
-			}
-			return nil, fmt.Errorf("udpfabric: %w", err)
-		}
-		conns[i] = c
-	}
-	return conns, nil
-}
-
 // Close shuts the sockets down and waits for the readers.
 func (u *UDPFabric) Close() {
-	u.stopOnce.Do(func() { close(u.stopped) })
-	for _, set := range [][]*net.UDPConn{u.leafConn, u.spineConn, u.coreConn, u.hostConn} {
-		for _, c := range set {
-			if c != nil {
+	u.eng.Stop(func() {
+		for _, conns := range u.conn {
+			for _, c := range conns {
 				c.Close()
 			}
 		}
-	}
-	u.wg.Wait()
+	})
 }
 
 // HostRx returns the delivery channel for a host.
-func (u *UDPFabric) HostRx(h topology.HostID) <-chan HostPacket { return u.hostRx[h] }
+func (u *UDPFabric) HostRx(h topology.HostID) <-chan HostPacket { return u.eng.HostRx(h) }
 
 // HostAddr returns the UDP address a host endpoint listens on (the
 // "NIC" applications would send through).
 func (u *UDPFabric) HostAddr(h topology.HostID) *net.UDPAddr {
-	return u.hostAddr[h]
+	return u.addr[dataplane.LinkHost][h]
 }
 
-// writeTo transmits one datagram and keeps the send accounting honest:
-// only a successful write counts toward the sent totals; failures are
-// tallied separately as SendErrors.
-func (u *UDPFabric) writeTo(from *net.UDPConn, wire []byte, dst *net.UDPAddr) error {
-	if _, err := from.WriteToUDP(wire, dst); err != nil {
-		u.mu.Lock()
-		u.SendErrors++
-		u.mu.Unlock()
+// Malformed counts undecodable datagrams.
+func (u *UDPFabric) Malformed() int64 { return u.eng.Malformed() }
+
+// HostDrops counts frames discarded at full host queues.
+func (u *UDPFabric) HostDrops() int64 { return u.eng.HostDrops() }
+
+// ReadErrors counts transient socket read errors retried with backoff.
+func (u *UDPFabric) ReadErrors() int64 { return u.readErrors.Load() }
+
+// SendErrors counts datagram writes the socket rejected.
+func (u *UDPFabric) SendErrors() int64 { return u.sendErrors.Load() }
+
+// transmit writes one datagram from the link's source socket to its
+// destination and keeps the send accounting honest: only a successful
+// write counts toward the sent totals; failures are tallied separately
+// as SendErrors. WriteToUDP copies the payload into the kernel before
+// returning, so the engine's scratch is free again on return.
+func (u *UDPFabric) transmit(l dataplane.Link, wire []byte) error {
+	if _, err := u.conn[l.FromTier][l.From].WriteToUDP(wire, u.addr[l.ToTier][l.To]); err != nil {
+		u.sendErrors.Add(1)
 		u.metrics.onSendError()
 		return err
 	}
@@ -200,54 +150,18 @@ func (u *UDPFabric) writeTo(from *net.UDPConn, wire []byte, dst *net.UDPAddr) er
 // Send encapsulates at the sender's hypervisor and transmits the frame
 // to the sender's leaf over UDP.
 func (u *UDPFabric) Send(sender topology.HostID, addr dataplane.GroupAddr, inner []byte) error {
-	pkt, err := u.base.Hypervisors[sender].Encap(addr, inner)
-	if err != nil {
-		return err
-	}
-	wire, err := pkt.Marshal(nil)
-	if err != nil {
-		return err
-	}
-	leaf := u.topo.HostLeaf(sender)
-	if dataplane.FaultsOn(u.injector) {
-		u.admitWire(dataplane.Link{
-			FromTier: dataplane.LinkHost, From: int32(sender),
-			ToTier: dataplane.LinkLeaf, To: int32(leaf),
-		}, addr.VNI, addr.Group, u.hostConn[sender], u.leafAddr[leaf], wire)
-		return nil
-	}
-	return u.writeTo(u.hostConn[sender], wire, u.leafAddr[leaf])
+	return u.eng.Send(sender, addr, inner)
+}
+
+// WaitForDeliveries collects n frames from a host with a deadline —
+// a convenience for tests and examples on real sockets.
+func (u *UDPFabric) WaitForDeliveries(h topology.HostID, n int, timeout time.Duration) ([]HostPacket, error) {
+	return u.eng.WaitForDeliveries(h, n, timeout)
 }
 
 // InstallGroup proxies to the base fabric.
 func (u *UDPFabric) InstallGroup(ctrl *controller.Controller, key controller.GroupKey) ([]topology.HostID, error) {
 	return u.base.InstallGroup(ctrl, key)
-}
-
-// SetTracer attaches a flight recorder to the underlying switches and
-// hypervisors and to the UDP fabric's own transport events. Call
-// before Start.
-func (u *UDPFabric) SetTracer(r trace.Recorder) {
-	u.tracer = r
-	u.base.SetTracer(r)
-}
-
-// SetInjector attaches a fault injector to every link crossing (and to
-// the base fabric). Call before Start. Delay verdicts are interpreted
-// as milliseconds.
-func (u *UDPFabric) SetInjector(inj dataplane.FaultInjector) {
-	u.injector = inj
-	u.base.SetInjector(inj)
-}
-
-func (u *UDPFabric) countMalformed() {
-	u.mu.Lock()
-	u.Malformed++
-	u.mu.Unlock()
-	u.metrics.onMalformed()
-	if trace.On(u.tracer, trace.CatFabric) {
-		u.tracer.Record(trace.Event{Cat: trace.CatFabric, Kind: trace.KindMalformed})
-	}
 }
 
 // readErrBackoffCap bounds the retry backoff after consecutive
@@ -276,7 +190,6 @@ var pastDeadline = time.Unix(1, 0)
 // and are never counted. Only a closed socket or fabric stop ends the
 // loop.
 func (u *UDPFabric) readLoop(conn *net.UDPConn, fn func(wire []byte)) {
-	defer u.wg.Done()
 	var free [][]byte
 	batch := make([][]byte, 0, readBatch)
 	getFrame := func() []byte {
@@ -297,9 +210,7 @@ func (u *UDPFabric) readLoop(conn *net.UDPConn, fn func(wire []byte)) {
 			if errors.Is(err, net.ErrClosed) {
 				return
 			}
-			u.mu.Lock()
-			u.ReadErrors++
-			u.mu.Unlock()
+			u.readErrors.Add(1)
 			u.metrics.onRetry()
 			if backoff == 0 {
 				backoff = time.Millisecond
@@ -307,7 +218,7 @@ func (u *UDPFabric) readLoop(conn *net.UDPConn, fn func(wire []byte)) {
 				backoff = readErrBackoffCap
 			}
 			select {
-			case <-u.stopped:
+			case <-u.eng.Stopped():
 				return
 			case <-time.After(backoff):
 				continue
@@ -336,187 +247,4 @@ func (u *UDPFabric) readLoop(conn *net.UDPConn, fn func(wire []byte)) {
 		}
 		batch = batch[:0]
 	}
-}
-
-func (u *UDPFabric) process(sw *dataplane.NetworkSwitch, wire []byte, sc *dataplane.SwitchScratch) []dataplane.Emission {
-	pkt, err := dataplane.Unmarshal(u.layout, wire)
-	if err != nil {
-		u.countMalformed()
-		return nil
-	}
-	sc.Reset()
-	ems, err := sw.ProcessInto(pkt, sc)
-	if err != nil {
-		u.countMalformed()
-		return nil
-	}
-	return ems
-}
-
-// forward marshals one emission into the caller's reusable scratch
-// buffer and transmits it. WriteToUDP copies the payload into the
-// kernel before returning (and admitWire's delayed path copies for
-// itself), so the scratch — returned with any capacity growth — is
-// free for the next emission as soon as forward returns.
-func (u *UDPFabric) forward(l dataplane.Link, from *net.UDPConn, dst *net.UDPAddr, pkt dataplane.Packet, mbuf []byte) []byte {
-	wire, err := pkt.Marshal(mbuf[:0])
-	if err != nil {
-		u.countMalformed()
-		return mbuf
-	}
-	if dataplane.FaultsOn(u.injector) {
-		a, _ := dataplane.GroupAddrFromOuter(pkt.Outer)
-		u.admitWire(l, a.VNI, a.Group, from, dst, wire)
-		return wire
-	}
-	u.writeTo(from, wire, dst)
-	return wire
-}
-
-// admitWire applies the injector verdict to a marshaled datagram and
-// transmits the surviving copies. wire may be a reusable scratch; the
-// delayed path copies it before the goroutine escapes the call.
-func (u *UDPFabric) admitWire(l dataplane.Link, vni, group uint32, from *net.UDPConn, dst *net.UDPAddr, wire []byte) {
-	v := u.injector.Cross(l, vni, group)
-	if v.Drop {
-		return
-	}
-	if v.Corrupt {
-		u.injector.CorruptWire(wire)
-	}
-	if v.Duplicate {
-		u.writeTo(from, wire, dst)
-	}
-	if v.DelaySteps > 0 {
-		delayed := append([]byte(nil), wire...)
-		u.wg.Add(1)
-		go func() {
-			defer u.wg.Done()
-			select {
-			case <-time.After(time.Duration(v.DelaySteps) * time.Millisecond):
-			case <-u.stopped:
-				return
-			}
-			u.writeTo(from, delayed, dst)
-		}()
-		return
-	}
-	u.writeTo(from, wire, dst)
-}
-
-// Each switch reader owns one SwitchScratch (reset per datagram; all
-// emissions are re-marshaled before the next frame) and one marshal
-// scratch buffer reused across emissions.
-func (u *UDPFabric) runLeaf(id topology.LeafID) {
-	conn := u.leafConn[id]
-	sw := u.base.Leaves[id]
-	var sc dataplane.SwitchScratch
-	var mbuf []byte
-	u.readLoop(conn, func(wire []byte) {
-		for _, em := range u.process(sw, wire, &sc) {
-			if em.Up {
-				spine := u.topo.LeafUpstream(id, em.Port)
-				mbuf = u.forward(dataplane.Link{
-					FromTier: dataplane.LinkLeaf, From: int32(id),
-					ToTier: dataplane.LinkSpine, To: int32(spine),
-				}, conn, u.spineAddr[spine], em.Packet, mbuf)
-			} else {
-				host := u.topo.HostAt(id, em.Port)
-				mbuf = u.forward(dataplane.Link{
-					FromTier: dataplane.LinkLeaf, From: int32(id),
-					ToTier: dataplane.LinkHost, To: int32(host),
-				}, conn, u.hostAddr[host], em.Packet, mbuf)
-			}
-		}
-	})
-}
-
-func (u *UDPFabric) runSpine(id topology.SpineID) {
-	conn := u.spineConn[id]
-	sw := u.base.Spines[id]
-	var sc dataplane.SwitchScratch
-	var mbuf []byte
-	u.readLoop(conn, func(wire []byte) {
-		for _, em := range u.process(sw, wire, &sc) {
-			if em.Up {
-				core := u.topo.SpineUpstream(id, em.Port)
-				mbuf = u.forward(dataplane.Link{
-					FromTier: dataplane.LinkSpine, From: int32(id),
-					ToTier: dataplane.LinkCore, To: int32(core),
-				}, conn, u.coreAddr[core], em.Packet, mbuf)
-			} else {
-				leaf := u.topo.SpineDownstream(id, em.Port)
-				mbuf = u.forward(dataplane.Link{
-					FromTier: dataplane.LinkSpine, From: int32(id),
-					ToTier: dataplane.LinkLeaf, To: int32(leaf),
-				}, conn, u.leafAddr[leaf], em.Packet, mbuf)
-			}
-		}
-	})
-}
-
-func (u *UDPFabric) runCore(id topology.CoreID) {
-	conn := u.coreConn[id]
-	sw := u.base.Cores[id]
-	var sc dataplane.SwitchScratch
-	var mbuf []byte
-	u.readLoop(conn, func(wire []byte) {
-		for _, em := range u.process(sw, wire, &sc) {
-			spine := u.topo.CoreDownstream(id, topology.PodID(em.Port))
-			mbuf = u.forward(dataplane.Link{
-				FromTier: dataplane.LinkCore, From: int32(id),
-				ToTier: dataplane.LinkSpine, To: int32(spine),
-			}, conn, u.spineAddr[spine], em.Packet, mbuf)
-		}
-	})
-}
-
-func (u *UDPFabric) runHost(h topology.HostID) {
-	conn := u.hostConn[h]
-	hv := u.base.Hypervisors[h]
-	u.readLoop(conn, func(wire []byte) {
-		pkt, err := dataplane.Unmarshal(u.layout, wire)
-		if err != nil {
-			u.countMalformed()
-			return
-		}
-		inner, tel, ok := hv.DeliverFull(pkt)
-		if !ok {
-			return
-		}
-		// inner aliases the reader's recycled frame buffer; the queued
-		// HostPacket outlives this call, so it gets its own copy.
-		inner = append([]byte(nil), inner...)
-		addr, _ := dataplane.GroupAddrFromOuter(pkt.Outer)
-		select {
-		case u.hostRx[h] <- HostPacket{Addr: addr, Inner: inner, Telemetry: tel}:
-		default:
-			u.mu.Lock()
-			u.Dropped++
-			u.mu.Unlock()
-			u.metrics.onHostDrop()
-			if trace.On(u.tracer, trace.CatFabric) {
-				u.tracer.Record(trace.Event{
-					Cat: trace.CatFabric, Kind: trace.KindHostDrop, Tier: trace.TierHost,
-					Switch: int32(h), VNI: addr.VNI, Group: addr.Group,
-				})
-			}
-		}
-	})
-}
-
-// WaitForDeliveries collects n frames from a host with a deadline —
-// a convenience for tests and examples on real sockets.
-func (u *UDPFabric) WaitForDeliveries(h topology.HostID, n int, timeout time.Duration) ([]HostPacket, error) {
-	out := make([]HostPacket, 0, n)
-	deadline := time.After(timeout)
-	for len(out) < n {
-		select {
-		case p := <-u.hostRx[h]:
-			out = append(out, p)
-		case <-deadline:
-			return out, fmt.Errorf("udpfabric: host %d got %d of %d before timeout", h, len(out), n)
-		}
-	}
-	return out, nil
 }

@@ -2,7 +2,6 @@ package udpfabric
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -72,8 +71,8 @@ func TestDeliveryOverRealUDP(t *testing.T) {
 			t.Fatalf("host %d: %d distinct of %d", h, len(seen), n)
 		}
 	}
-	if u.Malformed != 0 || u.Dropped != 0 {
-		t.Fatalf("malformed=%d dropped=%d", u.Malformed, u.Dropped)
+	if u.Malformed() != 0 || u.HostDrops() != 0 {
+		t.Fatalf("malformed=%d dropped=%d", u.Malformed(), u.HostDrops())
 	}
 }
 
@@ -111,16 +110,13 @@ func TestHostAddrStable(t *testing.T) {
 func TestGarbageDatagramCounted(t *testing.T) {
 	u, _, _ := udpFixture(t, false)
 	// Fire a garbage datagram straight at a leaf socket.
-	conn := u.hostConn[3]
-	if _, err := conn.WriteToUDP([]byte{0xde, 0xad}, u.leafConn[0].LocalAddr().(*net.UDPAddr)); err != nil {
+	conn := u.conn[dataplane.LinkHost][3]
+	if _, err := conn.WriteToUDP([]byte{0xde, 0xad}, u.addr[dataplane.LinkLeaf][0]); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		u.mu.Lock()
-		m := u.Malformed
-		u.mu.Unlock()
-		if m == 1 {
+		if u.Malformed() == 1 {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -169,7 +165,7 @@ func TestSendAccountingCountsSuccessesOnly(t *testing.T) {
 
 	// Closing the sender's socket makes the next write fail; the failure
 	// must land in SendErrors, never in the sent totals.
-	u.hostConn[0].Close()
+	u.conn[dataplane.LinkHost][0].Close()
 	if err := u.Send(0, addr, []byte("broken")); err == nil {
 		t.Fatal("Send on closed socket did not error")
 	}
@@ -179,11 +175,8 @@ func TestSendAccountingCountsSuccessesOnly(t *testing.T) {
 	if got := u.metrics.sendErrors.Value(); got != 1 {
 		t.Fatalf("sendErrors after failure = %d, want 1", got)
 	}
-	u.mu.Lock()
-	se := u.SendErrors
-	u.mu.Unlock()
-	if se != 1 {
-		t.Fatalf("SendErrors field = %d, want 1", se)
+	if se := u.SendErrors(); se != 1 {
+		t.Fatalf("SendErrors() = %d, want 1", se)
 	}
 }
 
