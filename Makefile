@@ -56,8 +56,12 @@ bench-all:
 # so this target only explores beyond them.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run '^$$' -fuzz 'FuzzReplay' -fuzztime $(FUZZTIME) ./internal/wal/
-	$(GO) test -run '^$$' -fuzz 'FuzzUnmarshalCommand' -fuzztime $(FUZZTIME) ./internal/rsm/
+	@set -e; for t in wal:FuzzReplay rsm:FuzzUnmarshalCommand \
+		header:FuzzDecode header:FuzzScanPipeline header:FuzzParseOuter \
+		cluster:FuzzAssignEquivalence durable:FuzzApplyRecord; do \
+		echo "fuzz $$t"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) ./internal/$${t%%:*}/; \
+	done
 
 # trace records the flight-recorder demo scenario and writes a Chrome
 # trace_event JSON for chrome://tracing / Perfetto.
@@ -77,11 +81,13 @@ chaos:
 durable:
 	$(GO) run ./cmd/elmo-sim -durable
 
-# partition runs the leadership-fencing soaks under the race detector
-# — the split-brain partition soak, the fencing-rejection demotion
-# path, and the chaos partition primitives — then the narrated
-# partition/epoch-takeover scenario.
+# partition runs the leadership-fencing checks under the race detector
+# — the stale-epoch rule over every leader write, the split-brain
+# partition soak, the fencing-rejection demotion path, and the chaos
+# partition primitives — then the narrated partition/epoch-takeover
+# scenario.
 partition:
+	$(GO) test -race -run 'TestStaleEpochFencesEveryWrite' -count=1 ./internal/fabric/
 	$(GO) test -race -run 'TestPartitionSoakSplitBrain|TestDeposedByFencingRejection' -count=1 ./internal/durable/
 	$(GO) test -race -run 'TestPartition|TestHeal|TestPlanPartition' -count=1 ./internal/chaos/
 	$(GO) run ./cmd/elmo-sim -partition

@@ -442,7 +442,7 @@ func BenchmarkAblation_HeaderPopping(b *testing.B) {
 	if _, err := ctrl.CreateGroup(key, members); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := fab.InstallGroup(ctrl, key); err != nil {
+	if _, err := fab.InstallGroupAt(0, ctrl, key); err != nil {
 		b.Fatal(err)
 	}
 	hdr, err := ctrl.HeaderFor(key, 0)

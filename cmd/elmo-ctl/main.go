@@ -443,7 +443,7 @@ func (s *server) saveLoad(op string, f []string) (string, error) {
 	}
 	// Reinstall every restored group into the data plane.
 	for _, key := range s.cl.Ctrl.GroupKeys() {
-		if _, err := s.cl.Fab.InstallGroup(s.cl.Ctrl, key); err != nil {
+		if _, err := s.cl.Fab.InstallGroupAt(0, s.cl.Ctrl, key); err != nil {
 			return "", err
 		}
 	}

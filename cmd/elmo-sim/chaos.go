@@ -51,7 +51,7 @@ func runChaos(topoCfg topology.Config, srules int, seed int64) {
 	if _, err := ctrl.CreateGroup(key, members); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := fab.InstallGroup(ctrl, key); err != nil {
+	if _, err := fab.InstallGroupAt(0, ctrl, key); err != nil {
 		log.Fatal(err)
 	}
 	lay := header.LayoutFor(topo)

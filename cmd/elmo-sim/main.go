@@ -306,7 +306,7 @@ func runTrace(topoCfg topology.Config, srules int, out string) {
 	if _, err := ctrl.CreateGroup(key, members); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := f.InstallGroup(ctrl, key); err != nil {
+	if _, err := f.InstallGroupAt(0, ctrl, key); err != nil {
 		log.Fatal(err)
 	}
 
@@ -382,7 +382,7 @@ func refreshFlows(ctrl *controller.Controller, f *fabric.Fabric, key controller.
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := f.Hypervisors[h].InstallSenderFlow(addr, hdr); err != nil {
+		if err := f.Hypervisors[h].InstallSenderFlowAt(0, addr, hdr); err != nil {
 			log.Fatal(err)
 		}
 	}

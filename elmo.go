@@ -92,7 +92,9 @@ func DefaultConfig(r int) Config { return controller.PaperConfig(r) }
 
 // Cluster couples a controller with an emulated fabric: the minimal
 // deployment of Elmo. It is safe for single-goroutine use; wrap it in
-// your own synchronization to share.
+// your own synchronization to share. Its controller holds no durable
+// leadership, so it writes the data plane at epoch 0 — which a fabric
+// that a fenced leader (internal/durable) has written rejects.
 type Cluster struct {
 	Topo *topology.Topology
 	Ctrl *controller.Controller
@@ -119,7 +121,7 @@ func (c *Cluster) CreateGroup(key GroupKey, members map[HostID]Role) error {
 	if _, err := c.Ctrl.CreateGroup(key, members); err != nil {
 		return err
 	}
-	noPath, err := c.Fab.InstallGroup(c.Ctrl, key)
+	noPath, err := c.Fab.InstallGroupAt(0, c.Ctrl, key)
 	if err != nil {
 		return err
 	}
@@ -131,7 +133,7 @@ func (c *Cluster) CreateGroup(key GroupKey, members map[HostID]Role) error {
 
 // RemoveGroup tears a group down in both planes.
 func (c *Cluster) RemoveGroup(key GroupKey) error {
-	if err := c.Fab.UninstallGroup(c.Ctrl, key); err != nil {
+	if err := c.Fab.UninstallGroupAt(0, c.Ctrl, key); err != nil {
 		return err
 	}
 	return c.Ctrl.RemoveGroup(key)
@@ -142,7 +144,7 @@ func (c *Cluster) RemoveGroup(key GroupKey) error {
 func (c *Cluster) Join(key GroupKey, host HostID, role Role) error {
 	// Withdraw current data-plane state, apply the membership change,
 	// and reinstall — the controller tracks the precise switch deltas.
-	if err := c.Fab.UninstallGroup(c.Ctrl, key); err != nil {
+	if err := c.Fab.UninstallGroupAt(0, c.Ctrl, key); err != nil {
 		return err
 	}
 	if err := c.Ctrl.Join(key, host, role); err != nil {
@@ -155,7 +157,7 @@ func (c *Cluster) Join(key GroupKey, host HostID, role Role) error {
 // Leave removes a member role and refreshes the group's data-plane
 // state.
 func (c *Cluster) Leave(key GroupKey, host HostID, role Role) error {
-	if err := c.Fab.UninstallGroup(c.Ctrl, key); err != nil {
+	if err := c.Fab.UninstallGroupAt(0, c.Ctrl, key); err != nil {
 		return err
 	}
 	if err := c.Ctrl.Leave(key, host, role); err != nil {
@@ -166,7 +168,7 @@ func (c *Cluster) Leave(key GroupKey, host HostID, role Role) error {
 }
 
 func (c *Cluster) install(key GroupKey) error {
-	noPath, err := c.Fab.InstallGroup(c.Ctrl, key)
+	noPath, err := c.Fab.InstallGroupAt(0, c.Ctrl, key)
 	if err != nil {
 		return err
 	}
@@ -178,7 +180,7 @@ func (c *Cluster) install(key GroupKey) error {
 
 func (c *Cluster) reinstall(key GroupKey) {
 	if c.Ctrl.Group(key) != nil {
-		_, _ = c.Fab.InstallGroup(c.Ctrl, key)
+		_, _ = c.Fab.InstallGroupAt(0, c.Ctrl, key)
 	}
 }
 
@@ -217,7 +219,7 @@ func (c *Cluster) RepairCore(co CoreID) (int, error) {
 // fall back to unicast at their hypervisor and are skipped here.
 func (c *Cluster) refreshAllSenders() error {
 	for _, key := range c.GroupKeys() {
-		if _, err := c.Fab.InstallGroup(c.Ctrl, key); err != nil {
+		if _, err := c.Fab.InstallGroupAt(0, c.Ctrl, key); err != nil {
 			return err
 		}
 	}

@@ -1,7 +1,10 @@
 package elmo
 
 import (
+	"errors"
 	"testing"
+
+	"elmo/internal/dataplane"
 )
 
 func TestClusterQuickPath(t *testing.T) {
@@ -90,6 +93,40 @@ func TestClusterFailureAPI(t *testing.T) {
 	}
 	if _, err := cl.RepairCore(0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSenderWithoutPathDegradesToUnicast: a sender cut off from the
+// fabric loses the flow an earlier install left, so its hypervisor
+// reports ErrNoSenderFlow (the §3.3 unicast fallback signal) instead of
+// encapsulating onto a dead path; repair plus refresh restores it.
+func TestSenderWithoutPathDegradesToUnicast(t *testing.T) {
+	cl, err := NewCluster(PaperExampleTopology(), DefaultConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := GroupKey{Tenant: 3, Group: 1}
+	if err := cl.CreateGroup(key, map[HostID]Role{0: RoleSender, 16: RoleReceiver}); err != nil {
+		t.Fatal(err)
+	}
+	// Both spines of the sender's pod.
+	for s := SpineID(0); s < 2; s++ {
+		if _, err := cl.FailSpine(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d, err := cl.Send(0, key, []byte("x")); !errors.Is(err, dataplane.ErrNoSenderFlow) {
+		t.Fatalf("send without a path: delivery %v, err %v; want ErrNoSenderFlow", d, err)
+	}
+	if _, err := cl.RepairSpine(1); err != nil {
+		t.Fatal(err)
+	}
+	d, err := cl.Send(0, key, []byte("y"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Received) != 1 || d.Lost != 0 {
+		t.Fatalf("after repair: %s", d)
 	}
 }
 

@@ -77,7 +77,7 @@ func main() {
 		if _, err := ctrl.CreateGroup(key, members); err != nil {
 			log.Fatal(err)
 		}
-		if _, err := lf.InstallGroup(ctrl, key); err != nil {
+		if _, err := base.InstallGroupAt(0, ctrl, key); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -68,7 +68,7 @@ func NewPubSub(ctrl *controller.Controller, fab *fabric.Fabric, key controller.G
 	if _, err := ctrl.CreateGroup(key, members); err != nil {
 		return nil, err
 	}
-	if _, err := fab.InstallGroup(ctrl, key); err != nil {
+	if _, err := fab.InstallGroupAt(0, ctrl, key); err != nil {
 		return nil, err
 	}
 	return &PubSub{
@@ -80,7 +80,7 @@ func NewPubSub(ctrl *controller.Controller, fab *fabric.Fabric, key controller.G
 
 // Close removes the group from both planes.
 func (ps *PubSub) Close() error {
-	if err := ps.fab.UninstallGroup(ps.ctrl, ps.key); err != nil {
+	if err := ps.fab.UninstallGroupAt(0, ps.ctrl, ps.key); err != nil {
 		return err
 	}
 	return ps.ctrl.RemoveGroup(ps.key)

@@ -92,7 +92,7 @@ func MeasureTelemetry(ctrl *controller.Controller, fab *fabric.Fabric, agent top
 		if _, err := ctrl.CreateGroup(key, members); err != nil {
 			return nil, err
 		}
-		if _, err := fab.InstallGroup(ctrl, key); err != nil {
+		if _, err := fab.InstallGroupAt(0, ctrl, key); err != nil {
 			return nil, err
 		}
 		sample := TelemetrySample{Agent: agent, Sequence: 1, CPUMilli: 250, MemBytes: 1 << 30}
@@ -131,7 +131,7 @@ func MeasureTelemetry(ctrl *controller.Controller, fab *fabric.Fabric, agent top
 			TelemetryPoint{Collectors: n, Transport: TransportUnicast,
 				EgressKbps: kbps(uniEgress, reportsPerSec), ReportsRate: reportsPerSec},
 		)
-		if err := fab.UninstallGroup(ctrl, key); err != nil {
+		if err := fab.UninstallGroupAt(0, ctrl, key); err != nil {
 			return nil, err
 		}
 		if err := ctrl.RemoveGroup(key); err != nil {

@@ -32,7 +32,7 @@ func chaosFixture(t *testing.T, cfg Config) (*topology.Topology, *controller.Con
 	if _, err := ctrl.CreateGroup(key, members); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fab.InstallGroup(ctrl, key); err != nil {
+	if _, err := fab.InstallGroupAt(0, ctrl, key); err != nil {
 		t.Fatal(err)
 	}
 	return topo, ctrl, fab, inj, key

@@ -88,6 +88,9 @@ type switchHealth struct {
 // *declared* failure drops, so what a probe measures is the physical
 // device (the injector's loss overrides), which is exactly the
 // detection-vs-declaration distinction.
+//
+// The monitor knows no leader's epoch: it writes its probe and refresh
+// flows at epoch 0, which a fabric a fenced leader has written rejects.
 type Monitor struct {
 	topo *topology.Topology
 	ctrl *controller.Controller
@@ -230,11 +233,10 @@ func (m *Monitor) buildCoreProbes() error {
 }
 
 func (m *Monitor) installProbe(p probe, hdr *header.Header) error {
-	if err := m.fab.Hypervisors[p.src].InstallSenderFlow(p.addr, hdr); err != nil {
+	if err := m.fab.Hypervisors[p.src].InstallSenderFlowAt(0, p.addr, hdr); err != nil {
 		return err
 	}
-	m.fab.Hypervisors[p.target].SetReceiving(p.addr, true)
-	return nil
+	return m.fab.Hypervisors[p.target].SetReceivingAt(0, p.addr, true)
 }
 
 // Watch registers a flow the monitor refreshes on every detected
@@ -361,7 +363,9 @@ func (m *Monitor) refreshFlows() {
 			}
 			hdr, err := m.ctrl.HeaderFor(fl.Key, fl.Sender)
 			if err == controller.ErrNoPath || err == controller.ErrLegacyPath {
-				m.fab.Hypervisors[fl.Sender].RemoveSenderFlow(addr)
+				if err := m.fab.Hypervisors[fl.Sender].RemoveSenderFlowAt(0, addr); err != nil {
+					continue
+				}
 				m.degraded[fl] = true
 				done = true
 				break
@@ -386,5 +390,5 @@ func (m *Monitor) install(fl MonitoredFlow, hdr *header.Header) error {
 		return m.cfg.InstallFn(fl, hdr)
 	}
 	addr := dataplane.GroupAddr{VNI: fl.Key.Tenant, Group: fl.Key.Group}
-	return m.fab.Hypervisors[fl.Sender].InstallSenderFlow(addr, hdr)
+	return m.fab.Hypervisors[fl.Sender].InstallSenderFlowAt(0, addr, hdr)
 }

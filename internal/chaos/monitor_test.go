@@ -202,7 +202,7 @@ func TestMonitorRecoveryRetryBackoff(t *testing.T) {
 			if installs <= 2 {
 				return errors.New("transient install failure")
 			}
-			return fab.Hypervisors[fl.Sender].InstallSenderFlow(
+			return fab.Hypervisors[fl.Sender].InstallSenderFlowAt(0,
 				dataplane.GroupAddr{VNI: fl.Key.Tenant, Group: fl.Key.Group}, hdr)
 		},
 	})

@@ -312,7 +312,7 @@ func TestChaosSoakLiveFabric(t *testing.T) {
 	ctrl, base, inj, addr, key := concurrentGroup(t, cfg)
 	base.SetInjector(inj)
 	lf := livefabric.New(base, livefabric.DefaultConfig())
-	if _, err := lf.InstallGroup(ctrl, key); err != nil {
+	if _, err := base.InstallGroupAt(0, ctrl, key); err != nil {
 		t.Fatal(err)
 	}
 	lf.Start()
@@ -352,7 +352,7 @@ func TestChaosSoakUDPFabric(t *testing.T) {
 	}
 	t.Cleanup(u.Close)
 	base.SetInjector(inj)
-	if _, err := u.InstallGroup(ctrl, key); err != nil {
+	if _, err := base.InstallGroupAt(0, ctrl, key); err != nil {
 		t.Fatal(err)
 	}
 	u.Start()
@@ -403,7 +403,7 @@ func TestChaosDisabledAllocParity(t *testing.T) {
 		if _, err := ctrl.CreateGroup(key, members); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fab.InstallGroup(ctrl, key); err != nil {
+		if _, err := fab.InstallGroupAt(0, ctrl, key); err != nil {
 			t.Fatal(err)
 		}
 		return fab
@@ -446,7 +446,7 @@ func BenchmarkForwardChaosOff(b *testing.B) {
 	if _, err := ctrl.CreateGroup(key, members); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := fab.InstallGroup(ctrl, key); err != nil {
+	if _, err := fab.InstallGroupAt(0, ctrl, key); err != nil {
 		b.Fatal(err)
 	}
 	addr := dataplane.GroupAddr{VNI: 9, Group: 1}

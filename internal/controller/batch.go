@@ -281,12 +281,14 @@ func (c *Controller) InstallBatch(specs []BatchSpec, opts BatchOptions) (*BatchR
 	prepErr := make([]error, n)
 	receivers := func(i int) []topology.HostID {
 		spec := specs[i]
+		if prepErr[i] = c.validateMembers(spec.Members); prepErr[i] != nil {
+			// The commit step fails this element before its encoding is
+			// used; encode nothing rather than hosts the topology would
+			// panic on.
+			return nil
+		}
 		g := &GroupState{Key: spec.Key, Members: make(map[topology.HostID]Role, len(spec.Members))}
-		prepErr[i] = nil
 		for h, r := range spec.Members {
-			if r == 0 {
-				prepErr[i] = fmt.Errorf("controller: host %d has empty role", h)
-			}
 			g.Members[h] = r
 		}
 		prep[i] = g

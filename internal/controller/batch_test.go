@@ -213,6 +213,60 @@ func TestInstallBatchDuplicateKey(t *testing.T) {
 	requireSameState(t, "prefix", serial, c)
 }
 
+// TestInvalidMemberIsAnOpError: a host outside the topology or a role
+// with unknown bits is rejected by every path that takes members from
+// outside — never a panic in the topology accessors — and the
+// controller keeps serving. In a batch the bad element stops the batch
+// at its index for every worker count, like any other failing element.
+func TestInvalidMemberIsAnOpError(t *testing.T) {
+	topo := paperTopo()
+	c, err := New(topo, testConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := GroupKey{Tenant: 1, Group: 1}
+	outside := topology.HostID(topo.NumHosts())
+	for name, members := range map[string]map[topology.HostID]Role{
+		"host past the end": {0: RoleSender, outside: RoleReceiver},
+		"negative host":     {0: RoleSender, -1: RoleReceiver},
+		"unknown role bits": {0: RoleSender, 1: RoleBoth + 1},
+		"empty role":        {0: RoleSender, 1: 0},
+	} {
+		if _, err := c.CreateGroup(key, members); err == nil {
+			t.Fatalf("CreateGroup accepted %s", name)
+		}
+	}
+	if _, err := c.CreateGroup(key, map[topology.HostID]Role{0: RoleSender, 16: RoleReceiver}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Join(key, outside, RoleReceiver); err == nil {
+		t.Fatal("Join accepted a host outside the topology")
+	}
+	if err := c.Join(key, 17, RoleBoth+1); err == nil {
+		t.Fatal("Join accepted unknown role bits")
+	}
+	if err := c.Join(key, 17, RoleReceiver); err != nil {
+		t.Fatalf("controller stopped serving after rejected ops: %v", err)
+	}
+
+	for _, workers := range []int{1, 4} {
+		specs := randSpecs(5, 30, 7, topo.NumHosts())
+		specs[17].Members[outside] = RoleReceiver
+		b, err := New(topo, testConfig(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = b.InstallBatch(specs, BatchOptions{Workers: workers})
+		var be *BatchError
+		if !errors.As(err, &be) || be.Index != 17 {
+			t.Fatalf("workers=%d: error %v, want *BatchError at index 17", workers, err)
+		}
+		if got := b.NumGroups(); got != 17 {
+			t.Fatalf("workers=%d: %d groups committed, want 17", workers, got)
+		}
+	}
+}
+
 func TestInstallBatchEmpty(t *testing.T) {
 	c, err := New(paperTopo(), testConfig(0))
 	if err != nil {

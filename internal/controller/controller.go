@@ -337,20 +337,39 @@ func (c *Controller) lookup(key GroupKey) *GroupState {
 	return c.Group(key)
 }
 
+// validateMembers rejects a membership the controller cannot hold: a
+// role with no or unknown bits, or a host outside the topology (which
+// the topology accessors would panic on). Every path that takes
+// members from outside — create, join, batch, restore — checks here, so
+// a bad member is an ordinary op error that fails the same way on the
+// leader, on replay and on every follower.
+func (c *Controller) validateMembers(members map[topology.HostID]Role) error {
+	numHosts := c.topo.NumHosts()
+	for h, r := range members {
+		if r == 0 || r&^RoleBoth != 0 {
+			return fmt.Errorf("controller: host %d has invalid role %d", h, r)
+		}
+		if h < 0 || int(h) >= numHosts {
+			return fmt.Errorf("controller: host %d outside topology [0,%d)", h, numHosts)
+		}
+	}
+	return nil
+}
+
 // CreateGroup registers a group with the given members and computes
 // its encoding, installing any s-rules. Returns an error if the key
-// exists or a member host is repeated.
+// exists or a member is invalid (see validateMembers).
 func (c *Controller) CreateGroup(key GroupKey, members map[topology.HostID]Role) (*GroupState, error) {
 	m := c.getMetrics()
 	start := m.now()
 	if c.lookup(key) != nil {
 		return nil, fmt.Errorf("controller: group %v already exists", key)
 	}
+	if err := c.validateMembers(members); err != nil {
+		return nil, err
+	}
 	g := &GroupState{Key: key, Members: make(map[topology.HostID]Role, len(members))}
 	for h, r := range members {
-		if r == 0 {
-			return nil, fmt.Errorf("controller: host %d has empty role", h)
-		}
 		g.Members[h] = r
 	}
 
@@ -433,8 +452,8 @@ func (c *Controller) RemoveGroup(key GroupKey) error {
 // rolls back membership and emits only the rollback trace, so
 // update-rate results never count rolled-back events.
 func (c *Controller) Join(key GroupKey, host topology.HostID, role Role) error {
-	if role == 0 {
-		return fmt.Errorf("controller: empty role")
+	if err := c.validateMembers(map[topology.HostID]Role{host: role}); err != nil {
+		return err
 	}
 	m := c.getMetrics()
 	start := m.now()

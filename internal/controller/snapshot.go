@@ -96,7 +96,6 @@ func (c *Controller) Restore(s *Snapshot) error {
 		return fmt.Errorf("controller: snapshot version %d, want %d", s.Version, snapshotVersion)
 	}
 	// Validate before mutating anything.
-	numHosts := c.topo.NumHosts()
 	built := make([]*GroupState, 0, len(s.Groups))
 	seen := make(map[GroupKey]bool, len(s.Groups))
 	for _, gs := range s.Groups {
@@ -107,16 +106,13 @@ func (c *Controller) Restore(s *Snapshot) error {
 		seen[key] = true
 		g := &GroupState{Key: key, Members: make(map[topology.HostID]Role, len(gs.Members))}
 		for _, m := range gs.Members {
-			if m.Role == 0 || m.Role&^RoleBoth != 0 {
-				return fmt.Errorf("controller: snapshot group %v host %d has invalid role %d", key, m.Host, m.Role)
-			}
-			if m.Host < 0 || int(m.Host) >= numHosts {
-				return fmt.Errorf("controller: snapshot group %v host %d outside topology", key, m.Host)
-			}
 			if _, dup := g.Members[m.Host]; dup {
 				return fmt.Errorf("controller: snapshot group %v repeats host %d", key, m.Host)
 			}
 			g.Members[m.Host] = m.Role
+		}
+		if err := c.validateMembers(g.Members); err != nil {
+			return fmt.Errorf("controller: snapshot group %v: %w", key, err)
 		}
 		built = append(built, g)
 	}

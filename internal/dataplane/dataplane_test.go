@@ -78,7 +78,7 @@ func TestHypervisorEncapDeliver(t *testing.T) {
 	hv := NewHypervisor(topo, 3)
 	addr := GroupAddr{VNI: 7, Group: 12}
 	h := &header.Header{}
-	if err := hv.InstallSenderFlow(addr, h); err != nil {
+	if err := hv.InstallSenderFlowAt(0, addr, h); err != nil {
 		t.Fatal(err)
 	}
 	pkt, err := hv.Encap(addr, []byte("msg"))
@@ -99,19 +99,19 @@ func TestHypervisorEncapDeliver(t *testing.T) {
 	if _, ok := hv.Deliver(pkt); ok {
 		t.Fatal("non-member hypervisor accepted packet")
 	}
-	hv.SetReceiving(addr, true)
+	hv.SetReceivingAt(0, addr, true)
 	inner, ok := hv.Deliver(pkt)
 	if !ok || string(inner) != "msg" {
 		t.Fatal("member hypervisor rejected packet")
 	}
-	hv.SetReceiving(addr, false)
+	hv.SetReceivingAt(0, addr, false)
 	if _, ok := hv.Deliver(pkt); ok {
 		t.Fatal("filter not removed")
 	}
 	if hv.Encapsulated() != 1 || hv.Delivered() != 1 || hv.Filtered() != 2 {
 		t.Fatalf("counters: %d %d %d", hv.Encapsulated(), hv.Delivered(), hv.Filtered())
 	}
-	hv.RemoveSenderFlow(addr)
+	hv.RemoveSenderFlowAt(0, addr)
 	if _, err := hv.Encap(addr, nil); err == nil {
 		t.Fatal("flow not removed")
 	}
@@ -121,28 +121,28 @@ func TestSRuleCapacityEnforced(t *testing.T) {
 	topo := paperTopo()
 	sw := NewLeaf(topo, 0, 2)
 	bm := bitmap.FromPorts(topo.LeafDownWidth(), 1)
-	if err := sw.InstallSRule(GroupAddr{VNI: 1, Group: 1}, bm); err != nil {
+	if err := sw.InstallSRuleAt(0, GroupAddr{VNI: 1, Group: 1}, bm); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.InstallSRule(GroupAddr{VNI: 1, Group: 2}, bm); err != nil {
+	if err := sw.InstallSRuleAt(0, GroupAddr{VNI: 1, Group: 2}, bm); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.InstallSRule(GroupAddr{VNI: 1, Group: 3}, bm); err == nil {
+	if err := sw.InstallSRuleAt(0, GroupAddr{VNI: 1, Group: 3}, bm); err == nil {
 		t.Fatal("capacity exceeded silently")
 	}
 	// Overwriting an existing entry is allowed at capacity.
-	if err := sw.InstallSRule(GroupAddr{VNI: 1, Group: 2}, bm); err != nil {
+	if err := sw.InstallSRuleAt(0, GroupAddr{VNI: 1, Group: 2}, bm); err != nil {
 		t.Fatal(err)
 	}
-	sw.RemoveSRule(GroupAddr{VNI: 1, Group: 1})
+	sw.RemoveSRuleAt(0, GroupAddr{VNI: 1, Group: 1})
 	if sw.SRuleCount() != 1 {
 		t.Fatalf("count = %d", sw.SRuleCount())
 	}
-	if err := sw.InstallSRule(GroupAddr{VNI: 1, Group: 3}, bm); err != nil {
+	if err := sw.InstallSRuleAt(0, GroupAddr{VNI: 1, Group: 3}, bm); err != nil {
 		t.Fatal(err)
 	}
 	core := NewCore(topo, 0)
-	if err := core.InstallSRule(GroupAddr{VNI: 1, Group: 1}, bm); err == nil {
+	if err := core.InstallSRuleAt(0, GroupAddr{VNI: 1, Group: 1}, bm); err == nil {
 		t.Fatal("core accepted an s-rule")
 	}
 }
@@ -309,7 +309,7 @@ func BenchmarkHypervisorEncap(b *testing.B) {
 	addr := GroupAddr{VNI: 1, Group: 1}
 	l := header.LayoutFor(topo)
 	core := bitmap.FromPorts(l.CoreDown, 1, 2, 3)
-	if err := hv.InstallSenderFlow(addr, &header.Header{Core: &core}); err != nil {
+	if err := hv.InstallSenderFlowAt(0, addr, &header.Header{Core: &core}); err != nil {
 		b.Fatal(err)
 	}
 	inner := make([]byte, 1500-100)

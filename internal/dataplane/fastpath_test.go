@@ -242,7 +242,7 @@ func TestProcessIntoEquivalence(t *testing.T) {
 				ports = randPorts(r, l.SpineDown)
 			}
 			for j := range sws {
-				if err := sws[j].InstallSRule(GroupAddr{VNI: vni, Group: group}, ports); err != nil {
+				if err := sws[j].InstallSRuleAt(0, GroupAddr{VNI: vni, Group: group}, ports); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -414,7 +414,7 @@ func TestProcessIntoZeroAllocs(t *testing.T) {
 
 	// s-rule fallback tier: leaf consults its group table.
 	srLeaf := NewLeaf(topo, 5, 8)
-	if err := srLeaf.InstallSRule(GroupAddr{VNI: 2, Group: 4}, bitmap.FromPorts(l.LeafDown, 0, 7)); err != nil {
+	if err := srLeaf.InstallSRuleAt(0, GroupAddr{VNI: 2, Group: 4}, bitmap.FromPorts(l.LeafDown, 0, 7)); err != nil {
 		t.Fatal(err)
 	}
 	cases = append(cases, struct {

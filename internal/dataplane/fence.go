@@ -4,24 +4,20 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-
-	"elmo/internal/bitmap"
-	"elmo/internal/header"
 )
 
 // Leadership fencing at the device level (switches and hypervisors).
 //
-// The durable controller stamps every install/update message with its
-// leadership epoch. Each device remembers the highest epoch it has
-// accepted a message from; a message from a lower epoch is a deposed
-// leader still talking on the losing side of a partition, and the
-// device rejects it — the table entry is untouched, a counter bumps,
-// and the caller gets a StaleEpochError carrying the device's current
-// floor so the stale controller can learn it was superseded and step
-// down. Epoch 0 is the unfenced bootstrap value: it is always
-// accepted and never raises the floor, so single-controller
-// deployments (and every pre-fencing code path) behave exactly as
-// before.
+// Every state-changing message a controller sends a device carries the
+// sender's leadership epoch. Each device remembers the highest epoch it
+// has accepted a message from; a message from a lower epoch is a
+// deposed leader still talking on the losing side of a partition, and
+// the device rejects it — the table entry is untouched, a counter
+// bumps, and the caller gets a StaleEpochError carrying the device's
+// current floor so the stale controller can learn it was superseded
+// and step down. Epoch 0 is simply the lowest epoch: a controller
+// without durable leadership writes at 0, which a device that has never
+// heard from a fenced leader admits and every other device rejects.
 
 // ErrStaleEpoch is the class of all fencing rejections; match with
 // errors.Is, or errors.As a *StaleEpochError for the observed floor.
@@ -43,7 +39,7 @@ func (e *StaleEpochError) Error() string {
 	return fmt.Sprintf("dataplane: %s fenced install from epoch %d (current epoch %d)", e.Device, e.Epoch, e.Current)
 }
 
-// Is makes errors.Is(err, ErrStaleEpoch) match.
+// Unwrap makes errors.Is(err, ErrStaleEpoch) match.
 func (e *StaleEpochError) Unwrap() error { return ErrStaleEpoch }
 
 // EpochFence is a device's monotonic leadership floor. Admit is safe
@@ -55,12 +51,8 @@ type EpochFence struct {
 }
 
 // Admit reports whether a message stamped with epoch may be applied,
-// raising the floor when the epoch is new. Epoch 0 (unfenced) is
-// always admitted and never raises the floor.
+// raising the floor when the epoch is new.
 func (f *EpochFence) Admit(epoch uint64) bool {
-	if epoch == 0 {
-		return true
-	}
 	for {
 		cur := f.cur.Load()
 		if epoch < cur {
@@ -101,27 +93,16 @@ func (sw *NetworkSwitch) deviceName() string {
 // Fence exposes the switch's epoch floor (telemetry, tests).
 func (sw *NetworkSwitch) Fence() *EpochFence { return &sw.fence }
 
-// InstallSRuleAt is InstallSRule with the controller's leadership
-// epoch stamped on the message. A stale epoch leaves the group table
-// untouched, bumps elmo_fencing_rejected_total, and returns a
-// *StaleEpochError carrying the device's floor.
-func (sw *NetworkSwitch) InstallSRuleAt(epoch uint64, addr GroupAddr, ports bitmap.Bitmap) error {
-	if !sw.fence.Admit(epoch) {
-		sw.Counters.fencingRejected()
-		return &StaleEpochError{Device: sw.deviceName(), Epoch: epoch, Current: sw.fence.Current()}
+// admit applies the fence to one controller message: nil when epoch
+// may write, otherwise the rejection is counted
+// (elmo_fencing_rejected_total) and returned as a *StaleEpochError
+// carrying the switch's floor.
+func (sw *NetworkSwitch) admit(epoch uint64) error {
+	if sw.fence.Admit(epoch) {
+		return nil
 	}
-	return sw.InstallSRule(addr, ports)
-}
-
-// RemoveSRuleAt is RemoveSRule behind the epoch fence: a deposed
-// leader must not be able to delete the successor's rules either.
-func (sw *NetworkSwitch) RemoveSRuleAt(epoch uint64, addr GroupAddr) error {
-	if !sw.fence.Admit(epoch) {
-		sw.Counters.fencingRejected()
-		return &StaleEpochError{Device: sw.deviceName(), Epoch: epoch, Current: sw.fence.Current()}
-	}
-	sw.RemoveSRule(addr)
-	return nil
+	sw.Counters.fencingRejected()
+	return &StaleEpochError{Device: sw.deviceName(), Epoch: epoch, Current: sw.fence.Current()}
 }
 
 // Fence exposes the hypervisor's epoch floor (telemetry, tests).
@@ -131,31 +112,11 @@ func (hv *Hypervisor) deviceName() string {
 	return fmt.Sprintf("host %d", hv.host)
 }
 
-// InstallSenderFlowAt is InstallSenderFlow behind the epoch fence.
-func (hv *Hypervisor) InstallSenderFlowAt(epoch uint64, addr GroupAddr, h *header.Header) error {
-	if !hv.fence.Admit(epoch) {
-		hv.Counters.fencingRejected()
-		return &StaleEpochError{Device: hv.deviceName(), Epoch: epoch, Current: hv.fence.Current()}
+// admit is the hypervisor's fence check; see NetworkSwitch.admit.
+func (hv *Hypervisor) admit(epoch uint64) error {
+	if hv.fence.Admit(epoch) {
+		return nil
 	}
-	return hv.InstallSenderFlow(addr, h)
-}
-
-// RemoveSenderFlowAt is RemoveSenderFlow behind the epoch fence.
-func (hv *Hypervisor) RemoveSenderFlowAt(epoch uint64, addr GroupAddr) error {
-	if !hv.fence.Admit(epoch) {
-		hv.Counters.fencingRejected()
-		return &StaleEpochError{Device: hv.deviceName(), Epoch: epoch, Current: hv.fence.Current()}
-	}
-	hv.RemoveSenderFlow(addr)
-	return nil
-}
-
-// SetReceivingAt is SetReceiving behind the epoch fence.
-func (hv *Hypervisor) SetReceivingAt(epoch uint64, addr GroupAddr, on bool) error {
-	if !hv.fence.Admit(epoch) {
-		hv.Counters.fencingRejected()
-		return &StaleEpochError{Device: hv.deviceName(), Epoch: epoch, Current: hv.fence.Current()}
-	}
-	hv.SetReceiving(addr, on)
-	return nil
+	hv.Counters.fencingRejected()
+	return &StaleEpochError{Device: hv.deviceName(), Epoch: epoch, Current: hv.fence.Current()}
 }

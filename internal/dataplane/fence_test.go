@@ -13,7 +13,7 @@ import (
 func TestEpochFenceAdmit(t *testing.T) {
 	var f EpochFence
 
-	// Epoch 0 is the unfenced bootstrap: always admitted, floor stays 0.
+	// Epoch 0 is the lowest epoch: a fence no leader has raised admits it.
 	if !f.Admit(0) {
 		t.Fatal("epoch 0 rejected on fresh fence")
 	}
@@ -40,10 +40,9 @@ func TestEpochFenceAdmit(t *testing.T) {
 		t.Fatalf("Rejected() = %d, want 2", got)
 	}
 
-	// Epoch 0 still passes after the floor rises (legacy paths keep
-	// working on a fenced device) and still doesn't move the floor.
-	if !f.Admit(0) || f.Current() != 3 {
-		t.Fatalf("epoch 0 after floor: admit failed or floor %d", f.Current())
+	// Epoch 0 is stale like any other once the floor has risen.
+	if f.Admit(0) || f.Current() != 3 || f.Rejected() != 3 {
+		t.Fatalf("epoch 0 past floor 3: floor %d, rejected %d", f.Current(), f.Rejected())
 	}
 
 	// A higher epoch advances the floor.

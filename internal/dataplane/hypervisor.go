@@ -81,10 +81,15 @@ func NewHypervisor(topo *topology.Topology, host topology.HostID) *Hypervisor {
 // Host returns the host this hypervisor runs on.
 func (hv *Hypervisor) Host() topology.HostID { return hv.host }
 
-// InstallSenderFlow installs (or replaces) the encapsulation state for
-// a group: the controller-computed header h is serialized once and
-// reused for every packet.
-func (hv *Hypervisor) InstallSenderFlow(addr GroupAddr, h *header.Header) error {
+// InstallSenderFlowAt installs (or replaces) the encapsulation state
+// for a group on behalf of the controller leading at epoch: the
+// controller-computed header h is serialized once and reused for every
+// packet. A stale epoch leaves the flow table untouched and returns a
+// *StaleEpochError (see fence.go).
+func (hv *Hypervisor) InstallSenderFlowAt(epoch uint64, addr GroupAddr, h *header.Header) error {
+	if err := hv.admit(epoch); err != nil {
+		return err
+	}
 	stream, err := header.Encode(hv.layout, h)
 	if err != nil {
 		return fmt.Errorf("dataplane: encoding sender flow: %w", err)
@@ -100,16 +105,26 @@ func (hv *Hypervisor) InstallSenderFlow(addr GroupAddr, h *header.Header) error 
 	return nil
 }
 
-// RemoveSenderFlow drops the encapsulation state for a group.
-func (hv *Hypervisor) RemoveSenderFlow(addr GroupAddr) {
+// RemoveSenderFlowAt drops the encapsulation state for a group
+// (idempotent) behind the epoch fence; the sender then falls back to
+// unicast (Encap returns ErrNoSenderFlow).
+func (hv *Hypervisor) RemoveSenderFlowAt(epoch uint64, addr GroupAddr) error {
+	if err := hv.admit(epoch); err != nil {
+		return err
+	}
 	hv.mu.Lock()
 	delete(hv.flows, addr)
 	hv.mu.Unlock()
+	return nil
 }
 
-// SetReceiving marks whether a local VM is a member of the group; the
-// receive path drops packets of other groups.
-func (hv *Hypervisor) SetReceiving(addr GroupAddr, on bool) {
+// SetReceivingAt marks, behind the epoch fence, whether a local VM is
+// a member of the group; the receive path drops packets of other
+// groups.
+func (hv *Hypervisor) SetReceivingAt(epoch uint64, addr GroupAddr, on bool) error {
+	if err := hv.admit(epoch); err != nil {
+		return err
+	}
 	hv.mu.Lock()
 	if on {
 		hv.receiving[addr] = true
@@ -117,6 +132,7 @@ func (hv *Hypervisor) SetReceiving(addr GroupAddr, on bool) {
 		delete(hv.receiving, addr)
 	}
 	hv.mu.Unlock()
+	return nil
 }
 
 // Encap encapsulates an inner frame for the group, returning the

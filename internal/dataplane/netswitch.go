@@ -150,10 +150,15 @@ func (sw *NetworkSwitch) Stats() *Stats {
 	return &sw.stats
 }
 
-// InstallSRule adds a group-table entry. It fails when the table is at
-// capacity (Fmax) — the controller should never let that happen, so an
-// error here indicates a capacity-accounting bug.
-func (sw *NetworkSwitch) InstallSRule(addr GroupAddr, ports bitmap.Bitmap) error {
+// InstallSRuleAt adds a group-table entry on behalf of the controller
+// leading at epoch. A stale epoch leaves the table untouched and
+// returns a *StaleEpochError (see fence.go). It also fails when the
+// table is at capacity (Fmax) — the controller should never let that
+// happen, so such an error indicates a capacity-accounting bug.
+func (sw *NetworkSwitch) InstallSRuleAt(epoch uint64, addr GroupAddr, ports bitmap.Bitmap) error {
+	if err := sw.admit(epoch); err != nil {
+		return err
+	}
 	if sw.kind == KindCore {
 		return fmt.Errorf("dataplane: core switches hold no s-rules")
 	}
@@ -164,9 +169,15 @@ func (sw *NetworkSwitch) InstallSRule(addr GroupAddr, ports bitmap.Bitmap) error
 	return nil
 }
 
-// RemoveSRule deletes a group-table entry (idempotent).
-func (sw *NetworkSwitch) RemoveSRule(addr GroupAddr) {
+// RemoveSRuleAt deletes a group-table entry (idempotent) behind the
+// epoch fence: a deposed leader must not be able to delete the
+// successor's rules either.
+func (sw *NetworkSwitch) RemoveSRuleAt(epoch uint64, addr GroupAddr) error {
+	if err := sw.admit(epoch); err != nil {
+		return err
+	}
 	delete(sw.groupTable, addr)
+	return nil
 }
 
 // SRuleCount returns the current group-table occupancy.

@@ -124,7 +124,7 @@ func TestSpineDownstreamMatchAndDefault(t *testing.T) {
 
 	// With an s-rule installed, it wins over the default.
 	sw5 := NewSpine(topo, 6, 4)
-	if err := sw5.InstallSRule(GroupAddr{VNI: 1, Group: 1}, bitmap.FromPorts(l.SpineDown, 0)); err != nil {
+	if err := sw5.InstallSRuleAt(0, GroupAddr{VNI: 1, Group: 1}, bitmap.FromPorts(l.SpineDown, 0)); err != nil {
 		t.Fatal(err)
 	}
 	ems, err = sw5.Process(pkt)
@@ -172,7 +172,7 @@ func TestLegacySwitchProcess(t *testing.T) {
 	sw := NewLeaf(topo, 3, 4)
 	sw.Legacy = true
 	addr := GroupAddr{VNI: 2, Group: 9}
-	if err := sw.InstallSRule(addr, bitmap.FromPorts(l.LeafDown, 2, 5)); err != nil {
+	if err := sw.InstallSRuleAt(0, addr, bitmap.FromPorts(l.LeafDown, 2, 5)); err != nil {
 		t.Fatal(err)
 	}
 	stream, _ := header.Encode(l, &header.Header{
@@ -194,7 +194,7 @@ func TestLegacySwitchProcess(t *testing.T) {
 		}
 	}
 	// Without an s-rule the legacy switch drops.
-	sw.RemoveSRule(addr)
+	sw.RemoveSRuleAt(0, addr)
 	ems, err = sw.Process(pkt)
 	if err != nil || len(ems) != 0 {
 		t.Fatalf("ems=%v err=%v", ems, err)
@@ -268,7 +268,7 @@ func TestStreamLenAndHostAccessors(t *testing.T) {
 		t.Fatal("Host accessor wrong")
 	}
 	addr := GroupAddr{VNI: 1, Group: 1}
-	if err := hv.InstallSenderFlow(addr, &header.Header{}); err != nil {
+	if err := hv.InstallSenderFlowAt(0, addr, &header.Header{}); err != nil {
 		t.Fatal(err)
 	}
 	// SenderFlow.StreamLen is visible through Encap'd packet size.

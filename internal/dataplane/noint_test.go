@@ -19,7 +19,7 @@ func TestNoINTProvenance(t *testing.T) {
 	hv := NewHypervisor(topo, 3)
 	addr := GroupAddr{VNI: 7, Group: 12}
 
-	if err := hv.InstallSenderFlow(addr, &header.Header{}); err != nil {
+	if err := hv.InstallSenderFlowAt(0, addr, &header.Header{}); err != nil {
 		t.Fatal(err)
 	}
 	pkt, err := hv.Encap(addr, []byte("m"))
@@ -29,7 +29,7 @@ func TestNoINTProvenance(t *testing.T) {
 	if !pkt.NoINT {
 		t.Fatal("Encap with INT disabled did not set NoINT")
 	}
-	if err := hv.InstallSenderFlow(addr, &header.Header{INTEnabled: true}); err != nil {
+	if err := hv.InstallSenderFlowAt(0, addr, &header.Header{INTEnabled: true}); err != nil {
 		t.Fatal(err)
 	}
 	pkt, err = hv.Encap(addr, []byte("m"))
@@ -118,7 +118,7 @@ func TestNoINTHintEmissionIdentical(t *testing.T) {
 			if sw.kind == KindSpine {
 				ports = randPorts(r, l.SpineDown)
 			}
-			if err := sw.InstallSRule(GroupAddr{VNI: vni, Group: group}, ports); err != nil {
+			if err := sw.InstallSRuleAt(0, GroupAddr{VNI: vni, Group: group}, ports); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -202,38 +202,14 @@ func Open(topo *topology.Topology, cfg controller.Config, opts Options) (*Durabl
 
 	// 2. Replay the log after the snapshot.
 	start := time.Now()
-	var asm batchAssembler
+	ap := recordApplier{ctrl: ctrl, batch: controller.BatchOptions{Workers: opts.BatchWorkers}}
 	var pendingFirst uint64
 	last, err := wal.Replay(walDir, from, func(rec wal.Record) error {
-		op, err := DecodeRecord(rec.Data)
-		if err != nil {
+		if !ap.asm.pending() {
+			pendingFirst = rec.LSN
+		}
+		if err := ap.apply(rec.Data); err != nil {
 			return fmt.Errorf("lsn %d: %w", rec.LSN, err)
-		}
-		if op.Type != RecBatch && asm.pending() {
-			return fmt.Errorf("lsn %d: %s interleaved with batch chunks", rec.LSN, recName(op.Type))
-		}
-		switch op.Type {
-		case RecCreate:
-			_, _ = ctrl.CreateGroup(op.Key, op.Members)
-		case RecJoin:
-			_ = ctrl.Join(op.Key, op.Host, op.Role)
-		case RecLeave:
-			_ = ctrl.Leave(op.Key, op.Host, op.Role)
-		case RecRemove:
-			_ = ctrl.RemoveGroup(op.Key)
-		case RecBatch:
-			if !asm.pending() {
-				pendingFirst = rec.LSN
-			}
-			if err := asm.add(op); err != nil {
-				return fmt.Errorf("lsn %d: %w", rec.LSN, err)
-			}
-			if !op.More {
-				_, _ = ctrl.InstallBatch(asm.specs, controller.BatchOptions{Workers: opts.BatchWorkers})
-				asm.reset()
-			}
-		case RecHeartbeat:
-			// Liveness only; no state.
 		}
 		stats.Replayed++
 		return nil
@@ -241,7 +217,7 @@ func Open(topo *topology.Topology, cfg controller.Config, opts Options) (*Durabl
 	if err != nil {
 		return nil, nil, fmt.Errorf("durable: replay: %w", err)
 	}
-	if asm.pending() {
+	if ap.asm.pending() {
 		// The log ends inside a chunked batch: the final chunk never
 		// became durable, so the batch was never acked nor (on the
 		// crashed instance's durable prefix) applied. Dropping it
@@ -249,8 +225,8 @@ func Open(topo *topology.Topology, cfg controller.Config, opts Options) (*Durabl
 		// frames, and a later recovery would replay them into an error
 		// or merge them into an unrelated batch — so truncate them off
 		// the log before reopening it for append.
-		stats.Replayed -= asm.recs
-		stats.DroppedTail = asm.recs
+		stats.Replayed -= ap.asm.recs
+		stats.DroppedTail = ap.asm.recs
 		if err := wal.TruncateFrom(walDir, pendingFirst); err != nil {
 			return nil, nil, fmt.Errorf("durable: dropping batch tail: %w", err)
 		}
@@ -355,33 +331,50 @@ func (d *DurableController) ResyncState() (epoch uint64, state []byte, err error
 	return d.epoch, buf.Bytes(), nil
 }
 
-// mutate is the log-before-apply spine: append the record, apply the
-// op, and stream to followers — all under d.mu so WAL order, apply
-// order, and stream order coincide — then wait for durability OUTSIDE
-// the lock, which lets concurrent ops share one fsync (group commit).
-func (d *DurableController) mutate(payload []byte, apply func() error) error {
+// mutate is the log-before-apply spine every state-changing op runs
+// through: append the op's record (one chunk, or the consecutive
+// chunks of a batch), apply the op, and stream the chunks to followers
+// — all under d.mu so WAL order, apply order, and stream order coincide
+// and a half-logged batch is never applied — then wait for durability
+// OUTSIDE the lock, which lets concurrent ops share one fsync (group
+// commit). The op's own error is returned only once it is durable: a
+// failed op is logged, and fails identically on replay and followers.
+func (d *DurableController) mutate(chunks [][]byte, op OpRecord, batch controller.BatchOptions) (*controller.BatchResult, error) {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
-		return fmt.Errorf("durable: controller closed")
+		return nil, fmt.Errorf("durable: controller closed")
 	}
 	if d.notLeader != nil {
 		err := d.notLeader
 		d.mu.Unlock()
-		return err
+		return nil, err
 	}
-	ack, err := d.log.Append(payload[0], payload)
-	if err != nil {
-		d.mu.Unlock()
-		return err
+	// d.mu serializes every append to this log, so the chunks take
+	// consecutive LSNs from first on.
+	var first uint64
+	var last *wal.Ack
+	for i, c := range chunks {
+		ack, err := d.log.Append(c[0], c)
+		if err != nil {
+			d.mu.Unlock()
+			return nil, err
+		}
+		if i == 0 {
+			first = ack.LSN()
+		}
+		last = ack
 	}
-	applyErr := apply()
-	d.streamLocked(ack.LSN(), payload)
+	res, applyErr := applyOp(d.ctrl, op, batch)
+	for i, c := range chunks {
+		d.streamLocked(first+uint64(i), c)
+	}
 	d.mu.Unlock()
-	if err := ack.Wait(); err != nil {
-		return fmt.Errorf("durable: commit lsn %d: %w", ack.LSN(), err)
+	// Durability is prefix-closed, so the last chunk's ack covers all.
+	if err := last.Wait(); err != nil {
+		return nil, fmt.Errorf("durable: commit lsn %d: %w", last.LSN(), err)
 	}
-	return applyErr
+	return res, applyErr
 }
 
 func (d *DurableController) streamLocked(lsn uint64, payload []byte) {
@@ -408,40 +401,32 @@ func (d *DurableController) streamLocked(lsn uint64, payload []byte) {
 // no single create can exceed the replication layer's record size
 // limit.
 func (d *DurableController) CreateGroup(key controller.GroupKey, members map[topology.HostID]controller.Role) error {
-	payload := EncodeCreate(key, members)
-	if len(payload) <= maxChunkBytes {
-		return d.mutate(payload, func() error {
-			_, err := d.ctrl.CreateGroup(key, members)
-			return err
-		})
+	chunks := [][]byte{EncodeCreate(key, members)}
+	if len(chunks[0]) > maxChunkBytes {
+		chunks = EncodeBatchChunks([]controller.BatchSpec{{Key: key, Members: members}})
 	}
-	chunks := EncodeBatchChunks([]controller.BatchSpec{{Key: key, Members: members}})
-	_, err := d.mutateChunks(chunks, func() (*controller.BatchResult, error) {
-		_, err := d.ctrl.CreateGroup(key, members)
-		return nil, err
-	})
+	_, err := d.mutate(chunks, OpRecord{Type: RecCreate, Key: key, Members: members}, controller.BatchOptions{})
 	return err
 }
 
 // Join durably adds (or upgrades) a member.
 func (d *DurableController) Join(key controller.GroupKey, host topology.HostID, role controller.Role) error {
-	return d.mutate(EncodeMembership(RecJoin, key, host, role), func() error {
-		return d.ctrl.Join(key, host, role)
-	})
+	_, err := d.mutate([][]byte{EncodeMembership(RecJoin, key, host, role)},
+		OpRecord{Type: RecJoin, Key: key, Host: host, Role: role}, controller.BatchOptions{})
+	return err
 }
 
 // Leave durably removes a member role.
 func (d *DurableController) Leave(key controller.GroupKey, host topology.HostID, role controller.Role) error {
-	return d.mutate(EncodeMembership(RecLeave, key, host, role), func() error {
-		return d.ctrl.Leave(key, host, role)
-	})
+	_, err := d.mutate([][]byte{EncodeMembership(RecLeave, key, host, role)},
+		OpRecord{Type: RecLeave, Key: key, Host: host, Role: role}, controller.BatchOptions{})
+	return err
 }
 
 // RemoveGroup durably deletes a group.
 func (d *DurableController) RemoveGroup(key controller.GroupKey) error {
-	return d.mutate(EncodeRemove(key), func() error {
-		return d.ctrl.RemoveGroup(key)
-	})
+	_, err := d.mutate([][]byte{EncodeRemove(key)}, OpRecord{Type: RecRemove, Key: key}, controller.BatchOptions{})
+	return err
 }
 
 // InstallBatch durably bulk-creates groups. The specs are chunked
@@ -449,81 +434,27 @@ func (d *DurableController) RemoveGroup(key controller.GroupKey) error {
 // chunk is enqueued, and replay drops a trailing incomplete batch, so
 // a crash mid-batch can never surface a half-applied batch.
 func (d *DurableController) InstallBatch(specs []controller.BatchSpec, opts controller.BatchOptions) (*controller.BatchResult, error) {
-	return d.mutateChunks(EncodeBatchChunks(specs), func() (*controller.BatchResult, error) {
-		return d.ctrl.InstallBatch(specs, opts)
-	})
+	return d.mutate(EncodeBatchChunks(specs), OpRecord{Type: RecBatch, Specs: specs}, opts)
 }
 
-// mutateChunks is the chunked variant of mutate: append every chunk,
-// apply, stream, all under d.mu; wait only on the last chunk's ack.
-func (d *DurableController) mutateChunks(chunks [][]byte, apply func() (*controller.BatchResult, error)) (*controller.BatchResult, error) {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return nil, fmt.Errorf("durable: controller closed")
-	}
-	if d.notLeader != nil {
-		err := d.notLeader
-		d.mu.Unlock()
-		return nil, err
-	}
-	acks := make([]*wal.Ack, 0, len(chunks))
-	for _, c := range chunks {
-		ack, err := d.log.Append(RecBatch, c)
-		if err != nil {
-			d.mu.Unlock()
-			return nil, err
-		}
-		acks = append(acks, ack)
-	}
-	res, applyErr := apply()
-	for i, c := range chunks {
-		d.streamLocked(acks[i].LSN(), c)
-	}
-	d.mu.Unlock()
-	// Durability is prefix-closed, so the last chunk's ack covers all.
-	if err := acks[len(acks)-1].Wait(); err != nil {
-		return nil, fmt.Errorf("durable: commit batch: %w", err)
-	}
-	return res, applyErr
-}
-
-// Heartbeat appends a liveness record (no state change) so followers
-// see a moving stream even when the control plane is idle. A latched
-// replication failure is returned here — the heartbeat is the probe
-// path, so a stalled stream surfaces as an unhealthy leader instead
-// of a silent follower divergence. With a Lease configured, each
-// heartbeat round also audits follower acks: MissBudget consecutive
-// rounds without one and the leader self-demotes (ErrLeaseExpired) —
-// on the losing side of a partition this fires in the same round
-// currency as the followers' Detector, bounding the split-brain
-// window to the lease budget.
+// Heartbeat runs a liveness record (no state change) through the spine
+// so followers see a moving stream even when the control plane is
+// idle. A latched replication failure is returned here — the heartbeat
+// is the probe path, so a stalled stream surfaces as an unhealthy
+// leader instead of a silent follower divergence. With a Lease
+// configured, each heartbeat round also audits follower acks:
+// MissBudget consecutive rounds without one and the leader
+// self-demotes (ErrLeaseExpired) — on the losing side of a partition
+// this fires in the same round currency as the followers' Detector,
+// bounding the split-brain window to the lease budget.
 func (d *DurableController) Heartbeat() error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return fmt.Errorf("durable: controller closed")
-	}
-	if d.notLeader != nil {
-		err := d.notLeader
-		d.mu.Unlock()
-		return err
-	}
-	ack, err := d.log.Append(RecHeartbeat, EncodeHeartbeat(d.log.LastLSN()))
-	if err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	d.streamLocked(ack.LSN(), EncodeHeartbeat(ack.LSN()-1))
-	replErr := d.replErr
-	d.mu.Unlock()
-	if err := ack.Wait(); err != nil {
+	if _, err := d.mutate([][]byte{EncodeHeartbeat(d.log.LastLSN())}, OpRecord{Type: RecHeartbeat}, controller.BatchOptions{}); err != nil {
 		return err
 	}
 	if err := d.auditLease(); err != nil {
 		return err
 	}
-	return replErr
+	return d.ReplicationErr()
 }
 
 // auditLease burns or refills the lease budget based on follower acks

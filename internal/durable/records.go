@@ -375,10 +375,66 @@ func DecodeRecord(b []byte) (OpRecord, error) {
 	return rec, nil
 }
 
+// applyOp performs one op on ctrl: the only place a record type
+// becomes a controller mutation. The leader calls it with the op it
+// just logged; recovery and followers call it (through recordApplier)
+// with the op they decoded, so recovered ≡ follower ≡ leader holds by
+// construction. A RecBatch op carries the whole batch in Specs.
+func applyOp(ctrl *controller.Controller, op OpRecord, batch controller.BatchOptions) (*controller.BatchResult, error) {
+	switch op.Type {
+	case RecCreate:
+		_, err := ctrl.CreateGroup(op.Key, op.Members)
+		return nil, err
+	case RecJoin:
+		return nil, ctrl.Join(op.Key, op.Host, op.Role)
+	case RecLeave:
+		return nil, ctrl.Leave(op.Key, op.Host, op.Role)
+	case RecRemove:
+		return nil, ctrl.RemoveGroup(op.Key)
+	case RecBatch:
+		return ctrl.InstallBatch(op.Specs, batch)
+	}
+	// RecHeartbeat: liveness only, no state.
+	return nil, nil
+}
+
+// recordApplier turns a stream of record payloads — the WAL on crash
+// recovery, the replication stream on a follower — into controller ops.
+type recordApplier struct {
+	ctrl  *controller.Controller
+	batch controller.BatchOptions
+	asm   batchAssembler
+}
+
+// apply decodes one record and applies it, holding batch chunks back
+// until the last one arrives. Op-level errors are dropped (the op
+// failed identically on the leader that logged it); decode and
+// stream-order violations are returned.
+func (a *recordApplier) apply(payload []byte) error {
+	op, err := DecodeRecord(payload)
+	if err != nil {
+		return err
+	}
+	if op.Type != RecBatch && a.asm.pending() {
+		return fmt.Errorf("durable: %s interleaved with batch chunks", recName(op.Type))
+	}
+	if op.Type == RecBatch {
+		if err := a.asm.add(op); err != nil {
+			return err
+		}
+		if op.More {
+			return nil
+		}
+		op.Specs = a.asm.specs
+		a.asm.reset()
+	}
+	_, _ = applyOp(a.ctrl, op, a.batch)
+	return nil
+}
+
 // batchAssembler reassembles a chunked InstallBatch from consecutive
 // RecBatch records, merging a spec split across a continuation
-// boundary back into one membership. Replay and followers share it so
-// both sides reconstruct the exact batch the leader admitted.
+// boundary back into one membership.
 type batchAssembler struct {
 	specs []controller.BatchSpec
 	recs  int

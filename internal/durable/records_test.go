@@ -223,3 +223,44 @@ func TestBatchAssemblerRejectsBadContinuation(t *testing.T) {
 		t.Fatal("continuation with mismatched key accepted")
 	}
 }
+
+// FuzzApplyRecord pushes arbitrary bytes through DecodeRecord and the
+// one record applier onto a small follower that already holds a group:
+// whatever a log or stream carries — hosts outside the topology, roles
+// with unknown bits, dangling batch chunks — is an error or a failed
+// op, never a panic in recovery or on a standby.
+func FuzzApplyRecord(f *testing.F) {
+	key := controller.GroupKey{Tenant: 7, Group: 42}
+	members := map[topology.HostID]controller.Role{
+		0: controller.RoleBoth, 17: controller.RoleReceiver, 63: controller.RoleSender,
+	}
+	seed := EncodeCreate(key, members)
+	f.Add(seed)
+	f.Add(EncodeMembership(RecJoin, key, 5, controller.RoleReceiver))
+	f.Add(EncodeMembership(RecLeave, key, 17, controller.RoleReceiver))
+	f.Add(EncodeRemove(key))
+	f.Add(EncodeHeartbeat(12345))
+	for _, c := range EncodeBatchChunks([]controller.BatchSpec{
+		{Key: controller.GroupKey{Tenant: 7, Group: 43}, Members: members},
+		{Key: controller.GroupKey{Tenant: 7, Group: 44}, Members: members},
+	}) {
+		f.Add(c)
+	}
+	f.Add(EncodeCreate(controller.GroupKey{Tenant: 7, Group: 45},
+		map[topology.HostID]controller.Role{0: controller.RoleSender, 99999: controller.RoleReceiver}))
+	f.Add(EncodeMembership(RecJoin, key, 99999, controller.RoleReceiver))
+
+	topo := durableTopo()
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fo, err := NewFollower(topo, durableCfg(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fo.Apply(1, seed); err != nil {
+			t.Fatal(err)
+		}
+		// Twice: the second application meets the state the first left.
+		_ = fo.Apply(1, b)
+		_ = fo.Apply(1, b)
+	})
+}

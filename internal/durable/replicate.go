@@ -24,12 +24,9 @@ import (
 // Follower maintains a warm standby controller by applying streamed
 // WAL records in order.
 type Follower struct {
-	ctrl         *controller.Controller
-	batchWorkers int
-	asm          batchAssembler
-	records      int
-	hbLSN        uint64
-	epoch        uint64 // highest leadership epoch seen in the stream
+	ap      recordApplier
+	records int
+	epoch   uint64 // highest leadership epoch seen in the stream
 }
 
 // NewFollower builds an empty standby for the given fabric shape.
@@ -38,7 +35,7 @@ func NewFollower(topo *topology.Topology, cfg controller.Config, batchWorkers in
 	if err != nil {
 		return nil, err
 	}
-	return &Follower{ctrl: ctrl, batchWorkers: batchWorkers}, nil
+	return &Follower{ap: recordApplier{ctrl: ctrl, batch: controller.BatchOptions{Workers: batchWorkers}}}, nil
 }
 
 // NewFollowerFromState builds a warm standby pre-seeded with a
@@ -51,7 +48,7 @@ func NewFollowerFromState(topo *topology.Topology, cfg controller.Config, batchW
 	if err != nil {
 		return nil, err
 	}
-	if err := f.ctrl.ReadState(bytes.NewReader(state)); err != nil {
+	if err := f.ap.ctrl.ReadState(bytes.NewReader(state)); err != nil {
 		return nil, fmt.Errorf("durable: resync state: %w", err)
 	}
 	f.epoch = epoch
@@ -59,40 +56,15 @@ func NewFollowerFromState(topo *topology.Topology, cfg controller.Config, batchW
 }
 
 // Apply consumes one replicated WAL record payload stamped with the
-// proposing leader's epoch. Op-level apply errors are ignored (they
-// failed identically on the leader); decode and stream-order
-// violations are fatal. Stale-epoch records never reach this hook —
-// the rsm replica fences them first.
+// proposing leader's epoch, through the same recordApplier crash
+// recovery uses. Stale-epoch records never reach this hook — the rsm
+// replica fences them first.
 func (f *Follower) Apply(epoch uint64, payload []byte) error {
 	if epoch > f.epoch {
 		f.epoch = epoch
 	}
-	op, err := DecodeRecord(payload)
-	if err != nil {
+	if err := f.ap.apply(payload); err != nil {
 		return err
-	}
-	if op.Type != RecBatch && f.asm.pending() {
-		return fmt.Errorf("durable: %s interleaved with batch chunks in replica stream", recName(op.Type))
-	}
-	switch op.Type {
-	case RecCreate:
-		_, _ = f.ctrl.CreateGroup(op.Key, op.Members)
-	case RecJoin:
-		_ = f.ctrl.Join(op.Key, op.Host, op.Role)
-	case RecLeave:
-		_ = f.ctrl.Leave(op.Key, op.Host, op.Role)
-	case RecRemove:
-		_ = f.ctrl.RemoveGroup(op.Key)
-	case RecBatch:
-		if err := f.asm.add(op); err != nil {
-			return err
-		}
-		if !op.More {
-			_, _ = f.ctrl.InstallBatch(f.asm.specs, controller.BatchOptions{Workers: f.batchWorkers})
-			f.asm.reset()
-		}
-	case RecHeartbeat:
-		// Liveness marker; Records still advances below.
 	}
 	f.records++
 	return nil
@@ -100,7 +72,7 @@ func (f *Follower) Apply(epoch uint64, payload []byte) error {
 
 // Controller exposes the standby state (for fingerprint checks and
 // promotion).
-func (f *Follower) Controller() *controller.Controller { return f.ctrl }
+func (f *Follower) Controller() *controller.Controller { return f.ap.ctrl }
 
 // Records reports how many stream records this follower has applied.
 func (f *Follower) Records() int { return f.records }
@@ -282,9 +254,9 @@ func Promote(f *Follower, opts Options) (*DurableController, *RecoveryStats, err
 	} else if !os.IsNotExist(err) {
 		return nil, nil, err
 	}
-	f.asm.reset()
+	f.ap.asm.reset()
 	var buf bytes.Buffer
-	if err := f.ctrl.WriteState(&buf); err != nil {
+	if err := f.ap.ctrl.WriteState(&buf); err != nil {
 		return nil, nil, err
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -293,5 +265,5 @@ func Promote(f *Follower, opts Options) (*DurableController, *RecoveryStats, err
 	if err := writeSnapshotFile(filepath.Join(opts.Dir, snapshotFile), 0, opts.Epoch, buf.Bytes(), opts.NoSync); err != nil {
 		return nil, nil, err
 	}
-	return Open(f.ctrl.Topology(), f.ctrl.Config(), opts)
+	return Open(f.ap.ctrl.Topology(), f.ap.ctrl.Config(), opts)
 }

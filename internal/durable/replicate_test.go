@@ -212,12 +212,67 @@ func TestPromoteRefusesDirtyDir(t *testing.T) {
 	promoted.Close()
 }
 
+// TestOutOfRangeHostIsNotAPoisonPill is the regression for the
+// unvalidated-host bug: a create naming a host outside the topology
+// used to be logged and then panic in the topology accessors — on the
+// leader while holding its op mutex, on every later recovery of the
+// directory, and on every follower the record was streamed to. It is
+// now an ordinary failed op everywhere.
+func TestOutOfRangeHostIsNotAPoisonPill(t *testing.T) {
+	dir := t.TempDir()
+	fx := newReplicaFixture(t, dir)
+	defer fx.dc.Close()
+	bad := controller.GroupKey{Tenant: 1, Group: 1}
+	poison := map[topology.HostID]controller.Role{0: controller.RoleSender, 99999: controller.RoleReceiver}
+	if err := fx.dc.CreateGroup(bad, poison); err == nil {
+		t.Fatal("create with host 99999 on a 64-host fabric succeeded")
+	}
+	if _, err := fx.dc.InstallBatch([]controller.BatchSpec{{Key: bad, Members: poison}}, controller.BatchOptions{Workers: 4}); err == nil {
+		t.Fatal("batch with host 99999 on a 64-host fabric succeeded")
+	}
+	// The leader keeps serving.
+	good := controller.GroupKey{Tenant: 1, Group: 2}
+	if err := fx.dc.CreateGroup(good, map[topology.HostID]controller.Role{0: controller.RoleSender, 16: controller.RoleReceiver}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fx.dc.Join(good, 99999, controller.RoleReceiver); err == nil {
+		t.Fatal("join of host 99999 succeeded")
+	}
+	if err := fx.rs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fx.dc.ReplicationErr(); err != nil {
+		t.Fatalf("replication stalled: %v", err)
+	}
+	want := fx.dc.Controller().Fingerprint()
+	for _, h := range []topology.HostID{replFollowerA, replFollowerB} {
+		if got := fx.rs.Follower(h).Controller().Fingerprint(); got != want {
+			t.Fatalf("follower %d fingerprint %s != leader %s", h, got, want)
+		}
+	}
+	// Crash and recover the directory holding the three bad records.
+	d2, stats := openTest(t, dir)
+	defer d2.Close()
+	if stats.Replayed != 4 {
+		t.Fatalf("replayed %d records, want 4", stats.Replayed)
+	}
+	if got := d2.Controller().Fingerprint(); got != want {
+		t.Fatalf("recovered fingerprint %s != %s", got, want)
+	}
+	if d2.Controller().Group(bad) != nil || d2.Controller().Group(good) == nil {
+		t.Fatal("recovery resurrected the rejected group or lost the good one")
+	}
+}
+
 // TestReplicateOversizedCreate is the regression for the record-size
 // divergence: one CreateGroup whose membership encodes past the rsm
-// command limit used to fail ProposeApply, silently latch the stream
+// command limit used to fail the propose, silently latch the stream
 // off, and leave followers permanently stale. It must now be chunked,
 // replicate cleanly, and recover to the same fingerprint after a
-// crash.
+// crash. Recovery and the follower consume the identical record
+// stream — a cont-split chunked create, the same create failing as a
+// duplicate, a create naming a host outside the topology, a join —
+// through one applier, so both must land on the leader's fingerprint.
 func TestReplicateOversizedCreate(t *testing.T) {
 	bigTopo := topology.MustNew(topology.TwoTierLeafSpine(4, 96, 256)) // 24576 hosts
 	bigCfg := controller.PaperConfig(0)
@@ -259,6 +314,17 @@ func TestReplicateOversizedCreate(t *testing.T) {
 	}
 	if err := dc.CreateGroup(controller.GroupKey{Tenant: 1, Group: 1}, members); err != nil {
 		t.Fatal(err)
+	}
+	// Failing ops are logged and streamed like any other: the leader
+	// fails them in CreateGroup, replay and followers in the chunked
+	// batch path or the same CreateGroup.
+	if err := dc.CreateGroup(controller.GroupKey{Tenant: 1, Group: 1}, members); err == nil {
+		t.Fatal("duplicate oversized create succeeded")
+	}
+	if err := dc.CreateGroup(controller.GroupKey{Tenant: 1, Group: 2}, map[topology.HostID]controller.Role{
+		0: controller.RoleSender, topology.HostID(bigTopo.NumHosts()): controller.RoleReceiver,
+	}); err == nil {
+		t.Fatal("create with a host outside the topology succeeded")
 	}
 	// A normal op after the big one: the stream must still be alive.
 	if err := dc.Join(controller.GroupKey{Tenant: 1, Group: 1}, 0, controller.RoleBoth); err != nil {

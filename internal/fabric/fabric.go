@@ -155,22 +155,6 @@ func addr(key controller.GroupKey) dataplane.GroupAddr {
 	return dataplane.GroupAddr{VNI: key.Tenant, Group: key.Group}
 }
 
-// InstallGroup pushes a group's state into the data plane: s-rules to
-// leaf/spine tables, sender flows (precomputed headers) to sender
-// hypervisors, and receive filters to receiver hypervisors. Senders
-// disconnected by failures (controller.ErrNoPath) are skipped and
-// returned; their hypervisors degrade to unicast until repair (§3.3).
-// Installs are unfenced (epoch 0); a durable controller uses
-// InstallGroupAt with its leadership epoch instead.
-func (f *Fabric) InstallGroup(ctrl *controller.Controller, key controller.GroupKey) (noPath []topology.HostID, err error) {
-	return f.InstallGroupAt(0, ctrl, key)
-}
-
-// UninstallGroup removes a group's data-plane state (unfenced).
-func (f *Fabric) UninstallGroup(ctrl *controller.Controller, key controller.GroupKey) error {
-	return f.UninstallGroupAt(0, ctrl, key)
-}
-
 // Delivery is the outcome of one multicast send.
 type Delivery struct {
 	// Received maps each host whose hypervisor accepted the packet to

@@ -46,7 +46,7 @@ func installGroup(t *testing.T, ctrl *controller.Controller, f *Fabric, key cont
 	if _, err := ctrl.CreateGroup(key, members); err != nil {
 		t.Fatal(err)
 	}
-	noPath, err := f.InstallGroup(ctrl, key)
+	noPath, err := f.InstallGroupAt(0, ctrl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestFailureRecoveryEndToEnd(t *testing.T) {
 	ctrl.FailSpine(0)
 	ctrl.FailCore(0)
 	// Reinstall sender flows with recomputed headers.
-	if _, err := f.InstallGroup(ctrl, controller.GroupKey{Tenant: 2, Group: 1}); err == nil {
+	if _, err := f.InstallGroupAt(0, ctrl, controller.GroupKey{Tenant: 2, Group: 1}); err == nil {
 		// InstallGroup fails on duplicate s-rule installs only; it is
 		// idempotent for identical entries, so no error is also fine.
 		_ = err
@@ -228,7 +228,7 @@ func TestFailureRecoveryEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("header for %d: %v", h, err)
 		}
-		if err := f.Hypervisors[h].InstallSenderFlow(addr, hdr); err != nil {
+		if err := f.Hypervisors[h].InstallSenderFlowAt(0, addr, hdr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -253,7 +253,7 @@ func TestFailureRecoveryEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Hypervisors[h].InstallSenderFlow(addr, hdr); err != nil {
+		if err := f.Hypervisors[h].InstallSenderFlowAt(0, addr, hdr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -368,7 +368,7 @@ func TestQuickEndToEnd(t *testing.T) {
 		if _, err := ctrl.CreateGroup(key, members); err != nil {
 			return false
 		}
-		if _, err := fab.InstallGroup(ctrl, key); err != nil {
+		if _, err := fab.InstallGroupAt(0, ctrl, key); err != nil {
 			return false
 		}
 		addr := dataplane.GroupAddr{VNI: key.Tenant, Group: key.Group}
@@ -414,7 +414,7 @@ func BenchmarkSendFigure3(b *testing.B) {
 	if _, err := ctrl.CreateGroup(key, members); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := f.InstallGroup(ctrl, key); err != nil {
+	if _, err := f.InstallGroupAt(0, ctrl, key); err != nil {
 		b.Fatal(err)
 	}
 	addr := dataplane.GroupAddr{VNI: 1, Group: 1}
@@ -455,7 +455,7 @@ func TestMultiPlaneFailureDelivery(t *testing.T) {
 	if hdr.ULeaf.Up.PopCount() != 2 {
 		t.Fatalf("sender 0 should pin both planes: %s", hdr.ULeaf.Up)
 	}
-	if err := f.Hypervisors[0].InstallSenderFlow(dataplane.GroupAddr{VNI: 8, Group: 1}, hdr); err != nil {
+	if err := f.Hypervisors[0].InstallSenderFlowAt(0, dataplane.GroupAddr{VNI: 8, Group: 1}, hdr); err != nil {
 		t.Fatal(err)
 	}
 	d, err := f.Send(0, dataplane.GroupAddr{VNI: 8, Group: 1}, []byte("multi-plane"))

@@ -2,95 +2,18 @@ package fabric
 
 import (
 	"crypto/sha256"
-	"fmt"
 
-	"elmo/internal/controller"
 	"elmo/internal/dataplane"
-	"elmo/internal/topology"
 )
 
-// Fabric-level leadership fencing. The durable controller stamps every
-// data-plane install with its epoch; each device fences lower epochs
-// (see dataplane/fence.go). The fabric adds two pieces: epoch-stamped
-// variants of the group install/uninstall walks, and AnnounceEpoch —
-// the takeover broadcast a freshly promoted leader sends so EVERY
-// device fences its predecessor immediately, not just the devices the
-// new leader happens to touch first. Without the announcement a
-// deposed leader could still slip installs onto devices the successor
-// had not yet written to.
-
-// InstallGroupAt is InstallGroup with the controller's leadership
-// epoch stamped on every device message. The first device that fences
-// the epoch aborts the walk with its *dataplane.StaleEpochError — the
-// caller is a deposed leader and should stand down, not keep writing.
-func (f *Fabric) InstallGroupAt(epoch uint64, ctrl *controller.Controller, key controller.GroupKey) (noPath []topology.HostID, err error) {
-	g := ctrl.Group(key)
-	if g == nil {
-		return nil, fmt.Errorf("fabric: group %v not found", key)
-	}
-	a := addr(key)
-	for leaf, bm := range g.Enc.LeafSRules {
-		if err := f.Leaves[leaf].InstallSRuleAt(epoch, a, bm); err != nil {
-			return nil, err
-		}
-	}
-	for pod, bm := range g.Enc.SpineSRules {
-		for plane := 0; plane < f.topo.Config().SpinesPerPod; plane++ {
-			if err := f.Spines[f.topo.SpineAt(pod, plane)].InstallSRuleAt(epoch, a, bm); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, h := range g.Receivers() {
-		if err := f.Hypervisors[h].SetReceivingAt(epoch, a, true); err != nil {
-			return nil, err
-		}
-	}
-	for _, h := range g.Senders() {
-		hdr, err := ctrl.HeaderFor(key, h)
-		if err == controller.ErrNoPath || err == controller.ErrLegacyPath {
-			noPath = append(noPath, h)
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := f.Hypervisors[h].InstallSenderFlowAt(epoch, a, hdr); err != nil {
-			return nil, err
-		}
-	}
-	return noPath, nil
-}
-
-// UninstallGroupAt is UninstallGroup behind the epoch fence.
-func (f *Fabric) UninstallGroupAt(epoch uint64, ctrl *controller.Controller, key controller.GroupKey) error {
-	g := ctrl.Group(key)
-	if g == nil {
-		return fmt.Errorf("fabric: group %v not found", key)
-	}
-	a := addr(key)
-	for leaf := range g.Enc.LeafSRules {
-		if err := f.Leaves[leaf].RemoveSRuleAt(epoch, a); err != nil {
-			return err
-		}
-	}
-	for pod := range g.Enc.SpineSRules {
-		for plane := 0; plane < f.topo.Config().SpinesPerPod; plane++ {
-			if err := f.Spines[f.topo.SpineAt(pod, plane)].RemoveSRuleAt(epoch, a); err != nil {
-				return err
-			}
-		}
-	}
-	for h := range g.Members {
-		if err := f.Hypervisors[h].SetReceivingAt(epoch, a, false); err != nil {
-			return err
-		}
-		if err := f.Hypervisors[h].RemoveSenderFlowAt(epoch, a); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Fabric-level leadership fencing. Every data-plane write carries its
+// controller's epoch and each device fences lower epochs (see
+// dataplane/fence.go; the install walk is install.go). The fabric adds
+// AnnounceEpoch — the takeover broadcast a freshly promoted leader
+// sends so EVERY device fences its predecessor immediately, not just
+// the devices the new leader happens to touch first. Without the
+// announcement a deposed leader could still slip installs onto devices
+// the successor had not yet written to.
 
 // AnnounceEpoch raises every device's epoch floor to epoch — the first
 // thing a freshly promoted controller does, before reinstalling any

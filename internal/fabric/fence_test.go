@@ -1,0 +1,194 @@
+package fabric
+
+import (
+	"errors"
+	"math/rand"
+	"testing"
+
+	"elmo/internal/bitmap"
+	"elmo/internal/controller"
+	"elmo/internal/dataplane"
+	"elmo/internal/header"
+	"elmo/internal/topology"
+)
+
+// TestStaleEpochFencesEveryWrite states the fence as one rule over all
+// seven writes a leader can send (the five device messages and the two
+// group walks): once the fabric has heard epoch e, a write at any lower
+// epoch — 0 included, it is no bypass — fails with a StaleEpochError
+// carrying e, changes no forwarding state, and is counted exactly once.
+func TestStaleEpochFencesEveryWrite(t *testing.T) {
+	const announced = 5
+	topo := paperTopo()
+	cfg := testConfig(0)
+	cfg.LeafRuleLimit, cfg.SpineRuleLimit = 0, 0 // every group needs s-rules
+	ctrl, f := setup(t, topo, cfg)
+
+	installed := controller.GroupKey{Tenant: 1, Group: 1}
+	pending := controller.GroupKey{Tenant: 1, Group: 2}
+	members := map[topology.HostID]controller.Role{0: controller.RoleBoth, 1: controller.RoleReceiver, 40: controller.RoleBoth}
+	for _, key := range []controller.GroupKey{installed, pending} {
+		if _, err := ctrl.CreateGroup(key, members); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.InstallGroupAt(announced-1, ctrl, installed); err != nil {
+		t.Fatal(err)
+	}
+	f.AnnounceEpoch(announced)
+
+	a := addr(installed)
+	hdr, err := ctrl.HeaderFor(installed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ports := bitmap.FromPorts(header.LayoutFor(topo).LeafDown, 3)
+	writes := []struct {
+		name string
+		at   func(epoch uint64) error
+	}{
+		{"InstallSRuleAt", func(e uint64) error { return f.Leaves[2].InstallSRuleAt(e, a, ports) }},
+		{"RemoveSRuleAt", func(e uint64) error { return f.Leaves[0].RemoveSRuleAt(e, a) }},
+		{"InstallSenderFlowAt", func(e uint64) error { return f.Hypervisors[1].InstallSenderFlowAt(e, a, hdr) }},
+		{"RemoveSenderFlowAt", func(e uint64) error { return f.Hypervisors[0].RemoveSenderFlowAt(e, a) }},
+		{"SetReceivingAt", func(e uint64) error { return f.Hypervisors[40].SetReceivingAt(e, a, false) }},
+		{"InstallGroupAt", func(e uint64) error { _, err := f.InstallGroupAt(e, ctrl, pending); return err }},
+		{"UninstallGroupAt", func(e uint64) error { return f.UninstallGroupAt(e, ctrl, installed) }},
+	}
+	for _, w := range writes {
+		for _, stale := range []uint64{0, announced - 1} {
+			before, rejected := f.Fingerprint(), f.FencingRejections()
+			err := w.at(stale)
+			var se *dataplane.StaleEpochError
+			if !errors.Is(err, dataplane.ErrStaleEpoch) || !errors.As(err, &se) {
+				t.Fatalf("%s at epoch %d: error %v, want a StaleEpochError", w.name, stale, err)
+			}
+			if se.Epoch != stale || se.Current != announced {
+				t.Fatalf("%s at epoch %d: %+v, want Current %d", w.name, stale, se, announced)
+			}
+			if f.Fingerprint() != before {
+				t.Fatalf("%s at epoch %d changed forwarding state", w.name, stale)
+			}
+			if got := f.FencingRejections() - rejected; got != 1 {
+				t.Fatalf("%s at epoch %d counted %d rejections, want 1", w.name, stale, got)
+			}
+		}
+	}
+	// The same writes at the announced epoch all go through.
+	for _, w := range writes {
+		if err := w.at(announced); err != nil {
+			t.Fatalf("%s at the announced epoch: %v", w.name, err)
+		}
+	}
+}
+
+// TestInstallWalkParity checks the one walk against its parts on seeded
+// groups over every rule kind: InstallGroupAt leaves exactly the state
+// the encoding-level install plus one InstallSenderFlowAt per routable
+// sender leaves, and UninstallGroupAt returns the fabric to what it was.
+func TestInstallWalkParity(t *testing.T) {
+	const groupsPerPath = 50 // x4 paths = 200 groups
+	paths := []struct {
+		name   string
+		cfg    func(*controller.Config)
+		legacy bool
+	}{
+		{name: "p-rule", cfg: func(c *controller.Config) {}},
+		{name: "s-rule", cfg: func(c *controller.Config) { c.LeafRuleLimit, c.SpineRuleLimit, c.SRuleCapacity = 1, 1, 64 }},
+		{name: "default-rule", cfg: func(c *controller.Config) { c.LeafRuleLimit, c.SpineRuleLimit, c.SRuleCapacity = 0, 0, 0 }},
+		{name: "legacy-leaf", cfg: func(c *controller.Config) { c.LegacyLeaves = []topology.LeafID{7} }, legacy: true},
+	}
+	for pi, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			const epoch = 2
+			topo := paperTopo()
+			cfg := testConfig(0)
+			p.cfg(&cfg)
+			ctrl, walked := setup(t, topo, cfg)
+			parts := New(topo, cfg.SRuleCapacity)
+			if p.legacy {
+				walked.SetLegacyLeaf(7)
+				parts.SetLegacyLeaf(7)
+			}
+			rng := rand.New(rand.NewSource(int64(1907 + pi)))
+			sRules, noPaths := 0, 0
+			for g := 0; g < groupsPerPath; g++ {
+				key := controller.GroupKey{Tenant: uint32(20 + pi), Group: uint32(g + 1)}
+				a := addr(key)
+				members := make(map[topology.HostID]controller.Role)
+				for _, host := range rng.Perm(topo.NumHosts())[:2+rng.Intn(11)] {
+					members[topology.HostID(host)] = controller.Role(1 + rng.Intn(3))
+				}
+				if _, err := ctrl.CreateGroup(key, members); err != nil {
+					t.Fatal(err)
+				}
+				gs := ctrl.Group(key)
+				sRules += len(gs.Enc.LeafSRules) + len(gs.Enc.SpineSRules)
+				empty := walked.Fingerprint()
+				if parts.Fingerprint() != empty {
+					t.Fatalf("group %d: fabrics differ before install", g)
+				}
+
+				noPath, err := walked.InstallGroupAt(epoch, ctrl, key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				noPaths += len(noPath)
+				if err := parts.InstallEncodingAt(epoch, a, gs.Enc, gs.Receivers()); err != nil {
+					t.Fatal(err)
+				}
+				routable := 0
+				for _, s := range gs.Senders() {
+					hdr, err := ctrl.HeaderFor(key, s)
+					if err == controller.ErrNoPath || err == controller.ErrLegacyPath {
+						continue
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := parts.Hypervisors[s].InstallSenderFlowAt(epoch, a, hdr); err != nil {
+						t.Fatal(err)
+					}
+					routable++
+				}
+				if routable+len(noPath) != len(gs.Senders()) {
+					t.Fatalf("group %d: %d routable + %d no-path senders of %d", g, routable, len(noPath), len(gs.Senders()))
+				}
+				if walked.Fingerprint() != parts.Fingerprint() {
+					t.Fatalf("group %d: InstallGroupAt differs from encoding install + sender flows", g)
+				}
+				if walked.Fingerprint() == empty {
+					t.Fatalf("group %d: install left no state", g)
+				}
+
+				if err := walked.UninstallGroupAt(epoch, ctrl, key); err != nil {
+					t.Fatal(err)
+				}
+				if walked.Fingerprint() != empty {
+					t.Fatalf("group %d: UninstallGroupAt did not restore the fabric", g)
+				}
+				if err := parts.UninstallEncodingAt(epoch, a, gs.Enc, gs.Receivers()); err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range gs.Senders() {
+					if err := parts.Hypervisors[s].RemoveSenderFlowAt(epoch, a); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := ctrl.RemoveGroup(key); err != nil {
+					t.Fatal(err)
+				}
+			}
+			switch p.name {
+			case "s-rule":
+				if sRules == 0 {
+					t.Fatal("no group used an s-rule")
+				}
+			case "legacy-leaf":
+				if sRules == 0 || noPaths == 0 {
+					t.Fatalf("legacy leaf not exercised: %d s-rules, %d no-path senders", sRules, noPaths)
+				}
+			}
+		})
+	}
+}

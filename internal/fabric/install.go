@@ -1,60 +1,125 @@
 package fabric
 
 import (
+	"fmt"
+
 	"elmo/internal/controller"
 	"elmo/internal/dataplane"
-	"elmo/internal/header"
 	"elmo/internal/topology"
 )
 
-// This file provides encoding-level install/uninstall, used by the
-// streaming experiment harness: the §5.1 simulation computes millions
-// of group encodings without retaining controller state, installing
-// each group into the fabric only for the duration of its measurement.
+// This file is the one walk that writes a group into the data plane.
+// Every device message carries the writing controller's leadership
+// epoch — 0 for a controller without durable leadership — and the
+// first device that fences it aborts the walk with its
+// *dataplane.StaleEpochError: the caller is a deposed leader and
+// should stand down, not keep writing.
+//
+// The walk has an encoding level (s-rules and receive filters, all
+// the streaming §5.1 harness needs: it computes millions of encodings
+// without retaining controller state, installing each only for the
+// duration of its measurement) and a group level on top of it that
+// adds the sender flows of a controller-held group.
 
-// InstallEncoding pushes one group's s-rules and receiver filters into
-// the data plane directly from its encoding.
-func (f *Fabric) InstallEncoding(a dataplane.GroupAddr, enc *controller.Encoding, receivers []topology.HostID) error {
+// InstallEncodingAt pushes one group's s-rules and receiver filters
+// into the data plane directly from its encoding.
+func (f *Fabric) InstallEncodingAt(epoch uint64, a dataplane.GroupAddr, enc *controller.Encoding, receivers []topology.HostID) error {
 	for leaf, bm := range enc.LeafSRules {
-		if err := f.Leaves[leaf].InstallSRule(a, bm); err != nil {
+		if err := f.Leaves[leaf].InstallSRuleAt(epoch, a, bm); err != nil {
 			return err
 		}
 	}
 	for pod, bm := range enc.SpineSRules {
 		for plane := 0; plane < f.topo.Config().SpinesPerPod; plane++ {
-			if err := f.Spines[f.topo.SpineAt(pod, plane)].InstallSRule(a, bm); err != nil {
+			if err := f.Spines[f.topo.SpineAt(pod, plane)].InstallSRuleAt(epoch, a, bm); err != nil {
 				return err
 			}
 		}
 	}
 	for _, h := range receivers {
-		f.Hypervisors[h].SetReceiving(a, true)
+		if err := f.Hypervisors[h].SetReceivingAt(epoch, a, true); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// UninstallEncoding reverses InstallEncoding.
-func (f *Fabric) UninstallEncoding(a dataplane.GroupAddr, enc *controller.Encoding, receivers []topology.HostID) {
+// UninstallEncodingAt reverses InstallEncodingAt.
+func (f *Fabric) UninstallEncodingAt(epoch uint64, a dataplane.GroupAddr, enc *controller.Encoding, receivers []topology.HostID) error {
 	for leaf := range enc.LeafSRules {
-		f.Leaves[leaf].RemoveSRule(a)
+		if err := f.Leaves[leaf].RemoveSRuleAt(epoch, a); err != nil {
+			return err
+		}
 	}
 	for pod := range enc.SpineSRules {
 		for plane := 0; plane < f.topo.Config().SpinesPerPod; plane++ {
-			f.Spines[f.topo.SpineAt(pod, plane)].RemoveSRule(a)
+			if err := f.Spines[f.topo.SpineAt(pod, plane)].RemoveSRuleAt(epoch, a); err != nil {
+				return err
+			}
 		}
 	}
 	for _, h := range receivers {
-		f.Hypervisors[h].SetReceiving(a, false)
+		if err := f.Hypervisors[h].SetReceivingAt(epoch, a, false); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
-// InstallSenderHeader installs a precomputed header as the sender's
-// flow for the group.
-func (f *Fabric) InstallSenderHeader(a dataplane.GroupAddr, sender topology.HostID, h *header.Header) error {
-	return f.Hypervisors[sender].InstallSenderFlow(a, h)
+// InstallGroupAt pushes a group's state into the data plane: s-rules to
+// leaf/spine tables, receive filters to receiver hypervisors, and
+// sender flows (precomputed headers) to sender hypervisors. A sender
+// disconnected by failures (controller.ErrNoPath) or behind a legacy
+// leaf loses whatever flow an earlier install left and is returned; its
+// hypervisor degrades to unicast until repair (§3.3).
+func (f *Fabric) InstallGroupAt(epoch uint64, ctrl *controller.Controller, key controller.GroupKey) (noPath []topology.HostID, err error) {
+	g := ctrl.Group(key)
+	if g == nil {
+		return nil, fmt.Errorf("fabric: group %v not found", key)
+	}
+	a := addr(key)
+	if err := f.InstallEncodingAt(epoch, a, g.Enc, g.Receivers()); err != nil {
+		return nil, err
+	}
+	for _, h := range g.Senders() {
+		hdr, err := ctrl.HeaderFor(key, h)
+		if err == controller.ErrNoPath || err == controller.ErrLegacyPath {
+			noPath = append(noPath, h)
+			if err := f.Hypervisors[h].RemoveSenderFlowAt(epoch, a); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		if err := f.Hypervisors[h].InstallSenderFlowAt(epoch, a, hdr); err != nil {
+			return nil, err
+		}
+	}
+	return noPath, nil
 }
 
-// RemoveSenderHeader removes the sender flow.
-func (f *Fabric) RemoveSenderHeader(a dataplane.GroupAddr, sender topology.HostID) {
-	f.Hypervisors[sender].RemoveSenderFlow(a)
+// UninstallGroupAt removes a group's data-plane state, clearing the
+// receive filter and the sender flow on every member whatever its
+// current role.
+func (f *Fabric) UninstallGroupAt(epoch uint64, ctrl *controller.Controller, key controller.GroupKey) error {
+	g := ctrl.Group(key)
+	if g == nil {
+		return fmt.Errorf("fabric: group %v not found", key)
+	}
+	a := addr(key)
+	members := make([]topology.HostID, 0, len(g.Members))
+	for h := range g.Members {
+		members = append(members, h)
+	}
+	if err := f.UninstallEncodingAt(epoch, a, g.Enc, members); err != nil {
+		return err
+	}
+	for _, h := range members {
+		if err := f.Hypervisors[h].RemoveSenderFlowAt(epoch, a); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -23,7 +23,7 @@ func TestInstallEncodingDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := dataplane.GroupAddr{VNI: 1, Group: 1}
-	if err := f.InstallEncoding(addr, enc, receivers); err != nil {
+	if err := f.InstallEncodingAt(0, addr, enc, receivers); err != nil {
 		t.Fatal(err)
 	}
 	// Sender header installed directly.
@@ -31,7 +31,7 @@ func TestInstallEncodingDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.InstallSenderHeader(addr, 0, hdr); err != nil {
+	if err := f.Hypervisors[0].InstallSenderFlowAt(0, addr, hdr); err != nil {
 		t.Fatal(err)
 	}
 	d, err := f.Send(0, addr, []byte("direct"))
@@ -42,8 +42,12 @@ func TestInstallEncodingDirect(t *testing.T) {
 		t.Fatalf("delivery = %s", d)
 	}
 	// Uninstall clears everything.
-	f.RemoveSenderHeader(addr, 0)
-	f.UninstallEncoding(addr, enc, receivers)
+	if err := f.Hypervisors[0].RemoveSenderFlowAt(0, addr); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.UninstallEncodingAt(0, addr, enc, receivers); err != nil {
+		t.Fatal(err)
+	}
 	for _, sw := range f.Leaves {
 		if sw.SRuleCount() != 0 {
 			t.Fatal("leaf s-rules leaked")
@@ -76,10 +80,10 @@ func TestInstallEncodingCapacityError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.InstallEncoding(dataplane.GroupAddr{VNI: 1, Group: 1}, enc, receivers); err != nil {
+	if err := f.InstallEncodingAt(0, dataplane.GroupAddr{VNI: 1, Group: 1}, enc, receivers); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.InstallEncoding(dataplane.GroupAddr{VNI: 1, Group: 2}, enc, receivers); err == nil {
+	if err := f.InstallEncodingAt(0, dataplane.GroupAddr{VNI: 1, Group: 2}, enc, receivers); err == nil {
 		t.Fatal("second install should exceed fabric table capacity")
 	}
 }
@@ -87,10 +91,10 @@ func TestInstallEncodingCapacityError(t *testing.T) {
 func TestInstallGroupUnknownKey(t *testing.T) {
 	topo := paperTopo()
 	ctrl, f := setup(t, topo, testConfig(0))
-	if _, err := f.InstallGroup(ctrl, controller.GroupKey{Tenant: 9, Group: 9}); err == nil {
+	if _, err := f.InstallGroupAt(0, ctrl, controller.GroupKey{Tenant: 9, Group: 9}); err == nil {
 		t.Fatal("unknown group installed")
 	}
-	if err := f.UninstallGroup(ctrl, controller.GroupKey{Tenant: 9, Group: 9}); err == nil {
+	if err := f.UninstallGroupAt(0, ctrl, controller.GroupKey{Tenant: 9, Group: 9}); err == nil {
 		t.Fatal("unknown group uninstalled")
 	}
 }

@@ -42,7 +42,7 @@ func TestLegacyInterop(t *testing.T) {
 	if _, err := ctrl.CreateGroup(key, members); err != nil {
 		t.Fatal(err)
 	}
-	noPath, err := f.InstallGroup(ctrl, key)
+	noPath, err := f.InstallGroupAt(0, ctrl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestLegacySenderFallsBack(t *testing.T) {
 	if _, err := ctrl.CreateGroup(key, members); err != nil {
 		t.Fatal(err)
 	}
-	noPath, err := f.InstallGroup(ctrl, key)
+	noPath, err := f.InstallGroupAt(0, ctrl, key)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,7 +168,7 @@ func BenchmarkForwardMetricsOn(b *testing.B) {
 	if _, err := ctrl.CreateGroup(key, members); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := f.InstallGroup(ctrl, key); err != nil {
+	if _, err := f.InstallGroupAt(0, ctrl, key); err != nil {
 		b.Fatal(err)
 	}
 	addr := dataplane.GroupAddr{VNI: 1, Group: 1}

@@ -129,7 +129,7 @@ func TestWireEngineMatchesSyncForwarder(t *testing.T) {
 				if _, err := ctrl.CreateGroup(key, members); err != nil {
 					t.Fatal(err)
 				}
-				noPath, err := f.InstallGroup(ctrl, key)
+				noPath, err := f.InstallGroupAt(0, ctrl, key)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -169,7 +169,7 @@ func TestWireEngineMatchesSyncForwarder(t *testing.T) {
 						}
 					}
 				}
-				if err := f.UninstallGroup(ctrl, key); err != nil {
+				if err := f.UninstallGroupAt(0, ctrl, key); err != nil {
 					t.Fatal(err)
 				}
 				if err := ctrl.RemoveGroup(key); err != nil {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"time"
 
-	"elmo/internal/controller"
 	"elmo/internal/dataplane"
 	"elmo/internal/fabric"
 	"elmo/internal/header"
@@ -52,8 +51,9 @@ type LiveFabric struct {
 }
 
 // New wraps an existing (already configured) fabric. Group state must
-// be installed through the base fabric before Start; the live fabric
-// only moves packets.
+// be installed through the base fabric (Base().InstallGroupAt) before
+// Start, or after Drain while senders are quiet — switch goroutines
+// read the same group tables; the live fabric only moves packets.
 func New(base *fabric.Fabric, cfg Config) *LiveFabric {
 	topo := base.Topology()
 	lf := &LiveFabric{base: base}
@@ -209,11 +209,4 @@ func leastLoaded(alive []int, f header.OuterFields, depth func(port int) int) in
 		return ties[dataplane.ECMPHash(f, 0x10ad)%uint32(len(ties))]
 	}
 	return best
-}
-
-// InstallGroup is a convenience proxy to the base fabric. Call before
-// Start, or after Drain while senders are quiet — switch goroutines
-// read the same group tables.
-func (lf *LiveFabric) InstallGroup(ctrl *controller.Controller, key controller.GroupKey) ([]topology.HostID, error) {
-	return lf.base.InstallGroup(ctrl, key)
 }

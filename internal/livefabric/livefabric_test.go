@@ -34,7 +34,7 @@ func liveFixture(t *testing.T, enableINT bool) (*LiveFabric, *controller.Control
 		t.Fatal(err)
 	}
 	lf := New(base, DefaultConfig())
-	if _, err := lf.InstallGroup(ctrl, key); err != nil {
+	if _, err := base.InstallGroupAt(0, ctrl, key); err != nil {
 		t.Fatal(err)
 	}
 	return lf, ctrl, key, hosts
@@ -253,7 +253,7 @@ func BenchmarkLivePipeline(b *testing.B) {
 		b.Fatal(err)
 	}
 	lf := New(base, DefaultConfig())
-	if _, err := lf.InstallGroup(ctrl, key); err != nil {
+	if _, err := base.InstallGroupAt(0, ctrl, key); err != nil {
 		b.Fatal(err)
 	}
 	lf.Start()

@@ -43,7 +43,7 @@ func TestTracePathOverLiveFabric(t *testing.T) {
 	if _, err := ctrl.CreateGroup(key, members); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lf.InstallGroup(ctrl, key); err != nil {
+	if _, err := base.InstallGroupAt(0, ctrl, key); err != nil {
 		t.Fatal(err)
 	}
 	lf.Start()

@@ -102,7 +102,7 @@ func (b *Bridge) CreateGlobalGroup(key controller.GroupKey, members map[string][
 		if _, err := dc.Ctrl.CreateGroup(key, m); err != nil {
 			return err
 		}
-		if _, err := dc.Fab.InstallGroup(dc.Ctrl, key); err != nil {
+		if _, err := dc.Fab.InstallGroupAt(0, dc.Ctrl, key); err != nil {
 			return err
 		}
 		g.members[name] = sorted
@@ -179,7 +179,7 @@ func (b *Bridge) RemoveGlobalGroup(key controller.GroupKey) error {
 	}
 	for name := range g.members {
 		dc := b.dcs[name]
-		if err := dc.Fab.UninstallGroup(dc.Ctrl, key); err != nil {
+		if err := dc.Fab.UninstallGroupAt(0, dc.Ctrl, key); err != nil {
 			return err
 		}
 		if err := dc.Ctrl.RemoveGroup(key); err != nil {

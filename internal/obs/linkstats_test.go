@@ -49,7 +49,7 @@ func installGroup(t *testing.T, ctrl *controller.Controller, f *fabric.Fabric, k
 	if _, err := ctrl.CreateGroup(key, members); err != nil {
 		t.Fatal(err)
 	}
-	if noPath, err := f.InstallGroup(ctrl, key); err != nil || len(noPath) != 0 {
+	if noPath, err := f.InstallGroupAt(0, ctrl, key); err != nil || len(noPath) != 0 {
 		t.Fatalf("install: noPath=%v err=%v", noPath, err)
 	}
 }

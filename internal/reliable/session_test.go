@@ -31,7 +31,7 @@ func sessionFixture(t *testing.T) (*fabric.Fabric, *controller.Controller, contr
 	if _, err := ctrl.CreateGroup(key, members); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fab.InstallGroup(ctrl, key); err != nil {
+	if _, err := fab.InstallGroupAt(0, ctrl, key); err != nil {
 		t.Fatal(err)
 	}
 	return fab, ctrl, key, sender, receivers
@@ -164,7 +164,7 @@ func TestSessionUnicastFallback(t *testing.T) {
 	if err := sess.Publish([]byte("pre")); err != nil {
 		t.Fatal(err)
 	}
-	fab.Hypervisors[sender].RemoveSenderFlow(addr)
+	fab.Hypervisors[sender].RemoveSenderFlowAt(0, addr)
 	if err := sess.Publish([]byte("degraded")); err != nil {
 		t.Fatalf("publish without sender flow should degrade, got %v", err)
 	}
@@ -175,7 +175,7 @@ func TestSessionUnicastFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fab.Hypervisors[sender].InstallSenderFlow(addr, hdr); err != nil {
+	if err := fab.Hypervisors[sender].InstallSenderFlowAt(0, addr, hdr); err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.Publish([]byte("post")); err != nil {

@@ -103,7 +103,7 @@ func TestProposeApplyStreamsToAppliers(t *testing.T) {
 	}
 	want := [][]byte{[]byte("one"), {0x00, 0xff, 0x00}, []byte("three")}
 	for _, p := range want {
-		if err := c.ProposeApply(p); err != nil {
+		if err := c.ProposeApplyAt(0, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,8 +132,9 @@ func TestProposeApplyStreamsToAppliers(t *testing.T) {
 // TestReplicaFencesStaleEpoch: once a replica has applied a command
 // from epoch N, commands stamped with a lower epoch advance the log
 // position but never mutate state or reach the applier — a deposed
-// leader's residue is discarded, not interleaved. Epoch-0 (unfenced)
-// commands stay accepted for legacy single-leader streams.
+// leader's residue is discarded, not interleaved. Epoch 0 is the
+// lowest epoch, not a bypass: a fresh replica applies it, a fenced one
+// discards it like any other stale term.
 func TestReplicaFencesStaleEpoch(t *testing.T) {
 	r := NewReplica(1)
 	var applied [][]byte
@@ -151,28 +152,33 @@ func TestReplicaFencesStaleEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A replica no fenced leader has written applies epoch 0.
+	apply(Command{Op: OpSet, Key: "zero", Value: "fresh"})
+	if v, _ := r.Get("zero"); v != "fresh" || r.Epoch() != 0 {
+		t.Fatalf("epoch 0 on a fresh replica: zero = %q, epoch %d", v, r.Epoch())
+	}
 	apply(Command{Op: OpSet, Epoch: 2, Key: "k", Value: "new-leader"})
 	apply(Command{Op: OpApply, Epoch: 2, Value: "payload-2"})
 	// Stale term: discarded but the log position still advances.
 	apply(Command{Op: OpSet, Epoch: 1, Key: "k", Value: "old-leader"})
 	apply(Command{Op: OpApply, Epoch: 1, Value: "stale-payload"})
-	// Unfenced legacy command: accepted.
-	apply(Command{Op: OpSet, Key: "legacy", Value: "ok"})
+	// Epoch 0 is stale too once the floor is 2.
+	apply(Command{Op: OpSet, Key: "zero", Value: "stale"})
 
 	if v, _ := r.Get("k"); v != "new-leader" {
 		t.Fatalf("k = %q, stale write applied", v)
 	}
-	if v, _ := r.Get("legacy"); v != "ok" {
-		t.Fatalf("legacy = %q", v)
+	if v, _ := r.Get("zero"); v != "fresh" {
+		t.Fatalf("zero = %q, epoch-0 write applied past floor 2", v)
 	}
 	if len(applied) != 1 || string(applied[0]) != "payload-2" {
 		t.Fatalf("applier saw %q, want only payload-2", applied)
 	}
-	if r.Fenced() != 2 {
-		t.Fatalf("Fenced = %d, want 2", r.Fenced())
+	if r.Fenced() != 3 {
+		t.Fatalf("Fenced = %d, want 3", r.Fenced())
 	}
-	if r.Applied() != 5 {
-		t.Fatalf("Applied = %d, want 5 (fenced commands advance the log)", r.Applied())
+	if r.Applied() != 6 {
+		t.Fatalf("Applied = %d, want 6 (fenced commands advance the log)", r.Applied())
 	}
 	if r.Epoch() != 2 {
 		t.Fatalf("Epoch = %d, want 2", r.Epoch())

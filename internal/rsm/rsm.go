@@ -44,7 +44,9 @@ func validOp(op Op) bool { return op == OpSet || op == OpDelete || op == OpApply
 // leadership term of the proposer: replicas remember the highest epoch
 // they have applied and silently discard commands from a lower one, so
 // a deposed leader's in-flight stream cannot be interleaved with the
-// new leader's. Epoch 0 is unfenced (legacy / single-leader use).
+// new leader's. Epoch 0 is the lowest epoch: what a proposer without
+// durable leadership stamps, fenced like any other once a replica has
+// applied a higher one.
 type Command struct {
 	Op    Op
 	Epoch uint64
@@ -134,14 +136,12 @@ func (r *Replica) Apply(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if c.Epoch != 0 {
-		if c.Epoch < r.epoch {
-			r.fenced++
-			r.applied++
-			return nil
-		}
-		r.epoch = c.Epoch
+	if c.Epoch < r.epoch {
+		r.fenced++
+		r.applied++
+		return nil
 	}
+	r.epoch = c.Epoch
 	switch c.Op {
 	case OpSet:
 		r.store[c.Key] = c.Value
@@ -159,7 +159,7 @@ func (r *Replica) Apply(payload []byte) error {
 }
 
 // Epoch reports the highest leadership epoch this replica has applied
-// a command from (0 if only unfenced commands were seen).
+// a command from.
 func (r *Replica) Epoch() uint64 { return r.epoch }
 
 // Fenced reports how many stale-epoch commands were discarded.
@@ -212,7 +212,7 @@ func NewCluster(ctrl *controller.Controller, fab *fabric.Fabric, key controller.
 	if _, err := ctrl.CreateGroup(key, members); err != nil {
 		return nil, err
 	}
-	if _, err := fab.InstallGroup(ctrl, key); err != nil {
+	if _, err := fab.InstallGroupAt(0, ctrl, key); err != nil {
 		return nil, err
 	}
 	sess, err := reliable.NewSession(fab, ctrl, key, leader, window)
@@ -244,14 +244,10 @@ func (c *Cluster) Propose(cmd Command) error {
 	return c.drain()
 }
 
-// ProposeApply replicates an opaque payload as an OpApply command.
-// Followers hand it to their applier hook (SetApplier) in log order.
-func (c *Cluster) ProposeApply(payload []byte) error {
-	return c.Propose(Command{Op: OpApply, Value: string(payload)})
-}
-
-// ProposeApplyAt is ProposeApply with the proposer's leadership epoch
-// stamped on the command, arming the replicas' fencing.
+// ProposeApplyAt replicates an opaque payload as an OpApply command
+// stamped with the proposer's leadership epoch. Followers that do not
+// fence the epoch hand the payload to their applier hook (SetApplier)
+// in log order.
 func (c *Cluster) ProposeApplyAt(epoch uint64, payload []byte) error {
 	return c.Propose(Command{Op: OpApply, Epoch: epoch, Value: string(payload)})
 }

@@ -202,10 +202,10 @@ func RunScalability(cfg ScalabilityConfig) (*ScalabilityResult, error) {
 		res.HeaderBytes.Add(float64(header.EncodedSize(header.LayoutFor(topo), hdr)))
 
 		addr := dataplane.GroupAddr{VNI: uint32(g.Tenant), Group: g.ID}
-		if err := fab.InstallEncoding(addr, enc, g.Hosts); err != nil {
+		if err := fab.InstallEncodingAt(0, addr, enc, g.Hosts); err != nil {
 			return err
 		}
-		if err := fab.InstallSenderHeader(addr, sender, hdr); err != nil {
+		if err := fab.Hypervisors[sender].InstallSenderFlowAt(0, addr, hdr); err != nil {
 			return err
 		}
 		sampleBaselines := cfg.BaselineSampleEvery > 0 && gi%cfg.BaselineSampleEvery == 0
@@ -234,8 +234,12 @@ func RunScalability(cfg ScalabilityConfig) (*ScalabilityResult, error) {
 				sampleIdeal[n] += float64(ideal)
 			}
 		}
-		fab.RemoveSenderHeader(addr, sender)
-		fab.UninstallEncoding(addr, enc, g.Hosts)
+		if err := fab.Hypervisors[sender].RemoveSenderFlowAt(0, addr); err != nil {
+			return err
+		}
+		if err := fab.UninstallEncodingAt(0, addr, enc, g.Hosts); err != nil {
+			return err
+		}
 		if progress != nil {
 			progress.Add(1)
 		}

@@ -130,7 +130,7 @@ func TestScrapeDuringChurnSoak(t *testing.T) {
 	if _, err := ctrl.CreateGroup(key, members); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.InstallGroup(ctrl, key); err != nil {
+	if _, err := f.InstallGroupAt(0, ctrl, key); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.Send(topo.HostAt(0, 0), dataplane.GroupAddr{VNI: 1, Group: 9999}, []byte("e2e")); err != nil {

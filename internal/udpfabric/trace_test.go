@@ -47,7 +47,7 @@ func TestTracePathOverRealUDP(t *testing.T) {
 	if _, err := ctrl.CreateGroup(key, members); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := u.InstallGroup(ctrl, key); err != nil {
+	if _, err := base.InstallGroupAt(0, ctrl, key); err != nil {
 		t.Fatal(err)
 	}
 	u.Start()

@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"elmo/internal/controller"
 	"elmo/internal/dataplane"
 	"elmo/internal/fabric"
 	"elmo/internal/topology"
@@ -157,11 +156,6 @@ func (u *UDPFabric) Send(sender topology.HostID, addr dataplane.GroupAddr, inner
 // a convenience for tests and examples on real sockets.
 func (u *UDPFabric) WaitForDeliveries(h topology.HostID, n int, timeout time.Duration) ([]HostPacket, error) {
 	return u.eng.WaitForDeliveries(h, n, timeout)
-}
-
-// InstallGroup proxies to the base fabric.
-func (u *UDPFabric) InstallGroup(ctrl *controller.Controller, key controller.GroupKey) ([]topology.HostID, error) {
-	return u.base.InstallGroup(ctrl, key)
 }
 
 // readErrBackoffCap bounds the retry backoff after consecutive

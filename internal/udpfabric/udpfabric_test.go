@@ -39,7 +39,7 @@ func udpFixture(t *testing.T, enableINT bool) (*UDPFabric, controller.GroupKey, 
 		t.Fatal(err)
 	}
 	t.Cleanup(u.Close)
-	if _, err := u.InstallGroup(ctrl, key); err != nil {
+	if _, err := base.InstallGroupAt(0, ctrl, key); err != nil {
 		t.Fatal(err)
 	}
 	u.Start()
@@ -145,7 +145,7 @@ func TestSendAccountingCountsSuccessesOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(u.Close)
-	if _, err := u.InstallGroup(ctrl, key); err != nil {
+	if _, err := base.InstallGroupAt(0, ctrl, key); err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()

@@ -74,8 +74,8 @@ type Options struct {
 	Metrics *Metrics
 	// Epoch is the leadership term stamped on every appended frame.
 	// The effective epoch is the maximum of this and the last epoch
-	// already in the log (epochs never regress within one directory);
-	// 0 leaves legacy logs unfenced.
+	// already in the log (epochs never regress within one directory),
+	// so 0 — the lowest epoch — defers to whatever the log holds.
 	Epoch uint64
 }
 
