@@ -196,7 +196,7 @@ func runPartition(topoCfg topology.Config, tenants, groups, srules int, meanVMs 
 	if err != nil {
 		log.Fatal(err)
 	}
-	rejoined, err := durable.NewFollowerFromState(topo, cfg, 0, epoch, state)
+	rejoined, err := durable.NewFollowerFromState(topo, cfg, epoch, state)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -49,17 +49,18 @@ func TestInjectorDeterminism(t *testing.T) {
 }
 
 // TestInjectorDisabledIsInert: an armed config with the injector
-// disabled never fires, and FaultsOn short-circuits.
+// disabled never fires, and the probe's guard short-circuits.
 func TestInjectorDisabledIsInert(t *testing.T) {
 	inj := New(Config{Seed: 1, Drop: 1})
-	if dataplane.FaultsOn(inj) {
+	probe := &dataplane.Probe{Injector: inj}
+	if probe.Faulting() {
 		t.Fatal("disabled injector reports active")
 	}
 	if v := inj.Cross(testLink(), 1, 1); v != (dataplane.FaultVerdict{}) {
 		t.Fatalf("disabled injector fired: %+v", v)
 	}
 	inj.Enable()
-	if !dataplane.FaultsOn(inj) {
+	if !probe.Faulting() {
 		t.Fatal("enabled injector reports inactive")
 	}
 	if v := inj.Cross(testLink(), 1, 1); !v.Drop {

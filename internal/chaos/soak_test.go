@@ -13,9 +13,12 @@ import (
 	"elmo/internal/fabric"
 	"elmo/internal/header"
 	"elmo/internal/livefabric"
+	"elmo/internal/obs"
 	"elmo/internal/raceflag"
 	"elmo/internal/reliable"
+	"elmo/internal/telemetry"
 	"elmo/internal/topology"
+	"elmo/internal/trace"
 	"elmo/internal/udpfabric"
 )
 
@@ -380,10 +383,12 @@ func TestChaosSoakUDPFabric(t *testing.T) {
 
 // TestChaosDisabledAllocParity is the acceptance bar for the disabled
 // path: a fabric with a disabled injector attached allocates exactly
-// as much per multicast send as a fabric with no injector at all.
+// as much per multicast send as a fabric with no injector at all — and
+// so does one with all four probe instruments attached and none of
+// them on (telemetry has no off switch: its counters just count).
 func TestChaosDisabledAllocParity(t *testing.T) {
 	raceflag.SkipExactAllocs(t)
-	build := func(attach bool) *fabric.Fabric {
+	build := func(attach, all bool) *fabric.Fabric {
 		topo := topology.MustNew(topology.PaperExample())
 		ccfg := controller.PaperConfig(0)
 		ctrl, err := controller.New(topo, ccfg)
@@ -394,6 +399,11 @@ func TestChaosDisabledAllocParity(t *testing.T) {
 		fab.SetFailures(ctrl.Failures())
 		if attach {
 			fab.SetInjector(New(Config{Seed: 1, Drop: 0.5})) // armed but never enabled
+		}
+		if all {
+			fab.SetTracer(trace.New(trace.Config{}))
+			fab.SetObserver(obs.New(obs.Options{Topology: topo, Registry: telemetry.NewRegistry()}))
+			fab.SetMetrics(fabric.NewMetrics(telemetry.NewRegistry()))
 		}
 		key := controller.GroupKey{Tenant: 9, Group: 1}
 		members := map[topology.HostID]controller.Role{fixtureSender: controller.RoleSender}
@@ -417,11 +427,16 @@ func TestChaosDisabledAllocParity(t *testing.T) {
 			}
 		}
 	}
-	baseline := testing.AllocsPerRun(200, send(build(false)))
-	withDisabled := testing.AllocsPerRun(200, send(build(true)))
+	baseline := testing.AllocsPerRun(200, send(build(false, false)))
+	withDisabled := testing.AllocsPerRun(200, send(build(true, false)))
 	if withDisabled != baseline {
 		t.Fatalf("disabled injector changed allocations: %.1f → %.1f per send",
 			baseline, withDisabled)
+	}
+	allDisabled := testing.AllocsPerRun(200, send(build(true, true)))
+	if allDisabled != baseline {
+		t.Fatalf("four disabled instruments changed allocations: %.1f → %.1f per send",
+			baseline, allDisabled)
 	}
 }
 

@@ -96,16 +96,16 @@ func TestHypervisorEncapDeliver(t *testing.T) {
 		t.Fatal("encap for unknown group accepted")
 	}
 	// Delivery filter.
-	if _, ok := hv.Deliver(pkt); ok {
+	if _, _, ok := hv.DeliverFull(pkt); ok {
 		t.Fatal("non-member hypervisor accepted packet")
 	}
 	hv.SetReceivingAt(0, addr, true)
-	inner, ok := hv.Deliver(pkt)
+	inner, _, ok := hv.DeliverFull(pkt)
 	if !ok || string(inner) != "msg" {
 		t.Fatal("member hypervisor rejected packet")
 	}
 	hv.SetReceivingAt(0, addr, false)
-	if _, ok := hv.Deliver(pkt); ok {
+	if _, _, ok := hv.DeliverFull(pkt); ok {
 		t.Fatal("filter not removed")
 	}
 	if hv.Encapsulated() != 1 || hv.Delivered() != 1 || hv.Filtered() != 2 {

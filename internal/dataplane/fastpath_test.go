@@ -236,9 +236,9 @@ func TestProcessIntoEquivalence(t *testing.T) {
 		if scenario == "legacy" {
 			sws[0].Legacy, sws[1].Legacy, sws[2].Legacy = true, true, true
 		}
-		if sws[0].kind != KindCore && r.Intn(2) == 0 {
+		if sws[0].tier != LinkCore && r.Intn(2) == 0 {
 			ports := randPorts(r, l.LeafDown)
-			if sws[0].kind == KindSpine {
+			if sws[0].tier == LinkSpine {
 				ports = randPorts(r, l.SpineDown)
 			}
 			for j := range sws {

@@ -59,13 +59,14 @@ type FaultVerdict struct {
 	DelaySteps int32
 }
 
-// FaultInjector is consulted by the fabrics at every link crossing.
-// Implementations must make Active a single cheap check and Cross
-// allocation-free: the disabled path of an attached injector must not
-// change forwarding cost at all.
+// FaultInjector is consulted at every link crossing — by Probe.Cross,
+// its only caller, which skips it unless Active. Implementations must
+// make Active a single cheap check and Cross allocation-free: the
+// disabled path of an attached injector must not change forwarding
+// cost at all.
 type FaultInjector interface {
 	// Active reports whether any fault can currently fire; when false
-	// the fabrics skip Cross entirely.
+	// the probe skips Cross entirely.
 	Active() bool
 	// Cross returns the verdict for one packet crossing the link. The
 	// group address lets injectors discriminate probe traffic.
@@ -73,12 +74,6 @@ type FaultInjector interface {
 	// CorruptWire flips bytes of a marshaled frame in place,
 	// deterministically per injector state.
 	CorruptWire(frame []byte)
-}
-
-// FaultsOn is the hot-path guard mirroring trace.On: a nil check plus
-// the injector's own cheap activity check.
-func FaultsOn(i FaultInjector) bool {
-	return i != nil && i.Active()
 }
 
 // ProbeVNI is the reserved VNI the chaos health monitor sends its

@@ -78,45 +78,28 @@ func (f *EpochFence) Current() uint64 { return f.cur.Load() }
 // Rejected returns how many messages this fence has rejected.
 func (f *EpochFence) Rejected() int64 { return f.rejected.Load() }
 
-// deviceName renders the switch identity for StaleEpochError.
-func (sw *NetworkSwitch) deviceName() string {
-	switch sw.kind {
-	case KindLeaf:
-		return fmt.Sprintf("leaf %d", sw.leaf)
-	case KindSpine:
-		return fmt.Sprintf("spine %d", sw.spine)
-	default:
-		return fmt.Sprintf("core %d", sw.core)
+// admit applies a device's fence to one controller message: nil when
+// epoch may write, otherwise the rejection is reported
+// (elmo_fencing_rejected_total) and returned as a *StaleEpochError
+// naming the device ("leaf 3", "host 17") and carrying its floor.
+func admit(f *EpochFence, p *Probe, tier LinkTier, id int32, epoch uint64) error {
+	if f.Admit(epoch) {
+		return nil
 	}
+	p.fenced(tier)
+	return &StaleEpochError{Device: fmt.Sprintf("%s %d", tier, id), Epoch: epoch, Current: f.Current()}
 }
 
 // Fence exposes the switch's epoch floor (telemetry, tests).
 func (sw *NetworkSwitch) Fence() *EpochFence { return &sw.fence }
 
-// admit applies the fence to one controller message: nil when epoch
-// may write, otherwise the rejection is counted
-// (elmo_fencing_rejected_total) and returned as a *StaleEpochError
-// carrying the switch's floor.
 func (sw *NetworkSwitch) admit(epoch uint64) error {
-	if sw.fence.Admit(epoch) {
-		return nil
-	}
-	sw.Counters.fencingRejected()
-	return &StaleEpochError{Device: sw.deviceName(), Epoch: epoch, Current: sw.fence.Current()}
+	return admit(&sw.fence, sw.Probe, sw.tier, sw.id, epoch)
 }
 
 // Fence exposes the hypervisor's epoch floor (telemetry, tests).
 func (hv *Hypervisor) Fence() *EpochFence { return &hv.fence }
 
-func (hv *Hypervisor) deviceName() string {
-	return fmt.Sprintf("host %d", hv.host)
-}
-
-// admit is the hypervisor's fence check; see NetworkSwitch.admit.
 func (hv *Hypervisor) admit(epoch uint64) error {
-	if hv.fence.Admit(epoch) {
-		return nil
-	}
-	hv.Counters.fencingRejected()
-	return &StaleEpochError{Device: hv.deviceName(), Epoch: epoch, Current: hv.fence.Current()}
+	return admit(&hv.fence, hv.Probe, LinkHost, int32(hv.host), epoch)
 }

@@ -77,7 +77,7 @@ func TestSwitchInstallAtFencesStaleEpoch(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := NewMetrics(reg)
 	sw := NewLeaf(topo, 3, 4)
-	sw.Counters = m.Leaf
+	sw.Probe = &Probe{Metrics: m}
 	addr := GroupAddr{VNI: 1, Group: 9}
 	ports := bitmap.FromPorts(l.LeafDown, 0)
 
@@ -109,7 +109,7 @@ func TestSwitchInstallAtFencesStaleEpoch(t *testing.T) {
 	if got := sw.Fence().Rejected(); got != 2 {
 		t.Fatalf("fence rejections %d, want 2", got)
 	}
-	if got := m.Leaf.fenced.Value(); got != 2 {
+	if got := m.tiers[LinkLeaf].fenced.Value(); got != 2 {
 		t.Fatalf("elmo_fencing_rejected_total{tier=leaf} = %d, want 2", got)
 	}
 
@@ -128,7 +128,7 @@ func TestHypervisorInstallAtFencesStaleEpoch(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := NewMetrics(reg)
 	hv := NewHypervisor(topo, 17)
-	hv.Counters = m.Host
+	hv.Probe = &Probe{Metrics: m}
 	addr := GroupAddr{VNI: 2, Group: 4}
 	h := &header.Header{
 		DLeaf: []header.PRule{{Switches: []uint16{0}, Bitmap: bitmap.FromPorts(l.LeafDown, 1)}},
@@ -159,7 +159,7 @@ func TestHypervisorInstallAtFencesStaleEpoch(t *testing.T) {
 	if _, err := hv.Encap(addr, []byte("x")); err != nil {
 		t.Fatalf("flow lost after fenced ops: %v", err)
 	}
-	if got := m.Host.fenced.Value(); got != 3 {
+	if got := m.tiers[LinkHost].fenced.Value(); got != 3 {
 		t.Fatalf("elmo_fencing_rejected_total{tier=host} = %d, want 3", got)
 	}
 	if got := hv.Fence().Rejected(); got != 3 {

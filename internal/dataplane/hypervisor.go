@@ -8,7 +8,6 @@ import (
 
 	"elmo/internal/header"
 	"elmo/internal/topology"
-	"elmo/internal/trace"
 )
 
 // ErrNoSenderFlow is returned (wrapped) by Encap when the hypervisor
@@ -52,15 +51,10 @@ type Hypervisor struct {
 	delivered    atomic.Int64
 	filtered     atomic.Int64
 
-	// Tracer receives encap/deliver/filter flight-recorder events when
-	// the host category is enabled; nil or disabled costs one check per
-	// packet. Set while the fabric is quiet.
-	Tracer trace.Recorder
-
-	// Counters bumps live telemetry alongside the local counters when
-	// attached (typically the fabric-wide HostCounters); nil costs one
-	// branch per packet. Set while the fabric is quiet.
-	Counters *HostCounters
+	// Probe is where the hypervisor reports encap, deliver and filter
+	// events (see probe.go); the fabric that builds it sets it, and a
+	// stand-alone hypervisor leaves it nil and keeps only its counters.
+	Probe *Probe
 
 	// fence is the leadership epoch floor: installs stamped with a
 	// lower epoch are rejected (see fence.go).
@@ -145,33 +139,19 @@ func (hv *Hypervisor) Encap(addr GroupAddr, inner []byte) (Packet, error) {
 	if !ok {
 		return Packet{}, fmt.Errorf("host %d, group %+v: %w", hv.host, addr, ErrNoSenderFlow)
 	}
-	hv.encapsulated.Add(1)
-	hv.Counters.encap(len(f.stream))
-	if trace.On(hv.Tracer, trace.CatHost) {
-		hv.Tracer.Record(trace.Event{
-			Cat: trace.CatHost, Kind: trace.KindEncap, Tier: trace.TierHost,
-			Switch: int32(hv.host), VNI: addr.VNI, Group: addr.Group,
-			Arg: int64(len(f.stream)),
-		})
-	}
+	hv.Probe.encap(hv, addr, len(f.stream))
 	return Packet{Outer: f.outer, Elmo: f.stream, Inner: inner, NoINT: f.noINT}, nil
 }
 
-// Deliver is the receive path: it accepts the packet if a local VM
-// belongs to the group, returning the inner frame. Spurious packets
+// DeliverFull is the receive path: it accepts the packet if a local VM
+// belongs to the group, returning the inner frame and the packet's
+// in-band telemetry records (§7 Monitoring: the per-hop path the copy
+// actually took, when the sender enabled INT). Spurious packets
 // (reaching this host only through shared-bitmap or default-rule
 // redundancy) are filtered, mirroring "each hypervisor switch only
 // maintains flow rules for multicast groups that have member VMs
 // running on the same host, discarding packets belonging to other
 // groups" (§2).
-func (hv *Hypervisor) Deliver(p Packet) ([]byte, bool) {
-	inner, _, ok := hv.DeliverFull(p)
-	return inner, ok
-}
-
-// DeliverFull is Deliver plus the packet's in-band telemetry records
-// (§7 Monitoring): the per-hop path the copy actually took, when the
-// sender enabled INT.
 func (hv *Hypervisor) DeliverFull(p Packet) ([]byte, []header.INTRecord, bool) {
 	addr, ok := GroupAddrFromOuter(p.Outer)
 	if ok {
@@ -180,24 +160,10 @@ func (hv *Hypervisor) DeliverFull(p Packet) ([]byte, []header.INTRecord, bool) {
 		hv.mu.RUnlock()
 	}
 	if !ok {
-		hv.filtered.Add(1)
-		hv.Counters.filter()
-		if trace.On(hv.Tracer, trace.CatHost) {
-			hv.Tracer.Record(trace.Event{
-				Cat: trace.CatHost, Kind: trace.KindFilter, Tier: trace.TierHost,
-				Switch: int32(hv.host), VNI: addr.VNI, Group: addr.Group,
-			})
-		}
+		hv.Probe.filter(hv, addr)
 		return nil, nil, false
 	}
-	hv.delivered.Add(1)
-	hv.Counters.deliver()
-	if trace.On(hv.Tracer, trace.CatHost) {
-		hv.Tracer.Record(trace.Event{
-			Cat: trace.CatHost, Kind: trace.KindDeliver, Tier: trace.TierHost,
-			Switch: int32(hv.host), VNI: addr.VNI, Group: addr.Group,
-		})
-	}
+	hv.Probe.deliver(hv, addr)
 	records, err := header.ExtractINT(hv.layout, p.Elmo)
 	if err != nil {
 		records = nil

@@ -1,113 +1,54 @@
 package dataplane
 
-import (
-	"elmo/internal/telemetry"
-	"elmo/internal/trace"
-)
+import "elmo/internal/telemetry"
 
-// SwitchCounters caches the telemetry handles one switch tier bumps on
-// its packet path. Handles are interned once at construction; every
-// increment is a single atomic add. A nil *SwitchCounters (telemetry
-// off) costs each site one branch — the same contract as a nil Tracer,
-// and what the fabric alloc-parity test pins.
-type SwitchCounters struct {
+// tierCounters are the handles one device tier bumps, shared by every
+// device of the tier (counters are atomic, so concurrent device
+// goroutines may bump them). Hosts use fenced only.
+type tierCounters struct {
+	fenced      *telemetry.Counter
 	packets     *telemetry.Counter
 	copies      *telemetry.Counter
 	ruleHits    [4]*telemetry.Counter // indexed by trace.RuleKind
 	drops       [4]*telemetry.Counter // indexed by DropReason
 	popped      *telemetry.Counter
 	headerBytes *telemetry.Counter
-	fenced      *telemetry.Counter
 }
 
-func (m *SwitchCounters) packet() {
-	if m != nil {
-		m.packets.Inc()
-	}
-}
-
-func (m *SwitchCounters) emitted(n int) {
-	if m != nil {
-		m.copies.Add(int64(n))
-	}
-}
-
-func (m *SwitchCounters) hit(r trace.RuleKind) {
-	if m != nil {
-		m.ruleHits[r].Inc()
-	}
-}
-
-func (m *SwitchCounters) drop(r DropReason) {
-	if m != nil {
-		m.drops[r].Inc()
-	}
-}
-
-// poppedBytes records one header section pop of n bytes (egress
-// stripping included — invalidated p-rules count as consumed header).
-func (m *SwitchCounters) poppedBytes(n int) {
-	if m != nil && n > 0 {
-		m.popped.Inc()
-		m.headerBytes.Add(int64(n))
-	}
-}
-
-// fencingRejected records one install rejected by the epoch fence.
-func (m *SwitchCounters) fencingRejected() {
-	if m != nil {
-		m.fenced.Inc()
-	}
-}
-
-// HostCounters caches the hypervisor-side telemetry handles.
-type HostCounters struct {
-	encapsulated *telemetry.Counter
-	delivered    *telemetry.Counter
-	filtered     *telemetry.Counter
-	headerBytes  *telemetry.Counter
-	fenced       *telemetry.Counter
-}
-
-func (m *HostCounters) encap(streamLen int) {
-	if m != nil {
-		m.encapsulated.Inc()
-		m.headerBytes.Add(int64(streamLen))
-	}
-}
-
-func (m *HostCounters) deliver() {
-	if m != nil {
-		m.delivered.Inc()
-	}
-}
-
-func (m *HostCounters) filter() {
-	if m != nil {
-		m.filtered.Inc()
-	}
-}
-
-// fencingRejected records one install rejected by the epoch fence.
-func (m *HostCounters) fencingRejected() {
-	if m != nil {
-		m.fenced.Inc()
-	}
-}
-
-// Metrics is the dataplane's handle bundle: one SwitchCounters per
-// Clos tier (shared by every switch of that tier — counters are
-// atomic, so concurrent switch goroutines may bump them) plus the
-// host-side hypervisor counters.
+// Metrics is the data path's telemetry handle bundle, interned once at
+// construction so every increment is a single atomic add. Only Probe
+// bumps the handles; a Probe without Metrics costs each report one
+// branch.
 type Metrics struct {
-	Leaf  *SwitchCounters
-	Spine *SwitchCounters
-	Core  *SwitchCounters
-	Host  *HostCounters
+	tiers [4]tierCounters // indexed by LinkTier
+
+	// Hypervisor events.
+	encapsulated     *telemetry.Counter
+	delivered        *telemetry.Counter
+	filtered         *telemetry.Counter
+	headerBytesAdded *telemetry.Counter
+
+	// Per-send totals of the sync forwarder (Probe.Sent) and the chaos
+	// verdicts of every tier (Probe.Cross: drop, dup, corrupt, delay).
+	linkBytes  *telemetry.Counter
+	links      *telemetry.Counter
+	hops       *telemetry.Counter
+	lost       *telemetry.Counter
+	spurious   *telemetry.Counter
+	duplicates *telemetry.Counter
+	malformed  *telemetry.Counter
+	verdicts   [4]*telemetry.Counter
+
+	// WireMalformed and HostQueueDrops count a wire transport's
+	// unparseable frames and full host queues in that transport's own
+	// families; its NewMetrics fills them in, and nil leaves them
+	// uncounted.
+	WireMalformed  *telemetry.Counter
+	HostQueueDrops *telemetry.Counter
 }
 
-// NewMetrics registers (or re-attaches to) the dataplane metric
-// families in reg and returns the interned handles.
+// NewMetrics registers (or re-attaches to) the dataplane and fabric
+// metric families in reg and returns the interned handles.
 func NewMetrics(reg *telemetry.Registry) *Metrics {
 	packets := reg.CounterVec("elmo_dataplane_packets_total",
 		"Packets entering a switch pipeline, by Clos tier.", "tier")
@@ -123,68 +64,52 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		"Elmo header bytes consumed by switch pipelines, by tier.", "tier")
 	fenced := reg.CounterVec("elmo_fencing_rejected_total",
 		"Install/update messages rejected because they carried a stale leadership epoch, by tier.", "tier")
+	verdicts := reg.CounterVec("elmo_fabric_fault_verdicts_total",
+		"Chaos-injector verdicts applied at link crossings.", "verdict")
 
-	tier := func(name string) *SwitchCounters {
-		sc := &SwitchCounters{
-			packets:     packets.With(name),
-			copies:      copies.With(name),
-			popped:      popped.With(name),
-			headerBytes: hdrBytes.With(name),
-			fenced:      fenced.With(name),
+	m := &Metrics{
+		encapsulated: reg.Counter("elmo_host_encapsulated_total",
+			"Multicast packets encapsulated by hypervisors."),
+		delivered: reg.Counter("elmo_host_delivered_total",
+			"Packets accepted by hypervisors for local member VMs."),
+		filtered: reg.Counter("elmo_host_filtered_total",
+			"Spurious packets filtered by hypervisors on receive."),
+		headerBytesAdded: reg.Counter("elmo_host_header_bytes_added_total",
+			"Elmo header bytes added at encapsulation."),
+		linkBytes: reg.Counter("elmo_fabric_link_bytes_total",
+			"Bytes crossing fabric links (host NICs included)."),
+		links: reg.Counter("elmo_fabric_link_crossings_total",
+			"Link transmissions (one per copy per link)."),
+		hops: reg.Counter("elmo_fabric_hops_total",
+			"Switch traversals during forwarding."),
+		lost: reg.Counter("elmo_fabric_lost_total",
+			"Copies dropped at failed switches."),
+		spurious: reg.Counter("elmo_fabric_spurious_total",
+			"Host deliveries filtered by non-member hypervisors."),
+		duplicates: reg.Counter("elmo_fabric_duplicates_total",
+			"Member hosts that received more than one copy."),
+		malformed: reg.Counter("elmo_fabric_malformed_total",
+			"Copies dropped because a switch could not parse them."),
+	}
+	for _, t := range []LinkTier{LinkLeaf, LinkSpine, LinkCore} {
+		name := t.String()
+		c := &m.tiers[t]
+		c.fenced = fenced.With(name)
+		c.packets = packets.With(name)
+		c.copies = copies.With(name)
+		c.popped = popped.With(name)
+		c.headerBytes = hdrBytes.With(name)
+		// Indexed by trace.RuleKind and DropReason.
+		for r, label := range []string{"none", "prule", "srule", "default"} {
+			c.ruleHits[r] = hits.With(name, label)
 		}
-		for r, label := range map[trace.RuleKind]string{
-			trace.RuleNone: "none", trace.RulePRule: "prule",
-			trace.RuleSRule: "srule", trace.RuleDefault: "default",
-		} {
-			sc.ruleHits[r] = hits.With(name, label)
+		for r, label := range []string{"none", "no_rule", "ttl", "malformed"} {
+			c.drops[r] = drops.With(name, label)
 		}
-		for r, label := range map[DropReason]string{
-			DropNone: "none", DropNoRule: "no_rule",
-			DropTTL: "ttl", DropMalformed: "malformed",
-		} {
-			sc.drops[r] = drops.With(name, label)
-		}
-		return sc
 	}
-	return &Metrics{
-		Leaf:  tier("leaf"),
-		Spine: tier("spine"),
-		Core:  tier("core"),
-		Host: &HostCounters{
-			encapsulated: reg.Counter("elmo_host_encapsulated_total",
-				"Multicast packets encapsulated by hypervisors."),
-			delivered: reg.Counter("elmo_host_delivered_total",
-				"Packets accepted by hypervisors for local member VMs."),
-			filtered: reg.Counter("elmo_host_filtered_total",
-				"Spurious packets filtered by hypervisors on receive."),
-			headerBytes: reg.Counter("elmo_host_header_bytes_added_total",
-				"Elmo header bytes added at encapsulation."),
-			fenced: fenced.With("host"),
-		},
+	m.tiers[LinkHost].fenced = fenced.With(LinkHost.String())
+	for i, v := range []string{"drop", "duplicate", "corrupt", "delay"} {
+		m.verdicts[i] = verdicts.With(v)
 	}
-}
-
-// For returns the tier's counter set (nil-safe on a nil Metrics).
-func (m *Metrics) For(k SwitchKind) *SwitchCounters {
-	if m == nil {
-		return nil
-	}
-	switch k {
-	case KindLeaf:
-		return m.Leaf
-	case KindSpine:
-		return m.Spine
-	case KindCore:
-		return m.Core
-	default:
-		return nil
-	}
-}
-
-// HostFor returns the hypervisor counter set (nil-safe).
-func (m *Metrics) HostFor() *HostCounters {
-	if m == nil {
-		return nil
-	}
-	return m.Host
+	return m
 }

@@ -10,31 +10,6 @@ import (
 	"elmo/internal/trace"
 )
 
-// SwitchKind is the tier of a network switch.
-type SwitchKind int
-
-const (
-	// KindLeaf is a top-of-rack switch.
-	KindLeaf SwitchKind = iota
-	// KindSpine is a pod spine switch.
-	KindSpine
-	// KindCore is a core (fabric) switch.
-	KindCore
-)
-
-func (k SwitchKind) String() string {
-	switch k {
-	case KindLeaf:
-		return "leaf"
-	case KindSpine:
-		return "spine"
-	case KindCore:
-		return "core"
-	default:
-		return fmt.Sprintf("SwitchKind(%d)", int(k))
-	}
-}
-
 // Emission is one packet copy a switch produces: the output port in
 // the given direction and the (popped) packet.
 type Emission struct {
@@ -74,11 +49,11 @@ type Stats struct {
 type NetworkSwitch struct {
 	topo   *topology.Topology
 	layout header.Layout
-	kind   SwitchKind
-	// Identity within the tier.
-	leaf  topology.LeafID
-	spine topology.SpineID
-	core  topology.CoreID
+	// tier and id address the switch as the wiring table does; the port
+	// widths are the tier's, cached for the pipeline and trace rendering.
+	tier               LinkTier
+	id                 int32
+	downWidth, upWidth int
 
 	groupTable map[GroupAddr]bitmap.Bitmap
 	capacity   int
@@ -102,17 +77,10 @@ type NetworkSwitch struct {
 	// the chosen port. Nil means flow-hash ECMP.
 	UpstreamPicker func(f header.OuterFields, alive []int) int
 
-	// Tracer receives a flight-recorder event per processed packet
-	// (which rule matched, output ports, header bytes popped) when the
-	// hop category is enabled. Nil or disabled costs one nil check /
-	// atomic load per packet and allocates nothing. Set it while the
-	// switch is quiet (same contract as the group table).
-	Tracer trace.Recorder
-
-	// Counters bumps live telemetry alongside stats when attached
-	// (typically the tier's shared SwitchCounters); nil costs one
-	// branch per site and allocates nothing. Set while quiet.
-	Counters *SwitchCounters
+	// Probe is where the switch reports its packet events (see
+	// probe.go); the fabric that builds the switch sets it, and a
+	// stand-alone switch leaves it nil and keeps only its own Stats.
+	Probe *Probe
 
 	// fence is the leadership epoch floor: installs stamped with a
 	// lower epoch are rejected (see fence.go).
@@ -123,24 +91,24 @@ type NetworkSwitch struct {
 
 // NewLeaf creates the leaf switch for the given ID.
 func NewLeaf(topo *topology.Topology, id topology.LeafID, sRuleCapacity int) *NetworkSwitch {
-	return &NetworkSwitch{topo: topo, layout: header.LayoutFor(topo), kind: KindLeaf, leaf: id,
+	return &NetworkSwitch{topo: topo, layout: header.LayoutFor(topo), tier: LinkLeaf, id: int32(id),
+		downWidth: topo.LeafDownWidth(), upWidth: topo.LeafUpWidth(),
 		groupTable: make(map[GroupAddr]bitmap.Bitmap), capacity: sRuleCapacity}
 }
 
 // NewSpine creates the spine switch for the given ID.
 func NewSpine(topo *topology.Topology, id topology.SpineID, sRuleCapacity int) *NetworkSwitch {
-	return &NetworkSwitch{topo: topo, layout: header.LayoutFor(topo), kind: KindSpine, spine: id,
+	return &NetworkSwitch{topo: topo, layout: header.LayoutFor(topo), tier: LinkSpine, id: int32(id),
+		downWidth: topo.SpineDownWidth(), upWidth: topo.SpineUpWidth(),
 		groupTable: make(map[GroupAddr]bitmap.Bitmap), capacity: sRuleCapacity}
 }
 
 // NewCore creates the core switch for the given ID. Cores hold no
-// group state in Elmo.
+// group state in Elmo and have no upstream ports.
 func NewCore(topo *topology.Topology, id topology.CoreID) *NetworkSwitch {
-	return &NetworkSwitch{topo: topo, layout: header.LayoutFor(topo), kind: KindCore, core: id}
+	return &NetworkSwitch{topo: topo, layout: header.LayoutFor(topo), tier: LinkCore, id: int32(id),
+		downWidth: topo.CoreDownWidth()}
 }
-
-// Kind returns the switch tier.
-func (sw *NetworkSwitch) Kind() SwitchKind { return sw.kind }
 
 // Stats returns the switch's counters.
 func (sw *NetworkSwitch) Stats() *Stats {
@@ -159,11 +127,11 @@ func (sw *NetworkSwitch) InstallSRuleAt(epoch uint64, addr GroupAddr, ports bitm
 	if err := sw.admit(epoch); err != nil {
 		return err
 	}
-	if sw.kind == KindCore {
+	if sw.tier == LinkCore {
 		return fmt.Errorf("dataplane: core switches hold no s-rules")
 	}
 	if _, exists := sw.groupTable[addr]; !exists && len(sw.groupTable) >= sw.capacity {
-		return fmt.Errorf("dataplane: %s group table full (%d entries)", sw.kind, sw.capacity)
+		return fmt.Errorf("dataplane: %s group table full (%d entries)", sw.tier, sw.capacity)
 	}
 	sw.groupTable[addr] = ports.Clone()
 	return nil
@@ -197,13 +165,8 @@ func (sw *NetworkSwitch) SRuleCount() int { return len(sw.groupTable) }
 func (sw *NetworkSwitch) ProcessInto(p Packet, s *SwitchScratch) ([]Emission, error) {
 	s.emissions = s.emissions[:0]
 	s.stamped = false
-	st := sw.Stats()
-	st.Packets++
-	sw.Counters.packet()
 	if p.Outer.TTL <= 1 {
-		st.Drops[DropTTL]++
-		sw.Counters.drop(DropTTL)
-		sw.traceDrop(p, DropTTL)
+		sw.Probe.dropped(sw, p, DropTTL)
 		return nil, nil
 	}
 	p.Outer.TTL--
@@ -211,21 +174,17 @@ func (sw *NetworkSwitch) ProcessInto(p Packet, s *SwitchScratch) ([]Emission, er
 	switch {
 	case sw.Legacy:
 		err = sw.legacyInto(p, s)
-	case sw.kind == KindLeaf:
+	case sw.tier == LinkLeaf:
 		err = sw.leafInto(p, s)
-	case sw.kind == KindSpine:
+	case sw.tier == LinkSpine:
 		err = sw.spineInto(p, s)
-	case sw.kind == KindCore:
+	case sw.tier == LinkCore:
 		err = sw.coreInto(p, s)
 	}
 	if err != nil {
-		st.Drops[DropMalformed]++
-		sw.Counters.drop(DropMalformed)
-		sw.traceDrop(p, DropMalformed)
+		sw.Probe.dropped(sw, p, DropMalformed)
 		return nil, err
 	}
-	st.Copies += len(s.emissions)
-	sw.Counters.emitted(len(s.emissions))
 	if len(s.emissions) == 0 {
 		return nil, nil
 	}
@@ -252,27 +211,21 @@ func appendPortEmissions(s *SwitchScratch, bm bitmap.Bitmap, up bool, pkt Packet
 // consult its multicast group table when it sees an Elmo packet,
 // treating the section stream as opaque payload (never popped).
 func (sw *NetworkSwitch) legacyInto(p Packet, s *SwitchScratch) error {
-	if sw.kind == KindCore {
+	if sw.tier == LinkCore {
 		return fmt.Errorf("dataplane: legacy cores are not modeled")
 	}
 	addr, ok := GroupAddrFromOuter(p.Outer)
 	if !ok {
-		sw.Stats().Drops[DropNoRule]++
-		sw.Counters.drop(DropNoRule)
-		sw.traceDrop(p, DropNoRule)
+		sw.Probe.dropped(sw, p, DropNoRule)
 		return nil
 	}
 	ports, ok := sw.groupTable[addr]
 	if !ok {
-		sw.Stats().Drops[DropNoRule]++
-		sw.Counters.drop(DropNoRule)
-		sw.traceDrop(p, DropNoRule)
+		sw.Probe.dropped(sw, p, DropNoRule)
 		return nil
 	}
-	sw.Stats().SRuleHits++
-	sw.Counters.hit(trace.RuleSRule)
 	appendPortEmissions(s, ports, false, p)
-	sw.traceHop(p, trace.RuleSRule, s.emissions)
+	sw.Probe.forwarded(sw, p, trace.RuleSRule, s.emissions)
 	return nil
 }
 
@@ -295,10 +248,8 @@ func (sw *NetworkSwitch) leafInto(p Packet, s *SwitchScratch) error {
 		// invalidates all p-rules toward hosts (§4.1). The stripped
 		// packet is identical for every port, so build it once.
 		appendPortEmissions(s, s.uRule.Down, false, sw.hostCopy(p, rest))
-		sw.upstreamCopiesInto(p, rest, s.uRule, sw.topo.LeafUpWidth(), s)
-		sw.Stats().PRuleHits++
-		sw.Counters.hit(trace.RulePRule)
-		sw.traceHop(p, trace.RulePRule, s.emissions)
+		sw.upstreamCopiesInto(p, rest, s.uRule, s)
+		sw.Probe.forwarded(sw, p, trace.RulePRule, s.emissions)
 		return nil
 	}
 	// Downstream: skip any stale earlier sections (a legacy hop pops
@@ -312,14 +263,12 @@ func (sw *NetworkSwitch) leafInto(p Packet, s *SwitchScratch) error {
 	if err != nil {
 		return err
 	}
-	if _, err := sw.downstreamMatchInto(header.TagDLeaf, uint16(sw.leaf), stream, tag, &s.match); err != nil {
+	if _, err := sw.downstreamMatchInto(header.TagDLeaf, uint16(sw.id), stream, tag, &s.match); err != nil {
 		return err
 	}
 	ports, rule, ok := sw.resolve(s.match, p.Outer)
 	if !ok {
-		sw.Stats().Drops[DropNoRule]++
-		sw.Counters.drop(DropNoRule)
-		sw.traceDrop(p, DropNoRule)
+		sw.Probe.dropped(sw, p, DropNoRule)
 		return nil
 	}
 	stamped := stream
@@ -327,7 +276,7 @@ func (sw *NetworkSwitch) leafInto(p Packet, s *SwitchScratch) error {
 		stamped = sw.stampInto(stream, p.Outer.TTL, s)
 	}
 	appendPortEmissions(s, ports, false, sw.hostCopy(p, stamped))
-	sw.traceHop(p, rule, s.emissions)
+	sw.Probe.forwarded(sw, p, rule, s.emissions)
 	return nil
 }
 
@@ -355,10 +304,8 @@ func (sw *NetworkSwitch) spineInto(p Packet, s *SwitchScratch) error {
 			}
 			appendPortEmissions(s, s.uRule.Down, false, Packet{Outer: p.Outer, Elmo: downStream, Inner: p.Inner, NoINT: p.NoINT})
 		}
-		sw.upstreamCopiesInto(p, rest, s.uRule, sw.topo.SpineUpWidth(), s)
-		sw.Stats().PRuleHits++
-		sw.Counters.hit(trace.RulePRule)
-		sw.traceHop(p, trace.RulePRule, s.emissions)
+		sw.upstreamCopiesInto(p, rest, s.uRule, s)
+		sw.Probe.forwarded(sw, p, trace.RulePRule, s.emissions)
 		return nil
 	}
 	// Downstream from core: skip stale sections, then match our pod in
@@ -371,23 +318,21 @@ func (sw *NetworkSwitch) spineInto(p Packet, s *SwitchScratch) error {
 	if err != nil {
 		return err
 	}
-	pod := sw.topo.SpinePod(sw.spine)
+	pod := sw.topo.SpinePod(topology.SpineID(sw.id))
 	rest, err := sw.downstreamMatchInto(header.TagDSpine, uint16(pod), stream, tag, &s.match)
 	if err != nil {
 		return err
 	}
 	ports, rule, ok := sw.resolve(s.match, p.Outer)
 	if !ok {
-		sw.Stats().Drops[DropNoRule]++
-		sw.Counters.drop(DropNoRule)
-		sw.traceDrop(p, DropNoRule)
+		sw.Probe.dropped(sw, p, DropNoRule)
 		return nil
 	}
 	if !p.NoINT {
 		rest = sw.stampInto(rest, p.Outer.TTL, s)
 	}
 	appendPortEmissions(s, ports, false, Packet{Outer: p.Outer, Elmo: rest, Inner: p.Inner, NoINT: p.NoINT})
-	sw.traceHop(p, rule, s.emissions)
+	sw.Probe.forwarded(sw, p, rule, s.emissions)
 	return nil
 }
 
@@ -402,18 +347,16 @@ func (sw *NetworkSwitch) coreInto(p Packet, s *SwitchScratch) error {
 		rest = sw.stampInto(rest, p.Outer.TTL, s)
 	}
 	appendPortEmissions(s, s.pods, false, Packet{Outer: p.Outer, Elmo: rest, Inner: p.Inner, NoINT: p.NoINT})
-	sw.Stats().PRuleHits++
-	sw.Counters.hit(trace.RulePRule)
-	sw.traceHop(p, trace.RulePRule, s.emissions)
+	sw.Probe.forwarded(sw, p, trace.RulePRule, s.emissions)
 	return nil
 }
 
 // upstreamCopiesInto emits the upward copies of an upstream rule: one
 // ECMP-chosen port under multipathing, or every explicit Up port.
-func (sw *NetworkSwitch) upstreamCopiesInto(p Packet, rest []byte, rule header.UpstreamRule, upWidth int, s *SwitchScratch) {
+func (sw *NetworkSwitch) upstreamCopiesInto(p Packet, rest []byte, rule header.UpstreamRule, s *SwitchScratch) {
 	next := Packet{Outer: p.Outer, Elmo: rest, Inner: p.Inner, NoINT: p.NoINT}
 	if rule.Multipath {
-		if port, ok := sw.pickUpstreamInto(p.Outer, upWidth, s); ok {
+		if port, ok := sw.pickUpstreamInto(p.Outer, s); ok {
 			s.emissions = append(s.emissions, Emission{Port: port, Up: true, Packet: next})
 		}
 		return
@@ -424,9 +367,9 @@ func (sw *NetworkSwitch) upstreamCopiesInto(p Packet, rest []byte, rule header.U
 // pickUpstreamInto hashes the flow over the alive upstream ports,
 // collected into the scratch alive slice. An UpstreamPicker override
 // receives that scratch slice and must not retain it past the call.
-func (sw *NetworkSwitch) pickUpstreamInto(f header.OuterFields, width int, s *SwitchScratch) (int, bool) {
+func (sw *NetworkSwitch) pickUpstreamInto(f header.OuterFields, s *SwitchScratch) (int, bool) {
 	alive := s.alive[:0]
-	for i := 0; i < width; i++ {
+	for i := 0; i < sw.upWidth; i++ {
 		if sw.UpstreamAlive == nil || sw.UpstreamAlive(i) {
 			alive = append(alive, i)
 		}
@@ -438,13 +381,7 @@ func (sw *NetworkSwitch) pickUpstreamInto(f header.OuterFields, width int, s *Sw
 	if sw.UpstreamPicker != nil {
 		return sw.UpstreamPicker(f, alive), true
 	}
-	var salt uint32
-	if sw.kind == KindLeaf {
-		salt = leafSalt(sw.leaf)
-	} else {
-		salt = spineSalt(sw.spine)
-	}
-	return alive[ECMPHash(f, salt)%uint32(len(alive))], true
+	return alive[ECMPHash(f, ecmpSalt(sw.tier, sw.id))%uint32(len(alive))], true
 }
 
 // downstreamMatchInto consumes the section with wantTag if present,
@@ -461,45 +398,32 @@ func (sw *NetworkSwitch) downstreamMatchInto(wantTag byte, id uint16, stream []b
 		m.Matched, m.HasDefault = false, false
 		return stream, nil
 	}
-	return nil, fmt.Errorf("dataplane: %s switch saw unexpected tag %#x", sw.kind, frontTag)
+	return nil, fmt.Errorf("dataplane: %s switch saw unexpected tag %#x", sw.tier, frontTag)
 }
 
 // resolve implements the §4.1 ingress control flow: matched p-rule
 // bitmap, else s-rule group table, else default p-rule. The returned
 // RuleKind records which stage matched, for the flight recorder.
 func (sw *NetworkSwitch) resolve(m header.DownstreamMatch, outer header.OuterFields) (bitmap.Bitmap, trace.RuleKind, bool) {
-	st := sw.Stats()
 	if m.Matched {
-		st.PRuleHits++
-		sw.Counters.hit(trace.RulePRule)
 		return m.Bitmap, trace.RulePRule, true
 	}
 	if addr, ok := GroupAddrFromOuter(outer); ok {
 		if ports, ok := sw.groupTable[addr]; ok {
-			st.SRuleHits++
-			sw.Counters.hit(trace.RuleSRule)
 			return ports, trace.RuleSRule, true
 		}
 	}
 	if m.HasDefault {
-		st.Defaults++
-		sw.Counters.hit(trace.RuleDefault)
 		return m.Default, trace.RuleDefault, true
 	}
 	return bitmap.Bitmap{}, trace.RuleNone, false
 }
 
 // intRecord builds this switch's INT record; the remaining TTL serves
-// as the per-hop metadata (§7 Monitoring).
+// as the per-hop metadata (§7 Monitoring). header.INTTier* and LinkTier
+// number the switch tiers alike (TestLinkTierMatchesTraceTier).
 func (sw *NetworkSwitch) intRecord(ttl byte) header.INTRecord {
-	switch sw.kind {
-	case KindLeaf:
-		return header.INTRecord{Tier: header.INTTierLeaf, ID: uint16(sw.leaf), Meta: ttl}
-	case KindSpine:
-		return header.INTRecord{Tier: header.INTTierSpine, ID: uint16(sw.spine), Meta: ttl}
-	default:
-		return header.INTRecord{Tier: header.INTTierCore, ID: uint16(sw.core), Meta: ttl}
-	}
+	return header.INTRecord{Tier: uint8(sw.tier), ID: uint16(sw.id), Meta: ttl}
 }
 
 // stampInto appends this switch's INT record when the stream carries a
@@ -556,62 +480,3 @@ func streamFrom(l header.Layout, stream []byte, tag byte) ([]byte, error) {
 }
 
 var emptyStream = []byte{header.TagEnd}
-
-// traceIdentity fills the event's tier/switch fields and the port
-// widths used for rendering.
-func (sw *NetworkSwitch) traceIdentity(ev *trace.Event) {
-	switch sw.kind {
-	case KindLeaf:
-		ev.Tier, ev.Switch = trace.TierLeaf, int32(sw.leaf)
-		ev.PortWidth = uint16(sw.topo.LeafDownWidth())
-		ev.UpWidth = uint16(sw.topo.LeafUpWidth())
-	case KindSpine:
-		ev.Tier, ev.Switch = trace.TierSpine, int32(sw.spine)
-		ev.PortWidth = uint16(sw.topo.SpineDownWidth())
-		ev.UpWidth = uint16(sw.topo.SpineUpWidth())
-	default:
-		ev.Tier, ev.Switch = trace.TierCore, int32(sw.core)
-		ev.PortWidth = uint16(sw.topo.CoreDownWidth())
-	}
-}
-
-// traceHop records one pipeline traversal: the rule kind that matched,
-// where the copies went, and the header bytes this hop consumed. Fully
-// guarded — a nil or disabled tracer costs one check and no allocation.
-func (sw *NetworkSwitch) traceHop(p Packet, rule trace.RuleKind, out []Emission) {
-	if len(out) > 0 {
-		sw.Counters.poppedBytes(len(p.Elmo) - len(out[0].Packet.Elmo))
-	}
-	if !trace.On(sw.Tracer, trace.CatHop) {
-		return
-	}
-	ev := trace.Event{Cat: trace.CatHop, Kind: trace.KindHop, Rule: rule}
-	sw.traceIdentity(&ev)
-	if addr, ok := GroupAddrFromOuter(p.Outer); ok {
-		ev.VNI, ev.Group = addr.VNI, addr.Group
-	}
-	for _, em := range out {
-		if em.Up {
-			ev.UpPorts.Set(em.Port)
-		} else {
-			ev.Ports.Set(em.Port)
-		}
-	}
-	if len(out) > 0 {
-		ev.Popped = int32(len(p.Elmo) - len(out[0].Packet.Elmo))
-	}
-	sw.Tracer.Record(ev)
-}
-
-// traceDrop records a dropped packet with its DropReason in Arg.
-func (sw *NetworkSwitch) traceDrop(p Packet, reason DropReason) {
-	if !trace.On(sw.Tracer, trace.CatHop) {
-		return
-	}
-	ev := trace.Event{Cat: trace.CatHop, Kind: trace.KindDrop, Arg: int64(reason)}
-	sw.traceIdentity(&ev)
-	if addr, ok := GroupAddrFromOuter(p.Outer); ok {
-		ev.VNI, ev.Group = addr.VNI, addr.Group
-	}
-	sw.Tracer.Record(ev)
-}

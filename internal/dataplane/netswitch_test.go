@@ -149,8 +149,8 @@ func TestCoreFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	sw := NewCore(topo, 2)
-	if sw.Kind() != KindCore || sw.Kind().String() != "core" {
-		t.Fatal("kind wrong")
+	if sw.tier != LinkCore || sw.tier.String() != "core" {
+		t.Fatal("tier wrong")
 	}
 	ems, err := sw.Process(Packet{Outer: header.OuterFields{TTL: 5}, Elmo: stream})
 	if err != nil {

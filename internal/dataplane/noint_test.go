@@ -113,9 +113,9 @@ func TestNoINTHintEmissionIdentical(t *testing.T) {
 			sw = NewCore(topo, coreID)
 		}
 		group, vni := uint32(r.Intn(32)), uint32(r.Intn(8))
-		if sw.kind != KindCore && r.Intn(2) == 0 {
+		if sw.tier != LinkCore && r.Intn(2) == 0 {
 			ports := randPorts(r, l.LeafDown)
-			if sw.kind == KindSpine {
+			if sw.tier == LinkSpine {
 				ports = randPorts(r, l.SpineDown)
 			}
 			if err := sw.InstallSRuleAt(0, GroupAddr{VNI: vni, Group: group}, ports); err != nil {

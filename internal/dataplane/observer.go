@@ -5,17 +5,18 @@ package dataplane
 // without importing the ops plane (which itself imports the controller
 // for its introspection handlers). The contract mirrors FaultInjector:
 // Active must be a single cheap check, and the disabled path of an
-// attached observer must not change forwarding cost at all — the
-// fabrics guard every call site with ObsOn, so a nil or disabled
-// observer costs one nil check plus one atomic load per site and never
-// allocates.
+// attached observer must not change forwarding cost at all — Probe, the
+// only caller, guards every call, so a nil or disabled observer costs
+// one nil check plus one atomic load per site and never allocates.
 
-// SendSample is the per-send accounting handed to the observer at the
-// single per-send site (after the forwarding loop drains). Fields are
-// plain values so passing the struct allocates nothing.
+// SendSample is the per-send accounting the sync forwarder hands to
+// Probe.Sent at the single per-send site (after the forwarding loop
+// drains), which feeds the per-send counters and the observer. Only
+// multicast sends report one: the baseline unicast/overlay walks are
+// observed link by link and never call ObserveSend. Fields are plain
+// values so passing the struct allocates nothing.
 type SendSample struct {
-	// VNI and Group identify the multicast group (zero for baseline
-	// unicast/overlay sends, which carry no group address).
+	// VNI and Group identify the multicast group.
 	VNI, Group uint32
 	// Delivered counts member hosts that received the packet; Lost
 	// counts copies dropped in flight (failed switches, chaos drops,
@@ -25,6 +26,13 @@ type SendSample struct {
 	Bytes int64
 	// Hops counts switch traversals.
 	Hops int
+	// Links counts link transmissions; Spurious the copies non-member
+	// hypervisors filtered; Duplicates the members reached twice.
+	Links, Spurious, Duplicates int
+	// AtFailed and Malformed are the parts of Lost the per-send
+	// counters keep apart: copies dropped at declared-failed switches
+	// and copies a switch could not parse.
+	AtFailed, Malformed int
 	// Nanos is the wall-clock forwarding time of the send.
 	Nanos int64
 }
@@ -36,16 +44,10 @@ type SendSample struct {
 // forward from many goroutines.
 type FlowObserver interface {
 	// Active reports whether observation is currently enabled; when
-	// false the fabrics skip the observe calls entirely.
+	// false the probe skips the observe calls entirely.
 	Active() bool
 	// ObserveLink records bytes crossing one directed link.
 	ObserveLink(l Link, bytes int)
 	// ObserveSend records the outcome of one completed send.
 	ObserveSend(s SendSample)
-}
-
-// ObsOn is the hot-path guard mirroring FaultsOn: a nil check plus the
-// observer's own cheap activity check.
-func ObsOn(o FlowObserver) bool {
-	return o != nil && o.Active()
 }

@@ -118,14 +118,14 @@ func SenderOuter(topo *topology.Topology, host topology.HostID, addr GroupAddr) 
 	}
 }
 
-// leafSalt/spineSalt are the per-switch ECMP salts; prediction and the
-// live pipeline must agree on them.
-func leafSalt(l topology.LeafID) uint32 {
-	return uint32(KindLeaf)<<24 | uint32(l)<<12
-}
-
-func spineSalt(s topology.SpineID) uint32 {
-	return uint32(KindSpine)<<24 | uint32(s)
+// ecmpSalt is the per-switch ECMP salt of a leaf or spine; prediction
+// and the live pipeline must agree on it. The values are frozen (the
+// ECMP golden test pins them): leaves shift their ID past the spines'.
+func ecmpSalt(tier LinkTier, id int32) uint32 {
+	if tier == LinkLeaf {
+		return uint32(id) << 12
+	}
+	return 1<<24 | uint32(id)
 }
 
 // PredictPath returns the spine plane and core a healthy fabric's ECMP
@@ -134,9 +134,9 @@ func spineSalt(s topology.SpineID) uint32 {
 func PredictPath(topo *topology.Topology, outer header.OuterFields, sender topology.HostID) (plane int, core topology.CoreID) {
 	cfg := topo.Config()
 	leaf := topo.HostLeaf(sender)
-	plane = int(ECMPHash(outer, leafSalt(leaf)) % uint32(cfg.SpinesPerPod))
+	plane = int(ECMPHash(outer, ecmpSalt(LinkLeaf, int32(leaf))) % uint32(cfg.SpinesPerPod))
 	spine := topo.SpineAt(topo.LeafPod(leaf), plane)
-	corePort := int(ECMPHash(outer, spineSalt(spine)) % uint32(cfg.CoresPerPlane))
+	corePort := int(ECMPHash(outer, ecmpSalt(LinkSpine, int32(spine))) % uint32(cfg.CoresPerPlane))
 	return plane, topology.CoreID(plane*cfg.CoresPerPlane + corePort)
 }
 

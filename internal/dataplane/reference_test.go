@@ -3,7 +3,9 @@ package dataplane
 import (
 	"fmt"
 
+	"elmo/internal/bitmap"
 	"elmo/internal/header"
+	"elmo/internal/topology"
 	"elmo/internal/trace"
 )
 
@@ -16,13 +18,8 @@ import (
 // one packet. It is emission-identical to Process/ProcessInto; tests
 // assert this on randomized traffic.
 func (sw *NetworkSwitch) ReferenceProcess(p Packet) ([]Emission, error) {
-	st := sw.Stats()
-	st.Packets++
-	sw.Counters.packet()
 	if p.Outer.TTL <= 1 {
-		st.Drops[DropTTL]++
-		sw.Counters.drop(DropTTL)
-		sw.traceDrop(p, DropTTL)
+		sw.Probe.dropped(sw, p, DropTTL)
 		return nil, nil
 	}
 	p.Outer.TTL--
@@ -31,21 +28,17 @@ func (sw *NetworkSwitch) ReferenceProcess(p Packet) ([]Emission, error) {
 	switch {
 	case sw.Legacy:
 		out, err = sw.refProcessLegacy(p)
-	case sw.kind == KindLeaf:
+	case sw.tier == LinkLeaf:
 		out, err = sw.refProcessLeaf(p)
-	case sw.kind == KindSpine:
+	case sw.tier == LinkSpine:
 		out, err = sw.refProcessSpine(p)
-	case sw.kind == KindCore:
+	case sw.tier == LinkCore:
 		out, err = sw.refProcessCore(p)
 	}
 	if err != nil {
-		st.Drops[DropMalformed]++
-		sw.Counters.drop(DropMalformed)
-		sw.traceDrop(p, DropMalformed)
+		sw.Probe.dropped(sw, p, DropMalformed)
 		return nil, err
 	}
-	st.Copies += len(out)
-	sw.Counters.emitted(len(out))
 	return out, nil
 }
 
@@ -54,30 +47,24 @@ func (sw *NetworkSwitch) ReferenceProcess(p Packet) ([]Emission, error) {
 // to consult its multicast group table when it sees an Elmo packet,
 // treating the section stream as opaque payload (never popped).
 func (sw *NetworkSwitch) refProcessLegacy(p Packet) ([]Emission, error) {
-	if sw.kind == KindCore {
+	if sw.tier == LinkCore {
 		return nil, fmt.Errorf("dataplane: legacy cores are not modeled")
 	}
 	addr, ok := GroupAddrFromOuter(p.Outer)
 	if !ok {
-		sw.Stats().Drops[DropNoRule]++
-		sw.Counters.drop(DropNoRule)
-		sw.traceDrop(p, DropNoRule)
+		sw.Probe.dropped(sw, p, DropNoRule)
 		return nil, nil
 	}
 	ports, ok := sw.groupTable[addr]
 	if !ok {
-		sw.Stats().Drops[DropNoRule]++
-		sw.Counters.drop(DropNoRule)
-		sw.traceDrop(p, DropNoRule)
+		sw.Probe.dropped(sw, p, DropNoRule)
 		return nil, nil
 	}
-	sw.Stats().SRuleHits++
-	sw.Counters.hit(trace.RuleSRule)
 	var out []Emission
 	ports.ForEach(func(port int) {
 		out = append(out, Emission{Port: port, Packet: p})
 	})
-	sw.traceHop(p, trace.RuleSRule, out)
+	sw.Probe.forwarded(sw, p, trace.RuleSRule, out)
 	return out, nil
 }
 
@@ -89,7 +76,8 @@ func (sw *NetworkSwitch) refProcessLeaf(p Packet) ([]Emission, error) {
 		return nil, err
 	}
 	if tag == header.TagULeaf {
-		rule, rest, err := header.ConsumeUpstream(sw.layout, header.TagULeaf, p.Elmo)
+		var rule header.UpstreamRule
+		rest, err := header.ConsumeUpstreamInto(sw.layout, header.TagULeaf, p.Elmo, &rule)
 		if err != nil {
 			return nil, err
 		}
@@ -101,9 +89,7 @@ func (sw *NetworkSwitch) refProcessLeaf(p Packet) ([]Emission, error) {
 			out = append(out, Emission{Port: port, Packet: sw.refHostCopy(p, rest)})
 		})
 		out = append(out, sw.refUpstreamCopies(p, rest, rule, sw.topo.LeafUpWidth())...)
-		sw.Stats().PRuleHits++
-		sw.Counters.hit(trace.RulePRule)
-		sw.traceHop(p, trace.RulePRule, out)
+		sw.Probe.forwarded(sw, p, trace.RulePRule, out)
 		return out, nil
 	}
 	// Downstream: skip any stale earlier sections (a legacy hop pops
@@ -117,15 +103,13 @@ func (sw *NetworkSwitch) refProcessLeaf(p Packet) ([]Emission, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, _, err := sw.refDownstreamMatch(header.TagDLeaf, uint16(sw.leaf), stream, tag)
+	m, _, err := sw.refDownstreamMatch(header.TagDLeaf, uint16(sw.id), stream, tag)
 	if err != nil {
 		return nil, err
 	}
 	ports, rule, ok := sw.resolve(m, p.Outer)
 	if !ok {
-		sw.Stats().Drops[DropNoRule]++
-		sw.Counters.drop(DropNoRule)
-		sw.traceDrop(p, DropNoRule)
+		sw.Probe.dropped(sw, p, DropNoRule)
 		return nil, nil
 	}
 	stamped := sw.refStamp(stream, p.Outer.TTL)
@@ -133,7 +117,7 @@ func (sw *NetworkSwitch) refProcessLeaf(p Packet) ([]Emission, error) {
 	ports.ForEach(func(port int) {
 		out = append(out, Emission{Port: port, Packet: sw.refHostCopy(p, stamped)})
 	})
-	sw.traceHop(p, rule, out)
+	sw.Probe.forwarded(sw, p, rule, out)
 	return out, nil
 }
 
@@ -145,7 +129,8 @@ func (sw *NetworkSwitch) refProcessSpine(p Packet) ([]Emission, error) {
 		return nil, err
 	}
 	if tag == header.TagUSpine {
-		rule, rest, err := header.ConsumeUpstream(sw.layout, header.TagUSpine, p.Elmo)
+		var rule header.UpstreamRule
+		rest, err := header.ConsumeUpstreamInto(sw.layout, header.TagUSpine, p.Elmo, &rule)
 		if err != nil {
 			return nil, err
 		}
@@ -163,9 +148,7 @@ func (sw *NetworkSwitch) refProcessSpine(p Packet) ([]Emission, error) {
 			})
 		}
 		out = append(out, sw.refUpstreamCopies(p, rest, rule, sw.topo.SpineUpWidth())...)
-		sw.Stats().PRuleHits++
-		sw.Counters.hit(trace.RulePRule)
-		sw.traceHop(p, trace.RulePRule, out)
+		sw.Probe.forwarded(sw, p, trace.RulePRule, out)
 		return out, nil
 	}
 	// Downstream from core: skip stale sections, then match our pod in
@@ -178,16 +161,14 @@ func (sw *NetworkSwitch) refProcessSpine(p Packet) ([]Emission, error) {
 	if err != nil {
 		return nil, err
 	}
-	pod := sw.topo.SpinePod(sw.spine)
+	pod := sw.topo.SpinePod(topology.SpineID(sw.id))
 	m, rest, err := sw.refDownstreamMatch(header.TagDSpine, uint16(pod), stream, tag)
 	if err != nil {
 		return nil, err
 	}
 	ports, rule, ok := sw.resolve(m, p.Outer)
 	if !ok {
-		sw.Stats().Drops[DropNoRule]++
-		sw.Counters.drop(DropNoRule)
-		sw.traceDrop(p, DropNoRule)
+		sw.Probe.dropped(sw, p, DropNoRule)
 		return nil, nil
 	}
 	rest = sw.refStamp(rest, p.Outer.TTL)
@@ -195,14 +176,15 @@ func (sw *NetworkSwitch) refProcessSpine(p Packet) ([]Emission, error) {
 	ports.ForEach(func(port int) {
 		out = append(out, Emission{Port: port, Packet: Packet{Outer: p.Outer, Elmo: rest, Inner: p.Inner}})
 	})
-	sw.traceHop(p, rule, out)
+	sw.Probe.forwarded(sw, p, rule, out)
 	return out, nil
 }
 
 // refProcessCore forwards one copy to each pod named in the core
 // bitmap, popping the core section.
 func (sw *NetworkSwitch) refProcessCore(p Packet) ([]Emission, error) {
-	pods, rest, err := header.ConsumeCore(sw.layout, p.Elmo)
+	var pods bitmap.Bitmap
+	rest, err := header.ConsumeCoreInto(sw.layout, p.Elmo, &pods)
 	if err != nil {
 		return nil, err
 	}
@@ -211,9 +193,7 @@ func (sw *NetworkSwitch) refProcessCore(p Packet) ([]Emission, error) {
 	pods.ForEach(func(pod int) {
 		out = append(out, Emission{Port: pod, Packet: Packet{Outer: p.Outer, Elmo: rest, Inner: p.Inner}})
 	})
-	sw.Stats().PRuleHits++
-	sw.Counters.hit(trace.RulePRule)
-	sw.traceHop(p, trace.RulePRule, out)
+	sw.Probe.forwarded(sw, p, trace.RulePRule, out)
 	return out, nil
 }
 
@@ -248,13 +228,7 @@ func (sw *NetworkSwitch) refPickUpstream(f header.OuterFields, width int) (int, 
 	if sw.UpstreamPicker != nil {
 		return sw.UpstreamPicker(f, alive), true
 	}
-	var salt uint32
-	if sw.kind == KindLeaf {
-		salt = leafSalt(sw.leaf)
-	} else {
-		salt = spineSalt(sw.spine)
-	}
-	return alive[ECMPHash(f, salt)%uint32(len(alive))], true
+	return alive[ECMPHash(f, ecmpSalt(sw.tier, sw.id))%uint32(len(alive))], true
 }
 
 // refDownstreamMatch consumes the section with wantTag if present; when
@@ -270,7 +244,7 @@ func (sw *NetworkSwitch) refDownstreamMatch(wantTag byte, id uint16, stream []by
 	if frontTag == header.TagEnd || (frontTag > wantTag && frontTag <= header.TagDLeaf) {
 		return header.DownstreamMatch{}, stream, nil
 	}
-	return header.DownstreamMatch{}, nil, fmt.Errorf("dataplane: %s switch saw unexpected tag %#x", sw.kind, frontTag)
+	return header.DownstreamMatch{}, nil, fmt.Errorf("dataplane: %s switch saw unexpected tag %#x", sw.tier, frontTag)
 }
 
 // refHostCopy strips the p-rule sections for host delivery, preserving
@@ -290,8 +264,8 @@ func (sw *NetworkSwitch) refHostCopy(p Packet, stream []byte) Packet {
 // per-hop metadata. Streams without an INT section pass through
 // untouched and unallocated.
 func (sw *NetworkSwitch) refStamp(stream []byte, ttl byte) []byte {
-	out, err := header.AppendINTRecord(sw.layout, stream, sw.intRecord(ttl))
-	if err != nil {
+	out, ok, err := header.AppendINTRecordTo(sw.layout, nil, stream, sw.intRecord(ttl))
+	if err != nil || !ok {
 		return stream
 	}
 	return out

@@ -84,9 +84,6 @@ type Options struct {
 	SegmentBytes int
 	// NoSync skips fsync (tests and benchmarks that measure CPU cost).
 	NoSync bool
-	// BatchWorkers is the worker count for replayed InstallBatch calls
-	// (<=0 = GOMAXPROCS).
-	BatchWorkers int
 	// Registry, when set, registers WAL telemetry.
 	Registry *telemetry.Registry
 	// Replicate, when set, receives every logged payload in LSN order
@@ -202,7 +199,7 @@ func Open(topo *topology.Topology, cfg controller.Config, opts Options) (*Durabl
 
 	// 2. Replay the log after the snapshot.
 	start := time.Now()
-	ap := recordApplier{ctrl: ctrl, batch: controller.BatchOptions{Workers: opts.BatchWorkers}}
+	ap := recordApplier{ctrl: ctrl}
 	var pendingFirst uint64
 	last, err := wal.Replay(walDir, from, func(rec wal.Record) error {
 		if !ap.asm.pending() {

@@ -18,7 +18,7 @@ func durableCfg() controller.Config { return controller.PaperConfig(0) }
 
 func openTest(t *testing.T, dir string) (*DurableController, *RecoveryStats) {
 	t.Helper()
-	d, stats, err := Open(durableTopo(), durableCfg(), Options{Dir: dir, NoSync: true, BatchWorkers: 1})
+	d, stats, err := Open(durableTopo(), durableCfg(), Options{Dir: dir, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestDurableDroppedBatchTailTruncated(t *testing.T) {
 // never hits an LSN gap.
 func TestDurableConcurrentSnapshots(t *testing.T) {
 	dir := t.TempDir()
-	d1, _, err := Open(durableTopo(), durableCfg(), Options{Dir: dir, NoSync: true, BatchWorkers: 1, SegmentBytes: 4 << 10})
+	d1, _, err := Open(durableTopo(), durableCfg(), Options{Dir: dir, NoSync: true, SegmentBytes: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,14 +41,13 @@ func newFencedFixture(t *testing.T, dir string) *fencedFixture {
 	fab.SetInjector(inj)
 
 	rs, err := NewReplicaSet(ReplicaSetConfig{
-		Net:          Net(netCtrl, fab),
-		Key:          controller.GroupKey{Tenant: 200, Group: 1},
-		Leader:       replLeader,
-		Followers:    []topology.HostID{replFollowerA, replFollowerB},
-		Window:       64,
-		Topo:         topo,
-		Cfg:          durableCfg(),
-		BatchWorkers: 1,
+		Net:       Net(netCtrl, fab),
+		Key:       controller.GroupKey{Tenant: 200, Group: 1},
+		Leader:    replLeader,
+		Followers: []topology.HostID{replFollowerA, replFollowerB},
+		Window:    64,
+		Topo:      topo,
+		Cfg:       durableCfg(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +55,6 @@ func newFencedFixture(t *testing.T, dir string) *fencedFixture {
 	dc, _, err := Open(topo, durableCfg(), Options{
 		Dir:          dir,
 		NoSync:       true,
-		BatchWorkers: 1,
 		Replicate:    rs.Replicator(),
 		Lease:        Lease{MissBudget: 3},
 		FollowerAcks: rs.FollowerAcks,
@@ -166,14 +164,13 @@ func TestPartitionSoakSplitBrain(t *testing.T) {
 	// Majority side: a second replica set for the new term (the old
 	// leader will be re-adopted into it after heal), then promote.
 	rs2, err := NewReplicaSet(ReplicaSetConfig{
-		Net:          fx.net,
-		Key:          controller.GroupKey{Tenant: 200, Group: 2},
-		Leader:       replFollowerA,
-		Followers:    []topology.HostID{replLeader},
-		Window:       64,
-		Topo:         topo,
-		Cfg:          cfg,
-		BatchWorkers: 1,
+		Net:       fx.net,
+		Key:       controller.GroupKey{Tenant: 200, Group: 2},
+		Leader:    replFollowerA,
+		Followers: []topology.HostID{replLeader},
+		Window:    64,
+		Topo:      topo,
+		Cfg:       cfg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +178,6 @@ func TestPartitionSoakSplitBrain(t *testing.T) {
 	promoted, stats, err := Promote(follower, Options{
 		Dir:          t.TempDir(),
 		NoSync:       true,
-		BatchWorkers: 1,
 		Replicate:    rs2.Replicator(),
 		Lease:        Lease{MissBudget: 3},
 		FollowerAcks: rs2.FollowerAcks,
@@ -252,7 +248,7 @@ func TestPartitionSoakSplitBrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rejoined, err := NewFollowerFromState(topo, cfg, 1, epoch, state)
+	rejoined, err := NewFollowerFromState(topo, cfg, epoch, state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +300,7 @@ func TestPartitionSoakSplitBrain(t *testing.T) {
 func TestDeposedByFencingRejection(t *testing.T) {
 	topo := durableTopo()
 	cfg := durableCfg()
-	dc, _, err := Open(topo, cfg, Options{Dir: t.TempDir(), NoSync: true, BatchWorkers: 1})
+	dc, _, err := Open(topo, cfg, Options{Dir: t.TempDir(), NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

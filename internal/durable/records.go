@@ -401,9 +401,8 @@ func applyOp(ctrl *controller.Controller, op OpRecord, batch controller.BatchOpt
 // recordApplier turns a stream of record payloads — the WAL on crash
 // recovery, the replication stream on a follower — into controller ops.
 type recordApplier struct {
-	ctrl  *controller.Controller
-	batch controller.BatchOptions
-	asm   batchAssembler
+	ctrl *controller.Controller
+	asm  batchAssembler
 }
 
 // apply decodes one record and applies it, holding batch chunks back
@@ -428,7 +427,7 @@ func (a *recordApplier) apply(payload []byte) error {
 		op.Specs = a.asm.specs
 		a.asm.reset()
 	}
-	_, _ = applyOp(a.ctrl, op, a.batch)
+	_, _ = applyOp(a.ctrl, op, controller.BatchOptions{})
 	return nil
 }
 

@@ -252,7 +252,7 @@ func FuzzApplyRecord(f *testing.F) {
 
 	topo := durableTopo()
 	f.Fuzz(func(t *testing.T, b []byte) {
-		fo, err := NewFollower(topo, durableCfg(), 1)
+		fo, err := NewFollower(topo, durableCfg())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,12 +30,12 @@ type Follower struct {
 }
 
 // NewFollower builds an empty standby for the given fabric shape.
-func NewFollower(topo *topology.Topology, cfg controller.Config, batchWorkers int) (*Follower, error) {
+func NewFollower(topo *topology.Topology, cfg controller.Config) (*Follower, error) {
 	ctrl, err := controller.New(topo, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Follower{ap: recordApplier{ctrl: ctrl, batch: controller.BatchOptions{Workers: batchWorkers}}}, nil
+	return &Follower{ap: recordApplier{ctrl: ctrl}}, nil
 }
 
 // NewFollowerFromState builds a warm standby pre-seeded with a
@@ -43,8 +43,8 @@ func NewFollower(topo *topology.Topology, cfg controller.Config, batchWorkers in
 // This is the rejoin path: a healed, deposed leader resyncs from the
 // successor's snapshot and re-enters the cluster as a follower
 // instead of replaying a log it can no longer extend.
-func NewFollowerFromState(topo *topology.Topology, cfg controller.Config, batchWorkers int, epoch uint64, state []byte) (*Follower, error) {
-	f, err := NewFollower(topo, cfg, batchWorkers)
+func NewFollowerFromState(topo *topology.Topology, cfg controller.Config, epoch uint64, state []byte) (*Follower, error) {
+	f, err := NewFollower(topo, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -98,8 +98,6 @@ type ReplicaSetConfig struct {
 	// (standbys are built with the same shape as the leader).
 	Topo *topology.Topology
 	Cfg  controller.Config
-	// BatchWorkers for standby InstallBatch replays.
-	BatchWorkers int
 }
 
 // fabricNet bundles the network control plane and data plane a
@@ -131,7 +129,7 @@ func NewReplicaSet(rc ReplicaSetConfig) (*ReplicaSet, error) {
 	}
 	rs := &ReplicaSet{cluster: cluster, followers: make(map[topology.HostID]*Follower, len(rc.Followers)), leader: rc.Leader}
 	for _, h := range rc.Followers {
-		f, err := NewFollower(rc.Topo, rc.Cfg, rc.BatchWorkers)
+		f, err := NewFollower(rc.Topo, rc.Cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -38,23 +38,21 @@ func newReplicaFixture(t *testing.T, dir string) *replicaFixture {
 	fab.SetInjector(inj)
 
 	rs, err := NewReplicaSet(ReplicaSetConfig{
-		Net:          Net(netCtrl, fab),
-		Key:          controller.GroupKey{Tenant: 200, Group: 1},
-		Leader:       replLeader,
-		Followers:    []topology.HostID{replFollowerA, replFollowerB},
-		Window:       64,
-		Topo:         topo,
-		Cfg:          durableCfg(),
-		BatchWorkers: 1,
+		Net:       Net(netCtrl, fab),
+		Key:       controller.GroupKey{Tenant: 200, Group: 1},
+		Leader:    replLeader,
+		Followers: []topology.HostID{replFollowerA, replFollowerB},
+		Window:    64,
+		Topo:      topo,
+		Cfg:       durableCfg(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dc, _, err := Open(topo, durableCfg(), Options{
-		Dir:          dir,
-		NoSync:       true,
-		BatchWorkers: 1,
-		Replicate:    rs.Replicator(),
+		Dir:       dir,
+		NoSync:    true,
+		Replicate: rs.Replicator(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +134,7 @@ func TestFailoverUnderChaos(t *testing.T) {
 	}
 
 	// Promote the warm standby.
-	promoted, stats, err := Promote(follower, Options{Dir: t.TempDir(), NoSync: true, BatchWorkers: 1})
+	promoted, stats, err := Promote(follower, Options{Dir: t.TempDir(), NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +174,7 @@ func TestPromoteRefusesDirtyDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := NewFollower(durableTopo(), durableCfg(), 1)
+	f, err := NewFollower(durableTopo(), durableCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,20 +283,19 @@ func TestReplicateOversizedCreate(t *testing.T) {
 	fab := fabric.New(netTopo, controller.PaperConfig(0).SRuleCapacity)
 	fab.SetFailures(netCtrl.Failures())
 	rs, err := NewReplicaSet(ReplicaSetConfig{
-		Net:          Net(netCtrl, fab),
-		Key:          controller.GroupKey{Tenant: 200, Group: 2},
-		Leader:       replLeader,
-		Followers:    []topology.HostID{replFollowerA},
-		Window:       64,
-		Topo:         bigTopo,
-		Cfg:          bigCfg,
-		BatchWorkers: 1,
+		Net:       Net(netCtrl, fab),
+		Key:       controller.GroupKey{Tenant: 200, Group: 2},
+		Leader:    replLeader,
+		Followers: []topology.HostID{replFollowerA},
+		Window:    64,
+		Topo:      bigTopo,
+		Cfg:       bigCfg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	dc, _, err := Open(bigTopo, bigCfg, Options{Dir: dir, NoSync: true, BatchWorkers: 1, Replicate: rs.Replicator()})
+	dc, _, err := Open(bigTopo, bigCfg, Options{Dir: dir, NoSync: true, Replicate: rs.Replicator()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +342,7 @@ func TestReplicateOversizedCreate(t *testing.T) {
 	}
 
 	// And the WAL round-trips the chunked create on recovery.
-	d2, _, err := Open(bigTopo, bigCfg, Options{Dir: dir, NoSync: true, BatchWorkers: 1})
+	d2, _, err := Open(bigTopo, bigCfg, Options{Dir: dir, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,10 @@ func (f *Fabric) SendOverlay(sender topology.HostID, receivers []topology.HostID
 }
 
 // routeUnicast walks one plain-VXLAN copy from src to dst along the
-// deterministic ECMP path, accounting bytes per link.
+// deterministic ECMP path, accounting bytes per link. Each crossing is
+// reported to the probe's observe-only half — the per-link timeseries
+// sees baseline traffic on the same links the Elmo path uses, but a
+// baseline copy is never faulted.
 func (f *Fabric) routeUnicast(src, dst topology.HostID, inner []byte) (*Delivery, error) {
 	d := &Delivery{Received: make(map[topology.HostID][]byte)}
 	outer := header.OuterFields{
@@ -94,56 +97,20 @@ func (f *Fabric) routeUnicast(src, dst topology.HostID, inner []byte) (*Delivery
 	}
 	pkt := dataplane.Packet{Outer: outer, Inner: inner}
 	size := pkt.WireSize()
-
-	srcLeaf, dstLeaf := f.topo.HostLeaf(src), f.topo.HostLeaf(dst)
-	srcPod, dstPod := f.topo.LeafPod(srcLeaf), f.topo.LeafPod(dstLeaf)
-
-	// The baseline walk does its own byte accounting instead of going
-	// through admit, so it reports each crossing to the observer
-	// directly — the per-link timeseries sees baseline traffic on the
-	// same links the Elmo path uses.
-	obsOn := dataplane.ObsOn(f.observer)
-	observe := func(ft dataplane.LinkTier, from int32, tt dataplane.LinkTier, to int32) {
-		if obsOn {
-			f.observer.ObserveLink(dataplane.Link{FromTier: ft, From: from, ToTier: tt, To: to}, size)
-		}
-	}
-
-	d.LinkBytes += size // host -> leaf
-	d.Hops++
-	observe(dataplane.LinkHost, int32(src), dataplane.LinkLeaf, int32(srcLeaf))
-	if srcLeaf != dstLeaf {
-		// Pick a healthy spine plane by flow hash.
-		plane, ok := f.pickPlane(outer, srcPod, dstPod)
-		if !ok {
-			d.Lost++
-			return d, nil
-		}
-		spine := f.topo.SpineAt(srcPod, plane)
-		d.LinkBytes += size // leaf -> spine
-		d.Hops++
-		observe(dataplane.LinkLeaf, int32(srcLeaf), dataplane.LinkSpine, int32(spine))
-		if srcPod != dstPod {
-			core, ok := f.pickCore(outer, plane)
-			if !ok {
-				d.Lost++
-				return d, nil
-			}
-			d.LinkBytes += size // spine -> core
+	var buf [6]dataplane.Link
+	hops, ok := f.unicastHops(buf[:0], outer, src, dst)
+	for _, l := range hops {
+		d.LinkBytes += size
+		if l.ToTier != dataplane.LinkHost {
 			d.Hops++
-			observe(dataplane.LinkSpine, int32(spine), dataplane.LinkCore, int32(core))
-			d.LinkBytes += size // core -> dst spine
-			d.Hops++
-			spine = f.topo.SpineAt(dstPod, plane)
-			observe(dataplane.LinkCore, int32(core), dataplane.LinkSpine, int32(spine))
 		}
-		d.LinkBytes += size // spine -> dst leaf
-		d.Hops++
-		observe(dataplane.LinkSpine, int32(spine), dataplane.LinkLeaf, int32(dstLeaf))
+		f.probe.Observe(l, size)
 	}
-	d.LinkBytes += size // leaf -> host
-	observe(dataplane.LinkLeaf, int32(dstLeaf), dataplane.LinkHost, int32(dst))
-	d.Received[dst] = inner
+	if ok {
+		d.Received[dst] = inner
+	} else {
+		d.Lost++
+	}
 	return d, nil
 }
 

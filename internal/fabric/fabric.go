@@ -10,11 +10,11 @@ package fabric
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"elmo/internal/controller"
 	"elmo/internal/dataplane"
 	"elmo/internal/header"
+	"elmo/internal/telemetry"
 	"elmo/internal/topology"
 	"elmo/internal/trace"
 )
@@ -32,10 +32,9 @@ type Fabric struct {
 	Cores       []*dataplane.NetworkSwitch
 
 	failures *topology.FailureSet
-	tracer   trace.Recorder
-	injector dataplane.FaultInjector
-	metrics  *Metrics
-	observer dataplane.FlowObserver
+	// probe is the one instrumentation seam every device of this fabric
+	// reports to; the four Set* hooks each store one of its fields.
+	probe *dataplane.Probe
 }
 
 // New builds the fabric with the given per-switch s-rule capacity.
@@ -44,15 +43,18 @@ func New(topo *topology.Topology, sRuleCapacity int) *Fabric {
 		topo:     topo,
 		layout:   header.LayoutFor(topo),
 		failures: topology.NewFailureSet(),
+		probe:    new(dataplane.Probe),
 	}
 	f.Hypervisors = make([]*dataplane.Hypervisor, topo.NumHosts())
 	for h := range f.Hypervisors {
 		f.Hypervisors[h] = dataplane.NewHypervisor(topo, topology.HostID(h))
+		f.Hypervisors[h].Probe = f.probe
 	}
 	f.Leaves = make([]*dataplane.NetworkSwitch, topo.NumLeaves())
 	for l := range f.Leaves {
 		id := topology.LeafID(l)
 		sw := dataplane.NewLeaf(topo, id, sRuleCapacity)
+		sw.Probe = f.probe
 		pod := topo.LeafPod(id)
 		sw.UpstreamAlive = func(port int) bool {
 			return !f.failures.SpineFailed(f.topo.SpineAt(pod, port))
@@ -63,6 +65,7 @@ func New(topo *topology.Topology, sRuleCapacity int) *Fabric {
 	for s := range f.Spines {
 		id := topology.SpineID(s)
 		sw := dataplane.NewSpine(topo, id, sRuleCapacity)
+		sw.Probe = f.probe
 		plane := topo.SpinePlane(id)
 		sw.UpstreamAlive = func(port int) bool {
 			return !f.failures.CoreFailed(topology.CoreID(plane*f.topo.Config().CoresPerPlane + port))
@@ -72,6 +75,7 @@ func New(topo *topology.Topology, sRuleCapacity int) *Fabric {
 	f.Cores = make([]*dataplane.NetworkSwitch, topo.NumCores())
 	for c := range f.Cores {
 		f.Cores[c] = dataplane.NewCore(topo, topology.CoreID(c))
+		f.Cores[c].Probe = f.probe
 	}
 	return f
 }
@@ -89,53 +93,36 @@ func (f *Fabric) SetFailures(fs *topology.FailureSet) {
 	f.failures = fs
 }
 
-// SetTracer attaches a flight recorder to every switch and hypervisor
-// of the fabric (and to the fabric's own link-loss events), so packet
-// hops record which rule forwarded them at each tier. Call while the
-// fabric is quiet — the live fabrics read the same switch objects from
-// their goroutines. A nil or disabled recorder adds one atomic check
-// per packet and no allocation.
-func (f *Fabric) SetTracer(r trace.Recorder) {
-	f.tracer = r
-	for _, hv := range f.Hypervisors {
-		hv.Tracer = r
-	}
-	for _, sw := range f.Leaves {
-		sw.Tracer = r
-	}
-	for _, sw := range f.Spines {
-		sw.Tracer = r
-	}
-	for _, sw := range f.Cores {
-		sw.Tracer = r
-	}
-}
+// The four hooks below each store one field of the fabric's probe,
+// which every switch, hypervisor and forwarder of every tier reads
+// (dataplane/probe.go). Call them while the fabric is quiet — the wire
+// transports read the same probe from their goroutines. A nil or
+// disabled instrument adds one nil check plus one atomic load per site
+// and no allocation.
 
-// SetInjector attaches a fault injector; every link crossing consults
-// it. Call while the fabric is quiet. A nil or inactive injector adds
-// one nil check plus one atomic load per crossing and no allocation.
-func (f *Fabric) SetInjector(inj dataplane.FaultInjector) { f.injector = inj }
+// SetTracer attaches a flight recorder: packet hops record which rule
+// forwarded them at each tier, hosts their encap/deliver/filter, the
+// fabric its losses.
+func (f *Fabric) SetTracer(r trace.Recorder) { f.probe.Tracer = r }
+
+// SetInjector attaches a fault injector; every multicast link crossing
+// consults it (the unicast/overlay baselines are never faulted).
+func (f *Fabric) SetInjector(inj dataplane.FaultInjector) { f.probe.Injector = inj }
 
 // SetObserver attaches a flow observer (the ops plane); every link
-// crossing and completed send reports to it. Call while the fabric is
-// quiet (same contract as SetTracer); nil detaches. A nil or disabled
-// observer adds one nil check plus one atomic load per site and no
-// allocation.
-func (f *Fabric) SetObserver(o dataplane.FlowObserver) { f.observer = o }
+// crossing and completed send reports to it. Nil detaches.
+func (f *Fabric) SetObserver(o dataplane.FlowObserver) { f.probe.Observer = o }
 
-// traceLost records a copy dropped at a failed switch. trace.Tier and
-// dataplane.LinkTier enumerate host, leaf, spine, core in the same
-// order (TestLinkTierMatchesTraceTier pins it).
-func (f *Fabric) traceLost(tier dataplane.LinkTier, id int32, pkt *dataplane.Packet) {
-	if !trace.On(f.tracer, trace.CatFabric) {
-		return
-	}
-	ev := trace.Event{Cat: trace.CatFabric, Kind: trace.KindDrop, Tier: trace.Tier(tier), Switch: id}
-	if addr, ok := dataplane.GroupAddrFromOuter(pkt.Outer); ok {
-		ev.VNI, ev.Group = addr.VNI, addr.Group
-	}
-	f.tracer.Record(ev)
-}
+// Metrics is the telemetry handle bundle of the whole data path:
+// per-tier switch and host counters, per-send delivery accounting and
+// chaos verdicts. Handles are interned at construction.
+type Metrics = dataplane.Metrics
+
+// NewMetrics registers the fabric and dataplane metric families in reg.
+func NewMetrics(reg *telemetry.Registry) *Metrics { return dataplane.NewMetrics(reg) }
+
+// SetMetrics attaches telemetry counters; nil detaches.
+func (f *Fabric) SetMetrics(m *Metrics) { f.probe.Metrics = m }
 
 // SetLegacyLeaf switches a leaf into legacy (non-Elmo) mode; pair with
 // controller.Config.LegacyLeaves so the controller installs the
@@ -238,25 +225,21 @@ type fwd struct {
 	vni, group uint32
 }
 
-// admit applies the fault injector's verdict for one link crossing and
-// enqueues the surviving copies. With no active injector it is a plain
-// enqueue. ev is passed by pointer to spare a struct copy per crossing
-// (it embeds a full Packet); admit copies it into the queue and never
-// retains the pointer.
+// admit reports one link crossing and enqueues the copies that survive
+// the probe's verdict — with no active injector, a plain enqueue. Every
+// directed crossing of the multicast path funnels through here; the
+// emitting tier has already counted the copy's LinkBytes, so the
+// observer sees exactly the bytes the Delivery accounting sees (chaos
+// drops included: the copy crossed the wire before dying). ev is
+// passed by pointer to spare a struct copy per crossing (it embeds a
+// full Packet); admit copies it into the queue and never retains the
+// pointer.
 func (f *Fabric) admit(st *fwd, l dataplane.Link, ev *event) {
-	// Every directed crossing of the multicast path funnels through
-	// admit, so this is the single per-link observation site. The
-	// emitting tier has already counted the copy's LinkBytes, so the
-	// observer sees exactly the bytes the Delivery accounting sees
-	// (chaos drops included: the copy crossed the wire before dying).
-	if dataplane.ObsOn(f.observer) {
-		f.observer.ObserveLink(l, ev.pkt.WireSize())
-	}
-	if !dataplane.FaultsOn(f.injector) {
+	v := f.probe.Cross(l, st.vni, st.group, ev.pkt.WireSize())
+	if v == (dataplane.FaultVerdict{}) {
 		st.ps.queue = append(st.ps.queue, *ev)
 		return
 	}
-	v := f.injector.Cross(l, st.vni, st.group)
 	if v.Drop {
 		st.d.FaultDrops++
 		return
@@ -266,10 +249,8 @@ func (f *Fabric) admit(st *fwd, l dataplane.Link, ev *event) {
 		// The Elmo stream aliases the sender flow's precomputed bytes;
 		// corrupt a copy so other packets (and retransmissions) are
 		// unaffected.
-		elmo := make([]byte, len(ev.pkt.Elmo))
-		copy(elmo, ev.pkt.Elmo)
-		f.injector.CorruptWire(elmo)
-		ev.pkt.Elmo = elmo
+		ev.pkt.Elmo = append([]byte(nil), ev.pkt.Elmo...)
+		f.probe.Corrupt(ev.pkt.Elmo)
 	}
 	copies := 1
 	if v.Duplicate {
@@ -278,9 +259,6 @@ func (f *Fabric) admit(st *fwd, l dataplane.Link, ev *event) {
 		// The extra copy crosses this link too.
 		st.d.LinkBytes += ev.pkt.WireSize()
 		st.d.Links++
-		if dataplane.ObsOn(f.observer) {
-			f.observer.ObserveLink(l, ev.pkt.WireSize())
-		}
 	}
 	if v.DelaySteps > 0 {
 		st.d.FaultDelays++
@@ -319,13 +297,9 @@ func (f *Fabric) forward(src topology.HostID, pkt dataplane.Packet) (*Delivery, 
 	if a, ok := dataplane.GroupAddrFromOuter(pkt.Outer); ok {
 		st.vni, st.group = a.VNI, a.Group
 	}
-	observed := dataplane.ObsOn(f.observer)
-	var start time.Time
-	if observed {
-		start = time.Now()
-	}
+	start := f.probe.SendStart()
 	probe := st.vni == dataplane.ProbeVNI
-	chaos := dataplane.FaultsOn(f.injector)
+	chaos := f.probe.Faulting()
 	maxEvents := 4 * (f.topo.NumSwitches() + f.topo.NumHosts())
 	if chaos {
 		// Duplication, delay ticks, and retransmission under chaos all
@@ -386,24 +360,22 @@ func (f *Fabric) forward(src topology.HostID, pkt dataplane.Packet) (*Delivery, 
 			l := f.NextHop(ev.tier, ev.id, em)
 			if !probe && f.declaredFailed(l.ToTier, l.To) {
 				d.Lost++
-				f.traceLost(l.ToTier, l.To, &em.Packet)
+				f.probe.Lost(l.ToTier, l.To, &em.Packet)
 				continue
 			}
 			aev = event{tier: l.ToTier, id: l.To, pkt: em.Packet}
 			f.admit(&st, l, &aev)
 		}
 	}
-	f.metrics.observeDelivery(d)
-	if observed {
-		f.observer.ObserveSend(dataplane.SendSample{
-			VNI: st.vni, Group: st.group,
-			Delivered: len(d.Received),
-			Lost:      d.Lost + d.Malformed + d.FaultDrops,
-			Bytes:     int64(d.LinkBytes),
-			Hops:      d.Hops,
-			Nanos:     time.Since(start).Nanoseconds(),
-		})
-	}
+	f.probe.Sent(dataplane.SendSample{
+		VNI: st.vni, Group: st.group,
+		Delivered: len(d.Received),
+		Lost:      d.Lost + d.Malformed + d.FaultDrops,
+		Bytes:     int64(d.LinkBytes),
+		Hops:      d.Hops,
+		Links:     d.Links, Spurious: d.Spurious, Duplicates: d.Duplicates,
+		AtFailed: d.Lost, Malformed: d.Malformed,
+	}, start)
 	return d, nil
 }
 

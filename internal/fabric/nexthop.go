@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"elmo/internal/dataplane"
+	"elmo/internal/header"
 	"elmo/internal/topology"
 )
 
@@ -39,6 +40,39 @@ func (f *Fabric) uplink(h topology.HostID) dataplane.Link {
 		FromTier: dataplane.LinkHost, From: int32(h),
 		ToTier: dataplane.LinkLeaf, To: int32(f.topo.HostLeaf(h)),
 	}
+}
+
+// unicastHops appends the links a plain unicast copy crosses from src
+// to dst on the flow's ECMP path, and reports whether it arrives: when
+// the failure set leaves no healthy plane or core, the list ends at the
+// switch that had no way up.
+func (f *Fabric) unicastHops(hops []dataplane.Link, outer header.OuterFields, src, dst topology.HostID) ([]dataplane.Link, bool) {
+	at := dataplane.Link{ToTier: dataplane.LinkHost, To: int32(src)}
+	hop := func(tier dataplane.LinkTier, id int32) {
+		at = dataplane.Link{FromTier: at.ToTier, From: at.To, ToTier: tier, To: id}
+		hops = append(hops, at)
+	}
+	srcLeaf, dstLeaf := f.topo.HostLeaf(src), f.topo.HostLeaf(dst)
+	hop(dataplane.LinkLeaf, int32(srcLeaf))
+	if srcLeaf != dstLeaf {
+		srcPod, dstPod := f.topo.LeafPod(srcLeaf), f.topo.LeafPod(dstLeaf)
+		plane, ok := f.pickPlane(outer, srcPod, dstPod)
+		if !ok {
+			return hops, false
+		}
+		hop(dataplane.LinkSpine, int32(f.topo.SpineAt(srcPod, plane)))
+		if srcPod != dstPod {
+			core, ok := f.pickCore(outer, plane)
+			if !ok {
+				return hops, false
+			}
+			hop(dataplane.LinkCore, int32(core))
+			hop(dataplane.LinkSpine, int32(f.topo.SpineAt(dstPod, plane)))
+		}
+		hop(dataplane.LinkLeaf, int32(dstLeaf))
+	}
+	hop(dataplane.LinkHost, int32(dst))
+	return hops, true
 }
 
 // switchAt returns the switch at (tier, id); tier must be a switch tier.

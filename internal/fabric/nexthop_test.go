@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"elmo/internal/dataplane"
+	"elmo/internal/header"
 	"elmo/internal/obs"
 	"elmo/internal/topology"
 	"elmo/internal/trace"
@@ -80,8 +81,9 @@ func TestNextHopMatchesTopology(t *testing.T) {
 	}
 }
 
-// TestLinkTierMatchesTraceTier pins the enumeration order traceLost's
-// conversion relies on.
+// TestLinkTierMatchesTraceTier pins the three tier enumerations to one
+// numbering: the probe converts a LinkTier to a trace.Tier, and a
+// switch stamps its LinkTier as the INT record tier, by plain casts.
 func TestLinkTierMatchesTraceTier(t *testing.T) {
 	for lt, tt := range map[dataplane.LinkTier]trace.Tier{
 		dataplane.LinkHost: trace.TierHost, dataplane.LinkLeaf: trace.TierLeaf,
@@ -89,6 +91,14 @@ func TestLinkTierMatchesTraceTier(t *testing.T) {
 	} {
 		if trace.Tier(lt) != tt {
 			t.Fatalf("LinkTier %s = %d, trace tier = %d", lt, lt, tt)
+		}
+	}
+	for lt, it := range map[dataplane.LinkTier]uint8{
+		dataplane.LinkLeaf: header.INTTierLeaf, dataplane.LinkSpine: header.INTTierSpine,
+		dataplane.LinkCore: header.INTTierCore,
+	} {
+		if uint8(lt) != it {
+			t.Fatalf("LinkTier %s = %d, INT tier = %d", lt, lt, it)
 		}
 	}
 }

@@ -8,9 +8,7 @@ import (
 
 	"elmo/internal/dataplane"
 	"elmo/internal/header"
-	"elmo/internal/telemetry"
 	"elmo/internal/topology"
-	"elmo/internal/trace"
 )
 
 // This file is the wire engine: the forwarding step of the tiers whose
@@ -19,8 +17,8 @@ import (
 // the wiring table (NextHop) and the switch pipeline with the sync
 // forwarder in fabric.go and nothing else: here packets cross links as
 // bytes, deliveries arrive asynchronously on per-host channels, and an
-// injected delay is wall-clock milliseconds. Tracer, injector and
-// observer are read from the base Fabric, so hooks are set there once.
+// injected delay is wall-clock milliseconds. Every report goes to the
+// base Fabric's probe, so hooks are set there once.
 
 // HostPacket is one frame delivered to a host's VMs.
 type HostPacket struct {
@@ -55,8 +53,7 @@ type WireEngine struct {
 	stopped chan struct{}
 	wg      sync.WaitGroup
 
-	malformed, hostDrops   atomic.Int64
-	malformedC, hostDropsC *telemetry.Counter
+	malformed, hostDrops atomic.Int64
 }
 
 // NewWireEngine wraps an already configured fabric. hostQueue is each
@@ -69,12 +66,6 @@ func NewWireEngine(f *Fabric, hostQueue int, transmit Transmit) *WireEngine {
 		e.hostRx[i] = make(chan HostPacket, hostQueue)
 	}
 	return e
-}
-
-// SetCounters mirrors the malformed and host-drop counts into a
-// transport's telemetry families; nil detaches. Call before Start.
-func (e *WireEngine) SetCounters(malformed, hostDrops *telemetry.Counter) {
-	e.malformedC, e.hostDropsC = malformed, hostDrops
 }
 
 // Start runs spawn — the transport's device loops, launched with Go —
@@ -174,42 +165,25 @@ func (e *WireEngine) Step(tier dataplane.LinkTier, id int32, wire []byte, sc *Wi
 	}
 }
 
-// cross puts one marshaled frame on link l: the observer sees the
-// crossing, and an active injector may drop, duplicate, corrupt or
-// delay it. Without an injector the transport's error is returned.
+// cross puts one marshaled frame on link l and applies the probe's
+// verdict to the bytes: an active injector may drop, duplicate, corrupt
+// or delay the frame. DelaySteps is milliseconds here; the delayed copy
+// is the timer's own, so wire is free on return. The transport's error
+// is returned for the undelayed original.
 func (e *WireEngine) cross(l dataplane.Link, outer *header.OuterFields, wire []byte) error {
-	if dataplane.ObsOn(e.f.observer) {
-		e.f.observer.ObserveLink(l, len(wire))
-	}
-	if !dataplane.FaultsOn(e.f.injector) {
-		return e.transmit(l, wire)
-	}
-	e.admitWire(l, outer, wire)
-	return nil
-}
-
-// admitWire applies the injector's verdict to a marshaled frame and
-// transmits the surviving copies. DelaySteps is milliseconds here; the
-// delayed copy is the timer's own, so wire is free on return.
-func (e *WireEngine) admitWire(l dataplane.Link, outer *header.OuterFields, wire []byte) {
 	a, _ := dataplane.GroupAddrFromOuter(*outer)
-	v := e.f.injector.Cross(l, a.VNI, a.Group)
+	v := e.f.probe.Cross(l, a.VNI, a.Group, len(wire))
 	if v.Drop {
-		return
+		return nil
 	}
 	if v.Corrupt {
-		e.f.injector.CorruptWire(wire)
+		e.f.probe.Corrupt(wire)
 	}
 	if v.Duplicate {
-		// The extra copy crosses this link too.
-		if dataplane.ObsOn(e.f.observer) {
-			e.f.observer.ObserveLink(l, len(wire))
-		}
 		_ = e.transmit(l, wire)
 	}
 	if v.DelaySteps <= 0 {
-		_ = e.transmit(l, wire)
-		return
+		return e.transmit(l, wire)
 	}
 	delayed := append([]byte(nil), wire...)
 	time.AfterFunc(time.Duration(v.DelaySteps)*time.Millisecond, func() {
@@ -219,6 +193,7 @@ func (e *WireEngine) admitWire(l dataplane.Link, outer *header.OuterFields, wire
 			_ = e.transmit(l, delayed)
 		}
 	})
+	return nil
 }
 
 // deliver is the host step: filter, decapsulate, queue.
@@ -235,26 +210,13 @@ func (e *WireEngine) deliver(h topology.HostID, pkt *dataplane.Packet) {
 	case e.hostRx[h] <- hp:
 	default:
 		e.hostDrops.Add(1)
-		if e.hostDropsC != nil {
-			e.hostDropsC.Inc()
-		}
-		if trace.On(e.f.tracer, trace.CatFabric) {
-			e.f.tracer.Record(trace.Event{
-				Cat: trace.CatFabric, Kind: trace.KindHostDrop, Tier: trace.TierHost,
-				Switch: int32(h), VNI: addr.VNI, Group: addr.Group,
-			})
-		}
+		e.f.probe.HostDrop(int32(h), addr)
 	}
 }
 
 func (e *WireEngine) countMalformed() {
 	e.malformed.Add(1)
-	if e.malformedC != nil {
-		e.malformedC.Inc()
-	}
-	if trace.On(e.f.tracer, trace.CatFabric) {
-		e.f.tracer.Record(trace.Event{Cat: trace.CatFabric, Kind: trace.KindMalformed})
-	}
+	e.f.probe.Malformed()
 }
 
 // Malformed counts frames a device could not parse.

@@ -67,9 +67,9 @@ func FuzzScanPipeline(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The hot-path scanners must agree with Decode about validity.
-		if n, err := StreamLen(l, data); err == nil {
+		if n, _, err := StreamInfo(l, data); err == nil {
 			if _, _, derr := Decode(l, data[:n]); derr != nil {
-				// StreamLen is purely structural; Decode may still
+				// StreamInfo is purely structural; Decode may still
 				// reject semantic violations (tag order). That is the
 				// only allowed divergence.
 				_ = derr
@@ -77,10 +77,11 @@ func FuzzScanPipeline(f *testing.F) {
 		}
 		ConsumeDownstream(l, TagDLeaf, 5, data)
 		ConsumeDownstream(l, TagDSpine, 1, data)
-		ConsumeUpstream(l, TagULeaf, data)
-		ConsumeCore(l, data)
+		var rule UpstreamRule
+		ConsumeUpstreamInto(l, TagULeaf, data, &rule)
+		ConsumeCoreInto(l, data, &rule.Down)
 		ExtractINT(l, data)
-		AppendINTRecord(l, data, INTRecord{Tier: 1, ID: 2, Meta: 3})
+		AppendINTRecordTo(l, nil, data, INTRecord{Tier: 1, ID: 2, Meta: 3})
 	})
 }
 

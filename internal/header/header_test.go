@@ -197,7 +197,8 @@ func TestConsumeUpstreamPopsSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rule, rest, err := ConsumeUpstream(l, TagULeaf, wire)
+	var rule UpstreamRule
+	rest, err := ConsumeUpstreamInto(l, TagULeaf, wire, &rule)
 	if err != nil {
 		t.Fatalf("consume u-leaf: %v", err)
 	}
@@ -224,15 +225,17 @@ func TestConsumeCore(t *testing.T) {
 	l := paperLayout()
 	h := paperHeader()
 	wire, _ := Encode(l, h)
-	_, rest, err := ConsumeUpstream(l, TagULeaf, wire)
+	var rule UpstreamRule
+	rest, err := ConsumeUpstreamInto(l, TagULeaf, wire, &rule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rest, err = ConsumeUpstream(l, TagUSpine, rest)
+	rest, err = ConsumeUpstreamInto(l, TagUSpine, rest, &rule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pods, rest, err := ConsumeCore(l, rest)
+	var pods bitmap.Bitmap
+	rest, err = ConsumeCoreInto(l, rest, &pods)
 	if err != nil {
 		t.Fatalf("consume core: %v", err)
 	}
@@ -323,12 +326,12 @@ func TestSkipSectionAndStreamLen(t *testing.T) {
 	l := paperLayout()
 	h := paperHeader()
 	wire, _ := Encode(l, h)
-	n, err := StreamLen(l, wire)
+	n, _, err := StreamInfo(l, wire)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != len(wire) {
-		t.Fatalf("StreamLen = %d, want %d", n, len(wire))
+		t.Fatalf("StreamInfo = %d, want %d", n, len(wire))
 	}
 	tags := []byte{}
 	rest := wire
@@ -451,7 +454,7 @@ func TestQuickDecodeNeverPanics(t *testing.T) {
 			}
 		}()
 		Decode(l, data)
-		StreamLen(l, data)
+		StreamInfo(l, data)
 		ConsumeDownstream(l, TagDLeaf, 3, data)
 		return true
 	}

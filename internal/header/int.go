@@ -84,28 +84,14 @@ func intSectionLen(data []byte) (int, error) {
 	return n, nil
 }
 
-// AppendINTRecord rewrites a section stream whose trailing sections
-// include an INT section, appending one record. It returns a new slice
-// (the input is not modified — streams are shared between packet
-// copies). If the stream carries no INT section the input is returned
-// unchanged, so switches can call it unconditionally.
-func AppendINTRecord(l Layout, stream []byte, rec INTRecord) ([]byte, error) {
-	dst, ok, err := AppendINTRecordTo(l, make([]byte, 0, len(stream)+intRecordSize), stream, rec)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return stream, nil // no INT section (or full): nothing to do
-	}
-	return dst, nil
-}
-
-// AppendINTRecordTo is the scratch-buffer form of AppendINTRecord: it
-// appends the rewritten stream (stream + one record) to dst and
-// returns the extended slice with ok=true. When the stream carries no
-// INT section, or the section is already full, it returns (dst, false,
-// nil) with dst unchanged — the caller should keep forwarding the
-// original stream. The input stream is never modified.
+// AppendINTRecordTo rewrites a section stream whose trailing sections
+// include an INT section, appending one record: the rewritten stream
+// (stream + one record) is appended to dst and returned with ok=true.
+// When the stream carries no INT section, or the section is already
+// full, it returns (dst, false, nil) with dst unchanged — the caller
+// should keep forwarding the original stream, so switches can call it
+// unconditionally. The input stream is never modified (streams are
+// shared between packet copies).
 func AppendINTRecordTo(l Layout, dst, stream []byte, rec INTRecord) ([]byte, bool, error) {
 	// Locate the INT section by structural skipping.
 	off := 0

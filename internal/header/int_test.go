@@ -54,6 +54,16 @@ func TestINTEmptySection(t *testing.T) {
 	}
 }
 
+// appendINT is AppendINTRecordTo into a fresh buffer; a stream with no
+// room for the record comes back unchanged.
+func appendINT(l Layout, stream []byte, rec INTRecord) ([]byte, error) {
+	out, ok, err := AppendINTRecordTo(l, nil, stream, rec)
+	if err != nil || !ok {
+		return stream, err
+	}
+	return out, nil
+}
+
 func TestAppendINTRecord(t *testing.T) {
 	l := LayoutFor(topology.MustNew(topology.PaperExample()))
 	core := bitmap.FromPorts(l.CoreDown, 2)
@@ -64,7 +74,7 @@ func TestAppendINTRecord(t *testing.T) {
 	}
 	orig := append([]byte{}, wire...)
 	r1 := INTRecord{Tier: INTTierLeaf, ID: 7, Meta: 63}
-	s1, err := AppendINTRecord(l, wire, r1)
+	s1, err := appendINT(l, wire, r1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +84,11 @@ func TestAppendINTRecord(t *testing.T) {
 	// The input stream must be untouched (shared between copies).
 	for i := range orig {
 		if wire[i] != orig[i] {
-			t.Fatal("AppendINTRecord mutated its input")
+			t.Fatal("AppendINTRecordTo mutated its input")
 		}
 	}
 	r2 := INTRecord{Tier: INTTierSpine, ID: 2, Meta: 62}
-	s2, err := AppendINTRecord(l, s1, r2)
+	s2, err := appendINT(l, s1, r2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +117,7 @@ func TestAppendINTRecordWithoutSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := AppendINTRecord(l, wire, INTRecord{Tier: 1, ID: 1})
+	out, err := appendINT(l, wire, INTRecord{Tier: 1, ID: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +136,7 @@ func TestINTSectionFullDropsRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := AppendINTRecord(l, wire, INTRecord{Tier: 2, ID: 999})
+	out, err := appendINT(l, wire, INTRecord{Tier: 2, ID: 999})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,22 +27,13 @@ func upstreamSectionLen(downW, upW int) int {
 	return 1 + bitmap.ByteLen(downW) + bitmap.ByteLen(upW)
 }
 
-// ConsumeUpstream parses the upstream section with the given tag
-// (TagULeaf or TagUSpine) at the front of data and returns the rule
-// and the remaining stream (the popped header the switch forwards).
-func ConsumeUpstream(l Layout, tag byte, data []byte) (UpstreamRule, []byte, error) {
-	var r UpstreamRule
-	rest, err := ConsumeUpstreamInto(l, tag, data, &r)
-	if err != nil {
-		return UpstreamRule{}, nil, err
-	}
-	return r, rest, nil
-}
-
-// ConsumeUpstreamInto is ConsumeUpstream decoding into r, reusing its
-// bitmap storage — the allocation-free form the data-plane fast path
-// (dataplane.ProcessInto) calls per packet with a caller-owned scratch
-// rule. The decoded rule is valid until the next call with the same r.
+// ConsumeUpstreamInto parses the upstream section with the given tag
+// (TagULeaf or TagUSpine) at the front of data into r and returns the
+// remaining stream (the popped header the switch forwards). It reuses
+// r's bitmap storage — the data-plane fast path (dataplane.ProcessInto)
+// calls it per packet with a caller-owned scratch rule and allocates
+// nothing once warm. The decoded rule is valid until the next call
+// with the same r.
 func ConsumeUpstreamInto(l Layout, tag byte, data []byte, r *UpstreamRule) ([]byte, error) {
 	downW, upW, err := upstreamWidths(l, tag)
 	if err != nil {
@@ -86,19 +77,9 @@ func upstreamWidths(l Layout, tag byte) (downW, upW int, err error) {
 	}
 }
 
-// ConsumeCore parses the core section at the front of data, returning
-// the pods bitmap and the remaining stream.
-func ConsumeCore(l Layout, data []byte) (bitmap.Bitmap, []byte, error) {
-	var bm bitmap.Bitmap
-	rest, err := ConsumeCoreInto(l, data, &bm)
-	if err != nil {
-		return bitmap.Bitmap{}, nil, err
-	}
-	return bm, rest, nil
-}
-
-// ConsumeCoreInto is ConsumeCore decoding the pods bitmap into bm,
-// reusing its word storage (allocation-free once warm).
+// ConsumeCoreInto parses the core section at the front of data,
+// decoding the pods bitmap into bm (reusing its word storage:
+// allocation-free once warm) and returning the remaining stream.
 func ConsumeCoreInto(l Layout, data []byte, bm *bitmap.Bitmap) ([]byte, error) {
 	if len(data) == 0 || data[0] != TagCore {
 		return nil, fmt.Errorf("header: expected core section at front")
@@ -295,17 +276,11 @@ func skipDownstream(width int, data []byte) ([]byte, error) {
 	return data[off:], nil
 }
 
-// StreamLen returns the total byte length of the section stream
-// (through TagEnd), validating framing structurally.
-func StreamLen(l Layout, data []byte) (int, error) {
-	n, _, err := StreamInfo(l, data)
-	return n, err
-}
-
-// StreamInfo is StreamLen plus a free byproduct of the same single
-// structural walk: whether the stream carries an INT section. Decoders
-// that walk the stream anyway (dataplane.Unmarshal) use it to record
-// INT presence without a second pass.
+// StreamInfo returns the total byte length of the section stream
+// (through TagEnd), validating framing structurally, plus a free
+// byproduct of the same single walk: whether the stream carries an INT
+// section. Decoders that walk the stream anyway (dataplane.Unmarshal)
+// use it to record INT presence without a second pass.
 func StreamInfo(l Layout, data []byte) (n int, hasINT bool, err error) {
 	rest := data
 	for {

@@ -4,8 +4,8 @@
 //
 // The Plane implements dataplane.FlowObserver and attaches to a
 // fabric with Fabric.SetObserver. The discipline matches trace and
-// chaos: when disabled, the fabric's ObsOn guard (one nil check plus
-// one atomic load per site) skips every call, so the forwarding hot
+// chaos: when disabled, the probe's guard (dataplane.Probe: one nil
+// check plus one atomic load per site) skips every call, so the forwarding hot
 // path allocates nothing and takes no locks — pinned by the
 // alloc-parity tests and the bench-gate CI job. When enabled, the
 // per-link path is two atomic adds and the per-send path is a few

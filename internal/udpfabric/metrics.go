@@ -6,7 +6,8 @@ import (
 )
 
 // Metrics is the UDP transport's telemetry bundle: socket-level
-// counters plus the wrapped fabric/dataplane set. Handles are interned
+// counters plus the wrapped fabric/dataplane set, with the transport's
+// own malformed and host-queue-drop families filled in. Handles are interned
 // at construction; attach with SetMetrics before Start.
 type Metrics struct {
 	Fabric *fabric.Metrics
@@ -15,14 +16,12 @@ type Metrics struct {
 	sendErrors *telemetry.Counter
 	recv       *telemetry.Counter
 	retries    *telemetry.Counter
-	malformed  *telemetry.Counter
-	hostDrops  *telemetry.Counter
 }
 
 // NewMetrics registers the udpfabric metric families in reg (and the
 // fabric/dataplane families underneath).
 func NewMetrics(reg *telemetry.Registry) *Metrics {
-	return &Metrics{
+	m := &Metrics{
 		Fabric: fabric.NewMetrics(reg),
 		sent: reg.Counter("elmo_udp_datagrams_sent_total",
 			"Datagrams successfully written to fabric UDP sockets."),
@@ -32,11 +31,12 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Datagrams read from fabric UDP sockets."),
 		retries: reg.Counter("elmo_udp_read_retries_total",
 			"Transient socket read errors retried with backoff."),
-		malformed: reg.Counter("elmo_udp_malformed_total",
-			"Undecodable datagrams discarded by switch or host readers."),
-		hostDrops: reg.Counter("elmo_udp_host_queue_drops_total",
-			"Frames discarded at full host delivery queues."),
 	}
+	m.Fabric.WireMalformed = reg.Counter("elmo_udp_malformed_total",
+		"Undecodable datagrams discarded by switch or host readers.")
+	m.Fabric.HostQueueDrops = reg.Counter("elmo_udp_host_queue_drops_total",
+		"Frames discarded at full host delivery queues.")
+	return m
 }
 
 func (m *Metrics) onSent() {
@@ -64,12 +64,11 @@ func (m *Metrics) onRetry() {
 }
 
 // SetMetrics attaches telemetry to the UDP transport and the wrapped
-// fabric's switches and hypervisors. Call before Start; nil detaches.
+// fabric's probe. Call before Start; nil detaches.
 func (u *UDPFabric) SetMetrics(m *Metrics) {
 	u.metrics = m
 	if m == nil {
 		m = &Metrics{}
 	}
 	u.base.SetMetrics(m.Fabric)
-	u.eng.SetCounters(m.malformed, m.hostDrops)
 }
