@@ -39,13 +39,19 @@ lint:
 # warm-scratch clustering kernel allocates nothing, a fabric with a
 # disabled observer attached allocates exactly as much per send as a
 # bare one, the forwarding fast path allocates nothing and emits what
-# the frozen reference pipeline emits, and a short run of the repo's
-# benchmark (BENCHMARK.json) passes its own oracles and exits 0.
+# the frozen reference pipeline emits, a sender's header stream is
+# written without allocating and equals the frozen header assembly byte
+# for byte, a group install stays inside its allocation budget, and
+# short runs of the repo's benchmark (BENCHMARK.json) on the data path
+# and on the control path pass their own oracles and exit 0.
 bench-gate:
 	$(GO) test -run 'TestAssignIntoWarmScratchZeroAlloc' -count=1 ./internal/cluster/
 	$(GO) test -run 'TestObserverDisabledAddsNoAllocations' -count=1 -v ./internal/obs/
 	$(GO) test -run 'TestProcessIntoZeroAllocs|TestProcessIntoEquivalence' -count=1 ./internal/dataplane/
+	$(GO) test -run 'TestSenderStreamMatchesOracle|TestAppendSenderStreamZeroAllocs' -count=1 ./internal/controller/
+	$(GO) test -run 'TestInstallWalkAllocationBudget' -count=1 ./internal/fabric/
 	bash benchmark/run.sh --workload fanout-sync --seed 1 --seconds 2 --trace 0
+	bash benchmark/run.sh --workload lifecycle --seed 1 --seconds 2 --trace 0
 
 # bench-all runs the full figure/table benchmark suite.
 bench-all:
@@ -58,6 +64,7 @@ FUZZTIME ?= 10s
 fuzz:
 	@set -e; for t in wal:FuzzReplay rsm:FuzzUnmarshalCommand \
 		header:FuzzDecode header:FuzzScanPipeline header:FuzzParseOuter \
+		dataplane:FuzzInstallSenderFlow \
 		cluster:FuzzAssignEquivalence durable:FuzzApplyRecord; do \
 		echo "fuzz $$t"; \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) ./internal/$${t%%:*}/; \

@@ -323,7 +323,9 @@ func runTrace(topoCfg topology.Config, srules int, out string) {
 	// the recomputed headers, and send again to show the reroute.
 	failed := topo.SpineAt(topo.HostPod(hosts[0]), 0)
 	ctrl.FailSpine(failed)
-	refreshFlows(ctrl, f, key, addr, hosts)
+	if _, err := f.InstallGroupAt(0, ctrl, key); err != nil {
+		log.Fatal(err)
+	}
 	d, err = f.Send(hosts[0], addr, []byte("after failure"))
 	if err != nil {
 		log.Fatal(err)
@@ -333,7 +335,9 @@ func runTrace(topoCfg topology.Config, srules int, out string) {
 		failed, len(d.Received), trace.RenderPath(all[len(healthy):], addr.VNI, addr.Group))
 
 	ctrl.RepairSpine(failed)
-	refreshFlows(ctrl, f, key, addr, hosts)
+	if _, err := f.InstallGroupAt(0, ctrl, key); err != nil {
+		log.Fatal(err)
+	}
 
 	final := rec.Snapshot()
 	fmt.Printf("\ncontrol-plane flight log:\n%s", trace.RenderControl(final))
@@ -371,21 +375,6 @@ func tracedHosts(topo *topology.Topology) []topology.HostID {
 		hosts = append(hosts, topo.HostAt(topo.LeafAt(1, 0), 0))
 	}
 	return hosts
-}
-
-// refreshFlows reinstalls the sender flows with freshly computed
-// headers — the hypervisor update the controller pushes after churn or
-// a failure (§4.3).
-func refreshFlows(ctrl *controller.Controller, f *fabric.Fabric, key controller.GroupKey, addr dataplane.GroupAddr, hosts []topology.HostID) {
-	for _, h := range hosts {
-		hdr, err := ctrl.HeaderFor(key, h)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Hypervisors[h].InstallSenderFlowAt(0, addr, hdr); err != nil {
-			log.Fatal(err)
-		}
-	}
 }
 
 // writeManifest records the exact run parameters next to the CSV

@@ -233,7 +233,7 @@ func (m *Monitor) buildCoreProbes() error {
 }
 
 func (m *Monitor) installProbe(p probe, hdr *header.Header) error {
-	if err := m.fab.Hypervisors[p.src].InstallSenderFlowAt(0, p.addr, hdr); err != nil {
+	if err := m.installStream(p.src, p.addr, hdr); err != nil {
 		return err
 	}
 	return m.fab.Hypervisors[p.target].SetReceivingAt(0, p.addr, true)
@@ -390,5 +390,14 @@ func (m *Monitor) install(fl MonitoredFlow, hdr *header.Header) error {
 		return m.cfg.InstallFn(fl, hdr)
 	}
 	addr := dataplane.GroupAddr{VNI: fl.Key.Tenant, Group: fl.Key.Group}
-	return m.fab.Hypervisors[fl.Sender].InstallSenderFlowAt(0, addr, hdr)
+	return m.installStream(fl.Sender, addr, hdr)
+}
+
+// installStream sends a sender's hypervisor the wire form of hdr.
+func (m *Monitor) installStream(sender topology.HostID, addr dataplane.GroupAddr, hdr *header.Header) error {
+	stream, err := header.Encode(header.LayoutFor(m.topo), hdr)
+	if err != nil {
+		return err
+	}
+	return m.fab.Hypervisors[sender].InstallSenderFlowAt(0, addr, stream)
 }

@@ -191,7 +191,7 @@ func TestMonitorDegradesToUnicast(t *testing.T) {
 // retried with exponential backoff; a permanently failing install
 // exhausts the budget and is counted, not spun on.
 func TestMonitorRecoveryRetryBackoff(t *testing.T) {
-	_, ctrl, fab, inj, key := chaosFixture(t, Config{Seed: 4})
+	topo, ctrl, fab, inj, key := chaosFixture(t, Config{Seed: 4})
 	inj.Enable()
 	var sleeps []time.Duration
 	installs := 0
@@ -202,8 +202,12 @@ func TestMonitorRecoveryRetryBackoff(t *testing.T) {
 			if installs <= 2 {
 				return errors.New("transient install failure")
 			}
+			stream, err := header.Encode(header.LayoutFor(topo), hdr)
+			if err != nil {
+				return err
+			}
 			return fab.Hypervisors[fl.Sender].InstallSenderFlowAt(0,
-				dataplane.GroupAddr{VNI: fl.Key.Tenant, Group: fl.Key.Group}, hdr)
+				dataplane.GroupAddr{VNI: fl.Key.Tenant, Group: fl.Key.Group}, stream)
 		},
 	})
 	if err != nil {

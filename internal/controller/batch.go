@@ -3,7 +3,7 @@ package controller
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -428,6 +428,6 @@ func receiversOf(members map[topology.HostID]Role) []topology.HostID {
 			hosts = append(hosts, h)
 		}
 	}
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
+	slices.Sort(hosts)
 	return hosts
 }

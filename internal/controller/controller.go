@@ -2,8 +2,9 @@ package controller
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -24,6 +25,14 @@ type GroupKey struct {
 }
 
 func (k GroupKey) String() string { return fmt.Sprintf("vni=%d group=%d", k.Tenant, k.Group) }
+
+// compareKeys orders group keys by (tenant, group), ascending.
+func compareKeys(a, b GroupKey) int {
+	if c := cmp.Compare(a.Tenant, b.Tenant); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Group, b.Group)
+}
 
 // Role describes how a member participates in a group (§5.1.3a).
 type Role uint8
@@ -80,7 +89,7 @@ func (g *GroupState) hostsWith(pred func(Role) bool) []topology.HostID {
 			hosts = append(hosts, h)
 		}
 	}
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
+	slices.Sort(hosts)
 	return hosts
 }
 
@@ -314,12 +323,7 @@ func (c *Controller) GroupKeys() []GroupKey {
 		}
 	}
 	c.runlockAllShards()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Tenant != keys[j].Tenant {
-			return keys[i].Tenant < keys[j].Tenant
-		}
-		return keys[i].Group < keys[j].Group
-	})
+	slices.SortFunc(keys, compareKeys)
 	return keys
 }
 
@@ -746,8 +750,9 @@ func sharedEqual(l header.Layout, a, b *Encoding) bool {
 	return bytes.Equal(wa, wb) && a.Pods.Equal(b.Pods)
 }
 
-// HeaderFor assembles the header for a sender in a group. The sender
-// must hold a sending role. Safe to call concurrently with membership
+// HeaderFor returns the header for a sender in a group (the decoded
+// view of its stream, see SenderHeader). The sender must hold a
+// sending role. Safe to call concurrently with membership
 // operations on other groups (and with reads anywhere); only the
 // owning shard's read lock is taken.
 func (c *Controller) HeaderFor(key GroupKey, sender topology.HostID) (*header.Header, error) {

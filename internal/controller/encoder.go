@@ -124,8 +124,8 @@ func (c Config) Validate() error {
 
 // Encoding is the sender-independent representation of one group's
 // multicast tree: the shared downstream rules (D2c) plus the s-rule
-// installations. Per-sender headers are assembled from it by
-// SenderHeader.
+// installations. Per-sender header streams are written from it by
+// AppendSenderStream.
 type Encoding struct {
 	// Pods is the bitmap of pods containing receivers.
 	Pods bitmap.Bitmap

@@ -3,7 +3,6 @@ package controller
 import (
 	"sort"
 
-	"elmo/internal/header"
 	"elmo/internal/topology"
 )
 
@@ -186,17 +185,19 @@ func (c *Controller) InspectGroup(key GroupKey) (*GroupDetail, bool) {
 			d.Tree = append(d.Tree, TreeLeaf{Leaf: leaf, Pod: c.topo.LeafPod(leaf), Ports: ports.Ports()})
 		}
 		sort.Slice(d.Tree, func(i, j int) bool { return d.Tree[i].Leaf < d.Tree[j].Leaf })
-		layout := header.LayoutFor(c.topo)
+		var scratch SenderScratch
+		var stream []byte
 		for _, h := range d.MemberList {
 			if h.Role != "sender" && h.Role != "both" {
 				continue
 			}
 			info := SenderHeaderInfo{Sender: h.Host}
-			hdr, err := SenderHeader(c.topo, c.cfg, e, h.Host, c.failures)
+			var err error
+			stream, err = AppendSenderStream(stream[:0], &scratch, c.topo, c.cfg, e, h.Host, c.failures)
 			if err != nil {
 				info.Err = err.Error()
 			} else {
-				info.Bytes = header.EncodedSize(layout, hdr)
+				info.Bytes = len(stream)
 			}
 			d.Headers = append(d.Headers, info)
 		}

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 
 	"elmo/internal/bitmap"
 	"elmo/internal/header"
@@ -24,142 +25,145 @@ var ErrLegacyPath = fmt.Errorf("controller: sender is behind a legacy switch")
 // scalability bottleneck of partially migrated fabrics.
 var ErrLegacyTableFull = fmt.Errorf("legacy switch group table full")
 
-// SenderHeader assembles the Elmo header a hypervisor pushes for
-// packets the given sender host emits into the group encoded by e.
+// SenderScratch is the reusable working memory of AppendSenderStream:
+// the sender's own copies of the three shared bitmaps it clears its own
+// port, leaf or pod in, and the two upstream-port bitmaps. The zero
+// value is ready to use; one scratch serves one goroutine.
+type SenderScratch struct {
+	leafDown, leafUp   bitmap.Bitmap
+	spineDown, spineUp bitmap.Bitmap
+	core               bitmap.Bitmap
+}
+
+// AppendSenderStream appends to dst the Elmo section stream (through
+// TagEnd) a hypervisor pushes onto packets the given sender host emits
+// into the group encoded by e — the bytes the controller sends the
+// hypervisor, written straight from the encoding. On error dst is
+// returned as it came.
 //
-// The downstream sections are shared across senders (D2c); this
-// function specializes only the sender-dependent parts: the upstream
-// leaf and spine rules, the core pod bitmap (excluding the sender's own
-// pod, which is served on the way up), and the removal of downstream
-// rules that exclusively name the sender's own leaf or pod.
+// The downstream sections are shared across senders (D2c); only the
+// sender-dependent parts are specialised: the upstream leaf and spine
+// rules, the core pod bitmap (excluding the sender's own pod, which is
+// served on the way up), and the removal of downstream rules that
+// exclusively name the sender's own leaf or pod.
 //
 // When failures is non-nil and affects the group's reachable paths,
 // multipathing is disabled and explicit upstream ports are chosen by
 // greedy set cover (§3.3); ErrNoPath is returned when no cover exists.
-func SenderHeader(topo *topology.Topology, cfg Config, e *Encoding, sender topology.HostID, failures *topology.FailureSet) (*header.Header, error) {
+// On a healthy fabric, with a warm scratch and room in dst, nothing is
+// allocated.
+func AppendSenderStream(dst []byte, s *SenderScratch, topo *topology.Topology, cfg Config, e *Encoding, sender topology.HostID, failures *topology.FailureSet) ([]byte, error) {
 	l := header.LayoutFor(topo)
 	senderLeaf := topo.HostLeaf(sender)
 	senderPod := topo.LeafPod(senderLeaf)
-
-	for _, lg := range cfg.LegacyLeaves {
-		if lg == senderLeaf {
-			return nil, ErrLegacyPath
-		}
+	if slices.Contains(cfg.LegacyLeaves, senderLeaf) {
+		return dst, ErrLegacyPath
 	}
-
-	h := &header.Header{}
 
 	// Receivers under the sender's own leaf, minus the sender itself:
 	// the hypervisor delivers any co-located member VM locally.
-	uDown := bitmap.New(l.LeafDown)
+	otherLeaves := len(e.LeafPorts)
 	if lp, ok := e.LeafPorts[senderLeaf]; ok {
-		uDown = lp.Clone()
-		if uDown.Test(topo.HostPort(sender)) {
-			uDown.Clear(topo.HostPort(sender))
-		}
+		otherLeaves--
+		s.leafDown.CopyFrom(lp)
+		s.leafDown.Clear(topo.HostPort(sender))
+	} else {
+		s.leafDown.Reset(l.LeafDown)
 	}
-
-	// Does the tree extend beyond the rack / beyond the pod?
-	beyondRack := false
-	for leaf := range e.LeafPorts {
-		if leaf != senderLeaf {
-			beyondRack = true
-			break
-		}
-	}
-	beyondPod := false
-	for pod := range e.PodLeaves {
-		if pod != senderPod {
-			beyondPod = true
-			break
-		}
-	}
-
-	if uDown.IsEmpty() && !beyondRack {
+	beyondRack := otherLeaves > 0
+	if s.leafDown.IsEmpty() && !beyondRack {
 		// Nothing to deliver outside the sender's own hypervisor.
-		return h, nil
+		return append(dst, header.TagEnd), nil
 	}
-
-	uleaf := &header.UpstreamRule{Down: uDown, Up: bitmap.New(l.LeafUp)}
-	h.ULeaf = uleaf
+	s.leafUp.Reset(l.LeafUp)
 	if !beyondRack {
-		return h, nil
+		out, err := header.AppendUpstream(dst, l, header.TagULeaf, s.leafDown, s.leafUp, false)
+		if err != nil {
+			return dst, err
+		}
+		return append(out, header.TagEnd), nil
 	}
 
 	// Beyond the rack the packet must transit the sender pod's spines;
 	// legacy spines cannot interpret the u-spine rule.
-	for _, lg := range cfg.LegacyPods {
-		if lg == senderPod {
-			return nil, ErrLegacyPath
-		}
+	if slices.Contains(cfg.LegacyPods, senderPod) {
+		return dst, ErrLegacyPath
 	}
 
-	// The packet must ascend. Build the u-spine rule: deliveries to
-	// other member leaves of the sender's pod happen on the way up.
-	uspine := &header.UpstreamRule{Down: bitmap.New(l.SpineDown), Up: bitmap.New(l.SpineUp)}
+	// The packet must ascend: deliveries to other member leaves of the
+	// sender's pod happen on the way up.
+	otherPods := len(e.PodLeaves)
 	if pl, ok := e.PodLeaves[senderPod]; ok {
-		uspine.Down = pl.Clone()
-		if uspine.Down.Test(topo.LeafIndexInPod(senderLeaf)) {
-			uspine.Down.Clear(topo.LeafIndexInPod(senderLeaf))
-		}
+		otherPods--
+		s.spineDown.CopyFrom(pl)
+		s.spineDown.Clear(topo.LeafIndexInPod(senderLeaf))
+	} else {
+		s.spineDown.Reset(l.SpineDown)
 	}
-	h.USpine = uspine
-
-	if beyondPod {
-		core := e.Pods.Clone()
-		if core.Test(int(senderPod)) {
-			core.Clear(int(senderPod))
-		}
-		h.Core = &core
-
-		h.DSpine = filterRules(e.DSpine, uint16(senderPod))
-		h.DSpineDefault = e.DSpineDefault
-	}
-
-	h.DLeaf = filterRules(e.DLeaf, uint16(senderLeaf))
-	h.DLeafDefault = e.DLeafDefault
+	beyondPod := otherPods > 0
+	s.spineUp.Reset(l.SpineUp)
 
 	// Upstream port selection: multipath when the fabric is healthy,
 	// explicit set-cover ports under failures.
-	if failures.Empty() || !groupAffected(topo, e, senderPod, failures) {
-		uleaf.Multipath = true
-		uspine.Multipath = beyondPod
-	} else {
+	multipath := failures.Empty() || !groupAffected(topo, e, senderPod, failures)
+	if !multipath {
 		planes, corePorts, err := coverUpstream(topo, e, senderPod, beyondPod, failures)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		for _, p := range planes {
-			uleaf.Up.Set(p)
+			s.leafUp.Set(p)
 		}
 		for _, j := range corePorts {
-			uspine.Up.Set(j)
+			s.spineUp.Set(j)
 		}
 	}
 
-	h.INTEnabled = cfg.EnableINT
-
-	if size := header.EncodedSize(l, h); size > cfg.MaxHeaderBytes {
-		return nil, fmt.Errorf("controller: assembled header %d bytes exceeds budget %d", size, cfg.MaxHeaderBytes)
+	out, err := header.AppendUpstream(dst, l, header.TagULeaf, s.leafDown, s.leafUp, multipath)
+	if err != nil {
+		return dst, err
 	}
-	return h, nil
+	out, err = header.AppendUpstream(out, l, header.TagUSpine, s.spineDown, s.spineUp, multipath && beyondPod)
+	if err != nil {
+		return dst, err
+	}
+	if beyondPod {
+		s.core.CopyFrom(e.Pods)
+		s.core.Clear(int(senderPod))
+		if out, err = header.AppendCore(out, l, s.core); err != nil {
+			return dst, err
+		}
+		// The downstream path never revisits the sender's own pod or
+		// leaf, so a rule naming only that switch is left out.
+		if out, err = header.AppendDownstream(out, l, header.TagDSpine, e.DSpine, e.DSpineDefault, int(senderPod)); err != nil {
+			return dst, err
+		}
+	}
+	if out, err = header.AppendDownstream(out, l, header.TagDLeaf, e.DLeaf, e.DLeafDefault, int(senderLeaf)); err != nil {
+		return dst, err
+	}
+	if cfg.EnableINT {
+		if out, err = header.AppendINTSection(out, nil); err != nil {
+			return dst, err
+		}
+	}
+	out = append(out, header.TagEnd)
+	if size := len(out) - len(dst); size > cfg.MaxHeaderBytes {
+		return dst, fmt.Errorf("controller: assembled header %d bytes exceeds budget %d", size, cfg.MaxHeaderBytes)
+	}
+	return out, nil
 }
 
-// filterRules drops rules that exclusively name the sender's own
-// switch: the downstream path never revisits it, so carrying the rule
-// only wastes header bytes.
-func filterRules(rules []header.PRule, own uint16) []header.PRule {
-	out := make([]header.PRule, 0, len(rules))
-	for _, r := range rules {
-		if len(r.Switches) == 1 && r.Switches[0] == own {
-			continue
-		}
-		out = append(out, r)
+// SenderHeader is the decoded view of AppendSenderStream's bytes, for
+// callers that inspect a sender's header section by section.
+func SenderHeader(topo *topology.Topology, cfg Config, e *Encoding, sender topology.HostID, failures *topology.FailureSet) (*header.Header, error) {
+	var s SenderScratch
+	stream, err := AppendSenderStream(nil, &s, topo, cfg, e, sender, failures)
+	if err != nil {
+		return nil, err
 	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	h, _, err := header.Decode(header.LayoutFor(topo), stream)
+	return h, err
 }
 
 // groupAffected reports whether any failed switch lies on a path this

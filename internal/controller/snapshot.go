@@ -1,10 +1,11 @@
 package controller
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"elmo/internal/topology"
 )
@@ -55,19 +56,14 @@ func (c *Controller) Snapshot() *Snapshot {
 	for k := range groups {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Tenant != keys[j].Tenant {
-			return keys[i].Tenant < keys[j].Tenant
-		}
-		return keys[i].Group < keys[j].Group
-	})
+	slices.SortFunc(keys, compareKeys)
 	for _, key := range keys {
 		g := groups[key]
 		gs := GroupSnapshot{Tenant: key.Tenant, Group: key.Group}
 		for h, r := range g.Members {
 			gs.Members = append(gs.Members, MemberSnapshot{Host: h, Role: r})
 		}
-		sort.Slice(gs.Members, func(i, j int) bool { return gs.Members[i].Host < gs.Members[j].Host })
+		slices.SortFunc(gs.Members, func(a, b MemberSnapshot) int { return cmp.Compare(a.Host, b.Host) })
 		s.Groups = append(s.Groups, gs)
 	}
 	return s

@@ -7,7 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"elmo/internal/bitmap"
 	"elmo/internal/header"
@@ -62,12 +62,7 @@ func (c *Controller) WriteState(w io.Writer) error {
 	for k := range groups {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Tenant != keys[j].Tenant {
-			return keys[i].Tenant < keys[j].Tenant
-		}
-		return keys[i].Group < keys[j].Group
-	})
+	slices.SortFunc(keys, compareKeys)
 	putUvarint(uint64(len(keys)))
 	for _, key := range keys {
 		g := groups[key]
@@ -77,7 +72,7 @@ func (c *Controller) WriteState(w io.Writer) error {
 		for h := range g.Members {
 			hosts = append(hosts, h)
 		}
-		sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
+		slices.Sort(hosts)
 		putUvarint(uint64(len(hosts)))
 		for _, h := range hosts {
 			putUvarint(uint64(h))
@@ -101,7 +96,7 @@ func writeEncoding(bw *bufio.Writer, putUvarint func(uint64), putBitmap func(bit
 	for l := range e.LeafPorts {
 		leaves = append(leaves, l)
 	}
-	sort.Slice(leaves, func(i, j int) bool { return leaves[i] < leaves[j] })
+	slices.Sort(leaves)
 	putUvarint(uint64(len(leaves)))
 	for _, l := range leaves {
 		putUvarint(uint64(l))
@@ -112,7 +107,7 @@ func writeEncoding(bw *bufio.Writer, putUvarint func(uint64), putBitmap func(bit
 	for p := range e.PodLeaves {
 		pods = append(pods, p)
 	}
-	sort.Slice(pods, func(i, j int) bool { return pods[i] < pods[j] })
+	slices.Sort(pods)
 	putUvarint(uint64(len(pods)))
 	for _, p := range pods {
 		putUvarint(uint64(p))
@@ -146,7 +141,7 @@ func writeEncoding(bw *bufio.Writer, putUvarint func(uint64), putBitmap func(bit
 	for p := range e.SpineSRules {
 		spods = append(spods, p)
 	}
-	sort.Slice(spods, func(i, j int) bool { return spods[i] < spods[j] })
+	slices.Sort(spods)
 	putUvarint(uint64(len(spods)))
 	for _, p := range spods {
 		putUvarint(uint64(p))
@@ -157,7 +152,7 @@ func writeEncoding(bw *bufio.Writer, putUvarint func(uint64), putBitmap func(bit
 	for l := range e.LeafSRules {
 		sleaves = append(sleaves, l)
 	}
-	sort.Slice(sleaves, func(i, j int) bool { return sleaves[i] < sleaves[j] })
+	slices.Sort(sleaves)
 	putUvarint(uint64(len(sleaves)))
 	for _, l := range sleaves {
 		putUvarint(uint64(l))

@@ -73,12 +73,22 @@ func TestUnmarshalPlainVXLAN(t *testing.T) {
 	}
 }
 
+// encodeFor is the wire form of h on topo's layout: what a controller
+// sends a hypervisor.
+func encodeFor(t testing.TB, topo *topology.Topology, h *header.Header) []byte {
+	t.Helper()
+	stream, err := header.Encode(header.LayoutFor(topo), h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stream
+}
+
 func TestHypervisorEncapDeliver(t *testing.T) {
 	topo := paperTopo()
 	hv := NewHypervisor(topo, 3)
 	addr := GroupAddr{VNI: 7, Group: 12}
-	h := &header.Header{}
-	if err := hv.InstallSenderFlowAt(0, addr, h); err != nil {
+	if err := hv.InstallSenderFlowAt(0, addr, encodeFor(t, topo, &header.Header{})); err != nil {
 		t.Fatal(err)
 	}
 	pkt, err := hv.Encap(addr, []byte("msg"))
@@ -309,7 +319,7 @@ func BenchmarkHypervisorEncap(b *testing.B) {
 	addr := GroupAddr{VNI: 1, Group: 1}
 	l := header.LayoutFor(topo)
 	core := bitmap.FromPorts(l.CoreDown, 1, 2, 3)
-	if err := hv.InstallSenderFlowAt(0, addr, &header.Header{Core: &core}); err != nil {
+	if err := hv.InstallSenderFlowAt(0, addr, encodeFor(b, topo, &header.Header{Core: &core})); err != nil {
 		b.Fatal(err)
 	}
 	inner := make([]byte, 1500-100)

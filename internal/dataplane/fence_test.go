@@ -130,9 +130,9 @@ func TestHypervisorInstallAtFencesStaleEpoch(t *testing.T) {
 	hv := NewHypervisor(topo, 17)
 	hv.Probe = &Probe{Metrics: m}
 	addr := GroupAddr{VNI: 2, Group: 4}
-	h := &header.Header{
+	h := encodeFor(t, topo, &header.Header{
 		DLeaf: []header.PRule{{Switches: []uint16{0}, Bitmap: bitmap.FromPorts(l.LeafDown, 1)}},
-	}
+	})
 
 	if err := hv.InstallSenderFlowAt(5, addr, h); err != nil {
 		t.Fatal(err)

@@ -76,24 +76,31 @@ func NewHypervisor(topo *topology.Topology, host topology.HostID) *Hypervisor {
 func (hv *Hypervisor) Host() topology.HostID { return hv.host }
 
 // InstallSenderFlowAt installs (or replaces) the encapsulation state
-// for a group on behalf of the controller leading at epoch: the
-// controller-computed header h is serialized once and reused for every
-// packet. A stale epoch leaves the flow table untouched and returns a
-// *StaleEpochError (see fence.go).
-func (hv *Hypervisor) InstallSenderFlowAt(epoch uint64, addr GroupAddr, h *header.Header) error {
+// for a group on behalf of the controller leading at epoch. stream is
+// the message a controller sends: the sender's precomputed Elmo section
+// stream, which must be exactly one well-framed stream under the
+// fabric's layout (header.StreamInfo). The hypervisor keeps its own
+// copy, so the caller may reuse stream. A stale epoch leaves the flow
+// table untouched and returns a *StaleEpochError (see fence.go).
+func (hv *Hypervisor) InstallSenderFlowAt(epoch uint64, addr GroupAddr, stream []byte) error {
 	if err := hv.admit(epoch); err != nil {
 		return err
 	}
-	stream, err := header.Encode(hv.layout, h)
+	n, hasINT, err := header.StreamInfo(hv.layout, stream)
 	if err != nil {
-		return fmt.Errorf("dataplane: encoding sender flow: %w", err)
+		return fmt.Errorf("dataplane: sender flow: %w", err)
 	}
+	if n != len(stream) {
+		return fmt.Errorf("dataplane: sender flow: %d bytes after the %d-byte section stream", len(stream)-n, n)
+	}
+	own := make([]byte, len(stream))
+	copy(own, stream)
 	hv.mu.Lock()
 	hv.flows[addr] = &SenderFlow{
 		addr:   addr,
 		outer:  SenderOuter(hv.topo, hv.host, addr),
-		stream: stream,
-		noINT:  !h.INTEnabled,
+		stream: own,
+		noINT:  !hasINT,
 	}
 	hv.mu.Unlock()
 	return nil

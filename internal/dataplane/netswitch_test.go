@@ -268,7 +268,7 @@ func TestStreamLenAndHostAccessors(t *testing.T) {
 		t.Fatal("Host accessor wrong")
 	}
 	addr := GroupAddr{VNI: 1, Group: 1}
-	if err := hv.InstallSenderFlowAt(0, addr, &header.Header{}); err != nil {
+	if err := hv.InstallSenderFlowAt(0, addr, encodeFor(t, topo, &header.Header{})); err != nil {
 		t.Fatal(err)
 	}
 	// SenderFlow.StreamLen is visible through Encap'd packet size.

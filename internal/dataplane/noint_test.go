@@ -19,7 +19,7 @@ func TestNoINTProvenance(t *testing.T) {
 	hv := NewHypervisor(topo, 3)
 	addr := GroupAddr{VNI: 7, Group: 12}
 
-	if err := hv.InstallSenderFlowAt(0, addr, &header.Header{}); err != nil {
+	if err := hv.InstallSenderFlowAt(0, addr, encodeFor(t, topo, &header.Header{})); err != nil {
 		t.Fatal(err)
 	}
 	pkt, err := hv.Encap(addr, []byte("m"))
@@ -29,7 +29,7 @@ func TestNoINTProvenance(t *testing.T) {
 	if !pkt.NoINT {
 		t.Fatal("Encap with INT disabled did not set NoINT")
 	}
-	if err := hv.InstallSenderFlowAt(0, addr, &header.Header{INTEnabled: true}); err != nil {
+	if err := hv.InstallSenderFlowAt(0, addr, encodeFor(t, topo, &header.Header{INTEnabled: true})); err != nil {
 		t.Fatal(err)
 	}
 	pkt, err = hv.Encap(addr, []byte("m"))

@@ -3,7 +3,7 @@ package durable
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"elmo/internal/controller"
 	"elmo/internal/topology"
@@ -74,7 +74,7 @@ func appendMembers(b []byte, members map[topology.HostID]controller.Role) []byte
 	for h := range members {
 		hosts = append(hosts, h)
 	}
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
+	slices.Sort(hosts)
 	b = binary.AppendUvarint(b, uint64(len(hosts)))
 	for _, h := range hosts {
 		b = binary.AppendUvarint(b, uint64(h))
@@ -188,7 +188,7 @@ func sortedHosts(members map[topology.HostID]controller.Role) []topology.HostID 
 	for h := range members {
 		hosts = append(hosts, h)
 	}
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
+	slices.Sort(hosts)
 	return hosts
 }
 

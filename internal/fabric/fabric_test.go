@@ -7,6 +7,7 @@ import (
 
 	"elmo/internal/controller"
 	"elmo/internal/dataplane"
+	"elmo/internal/header"
 	"elmo/internal/topology"
 )
 
@@ -34,6 +35,15 @@ func setup(t *testing.T, topo *topology.Topology, cfg controller.Config) (*contr
 	f := New(topo, cfg.SRuleCapacity)
 	f.SetFailures(ctrl.Failures())
 	return ctrl, f
+}
+
+// installHeader sends host h's hypervisor the wire form of hdr.
+func installHeader(f *Fabric, epoch uint64, h topology.HostID, a dataplane.GroupAddr, hdr *header.Header) error {
+	stream, err := header.Encode(header.LayoutFor(f.topo), hdr)
+	if err != nil {
+		return err
+	}
+	return f.Hypervisors[h].InstallSenderFlowAt(epoch, a, stream)
 }
 
 // installGroup creates a group where every member is RoleBoth.
@@ -228,7 +238,7 @@ func TestFailureRecoveryEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("header for %d: %v", h, err)
 		}
-		if err := f.Hypervisors[h].InstallSenderFlowAt(0, addr, hdr); err != nil {
+		if err := installHeader(f, 0, h, addr, hdr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -253,7 +263,7 @@ func TestFailureRecoveryEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Hypervisors[h].InstallSenderFlowAt(0, addr, hdr); err != nil {
+		if err := installHeader(f, 0, h, addr, hdr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -455,7 +465,7 @@ func TestMultiPlaneFailureDelivery(t *testing.T) {
 	if hdr.ULeaf.Up.PopCount() != 2 {
 		t.Fatalf("sender 0 should pin both planes: %s", hdr.ULeaf.Up)
 	}
-	if err := f.Hypervisors[0].InstallSenderFlowAt(0, dataplane.GroupAddr{VNI: 8, Group: 1}, hdr); err != nil {
+	if err := installHeader(f, 0, 0, dataplane.GroupAddr{VNI: 8, Group: 1}, hdr); err != nil {
 		t.Fatal(err)
 	}
 	d, err := f.Send(0, dataplane.GroupAddr{VNI: 8, Group: 1}, []byte("multi-plane"))

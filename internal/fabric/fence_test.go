@@ -2,7 +2,9 @@ package fabric
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"elmo/internal/bitmap"
@@ -49,7 +51,7 @@ func TestStaleEpochFencesEveryWrite(t *testing.T) {
 	}{
 		{"InstallSRuleAt", func(e uint64) error { return f.Leaves[2].InstallSRuleAt(e, a, ports) }},
 		{"RemoveSRuleAt", func(e uint64) error { return f.Leaves[0].RemoveSRuleAt(e, a) }},
-		{"InstallSenderFlowAt", func(e uint64) error { return f.Hypervisors[1].InstallSenderFlowAt(e, a, hdr) }},
+		{"InstallSenderFlowAt", func(e uint64) error { return installHeader(f, e, 1, a, hdr) }},
 		{"RemoveSenderFlowAt", func(e uint64) error { return f.Hypervisors[0].RemoveSenderFlowAt(e, a) }},
 		{"SetReceivingAt", func(e uint64) error { return f.Hypervisors[40].SetReceivingAt(e, a, false) }},
 		{"InstallGroupAt", func(e uint64) error { _, err := f.InstallGroupAt(e, ctrl, pending); return err }},
@@ -78,6 +80,54 @@ func TestStaleEpochFencesEveryWrite(t *testing.T) {
 	for _, w := range writes {
 		if err := w.at(announced); err != nil {
 			t.Fatalf("%s at the announced epoch: %v", w.name, err)
+		}
+	}
+
+	// The fence aborts the group walk where it strikes: with only the
+	// k-th hypervisor of the walk (receivers ascending, then senders
+	// ascending) fenced, the error names that host, every device before
+	// it holds what the walk wrote, and no device after it was touched.
+	walkKey := controller.GroupKey{Tenant: 1, Group: 3}
+	if _, err := ctrl.CreateGroup(walkKey, map[topology.HostID]controller.Role{
+		0: controller.RoleBoth, 1: controller.RoleReceiver, 9: controller.RoleReceiver, 17: controller.RoleSender,
+		40: controller.RoleBoth, 41: controller.RoleReceiver, 50: controller.RoleSender,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	g := ctrl.Group(walkKey)
+	wa := addr(walkKey)
+	receivers, senders := g.Receivers(), g.Senders()
+	walk := append(append([]topology.HostID(nil), receivers...), senders...)
+	const stale = announced - 1
+	for _, host := range walk {
+		k := slices.Index(walk, host) // a host with both roles is struck at its first write
+		walked, parts := New(topo, cfg.SRuleCapacity), New(topo, cfg.SRuleCapacity)
+		walked.Hypervisors[host].Fence().Observe(announced)
+		_, err := walked.InstallGroupAt(stale, ctrl, walkKey)
+		var se *dataplane.StaleEpochError
+		if !errors.As(err, &se) {
+			t.Fatalf("walk with host %d fenced: error %v, want a StaleEpochError", host, err)
+		}
+		if want := fmt.Sprintf("host %d", host); se.Device != want || se.Epoch != stale || se.Current != announced {
+			t.Fatalf("walk with host %d fenced: %+v, want device %q", host, se, want)
+		}
+		if got := walked.FencingRejections(); got != 1 {
+			t.Fatalf("walk with host %d fenced: %d rejections, want 1", host, got)
+		}
+		if err := parts.InstallEncodingAt(stale, wa, g.Enc, receivers[:min(k, len(receivers))]); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range senders[:max(0, k-len(receivers))] {
+			hdr, err := ctrl.HeaderFor(walkKey, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := installHeader(parts, stale, s, wa, hdr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if walked.Fingerprint() != parts.Fingerprint() {
+			t.Fatalf("walk fenced at host %d (write %d of %d) did not stop there", host, k+1, len(walk))
 		}
 	}
 }
@@ -146,7 +196,7 @@ func TestInstallWalkParity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := parts.Hypervisors[s].InstallSenderFlowAt(epoch, a, hdr); err != nil {
+					if err := installHeader(parts, epoch, s, a, hdr); err != nil {
 						t.Fatal(err)
 					}
 					routable++

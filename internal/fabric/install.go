@@ -2,9 +2,11 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 
 	"elmo/internal/controller"
 	"elmo/internal/dataplane"
+	"elmo/internal/header"
 	"elmo/internal/topology"
 )
 
@@ -68,21 +70,47 @@ func (f *Fabric) UninstallEncodingAt(epoch uint64, a dataplane.GroupAddr, enc *c
 
 // InstallGroupAt pushes a group's state into the data plane: s-rules to
 // leaf/spine tables, receive filters to receiver hypervisors, and
-// sender flows (precomputed headers) to sender hypervisors. A sender
-// disconnected by failures (controller.ErrNoPath) or behind a legacy
-// leaf loses whatever flow an earlier install left and is returned; its
-// hypervisor degrades to unicast until repair (§3.3).
+// sender flows (precomputed header streams) to sender hypervisors. A
+// sender disconnected by failures (controller.ErrNoPath) or behind a
+// legacy leaf loses whatever flow an earlier install left and is
+// returned; its hypervisor degrades to unicast until repair (§3.3).
+//
+// The s-rules and receive filters are per group; per sender the walk
+// only specialises the shared encoding into that sender's header
+// stream, every sender into the same buffer — the hypervisor keeps its
+// own copy of the bytes it is sent.
 func (f *Fabric) InstallGroupAt(epoch uint64, ctrl *controller.Controller, key controller.GroupKey) (noPath []topology.HostID, err error) {
 	g := ctrl.Group(key)
 	if g == nil {
 		return nil, fmt.Errorf("fabric: group %v not found", key)
 	}
 	a := addr(key)
-	if err := f.InstallEncodingAt(epoch, a, g.Enc, g.Receivers()); err != nil {
+	// One pass over the member map; both walks below go in ascending
+	// host order, so the device a stale epoch aborts at and the order
+	// of noPath do not depend on map iteration.
+	receivers := make([]topology.HostID, 0, len(g.Members))
+	var senders []topology.HostID
+	for h, r := range g.Members {
+		if r.CanReceive() {
+			receivers = append(receivers, h)
+		}
+		if r.CanSend() {
+			senders = append(senders, h)
+		}
+	}
+	slices.Sort(receivers)
+	slices.Sort(senders)
+	if err := f.InstallEncodingAt(epoch, a, g.Enc, receivers); err != nil {
 		return nil, err
 	}
-	for _, h := range g.Senders() {
-		hdr, err := ctrl.HeaderFor(key, h)
+	topo, cfg, failures := ctrl.Topology(), ctrl.Config(), ctrl.Failures()
+	var scratch controller.SenderScratch
+	// Room for any header a programmable switch can parse; a longer
+	// one only costs the append a heap buffer.
+	var room [header.RMTHeaderVectorSize]byte
+	buf := room[:0]
+	for _, h := range senders {
+		stream, err := controller.AppendSenderStream(buf, &scratch, topo, cfg, g.Enc, h, failures)
 		if err == controller.ErrNoPath || err == controller.ErrLegacyPath {
 			noPath = append(noPath, h)
 			if err := f.Hypervisors[h].RemoveSenderFlowAt(epoch, a); err != nil {
@@ -93,9 +121,10 @@ func (f *Fabric) InstallGroupAt(epoch uint64, ctrl *controller.Controller, key c
 		if err != nil {
 			return nil, err
 		}
-		if err := f.Hypervisors[h].InstallSenderFlowAt(epoch, a, hdr); err != nil {
+		if err := f.Hypervisors[h].InstallSenderFlowAt(epoch, a, stream); err != nil {
 			return nil, err
 		}
+		buf = stream[:0]
 	}
 	return noPath, nil
 }

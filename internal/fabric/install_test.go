@@ -5,6 +5,7 @@ import (
 
 	"elmo/internal/controller"
 	"elmo/internal/dataplane"
+	"elmo/internal/raceflag"
 	"elmo/internal/topology"
 )
 
@@ -31,7 +32,7 @@ func TestInstallEncodingDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Hypervisors[0].InstallSenderFlowAt(0, addr, hdr); err != nil {
+	if err := installHeader(f, 0, 0, addr, hdr); err != nil {
 		t.Fatal(err)
 	}
 	d, err := f.Send(0, addr, []byte("direct"))
@@ -104,5 +105,44 @@ func TestSendWithoutFlowFails(t *testing.T) {
 	_, f := setup(t, topo, testConfig(0))
 	if _, err := f.Send(0, dataplane.GroupAddr{VNI: 5, Group: 5}, []byte("x")); err == nil {
 		t.Fatal("send without installed flow accepted")
+	}
+}
+
+// TestInstallWalkAllocationBudget bounds what one install + uninstall of
+// a 32-member, 8-sender group allocates. The walk's own share is two
+// host slices and the sender scratch; the rest is what the devices keep
+// (one flow and one stream per sender). Building a header.Header per
+// sender again — a dozen allocations each — breaks the budget.
+func TestInstallWalkAllocationBudget(t *testing.T) {
+	raceflag.SkipExactAllocs(t)
+	const budget = 60 // 27 today; 127 with a *header.Header built per sender
+	topo := paperTopo()
+	ctrl, f := setup(t, topo, testConfig(0))
+	key := controller.GroupKey{Tenant: 3, Group: 1}
+	members := make(map[topology.HostID]controller.Role)
+	for h := 0; h < topo.NumHosts(); h += 2 {
+		members[topology.HostID(h)] = controller.RoleReceiver
+		if h%8 == 0 {
+			members[topology.HostID(h)] = controller.RoleBoth
+		}
+	}
+	if _, err := ctrl.CreateGroup(key, members); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ctrl.Group(key).Senders()); len(members) != 32 || n != 8 {
+		t.Fatalf("group has %d members, %d senders", len(members), n)
+	}
+	cycle := func() {
+		if noPath, err := f.InstallGroupAt(0, ctrl, key); err != nil || len(noPath) != 0 {
+			t.Fatalf("install: %v, no path %v", err, noPath)
+		}
+		if err := f.UninstallGroupAt(0, ctrl, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs > budget {
+		t.Fatalf("install + uninstall allocated %.0f times, budget %d", allocs, budget)
+	} else {
+		t.Logf("install + uninstall: %.0f allocations", allocs)
 	}
 }

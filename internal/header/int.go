@@ -39,7 +39,7 @@ const intRecordSize = 4
 
 // AppendINTSection appends an (initially empty or pre-filled) INT
 // section to dst.
-func appendINTSection(dst []byte, records []INTRecord) ([]byte, error) {
+func AppendINTSection(dst []byte, records []INTRecord) ([]byte, error) {
 	if len(records) > 255 {
 		return dst, fmt.Errorf("header: %d INT records exceeds section limit", len(records))
 	}

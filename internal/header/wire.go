@@ -33,54 +33,43 @@ const upMultipathBit = 0x01
 // popping a section is a pure suffix operation. The encoding is
 // deterministic. It returns an error if any rule violates framing
 // limits or a bitmap width disagrees with the layout.
+//
+// It is the section appenders below applied to h's fields in tag order;
+// a caller that holds a header's parts in another shape (the
+// controller's per-sender specialisation of a shared encoding) calls
+// the appenders itself and produces the same bytes.
 func AppendEncode(dst []byte, l Layout, h *Header) ([]byte, error) {
 	if err := l.Validate(); err != nil {
 		return dst, err
 	}
-	if h.ULeaf != nil {
-		var err error
-		dst, err = appendUpstream(dst, TagULeaf, l.LeafDown, l.LeafUp, h.ULeaf)
-		if err != nil {
+	var err error
+	if r := h.ULeaf; r != nil {
+		if dst, err = AppendUpstream(dst, l, TagULeaf, r.Down, r.Up, r.Multipath); err != nil {
 			return dst, err
 		}
 	}
-	if h.USpine != nil {
-		var err error
-		dst, err = appendUpstream(dst, TagUSpine, l.SpineDown, l.SpineUp, h.USpine)
-		if err != nil {
+	if r := h.USpine; r != nil {
+		if dst, err = AppendUpstream(dst, l, TagUSpine, r.Down, r.Up, r.Multipath); err != nil {
 			return dst, err
 		}
 	}
 	if h.Core != nil {
-		if h.Core.Width() != l.CoreDown {
-			return dst, fmt.Errorf("header: core bitmap width %d, layout wants %d", h.Core.Width(), l.CoreDown)
-		}
-		dst = append(dst, TagCore)
-		dst = h.Core.AppendWire(dst)
-	}
-	if len(h.DSpine) > 0 || h.DSpineDefault != nil {
-		var err error
-		dst, err = appendDownstream(dst, TagDSpine, l.SpineDown, h.DSpine, h.DSpineDefault)
-		if err != nil {
+		if dst, err = AppendCore(dst, l, *h.Core); err != nil {
 			return dst, err
 		}
 	}
-	if len(h.DLeaf) > 0 || h.DLeafDefault != nil {
-		var err error
-		dst, err = appendDownstream(dst, TagDLeaf, l.LeafDown, h.DLeaf, h.DLeafDefault)
-		if err != nil {
-			return dst, err
-		}
+	if dst, err = AppendDownstream(dst, l, TagDSpine, h.DSpine, h.DSpineDefault, KeepAll); err != nil {
+		return dst, err
+	}
+	if dst, err = AppendDownstream(dst, l, TagDLeaf, h.DLeaf, h.DLeafDefault, KeepAll); err != nil {
+		return dst, err
 	}
 	if h.INTEnabled {
-		var err error
-		dst, err = appendINTSection(dst, h.INT)
-		if err != nil {
+		if dst, err = AppendINTSection(dst, h.INT); err != nil {
 			return dst, err
 		}
 	}
-	dst = append(dst, TagEnd)
-	return dst, nil
+	return append(dst, TagEnd), nil
 }
 
 // Encode is AppendEncode into a fresh slice.
@@ -88,30 +77,70 @@ func Encode(l Layout, h *Header) ([]byte, error) {
 	return AppendEncode(make([]byte, 0, EncodedSize(l, h)), l, h)
 }
 
-func appendUpstream(dst []byte, tag byte, downW, upW int, r *UpstreamRule) ([]byte, error) {
-	if r.Down.Width() != downW {
-		return dst, fmt.Errorf("header: upstream down bitmap width %d, layout wants %d", r.Down.Width(), downW)
+// AppendUpstream appends one upstream section — tag TagULeaf or
+// TagUSpine, the multipath flag, then the down and up bitmaps, whose
+// widths must be the layout's for that tag.
+func AppendUpstream(dst []byte, l Layout, tag byte, down, up bitmap.Bitmap, multipath bool) ([]byte, error) {
+	downW, upW, err := upstreamWidths(l, tag)
+	if err != nil {
+		return dst, err
 	}
-	if r.Up.Width() != upW {
-		return dst, fmt.Errorf("header: upstream up bitmap width %d, layout wants %d", r.Up.Width(), upW)
+	if down.Width() != downW {
+		return dst, fmt.Errorf("header: upstream down bitmap width %d, layout wants %d", down.Width(), downW)
 	}
-	dst = append(dst, tag)
+	if up.Width() != upW {
+		return dst, fmt.Errorf("header: upstream up bitmap width %d, layout wants %d", up.Width(), upW)
+	}
 	var flags byte
-	if r.Multipath {
+	if multipath {
 		flags |= upMultipathBit
 	}
-	dst = append(dst, flags)
-	dst = r.Down.AppendWire(dst)
-	dst = r.Up.AppendWire(dst)
-	return dst, nil
+	dst = append(dst, tag, flags)
+	dst = down.AppendWire(dst)
+	return up.AppendWire(dst), nil
 }
 
-func appendDownstream(dst []byte, tag byte, width int, rules []PRule, def *bitmap.Bitmap) ([]byte, error) {
-	if len(rules) > MaxRulesPerSection {
-		return dst, fmt.Errorf("header: %d rules exceeds section limit %d", len(rules), MaxRulesPerSection)
+// AppendCore appends the core section: the bitmap over pods.
+func AppendCore(dst []byte, l Layout, pods bitmap.Bitmap) ([]byte, error) {
+	if pods.Width() != l.CoreDown {
+		return dst, fmt.Errorf("header: core bitmap width %d, layout wants %d", pods.Width(), l.CoreDown)
 	}
-	dst = append(dst, tag, byte(len(rules)))
-	for i, r := range rules {
+	return pods.AppendWire(append(dst, TagCore)), nil
+}
+
+// KeepAll is the AppendDownstream omit argument that drops no rule.
+const KeepAll = -1
+
+// AppendDownstream appends one downstream section — tag TagDSpine or
+// TagDLeaf — holding rules and the optional default rule. A rule that
+// names switch omit and no other is left out: a sender's packets never
+// come back down to its own leaf or pod, so carrying that rule would
+// only cost header bytes (KeepAll keeps every rule). When no rule
+// remains and there is no default, the section is absent and dst is
+// returned as it came.
+func AppendDownstream(dst []byte, l Layout, tag byte, rules []PRule, def *bitmap.Bitmap, omit int) ([]byte, error) {
+	width, err := downstreamWidth(l, tag)
+	if err != nil {
+		return dst, err
+	}
+	kept := len(rules)
+	for i := range rules {
+		if namesOnly(&rules[i], omit) {
+			kept--
+		}
+	}
+	if kept == 0 && def == nil {
+		return dst, nil
+	}
+	if kept > MaxRulesPerSection {
+		return dst, fmt.Errorf("header: %d rules exceeds section limit %d", kept, MaxRulesPerSection)
+	}
+	dst = append(dst, tag, byte(kept))
+	for i := range rules {
+		r := &rules[i]
+		if namesOnly(r, omit) {
+			continue
+		}
 		if len(r.Switches) == 0 {
 			return dst, fmt.Errorf("header: rule %d has no switch identifiers", i)
 		}
@@ -127,16 +156,29 @@ func appendDownstream(dst []byte, tag byte, width int, rules []PRule, def *bitma
 		}
 		dst = r.Bitmap.AppendWire(dst)
 	}
-	if def != nil {
-		if def.Width() != width {
-			return dst, fmt.Errorf("header: default bitmap width %d, layout wants %d", def.Width(), width)
-		}
-		dst = append(dst, 1)
-		dst = def.AppendWire(dst)
-	} else {
-		dst = append(dst, 0)
+	if def == nil {
+		return append(dst, 0), nil
 	}
-	return dst, nil
+	if def.Width() != width {
+		return dst, fmt.Errorf("header: default bitmap width %d, layout wants %d", def.Width(), width)
+	}
+	return def.AppendWire(append(dst, 1)), nil
+}
+
+func downstreamWidth(l Layout, tag byte) (int, error) {
+	switch tag {
+	case TagDSpine:
+		return l.SpineDown, nil
+	case TagDLeaf:
+		return l.LeafDown, nil
+	default:
+		return 0, fmt.Errorf("header: tag %#x is not a downstream section", tag)
+	}
+}
+
+// namesOnly reports whether the rule lists switch sw and no other.
+func namesOnly(r *PRule, sw int) bool {
+	return len(r.Switches) == 1 && int(r.Switches[0]) == sw
 }
 
 // EncodedSize returns the exact number of bytes AppendEncode will

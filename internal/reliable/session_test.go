@@ -171,11 +171,7 @@ func TestSessionUnicastFallback(t *testing.T) {
 	if sess.UnicastFallbacks != 1 {
 		t.Fatalf("want 1 unicast fallback, got %d", sess.UnicastFallbacks)
 	}
-	hdr, err := ctrl.HeaderFor(key, sender)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fab.Hypervisors[sender].InstallSenderFlowAt(0, addr, hdr); err != nil {
+	if _, err := fab.InstallGroupAt(0, ctrl, key); err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.Publish([]byte("post")); err != nil {

@@ -27,7 +27,6 @@ import (
 	"elmo/internal/dataplane"
 	"elmo/internal/fabric"
 	"elmo/internal/groupgen"
-	"elmo/internal/header"
 	"elmo/internal/metrics"
 	"elmo/internal/placement"
 	"elmo/internal/telemetry"
@@ -177,6 +176,8 @@ func RunScalability(cfg ScalabilityConfig) (*ScalabilityResult, error) {
 	// The encoder phase fans out across workers; this measurement
 	// callback runs serially in group order (the batch committer), so
 	// the rng draw sequence and all aggregates match a serial run.
+	var senderScratch controller.SenderScratch
+	var streamBuf []byte
 	measure := func(gi int, enc *controller.Encoding) error {
 		g := &groups[gi]
 		switch {
@@ -195,17 +196,18 @@ func RunScalability(cfg ScalabilityConfig) (*ScalabilityResult, error) {
 		// Traffic measurement: one packet from a random member through
 		// the real data plane.
 		sender := g.Hosts[rng.Intn(len(g.Hosts))]
-		hdr, err := controller.SenderHeader(topo, cfg.Controller, enc, sender, nil)
+		stream, err := controller.AppendSenderStream(streamBuf[:0], &senderScratch, topo, cfg.Controller, enc, sender, nil)
 		if err != nil {
 			return fmt.Errorf("sim: header for group %d: %w", g.ID, err)
 		}
-		res.HeaderBytes.Add(float64(header.EncodedSize(header.LayoutFor(topo), hdr)))
+		streamBuf = stream
+		res.HeaderBytes.Add(float64(len(stream)))
 
 		addr := dataplane.GroupAddr{VNI: uint32(g.Tenant), Group: g.ID}
 		if err := fab.InstallEncodingAt(0, addr, enc, g.Hosts); err != nil {
 			return err
 		}
-		if err := fab.Hypervisors[sender].InstallSenderFlowAt(0, addr, hdr); err != nil {
+		if err := fab.Hypervisors[sender].InstallSenderFlowAt(0, addr, stream); err != nil {
 			return err
 		}
 		sampleBaselines := cfg.BaselineSampleEvery > 0 && gi%cfg.BaselineSampleEvery == 0

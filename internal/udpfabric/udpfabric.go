@@ -10,7 +10,7 @@
 // per hop, the shape a userspace software-switch deployment (PISCES/
 // OVS-style) actually has. It is used by tests and examples, not by
 // the large-scale simulations. This package is only the socket
-// transport — binding, the batched reader and send accounting; the
+// transport — binding, the per-socket reader and send accounting; the
 // per-hop step is fabric.WireEngine's.
 package udpfabric
 
@@ -162,45 +162,21 @@ func (u *UDPFabric) WaitForDeliveries(h topology.HostID, n int, timeout time.Dur
 // transient socket read errors.
 const readErrBackoffCap = 100 * time.Millisecond
 
-// readBatch caps how many queued datagrams one reader wakeup drains
-// before processing them, emulating recvmmsg-style batching with the
-// stdlib: one blocking read, then non-blocking polls until the socket
-// queue is empty or the batch is full.
-const readBatch = 32
-
-// pastDeadline is any instant in the past; setting it as a read
-// deadline turns ReadFromUDP into a non-blocking poll.
-var pastDeadline = time.Unix(1, 0)
-
-// readLoop drains one socket, handing each datagram to fn until close.
-// Frames are drawn from a per-reader freelist and recycled after fn
-// returns, so fn must not retain wire (or any slice aliasing it)
-// beyond its call. Each wakeup coalesces up to readBatch datagrams:
-// the first read blocks, the rest poll with an already-expired
-// deadline and stop at the first timeout. Transient read errors on the
-// blocking read (e.g. ECONNREFUSED bounced back on localhost, buffer
-// pressure) are counted and retried with exponential backoff capped at
-// readErrBackoffCap; poll timeouts are the normal empty-queue signal
-// and are never counted. Only a closed socket or fabric stop ends the
-// loop.
+// readLoop reads one socket, handing each datagram to fn until close.
+// Every datagram lands in the one buffer this reader owns, so fn must
+// not retain wire (or any slice aliasing it) beyond its call. The read
+// blocks only when the socket queue is empty — Go's ReadFromUDP issues
+// recvfrom first and parks on EAGAIN — so a queued burst is consumed
+// back to back at one syscall per datagram. Transient read errors (e.g.
+// ECONNREFUSED bounced back on localhost, buffer pressure) are counted
+// and retried with exponential backoff capped at readErrBackoffCap.
+// Only a closed socket or fabric stop ends the loop.
 func (u *UDPFabric) readLoop(conn *net.UDPConn, fn func(wire []byte)) {
-	var free [][]byte
-	batch := make([][]byte, 0, readBatch)
-	getFrame := func() []byte {
-		if n := len(free); n > 0 {
-			f := free[n-1]
-			free = free[:n-1]
-			return f
-		}
-		return make([]byte, maxFrame)
-	}
+	frame := make([]byte, maxFrame)
 	backoff := time.Duration(0)
 	for {
-		conn.SetReadDeadline(time.Time{})
-		frame := getFrame()
 		n, _, err := conn.ReadFromUDP(frame)
 		if err != nil {
-			free = append(free, frame)
 			if errors.Is(err, net.ErrClosed) {
 				return
 			}
@@ -220,25 +196,6 @@ func (u *UDPFabric) readLoop(conn *net.UDPConn, fn func(wire []byte)) {
 		}
 		backoff = 0
 		u.metrics.onRecv()
-		batch = append(batch, frame[:n])
-		conn.SetReadDeadline(pastDeadline)
-		for len(batch) < readBatch {
-			frame := getFrame()
-			n, _, err := conn.ReadFromUDP(frame)
-			if err != nil {
-				// Timeout means the queue is drained; a real error
-				// (including close) recurs on the next blocking read,
-				// where it is counted or ends the loop.
-				free = append(free, frame)
-				break
-			}
-			u.metrics.onRecv()
-			batch = append(batch, frame[:n])
-		}
-		for _, wire := range batch {
-			fn(wire)
-			free = append(free, wire[:maxFrame])
-		}
-		batch = batch[:0]
+		fn(frame[:n])
 	}
 }

@@ -80,7 +80,10 @@ func (l *Log) flusher() {
 	}
 }
 
-// commitBatch writes and syncs one batch, then releases its Acks.
+// commitBatch writes and syncs one batch, then releases its Acks. The
+// batch's frames are gathered in l.frames and handed to the segment in
+// one write — one per segment when a rotation falls inside the batch —
+// so a batch costs one syscall before its fsync, not two per record.
 func (l *Log) commitBatch(batch []*Ack) {
 	start := time.Now()
 	err := l.flushErr
@@ -90,10 +93,21 @@ func (l *Log) commitBatch(batch []*Ack) {
 			if a.barrier {
 				continue
 			}
-			if err = l.writeFrame(a); err != nil {
-				break
+			if l.cur == nil || (l.curSize > 0 && l.curSize >= int64(l.opts.SegmentBytes)) {
+				// The frames gathered so far belong to the segment
+				// this record is too late for.
+				if err = l.writeFrames(); err == nil {
+					err = l.rotate(a.lsn)
+				}
+				if err != nil {
+					break
+				}
 			}
+			l.appendFrame(a)
 			records++
+		}
+		if err == nil {
+			err = l.writeFrames()
 		}
 	}
 	if err == nil && records > 0 {
@@ -124,14 +138,10 @@ func (l *Log) commitBatch(batch []*Ack) {
 	}
 }
 
-// writeFrame appends one record frame to the current segment, rotating
-// first when the segment is full.
-func (l *Log) writeFrame(a *Ack) error {
-	if l.cur == nil || (l.curSize > 0 && l.curSize >= int64(l.opts.SegmentBytes)) {
-		if err := l.rotate(a.lsn); err != nil {
-			return err
-		}
-	}
+// appendFrame frames one record onto l.frames; curSize counts it as
+// part of the current segment at once, so rotation falls where it would
+// if every frame were written as it was framed.
+func (l *Log) appendFrame(a *Ack) {
 	var hdr [frameHeader + 1]byte
 	size := uint32(1 + len(a.data))
 	binary.BigEndian.PutUint32(hdr[4:8], size)
@@ -141,18 +151,22 @@ func (l *Log) writeFrame(a *Ack) error {
 	crc := crc32.Checksum(hdr[4:], castagnoli)
 	crc = crc32.Update(crc, castagnoli, a.data)
 	binary.BigEndian.PutUint32(hdr[0:4], crc)
-	if _, err := l.cur.Write(hdr[:]); err != nil {
-		return err
+	l.frames = append(append(l.frames, hdr[:]...), a.data...)
+	l.curSize += int64(frameHeader) + int64(size)
+}
+
+// writeFrames hands the gathered frames to the current segment in one
+// write and empties the buffer.
+func (l *Log) writeFrames() error {
+	if len(l.frames) == 0 {
+		return nil
 	}
-	if _, err := l.cur.Write(a.data); err != nil {
-		return err
-	}
-	n := int64(frameHeader) + int64(size)
-	l.curSize += n
+	n, err := l.w.Write(l.frames)
+	l.frames = l.frames[:0]
 	if m := l.opts.Metrics; m != nil {
-		m.bytes.Add(n)
+		m.bytes.Add(int64(n))
 	}
-	return nil
+	return err
 }
 
 // rotate syncs and closes the current segment and opens a new one
@@ -172,11 +186,20 @@ func (l *Log) rotate(firstLSN uint64) error {
 	if err != nil {
 		return err
 	}
-	l.cur, l.curSize, l.curFirst = f, 0, firstLSN
+	l.setSegment(f, 0, firstLSN)
 	if m := l.opts.Metrics; m != nil {
 		m.segments.Inc()
 	}
 	return nil
+}
+
+// setSegment makes f, holding size bytes, the segment frames go to.
+func (l *Log) setSegment(f *os.File, size int64, firstLSN uint64) {
+	l.cur, l.curSize, l.curFirst = f, size, firstLSN
+	l.w = f
+	if l.opts.wrapWriter != nil {
+		l.w = l.opts.wrapWriter(f)
+	}
 }
 
 // syncFile fsyncs the current segment (unless NoSync).

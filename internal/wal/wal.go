@@ -77,6 +77,10 @@ type Options struct {
 	// already in the log (epochs never regress within one directory),
 	// so 0 — the lowest epoch — defers to whatever the log holds.
 	Epoch uint64
+
+	// wrapWriter, when set (by this package's tests), wraps every
+	// segment file as the writer its frames go through.
+	wrapWriter func(io.Writer) io.Writer
 }
 
 func (o Options) withDefaults() Options {
@@ -114,10 +118,14 @@ type Log struct {
 	queue chan *Ack
 	done  chan struct{}
 
-	// flusher-owned state (no locking: single goroutine).
+	// flusher-owned state (no locking: single goroutine). w is cur as
+	// the writer frames go through; frames gathers one batch's frames
+	// for cur, and curSize counts them from the moment they are framed.
 	cur      *os.File
+	w        io.Writer
 	curSize  int64
 	curFirst uint64
+	frames   []byte
 	flushErr error
 }
 
@@ -187,7 +195,7 @@ func Open(opts Options) (*Log, error) {
 			f.Close()
 			return nil, fmt.Errorf("wal: %w", err)
 		}
-		l.cur, l.curSize, l.curFirst = f, validLen, last.first
+		l.setSegment(f, validLen, last.first)
 	}
 	go l.flusher()
 	return l, nil
