@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify race lint bench-gate bench-all fuzz trace chaos durable partition
+.PHONY: all build test verify race lint loc bench-gate bench-all fuzz trace chaos durable partition
 
 all: verify
 
@@ -34,6 +34,14 @@ lint:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
 	fi
 
+# loc prints the non-test Go lines (raw `wc -l`) of every package and
+# their total, leaving out the nested benchmark/ module: the count a
+# simplicity change reports before and after.
+loc:
+	@git ls-files -co --exclude-standard -- '*.go' ':!*_test.go' ':!benchmark/' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
 # bench-gate is the performance gate, made only of exact checks (no
 # wall-clock number, so it can block merges on shared runners): the
 # warm-scratch clustering kernel allocates nothing, a fabric with a
@@ -42,8 +50,10 @@ lint:
 # the frozen reference pipeline emits, a sender's header stream is
 # written without allocating and equals the frozen header assembly byte
 # for byte, a group install stays inside its allocation budget, and
-# short runs of the repo's benchmark (BENCHMARK.json) on the data path
-# and on the control path pass their own oracles and exit 0.
+# short runs of the repo's benchmark (BENCHMARK.json) on the data path,
+# on the control path and on bulk install + snapshot + crash recovery
+# (the only workload that drives InstallBatch, WriteState/ReadState and
+# replay through a fingerprint oracle) pass their own oracles and exit 0.
 bench-gate:
 	$(GO) test -run 'TestAssignIntoWarmScratchZeroAlloc' -count=1 ./internal/cluster/
 	$(GO) test -run 'TestObserverDisabledAddsNoAllocations' -count=1 -v ./internal/obs/
@@ -52,6 +62,7 @@ bench-gate:
 	$(GO) test -run 'TestInstallWalkAllocationBudget' -count=1 ./internal/fabric/
 	bash benchmark/run.sh --workload fanout-sync --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload lifecycle --seed 1 --seconds 2 --trace 0
+	bash benchmark/run.sh --workload bulk-recover --seed 1 --seconds 2 --trace 0
 
 # bench-all runs the full figure/table benchmark suite.
 bench-all:

@@ -60,6 +60,24 @@ func TestDispatchLifecycle(t *testing.T) {
 	}
 }
 
+// TestFailRepairRejectsUnknownSwitch: a switch id that does not exist
+// is an error line, not a panic in the topology and not a phantom entry
+// in the failure set, and the server keeps answering.
+func TestFailRepairRejectsUnknownSwitch(t *testing.T) {
+	s := testServer(t)
+	for _, cmd := range []string{"fail spine 9999", "fail spine -1", "repair core 9999", "fail core 9999", "repair spine -1"} {
+		if resp := s.dispatch(cmd); !strings.HasPrefix(resp, "err:") || !strings.Contains(resp, "out of range") {
+			t.Fatalf("%q: response %q, want an out-of-range error", cmd, resp)
+		}
+		if sp, co := s.cl.Ctrl.Failures().NumFailed(); sp != 0 || co != 0 {
+			t.Fatalf("%q left %d spines and %d cores failed", cmd, sp, co)
+		}
+	}
+	if resp := s.dispatch("fail spine 0"); !strings.HasSuffix(resp, "\nok") {
+		t.Fatalf("server stopped serving after rejected ids: %q", resp)
+	}
+}
+
 // TestSessionOverTCP exercises the real network path: a TCP listener,
 // a client connection, and the line protocol.
 func TestSessionOverTCP(t *testing.T) {

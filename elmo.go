@@ -192,26 +192,46 @@ func (c *Cluster) Send(sender HostID, key GroupKey, inner []byte) (*Delivery, er
 // FailSpine marks a spine failed and refreshes the sender headers of
 // impacted groups, returning how many groups were impacted.
 func (c *Cluster) FailSpine(s SpineID) (int, error) {
-	n := c.Ctrl.FailSpine(s)
-	return n, c.refreshAllSenders()
+	if err := checkSwitch("spine", int(s), c.Topo.NumSpines()); err != nil {
+		return 0, err
+	}
+	return c.Ctrl.FailSpine(s), c.refreshAllSenders()
 }
 
 // FailCore marks a core failed, refreshing impacted groups.
 func (c *Cluster) FailCore(co CoreID) (int, error) {
-	n := c.Ctrl.FailCore(co)
-	return n, c.refreshAllSenders()
+	if err := checkSwitch("core", int(co), c.Topo.NumCores()); err != nil {
+		return 0, err
+	}
+	return c.Ctrl.FailCore(co), c.refreshAllSenders()
 }
 
 // RepairSpine restores a spine and re-enables multipathing.
 func (c *Cluster) RepairSpine(s SpineID) (int, error) {
-	n := c.Ctrl.RepairSpine(s)
-	return n, c.refreshAllSenders()
+	if err := checkSwitch("spine", int(s), c.Topo.NumSpines()); err != nil {
+		return 0, err
+	}
+	return c.Ctrl.RepairSpine(s), c.refreshAllSenders()
 }
 
 // RepairCore restores a core.
 func (c *Cluster) RepairCore(co CoreID) (int, error) {
-	n := c.Ctrl.RepairCore(co)
-	return n, c.refreshAllSenders()
+	if err := checkSwitch("core", int(co), c.Topo.NumCores()); err != nil {
+		return 0, err
+	}
+	return c.Ctrl.RepairCore(co), c.refreshAllSenders()
+}
+
+// checkSwitch rejects a switch id outside [0, n). Ids reach the failure
+// and repair calls from outside the program (elmo-ctl), and an unknown
+// switch must be an ordinary error before the shared failure set is
+// touched, not a panic in the topology or a failed switch that does not
+// exist.
+func checkSwitch(tier string, id, n int) error {
+	if id < 0 || id >= n {
+		return fmt.Errorf("elmo: %s %d out of range [0,%d)", tier, id, n)
+	}
+	return nil
 }
 
 // refreshAllSenders reinstalls sender flows for every group (the

@@ -23,9 +23,8 @@
 // allocation-free core: all working state lives in a caller-provided
 // Scratch, the greedy loop maintains its union and redundancy sums
 // incrementally (O(1) per candidate instead of O(picked) bitmap
-// temporaries), and the returned Assignment aliases scratch memory.
-// Assign wraps it with a private scratch and deep-copied results for
-// callers that want owned data.
+// temporaries), and the returned Assignment aliases scratch memory;
+// callers that keep a result Clone it.
 package cluster
 
 import (
@@ -36,8 +35,8 @@ import (
 )
 
 // Member is one switch at a layer with its required output ports.
-// Switch IDs must be unique within one Assign call (a switch appears at
-// most once on a group's tree at a layer).
+// Switch IDs must be unique within one AssignInto call (a switch
+// appears at most once on a group's tree at a layer).
 type Member struct {
 	// Switch is the logical switch identifier (pod ID for the spine
 	// layer, global leaf ID for the leaf layer).
@@ -159,30 +158,19 @@ type Scratch struct {
 	defPops     []int
 }
 
-// Assign runs Algorithm 1 over the members of one layer.
-// Members must have bitmaps of equal width and unique Switch IDs; the
-// slice may be in any order, and is not modified. The result is
-// deterministic and owns all of its memory.
+// AssignInto runs Algorithm 1 over the members of one layer. Members
+// must have bitmaps of equal width and unique Switch IDs; the slice may
+// be in any order, and is not modified. The result is deterministic.
 //
-// Assign is safe for concurrent use: it reads its inputs (including
-// the member bitmaps, which it never mutates) and builds fresh output
-// structures, so the parallel controller pipeline runs it from many
-// workers against shared member slices. The HasSRuleCapacity callback
-// must itself be safe to call concurrently (the controller passes
-// closures over atomic occupancy counters).
-func Assign(members []Member, c Constraints) Assignment {
-	var s Scratch
-	return AssignInto(members, c, &s).Clone()
-}
-
-// AssignInto is the allocation-free core of Assign: identical output,
-// but every temporary lives in s and the returned Assignment's slices,
+// Every temporary lives in s, and the returned Assignment's slices,
 // bitmaps, and SRules map alias scratch memory (SRules values and the
 // Default bitmap may also alias input member bitmaps). The result is
 // valid only until the next AssignInto call with the same scratch;
-// callers that persist it must Clone. Like Assign it never mutates the
-// member bitmaps, but the scratch itself is not safe for concurrent
-// use.
+// callers that persist it must Clone. It never mutates the member
+// bitmaps, so workers may share member slices, but the scratch itself is
+// not safe for concurrent use, and the HasSRuleCapacity callback must be
+// safe to call from every worker that runs (the controller passes
+// closures over atomic occupancy counters).
 func AssignInto(members []Member, c Constraints, s *Scratch) Assignment {
 	if s.srules == nil {
 		s.srules = make(map[uint16]bitmap.Bitmap)

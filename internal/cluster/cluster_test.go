@@ -10,6 +10,14 @@ import (
 	"elmo/internal/bitmap"
 )
 
+// Assign is AssignInto with a scratch of its own and a deep-copied
+// result, so tests (and ExampleAssign) may hold the assignment
+// indefinitely and call it from many goroutines at once.
+func Assign(members []Member, c Constraints) Assignment {
+	var s Scratch
+	return AssignInto(members, c, &s).Clone()
+}
+
 func noCapacity(uint16) bool   { return false }
 func fullCapacity(uint16) bool { return true }
 

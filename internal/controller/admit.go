@@ -1,0 +1,57 @@
+package controller
+
+// This file is the only place the admission transaction lives. The one
+// thing that couples a group's encoding to every other group's is the
+// shared s-rule budget Fmax per switch (§3.2, Algorithm 1 "has s-rule
+// capacity"), so every encoding that enters controller state — a new
+// group, a retree, a restored snapshot, one element of a batch — goes
+// through admitEncoding: release what it replaces, settle its capacity
+// answers against the live counters, publish it, charge it.
+
+// encodeFunc computes one group's encoding against a capacity view.
+type encodeFunc func(CapacityFunc) (*Encoding, error)
+
+// admitEncoding replaces old (nil for a new group) with a new encoding
+// in one transaction under the admission mutex:
+//
+//	Release(old) → validate sp, or encode against the live counters
+//	             → publish(enc) → Commit(enc)
+//
+// sp is a speculation: an encoding computed outside the mutex against a
+// recording view in which old already counted as released. It is
+// accepted when every capacity answer it recorded still holds now that
+// old is released — it is then exactly what encode would return here —
+// and discarded otherwise, or when it errored under its stale view; a
+// nil sp means nothing was computed ahead. publish makes the encoding
+// visible (map insert, g.Enc store, stats charges) and may refuse it. If
+// encode or publish fails, old is charged back, so occupancy is never
+// left charged for state that was not published. atCommit reports
+// whether the encoding was computed under the mutex rather than taken
+// from sp.
+func (o *Occupancy) admitEncoding(old *Encoding, sp *capRecorder, encode encodeFunc, publish func(*Encoding) error) (atCommit bool, err error) {
+	o.admit.Lock()
+	defer o.admit.Unlock()
+	return o.admitEncodingLocked(old, sp, encode, publish)
+}
+
+// admitEncodingLocked is admitEncoding for a caller that already holds
+// the admission mutex as part of the full barrier (lockAll).
+func (o *Occupancy) admitEncodingLocked(old *Encoding, sp *capRecorder, encode encodeFunc, publish func(*Encoding) error) (atCommit bool, err error) {
+	o.Release(old)
+	var enc *Encoding
+	if sp != nil && sp.err == nil && sp.valid() {
+		enc = sp.enc
+	} else {
+		atCommit = true
+		if enc, err = encode(o.CapacityFunc()); err != nil {
+			o.Commit(old)
+			return atCommit, err
+		}
+	}
+	if err = publish(enc); err != nil {
+		o.Commit(old)
+		return atCommit, err
+	}
+	o.Commit(enc)
+	return atCommit, nil
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -54,6 +55,35 @@ func occSnapshot(c *Controller) ([]int, []int) {
 		spines[s] = c.SpineSRuleCount(topology.SpineID(s))
 	}
 	return leaves, spines
+}
+
+// requireOccupancyConserved asserts the occupancy counters equal what
+// the published encodings hold: a leaf's count is the number of live
+// groups with an s-rule on it, a physical spine's the number of live
+// groups with an s-rule on its pod. An admission that charged state it
+// did not publish, or published state it did not charge, breaks it.
+func requireOccupancyConserved(t *testing.T, c *Controller) {
+	t.Helper()
+	topo := c.Topology()
+	wantLeaf := make([]int, topo.NumLeaves())
+	wantSpine := make([]int, topo.NumSpines())
+	for _, enc := range encSnapshot(c) {
+		for l := range enc.LeafSRules {
+			wantLeaf[l]++
+		}
+		for p := range enc.SpineSRules {
+			for plane := 0; plane < topo.Config().SpinesPerPod; plane++ {
+				wantSpine[topo.SpineAt(p, plane)]++
+			}
+		}
+	}
+	gotLeaf, gotSpine := occSnapshot(c)
+	if !reflect.DeepEqual(gotLeaf, wantLeaf) {
+		t.Fatalf("leaf occupancy %v, but the live encodings hold %v", gotLeaf, wantLeaf)
+	}
+	if !reflect.DeepEqual(gotSpine, wantSpine) {
+		t.Fatalf("spine occupancy %v, but the live encodings hold %v", gotSpine, wantSpine)
+	}
 }
 
 // encSnapshot collects every group's encoding.
@@ -361,6 +391,7 @@ func TestJoinRollbackAccounting(t *testing.T) {
 	if got := c.Stats().Hypervisor[18]; got != 1 {
 		t.Fatalf("hypervisor 18 = %d updates, want 1", got)
 	}
+	requireOccupancyConserved(t, c)
 }
 
 // TestLeaveRollbackAccounting exercises the symmetric Leave rollback.
@@ -417,6 +448,7 @@ func TestLeaveRollbackAccounting(t *testing.T) {
 			t.Fatal("Leave trace event emitted for a rolled-back leave")
 		}
 	}
+	requireOccupancyConserved(t, c)
 }
 
 // TestConcurrentControllerStress (satellite: run under -race via `make
@@ -554,4 +586,73 @@ func TestConcurrentControllerStress(t *testing.T) {
 	// no-op detection; with join-only churn per host they do not. Compare
 	// everything.
 	requireSameState(t, "concurrent vs serial", serial, concurrent)
+	requireOccupancyConserved(t, concurrent)
+}
+
+// TestInstallBatchRacesExternalCreates: goroutines CreateGroup the very
+// keys a running 4-worker InstallBatch carries, on tables tight enough
+// that admissions also contend for s-rules. Each key must end up
+// installed exactly once and won by exactly one of its two callers; a
+// batch that lost a key stops there with a *BatchError naming the index
+// and everything before it installed; and no s-rule is charged for a
+// loser's encoding.
+func TestInstallBatchRacesExternalCreates(t *testing.T) {
+	topo := paperTopo()
+	cfg := testConfig(1)
+	cfg.SRuleCapacity = 2
+	for trial := int64(0); trial < 4; trial++ {
+		specs := randSpecs(4, 600, 60+trial, topo.NumHosts())
+		c, err := New(topo, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Once the batch is under way, two creators walk the keys down
+		// from the end and one up from the middle, so the batch meets
+		// them part-way through. Only the winner of a key writes its slot.
+		created := make([]bool, len(specs))
+		var wg sync.WaitGroup
+		for _, order := range [][2]int{{len(specs) - 1, -2}, {len(specs) - 2, -2}, {len(specs) / 2, 1}} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for c.NumGroups() == 0 {
+					runtime.Gosched()
+				}
+				for i := order[0]; i >= 0 && i < len(specs); i += order[1] {
+					if _, err := c.CreateGroup(specs[i].Key, specs[i].Members); err == nil {
+						created[i] = true
+					}
+				}
+			}()
+		}
+		res, err := c.InstallBatch(specs, BatchOptions{Workers: 4})
+		wg.Wait()
+		t.Logf("trial %d: batch installed %d of %d (recomputed %d): %v", trial, res.Installed, len(specs), res.Recomputed, err)
+		stop := len(specs)
+		if err != nil {
+			var be *BatchError
+			if !errors.As(err, &be) {
+				t.Fatalf("trial %d: error %v is not a *BatchError", trial, err)
+			}
+			stop = be.Index
+			if !created[stop] {
+				t.Fatalf("trial %d: batch lost index %d to nobody: %v", trial, stop, err)
+			}
+		}
+		if res.Installed != stop {
+			t.Fatalf("trial %d: batch installed %d, want every spec before %d", trial, res.Installed, stop)
+		}
+		for i, s := range specs {
+			if created[i] == (i < stop) {
+				t.Fatalf("trial %d: key %d (batch stopped at %d): create succeeded = %t", trial, i, stop, created[i])
+			}
+			if g := c.Group(s.Key); g == nil || !reflect.DeepEqual(g.Members, s.Members) {
+				t.Fatalf("trial %d: key %d not installed with its members", trial, i)
+			}
+		}
+		if got := c.NumGroups(); got != len(specs) {
+			t.Fatalf("trial %d: %d groups, want %d", trial, got, len(specs))
+		}
+		requireOccupancyConserved(t, c)
+	}
 }

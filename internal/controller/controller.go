@@ -379,45 +379,53 @@ func (c *Controller) CreateGroup(key GroupKey, members map[topology.HostID]Role)
 
 	// Speculative encode outside all locks; validated at admission.
 	receivers := g.Receivers()
-	rec := newCapRecorder(c.occ, nil)
-	s := c.getScratch()
-	enc, cerr := ComputeEncodingInto(c.topo, c.cfg, rec.capacity(), receivers, s)
-
-	sh := c.shardOf(key)
-	c.occ.admit.Lock()
-	defer c.occ.admit.Unlock()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.groups[key]; ok {
-		c.putScratch(s)
-		return nil, fmt.Errorf("controller: group %v already exists", key)
+	scratch := c.getScratch()
+	defer c.putScratch(scratch)
+	encode := func(cap CapacityFunc) (*Encoding, error) {
+		return ComputeEncodingInto(c.topo, c.cfg, cap, receivers, scratch)
 	}
-	if cerr != nil || !rec.valid() {
-		var err error
-		enc, err = ComputeEncodingInto(c.topo, c.cfg, c.occ.CapacityFunc(), receivers, s)
-		if err != nil {
-			c.putScratch(s)
+	sp := newCapRecorder(c.occ, nil)
+	sp.enc, sp.err = encode(sp.capacity())
+	exists := false
+	_, err := c.occ.admitEncoding(nil, sp, encode, func(enc *Encoding) error {
+		err := c.insertGroup(g, enc)
+		exists = err != nil
+		return err
+	})
+	if err != nil {
+		if !exists {
 			m.countRollback()
 			c.traceControl(trace.KindRollback, key, -1, err.Error())
-			return nil, err
 		}
+		return nil, err
 	}
-	c.putScratch(s)
-	g.Enc = enc
-	c.occ.Commit(enc)
-	sh.groups[key] = g
-	c.traceEncode(key, enc)
-	// Every member hypervisor receives flow state (senders: encap
-	// rules + headers; receivers: group delivery rules).
-	for h := range g.Members {
-		sh.stats.Hypervisor[h]++
-	}
-	c.traceControl(trace.KindCreateGroup, key, int64(len(g.Members)), "")
 	if m != nil {
 		m.ops.create.Inc()
 		m.observe(m.opLatency.create, start)
 	}
 	return g, nil
+}
+
+// insertGroup is the publish step of a new group's admission (create,
+// batch): the duplicate check, the map insert and the flow-state charge
+// of every member hypervisor (senders: encap rules + headers; receivers:
+// group delivery rules) under one write lock of the owning shard.
+func (c *Controller) insertGroup(g *GroupState, enc *Encoding) error {
+	sh := c.shardOf(g.Key)
+	sh.mu.Lock()
+	if _, ok := sh.groups[g.Key]; ok {
+		sh.mu.Unlock()
+		return fmt.Errorf("controller: group %v already exists", g.Key)
+	}
+	g.Enc = enc
+	sh.groups[g.Key] = g
+	for h := range g.Members {
+		sh.stats.Hypervisor[h]++
+	}
+	sh.mu.Unlock()
+	c.traceEncode(g.Key, enc)
+	c.traceControl(trace.KindCreateGroup, g.Key, int64(len(g.Members)), "")
+	return nil
 }
 
 // RemoveGroup deletes a group, releasing its s-rules.
@@ -569,44 +577,46 @@ func (c *Controller) Leave(key GroupKey, host topology.HostID, role Role) error 
 // capacity view (the old encoding's s-rules count as released) and is
 // incremental: it delta-patches the old encoding's cached tree and
 // re-runs clustering only for layers whose membership changed (see
-// incremental.go). Admission holds the occupancy admit mutex for the
-// release→validate→commit transaction (falling back to a full serial
-// recompute when a capacity answer changed), then publishes the new
-// encoding and its stats charges under the owning shard's lock —
-// other shards never block. Callers hold g.mu.
+// incremental.go). The admission transaction (admit.go) falls back to a
+// full recompute when a capacity answer changed and, on an encode error,
+// leaves the old s-rules charged; its publish step stores the new
+// encoding and its stats charges under the owning shard's lock — other
+// shards never block. Callers hold g.mu.
 func (c *Controller) retree(g *GroupState, sh *ctrlShard, changed topology.HostID, joined bool) error {
 	oldEnc := g.Enc
-	rec := newCapRecorder(c.occ, oldEnc)
-	s := c.getScratch()
-	var enc *Encoding
-	var cerr error
+	scratch := c.getScratch()
+	defer c.putScratch(scratch)
+	full := func(cap CapacityFunc) (*Encoding, error) {
+		return ComputeEncodingInto(c.topo, c.cfg, cap, g.Receivers(), scratch)
+	}
+	sp := newCapRecorder(c.occ, oldEnc)
 	if oldEnc != nil {
-		enc, cerr = incrementalEncoding(c.topo, c.cfg, rec.capacity(), oldEnc, changed, joined, s)
+		sp.enc, sp.err = incrementalEncoding(c.topo, c.cfg, sp.capacity(), oldEnc, changed, joined, scratch)
 	} else {
-		enc, cerr = ComputeEncodingInto(c.topo, c.cfg, rec.capacity(), g.Receivers(), s)
+		sp.enc, sp.err = full(sp.capacity())
 	}
+	_, err := c.occ.admitEncoding(oldEnc, sp, full, func(enc *Encoding) error {
+		c.publishRetree(g, sh, enc, changed)
+		return nil
+	})
+	if err != nil {
+		c.traceControl(trace.KindRollback, g.Key, -1, err.Error())
+		return err
+	}
+	c.traceEncode(g.Key, g.Enc)
+	c.traceControl(trace.KindRecompute, g.Key, int64(changed), "")
+	if m := c.getMetrics(); m != nil {
+		m.recomputes.Inc()
+	}
+	return nil
+}
 
-	c.occ.admit.Lock()
-	defer c.occ.admit.Unlock()
-	c.occ.Release(oldEnc)
-	if cerr != nil || !rec.valid() {
-		var err error
-		enc, err = ComputeEncodingInto(c.topo, c.cfg, c.occ.CapacityFunc(), g.Receivers(), s)
-		c.putScratch(s)
-		s = nil
-		if err != nil {
-			// Roll the old s-rules back so state stays consistent.
-			c.occ.Commit(oldEnc)
-			c.traceControl(trace.KindRollback, g.Key, -1, err.Error())
-			return err
-		}
-	}
-	if s != nil {
-		c.putScratch(s)
-	}
-	c.occ.Commit(enc)
-
+// publishRetree replaces g's encoding and charges the switch updates
+// the change costs, under the owning shard's write lock.
+func (c *Controller) publishRetree(g *GroupState, sh *ctrlShard, enc *Encoding, changed topology.HostID) {
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	oldEnc := g.Enc
 	g.Enc = enc
 	// Leaf s-rule diffs.
 	for l, bm := range encLeafSRules(oldEnc) {
@@ -646,14 +656,6 @@ func (c *Controller) retree(g *GroupState, sh *ctrlShard, changed topology.HostI
 			}
 		}
 	}
-	sh.mu.Unlock()
-
-	c.traceEncode(g.Key, enc)
-	c.traceControl(trace.KindRecompute, g.Key, int64(changed), "")
-	if m := c.getMetrics(); m != nil {
-		m.recomputes.Inc()
-	}
-	return nil
 }
 
 func encLeafSRules(e *Encoding) map[topology.LeafID]bitmap.Bitmap {
@@ -668,22 +670,6 @@ func encSpineSRules(e *Encoding) map[topology.PodID]bitmap.Bitmap {
 		return nil
 	}
 	return e.SpineSRules
-}
-
-// installBarrierLocked computes and commits an encoding for a group
-// while the caller holds the full barrier (serial path: Restore).
-func (c *Controller) installBarrierLocked(g *GroupState) error {
-	s := c.getScratch()
-	enc, err := ComputeEncodingInto(c.topo, c.cfg, c.occ.CapacityFunc(), g.Receivers(), s)
-	c.putScratch(s)
-	if err != nil {
-		c.traceControl(trace.KindRollback, g.Key, -1, err.Error())
-		return err
-	}
-	g.Enc = enc
-	c.occ.Commit(enc)
-	c.traceEncode(g.Key, enc)
-	return nil
 }
 
 // traceEncode records one encoding run with the clustering constraints
@@ -779,16 +765,71 @@ func (c *Controller) HeaderFor(key GroupKey, sender topology.HostID) (*header.He
 // traffic rides other planes keep multipathing untouched — this is
 // what keeps the §5.1.3b impact fractions low.
 func (c *Controller) FailSpine(s topology.SpineID) int {
+	return c.failureEvent(trace.KindFailSpine, "fail_spine", int32(s),
+		func() { c.failures.FailSpine(s) }, c.transitsSpine(s))
+}
+
+// RepairSpine clears a spine failure (headers revert to multipathing;
+// the hypervisors refreshed are those of the groups the failure had
+// impacted).
+func (c *Controller) RepairSpine(s topology.SpineID) int {
+	return c.failureEvent(trace.KindRepairSpine, "repair_spine", int32(s),
+		func() { c.failures.RepairSpine(s) }, c.transitsSpine(s))
+}
+
+// FailCore marks a core failed and refreshes affected groups' upstream
+// rules, returning the number of groups impacted (groups with a sender
+// flow hashed through that core while crossing pods).
+func (c *Controller) FailCore(co topology.CoreID) int {
+	return c.failureEvent(trace.KindFailCore, "fail_core", int32(co),
+		func() { c.failures.FailCore(co) }, c.transitsCore(co))
+}
+
+// RepairCore clears a core failure.
+func (c *Controller) RepairCore(co topology.CoreID) int {
+	return c.failureEvent(trace.KindRepairCore, "repair_core", int32(co),
+		func() { c.failures.RepairCore(co) }, c.transitsCore(co))
+}
+
+// failureEvent is the one body of the four failure and repair events:
+// under the stop-the-shards barrier it flips the switch in the failure
+// set (mark), charges one hypervisor update per sender of every group
+// whose flows transit the switch, and reports the event.
+func (c *Controller) failureEvent(kind trace.Kind, label string, sw int32, mark func(), transits func(*GroupState) bool) int {
 	c.lockAllShards()
 	defer c.unlockAllShards()
-	c.failures.FailSpine(s)
-	pod, plane := c.topo.SpinePod(s), c.topo.SpinePlane(s)
-	n := c.chargeFailure(func(g *GroupState) bool {
-		return c.groupTransitsSpine(g, pod, plane)
-	})
-	c.traceFailure(trace.KindFailSpine, int32(s), n)
-	c.countFailure("fail_spine", n)
+	mark()
+	n := c.chargeFailure(transits)
+	c.traceFailure(kind, sw, n)
+	c.countFailure(label, n)
 	return n
+}
+
+// transitsSpine selects the groups with a sender flow crossing spine s.
+func (c *Controller) transitsSpine(s topology.SpineID) func(*GroupState) bool {
+	pod, plane := c.topo.SpinePod(s), c.topo.SpinePlane(s)
+	return func(g *GroupState) bool { return c.groupTransitsSpine(g, pod, plane) }
+}
+
+// transitsCore selects the groups with a sender flow hashed through
+// core co while crossing pods.
+func (c *Controller) transitsCore(co topology.CoreID) func(*GroupState) bool {
+	return func(g *GroupState) bool {
+		if g.Enc.Pods.PopCount() <= 1 {
+			return false
+		}
+		addr := dataplane.GroupAddr{VNI: g.Key.Tenant, Group: g.Key.Group}
+		for h, r := range g.Members {
+			if !r.CanSend() {
+				continue
+			}
+			outer := dataplane.SenderOuter(c.topo, h, addr)
+			if _, core := dataplane.PredictPath(c.topo, outer, h); core == co {
+				return true
+			}
+		}
+		return false
+	}
 }
 
 // groupTransitsSpine reports whether any sender flow of the group
@@ -830,34 +871,6 @@ func (c *Controller) groupTransitsSpine(g *GroupState, pod topology.PodID, plane
 	return false
 }
 
-// FailCore marks a core failed and refreshes affected groups' upstream
-// rules, returning the number of groups impacted (groups with a sender
-// flow hashed through that core while crossing pods).
-func (c *Controller) FailCore(co topology.CoreID) int {
-	c.lockAllShards()
-	defer c.unlockAllShards()
-	c.failures.FailCore(co)
-	n := c.chargeFailure(func(g *GroupState) bool {
-		if g.Enc.Pods.PopCount() <= 1 {
-			return false
-		}
-		addr := dataplane.GroupAddr{VNI: g.Key.Tenant, Group: g.Key.Group}
-		for h, r := range g.Members {
-			if !r.CanSend() {
-				continue
-			}
-			outer := dataplane.SenderOuter(c.topo, h, addr)
-			if _, core := dataplane.PredictPath(c.topo, outer, h); core == co {
-				return true
-			}
-		}
-		return false
-	})
-	c.traceFailure(trace.KindFailCore, int32(co), n)
-	c.countFailure("fail_core", n)
-	return n
-}
-
 // chargeFailure runs with every shard lock held (stop-the-shards
 // barrier): group state reads are safe because writers hold their
 // shard lock too. Each impacted group's hypervisor charges land in
@@ -877,47 +890,5 @@ func (c *Controller) chargeFailure(affected func(*GroupState) bool) int {
 			}
 		}
 	}
-	return n
-}
-
-// RepairSpine clears a spine failure (headers revert to multipathing;
-// the hypervisors refreshed are those of the groups the failure had
-// impacted).
-func (c *Controller) RepairSpine(s topology.SpineID) int {
-	c.lockAllShards()
-	defer c.unlockAllShards()
-	c.failures.RepairSpine(s)
-	pod, plane := c.topo.SpinePod(s), c.topo.SpinePlane(s)
-	n := c.chargeFailure(func(g *GroupState) bool {
-		return c.groupTransitsSpine(g, pod, plane)
-	})
-	c.traceFailure(trace.KindRepairSpine, int32(s), n)
-	c.countFailure("repair_spine", n)
-	return n
-}
-
-// RepairCore clears a core failure.
-func (c *Controller) RepairCore(co topology.CoreID) int {
-	c.lockAllShards()
-	defer c.unlockAllShards()
-	c.failures.RepairCore(co)
-	n := c.chargeFailure(func(g *GroupState) bool {
-		if g.Enc.Pods.PopCount() <= 1 {
-			return false
-		}
-		addr := dataplane.GroupAddr{VNI: g.Key.Tenant, Group: g.Key.Group}
-		for h, r := range g.Members {
-			if !r.CanSend() {
-				continue
-			}
-			outer := dataplane.SenderOuter(c.topo, h, addr)
-			if _, core := dataplane.PredictPath(c.topo, outer, h); core == co {
-				return true
-			}
-		}
-		return false
-	})
-	c.traceFailure(trace.KindRepairCore, int32(co), n)
-	c.countFailure("repair_core", n)
 	return n
 }

@@ -63,25 +63,14 @@ type Config struct {
 	Shards int
 }
 
-// legacyLeafSet/legacyPodSet build O(1) lookups.
-func (c Config) legacyLeafSet() map[topology.LeafID]bool {
-	if len(c.LegacyLeaves) == 0 {
+// legacySet builds an O(1) lookup over a legacy switch list.
+func legacySet[K comparable](ids []K) map[K]bool {
+	if len(ids) == 0 {
 		return nil
 	}
-	m := make(map[topology.LeafID]bool, len(c.LegacyLeaves))
-	for _, l := range c.LegacyLeaves {
-		m[l] = true
-	}
-	return m
-}
-
-func (c Config) legacyPodSet() map[topology.PodID]bool {
-	if len(c.LegacyPods) == 0 {
-		return nil
-	}
-	m := make(map[topology.PodID]bool, len(c.LegacyPods))
-	for _, p := range c.LegacyPods {
-		m[p] = true
+	m := make(map[K]bool, len(ids))
+	for _, id := range ids {
+		m[id] = true
 	}
 	return m
 }
@@ -184,14 +173,13 @@ func NoCapacity() CapacityFunc {
 }
 
 // EncodeScratch owns the reusable working memory of one encoder: the
-// clustering scratch plus the per-layer member slices. One scratch
-// serves one goroutine; the batch pipeline gives each worker its own
-// and the controller pools them for the serial Join/Leave/Create
-// paths. The zero value is ready to use.
+// clustering scratch plus the member slice of the layer being encoded.
+// One scratch serves one goroutine; the batch pipeline gives each
+// worker its own and the controller pools them for the serial
+// Join/Leave/Create paths. The zero value is ready to use.
 type EncodeScratch struct {
-	cluster      cluster.Scratch
-	leafMembers  []cluster.Member
-	spineMembers []cluster.Member
+	cluster cluster.Scratch
+	members []cluster.Member
 }
 
 // ComputeEncoding builds the sender-independent encoding for the given
@@ -222,7 +210,7 @@ func ComputeEncodingInto(topo *topology.Topology, cfg Config, cap CapacityFunc, 
 	if err := encodeLeafLayer(topo, cfg, cap, e, s); err != nil {
 		return nil, err
 	}
-	if err := encodeSpineLayer(topo, cfg, cap, e, s); err != nil {
+	if err := encodeSpineLayer(cfg, cap, e, s); err != nil {
 		return nil, err
 	}
 	e.Redundancy = e.LeafRedundancy + e.SpineRedundancy
@@ -258,107 +246,68 @@ func addReceiver(topo *topology.Topology, e *Encoding, h topology.HostID) {
 }
 
 // encodeLeafLayer runs Algorithm 1 over the leaf layer of e's tree,
-// filling DLeaf, DLeafDefault, LeafSRules, and LeafRedundancy. Legacy
-// leaves can only forward from their group tables, so they are forced
-// onto s-rules before the modern leaves are clustered.
-func encodeLeafLayer(topo *topology.Topology, cfg Config, cap CapacityFunc, e *Encoding, s *EncodeScratch) error {
-	legacyLeaves := cfg.legacyLeafSet()
-	for leaf, ports := range e.LeafPorts {
-		if !legacyLeaves[leaf] {
-			continue
-		}
-		if cap.Leaf == nil || !cap.Leaf(leaf) {
-			return fmt.Errorf("controller: %w (leaf %d)", ErrLegacyTableFull, leaf)
-		}
-		if e.LeafSRules == nil {
-			e.LeafSRules = make(map[topology.LeafID]bitmap.Bitmap)
-		}
-		e.LeafSRules[leaf] = ports.Clone()
-	}
-
-	// Leaf layer (Algorithm 1). Leaves reachable entirely through the
-	// sender's own u-leaf rule still need downstream rules because any
-	// member may send; the encoding is shared across senders (D2c).
-	s.leafMembers = s.leafMembers[:0]
-	for leaf, ports := range e.LeafPorts {
-		if legacyLeaves[leaf] {
-			continue
-		}
-		s.leafMembers = append(s.leafMembers, cluster.Member{Switch: uint16(leaf), Ports: ports})
-	}
-	leafAssign := assignLayer(s.leafMembers, cluster.Constraints{
-		R:    cfg.R,
-		HMax: effectiveLeafLimit(topo, cfg),
-		KMax: cfg.KMaxLeaf,
-		HasSRuleCapacity: func(sw uint16) bool {
-			return cap.Leaf != nil && cap.Leaf(topology.LeafID(sw))
-		},
-	}, &s.cluster)
-	e.DLeaf = rulesFrom(leafAssign.PRules)
-	if leafAssign.Default != nil {
-		d := leafAssign.Default.Clone()
-		e.DLeafDefault = &d
-	}
-	if len(leafAssign.SRules) > 0 {
-		if e.LeafSRules == nil {
-			e.LeafSRules = make(map[topology.LeafID]bitmap.Bitmap, len(leafAssign.SRules))
-		}
-		for sw, bm := range leafAssign.SRules {
-			e.LeafSRules[topology.LeafID(sw)] = bm.Clone()
-		}
-	}
-	e.LeafRedundancy = leafAssign.Redundancy * 1 // leaf ports are host deliveries
-	return nil
+// filling DLeaf, DLeafDefault, LeafSRules, and LeafRedundancy. Leaves
+// reachable entirely through the sender's own u-leaf rule still need
+// downstream rules because any member may send; the encoding is shared
+// across senders (D2c).
+func encodeLeafLayer(topo *topology.Topology, cfg Config, cap CapacityFunc, e *Encoding, s *EncodeScratch) (err error) {
+	e.DLeaf, e.DLeafDefault, e.LeafSRules, e.LeafRedundancy, err = encodeLayer(
+		"leaf", e.LeafPorts, cfg.LegacyLeaves, cap.Leaf, s,
+		cluster.Constraints{R: cfg.R, HMax: effectiveLeafLimit(topo, cfg), KMax: cfg.KMaxLeaf})
+	return err
 }
 
 // encodeSpineLayer runs Algorithm 1 over the spine layer (one member
 // per pod with receivers), filling DSpine, DSpineDefault, SpineSRules,
 // and SpineRedundancy.
-func encodeSpineLayer(topo *topology.Topology, cfg Config, cap CapacityFunc, e *Encoding, s *EncodeScratch) error {
-	legacyPods := cfg.legacyPodSet()
-	for pod, leaves := range e.PodLeaves {
-		if !legacyPods[pod] {
-			continue
-		}
-		if cap.Pod == nil || !cap.Pod(pod) {
-			return fmt.Errorf("controller: %w (pod %d)", ErrLegacyTableFull, pod)
-		}
-		if e.SpineSRules == nil {
-			e.SpineSRules = make(map[topology.PodID]bitmap.Bitmap)
-		}
-		e.SpineSRules[pod] = leaves.Clone()
-	}
+func encodeSpineLayer(cfg Config, cap CapacityFunc, e *Encoding, s *EncodeScratch) (err error) {
+	e.DSpine, e.DSpineDefault, e.SpineSRules, e.SpineRedundancy, err = encodeLayer(
+		"pod", e.PodLeaves, cfg.LegacyPods, cap.Pod, s,
+		cluster.Constraints{R: cfg.R, HMax: cfg.SpineRuleLimit, KMax: cfg.KMaxSpine})
+	return err
+}
 
-	s.spineMembers = s.spineMembers[:0]
-	for pod, leaves := range e.PodLeaves {
-		if legacyPods[pod] {
+// encodeLayer runs Algorithm 1 over one layer of a tree: tree maps each
+// switch of the layer (a leaf, or a pod's logical spine) to its
+// downstream ports, free answers the s-rule capacity question for it and
+// lim carries the layer's R, HMax and KMax. Legacy switches can only
+// forward from their group tables, so they are forced onto s-rules and
+// only the modern ones are clustered. It returns the layer's p-rules,
+// default rule, s-rules and redundancy, all owning their memory.
+func encodeLayer[K ~int](layer string, tree map[K]bitmap.Bitmap, legacy []K, free func(K) bool,
+	s *EncodeScratch, lim cluster.Constraints,
+) (rules []header.PRule, def *bitmap.Bitmap, srules map[K]bitmap.Bitmap, redundancy int, err error) {
+	isLegacy := legacySet(legacy)
+	s.members = s.members[:0]
+	for sw, ports := range tree {
+		if !isLegacy[sw] {
+			s.members = append(s.members, cluster.Member{Switch: uint16(sw), Ports: ports})
 			continue
 		}
-		s.spineMembers = append(s.spineMembers, cluster.Member{Switch: uint16(pod), Ports: leaves})
-	}
-	spineAssign := assignLayer(s.spineMembers, cluster.Constraints{
-		R:    cfg.R,
-		HMax: cfg.SpineRuleLimit,
-		KMax: cfg.KMaxSpine,
-		HasSRuleCapacity: func(sw uint16) bool {
-			return cap.Pod != nil && cap.Pod(topology.PodID(sw))
-		},
-	}, &s.cluster)
-	e.DSpine = rulesFrom(spineAssign.PRules)
-	if spineAssign.Default != nil {
-		d := spineAssign.Default.Clone()
-		e.DSpineDefault = &d
-	}
-	if len(spineAssign.SRules) > 0 {
-		if e.SpineSRules == nil {
-			e.SpineSRules = make(map[topology.PodID]bitmap.Bitmap, len(spineAssign.SRules))
+		if free == nil || !free(sw) {
+			return nil, nil, nil, 0, fmt.Errorf("controller: %w (%s %d)", ErrLegacyTableFull, layer, sw)
 		}
-		for sw, bm := range spineAssign.SRules {
-			e.SpineSRules[topology.PodID(sw)] = bm.Clone()
+		if srules == nil {
+			srules = make(map[K]bitmap.Bitmap)
+		}
+		srules[sw] = ports.Clone()
+	}
+	lim.HasSRuleCapacity = func(sw uint16) bool { return free != nil && free(K(sw)) }
+	assign := assignLayer(s.members, lim, &s.cluster)
+	rules = rulesFrom(assign.PRules)
+	if assign.Default != nil {
+		d := assign.Default.Clone()
+		def = &d
+	}
+	if len(assign.SRules) > 0 {
+		if srules == nil {
+			srules = make(map[K]bitmap.Bitmap, len(assign.SRules))
+		}
+		for sw, bm := range assign.SRules {
+			srules[K(sw)] = bm.Clone()
 		}
 	}
-	e.SpineRedundancy = spineAssign.Redundancy
-	return nil
+	return rules, def, srules, assign.Redundancy, nil
 }
 
 // effectiveLeafLimit derives the leaf-section rule budget from the

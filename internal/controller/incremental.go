@@ -129,7 +129,7 @@ func incrementalEncoding(topo *topology.Topology, cfg Config, cap CapacityFunc, 
 		return nil, err
 	}
 	if podsChanged {
-		if err := encodeSpineLayer(topo, cfg, cap, e, s); err != nil {
+		if err := encodeSpineLayer(cfg, cap, e, s); err != nil {
 			return nil, err
 		}
 	} else {

@@ -8,28 +8,27 @@ import (
 )
 
 // Occupancy tracks s-rule group-table occupancy per physical switch
-// with atomically-readable counters, so concurrent encoder workers can
-// consult capacity without locks while a single committer (or a
-// committer serialized by the controller lock) mutates the counts.
+// with atomically-readable counters, so concurrent encoder runs can
+// consult capacity without locks while admission transactions, one at
+// a time, mutate the counts.
 //
-// The commit protocol is optimistic: workers compute encodings against
-// a point-in-time read of the counters, recording every capacity answer
-// they consumed (capRecorder); the committer admits encodings in a
-// deterministic order, re-checking the recorded answers against the
-// live counters and recomputing serially on any mismatch. The committed
-// result is therefore byte-identical to a fully serial run regardless
-// of worker count.
+// The commit protocol is optimistic: encoders compute against a
+// point-in-time read of the counters, recording every capacity answer
+// they consumed (capRecorder); admission (admit.go) re-checks the
+// recorded answers against the live counters and re-encodes on any
+// mismatch. The committed result is therefore byte-identical to a fully
+// serial run regardless of worker count.
 type Occupancy struct {
 	topo     *topology.Topology
 	capacity int
 
-	// admit serializes admission transactions — validate (or
-	// release→validate) followed by Commit — so capacity answers stay
-	// exact when multiple committers run concurrently (per-shard batch
-	// committers, churn retrees). It is held only around those few
-	// atomic reads/writes and the rare serial recompute fallback,
-	// never during speculative encoding, and it is the first lock of
-	// the controller's stop-the-shards barrier (see shard.go).
+	// admit serializes admission transactions (admit.go) so capacity
+	// answers stay exact when several admitters run concurrently
+	// (batches, creates, churn retrees). It is held only around the
+	// transaction's few atomic reads/writes, its publish step and the
+	// rare recompute fallback, never during speculative encoding, and
+	// it is the first lock of the controller's stop-the-shards barrier
+	// (see shard.go).
 	admit sync.Mutex
 
 	leaf  []int64
@@ -124,13 +123,18 @@ func (o *Occupancy) Release(e *Encoding) {
 // would) and can later validate those answers against the live
 // counters. A bias derived from the encoding being replaced makes the
 // speculative view behave as if the old s-rules were already released,
-// mirroring the serial release-then-recompute order.
+// mirroring the serial release-then-recompute order. It also carries
+// what the run produced (enc, err), so one pointer hands a speculation
+// to the admission transaction (admit.go).
 type capRecorder struct {
 	occ      *Occupancy
 	leafBias map[topology.LeafID]int
 	podBias  map[topology.PodID]int
 	leafAns  map[topology.LeafID]bool
 	podAns   map[topology.PodID]bool
+
+	enc *Encoding
+	err error
 }
 
 // newCapRecorder builds a recorder; oldEnc (may be nil) contributes the

@@ -325,4 +325,5 @@ func TestCrossShardConsistencySoak(t *testing.T) {
 		t.Fatal("soak stats differ from serial replay")
 	}
 	requireSameState(t, "soak vs serial", serial, soak)
+	requireOccupancyConserved(t, soak)
 }

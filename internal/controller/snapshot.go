@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"elmo/internal/topology"
+	"elmo/internal/trace"
 )
 
 // The paper's controller keeps only soft state (§2): group membership
@@ -119,8 +120,20 @@ func (c *Controller) Restore(s *Snapshot) error {
 			return fmt.Errorf("controller: restore into non-empty controller (%d groups)", c.numGroupsLocked())
 		}
 	}
+	scratch := c.getScratch()
+	defer c.putScratch(scratch)
 	for i, g := range built {
-		if err := c.installBarrierLocked(g); err != nil {
+		_, err := c.occ.admitEncodingLocked(nil, nil,
+			func(cap CapacityFunc) (*Encoding, error) {
+				return ComputeEncodingInto(c.topo, c.cfg, cap, g.Receivers(), scratch)
+			},
+			func(enc *Encoding) error {
+				g.Enc = enc
+				c.shardOf(g.Key).groups[g.Key] = g
+				return nil
+			})
+		if err != nil {
+			c.traceControl(trace.KindRollback, g.Key, -1, err.Error())
 			// Unwind: release everything already committed so the
 			// controller is exactly as empty as it started.
 			for _, done := range built[:i] {
@@ -131,7 +144,7 @@ func (c *Controller) Restore(s *Snapshot) error {
 			}
 			return fmt.Errorf("controller: restoring %v: %w", g.Key, err)
 		}
-		c.shardOf(g.Key).groups[g.Key] = g
+		c.traceEncode(g.Key, g.Enc)
 	}
 	for _, sh := range c.shards {
 		sh.stats = newUpdateStats()
@@ -162,30 +175,4 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("controller: snapshot version %d, want %d", s.Version, snapshotVersion)
 	}
 	return &s, nil
-}
-
-// AllocateGroup reserves the next free group index for a tenant and
-// creates the group, giving tenants the cloud-API experience of "give
-// me a multicast group" without choosing addresses (they still may:
-// CreateGroup with an explicit key coexists, and indices are scoped
-// per tenant — address-space isolation).
-func (c *Controller) AllocateGroup(tenant uint32, members map[topology.HostID]Role) (GroupKey, error) {
-	c.rlockAllShards()
-	next := uint32(1)
-	for _, sh := range c.shards {
-		for key := range sh.groups {
-			if key.Tenant == tenant && key.Group >= next {
-				next = key.Group + 1
-			}
-		}
-	}
-	c.runlockAllShards()
-	if next >= 1<<24 {
-		return GroupKey{}, fmt.Errorf("controller: tenant %d exhausted its group address space", tenant)
-	}
-	key := GroupKey{Tenant: tenant, Group: next}
-	if _, err := c.CreateGroup(key, members); err != nil {
-		return GroupKey{}, err
-	}
-	return key, nil
 }

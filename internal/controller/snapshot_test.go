@@ -192,43 +192,5 @@ func TestRestoreNeverHalfRestores(t *testing.T) {
 			t.Fatalf("failed restore leaked spine %d occupancy", s)
 		}
 	}
-}
-
-func TestAllocateGroup(t *testing.T) {
-	topo := paperTopo()
-	c, _ := New(topo, testConfig(0))
-	members := map[topology.HostID]Role{0: RoleBoth, 40: RoleReceiver}
-	k1, err := c.AllocateGroup(5, members)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 != (GroupKey{Tenant: 5, Group: 1}) {
-		t.Fatalf("first allocation = %v", k1)
-	}
-	k2, err := c.AllocateGroup(5, members)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k2.Group != 2 {
-		t.Fatalf("second allocation = %v", k2)
-	}
-	// Allocation is per tenant (address-space isolation).
-	k3, err := c.AllocateGroup(6, members)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k3 != (GroupKey{Tenant: 6, Group: 1}) {
-		t.Fatalf("other tenant allocation = %v", k3)
-	}
-	// Explicit keys coexist: allocate skips past them.
-	if _, err := c.CreateGroup(GroupKey{Tenant: 5, Group: 100}, members); err != nil {
-		t.Fatal(err)
-	}
-	k4, err := c.AllocateGroup(5, members)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k4.Group != 101 {
-		t.Fatalf("allocation after explicit key = %v", k4)
-	}
+	requireOccupancyConserved(t, c)
 }

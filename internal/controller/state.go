@@ -36,22 +36,55 @@ import (
 // stateVersion guards the binary state format.
 const stateVersion = 1
 
+// stateWriter frames the WriteState stream. bufio.Writer errors are
+// sticky, so only the final Flush is checked.
+type stateWriter struct {
+	bw      *bufio.Writer
+	scratch []byte
+}
+
+func (sw *stateWriter) uvarint(v uint64) {
+	sw.scratch = binary.AppendUvarint(sw.scratch[:0], v)
+	sw.bw.Write(sw.scratch)
+}
+
+func (sw *stateWriter) bitmap(b bitmap.Bitmap) {
+	sw.scratch = b.AppendWire(sw.scratch[:0])
+	sw.bw.Write(sw.scratch)
+}
+
+// optBitmap writes a presence flag and, when present, the bitmap.
+func (sw *stateWriter) optBitmap(b *bitmap.Bitmap) {
+	if b == nil {
+		sw.bw.WriteByte(0)
+		return
+	}
+	sw.bw.WriteByte(1)
+	sw.bitmap(*b)
+}
+
+// writeBitmapMap writes a switch→bitmap map as its length followed by
+// (key, bitmap) pairs in ascending key order.
+func writeBitmapMap[K ~int](sw *stateWriter, m map[K]bitmap.Bitmap) {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	sw.uvarint(uint64(len(keys)))
+	for _, k := range keys {
+		sw.uvarint(uint64(k))
+		sw.bitmap(m[k])
+	}
+}
+
 // WriteState serializes the full controller state deterministically.
 func (c *Controller) WriteState(w io.Writer) error {
 	c.rlockAllShards()
 	defer c.runlockAllShards()
-	bw := bufio.NewWriterSize(w, 1<<20)
-	var scratch []byte
-	putUvarint := func(v uint64) {
-		scratch = binary.AppendUvarint(scratch[:0], v)
-		bw.Write(scratch)
-	}
-	putBitmap := func(b bitmap.Bitmap) {
-		scratch = b.AppendWire(scratch[:0])
-		bw.Write(scratch)
-	}
+	sw := &stateWriter{bw: bufio.NewWriterSize(w, 1<<20)}
 
-	putUvarint(stateVersion)
+	sw.uvarint(stateVersion)
 	groups := make(map[GroupKey]*GroupState, c.numGroupsLocked())
 	for _, sh := range c.shards {
 		for k, g := range sh.groups {
@@ -63,105 +96,56 @@ func (c *Controller) WriteState(w io.Writer) error {
 		keys = append(keys, k)
 	}
 	slices.SortFunc(keys, compareKeys)
-	putUvarint(uint64(len(keys)))
+	sw.uvarint(uint64(len(keys)))
 	for _, key := range keys {
 		g := groups[key]
-		putUvarint(uint64(key.Tenant))
-		putUvarint(uint64(key.Group))
+		sw.uvarint(uint64(key.Tenant))
+		sw.uvarint(uint64(key.Group))
 		hosts := make([]topology.HostID, 0, len(g.Members))
 		for h := range g.Members {
 			hosts = append(hosts, h)
 		}
 		slices.Sort(hosts)
-		putUvarint(uint64(len(hosts)))
+		sw.uvarint(uint64(len(hosts)))
 		for _, h := range hosts {
-			putUvarint(uint64(h))
-			bw.WriteByte(byte(g.Members[h]))
+			sw.uvarint(uint64(h))
+			sw.bw.WriteByte(byte(g.Members[h]))
 		}
 		if g.Enc == nil {
-			bw.WriteByte(0)
+			sw.bw.WriteByte(0)
 			continue
 		}
-		bw.WriteByte(1)
-		writeEncoding(bw, putUvarint, putBitmap, g.Enc)
+		sw.bw.WriteByte(1)
+		sw.encoding(g.Enc)
 	}
-	return bw.Flush()
+	return sw.bw.Flush()
 }
 
-// writeEncoding serializes one encoding (sorted map order throughout).
-func writeEncoding(bw *bufio.Writer, putUvarint func(uint64), putBitmap func(bitmap.Bitmap), e *Encoding) {
-	putBitmap(e.Pods)
+// encoding serializes one encoding (sorted map order throughout).
+func (sw *stateWriter) encoding(e *Encoding) {
+	sw.bitmap(e.Pods)
+	writeBitmapMap(sw, e.LeafPorts)
+	writeBitmapMap(sw, e.PodLeaves)
+	sw.rules(e.DSpine)
+	sw.optBitmap(e.DSpineDefault)
+	sw.rules(e.DLeaf)
+	sw.optBitmap(e.DLeafDefault)
+	writeBitmapMap(sw, e.SpineSRules)
+	writeBitmapMap(sw, e.LeafSRules)
+	sw.uvarint(uint64(e.LeafRedundancy))
+	sw.uvarint(uint64(e.SpineRedundancy))
+	sw.uvarint(uint64(e.Redundancy))
+}
 
-	leaves := make([]topology.LeafID, 0, len(e.LeafPorts))
-	for l := range e.LeafPorts {
-		leaves = append(leaves, l)
-	}
-	slices.Sort(leaves)
-	putUvarint(uint64(len(leaves)))
-	for _, l := range leaves {
-		putUvarint(uint64(l))
-		putBitmap(e.LeafPorts[l])
-	}
-
-	pods := make([]topology.PodID, 0, len(e.PodLeaves))
-	for p := range e.PodLeaves {
-		pods = append(pods, p)
-	}
-	slices.Sort(pods)
-	putUvarint(uint64(len(pods)))
-	for _, p := range pods {
-		putUvarint(uint64(p))
-		putBitmap(e.PodLeaves[p])
-	}
-
-	writeRules := func(rules []header.PRule) {
-		putUvarint(uint64(len(rules)))
-		for _, r := range rules {
-			putUvarint(uint64(len(r.Switches)))
-			for _, sw := range r.Switches {
-				putUvarint(uint64(sw))
-			}
-			putBitmap(r.Bitmap)
+func (sw *stateWriter) rules(rules []header.PRule) {
+	sw.uvarint(uint64(len(rules)))
+	for _, r := range rules {
+		sw.uvarint(uint64(len(r.Switches)))
+		for _, id := range r.Switches {
+			sw.uvarint(uint64(id))
 		}
+		sw.bitmap(r.Bitmap)
 	}
-	writeDefault := func(d *bitmap.Bitmap) {
-		if d == nil {
-			bw.WriteByte(0)
-			return
-		}
-		bw.WriteByte(1)
-		putBitmap(*d)
-	}
-	writeRules(e.DSpine)
-	writeDefault(e.DSpineDefault)
-	writeRules(e.DLeaf)
-	writeDefault(e.DLeafDefault)
-
-	spods := make([]topology.PodID, 0, len(e.SpineSRules))
-	for p := range e.SpineSRules {
-		spods = append(spods, p)
-	}
-	slices.Sort(spods)
-	putUvarint(uint64(len(spods)))
-	for _, p := range spods {
-		putUvarint(uint64(p))
-		putBitmap(e.SpineSRules[p])
-	}
-
-	sleaves := make([]topology.LeafID, 0, len(e.LeafSRules))
-	for l := range e.LeafSRules {
-		sleaves = append(sleaves, l)
-	}
-	slices.Sort(sleaves)
-	putUvarint(uint64(len(sleaves)))
-	for _, l := range sleaves {
-		putUvarint(uint64(l))
-		putBitmap(e.LeafSRules[l])
-	}
-
-	putUvarint(uint64(e.LeafRedundancy))
-	putUvarint(uint64(e.SpineRedundancy))
-	putUvarint(uint64(e.Redundancy))
 }
 
 // stateReader decodes the WriteState stream with bounds checking; any
@@ -306,178 +290,131 @@ func (c *Controller) ReadState(r io.Reader) error {
 	return nil
 }
 
+// readBitmapMap decodes a map written by writeBitmapMap: at most limit
+// entries, every key below limit, every bitmap of the given width. what
+// names the section in errors. An empty section decodes to an empty map
+// (the tree maps) or, with nilIfEmpty, to nil (the s-rule maps) — the
+// shapes the encoder itself produces.
+func readBitmapMap[K ~int](sr *stateReader, what string, limit uint64, width int, nilIfEmpty bool) (map[K]bitmap.Bitmap, error) {
+	n, err := sr.count(limit, what)
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 && nilIfEmpty {
+		return nil, nil
+	}
+	m := make(map[K]bitmap.Bitmap, n)
+	for i := 0; i < n; i++ {
+		k, err := sr.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if k >= limit {
+			return nil, fmt.Errorf("%s %d outside topology", what, k)
+		}
+		if m[K(k)], err = sr.bitmap(width); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// optBitmap decodes what stateWriter.optBitmap wrote.
+func (sr *stateReader) optBitmap(width int) (*bitmap.Bitmap, error) {
+	flag, err := sr.r.ReadByte()
+	if err != nil {
+		return nil, fmt.Errorf("truncated default flag: %w", err)
+	}
+	switch flag {
+	case 0:
+		return nil, nil
+	case 1:
+		bm, err := sr.bitmap(width)
+		if err != nil {
+			return nil, err
+		}
+		return &bm, nil
+	default:
+		return nil, fmt.Errorf("bad default flag %d", flag)
+	}
+}
+
+// rules decodes one p-rule section: switch ids below maxSwitch, bitmaps
+// of the given width.
+func (sr *stateReader) rules(width int, maxSwitch uint64) ([]header.PRule, error) {
+	n, err := sr.count(1<<16, "p-rule")
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	rules := make([]header.PRule, n)
+	for i := range rules {
+		ns, err := sr.count(maxSwitch, "rule-switch")
+		if err != nil {
+			return nil, err
+		}
+		sws := make([]uint16, ns)
+		for j := range sws {
+			sw, err := sr.uvarint()
+			if err != nil {
+				return nil, err
+			}
+			if sw >= maxSwitch {
+				return nil, fmt.Errorf("rule switch %d out of range", sw)
+			}
+			sws[j] = uint16(sw)
+		}
+		bm, err := sr.bitmap(width)
+		if err != nil {
+			return nil, err
+		}
+		rules[i] = header.PRule{Switches: sws, Bitmap: bm}
+	}
+	return rules, nil
+}
+
 // readEncoding decodes one encoding with topology-derived widths.
 func (sr *stateReader) readEncoding(topo *topology.Topology) (*Encoding, error) {
 	e := &Encoding{}
+	numLeaves, leafWidth := uint64(topo.NumLeaves()), topo.LeafDownWidth()
+	numPods, spineWidth := uint64(topo.Config().Pods), topo.SpineDownWidth()
 	var err error
 	if e.Pods, err = sr.bitmap(topo.CoreDownWidth()); err != nil {
 		return nil, err
 	}
-	numLeaves := uint64(topo.NumLeaves())
-	numPods := uint64(topo.Config().Pods)
-
-	n, err := sr.count(numLeaves, "leaf-ports")
-	if err != nil {
+	if e.LeafPorts, err = readBitmapMap[topology.LeafID](sr, "tree leaf", numLeaves, leafWidth, false); err != nil {
 		return nil, err
 	}
-	e.LeafPorts = make(map[topology.LeafID]bitmap.Bitmap, n)
-	for i := 0; i < n; i++ {
-		l, err := sr.uvarint()
-		if err != nil {
+	if e.PodLeaves, err = readBitmapMap[topology.PodID](sr, "tree pod", numPods, spineWidth, false); err != nil {
+		return nil, err
+	}
+	if e.DSpine, err = sr.rules(spineWidth, numPods); err != nil {
+		return nil, err
+	}
+	if e.DSpineDefault, err = sr.optBitmap(spineWidth); err != nil {
+		return nil, err
+	}
+	if e.DLeaf, err = sr.rules(leafWidth, numLeaves); err != nil {
+		return nil, err
+	}
+	if e.DLeafDefault, err = sr.optBitmap(leafWidth); err != nil {
+		return nil, err
+	}
+	if e.SpineSRules, err = readBitmapMap[topology.PodID](sr, "s-rule pod", numPods, spineWidth, true); err != nil {
+		return nil, err
+	}
+	if e.LeafSRules, err = readBitmapMap[topology.LeafID](sr, "s-rule leaf", numLeaves, leafWidth, true); err != nil {
+		return nil, err
+	}
+	var red [3]uint64
+	for i := range red {
+		if red[i], err = sr.uvarint(); err != nil {
 			return nil, err
 		}
-		if l >= numLeaves {
-			return nil, fmt.Errorf("leaf %d outside topology", l)
-		}
-		bm, err := sr.bitmap(topo.LeafDownWidth())
-		if err != nil {
-			return nil, err
-		}
-		e.LeafPorts[topology.LeafID(l)] = bm
 	}
-
-	n, err = sr.count(numPods, "pod-leaves")
-	if err != nil {
-		return nil, err
-	}
-	e.PodLeaves = make(map[topology.PodID]bitmap.Bitmap, n)
-	for i := 0; i < n; i++ {
-		p, err := sr.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if p >= numPods {
-			return nil, fmt.Errorf("pod %d outside topology", p)
-		}
-		bm, err := sr.bitmap(topo.SpineDownWidth())
-		if err != nil {
-			return nil, err
-		}
-		e.PodLeaves[topology.PodID(p)] = bm
-	}
-
-	readRules := func(width int, maxSwitch uint64) ([]header.PRule, error) {
-		n, err := sr.count(1<<16, "p-rule")
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return nil, nil
-		}
-		rules := make([]header.PRule, n)
-		for i := range rules {
-			ns, err := sr.count(maxSwitch, "rule-switch")
-			if err != nil {
-				return nil, err
-			}
-			sws := make([]uint16, ns)
-			for j := range sws {
-				sw, err := sr.uvarint()
-				if err != nil {
-					return nil, err
-				}
-				if sw >= maxSwitch {
-					return nil, fmt.Errorf("rule switch %d out of range", sw)
-				}
-				sws[j] = uint16(sw)
-			}
-			bm, err := sr.bitmap(width)
-			if err != nil {
-				return nil, err
-			}
-			rules[i] = header.PRule{Switches: sws, Bitmap: bm}
-		}
-		return rules, nil
-	}
-	readDefault := func(width int) (*bitmap.Bitmap, error) {
-		flag, err := sr.r.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("truncated default flag: %w", err)
-		}
-		switch flag {
-		case 0:
-			return nil, nil
-		case 1:
-			bm, err := sr.bitmap(width)
-			if err != nil {
-				return nil, err
-			}
-			return &bm, nil
-		default:
-			return nil, fmt.Errorf("bad default flag %d", flag)
-		}
-	}
-
-	if e.DSpine, err = readRules(topo.SpineDownWidth(), numPods); err != nil {
-		return nil, err
-	}
-	if e.DSpineDefault, err = readDefault(topo.SpineDownWidth()); err != nil {
-		return nil, err
-	}
-	if e.DLeaf, err = readRules(topo.LeafDownWidth(), numLeaves); err != nil {
-		return nil, err
-	}
-	if e.DLeafDefault, err = readDefault(topo.LeafDownWidth()); err != nil {
-		return nil, err
-	}
-
-	n, err = sr.count(numPods, "spine-srule")
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		e.SpineSRules = make(map[topology.PodID]bitmap.Bitmap, n)
-		for i := 0; i < n; i++ {
-			p, err := sr.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if p >= numPods {
-				return nil, fmt.Errorf("s-rule pod %d outside topology", p)
-			}
-			bm, err := sr.bitmap(topo.SpineDownWidth())
-			if err != nil {
-				return nil, err
-			}
-			e.SpineSRules[topology.PodID(p)] = bm
-		}
-	}
-
-	n, err = sr.count(numLeaves, "leaf-srule")
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		e.LeafSRules = make(map[topology.LeafID]bitmap.Bitmap, n)
-		for i := 0; i < n; i++ {
-			l, err := sr.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if l >= numLeaves {
-				return nil, fmt.Errorf("s-rule leaf %d outside topology", l)
-			}
-			bm, err := sr.bitmap(topo.LeafDownWidth())
-			if err != nil {
-				return nil, err
-			}
-			e.LeafSRules[topology.LeafID(l)] = bm
-		}
-	}
-
-	lr, err := sr.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	sp, err := sr.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	tot, err := sr.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	e.LeafRedundancy, e.SpineRedundancy, e.Redundancy = int(lr), int(sp), int(tot)
+	e.LeafRedundancy, e.SpineRedundancy, e.Redundancy = int(red[0]), int(red[1]), int(red[2])
 	return e, nil
 }
 

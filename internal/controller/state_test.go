@@ -172,3 +172,49 @@ func TestReadStateIntoNonEmptyFails(t *testing.T) {
 		t.Fatal("ReadState into non-empty controller accepted")
 	}
 }
+
+// stateFormatGolden is the SHA-256 of the WriteState stream of the
+// controller TestStateFormatGolden builds, recorded at the commit before
+// the codec's map writers and readers were folded into one generic pair.
+const stateFormatGolden = "93d0c673b3f6a1f8fb8e188c572a96c2142e6ba5c7e533c9f9c69ca3cbade3c1"
+
+// TestStateFormatGolden pins the on-disk state format byte for byte: a
+// snapshot written by an older build must still load, so a codec rewrite
+// may not move a byte. The stream covers every encoding field: the busy
+// controller's mixed groups, then groups with a receiver under every
+// leaf, of which the first spills most of its leaves and pods onto
+// s-rules and the last, finding those tables full, falls to the default
+// rule at both layers.
+func TestStateFormatGolden(t *testing.T) {
+	cfg := testConfig(0)
+	cfg.LeafRuleLimit = 2
+	cfg.SpineRuleLimit = 1
+	cfg.SRuleCapacity = 12
+	c := buildBusyController(t, cfg)
+	topo := c.Topology()
+	wide := map[topology.HostID]Role{0: RoleSender}
+	for l := 0; l < topo.NumLeaves(); l++ {
+		wide[topo.HostAt(topology.LeafID(l), 1+l%3)] = RoleReceiver
+	}
+	var first, last *Encoding
+	for i := uint32(0); i < 32 && (last == nil || last.UsesSRules()); i++ {
+		g, err := c.CreateGroup(GroupKey{Tenant: 9, Group: i}, wide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = g.Enc
+		}
+		last = g.Enc
+	}
+	if len(first.LeafSRules) < 4 || len(first.SpineSRules) < 2 {
+		t.Fatalf("s-rule-heavy group took %d leaf and %d spine s-rules", len(first.LeafSRules), len(first.SpineSRules))
+	}
+	if last.UsesSRules() || last.DLeafDefault == nil || last.DSpineDefault == nil {
+		t.Fatalf("default-rule group: s-rules=%t leaf default=%t spine default=%t",
+			last.UsesSRules(), last.DLeafDefault != nil, last.DSpineDefault != nil)
+	}
+	if got := c.Fingerprint(); got != stateFormatGolden {
+		t.Fatalf("state stream hash %s, want %s", got, stateFormatGolden)
+	}
+}
