@@ -76,7 +76,8 @@ fuzz:
 	@set -e; for t in wal:FuzzReplay rsm:FuzzUnmarshalCommand \
 		header:FuzzDecode header:FuzzScanPipeline header:FuzzParseOuter \
 		dataplane:FuzzInstallSenderFlow \
-		cluster:FuzzAssignEquivalence durable:FuzzApplyRecord; do \
+		cluster:FuzzAssignEquivalence durable:FuzzApplyRecord \
+		controller:FuzzReadState; do \
 		echo "fuzz $$t"; \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) ./internal/$${t%%:*}/; \
 	done

@@ -26,13 +26,14 @@
 //	fail   spine|core <id>
 //	repair spine|core <id>
 //	stats
-//	save   <path>            write the controller's soft state as JSON
-//	load   <path>            restore groups from a snapshot file
+//	save   <path>            write the controller's state (members + encodings)
+//	load   <path>            restore that state into an empty controller of the same topology
 //	quit
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -44,7 +45,6 @@ import (
 	"sync"
 
 	"elmo"
-	"elmo/internal/controller"
 	"elmo/internal/header"
 	"elmo/internal/obs"
 	"elmo/internal/telemetry"
@@ -199,8 +199,8 @@ const helpText = `commands:
   fail   spine|core <id>                      inject a failure
   repair spine|core <id>                      repair a switch
   stats                                       controller update counters
-  save   <path>                               snapshot soft state to JSON
-  load   <path>                               restore groups from snapshot
+  save   <path>                               write controller state (members + encodings, binary)
+  load   <path>                               restore a saved state into an empty controller of the same topology
   quit
 ok`
 
@@ -413,32 +413,38 @@ func (s *server) failRepair(op string, f []string) (string, error) {
 	return fmt.Sprintf("%s %s %d: %d groups impacted", op, f[0], id, n), nil
 }
 
+// stateHeader is the first line of a saved state file. The state stream
+// itself carries no topology (bitmap widths are implied by the reader's),
+// so a file saved under other -pods/-spines/-leaves/-hosts/-cores would
+// misparse; load refuses a file whose header is not this server's.
+func (s *server) stateHeader() []byte {
+	return fmt.Appendf(nil, "elmo-ctl state %+v\n", s.cl.Topo.Config())
+}
+
 func (s *server) saveLoad(op string, f []string) (string, error) {
 	if len(f) != 1 {
 		return "", fmt.Errorf("need <path>")
 	}
 	path := f[0]
 	if op == "save" {
-		file, err := os.Create(path)
-		if err != nil {
+		buf := bytes.NewBuffer(s.stateHeader())
+		if err := s.cl.Ctrl.WriteState(buf); err != nil {
 			return "", err
 		}
-		defer file.Close()
-		if err := s.cl.Ctrl.WriteSnapshot(file); err != nil {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			return "", err
 		}
 		return fmt.Sprintf("saved %d groups to %s", s.cl.Ctrl.NumGroups(), path), nil
 	}
-	file, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return "", err
 	}
-	defer file.Close()
-	snap, err := controller.ReadSnapshot(file)
-	if err != nil {
-		return "", err
+	state, ok := bytes.CutPrefix(data, s.stateHeader())
+	if !ok {
+		return "", fmt.Errorf("%s was not saved under this topology (want first line %q)", path, s.stateHeader())
 	}
-	if err := s.cl.Ctrl.Restore(snap); err != nil {
+	if err := s.cl.Ctrl.ReadState(bytes.NewReader(state)); err != nil {
 		return "", err
 	}
 	// Reinstall every restored group into the data plane.

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -75,6 +76,24 @@ func TestFailRepairRejectsUnknownSwitch(t *testing.T) {
 	}
 	if resp := s.dispatch("fail spine 0"); !strings.HasSuffix(resp, "\nok") {
 		t.Fatalf("server stopped serving after rejected ids: %q", resp)
+	}
+}
+
+// TestSendRejectsUnknownHost: a sender outside the topology is an error
+// line, not an index panic in the fabric (which in -listen mode would
+// end every session), and the server keeps delivering.
+func TestSendRejectsUnknownHost(t *testing.T) {
+	s := testServer(t)
+	if resp := s.dispatch("create 1 1 0:b 40:b"); !strings.Contains(resp, "created") {
+		t.Fatalf("create: %q", resp)
+	}
+	for _, cmd := range []string{"send 1 1 99999 hi", "send 1 1 -1 hi", "send 1 1 64 hi"} {
+		if resp := s.dispatch(cmd); !strings.HasPrefix(resp, "err:") || !strings.Contains(resp, "out of range") {
+			t.Fatalf("%q: response %q, want an out-of-range error", cmd, resp)
+		}
+	}
+	if resp := s.dispatch("send 1 1 0 hi"); !strings.Contains(resp, "delivered=1") {
+		t.Fatalf("send after rejected hosts: %q", resp)
 	}
 }
 
@@ -166,19 +185,52 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if resp := s.dispatch("create 3 3 0:b 40:r 63:r"); !strings.Contains(resp, "created") {
 		t.Fatalf("create: %q", resp)
 	}
-	path := t.TempDir() + "/snap.json"
+	path := t.TempDir() + "/ctl.state"
 	if resp := s.dispatch("save " + path); !strings.Contains(resp, "saved 1 groups") {
 		t.Fatalf("save: %q", resp)
 	}
-	// A fresh server restores the group and can immediately send.
+	// A fresh server restores the group — members, encoding and
+	// occupancy, verbatim — and can immediately send.
 	s2 := testServer(t)
 	if resp := s2.dispatch("load " + path); !strings.Contains(resp, "restored 1 groups") {
 		t.Fatalf("load: %q", resp)
 	}
+	if got, want := s2.cl.Ctrl.Fingerprint(), s.cl.Ctrl.Fingerprint(); got != want {
+		t.Fatalf("loaded fingerprint %s, saved %s", got, want)
+	}
 	if resp := s2.dispatch("send 3 3 0 after restore"); !strings.Contains(resp, "delivered=2") {
 		t.Fatalf("send after restore: %q", resp)
 	}
-	if resp := s2.dispatch("load /nonexistent/snap.json"); !strings.Contains(resp, "err:") {
+	if resp := s2.dispatch("load /nonexistent/ctl.state"); !strings.Contains(resp, "err:") {
 		t.Fatalf("bad load: %q", resp)
+	}
+	// A load into a controller that already holds groups is refused whole.
+	if resp := s2.dispatch("load " + path); !strings.Contains(resp, "err:") || s2.cl.Ctrl.NumGroups() != 1 {
+		t.Fatalf("load into non-empty controller: %q", resp)
+	}
+
+	// A group without an encoding (the FuzzReadState seed; host 48 is in
+	// this topology) is a decode error, not a panic in the install that
+	// follows, and the session goes on.
+	s3 := testServer(t)
+	forged := t.TempDir() + "/forged.state"
+	if err := os.WriteFile(forged, append(s3.stateHeader(), 1, 1, '0', '0', 1, '0', 2, 0), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if resp := s3.dispatch("load " + forged); !strings.Contains(resp, "err:") || s3.cl.Ctrl.NumGroups() != 0 {
+		t.Fatalf("load of a group without an encoding: %q", resp)
+	}
+	if resp := s3.dispatch("load " + path); !strings.Contains(resp, "restored 1 groups") {
+		t.Fatalf("load after a refused load: %q", resp)
+	}
+	// The stream's bitmap widths are the reader's topology's: a file
+	// saved under another shape is refused by its first line.
+	cl, err := elmo.NewCluster(elmo.TopologyConfig{Pods: 2, SpinesPerPod: 2, LeavesPerPod: 4, HostsPerLeaf: 8, CoresPerPlane: 2}, elmo.DefaultConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := &server{cl: cl}
+	if resp := other.dispatch("load " + path); !strings.Contains(resp, "err:") || !strings.Contains(resp, "topology") || cl.Ctrl.NumGroups() != 0 {
+		t.Fatalf("load under another topology: %q", resp)
 	}
 }

@@ -186,6 +186,9 @@ func (c *Cluster) reinstall(key GroupKey) {
 
 // Send multicasts an inner frame from a sender to the group.
 func (c *Cluster) Send(sender HostID, key GroupKey, inner []byte) (*Delivery, error) {
+	if err := c.checkHost(sender); err != nil {
+		return nil, err
+	}
 	return c.Fab.Send(sender, dataplane.GroupAddr{VNI: key.Tenant, Group: key.Group}, inner)
 }
 
@@ -232,6 +235,12 @@ func checkSwitch(tier string, id, n int) error {
 		return fmt.Errorf("elmo: %s %d out of range [0,%d)", tier, id, n)
 	}
 	return nil
+}
+
+// checkHost is checkSwitch for a sender: Fabric.Send indexes its
+// hypervisors by the host id it is handed.
+func (c *Cluster) checkHost(h HostID) error {
+	return checkSwitch("host", int(h), c.Topo.NumHosts())
 }
 
 // refreshAllSenders reinstalls sender flows for every group (the

@@ -57,7 +57,7 @@ func main() {
 	}
 	base := fabric.New(topo, cfg.SRuleCapacity)
 	base.SetFailures(ctrl.Failures())
-	lf := livefabric.New(base, livefabric.DefaultConfig())
+	lf := livefabric.New(base)
 
 	// One multicast group per symbol; the feed handler runs on host 0,
 	// desks subscribe across pods.

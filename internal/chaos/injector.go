@@ -33,17 +33,14 @@ type Config struct {
 	// Corrupt is the probability the wire bytes are flipped in flight.
 	Corrupt float64
 	// Reorder is the probability a packet is held back and released
-	// after later traffic (implemented as a random delay of 1..MaxDelay
+	// after later traffic (implemented as a random delay of 1..maxDelay
 	// fabric steps).
 	Reorder float64
-	// MaxDelay bounds the reorder delay in fabric steps (sync fabric:
-	// forwarding-loop iterations; live fabrics: milliseconds). Zero
-	// means DefaultMaxDelay.
-	MaxDelay int
 }
 
-// DefaultMaxDelay is the reorder delay bound when Config.MaxDelay is 0.
-const DefaultMaxDelay = 4
+// maxDelay bounds the reorder delay in fabric steps (sync fabric:
+// forwarding-loop iterations; live fabrics: milliseconds).
+const maxDelay = 4
 
 // endpoint keys the per-switch loss overrides.
 type endpoint struct {
@@ -66,8 +63,7 @@ type Stats struct {
 // failures (0 < loss < 1) and dead devices (loss = 1), and are what
 // scripted FaultPlans toggle.
 type Injector struct {
-	cfg      Config
-	maxDelay int32
+	cfg Config
 
 	enabled atomic.Bool
 	state   atomic.Uint64 // splitmix64 position
@@ -101,22 +97,16 @@ type Injector struct {
 func New(cfg Config) *Injector {
 	inj := &Injector{
 		cfg:         cfg,
-		maxDelay:    int32(cfg.MaxDelay),
 		switchLoss:  make(map[endpoint]float64),
 		linkLoss:    make(map[dataplane.Link]float64),
 		partitioned: make(map[int32]bool),
-	}
-	if inj.maxDelay <= 0 {
-		inj.maxDelay = DefaultMaxDelay
 	}
 	inj.state.Store(cfg.Seed)
 	return inj
 }
 
-// Enable arms the injector. Disable disarms it; overrides and the
-// fault stream position are retained.
-func (inj *Injector) Enable()  { inj.enabled.Store(true) }
-func (inj *Injector) Disable() { inj.enabled.Store(false) }
+// Enable arms the injector.
+func (inj *Injector) Enable() { inj.enabled.Store(true) }
 
 // Active reports whether faults can fire: one atomic load.
 func (inj *Injector) Active() bool { return inj.enabled.Load() }
@@ -258,7 +248,7 @@ func (inj *Injector) Cross(l dataplane.Link, vni, group uint32) dataplane.FaultV
 		inj.traceFault(trace.KindFaultCorrupt, l, vni, group, 0)
 	}
 	if inj.chance(inj.cfg.Reorder) {
-		v.DelaySteps = 1 + int32(inj.next()%uint64(inj.maxDelay))
+		v.DelaySteps = 1 + int32(inj.next()%maxDelay)
 		inj.delays.Add(1)
 		inj.traceFault(trace.KindFaultDelay, l, vni, group, int64(v.DelaySteps))
 	}

@@ -14,16 +14,10 @@ import (
 
 // MonitorConfig tunes failure detection and recovery.
 type MonitorConfig struct {
-	// FailAfter is how many consecutive lost probe rounds declare a
-	// switch failed; RepairAfter how many consecutive successful rounds
-	// declare it repaired. Zero means DefaultFailAfter/DefaultRepairAfter.
-	FailAfter   int
-	RepairAfter int
 	// MaxRecoveryRetries bounds the re-attempts of a failed flow
-	// refresh (header recompute + install); BackoffBase is the first
-	// retry's sleep, doubled per attempt. Zero means the defaults.
+	// refresh (header recompute + install). Zero means
+	// DefaultMaxRecoveryRetries.
 	MaxRecoveryRetries int
-	BackoffBase        time.Duration
 	// Sleep replaces time.Sleep for backoff pacing (tests pass a no-op).
 	Sleep func(time.Duration)
 	// InstallFn replaces the default sender-flow install (write the
@@ -34,12 +28,18 @@ type MonitorConfig struct {
 	Tracer trace.Recorder
 }
 
-// Defaults for MonitorConfig zero fields.
 const (
-	DefaultFailAfter          = 2
-	DefaultRepairAfter        = 2
+	// failAfter is how many consecutive lost probe rounds declare a
+	// switch failed; repairAfter how many consecutive successful rounds
+	// declare it repaired.
+	failAfter   = 2
+	repairAfter = 2
+	// DefaultMaxRecoveryRetries is MonitorConfig.MaxRecoveryRetries'
+	// zero value.
 	DefaultMaxRecoveryRetries = 3
-	DefaultBackoffBase        = time.Millisecond
+	// backoffBase is the first refresh retry's sleep, doubled per
+	// attempt.
+	backoffBase = time.Millisecond
 )
 
 // MonitoredFlow is one (group, sender) whose flow the monitor keeps
@@ -116,17 +116,8 @@ type Monitor struct {
 // NewMonitor builds the monitor and installs its probe flows (sender
 // flows on probe source hosts, receive filters on probe targets).
 func NewMonitor(ctrl *controller.Controller, fab *fabric.Fabric, cfg MonitorConfig) (*Monitor, error) {
-	if cfg.FailAfter <= 0 {
-		cfg.FailAfter = DefaultFailAfter
-	}
-	if cfg.RepairAfter <= 0 {
-		cfg.RepairAfter = DefaultRepairAfter
-	}
 	if cfg.MaxRecoveryRetries <= 0 {
 		cfg.MaxRecoveryRetries = DefaultMaxRecoveryRetries
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = DefaultBackoffBase
 	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
@@ -304,7 +295,7 @@ func (m *Monitor) judge(h *switchHealth, ok bool, tier dataplane.LinkTier, id in
 	if ok {
 		h.oks++
 		h.fails = 0
-		if h.down && h.oks >= m.cfg.RepairAfter {
+		if h.down && h.oks >= repairAfter {
 			h.down = false
 			return m.declare(tier, id, false, h.oks), true
 		}
@@ -312,7 +303,7 @@ func (m *Monitor) judge(h *switchHealth, ok bool, tier dataplane.LinkTier, id in
 	}
 	h.fails++
 	h.oks = 0
-	if !h.down && h.fails >= m.cfg.FailAfter {
+	if !h.down && h.fails >= failAfter {
 		h.down = true
 		return m.declare(tier, id, true, h.fails), true
 	}
@@ -359,7 +350,7 @@ func (m *Monitor) refreshFlows() {
 		for attempt := 0; attempt <= m.cfg.MaxRecoveryRetries && !done; attempt++ {
 			if attempt > 0 {
 				m.RecoveryRetries++
-				m.cfg.Sleep(m.cfg.BackoffBase << (attempt - 1))
+				m.cfg.Sleep(backoffBase << (attempt - 1))
 			}
 			hdr, err := m.ctrl.HeaderFor(fl.Key, fl.Sender)
 			if err == controller.ErrNoPath || err == controller.ErrLegacyPath {

@@ -224,7 +224,7 @@ func TestMonitorRecoveryRetryBackoff(t *testing.T) {
 	if mon.RecoveryRetries != 2 || mon.RefreshFailures != 0 {
 		t.Fatalf("retries=%d refreshFailures=%d, want 2/0", mon.RecoveryRetries, mon.RefreshFailures)
 	}
-	want := []time.Duration{DefaultBackoffBase, 2 * DefaultBackoffBase}
+	want := []time.Duration{backoffBase, 2 * backoffBase}
 	if len(sleeps) != len(want) || sleeps[0] != want[0] || sleeps[1] != want[1] {
 		t.Fatalf("backoff sleeps = %v, want %v", sleeps, want)
 	}

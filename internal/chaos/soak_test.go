@@ -314,7 +314,7 @@ func TestChaosSoakLiveFabric(t *testing.T) {
 	cfg.Seed = 2017
 	ctrl, base, inj, addr, key := concurrentGroup(t, cfg)
 	base.SetInjector(inj)
-	lf := livefabric.New(base, livefabric.DefaultConfig())
+	lf := livefabric.New(base)
 	if _, err := base.InstallGroupAt(0, ctrl, key); err != nil {
 		t.Fatal(err)
 	}

@@ -203,9 +203,11 @@ func Run(ctrl *controller.Controller, dep *placement.Deployment, groups []groupg
 		Duration: float64(cfg.Events) / cfg.EventsPerSecond,
 		Workers:  workers,
 	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.rate.Set(cfg.EventsPerSecond)
+	m := cfg.Metrics
+	if m == nil {
+		m = &Metrics{}
 	}
+	m.rate.Set(cfg.EventsPerSecond)
 
 	// Phase 1: serial generation. Identical for every worker count.
 	events := make([]event, 0, cfg.Events)
@@ -221,7 +223,7 @@ func Run(ctrl *controller.Controller, dep *placement.Deployment, groups []groupg
 			host, ok := pickNonMember(rng, dep, g, sh)
 			if !ok {
 				res.EventsSkipped++
-				cfg.Metrics.onSkipped()
+				m.skipped.Inc()
 				continue
 			}
 			role := RoleFor(rng)
@@ -245,15 +247,13 @@ func Run(ctrl *controller.Controller, dep *placement.Deployment, groups []groupg
 			res.WeightDrift = -d
 		}
 	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.drift.Set(float64(res.WeightDrift))
-	}
+	m.drift.Set(float64(res.WeightDrift))
 
 	// Phase 2: apply. Partitioning by group preserves per-group event
 	// order, so each group's membership trajectory — and with
 	// uncontended s-rule capacity, its encodings and update charges —
 	// matches the serial run.
-	if err := applyEvents(ctrl, groups, events, workers, cfg.Metrics); err != nil {
+	if err := applyEvents(ctrl, groups, events, workers, m); err != nil {
 		return nil, err
 	}
 
@@ -296,7 +296,7 @@ func applyEvents(ctrl *controller.Controller, groups []groupgen.Group, events []
 			err = ctrl.Leave(k, ev.host, ev.role)
 		}
 		if err == nil {
-			m.onApplied()
+			m.applied.Inc()
 		}
 		return err
 	}

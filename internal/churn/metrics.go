@@ -5,7 +5,8 @@ import "elmo/internal/telemetry"
 // Metrics publishes churn progress to a telemetry registry so a
 // /metrics scrape during a long soak sees the event stream move in real
 // time (the Result totals only exist after Run returns). Attach via
-// Config.Metrics; nil keeps the run telemetry-free.
+// Config.Metrics; nil keeps the run telemetry-free (the handles of a
+// zero Metrics are nil, and nil telemetry handles do nothing).
 type Metrics struct {
 	applied *telemetry.Counter
 	skipped *telemetry.Counter
@@ -24,17 +25,5 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Configured churn event rate (events/sec of simulated time)."),
 		drift: reg.Gauge("elmo_churn_weight_drift",
 			"Largest divergence between a group's sampling weight and its live size."),
-	}
-}
-
-func (m *Metrics) onApplied() {
-	if m != nil {
-		m.applied.Inc()
-	}
-}
-
-func (m *Metrics) onSkipped() {
-	if m != nil {
-		m.skipped.Inc()
 	}
 }

@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"fmt"
 	"math/bits"
 
 	"elmo/internal/header"
@@ -120,9 +119,4 @@ func bitlen(n int) int {
 // quantify what per-hop popping saves.
 func NoPopBytes(links, innerLen, sourceStreamLen int) int {
 	return links * (header.OuterSize + innerLen + sourceStreamLen)
-}
-
-// String renders the stages.
-func (a AblationSizes) String() string {
-	return fmt.Sprintf("D1(per-switch)=%d bits, D2(logical)=%d bits, D3(shared)=%d bits", a.D1Bits, a.D2Bits, a.D3Bits)
 }

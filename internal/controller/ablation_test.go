@@ -24,16 +24,16 @@ func TestAblationFigure3Narrative(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !(sizes.D1Bits > sizes.D2Bits && sizes.D2Bits > sizes.D3Bits) {
-		t.Fatalf("stages not monotone: %s", sizes)
+		t.Fatalf("stages not monotone: %+v", sizes)
 	}
 	// Paper: 161 -> 83 (-48%) -> 62 (-25%).
 	d2Cut := 1 - float64(sizes.D2Bits)/float64(sizes.D1Bits)
 	d3Cut := 1 - float64(sizes.D3Bits)/float64(sizes.D2Bits)
 	if d2Cut < 0.25 || d2Cut > 0.75 {
-		t.Errorf("D1->D2 reduction %.0f%%, paper reports 48%% (%s)", 100*d2Cut, sizes)
+		t.Errorf("D1->D2 reduction %.0f%%, paper reports 48%% (%+v)", 100*d2Cut, sizes)
 	}
 	if d3Cut < 0.05 || d3Cut > 0.50 {
-		t.Errorf("D2->D3 reduction %.0f%%, paper reports 25%% (%s)", 100*d3Cut, sizes)
+		t.Errorf("D2->D3 reduction %.0f%%, paper reports 25%% (%+v)", 100*d3Cut, sizes)
 	}
 	// Magnitudes in the paper's ballpark (tens to ~200 bits).
 	if sizes.D1Bits < 80 || sizes.D1Bits > 300 {

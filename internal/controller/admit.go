@@ -4,9 +4,9 @@ package controller
 // thing that couples a group's encoding to every other group's is the
 // shared s-rule budget Fmax per switch (§3.2, Algorithm 1 "has s-rule
 // capacity"), so every encoding that enters controller state — a new
-// group, a retree, a restored snapshot, one element of a batch — goes
-// through admitEncoding: release what it replaces, settle its capacity
-// answers against the live counters, publish it, charge it.
+// group, a retree, one element of a batch — goes through admitEncoding:
+// release what it replaces, settle its capacity answers against the
+// live counters, publish it, charge it.
 
 // encodeFunc computes one group's encoding against a capacity view.
 type encodeFunc func(CapacityFunc) (*Encoding, error)
@@ -31,12 +31,6 @@ type encodeFunc func(CapacityFunc) (*Encoding, error)
 func (o *Occupancy) admitEncoding(old *Encoding, sp *capRecorder, encode encodeFunc, publish func(*Encoding) error) (atCommit bool, err error) {
 	o.admit.Lock()
 	defer o.admit.Unlock()
-	return o.admitEncodingLocked(old, sp, encode, publish)
-}
-
-// admitEncodingLocked is admitEncoding for a caller that already holds
-// the admission mutex as part of the full barrier (lockAll).
-func (o *Occupancy) admitEncodingLocked(old *Encoding, sp *capRecorder, encode encodeFunc, publish func(*Encoding) error) (atCommit bool, err error) {
 	o.Release(old)
 	var enc *Encoding
 	if sp != nil && sp.err == nil && sp.valid() {

@@ -215,7 +215,7 @@ func (c *Controller) InstallBatch(specs []BatchSpec, opts BatchOptions) (*BatchR
 	m := c.getMetrics()
 	// commit runs on this goroutine only, so a plain local carries the
 	// inter-commit latency baseline race-free.
-	last := m.now()
+	last := time.Now()
 
 	// The encode workers prepare each group's state alongside its
 	// receiver list: prep[i] and prepErr[i] are written before the
@@ -248,20 +248,16 @@ func (c *Controller) InstallBatch(specs []BatchSpec, opts BatchOptions) (*BatchR
 			return err
 		}
 		res.Installed++
-		if m != nil {
-			m.batchInstalled.Inc()
-			now := time.Now()
-			m.opLatency.install.Observe(now.Sub(last).Seconds())
-			last = now
-		}
+		m.batchInstalled.Inc()
+		now := time.Now()
+		m.opLatency.install.Observe(now.Sub(last).Seconds())
+		last = now
 		return nil
 	}
 
 	recomputed, err := EncodeBatch(c.topo, c.cfg, c.occ, n, workers, receivers, commit)
 	res.Recomputed = recomputed
-	if m != nil && recomputed > 0 {
-		m.batchRecompute.Add(int64(recomputed))
-	}
+	m.batchRecompute.Add(int64(recomputed))
 	if err != nil {
 		return res, fmt.Errorf("controller: install %w", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"elmo/internal/bitmap"
 	"elmo/internal/dataplane"
@@ -209,7 +210,7 @@ func New(topo *topology.Topology, cfg Config) (*Controller, error) {
 		n = defaultShardCount()
 	}
 	shards := newShards(n)
-	return &Controller{
+	c := &Controller{
 		topo:      topo,
 		cfg:       cfg,
 		layout:    header.LayoutFor(topo),
@@ -217,7 +218,9 @@ func New(topo *topology.Topology, cfg Config) (*Controller, error) {
 		occ:       NewOccupancy(topo, cfg.SRuleCapacity),
 		shards:    shards,
 		shardMask: uint32(len(shards) - 1),
-	}, nil
+	}
+	c.metrics.Store(&Metrics{}) // telemetry off: nil handles do nothing
+	return c, nil
 }
 
 // Topology returns the fabric the controller manages.
@@ -365,7 +368,7 @@ func (c *Controller) validateMembers(members map[topology.HostID]Role) error {
 // exists or a member is invalid (see validateMembers).
 func (c *Controller) CreateGroup(key GroupKey, members map[topology.HostID]Role) (*GroupState, error) {
 	m := c.getMetrics()
-	start := m.now()
+	start := time.Now()
 	if c.lookup(key) != nil {
 		return nil, fmt.Errorf("controller: group %v already exists", key)
 	}
@@ -394,15 +397,13 @@ func (c *Controller) CreateGroup(key GroupKey, members map[topology.HostID]Role)
 	})
 	if err != nil {
 		if !exists {
-			m.countRollback()
+			m.rollbacks.Inc()
 			c.traceControl(trace.KindRollback, key, -1, err.Error())
 		}
 		return nil, err
 	}
-	if m != nil {
-		m.ops.create.Inc()
-		m.observe(m.opLatency.create, start)
-	}
+	m.ops.create.Inc()
+	m.opLatency.create.Observe(time.Since(start).Seconds())
 	return g, nil
 }
 
@@ -451,9 +452,7 @@ func (c *Controller) RemoveGroup(key GroupKey) error {
 		sh.stats.Hypervisor[h]++
 	}
 	c.traceControl(trace.KindRemoveGroup, key, int64(len(g.Members)), "")
-	if m := c.getMetrics(); m != nil {
-		m.ops.remove.Inc()
-	}
+	c.getMetrics().ops.remove.Inc()
 	return nil
 }
 
@@ -467,62 +466,24 @@ func (c *Controller) Join(key GroupKey, host topology.HostID, role Role) error {
 	if err := c.validateMembers(map[topology.HostID]Role{host: role}); err != nil {
 		return err
 	}
-	m := c.getMetrics()
-	start := m.now()
-	g := c.lookup(key)
-	if g == nil {
-		return fmt.Errorf("controller: group %v not found", key)
-	}
-	sh := c.shardOf(key)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.removed {
-		return fmt.Errorf("controller: group %v not found", key)
-	}
-	old, present := g.Members[host]
-	if present && old|role == old {
-		return nil // no change
-	}
-	sh.mu.Lock()
-	g.Members[host] = old | role
-	sh.mu.Unlock()
-	// A sender-only join leaves the tree untouched: only the source
-	// hypervisor is updated (§5.1.3a).
-	receiverChanged := role.CanReceive() && (!present || !old.CanReceive())
-	if receiverChanged {
-		if err := c.retree(g, sh, host, true); err != nil {
-			// Revert the membership so state matches the (rolled back)
-			// encoding; the hypervisor counter was never charged and
-			// no Join event was emitted.
-			sh.mu.Lock()
-			if present {
-				g.Members[host] = old
-			} else {
-				delete(g.Members, host)
-			}
-			sh.mu.Unlock()
-			c.traceControl(trace.KindRollback, key, int64(host), err.Error())
-			m.countRollback()
-			return err
-		}
-	}
-	sh.mu.Lock()
-	sh.stats.Hypervisor[host]++ // the member's own hypervisor always updates
-	sh.mu.Unlock()
-	c.traceControl(trace.KindJoin, key, int64(host), "")
-	if m != nil {
-		m.ops.join.Inc()
-		m.observe(m.opLatency.join, start)
-	}
-	return nil
+	return c.setRole(key, host, role, true)
 }
 
 // Leave removes a role from a member, dropping the member entirely
 // when no role remains. As with Join, the hypervisor update and Leave
 // trace are charged only after a successful commit.
 func (c *Controller) Leave(key GroupKey, host topology.HostID, role Role) error {
+	return c.setRole(key, host, role, false)
+}
+
+// setRole is the one membership edit: it adds role to (join) or takes
+// it from (leave) host's membership of the group, retrees when the
+// receiver set changed, and on a retree error puts the membership back
+// so state matches the (rolled back) encoding. The hypervisor counter,
+// the Join/Leave trace and the op metrics are charged only on commit.
+func (c *Controller) setRole(key GroupKey, host topology.HostID, role Role, join bool) error {
 	m := c.getMetrics()
-	start := m.now()
+	start := time.Now()
 	g := c.lookup(key)
 	if g == nil {
 		return fmt.Errorf("controller: group %v not found", key)
@@ -534,36 +495,44 @@ func (c *Controller) Leave(key GroupKey, host topology.HostID, role Role) error 
 		return fmt.Errorf("controller: group %v not found", key)
 	}
 	old, present := g.Members[host]
-	if !present || old&role == 0 {
+	next := old &^ role
+	kind, ops, lat := trace.KindLeave, m.ops.leave, m.opLatency.leave
+	if join {
+		if present && old|role == old {
+			return nil // no change
+		}
+		next = old | role
+		kind, ops, lat = trace.KindJoin, m.ops.join, m.opLatency.join
+	} else if !present || old&role == 0 {
 		return fmt.Errorf("controller: host %d does not hold role in %v", host, key)
 	}
-	remaining := old &^ role
-	sh.mu.Lock()
-	if remaining == 0 {
-		delete(g.Members, host)
-	} else {
-		g.Members[host] = remaining
+	// setMember stores a role under the shard lock; none drops the member.
+	setMember := func(r Role) {
+		sh.mu.Lock()
+		if r == 0 {
+			delete(g.Members, host)
+		} else {
+			g.Members[host] = r
+		}
+		sh.mu.Unlock()
 	}
-	sh.mu.Unlock()
-	receiverChanged := role.CanReceive() && old.CanReceive()
-	if receiverChanged {
-		if err := c.retree(g, sh, host, false); err != nil {
-			sh.mu.Lock()
-			g.Members[host] = old
-			sh.mu.Unlock()
+	setMember(next)
+	// A sender-only change leaves the tree untouched: only the source
+	// hypervisor is updated (§5.1.3a).
+	if old.CanReceive() != next.CanReceive() {
+		if err := c.retree(g, sh, host, join); err != nil {
+			setMember(old)
 			c.traceControl(trace.KindRollback, key, int64(host), err.Error())
-			m.countRollback()
+			m.rollbacks.Inc()
 			return err
 		}
 	}
 	sh.mu.Lock()
-	sh.stats.Hypervisor[host]++
+	sh.stats.Hypervisor[host]++ // the member's own hypervisor always updates
 	sh.mu.Unlock()
-	c.traceControl(trace.KindLeave, key, int64(host), "")
-	if m != nil {
-		m.ops.leave.Inc()
-		m.observe(m.opLatency.leave, start)
-	}
+	c.traceControl(kind, key, int64(host), "")
+	ops.Inc()
+	lat.Observe(time.Since(start).Seconds())
 	return nil
 }
 
@@ -605,9 +574,7 @@ func (c *Controller) retree(g *GroupState, sh *ctrlShard, changed topology.HostI
 	}
 	c.traceEncode(g.Key, g.Enc)
 	c.traceControl(trace.KindRecompute, g.Key, int64(changed), "")
-	if m := c.getMetrics(); m != nil {
-		m.recomputes.Inc()
-	}
+	c.getMetrics().recomputes.Inc()
 	return nil
 }
 

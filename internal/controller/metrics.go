@@ -1,8 +1,6 @@
 package controller
 
 import (
-	"time"
-
 	"elmo/internal/telemetry"
 	"elmo/internal/topology"
 )
@@ -15,8 +13,9 @@ import (
 // being pushed.
 //
 // Control-plane operations are not the dataplane hot path, so the
-// latency probes may call time.Now; counters remain single atomic
-// adds, and a nil *Metrics costs each site one branch.
+// latency probes call time.Now; counters remain single atomic adds.
+// A controller always holds a bundle: the zero Metrics (every handle
+// nil, and nil telemetry handles do nothing) until EnableMetrics.
 type Metrics struct {
 	opLatency struct {
 		create, join, leave, install *telemetry.Histogram
@@ -62,30 +61,6 @@ func newControllerMetrics(reg *telemetry.Registry) *Metrics {
 	return m
 }
 
-// now returns the wall clock only when latency probes are live, so the
-// disabled path never calls time.Now.
-func (m *Metrics) now() time.Time {
-	if m == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-func (m *Metrics) observe(h *telemetry.Histogram, start time.Time) {
-	if m != nil {
-		h.Observe(time.Since(start).Seconds())
-	}
-}
-
-// countRollback reads the counter field inside the nil guard: an
-// argument expression like m.rollbacks would dereference a nil bundle
-// before a nil-safe method could intervene.
-func (m *Metrics) countRollback() {
-	if m != nil {
-		m.rollbacks.Inc()
-	}
-}
-
 // EnableMetrics registers the controller's metric families in reg and
 // attaches the operation probes. The function-backed gauges hold a
 // reference to this controller; re-registering the same names from a
@@ -121,10 +96,9 @@ func (c *Controller) EnableMetrics(reg *telemetry.Registry) {
 // total.
 func (c *Controller) countFailure(kind string, impacted int) {
 	m := c.getMetrics()
-	if m == nil {
-		return
+	if m.failureEvents != nil {
+		m.failureEvents.With(kind).Inc()
 	}
-	m.failureEvents.With(kind).Inc()
 	m.impactedGroups.Add(int64(impacted))
 }
 

@@ -177,7 +177,7 @@ func TestStatsDeepCopy(t *testing.T) {
 // TestCrossShardConsistencySoak (satellite: run under -race via `make
 // race`) hammers a 4-shard controller with concurrent InstallBatch,
 // scripted Join/Leave churn, and cross-shard readers (Stats,
-// Fingerprint, Snapshot, GroupKeys), then asserts the final fingerprint
+// Fingerprint, GroupKeys), then asserts the final fingerprint
 // equals a serial replay. Capacity is ample so encodings are
 // independent of admission interleaving and the serial replay is the
 // unique correct outcome.
@@ -271,7 +271,7 @@ func TestCrossShardConsistencySoak(t *testing.T) {
 		go func() { defer wg.Done(); errs <- applyChurn(mid, len(ops)) }()
 
 		// Cross-shard readers race everything: consistent-cut operations
-		// (Stats, Fingerprint, Snapshot) interleave with per-shard reads.
+		// (Stats, Fingerprint) interleave with per-shard reads.
 		stopReaders := make(chan struct{})
 		var readers sync.WaitGroup
 		readers.Add(1)
@@ -285,7 +285,6 @@ func TestCrossShardConsistencySoak(t *testing.T) {
 				}
 				c.Stats()
 				c.Fingerprint()
-				c.Snapshot()
 				c.GroupKeys()
 				c.NumGroups()
 				for _, s := range baseSpecs[:4] {

@@ -14,24 +14,24 @@ import (
 	"elmo/internal/topology"
 )
 
-// This file serializes the controller's FULL state — membership plus
-// the computed encodings and their s-rule installations — in a
-// deterministic binary form. It differs from Snapshot/Restore
-// (snapshot.go) on purpose: the JSON snapshot carries only the paper's
-// soft state and recomputes encodings on restore, which is correct but
-// slow and, on a capacity-constrained fabric, can legally land s-rules
-// on different switches than the crashed instance had (the encoder's
-// choices depend on table occupancy, which depends on op history).
-// The durable controller needs the recovered instance to be
-// byte-identical to the one that crashed, so its snapshots use
-// WriteState/ReadState: encodings are restored verbatim and occupancy
-// is recommitted from them, no recompute, no history dependence.
+// This file is the controller's one whole-state format: membership
+// plus the computed encodings and their s-rule installations, in a
+// deterministic binary form. The paper's controller keeps only soft
+// state (§2) — membership, from which every rule is recomputable — but
+// recomputing on restore is slow and, on a capacity-constrained fabric,
+// can legally land s-rules on different switches than the crashed
+// instance had (the encoder's choices depend on table occupancy, which
+// depends on op history). A recovered instance must be byte-identical
+// to the one that crashed, so ReadState restores encodings verbatim and
+// recommits occupancy from them: no recompute, no history dependence.
+// A membership-only rebuild is what WAL replay of RecCreate and
+// InstallBatch records already does (internal/durable).
 //
 // The format is versioned and deliberately simple: uvarint-framed,
-// sorted group order, bitmap wire bytes with widths implied by the
-// topology. Fingerprint hashes exactly these bytes, so two controllers
-// with equal fingerprints have identical groups, members, encodings,
-// and (derived) occupancy.
+// sorted group and host order, bitmap wire bytes with widths implied by
+// the topology. Fingerprint hashes exactly these bytes, so two
+// controllers with equal fingerprints have identical groups, members,
+// encodings, and (derived) occupancy.
 
 // stateVersion guards the binary state format.
 const stateVersion = 1
@@ -111,11 +111,7 @@ func (c *Controller) WriteState(w io.Writer) error {
 			sw.uvarint(uint64(h))
 			sw.bw.WriteByte(byte(g.Members[h]))
 		}
-		if g.Enc == nil {
-			sw.bw.WriteByte(0)
-			continue
-		}
-		sw.bw.WriteByte(1)
+		sw.bw.WriteByte(1) // encoding present: every live group has one
 		sw.encoding(g.Enc)
 	}
 	return sw.bw.Flush()
@@ -239,6 +235,7 @@ func (c *Controller) ReadState(r io.Reader) error {
 			return err
 		}
 		g := &GroupState{Key: key, Members: make(map[topology.HostID]Role, nm)}
+		var prev uint64
 		for mi := 0; mi < nm; mi++ {
 			h, err := sr.uvarint()
 			if err != nil {
@@ -247,6 +244,10 @@ func (c *Controller) ReadState(r io.Reader) error {
 			if h >= numHosts {
 				return fmt.Errorf("controller: state host %d outside topology", h)
 			}
+			if mi > 0 && h <= prev {
+				return fmt.Errorf("controller: state group %v hosts out of order at %d", key, h)
+			}
+			prev = h
 			role, err := sr.r.ReadByte()
 			if err != nil {
 				return fmt.Errorf("controller: state truncated role: %w", err)
@@ -260,18 +261,32 @@ func (c *Controller) ReadState(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("controller: state truncated: %w", err)
 		}
-		switch hasEnc {
-		case 0:
-		case 1:
-			enc, err := sr.readEncoding(c.topo)
-			if err != nil {
-				return fmt.Errorf("controller: state group %v: %w", key, err)
-			}
-			g.Enc = enc
-		default:
+		// No writer emits a group without its encoding, and every reader
+		// of GroupState.Enc (install, occupancy) assumes one.
+		if hasEnc != 1 {
 			return fmt.Errorf("controller: state group %v: bad encoding flag %d", key, hasEnc)
 		}
+		if g.Enc, err = sr.readEncoding(c.topo); err != nil {
+			return fmt.Errorf("controller: state group %v: %w", key, err)
+		}
 		groups = append(groups, loadedGroup{key: key, g: g})
+	}
+	// A stream written under a larger Fmax (another -srules, or forged)
+	// can hold more s-rules for one switch than this controller's
+	// tables; a logical-spine rule takes an entry in every spine of its
+	// pod, so a pod's tally is each of its spines'.
+	leafRules := make([]int, c.topo.NumLeaves())
+	podRules := make([]int, c.topo.Config().Pods)
+	for _, lg := range groups {
+		for l := range lg.g.Enc.LeafSRules {
+			leafRules[l]++
+		}
+		for p := range lg.g.Enc.SpineSRules {
+			podRules[p]++
+		}
+	}
+	if most := max(slices.Max(leafRules), slices.Max(podRules)); most > c.occ.Capacity() {
+		return fmt.Errorf("controller: state holds %d s-rules for one switch, capacity %d", most, c.occ.Capacity())
 	}
 
 	// Decode finished without error: commit atomically.
@@ -416,6 +431,15 @@ func (sr *stateReader) readEncoding(topo *topology.Topology) (*Encoding, error) 
 	}
 	e.LeafRedundancy, e.SpineRedundancy, e.Redundancy = int(red[0]), int(red[1]), int(red[2])
 	return e, nil
+}
+
+// numGroupsLocked counts groups with all shard locks already held.
+func (c *Controller) numGroupsLocked() int {
+	n := 0
+	for _, sh := range c.shards {
+		n += len(sh.groups)
+	}
+	return n
 }
 
 // Fingerprint hashes the full controller state (WriteState bytes):

@@ -2,8 +2,11 @@ package controller
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"elmo/internal/topology"
@@ -12,7 +15,7 @@ import (
 // buildBusyController installs a few dozen groups with varied shapes
 // (single-leaf, cross-pod, sender-only members) and some churn so the
 // state stream exercises every encoding field.
-func buildBusyController(t *testing.T, cfg Config) *Controller {
+func buildBusyController(t testing.TB, cfg Config) *Controller {
 	t.Helper()
 	topo := paperTopo()
 	c, err := New(topo, cfg)
@@ -122,25 +125,45 @@ func TestReadStateRejectsCorruptInput(t *testing.T) {
 	}
 	valid := buf.Bytes()
 
-	cases := map[string][]byte{
-		"empty":     {},
-		"truncated": valid[:len(valid)/3],
-		"garbage":   bytes.Repeat([]byte{0xfe, 0x01, 0x77}, 100),
-		"version":   append([]byte{99}, valid[1:]...),
+	// Hand-built streams: one group whose member list or encoding flag is
+	// malformed, and one valid group written twice.
+	numHosts := uint64(paperTopo().NumHosts())
+	group := func(body ...byte) []byte { return append([]byte{stateVersion, 1, 1, 1}, body...) }
+	one, _ := New(paperTopo(), cfg)
+	if _, err := one.CreateGroup(GroupKey{Tenant: 1, Group: 1}, map[topology.HostID]Role{0: RoleBoth, 9: RoleReceiver}); err != nil {
+		t.Fatal(err)
 	}
-	for name, data := range cases {
+	var single bytes.Buffer
+	if err := one.WriteState(&single); err != nil {
+		t.Fatal(err)
+	}
+	body := single.Bytes()[2:] // after version and group count
+
+	cases := map[string]struct {
+		data []byte
+		want string
+	}{
+		"empty":             {nil, "truncated"},
+		"truncated":         {valid[:len(valid)/3], "truncated"},
+		"garbage":           {bytes.Repeat([]byte{0xfe, 0x01, 0x77}, 100), "version"},
+		"version":           {append([]byte{99}, valid[1:]...), "version"},
+		"zero role":         {group(1, 0, 0), "invalid role"},
+		"bad role":          {group(1, 0, 4), "invalid role"},
+		"host out of range": {group(binary.AppendUvarint([]byte{1}, numHosts)...), "outside topology"},
+		"duplicate host":    {group(2, 5, 1, 5, 2), "hosts out of order"},
+		"no encoding":       {group(1, 48, 2, 0), "bad encoding flag"},
+		"duplicate group":   {slices.Concat([]byte{stateVersion, 2}, body, body), "groups out of order"},
+	}
+	for name, tc := range cases {
 		c2, _ := New(paperTopo(), cfg)
-		if err := c2.ReadState(bytes.NewReader(data)); err == nil {
-			t.Fatalf("%s input accepted", name)
+		err := c2.ReadState(bytes.NewReader(tc.data))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s input: err %v, want one naming %q", name, err, tc.want)
 		}
 		// Never half-restored.
-		if c2.NumGroups() != 0 {
-			t.Fatalf("%s input half-restored %d groups", name, c2.NumGroups())
-		}
-		for l := 0; l < c2.Topology().NumLeaves(); l++ {
-			if c2.LeafSRuleCount(topology.LeafID(l)) != 0 {
-				t.Fatalf("%s input leaked occupancy", name)
-			}
+		leaves, spines := occSnapshot(c2)
+		if c2.NumGroups() != 0 || slices.Max(leaves) != 0 || slices.Max(spines) != 0 {
+			t.Fatalf("%s input left %d groups, occupancy %v / %v", name, c2.NumGroups(), leaves, spines)
 		}
 	}
 
@@ -154,6 +177,96 @@ func TestReadStateRejectsCorruptInput(t *testing.T) {
 		c2, _ := New(paperTopo(), cfg)
 		_ = c2.ReadState(bytes.NewReader(mut)) // must not panic
 	}
+}
+
+// TestRestoreNeverHalfRestores: a well-formed stream that does not fit
+// this controller's s-rule tables (it was written under a larger Fmax)
+// is refused whole — no group and no occupancy left behind — and loads
+// where it does fit.
+func TestRestoreNeverHalfRestores(t *testing.T) {
+	roomy := testConfig(0)
+	roomy.LeafRuleLimit = 2 // force s-rules into the stream
+	roomy.SRuleCapacity = 64
+	var buf bytes.Buffer
+	if err := buildBusyController(t, roomy).WriteState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	tight := roomy
+	tight.SRuleCapacity = 1
+	c, _ := New(paperTopo(), tight)
+	if err := c.ReadState(bytes.NewReader(buf.Bytes())); err == nil {
+		t.Fatal("restore succeeded on a fabric it cannot fit")
+	}
+	leaves, spines := occSnapshot(c)
+	if c.NumGroups() != 0 || slices.Max(leaves) != 0 || slices.Max(spines) != 0 {
+		t.Fatalf("failed restore left %d groups, occupancy %v / %v", c.NumGroups(), leaves, spines)
+	}
+	c2, _ := New(paperTopo(), roomy)
+	if err := c2.ReadState(&buf); err != nil {
+		t.Fatalf("restore where the stream fits: %v", err)
+	}
+	requireOccupancyConserved(t, c2)
+}
+
+// FuzzReadState feeds ReadState what `elmo-ctl load` and a durable
+// snapshot file can: arbitrary bytes. It must never panic; a refused
+// stream leaves the controller empty; an accepted one leaves occupancy
+// equal to what the restored encodings hold and within every switch's
+// table, and WriteState of it reads back to the same fingerprint.
+func FuzzReadState(f *testing.F) {
+	cfg := testConfig(0)
+	cfg.LeafRuleLimit = 2 // force s-rules into the stream
+	stream := func(cfg Config) []byte {
+		var buf bytes.Buffer
+		if err := buildBusyController(f, cfg).WriteState(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	valid := stream(cfg)
+	f.Add(valid)
+	for _, n := range []int{0, 1, 2, len(valid) / 3, len(valid) / 2, len(valid) - 1} {
+		f.Add(valid[:n])
+	}
+	f.Add(bytes.Repeat([]byte{0xfe, 0x01, 0x77}, 100))
+	f.Add(append([]byte{99}, valid[1:]...))
+	for off := 0; off < len(valid); off += len(valid)/64 + 1 {
+		mut := bytes.Clone(valid)
+		mut[off] ^= 0xff
+		f.Add(mut)
+	}
+	// Written under a larger Fmax: well-formed, but it holds more
+	// s-rules per switch than this controller's tables.
+	roomy := cfg
+	roomy.SRuleCapacity = 64
+	f.Add(stream(roomy))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, _ := New(paperTopo(), cfg)
+		if err := c.ReadState(bytes.NewReader(data)); err != nil {
+			leaves, spines := occSnapshot(c)
+			if c.NumGroups() != 0 || slices.Max(leaves) != 0 || slices.Max(spines) != 0 {
+				t.Fatalf("refused stream (%v) left %d groups, occupancy %v / %v", err, c.NumGroups(), leaves, spines)
+			}
+			return
+		}
+		requireOccupancyConserved(t, c)
+		leaves, spines := occSnapshot(c)
+		if most := max(slices.Max(leaves), slices.Max(spines)); most > c.Occupancy().Capacity() {
+			t.Fatalf("a switch holds %d s-rules, capacity %d", most, c.Occupancy().Capacity())
+		}
+		var out bytes.Buffer
+		if err := c.WriteState(&out); err != nil {
+			t.Fatal(err)
+		}
+		c2, _ := New(paperTopo(), cfg)
+		if err := c2.ReadState(&out); err != nil {
+			t.Fatalf("WriteState of an accepted stream does not read back: %v", err)
+		}
+		if c.Fingerprint() != c2.Fingerprint() {
+			t.Fatal("fingerprint changed across WriteState/ReadState of an accepted stream")
+		}
+	})
 }
 
 func TestReadStateIntoNonEmptyFails(t *testing.T) {

@@ -27,9 +27,6 @@ type SenderFlow struct {
 	noINT  bool
 }
 
-// StreamLen returns the Elmo header bytes this flow adds per packet.
-func (f *SenderFlow) StreamLen() int { return len(f.stream) }
-
 // Hypervisor is the software switch on one host (paper §2): it
 // encapsulates multicast packets from local VMs with the group's Elmo
 // header, and on receive it filters packets to groups with local

@@ -70,13 +70,6 @@ type NetworkSwitch struct {
 	// switches skip the stale sections a legacy hop leaves in place.
 	Legacy bool
 
-	// UpstreamPicker overrides the multipath scheme (the paper's D2
-	// multipath flag defers to "the configured underlying multipathing
-	// scheme (e.g., ECMP, CONGA, or HULA)"). It receives the flow's
-	// outer fields and the currently-alive upstream ports and returns
-	// the chosen port. Nil means flow-hash ECMP.
-	UpstreamPicker func(f header.OuterFields, alive []int) int
-
 	// Probe is where the switch reports its packet events (see
 	// probe.go); the fabric that builds the switch sets it, and a
 	// stand-alone switch leaves it nil and keeps only its own Stats.
@@ -365,8 +358,7 @@ func (sw *NetworkSwitch) upstreamCopiesInto(p Packet, rest []byte, rule header.U
 }
 
 // pickUpstreamInto hashes the flow over the alive upstream ports,
-// collected into the scratch alive slice. An UpstreamPicker override
-// receives that scratch slice and must not retain it past the call.
+// collected into the scratch alive slice.
 func (sw *NetworkSwitch) pickUpstreamInto(f header.OuterFields, s *SwitchScratch) (int, bool) {
 	alive := s.alive[:0]
 	for i := 0; i < sw.upWidth; i++ {
@@ -377,9 +369,6 @@ func (sw *NetworkSwitch) pickUpstreamInto(f header.OuterFields, s *SwitchScratch
 	s.alive = alive
 	if len(alive) == 0 {
 		return 0, false
-	}
-	if sw.UpstreamPicker != nil {
-		return sw.UpstreamPicker(f, alive), true
 	}
 	return alive[ECMPHash(f, ecmpSalt(sw.tier, sw.id))%uint32(len(alive))], true
 }

@@ -280,29 +280,3 @@ func TestStreamLenAndHostAccessors(t *testing.T) {
 		t.Fatalf("empty header stream len = %d", len(pkt.Elmo))
 	}
 }
-
-func TestUpstreamPickerOverride(t *testing.T) {
-	topo := paperTopo()
-	l := header.LayoutFor(topo)
-	sw := NewLeaf(topo, 0, 4)
-	var sawAlive []int
-	sw.UpstreamPicker = func(f header.OuterFields, alive []int) int {
-		sawAlive = append([]int{}, alive...)
-		return alive[len(alive)-1]
-	}
-	sw.UpstreamAlive = func(port int) bool { return port != 0 }
-	h := &header.Header{ULeaf: &header.UpstreamRule{
-		Down: bitmap.New(l.LeafDown), Up: bitmap.New(l.LeafUp), Multipath: true,
-	}}
-	stream, _ := header.Encode(l, h)
-	ems, err := sw.Process(Packet{Outer: header.OuterFields{TTL: 5}, Elmo: stream})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ems) != 1 || ems[0].Port != 1 {
-		t.Fatalf("ems = %+v", ems)
-	}
-	if len(sawAlive) != 1 || sawAlive[0] != 1 {
-		t.Fatalf("picker saw %v, want only alive port 1", sawAlive)
-	}
-}

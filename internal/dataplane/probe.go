@@ -276,7 +276,7 @@ func (p *Probe) Malformed() {
 	if p == nil {
 		return
 	}
-	if m := p.Metrics; m != nil && m.WireMalformed != nil {
+	if m := p.Metrics; m != nil {
 		m.WireMalformed.Inc()
 	}
 	p.record(trace.CatFabric, trace.KindMalformed, LinkHost, 0, GroupAddr{}, 0)
@@ -287,7 +287,7 @@ func (p *Probe) HostDrop(host int32, addr GroupAddr) {
 	if p == nil {
 		return
 	}
-	if m := p.Metrics; m != nil && m.HostQueueDrops != nil {
+	if m := p.Metrics; m != nil {
 		m.HostQueueDrops.Inc()
 	}
 	p.record(trace.CatFabric, trace.KindHostDrop, LinkHost, host, addr, 0)

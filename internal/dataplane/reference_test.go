@@ -225,9 +225,6 @@ func (sw *NetworkSwitch) refPickUpstream(f header.OuterFields, width int) (int, 
 	if len(alive) == 0 {
 		return 0, false
 	}
-	if sw.UpstreamPicker != nil {
-		return sw.UpstreamPicker(f, alive), true
-	}
 	return alive[ECMPHash(f, ecmpSalt(sw.tier, sw.id))%uint32(len(alive))], true
 }
 

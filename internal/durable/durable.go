@@ -135,7 +135,6 @@ type DurableController struct {
 	ctrl    *controller.Controller
 	log     *wal.Log
 	opts    Options
-	walMet  *wal.Metrics
 	snapLSN uint64
 	closed  bool
 	// epoch is the leadership term every WAL frame, streamed record,
@@ -257,7 +256,7 @@ func Open(topo *topology.Topology, cfg controller.Config, opts Options) (*Durabl
 	// The WAL tail may carry a higher epoch than the snapshot or the
 	// caller asked for; the log's resolved epoch is authoritative.
 	stats.Epoch = log.Epoch()
-	d := &DurableController{ctrl: ctrl, log: log, opts: opts, walMet: met,
+	d := &DurableController{ctrl: ctrl, log: log, opts: opts,
 		snapLSN: stats.SnapshotLSN, epoch: log.Epoch(), replSkipped: replSkipped}
 	return d, stats, nil
 }
@@ -266,9 +265,6 @@ func Open(topo *topology.Topology, cfg controller.Config, opts Options) (*Durabl
 // counts, fingerprints). Mutations MUST go through the durable
 // wrappers or they will be lost on restart.
 func (d *DurableController) Controller() *controller.Controller { return d.ctrl }
-
-// WALMetrics returns the WAL telemetry bundle (nil without a Registry).
-func (d *DurableController) WALMetrics() *wal.Metrics { return d.walMet }
 
 // LastLSN reports the highest assigned LSN.
 func (d *DurableController) LastLSN() uint64 { return d.log.LastLSN() }
@@ -379,16 +375,12 @@ func (d *DurableController) streamLocked(lsn uint64, payload []byte) {
 		return
 	}
 	if d.replErr != nil {
-		if d.replSkipped != nil {
-			d.replSkipped.Inc()
-		}
+		d.replSkipped.Inc()
 		return
 	}
 	if err := d.opts.Replicate(lsn, d.epoch, payload); err != nil {
 		d.replErr = fmt.Errorf("durable: replication stalled at lsn %d: %w", lsn, err)
-		if d.replSkipped != nil {
-			d.replSkipped.Inc()
-		}
+		d.replSkipped.Inc()
 	}
 }
 

@@ -187,9 +187,6 @@ func (rs *ReplicaSet) AdoptFollower(h topology.HostID, f *Follower) error {
 // recovery before a fingerprint check or a promotion).
 func (rs *ReplicaSet) Sync() error { return rs.cluster.Sync() }
 
-// Cluster exposes the underlying RSM cluster (loss injection, session).
-func (rs *ReplicaSet) Cluster() *rsm.Cluster { return rs.cluster }
-
 // Follower returns a host's standby.
 func (rs *ReplicaSet) Follower(h topology.HostID) *Follower { return rs.followers[h] }
 

@@ -83,10 +83,6 @@ func New(topo *topology.Topology, sRuleCapacity int) *Fabric {
 // Topology returns the underlying topology.
 func (f *Fabric) Topology() *topology.Topology { return f.topo }
 
-// Failures returns the fabric's failure set. Wire it to the
-// controller's (SyncFailures) so both planes agree on link state.
-func (f *Fabric) Failures() *topology.FailureSet { return f.failures }
-
 // SetFailures replaces the fabric's failure set (typically with the
 // controller's, so one set drives both control and data planes).
 func (f *Fabric) SetFailures(fs *topology.FailureSet) {

@@ -69,7 +69,7 @@ var (
 		}, func() {}
 	}}
 	liveTier = tier{"livefabric", func(_ *testing.T, base *fabric.Fabric, reg *telemetry.Registry) (sendFunc, func()) {
-		lf := livefabric.New(base, livefabric.DefaultConfig())
+		lf := livefabric.New(base)
 		lf.SetMetrics(livefabric.NewMetrics(reg))
 		lf.Start()
 		return lf.Send, lf.Stop

@@ -111,8 +111,8 @@ func ParseOuter(data []byte) (OuterFields, []byte, error) {
 		return f, nil, fmt.Errorf("header: bad IPv4 checksum")
 	}
 	totalLen := int(binary.BigEndian.Uint16(ip[2:]))
-	if EthernetSize+totalLen > len(data) {
-		return f, nil, fmt.Errorf("header: IPv4 length %d exceeds frame", totalLen)
+	if totalLen < OuterSize-EthernetSize || EthernetSize+totalLen > len(data) {
+		return f, nil, fmt.Errorf("header: IPv4 length %d outside [%d, frame]", totalLen, OuterSize-EthernetSize)
 	}
 	f.TTL = ip[8]
 	copy(f.SrcIP[:], ip[12:16])

@@ -9,8 +9,7 @@
 // measurement, livefabric exercises the same switch pipelines under
 // real concurrency and real (de)serialization per hop — the form the
 // example applications (market data feeds, chat) run on. This package
-// is only the channel transport: queues, Drain, and the
-// congestion-aware picker that reads queue depths.
+// is only the channel transport: queues and Drain.
 package livefabric
 
 import (
@@ -19,25 +18,20 @@ import (
 
 	"elmo/internal/dataplane"
 	"elmo/internal/fabric"
-	"elmo/internal/header"
 	"elmo/internal/topology"
 )
 
 // HostPacket is one frame delivered to a host's VMs.
 type HostPacket = fabric.HostPacket
 
-// Config tunes the live fabric.
-type Config struct {
-	// QueueDepth is each switch ingress queue's capacity. Queues full
+const (
+	// queueDepth is each switch ingress queue's capacity. Queues full
 	// enough to block model congestion; frames are never dropped.
-	QueueDepth int
-	// HostQueueDepth is each host RX channel's capacity; overflow
+	queueDepth = 4096
+	// hostQueueDepth is each host RX channel's capacity; overflow
 	// drops the frame (receiver too slow), counted in HostDrops.
-	HostQueueDepth int
-}
-
-// DefaultConfig returns sensible emulation defaults.
-func DefaultConfig() Config { return Config{QueueDepth: 4096, HostQueueDepth: 4096} }
+	hostQueueDepth = 4096
+)
 
 // LiveFabric wraps a fabric's switches with goroutines and channels.
 // Tracer, injector and observer are the base fabric's: set them there
@@ -54,13 +48,13 @@ type LiveFabric struct {
 // be installed through the base fabric (Base().InstallGroupAt) before
 // Start, or after Drain while senders are quiet — switch goroutines
 // read the same group tables; the live fabric only moves packets.
-func New(base *fabric.Fabric, cfg Config) *LiveFabric {
+func New(base *fabric.Fabric) *LiveFabric {
 	topo := base.Topology()
 	lf := &LiveFabric{base: base}
-	lf.in[dataplane.LinkLeaf] = makeChans(topo.NumLeaves(), cfg.QueueDepth)
-	lf.in[dataplane.LinkSpine] = makeChans(topo.NumSpines(), cfg.QueueDepth)
-	lf.in[dataplane.LinkCore] = makeChans(topo.NumCores(), cfg.QueueDepth)
-	lf.eng = fabric.NewWireEngine(base, cfg.HostQueueDepth, lf.transmit)
+	lf.in[dataplane.LinkLeaf] = makeChans(topo.NumLeaves(), queueDepth)
+	lf.in[dataplane.LinkSpine] = makeChans(topo.NumSpines(), queueDepth)
+	lf.in[dataplane.LinkCore] = makeChans(topo.NumCores(), queueDepth)
+	lf.eng = fabric.NewWireEngine(base, hostQueueDepth, lf.transmit)
 	return lf
 }
 
@@ -164,49 +158,4 @@ func (lf *LiveFabric) queuesEmpty() bool {
 		}
 	}
 	return true
-}
-
-// EnableCongestionAwareMultipath replaces flow-hash ECMP with a
-// CONGA/HULA-style least-loaded picker: each switch steers multipathed
-// packets to the upstream port whose next-hop ingress queue is
-// shortest (ties broken by flow hash so steady state stays spread).
-// Call before Start.
-func (lf *LiveFabric) EnableCongestionAwareMultipath() {
-	picker := func(tier dataplane.LinkTier, id int) func(header.OuterFields, []int) int {
-		return func(f header.OuterFields, alive []int) int {
-			return leastLoaded(alive, f, func(port int) int {
-				l := lf.base.NextHop(tier, int32(id), &dataplane.Emission{Port: port, Up: true})
-				return len(lf.in[l.ToTier][l.To])
-			})
-		}
-	}
-	for i, sw := range lf.base.Leaves {
-		sw.UpstreamPicker = picker(dataplane.LinkLeaf, i)
-	}
-	for i, sw := range lf.base.Spines {
-		sw.UpstreamPicker = picker(dataplane.LinkSpine, i)
-	}
-}
-
-// leastLoaded returns the alive port with the smallest queue estimate,
-// breaking ties with the flow hash.
-func leastLoaded(alive []int, f header.OuterFields, depth func(port int) int) int {
-	best := alive[0]
-	bestDepth := depth(best)
-	for _, p := range alive[1:] {
-		if d := depth(p); d < bestDepth {
-			best, bestDepth = p, d
-		}
-	}
-	// Tie-break across equally-empty queues by hashing the flow.
-	ties := make([]int, 0, len(alive))
-	for _, p := range alive {
-		if depth(p) == bestDepth {
-			ties = append(ties, p)
-		}
-	}
-	if len(ties) > 1 {
-		return ties[dataplane.ECMPHash(f, 0x10ad)%uint32(len(ties))]
-	}
-	return best
 }

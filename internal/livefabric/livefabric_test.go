@@ -33,7 +33,7 @@ func liveFixture(t *testing.T, enableINT bool) (*LiveFabric, *controller.Control
 	if _, err := ctrl.CreateGroup(key, members); err != nil {
 		t.Fatal(err)
 	}
-	lf := New(base, DefaultConfig())
+	lf := New(base)
 	if _, err := base.InstallGroupAt(0, ctrl, key); err != nil {
 		t.Fatal(err)
 	}
@@ -210,26 +210,6 @@ func TestLiveBaseAccessor(t *testing.T) {
 	}
 }
 
-func TestCongestionAwareMultipathDelivers(t *testing.T) {
-	lf, _, key, hosts := liveFixture(t, false)
-	lf.EnableCongestionAwareMultipath()
-	lf.Start()
-	defer lf.Stop()
-	addr := dataplane.GroupAddr{VNI: key.Tenant, Group: key.Group}
-	const n = 30
-	for i := 0; i < n; i++ {
-		if err := lf.Send(0, addr, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, h := range hosts[1:] {
-		got := collect(t, lf, h, n, 5*time.Second)
-		if len(got) != n {
-			t.Fatalf("host %d: %d of %d", h, len(got), n)
-		}
-	}
-}
-
 // BenchmarkLivePipeline measures end-to-end throughput of the
 // goroutine fabric: one sender, Fig. 3-style group, real wire
 // marshal/parse at every hop.
@@ -252,7 +232,7 @@ func BenchmarkLivePipeline(b *testing.B) {
 	if _, err := ctrl.CreateGroup(key, members); err != nil {
 		b.Fatal(err)
 	}
-	lf := New(base, DefaultConfig())
+	lf := New(base)
 	if _, err := base.InstallGroupAt(0, ctrl, key); err != nil {
 		b.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestTracePathOverLiveFabric(t *testing.T) {
 	}
 	base := fabric.New(topo, cfg.SRuleCapacity)
 	base.SetFailures(ctrl.Failures())
-	lf := New(base, DefaultConfig())
+	lf := New(base)
 
 	rec := trace.New(trace.Config{})
 	rec.Enable(trace.CatHop, trace.CatHost, trace.CatFabric)

@@ -14,9 +14,9 @@ import (
 // Summary accumulates streaming count/mean/max/min statistics without
 // retaining samples.
 type Summary struct {
-	n          int
-	sum, sumSq float64
-	min, max   float64
+	n        int
+	sum      float64
+	min, max float64
 }
 
 // Add records one sample.
@@ -29,28 +29,7 @@ func (s *Summary) Add(x float64) {
 	}
 	s.n++
 	s.sum += x
-	s.sumSq += x * x
 }
-
-// AddN records a sample with multiplicity n in constant time,
-// equivalent to calling Add(x) n times.
-func (s *Summary) AddN(x float64, n int) {
-	if n <= 0 {
-		return
-	}
-	if s.n == 0 || x < s.min {
-		s.min = x
-	}
-	if s.n == 0 || x > s.max {
-		s.max = x
-	}
-	s.n += n
-	s.sum += x * float64(n)
-	s.sumSq += x * x * float64(n)
-}
-
-// N returns the sample count.
-func (s *Summary) N() int { return s.n }
 
 // Mean returns the sample mean (0 when empty).
 func (s *Summary) Mean() float64 {
@@ -60,32 +39,11 @@ func (s *Summary) Mean() float64 {
 	return s.sum / float64(s.n)
 }
 
-// Sum returns the sample sum.
-func (s *Summary) Sum() float64 { return s.sum }
-
 // Min returns the smallest sample (0 when empty).
 func (s *Summary) Min() float64 { return s.min }
 
 // Max returns the largest sample (0 when empty).
 func (s *Summary) Max() float64 { return s.max }
-
-// Std returns the population standard deviation.
-func (s *Summary) Std() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	v := s.sumSq/float64(s.n) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// String renders "mean (min/max)".
-func (s *Summary) String() string {
-	return fmt.Sprintf("%.2f (min %.2f, max %.2f, n=%d)", s.Mean(), s.min, s.max, s.n)
-}
 
 // Samples retains values for percentile queries.
 type Samples struct {
@@ -103,9 +61,6 @@ func (p *Samples) Add(x float64) {
 	p.xs = append(p.xs, x)
 	p.sorted = false
 }
-
-// N returns the number of samples.
-func (p *Samples) N() int { return len(p.xs) }
 
 // Percentile returns the q-th percentile (0 <= q <= 100) by nearest-
 // rank; 0 when empty.

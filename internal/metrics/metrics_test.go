@@ -10,49 +10,14 @@ import (
 
 func TestSummaryBasics(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Std() != 0 {
+	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
 		t.Fatal("empty summary not zero")
 	}
 	for _, x := range []float64{2, 4, 6} {
 		s.Add(x)
 	}
-	if s.N() != 3 || s.Mean() != 4 || s.Min() != 2 || s.Max() != 6 || s.Sum() != 12 {
-		t.Fatalf("summary = %s", s.String())
-	}
-	want := math.Sqrt((4 + 0 + 4) / 3.0)
-	if math.Abs(s.Std()-want) > 1e-12 {
-		t.Fatalf("std = %f, want %f", s.Std(), want)
-	}
-	s.AddN(4, 2)
-	if s.N() != 5 || s.Mean() != 4 {
-		t.Fatal("AddN wrong")
-	}
-}
-
-// TestAddNEquivalence checks the O(1) AddN matches n repeated Adds
-// exactly across interleaved random sequences, including n <= 0 being
-// a no-op.
-func TestAddNEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var fast, slow Summary
-	fast.AddN(99, 0)
-	fast.AddN(99, -3)
-	for i := 0; i < 200; i++ {
-		x := rng.NormFloat64() * 50
-		n := rng.Intn(6) // 0 is a valid multiplicity
-		fast.AddN(x, n)
-		for j := 0; j < n; j++ {
-			slow.Add(x)
-		}
-	}
-	if fast.N() != slow.N() || fast.Min() != slow.Min() || fast.Max() != slow.Max() {
-		t.Fatalf("AddN %s != repeated Add %s", fast.String(), slow.String())
-	}
-	if math.Abs(fast.Sum()-slow.Sum()) > 1e-9*math.Abs(slow.Sum()) {
-		t.Fatalf("sum: %g vs %g", fast.Sum(), slow.Sum())
-	}
-	if math.Abs(fast.Std()-slow.Std()) > 1e-9 {
-		t.Fatalf("std: %g vs %g", fast.Std(), slow.Std())
+	if s.Mean() != 4 || s.Min() != 2 || s.Max() != 6 {
+		t.Fatalf("summary = %+v", s)
 	}
 }
 
@@ -61,7 +26,7 @@ func TestSummaryNegatives(t *testing.T) {
 	s.Add(-5)
 	s.Add(5)
 	if s.Min() != -5 || s.Max() != 5 || s.Mean() != 0 {
-		t.Fatalf("summary = %s", s.String())
+		t.Fatalf("summary = %+v", s)
 	}
 }
 
@@ -103,9 +68,6 @@ func TestPercentileNaNAndEmpty(t *testing.T) {
 	}
 
 	p.Add(math.NaN())
-	if p.N() != 0 {
-		t.Fatalf("NaN was retained: N = %d", p.N())
-	}
 	for _, q := range []float64{0, 50, 100} {
 		if got := p.Percentile(q); got != 0 {
 			t.Fatalf("all-NaN P%v = %v, want 0", q, got)
@@ -115,9 +77,6 @@ func TestPercentileNaNAndEmpty(t *testing.T) {
 	// NaNs interleaved with real samples must not shift any percentile.
 	for _, x := range []float64{3, math.NaN(), 1, math.NaN(), 2} {
 		p.Add(x)
-	}
-	if p.N() != 3 {
-		t.Fatalf("N = %d, want 3", p.N())
 	}
 	for q, want := range map[float64]float64{0: 1, 50: 2, 100: 3} {
 		got := p.Percentile(q)

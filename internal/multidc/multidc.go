@@ -162,15 +162,6 @@ func (b *Bridge) Send(fromDC string, sender topology.HostID, key controller.Grou
 	return out, nil
 }
 
-// Members returns the group's per-DC membership (for assertions).
-func (b *Bridge) Members(key controller.GroupKey) map[string][]topology.HostID {
-	g, ok := b.groups[key]
-	if !ok {
-		return nil
-	}
-	return g.members
-}
-
 // RemoveGlobalGroup tears the group down everywhere.
 func (b *Bridge) RemoveGlobalGroup(key controller.GroupKey) error {
 	g, ok := b.groups[key]

@@ -51,11 +51,8 @@ type LinkTable struct {
 }
 
 // NewLinkTable sizes the table for a topology with width rate buckets
-// per link (width <= 0 defaults to 60).
+// per link.
 func NewLinkTable(topo *topology.Topology, width int) *LinkTable {
-	if width <= 0 {
-		width = 60
-	}
 	cfg := topo.Config()
 	nHL := topo.NumHosts()
 	nLS := topo.NumLeaves() * cfg.SpinesPerPod

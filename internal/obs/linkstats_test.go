@@ -203,7 +203,7 @@ func TestLinkTableMatchesExactCounting(t *testing.T) {
 
 	tiers := map[string]func(*fabric.Fabric) (func(topology.HostID, dataplane.GroupAddr, []byte) error, func()){
 		"channel": func(base *fabric.Fabric) (func(topology.HostID, dataplane.GroupAddr, []byte) error, func()) {
-			lf := livefabric.New(base, livefabric.DefaultConfig())
+			lf := livefabric.New(base)
 			lf.Start()
 			return lf.Send, lf.Stop
 		},

@@ -35,8 +35,18 @@ type DurableStatus interface {
 	ReplicationErr() error
 }
 
+// The plane's tuning, fixed: no caller ever asked for another value.
+const (
+	topK           = 32                   // heavy-hitter sketch capacity
+	ringWidth      = 60                   // rate buckets retained per link
+	sampleEvery    = time.Second          // sampler cadence
+	latencyBound   = 5 * time.Millisecond // a send is "good" when it completes within this
+	deliveryTarget = 0.999                // SLO good-ratio targets
+	latencyTarget  = 0.99
+)
+
 // Options configures a Plane. Topology is required; everything else
-// has serviceable defaults or is optional.
+// is optional.
 type Options struct {
 	Topology *topology.Topology
 	// Registry, when set, receives the elmo_obs_* and elmo_slo_*
@@ -52,24 +62,6 @@ type Options struct {
 	// (ready only when acked == total). Typically
 	// ReplicaSet.FollowerAcks.
 	FollowerAcks func() (acked, total int)
-
-	// TopK is the heavy-hitter sketch capacity (default 32).
-	TopK int
-	// RingWidth is the number of rate buckets retained per link
-	// (default 60).
-	RingWidth int
-	// SampleEvery is the sampler cadence (default 1s).
-	SampleEvery time.Duration
-	// LatencyBound is the per-send forwarding-latency SLO threshold: a
-	// send is "good" when it completes within the bound (default 5ms).
-	LatencyBound time.Duration
-	// DeliveryTarget and LatencyTarget are the SLO good-ratio targets
-	// (defaults 0.999 and 0.99).
-	DeliveryTarget float64
-	LatencyTarget  float64
-	// Rules overrides the burn-rate rule set (default
-	// DefaultBurnRules).
-	Rules []BurnRule
 }
 
 // Plane is the ops plane instance. Zero value is not usable; build
@@ -85,51 +77,35 @@ type Plane struct {
 	delivered atomic.Int64 // host copies delivered
 	lost      atomic.Int64 // copies lost in flight
 	sends     atomic.Int64 // completed sends
-	fastSends atomic.Int64 // sends within LatencyBound
+	fastSends atomic.Int64 // sends within latencyBound
 	sendBytes atomic.Int64
 
-	latencyBound int64 // nanos
-	slo          *SLOEngine
-	latencyHist  *telemetry.Histogram
-	hopsHist     *telemetry.Histogram
-
-	stopSampler chan struct{}
+	slo         *SLOEngine
+	latencyHist *telemetry.Histogram
+	hopsHist    *telemetry.Histogram
 }
 
 // New builds a Plane over the topology described by opts.
 func New(opts Options) *Plane {
-	if opts.DeliveryTarget <= 0 || opts.DeliveryTarget >= 1 {
-		opts.DeliveryTarget = 0.999
-	}
-	if opts.LatencyTarget <= 0 || opts.LatencyTarget >= 1 {
-		opts.LatencyTarget = 0.99
-	}
-	if opts.LatencyBound <= 0 {
-		opts.LatencyBound = 5 * time.Millisecond
-	}
-	if opts.SampleEvery <= 0 {
-		opts.SampleEvery = time.Second
-	}
 	p := &Plane{
-		opts:         opts,
-		links:        NewLinkTable(opts.Topology, opts.RingWidth),
-		groups:       NewSketch(opts.TopK),
-		latencyBound: opts.LatencyBound.Nanoseconds(),
+		opts:   opts,
+		links:  NewLinkTable(opts.Topology, ringWidth),
+		groups: NewSketch(topK),
 	}
 	p.slo = NewSLOEngine([]Objective{
 		{
 			Name:   "delivery_ratio",
-			Target: opts.DeliveryTarget,
+			Target: deliveryTarget,
 			Good:   p.delivered.Load,
 			Total:  func() int64 { return p.delivered.Load() + p.lost.Load() },
 		},
 		{
 			Name:   "send_latency",
-			Target: opts.LatencyTarget,
+			Target: latencyTarget,
 			Good:   p.fastSends.Load,
 			Total:  p.sends.Load,
 		},
-	}, opts.Rules, 0)
+	}, DefaultBurnRules())
 	if reg := opts.Registry; reg != nil {
 		p.latencyHist = reg.Histogram("elmo_obs_send_latency_seconds",
 			"Wall-clock fabric forwarding time per send.", telemetry.LatencyBuckets)
@@ -156,7 +132,7 @@ func New(opts Options) *Plane {
 				return 1
 			}, obj)
 			seen := map[time.Duration]bool{}
-			for _, r := range p.sloRules() {
+			for _, r := range DefaultBurnRules() {
 				for _, w := range []time.Duration{r.Short, r.Long} {
 					if seen[w] {
 						continue
@@ -181,13 +157,6 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-func (p *Plane) sloRules() []BurnRule {
-	if p.opts.Rules != nil {
-		return p.opts.Rules
-	}
-	return DefaultBurnRules()
-}
-
 // Enable turns observation on; Disable returns the fabric hot path to
 // its zero-cost state.
 func (p *Plane) Enable()  { p.enabled.Store(true) }
@@ -210,7 +179,7 @@ func (p *Plane) ObserveSend(s dataplane.SendSample) {
 	p.lost.Add(int64(s.Lost))
 	p.sends.Add(1)
 	p.sendBytes.Add(s.Bytes)
-	if s.Nanos <= p.latencyBound {
+	if s.Nanos <= latencyBound.Nanoseconds() {
 		p.fastSends.Add(1)
 	}
 	if p.latencyHist != nil {
@@ -232,9 +201,8 @@ func (p *Plane) Sample(now time.Time) {
 // stops it (idempotent).
 func (p *Plane) StartSampler() (stop func()) {
 	ch := make(chan struct{})
-	p.stopSampler = ch
 	go func() {
-		t := time.NewTicker(p.opts.SampleEvery)
+		t := time.NewTicker(sampleEvery)
 		defer t.Stop()
 		for {
 			select {

@@ -34,12 +34,8 @@ type ssSlot struct {
 	bytes int64 // bytes ride along the packet estimate
 }
 
-// NewSketch returns a sketch tracking up to k keys (k <= 0 defaults
-// to 32).
+// NewSketch returns a sketch tracking up to k keys.
 func NewSketch(k int) *Sketch {
-	if k <= 0 {
-		k = 32
-	}
 	return &Sketch{k: k, slots: make([]ssSlot, 0, k), pos: make(map[uint64]int, k)}
 }
 

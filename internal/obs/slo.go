@@ -144,21 +144,17 @@ type SLOEngine struct {
 	rules  []BurnRule
 }
 
+// sloDepth is the samples retained per objective: at one sample per
+// second it spans the 5m/30m fast windows; slow windows degrade
+// gracefully to the oldest retained sample.
+const sloDepth = 512
+
 // NewSLOEngine builds an engine over the objectives with the given
-// rules (nil = DefaultBurnRules) retaining `depth` samples per
-// objective (depth <= 0 defaults to 512 — at one sample per second
-// that spans the 5m/30m fast windows; slow windows degrade gracefully
-// to the oldest retained sample).
-func NewSLOEngine(objectives []Objective, rules []BurnRule, depth int) *SLOEngine {
-	if rules == nil {
-		rules = DefaultBurnRules()
-	}
-	if depth <= 0 {
-		depth = 512
-	}
+// rules.
+func NewSLOEngine(objectives []Objective, rules []BurnRule) *SLOEngine {
 	e := &SLOEngine{rules: rules}
 	for _, o := range objectives {
-		e.series = append(e.series, &sloSeries{obj: o, samples: make([]sloSample, depth)})
+		e.series = append(e.series, &sloSeries{obj: o, samples: make([]sloSample, sloDepth)})
 	}
 	return e
 }

@@ -17,7 +17,7 @@ func TestBurnRateWindows(t *testing.T) {
 		Target: 0.99, // 1% error budget
 		Good:   good.Load,
 		Total:  total.Load,
-	}}, rules, 0)
+	}}, rules)
 
 	t0 := time.Unix(10000, 0)
 	tick := func(sec int) { e.Tick(t0.Add(time.Duration(sec) * time.Second)) }
@@ -94,7 +94,7 @@ func TestBurnRateWindows(t *testing.T) {
 // TestBurnRateNoTraffic checks quiet systems never burn.
 func TestBurnRateNoTraffic(t *testing.T) {
 	var good, total atomic.Int64
-	e := NewSLOEngine([]Objective{{Name: "x", Target: 0.999, Good: good.Load, Total: total.Load}}, nil, 0)
+	e := NewSLOEngine([]Objective{{Name: "x", Target: 0.999, Good: good.Load, Total: total.Load}}, DefaultBurnRules())
 	t0 := time.Unix(0, 0)
 	for s := 0; s < 10; s++ {
 		e.Tick(t0.Add(time.Duration(s) * time.Second))
@@ -115,7 +115,7 @@ func TestBurnRateNoTraffic(t *testing.T) {
 
 // TestBurnRateUnknownObjective covers the error path.
 func TestBurnRateUnknownObjective(t *testing.T) {
-	e := NewSLOEngine(nil, nil, 0)
+	e := NewSLOEngine(nil, DefaultBurnRules())
 	if _, err := e.BurnRate("nope", time.Minute); err == nil {
 		t.Fatal("expected error for unknown objective")
 	}

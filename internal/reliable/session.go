@@ -58,17 +58,12 @@ type Session struct {
 	ControlDrops     int
 	CorruptFrames    int
 	UnicastFallbacks int
-
-	// Metrics, when non-nil, mirrors the counters above (plus RDATA
-	// retransmits) into a telemetry registry as events happen.
-	Metrics *Metrics
 }
 
 // dropControl applies ControlLoss to one control unicast.
 func (sess *Session) dropControl(msgType uint8, from, to topology.HostID) bool {
 	if sess.ControlLoss != nil && sess.ControlLoss(msgType, from, to) {
 		sess.ControlDrops++
-		sess.Metrics.onControlDrop()
 		return true
 	}
 	return false
@@ -119,7 +114,6 @@ func (sess *Session) Publish(payload []byte) error {
 	d, err := sess.fab.Send(sess.sender, sess.addr, frame)
 	if errors.Is(err, dataplane.ErrNoSenderFlow) {
 		sess.UnicastFallbacks++
-		sess.Metrics.onFallback()
 		for h := range sess.receivers {
 			if sess.LossInjector != nil && sess.LossInjector(h, seq) {
 				continue
@@ -160,7 +154,6 @@ func (sess *Session) ingest(h topology.HostID, frame []byte) error {
 	out, nak, err := r.Handle(frame)
 	if err != nil {
 		sess.CorruptFrames++
-		sess.Metrics.onCorrupt()
 		return nil
 	}
 	sess.delivered[h] = append(sess.delivered[h], out...)
@@ -180,7 +173,6 @@ func (sess *Session) repair(h topology.HostID, nak []byte) error {
 		// NAK travels to the sender as unicast...
 		if sess.dropControl(TypeNAK, h, sess.sender) {
 			sess.NAKRetries++
-			sess.Metrics.onNAKRetry()
 			if sess.BackoffFn != nil {
 				sess.BackoffFn(attempt)
 			}
@@ -190,7 +182,6 @@ func (sess *Session) repair(h topology.HostID, nak []byte) error {
 			return err
 		}
 		sess.NAKs++
-		sess.Metrics.onNAK()
 		nm, err := Unmarshal(nak)
 		if err != nil {
 			return err
@@ -210,11 +201,9 @@ func (sess *Session) repair(h topology.HostID, nak []byte) error {
 			if _, err := sess.fab.SendUnicast(sess.sender, []topology.HostID{h}, rd); err != nil {
 				return err
 			}
-			sess.Metrics.onRetransmit()
 			out, _, err := r.Handle(rd)
 			if err != nil {
 				sess.CorruptFrames++
-				sess.Metrics.onCorrupt()
 				continue
 			}
 			sess.delivered[h] = append(sess.delivered[h], out...)
@@ -223,7 +212,6 @@ func (sess *Session) repair(h topology.HostID, nak []byte) error {
 		// trusting the per-frame NAK hints.
 		if nak = r.OutstandingNAK(); nak != nil {
 			sess.NAKRetries++
-			sess.Metrics.onNAKRetry()
 			if sess.BackoffFn != nil {
 				sess.BackoffFn(attempt)
 			}
@@ -249,7 +237,6 @@ func (sess *Session) Flush() error {
 			}
 			if sess.dropControl(TypeNAK, h, sess.sender) {
 				sess.NAKRetries++
-				sess.Metrics.onNAKRetry()
 				if sess.BackoffFn != nil {
 					sess.BackoffFn(attempt)
 				}
@@ -259,7 +246,6 @@ func (sess *Session) Flush() error {
 				return err
 			}
 			sess.NAKs++
-			sess.Metrics.onNAK()
 			repairs, err := sess.s.HandleNAK(nm)
 			if err != nil {
 				return err
@@ -275,11 +261,9 @@ func (sess *Session) Flush() error {
 				if _, err := sess.fab.SendUnicast(sess.sender, []topology.HostID{h}, rd); err != nil {
 					return err
 				}
-				sess.Metrics.onRetransmit()
 				out, _, err := r.Handle(rd)
 				if err != nil {
 					sess.CorruptFrames++
-					sess.Metrics.onCorrupt()
 					continue
 				}
 				sess.delivered[h] = append(sess.delivered[h], out...)
@@ -287,7 +271,6 @@ func (sess *Session) Flush() error {
 			}
 			if r.Next() < high && !progressed {
 				sess.NAKRetries++
-				sess.Metrics.onNAKRetry()
 				if sess.BackoffFn != nil {
 					sess.BackoffFn(attempt)
 				}

@@ -64,20 +64,6 @@ type ScalabilityConfig struct {
 	Observer dataplane.FlowObserver
 }
 
-// PaperScalability returns the full paper-scale configuration for a
-// placement locality P, redundancy R and group count.
-func PaperScalability(p, r, totalGroups int, dist groupgen.Distribution) ScalabilityConfig {
-	return ScalabilityConfig{
-		Topology:            topology.FacebookFabric(),
-		Placement:           placement.PaperConfig(p),
-		Groups:              groupgen.PaperConfig(totalGroups, dist),
-		Controller:          controller.PaperConfig(r),
-		PacketSizes:         []int{64, 1500},
-		BaselineSampleEvery: 101,
-		Seed:                33,
-	}
-}
-
 // ScalabilityResult aggregates one run's measurements.
 type ScalabilityResult struct {
 	Config ScalabilityConfig
@@ -242,9 +228,7 @@ func RunScalability(cfg ScalabilityConfig) (*ScalabilityResult, error) {
 		if err := fab.UninstallEncodingAt(0, addr, enc, g.Hosts); err != nil {
 			return err
 		}
-		if progress != nil {
-			progress.Add(1)
-		}
+		progress.Add(1)
 		return nil
 	}
 

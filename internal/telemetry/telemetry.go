@@ -43,17 +43,21 @@ import (
 // Counter is a monotonically increasing value. The zero value is ready
 // to use, but counters are normally created through a Registry so they
 // appear in the exposition.
+//
+// The write methods of Counter, Gauge and Histogram (Inc, Add, Set,
+// Observe) return on a nil receiver, so a metrics bundle whose handles
+// were never registered is "telemetry off" with no wrapper to check it.
 type Counter struct {
 	v atomic.Int64
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add increases the counter by n; non-positive deltas are ignored
 // (counters are monotonic by contract).
 func (c *Counter) Add(n int64) {
-	if n > 0 {
+	if c != nil && n > 0 {
 		c.v.Add(n)
 	}
 }
@@ -68,10 +72,17 @@ type Gauge struct {
 }
 
 // Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Add adjusts the gauge by d (CAS loop; allocation-free).
 func (g *Gauge) Add(d float64) {
+	if g == nil {
+		return
+	}
 	for {
 		old := g.bits.Load()
 		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
@@ -104,7 +115,7 @@ func newHistogram(bounds []float64) *Histogram {
 // Observe records one sample. NaN observations are dropped — they would
 // poison the sum without landing in any bucket.
 func (h *Histogram) Observe(v float64) {
-	if math.IsNaN(v) {
+	if h == nil || math.IsNaN(v) {
 		return
 	}
 	// First bound >= v, hand-rolled so the disabled-inlining path of
@@ -133,9 +144,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Bounds returns the bucket upper bounds (excluding +Inf).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
 
 // Quantile estimates the q-quantile (0 <= q <= 1) from the bucket
 // counts, interpolating linearly inside the target bucket the way

@@ -36,6 +36,36 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// TestNilHandlesDoNothing: every write method of a nil handle returns,
+// so a metrics bundle whose handles were never registered is
+// "telemetry off" with no wrapper to check it.
+func TestNilHandlesDoNothing(t *testing.T) {
+	var (
+		c *Counter
+		g *Gauge
+		h *Histogram
+	)
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"Counter.Inc", func() { c.Inc() }},
+		{"Counter.Add", func() { c.Add(3) }},
+		{"Gauge.Set", func() { g.Set(1.5) }},
+		{"Gauge.Add", func() { g.Add(-1) }},
+		{"Histogram.Observe", func() { h.Observe(0.25) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("nil handle panicked: %v", r)
+				}
+			}()
+			tc.call()
+		})
+	}
+}
+
 func TestHistogramBucketing(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("elmo_test_lat_seconds", "latency", []float64{0.1, 1, 10})

@@ -504,15 +504,3 @@ func (r *FlightRecorder) Snapshot() []Event {
 	copy(out[n:], r.buf[:head])
 	return out
 }
-
-// Reset drops all retained events and sampling counters, keeping the
-// enable mask and configuration.
-func (r *FlightRecorder) Reset() {
-	r.mu.Lock()
-	r.buf = r.buf[:0]
-	r.next = 0
-	r.mu.Unlock()
-	for i := range r.seen {
-		r.seen[i].Store(0)
-	}
-}

@@ -39,36 +39,12 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	return m
 }
 
-func (m *Metrics) onSent() {
-	if m != nil {
-		m.sent.Inc()
-	}
-}
-
-func (m *Metrics) onSendError() {
-	if m != nil {
-		m.sendErrors.Inc()
-	}
-}
-
-func (m *Metrics) onRecv() {
-	if m != nil {
-		m.recv.Inc()
-	}
-}
-
-func (m *Metrics) onRetry() {
-	if m != nil {
-		m.retries.Inc()
-	}
-}
-
 // SetMetrics attaches telemetry to the UDP transport and the wrapped
 // fabric's probe. Call before Start; nil detaches.
 func (u *UDPFabric) SetMetrics(m *Metrics) {
-	u.metrics = m
 	if m == nil {
 		m = &Metrics{}
 	}
+	u.metrics = *m
 	u.base.SetMetrics(m.Fabric)
 }

@@ -48,11 +48,9 @@ type UDPFabric struct {
 	conn [dataplane.LinkCore + 1][]*net.UDPConn
 	addr [dataplane.LinkCore + 1][]*net.UDPAddr
 
-	metrics *Metrics
-	// readErrors counts transient socket read errors the readers
-	// retried past; sendErrors counts datagram writes the socket
-	// rejected.
-	readErrors, sendErrors atomic.Int64
+	metrics Metrics // zero = off: nil telemetry handles do nothing
+	// sendErrors counts datagram writes the socket rejected.
+	sendErrors atomic.Int64
 }
 
 // New binds one ephemeral localhost UDP socket per switch and host of
@@ -125,9 +123,6 @@ func (u *UDPFabric) Malformed() int64 { return u.eng.Malformed() }
 // HostDrops counts frames discarded at full host queues.
 func (u *UDPFabric) HostDrops() int64 { return u.eng.HostDrops() }
 
-// ReadErrors counts transient socket read errors retried with backoff.
-func (u *UDPFabric) ReadErrors() int64 { return u.readErrors.Load() }
-
 // SendErrors counts datagram writes the socket rejected.
 func (u *UDPFabric) SendErrors() int64 { return u.sendErrors.Load() }
 
@@ -139,10 +134,10 @@ func (u *UDPFabric) SendErrors() int64 { return u.sendErrors.Load() }
 func (u *UDPFabric) transmit(l dataplane.Link, wire []byte) error {
 	if _, err := u.conn[l.FromTier][l.From].WriteToUDP(wire, u.addr[l.ToTier][l.To]); err != nil {
 		u.sendErrors.Add(1)
-		u.metrics.onSendError()
+		u.metrics.sendErrors.Inc()
 		return err
 	}
-	u.metrics.onSent()
+	u.metrics.sent.Inc()
 	return nil
 }
 
@@ -180,8 +175,7 @@ func (u *UDPFabric) readLoop(conn *net.UDPConn, fn func(wire []byte)) {
 			if errors.Is(err, net.ErrClosed) {
 				return
 			}
-			u.readErrors.Add(1)
-			u.metrics.onRetry()
+			u.metrics.retries.Inc()
 			if backoff == 0 {
 				backoff = time.Millisecond
 			} else if backoff *= 2; backoff > readErrBackoffCap {
@@ -195,7 +189,7 @@ func (u *UDPFabric) readLoop(conn *net.UDPConn, fn func(wire []byte)) {
 			}
 		}
 		backoff = 0
-		u.metrics.onRecv()
+		u.metrics.recv.Inc()
 		fn(frame[:n])
 	}
 }

@@ -9,10 +9,7 @@ import (
 )
 
 // Ack is one caller's handle on an in-flight append. Wait blocks until
-// the record's batch has been fsynced (or failed); the latency
-// accessors then report where the time went: queued behind the
-// previous batch, written+synced with its own batch, and the total
-// enqueue-to-durable commit latency.
+// the record's batch has been fsynced (or failed).
 type Ack struct {
 	lsn     uint64
 	epoch   uint64
@@ -21,9 +18,6 @@ type Ack struct {
 	barrier bool
 
 	enqueued time.Time
-	queue    time.Duration
-	flush    time.Duration
-	commit   time.Duration
 
 	err  error
 	done chan struct{}
@@ -43,12 +37,6 @@ func (a *Ack) Wait() error {
 	return a.err
 }
 
-// Latencies returns the queue, flush, and total commit durations.
-// Valid only after Wait returns.
-func (a *Ack) Latencies() (queue, flush, commit time.Duration) {
-	return a.queue, a.flush, a.commit
-}
-
 // flusher is the single goroutine that owns the segment files: it
 // blocks for the first pending record, opportunistically drains
 // everything else already queued (up to the batch bounds), writes the
@@ -64,7 +52,7 @@ func (l *Log) flusher() {
 		batch = append(batch[:0], a)
 		bytes := frameHeader + 1 + len(a.data)
 	drain:
-		for len(batch) < l.opts.BatchRecords && bytes < l.opts.BatchBytes {
+		for len(batch) < l.opts.BatchRecords && bytes < batchBytes {
 			select {
 			case b, ok := <-l.queue:
 				if !ok {
@@ -122,17 +110,16 @@ func (l *Log) commitBatch(batch []*Ack) {
 	m := l.opts.Metrics
 	for _, a := range batch {
 		a.err = err
-		a.queue = start.Sub(a.enqueued)
-		a.flush = end.Sub(start)
-		a.commit = end.Sub(a.enqueued)
 		close(a.done)
-		if m != nil && !a.barrier {
-			m.queueLat.Observe(a.queue.Seconds())
-			m.flushLat.Observe(a.flush.Seconds())
-			m.commitLat.Observe(a.commit.Seconds())
+		// Where the time went: queued behind the previous batch, written
+		// and synced with its own, and enqueue to durable in total.
+		if !a.barrier {
+			m.queueLat.Observe(start.Sub(a.enqueued).Seconds())
+			m.flushLat.Observe(end.Sub(start).Seconds())
+			m.commitLat.Observe(end.Sub(a.enqueued).Seconds())
 		}
 	}
-	if m != nil && records > 0 {
+	if records > 0 {
 		m.batches.Inc()
 		m.batchRecords.Observe(float64(records))
 	}
@@ -163,9 +150,7 @@ func (l *Log) writeFrames() error {
 	}
 	n, err := l.w.Write(l.frames)
 	l.frames = l.frames[:0]
-	if m := l.opts.Metrics; m != nil {
-		m.bytes.Add(int64(n))
-	}
+	l.opts.Metrics.bytes.Add(int64(n))
 	return err
 }
 
@@ -187,9 +172,7 @@ func (l *Log) rotate(firstLSN uint64) error {
 		return err
 	}
 	l.setSegment(f, 0, firstLSN)
-	if m := l.opts.Metrics; m != nil {
-		m.segments.Inc()
-	}
+	l.opts.Metrics.segments.Inc()
 	return nil
 }
 
@@ -210,8 +193,6 @@ func (l *Log) syncFile() error {
 	if err := l.cur.Sync(); err != nil {
 		return err
 	}
-	if m := l.opts.Metrics; m != nil {
-		m.fsyncs.Inc()
-	}
+	l.opts.Metrics.fsyncs.Inc()
 	return nil
 }

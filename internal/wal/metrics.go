@@ -45,10 +45,3 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		commitLat: lat.With("commit"),
 	}
 }
-
-// CommitLatency exposes the commit-stage histogram (for benchmark
-// reporting).
-func (m *Metrics) CommitLatency() *telemetry.Histogram { return m.commitLat }
-
-// BatchRecords exposes the per-batch record-count histogram.
-func (m *Metrics) BatchRecords() *telemetry.Histogram { return m.batchRecords }

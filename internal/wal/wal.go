@@ -48,8 +48,8 @@ const (
 	DefaultSegmentBytes = 16 << 20
 	// DefaultBatchRecords caps records coalesced into one fsync.
 	DefaultBatchRecords = 4096
-	// DefaultBatchBytes caps the byte size of one batch.
-	DefaultBatchBytes = 4 << 20
+	// batchBytes caps the byte size of one batch.
+	batchBytes = 4 << 20
 )
 
 // castagnoli is the CRC32-C table (hardware-accelerated on amd64).
@@ -62,15 +62,15 @@ type Options struct {
 	// SegmentBytes rotates to a new segment once the current one
 	// reaches this size (0 = DefaultSegmentBytes).
 	SegmentBytes int
-	// BatchRecords / BatchBytes bound one group-commit batch
-	// (0 = defaults).
+	// BatchRecords caps the records of one group-commit batch
+	// (0 = DefaultBatchRecords).
 	BatchRecords int
-	BatchBytes   int
 	// NoSync skips fsync (tests and benchmarks that measure the
 	// batching pipeline rather than the disk).
 	NoSync bool
 	// Metrics, when non-nil, receives append/batch/fsync counters and
-	// the queue/flush/commit latency histograms.
+	// the queue/flush/commit latency histograms; nil becomes the zero
+	// bundle, whose nil handles do nothing.
 	Metrics *Metrics
 	// Epoch is the leadership term stamped on every appended frame.
 	// The effective epoch is the maximum of this and the last epoch
@@ -90,8 +90,8 @@ func (o Options) withDefaults() Options {
 	if o.BatchRecords <= 0 {
 		o.BatchRecords = DefaultBatchRecords
 	}
-	if o.BatchBytes <= 0 {
-		o.BatchBytes = DefaultBatchBytes
+	if o.Metrics == nil {
+		o.Metrics = &Metrics{}
 	}
 	return o
 }
@@ -201,9 +201,6 @@ func Open(opts Options) (*Log, error) {
 	return l, nil
 }
 
-// Dir returns the segment directory.
-func (l *Log) Dir() string { return l.opts.Dir }
-
 // Epoch returns the leadership term stamped on appended frames: the
 // maximum of Options.Epoch and the last epoch found in the log at Open.
 func (l *Log) Epoch() uint64 { return l.epoch }
@@ -239,9 +236,7 @@ func (l *Log) Append(typ uint8, data []byte) (*Ack, error) {
 	l.nextLSN++
 	l.queue <- a
 	l.mu.Unlock()
-	if m := l.opts.Metrics; m != nil {
-		m.appends.Inc()
-	}
+	l.opts.Metrics.appends.Inc()
 	return a, nil
 }
 
@@ -316,9 +311,7 @@ func (l *Log) TruncateThrough(lsn uint64) (int, error) {
 		}
 		removed++
 	}
-	if m := l.opts.Metrics; m != nil && removed > 0 {
-		m.truncated.Add(int64(removed))
-	}
+	l.opts.Metrics.truncated.Add(int64(removed))
 	return removed, nil
 }
 
