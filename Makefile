@@ -49,9 +49,10 @@ loc:
 # bare one, the forwarding fast path allocates nothing and emits what
 # the frozen reference pipeline emits, a sender's header stream is
 # written without allocating and equals the frozen header assembly byte
-# for byte, a group install stays inside its allocation budget, and
-# short runs of the repo's benchmark (BENCHMARK.json) on the data path,
-# on the control path and on bulk install + snapshot + crash recovery
+# for byte, a group install stays inside its allocation budget, a packet
+# whose INT section follows an absent downstream section is forwarded on
+# both forwarders, and short runs of the repo's benchmark
+# (BENCHMARK.json) on the data path, on the control path and on bulk install + snapshot + crash recovery
 # (the only workload that drives InstallBatch, WriteState/ReadState and
 # replay through a fingerprint oracle) pass their own oracles and exit 0.
 bench-gate:
@@ -59,7 +60,7 @@ bench-gate:
 	$(GO) test -run 'TestObserverDisabledAddsNoAllocations' -count=1 -v ./internal/obs/
 	$(GO) test -run 'TestProcessIntoZeroAllocs|TestProcessIntoEquivalence' -count=1 ./internal/dataplane/
 	$(GO) test -run 'TestSenderStreamMatchesOracle|TestAppendSenderStreamZeroAllocs' -count=1 ./internal/controller/
-	$(GO) test -run 'TestInstallWalkAllocationBudget' -count=1 ./internal/fabric/
+	$(GO) test -run 'TestInstallWalkAllocationBudget|TestINTAfterAbsentDownstreamSection' -count=1 ./internal/fabric/
 	bash benchmark/run.sh --workload fanout-sync --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload lifecycle --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload bulk-recover --seed 1 --seconds 2 --trace 0

@@ -253,6 +253,9 @@ func (s *server) create(f []string) (string, error) {
 		if err != nil {
 			return "", err
 		}
+		if _, dup := members[elmo.HostID(h)]; dup {
+			return "", fmt.Errorf("host %d named twice", h)
+		}
 		members[elmo.HostID(h)] = role
 	}
 	if err := s.cl.CreateGroup(key, members); err != nil {
@@ -334,12 +337,11 @@ func (s *server) header(f []string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	hdr, err := s.cl.Ctrl.HeaderFor(key, elmo.HostID(h))
+	wire, err := s.cl.Ctrl.SenderStream(key, elmo.HostID(h))
 	if err != nil {
 		return "", err
 	}
-	l := header.LayoutFor(s.cl.Topo)
-	wire, err := header.Encode(l, hdr)
+	hdr, _, err := header.Decode(header.LayoutFor(s.cl.Topo), wire)
 	if err != nil {
 		return "", err
 	}

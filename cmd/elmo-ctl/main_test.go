@@ -47,6 +47,7 @@ func TestDispatchLifecycle(t *testing.T) {
 		{"create 1", false, "need <vni> <group>"},
 		{"create 9999999999 1 0:b", false, "bad vni"},
 		{"create 1 2 0:x", false, "role must be"},
+		{"create 1 2 0:b 0:r", false, "host 0 named twice"},
 		{"fail core notanum", false, "err"},
 	}
 	for _, st := range steps {

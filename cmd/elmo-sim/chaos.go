@@ -9,7 +9,6 @@ import (
 	"elmo/internal/controller"
 	"elmo/internal/dataplane"
 	"elmo/internal/fabric"
-	"elmo/internal/header"
 	"elmo/internal/reliable"
 	"elmo/internal/topology"
 	"elmo/internal/trace"
@@ -54,12 +53,7 @@ func runChaos(topoCfg topology.Config, srules int, seed int64) {
 	if _, err := fab.InstallGroupAt(0, ctrl, key); err != nil {
 		log.Fatal(err)
 	}
-	lay := header.LayoutFor(topo)
-	pre, err := ctrl.HeaderFor(key, sender)
-	if err != nil {
-		log.Fatal(err)
-	}
-	preWire, err := header.Encode(lay, pre)
+	preWire, err := ctrl.SenderStream(key, sender)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -135,11 +129,7 @@ func runChaos(topoCfg topology.Config, srules int, seed int64) {
 		fmt.Printf("host %d: delivered %d/%d in order: %v\n", h, len(got), steps, ordered)
 	}
 
-	post, err := ctrl.HeaderFor(key, sender)
-	if err != nil {
-		log.Fatal(err)
-	}
-	postWire, err := header.Encode(lay, post)
+	postWire, err := ctrl.SenderStream(key, sender)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,9 +21,9 @@ type MonitorConfig struct {
 	// Sleep replaces time.Sleep for backoff pacing (tests pass a no-op).
 	Sleep func(time.Duration)
 	// InstallFn replaces the default sender-flow install (write the
-	// encoded header into the sender's hypervisor); tests inject
+	// sender's section stream into its hypervisor); tests inject
 	// transient install errors through it.
-	InstallFn func(fl MonitoredFlow, hdr *header.Header) error
+	InstallFn func(fl MonitoredFlow, stream []byte) error
 	// Tracer receives detect-fail/detect-repair events.
 	Tracer trace.Recorder
 }
@@ -121,6 +121,12 @@ func NewMonitor(ctrl *controller.Controller, fab *fabric.Fabric, cfg MonitorConf
 	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
+	}
+	if cfg.InstallFn == nil {
+		cfg.InstallFn = func(fl MonitoredFlow, stream []byte) error {
+			addr := dataplane.GroupAddr{VNI: fl.Key.Tenant, Group: fl.Key.Group}
+			return fab.Hypervisors[fl.Sender].InstallSenderFlowAt(0, addr, stream)
+		}
 	}
 	m := &Monitor{
 		topo:     fab.Topology(),
@@ -223,8 +229,14 @@ func (m *Monitor) buildCoreProbes() error {
 	return nil
 }
 
+// installProbe encodes a hand-built probe header into its source's
+// hypervisor and opens the receive filter on its target.
 func (m *Monitor) installProbe(p probe, hdr *header.Header) error {
-	if err := m.installStream(p.src, p.addr, hdr); err != nil {
+	stream, err := header.Encode(header.LayoutFor(m.topo), hdr)
+	if err != nil {
+		return err
+	}
+	if err := m.fab.Hypervisors[p.src].InstallSenderFlowAt(0, p.addr, stream); err != nil {
 		return err
 	}
 	return m.fab.Hypervisors[p.target].SetReceivingAt(0, p.addr, true)
@@ -352,7 +364,7 @@ func (m *Monitor) refreshFlows() {
 				m.RecoveryRetries++
 				m.cfg.Sleep(backoffBase << (attempt - 1))
 			}
-			hdr, err := m.ctrl.HeaderFor(fl.Key, fl.Sender)
+			stream, err := m.ctrl.SenderStream(fl.Key, fl.Sender)
 			if err == controller.ErrNoPath || err == controller.ErrLegacyPath {
 				if err := m.fab.Hypervisors[fl.Sender].RemoveSenderFlowAt(0, addr); err != nil {
 					continue
@@ -364,7 +376,7 @@ func (m *Monitor) refreshFlows() {
 			if err != nil {
 				continue
 			}
-			if err := m.install(fl, hdr); err != nil {
+			if err := m.cfg.InstallFn(fl, stream); err != nil {
 				continue
 			}
 			delete(m.degraded, fl)
@@ -374,21 +386,4 @@ func (m *Monitor) refreshFlows() {
 			m.RefreshFailures++
 		}
 	}
-}
-
-func (m *Monitor) install(fl MonitoredFlow, hdr *header.Header) error {
-	if m.cfg.InstallFn != nil {
-		return m.cfg.InstallFn(fl, hdr)
-	}
-	addr := dataplane.GroupAddr{VNI: fl.Key.Tenant, Group: fl.Key.Group}
-	return m.installStream(fl.Sender, addr, hdr)
-}
-
-// installStream sends a sender's hypervisor the wire form of hdr.
-func (m *Monitor) installStream(sender topology.HostID, addr dataplane.GroupAddr, hdr *header.Header) error {
-	stream, err := header.Encode(header.LayoutFor(m.topo), hdr)
-	if err != nil {
-		return err
-	}
-	return m.fab.Hypervisors[sender].InstallSenderFlowAt(0, addr, stream)
 }

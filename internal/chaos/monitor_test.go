@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"elmo/internal/dataplane"
-	"elmo/internal/header"
 	"elmo/internal/topology"
 	"elmo/internal/trace"
 )
@@ -21,14 +20,9 @@ func noSleep(time.Duration) {}
 // and on repair converges the sender header back to the exact
 // pre-failure encoding.
 func TestMonitorDetectsSpineFlap(t *testing.T) {
-	topo, ctrl, fab, inj, key := chaosFixture(t, Config{Seed: 1})
+	_, ctrl, fab, inj, key := chaosFixture(t, Config{Seed: 1})
 	inj.Enable()
-	lay := header.LayoutFor(topo)
-	pre, err := ctrl.HeaderFor(key, fixtureSender)
-	if err != nil {
-		t.Fatal(err)
-	}
-	preWire, err := header.Encode(lay, pre)
+	preWire, err := ctrl.SenderStream(key, fixtureSender)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +83,7 @@ func TestMonitorDetectsSpineFlap(t *testing.T) {
 	if mon.SpineDown(0) || ctrl.Failures().SpineFailed(0) {
 		t.Fatal("repair did not clear the failure")
 	}
-	post, err := ctrl.HeaderFor(key, fixtureSender)
-	if err != nil {
-		t.Fatal(err)
-	}
-	postWire, err := header.Encode(lay, post)
+	postWire, err := ctrl.SenderStream(key, fixtureSender)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,20 +181,16 @@ func TestMonitorDegradesToUnicast(t *testing.T) {
 // retried with exponential backoff; a permanently failing install
 // exhausts the budget and is counted, not spun on.
 func TestMonitorRecoveryRetryBackoff(t *testing.T) {
-	topo, ctrl, fab, inj, key := chaosFixture(t, Config{Seed: 4})
+	_, ctrl, fab, inj, key := chaosFixture(t, Config{Seed: 4})
 	inj.Enable()
 	var sleeps []time.Duration
 	installs := 0
 	mon, err := NewMonitor(ctrl, fab, MonitorConfig{
 		Sleep: func(d time.Duration) { sleeps = append(sleeps, d) },
-		InstallFn: func(fl MonitoredFlow, hdr *header.Header) error {
+		InstallFn: func(fl MonitoredFlow, stream []byte) error {
 			installs++
 			if installs <= 2 {
 				return errors.New("transient install failure")
-			}
-			stream, err := header.Encode(header.LayoutFor(topo), hdr)
-			if err != nil {
-				return err
 			}
 			return fab.Hypervisors[fl.Sender].InstallSenderFlowAt(0,
 				dataplane.GroupAddr{VNI: fl.Key.Tenant, Group: fl.Key.Group}, stream)
@@ -233,7 +219,7 @@ func TestMonitorRecoveryRetryBackoff(t *testing.T) {
 	mon2, err := NewMonitor(ctrl, fab, MonitorConfig{
 		Sleep:              noSleep,
 		MaxRecoveryRetries: 2,
-		InstallFn: func(MonitoredFlow, *header.Header) error {
+		InstallFn: func(MonitoredFlow, []byte) error {
 			return errors.New("permanent install failure")
 		},
 	})

@@ -11,7 +11,6 @@ import (
 	"elmo/internal/controller"
 	"elmo/internal/dataplane"
 	"elmo/internal/fabric"
-	"elmo/internal/header"
 	"elmo/internal/livefabric"
 	"elmo/internal/obs"
 	"elmo/internal/raceflag"
@@ -38,13 +37,8 @@ func TestChaosSoakSyncFabric(t *testing.T) {
 	}
 	cfg := ambientChaos
 	cfg.Seed = 1009
-	topo, ctrl, fab, inj, key := chaosFixture(t, cfg)
-	lay := header.LayoutFor(topo)
-	pre, err := ctrl.HeaderFor(key, fixtureSender)
-	if err != nil {
-		t.Fatal(err)
-	}
-	preWire, err := header.Encode(lay, pre)
+	_, ctrl, fab, inj, key := chaosFixture(t, cfg)
+	preWire, err := ctrl.SenderStream(key, fixtureSender)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +120,7 @@ func TestChaosSoakSyncFabric(t *testing.T) {
 
 	// Post-repair the sender encoding converges to the pre-failure
 	// bytes.
-	post, err := ctrl.HeaderFor(key, fixtureSender)
-	if err != nil {
-		t.Fatal(err)
-	}
-	postWire, err := header.Encode(lay, post)
+	postWire, err := ctrl.SenderStream(key, fixtureSender)
 	if err != nil {
 		t.Fatal(err)
 	}

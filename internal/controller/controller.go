@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -170,7 +169,6 @@ func (u *UpdateStats) Total() int {
 type Controller struct {
 	topo     *topology.Topology
 	cfg      Config
-	layout   header.Layout
 	failures *topology.FailureSet
 
 	occ *Occupancy
@@ -213,7 +211,6 @@ func New(topo *topology.Topology, cfg Config) (*Controller, error) {
 	c := &Controller{
 		topo:      topo,
 		cfg:       cfg,
-		layout:    header.LayoutFor(topo),
 		failures:  topology.NewFailureSet(),
 		occ:       NewOccupancy(topo, cfg.SRuleCapacity),
 		shards:    shards,
@@ -616,7 +613,7 @@ func (c *Controller) publishRetree(g *GroupState, sh *ctrlShard, enc *Encoding, 
 	}
 	// Shared downstream change → all sender hypervisors re-encode
 	// their headers.
-	if !sharedEqual(c.layout, oldEnc, enc) {
+	if !sharedEqual(oldEnc, enc) {
 		for h, r := range g.Members {
 			if r.CanSend() && h != changed {
 				sh.stats.Hypervisor[h]++
@@ -680,35 +677,30 @@ func (c *Controller) releaseSRulesCharged(sh *ctrlShard, e *Encoding) {
 	}
 }
 
-// sharedEqual compares the sender-independent downstream sections of
-// two encodings by their canonical wire form.
-func sharedEqual(l header.Layout, a, b *Encoding) bool {
-	if (a == nil) != (b == nil) {
-		return false
+// sharedEqual reports whether two encodings put the same
+// sender-independent sections on the wire: the same downstream rules in
+// the same order, the same defaults and the same pods.
+func sharedEqual(a, b *Encoding) bool {
+	if a == nil || b == nil {
+		return a == b
 	}
-	if a == nil {
-		return true
+	rulesEqual := func(x, y header.PRule) bool {
+		return slices.Equal(x.Switches, y.Switches) && x.Bitmap.Equal(y.Bitmap)
 	}
-	wa, errA := header.Encode(l, &header.Header{
-		DSpine: a.DSpine, DSpineDefault: a.DSpineDefault,
-		DLeaf: a.DLeaf, DLeafDefault: a.DLeafDefault,
-	})
-	wb, errB := header.Encode(l, &header.Header{
-		DSpine: b.DSpine, DSpineDefault: b.DSpineDefault,
-		DLeaf: b.DLeaf, DLeafDefault: b.DLeafDefault,
-	})
-	if errA != nil || errB != nil {
-		return false
+	defEqual := func(x, y *bitmap.Bitmap) bool {
+		return (x == nil) == (y == nil) && (x == nil || x.Equal(*y))
 	}
-	return bytes.Equal(wa, wb) && a.Pods.Equal(b.Pods)
+	return slices.EqualFunc(a.DSpine, b.DSpine, rulesEqual) && defEqual(a.DSpineDefault, b.DSpineDefault) &&
+		slices.EqualFunc(a.DLeaf, b.DLeaf, rulesEqual) && defEqual(a.DLeafDefault, b.DLeafDefault) &&
+		a.Pods.Equal(b.Pods)
 }
 
-// HeaderFor returns the header for a sender in a group (the decoded
-// view of its stream, see SenderHeader). The sender must hold a
-// sending role. Safe to call concurrently with membership
-// operations on other groups (and with reads anywhere); only the
-// owning shard's read lock is taken.
-func (c *Controller) HeaderFor(key GroupKey, sender topology.HostID) (*header.Header, error) {
+// SenderStream returns the Elmo section stream (through TagEnd) the
+// hypervisor of a sender in a group pushes onto its packets — the bytes
+// InstallSenderFlowAt takes. The sender must hold a sending role. Safe
+// to call concurrently with membership operations on other groups (and
+// with reads anywhere); only the owning shard's read lock is taken.
+func (c *Controller) SenderStream(key GroupKey, sender topology.HostID) ([]byte, error) {
 	sh := c.shardOf(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -719,7 +711,19 @@ func (c *Controller) HeaderFor(key GroupKey, sender topology.HostID) (*header.He
 	if !g.Members[sender].CanSend() {
 		return nil, fmt.Errorf("controller: host %d is not a sender in %v", sender, key)
 	}
-	return SenderHeader(c.topo, c.cfg, g.Enc, sender, c.failures)
+	var s SenderScratch
+	return AppendSenderStream(nil, &s, c.topo, c.cfg, g.Enc, sender, c.failures)
+}
+
+// HeaderFor returns the decoded view of SenderStream, for callers that
+// inspect a sender's header section by section.
+func (c *Controller) HeaderFor(key GroupKey, sender topology.HostID) (*header.Header, error) {
+	stream, err := c.SenderStream(key, sender)
+	if err != nil {
+		return nil, err
+	}
+	h, _, err := header.Decode(header.LayoutFor(c.topo), stream)
+	return h, err
 }
 
 // FailSpine marks a spine failed and refreshes the upstream rules of

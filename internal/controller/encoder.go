@@ -312,33 +312,17 @@ func encodeLayer[K ~int](layer string, tree map[K]bitmap.Bitmap, legacy []K, fre
 
 // effectiveLeafLimit derives the leaf-section rule budget from the
 // byte budget: the header must fit the upstream sections, the core
-// bitmap, the worst-case spine section, and the leaf section.
+// bitmap, the worst-case spine section, and the leaf section with its
+// default rule, every leaf p-rule at KMaxLeaf identifiers.
 func effectiveLeafLimit(topo *topology.Topology, cfg Config) int {
 	l := header.LayoutFor(topo)
-	fixed := 1 + // TagEnd
-		2 + bitmap.ByteLen(l.LeafDown) + bitmap.ByteLen(l.LeafUp) + // u-leaf
-		2 + bitmap.ByteLen(l.SpineDown) + bitmap.ByteLen(l.SpineUp) + // u-spine
-		1 + bitmap.ByteLen(l.CoreDown) // core
-	spineWorst := header.DownstreamSectionSize(l.SpineDown, repeatInt(cfg.KMaxSpine, cfg.SpineRuleLimit), true)
-	leafOverhead := 3 + bitmap.ByteLen(l.LeafDown) // section framing + default rule
-	perRule := 1 + 2*cfg.KMaxLeaf + bitmap.ByteLen(l.LeafDown)
-	budget := cfg.MaxHeaderBytes - fixed - spineWorst - leafOverhead
-	limit := budget / perRule
-	if limit > cfg.LeafRuleLimit {
-		limit = cfg.LeafRuleLimit
+	leaf := func(rules int) int {
+		return header.DownstreamSize(l, header.TagDLeaf, rules, rules*cfg.KMaxLeaf, true)
 	}
-	if limit < 0 {
-		limit = 0
-	}
-	return limit
-}
-
-func repeatInt(v, n int) []int {
-	s := make([]int, n)
-	for i := range s {
-		s[i] = v
-	}
-	return s
+	others := header.EndSize + header.UpstreamSize(l, header.TagULeaf) + header.UpstreamSize(l, header.TagUSpine) +
+		header.CoreSize(l) + header.DownstreamSize(l, header.TagDSpine, cfg.SpineRuleLimit, cfg.SpineRuleLimit*cfg.KMaxSpine, true)
+	limit := (cfg.MaxHeaderBytes - others - leaf(0)) / (leaf(1) - leaf(0))
+	return max(0, min(limit, cfg.LeafRuleLimit))
 }
 
 // assignLayer runs Algorithm 1, spending the redundancy budget R only

@@ -34,6 +34,7 @@ func FuzzInstallSenderFlow(f *testing.F) {
 	f.Add([]byte{header.TagEnd})
 	f.Add([]byte{0x77, 0x01, 0x02})
 	f.Add([]byte{header.TagDLeaf, 0xff, 0x00})
+	f.Add(zeroIdentifierStream(l))
 
 	const host = 3
 	addr := GroupAddr{VNI: 7, Group: 12}
@@ -83,4 +84,32 @@ func FuzzInstallSenderFlow(f *testing.F) {
 			pkts = next
 		}
 	})
+}
+
+// zeroIdentifierStream frames a d-leaf section whose one p-rule lists no
+// switch: the lengths add up, and no switch will parse it.
+func zeroIdentifierStream(l header.Layout) []byte {
+	s := append([]byte{header.TagDLeaf, 1, 0}, make([]byte, bitmap.ByteLen(l.LeafDown))...)
+	return append(s, 0, header.TagEnd)
+}
+
+// TestWireTiersRefuseZeroIdentifierRule: the frame decoder and the
+// hypervisor admit only streams a switch can parse; a p-rule naming no
+// switch used to pass both on length arithmetic alone.
+func TestWireTiersRefuseZeroIdentifierRule(t *testing.T) {
+	topo := paperTopo()
+	l := header.LayoutFor(topo)
+	stream := zeroIdentifierStream(l)
+	p := Packet{Outer: header.OuterFields{DstIP: header.GroupIP(3), VNI: 9, ElmoVersion: header.Version, TTL: 60},
+		Elmo: stream, Inner: []byte("payload")}
+	frame, err := p.Marshal(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q, err := Unmarshal(l, frame); err == nil {
+		t.Fatalf("Unmarshal accepted a zero-identifier p-rule: %+v", q)
+	}
+	if err := NewHypervisor(topo, 3).InstallSenderFlowAt(0, GroupAddr{VNI: 9, Group: 3}, stream); err == nil {
+		t.Fatal("InstallSenderFlowAt accepted a zero-identifier p-rule")
+	}
 }

@@ -245,18 +245,10 @@ func (sw *NetworkSwitch) leafInto(p Packet, s *SwitchScratch) error {
 		sw.Probe.forwarded(sw, p, trace.RulePRule, s.emissions)
 		return nil
 	}
-	// Downstream: skip any stale earlier sections (a legacy hop pops
-	// nothing), then match our own leaf ID if a d-leaf section is
-	// present; otherwise consult the group table directly.
-	stream, err := streamFrom(sw.layout, p.Elmo, header.TagDLeaf)
+	// Downstream: match our own leaf ID if a d-leaf section is present;
+	// otherwise consult the group table directly.
+	rest, err := sw.downstreamMatchInto(header.TagDLeaf, uint16(sw.id), p.Elmo, &s.match)
 	if err != nil {
-		return err
-	}
-	tag, err = header.PeekTag(stream)
-	if err != nil {
-		return err
-	}
-	if _, err := sw.downstreamMatchInto(header.TagDLeaf, uint16(sw.id), stream, tag, &s.match); err != nil {
 		return err
 	}
 	ports, rule, ok := sw.resolve(s.match, p.Outer)
@@ -264,11 +256,10 @@ func (sw *NetworkSwitch) leafInto(p Packet, s *SwitchScratch) error {
 		sw.Probe.dropped(sw, p, DropNoRule)
 		return nil
 	}
-	stamped := stream
 	if !p.NoINT {
-		stamped = sw.stampInto(stream, p.Outer.TTL, s)
+		rest = sw.stampInto(rest, p.Outer.TTL, s)
 	}
-	appendPortEmissions(s, ports, false, sw.hostCopy(p, stamped))
+	appendPortEmissions(s, ports, false, sw.hostCopy(p, rest))
 	sw.Probe.forwarded(sw, p, rule, s.emissions)
 	return nil
 }
@@ -291,7 +282,7 @@ func (sw *NetworkSwitch) spineInto(p Packet, s *SwitchScratch) error {
 		if !s.uRule.Down.IsEmpty() {
 			// Down-copies into our own pod skip ahead to the d-leaf
 			// section: the core and d-spine sections are not for them.
-			downStream, err := streamFrom(sw.layout, rest, header.TagDLeaf)
+			downStream, _, err := header.Seek(sw.layout, rest, header.TagDLeaf)
 			if err != nil {
 				return err
 			}
@@ -301,18 +292,9 @@ func (sw *NetworkSwitch) spineInto(p Packet, s *SwitchScratch) error {
 		sw.Probe.forwarded(sw, p, trace.RulePRule, s.emissions)
 		return nil
 	}
-	// Downstream from core: skip stale sections, then match our pod in
-	// the d-spine section.
-	stream, err := streamFrom(sw.layout, p.Elmo, header.TagDSpine)
-	if err != nil {
-		return err
-	}
-	tag, err = header.PeekTag(stream)
-	if err != nil {
-		return err
-	}
+	// Downstream from core: match our pod in the d-spine section.
 	pod := sw.topo.SpinePod(topology.SpineID(sw.id))
-	rest, err := sw.downstreamMatchInto(header.TagDSpine, uint16(pod), stream, tag, &s.match)
+	rest, err := sw.downstreamMatchInto(header.TagDSpine, uint16(pod), p.Elmo, &s.match)
 	if err != nil {
 		return err
 	}
@@ -373,21 +355,19 @@ func (sw *NetworkSwitch) pickUpstreamInto(f header.OuterFields, s *SwitchScratch
 	return alive[ECMPHash(f, ecmpSalt(sw.tier, sw.id))%uint32(len(alive))], true
 }
 
-// downstreamMatchInto consumes the section with wantTag if present,
-// decoding into m; when the front tag is beyond it (already popped or
-// never encoded), it leaves m empty so the caller falls through to the
-// s-rule table, leaving the stream untouched for the next tier.
-func (sw *NetworkSwitch) downstreamMatchInto(wantTag byte, id uint16, stream []byte, frontTag byte, m *header.DownstreamMatch) ([]byte, error) {
-	if frontTag == wantTag {
-		return header.ConsumeDownstreamInto(sw.layout, wantTag, id, stream, m)
-	}
-	// The section may legitimately be absent (all switches covered by
-	// s-rules): the stream then starts at a later valid tag or TagEnd.
-	if frontTag == header.TagEnd || (frontTag > wantTag && frontTag <= header.TagDLeaf) {
+// downstreamMatchInto seeks the section tagged tag — stepping over any
+// stale earlier section a legacy hop left in place — and scans it for
+// id into m, returning the stream after it. When the section is absent
+// (already popped, or every switch of the layer is on s-rules) it leaves
+// m empty, so the caller falls through to the group table, and the
+// stream where the section would have been, for the next tier.
+func (sw *NetworkSwitch) downstreamMatchInto(tag byte, id uint16, stream []byte, m *header.DownstreamMatch) ([]byte, error) {
+	at, found, err := header.Seek(sw.layout, stream, tag)
+	if err != nil || !found {
 		m.Matched, m.HasDefault = false, false
-		return stream, nil
+		return at, err
 	}
-	return nil, fmt.Errorf("dataplane: %s switch saw unexpected tag %#x", sw.tier, frontTag)
+	return header.ConsumeDownstreamInto(sw.layout, tag, id, at, m)
 }
 
 // resolve implements the §4.1 ingress control flow: matched p-rule
@@ -442,30 +422,11 @@ func (sw *NetworkSwitch) hostCopy(p Packet, stream []byte) Packet {
 		// on TagEnd; emptyStream is that same single-byte stream.
 		return Packet{Outer: p.Outer, Elmo: emptyStream, Inner: p.Inner, NoINT: true}
 	}
-	rest, err := streamFrom(sw.layout, stream, header.TagINT)
-	if err != nil || len(rest) == 0 {
+	rest, found, _ := header.Seek(sw.layout, stream, header.TagINT)
+	if !found {
 		rest = emptyStream
 	}
 	return Packet{Outer: p.Outer, Elmo: rest, Inner: p.Inner, NoINT: p.NoINT}
-}
-
-// streamFrom advances the stream to the section with the given tag (or
-// to TagEnd if that section is absent).
-func streamFrom(l header.Layout, stream []byte, tag byte) ([]byte, error) {
-	for {
-		front, err := header.PeekTag(stream)
-		if err != nil {
-			return nil, err
-		}
-		if front == tag || front == header.TagEnd || front > tag {
-			return stream, nil
-		}
-		_, rest, err := header.SkipSection(l, stream)
-		if err != nil {
-			return nil, err
-		}
-		stream = rest
-	}
 }
 
 var emptyStream = []byte{header.TagEnd}

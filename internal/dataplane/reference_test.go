@@ -95,7 +95,7 @@ func (sw *NetworkSwitch) refProcessLeaf(p Packet) ([]Emission, error) {
 	// Downstream: skip any stale earlier sections (a legacy hop pops
 	// nothing), then match our own leaf ID if a d-leaf section is
 	// present; otherwise consult the group table directly.
-	stream, err := streamFrom(sw.layout, p.Elmo, header.TagDLeaf)
+	stream, err := refStreamFrom(sw.layout, p.Elmo, header.TagDLeaf)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +139,7 @@ func (sw *NetworkSwitch) refProcessSpine(p Packet) ([]Emission, error) {
 		if !rule.Down.IsEmpty() {
 			// Down-copies into our own pod skip ahead to the d-leaf
 			// section: the core and d-spine sections are not for them.
-			downStream, err := streamFrom(sw.layout, rest, header.TagDLeaf)
+			downStream, err := refStreamFrom(sw.layout, rest, header.TagDLeaf)
 			if err != nil {
 				return nil, err
 			}
@@ -153,7 +153,7 @@ func (sw *NetworkSwitch) refProcessSpine(p Packet) ([]Emission, error) {
 	}
 	// Downstream from core: skip stale sections, then match our pod in
 	// the d-spine section.
-	stream, err := streamFrom(sw.layout, p.Elmo, header.TagDSpine)
+	stream, err := refStreamFrom(sw.layout, p.Elmo, header.TagDSpine)
 	if err != nil {
 		return nil, err
 	}
@@ -234,11 +234,16 @@ func (sw *NetworkSwitch) refPickUpstream(f header.OuterFields, width int) (int, 
 // table, leaving the stream untouched for the next tier.
 func (sw *NetworkSwitch) refDownstreamMatch(wantTag byte, id uint16, stream []byte, frontTag byte) (header.DownstreamMatch, []byte, error) {
 	if frontTag == wantTag {
-		return header.ConsumeDownstream(sw.layout, wantTag, id, stream)
+		var m header.DownstreamMatch
+		rest, err := header.ConsumeDownstreamInto(sw.layout, wantTag, id, stream, &m)
+		return m, rest, err
 	}
 	// The section may legitimately be absent (all switches covered by
 	// s-rules): the stream then starts at a later valid tag or TagEnd.
-	if frontTag == header.TagEnd || (frontTag > wantTag && frontTag <= header.TagDLeaf) {
+	// (The original stopped at TagDLeaf and so dropped a packet whose INT
+	// section followed an absent downstream section; that was the bug the
+	// fast path no longer has, not behaviour to freeze.)
+	if frontTag == header.TagEnd || (frontTag > wantTag && frontTag <= header.TagINT) {
 		return header.DownstreamMatch{}, stream, nil
 	}
 	return header.DownstreamMatch{}, nil, fmt.Errorf("dataplane: %s switch saw unexpected tag %#x", sw.tier, frontTag)
@@ -249,7 +254,7 @@ func (sw *NetworkSwitch) refDownstreamMatch(wantTag byte, id uint16, stream []by
 // scanning unconditionally: the fast-path hostCopy now shortcuts on the
 // NoINT hint, and the frozen baseline must not inherit that speedup.
 func (sw *NetworkSwitch) refHostCopy(p Packet, stream []byte) Packet {
-	rest, err := streamFrom(sw.layout, stream, header.TagINT)
+	rest, err := refStreamFrom(sw.layout, stream, header.TagINT)
 	if err != nil || len(rest) == 0 {
 		rest = emptyStream
 	}
@@ -266,4 +271,24 @@ func (sw *NetworkSwitch) refStamp(stream []byte, ttl byte) []byte {
 		return stream
 	}
 	return out
+}
+
+// refStreamFrom is the original section walk, frozen with the rest of
+// the reference pipeline: it advances the stream to the section with the
+// given tag (or to TagEnd if that section is absent).
+func refStreamFrom(l header.Layout, stream []byte, tag byte) ([]byte, error) {
+	for {
+		front, err := header.PeekTag(stream)
+		if err != nil {
+			return nil, err
+		}
+		if front == tag || front == header.TagEnd || front > tag {
+			return stream, nil
+		}
+		_, rest, err := header.SkipSection(l, stream)
+		if err != nil {
+			return nil, err
+		}
+		stream = rest
+	}
 }

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"reflect"
 	"testing"
 
 	"elmo/internal/controller"
@@ -109,5 +110,61 @@ func TestINTTrafficCost(t *testing.T) {
 	// hop so far), so the total cost is O(hops * path length).
 	if dt.LinkBytes > dp.LinkBytes+30*dt.Hops+30 {
 		t.Fatalf("INT cost implausibly high: %d vs %d over %d hops", dt.LinkBytes, dp.LinkBytes, dt.Hops)
+	}
+}
+
+// TestINTAfterAbsentDownstreamSection: with no p-rule budget every
+// downstream switch is served from its s-rule, so the d-spine and d-leaf
+// sections are absent and the INT section is what a downstream switch
+// finds at the front. It must still fall through to its group table:
+// exactly the receivers get the frame, each copy carries one INT record
+// per switch it crossed, and nothing is dropped as malformed — on the
+// sync forwarder and on the in-memory wire engine alike.
+func TestINTAfterAbsentDownstreamSection(t *testing.T) {
+	topo := paperTopo()
+	cfg := testConfig(0)
+	cfg.LeafRuleLimit, cfg.SpineRuleLimit, cfg.EnableINT = 0, 0, true
+	ctrl, f := setup(t, topo, cfg)
+	key := controller.GroupKey{Tenant: 6, Group: 4}
+	a := dataplane.GroupAddr{VNI: key.Tenant, Group: key.Group}
+	const sender = topology.HostID(0)
+	receivers := []topology.HostID{9, 40} // same pod, other pod
+	members := map[topology.HostID]controller.Role{sender: controller.RoleBoth}
+	for _, h := range receivers {
+		members[h] = controller.RoleReceiver
+	}
+	if _, err := ctrl.CreateGroup(key, members); err != nil {
+		t.Fatal(err)
+	}
+	if noPath, err := f.InstallGroupAt(0, ctrl, key); err != nil || len(noPath) != 0 {
+		t.Fatalf("install: %v, no-path senders %v", err, noPath)
+	}
+	if g := ctrl.Group(key); len(g.Enc.DLeaf)+len(g.Enc.DSpine) != 0 || g.Enc.DLeafDefault != nil || !g.Enc.UsesSRules() {
+		t.Fatalf("encoding still carries downstream sections: %+v", g.Enc)
+	}
+
+	d, err := f.Send(sender, a, []byte("s-rules only"))
+	if err != nil {
+		t.Fatalf("sync forwarder: %v", err)
+	}
+	h := newWireHarness(f)
+	got := h.send(t, sender, a, []byte("s-rules only"))
+	if d.Malformed != 0 || d.Lost != 0 || h.eng.Malformed() != 0 {
+		t.Fatalf("sync malformed=%d lost=%d, wire malformed=%d", d.Malformed, d.Lost, h.eng.Malformed())
+	}
+	if len(d.Received) != len(receivers) || len(got) != len(receivers) {
+		t.Fatalf("sync reached %d hosts, wire %d, want %d", len(d.Received), len(got), len(receivers))
+	}
+	for _, r := range receivers {
+		hops := 3 // leaf, spine, leaf
+		if topo.HostPod(r) != topo.HostPod(sender) {
+			hops = 5 // leaf, spine, core, spine, leaf
+		}
+		if _, ok := d.Received[r]; !ok || len(d.Telemetry[r]) != hops {
+			t.Fatalf("sync: host %d received=%t with INT path %+v, want %d hops", r, ok, d.Telemetry[r], hops)
+		}
+		if pkts := got[r]; len(pkts) != 1 || !reflect.DeepEqual(pkts[0].Telemetry, d.Telemetry[r]) {
+			t.Fatalf("wire: host %d got %+v, sync INT path %+v", r, pkts, d.Telemetry[r])
+		}
 	}
 }

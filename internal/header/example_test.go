@@ -8,11 +8,11 @@ import (
 	"elmo/internal/topology"
 )
 
-// ExampleConsumeDownstream walks the paper's forwarding pipeline by
+// ExampleConsumeDownstreamInto walks the paper's forwarding pipeline by
 // hand: a downstream spine pops its section (matching its pod's
 // p-rule), then the receiver leaf pops the leaf section, leaving only
 // the terminator for the host.
-func ExampleConsumeDownstream() {
+func ExampleConsumeDownstreamInto() {
 	topo := topology.MustNew(topology.PaperExample())
 	l := header.LayoutFor(topo)
 	h := &header.Header{
@@ -27,12 +27,13 @@ func ExampleConsumeDownstream() {
 	fmt.Printf("at core exit: %d bytes\n", len(stream))
 
 	// Spine of pod 2 matches its p-rule and pops the spine section.
-	m, rest, _ := header.ConsumeDownstream(l, header.TagDSpine, 2, stream)
+	var m header.DownstreamMatch
+	rest, _ := header.ConsumeDownstreamInto(l, header.TagDSpine, 2, stream, &m)
 	fmt.Printf("spine pod 2: forward to leaf ports %v, %d bytes remain\n",
 		m.Bitmap.Ports(), len(rest))
 
 	// Leaf 5 matches the leaf section and delivers to host ports.
-	m, rest, _ = header.ConsumeDownstream(l, header.TagDLeaf, 5, rest)
+	rest, _ = header.ConsumeDownstreamInto(l, header.TagDLeaf, 5, rest, &m)
 	fmt.Printf("leaf 5: deliver to host ports %v, %d bytes remain\n",
 		m.Bitmap.Ports(), len(rest))
 	// Output:

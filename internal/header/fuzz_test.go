@@ -1,6 +1,7 @@
 package header
 
 import (
+	"bytes"
 	"testing"
 
 	"elmo/internal/bitmap"
@@ -38,6 +39,15 @@ func fuzzSeeds(f *testing.F) {
 	f.Add([]byte{TagEnd})
 	f.Add([]byte{0x77, 0x01, 0x02})
 	f.Add([]byte{TagDLeaf, 0xff, 0x00})
+	f.Add(zeroIdentifierStream(l))
+}
+
+// zeroIdentifierStream frames a d-leaf section whose one p-rule lists no
+// switch: well-formed by length arithmetic alone, and a rule no switch
+// can match.
+func zeroIdentifierStream(l Layout) []byte {
+	s := append([]byte{TagDLeaf, 1, 0}, make([]byte, bitmap.ByteLen(l.LeafDown))...)
+	return append(s, 0, TagEnd)
 }
 
 func FuzzDecode(f *testing.F) {
@@ -62,27 +72,130 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
+// FuzzScanPipeline holds the readers of the section stream to each
+// other: the structural walk (StreamInfo, SkipSection) accepts a stream
+// exactly when Decode does, tag order aside; on every downstream section
+// the walk accepts, the per-hop reader ConsumeDownstreamInto finds what
+// Decode decoded and pops what SkipSection pops; and Seek lands on each
+// section where the walk saw it.
 func FuzzScanPipeline(f *testing.F) {
 	l := LayoutFor(topology.MustNew(topology.PaperExample()))
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The hot-path scanners must agree with Decode about validity.
-		if n, _, err := StreamInfo(l, data); err == nil {
-			if _, _, derr := Decode(l, data[:n]); derr != nil {
-				// StreamInfo is purely structural; Decode may still
-				// reject semantic violations (tag order). That is the
-				// only allowed divergence.
-				_ = derr
-			}
-		}
-		ConsumeDownstream(l, TagDLeaf, 5, data)
-		ConsumeDownstream(l, TagDSpine, 1, data)
+		// None of these may panic on arbitrary bytes.
 		var rule UpstreamRule
 		ConsumeUpstreamInto(l, TagULeaf, data, &rule)
 		ConsumeCoreInto(l, data, &rule.Down)
 		ExtractINT(l, data)
 		AppendINTRecordTo(l, nil, data, INTRecord{Tier: 1, ID: 2, Meta: 3})
+		for tag := byte(TagEnd); tag <= TagINT+1; tag++ {
+			Seek(l, data, tag)
+		}
+
+		n, hasINT, err := StreamInfo(l, data)
+		if err != nil {
+			if _, _, derr := Decode(l, data); derr == nil {
+				t.Fatalf("Decode accepts a stream StreamInfo rejects: %v", err)
+			}
+			return
+		}
+		// Walk the accepted stream section by section.
+		at := map[byte]int{} // tag -> offset of its section
+		ordered, last := true, byte(TagEnd)
+		for rest := data[:n]; ; {
+			tag, next, err := SkipSection(l, rest)
+			if err != nil {
+				t.Fatalf("SkipSection rejects what StreamInfo accepted: %v", err)
+			}
+			if tag == TagEnd {
+				break
+			}
+			if tag <= last {
+				ordered = false
+			}
+			last = tag
+			if _, dup := at[tag]; !dup {
+				at[tag] = n - len(rest)
+			}
+			if tag == TagDSpine || tag == TagDLeaf {
+				checkDownstreamReaders(t, l, tag, rest, next)
+			}
+			rest = next
+		}
+		h, dn, derr := Decode(l, data)
+		if ordered != (derr == nil) {
+			t.Fatalf("StreamInfo accepts, sections ordered=%t, Decode: %v", ordered, derr)
+		}
+		if !ordered {
+			return
+		}
+		if dn != n || h.INTEnabled != hasINT {
+			t.Fatalf("Decode consumed %d (INT %t), StreamInfo %d (INT %t)", dn, h.INTEnabled, n, hasINT)
+		}
+		for tag := byte(TagULeaf); tag <= TagINT; tag++ {
+			rest, found, err := Seek(l, data[:n], tag)
+			if err != nil {
+				t.Fatalf("Seek(%#x) on an accepted stream: %v", tag, err)
+			}
+			off, present := at[tag]
+			if found != present || (found && n-len(rest) != off) {
+				t.Fatalf("Seek(%#x) = offset %d found %t, section at %d present %t", tag, n-len(rest), found, off, present)
+			}
+			if front := rest[0]; !found && front != TagEnd && front < tag {
+				t.Fatalf("Seek(%#x) stopped before it, at tag %#x", tag, front)
+			}
+		}
 	})
+}
+
+// checkDownstreamReaders runs the per-hop reader over one downstream
+// section the cold reader accepted (stream starts at the section, next
+// is what SkipSection left), once per identifier the section names and
+// once for an identifier it does not.
+func checkDownstreamReaders(t *testing.T, l Layout, tag byte, stream, next []byte) {
+	t.Helper()
+	section := append(bytes.Clone(stream[:len(stream)-len(next)]), TagEnd)
+	h, _, err := Decode(l, section)
+	if err != nil {
+		t.Fatalf("Decode rejects a section SkipSection accepted: %v", err)
+	}
+	rules, def := h.DSpine, h.DSpineDefault
+	if tag == TagDLeaf {
+		rules, def = h.DLeaf, h.DLeafDefault
+	}
+	first := map[uint16]*PRule{}
+	absent := uint16(0)
+	for i := range rules {
+		for _, id := range rules[i].Switches {
+			if first[id] == nil {
+				first[id] = &rules[i]
+			}
+			if id >= absent {
+				absent = id + 1 // wraps to a named 0 only if 65535 is named; skipped below
+			}
+		}
+	}
+	ids := []uint16{absent}
+	for id := range first {
+		ids = append(ids, id)
+	}
+	var m DownstreamMatch
+	for _, id := range ids {
+		rest, err := ConsumeDownstreamInto(l, tag, id, stream, &m)
+		if err != nil {
+			t.Fatalf("ConsumeDownstreamInto(%d) rejects a section SkipSection accepted: %v", id, err)
+		}
+		if len(rest) != len(next) || !bytes.Equal(rest, next) {
+			t.Fatalf("ConsumeDownstreamInto(%d) leaves %d bytes, SkipSection %d", id, len(rest), len(next))
+		}
+		want := first[id]
+		if m.Matched != (want != nil) || (want != nil && !m.Bitmap.Equal(want.Bitmap)) {
+			t.Fatalf("id %d: matched %t %v, Decode's first rule naming it: %+v", id, m.Matched, m.Bitmap, want)
+		}
+		if m.HasDefault != (def != nil) || (def != nil && !m.Default.Equal(*def)) {
+			t.Fatalf("id %d: default %t %v, Decode's: %v", id, m.HasDefault, m.Default, def)
+		}
+	}
 }
 
 func FuzzParseOuter(f *testing.F) {

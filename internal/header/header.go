@@ -123,66 +123,3 @@ type Header struct {
 	INTEnabled bool
 	INT        []INTRecord
 }
-
-// Clone returns a deep copy of the header.
-func (h *Header) Clone() *Header {
-	c := &Header{}
-	if h.ULeaf != nil {
-		r := *h.ULeaf
-		r.Down = h.ULeaf.Down.Clone()
-		r.Up = h.ULeaf.Up.Clone()
-		c.ULeaf = &r
-	}
-	if h.USpine != nil {
-		r := *h.USpine
-		r.Down = h.USpine.Down.Clone()
-		r.Up = h.USpine.Up.Clone()
-		c.USpine = &r
-	}
-	if h.Core != nil {
-		b := h.Core.Clone()
-		c.Core = &b
-	}
-	c.DSpine = clonePRules(h.DSpine)
-	if h.DSpineDefault != nil {
-		b := h.DSpineDefault.Clone()
-		c.DSpineDefault = &b
-	}
-	c.DLeaf = clonePRules(h.DLeaf)
-	if h.DLeafDefault != nil {
-		b := h.DLeafDefault.Clone()
-		c.DLeafDefault = &b
-	}
-	c.INTEnabled = h.INTEnabled
-	if h.INT != nil {
-		c.INT = make([]INTRecord, len(h.INT))
-		copy(c.INT, h.INT)
-	}
-	return c
-}
-
-func clonePRules(rules []PRule) []PRule {
-	if rules == nil {
-		return nil
-	}
-	out := make([]PRule, len(rules))
-	for i, r := range rules {
-		ids := make([]uint16, len(r.Switches))
-		copy(ids, r.Switches)
-		out[i] = PRule{Switches: ids, Bitmap: r.Bitmap.Clone()}
-	}
-	return out
-}
-
-// NumPRules returns the number of downstream spine and leaf p-rules,
-// counting defaults.
-func (h *Header) NumPRules() (spine, leaf int) {
-	spine, leaf = len(h.DSpine), len(h.DLeaf)
-	if h.DSpineDefault != nil {
-		spine++
-	}
-	if h.DLeafDefault != nil {
-		leaf++
-	}
-	return spine, leaf
-}

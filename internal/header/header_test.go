@@ -270,7 +270,8 @@ func TestConsumeDownstreamMatch(t *testing.T) {
 	wire := downstreamOnly(t, l, h)
 
 	// Pod 2 matches the first spine rule.
-	m, rest, err := ConsumeDownstream(l, TagDSpine, 2, wire)
+	var m DownstreamMatch
+	rest, err := ConsumeDownstreamInto(l, TagDSpine, 2, wire, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,8 +282,8 @@ func TestConsumeDownstreamMatch(t *testing.T) {
 		t.Fatal("default not reported")
 	}
 	// Pod 0 does not match; default present.
-	m0, _, err := ConsumeDownstream(l, TagDSpine, 0, wire)
-	if err != nil {
+	var m0 DownstreamMatch
+	if _, err := ConsumeDownstreamInto(l, TagDSpine, 0, wire, &m0); err != nil {
 		t.Fatal(err)
 	}
 	if m0.Matched {
@@ -292,7 +293,8 @@ func TestConsumeDownstreamMatch(t *testing.T) {
 		t.Fatalf("pod 0 default = %+v", m0)
 	}
 	// After popping the spine section, leaf 6 matches the shared rule.
-	mLeaf, rest2, err := ConsumeDownstream(l, TagDLeaf, 6, rest)
+	var mLeaf DownstreamMatch
+	rest2, err := ConsumeDownstreamInto(l, TagDLeaf, 6, rest, &mLeaf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,8 +315,8 @@ func TestConsumeDownstreamFirstMatchWins(t *testing.T) {
 		},
 	}
 	wire := downstreamOnly(t, l, h)
-	m, _, err := ConsumeDownstream(l, TagDLeaf, 7, wire)
-	if err != nil {
+	var m DownstreamMatch
+	if _, err := ConsumeDownstreamInto(l, TagDLeaf, 7, wire, &m); err != nil {
 		t.Fatal(err)
 	}
 	if !m.Matched || !m.Bitmap.Test(0) || m.Bitmap.Test(1) {
@@ -455,33 +457,11 @@ func TestQuickDecodeNeverPanics(t *testing.T) {
 		}()
 		Decode(l, data)
 		StreamInfo(l, data)
-		ConsumeDownstream(l, TagDLeaf, 3, data)
+		ConsumeDownstreamInto(l, TagDLeaf, 3, data, new(DownstreamMatch))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestClone(t *testing.T) {
-	l := paperLayout()
-	h := paperHeader()
-	c := h.Clone()
-	assertHeadersEqual(t, h, c)
-	// Mutating the clone must not affect the original.
-	c.DLeaf[0].Bitmap.Set(5)
-	c.ULeaf.Down.Set(7)
-	if h.DLeaf[0].Bitmap.Test(5) || h.ULeaf.Down.Test(7) {
-		t.Fatal("Clone shares storage with original")
-	}
-	_ = l
-}
-
-func TestNumPRules(t *testing.T) {
-	h := paperHeader()
-	s, lf := h.NumPRules()
-	if s != 2 || lf != 3 {
-		t.Fatalf("NumPRules = %d,%d want 2,3", s, lf)
 	}
 }
 
@@ -509,10 +489,11 @@ func BenchmarkConsumeDownstreamLeaf(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var m DownstreamMatch // warm after the first iteration: 0 allocs/op
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		// Worst case: match the last rule.
-		if _, _, err := ConsumeDownstream(l, TagDLeaf, 29*7, wire); err != nil {
+		if _, err := ConsumeDownstreamInto(l, TagDLeaf, 29*7, wire, &m); err != nil {
 			b.Fatal(err)
 		}
 	}

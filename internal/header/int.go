@@ -1,6 +1,9 @@
 package header
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // In-band network telemetry (INT) support — the §7 "Monitoring"
 // extension: a multicast packet can carry a telemetry section that
@@ -34,8 +37,11 @@ type INTRecord struct {
 	Meta uint8
 }
 
-// intRecordSize is the wire size of one record.
-const intRecordSize = 4
+// intRecordSize is the wire size of one record: tier, identifier, meta.
+const intRecordSize = 1 + idBytes + 1
+
+// intSize returns the wire size of an INT section holding n records.
+func intSize(n int) int { return 2 + n*intRecordSize }
 
 // AppendINTSection appends an (initially empty or pre-filled) INT
 // section to dst.
@@ -45,30 +51,30 @@ func AppendINTSection(dst []byte, records []INTRecord) ([]byte, error) {
 	}
 	dst = append(dst, TagINT, byte(len(records)))
 	for _, r := range records {
-		dst = append(dst, r.Tier, byte(r.ID>>8), byte(r.ID), r.Meta)
+		dst = appendINTRecord(dst, r)
 	}
 	return dst, nil
 }
 
-func decodeINTSection(data []byte, off int) ([]INTRecord, int, error) {
-	if off >= len(data) {
-		return nil, off, fmt.Errorf("header: truncated INT section")
+func appendINTRecord(dst []byte, r INTRecord) []byte {
+	dst = append(dst, r.Tier)
+	dst = binary.BigEndian.AppendUint16(dst, r.ID)
+	return append(dst, r.Meta)
+}
+
+// decodeINTSection parses the INT section at the front of data and
+// returns its records and the remaining stream.
+func decodeINTSection(data []byte) ([]INTRecord, []byte, error) {
+	n, err := intSectionLen(data)
+	if err != nil {
+		return nil, nil, err
 	}
-	count := int(data[off])
-	off++
-	if off+count*intRecordSize > len(data) {
-		return nil, off, fmt.Errorf("header: truncated INT records")
-	}
-	records := make([]INTRecord, count)
+	records := make([]INTRecord, data[1])
 	for i := range records {
-		records[i] = INTRecord{
-			Tier: data[off],
-			ID:   uint16(data[off+1])<<8 | uint16(data[off+2]),
-			Meta: data[off+3],
-		}
-		off += intRecordSize
+		rec := data[intSize(i):]
+		records[i] = INTRecord{Tier: rec[0], ID: binary.BigEndian.Uint16(rec[1:]), Meta: rec[1+idBytes]}
 	}
-	return records, off, nil
+	return records, data[n:], nil
 }
 
 // intSectionLen returns the full section length (tag byte included) at
@@ -77,7 +83,7 @@ func intSectionLen(data []byte) (int, error) {
 	if len(data) < 2 || data[0] != TagINT {
 		return 0, fmt.Errorf("header: expected INT section at front")
 	}
-	n := 2 + int(data[1])*intRecordSize
+	n := intSize(int(data[1]))
 	if n > len(data) {
 		return 0, fmt.Errorf("header: truncated INT section")
 	}
@@ -93,80 +99,32 @@ func intSectionLen(data []byte) (int, error) {
 // unconditionally. The input stream is never modified (streams are
 // shared between packet copies).
 func AppendINTRecordTo(l Layout, dst, stream []byte, rec INTRecord) ([]byte, bool, error) {
-	// Locate the INT section by structural skipping.
-	off := 0
-	rest := stream
-	for {
-		tag, err := PeekTag(rest)
-		if err != nil {
-			return dst, false, err
-		}
-		if tag == TagEnd {
-			return dst, false, nil // no INT section: nothing to do
-		}
-		if tag == TagINT {
-			break
-		}
-		next, err2 := skipOne(l, rest)
-		if err2 != nil {
-			return dst, false, err2
-		}
-		off += len(rest) - len(next)
-		rest = next
+	sec, found, err := Seek(l, stream, TagINT)
+	if err != nil || !found {
+		return dst, false, err // no INT section: nothing to do
 	}
-	secLen, err := intSectionLen(rest)
+	secLen, err := intSectionLen(sec)
 	if err != nil {
 		return dst, false, err
 	}
-	count := int(rest[1])
+	count := int(sec[1])
 	if count >= 255 {
 		return dst, false, nil // section full: drop the record, keep forwarding
 	}
-	dst = append(dst, stream[:off]...)
+	dst = append(dst, stream[:len(stream)-len(sec)]...)
 	dst = append(dst, TagINT, byte(count+1))
-	dst = append(dst, rest[2:secLen]...)
-	dst = append(dst, rec.Tier, byte(rec.ID>>8), byte(rec.ID), rec.Meta)
-	dst = append(dst, rest[secLen:]...)
+	dst = append(dst, sec[2:secLen]...)
+	dst = appendINTRecord(dst, rec)
+	dst = append(dst, sec[secLen:]...)
 	return dst, true, nil
 }
 
 // ExtractINT parses the INT section (if any) from a section stream.
 func ExtractINT(l Layout, stream []byte) ([]INTRecord, error) {
-	rest := stream
-	for {
-		tag, err := PeekTag(rest)
-		if err != nil {
-			return nil, err
-		}
-		switch tag {
-		case TagEnd:
-			return nil, nil
-		case TagINT:
-			records, _, err := decodeINTSection(rest, 1)
-			return records, err
-		}
-		next, err := skipOne(l, rest)
-		if err != nil {
-			return nil, err
-		}
-		rest = next
-	}
-}
-
-// skipOne pops exactly one section (INT-aware), unlike SkipSection it
-// does not special-case TagEnd.
-func skipOne(l Layout, data []byte) ([]byte, error) {
-	tag, err := PeekTag(data)
-	if err != nil {
+	sec, found, err := Seek(l, stream, TagINT)
+	if err != nil || !found {
 		return nil, err
 	}
-	if tag == TagINT {
-		n, err := intSectionLen(data)
-		if err != nil {
-			return nil, err
-		}
-		return data[n:], nil
-	}
-	_, rest, err := SkipSection(l, data)
-	return rest, err
+	records, _, err := decodeINTSection(sec)
+	return records, err
 }

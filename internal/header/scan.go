@@ -2,6 +2,7 @@ package header
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"elmo/internal/bitmap"
@@ -107,28 +108,20 @@ type DownstreamMatch struct {
 	Default    bitmap.Bitmap
 }
 
-// ConsumeDownstream scans the downstream section with the given tag
-// (TagDSpine or TagDLeaf) for the switch identifier id, and returns
-// the match result plus the remaining stream after popping the entire
-// section (D2d: a packet visits each layer once, so the whole layer's
-// section is removed when forwarding onward).
+// ConsumeDownstreamInto scans the downstream section with the given tag
+// (TagDSpine or TagDLeaf) for the switch identifier id, decoding the
+// match result into m and returning the remaining stream after popping
+// the entire section (D2d: a packet visits each layer once, so the
+// whole layer's section is removed when forwarding onward).
 //
 // The scan stops decoding bitmaps at the first matching rule; the
 // remaining rules are skipped structurally (length arithmetic only),
-// which is what keeps per-packet work bounded on a line-rate parser.
-func ConsumeDownstream(l Layout, tag byte, id uint16, data []byte) (DownstreamMatch, []byte, error) {
-	var m DownstreamMatch
-	rest, err := ConsumeDownstreamInto(l, tag, id, data, &m)
-	if err != nil {
-		return DownstreamMatch{}, nil, err
-	}
-	return m, rest, nil
-}
-
-// ConsumeDownstreamInto is ConsumeDownstream decoding into m, reusing
-// its matched/default bitmap storage — the allocation-free form the
-// data-plane fast path calls per packet. m is fully overwritten; the
-// decoded match is valid until the next call with the same m.
+// which is what keeps per-packet work bounded on a line-rate parser. It
+// reuses m's matched/default bitmap storage, so the data-plane fast path
+// calls it per packet and allocates nothing once warm. m is fully
+// overwritten; the decoded match is valid until the next call with the
+// same m. It is the per-hop reader of the downstream grammar, one fused
+// pass on purpose; walkDownstream is the cold one (DESIGN.md § Header).
 func ConsumeDownstreamInto(l Layout, tag byte, id uint16, data []byte, m *DownstreamMatch) ([]byte, error) {
 	var width int
 	switch tag {
@@ -155,13 +148,13 @@ func ConsumeDownstreamInto(l Layout, tag byte, id uint16, data []byte, m *Downst
 		if nIDs == 0 {
 			return nil, fmt.Errorf("header: rule %d has zero identifiers", i)
 		}
-		idsEnd := off + 2*nIDs
+		idsEnd := off + idBytes*nIDs
 		ruleEnd := idsEnd + bmLen
 		if ruleEnd > len(data) {
 			return nil, fmt.Errorf("header: truncated rule %d", i)
 		}
 		if !m.Matched {
-			for j := off; j < idsEnd; j += 2 {
+			for j := off; j < idsEnd; j += idBytes {
 				if binary.BigEndian.Uint16(data[j:]) == id {
 					if _, err := bitmap.FromWireInto(width, data[idsEnd:ruleEnd], &m.Bitmap); err != nil {
 						return nil, fmt.Errorf("header: rule %d bitmap: %w", i, err)
@@ -192,88 +185,150 @@ func ConsumeDownstreamInto(l Layout, tag byte, id uint16, data []byte, m *Downst
 	return data[off:], nil
 }
 
+// walkDownstream is the cold reader of the downstream grammar: it
+// validates the whole section at the front of data — every rule, not
+// only those before a match — and returns the remaining stream. visit,
+// when non-nil, is given each p-rule's identifier list and port bitmap
+// in wire form, then the default rule's bitmap if there is one (ids
+// nil). SkipSection walks with no visitor and Decode with one that
+// materializes the rules, so the structural walk accepts exactly the
+// sections Decode does.
+func walkDownstream(l Layout, data []byte, visit func(ids, ports []byte) error) ([]byte, error) {
+	if len(data) < 2 {
+		return nil, fmt.Errorf("header: truncated downstream section")
+	}
+	width, err := downstreamWidth(l, data[0])
+	if err != nil {
+		return nil, err
+	}
+	rest := data[2:]
+	for i := 0; i < int(data[1]); i++ {
+		if len(rest) == 0 {
+			return nil, fmt.Errorf("header: truncated rule %d", i)
+		}
+		idsEnd := 1 + idBytes*int(rest[0])
+		if idsEnd == 1 {
+			return nil, fmt.Errorf("header: rule %d has zero identifiers", i)
+		}
+		if len(rest) < idsEnd {
+			return nil, fmt.Errorf("header: truncated identifiers in rule %d", i)
+		}
+		ports, after, err := cutBitmap(width, rest[idsEnd:])
+		if err != nil {
+			return nil, fmt.Errorf("header: rule %d: %w", i, err)
+		}
+		if visit != nil {
+			if err := visit(rest[1:idsEnd], ports); err != nil {
+				return nil, err
+			}
+		}
+		rest = after
+	}
+	if len(rest) == 0 {
+		return nil, fmt.Errorf("header: truncated default-presence byte")
+	}
+	switch rest[0] {
+	case 0:
+		return rest[1:], nil
+	case 1:
+		ports, after, err := cutBitmap(width, rest[1:])
+		if err == nil && visit != nil {
+			err = visit(nil, ports)
+		}
+		return after, err
+	default:
+		return nil, fmt.Errorf("header: bad default-presence byte %#x", rest[0])
+	}
+}
+
+// cutBitmap splits the width-bit bitmap off the front of data without
+// decoding it, checking what bitmap.FromWire checks: length and zeroed
+// padding bits.
+func cutBitmap(width int, data []byte) (bm, rest []byte, err error) {
+	n := bitmap.ByteLen(width)
+	if len(data) < n {
+		return nil, nil, errBitmapTruncated
+	}
+	if pad := width % 8; pad != 0 && data[n-1]>>pad != 0 {
+		return nil, nil, errBitmapPadding
+	}
+	return data[:n], data[n:], nil
+}
+
+// Static errors keep cutBitmap small enough to inline into the walks.
+var (
+	errBitmapTruncated = errors.New("header: truncated bitmap")
+	errBitmapPadding   = errors.New("header: bitmap padding bits set")
+)
+
 // SkipSection pops the section at the front of data without
-// interpreting its rules, returning the tag and the remaining stream.
-// Switches use it to discard sections that do not concern them (e.g. a
-// spine receiving a packet whose core section was not needed).
+// materializing it, returning the tag and the remaining stream. It
+// checks everything Decode checks about the section except its place in
+// the tag order, so a stream the structural walks (StreamInfo, Seek)
+// accept is one every switch can parse.
 func SkipSection(l Layout, data []byte) (byte, []byte, error) {
 	tag, err := PeekTag(data)
 	if err != nil {
 		return 0, nil, err
 	}
+	var rest []byte
 	switch tag {
 	case TagEnd:
-		return TagEnd, data[1:], nil
-	case TagULeaf:
-		n := 1 + upstreamSectionLen(l.LeafDown, l.LeafUp)
-		if len(data) < n {
-			return 0, nil, fmt.Errorf("header: truncated u-leaf section")
+		rest = data[EndSize:]
+	case TagULeaf, TagUSpine:
+		downW, upW, _ := upstreamWidths(l, tag)
+		if len(data) < 2 {
+			return 0, nil, fmt.Errorf("header: truncated upstream section")
 		}
-		return tag, data[n:], nil
-	case TagUSpine:
-		n := 1 + upstreamSectionLen(l.SpineDown, l.SpineUp)
-		if len(data) < n {
-			return 0, nil, fmt.Errorf("header: truncated u-spine section")
+		if data[1]&^upMultipathBit != 0 {
+			return 0, nil, fmt.Errorf("header: unknown upstream flags %#x", data[1])
 		}
-		return tag, data[n:], nil
+		if _, rest, err = cutBitmap(downW, data[2:]); err == nil {
+			_, rest, err = cutBitmap(upW, rest)
+		}
 	case TagCore:
-		n := 1 + bitmap.ByteLen(l.CoreDown)
-		if len(data) < n {
-			return 0, nil, fmt.Errorf("header: truncated core section")
-		}
-		return tag, data[n:], nil
+		_, rest, err = cutBitmap(l.CoreDown, data[1:])
 	case TagDSpine, TagDLeaf:
-		width := l.SpineDown
-		if tag == TagDLeaf {
-			width = l.LeafDown
-		}
-		rest, err := skipDownstream(width, data)
-		if err != nil {
-			return 0, nil, err
-		}
-		return tag, rest, nil
+		rest, err = walkDownstream(l, data, nil)
 	case TagINT:
-		n, err := intSectionLen(data)
-		if err != nil {
-			return 0, nil, err
+		var n int
+		if n, err = intSectionLen(data); err == nil {
+			rest = data[n:]
 		}
-		return tag, data[n:], nil
 	default:
-		return 0, nil, fmt.Errorf("header: unknown tag %#x", tag)
+		err = fmt.Errorf("header: unknown tag %#x", tag)
 	}
+	if err != nil {
+		return 0, nil, err
+	}
+	return tag, rest, nil
 }
 
-func skipDownstream(width int, data []byte) ([]byte, error) {
-	bmLen := bitmap.ByteLen(width)
-	if len(data) < 2 {
-		return nil, fmt.Errorf("header: truncated downstream section")
-	}
-	count := int(data[1])
-	off := 2
-	for i := 0; i < count; i++ {
-		if off >= len(data) {
-			return nil, fmt.Errorf("header: truncated rule %d", i)
+// Seek advances stream to the section with the given tag. Sections are
+// in ascending tag order, so the walk stops at the first section whose
+// tag is not below tag: found reports whether that is the section asked
+// for. When it is not — the layer is served from s-rules, or the section
+// was popped — rest is where it would have been, at a later section or
+// TagEnd. Earlier sections are stepped over, never interpreted (a legacy
+// hop pops nothing, so stale ones may precede the caller's own). Every
+// caller that needs "the stream from section X on" asks here: the order
+// of tags is written down in this package only.
+func Seek(l Layout, stream []byte, tag byte) (rest []byte, found bool, err error) {
+	for {
+		var front byte
+		if front, err = PeekTag(stream); err != nil {
+			return nil, false, err
 		}
-		nIDs := int(data[off])
-		off += 1 + 2*nIDs + bmLen
-		if off > len(data) {
-			return nil, fmt.Errorf("header: truncated rule %d", i)
+		switch {
+		case front > TagINT:
+			return nil, false, fmt.Errorf("header: unknown tag %#x", front)
+		case front == TagEnd || front >= tag:
+			return stream, front == tag, nil
+		}
+		if _, stream, err = SkipSection(l, stream); err != nil {
+			return nil, false, err
 		}
 	}
-	if off >= len(data) {
-		return nil, fmt.Errorf("header: truncated default-presence byte")
-	}
-	hasDef := data[off]
-	off++
-	if hasDef == 1 {
-		off += bmLen
-		if off > len(data) {
-			return nil, fmt.Errorf("header: truncated default bitmap")
-		}
-	} else if hasDef > 1 {
-		return nil, fmt.Errorf("header: bad default-presence byte %#x", hasDef)
-	}
-	return data[off:], nil
 }
 
 // StreamInfo returns the total byte length of the section stream

@@ -21,6 +21,14 @@ const (
 	RMTHeaderVectorSize = 512
 	// PaperHeaderBudget is the evaluation's p-rule header cap (§5.1.2).
 	PaperHeaderBudget = 325
+
+	// idBytes is the wire width of one switch identifier, in a downstream
+	// p-rule and in an INT record. Only this package depends on it:
+	// AppendDownstream writes identifiers, ConsumeDownstreamInto and
+	// walkDownstream read them, DownstreamSize counts them.
+	idBytes = 2
+	// IdentifierBits is the same width in bits, for package p4gen.
+	IdentifierBits = 8 * idBytes
 )
 
 // upstream rule flag bits.
@@ -181,55 +189,59 @@ func namesOnly(r *PRule, sw int) bool {
 	return len(r.Switches) == 1 && int(r.Switches[0]) == sw
 }
 
+// EndSize is the wire size of the TagEnd that closes every stream.
+const EndSize = 1
+
+// UpstreamSize returns the wire size of the upstream section with the
+// given tag (TagULeaf or TagUSpine): tag, flags and the two bitmaps.
+func UpstreamSize(l Layout, tag byte) int {
+	downW, upW, _ := upstreamWidths(l, tag)
+	return 1 + upstreamSectionLen(downW, upW)
+}
+
+// CoreSize returns the wire size of the core section.
+func CoreSize(l Layout) int { return 1 + bitmap.ByteLen(l.CoreDown) }
+
+// DownstreamSize returns the wire size of the downstream section with
+// the given tag (TagDSpine or TagDLeaf) holding rules p-rules that list
+// ids switch identifiers between them, plus the default rule if
+// hasDefault; like AppendDownstream, it counts a section with neither
+// as absent. The controller budgets headers with it (Hmax, §3.2).
+func DownstreamSize(l Layout, tag byte, rules, ids int, hasDefault bool) int {
+	if rules == 0 && !hasDefault {
+		return 0
+	}
+	width, _ := downstreamWidth(l, tag)
+	n := 3 + rules*(1+bitmap.ByteLen(width)) + ids*idBytes // tag, count, default-presence; per rule an id count and a bitmap
+	if hasDefault {
+		n += bitmap.ByteLen(width)
+	}
+	return n
+}
+
 // EncodedSize returns the exact number of bytes AppendEncode will
-// produce for h under layout l, without encoding. The controller uses
-// it to enforce header budgets (Hmax, §3.2).
+// produce for h under layout l, without encoding.
 func EncodedSize(l Layout, h *Header) int {
-	n := 1 // TagEnd
+	n := EndSize
 	if h.ULeaf != nil {
-		n += 2 + bitmap.ByteLen(l.LeafDown) + bitmap.ByteLen(l.LeafUp)
+		n += UpstreamSize(l, TagULeaf)
 	}
 	if h.USpine != nil {
-		n += 2 + bitmap.ByteLen(l.SpineDown) + bitmap.ByteLen(l.SpineUp)
+		n += UpstreamSize(l, TagUSpine)
 	}
 	if h.Core != nil {
-		n += 1 + bitmap.ByteLen(l.CoreDown)
+		n += CoreSize(l)
 	}
-	if len(h.DSpine) > 0 || h.DSpineDefault != nil {
-		n += downstreamSize(l.SpineDown, h.DSpine, h.DSpineDefault != nil)
+	down := func(tag byte, rules []PRule, def *bitmap.Bitmap) int {
+		ids := 0
+		for _, r := range rules {
+			ids += len(r.Switches)
+		}
+		return DownstreamSize(l, tag, len(rules), ids, def != nil)
 	}
-	if len(h.DLeaf) > 0 || h.DLeafDefault != nil {
-		n += downstreamSize(l.LeafDown, h.DLeaf, h.DLeafDefault != nil)
-	}
+	n += down(TagDSpine, h.DSpine, h.DSpineDefault) + down(TagDLeaf, h.DLeaf, h.DLeafDefault)
 	if h.INTEnabled {
-		n += 2 + intRecordSize*len(h.INT)
-	}
-	return n
-}
-
-func downstreamSize(width int, rules []PRule, hasDefault bool) int {
-	n := 3 // tag + count + default-presence byte
-	bm := bitmap.ByteLen(width)
-	for _, r := range rules {
-		n += 1 + 2*len(r.Switches) + bm
-	}
-	if hasDefault {
-		n += bm
-	}
-	return n
-}
-
-// DownstreamSectionSize returns the wire size of one downstream section
-// with the given rule shapes; the clustering algorithm uses it to keep
-// sections within a byte budget before materializing rules.
-func DownstreamSectionSize(width int, ruleSwitchCounts []int, hasDefault bool) int {
-	n := 3
-	bm := bitmap.ByteLen(width)
-	for _, k := range ruleSwitchCounts {
-		n += 1 + 2*k + bm
-	}
-	if hasDefault {
-		n += bm
+		n += intSize(len(h.INT))
 	}
 	return n
 }
@@ -242,46 +254,37 @@ func Decode(l Layout, data []byte) (*Header, int, error) {
 	if err := l.Validate(); err != nil {
 		return nil, 0, err
 	}
-	if len(data) < 1 {
-		return nil, 0, fmt.Errorf("header: truncated (%d bytes)", len(data))
-	}
 	h := &Header{}
-	off := 0
-	lastTag := byte(0)
+	rest, lastTag := data, byte(TagEnd)
 	for {
-		if off >= len(data) {
+		tag, err := PeekTag(rest)
+		if err != nil {
 			return nil, 0, fmt.Errorf("header: missing TagEnd")
 		}
-		tag := data[off]
-		off++
 		if tag == TagEnd {
-			return h, off, nil
+			return h, len(data) - len(rest) + EndSize, nil
 		}
 		if tag <= lastTag || tag > TagINT {
 			return nil, 0, fmt.Errorf("header: tag %#x out of order after %#x", tag, lastTag)
 		}
 		lastTag = tag
-		var err error
 		switch tag {
 		case TagULeaf:
-			h.ULeaf, off, err = decodeUpstream(data, off, l.LeafDown, l.LeafUp)
+			h.ULeaf = &UpstreamRule{}
+			rest, err = ConsumeUpstreamInto(l, tag, rest, h.ULeaf)
 		case TagUSpine:
-			h.USpine, off, err = decodeUpstream(data, off, l.SpineDown, l.SpineUp)
+			h.USpine = &UpstreamRule{}
+			rest, err = ConsumeUpstreamInto(l, tag, rest, h.USpine)
 		case TagCore:
-			var bm bitmap.Bitmap
-			var n int
-			bm, n, err = bitmap.FromWire(l.CoreDown, data[off:])
-			if err == nil {
-				h.Core = &bm
-				off += n
-			}
+			h.Core = &bitmap.Bitmap{}
+			rest, err = ConsumeCoreInto(l, rest, h.Core)
 		case TagDSpine:
-			h.DSpine, h.DSpineDefault, off, err = decodeDownstream(data, off, l.SpineDown)
+			rest, err = decodeRules(l, rest, &h.DSpine, &h.DSpineDefault)
 		case TagDLeaf:
-			h.DLeaf, h.DLeafDefault, off, err = decodeDownstream(data, off, l.LeafDown)
+			rest, err = decodeRules(l, rest, &h.DLeaf, &h.DLeafDefault)
 		case TagINT:
 			h.INTEnabled = true
-			h.INT, off, err = decodeINTSection(data, off)
+			h.INT, rest, err = decodeINTSection(rest)
 		}
 		if err != nil {
 			return nil, 0, err
@@ -289,75 +292,28 @@ func Decode(l Layout, data []byte) (*Header, int, error) {
 	}
 }
 
-func decodeUpstream(data []byte, off, downW, upW int) (*UpstreamRule, int, error) {
-	if off >= len(data) {
-		return nil, off, fmt.Errorf("header: truncated upstream rule")
+// decodeRules materializes the downstream section at the front of data
+// (its tag already peeked) into rules and def, as walkDownstream reads it.
+func decodeRules(l Layout, data []byte, rules *[]PRule, def **bitmap.Bitmap) ([]byte, error) {
+	width, _ := downstreamWidth(l, data[0])
+	if len(data) > 1 {
+		*rules = make([]PRule, 0, data[1])
 	}
-	flags := data[off]
-	off++
-	if flags&^upMultipathBit != 0 {
-		return nil, off, fmt.Errorf("header: unknown upstream flags %#x", flags)
-	}
-	down, n, err := bitmap.FromWire(downW, data[off:])
-	if err != nil {
-		return nil, off, fmt.Errorf("header: upstream down: %w", err)
-	}
-	off += n
-	up, n, err := bitmap.FromWire(upW, data[off:])
-	if err != nil {
-		return nil, off, fmt.Errorf("header: upstream up: %w", err)
-	}
-	off += n
-	return &UpstreamRule{Down: down, Up: up, Multipath: flags&upMultipathBit != 0}, off, nil
-}
-
-func decodeDownstream(data []byte, off, width int) ([]PRule, *bitmap.Bitmap, int, error) {
-	if off >= len(data) {
-		return nil, nil, off, fmt.Errorf("header: truncated downstream section")
-	}
-	count := int(data[off])
-	off++
-	rules := make([]PRule, 0, count)
-	for i := 0; i < count; i++ {
-		if off >= len(data) {
-			return nil, nil, off, fmt.Errorf("header: truncated rule %d", i)
-		}
-		nIDs := int(data[off])
-		off++
-		if nIDs == 0 {
-			return nil, nil, off, fmt.Errorf("header: rule %d has zero identifiers", i)
-		}
-		if off+2*nIDs > len(data) {
-			return nil, nil, off, fmt.Errorf("header: truncated identifiers in rule %d", i)
-		}
-		ids := make([]uint16, nIDs)
-		for j := range ids {
-			ids[j] = binary.BigEndian.Uint16(data[off:])
-			off += 2
-		}
-		bm, n, err := bitmap.FromWire(width, data[off:])
+	return walkDownstream(l, data, func(ids, ports []byte) error {
+		bm, _, err := bitmap.FromWire(width, ports)
 		if err != nil {
-			return nil, nil, off, fmt.Errorf("header: rule %d bitmap: %w", i, err)
+			return err
 		}
-		off += n
-		rules = append(rules, PRule{Switches: ids, Bitmap: bm})
-	}
-	if off >= len(data) {
-		return nil, nil, off, fmt.Errorf("header: truncated default-presence byte")
-	}
-	hasDef := data[off]
-	off++
-	if hasDef > 1 {
-		return nil, nil, off, fmt.Errorf("header: bad default-presence byte %#x", hasDef)
-	}
-	var def *bitmap.Bitmap
-	if hasDef == 1 {
-		bm, n, err := bitmap.FromWire(width, data[off:])
-		if err != nil {
-			return nil, nil, off, fmt.Errorf("header: default bitmap: %w", err)
+		if ids == nil {
+			d := bm // a copy, so only the default's bitmap header escapes
+			*def = &d
+			return nil
 		}
-		off += n
-		def = &bm
-	}
-	return rules, def, off, nil
+		sw := make([]uint16, len(ids)/idBytes)
+		for i := range sw {
+			sw[i] = binary.BigEndian.Uint16(ids[i*idBytes:])
+		}
+		*rules = append(*rules, PRule{Switches: sw, Bitmap: bm})
+		return nil
+	})
 }

@@ -150,26 +150,26 @@ func emitHeaderTypes(p *printer, l header.Layout, opts Options) {
 	p.f("bit<8> count;")
 	p.close("")
 	// One header type per (layer, switch-id slot) — identifiers are
-	// u16 on the wire and Kmax bounds the list.
+	// header.IdentifierBits wide on the wire and Kmax bounds the list.
 	p.open("header elmo_dspine_rule_t")
-	p.f("bit<8> n_ids; bit<%d> ids; bit<%d> ports;", 16*opts.MaxSwitchesPerRule, bits(l.SpineDown))
+	p.f("bit<8> n_ids; bit<%d> ids; bit<%d> ports;", header.IdentifierBits*opts.MaxSwitchesPerRule, bits(l.SpineDown))
 	p.close("")
 	p.open("header elmo_dleaf_rule_t")
-	p.f("bit<8> n_ids; bit<%d> ids; bit<%d> ports;", 16*opts.MaxSwitchesPerRule, bits(l.LeafDown))
+	p.f("bit<8> n_ids; bit<%d> ids; bit<%d> ports;", header.IdentifierBits*opts.MaxSwitchesPerRule, bits(l.LeafDown))
 	p.close("")
 	p.open("header elmo_default_t")
 	p.f("bit<8> present; bit<%d> ports;", bits(l.LeafDown))
 	p.close("")
 	if opts.EnableINT {
 		p.open("header elmo_int_record_t")
-		p.f("bit<8> tier; bit<16> switch_id; bit<8> meta;")
+		p.f("bit<8> tier; bit<%d> switch_id; bit<8> meta;", header.IdentifierBits)
 		p.close("")
 	}
 	p.f("")
 	p.open("struct elmo_metadata_t")
 	p.f("bit<1> matched; bit<%d> out_ports; bit<1> has_default; bit<%d> default_ports;",
 		maxInt(bits(l.LeafDown), bits(l.SpineDown)), maxInt(bits(l.LeafDown), bits(l.SpineDown)))
-	p.f("bit<1> multipath; bit<16> my_id;")
+	p.f("bit<1> multipath; bit<%d> my_id;", header.IdentifierBits)
 	p.close("")
 	p.f("")
 }

@@ -100,22 +100,22 @@ func TestConcurrentSnapshotAndChromeExport(t *testing.T) {
 	const writers, perWriter, readers = 4, 2000, 3
 	r := New(Config{Capacity: 256}) // small ring: force wraparound under load
 	r.Enable()
-	var wg sync.WaitGroup
+	var writing, reading sync.WaitGroup
 	stop := make(chan struct{})
 
 	for w := 0; w < writers; w++ {
-		wg.Add(1)
+		writing.Add(1)
 		go func(w int) {
-			defer wg.Done()
+			defer writing.Done()
 			for i := 0; i < perWriter; i++ {
 				r.Record(checkedEvent(w, i))
 			}
 		}(w)
 	}
 	for g := 0; g < readers; g++ {
-		wg.Add(1)
+		reading.Add(1)
 		go func() {
-			defer wg.Done()
+			defer reading.Done()
 			for {
 				select {
 				case <-stop:
@@ -143,16 +143,9 @@ func TestConcurrentSnapshotAndChromeExport(t *testing.T) {
 	}
 
 	// Writers finish first; then release the readers.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		wg.Wait()
-	}()
-	// Stop readers once all writers are done: Seen reports total offered.
-	for r.Seen(CatHop) < writers*perWriter {
-	}
+	writing.Wait()
 	close(stop)
-	<-done
+	reading.Wait()
 
 	// Final export parses as one JSON array of trace_event objects.
 	var buf bytes.Buffer

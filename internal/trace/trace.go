@@ -384,10 +384,6 @@ type Config struct {
 	// Capacity is the ring size in events; the recorder keeps the most
 	// recent Capacity events. Zero means DefaultCapacity.
 	Capacity int
-	// SampleEvery records one in N events per category (0 and 1 both
-	// mean every event). Sampling applies per category so hop events
-	// can be thinned without losing control-plane history.
-	SampleEvery map[Category]int
 }
 
 // DefaultCapacity is the ring size used when Config.Capacity is zero.
@@ -400,9 +396,6 @@ type FlightRecorder struct {
 	mask  atomic.Uint32 // enabled-category bitmask; 0 = fully off
 	start time.Time
 
-	sampleEvery [numCategories]uint64
-	seen        [numCategories]atomic.Uint64
-
 	mu   sync.Mutex
 	buf  []Event
 	next uint64 // total events stored; buf slot = next % len(buf)
@@ -414,16 +407,10 @@ func New(cfg Config) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	r := &FlightRecorder{
+	return &FlightRecorder{
 		start: time.Now(),
 		buf:   make([]Event, 0, capacity),
 	}
-	for c, n := range cfg.SampleEvery {
-		if int(c) < int(numCategories) && n > 1 {
-			r.sampleEvery[c] = uint64(n)
-		}
-	}
-	return r
 }
 
 // Enable turns on recording for the given categories (all categories
@@ -451,14 +438,9 @@ func (r *FlightRecorder) Enabled(c Category) bool {
 
 // Record stores the event, stamping Seq and TS. Events of a disabled
 // category are ignored (instrumentation normally guards with On, but
-// Record stays correct without it); sampled-out events only bump the
-// per-category counter.
+// Record stays correct without it).
 func (r *FlightRecorder) Record(ev Event) {
 	if !r.Enabled(ev.Cat) {
-		return
-	}
-	n := r.seen[ev.Cat].Add(1)
-	if every := r.sampleEvery[ev.Cat]; every > 1 && (n-1)%every != 0 {
 		return
 	}
 	ev.TS = int64(time.Since(r.start))
@@ -471,15 +453,6 @@ func (r *FlightRecorder) Record(ev Event) {
 	}
 	r.next++
 	r.mu.Unlock()
-}
-
-// Seen returns how many events of the category were offered to the
-// recorder while enabled (before sampling).
-func (r *FlightRecorder) Seen(c Category) uint64 {
-	if c >= numCategories {
-		return 0
-	}
-	return r.seen[c].Load()
 }
 
 // Len returns the number of events currently held in the ring.

@@ -79,32 +79,6 @@ func TestRingOverwritesOldest(t *testing.T) {
 	}
 }
 
-func TestSampling(t *testing.T) {
-	r := New(Config{Capacity: 128, SampleEvery: map[Category]int{CatHop: 10}})
-	r.Enable()
-	for i := 0; i < 100; i++ {
-		r.Record(hopEvent(int32(i), RulePRule))
-	}
-	// Control events are unsampled.
-	r.Record(Event{Cat: CatControl, Kind: KindJoin})
-	evs := r.Snapshot()
-	hops := 0
-	for _, ev := range evs {
-		if ev.Cat == CatHop {
-			hops++
-		}
-	}
-	if hops != 10 {
-		t.Fatalf("sampled %d hop events, want 10 (1-in-10 of 100)", hops)
-	}
-	if got := r.Seen(CatHop); got != 100 {
-		t.Fatalf("Seen(CatHop) = %d, want 100", got)
-	}
-	if len(evs) != 11 {
-		t.Fatalf("total events %d, want 11", len(evs))
-	}
-}
-
 func TestConcurrentRecord(t *testing.T) {
 	r := New(Config{Capacity: 1024})
 	r.Enable()

@@ -43,7 +43,6 @@ func TestNoUnreachableSurface(t *testing.T) {
 		"internal/obs.Options.Durable":                    "readiness tests pass a fake DurableStatus; no main runs obs beside a durable controller yet",
 		"internal/obs.Options.FollowerAcks":               "as Durable: the replication-currency gate of /readyz",
 		"internal/durable.Options.SegmentBytes":           "the snapshot-truncation test needs segments small enough to rotate",
-		"internal/trace.Config.SampleEvery":               "1-in-N sampling is exercised by the recorder's own test only",
 	}
 	// The exported forks deleted for being a second implementation of one
 	// job or a hook only tests turned: "dir.Name", "dir.Type.Method" or
@@ -59,34 +58,10 @@ func TestNoUnreachableSurface(t *testing.T) {
 		"internal/dataplane.NetworkSwitch.UpstreamPicker":               true,
 		"internal/livefabric.LiveFabric.EnableCongestionAwareMultipath": true,
 		"internal/reliable.Metrics":                                     true,
+		"internal/header.ConsumeDownstream":                             true,
 	}
 
-	fset := token.NewFileSet()
-	files := map[string][]*ast.File{} // package dir -> non-test files
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		files[dir] = append(files[dir], file)
-		return nil
-	})
-	if err != nil || len(files["."]) == 0 {
-		t.Fatalf("no source found: %v", err)
-	}
+	fset, files := parseShipped(t)
 
 	// 1. Reachability over non-test imports.
 	reached := map[string]bool{}
@@ -262,6 +237,116 @@ func TestNoUnreachableSurface(t *testing.T) {
 		}
 	}
 	t.Logf("%d exported Config/Options fields under internal/, %d of them test seams", len(options), len(testSeams))
+}
+
+// parseShipped parses every non-test Go file under the repository root
+// (benchmark/ included), keyed by package directory.
+func parseShipped(t *testing.T) (*token.FileSet, map[string][]*ast.File) {
+	t.Helper()
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{} // package dir -> non-test files
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		files[dir] = append(files[dir], file)
+		return nil
+	})
+	if err != nil || len(files["."]) == 0 {
+		t.Fatalf("no source found: %v", err)
+	}
+	return fset, files
+}
+
+// TestSectionGrammarHasOneHome keeps what a section looks like on the
+// wire written down in internal/header only (go/parser, non-test files):
+//
+//   - tag order: outside internal/header nothing orders a header.Tag*
+//     constant with <, >, <= or >= — "the stream from section X on" is
+//     header.Seek's to answer;
+//   - section sizes: controller/encoder.go and the dataplane budget and
+//     walk sections through header's size functions and readers, never
+//     with bitmap.ByteLen arithmetic of their own;
+//   - identifier width: p4gen multiplies by header.IdentifierBits, not by
+//     a literal 16;
+//   - one encoder: outside benchmark/ (whose header kernel times exactly
+//     that) no function decodes a sender's stream with HeaderFor only to
+//     header.Encode it again — Controller.SenderStream has the bytes.
+func TestSectionGrammarHasOneHome(t *testing.T) {
+	fset, files := parseShipped(t)
+	isHeader := func(e ast.Expr, prefix string) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok || !strings.HasPrefix(sel.Sel.Name, prefix) {
+			return false
+		}
+		x, ok := sel.X.(*ast.Ident)
+		return ok && x.Name == "header"
+	}
+	for dir, fs := range files {
+		if dir == "internal/header" {
+			continue
+		}
+		for _, f := range fs {
+			file := filepath.ToSlash(fset.Position(f.Pos()).Filename)
+			noByteLen := file == "internal/controller/encoder.go" || dir == "internal/dataplane"
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.BinaryExpr:
+					switch n.Op {
+					case token.LSS, token.GTR, token.LEQ, token.GEQ:
+						if isHeader(n.X, "Tag") || isHeader(n.Y, "Tag") {
+							t.Errorf("%s: orders a section tag; ask header.Seek", fset.Position(n.Pos()))
+						}
+					case token.MUL:
+						for _, e := range []ast.Expr{n.X, n.Y} {
+							if lit, ok := e.(*ast.BasicLit); ok && lit.Value == "16" && dir == "internal/p4gen" {
+								t.Errorf("%s: literal identifier width; use header.IdentifierBits", fset.Position(n.Pos()))
+							}
+						}
+					}
+				case *ast.SelectorExpr:
+					if noByteLen && n.Sel.Name == "ByteLen" {
+						t.Errorf("%s: sizes a section by hand; use header's size functions", fset.Position(n.Pos()))
+					}
+				case *ast.FuncDecl:
+					if n.Body == nil || strings.HasPrefix(dir, "benchmark") {
+						break
+					}
+					var decodes, encodes bool
+					ast.Inspect(n.Body, func(m ast.Node) bool {
+						if call, ok := m.(*ast.CallExpr); ok {
+							if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "HeaderFor" {
+								decodes = true
+							}
+							if isHeader(call.Fun, "Encode") || isHeader(call.Fun, "AppendEncode") {
+								encodes = true
+							}
+						}
+						return true
+					})
+					if decodes && encodes {
+						t.Errorf("%s: %s round-trips stream -> Header -> stream; call Controller.SenderStream",
+							fset.Position(n.Pos()), n.Name.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
 }
 
 // recvName returns the receiver's type name, without pointer or type
