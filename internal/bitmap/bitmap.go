@@ -311,26 +311,23 @@ func FromWire(width int, data []byte) (Bitmap, int, error) {
 // when wide enough — the data-plane parse path calls it per packet and
 // must not allocate once its scratch bitmaps are warm. On error b is
 // left empty at the requested width.
+//
+// The mirror of AppendWire: byte i of the encoding is byte i%8
+// (little-endian) of word i/8, so bytes go straight into words, and only
+// the last byte can hold padding bits, which are checked once.
 func FromWireInto(width int, data []byte, b *Bitmap) (int, error) {
 	n := ByteLen(width)
 	if len(data) < n {
 		return 0, fmt.Errorf("bitmap: need %d bytes for width %d, have %d", n, width, len(data))
 	}
 	b.Reset(width)
-	for i := 0; i < n; i++ {
-		by := data[i]
-		base := i * 8
-		for j := 0; j < 8; j++ {
-			if by&(1<<uint(j)) == 0 {
-				continue
-			}
-			bit := base + j
-			if bit >= width {
-				b.Reset(width)
-				return 0, fmt.Errorf("bitmap: padding bit %d set beyond width %d", bit, width)
-			}
-			b.words[bit/64] |= 1 << (uint(bit) % 64)
+	if r := uint(width) % 8; r != 0 {
+		if pad := data[n-1] >> r; pad != 0 {
+			return 0, fmt.Errorf("bitmap: padding bit %d set beyond width %d", width+bits.TrailingZeros8(pad), width)
 		}
+	}
+	for i, by := range data[:n] {
+		b.words[i/8] |= uint64(by) << (8 * (uint(i) % 8))
 	}
 	return n, nil
 }

@@ -1,6 +1,7 @@
 package bitmap
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -391,6 +392,73 @@ func TestAppendWireWordLevel(t *testing.T) {
 		}
 		if !back.Equal(b) {
 			t.Fatalf("width %d: round trip mismatch", w)
+		}
+	}
+}
+
+// referenceFromWireInto is FromWireInto as it was before it decoded
+// bytes straight into words: one branch per bit. Frozen; the test below
+// holds the word-level decoder to it.
+func referenceFromWireInto(width int, data []byte, b *Bitmap) (int, error) {
+	n := ByteLen(width)
+	if len(data) < n {
+		return 0, fmt.Errorf("bitmap: need %d bytes for width %d, have %d", n, width, len(data))
+	}
+	b.Reset(width)
+	for i := 0; i < n; i++ {
+		by := data[i]
+		base := i * 8
+		for j := 0; j < 8; j++ {
+			if by&(1<<uint(j)) == 0 {
+				continue
+			}
+			bit := base + j
+			if bit >= width {
+				b.Reset(width)
+				return 0, fmt.Errorf("bitmap: padding bit %d set beyond width %d", bit, width)
+			}
+			b.words[bit/64] |= 1 << (uint(bit) % 64)
+		}
+	}
+	return n, nil
+}
+
+// TestFromWireIntoMatchesBitwiseReference decodes, at every width
+// 0…130, a clean random encoding and the same encoding with each padding
+// bit (and all of them) set, a byte short, and with bytes trailing; the
+// result, the count, the error text and b after an error must be the
+// bit-at-a-time decoder's. Both decode into the same dirty, wider bitmap.
+func TestFromWireIntoMatchesBitwiseReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	check := func(width int, data []byte) {
+		t.Helper()
+		got := randBits(rng, 192)
+		want := got.Clone()
+		gn, gerr := FromWireInto(width, data, &got)
+		wn, werr := referenceFromWireInto(width, data, &want)
+		if gn != wn || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("width %d, data %x: (%d, %v), reference (%d, %v)", width, data, gn, gerr, wn, werr)
+		}
+		if got.Width() != want.Width() || !got.Equal(want) {
+			t.Fatalf("width %d, data %x: decoded %s, reference %s", width, data, got, want)
+		}
+		if padded := gerr != nil && len(data) >= ByteLen(width); padded && (got.Width() != width || got.PopCount() != 0) {
+			t.Fatalf("width %d, data %x: bitmap not left empty on a padding error: %s", width, data, got)
+		}
+	}
+	for width := 0; width <= 130; width++ {
+		clean := randBits(rng, width).AppendWire(nil)
+		check(width, clean)
+		check(width, append(append([]byte(nil), clean...), 0xff, 0x01))
+		if len(clean) > 0 {
+			check(width, clean[:len(clean)-1])
+		}
+		for bit := width; bit < 8*len(clean); bit++ {
+			dirty := append([]byte(nil), clean...)
+			dirty[bit/8] |= 1 << uint(bit%8)
+			check(width, dirty)
+			dirty[len(dirty)-1] |= 0xff << uint(width%8)
+			check(width, dirty)
 		}
 	}
 }

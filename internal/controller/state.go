@@ -271,6 +271,14 @@ func (c *Controller) ReadState(r io.Reader) error {
 		}
 		groups = append(groups, loadedGroup{key: key, g: g})
 	}
+	// WriteState ends with the last group: whatever follows is not state
+	// this reader understood, and accepting it would lose it silently.
+	switch _, err := sr.r.ReadByte(); {
+	case err == nil:
+		return fmt.Errorf("controller: state has trailing data after the last group")
+	case err != io.EOF:
+		return fmt.Errorf("controller: state: %w", err)
+	}
 	// A stream written under a larger Fmax (another -srules, or forged)
 	// can hold more s-rules for one switch than this controller's
 	// tables; a logical-spine rule takes an entry in every spine of its
@@ -306,10 +314,10 @@ func (c *Controller) ReadState(r io.Reader) error {
 }
 
 // readBitmapMap decodes a map written by writeBitmapMap: at most limit
-// entries, every key below limit, every bitmap of the given width. what
-// names the section in errors. An empty section decodes to an empty map
-// (the tree maps) or, with nilIfEmpty, to nil (the s-rule maps) — the
-// shapes the encoder itself produces.
+// entries, keys strictly ascending and below limit, every bitmap of the
+// given width. what names the section in errors. An empty section
+// decodes to an empty map (the tree maps) or, with nilIfEmpty, to nil
+// (the s-rule maps) — the shapes the encoder itself produces.
 func readBitmapMap[K ~int](sr *stateReader, what string, limit uint64, width int, nilIfEmpty bool) (map[K]bitmap.Bitmap, error) {
 	n, err := sr.count(limit, what)
 	if err != nil {
@@ -319,6 +327,7 @@ func readBitmapMap[K ~int](sr *stateReader, what string, limit uint64, width int
 		return nil, nil
 	}
 	m := make(map[K]bitmap.Bitmap, n)
+	var prev uint64
 	for i := 0; i < n; i++ {
 		k, err := sr.uvarint()
 		if err != nil {
@@ -327,6 +336,12 @@ func readBitmapMap[K ~int](sr *stateReader, what string, limit uint64, width int
 		if k >= limit {
 			return nil, fmt.Errorf("%s %d outside topology", what, k)
 		}
+		// A repeated key would collapse into one entry and the restored
+		// state would not re-serialise to the stream it was read from.
+		if i > 0 && k <= prev {
+			return nil, fmt.Errorf("%s %d out of order", what, k)
+		}
+		prev = k
 		if m[K(k)], err = sr.bitmap(width); err != nil {
 			return nil, err
 		}

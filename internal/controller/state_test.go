@@ -138,6 +138,21 @@ func TestReadStateRejectsCorruptInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := single.Bytes()[2:] // after version and group count
+	// The same stream with a table key rewritten. Its tree-leaf table
+	// starts at byte 11 (count 2, leaf 0, bitmap, leaf 1, bitmap) and it
+	// ends with two empty s-rule tables and three one-byte redundancies.
+	n := single.Len()
+	if !bytes.Equal(single.Bytes()[11:13], []byte{2, 0}) || single.Bytes()[14] != 1 || !bytes.Equal(single.Bytes()[n-5:n-3], []byte{0, 0}) {
+		t.Fatalf("the single-group stream is not laid out as the table cases assume: %x", single.Bytes())
+	}
+	patch := func(offsetValue ...int) []byte {
+		out := bytes.Clone(single.Bytes())
+		for i := 0; i < len(offsetValue); i += 2 {
+			out[offsetValue[i]] = byte(offsetValue[i+1])
+		}
+		return out
+	}
+	repeatedSRule := slices.Concat(single.Bytes()[:n-4], []byte{2, 0, 1, 0, 1}, single.Bytes()[n-3:])
 
 	cases := map[string]struct {
 		data []byte
@@ -153,6 +168,12 @@ func TestReadStateRejectsCorruptInput(t *testing.T) {
 		"duplicate host":    {group(2, 5, 1, 5, 2), "hosts out of order"},
 		"no encoding":       {group(1, 48, 2, 0), "bad encoding flag"},
 		"duplicate group":   {slices.Concat([]byte{stateVersion, 2}, body, body), "groups out of order"},
+		// A table that names a switch twice would collapse to one entry
+		// and re-serialise to other bytes than were read.
+		"repeated tree leaf":   {patch(14, 0), "tree leaf 0 out of order"},
+		"descending tree leaf": {patch(12, 1, 14, 0), "tree leaf 0 out of order"},
+		"repeated s-rule leaf": {repeatedSRule, "s-rule leaf 0 out of order"},
+		"trailing bytes":       {append(bytes.Clone(valid), 0xde, 0xad), "trailing data"},
 	}
 	for name, tc := range cases {
 		c2, _ := New(paperTopo(), cfg)

@@ -3,7 +3,7 @@ package dataplane
 import (
 	"encoding/binary"
 	"io"
-	"sort"
+	"slices"
 
 	"elmo/internal/bitmap"
 )
@@ -20,12 +20,7 @@ func sortedAddrs[V any](m map[GroupAddr]V) []GroupAddr {
 	for a := range m {
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool {
-		if addrs[i].VNI != addrs[j].VNI {
-			return addrs[i].VNI < addrs[j].VNI
-		}
-		return addrs[i].Group < addrs[j].Group
-	})
+	slices.SortFunc(addrs, compareAddrs)
 	return addrs
 }
 
@@ -68,7 +63,7 @@ func (hv *Hypervisor) WriteStateDigest(w io.Writer) {
 		w.Write(b[:])
 		w.Write(f.stream)
 	}
-	for _, a := range sortedAddrs(hv.receiving) {
+	for _, a := range hv.receiving.sorted() {
 		writeAddr(w, a)
 		w.Write([]byte{1})
 	}

@@ -1,0 +1,350 @@
+package fabric
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"elmo/internal/controller"
+	"elmo/internal/dataplane"
+	"elmo/internal/header"
+	"elmo/internal/raceflag"
+	"elmo/internal/topology"
+	"elmo/internal/trace"
+)
+
+// referenceForward is forward as it was before host copies moved behind
+// the walk: each host event is delivered the moment the loop pops it,
+// into a Received map made with room for 16. Frozen; the differential
+// test below holds forward to it.
+func (f *Fabric) referenceForward(src topology.HostID, pkt dataplane.Packet) (*Delivery, error) {
+	ps := fwdPool.Get().(*procState)
+	ps.reset()
+	defer fwdPool.Put(ps)
+	st := fwd{d: &Delivery{Received: make(map[topology.HostID][]byte, 16)}, ps: ps}
+	d := st.d
+	if a, ok := dataplane.GroupAddrFromOuter(pkt.Outer); ok {
+		st.vni, st.group = a.VNI, a.Group
+	}
+	start := f.probe.SendStart()
+	probe := st.vni == dataplane.ProbeVNI
+	chaos := f.probe.Faulting()
+	maxEvents := 4 * (f.topo.NumSwitches() + f.topo.NumHosts())
+	if chaos {
+		maxEvents *= 8
+	}
+	d.LinkBytes += pkt.WireSize()
+	d.Links++
+	up := f.uplink(src)
+	aev := event{tier: up.ToTier, id: up.To, pkt: pkt}
+	f.admit(&st, up, &aev)
+	for st.n = 0; ps.head < len(ps.queue) || len(ps.held) > 0; st.n++ {
+		if st.n >= maxEvents {
+			return nil, fmt.Errorf("fabric: forwarding loop detected after %d events", st.n)
+		}
+		if len(ps.held) > 0 {
+			kept := ps.held[:0]
+			for _, h := range ps.held {
+				if h.due <= st.n {
+					ps.queue = append(ps.queue, h.ev)
+				} else {
+					kept = append(kept, h)
+				}
+			}
+			ps.held = kept
+			if ps.head >= len(ps.queue) {
+				continue
+			}
+		}
+		ev := &ps.queue[ps.head]
+		ps.head++
+		if ev.tier == dataplane.LinkHost {
+			f.referenceDeliverHost(d, topology.HostID(ev.id), &ev.pkt)
+			continue
+		}
+		d.Hops++
+		ems, err := f.switchAt(ev.tier, ev.id).ProcessInto(ev.pkt, &ps.scratch)
+		if err != nil {
+			if chaos {
+				d.Malformed++
+				continue
+			}
+			return nil, err
+		}
+		for i := range ems {
+			em := &ems[i]
+			d.LinkBytes += em.Packet.WireSize()
+			d.Links++
+			l := f.NextHop(ev.tier, ev.id, em)
+			if !probe && f.declaredFailed(l.ToTier, l.To) {
+				d.Lost++
+				f.probe.Lost(l.ToTier, l.To, &em.Packet)
+				continue
+			}
+			aev = event{tier: l.ToTier, id: l.To, pkt: em.Packet}
+			f.admit(&st, l, &aev)
+		}
+	}
+	f.probe.Sent(dataplane.SendSample{
+		VNI: st.vni, Group: st.group,
+		Delivered: len(d.Received),
+		Lost:      d.Lost + d.Malformed + d.FaultDrops,
+		Bytes:     int64(d.LinkBytes),
+		Hops:      d.Hops,
+		Links:     d.Links, Spurious: d.Spurious, Duplicates: d.Duplicates,
+		AtFailed: d.Lost, Malformed: d.Malformed,
+	}, start)
+	return d, nil
+}
+
+func (f *Fabric) referenceDeliverHost(d *Delivery, h topology.HostID, pkt *dataplane.Packet) {
+	inner, tel, ok := f.Hypervisors[h].DeliverFull(*pkt)
+	if !ok {
+		d.Spurious++
+		return
+	}
+	if _, dup := d.Received[h]; dup {
+		d.Duplicates++
+	}
+	d.Received[h] = inner
+	if len(tel) > 0 {
+		if d.Telemetry == nil {
+			d.Telemetry = make(map[topology.HostID][]header.INTRecord)
+		}
+		d.Telemetry[h] = tel
+	}
+}
+
+// sendLog is every instrument a send reports to, in one value: the
+// seeded injector whose verdicts it suffers, the observer that sees its
+// link crossings and its SendSample, and the recorder of its trace
+// events. Two sends with equal logs were the same send to everything
+// outside the fabric.
+type sendLog struct {
+	rng    *rand.Rand // nil: no faults
+	links  []string
+	sample dataplane.SendSample
+	events []trace.Event
+}
+
+func (s *sendLog) Active() bool { return true }
+
+func (s *sendLog) ObserveLink(l dataplane.Link, bytes int) {
+	s.links = append(s.links, fmt.Sprint(l, bytes))
+}
+
+func (s *sendLog) ObserveSend(sample dataplane.SendSample) {
+	sample.Nanos = 0
+	s.sample = sample
+}
+
+func (s *sendLog) Cross(dataplane.Link, uint32, uint32) dataplane.FaultVerdict {
+	switch x := s.rng.Intn(100); {
+	case x < 3:
+		return dataplane.FaultVerdict{Drop: true}
+	case x < 8:
+		return dataplane.FaultVerdict{Duplicate: true}
+	case x < 11:
+		return dataplane.FaultVerdict{Corrupt: true}
+	case x < 20:
+		return dataplane.FaultVerdict{DelaySteps: int32(1 + s.rng.Intn(6))}
+	case x < 23:
+		return dataplane.FaultVerdict{Duplicate: true, DelaySteps: int32(1 + s.rng.Intn(3))}
+	}
+	return dataplane.FaultVerdict{}
+}
+
+func (s *sendLog) CorruptWire(frame []byte) {
+	frame[s.rng.Intn(len(frame))] ^= 1 << s.rng.Intn(8)
+}
+
+func (s *sendLog) Enabled(trace.Category) bool { return true }
+
+func (s *sendLog) Record(ev trace.Event) { s.events = append(s.events, ev) }
+
+// loggedSend runs one send through fwd with a fresh log attached; a
+// non-zero faultSeed arms the log's injector.
+func loggedSend(f *Fabric, fwd func(topology.HostID, dataplane.Packet) (*Delivery, error),
+	sender topology.HostID, a dataplane.GroupAddr, inner []byte, faultSeed int64) (*Delivery, error, *sendLog) {
+	log := new(sendLog)
+	f.SetObserver(log)
+	f.SetTracer(log)
+	f.SetInjector(nil)
+	if faultSeed != 0 {
+		log.rng = rand.New(rand.NewSource(faultSeed))
+		f.SetInjector(log)
+	}
+	pkt, err := f.Hypervisors[sender].Encap(a, inner)
+	if err != nil {
+		return nil, err, log
+	}
+	d, err := fwd(sender, pkt)
+	return d, err, log
+}
+
+// hostEventsLast is the one visible difference the change allows: a
+// send's host deliver/filter events follow its switch events, each
+// class keeping its order.
+func hostEventsLast(evs []trace.Event) []trace.Event {
+	out := make([]trace.Event, 0, len(evs))
+	for _, ev := range evs {
+		if ev.Kind != trace.KindDeliver && ev.Kind != trace.KindFilter {
+			out = append(out, ev)
+		}
+	}
+	for _, ev := range evs {
+		if ev.Kind == trace.KindDeliver || ev.Kind == trace.KindFilter {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// TestForwardMatchesEagerDelivery holds forward — host copies delivered
+// after the walk into maps made at their final size — to the frozen
+// forward that delivered each copy as the loop reached it. Every field
+// of the Delivery, the SendSample, the observed link crossings and the
+// trace events (host events moved last, nothing else) must agree, over
+// seeded groups on a healthy fabric, with a failed spine and core behind
+// stale and then refreshed sender flows, and under seeded drop +
+// duplicate + corrupt + delay verdicts; with and without INT.
+func TestForwardMatchesEagerDelivery(t *testing.T) {
+	topo := topology.MustNew(topology.Config{Pods: 4, SpinesPerPod: 2, LeavesPerPod: 4, HostsPerLeaf: 8, CoresPerPlane: 2})
+	// What the compared sends exercised: all of it must have occurred for
+	// the comparison to mean anything.
+	saw := map[string]bool{}
+	for _, withINT := range []bool{false, true} {
+		cfg := testConfig(2)
+		cfg.SpineRuleLimit, cfg.LeafRuleLimit, cfg.SRuleCapacity = 1, 3, 2 // push groups onto s-rules and default rules
+		cfg.EnableINT = withINT
+		ctrl, f := setup(t, topo, cfg)
+		rng := rand.New(rand.NewSource(11))
+		type group struct {
+			key   controller.GroupKey
+			hosts []topology.HostID
+		}
+		var groups []group
+		for g := 0; g < 24; g++ {
+			hosts := make([]topology.HostID, 0, 64)
+			for _, h := range rng.Perm(topo.NumHosts())[:3+rng.Intn(60)] {
+				hosts = append(hosts, topology.HostID(h))
+			}
+			key := controller.GroupKey{Tenant: uint32(1 + g%3), Group: uint32(g)}
+			installGroup(t, ctrl, f, key, hosts)
+			groups = append(groups, group{key, hosts})
+		}
+		compare := func(phase string, faultSeed int64) {
+			t.Helper()
+			for gi, g := range groups {
+				sender := g.hosts[gi%len(g.hosts)]
+				inner := []byte(fmt.Sprintf("%s/%d", phase, gi))
+				if faultSeed != 0 {
+					faultSeed++
+				}
+				want, wantErr, wantLog := loggedSend(f, f.referenceForward, sender, addr(g.key), inner, faultSeed)
+				got, gotErr, gotLog := loggedSend(f, f.forward, sender, addr(g.key), inner, faultSeed)
+				where := fmt.Sprintf("INT=%v, %s, group %d", withINT, phase, gi)
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("%s: err = %v, reference %v", where, gotErr, wantErr)
+				}
+				if wantErr != nil {
+					continue
+				}
+				gv, wv := reflect.ValueOf(*got), reflect.ValueOf(*want)
+				for i := 0; i < gv.NumField(); i++ {
+					if !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
+						t.Errorf("%s: Delivery.%s = %v, reference %v", where, gv.Type().Field(i).Name, gv.Field(i), wv.Field(i))
+					}
+				}
+				if gotLog.sample != wantLog.sample {
+					t.Errorf("%s: SendSample = %+v, reference %+v", where, gotLog.sample, wantLog.sample)
+				}
+				if !reflect.DeepEqual(gotLog.links, wantLog.links) {
+					t.Errorf("%s: observed link crossings differ:\n%v\nreference\n%v", where, gotLog.links, wantLog.links)
+				}
+				if !reflect.DeepEqual(gotLog.events, hostEventsLast(wantLog.events)) {
+					t.Errorf("%s: trace events are not the reference's with host events last:\n%v\nreference\n%v", where, gotLog.events, wantLog.events)
+				}
+				if t.Failed() {
+					t.FailNow()
+				}
+				for what, seen := range map[string]bool{
+					"spurious":          got.Spurious > 0,
+					"duplicates":        got.Duplicates > 0,
+					"lost":              got.Lost > 0,
+					"telemetry":         len(got.Telemetry) > 0,
+					"nothing received":  len(got.Received) == 0,
+					"over 16 received":  len(got.Received) > 16,
+					"fault drop":        got.FaultDrops > 0,
+					"fault dup":         got.FaultDups > 0,
+					"fault corrupt":     got.FaultCorrupts > 0,
+					"fault delay":       got.FaultDelays > 0,
+					"malformed":         got.Malformed > 0,
+					"host events moved": !reflect.DeepEqual(wantLog.events, gotLog.events),
+				} {
+					saw[what] = saw[what] || seen
+				}
+			}
+		}
+		compare("healthy", 0)
+		compare("healthy under faults", 100)
+		ctrl.FailSpine(1)
+		ctrl.FailCore(2)
+		compare("failed spine and core, stale flows", 0)
+		for _, g := range groups {
+			if _, err := f.InstallGroupAt(0, ctrl, g.key); err != nil {
+				t.Fatal(err)
+			}
+		}
+		compare("failed spine and core, refreshed flows", 0)
+		compare("failed spine and core under faults", 200)
+	}
+	if len(saw) == 0 {
+		t.Fatal("every send failed: nothing was compared")
+	}
+	for what, seen := range saw {
+		if !seen {
+			t.Errorf("no send exercised: %s", what)
+		}
+	}
+}
+
+// TestSendAllocsIndependentOfGroupSize is the exact gate on what
+// delivering after the walk bought: Received is made once at the number
+// of host copies, so a send allocates the same whether it reaches 20
+// hosts or 400 (before, every doubling past 16 paid a rehash). A group
+// of 5 allocates less, never more — the runtime keeps a map of at most 8
+// entries in a single group.
+func TestSendAllocsIndependentOfGroupSize(t *testing.T) {
+	raceflag.SkipExactAllocs(t)
+	topo := topology.MustNew(topology.Config{Pods: 8, SpinesPerPod: 4, LeavesPerPod: 16, HostsPerLeaf: 16, CoresPerPlane: 4})
+	cfg := testConfig(0)
+	cfg.LeafRuleLimit, cfg.SRuleCapacity = 30, 1000
+	ctrl, f := setup(t, topo, cfg)
+	rng := rand.New(rand.NewSource(5))
+	allocs := map[int]float64{}
+	sizes := []int{5, 20, 100, 400}
+	for g, size := range sizes {
+		hosts := make([]topology.HostID, 0, size)
+		for _, h := range rng.Perm(topo.NumHosts())[:size] {
+			hosts = append(hosts, topology.HostID(h))
+		}
+		key := controller.GroupKey{Tenant: 1, Group: uint32(g)}
+		installGroup(t, ctrl, f, key, hosts)
+		inner := []byte("alloc probe")
+		allocs[size] = testing.AllocsPerRun(100, func() {
+			d, err := f.Send(hosts[0], addr(key), inner)
+			if err != nil || len(d.Received) != size-1 {
+				t.Fatalf("size %d: %v, err %v", size, d, err)
+			}
+		})
+	}
+	t.Logf("allocations per send by group size: %v", allocs)
+	if allocs[20] != allocs[400] || allocs[100] != allocs[400] {
+		t.Errorf("allocations per send grow with the group: %v", allocs)
+	}
+	if allocs[5] > allocs[400] {
+		t.Errorf("a 5-member send allocates more than a 400-member one: %v", allocs)
+	}
+}

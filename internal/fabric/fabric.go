@@ -284,11 +284,15 @@ func (f *Fabric) Send(sender topology.HostID, a dataplane.GroupAddr, inner []byt
 // (dataplane.ProbeVNI) additionally bypass the declared-failure drops
 // so the chaos monitor can observe a physically repaired switch that
 // the controller still believes failed.
+//
+// Host copies are delivered after the walk, in queue order: a send's
+// deliver and filter events follow its switch events, and a send that
+// fails returns before any host sees a copy.
 func (f *Fabric) forward(src topology.HostID, pkt dataplane.Packet) (*Delivery, error) {
 	ps := fwdPool.Get().(*procState)
 	ps.reset()
 	defer fwdPool.Put(ps)
-	st := fwd{d: &Delivery{Received: make(map[topology.HostID][]byte, 16)}, ps: ps}
+	st := fwd{d: new(Delivery), ps: ps}
 	d := st.d
 	if a, ok := dataplane.GroupAddrFromOuter(pkt.Outer); ok {
 		st.vni, st.group = a.VNI, a.Group
@@ -311,6 +315,7 @@ func (f *Fabric) forward(src topology.HostID, pkt dataplane.Packet) (*Delivery, 
 	// queue itself).
 	aev := event{tier: up.ToTier, id: up.To, pkt: pkt}
 	f.admit(&st, up, &aev)
+	hostCopies := 0
 	for st.n = 0; ps.head < len(ps.queue) || len(ps.held) > 0; st.n++ {
 		if st.n >= maxEvents {
 			return nil, fmt.Errorf("fabric: forwarding loop detected after %d events", st.n)
@@ -335,7 +340,9 @@ func (f *Fabric) forward(src topology.HostID, pkt dataplane.Packet) (*Delivery, 
 		ev := &ps.queue[ps.head]
 		ps.head++
 		if ev.tier == dataplane.LinkHost {
-			f.deliverHost(d, topology.HostID(ev.id), &ev.pkt)
+			// Delivered after the walk; the copy still takes its tick, so
+			// delayed copies come due when they always did.
+			hostCopies++
 			continue
 		}
 		d.Hops++
@@ -363,6 +370,15 @@ func (f *Fabric) forward(src topology.HostID, pkt dataplane.Packet) (*Delivery, 
 			f.admit(&st, l, &aev)
 		}
 	}
+	// Host copies are delivered after the walk, in queue order, into maps
+	// made once at their final size: the queue is drained by index, so it
+	// still holds every event of the send.
+	d.Received = make(map[topology.HostID][]byte, hostCopies)
+	for i := range ps.queue {
+		if ev := &ps.queue[i]; ev.tier == dataplane.LinkHost {
+			f.deliverHost(d, hostCopies, topology.HostID(ev.id), &ev.pkt)
+		}
+	}
 	f.probe.Sent(dataplane.SendSample{
 		VNI: st.vni, Group: st.group,
 		Delivered: len(d.Received),
@@ -387,19 +403,25 @@ func (f *Fabric) declaredFailed(tier dataplane.LinkTier, id int32) bool {
 	return false
 }
 
-func (f *Fabric) deliverHost(d *Delivery, h topology.HostID, pkt *dataplane.Packet) {
+// deliverHost hands one copy to host h's hypervisor and records the
+// outcome in d; hostCopies, the number of copies this send brought to
+// hosts, sizes the telemetry map the first time a copy carries records.
+func (f *Fabric) deliverHost(d *Delivery, hostCopies int, h topology.HostID, pkt *dataplane.Packet) {
 	inner, tel, ok := f.Hypervisors[h].DeliverFull(*pkt)
 	if !ok {
 		d.Spurious++
 		return
 	}
-	if _, dup := d.Received[h]; dup {
+	// One map operation, not a lookup and a store: a copy that adds no key
+	// is a duplicate.
+	n := len(d.Received)
+	d.Received[h] = inner
+	if len(d.Received) == n {
 		d.Duplicates++
 	}
-	d.Received[h] = inner
 	if len(tel) > 0 {
 		if d.Telemetry == nil {
-			d.Telemetry = make(map[topology.HostID][]header.INTRecord)
+			d.Telemetry = make(map[topology.HostID][]header.INTRecord, hostCopies)
 		}
 		d.Telemetry[h] = tel
 	}

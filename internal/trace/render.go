@@ -9,14 +9,16 @@ import (
 // hop and host events in evs, in record order:
 //
 //	group vni=1 g=1: host 0 → leaf 0 [p-rule ports=01100000 up=1] →
-//	host 1 ✓ → spine 0 [p-rule ...] → core 1 [p-rule ...] → ...
+//	spine 0 [p-rule ...] → core 1 [p-rule ...] → ... → host 1 ✓ → ...
 //
 // Hops appear in the order the switches processed the packet (the
 // fabric's breadth-first traversal), so the chain is the flattened
 // multicast tree: every switch the packet visited, with the rule kind
 // (p-rule / s-rule / default) that forwarded it there and the header
 // bytes popped. Deliveries render as "host N ✓", spurious copies a
-// hypervisor filtered as "host N ✗", drops as "leaf N ✗drop".
+// hypervisor filtered as "host N ✗", drops as "leaf N ✗drop". The
+// synchronous fabric delivers a send's host copies after its walk, so
+// its hosts close the chain; the wire tiers interleave them.
 //
 // Pass the events of one send (e.g. a Snapshot taken around a single
 // Send call); events of other groups are skipped via the vni/group
