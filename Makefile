@@ -55,10 +55,15 @@ loc:
 # (BenchmarkDeliverFull checks its counts; its ns/op is printed, not
 # gated), a packet
 # whose INT section follows an absent downstream section is forwarded on
-# both forwarders, and short runs of the repo's benchmark
-# (BENCHMARK.json) on the data path, on the control path and on bulk install + snapshot + crash recovery
-# (the only workload that drives InstallBatch, WriteState/ReadState and
-# replay through a fingerprint oracle) pass their own oracles and exit 0.
+# both forwarders, and short runs of all five workloads of the repo's
+# benchmark (BENCHMARK.json) pass their own oracles and exit 0: the data
+# path (fanout-sync); its slow paths — default p-rules, s-rules, INT
+# stamped after the downstream sections, failed switches
+# (fanout-degraded); every header through Marshal -> Unmarshal ->
+# walkDownstream on real loopback sockets (fanout-udp); the control path
+# (lifecycle); and bulk install + snapshot + crash recovery, the only
+# workload that drives InstallBatch, WriteState/ReadState and replay
+# through a fingerprint oracle (bulk-recover).
 bench-gate:
 	$(GO) test -run 'TestAssignIntoWarmScratchZeroAlloc' -count=1 ./internal/cluster/
 	$(GO) test -run 'TestObserverDisabledAddsNoAllocations' -count=1 -v ./internal/obs/
@@ -66,6 +71,8 @@ bench-gate:
 	$(GO) test -run 'TestSenderStreamMatchesOracle|TestAppendSenderStreamZeroAllocs' -count=1 ./internal/controller/
 	$(GO) test -run 'TestInstallWalkAllocationBudget|TestINTAfterAbsentDownstreamSection|TestSendAllocsIndependentOfGroupSize' -count=1 ./internal/fabric/
 	bash benchmark/run.sh --workload fanout-sync --seed 1 --seconds 2 --trace 0
+	bash benchmark/run.sh --workload fanout-degraded --seed 1 --seconds 2 --trace 0
+	bash benchmark/run.sh --workload fanout-udp --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload lifecycle --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload bulk-recover --seed 1 --seconds 2 --trace 0
 

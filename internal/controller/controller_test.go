@@ -33,6 +33,31 @@ func testConfig(r int) Config {
 	}
 }
 
+// TestEffectiveLeafLimitAtPackedWidths pins the leaf p-rule budget the
+// 325-byte header leaves once identifiers are packed at the layout's
+// width: at paper scale (4-bit pod, 10-bit leaf IDs) 26 rules at Kmax=2
+// and 22 at Kmax=4, where 2-byte identifiers left 23 and 17; the
+// benchmark's fabrics stay at LeafRuleLimit.
+func TestEffectiveLeafLimitAtPackedWidths(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		topo topology.Config
+		k    int
+		want int
+	}{
+		{"paper K=2", topology.FacebookFabric(), 2, 26},
+		{"paper K=4", topology.FacebookFabric(), 4, 22},
+		{"bench", topology.Config{Pods: 8, SpinesPerPod: 4, LeavesPerPod: 16, HostsPerLeaf: 16, CoresPerPlane: 4}, 2, 30},
+		{"udp", topology.Config{Pods: 4, SpinesPerPod: 2, LeavesPerPod: 4, HostsPerLeaf: 8, CoresPerPlane: 2}, 2, 30},
+	} {
+		cfg := PaperConfig(0)
+		cfg.KMaxLeaf, cfg.KMaxSpine = c.k, c.k
+		if got := effectiveLeafLimit(topology.MustNew(c.topo), cfg); got != c.want {
+			t.Errorf("%s: effectiveLeafLimit = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 func TestComputeEncodingFigure3(t *testing.T) {
 	topo := paperTopo()
 	cfg := testConfig(0)

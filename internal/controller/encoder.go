@@ -317,10 +317,10 @@ func encodeLayer[K ~int](layer string, tree map[K]bitmap.Bitmap, legacy []K, fre
 func effectiveLeafLimit(topo *topology.Topology, cfg Config) int {
 	l := header.LayoutFor(topo)
 	leaf := func(rules int) int {
-		return header.DownstreamSize(l, header.TagDLeaf, rules, rules*cfg.KMaxLeaf, true)
+		return header.DownstreamSize(l, header.TagDLeaf, rules, cfg.KMaxLeaf, true)
 	}
 	others := header.EndSize + header.UpstreamSize(l, header.TagULeaf) + header.UpstreamSize(l, header.TagUSpine) +
-		header.CoreSize(l) + header.DownstreamSize(l, header.TagDSpine, cfg.SpineRuleLimit, cfg.SpineRuleLimit*cfg.KMaxSpine, true)
+		header.CoreSize(l) + header.DownstreamSize(l, header.TagDSpine, cfg.SpineRuleLimit, cfg.KMaxSpine, true)
 	limit := (cfg.MaxHeaderBytes - others - leaf(0)) / (leaf(1) - leaf(0))
 	return max(0, min(limit, cfg.LeafRuleLimit))
 }

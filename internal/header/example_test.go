@@ -37,7 +37,7 @@ func ExampleConsumeDownstreamInto() {
 	fmt.Printf("leaf 5: deliver to host ports %v, %d bytes remain\n",
 		m.Bitmap.Ports(), len(rest))
 	// Output:
-	// at core exit: 15 bytes
-	// spine pod 2: forward to leaf ports [1], 8 bytes remain
+	// at core exit: 13 bytes
+	// spine pod 2: forward to leaf ports [1], 7 bytes remain
 	// leaf 5: deliver to host ports [0], 1 bytes remain
 }

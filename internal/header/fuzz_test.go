@@ -2,6 +2,7 @@ package header
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"elmo/internal/bitmap"
@@ -40,6 +41,9 @@ func fuzzSeeds(f *testing.F) {
 	f.Add([]byte{0x77, 0x01, 0x02})
 	f.Add([]byte{TagDLeaf, 0xff, 0x00})
 	f.Add(zeroIdentifierStream(l))
+	for _, s := range paddedIDStreams(l) {
+		f.Add(s)
+	}
 }
 
 // zeroIdentifierStream frames a d-leaf section whose one p-rule lists no
@@ -76,8 +80,9 @@ func FuzzDecode(f *testing.F) {
 // other: the structural walk (StreamInfo, SkipSection) accepts a stream
 // exactly when Decode does, tag order aside; on every downstream section
 // the walk accepts, the per-hop reader ConsumeDownstreamInto finds what
-// Decode decoded and pops what SkipSection pops; and Seek lands on each
-// section where the walk saw it.
+// Decode decoded and pops what SkipSection pops, and a section the walk
+// refuses for a set identifier padding bit the per-hop reader refuses
+// too; and Seek lands on each section where the walk saw it.
 func FuzzScanPipeline(f *testing.F) {
 	l := LayoutFor(topology.MustNew(topology.PaperExample()))
 	fuzzSeeds(f)
@@ -90,6 +95,18 @@ func FuzzScanPipeline(f *testing.F) {
 		AppendINTRecordTo(l, nil, data, INTRecord{Tier: 1, ID: 2, Meta: 3})
 		for tag := byte(TagEnd); tag <= TagINT+1; tag++ {
 			Seek(l, data, tag)
+		}
+
+		// A set padding bit in an identifier block is refused by the
+		// per-hop reader too, whichever switch reads the section.
+		if tag, _ := PeekTag(data); tag == TagDSpine || tag == TagDLeaf {
+			if _, err := walkDownstream(l, data, nil); errors.Is(err, errIDPadding) {
+				for id := uint16(0); id <= 1<<l.IdentifierBits(tag); id++ {
+					if _, err := ConsumeDownstreamInto(l, tag, id, data, new(DownstreamMatch)); err == nil {
+						t.Fatalf("ConsumeDownstreamInto(%d) accepts a set identifier padding bit", id)
+					}
+				}
+			}
 		}
 
 		n, hasINT, err := StreamInfo(l, data)

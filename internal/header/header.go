@@ -22,6 +22,7 @@ package header
 
 import (
 	"fmt"
+	"math/bits"
 
 	"elmo/internal/bitmap"
 	"elmo/internal/topology"
@@ -41,26 +42,52 @@ const (
 )
 
 // Layout fixes the bitmap widths of every section for a concrete
-// fabric. It plays the role of the P4 program's compile-time header
+// fabric, and the width of the switch identifiers in its downstream
+// p-rules. It plays the role of the P4 program's compile-time header
 // definitions: switches and hypervisors exchange packets that are only
-// meaningful under the same layout.
+// meaningful under the same layout. Build one with LayoutFor.
 type Layout struct {
 	LeafDown  int // hosts per leaf
 	LeafUp    int // spines per pod
 	SpineDown int // leaves per pod
 	SpineUp   int // cores per plane
 	CoreDown  int // pods
+
+	// podIDBits and leafIDBits are the packed widths of a d-spine
+	// identifier (a pod) and a d-leaf identifier (a global leaf):
+	// ⌈log2 pods⌉ and ⌈log2 leaves⌉ bits, as the paper's §3.1 header
+	// accounting prices them. LayoutFor derives them once.
+	podIDBits, leafIDBits uint8
 }
 
 // LayoutFor derives the layout from a topology.
 func LayoutFor(t *topology.Topology) Layout {
 	return Layout{
-		LeafDown:  t.LeafDownWidth(),
-		LeafUp:    t.LeafUpWidth(),
-		SpineDown: t.SpineDownWidth(),
-		SpineUp:   t.SpineUpWidth(),
-		CoreDown:  t.CoreDownWidth(),
+		LeafDown:   t.LeafDownWidth(),
+		LeafUp:     t.LeafUpWidth(),
+		SpineDown:  t.SpineDownWidth(),
+		SpineUp:    t.SpineUpWidth(),
+		CoreDown:   t.CoreDownWidth(),
+		podIDBits:  idBits(t.CoreDownWidth()),
+		leafIDBits: idBits(t.CoreDownWidth() * t.SpineDownWidth()),
 	}
+}
+
+// idBits is the width that numbers n switches 0…n-1: ⌈log2 n⌉, at
+// least one bit.
+func idBits(n int) uint8 {
+	if n <= 2 {
+		return 1
+	}
+	return uint8(bits.Len(uint(n - 1)))
+}
+
+// IdentifierBits returns the wire width of one switch identifier in the
+// downstream section with the given tag (TagDSpine or TagDLeaf), and 0
+// for any other tag.
+func (l Layout) IdentifierBits(tag byte) int {
+	_, w, _ := downstreamWidths(l, tag)
+	return int(w)
 }
 
 // Validate checks that all widths are positive and identifier-sized.
@@ -76,6 +103,12 @@ func (l Layout) Validate() error {
 		if d.v <= 0 {
 			return fmt.Errorf("header: layout %s must be positive, got %d", d.name, d.v)
 		}
+	}
+	if l.podIDBits != idBits(l.CoreDown) || l.leafIDBits != idBits(l.CoreDown*l.SpineDown) {
+		return fmt.Errorf("header: layout identifier widths %d/%d do not match its ports (build it with LayoutFor)", l.podIDBits, l.leafIDBits)
+	}
+	if l.leafIDBits > maxIDBits {
+		return fmt.Errorf("header: %d leaves need %d-bit identifiers, limit %d", l.CoreDown*l.SpineDown, l.leafIDBits, maxIDBits)
 	}
 	return nil
 }
@@ -96,7 +129,8 @@ type UpstreamRule struct {
 // PRule is a downstream packet rule (Fig. 2b, type=d): the output-port
 // bitmap shared by the listed logical switches. For the spine section,
 // identifiers are pod IDs (one logical spine per pod); for the leaf
-// section they are global leaf IDs.
+// section they are global leaf IDs. On the wire each takes the layout's
+// IdentifierBits for the section, not the uint16 it is held in here.
 type PRule struct {
 	Switches []uint16
 	Bitmap   bitmap.Bitmap

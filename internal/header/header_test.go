@@ -384,7 +384,7 @@ func randomHeader(l Layout, rng *rand.Rand) *Header {
 		n := rng.Intn(4)
 		rules := make([]PRule, 0, n)
 		for i := 0; i < n; i++ {
-			k := rng.Intn(3) + 1
+			k := rng.Intn(6) + 1 // one and two identifiers take the per-hop fast loops, more the general path
 			ids := make([]uint16, k)
 			for j := range ids {
 				ids[j] = uint16(rng.Intn(maxID))

@@ -37,8 +37,17 @@ type INTRecord struct {
 	Meta uint8
 }
 
+// An INT record's identifier is the switch's own tier-local ID at a
+// fixed two bytes: the section sits outside the p-rule budget, and which
+// switches an ID numbers depends on the record's tier byte.
+const (
+	intIDBytes = 2
+	// INTIdentifierBits is the same width in bits, for package p4gen.
+	INTIdentifierBits = 8 * intIDBytes
+)
+
 // intRecordSize is the wire size of one record: tier, identifier, meta.
-const intRecordSize = 1 + idBytes + 1
+const intRecordSize = 1 + intIDBytes + 1
 
 // intSize returns the wire size of an INT section holding n records.
 func intSize(n int) int { return 2 + n*intRecordSize }
@@ -72,7 +81,7 @@ func decodeINTSection(data []byte) ([]INTRecord, []byte, error) {
 	records := make([]INTRecord, data[1])
 	for i := range records {
 		rec := data[intSize(i):]
-		records[i] = INTRecord{Tier: rec[0], ID: binary.BigEndian.Uint16(rec[1:]), Meta: rec[1+idBytes]}
+		records[i] = INTRecord{Tier: rec[0], ID: binary.BigEndian.Uint16(rec[1:]), Meta: rec[1+intIDBytes]}
 	}
 	return records, data[n:], nil
 }

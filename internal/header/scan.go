@@ -1,7 +1,6 @@
 package header
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -115,56 +114,71 @@ type DownstreamMatch struct {
 // whole layer's section is removed when forwarding onward).
 //
 // The scan stops decoding bitmaps at the first matching rule; the
-// remaining rules are skipped structurally (length arithmetic only),
-// which is what keeps per-packet work bounded on a line-rate parser. It
-// reuses m's matched/default bitmap storage, so the data-plane fast path
-// calls it per packet and allocates nothing once warm. m is fully
-// overwritten; the decoded match is valid until the next call with the
-// same m. It is the per-hop reader of the downstream grammar, one fused
-// pass on purpose; walkDownstream is the cold one (DESIGN.md § Header).
+// remaining rules are skipped structurally (length arithmetic and the
+// identifier padding check only), which is what keeps per-packet work
+// bounded on a line-rate parser. It reuses m's matched/default bitmap
+// storage, so the data-plane fast path calls it per packet and allocates
+// nothing once warm. m is fully overwritten; the decoded match is valid
+// until the next call with the same m. It is the per-hop reader of the
+// downstream grammar, one fused pass on purpose; walkDownstream is the
+// cold one (DESIGN.md § Header).
+//
+// Rules of one and two identifiers, every rule at Kmax ≤ 2, go through
+// testRules and skipRules; any other rule, and any malformed one,
+// through scanRule and frameRule, the framing walkDownstream uses.
 func ConsumeDownstreamInto(l Layout, tag byte, id uint16, data []byte, m *DownstreamMatch) ([]byte, error) {
 	var width int
+	var w uint
 	switch tag {
 	case TagDSpine:
-		width = l.SpineDown
+		width, w = l.SpineDown, uint(l.podIDBits)
 	case TagDLeaf:
-		width = l.LeafDown
+		width, w = l.LeafDown, uint(l.leafIDBits)
 	default:
 		return nil, fmt.Errorf("header: tag %#x is not a downstream section", tag)
 	}
 	if len(data) < 2 || data[0] != tag {
 		return nil, fmt.Errorf("header: expected tag %#x at front", tag)
 	}
+	if w-1 >= maxIDBits {
+		return nil, errIDWidth
+	}
 	bmLen := bitmap.ByteLen(width)
-	count := int(data[1])
-	off := 2
+	off, left := 2, int(data[1]) // left: rules not yet read
 	m.Matched, m.HasDefault = false, false
-	for i := 0; i < count; i++ {
-		if off >= len(data) {
-			return nil, fmt.Errorf("header: truncated rule %d", i)
+	// Test rules until one names id (none names an id wider than w)…
+	hitEnd := 0 // end of the first rule naming id
+	for left > 0 && uint(id)>>w == 0 {
+		if off, left, hitEnd = testRules(data, off, left, &idShapes[w], bmLen, id); hitEnd != 0 || left == 0 {
+			break
 		}
-		nIDs := int(data[off])
-		off++
-		if nIDs == 0 {
-			return nil, fmt.Errorf("header: rule %d has zero identifiers", i)
+		end, hit, err := scanRule(data, off, w, bmLen, id)
+		if err != nil {
+			return nil, fmt.Errorf("header: rule %d: %w", int(data[1])-left, err)
 		}
-		idsEnd := off + idBytes*nIDs
-		ruleEnd := idsEnd + bmLen
-		if ruleEnd > len(data) {
-			return nil, fmt.Errorf("header: truncated rule %d", i)
+		if hit {
+			hitEnd = end
+			break
 		}
-		if !m.Matched {
-			for j := off; j < idsEnd; j += idBytes {
-				if binary.BigEndian.Uint16(data[j:]) == id {
-					if _, err := bitmap.FromWireInto(width, data[idsEnd:ruleEnd], &m.Bitmap); err != nil {
-						return nil, fmt.Errorf("header: rule %d bitmap: %w", i, err)
-					}
-					m.Matched = true
-					break
-				}
-			}
+		off, left = end, left-1
+	}
+	if hitEnd != 0 {
+		if _, err := bitmap.FromWireInto(width, data[hitEnd-bmLen:hitEnd], &m.Bitmap); err != nil {
+			return nil, fmt.Errorf("header: rule %d bitmap: %w", int(data[1])-left, err)
 		}
-		off = ruleEnd
+		m.Matched = true
+		off, left = hitEnd, left-1
+	}
+	// …then skip the rest.
+	for left > 0 {
+		if off, left = skipRules(data, off, left, &idShapes[w], bmLen); left == 0 {
+			break
+		}
+		end, err := frameRule(data, off, w, bmLen)
+		if err != nil {
+			return nil, fmt.Errorf("header: rule %d: %w", int(data[1])-left, err)
+		}
+		off, left = end, left-1
 	}
 	if off >= len(data) {
 		return nil, fmt.Errorf("header: truncated default-presence byte")
@@ -185,45 +199,168 @@ func ConsumeDownstreamInto(l Layout, tag byte, id uint16, data []byte, m *Downst
 	return data[off:], nil
 }
 
+// The fast per-hop loops. testRules and skipRules frame the p-rules of
+// one and two identifiers from their count by mask arithmetic on an
+// idShape — no branch, no multiply and no variable shift per rule, so a
+// section that mixes the two shapes costs no mispredictions — and
+// testRules reads an identifier block, at most four bytes, as one
+// big-endian word and compares it lane by lane with the identifier
+// sought. A rule of another shape, or a malformed one, stops them and
+// is left to the caller. Neither calls anything, so their loops keep
+// their state in registers: written inline in ConsumeDownstreamInto,
+// the same loops spilled the offset and ran 30–50 % slower.
+
+// idShape describes the identifier blocks of one and two w-bit
+// identifiers, as the fast per-hop loops read them.
+type idShape struct {
+	b1, db       int    // a one-identifier block's bytes; a two-identifier block's more
+	pad1, dpad   byte   // the padding bits of a one-identifier block's last byte; XOR a two's
+	padw1, dpadw uint32 // the same, in the word a block is read as
+	lane0, lane1 uint32 // the first and the second identifier in that word
+	ones         uint32 // the lowest bit of each lane: id*ones is id in both
+}
+
+// idShapes[w] is the idShape of w-bit identifiers.
+var idShapes = func() (t [maxIDBits + 1]idShape) {
+	for w := uint(1); w <= maxIDBits; w++ {
+		b1, b2 := idBlockLen(1, w), idBlockLen(2, w)
+		lane0 := ^uint32(0) << (32 - w)
+		lane1 := lane0 >> w
+		padw1 := ^lane0 &^ (^uint32(0) >> (8 * b1))
+		padw2 := ^(lane0 | lane1) &^ (^uint32(0) >> (8 * b2))
+		t[w] = idShape{
+			b1: b1, db: b2 - b1,
+			pad1: idPadMask[w&7], dpad: idPadMask[w&7] ^ idPadMask[2*w&7],
+			padw1: padw1, dpadw: padw1 ^ padw2,
+			lane0: lane0, lane1: lane1,
+			ones: 1<<(32-w) | 1<<(32-2*w),
+		}
+	}
+	return t
+}()
+
+// testRules scans the rules at data[off:], left of them to go, for id
+// while they are well-formed rules of one or two identifiers shaped s
+// with four bytes after their count. It returns where it stopped, and
+// the end of the rule there when that rule names id (else 0).
+func testRules(data []byte, off, left int, s *idShape, bmLen int, id uint16) (int, int, int) {
+	len1, dlen := 1+s.b1+bmLen, uint(s.db)
+	want := uint32(id) * s.ones
+	for ; left > 0 && off+5 <= len(data); left-- {
+		n := data[off]
+		two := -uint(n - 1) // all ones for two identifiers, zero for one
+		end := off + len1 + int(two&dlen)
+		v := uint32(data[off+1])<<24 | uint32(data[off+2])<<16 | uint32(data[off+3])<<8 | uint32(data[off+4])
+		if n-1 > 1 || end > len(data) || v&(s.padw1^uint32(two)&s.dpadw) != 0 {
+			break
+		}
+		if x := v ^ want; x&s.lane0 == 0 || x&s.lane1|^uint32(two) == 0 {
+			return off, left, end
+		}
+		off = end
+	}
+	return off, left, 0
+}
+
+// skipRules steps over the rules at data[off:], left of them to go,
+// while they are well-formed rules of one or two identifiers shaped s,
+// and returns where it stopped.
+func skipRules(data []byte, off, left int, s *idShape, bmLen int) (int, int) {
+	len1, dlen := 1+s.b1+bmLen, uint(s.db)
+	for ; left > 0 && off < len(data); left-- {
+		n := data[off]
+		two := -uint(n - 1)
+		end := off + len1 + int(two&dlen)
+		if n-1 > 1 || end > len(data) || data[end-bmLen-1]&(s.pad1^byte(two)&s.dpad) != 0 {
+			break
+		}
+		off = end
+	}
+	return off, left
+}
+
+// idPadMask[nbits%8] masks the padding bits in the last byte of an
+// identifier block of nbits bits.
+var idPadMask = [8]byte{0x00, 0x7f, 0x3f, 0x1f, 0x0f, 0x07, 0x03, 0x01}
+
+// frameRule frames the p-rule at data[off:] of a downstream section with
+// w-bit identifiers and bmLen-byte bitmaps: it returns the end of the
+// rule, checking its length, a non-zero identifier count and zeroed
+// identifier padding; the bitmap is not read. walkDownstream frames
+// every rule with it, the per-hop reader those its fast loops leave.
+func frameRule(data []byte, off int, w uint, bmLen int) (end int, err error) {
+	if off >= len(data) {
+		return 0, errRuleTruncated
+	}
+	nbits := uint(data[off]) * w
+	if nbits == 0 {
+		return 0, errZeroIDs
+	}
+	end = off + 1 + int(nbits+7)>>3 + bmLen
+	if end > len(data) {
+		return 0, errRuleTruncated
+	}
+	if data[end-bmLen-1]&idPadMask[nbits&7] != 0 {
+		return 0, errIDPadding
+	}
+	return end, nil
+}
+
+// scanRule frames the p-rule at data[off:] like frameRule and reports
+// whether its identifiers name id, one identifier at a time: the
+// per-hop reader's path for every rule its word compare does not take.
+func scanRule(data []byte, off int, w uint, bmLen int, id uint16) (end int, hit bool, err error) {
+	if end, err = frameRule(data, off, w, bmLen); err != nil {
+		return 0, false, err
+	}
+	block := data[off+1 : end-bmLen]
+	for b := uint(0); b < uint(data[off])*w; b += w {
+		if idAt(block, b, w) == id {
+			return end, true, nil
+		}
+	}
+	return end, false, nil
+}
+
 // walkDownstream is the cold reader of the downstream grammar: it
 // validates the whole section at the front of data — every rule, not
 // only those before a match — and returns the remaining stream. visit,
-// when non-nil, is given each p-rule's identifier list and port bitmap
-// in wire form, then the default rule's bitmap if there is one (ids
-// nil). SkipSection walks with no visitor and Decode with one that
-// materializes the rules, so the structural walk accepts exactly the
-// sections Decode does.
-func walkDownstream(l Layout, data []byte, visit func(ids, ports []byte) error) ([]byte, error) {
+// when non-nil, is given each p-rule's identifier count, packed
+// identifier block and port bitmap in wire form, then the default
+// rule's bitmap if there is one (n 0, ids nil). SkipSection walks with
+// no visitor and Decode with one that materializes the rules, so the
+// structural walk accepts exactly the sections Decode does.
+func walkDownstream(l Layout, data []byte, visit func(n int, ids, ports []byte) error) ([]byte, error) {
 	if len(data) < 2 {
 		return nil, fmt.Errorf("header: truncated downstream section")
 	}
-	width, err := downstreamWidth(l, data[0])
+	width, w, err := downstreamWidths(l, data[0])
 	if err != nil {
 		return nil, err
 	}
-	rest := data[2:]
+	if w-1 >= maxIDBits {
+		return nil, errIDWidth
+	}
+	bmLen := bitmap.ByteLen(width)
+	off := 2
 	for i := 0; i < int(data[1]); i++ {
-		if len(rest) == 0 {
-			return nil, fmt.Errorf("header: truncated rule %d", i)
+		end, err := frameRule(data, off, w, bmLen)
+		if err != nil {
+			return nil, fmt.Errorf("header: rule %d: %w", i, err)
 		}
-		idsEnd := 1 + idBytes*int(rest[0])
-		if idsEnd == 1 {
-			return nil, fmt.Errorf("header: rule %d has zero identifiers", i)
-		}
-		if len(rest) < idsEnd {
-			return nil, fmt.Errorf("header: truncated identifiers in rule %d", i)
-		}
-		ports, after, err := cutBitmap(width, rest[idsEnd:])
+		idsEnd := end - bmLen
+		ports, _, err := cutBitmap(width, data[idsEnd:end])
 		if err != nil {
 			return nil, fmt.Errorf("header: rule %d: %w", i, err)
 		}
 		if visit != nil {
-			if err := visit(rest[1:idsEnd], ports); err != nil {
+			if err := visit(int(data[off]), data[off+1:idsEnd], ports); err != nil {
 				return nil, err
 			}
 		}
-		rest = after
+		off = end
 	}
+	rest := data[off:]
 	if len(rest) == 0 {
 		return nil, fmt.Errorf("header: truncated default-presence byte")
 	}
@@ -233,7 +370,7 @@ func walkDownstream(l Layout, data []byte, visit func(ids, ports []byte) error) 
 	case 1:
 		ports, after, err := cutBitmap(width, rest[1:])
 		if err == nil && visit != nil {
-			err = visit(nil, ports)
+			err = visit(0, nil, ports)
 		}
 		return after, err
 	default:
@@ -259,6 +396,10 @@ func cutBitmap(width int, data []byte) (bm, rest []byte, err error) {
 var (
 	errBitmapTruncated = errors.New("header: truncated bitmap")
 	errBitmapPadding   = errors.New("header: bitmap padding bits set")
+	errIDPadding       = errors.New("identifier padding bits set")
+	errRuleTruncated   = errors.New("truncated")
+	errZeroIDs         = errors.New("zero identifiers")
+	errIDWidth         = errors.New("header: layout has no identifier width of 1 to 16 bits (build it with LayoutFor)")
 )
 
 // SkipSection pops the section at the front of data without

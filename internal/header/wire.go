@@ -1,7 +1,6 @@
 package header
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"elmo/internal/bitmap"
@@ -22,14 +21,52 @@ const (
 	// PaperHeaderBudget is the evaluation's p-rule header cap (§5.1.2).
 	PaperHeaderBudget = 325
 
-	// idBytes is the wire width of one switch identifier, in a downstream
-	// p-rule and in an INT record. Only this package depends on it:
-	// AppendDownstream writes identifiers, ConsumeDownstreamInto and
-	// walkDownstream read them, DownstreamSize counts them.
-	idBytes = 2
-	// IdentifierBits is the same width in bits, for package p4gen.
-	IdentifierBits = 8 * idBytes
+	// maxIDBits bounds a packed p-rule identifier: PRule.Switches holds
+	// uint16s.
+	maxIDBits = 16
 )
+
+// A downstream p-rule's identifiers are packed at the layout's width
+// for the section (Layout.IdentifierBits): after the rule's count byte
+// come ⌈n·w/8⌉ bytes holding the n identifiers as big-endian w-bit
+// fields, first identifier in the most significant bits, the unused
+// low bits of the last byte zero. Only this package depends on it:
+// AppendDownstream writes identifiers (appendIDs), ConsumeDownstreamInto
+// and walkDownstream read them, DownstreamSize and EncodedSize count
+// them.
+
+// idBlockLen is the byte length of n identifiers packed at w bits.
+func idBlockLen(n int, w uint) int { return (n*int(w) + 7) >> 3 }
+
+// appendIDs appends ids packed at w bits each.
+func appendIDs(dst []byte, ids []uint16, w uint) ([]byte, error) {
+	var acc uint32 // bits not yet written sit in the low n bits
+	var n uint
+	for _, id := range ids {
+		if uint(id)>>w != 0 {
+			return dst, fmt.Errorf("header: switch identifier %d does not fit %d bits", id, w)
+		}
+		acc = acc<<w | uint32(id)
+		for n += w; n >= 8; n -= 8 {
+			dst = append(dst, byte(acc>>(n-8)))
+		}
+	}
+	if n > 0 {
+		dst = append(dst, byte(acc<<(8-n)))
+	}
+	return dst, nil
+}
+
+// idAt returns the w-bit identifier that starts first bits into block
+// (bit 0 is the most significant bit of block[0]).
+func idAt(block []byte, first, w uint) uint16 {
+	last := first + w - 1
+	var v uint32
+	for b := first >> 3; b <= last>>3; b++ {
+		v = v<<8 | uint32(block[b])
+	}
+	return uint16(v >> (7 - last&7) & (1<<w - 1))
+}
 
 // upstream rule flag bits.
 const upMultipathBit = 0x01
@@ -125,9 +162,10 @@ const KeepAll = -1
 // come back down to its own leaf or pod, so carrying that rule would
 // only cost header bytes (KeepAll keeps every rule). When no rule
 // remains and there is no default, the section is absent and dst is
-// returned as it came.
+// returned as it came. An identifier wider than the layout's width for
+// the section is an error.
 func AppendDownstream(dst []byte, l Layout, tag byte, rules []PRule, def *bitmap.Bitmap, omit int) ([]byte, error) {
-	width, err := downstreamWidth(l, tag)
+	width, w, err := downstreamWidths(l, tag)
 	if err != nil {
 		return dst, err
 	}
@@ -158,9 +196,8 @@ func AppendDownstream(dst []byte, l Layout, tag byte, rules []PRule, def *bitmap
 		if r.Bitmap.Width() != width {
 			return dst, fmt.Errorf("header: rule %d bitmap width %d, layout wants %d", i, r.Bitmap.Width(), width)
 		}
-		dst = append(dst, byte(len(r.Switches)))
-		for _, id := range r.Switches {
-			dst = binary.BigEndian.AppendUint16(dst, id)
+		if dst, err = appendIDs(append(dst, byte(len(r.Switches))), r.Switches, w); err != nil {
+			return dst, fmt.Errorf("header: rule %d: %w", i, err)
 		}
 		dst = r.Bitmap.AppendWire(dst)
 	}
@@ -173,14 +210,16 @@ func AppendDownstream(dst []byte, l Layout, tag byte, rules []PRule, def *bitmap
 	return def.AppendWire(append(dst, 1)), nil
 }
 
-func downstreamWidth(l Layout, tag byte) (int, error) {
+// downstreamWidths returns the port-bitmap width and the identifier
+// width of the downstream section with the given tag.
+func downstreamWidths(l Layout, tag byte) (ports int, ids uint, err error) {
 	switch tag {
 	case TagDSpine:
-		return l.SpineDown, nil
+		return l.SpineDown, uint(l.podIDBits), nil
 	case TagDLeaf:
-		return l.LeafDown, nil
+		return l.LeafDown, uint(l.leafIDBits), nil
 	default:
-		return 0, fmt.Errorf("header: tag %#x is not a downstream section", tag)
+		return 0, 0, fmt.Errorf("header: tag %#x is not a downstream section", tag)
 	}
 }
 
@@ -204,15 +243,18 @@ func CoreSize(l Layout) int { return 1 + bitmap.ByteLen(l.CoreDown) }
 
 // DownstreamSize returns the wire size of the downstream section with
 // the given tag (TagDSpine or TagDLeaf) holding rules p-rules that list
-// ids switch identifiers between them, plus the default rule if
-// hasDefault; like AppendDownstream, it counts a section with neither
-// as absent. The controller budgets headers with it (Hmax, §3.2).
-func DownstreamSize(l Layout, tag byte, rules, ids int, hasDefault bool) int {
+// perRule switch identifiers each, plus the default rule if hasDefault;
+// like AppendDownstream, it counts a section with neither as absent. It
+// bounds every section of as many rules listing at most perRule
+// identifiers each, so the controller budgets headers with it (Hmax,
+// §3.2).
+func DownstreamSize(l Layout, tag byte, rules, perRule int, hasDefault bool) int {
 	if rules == 0 && !hasDefault {
 		return 0
 	}
-	width, _ := downstreamWidth(l, tag)
-	n := 3 + rules*(1+bitmap.ByteLen(width)) + ids*idBytes // tag, count, default-presence; per rule an id count and a bitmap
+	width, w, _ := downstreamWidths(l, tag)
+	// tag, count, default-presence; per rule an id count, the packed ids and a bitmap
+	n := 3 + rules*(1+idBlockLen(perRule, w)+bitmap.ByteLen(width))
 	if hasDefault {
 		n += bitmap.ByteLen(width)
 	}
@@ -233,11 +275,12 @@ func EncodedSize(l Layout, h *Header) int {
 		n += CoreSize(l)
 	}
 	down := func(tag byte, rules []PRule, def *bitmap.Bitmap) int {
-		ids := 0
+		n := DownstreamSize(l, tag, len(rules), 0, def != nil) // all but the identifier blocks
+		w := uint(l.IdentifierBits(tag))
 		for _, r := range rules {
-			ids += len(r.Switches)
+			n += idBlockLen(len(r.Switches), w)
 		}
-		return DownstreamSize(l, tag, len(rules), ids, def != nil)
+		return n
 	}
 	n += down(TagDSpine, h.DSpine, h.DSpineDefault) + down(TagDLeaf, h.DLeaf, h.DLeafDefault)
 	if h.INTEnabled {
@@ -295,11 +338,11 @@ func Decode(l Layout, data []byte) (*Header, int, error) {
 // decodeRules materializes the downstream section at the front of data
 // (its tag already peeked) into rules and def, as walkDownstream reads it.
 func decodeRules(l Layout, data []byte, rules *[]PRule, def **bitmap.Bitmap) ([]byte, error) {
-	width, _ := downstreamWidth(l, data[0])
+	width, w, _ := downstreamWidths(l, data[0])
 	if len(data) > 1 {
 		*rules = make([]PRule, 0, data[1])
 	}
-	return walkDownstream(l, data, func(ids, ports []byte) error {
+	return walkDownstream(l, data, func(n int, ids, ports []byte) error {
 		bm, _, err := bitmap.FromWire(width, ports)
 		if err != nil {
 			return err
@@ -309,9 +352,9 @@ func decodeRules(l Layout, data []byte, rules *[]PRule, def **bitmap.Bitmap) ([]
 			*def = &d
 			return nil
 		}
-		sw := make([]uint16, len(ids)/idBytes)
+		sw := make([]uint16, n)
 		for i := range sw {
-			sw[i] = binary.BigEndian.Uint16(ids[i*idBytes:])
+			sw[i] = idAt(ids, uint(i)*w, w)
 		}
 		*rules = append(*rules, PRule{Switches: sw, Bitmap: bm})
 		return nil

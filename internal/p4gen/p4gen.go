@@ -80,7 +80,7 @@ func NetworkSwitchProgram(l header.Layout, tier Tier, opts Options) (string, err
 	p.f("#include <core.p4>")
 	p.f("#include <v1model.p4>")
 	p.f("")
-	emitHeaderTypes(p, l, opts)
+	emitHeaderTypes(p, l, tier, opts)
 	emitParser(p, l, tier, opts)
 	emitIngress(p, l, tier, opts)
 	emitEgressAndDeparser(p, l, tier, opts)
@@ -115,7 +115,7 @@ func (p *printer) close(suffix string) {
 // count (byte-aligned, as the Go encoder emits it).
 func bits(width int) int { return 8 * bitmap.ByteLen(width) }
 
-func emitHeaderTypes(p *printer, l header.Layout, opts Options) {
+func emitHeaderTypes(p *printer, l header.Layout, tier Tier, opts Options) {
 	p.f("// --- Outer encapsulation (Ethernet/IPv4/UDP/VXLAN) ---")
 	p.open("header ethernet_t")
 	p.f("bit<48> dst_addr; bit<48> src_addr; bit<16> ether_type;")
@@ -150,28 +150,50 @@ func emitHeaderTypes(p *printer, l header.Layout, opts Options) {
 	p.f("bit<8> count;")
 	p.close("")
 	// One header type per (layer, switch-id slot) — identifiers are
-	// header.IdentifierBits wide on the wire and Kmax bounds the list.
+	// packed at the layout's per-section width, rounded up to whole
+	// bytes, and Kmax bounds the list.
 	p.open("header elmo_dspine_rule_t")
-	p.f("bit<8> n_ids; bit<%d> ids; bit<%d> ports;", header.IdentifierBits*opts.MaxSwitchesPerRule, bits(l.SpineDown))
+	p.f("bit<8> n_ids; bit<%d> ids; bit<%d> ports;", idListBits(l, header.TagDSpine, opts), bits(l.SpineDown))
 	p.close("")
 	p.open("header elmo_dleaf_rule_t")
-	p.f("bit<8> n_ids; bit<%d> ids; bit<%d> ports;", header.IdentifierBits*opts.MaxSwitchesPerRule, bits(l.LeafDown))
+	p.f("bit<8> n_ids; bit<%d> ids; bit<%d> ports;", idListBits(l, header.TagDLeaf, opts), bits(l.LeafDown))
 	p.close("")
 	p.open("header elmo_default_t")
 	p.f("bit<8> present; bit<%d> ports;", bits(l.LeafDown))
 	p.close("")
 	if opts.EnableINT {
 		p.open("header elmo_int_record_t")
-		p.f("bit<8> tier; bit<%d> switch_id; bit<8> meta;", header.IdentifierBits)
+		p.f("bit<8> tier; bit<%d> switch_id; bit<8> meta;", header.INTIdentifierBits)
 		p.close("")
 	}
 	p.f("")
 	p.open("struct elmo_metadata_t")
 	p.f("bit<1> matched; bit<%d> out_ports; bit<1> has_default; bit<%d> default_ports;",
 		maxInt(bits(l.LeafDown), bits(l.SpineDown)), maxInt(bits(l.LeafDown), bits(l.SpineDown)))
-	p.f("bit<1> multipath; bit<%d> my_id;", header.IdentifierBits)
+	p.f("bit<1> multipath; bit<%d> my_id;", myIDBits(l, tier))
 	p.close("")
 	p.f("")
+}
+
+// idListBits is the wire width of a full identifier list of the section
+// with the given tag: Kmax identifiers at the layout's width, padded to
+// a whole byte as the Go encoder packs them.
+func idListBits(l header.Layout, tag byte, opts Options) int {
+	return bits(l.IdentifierBits(tag) * opts.MaxSwitchesPerRule)
+}
+
+// myIDBits is the width of the identifier a tier's parser compares
+// p-rules against — the global leaf ID at a leaf, the pod ID at a spine;
+// a core matches no p-rule and keeps only its INT identifier.
+func myIDBits(l header.Layout, tier Tier) int {
+	switch tier {
+	case TierLeaf:
+		return l.IdentifierBits(header.TagDLeaf)
+	case TierSpine:
+		return l.IdentifierBits(header.TagDSpine)
+	default:
+		return header.INTIdentifierBits
+	}
 }
 
 func emitParser(p *printer, l header.Layout, tier Tier, opts Options) {

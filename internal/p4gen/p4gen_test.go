@@ -67,6 +67,18 @@ func TestParserUnrollMatchesBudget(t *testing.T) {
 	if !strings.Contains(prog, "bit<48> down_ports") {
 		t.Fatal("leaf down_ports width missing")
 	}
+	// Identifier lists take the layout's packed widths: 12 pods and 576
+	// leaves give 4- and 10-bit identifiers, Kmax=2 of them a byte and
+	// three bytes; the leaf parser compares against a 10-bit leaf ID.
+	for _, want := range []string{"bit<8> n_ids; bit<8> ids; bit<48> ports;", "bit<8> n_ids; bit<24> ids; bit<48> ports;", "bit<10> my_id;"} {
+		if !strings.Contains(prog, want) {
+			t.Fatalf("program missing %q", want)
+		}
+	}
+	spine, err := NetworkSwitchProgram(l, TierSpine, opts)
+	if err != nil || !strings.Contains(spine, "bit<4> my_id;") {
+		t.Fatalf("spine program lacks a 4-bit pod ID (%v)", err)
+	}
 	// The s-rule table carries the Fmax size.
 	if !strings.Contains(prog, "size = 10000") {
 		t.Fatal("Fmax table size missing")

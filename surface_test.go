@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -281,8 +282,10 @@ func parseShipped(t *testing.T) (*token.FileSet, map[string][]*ast.File) {
 //   - section sizes: controller/encoder.go and the dataplane budget and
 //     walk sections through header's size functions and readers, never
 //     with bitmap.ByteLen arithmetic of their own;
-//   - identifier width: p4gen multiplies by header.IdentifierBits, not by
-//     a literal 16;
+//   - identifier width: p4gen takes a downstream identifier's width from
+//     Layout.IdentifierBits (and an INT record's from
+//     header.INTIdentifierBits), never from a literal 16 — no `16*` and
+//     no `bit<16>` identifier field in its format strings;
 //   - one encoder: outside benchmark/ (whose header kernel times exactly
 //     that) no function decodes a sender's stream with HeaderFor only to
 //     header.Encode it again — Controller.SenderStream has the bytes.
@@ -296,6 +299,7 @@ func TestSectionGrammarHasOneHome(t *testing.T) {
 		x, ok := sel.X.(*ast.Ident)
 		return ok && x.Name == "header"
 	}
+	p4genWidths := false // p4gen asks the layout for identifier widths
 	for dir, fs := range files {
 		if dir == "internal/header" {
 			continue
@@ -305,6 +309,10 @@ func TestSectionGrammarHasOneHome(t *testing.T) {
 			noByteLen := file == "internal/controller/encoder.go" || dir == "internal/dataplane"
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
+				case *ast.BasicLit:
+					if dir == "internal/p4gen" && n.Kind == token.STRING && literalIDField.MatchString(n.Value) {
+						t.Errorf("%s: literal identifier width in %s; use the layout's IdentifierBits", fset.Position(n.Pos()), n.Value)
+					}
 				case *ast.BinaryExpr:
 					switch n.Op {
 					case token.LSS, token.GTR, token.LEQ, token.GEQ:
@@ -314,11 +322,14 @@ func TestSectionGrammarHasOneHome(t *testing.T) {
 					case token.MUL:
 						for _, e := range []ast.Expr{n.X, n.Y} {
 							if lit, ok := e.(*ast.BasicLit); ok && lit.Value == "16" && dir == "internal/p4gen" {
-								t.Errorf("%s: literal identifier width; use header.IdentifierBits", fset.Position(n.Pos()))
+								t.Errorf("%s: literal identifier width; use the layout's IdentifierBits", fset.Position(n.Pos()))
 							}
 						}
 					}
 				case *ast.SelectorExpr:
+					if dir == "internal/p4gen" && n.Sel.Name == "IdentifierBits" {
+						p4genWidths = true
+					}
 					if noByteLen && n.Sel.Name == "ByteLen" {
 						t.Errorf("%s: sizes a section by hand; use header's size functions", fset.Position(n.Pos()))
 					}
@@ -347,7 +358,14 @@ func TestSectionGrammarHasOneHome(t *testing.T) {
 			})
 		}
 	}
+	if !p4genWidths {
+		t.Error("internal/p4gen never asks a layout for IdentifierBits: its identifier fields are not the wire's")
+	}
 }
+
+// literalIDField matches a P4 identifier field declared at a literal 16
+// bits in a format string.
+var literalIDField = regexp.MustCompile(`bit<16>\s*(ids|my_id|switch_id)\b`)
 
 // recvName returns the receiver's type name, without pointer or type
 // parameters.
