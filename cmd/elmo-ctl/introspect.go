@@ -155,14 +155,9 @@ func (c *introspectClient) controller() error {
 	if err := c.get("/debug/elmo/controller", &ci); err != nil {
 		return err
 	}
-	fmt.Fprintf(c.out, "%d groups across %d shards\n", ci.TotalGroups, ci.NumShards)
+	fmt.Fprintf(c.out, "%d groups\n", ci.TotalGroups)
 	fmt.Fprintf(c.out, "updates: hypervisor=%d leaf=%d spine=%d core=%d\n",
 		ci.HypervisorUpdates, ci.LeafUpdates, ci.SpineUpdates, ci.CoreUpdates)
-	for _, sh := range ci.Shards {
-		if sh.Groups > 0 || sh.Updates > 0 {
-			fmt.Fprintf(c.out, "  shard %2d: %5d groups  %6d updates\n", sh.Index, sh.Groups, sh.Updates)
-		}
-	}
 	if d := ci.Durable; d != nil {
 		fmt.Fprintf(c.out, "durable: epoch=%d wal_lsn=%d snapshot_lsn=%d (lag %d records) leader=%v lease_misses=%d\n",
 			d.Epoch, d.WALLSN, d.SnapshotLSN, d.SnapshotLag, d.Leader, d.LeaseMisses)

@@ -56,7 +56,7 @@ func TestIntrospectAgainstLivePlane(t *testing.T) {
 		{[]string{"groups"}, []string{"1 groups", "vni=1 group=1", "members=3", "heavy hitters", "~3 pkts"}},
 		{[]string{"group", "1", "1"}, []string{"members: 0:both 1:both 40:both", "tree:", "sender headers:", "encoding:"}},
 		{[]string{"-n", "3", "links"}, []string{"directed links", "host0->leaf0", "B/s"}},
-		{[]string{"controller"}, []string{"1 groups across", "updates: hypervisor="}},
+		{[]string{"controller"}, []string{"1 groups\n", "updates: hypervisor="}},
 		{[]string{"slo"}, []string{"HEALTHY", "delivery_ratio", "send_latency", "threshold"}},
 	} {
 		got := run(tc.args...)

@@ -19,13 +19,13 @@ import (
 //     point-in-time occupancy reads (capRecorder).
 //   - Admit: one sequencer takes the elements in strict input order
 //     through the admission transaction (admit.go), whose publish step
-//     inserts the group and charges its update stats under the owning
-//     shard's write lock.
+//     inserts the group and charges its update stats under the
+//     controller's write lock.
 //
 // Because admission order is exactly input order and occupancy answers
 // are revalidated at the admit point, the committed encodings and the
 // final LeafSRuleCount/SpineSRuleCount are byte-identical to a serial
-// loop for any worker count and any shard count.
+// loop for any worker count.
 
 // BatchError wraps an error raised while encoding or committing one
 // batch element, preserving the input index (all elements before Index
@@ -197,10 +197,10 @@ type BatchResult struct {
 // InstallBatch creates all the given groups through the two-stage
 // pipeline described at the top of this file: parallel speculative
 // encoding, then strict input-order admission whose publish step inserts
-// the group under its shard's write lock. The installed state —
+// the group under the controller's write lock. The installed state —
 // encodings, occupancy counters, update stats, trace events — is
 // byte-identical to calling CreateGroup for each spec in slice order,
-// for any worker count and any shard count. On error (duplicate key,
+// for any worker count. On error (duplicate key,
 // invalid member, legacy table overflow) the batch stops with a
 // *BatchError; specs before the failing index remain installed, exactly
 // like the serial loop.

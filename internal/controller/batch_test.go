@@ -128,7 +128,8 @@ func requireSameState(t *testing.T, label string, want, got *Controller) {
 // TestInstallBatchDeterministicAcrossWorkers runs the same batch with a
 // deliberately tight s-rule capacity (so speculative encodings race
 // capacity boundaries and get recomputed) and asserts the committed
-// state is byte-identical for every worker count.
+// state is byte-identical — fingerprint, encodings, occupancy and stats
+// — for every worker count in 1..8.
 func TestInstallBatchDeterministicAcrossWorkers(t *testing.T) {
 	topo := paperTopo()
 	cfg := testConfig(1)
@@ -136,7 +137,7 @@ func TestInstallBatchDeterministicAcrossWorkers(t *testing.T) {
 	specs := randSpecs(7, 200, 42, topo.NumHosts())
 
 	var base *Controller
-	for _, workers := range []int{1, 2, 3, 4, 8} {
+	for workers := 1; workers <= 8; workers++ {
 		c, err := New(topo, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -155,7 +156,11 @@ func TestInstallBatchDeterministicAcrossWorkers(t *testing.T) {
 			base = c
 			continue
 		}
-		requireSameState(t, fmt.Sprintf("workers=%d", workers), base, c)
+		label := fmt.Sprintf("workers=%d", workers)
+		if got, want := c.Fingerprint(), base.Fingerprint(); got != want {
+			t.Errorf("%s: fingerprint %s, want %s", label, got, want)
+		}
+		requireSameState(t, label, base, c)
 	}
 }
 

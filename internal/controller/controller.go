@@ -3,6 +3,7 @@ package controller
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -56,18 +57,18 @@ func (r Role) CanReceive() bool { return r&RoleReceiver != 0 }
 // GroupState is the controller's record of one group.
 //
 // Concurrency: fields are written only while holding BOTH the group's
-// own mutex and the owning shard's mutex in write mode, so a reader
+// own mutex and the controller's mutex in write mode, so a reader
 // holding either lock sees consistent state (see the locking notes on
-// Controller and shard.go).
+// Controller).
 type GroupState struct {
 	Key     GroupKey
 	Members map[topology.HostID]Role
 	Enc     *Encoding
 
 	// mu serializes membership operations on this group; it is acquired
-	// before (never after) the admission mutex and the shard mutex.
+	// before (never after) the admission mutex and the controller mutex.
 	mu sync.Mutex
-	// removed marks a group deleted from its shard map while a racing
+	// removed marks a group deleted from the group map while a racing
 	// membership operation was waiting on mu.
 	removed bool
 }
@@ -112,59 +113,39 @@ func newUpdateStats() UpdateStats {
 	}
 }
 
-// addInto accumulates u's counters into dst.
-func (u *UpdateStats) addInto(dst *UpdateStats) {
-	for h, v := range u.Hypervisor {
-		dst.Hypervisor[h] += v
-	}
-	for l, v := range u.Leaf {
-		dst.Leaf[l] += v
-	}
-	for s, v := range u.Spine {
-		dst.Spine[s] += v
-	}
-	dst.Core += u.Core
-}
-
 // Total returns the sum of all update counts.
 func (u *UpdateStats) Total() int {
-	n := u.Core
-	for _, v := range u.Hypervisor {
-		n += v
-	}
-	for _, v := range u.Leaf {
-		n += v
-	}
-	for _, v := range u.Spine {
+	return u.Core + sumCounts(u.Hypervisor) + sumCounts(u.Leaf) + sumCounts(u.Spine)
+}
+
+// sumCounts totals one switch class's per-switch update counters.
+func sumCounts[K comparable](m map[K]int) int {
+	n := 0
+	for _, v := range m {
 		n += v
 	}
 	return n
 }
 
 // Controller is the logically-centralized Elmo controller. It is safe
-// for concurrent use and sharded for multi-core scale: the encoder
-// phase of every membership operation runs outside all locks
-// (speculatively, against atomic occupancy reads); admission — the
-// s-rule capacity transaction — serializes only on the small
-// Occupancy.admit mutex; and the group map and update stats are
-// hash-partitioned across shards so publishes on different groups
-// rarely contend.
+// for concurrent use: the encoder phase of every membership operation
+// runs outside all locks (speculatively, against atomic occupancy
+// reads); admission — the s-rule capacity transaction — serializes on
+// the small Occupancy.admit mutex; and the publish step inside it takes
+// the controller mutex only for the map insert or g.Enc store and its
+// stats charges.
 //
-// Locking model (see DESIGN.md, "Controller concurrency model", and
-// shard.go):
+// Locking model (see DESIGN.md, "Controller concurrency model"), in
+// acquisition order GroupState.mu → Occupancy.admit → Controller.mu:
 //
-//   - Each shard's RWMutex guards that shard's slice of the group map
-//     and update stats; GroupState fields are written only under BOTH
-//     g.mu and the owning shard's mutex, so holders of either read
-//     them safely.
-//   - g.mu serializes membership operations per group and is always
-//     acquired before the admission mutex and shard mutexes.
-//   - s-rule occupancy lives in atomically-readable counters
-//     (Occupancy) so concurrent encoder runs consult capacity without
-//     blocking each other; the validate→commit transaction holds
-//     Occupancy.admit.
-//   - The failure set is read under any shard read lock and mutated
-//     only under all shard write locks (failure events are rare;
+//   - g.mu serializes membership operations per group.
+//   - Occupancy.admit serializes the validate→commit transaction;
+//     s-rule occupancy lives in atomically-readable counters so
+//     concurrent encoder runs consult capacity without blocking.
+//   - mu guards the group map and the update stats; GroupState fields
+//     are written only under BOTH g.mu and mu, so holders of either
+//     read them safely. The failure set is read under mu's read lock
+//     and mutated only under its write lock (failure events are rare;
 //     header assembly is not).
 type Controller struct {
 	topo     *topology.Topology
@@ -173,8 +154,9 @@ type Controller struct {
 
 	occ *Occupancy
 
-	shards    []*ctrlShard
-	shardMask uint32
+	mu     sync.RWMutex
+	groups map[GroupKey]*GroupState
+	stats  UpdateStats
 
 	// scratch pools encoder working memory across membership
 	// operations: Join/Leave may run concurrently (per-group locking),
@@ -203,18 +185,13 @@ func New(topo *topology.Topology, cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := cfg.Shards
-	if n <= 0 {
-		n = defaultShardCount()
-	}
-	shards := newShards(n)
 	c := &Controller{
-		topo:      topo,
-		cfg:       cfg,
-		failures:  topology.NewFailureSet(),
-		occ:       NewOccupancy(topo, cfg.SRuleCapacity),
-		shards:    shards,
-		shardMask: uint32(len(shards) - 1),
+		topo:     topo,
+		cfg:      cfg,
+		failures: topology.NewFailureSet(),
+		occ:      NewOccupancy(topo, cfg.SRuleCapacity),
+		groups:   make(map[GroupKey]*GroupState),
+		stats:    newUpdateStats(),
 	}
 	c.metrics.Store(&Metrics{}) // telemetry off: nil handles do nothing
 	return c, nil
@@ -270,59 +247,56 @@ func (c *Controller) traceFailure(kind trace.Kind, sw int32, impacted int) {
 	})
 }
 
-// Stats returns a deep copy of the accumulated update counters, merged
-// across shards under a consistent read cut. The snapshot is the
-// caller's to keep: concurrent mutators can never race with it (the
-// old contract returned a pointer aliasing live state).
+// Stats returns a deep copy of the accumulated update counters. The
+// snapshot is the caller's to keep: concurrent mutators can never race
+// with it (the old contract returned a pointer aliasing live state).
 func (c *Controller) Stats() *UpdateStats {
-	out := newUpdateStats()
-	c.rlockAllShards()
-	for _, sh := range c.shards {
-		sh.stats.addInto(&out)
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return &UpdateStats{
+		Hypervisor: maps.Clone(c.stats.Hypervisor),
+		Leaf:       maps.Clone(c.stats.Leaf),
+		Spine:      maps.Clone(c.stats.Spine),
+		Core:       c.stats.Core,
 	}
-	c.runlockAllShards()
-	return &out
 }
 
 // ResetStats clears the update counters (between experiment phases).
 func (c *Controller) ResetStats() {
-	c.lockAllShards()
-	for _, sh := range c.shards {
-		sh.stats = newUpdateStats()
-	}
-	c.unlockAllShards()
+	c.mu.Lock()
+	c.stats = newUpdateStats()
+	c.mu.Unlock()
 }
 
 // Group returns the state for a key, or nil.
 func (c *Controller) Group(key GroupKey) *GroupState {
-	sh := c.shardOf(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.groups[key]
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.groups[key]
 }
 
 // NumGroups returns the number of live groups.
 func (c *Controller) NumGroups() int {
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.RLock()
-		n += len(sh.groups)
-		sh.mu.RUnlock()
-	}
-	return n
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.groups)
 }
 
 // GroupKeys returns the keys of all live groups in ascending
 // (tenant, group) order.
 func (c *Controller) GroupKeys() []GroupKey {
-	var keys []GroupKey
-	c.rlockAllShards()
-	for _, sh := range c.shards {
-		for k := range sh.groups {
-			keys = append(keys, k)
-		}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.sortedKeysLocked()
+}
+
+// sortedKeysLocked lists the live group keys in ascending (tenant,
+// group) order; the caller holds mu.
+func (c *Controller) sortedKeysLocked() []GroupKey {
+	keys := make([]GroupKey, 0, len(c.groups))
+	for k := range c.groups {
+		keys = append(keys, k)
 	}
-	c.runlockAllShards()
 	slices.SortFunc(keys, compareKeys)
 	return keys
 }
@@ -335,11 +309,6 @@ func (c *Controller) LeafSRuleCount(l topology.LeafID) int { return c.occ.LeafCo
 
 // SpineSRuleCount returns the s-rule occupancy of a physical spine.
 func (c *Controller) SpineSRuleCount(s topology.SpineID) int { return c.occ.SpineCount(s) }
-
-// lookup fetches a group without holding any lock afterwards.
-func (c *Controller) lookup(key GroupKey) *GroupState {
-	return c.Group(key)
-}
 
 // validateMembers rejects a membership the controller cannot hold: a
 // role with no or unknown bits, or a host outside the topology (which
@@ -366,7 +335,7 @@ func (c *Controller) validateMembers(members map[topology.HostID]Role) error {
 func (c *Controller) CreateGroup(key GroupKey, members map[topology.HostID]Role) (*GroupState, error) {
 	m := c.getMetrics()
 	start := time.Now()
-	if c.lookup(key) != nil {
+	if c.Group(key) != nil {
 		return nil, fmt.Errorf("controller: group %v already exists", key)
 	}
 	if err := c.validateMembers(members); err != nil {
@@ -407,20 +376,19 @@ func (c *Controller) CreateGroup(key GroupKey, members map[topology.HostID]Role)
 // insertGroup is the publish step of a new group's admission (create,
 // batch): the duplicate check, the map insert and the flow-state charge
 // of every member hypervisor (senders: encap rules + headers; receivers:
-// group delivery rules) under one write lock of the owning shard.
+// group delivery rules) under one write lock of the controller.
 func (c *Controller) insertGroup(g *GroupState, enc *Encoding) error {
-	sh := c.shardOf(g.Key)
-	sh.mu.Lock()
-	if _, ok := sh.groups[g.Key]; ok {
-		sh.mu.Unlock()
+	c.mu.Lock()
+	if _, ok := c.groups[g.Key]; ok {
+		c.mu.Unlock()
 		return fmt.Errorf("controller: group %v already exists", g.Key)
 	}
 	g.Enc = enc
-	sh.groups[g.Key] = g
+	c.groups[g.Key] = g
 	for h := range g.Members {
-		sh.stats.Hypervisor[h]++
+		c.stats.Hypervisor[h]++
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	c.traceEncode(g.Key, enc)
 	c.traceControl(trace.KindCreateGroup, g.Key, int64(len(g.Members)), "")
 	return nil
@@ -428,25 +396,24 @@ func (c *Controller) insertGroup(g *GroupState, enc *Encoding) error {
 
 // RemoveGroup deletes a group, releasing its s-rules.
 func (c *Controller) RemoveGroup(key GroupKey) error {
-	g := c.lookup(key)
+	g := c.Group(key)
 	if g == nil {
 		return fmt.Errorf("controller: group %v not found", key)
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	sh := c.shardOf(key)
 	c.occ.admit.Lock()
 	defer c.occ.admit.Unlock()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if g.removed || sh.groups[key] != g {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if g.removed || c.groups[key] != g {
 		return fmt.Errorf("controller: group %v not found", key)
 	}
 	g.removed = true
-	delete(sh.groups, key)
-	c.releaseSRulesCharged(sh, g.Enc)
+	delete(c.groups, key)
+	c.releaseSRulesCharged(g.Enc)
 	for h := range g.Members {
-		sh.stats.Hypervisor[h]++
+		c.stats.Hypervisor[h]++
 	}
 	c.traceControl(trace.KindRemoveGroup, key, int64(len(g.Members)), "")
 	c.getMetrics().ops.remove.Inc()
@@ -481,11 +448,10 @@ func (c *Controller) Leave(key GroupKey, host topology.HostID, role Role) error 
 func (c *Controller) setRole(key GroupKey, host topology.HostID, role Role, join bool) error {
 	m := c.getMetrics()
 	start := time.Now()
-	g := c.lookup(key)
+	g := c.Group(key)
 	if g == nil {
 		return fmt.Errorf("controller: group %v not found", key)
 	}
-	sh := c.shardOf(key)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.removed {
@@ -503,30 +469,31 @@ func (c *Controller) setRole(key GroupKey, host topology.HostID, role Role, join
 	} else if !present || old&role == 0 {
 		return fmt.Errorf("controller: host %d does not hold role in %v", host, key)
 	}
-	// setMember stores a role under the shard lock; none drops the member.
+	// setMember stores a role under the controller lock; none drops the
+	// member.
 	setMember := func(r Role) {
-		sh.mu.Lock()
+		c.mu.Lock()
 		if r == 0 {
 			delete(g.Members, host)
 		} else {
 			g.Members[host] = r
 		}
-		sh.mu.Unlock()
+		c.mu.Unlock()
 	}
 	setMember(next)
 	// A sender-only change leaves the tree untouched: only the source
 	// hypervisor is updated (§5.1.3a).
 	if old.CanReceive() != next.CanReceive() {
-		if err := c.retree(g, sh, host, join); err != nil {
+		if err := c.retree(g, host, join); err != nil {
 			setMember(old)
 			c.traceControl(trace.KindRollback, key, int64(host), err.Error())
 			m.rollbacks.Inc()
 			return err
 		}
 	}
-	sh.mu.Lock()
-	sh.stats.Hypervisor[host]++ // the member's own hypervisor always updates
-	sh.mu.Unlock()
+	c.mu.Lock()
+	c.stats.Hypervisor[host]++ // the member's own hypervisor always updates
+	c.mu.Unlock()
 	c.traceControl(kind, key, int64(host), "")
 	ops.Inc()
 	lat.Observe(time.Since(start).Seconds())
@@ -546,9 +513,9 @@ func (c *Controller) setRole(key GroupKey, host topology.HostID, role Role, join
 // incremental.go). The admission transaction (admit.go) falls back to a
 // full recompute when a capacity answer changed and, on an encode error,
 // leaves the old s-rules charged; its publish step stores the new
-// encoding and its stats charges under the owning shard's lock — other
-// shards never block. Callers hold g.mu.
-func (c *Controller) retree(g *GroupState, sh *ctrlShard, changed topology.HostID, joined bool) error {
+// encoding and its stats charges under the controller lock. Callers
+// hold g.mu.
+func (c *Controller) retree(g *GroupState, changed topology.HostID, joined bool) error {
 	oldEnc := g.Enc
 	scratch := c.getScratch()
 	defer c.putScratch(scratch)
@@ -562,7 +529,7 @@ func (c *Controller) retree(g *GroupState, sh *ctrlShard, changed topology.HostI
 		sp.enc, sp.err = full(sp.capacity())
 	}
 	_, err := c.occ.admitEncoding(oldEnc, sp, full, func(enc *Encoding) error {
-		c.publishRetree(g, sh, enc, changed)
+		c.publishRetree(g, enc, changed)
 		return nil
 	})
 	if err != nil {
@@ -576,28 +543,28 @@ func (c *Controller) retree(g *GroupState, sh *ctrlShard, changed topology.HostI
 }
 
 // publishRetree replaces g's encoding and charges the switch updates
-// the change costs, under the owning shard's write lock.
-func (c *Controller) publishRetree(g *GroupState, sh *ctrlShard, enc *Encoding, changed topology.HostID) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+// the change costs, under the controller's write lock.
+func (c *Controller) publishRetree(g *GroupState, enc *Encoding, changed topology.HostID) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	oldEnc := g.Enc
 	g.Enc = enc
 	// Leaf s-rule diffs.
 	for l, bm := range encLeafSRules(oldEnc) {
 		nbm, ok := enc.LeafSRules[l]
 		if !ok || !nbm.Equal(bm) {
-			sh.stats.Leaf[l]++
+			c.stats.Leaf[l]++
 		}
 	}
 	for l := range enc.LeafSRules {
 		if _, ok := encLeafSRules(oldEnc)[l]; !ok {
-			sh.stats.Leaf[l]++
+			c.stats.Leaf[l]++
 		}
 	}
 	// Spine s-rule diffs (replicated per physical spine of the pod).
 	chargePod := func(p topology.PodID) {
 		for plane := 0; plane < c.topo.Config().SpinesPerPod; plane++ {
-			sh.stats.Spine[c.topo.SpineAt(p, plane)]++
+			c.stats.Spine[c.topo.SpineAt(p, plane)]++
 		}
 	}
 	for p, bm := range encSpineSRules(oldEnc) {
@@ -616,7 +583,7 @@ func (c *Controller) publishRetree(g *GroupState, sh *ctrlShard, enc *Encoding, 
 	if !sharedEqual(oldEnc, enc) {
 		for h, r := range g.Members {
 			if r.CanSend() && h != changed {
-				sh.stats.Hypervisor[h]++
+				c.stats.Hypervisor[h]++
 			}
 		}
 	}
@@ -661,18 +628,18 @@ func (c *Controller) traceEncode(key GroupKey, enc *Encoding) {
 
 // releaseSRulesCharged releases an encoding's occupancy and counts the
 // removals as switch updates (group teardown). Callers hold the
-// admission mutex and the shard's write lock.
-func (c *Controller) releaseSRulesCharged(sh *ctrlShard, e *Encoding) {
+// admission mutex and the controller's write lock.
+func (c *Controller) releaseSRulesCharged(e *Encoding) {
 	if e == nil {
 		return
 	}
 	c.occ.Release(e)
 	for l := range e.LeafSRules {
-		sh.stats.Leaf[l]++
+		c.stats.Leaf[l]++
 	}
 	for p := range e.SpineSRules {
 		for plane := 0; plane < c.topo.Config().SpinesPerPod; plane++ {
-			sh.stats.Spine[c.topo.SpineAt(p, plane)]++
+			c.stats.Spine[c.topo.SpineAt(p, plane)]++
 		}
 	}
 }
@@ -698,13 +665,12 @@ func sharedEqual(a, b *Encoding) bool {
 // SenderStream returns the Elmo section stream (through TagEnd) the
 // hypervisor of a sender in a group pushes onto its packets — the bytes
 // InstallSenderFlowAt takes. The sender must hold a sending role. Safe
-// to call concurrently with membership operations on other groups (and
-// with reads anywhere); only the owning shard's read lock is taken.
+// to call concurrently with membership operations and with other
+// reads; only the controller's read lock is taken.
 func (c *Controller) SenderStream(key GroupKey, sender topology.HostID) ([]byte, error) {
-	sh := c.shardOf(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	g, ok := sh.groups[key]
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	g, ok := c.groups[key]
 	if !ok {
 		return nil, fmt.Errorf("controller: group %v not found", key)
 	}
@@ -763,12 +729,12 @@ func (c *Controller) RepairCore(co topology.CoreID) int {
 }
 
 // failureEvent is the one body of the four failure and repair events:
-// under the stop-the-shards barrier it flips the switch in the failure
+// under the controller's write lock it flips the switch in the failure
 // set (mark), charges one hypervisor update per sender of every group
 // whose flows transit the switch, and reports the event.
 func (c *Controller) failureEvent(kind trace.Kind, label string, sw int32, mark func(), transits func(*GroupState) bool) int {
-	c.lockAllShards()
-	defer c.unlockAllShards()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	mark()
 	n := c.chargeFailure(transits)
 	c.traceFailure(kind, sw, n)
@@ -842,22 +808,18 @@ func (c *Controller) groupTransitsSpine(g *GroupState, pod topology.PodID, plane
 	return false
 }
 
-// chargeFailure runs with every shard lock held (stop-the-shards
-// barrier): group state reads are safe because writers hold their
-// shard lock too. Each impacted group's hypervisor charges land in
-// its owning shard's stats.
+// chargeFailure runs with the controller's write lock held: group
+// state reads are safe because writers hold it too.
 func (c *Controller) chargeFailure(affected func(*GroupState) bool) int {
 	n := 0
-	for _, sh := range c.shards {
-		for _, g := range sh.groups {
-			if g.Enc == nil || !affected(g) {
-				continue
-			}
-			n++
-			for h, r := range g.Members {
-				if r.CanSend() {
-					sh.stats.Hypervisor[h]++
-				}
+	for _, g := range c.groups {
+		if g.Enc == nil || !affected(g) {
+			continue
+		}
+		n++
+		for h, r := range g.Members {
+			if r.CanSend() {
+				c.stats.Hypervisor[h]++
 			}
 		}
 	}

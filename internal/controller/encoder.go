@@ -54,13 +54,6 @@ type Config struct {
 	// packet (§7 Monitoring). Costs 2 bytes at the sender plus 4 bytes
 	// per hop in flight.
 	EnableINT bool
-
-	// Shards is the number of partitions the controller splits its
-	// group map and update stats across (rounded up to a power of two,
-	// capped at 256). Zero picks a count matching GOMAXPROCS. The
-	// committed state is byte-identical for every value; the setting
-	// only tunes lock contention.
-	Shards int
 }
 
 // legacySet builds an O(1) lookup over a legacy switch list.
@@ -104,9 +97,6 @@ func (c Config) Validate() error {
 	}
 	if c.SRuleCapacity < 0 {
 		return fmt.Errorf("controller: SRuleCapacity must be non-negative")
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("controller: Shards must be non-negative")
 	}
 	return nil
 }

@@ -7,13 +7,11 @@ import (
 )
 
 // Live introspection: read-only snapshots of the controller's state
-// for the ops plane (internal/obs). Cross-shard views reuse the
-// stop-the-shards read barrier (rlockAllShards), so a snapshot is a
-// consistent cut — no group is half-installed or counted in two
-// shards, and per-shard group counts always sum to the reported
-// total. Single-group views take only the owning shard's read lock
-// (GroupState fields are written under the shard write lock, so the
-// read lock suffices).
+// for the ops plane (internal/obs). Every view is taken under the
+// controller's read lock, so a snapshot is a consistent cut — no group
+// is half-installed, and the group count matches the summaries listed
+// (GroupState fields are written under the write lock, so the read
+// lock suffices).
 
 // GroupSummary is one group's topline for /debug/elmo/groups.
 type GroupSummary struct {
@@ -73,22 +71,15 @@ type GroupDetail struct {
 	Headers    []SenderHeaderInfo `json:"headers"`
 }
 
-// ShardInfo is one shard's footprint for /debug/elmo/controller.
-type ShardInfo struct {
-	Index   int `json:"index"`
-	Groups  int `json:"groups"`
-	Updates int `json:"updates"`
-}
-
-// ControllerInfo is the controller-wide view: per-shard stats plus
-// aggregate rule-update counters, all from one consistent cut.
+// ControllerInfo is the controller-wide view for /debug/elmo/controller:
+// the live group count and the rule-update counters per switch class,
+// from one consistent cut.
 type ControllerInfo struct {
-	Shards            []ShardInfo `json:"shards"`
-	TotalGroups       int         `json:"total_groups"`
-	HypervisorUpdates int         `json:"hypervisor_updates"`
-	LeafUpdates       int         `json:"leaf_updates"`
-	SpineUpdates      int         `json:"spine_updates"`
-	CoreUpdates       int         `json:"core_updates"`
+	TotalGroups       int `json:"total_groups"`
+	HypervisorUpdates int `json:"hypervisor_updates"`
+	LeafUpdates       int `json:"leaf_updates"`
+	SpineUpdates      int `json:"spine_updates"`
+	CoreUpdates       int `json:"core_updates"`
 }
 
 func roleString(r Role) string {
@@ -125,36 +116,27 @@ func summarize(g *GroupState) GroupSummary {
 
 // InspectGroups returns summaries for up to limit groups (0 = all) in
 // ascending (vni, group) order, plus the total live-group count, from
-// one consistent cross-shard cut.
+// one consistent cut.
 func (c *Controller) InspectGroups(limit int) (groups []GroupSummary, total int) {
-	c.rlockAllShards()
-	for _, sh := range c.shards {
-		total += len(sh.groups)
-		for _, g := range sh.groups {
-			groups = append(groups, summarize(g))
-		}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	keys := c.sortedKeysLocked()
+	if limit > 0 && len(keys) > limit {
+		keys = keys[:limit]
 	}
-	c.runlockAllShards()
-	sort.Slice(groups, func(i, j int) bool {
-		if groups[i].VNI != groups[j].VNI {
-			return groups[i].VNI < groups[j].VNI
-		}
-		return groups[i].Group < groups[j].Group
-	})
-	if limit > 0 && len(groups) > limit {
-		groups = groups[:limit]
+	for _, k := range keys {
+		groups = append(groups, summarize(c.groups[k]))
 	}
-	return groups, total
+	return groups, len(c.groups)
 }
 
 // InspectGroup returns the full detail for one group, or false if it
 // does not exist. Header sizes are assembled per sender with the live
 // failure set, exactly as HeaderFor would.
 func (c *Controller) InspectGroup(key GroupKey) (*GroupDetail, bool) {
-	sh := c.shardOf(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	g, ok := sh.groups[key]
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	g, ok := c.groups[key]
 	if !ok {
 		return nil, false
 	}
@@ -205,26 +187,16 @@ func (c *Controller) InspectGroup(key GroupKey) (*GroupDetail, bool) {
 	return d, true
 }
 
-// InspectShards returns the per-shard group and update counts plus the
-// aggregate update totals, from one consistent cross-shard cut.
-func (c *Controller) InspectShards() ControllerInfo {
-	info := ControllerInfo{}
-	c.rlockAllShards()
-	for i, sh := range c.shards {
-		si := ShardInfo{Index: i, Groups: len(sh.groups), Updates: sh.stats.Total()}
-		info.Shards = append(info.Shards, si)
-		info.TotalGroups += si.Groups
-		for _, v := range sh.stats.Hypervisor {
-			info.HypervisorUpdates += v
-		}
-		for _, v := range sh.stats.Leaf {
-			info.LeafUpdates += v
-		}
-		for _, v := range sh.stats.Spine {
-			info.SpineUpdates += v
-		}
-		info.CoreUpdates += sh.stats.Core
+// InspectController returns the live group count and the update totals
+// per switch class, from one consistent cut.
+func (c *Controller) InspectController() ControllerInfo {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return ControllerInfo{
+		TotalGroups:       len(c.groups),
+		HypervisorUpdates: sumCounts(c.stats.Hypervisor),
+		LeafUpdates:       sumCounts(c.stats.Leaf),
+		SpineUpdates:      sumCounts(c.stats.Spine),
+		CoreUpdates:       c.stats.Core,
 	}
-	c.runlockAllShards()
-	return info
 }

@@ -6,7 +6,7 @@ import (
 	"elmo/internal/topology"
 )
 
-func TestInspectGroupsAndShards(t *testing.T) {
+func TestInspectGroupsAndController(t *testing.T) {
 	topo := topology.MustNew(topology.PaperExample())
 	c, err := New(topo, PaperConfig(2))
 	if err != nil {
@@ -80,18 +80,13 @@ func TestInspectGroupsAndShards(t *testing.T) {
 		t.Fatal("phantom group found")
 	}
 
-	info := c.InspectShards()
-	if len(info.Shards) != c.NumShards() || info.TotalGroups != 3 {
-		t.Fatalf("shard info wrong: %+v", info)
+	info := c.InspectController()
+	if info.TotalGroups != 3 {
+		t.Fatalf("controller info wrong: %+v", info)
 	}
-	sum := 0
-	for _, sh := range info.Shards {
-		sum += sh.Groups
-	}
-	if sum != info.TotalGroups {
-		t.Fatalf("shard sum %d != total %d", sum, info.TotalGroups)
-	}
-	if info.HypervisorUpdates == 0 {
-		t.Fatalf("no hypervisor updates recorded: %+v", info)
+	st := c.Stats()
+	if info.HypervisorUpdates == 0 || info.HypervisorUpdates != sumCounts(st.Hypervisor) ||
+		info.HypervisorUpdates+info.LeafUpdates+info.SpineUpdates+info.CoreUpdates != st.Total() {
+		t.Fatalf("controller info %+v disagrees with stats %+v", info, st)
 	}
 }

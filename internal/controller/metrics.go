@@ -86,10 +86,10 @@ func (c *Controller) EnableMetrics(reg *telemetry.Registry) {
 
 	upd := reg.GaugeVec("elmo_controller_updates",
 		"Cumulative rule updates charged per switch class (Table 2 quantity).", "target")
-	upd.Func(func() float64 { h, _, _, _ := c.updateTotals(); return h }, "hypervisor")
-	upd.Func(func() float64 { _, l, _, _ := c.updateTotals(); return l }, "leaf")
-	upd.Func(func() float64 { _, _, s, _ := c.updateTotals(); return s }, "spine")
-	upd.Func(func() float64 { _, _, _, co := c.updateTotals(); return co }, "core")
+	upd.Func(func() float64 { return float64(c.InspectController().HypervisorUpdates) }, "hypervisor")
+	upd.Func(func() float64 { return float64(c.InspectController().LeafUpdates) }, "leaf")
+	upd.Func(func() float64 { return float64(c.InspectController().SpineUpdates) }, "spine")
+	upd.Func(func() float64 { return float64(c.InspectController().CoreUpdates) }, "core")
 }
 
 // countFailure charges one failure/repair event and its impacted-group
@@ -130,24 +130,4 @@ func (c *Controller) spineOccupancy() (total, max float64) {
 		}
 	}
 	return total, max
-}
-
-// updateTotals sums the cumulative update charges per switch class
-// across all shards under a consistent read cut (scrape-time only).
-func (c *Controller) updateTotals() (hyp, leaf, spine, core float64) {
-	c.rlockAllShards()
-	defer c.runlockAllShards()
-	for _, sh := range c.shards {
-		for _, v := range sh.stats.Hypervisor {
-			hyp += float64(v)
-		}
-		for _, v := range sh.stats.Leaf {
-			leaf += float64(v)
-		}
-		for _, v := range sh.stats.Spine {
-			spine += float64(v)
-		}
-		core += float64(sh.stats.Core)
-	}
-	return hyp, leaf, spine, core
 }

@@ -26,9 +26,8 @@ type Occupancy struct {
 	// answers stay exact when several admitters run concurrently
 	// (batches, creates, churn retrees). It is held only around the
 	// transaction's few atomic reads/writes, its publish step and the
-	// rare recompute fallback, never during speculative encoding, and
-	// it is the first lock of the controller's stop-the-shards barrier
-	// (see shard.go).
+	// rare recompute fallback, never during speculative encoding; it is
+	// always taken before Controller.mu.
 	admit sync.Mutex
 
 	leaf  []int64

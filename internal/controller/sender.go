@@ -203,10 +203,6 @@ func coverUpstream(topo *topology.Topology, e *Encoding, senderPod topology.PodI
 			need[pod] = true
 		}
 	}
-	podHasOtherLeaves := false
-	if _, ok := e.PodLeaves[senderPod]; ok {
-		podHasOtherLeaves = true
-	}
 
 	type planeInfo struct {
 		plane    int
@@ -269,7 +265,6 @@ func coverUpstream(topo *topology.Topology, e *Encoding, senderPod topology.PodI
 	// If the sender's pod also has receiver leaves, the first chosen
 	// plane's spine delivers them; a plane was always chosen because
 	// beyondPod implies at least one uncovered pod existed.
-	_ = podHasOtherLeaves
 	return planes, corePorts, nil
 }
 

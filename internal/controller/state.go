@@ -80,25 +80,15 @@ func writeBitmapMap[K ~int](sw *stateWriter, m map[K]bitmap.Bitmap) {
 
 // WriteState serializes the full controller state deterministically.
 func (c *Controller) WriteState(w io.Writer) error {
-	c.rlockAllShards()
-	defer c.runlockAllShards()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	sw := &stateWriter{bw: bufio.NewWriterSize(w, 1<<20)}
 
 	sw.uvarint(stateVersion)
-	groups := make(map[GroupKey]*GroupState, c.numGroupsLocked())
-	for _, sh := range c.shards {
-		for k, g := range sh.groups {
-			groups[k] = g
-		}
-	}
-	keys := make([]GroupKey, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, compareKeys)
+	keys := c.sortedKeysLocked()
 	sw.uvarint(uint64(len(keys)))
 	for _, key := range keys {
-		g := groups[key]
+		g := c.groups[key]
 		sw.uvarint(uint64(key.Tenant))
 		sw.uvarint(uint64(key.Group))
 		hosts := make([]topology.HostID, 0, len(g.Members))
@@ -298,18 +288,18 @@ func (c *Controller) ReadState(r io.Reader) error {
 	}
 
 	// Decode finished without error: commit atomically.
-	c.lockAll()
-	defer c.unlockAll()
-	if n := c.numGroupsLocked(); n != 0 {
+	c.occ.admit.Lock()
+	defer c.occ.admit.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := len(c.groups); n != 0 {
 		return fmt.Errorf("controller: state restore into non-empty controller (%d groups)", n)
 	}
 	for _, lg := range groups {
-		c.shardOf(lg.key).groups[lg.key] = lg.g
+		c.groups[lg.key] = lg.g
 		c.occ.Commit(lg.g.Enc)
 	}
-	for _, sh := range c.shards {
-		sh.stats = newUpdateStats()
-	}
+	c.stats = newUpdateStats()
 	return nil
 }
 
@@ -446,15 +436,6 @@ func (sr *stateReader) readEncoding(topo *topology.Topology) (*Encoding, error) 
 	}
 	e.LeafRedundancy, e.SpineRedundancy, e.Redundancy = int(red[0]), int(red[1]), int(red[2])
 	return e, nil
-}
-
-// numGroupsLocked counts groups with all shard locks already held.
-func (c *Controller) numGroupsLocked() int {
-	n := 0
-	for _, sh := range c.shards {
-		n += len(sh.groups)
-	}
-	return n
 }
 
 // Fingerprint hashes the full controller state (WriteState bytes):

@@ -132,6 +132,60 @@ func TestStaleEpochFencesEveryWrite(t *testing.T) {
 	}
 }
 
+// TestStaleWalkNamesFirstDeviceInIDOrder: both group walks write devices
+// in ascending ID order — leaves, then spines, then hosts — so once a
+// newer epoch is announced, a stale walk is refused by the same device
+// on every run: the lowest receiver host for a p-rule-only group, the
+// lowest s-rule leaf otherwise. Ranging over a map would name a
+// different device from one try to the next.
+func TestStaleWalkNamesFirstDeviceInIDOrder(t *testing.T) {
+	topo := paperTopo()
+	members := map[topology.HostID]controller.Role{}
+	for _, h := range []topology.HostID{30, 9, 26, 17, 12} { // leaves 3, 1, 3, 2, 1
+		members[h] = controller.RoleReceiver
+	}
+	for _, tc := range []struct {
+		name   string
+		cfg    func(*controller.Config)
+		srules bool
+		want   string
+	}{
+		{"p-rule", func(*controller.Config) {}, false, "host 9"},
+		{"s-rule", func(c *controller.Config) { c.LeafRuleLimit, c.SpineRuleLimit = 0, 0 }, true, "leaf 1"},
+	} {
+		cfg := testConfig(0)
+		tc.cfg(&cfg)
+		ctrl, f := setup(t, topo, cfg)
+		key := controller.GroupKey{Tenant: 4, Group: 1}
+		g, err := ctrl.CreateGroup(key, members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Enc.UsesSRules() != tc.srules || (tc.srules && len(g.Enc.LeafSRules) < 3) {
+			t.Fatalf("%s: setup holds %d leaf s-rules", tc.name, len(g.Enc.LeafSRules))
+		}
+		if _, err := f.InstallGroupAt(1, ctrl, key); err != nil {
+			t.Fatal(err)
+		}
+		f.AnnounceEpoch(2)
+		walks := []struct {
+			name string
+			run  func() error
+		}{
+			{"InstallGroupAt", func() error { _, err := f.InstallGroupAt(1, ctrl, key); return err }},
+			{"UninstallGroupAt", func() error { return f.UninstallGroupAt(1, ctrl, key) }},
+		}
+		for _, w := range walks {
+			for try := 0; try < 50; try++ {
+				var se *dataplane.StaleEpochError
+				if err := w.run(); !errors.As(err, &se) || se.Device != tc.want {
+					t.Fatalf("%s %s try %d: error %v, want a StaleEpochError from %s", tc.name, w.name, try, err, tc.want)
+				}
+			}
+		}
+	}
+}
+
 // TestInstallWalkParity checks the one walk against its parts on seeded
 // groups over every rule kind: InstallGroupAt leaves exactly the state
 // the encoding-level install plus one InstallSenderFlowAt per routable

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"elmo/internal/bitmap"
 	"elmo/internal/controller"
 	"elmo/internal/dataplane"
 	"elmo/internal/header"
@@ -24,16 +25,17 @@ import (
 // adds the sender flows of a controller-held group.
 
 // InstallEncodingAt pushes one group's s-rules and receiver filters
-// into the data plane directly from its encoding.
+// into the data plane directly from its encoding: leaves, then spines,
+// each in ascending ID order, then receivers in the order given.
 func (f *Fabric) InstallEncodingAt(epoch uint64, a dataplane.GroupAddr, enc *controller.Encoding, receivers []topology.HostID) error {
-	for leaf, bm := range enc.LeafSRules {
-		if err := f.Leaves[leaf].InstallSRuleAt(epoch, a, bm); err != nil {
+	for _, leaf := range sortedKeys(enc.LeafSRules) {
+		if err := f.Leaves[leaf].InstallSRuleAt(epoch, a, enc.LeafSRules[leaf]); err != nil {
 			return err
 		}
 	}
-	for pod, bm := range enc.SpineSRules {
+	for _, pod := range sortedKeys(enc.SpineSRules) {
 		for plane := 0; plane < f.topo.Config().SpinesPerPod; plane++ {
-			if err := f.Spines[f.topo.SpineAt(pod, plane)].InstallSRuleAt(epoch, a, bm); err != nil {
+			if err := f.Spines[f.topo.SpineAt(pod, plane)].InstallSRuleAt(epoch, a, enc.SpineSRules[pod]); err != nil {
 				return err
 			}
 		}
@@ -46,14 +48,14 @@ func (f *Fabric) InstallEncodingAt(epoch uint64, a dataplane.GroupAddr, enc *con
 	return nil
 }
 
-// UninstallEncodingAt reverses InstallEncodingAt.
+// UninstallEncodingAt reverses InstallEncodingAt, in the same order.
 func (f *Fabric) UninstallEncodingAt(epoch uint64, a dataplane.GroupAddr, enc *controller.Encoding, receivers []topology.HostID) error {
-	for leaf := range enc.LeafSRules {
+	for _, leaf := range sortedKeys(enc.LeafSRules) {
 		if err := f.Leaves[leaf].RemoveSRuleAt(epoch, a); err != nil {
 			return err
 		}
 	}
-	for pod := range enc.SpineSRules {
+	for _, pod := range sortedKeys(enc.SpineSRules) {
 		for plane := 0; plane < f.topo.Config().SpinesPerPod; plane++ {
 			if err := f.Spines[f.topo.SpineAt(pod, plane)].RemoveSRuleAt(epoch, a); err != nil {
 				return err
@@ -66,6 +68,21 @@ func (f *Fabric) UninstallEncodingAt(epoch uint64, a dataplane.GroupAddr, enc *c
 		}
 	}
 	return nil
+}
+
+// sortedKeys lists the switches of an s-rule map in ascending ID order
+// (nil for none), so which device a walk reaches first does not depend
+// on map iteration.
+func sortedKeys[K ~int](m map[K]bitmap.Bitmap) []K {
+	if len(m) == 0 {
+		return nil
+	}
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // InstallGroupAt pushes a group's state into the data plane: s-rules to
@@ -131,7 +148,7 @@ func (f *Fabric) InstallGroupAt(epoch uint64, ctrl *controller.Controller, key c
 
 // UninstallGroupAt removes a group's data-plane state, clearing the
 // receive filter and the sender flow on every member whatever its
-// current role.
+// current role, members in ascending host order.
 func (f *Fabric) UninstallGroupAt(epoch uint64, ctrl *controller.Controller, key controller.GroupKey) error {
 	g := ctrl.Group(key)
 	if g == nil {
@@ -142,6 +159,7 @@ func (f *Fabric) UninstallGroupAt(epoch uint64, ctrl *controller.Controller, key
 	for h := range g.Members {
 		members = append(members, h)
 	}
+	slices.Sort(members)
 	if err := f.UninstallEncodingAt(epoch, a, g.Enc, members); err != nil {
 		return err
 	}

@@ -14,13 +14,13 @@ import (
 
 // TestConcurrentIntrospection hammers the /debug/elmo/* endpoints
 // while InstallBatch and membership churn run, asserting every
-// response is an internally consistent snapshot: per-shard group
-// counts always sum to the reported total (the stop-the-shards
-// barrier guarantee — a torn cross-shard read would break it), group
-// summaries always have coherent member/role counts, and single-group
-// details never show a half-applied membership op. Run under -race
-// this also proves the introspection hooks are data-race-free against
-// the sharded write path.
+// response is an internally consistent snapshot: the controller view's
+// cumulative update counters never go backwards, group summaries always
+// have coherent member/role counts and match the reported total, and
+// single-group details never show a half-applied membership op. Once
+// the writer stops, the controller view equals the controller's own
+// counters. Run under -race this also proves the introspection hooks
+// are data-race-free against the concurrent write path.
 func TestConcurrentIntrospection(t *testing.T) {
 	topo := paperTopo()
 	ctrl, err := controller.New(topo, testConfig(0))
@@ -53,7 +53,7 @@ func TestConcurrentIntrospection(t *testing.T) {
 	var wg sync.WaitGroup
 
 	// Writer: waves of InstallBatch + churn on the stable group's
-	// cohort plus removals, touching every shard.
+	// cohort plus removals.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -119,24 +119,32 @@ func TestConcurrentIntrospection(t *testing.T) {
 		}
 	}
 
-	wg.Add(1)
-	go probe(func() error {
+	getController := func() (ControllerResponse, error) {
 		var ci ControllerResponse
 		resp, err := http.Get(base + "/debug/elmo/controller")
 		if err != nil {
-			return err
+			return ci, err
 		}
 		defer resp.Body.Close()
 		if err := json.NewDecoder(resp.Body).Decode(&ci); err != nil {
-			return fmt.Errorf("controller decode: %w", err)
+			return ci, fmt.Errorf("controller decode: %w", err)
 		}
-		sum := 0
-		for _, sh := range ci.Shards {
-			sum += sh.Groups
+		return ci, nil
+	}
+	wg.Add(1)
+	var last controller.ControllerInfo
+	go probe(func() error {
+		ci, err := getController()
+		if err != nil {
+			return err
 		}
-		if sum != ci.TotalGroups {
-			return fmt.Errorf("torn shard read: shard sum %d != total %d", sum, ci.TotalGroups)
+		// The stable group is never removed, and update counters only
+		// grow: a count below the last one seen is a torn read.
+		if ci.TotalGroups < 1 || ci.HypervisorUpdates < last.HypervisorUpdates ||
+			ci.LeafUpdates < last.LeafUpdates || ci.SpineUpdates < last.SpineUpdates {
+			return fmt.Errorf("controller view %+v after %+v", ci.ControllerInfo, last)
 		}
+		last = ci.ControllerInfo
 		return nil
 	})
 
@@ -189,4 +197,16 @@ func TestConcurrentIntrospection(t *testing.T) {
 	})
 
 	wg.Wait()
+
+	// Quiescent: the endpoint reads exactly the controller's own counters.
+	ci, err := getController()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := ctrl.Stats()
+	if ci.TotalGroups != ctrl.NumGroups() ||
+		ci.HypervisorUpdates+ci.LeafUpdates+ci.SpineUpdates+ci.CoreUpdates != st.Total() {
+		t.Fatalf("controller view %+v, controller holds %d groups and %d updates",
+			ci.ControllerInfo, ctrl.NumGroups(), st.Total())
+	}
 }

@@ -16,13 +16,13 @@ import (
 //	/debug/elmo/groups      group summaries + heavy-hitter estimates
 //	/debug/elmo/group/{vni}/{group}  one group in full
 //	/debug/elmo/links       top-N loaded links (windowed rates)
-//	/debug/elmo/controller  per-shard stats + durable/lease state
+//	/debug/elmo/controller  group count, update counters + durable/lease state
 //	/debug/elmo/slo         SLO objectives and burn rules
 //	/healthz                200 while no page-severity burn fires
 //	/readyz                 200 while leader valid + replication current
 //
 // Every response is a consistent snapshot: the controller views are
-// taken under the stop-the-shards read barrier, so concurrent
+// taken under the controller's read lock, so concurrent
 // InstallBatch/churn never produce torn reads.
 
 // Mount registers all ops-plane endpoints on srv.
@@ -136,8 +136,7 @@ type DurableInfo struct {
 // ControllerResponse is the /debug/elmo/controller payload.
 type ControllerResponse struct {
 	controller.ControllerInfo
-	NumShards int          `json:"num_shards"`
-	Durable   *DurableInfo `json:"durable,omitempty"`
+	Durable *DurableInfo `json:"durable,omitempty"`
 }
 
 func (p *Plane) handleController(w http.ResponseWriter, r *http.Request) {
@@ -145,10 +144,7 @@ func (p *Plane) handleController(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no controller attached", http.StatusNotImplemented)
 		return
 	}
-	resp := ControllerResponse{
-		ControllerInfo: p.opts.Controller.InspectShards(),
-		NumShards:      p.opts.Controller.NumShards(),
-	}
+	resp := ControllerResponse{ControllerInfo: p.opts.Controller.InspectController()}
 	if d := p.opts.Durable; d != nil {
 		di := &DurableInfo{
 			Epoch:       d.Epoch(),

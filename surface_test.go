@@ -33,7 +33,6 @@ func TestNoUnreachableSurface(t *testing.T) {
 	}
 	// Options no shipped caller sets, kept because a test needs the seam.
 	testSeams := map[string]string{
-		"internal/controller.Config.Shards":               "shard-count sweeps and the cross-shard soak pin 1, 4 and 8 shards",
 		"internal/controller.Config.LegacyLeaves":         "§7 incremental deployment is exercised by tests and the fabric's SetLegacyLeaf only",
 		"internal/controller.Config.LegacyPods":           "as LegacyLeaves, one layer up",
 		"internal/controller.BatchOptions.Workers":        "serial-vs-parallel equivalence tests pin the worker count",
@@ -60,6 +59,10 @@ func TestNoUnreachableSurface(t *testing.T) {
 		"internal/livefabric.LiveFabric.EnableCongestionAwareMultipath": true,
 		"internal/reliable.Metrics":                                     true,
 		"internal/header.ConsumeDownstream":                             true,
+		"internal/controller.Config.Shards":                             true,
+		"internal/controller.Controller.NumShards":                      true,
+		"internal/controller.Controller.InspectShards":                  true,
+		"internal/controller.ShardInfo":                                 true,
 	}
 
 	fset, files := parseShipped(t)
