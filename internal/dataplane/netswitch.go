@@ -155,27 +155,30 @@ func (sw *NetworkSwitch) SRuleCount() int { return len(sw.groupTable) }
 // ProcessInto call with the same scratch. INT-stamped streams alias
 // s's arena and stay valid across calls until s.Reset(); see
 // SwitchScratch for the lifetime contract.
+//
+// p is the pipeline's one copy of the packet: every stage below takes
+// it by pointer, and each emission is written in place in the scratch.
 func (sw *NetworkSwitch) ProcessInto(p Packet, s *SwitchScratch) ([]Emission, error) {
 	s.emissions = s.emissions[:0]
 	s.stamped = false
 	if p.Outer.TTL <= 1 {
-		sw.Probe.dropped(sw, p, DropTTL)
+		sw.Probe.dropped(sw, &p, DropTTL)
 		return nil, nil
 	}
 	p.Outer.TTL--
 	var err error
 	switch {
 	case sw.Legacy:
-		err = sw.legacyInto(p, s)
+		err = sw.legacyInto(&p, s)
 	case sw.tier == LinkLeaf:
-		err = sw.leafInto(p, s)
+		err = sw.leafInto(&p, s)
 	case sw.tier == LinkSpine:
-		err = sw.spineInto(p, s)
+		err = sw.spineInto(&p, s)
 	case sw.tier == LinkCore:
-		err = sw.coreInto(p, s)
+		err = sw.coreInto(&p, s)
 	}
 	if err != nil {
-		sw.Probe.dropped(sw, p, DropMalformed)
+		sw.Probe.dropped(sw, &p, DropMalformed)
 		return nil, err
 	}
 	if len(s.emissions) == 0 {
@@ -184,16 +187,33 @@ func (sw *NetworkSwitch) ProcessInto(p Packet, s *SwitchScratch) ([]Emission, er
 	return s.emissions, nil
 }
 
-// appendPortEmissions fans pkt out to every set bit of bm in ascending
-// port order. It iterates words directly instead of using ForEach: the
-// closure there captures the growing emission slice and escapes,
-// costing an allocation per packet.
-func appendPortEmissions(s *SwitchScratch, bm bitmap.Bitmap, up bool, pkt Packet) {
+// emit appends one copy of p carrying the stream elmo, written field by
+// field into the scratch slot so no Packet or Emission temporary is
+// built and copied.
+func (s *SwitchScratch) emit(port int, up bool, p *Packet, elmo []byte) {
+	n := len(s.emissions)
+	if n == cap(s.emissions) {
+		s.emissions = append(s.emissions, Emission{})
+	}
+	s.emissions = s.emissions[:n+1]
+	em := &s.emissions[n]
+	em.Port, em.Up = port, up
+	em.Packet.Outer = p.Outer
+	em.Packet.Elmo = elmo
+	em.Packet.Inner = p.Inner
+	em.Packet.NoINT = p.NoINT
+}
+
+// appendPortEmissions fans p, carrying elmo, out to every set bit of bm
+// in ascending port order. It iterates words directly instead of using
+// ForEach: the closure there captures the growing emission slice and
+// escapes, costing an allocation per packet.
+func appendPortEmissions(s *SwitchScratch, bm bitmap.Bitmap, up bool, p *Packet, elmo []byte) {
 	for wi, w := range bm.Words() {
 		base := wi * 64
 		for w != 0 {
 			tz := bits.TrailingZeros64(w)
-			s.emissions = append(s.emissions, Emission{Port: base + tz, Up: up, Packet: pkt})
+			s.emit(base+tz, up, p, elmo)
 			w &^= 1 << uint(tz)
 		}
 	}
@@ -203,7 +223,7 @@ func appendPortEmissions(s *SwitchScratch, bm bitmap.Bitmap, up bool, pkt Packet
 // paper's tested legacy-switch behavior: the switch was configured to
 // consult its multicast group table when it sees an Elmo packet,
 // treating the section stream as opaque payload (never popped).
-func (sw *NetworkSwitch) legacyInto(p Packet, s *SwitchScratch) error {
+func (sw *NetworkSwitch) legacyInto(p *Packet, s *SwitchScratch) error {
 	if sw.tier == LinkCore {
 		return fmt.Errorf("dataplane: legacy cores are not modeled")
 	}
@@ -217,14 +237,14 @@ func (sw *NetworkSwitch) legacyInto(p Packet, s *SwitchScratch) error {
 		sw.Probe.dropped(sw, p, DropNoRule)
 		return nil
 	}
-	appendPortEmissions(s, ports, false, p)
+	appendPortEmissions(s, ports, false, p, p.Elmo)
 	sw.Probe.forwarded(sw, p, trace.RuleSRule, s.emissions)
 	return nil
 }
 
 // leafInto handles both directions: packets from hosts carry a u-leaf
 // section; packets from spines carry (at most) a d-leaf section.
-func (sw *NetworkSwitch) leafInto(p Packet, s *SwitchScratch) error {
+func (sw *NetworkSwitch) leafInto(p *Packet, s *SwitchScratch) error {
 	tag, err := header.PeekTag(p.Elmo)
 	if err != nil {
 		return err
@@ -239,9 +259,9 @@ func (sw *NetworkSwitch) leafInto(p Packet, s *SwitchScratch) error {
 		}
 		// Host deliveries: strip the remaining p-rules — the egress
 		// invalidates all p-rules toward hosts (§4.1). The stripped
-		// packet is identical for every port, so build it once.
-		appendPortEmissions(s, s.uRule.Down, false, sw.hostCopy(p, rest))
-		sw.upstreamCopiesInto(p, rest, s.uRule, s)
+		// stream is identical for every port, so find it once.
+		appendPortEmissions(s, s.uRule.Down, false, p, sw.hostStream(p, rest))
+		sw.upstreamCopiesInto(p, rest, &s.uRule, s)
 		sw.Probe.forwarded(sw, p, trace.RulePRule, s.emissions)
 		return nil
 	}
@@ -251,7 +271,7 @@ func (sw *NetworkSwitch) leafInto(p Packet, s *SwitchScratch) error {
 	if err != nil {
 		return err
 	}
-	ports, rule, ok := sw.resolve(s.match, p.Outer)
+	ports, rule, ok := sw.resolve(&s.match, &p.Outer)
 	if !ok {
 		sw.Probe.dropped(sw, p, DropNoRule)
 		return nil
@@ -259,14 +279,14 @@ func (sw *NetworkSwitch) leafInto(p Packet, s *SwitchScratch) error {
 	if !p.NoINT {
 		rest = sw.stampInto(rest, p.Outer.TTL, s)
 	}
-	appendPortEmissions(s, ports, false, sw.hostCopy(p, rest))
+	appendPortEmissions(s, ports, false, p, sw.hostStream(p, rest))
 	sw.Probe.forwarded(sw, p, rule, s.emissions)
 	return nil
 }
 
 // spineInto handles the upstream turn (u-spine section) and the
 // downstream fan-out (d-spine section keyed by pod).
-func (sw *NetworkSwitch) spineInto(p Packet, s *SwitchScratch) error {
+func (sw *NetworkSwitch) spineInto(p *Packet, s *SwitchScratch) error {
 	tag, err := header.PeekTag(p.Elmo)
 	if err != nil {
 		return err
@@ -286,9 +306,9 @@ func (sw *NetworkSwitch) spineInto(p Packet, s *SwitchScratch) error {
 			if err != nil {
 				return err
 			}
-			appendPortEmissions(s, s.uRule.Down, false, Packet{Outer: p.Outer, Elmo: downStream, Inner: p.Inner, NoINT: p.NoINT})
+			appendPortEmissions(s, s.uRule.Down, false, p, downStream)
 		}
-		sw.upstreamCopiesInto(p, rest, s.uRule, s)
+		sw.upstreamCopiesInto(p, rest, &s.uRule, s)
 		sw.Probe.forwarded(sw, p, trace.RulePRule, s.emissions)
 		return nil
 	}
@@ -298,7 +318,7 @@ func (sw *NetworkSwitch) spineInto(p Packet, s *SwitchScratch) error {
 	if err != nil {
 		return err
 	}
-	ports, rule, ok := sw.resolve(s.match, p.Outer)
+	ports, rule, ok := sw.resolve(&s.match, &p.Outer)
 	if !ok {
 		sw.Probe.dropped(sw, p, DropNoRule)
 		return nil
@@ -306,14 +326,14 @@ func (sw *NetworkSwitch) spineInto(p Packet, s *SwitchScratch) error {
 	if !p.NoINT {
 		rest = sw.stampInto(rest, p.Outer.TTL, s)
 	}
-	appendPortEmissions(s, ports, false, Packet{Outer: p.Outer, Elmo: rest, Inner: p.Inner, NoINT: p.NoINT})
+	appendPortEmissions(s, ports, false, p, rest)
 	sw.Probe.forwarded(sw, p, rule, s.emissions)
 	return nil
 }
 
 // coreInto forwards one copy to each pod named in the core bitmap,
 // popping the core section.
-func (sw *NetworkSwitch) coreInto(p Packet, s *SwitchScratch) error {
+func (sw *NetworkSwitch) coreInto(p *Packet, s *SwitchScratch) error {
 	rest, err := header.ConsumeCoreInto(sw.layout, p.Elmo, &s.pods)
 	if err != nil {
 		return err
@@ -321,27 +341,26 @@ func (sw *NetworkSwitch) coreInto(p Packet, s *SwitchScratch) error {
 	if !p.NoINT {
 		rest = sw.stampInto(rest, p.Outer.TTL, s)
 	}
-	appendPortEmissions(s, s.pods, false, Packet{Outer: p.Outer, Elmo: rest, Inner: p.Inner, NoINT: p.NoINT})
+	appendPortEmissions(s, s.pods, false, p, rest)
 	sw.Probe.forwarded(sw, p, trace.RulePRule, s.emissions)
 	return nil
 }
 
 // upstreamCopiesInto emits the upward copies of an upstream rule: one
 // ECMP-chosen port under multipathing, or every explicit Up port.
-func (sw *NetworkSwitch) upstreamCopiesInto(p Packet, rest []byte, rule header.UpstreamRule, s *SwitchScratch) {
-	next := Packet{Outer: p.Outer, Elmo: rest, Inner: p.Inner, NoINT: p.NoINT}
+func (sw *NetworkSwitch) upstreamCopiesInto(p *Packet, rest []byte, rule *header.UpstreamRule, s *SwitchScratch) {
 	if rule.Multipath {
-		if port, ok := sw.pickUpstreamInto(p.Outer, s); ok {
-			s.emissions = append(s.emissions, Emission{Port: port, Up: true, Packet: next})
+		if port, ok := sw.pickUpstreamInto(&p.Outer, s); ok {
+			s.emit(port, true, p, rest)
 		}
 		return
 	}
-	appendPortEmissions(s, rule.Up, true, next)
+	appendPortEmissions(s, rule.Up, true, p, rest)
 }
 
 // pickUpstreamInto hashes the flow over the alive upstream ports,
 // collected into the scratch alive slice.
-func (sw *NetworkSwitch) pickUpstreamInto(f header.OuterFields, s *SwitchScratch) (int, bool) {
+func (sw *NetworkSwitch) pickUpstreamInto(f *header.OuterFields, s *SwitchScratch) (int, bool) {
 	alive := s.alive[:0]
 	for i := 0; i < sw.upWidth; i++ {
 		if sw.UpstreamAlive == nil || sw.UpstreamAlive(i) {
@@ -352,7 +371,7 @@ func (sw *NetworkSwitch) pickUpstreamInto(f header.OuterFields, s *SwitchScratch
 	if len(alive) == 0 {
 		return 0, false
 	}
-	return alive[ECMPHash(f, ecmpSalt(sw.tier, sw.id))%uint32(len(alive))], true
+	return alive[ECMPHash(*f, ecmpSalt(sw.tier, sw.id))%uint32(len(alive))], true
 }
 
 // downstreamMatchInto seeks the section tagged tag — stepping over any
@@ -373,11 +392,11 @@ func (sw *NetworkSwitch) downstreamMatchInto(tag byte, id uint16, stream []byte,
 // resolve implements the §4.1 ingress control flow: matched p-rule
 // bitmap, else s-rule group table, else default p-rule. The returned
 // RuleKind records which stage matched, for the flight recorder.
-func (sw *NetworkSwitch) resolve(m header.DownstreamMatch, outer header.OuterFields) (bitmap.Bitmap, trace.RuleKind, bool) {
+func (sw *NetworkSwitch) resolve(m *header.DownstreamMatch, outer *header.OuterFields) (bitmap.Bitmap, trace.RuleKind, bool) {
 	if m.Matched {
 		return m.Bitmap, trace.RulePRule, true
 	}
-	if addr, ok := GroupAddrFromOuter(outer); ok {
+	if addr, ok := GroupAddrFromOuter(*outer); ok {
 		if ports, ok := sw.groupTable[addr]; ok {
 			return ports, trace.RuleSRule, true
 		}
@@ -414,19 +433,20 @@ func (sw *NetworkSwitch) stampInto(stream []byte, ttl byte, s *SwitchScratch) []
 	return s.arena[start:len(s.arena):len(s.arena)]
 }
 
-// hostCopy strips the p-rule sections for host delivery, preserving a
-// telemetry section if present (the host's hypervisor is the INT sink).
-func (sw *NetworkSwitch) hostCopy(p Packet, stream []byte) Packet {
+// hostStream strips the p-rule sections from stream for host delivery,
+// preserving a telemetry section if present (the host's hypervisor is
+// the INT sink).
+func (sw *NetworkSwitch) hostStream(p *Packet, stream []byte) []byte {
 	if p.NoINT {
 		// No INT section can exist, so the scan below would always land
 		// on TagEnd; emptyStream is that same single-byte stream.
-		return Packet{Outer: p.Outer, Elmo: emptyStream, Inner: p.Inner, NoINT: true}
+		return emptyStream
 	}
 	rest, found, _ := header.Seek(sw.layout, stream, header.TagINT)
 	if !found {
-		rest = emptyStream
+		return emptyStream
 	}
-	return Packet{Outer: p.Outer, Elmo: rest, Inner: p.Inner, NoINT: p.NoINT}
+	return rest
 }
 
 var emptyStream = []byte{header.TagEnd}

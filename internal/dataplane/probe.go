@@ -120,7 +120,7 @@ func (p *Probe) Sent(s SendSample, start time.Time) {
 
 // forwarded reports a packet the switch forwarded by rule, with the
 // copies it emitted and the header bytes it consumed.
-func (p *Probe) forwarded(sw *NetworkSwitch, pkt Packet, rule trace.RuleKind, out []Emission) {
+func (p *Probe) forwarded(sw *NetworkSwitch, pkt *Packet, rule trace.RuleKind, out []Emission) {
 	st := &sw.stats
 	st.Packets++
 	st.Copies += len(out)
@@ -168,7 +168,7 @@ func (p *Probe) forwarded(sw *NetworkSwitch, pkt Packet, rule trace.RuleKind, ou
 
 // dropped reports a packet the switch dropped, with the reason in the
 // event's Arg.
-func (p *Probe) dropped(sw *NetworkSwitch, pkt Packet, reason DropReason) {
+func (p *Probe) dropped(sw *NetworkSwitch, pkt *Packet, reason DropReason) {
 	st := sw.Stats()
 	st.Packets++
 	st.Drops[reason]++
@@ -189,7 +189,7 @@ func (p *Probe) dropped(sw *NetworkSwitch, pkt Packet, reason DropReason) {
 
 // hopEvent starts a hop-category event with the switch's identity, its
 // port widths (for rendering) and the packet's group.
-func (sw *NetworkSwitch) hopEvent(kind trace.Kind, pkt Packet) trace.Event {
+func (sw *NetworkSwitch) hopEvent(kind trace.Kind, pkt *Packet) trace.Event {
 	ev := trace.Event{
 		Cat: trace.CatHop, Kind: kind, Tier: trace.Tier(sw.tier), Switch: sw.id,
 		PortWidth: uint16(sw.downWidth), UpWidth: uint16(sw.upWidth),

@@ -19,7 +19,7 @@ import (
 // assert this on randomized traffic.
 func (sw *NetworkSwitch) ReferenceProcess(p Packet) ([]Emission, error) {
 	if p.Outer.TTL <= 1 {
-		sw.Probe.dropped(sw, p, DropTTL)
+		sw.Probe.dropped(sw, &p, DropTTL)
 		return nil, nil
 	}
 	p.Outer.TTL--
@@ -36,7 +36,7 @@ func (sw *NetworkSwitch) ReferenceProcess(p Packet) ([]Emission, error) {
 		out, err = sw.refProcessCore(p)
 	}
 	if err != nil {
-		sw.Probe.dropped(sw, p, DropMalformed)
+		sw.Probe.dropped(sw, &p, DropMalformed)
 		return nil, err
 	}
 	return out, nil
@@ -52,19 +52,19 @@ func (sw *NetworkSwitch) refProcessLegacy(p Packet) ([]Emission, error) {
 	}
 	addr, ok := GroupAddrFromOuter(p.Outer)
 	if !ok {
-		sw.Probe.dropped(sw, p, DropNoRule)
+		sw.Probe.dropped(sw, &p, DropNoRule)
 		return nil, nil
 	}
 	ports, ok := sw.groupTable[addr]
 	if !ok {
-		sw.Probe.dropped(sw, p, DropNoRule)
+		sw.Probe.dropped(sw, &p, DropNoRule)
 		return nil, nil
 	}
 	var out []Emission
 	ports.ForEach(func(port int) {
 		out = append(out, Emission{Port: port, Packet: p})
 	})
-	sw.Probe.forwarded(sw, p, trace.RuleSRule, out)
+	sw.Probe.forwarded(sw, &p, trace.RuleSRule, out)
 	return out, nil
 }
 
@@ -89,7 +89,7 @@ func (sw *NetworkSwitch) refProcessLeaf(p Packet) ([]Emission, error) {
 			out = append(out, Emission{Port: port, Packet: sw.refHostCopy(p, rest)})
 		})
 		out = append(out, sw.refUpstreamCopies(p, rest, rule, sw.topo.LeafUpWidth())...)
-		sw.Probe.forwarded(sw, p, trace.RulePRule, out)
+		sw.Probe.forwarded(sw, &p, trace.RulePRule, out)
 		return out, nil
 	}
 	// Downstream: skip any stale earlier sections (a legacy hop pops
@@ -107,9 +107,9 @@ func (sw *NetworkSwitch) refProcessLeaf(p Packet) ([]Emission, error) {
 	if err != nil {
 		return nil, err
 	}
-	ports, rule, ok := sw.resolve(m, p.Outer)
+	ports, rule, ok := sw.resolve(&m, &p.Outer)
 	if !ok {
-		sw.Probe.dropped(sw, p, DropNoRule)
+		sw.Probe.dropped(sw, &p, DropNoRule)
 		return nil, nil
 	}
 	stamped := sw.refStamp(stream, p.Outer.TTL)
@@ -117,7 +117,7 @@ func (sw *NetworkSwitch) refProcessLeaf(p Packet) ([]Emission, error) {
 	ports.ForEach(func(port int) {
 		out = append(out, Emission{Port: port, Packet: sw.refHostCopy(p, stamped)})
 	})
-	sw.Probe.forwarded(sw, p, rule, out)
+	sw.Probe.forwarded(sw, &p, rule, out)
 	return out, nil
 }
 
@@ -148,7 +148,7 @@ func (sw *NetworkSwitch) refProcessSpine(p Packet) ([]Emission, error) {
 			})
 		}
 		out = append(out, sw.refUpstreamCopies(p, rest, rule, sw.topo.SpineUpWidth())...)
-		sw.Probe.forwarded(sw, p, trace.RulePRule, out)
+		sw.Probe.forwarded(sw, &p, trace.RulePRule, out)
 		return out, nil
 	}
 	// Downstream from core: skip stale sections, then match our pod in
@@ -166,9 +166,9 @@ func (sw *NetworkSwitch) refProcessSpine(p Packet) ([]Emission, error) {
 	if err != nil {
 		return nil, err
 	}
-	ports, rule, ok := sw.resolve(m, p.Outer)
+	ports, rule, ok := sw.resolve(&m, &p.Outer)
 	if !ok {
-		sw.Probe.dropped(sw, p, DropNoRule)
+		sw.Probe.dropped(sw, &p, DropNoRule)
 		return nil, nil
 	}
 	rest = sw.refStamp(rest, p.Outer.TTL)
@@ -176,7 +176,7 @@ func (sw *NetworkSwitch) refProcessSpine(p Packet) ([]Emission, error) {
 	ports.ForEach(func(port int) {
 		out = append(out, Emission{Port: port, Packet: Packet{Outer: p.Outer, Elmo: rest, Inner: p.Inner}})
 	})
-	sw.Probe.forwarded(sw, p, rule, out)
+	sw.Probe.forwarded(sw, &p, rule, out)
 	return out, nil
 }
 
@@ -193,7 +193,7 @@ func (sw *NetworkSwitch) refProcessCore(p Packet) ([]Emission, error) {
 	pods.ForEach(func(pod int) {
 		out = append(out, Emission{Port: pod, Packet: Packet{Outer: p.Outer, Elmo: rest, Inner: p.Inner}})
 	})
-	sw.Probe.forwarded(sw, p, trace.RulePRule, out)
+	sw.Probe.forwarded(sw, &p, trace.RulePRule, out)
 	return out, nil
 }
 
@@ -251,7 +251,7 @@ func (sw *NetworkSwitch) refDownstreamMatch(wantTag byte, id uint16, stream []by
 
 // refHostCopy strips the p-rule sections for host delivery, preserving
 // a telemetry section if present. It is the original hostCopy, kept
-// scanning unconditionally: the fast-path hostCopy now shortcuts on the
+// scanning unconditionally: the fast-path hostStream now shortcuts on the
 // NoINT hint, and the frozen baseline must not inherit that speedup.
 func (sw *NetworkSwitch) refHostCopy(p Packet, stream []byte) Packet {
 	rest, err := refStreamFrom(sw.layout, stream, header.TagINT)

@@ -1,10 +1,12 @@
 package fabric
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"elmo/internal/controller"
 	"elmo/internal/dataplane"
@@ -14,15 +16,76 @@ import (
 	"elmo/internal/trace"
 )
 
+// refEvent and refHeld are the queue entries the compact event
+// replaced: each copy in flight carries a whole packet.
+type refEvent struct {
+	tier dataplane.LinkTier
+	id   int32
+	pkt  dataplane.Packet
+}
+
+type refHeld struct {
+	ev  refEvent
+	due int
+}
+
+// refState is referenceForward's own working memory; it shares nothing
+// with procState, so changing the production queue cannot change the
+// oracle.
+type refState struct {
+	scratch    dataplane.SwitchScratch
+	queue      []refEvent
+	head       int
+	held       []refHeld
+	d          *Delivery
+	n          int
+	vni, group uint32
+}
+
+// refAdmit is admit as it was while the queue held whole packets, taking
+// the event by value. Frozen.
+func (f *Fabric) refAdmit(st *refState, l dataplane.Link, ev refEvent) {
+	v := f.probe.Cross(l, st.vni, st.group, ev.pkt.WireSize())
+	if v == (dataplane.FaultVerdict{}) {
+		st.queue = append(st.queue, ev)
+		return
+	}
+	if v.Drop {
+		st.d.FaultDrops++
+		return
+	}
+	if v.Corrupt {
+		st.d.FaultCorrupts++
+		ev.pkt.Elmo = append([]byte(nil), ev.pkt.Elmo...)
+		f.probe.Corrupt(ev.pkt.Elmo)
+	}
+	copies := 1
+	if v.Duplicate {
+		copies = 2
+		st.d.FaultDups++
+		st.d.LinkBytes += ev.pkt.WireSize()
+		st.d.Links++
+	}
+	if v.DelaySteps > 0 {
+		st.d.FaultDelays++
+	}
+	for i := 0; i < copies; i++ {
+		if v.DelaySteps > 0 {
+			st.held = append(st.held, refHeld{ev: ev, due: st.n + int(v.DelaySteps)})
+		} else {
+			st.queue = append(st.queue, ev)
+		}
+	}
+}
+
 // referenceForward is forward as it was before host copies moved behind
-// the walk: each host event is delivered the moment the loop pops it,
-// into a Received map made with room for 16. Frozen; the differential
-// test below holds forward to it.
-func (f *Fabric) referenceForward(src topology.HostID, pkt dataplane.Packet) (*Delivery, error) {
-	ps := fwdPool.Get().(*procState)
-	ps.reset()
-	defer fwdPool.Put(ps)
-	st := fwd{d: &Delivery{Received: make(map[topology.HostID][]byte, 16)}, ps: ps}
+// the walk and before the queue went compact: every event carries a
+// whole packet, each host event is delivered the moment the loop pops
+// it, into a Received map made with room for 16. Frozen; the
+// differential test below holds forward to it. It returns its queue,
+// which still holds every event of the send.
+func (f *Fabric) referenceForward(src topology.HostID, pkt dataplane.Packet) (*Delivery, []refEvent, error) {
+	st := &refState{d: &Delivery{Received: make(map[topology.HostID][]byte, 16)}}
 	d := st.d
 	if a, ok := dataplane.GroupAddrFromOuter(pkt.Outer); ok {
 		st.vni, st.group = a.VNI, a.Group
@@ -37,40 +100,39 @@ func (f *Fabric) referenceForward(src topology.HostID, pkt dataplane.Packet) (*D
 	d.LinkBytes += pkt.WireSize()
 	d.Links++
 	up := f.uplink(src)
-	aev := event{tier: up.ToTier, id: up.To, pkt: pkt}
-	f.admit(&st, up, &aev)
-	for st.n = 0; ps.head < len(ps.queue) || len(ps.held) > 0; st.n++ {
+	f.refAdmit(st, up, refEvent{tier: up.ToTier, id: up.To, pkt: pkt})
+	for st.n = 0; st.head < len(st.queue) || len(st.held) > 0; st.n++ {
 		if st.n >= maxEvents {
-			return nil, fmt.Errorf("fabric: forwarding loop detected after %d events", st.n)
+			return nil, st.queue, fmt.Errorf("fabric: forwarding loop detected after %d events", st.n)
 		}
-		if len(ps.held) > 0 {
-			kept := ps.held[:0]
-			for _, h := range ps.held {
+		if len(st.held) > 0 {
+			kept := st.held[:0]
+			for _, h := range st.held {
 				if h.due <= st.n {
-					ps.queue = append(ps.queue, h.ev)
+					st.queue = append(st.queue, h.ev)
 				} else {
 					kept = append(kept, h)
 				}
 			}
-			ps.held = kept
-			if ps.head >= len(ps.queue) {
+			st.held = kept
+			if st.head >= len(st.queue) {
 				continue
 			}
 		}
-		ev := &ps.queue[ps.head]
-		ps.head++
+		ev := st.queue[st.head]
+		st.head++
 		if ev.tier == dataplane.LinkHost {
-			f.referenceDeliverHost(d, topology.HostID(ev.id), &ev.pkt)
+			f.referenceDeliverHost(d, topology.HostID(ev.id), ev.pkt)
 			continue
 		}
 		d.Hops++
-		ems, err := f.switchAt(ev.tier, ev.id).ProcessInto(ev.pkt, &ps.scratch)
+		ems, err := f.switchAt(ev.tier, ev.id).ProcessInto(ev.pkt, &st.scratch)
 		if err != nil {
 			if chaos {
 				d.Malformed++
 				continue
 			}
-			return nil, err
+			return nil, st.queue, err
 		}
 		for i := range ems {
 			em := &ems[i]
@@ -82,8 +144,7 @@ func (f *Fabric) referenceForward(src topology.HostID, pkt dataplane.Packet) (*D
 				f.probe.Lost(l.ToTier, l.To, &em.Packet)
 				continue
 			}
-			aev = event{tier: l.ToTier, id: l.To, pkt: em.Packet}
-			f.admit(&st, l, &aev)
+			f.refAdmit(st, l, refEvent{tier: l.ToTier, id: l.To, pkt: em.Packet})
 		}
 	}
 	f.probe.Sent(dataplane.SendSample{
@@ -95,11 +156,11 @@ func (f *Fabric) referenceForward(src topology.HostID, pkt dataplane.Packet) (*D
 		Links:     d.Links, Spurious: d.Spurious, Duplicates: d.Duplicates,
 		AtFailed: d.Lost, Malformed: d.Malformed,
 	}, start)
-	return d, nil
+	return d, st.queue, nil
 }
 
-func (f *Fabric) referenceDeliverHost(d *Delivery, h topology.HostID, pkt *dataplane.Packet) {
-	inner, tel, ok := f.Hypervisors[h].DeliverFull(*pkt)
+func (f *Fabric) referenceDeliverHost(d *Delivery, h topology.HostID, pkt dataplane.Packet) {
+	inner, tel, ok := f.Hypervisors[h].DeliverFull(pkt)
 	if !ok {
 		d.Spurious++
 		return
@@ -114,6 +175,37 @@ func (f *Fabric) referenceDeliverHost(d *Delivery, h topology.HostID, pkt *datap
 		}
 		d.Telemetry[h] = tel
 	}
+}
+
+// compactQueueMismatch compares forward's compact queue with the
+// reference's whole-packet queue entry by entry: the same device, TTL,
+// provenance hint and stream bytes, and — the invariant that lets the
+// compact form drop them — every reference packet keeps the sender's
+// outer header apart from TTL and the sender's inner frame. It returns
+// "" when they agree.
+func compactQueueMismatch(got []event, want []refEvent, sent dataplane.Packet) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("queue holds %d events, reference %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		switch {
+		case g.tier != w.tier || g.id != w.id:
+			return fmt.Sprintf("event %d at %v/%d, reference %v/%d", i, g.tier, g.id, w.tier, w.id)
+		case g.ttl != w.pkt.Outer.TTL:
+			return fmt.Sprintf("event %d TTL %d, reference %d", i, g.ttl, w.pkt.Outer.TTL)
+		case g.noINT != w.pkt.NoINT:
+			return fmt.Sprintf("event %d NoINT %v, reference %v", i, g.noINT, w.pkt.NoINT)
+		case !bytes.Equal(g.elmo, w.pkt.Elmo):
+			return fmt.Sprintf("event %d stream %x, reference %x", i, g.elmo, w.pkt.Elmo)
+		}
+		outer := w.pkt.Outer
+		outer.TTL = sent.Outer.TTL
+		if outer != sent.Outer || !bytes.Equal(w.pkt.Inner, sent.Inner) {
+			return fmt.Sprintf("reference event %d changed more than TTL and stream: %+v", i, w.pkt)
+		}
+	}
+	return ""
 }
 
 // sendLog is every instrument a send reports to, in one value: the
@@ -201,11 +293,15 @@ func hostEventsLast(evs []trace.Event) []trace.Event {
 	return out
 }
 
-// TestForwardMatchesEagerDelivery holds forward — host copies delivered
-// after the walk into maps made at their final size — to the frozen
-// forward that delivered each copy as the loop reached it. Every field
-// of the Delivery, the SendSample, the observed link crossings and the
-// trace events (host events moved last, nothing else) must agree, over
+// TestForwardMatchesEagerDelivery holds forward — compact events
+// rebuilt into one packet slot, host copies delivered after the walk
+// into maps made at their final size — to the frozen forward that queued
+// whole packets and delivered each copy as the loop reached it. The two
+// queues must agree event by event (compactQueueMismatch), and every
+// field of the Delivery (INT records carry each hop's TTL, so a wrong
+// rebuild shows in Telemetry), the SendSample, the observed link
+// crossings and the trace events (host events moved last, nothing else)
+// must agree, over
 // seeded groups on a healthy fabric, with a failed spine and core behind
 // stale and then refreshed sender flows, and under seeded drop +
 // duplicate + corrupt + delay verdicts; with and without INT.
@@ -242,14 +338,26 @@ func TestForwardMatchesEagerDelivery(t *testing.T) {
 				if faultSeed != 0 {
 					faultSeed++
 				}
-				want, wantErr, wantLog := loggedSend(f, f.referenceForward, sender, addr(g.key), inner, faultSeed)
-				got, gotErr, gotLog := loggedSend(f, f.forward, sender, addr(g.key), inner, faultSeed)
+				var sent dataplane.Packet
+				var wantQueue []refEvent
+				want, wantErr, wantLog := loggedSend(f, func(src topology.HostID, pkt dataplane.Packet) (d *Delivery, err error) {
+					sent = pkt
+					d, wantQueue, err = f.referenceForward(src, pkt)
+					return d, err
+				}, sender, addr(g.key), inner, faultSeed)
+				ps := new(procState)
+				got, gotErr, gotLog := loggedSend(f, func(src topology.HostID, pkt dataplane.Packet) (*Delivery, error) {
+					return f.forward(ps, src, pkt)
+				}, sender, addr(g.key), inner, faultSeed)
 				where := fmt.Sprintf("INT=%v, %s, group %d", withINT, phase, gi)
 				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 					t.Fatalf("%s: err = %v, reference %v", where, gotErr, wantErr)
 				}
 				if wantErr != nil {
 					continue
+				}
+				if msg := compactQueueMismatch(ps.queue, wantQueue, sent); msg != "" {
+					t.Fatalf("%s: %s", where, msg)
 				}
 				gv, wv := reflect.ValueOf(*got), reflect.ValueOf(*want)
 				for i := 0; i < gv.NumField(); i++ {
@@ -307,6 +415,32 @@ func TestForwardMatchesEagerDelivery(t *testing.T) {
 		if !seen {
 			t.Errorf("no send exercised: %s", what)
 		}
+	}
+}
+
+// TestForwardEventIsCompact pins what a copy in flight costs the sync
+// forwarder: an event is at most 32 bytes with one pointer word, and
+// carries neither the outer header nor the inner frame, which are the
+// send's and live once in fwd.
+func TestForwardEventIsCompact(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 32 {
+		t.Errorf("event is %d bytes, want at most 32", n)
+	}
+	typ := reflect.TypeOf(event{})
+	pointers := 0
+	for i := 0; i < typ.NumField(); i++ {
+		fld := typ.Field(i)
+		switch fld.Type {
+		case reflect.TypeOf(dataplane.Packet{}), reflect.TypeOf(header.OuterFields{}):
+			t.Errorf("event.%s holds a %s", fld.Name, fld.Type)
+		}
+		switch fld.Type.Kind() {
+		case reflect.Slice, reflect.Pointer, reflect.String, reflect.Map, reflect.Interface, reflect.Struct, reflect.Array:
+			pointers++
+		}
+	}
+	if pointers > 1 {
+		t.Errorf("event has %d fields that are or may hold pointers, want one (the stream)", pointers)
 	}
 }
 

@@ -175,11 +175,17 @@ type Delivery struct {
 	Malformed int
 }
 
-// event is one packet arriving at the device (tier, id).
+// event is one copy arriving at the device (tier, id), in the compact
+// form a copy in flight needs: switches rewrite only the outer TTL (and
+// pop the section stream), so everything else of the packet — the outer
+// header and the inner frame — is the send's own and lives once in fwd.
+// 32 bytes and one pointer word (TestForwardEventIsCompact).
 type event struct {
-	tier dataplane.LinkTier
-	id   int32
-	pkt  dataplane.Packet
+	tier  dataplane.LinkTier
+	ttl   byte
+	noINT bool
+	id    int32
+	elmo  []byte
 }
 
 // heldEvent is a delayed event: released into the queue when the
@@ -219,41 +225,50 @@ type fwd struct {
 	ps         *procState
 	n          int
 	vni, group uint32
+	// pkt is the send's one packet slot: the sender's outer header and
+	// inner frame, into which each event is rebuilt (see rebuild).
+	pkt dataplane.Packet
 }
 
-// admit reports one link crossing and enqueues the copies that survive
-// the probe's verdict — with no active injector, a plain enqueue. Every
-// directed crossing of the multicast path funnels through here; the
-// emitting tier has already counted the copy's LinkBytes, so the
-// observer sees exactly the bytes the Delivery accounting sees (chaos
-// drops included: the copy crossed the wire before dying). ev is
-// passed by pointer to spare a struct copy per crossing (it embeds a
-// full Packet); admit copies it into the queue and never retains the
-// pointer.
-func (f *Fabric) admit(st *fwd, l dataplane.Link, ev *event) {
-	v := f.probe.Cross(l, st.vni, st.group, ev.pkt.WireSize())
+// rebuild makes st.pkt the packet ev carries: only what a hop changes is
+// written, the base is never copied again.
+func (st *fwd) rebuild(ev *event) *dataplane.Packet {
+	st.pkt.Outer.TTL, st.pkt.Elmo, st.pkt.NoINT = ev.ttl, ev.elmo, ev.noINT
+	return &st.pkt
+}
+
+// admit reports one link crossing of p and enqueues, in compact form,
+// the copies that survive the probe's verdict — with no active
+// injector, a plain enqueue. Every directed crossing of the multicast
+// path funnels through here; the emitting tier has already counted the
+// copy's LinkBytes, so the observer sees exactly the bytes the Delivery
+// accounting sees (chaos drops included: the copy crossed the wire
+// before dying). admit never retains p.
+func (f *Fabric) admit(st *fwd, l dataplane.Link, p *dataplane.Packet) {
+	v := f.probe.Cross(l, st.vni, st.group, p.WireSize())
 	if v == (dataplane.FaultVerdict{}) {
-		st.ps.queue = append(st.ps.queue, *ev)
+		st.ps.queue = append(st.ps.queue, event{tier: l.ToTier, ttl: p.Outer.TTL, noINT: p.NoINT, id: l.To, elmo: p.Elmo})
 		return
 	}
 	if v.Drop {
 		st.d.FaultDrops++
 		return
 	}
+	ev := event{tier: l.ToTier, ttl: p.Outer.TTL, noINT: p.NoINT, id: l.To, elmo: p.Elmo}
 	if v.Corrupt {
 		st.d.FaultCorrupts++
 		// The Elmo stream aliases the sender flow's precomputed bytes;
 		// corrupt a copy so other packets (and retransmissions) are
 		// unaffected.
-		ev.pkt.Elmo = append([]byte(nil), ev.pkt.Elmo...)
-		f.probe.Corrupt(ev.pkt.Elmo)
+		ev.elmo = append([]byte(nil), ev.elmo...)
+		f.probe.Corrupt(ev.elmo)
 	}
 	copies := 1
 	if v.Duplicate {
 		copies = 2
 		st.d.FaultDups++
 		// The extra copy crosses this link too.
-		st.d.LinkBytes += ev.pkt.WireSize()
+		st.d.LinkBytes += p.WireSize()
 		st.d.Links++
 	}
 	if v.DelaySteps > 0 {
@@ -261,9 +276,9 @@ func (f *Fabric) admit(st *fwd, l dataplane.Link, ev *event) {
 	}
 	for i := 0; i < copies; i++ {
 		if v.DelaySteps > 0 {
-			st.ps.held = append(st.ps.held, heldEvent{ev: *ev, due: st.n + int(v.DelaySteps)})
+			st.ps.held = append(st.ps.held, heldEvent{ev: ev, due: st.n + int(v.DelaySteps)})
 		} else {
-			st.ps.queue = append(st.ps.queue, *ev)
+			st.ps.queue = append(st.ps.queue, ev)
 		}
 	}
 }
@@ -275,24 +290,24 @@ func (f *Fabric) Send(sender topology.HostID, a dataplane.GroupAddr, inner []byt
 	if err != nil {
 		return nil, err
 	}
-	return f.forward(sender, pkt)
+	ps := fwdPool.Get().(*procState)
+	defer fwdPool.Put(ps)
+	return f.forward(ps, sender, pkt)
 }
 
-// forward walks the packet through the fabric synchronously. With a
-// fault injector attached and active, every link crossing may drop,
-// duplicate, corrupt, or delay the copy; health probes
-// (dataplane.ProbeVNI) additionally bypass the declared-failure drops
-// so the chaos monitor can observe a physically repaired switch that
-// the controller still believes failed.
+// forward walks the packet through the fabric synchronously, with ps
+// as its working memory. With a fault injector attached and active,
+// every link crossing may drop, duplicate, corrupt, or delay the copy;
+// health probes (dataplane.ProbeVNI) additionally bypass the
+// declared-failure drops so the chaos monitor can observe a physically
+// repaired switch that the controller still believes failed.
 //
 // Host copies are delivered after the walk, in queue order: a send's
 // deliver and filter events follow its switch events, and a send that
 // fails returns before any host sees a copy.
-func (f *Fabric) forward(src topology.HostID, pkt dataplane.Packet) (*Delivery, error) {
-	ps := fwdPool.Get().(*procState)
+func (f *Fabric) forward(ps *procState, src topology.HostID, pkt dataplane.Packet) (*Delivery, error) {
 	ps.reset()
-	defer fwdPool.Put(ps)
-	st := fwd{d: new(Delivery), ps: ps}
+	st := fwd{d: new(Delivery), ps: ps, pkt: pkt}
 	d := st.d
 	if a, ok := dataplane.GroupAddrFromOuter(pkt.Outer); ok {
 		st.vni, st.group = a.VNI, a.Group
@@ -309,12 +324,7 @@ func (f *Fabric) forward(src topology.HostID, pkt dataplane.Packet) (*Delivery, 
 	// Host NIC -> leaf link.
 	d.LinkBytes += pkt.WireSize()
 	d.Links++
-	up := f.uplink(src)
-	// aev is the admit staging slot, reused for every crossing so no
-	// event literal is copied through the call (admit copies it into the
-	// queue itself).
-	aev := event{tier: up.ToTier, id: up.To, pkt: pkt}
-	f.admit(&st, up, &aev)
+	f.admit(&st, f.uplink(src), &st.pkt)
 	hostCopies := 0
 	for st.n = 0; ps.head < len(ps.queue) || len(ps.held) > 0; st.n++ {
 		if st.n >= maxEvents {
@@ -334,10 +344,7 @@ func (f *Fabric) forward(src topology.HostID, pkt dataplane.Packet) (*Delivery, 
 				continue // idle tick: everything in flight is delayed
 			}
 		}
-		// Pointer into the queue's backing array: enqueued events are
-		// never mutated, and admit's appends may move the array but the
-		// old one stays valid for the duration of this iteration.
-		ev := &ps.queue[ps.head]
+		ev := ps.queue[ps.head]
 		ps.head++
 		if ev.tier == dataplane.LinkHost {
 			// Delivered after the walk; the copy still takes its tick, so
@@ -346,7 +353,7 @@ func (f *Fabric) forward(src topology.HostID, pkt dataplane.Packet) (*Delivery, 
 			continue
 		}
 		d.Hops++
-		ems, err := f.switchAt(ev.tier, ev.id).ProcessInto(ev.pkt, &ps.scratch)
+		ems, err := f.switchAt(ev.tier, ev.id).ProcessInto(*st.rebuild(&ev), &ps.scratch)
 		if err != nil {
 			if chaos {
 				// A corrupted header is dropped where parsing fails,
@@ -366,8 +373,7 @@ func (f *Fabric) forward(src topology.HostID, pkt dataplane.Packet) (*Delivery, 
 				f.probe.Lost(l.ToTier, l.To, &em.Packet)
 				continue
 			}
-			aev = event{tier: l.ToTier, id: l.To, pkt: em.Packet}
-			f.admit(&st, l, &aev)
+			f.admit(&st, l, &em.Packet)
 		}
 	}
 	// Host copies are delivered after the walk, in queue order, into maps
@@ -376,7 +382,7 @@ func (f *Fabric) forward(src topology.HostID, pkt dataplane.Packet) (*Delivery, 
 	d.Received = make(map[topology.HostID][]byte, hostCopies)
 	for i := range ps.queue {
 		if ev := &ps.queue[i]; ev.tier == dataplane.LinkHost {
-			f.deliverHost(d, hostCopies, topology.HostID(ev.id), &ev.pkt)
+			f.deliverHost(d, hostCopies, topology.HostID(ev.id), st.rebuild(ev))
 		}
 	}
 	f.probe.Sent(dataplane.SendSample{

@@ -275,9 +275,13 @@ func BenchmarkForwardTraceOff(b *testing.B) {
 
 	b.ReportAllocs()
 	b.ResetTimer()
+	copies := 0
 	for i := 0; i < b.N; i++ {
-		if _, err := f.Send(0, addr, payload); err != nil {
+		d, err := f.Send(0, addr, payload)
+		if err != nil {
 			b.Fatal(err)
 		}
+		copies += len(d.Received)
 	}
+	reportPerCopy(b, copies)
 }
