@@ -114,10 +114,6 @@ type RecoveryStats struct {
 	SnapshotElapsed time.Duration
 	// Replayed counts WAL records applied after the snapshot.
 	Replayed int
-	// DroppedTail counts trailing records of an incomplete batch that
-	// were discarded (the batch was never acked, so dropping is
-	// correct).
-	DroppedTail int
 	// ReplayElapsed is the time spent replaying the log.
 	ReplayElapsed time.Duration
 	// LastLSN is the highest LSN recovered.
@@ -198,13 +194,8 @@ func Open(topo *topology.Topology, cfg controller.Config, opts Options) (*Durabl
 
 	// 2. Replay the log after the snapshot.
 	start := time.Now()
-	ap := recordApplier{ctrl: ctrl}
-	var pendingFirst uint64
 	last, err := wal.Replay(walDir, from, func(rec wal.Record) error {
-		if !ap.asm.pending() {
-			pendingFirst = rec.LSN
-		}
-		if err := ap.apply(rec.Data); err != nil {
+		if err := applyRecord(ctrl, rec.Data); err != nil {
 			return fmt.Errorf("lsn %d: %w", rec.LSN, err)
 		}
 		stats.Replayed++
@@ -212,21 +203,6 @@ func Open(topo *topology.Topology, cfg controller.Config, opts Options) (*Durabl
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("durable: replay: %w", err)
-	}
-	if ap.asm.pending() {
-		// The log ends inside a chunked batch: the final chunk never
-		// became durable, so the batch was never acked nor (on the
-		// crashed instance's durable prefix) applied. Dropping it
-		// logically is not enough — the surviving chunks are durable
-		// frames, and a later recovery would replay them into an error
-		// or merge them into an unrelated batch — so truncate them off
-		// the log before reopening it for append.
-		stats.Replayed -= ap.asm.recs
-		stats.DroppedTail = ap.asm.recs
-		if err := wal.TruncateFrom(walDir, pendingFirst); err != nil {
-			return nil, nil, fmt.Errorf("durable: dropping batch tail: %w", err)
-		}
-		last = pendingFirst - 1
 	}
 	stats.ReplayElapsed = time.Since(start)
 	stats.LastLSN = last
@@ -325,14 +301,13 @@ func (d *DurableController) ResyncState() (epoch uint64, state []byte, err error
 }
 
 // mutate is the log-before-apply spine every state-changing op runs
-// through: append the op's record (one chunk, or the consecutive
-// chunks of a batch), apply the op, and stream the chunks to followers
-// — all under d.mu so WAL order, apply order, and stream order coincide
-// and a half-logged batch is never applied — then wait for durability
-// OUTSIDE the lock, which lets concurrent ops share one fsync (group
-// commit). The op's own error is returned only once it is durable: a
-// failed op is logged, and fails identically on replay and followers.
-func (d *DurableController) mutate(chunks [][]byte, op OpRecord, batch controller.BatchOptions) (*controller.BatchResult, error) {
+// through: append the op's one record, apply the op, and stream the
+// record to followers — all under d.mu so WAL order, apply order, and
+// stream order coincide — then wait for durability OUTSIDE the lock,
+// which lets concurrent ops share one fsync (group commit). The op's
+// own error is returned only once it is durable: a failed op is
+// logged, and fails identically on replay and followers.
+func (d *DurableController) mutate(payload []byte, op OpRecord, batch controller.BatchOptions) (*controller.BatchResult, error) {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -343,29 +318,16 @@ func (d *DurableController) mutate(chunks [][]byte, op OpRecord, batch controlle
 		d.mu.Unlock()
 		return nil, err
 	}
-	// d.mu serializes every append to this log, so the chunks take
-	// consecutive LSNs from first on.
-	var first uint64
-	var last *wal.Ack
-	for i, c := range chunks {
-		ack, err := d.log.Append(c[0], c)
-		if err != nil {
-			d.mu.Unlock()
-			return nil, err
-		}
-		if i == 0 {
-			first = ack.LSN()
-		}
-		last = ack
+	ack, err := d.log.Append(payload[0], payload)
+	if err != nil {
+		d.mu.Unlock()
+		return nil, err
 	}
 	res, applyErr := applyOp(d.ctrl, op, batch)
-	for i, c := range chunks {
-		d.streamLocked(first+uint64(i), c)
-	}
+	d.streamLocked(ack.LSN(), payload)
 	d.mu.Unlock()
-	// Durability is prefix-closed, so the last chunk's ack covers all.
-	if err := last.Wait(); err != nil {
-		return nil, fmt.Errorf("durable: commit lsn %d: %w", last.LSN(), err)
+	if err := ack.Wait(); err != nil {
+		return nil, fmt.Errorf("durable: commit lsn %d: %w", ack.LSN(), err)
 	}
 	return res, applyErr
 }
@@ -384,46 +346,37 @@ func (d *DurableController) streamLocked(lsn uint64, payload []byte) {
 	}
 }
 
-// CreateGroup durably creates a group. A membership too large to fit
-// one streamable record is logged through the chunked batch path
-// instead (InstallBatch replay is byte-identical to CreateGroup), so
-// no single create can exceed the replication layer's record size
-// limit.
+// CreateGroup durably creates a group.
 func (d *DurableController) CreateGroup(key controller.GroupKey, members map[topology.HostID]controller.Role) error {
-	chunks := [][]byte{EncodeCreate(key, members)}
-	if len(chunks[0]) > maxChunkBytes {
-		chunks = EncodeBatchChunks([]controller.BatchSpec{{Key: key, Members: members}})
-	}
-	_, err := d.mutate(chunks, OpRecord{Type: RecCreate, Key: key, Members: members}, controller.BatchOptions{})
+	_, err := d.mutate(EncodeCreate(key, members), OpRecord{Type: RecCreate, Key: key, Members: members}, controller.BatchOptions{})
 	return err
 }
 
 // Join durably adds (or upgrades) a member.
 func (d *DurableController) Join(key controller.GroupKey, host topology.HostID, role controller.Role) error {
-	_, err := d.mutate([][]byte{EncodeMembership(RecJoin, key, host, role)},
+	_, err := d.mutate(EncodeMembership(RecJoin, key, host, role),
 		OpRecord{Type: RecJoin, Key: key, Host: host, Role: role}, controller.BatchOptions{})
 	return err
 }
 
 // Leave durably removes a member role.
 func (d *DurableController) Leave(key controller.GroupKey, host topology.HostID, role controller.Role) error {
-	_, err := d.mutate([][]byte{EncodeMembership(RecLeave, key, host, role)},
+	_, err := d.mutate(EncodeMembership(RecLeave, key, host, role),
 		OpRecord{Type: RecLeave, Key: key, Host: host, Role: role}, controller.BatchOptions{})
 	return err
 }
 
 // RemoveGroup durably deletes a group.
 func (d *DurableController) RemoveGroup(key controller.GroupKey) error {
-	_, err := d.mutate([][]byte{EncodeRemove(key)}, OpRecord{Type: RecRemove, Key: key}, controller.BatchOptions{})
+	_, err := d.mutate(EncodeRemove(key), OpRecord{Type: RecRemove, Key: key}, controller.BatchOptions{})
 	return err
 }
 
-// InstallBatch durably bulk-creates groups. The specs are chunked
-// across WAL records; the op is applied (and acked) only after every
-// chunk is enqueued, and replay drops a trailing incomplete batch, so
-// a crash mid-batch can never surface a half-applied batch.
+// InstallBatch durably bulk-creates groups. The whole batch is one WAL
+// record, so a crash mid-write leaves a torn tail that recovery drops
+// like any other: a half-applied batch can never surface.
 func (d *DurableController) InstallBatch(specs []controller.BatchSpec, opts controller.BatchOptions) (*controller.BatchResult, error) {
-	return d.mutate(EncodeBatchChunks(specs), OpRecord{Type: RecBatch, Specs: specs}, opts)
+	return d.mutate(EncodeBatch(specs), OpRecord{Type: RecBatch, Specs: specs}, opts)
 }
 
 // Heartbeat runs a liveness record (no state change) through the spine
@@ -437,7 +390,7 @@ func (d *DurableController) InstallBatch(specs []controller.BatchSpec, opts cont
 // this fires in the same round currency as the followers' Detector,
 // bounding the split-brain window to the lease budget.
 func (d *DurableController) Heartbeat() error {
-	if _, err := d.mutate([][]byte{EncodeHeartbeat(d.log.LastLSN())}, OpRecord{Type: RecHeartbeat}, controller.BatchOptions{}); err != nil {
+	if _, err := d.mutate(EncodeHeartbeat(d.log.LastLSN()), OpRecord{Type: RecHeartbeat}, controller.BatchOptions{}); err != nil {
 		return err
 	}
 	if err := d.auditLease(); err != nil {
@@ -523,24 +476,6 @@ func (d *DurableController) Close() error {
 	return d.log.Close()
 }
 
-func recName(t byte) string {
-	switch t {
-	case RecCreate:
-		return "create"
-	case RecJoin:
-		return "join"
-	case RecLeave:
-		return "leave"
-	case RecRemove:
-		return "remove"
-	case RecBatch:
-		return "batch"
-	case RecHeartbeat:
-		return "heartbeat"
-	}
-	return fmt.Sprintf("type%d", t)
-}
-
 // writeSnapshotFile writes envelope+payload to a temp file and renames
 // it into place, so a crash mid-write leaves the previous snapshot
 // intact.
@@ -585,13 +520,20 @@ func writeSnapshotFile(path string, lsn, epoch uint64, payload []byte, noSync bo
 		os.Remove(tmp)
 		return err
 	}
-	if !noSync {
-		if dir, err := os.Open(filepath.Dir(path)); err == nil {
-			_ = dir.Sync()
-			dir.Close()
-		}
+	if noSync {
+		return nil
 	}
-	return nil
+	// The rename is durable only once the directory is: until then the
+	// caller must not truncate the log the new snapshot covers.
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	if err := dir.Sync(); err != nil {
+		dir.Close()
+		return err
+	}
+	return dir.Close()
 }
 
 // readSnapshotFile validates the envelope and returns the payload, the

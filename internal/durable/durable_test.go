@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -9,7 +10,6 @@ import (
 
 	"elmo/internal/controller"
 	"elmo/internal/topology"
-	"elmo/internal/wal"
 )
 
 func durableTopo() *topology.Topology { return topology.MustNew(topology.PaperExample()) }
@@ -266,11 +266,10 @@ func TestDurableSoakCrashMidChurn(t *testing.T) {
 	}
 }
 
-func TestDurableBatchChunkReplay(t *testing.T) {
+func TestDurableBatchReplay(t *testing.T) {
 	dir := t.TempDir()
 	topo := durableTopo()
-	// Over one chunk's worth of specs so replay must reassemble.
-	n := batchChunkSpecs + 50
+	n := 306
 	specs := make([]controller.BatchSpec, 0, n)
 	for i := 0; i < n; i++ {
 		specs = append(specs, controller.BatchSpec{
@@ -289,22 +288,20 @@ func TestDurableBatchChunkReplay(t *testing.T) {
 
 	d2, stats := openTest(t, dir)
 	defer d2.Close()
-	if stats.Groups != n {
-		t.Fatalf("replayed %d groups, want %d", stats.Groups, n)
+	if stats.Groups != n || stats.Replayed != 1 {
+		t.Fatalf("replayed %d groups from %d records, want %d from 1", stats.Groups, stats.Replayed, n)
 	}
 	if got := d2.Controller().Fingerprint(); got != want {
 		t.Fatal("batch replay diverged")
 	}
 }
 
-// TestDurableDroppedBatchTailTruncated is the regression for the
-// stale-chunk bug: a crash mid-batch leaves durable RecBatch chunks
-// with no terminal chunk. Recovery must not only drop the batch
-// logically but remove the chunks from the log — otherwise the NEXT
-// recovery either fails ("interleaved with batch chunks") or merges
-// the dead chunks into a later batch, resurrecting groups that were
-// reported lost.
-func TestDurableDroppedBatchTailTruncated(t *testing.T) {
+// TestDurableTornBatchTail: a batch is one WAL record, so a crash while
+// it is being written leaves a torn tail, which recovery drops whole —
+// wherever the cut falls inside the record, none of the batch's groups
+// come back — and the log stays clean for the next op and the recovery
+// after it.
+func TestDurableTornBatchTail(t *testing.T) {
 	specsFor := func(tenant uint32, n int) []controller.BatchSpec {
 		specs := make([]controller.BatchSpec, 0, n)
 		for i := 0; i < n; i++ {
@@ -315,103 +312,73 @@ func TestDurableDroppedBatchTailTruncated(t *testing.T) {
 		}
 		return specs
 	}
-	crashMidBatch := func(t *testing.T, dir string) {
-		// Simulate the crash window: every chunk except the terminal one
-		// became durable.
-		chunks := EncodeBatchChunks(specsFor(9, batchChunkSpecs+50))
-		if len(chunks) < 2 {
-			t.Fatalf("batch encoded as %d chunks", len(chunks))
-		}
-		l, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), NoSync: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range chunks[:len(chunks)-1] {
-			if _, err := l.AppendSync(RecBatch, c); err != nil {
-				t.Fatal(err)
+	torn := specsFor(9, 306)
+	if n := len(EncodeBatch(torn)); n <= 2000 {
+		t.Fatalf("batch record is %d bytes; every cut must land inside it", n)
+	}
+	noTorn := func(t *testing.T, c *controller.Controller) {
+		t.Helper()
+		for _, k := range c.GroupKeys() {
+			if k.Tenant == 9 {
+				t.Fatalf("torn batch's group %v recovered", k)
 			}
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
 		}
 	}
-	keyA := controller.GroupKey{Tenant: 1, Group: 1}
-	keyB := controller.GroupKey{Tenant: 1, Group: 2}
-	members := map[topology.HostID]controller.Role{0: controller.RoleBoth, 40: controller.RoleReceiver}
-
-	t.Run("followed-by-single-op", func(t *testing.T) {
-		dir := t.TempDir()
-		d1, _ := openTest(t, dir)
-		if err := d1.CreateGroup(keyA, members); err != nil {
-			t.Fatal(err)
-		}
-		if err := d1.Close(); err != nil {
-			t.Fatal(err)
-		}
-		crashMidBatch(t, dir)
-
-		d2, stats := openTest(t, dir)
-		if stats.DroppedTail == 0 {
-			t.Fatal("incomplete batch tail not detected")
-		}
-		// The op that used to blow up the NEXT recovery.
-		if err := d2.CreateGroup(keyB, members); err != nil {
-			t.Fatal(err)
-		}
-		want := d2.Controller().Fingerprint()
-		if err := d2.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		d3, stats := openTest(t, dir)
-		defer d3.Close()
-		if stats.DroppedTail != 0 {
-			t.Fatalf("second recovery still drops %d records", stats.DroppedTail)
-		}
-		if got := d3.Controller().Fingerprint(); got != want {
-			t.Fatalf("fingerprint %s != %s", got, want)
-		}
-		if n := d3.Controller().NumGroups(); n != 2 {
-			t.Fatalf("recovered %d groups, want 2", n)
-		}
-	})
-
-	t.Run("followed-by-batch", func(t *testing.T) {
-		dir := t.TempDir()
-		d1, _ := openTest(t, dir)
-		if err := d1.CreateGroup(keyA, members); err != nil {
-			t.Fatal(err)
-		}
-		if err := d1.Close(); err != nil {
-			t.Fatal(err)
-		}
-		crashMidBatch(t, dir)
-
-		d2, _ := openTest(t, dir)
-		fresh := specsFor(5, 10)
-		if _, err := d2.InstallBatch(fresh, controller.BatchOptions{Workers: 1}); err != nil {
-			t.Fatal(err)
-		}
-		want := d2.Controller().Fingerprint()
-		if err := d2.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		d3, _ := openTest(t, dir)
-		defer d3.Close()
-		if got := d3.Controller().Fingerprint(); got != want {
-			t.Fatal("recovery merged dead chunks into the new batch")
-		}
-		// None of the dropped batch's tenant-9 groups may exist.
-		for _, k := range d3.Controller().GroupKeys() {
-			if k.Tenant == 9 {
-				t.Fatalf("dropped group %v resurrected", k)
+	for _, cut := range []int64{1, 100, 2000} {
+		t.Run(fmt.Sprintf("cut-%d", cut), func(t *testing.T) {
+			dir := t.TempDir()
+			d1, _ := openTest(t, dir)
+			if err := d1.CreateGroup(controller.GroupKey{Tenant: 1, Group: 1},
+				map[topology.HostID]controller.Role{0: controller.RoleBoth, 40: controller.RoleReceiver}); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if n := d3.Controller().NumGroups(); n != 1+len(fresh) {
-			t.Fatalf("recovered %d groups, want %d", n, 1+len(fresh))
-		}
-	})
+			if _, err := d1.InstallBatch(torn, controller.BatchOptions{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := d1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			segs, err := filepath.Glob(filepath.Join(dir, "wal", "*.wal"))
+			if err != nil || len(segs) == 0 {
+				t.Fatalf("no segments: %v", err)
+			}
+			last := segs[len(segs)-1]
+			fi, err := os.Stat(last)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(last, fi.Size()-cut); err != nil {
+				t.Fatal(err)
+			}
+
+			d2, stats := openTest(t, dir)
+			if stats.Replayed != 1 || stats.Groups != 1 {
+				t.Fatalf("recovered %d groups from %d records, want 1 from 1", stats.Groups, stats.Replayed)
+			}
+			noTorn(t, d2.Controller())
+			fresh := specsFor(5, 10)
+			if _, err := d2.InstallBatch(fresh, controller.BatchOptions{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+			want := d2.Controller().Fingerprint()
+			if err := d2.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			d3, stats := openTest(t, dir)
+			defer d3.Close()
+			if stats.Replayed != 2 {
+				t.Fatalf("second recovery replayed %d records, want 2", stats.Replayed)
+			}
+			if got := d3.Controller().Fingerprint(); got != want {
+				t.Fatalf("fingerprint %s != %s", got, want)
+			}
+			noTorn(t, d3.Controller())
+			if n := d3.Controller().NumGroups(); n != 1+len(fresh) {
+				t.Fatalf("recovered %d groups, want %d", n, 1+len(fresh))
+			}
+		})
+	}
 }
 
 // TestDurableConcurrentSnapshots races Snapshot calls against live

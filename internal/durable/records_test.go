@@ -47,45 +47,27 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBatchChunking(t *testing.T) {
-	n := batchChunkSpecs*2 + 10
-	specs := make([]controller.BatchSpec, 0, n)
-	for i := 0; i < n; i++ {
-		specs = append(specs, controller.BatchSpec{
-			Key: controller.GroupKey{Tenant: 1, Group: uint32(i + 1)},
-			Members: map[topology.HostID]controller.Role{
-				topology.HostID(i % 64): controller.RoleBoth,
-			},
-		})
-	}
-	chunks := EncodeBatchChunks(specs)
-	if len(chunks) != 3 {
-		t.Fatalf("%d chunks for %d specs", len(chunks), len(specs))
-	}
-	var joined []controller.BatchSpec
-	for i, c := range chunks {
-		rec, err := DecodeRecord(c)
+// TestBatchRoundTrip: a batch of any size — none, one or hundreds of
+// specs — is one record that decodes to exactly its specs.
+func TestBatchRoundTrip(t *testing.T) {
+	for _, n := range []int{0, 1, 522} {
+		specs := make([]controller.BatchSpec, 0, n)
+		for i := 0; i < n; i++ {
+			specs = append(specs, controller.BatchSpec{
+				Key: controller.GroupKey{Tenant: 1, Group: uint32(i + 1)},
+				Members: map[topology.HostID]controller.Role{
+					topology.HostID(i % 64):        controller.RoleBoth,
+					topology.HostID((i + 13) % 64): controller.RoleReceiver,
+				},
+			})
+		}
+		rec, err := DecodeRecord(EncodeBatch(specs))
 		if err != nil {
-			t.Fatalf("chunk %d: %v", i, err)
+			t.Fatalf("%d specs: %v", n, err)
 		}
-		wantMore := i < len(chunks)-1
-		if rec.More != wantMore {
-			t.Fatalf("chunk %d more=%v, want %v", i, rec.More, wantMore)
+		if rec.Type != RecBatch || !reflect.DeepEqual(rec.Specs, specs) {
+			t.Fatalf("%d specs decoded as %d specs of type %d", n, len(rec.Specs), rec.Type)
 		}
-		joined = append(joined, rec.Specs...)
-	}
-	if !reflect.DeepEqual(joined, specs) {
-		t.Fatal("reassembled specs differ")
-	}
-
-	// Empty batch still encodes one terminal chunk.
-	chunks = EncodeBatchChunks(nil)
-	if len(chunks) != 1 {
-		t.Fatalf("empty batch encoded as %d chunks", len(chunks))
-	}
-	rec, err := DecodeRecord(chunks[0])
-	if err != nil || rec.More || len(rec.Specs) != 0 {
-		t.Fatalf("empty chunk decoded as %+v, %v", rec, err)
 	}
 }
 
@@ -98,7 +80,7 @@ func TestDecodeRecordRejectsCorruptInput(t *testing.T) {
 		"truncated":    valid[:len(valid)-1],
 		"trailing":     append(append([]byte{}, valid...), 0xcc),
 		"huge count":   {RecCreate, 0, 0, 0, 1, 0, 0, 0, 2, 0xff, 0xff, 0xff, 0xff, 0x0f},
-		"bad more":     {RecBatch, 7, 0},
+		"spec overrun": {RecBatch, 7, 0},
 	}
 	for name, b := range bad {
 		if _, err := DecodeRecord(b); err == nil {
@@ -114,11 +96,11 @@ func TestDecodeRecordRejectsCorruptInput(t *testing.T) {
 	}
 }
 
-// TestBatchChunkingByteBound drives memberships large enough that the
-// spec-count cap alone would overflow the replication layer's record
-// size limit: every chunk must stay streamable as an rsm command, and
-// a single spec larger than one chunk must split across continuation
-// chunks and reassemble to the exact original membership.
+// TestBatchChunkingByteBound drives batches whose one record is larger
+// than a 16-bit length can say, the size that once forced a batch to be
+// cut into pieces: each must ride one rsm command verbatim and decode
+// to the exact original specs, a giant membership between small ones
+// included.
 func TestBatchChunkingByteBound(t *testing.T) {
 	bigMembers := func(n, base int) map[topology.HostID]controller.Role {
 		m := make(map[topology.HostID]controller.Role, n)
@@ -132,8 +114,6 @@ func TestBatchChunkingByteBound(t *testing.T) {
 		specs []controller.BatchSpec
 	}{
 		{"many-medium-specs", func() []controller.BatchSpec {
-			// 200 specs x ~2000 bytes: fits the count cap, busts the old
-			// single-chunk byte budget many times over.
 			var specs []controller.BatchSpec
 			for i := 0; i < 200; i++ {
 				specs = append(specs, controller.BatchSpec{
@@ -145,7 +125,7 @@ func TestBatchChunkingByteBound(t *testing.T) {
 		}()},
 		{"one-giant-spec", []controller.BatchSpec{{
 			Key:     controller.GroupKey{Tenant: 2, Group: 7},
-			Members: bigMembers(20000, 0),
+			Members: bigMembers(25000, 0),
 		}}},
 		{"giant-between-small", []controller.BatchSpec{
 			{Key: controller.GroupKey{Tenant: 3, Group: 1}, Members: bigMembers(3, 0)},
@@ -155,80 +135,37 @@ func TestBatchChunkingByteBound(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			chunks := EncodeBatchChunks(tc.specs)
-			var asm batchAssembler
-			for i, c := range chunks {
-				if len(c) > maxChunkBytes+64 {
-					t.Fatalf("chunk %d is %d bytes, bound %d", i, len(c), maxChunkBytes)
-				}
-				// The payload must survive the replication layer verbatim.
-				if _, err := (rsm.Command{Op: rsm.OpApply, Value: string(c)}).Marshal(); err != nil {
-					t.Fatalf("chunk %d not streamable: %v", i, err)
-				}
-				rec, err := DecodeRecord(c)
-				if err != nil {
-					t.Fatalf("chunk %d: %v", i, err)
-				}
-				if wantMore := i < len(chunks)-1; rec.More != wantMore {
-					t.Fatalf("chunk %d more=%v, want %v", i, rec.More, wantMore)
-				}
-				if err := asm.add(rec); err != nil {
-					t.Fatalf("chunk %d: %v", i, err)
-				}
+			b := EncodeBatch(tc.specs)
+			if len(b) <= 0xffff {
+				t.Fatalf("batch encodes to %d bytes; not past a 16-bit length", len(b))
 			}
-			if !reflect.DeepEqual(asm.specs, tc.specs) {
-				t.Fatalf("reassembled %d specs differ from %d input specs", len(asm.specs), len(tc.specs))
+			wire, err := (rsm.Command{Op: rsm.OpApply, Value: string(b)}).Marshal()
+			if err != nil {
+				t.Fatalf("%d-byte record not streamable: %v", len(b), err)
+			}
+			cmd, err := rsm.UnmarshalCommand(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cmd.Value != string(b) {
+				t.Fatalf("record of %d bytes came back as %d bytes", len(b), len(cmd.Value))
+			}
+			rec, err := DecodeRecord([]byte(cmd.Value))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Type != RecBatch || !reflect.DeepEqual(rec.Specs, tc.specs) {
+				t.Fatalf("decoded %d specs of type %d differ from %d input specs", len(rec.Specs), rec.Type, len(tc.specs))
 			}
 		})
-	}
-}
-
-// TestBatchAssemblerRejectsBadContinuation covers the stream-corruption
-// guards: a continuation with nothing before it, and one whose key
-// does not match the spec it claims to continue.
-func TestBatchAssemblerRejectsBadContinuation(t *testing.T) {
-	split := EncodeBatchChunks([]controller.BatchSpec{{
-		Key: controller.GroupKey{Tenant: 1, Group: 1},
-		Members: func() map[topology.HostID]controller.Role {
-			m := make(map[topology.HostID]controller.Role)
-			for i := 0; i < 30000; i++ {
-				m[topology.HostID(i)] = controller.RoleReceiver
-			}
-			return m
-		}(),
-	}})
-	if len(split) < 2 {
-		t.Fatalf("giant spec encoded as %d chunks", len(split))
-	}
-	cont, err := DecodeRecord(split[1])
-	if err != nil || !cont.Cont {
-		t.Fatalf("second chunk not a continuation: %+v, %v", cont, err)
-	}
-
-	var orphan batchAssembler
-	if err := orphan.add(cont); err == nil {
-		t.Fatal("continuation without predecessor accepted")
-	}
-
-	var wrongKey batchAssembler
-	first, err := DecodeRecord(split[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	first.Specs[len(first.Specs)-1].Key = controller.GroupKey{Tenant: 9, Group: 9}
-	if err := wrongKey.add(first); err != nil {
-		t.Fatal(err)
-	}
-	if err := wrongKey.add(cont); err == nil {
-		t.Fatal("continuation with mismatched key accepted")
 	}
 }
 
 // FuzzApplyRecord pushes arbitrary bytes through DecodeRecord and the
 // one record applier onto a small follower that already holds a group:
 // whatever a log or stream carries — hosts outside the topology, roles
-// with unknown bits, dangling batch chunks — is an error or a failed
-// op, never a panic in recovery or on a standby.
+// with unknown bits, batches naming an existing group — is an error or
+// a failed op, never a panic in recovery or on a standby.
 func FuzzApplyRecord(f *testing.F) {
 	key := controller.GroupKey{Tenant: 7, Group: 42}
 	members := map[topology.HostID]controller.Role{
@@ -240,12 +177,10 @@ func FuzzApplyRecord(f *testing.F) {
 	f.Add(EncodeMembership(RecLeave, key, 17, controller.RoleReceiver))
 	f.Add(EncodeRemove(key))
 	f.Add(EncodeHeartbeat(12345))
-	for _, c := range EncodeBatchChunks([]controller.BatchSpec{
+	f.Add(EncodeBatch([]controller.BatchSpec{
 		{Key: controller.GroupKey{Tenant: 7, Group: 43}, Members: members},
 		{Key: controller.GroupKey{Tenant: 7, Group: 44}, Members: members},
-	}) {
-		f.Add(c)
-	}
+	}))
 	f.Add(EncodeCreate(controller.GroupKey{Tenant: 7, Group: 45},
 		map[topology.HostID]controller.Role{0: controller.RoleSender, 99999: controller.RoleReceiver}))
 	f.Add(EncodeMembership(RecJoin, key, 99999, controller.RoleReceiver))

@@ -24,7 +24,7 @@ import (
 // Follower maintains a warm standby controller by applying streamed
 // WAL records in order.
 type Follower struct {
-	ap      recordApplier
+	ctrl    *controller.Controller
 	records int
 	epoch   uint64 // highest leadership epoch seen in the stream
 }
@@ -35,7 +35,7 @@ func NewFollower(topo *topology.Topology, cfg controller.Config) (*Follower, err
 	if err != nil {
 		return nil, err
 	}
-	return &Follower{ap: recordApplier{ctrl: ctrl}}, nil
+	return &Follower{ctrl: ctrl}, nil
 }
 
 // NewFollowerFromState builds a warm standby pre-seeded with a
@@ -48,7 +48,7 @@ func NewFollowerFromState(topo *topology.Topology, cfg controller.Config, epoch 
 	if err != nil {
 		return nil, err
 	}
-	if err := f.ap.ctrl.ReadState(bytes.NewReader(state)); err != nil {
+	if err := f.ctrl.ReadState(bytes.NewReader(state)); err != nil {
 		return nil, fmt.Errorf("durable: resync state: %w", err)
 	}
 	f.epoch = epoch
@@ -56,14 +56,14 @@ func NewFollowerFromState(topo *topology.Topology, cfg controller.Config, epoch 
 }
 
 // Apply consumes one replicated WAL record payload stamped with the
-// proposing leader's epoch, through the same recordApplier crash
+// proposing leader's epoch, through the same applyRecord crash
 // recovery uses. Stale-epoch records never reach this hook — the rsm
 // replica fences them first.
 func (f *Follower) Apply(epoch uint64, payload []byte) error {
 	if epoch > f.epoch {
 		f.epoch = epoch
 	}
-	if err := f.ap.apply(payload); err != nil {
+	if err := applyRecord(f.ctrl, payload); err != nil {
 		return err
 	}
 	f.records++
@@ -72,7 +72,7 @@ func (f *Follower) Apply(epoch uint64, payload []byte) error {
 
 // Controller exposes the standby state (for fingerprint checks and
 // promotion).
-func (f *Follower) Controller() *controller.Controller { return f.ap.ctrl }
+func (f *Follower) Controller() *controller.Controller { return f.ctrl }
 
 // Records reports how many stream records this follower has applied.
 func (f *Follower) Records() int { return f.records }
@@ -229,8 +229,7 @@ func (d *Detector) Misses() int { return d.misses }
 // epoch — one above the highest the standby saw in the old leader's
 // stream — and records it durably in the snapshot envelope and every
 // subsequent WAL frame, so the new leader's installs fence the old
-// one's everywhere they meet. A trailing incomplete batch in the
-// stream is discarded (it was never acked by the old leader).
+// one's everywhere they meet.
 // opts.Dir must be a fresh directory: the snapshot is written at LSN
 // 0, so one already holding WAL segments (e.g. the dead leader's)
 // would replay stale records from LSN 1 on top of the standby state —
@@ -249,9 +248,8 @@ func Promote(f *Follower, opts Options) (*DurableController, *RecoveryStats, err
 	} else if !os.IsNotExist(err) {
 		return nil, nil, err
 	}
-	f.ap.asm.reset()
 	var buf bytes.Buffer
-	if err := f.ap.ctrl.WriteState(&buf); err != nil {
+	if err := f.ctrl.WriteState(&buf); err != nil {
 		return nil, nil, err
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -260,5 +258,5 @@ func Promote(f *Follower, opts Options) (*DurableController, *RecoveryStats, err
 	if err := writeSnapshotFile(filepath.Join(opts.Dir, snapshotFile), 0, opts.Epoch, buf.Bytes(), opts.NoSync); err != nil {
 		return nil, nil, err
 	}
-	return Open(f.ap.ctrl.Topology(), f.ap.ctrl.Config(), opts)
+	return Open(f.ctrl.Topology(), f.ctrl.Config(), opts)
 }

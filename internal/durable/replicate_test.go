@@ -263,14 +263,15 @@ func TestOutOfRangeHostIsNotAPoisonPill(t *testing.T) {
 }
 
 // TestReplicateOversizedCreate is the regression for the record-size
-// divergence: one CreateGroup whose membership encodes past the rsm
-// command limit used to fail the propose, silently latch the stream
-// off, and leave followers permanently stale. It must now be chunked,
-// replicate cleanly, and recover to the same fingerprint after a
-// crash. Recovery and the follower consume the identical record
-// stream — a cont-split chunked create, the same create failing as a
-// duplicate, a create naming a host outside the topology, a join —
-// through one applier, so both must land on the leader's fingerprint.
+// divergence: one CreateGroup whose membership encodes past 64 KiB
+// used to fail the propose, silently latch the stream off, and leave
+// followers permanently stale. Records of any size must now replicate
+// cleanly and recover to the same fingerprint after a crash. Recovery
+// and the follower consume the identical record stream — the big
+// create, the same create failing as a duplicate, a create naming a
+// host outside the topology, a join, a 200-spec batch of 500 members
+// each — through one applier, so both must land on the leader's
+// fingerprint.
 func TestReplicateOversizedCreate(t *testing.T) {
 	bigTopo := topology.MustNew(topology.TwoTierLeafSpine(4, 96, 256)) // 24576 hosts
 	bigCfg := controller.PaperConfig(0)
@@ -306,15 +307,14 @@ func TestReplicateOversizedCreate(t *testing.T) {
 	for h := 1; h < bigTopo.NumHosts(); h++ {
 		members[topology.HostID(h)] = controller.RoleReceiver
 	}
-	if n := len(EncodeCreate(controller.GroupKey{Tenant: 1, Group: 1}, members)); n <= maxChunkBytes {
+	if n := len(EncodeCreate(controller.GroupKey{Tenant: 1, Group: 1}, members)); n <= 1<<16 {
 		t.Fatalf("test membership encodes to %d bytes; not oversized", n)
 	}
 	if err := dc.CreateGroup(controller.GroupKey{Tenant: 1, Group: 1}, members); err != nil {
 		t.Fatal(err)
 	}
-	// Failing ops are logged and streamed like any other: the leader
-	// fails them in CreateGroup, replay and followers in the chunked
-	// batch path or the same CreateGroup.
+	// Failing ops are logged and streamed like any other: the leader,
+	// replay and followers all fail them in the same CreateGroup.
 	if err := dc.CreateGroup(controller.GroupKey{Tenant: 1, Group: 1}, members); err == nil {
 		t.Fatal("duplicate oversized create succeeded")
 	}
@@ -326,6 +326,21 @@ func TestReplicateOversizedCreate(t *testing.T) {
 	// A normal op after the big one: the stream must still be alive.
 	if err := dc.Join(controller.GroupKey{Tenant: 1, Group: 1}, 0, controller.RoleBoth); err != nil {
 		t.Fatal(err)
+	}
+	// Many medium specs: one record of about 300 KB.
+	specs := make([]controller.BatchSpec, 0, 200)
+	for i := 0; i < 200; i++ {
+		m := make(map[topology.HostID]controller.Role, 500)
+		for j := 0; j < 500; j++ {
+			m[topology.HostID(i+j)] = controller.Role(1 + j%3)
+		}
+		specs = append(specs, controller.BatchSpec{Key: controller.GroupKey{Tenant: 3, Group: uint32(i + 1)}, Members: m})
+	}
+	if _, err := dc.InstallBatch(specs, controller.BatchOptions{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if n := dc.Controller().NumGroups(); n != 1+len(specs) {
+		t.Fatalf("leader holds %d groups, want %d", n, 1+len(specs))
 	}
 	if err := rs.Sync(); err != nil {
 		t.Fatal(err)
@@ -341,7 +356,7 @@ func TestReplicateOversizedCreate(t *testing.T) {
 		t.Fatalf("follower fingerprint %s != leader %s", got, want)
 	}
 
-	// And the WAL round-trips the chunked create on recovery.
+	// And the WAL round-trips the same records on recovery.
 	d2, _, err := Open(bigTopo, bigCfg, Options{Dir: dir, NoSync: true})
 	if err != nil {
 		t.Fatal(err)

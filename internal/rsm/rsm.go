@@ -54,32 +54,32 @@ type Command struct {
 	Value string
 }
 
-// Marshal encodes the command: op(1) | epoch(8) | length-prefixed
-// key and value.
+// Marshal encodes the command: op(1) | epoch(8) | keyLen(2) | key |
+// value. The value runs to the end of the command, so it needs no
+// length prefix and has no cap: a whole WAL record rides in one.
 func (c Command) Marshal() ([]byte, error) {
 	if !validOp(c.Op) {
 		return nil, fmt.Errorf("rsm: unknown op %d", c.Op)
 	}
-	if len(c.Key) > 0xffff || len(c.Value) > 0xffff {
-		return nil, fmt.Errorf("rsm: key/value too long")
+	if len(c.Key) > 0xffff {
+		return nil, fmt.Errorf("rsm: key too long")
 	}
-	b := make([]byte, 0, 13+len(c.Key)+len(c.Value))
+	b := make([]byte, 0, 11+len(c.Key)+len(c.Value))
 	b = append(b, byte(c.Op))
 	b = binary.BigEndian.AppendUint64(b, c.Epoch)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(c.Key)))
 	b = append(b, c.Key...)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(c.Value)))
 	b = append(b, c.Value...)
 	return b, nil
 }
 
-// UnmarshalCommand decodes a command. It is strict: every byte of b
-// must be consumed, so Marshal∘UnmarshalCommand is the identity on
-// valid commands and any framing slip (trailing garbage, truncation)
-// surfaces as an error instead of silent data loss.
+// UnmarshalCommand decodes a command. It is strict: the op must be
+// known and the key must fit, so Marshal∘UnmarshalCommand is the
+// identity on valid commands and a truncated header or key surfaces as
+// an error instead of silent data loss.
 func UnmarshalCommand(b []byte) (Command, error) {
 	var c Command
-	if len(b) < 13 {
+	if len(b) < 11 {
 		return c, fmt.Errorf("rsm: short command")
 	}
 	c.Op = Op(b[0])
@@ -88,18 +88,11 @@ func UnmarshalCommand(b []byte) (Command, error) {
 	}
 	c.Epoch = binary.BigEndian.Uint64(b[1:])
 	kl := int(binary.BigEndian.Uint16(b[9:]))
-	if 11+kl+2 > len(b) {
+	if 11+kl > len(b) {
 		return c, fmt.Errorf("rsm: truncated key")
 	}
 	c.Key = string(b[11 : 11+kl])
-	vl := int(binary.BigEndian.Uint16(b[11+kl:]))
-	if 13+kl+vl > len(b) {
-		return c, fmt.Errorf("rsm: truncated value")
-	}
-	if 13+kl+vl != len(b) {
-		return c, fmt.Errorf("rsm: %d trailing bytes after command", len(b)-(13+kl+vl))
-	}
-	c.Value = string(b[13+kl : 13+kl+vl])
+	c.Value = string(b[11+kl:])
 	return c, nil
 }
 

@@ -154,16 +154,17 @@ func Open(opts Options) (*Log, error) {
 	}
 	if len(segs) > 0 {
 		last := segs[len(segs)-1]
-		lastLSN, lastEpoch, validLen, err := scanSegment(filepath.Join(opts.Dir, last.name), last.first, true)
+		lastLSN, lastEpoch, validLen, err := walkSegment(filepath.Join(opts.Dir, last.name), last.first, 0, true, nil)
 		if err != nil {
 			return nil, err
 		}
 		if lastLSN == 0 {
-			// An emptied tail segment (TruncateFrom) holds no frames and
-			// therefore no epoch; walk earlier segments so a reopen can
-			// never stamp a lower epoch than what is already durable.
+			// A crash between rotate creating the tail segment and its
+			// first whole frame leaves a tail with no frames and therefore
+			// no epoch; walk earlier segments so a reopen can never stamp a
+			// lower epoch than what is already durable.
 			for i := len(segs) - 2; i >= 0; i-- {
-				pLSN, pEpoch, _, err := scanSegment(filepath.Join(opts.Dir, segs[i].name), segs[i].first, false)
+				pLSN, pEpoch, _, err := walkSegment(filepath.Join(opts.Dir, segs[i].name), segs[i].first, 0, false, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -315,80 +316,6 @@ func (l *Log) TruncateThrough(lsn uint64) (int, error) {
 	return removed, nil
 }
 
-// TruncateFrom physically removes every record with LSN >= lsn from
-// the log directory: segments starting at or after lsn are deleted,
-// and the segment containing lsn is cut at lsn's frame boundary. The
-// segment whose first LSN equals lsn is truncated to zero length
-// rather than removed, so a subsequent Open resumes assigning LSNs at
-// lsn instead of restarting from 1. Recovery uses this to drop a
-// trailing incomplete batch whose chunks are durable but were never
-// acked — leaving them on disk would let a later replay merge them
-// into unrelated records. Must be called while no Log owns the
-// directory (i.e. before Open).
-func TruncateFrom(dir string, lsn uint64) error {
-	segs, err := listSegments(dir)
-	if err != nil {
-		return err
-	}
-	for i := len(segs) - 1; i >= 0; i-- {
-		seg := segs[i]
-		path := filepath.Join(dir, seg.name)
-		switch {
-		case seg.first > lsn:
-			if err := os.Remove(path); err != nil {
-				return fmt.Errorf("wal: %w", err)
-			}
-		case seg.first == lsn:
-			if err := os.Truncate(path, 0); err != nil {
-				return fmt.Errorf("wal: %w", err)
-			}
-			return nil
-		default:
-			off, err := frameOffset(path, seg.first, lsn)
-			if err != nil {
-				return err
-			}
-			if err := os.Truncate(path, off); err != nil {
-				return fmt.Errorf("wal: %w", err)
-			}
-			return nil
-		}
-	}
-	return fmt.Errorf("wal: truncate from lsn %d: no segment contains it", lsn)
-}
-
-// frameOffset scans a segment for the byte offset where lsn's frame
-// begins (== where valid earlier frames end). lsn one past the last
-// frame is accepted and returns the end of valid data.
-func frameOffset(path string, first, lsn uint64) (int64, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
-	}
-	want := first
-	off := int64(0)
-	for int64(len(buf))-off >= frameHeader {
-		if want == lsn {
-			return off, nil
-		}
-		rest := buf[off:]
-		size := binary.BigEndian.Uint32(rest[4:8])
-		got := binary.BigEndian.Uint64(rest[8:16])
-		frameLen := int64(frameHeader) + int64(size)
-		ok := size >= 1 && int64(len(rest)) >= frameLen && got == want &&
-			binary.BigEndian.Uint32(rest[0:4]) == crc32.Checksum(rest[4:frameLen], castagnoli)
-		if !ok {
-			break
-		}
-		want = got + 1
-		off += frameLen
-	}
-	if want == lsn {
-		return off, nil
-	}
-	return 0, fmt.Errorf("wal: lsn %d not found in %s", lsn, filepath.Base(path))
-}
-
 // segment is one discovered segment file.
 type segment struct {
 	name  string
@@ -425,52 +352,59 @@ func segmentName(first uint64) string {
 	return fmt.Sprintf("%016d%s", first, segmentSuffix)
 }
 
-// scanSegment walks one segment validating frames. It returns the last
-// valid LSN (0 if the segment holds no valid record), the last epoch
-// seen, and the byte offset where valid data ends. With tolerateTail,
-// an invalid frame ends the scan cleanly (crash tail); otherwise it is
-// an error. An epoch regression between valid frames is always an
-// error: writers stamp a fixed epoch per log lifetime, so a decrease
-// means the directory was shared by two leaders out of order.
-func scanSegment(path string, first uint64, tolerateTail bool) (lastLSN, lastEpoch uint64, validLen int64, err error) {
+// walkSegment validates one segment's frames in order: CRC, LSNs
+// contiguous from first, and epochs never below prevEpoch nor below one
+// another (writers stamp a fixed epoch per log lifetime, so a decrease
+// means two leaders shared the directory out of order — split-brain
+// residue, never a torn tail). fn, when non-nil, sees every valid frame.
+// It returns the last valid LSN (0 if the segment holds none), the last
+// epoch seen (prevEpoch if none), and the byte offset where valid frames
+// end. In the final segment an invalid frame ends the walk cleanly — a
+// torn tail, never acked; anywhere else it is corruption.
+func walkSegment(path string, first, prevEpoch uint64, final bool, fn func(Record) error) (last, epoch uint64, validLen int64, err error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("wal: %w", err)
 	}
+	epoch = prevEpoch
 	want := first
 	off := int64(0)
 	for int64(len(buf))-off >= frameHeader {
 		rest := buf[off:]
 		size := binary.BigEndian.Uint32(rest[4:8])
 		lsn := binary.BigEndian.Uint64(rest[8:16])
-		epoch := binary.BigEndian.Uint64(rest[16:24])
+		frameEpoch := binary.BigEndian.Uint64(rest[16:24])
 		frameLen := int64(frameHeader) + int64(size)
 		ok := size >= 1 && int64(len(rest)) >= frameLen && lsn == want &&
 			binary.BigEndian.Uint32(rest[0:4]) == crc32.Checksum(rest[4:frameLen], castagnoli)
 		if !ok {
-			if tolerateTail {
-				return lastLSN, lastEpoch, off, nil
+			if final {
+				return last, epoch, off, nil
 			}
 			return 0, 0, 0, fmt.Errorf("wal: corrupt frame at %s+%d (lsn %d expected)", filepath.Base(path), off, want)
 		}
-		if epoch < lastEpoch {
-			return 0, 0, 0, fmt.Errorf("wal: epoch regression %d -> %d at %s+%d", lastEpoch, epoch, filepath.Base(path), off)
+		if frameEpoch < epoch {
+			return 0, 0, 0, fmt.Errorf("wal: epoch regression %d -> %d at %s+%d", epoch, frameEpoch, filepath.Base(path), off)
 		}
-		lastLSN = lsn
-		lastEpoch = epoch
-		want = lsn + 1
+		if fn != nil {
+			if err := fn(Record{LSN: lsn, Epoch: frameEpoch, Type: rest[24], Data: rest[25:frameLen]}); err != nil {
+				return 0, 0, 0, err
+			}
+		}
+		last, epoch, want = lsn, frameEpoch, lsn+1
 		off += frameLen
 	}
-	if off < int64(len(buf)) && !tolerateTail {
+	if off < int64(len(buf)) && !final {
 		return 0, 0, 0, fmt.Errorf("wal: trailing garbage at %s+%d", filepath.Base(path), off)
 	}
-	return lastLSN, lastEpoch, off, nil
+	return last, epoch, off, nil
 }
 
 // Replay streams every record with LSN >= from, in order, to fn. A torn
 // tail in the final segment ends replay cleanly (those records were
-// never acked); corruption anywhere else, or a gap in the LSN
-// sequence, is an error. fn's Record.Data aliases an internal buffer.
+// never acked); corruption anywhere else, a gap in the LSN sequence, or
+// an epoch regression across the log is an error. fn's Record.Data
+// aliases an internal buffer.
 func Replay(dir string, from uint64, fn func(Record) error) (last uint64, err error) {
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -479,8 +413,14 @@ func Replay(dir string, from uint64, fn func(Record) error) (last uint64, err er
 		}
 		return 0, err
 	}
-	var want uint64      // next expected LSN; 0 until the first record
-	var prevEpoch uint64 // epochs must be non-decreasing across the log
+	var want uint64  // next expected LSN; 0 until the first record
+	var epoch uint64 // epochs must be non-decreasing across the log
+	fromOn := func(r Record) error {
+		if r.LSN < from {
+			return nil
+		}
+		return fn(r)
+	}
 	for si, seg := range segs {
 		// Skip segments that end before from: segment i ends at
 		// segs[i+1].first-1.
@@ -489,47 +429,16 @@ func Replay(dir string, from uint64, fn func(Record) error) (last uint64, err er
 			last = segs[si+1].first - 1
 			continue
 		}
-		final := si == len(segs)-1
-		buf, err := os.ReadFile(filepath.Join(dir, seg.name))
-		if err != nil {
-			return last, fmt.Errorf("wal: %w", err)
-		}
 		if want != 0 && seg.first != want {
 			return last, fmt.Errorf("wal: gap before %s: expected lsn %d", seg.name, want)
 		}
-		want = seg.first
-		off := int64(0)
-		for int64(len(buf))-off >= frameHeader {
-			rest := buf[off:]
-			size := binary.BigEndian.Uint32(rest[4:8])
-			lsn := binary.BigEndian.Uint64(rest[8:16])
-			epoch := binary.BigEndian.Uint64(rest[16:24])
-			frameLen := int64(frameHeader) + int64(size)
-			ok := size >= 1 && int64(len(rest)) >= frameLen && lsn == want &&
-				binary.BigEndian.Uint32(rest[0:4]) == crc32.Checksum(rest[4:frameLen], castagnoli)
-			if !ok {
-				if final {
-					return last, nil // torn tail: clean end of log
-				}
-				return last, fmt.Errorf("wal: corrupt frame at %s+%d", seg.name, off)
-			}
-			if epoch < prevEpoch {
-				// A checksummed frame from an older leadership term after
-				// a newer one is split-brain residue, never a torn tail.
-				return last, fmt.Errorf("wal: epoch regression %d -> %d at %s+%d", prevEpoch, epoch, seg.name, off)
-			}
-			prevEpoch = epoch
-			if lsn >= from {
-				if err := fn(Record{LSN: lsn, Epoch: epoch, Type: rest[24], Data: rest[25:frameLen]}); err != nil {
-					return last, err
-				}
-			}
-			last = lsn
-			want = lsn + 1
-			off += frameLen
+		segLast, segEpoch, _, err := walkSegment(filepath.Join(dir, seg.name), seg.first, epoch, si == len(segs)-1, fromOn)
+		if err != nil {
+			return last, err
 		}
-		if off < int64(len(buf)) && !final {
-			return last, fmt.Errorf("wal: trailing garbage at %s+%d", seg.name, off)
+		epoch, want = segEpoch, seg.first
+		if segLast > 0 {
+			last, want = segLast, segLast+1
 		}
 	}
 	return last, nil

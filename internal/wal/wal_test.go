@@ -365,167 +365,6 @@ func TestMetricsCounters(t *testing.T) {
 	}
 }
 
-// TestTruncateFrom cuts the log at several positions — mid-segment, at
-// a segment's first LSN, and at the live tail — and checks replay
-// stops exactly before the cut while appends resume at the cut LSN.
-func TestTruncateFrom(t *testing.T) {
-	build := func(t *testing.T) string {
-		dir := t.TempDir()
-		l := openTest(t, dir, Options{SegmentBytes: 256}) // force several segments
-		appendN(t, l, 0, 40)
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		segs, err := listSegments(dir)
-		if err != nil || len(segs) < 3 {
-			t.Fatalf("want >=3 segments, got %d (%v)", len(segs), err)
-		}
-		return dir
-	}
-
-	t.Run("mid-segment", func(t *testing.T) {
-		dir := build(t)
-		if err := TruncateFrom(dir, 25); err != nil {
-			t.Fatal(err)
-		}
-		recs := collect(t, dir, 1)
-		if len(recs) != 24 || recs[len(recs)-1].LSN != 24 {
-			t.Fatalf("replay after cut: %d records, last %d", len(recs), recs[len(recs)-1].LSN)
-		}
-		l := openTest(t, dir, Options{SegmentBytes: 256})
-		defer l.Close()
-		if got := l.NextLSN(); got != 25 {
-			t.Fatalf("NextLSN = %d, want 25", got)
-		}
-		appendN(t, l, 100, 3)
-		if got := l.LastLSN(); got != 27 {
-			t.Fatalf("LastLSN after re-append = %d, want 27", got)
-		}
-	})
-
-	t.Run("segment-first", func(t *testing.T) {
-		dir := build(t)
-		segs, err := listSegments(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cut := segs[len(segs)-1].first
-		if err := TruncateFrom(dir, cut); err != nil {
-			t.Fatal(err)
-		}
-		recs := collect(t, dir, 1)
-		if uint64(len(recs)) != cut-1 {
-			t.Fatalf("replay after cut at %d: %d records", cut, len(recs))
-		}
-		l := openTest(t, dir, Options{SegmentBytes: 256})
-		defer l.Close()
-		// The emptied segment keeps the LSN base: appends resume at cut,
-		// not at 1.
-		if got := l.NextLSN(); got != cut {
-			t.Fatalf("NextLSN = %d, want %d", got, cut)
-		}
-	})
-
-	t.Run("one-past-tail-is-noop", func(t *testing.T) {
-		dir := build(t)
-		if err := TruncateFrom(dir, 41); err != nil {
-			t.Fatal(err)
-		}
-		if recs := collect(t, dir, 1); len(recs) != 40 {
-			t.Fatalf("no-op cut lost records: %d", len(recs))
-		}
-	})
-
-	t.Run("missing-lsn-is-error", func(t *testing.T) {
-		dir := build(t)
-		if err := TruncateFrom(dir, 99); err == nil {
-			t.Fatal("cut past the log accepted")
-		}
-	})
-
-	// Cut exactly at a middle segment's first LSN: that segment is
-	// emptied (keeping the LSN base), every later segment is deleted.
-	t.Run("middle-segment-boundary", func(t *testing.T) {
-		dir := build(t)
-		segs, err := listSegments(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cut := segs[1].first
-		if err := TruncateFrom(dir, cut); err != nil {
-			t.Fatal(err)
-		}
-		after, err := listSegments(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(after) != 2 {
-			t.Fatalf("segments after boundary cut = %d, want 2 (head + emptied base)", len(after))
-		}
-		recs := collect(t, dir, 1)
-		if uint64(len(recs)) != cut-1 {
-			t.Fatalf("replay after cut at %d: %d records", cut, len(recs))
-		}
-		l := openTest(t, dir, Options{SegmentBytes: 256})
-		defer l.Close()
-		if got := l.NextLSN(); got != cut {
-			t.Fatalf("NextLSN = %d, want %d", got, cut)
-		}
-	})
-
-	// Cut at LSN 1: the whole log is erased but the directory still
-	// resumes at LSN 1, not at some invented base.
-	t.Run("lsn-1", func(t *testing.T) {
-		dir := build(t)
-		if err := TruncateFrom(dir, 1); err != nil {
-			t.Fatal(err)
-		}
-		if recs := collect(t, dir, 1); len(recs) != 0 {
-			t.Fatalf("replay after full cut: %d records, want 0", len(recs))
-		}
-		l := openTest(t, dir, Options{SegmentBytes: 256})
-		defer l.Close()
-		if got := l.NextLSN(); got != 1 {
-			t.Fatalf("NextLSN = %d, want 1", got)
-		}
-		appendN(t, l, 0, 3)
-		if got := l.LastLSN(); got != 3 {
-			t.Fatalf("LastLSN after re-append = %d, want 3", got)
-		}
-	})
-
-	// Cutting again at the base of an already-emptied tail segment is
-	// idempotent; cutting past its (nonexistent) records is an error.
-	t.Run("already-empty-tail", func(t *testing.T) {
-		dir := build(t)
-		segs, err := listSegments(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cut := segs[len(segs)-1].first
-		if err := TruncateFrom(dir, cut); err != nil {
-			t.Fatal(err)
-		}
-		// Tail segment is now zero-length. Same cut again: no-op.
-		if err := TruncateFrom(dir, cut); err != nil {
-			t.Fatal(err)
-		}
-		recs := collect(t, dir, 1)
-		if uint64(len(recs)) != cut-1 {
-			t.Fatalf("idempotent cut changed replay: %d records", len(recs))
-		}
-		// An LSN inside the emptied segment's range holds no frame.
-		if err := TruncateFrom(dir, cut+1); err == nil {
-			t.Fatal("cut inside an empty tail segment accepted")
-		}
-		l := openTest(t, dir, Options{SegmentBytes: 256})
-		defer l.Close()
-		if got := l.NextLSN(); got != cut {
-			t.Fatalf("NextLSN = %d, want %d", got, cut)
-		}
-	})
-}
-
 // craftFrame builds one valid frame by hand (CRC included) so tests
 // can write epochs the Log API would refuse to regress to.
 func craftFrame(lsn, epoch uint64, typ byte, data []byte) []byte {
@@ -578,9 +417,10 @@ func TestEpochStampedFrames(t *testing.T) {
 	}
 }
 
-// TestEpochSurvivesEmptiedTail: TruncateFrom at a segment boundary
-// leaves a zero-length tail; a reopen must recover the epoch from the
-// earlier segments instead of regressing to 0.
+// TestEpochSurvivesEmptiedTail: a crash between rotate creating a
+// segment and the first write into it leaves a zero-length tail; a
+// reopen must recover the epoch from the earlier segments instead of
+// regressing to 0, and resume LSNs at the empty segment's base.
 func TestEpochSurvivesEmptiedTail(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, dir, Options{SegmentBytes: 256, Epoch: 4})
@@ -590,13 +430,16 @@ func TestEpochSurvivesEmptiedTail(t *testing.T) {
 	if err != nil || len(segs) < 2 {
 		t.Fatalf("need >=2 segments (%v)", err)
 	}
-	if err := TruncateFrom(dir, segs[len(segs)-1].first); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segmentName(41)), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	l2 := openTest(t, dir, Options{})
 	defer l2.Close()
 	if got := l2.Epoch(); got != 4 {
 		t.Fatalf("Epoch after emptied-tail reopen = %d, want 4", got)
+	}
+	if got := l2.NextLSN(); got != 41 {
+		t.Fatalf("NextLSN after emptied-tail reopen = %d, want 41", got)
 	}
 }
 
