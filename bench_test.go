@@ -567,9 +567,9 @@ func BenchmarkControllerInstallBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkChurnPipeline measures the two-phase churn replay
-// (generation + apply) at 1 worker vs GOMAXPROCS apply workers,
-// reporting wall-clock events/sec.
+// BenchmarkChurnPipeline measures a churn run (generation plus the
+// serial apply of every event to the controller), reporting wall-clock
+// events/sec.
 func BenchmarkChurnPipeline(b *testing.B) {
 	topo := topology.MustNew(benchTopo())
 	dep, err := placement.Place(topo, placement.Config{
@@ -582,30 +582,26 @@ func BenchmarkChurnPipeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range []int{1, parallelWorkers()} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var applied int
-			var start time.Time
-			for i := 0; i < b.N; i++ {
-				ctrl, err := controller.New(topo, controller.PaperConfig(0))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := churn.Setup(ctrl, dep, groups, rand.New(rand.NewSource(7))); err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					start = time.Now() // exclude the first Setup warm-up
-				}
-				res, err := ctrl2Run(ctrl, dep, groups, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				applied += res.EventsApplied
-			}
-			b.ReportMetric(float64(applied)/time.Since(start).Seconds(), "events/sec")
-		})
+	var applied int
+	var start time.Time
+	for i := 0; i < b.N; i++ {
+		ctrl, err := controller.New(topo, controller.PaperConfig(0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := churn.Setup(ctrl, dep, groups, rand.New(rand.NewSource(7))); err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			start = time.Now() // exclude the first Setup warm-up
+		}
+		res, err := churn.Run(ctrl, dep, groups, churn.Config{Events: 4000, EventsPerSecond: 1000, Seed: 9})
+		if err != nil {
+			b.Fatal(err)
+		}
+		applied += res.EventsApplied
 	}
+	b.ReportMetric(float64(applied)/time.Since(start).Seconds(), "events/sec")
 }
 
 // parallelWorkers picks the concurrent worker count to benchmark:
@@ -616,10 +612,4 @@ func parallelWorkers() int {
 		return n
 	}
 	return 2
-}
-
-func ctrl2Run(ctrl *controller.Controller, dep *placement.Deployment, groups []groupgen.Group, workers int) (*churn.Result, error) {
-	return churn.Run(ctrl, dep, groups, churn.Config{
-		Events: 4000, EventsPerSecond: 1000, Seed: 9, Workers: workers,
-	})
 }

@@ -61,7 +61,7 @@ func main() {
 		doPartition = flag.Bool("partition", false, "run the fenced-leadership scenario (network partition, lease expiry, epoch takeover, stale-install fencing, rejoin) instead of the figure sweeps")
 		traceOut    = flag.String("traceout", "", "file to write the Chrome trace_event JSON into (with -trace; empty = none)")
 		meanVMs     = flag.Float64("meanvms", 0, "mean tenant VMs (0 = auto: paper's 178.77 capped by fabric capacity)")
-		workers     = flag.Int("workers", 0, "encoder/apply workers for the controller pipeline (0 = GOMAXPROCS; results are identical for every value)")
+		workers     = flag.Int("workers", 0, "encoder workers for the figure sweeps (0 = GOMAXPROCS; results are identical for every value)")
 		seed        = flag.Int64("seed", 1, "random seed")
 		metricsAddr = flag.String("metrics", "", "listen address for the /metrics + pprof endpoint (e.g. :9090; empty = no listener)")
 		watch       = flag.Duration("watch", 0, "print a periodic ops summary (SLO health, top links, heavy hitters) every interval (e.g. 2s; 0 = off)")
@@ -211,7 +211,7 @@ func main() {
 		}
 	}
 	if *doChurn || *doFail {
-		runControlPlane(topoCfg, *tenants, *groups, *srules, distribution, *events, *meanVMs, *seed, *workers, *doChurn, *doFail, reg)
+		runControlPlane(topoCfg, *tenants, *groups, *srules, distribution, *events, *meanVMs, *seed, *doChurn, *doFail, reg)
 	}
 	printTelemetrySummary(reg)
 }
@@ -441,7 +441,7 @@ func effectiveMeanVMs(flagVal float64, t topology.Config, tenants int) float64 {
 	return cap
 }
 
-func runControlPlane(topoCfg topology.Config, tenants, groups, srules int, dist groupgen.Distribution, events int, meanVMs float64, seed int64, workers int, doChurn, doFail bool, reg *telemetry.Registry) {
+func runControlPlane(topoCfg topology.Config, tenants, groups, srules int, dist groupgen.Distribution, events int, meanVMs float64, seed int64, doChurn, doFail bool, reg *telemetry.Registry) {
 	topo := topology.MustNew(topoCfg)
 	dep, err := placement.Place(topo, placement.Config{
 		Tenants: tenants, VMsPerHost: 20, MinVMs: 5,
@@ -468,7 +468,7 @@ func runControlPlane(topoCfg topology.Config, tenants, groups, srules int, dist 
 	if doChurn {
 		start := time.Now()
 		res, err := churn.Run(ctrl, dep, gs, churn.Config{
-			Events: events, EventsPerSecond: 1000, Seed: seed + 3, Workers: workers,
+			Events: events, EventsPerSecond: 1000, Seed: seed + 3,
 			Metrics: churn.NewMetrics(reg),
 		})
 		if err != nil {
@@ -476,9 +476,9 @@ func runControlPlane(topoCfg topology.Config, tenants, groups, srules int, dist 
 		}
 		elapsed := time.Since(start)
 		fmt.Print(res.Table2())
-		fmt.Printf("(%d events applied, %d skipped, simulated %.0fs; %d workers, %.0f events/sec wall-clock)\n\n",
+		fmt.Printf("(%d events applied, %d skipped, simulated %.0fs; %.0f events/sec wall-clock)\n\n",
 			res.EventsApplied, res.EventsSkipped, res.Duration,
-			res.Workers, float64(res.EventsApplied)/elapsed.Seconds())
+			float64(res.EventsApplied)/elapsed.Seconds())
 	}
 	if doFail {
 		res := churn.RunFailures(ctrl, seed+4)

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"elmo/internal/baselines"
 	"elmo/internal/controller"
@@ -33,14 +32,6 @@ type Config struct {
 	EventsPerSecond float64
 	// Seed drives role assignment and event sampling.
 	Seed int64
-	// Workers applies the generated events concurrently across that
-	// many goroutines, partitioned by group so per-group ordering (and
-	// therefore each group's final encoding) is preserved. 1 applies
-	// serially; 0 uses GOMAXPROCS. Event generation and the Li baseline
-	// are always serial and identical for every worker count;
-	// controller results match the serial run whenever s-rule capacity
-	// is uncontended.
-	Workers int
 	// Metrics, when non-nil, publishes live event counters and the final
 	// weight drift to a telemetry registry during the run.
 	Metrics *Metrics
@@ -67,8 +58,6 @@ type Result struct {
 	// size — zero when the live-weight invariant holds (regression
 	// guard for the stale-weight bug).
 	WeightDrift int
-	// Workers is the number of apply workers used.
-	Workers int
 }
 
 // RoleFor deterministically assigns one of the three roles (§5.1.3a:
@@ -115,18 +104,9 @@ func key(g *groupgen.Group) controller.GroupKey {
 	return controller.GroupKey{Tenant: uint32(g.Tenant), Group: g.ID}
 }
 
-// event is one generated membership change; role carries the joining
-// role or the leaving member's full role.
-type event struct {
-	gi   int
-	host topology.HostID
-	role controller.Role
-	join bool
-}
-
 // shadowGroup mirrors one group's membership during event generation,
-// so generation (and the Li baseline) never reads live controller
-// state and the apply phase can run concurrently.
+// so sampling (and the Li baseline) never reads live controller state:
+// hosts stays sorted, which keeps sampling deterministic.
 type shadowGroup struct {
 	roles map[topology.HostID]controller.Role
 	hosts []topology.HostID // members, ascending (deterministic sampling)
@@ -170,11 +150,10 @@ func (s *shadowGroup) receivers() []topology.HostID {
 // (already Setup) and measures update rates. The Li et al. baseline is
 // charged from the same event stream.
 //
-// The run is two-phase: events are generated serially against shadow
-// membership state (with sampling weights tracked live in a Fenwick
-// tree, so per-group event frequency stays proportional to the
-// *current* group size), then applied to the controller — serially, or
-// across cfg.Workers goroutines partitioned by group.
+// Events are generated against shadow membership state (with sampling
+// weights tracked live in a Fenwick tree, so per-group event frequency
+// stays proportional to the *current* group size) and applied to the
+// controller one at a time, in generation order.
 func Run(ctrl *controller.Controller, dep *placement.Deployment, groups []groupgen.Group, cfg Config) (*Result, error) {
 	if cfg.Events <= 0 || cfg.EventsPerSecond <= 0 {
 		return nil, fmt.Errorf("churn: Events and EventsPerSecond must be positive")
@@ -198,19 +177,13 @@ func Run(ctrl *controller.Controller, dep *placement.Deployment, groups []groupg
 	}
 	fw := newFenwick(weights)
 
-	workers := controller.ResolveWorkers(cfg.Workers)
-	res := &Result{
-		Duration: float64(cfg.Events) / cfg.EventsPerSecond,
-		Workers:  workers,
-	}
+	res := &Result{Duration: float64(cfg.Events) / cfg.EventsPerSecond}
 	m := cfg.Metrics
 	if m == nil {
 		m = &Metrics{}
 	}
 	m.rate.Set(cfg.EventsPerSecond)
 
-	// Phase 1: serial generation. Identical for every worker count.
-	events := make([]event, 0, cfg.Events)
 	for e := 0; e < cfg.Events; e++ {
 		gi := fw.find(rng.Intn(fw.total()))
 		g := &groups[gi]
@@ -219,6 +192,7 @@ func Run(ctrl *controller.Controller, dep *placement.Deployment, groups []groupg
 		if len(sh.hosts) <= 1 {
 			join = true
 		}
+		var err error
 		if join {
 			host, ok := pickNonMember(rng, dep, g, sh)
 			if !ok {
@@ -229,14 +203,18 @@ func Run(ctrl *controller.Controller, dep *placement.Deployment, groups []groupg
 			role := RoleFor(rng)
 			sh.add(host, role)
 			fw.add(gi, 1)
-			events = append(events, event{gi: gi, host: host, role: role, join: true})
+			err = ctrl.Join(key(g), host, role)
 		} else {
 			host := sh.hosts[rng.Intn(len(sh.hosts))]
-			role := sh.roles[host]
+			role := sh.roles[host] // the leaving member's full role
 			sh.remove(host)
 			fw.add(gi, -1)
-			events = append(events, event{gi: gi, host: host, role: role})
+			err = ctrl.Leave(key(g), host, role)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("churn: event %d: %w", res.EventsApplied, err)
+		}
+		m.applied.Inc()
 		res.EventsApplied++
 		li.ApplyChurnEvent(g.ID, sh.receivers())
 	}
@@ -248,14 +226,6 @@ func Run(ctrl *controller.Controller, dep *placement.Deployment, groups []groupg
 		}
 	}
 	m.drift.Set(float64(res.WeightDrift))
-
-	// Phase 2: apply. Partitioning by group preserves per-group event
-	// order, so each group's membership trajectory — and with
-	// uncontended s-rule capacity, its encodings and update charges —
-	// matches the serial run.
-	if err := applyEvents(ctrl, groups, events, workers, m); err != nil {
-		return nil, err
-	}
 
 	// Convert counts to per-switch rates over all switches of each
 	// class (absent switches contribute zero).
@@ -280,58 +250,6 @@ func Run(ctrl *controller.Controller, dep *placement.Deployment, groups []groupg
 		res.LiCore.Add(float64(v) / res.Duration)
 	}
 	return res, nil
-}
-
-// applyEvents replays the generated events against the controller.
-// With one worker the events run in generation order; with more, each
-// worker owns the groups with gi % workers == its index and applies
-// their events in order.
-func applyEvents(ctrl *controller.Controller, groups []groupgen.Group, events []event, workers int, m *Metrics) error {
-	apply := func(ev event) error {
-		k := key(&groups[ev.gi])
-		var err error
-		if ev.join {
-			err = ctrl.Join(k, ev.host, ev.role)
-		} else {
-			err = ctrl.Leave(k, ev.host, ev.role)
-		}
-		if err == nil {
-			m.applied.Inc()
-		}
-		return err
-	}
-	if workers <= 1 {
-		for i, ev := range events {
-			if err := apply(ev); err != nil {
-				return fmt.Errorf("churn: event %d: %w", i, err)
-			}
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i, ev := range events {
-				if ev.gi%workers != w {
-					continue
-				}
-				if err := apply(ev); err != nil {
-					errs[w] = fmt.Errorf("churn: event %d: %w", i, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func pickNonMember(rng *rand.Rand, dep *placement.Deployment, g *groupgen.Group, sh *shadowGroup) (topology.HostID, bool) {

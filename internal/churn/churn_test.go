@@ -2,7 +2,6 @@ package churn
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"elmo/internal/controller"
@@ -208,61 +207,5 @@ func TestChurnWeightsTrackSize(t *testing.T) {
 		if st == nil {
 			t.Fatalf("group %d lost", g.ID)
 		}
-	}
-}
-
-// TestChurnConcurrentMatchesSerial runs the same churn twice — serial
-// apply and 4-worker apply — and asserts identical controller end
-// state (memberships, encodings, update stats) plus identical
-// generated-stream results (Li baseline, applied/skipped counts).
-func TestChurnConcurrentMatchesSerial(t *testing.T) {
-	run := func(workers int) (*controller.Controller, *Result, []groupgen.Group) {
-		ctrl, dep, groups := churnFixture(t, 100)
-		res, err := Run(ctrl, dep, groups, Config{Events: 1500, EventsPerSecond: 100, Seed: 23, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ctrl, res, groups
-	}
-	sc, sr, groups := run(1)
-	cc, cr, _ := run(4)
-
-	if sr.EventsApplied != cr.EventsApplied || sr.EventsSkipped != cr.EventsSkipped {
-		t.Fatalf("event counts differ: serial %d/%d concurrent %d/%d",
-			sr.EventsApplied, sr.EventsSkipped, cr.EventsApplied, cr.EventsSkipped)
-	}
-	if sr.LiLeaf.Mean() != cr.LiLeaf.Mean() || sr.LiSpine.Mean() != cr.LiSpine.Mean() || sr.LiCore.Mean() != cr.LiCore.Mean() {
-		t.Fatal("Li baseline differs between serial and concurrent runs")
-	}
-	for gi := range groups {
-		g := &groups[gi]
-		k := controller.GroupKey{Tenant: uint32(g.Tenant), Group: g.ID}
-		ss, cs := sc.Group(k), cc.Group(k)
-		if ss == nil || cs == nil {
-			t.Fatalf("group %d missing", g.ID)
-		}
-		if !reflect.DeepEqual(ss.Members, cs.Members) {
-			t.Fatalf("group %d membership differs", g.ID)
-		}
-		if !reflect.DeepEqual(ss.Enc, cs.Enc) {
-			t.Fatalf("group %d encoding differs", g.ID)
-		}
-	}
-	topo := sc.Topology()
-	for l := 0; l < topo.NumLeaves(); l++ {
-		if sc.LeafSRuleCount(topology.LeafID(l)) != cc.LeafSRuleCount(topology.LeafID(l)) {
-			t.Fatalf("leaf %d occupancy differs", l)
-		}
-	}
-	for s := 0; s < topo.NumSpines(); s++ {
-		if sc.SpineSRuleCount(topology.SpineID(s)) != cc.SpineSRuleCount(topology.SpineID(s)) {
-			t.Fatalf("spine %d occupancy differs", s)
-		}
-	}
-	if !reflect.DeepEqual(sc.Stats(), cc.Stats()) {
-		t.Fatal("update stats differ between serial and concurrent runs")
-	}
-	if sr.Hypervisor.Mean() != cr.Hypervisor.Mean() || sr.Leaf.Mean() != cr.Leaf.Mean() || sr.Spine.Mean() != cr.Spine.Mean() {
-		t.Fatal("rate summaries differ between serial and concurrent runs")
 	}
 }

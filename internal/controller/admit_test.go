@@ -19,8 +19,9 @@ import (
 // releases); occupancy is charged only by admit.go and ReadState and
 // released only by admit.go and group teardown. The hand-written copies
 // of the protocol, the batch pipeline's third stage, the JSON
-// snapshot's second restore path and the hash-partitioned group map
-// must not come back.
+// snapshot's second restore path, the hash-partitioned group map, the
+// per-controller scratch pool and the biased single-op speculation must
+// not come back.
 func TestOneAdmissionSite(t *testing.T) {
 	// What may appear outside admit.go, by enclosing function.
 	allowed := map[string]map[string]bool{
@@ -32,6 +33,7 @@ func TestOneAdmissionSite(t *testing.T) {
 		"installBarrierLocked": true, "applySlice": true, "applyItem": true,
 		"applyFlushSize": true, "applyQueueDepth": true,
 		"admitEncodingLocked": true, "ctrlShard": true, "shardOf": true,
+		"getScratch": true, "putScratch": true, "leafBias": true, "podBias": true,
 	}
 	files, err := filepath.Glob("*.go")
 	if err != nil || len(files) == 0 {
@@ -117,7 +119,7 @@ func TestAdmitEncodingRestoresOccupancyOnError(t *testing.T) {
 	refused := errors.New("publish refused")
 	encodeFails := func(CapacityFunc) (*Encoding, error) { return nil, ErrLegacyTableFull }
 	speculate := func() *capRecorder {
-		sp := newCapRecorder(c.occ, g.Enc)
+		sp := newCapRecorder(c.occ)
 		sp.enc, sp.err = encode(sp.capacity())
 		return sp
 	}
@@ -146,7 +148,7 @@ func TestAdmitEncodingRestoresOccupancyOnError(t *testing.T) {
 	} {
 		leavesBefore, spinesBefore := occSnapshot(c)
 		published := false
-		atCommit, err := c.occ.admitEncoding(g.Enc, tc.sp, tc.encode, func(*Encoding) error {
+		atCommit, err := c.occ.admitEncoding(func() (*Encoding, error) { return g.Enc, nil }, tc.sp, tc.encode, func(*Encoding) error {
 			published = true
 			return refused
 		})

@@ -46,11 +46,11 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // behind the workers.
 const batchChunkSize = 64
 
-// ResolveWorkers resolves a requested worker count: values <= 0 mean
-// one worker per available CPU (GOMAXPROCS). Every path that sizes a
-// worker pool (EncodeBatch, InstallBatch, churn) resolves through this
-// one helper so pool sizing can never diverge between them.
-func ResolveWorkers(workers int) int {
+// resolveWorkers resolves a requested worker count: values <= 0 mean
+// one worker per available CPU (GOMAXPROCS). EncodeBatch and
+// InstallBatch both resolve through this one helper so their pool
+// sizing can never diverge.
+func resolveWorkers(workers int) int {
 	if workers <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
@@ -84,9 +84,9 @@ func EncodeBatch(topo *topology.Topology, cfg Config, occ *Occupancy, n, workers
 	if n == 0 {
 		return 0, nil
 	}
-	workers = min(ResolveWorkers(workers), n)
+	workers = min(resolveWorkers(workers), n)
 	speculateAt := func(i int, s *EncodeScratch) *capRecorder {
-		sp := newCapRecorder(occ, nil)
+		sp := newCapRecorder(occ)
 		sp.enc, sp.err = ComputeEncodingInto(topo, cfg, sp.capacity(), receivers(i), s)
 		return sp
 	}
@@ -209,7 +209,7 @@ type BatchResult struct {
 // operations, but the byte-identical-to-serial guarantee holds only for
 // a quiescent controller (no concurrent mutations admitting s-rules).
 func (c *Controller) InstallBatch(specs []BatchSpec, opts BatchOptions) (*BatchResult, error) {
-	workers := ResolveWorkers(opts.Workers)
+	workers := resolveWorkers(opts.Workers)
 	res := &BatchResult{Workers: workers}
 	n := len(specs)
 	m := c.getMetrics()

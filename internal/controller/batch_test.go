@@ -324,11 +324,26 @@ func traceKinds(rec *trace.FlightRecorder, key GroupKey) []trace.Kind {
 	return kinds
 }
 
+// requireOneRollback asserts a failed membership op left exactly one
+// rollback event for the group, carrying the host it edited.
+func requireOneRollback(t *testing.T, rec *trace.FlightRecorder, key GroupKey, host topology.HostID) {
+	t.Helper()
+	var args []int64
+	for _, ev := range rec.Snapshot() {
+		if ev.Kind == trace.KindRollback && ev.VNI == key.Tenant && ev.Group == key.Group {
+			args = append(args, ev.Arg)
+		}
+	}
+	if len(args) != 1 || args[0] != int64(host) {
+		t.Fatalf("rollback events carry %v, want one carrying host %d", args, host)
+	}
+}
+
 // TestJoinRollbackAccounting is the regression test for the rollback
 // accounting bug: a Join whose retree fails (legacy leaf table full)
 // must leave the member's hypervisor counter uncharged, revert the
 // membership, keep the old encoding and occupancy, and emit only the
-// rollback trace event — no Join event.
+// rollback trace event, once, carrying the host — no Join event.
 func TestJoinRollbackAccounting(t *testing.T) {
 	topo := paperTopo()
 	cfg := testConfig(0)
@@ -375,19 +390,12 @@ func TestJoinRollbackAccounting(t *testing.T) {
 	if !reflect.DeepEqual(leavesBefore, leavesAfter) || !reflect.DeepEqual(spinesBefore, spinesAfter) {
 		t.Fatal("occupancy changed by rolled-back join")
 	}
-	kinds := traceKinds(rec, keyB)
-	sawRollback := false
-	for _, k := range kinds {
-		if k == trace.KindRollback {
-			sawRollback = true
-		}
+	for _, k := range traceKinds(rec, keyB) {
 		if k == trace.KindJoin {
 			t.Fatal("Join trace event emitted for a rolled-back join")
 		}
 	}
-	if !sawRollback {
-		t.Fatalf("no rollback trace event; kinds = %v", kinds)
-	}
+	requireOneRollback(t, rec, keyB, 2)
 
 	// A successful join after the rollback charges exactly once.
 	if err := c.Join(keyB, 18, RoleReceiver); err != nil {
@@ -406,7 +414,7 @@ func TestJoinRollbackAccounting(t *testing.T) {
 // churn path re-encodes from the cached tree rather than the member
 // list, so the plant goes into both: the tree entry trips the legacy
 // capacity check in the incremental leaf re-encode, and the member
-// keeps any full-recompute fallback failing identically.
+// keeps the group's members consistent with its tree.
 func TestLeaveRollbackAccounting(t *testing.T) {
 	topo := paperTopo()
 	cfg := testConfig(0)
@@ -453,6 +461,7 @@ func TestLeaveRollbackAccounting(t *testing.T) {
 			t.Fatal("Leave trace event emitted for a rolled-back leave")
 		}
 	}
+	requireOneRollback(t, rec, keyB, 17)
 	requireOccupancyConserved(t, c)
 }
 

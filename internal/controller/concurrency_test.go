@@ -4,21 +4,54 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"elmo/internal/topology"
 )
 
 func TestResolveWorkers(t *testing.T) {
-	if got := ResolveWorkers(3); got != 3 {
-		t.Fatalf("ResolveWorkers(3) = %d", got)
+	if got := resolveWorkers(3); got != 3 {
+		t.Fatalf("resolveWorkers(3) = %d", got)
 	}
-	if got := ResolveWorkers(0); got < 1 {
-		t.Fatalf("ResolveWorkers(0) = %d, want >= 1", got)
+	if got := resolveWorkers(0); got < 1 {
+		t.Fatalf("resolveWorkers(0) = %d, want >= 1", got)
 	}
-	if ResolveWorkers(0) != ResolveWorkers(-1) {
-		t.Fatal("ResolveWorkers(0) != ResolveWorkers(-1)")
+	if resolveWorkers(0) != resolveWorkers(-1) {
+		t.Fatal("resolveWorkers(0) != resolveWorkers(-1)")
+	}
+}
+
+// TestAbandonedControllerIsCollected: a controller the caller drops
+// after a membership op is garbage at the next collection. A Put
+// registers a sync.Pool with the runtime, which keeps it reachable
+// through the next GC, so a pool stored in the controller kept the
+// whole controller — and every group in it — alive through one more
+// cycle: a bulk install built its groups while the previous
+// controller's still counted as live heap.
+func TestAbandonedControllerIsCollected(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		c, err := New(paperTopo(), testConfig(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := GroupKey{Tenant: 1, Group: 1}
+		if _, err := c.CreateGroup(key, map[topology.HostID]Role{0: RoleBoth, 8: RoleReceiver}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Join(key, 16, RoleReceiver); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(c, func(*Controller) { close(collected) })
+	}()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(time.Second):
+		t.Fatal("a dropped controller survived a GC: something outside it still points in")
 	}
 }
 

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -56,21 +57,14 @@ func (r Role) CanReceive() bool { return r&RoleReceiver != 0 }
 
 // GroupState is the controller's record of one group.
 //
-// Concurrency: fields are written only while holding BOTH the group's
-// own mutex and the controller's mutex in write mode, so a reader
-// holding either lock sees consistent state (see the locking notes on
-// Controller).
+// Concurrency: once the group is in the controller, its fields are
+// written only while holding BOTH the admission mutex and the
+// controller's mutex in write mode, so a reader holding either lock
+// sees consistent state (see the locking notes on Controller).
 type GroupState struct {
 	Key     GroupKey
 	Members map[topology.HostID]Role
 	Enc     *Encoding
-
-	// mu serializes membership operations on this group; it is acquired
-	// before (never after) the admission mutex and the controller mutex.
-	mu sync.Mutex
-	// removed marks a group deleted from the group map while a racing
-	// membership operation was waiting on mu.
-	removed bool
 }
 
 // Receivers returns the member hosts with a receiving role, ascending.
@@ -128,22 +122,22 @@ func sumCounts[K comparable](m map[K]int) int {
 }
 
 // Controller is the logically-centralized Elmo controller. It is safe
-// for concurrent use: the encoder phase of every membership operation
-// runs outside all locks (speculatively, against atomic occupancy
-// reads); admission — the s-rule capacity transaction — serializes on
-// the small Occupancy.admit mutex; and the publish step inside it takes
-// the controller mutex only for the map insert or g.Enc store and its
-// stats charges.
+// for concurrent use, with one writer at a time: every create, join,
+// leave and removal — and every element of a bulk install — runs whole
+// inside one admission transaction (admit.go) under the small
+// Occupancy.admit mutex, and its publish step takes the controller
+// mutex only for the map, membership and g.Enc stores and their stats
+// charges. Only a bulk install's encode workers run outside it.
 //
 // Locking model (see DESIGN.md, "Controller concurrency model"), in
-// acquisition order GroupState.mu → Occupancy.admit → Controller.mu:
+// acquisition order Occupancy.admit → Controller.mu:
 //
-//   - g.mu serializes membership operations per group.
-//   - Occupancy.admit serializes the validate→commit transaction;
-//     s-rule occupancy lives in atomically-readable counters so
-//     concurrent encoder runs consult capacity without blocking.
+//   - Occupancy.admit serializes writers: lookup, encode, publish and
+//     occupancy charge of one op; s-rule occupancy lives in
+//     atomically-readable counters so batch encode workers consult
+//     capacity without blocking.
 //   - mu guards the group map and the update stats; GroupState fields
-//     are written only under BOTH g.mu and mu, so holders of either
+//     are written only under BOTH admit and mu, so holders of either
 //     read them safely. The failure set is read under mu's read lock
 //     and mutated only under its write lock (failure events are rare;
 //     header assembly is not).
@@ -158,10 +152,9 @@ type Controller struct {
 	groups map[GroupKey]*GroupState
 	stats  UpdateStats
 
-	// scratch pools encoder working memory across membership
-	// operations: Join/Leave may run concurrently (per-group locking),
-	// so a pool rather than a single per-controller scratch.
-	scratch sync.Pool
+	// scratch is the encoder working memory of create, join and leave;
+	// guarded by occ.admit, under which they encode.
+	scratch EncodeScratch
 
 	tracer  atomic.Pointer[tracerBox]
 	metrics atomic.Pointer[Metrics]
@@ -170,15 +163,6 @@ type Controller struct {
 // tracerBox wraps the recorder interface so it can live in an atomic
 // pointer (hot paths read it without any lock).
 type tracerBox struct{ r trace.Recorder }
-
-func (c *Controller) getScratch() *EncodeScratch {
-	if s, ok := c.scratch.Get().(*EncodeScratch); ok {
-		return s
-	}
-	return new(EncodeScratch)
-}
-
-func (c *Controller) putScratch(s *EncodeScratch) { c.scratch.Put(s) }
 
 // New creates a controller for a topology.
 func New(topo *topology.Topology, cfg Config) (*Controller, error) {
@@ -331,38 +315,30 @@ func (c *Controller) validateMembers(members map[topology.HostID]Role) error {
 
 // CreateGroup registers a group with the given members and computes
 // its encoding, installing any s-rules. Returns an error if the key
-// exists or a member is invalid (see validateMembers).
+// exists or a member is invalid (see validateMembers). The lookup, the
+// encode and the insert are one admission transaction.
 func (c *Controller) CreateGroup(key GroupKey, members map[topology.HostID]Role) (*GroupState, error) {
 	m := c.getMetrics()
 	start := time.Now()
-	if c.Group(key) != nil {
-		return nil, fmt.Errorf("controller: group %v already exists", key)
-	}
-	if err := c.validateMembers(members); err != nil {
-		return nil, err
-	}
 	g := &GroupState{Key: key, Members: make(map[topology.HostID]Role, len(members))}
 	for h, r := range members {
 		g.Members[h] = r
 	}
-
-	// Speculative encode outside all locks; validated at admission.
-	receivers := g.Receivers()
-	scratch := c.getScratch()
-	defer c.putScratch(scratch)
-	encode := func(cap CapacityFunc) (*Encoding, error) {
-		return ComputeEncodingInto(c.topo, c.cfg, cap, receivers, scratch)
-	}
-	sp := newCapRecorder(c.occ, nil)
-	sp.enc, sp.err = encode(sp.capacity())
-	exists := false
-	_, err := c.occ.admitEncoding(nil, sp, encode, func(enc *Encoding) error {
-		err := c.insertGroup(g, enc)
-		exists = err != nil
-		return err
+	var encodeErr error
+	_, err := c.occ.admitEncoding(func() (*Encoding, error) {
+		if c.Group(key) != nil {
+			return nil, fmt.Errorf("controller: group %v already exists", key)
+		}
+		return nil, c.validateMembers(members)
+	}, nil, func(cap CapacityFunc) (*Encoding, error) {
+		enc, err := ComputeEncodingInto(c.topo, c.cfg, cap, g.Receivers(), &c.scratch)
+		encodeErr = err
+		return enc, err
+	}, func(enc *Encoding) error {
+		return c.insertGroup(g, enc)
 	})
 	if err != nil {
-		if !exists {
+		if encodeErr != nil {
 			m.rollbacks.Inc()
 			c.traceControl(trace.KindRollback, key, -1, err.Error())
 		}
@@ -396,20 +372,14 @@ func (c *Controller) insertGroup(g *GroupState, enc *Encoding) error {
 
 // RemoveGroup deletes a group, releasing its s-rules.
 func (c *Controller) RemoveGroup(key GroupKey) error {
-	g := c.Group(key)
-	if g == nil {
-		return fmt.Errorf("controller: group %v not found", key)
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	c.occ.admit.Lock()
 	defer c.occ.admit.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if g.removed || c.groups[key] != g {
+	g, ok := c.groups[key]
+	if !ok {
 		return fmt.Errorf("controller: group %v not found", key)
 	}
-	g.removed = true
 	delete(c.groups, key)
 	c.releaseSRulesCharged(g.Enc)
 	for h := range g.Members {
@@ -423,9 +393,9 @@ func (c *Controller) RemoveGroup(key GroupKey) error {
 // Join adds a member (or extends an existing member's role).
 //
 // Accounting note: the member's hypervisor update and the Join trace
-// event are charged only after the operation commits; a failed retree
-// rolls back membership and emits only the rollback trace, so
-// update-rate results never count rolled-back events.
+// event are charged only when the operation publishes; a failed
+// re-encode leaves the group untouched and emits only the rollback
+// trace, so update-rate results never count rolled-back events.
 func (c *Controller) Join(key GroupKey, host topology.HostID, role Role) error {
 	if err := c.validateMembers(map[topology.HostID]Role{host: role}); err != nil {
 		return err
@@ -440,124 +410,106 @@ func (c *Controller) Leave(key GroupKey, host topology.HostID, role Role) error 
 	return c.setRole(key, host, role, false)
 }
 
-// setRole is the one membership edit: it adds role to (join) or takes
-// it from (leave) host's membership of the group, retrees when the
-// receiver set changed, and on a retree error puts the membership back
-// so state matches the (rolled back) encoding. The hypervisor counter,
-// the Join/Leave trace and the op metrics are charged only on commit.
+// errNoChange ends a Join's transaction when the host already holds
+// the role: there is nothing to encode, publish or charge.
+var errNoChange = errors.New("controller: no membership change")
+
+// setRole is the one membership edit, run whole as one admission
+// transaction: it looks the group up, adds role to (join) or takes it
+// from (leave) host's membership, re-encodes incrementally when the
+// receiver set changed (see incremental.go), and publishes the role,
+// the encoding and their switch updates together. Nothing is written
+// before the encode succeeds, so a failed op leaves the group as it
+// was. The hypervisor counter, the Join/Leave trace and the op metrics
+// are charged only on publish.
 func (c *Controller) setRole(key GroupKey, host topology.HostID, role Role, join bool) error {
 	m := c.getMetrics()
 	start := time.Now()
-	g := c.Group(key)
-	if g == nil {
-		return fmt.Errorf("controller: group %v not found", key)
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.removed {
-		return fmt.Errorf("controller: group %v not found", key)
-	}
-	old, present := g.Members[host]
-	next := old &^ role
-	kind, ops, lat := trace.KindLeave, m.ops.leave, m.opLatency.leave
-	if join {
-		if present && old|role == old {
-			return nil // no change
+	var g *GroupState
+	var next Role
+	retree := false
+	_, err := c.occ.admitEncoding(func() (*Encoding, error) {
+		if g = c.Group(key); g == nil {
+			return nil, fmt.Errorf("controller: group %v not found", key)
 		}
-		next = old | role
-		kind, ops, lat = trace.KindJoin, m.ops.join, m.opLatency.join
-	} else if !present || old&role == 0 {
-		return fmt.Errorf("controller: host %d does not hold role in %v", host, key)
-	}
-	// setMember stores a role under the controller lock; none drops the
-	// member.
-	setMember := func(r Role) {
-		c.mu.Lock()
-		if r == 0 {
-			delete(g.Members, host)
-		} else {
-			g.Members[host] = r
+		old, present := g.Members[host]
+		switch {
+		case join && present && old|role == old:
+			return nil, errNoChange
+		case join:
+			next = old | role
+		case !present || old&role == 0:
+			return nil, fmt.Errorf("controller: host %d does not hold role in %v", host, key)
+		default:
+			next = old &^ role
 		}
-		c.mu.Unlock()
-	}
-	setMember(next)
-	// A sender-only change leaves the tree untouched: only the source
-	// hypervisor is updated (§5.1.3a).
-	if old.CanReceive() != next.CanReceive() {
-		if err := c.retree(g, host, join); err != nil {
-			setMember(old)
+		retree = old.CanReceive() != next.CanReceive()
+		return g.Enc, nil
+	}, nil, func(cap CapacityFunc) (*Encoding, error) {
+		// A sender-only change leaves the tree untouched: only the source
+		// hypervisor is updated (§5.1.3a).
+		if !retree {
+			return g.Enc, nil
+		}
+		return incrementalEncoding(c.topo, c.cfg, cap, g.Enc, host, join, &c.scratch)
+	}, func(enc *Encoding) error {
+		c.publishRole(g, host, next, enc)
+		if retree {
+			c.traceEncode(key, enc)
+			c.traceControl(trace.KindRecompute, key, int64(host), "")
+			m.recomputes.Inc()
+		}
+		return nil
+	})
+	switch {
+	case errors.Is(err, errNoChange):
+		return nil
+	case err != nil:
+		if retree { // the lookup passed, so the encode failed
 			c.traceControl(trace.KindRollback, key, int64(host), err.Error())
 			m.rollbacks.Inc()
-			return err
 		}
+		return err
 	}
-	c.mu.Lock()
-	c.stats.Hypervisor[host]++ // the member's own hypervisor always updates
-	c.mu.Unlock()
+	kind, ops, lat := trace.KindLeave, m.ops.leave, m.opLatency.leave
+	if join {
+		kind, ops, lat = trace.KindJoin, m.ops.join, m.opLatency.join
+	}
 	c.traceControl(kind, key, int64(host), "")
 	ops.Inc()
 	lat.Observe(time.Since(start).Seconds())
 	return nil
 }
 
-// retree re-encodes a group after a single-receiver change (changed
-// joined when joined, left otherwise) and charges the resulting switch
-// updates: s-rule diffs to leaf/spine switches, and header refreshes
-// to every sender hypervisor when the shared downstream sections
-// changed.
-//
-// The encoder phase runs outside all locks against a speculative
-// capacity view (the old encoding's s-rules count as released) and is
-// incremental: it delta-patches the old encoding's cached tree and
-// re-runs clustering only for layers whose membership changed (see
-// incremental.go). The admission transaction (admit.go) falls back to a
-// full recompute when a capacity answer changed and, on an encode error,
-// leaves the old s-rules charged; its publish step stores the new
-// encoding and its stats charges under the controller lock. Callers
-// hold g.mu.
-func (c *Controller) retree(g *GroupState, changed topology.HostID, joined bool) error {
-	oldEnc := g.Enc
-	scratch := c.getScratch()
-	defer c.putScratch(scratch)
-	full := func(cap CapacityFunc) (*Encoding, error) {
-		return ComputeEncodingInto(c.topo, c.cfg, cap, g.Receivers(), scratch)
-	}
-	sp := newCapRecorder(c.occ, oldEnc)
-	if oldEnc != nil {
-		sp.enc, sp.err = incrementalEncoding(c.topo, c.cfg, sp.capacity(), oldEnc, changed, joined, scratch)
-	} else {
-		sp.enc, sp.err = full(sp.capacity())
-	}
-	_, err := c.occ.admitEncoding(oldEnc, sp, full, func(enc *Encoding) error {
-		c.publishRetree(g, enc, changed)
-		return nil
-	})
-	if err != nil {
-		c.traceControl(trace.KindRollback, g.Key, -1, err.Error())
-		return err
-	}
-	c.traceEncode(g.Key, g.Enc)
-	c.traceControl(trace.KindRecompute, g.Key, int64(changed), "")
-	c.getMetrics().recomputes.Inc()
-	return nil
-}
-
-// publishRetree replaces g's encoding and charges the switch updates
-// the change costs, under the controller's write lock.
-func (c *Controller) publishRetree(g *GroupState, enc *Encoding, changed topology.HostID) {
+// publishRole stores host's next role (zero drops the member) and the
+// group's new encoding under the controller's write lock, charging the
+// switch updates the change costs: the member's own hypervisor always;
+// for a retree also the s-rule diffs to leaf/spine switches, and a
+// header refresh to every other sender hypervisor when the shared
+// downstream sections changed.
+func (c *Controller) publishRole(g *GroupState, host topology.HostID, next Role, enc *Encoding) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if next == 0 {
+		delete(g.Members, host)
+	} else {
+		g.Members[host] = next
+	}
+	c.stats.Hypervisor[host]++
 	oldEnc := g.Enc
+	if enc == oldEnc {
+		return
+	}
 	g.Enc = enc
 	// Leaf s-rule diffs.
-	for l, bm := range encLeafSRules(oldEnc) {
+	for l, bm := range oldEnc.LeafSRules {
 		nbm, ok := enc.LeafSRules[l]
 		if !ok || !nbm.Equal(bm) {
 			c.stats.Leaf[l]++
 		}
 	}
 	for l := range enc.LeafSRules {
-		if _, ok := encLeafSRules(oldEnc)[l]; !ok {
+		if _, ok := oldEnc.LeafSRules[l]; !ok {
 			c.stats.Leaf[l]++
 		}
 	}
@@ -567,14 +519,14 @@ func (c *Controller) publishRetree(g *GroupState, enc *Encoding, changed topolog
 			c.stats.Spine[c.topo.SpineAt(p, plane)]++
 		}
 	}
-	for p, bm := range encSpineSRules(oldEnc) {
+	for p, bm := range oldEnc.SpineSRules {
 		nbm, ok := enc.SpineSRules[p]
 		if !ok || !nbm.Equal(bm) {
 			chargePod(p)
 		}
 	}
 	for p := range enc.SpineSRules {
-		if _, ok := encSpineSRules(oldEnc)[p]; !ok {
+		if _, ok := oldEnc.SpineSRules[p]; !ok {
 			chargePod(p)
 		}
 	}
@@ -582,25 +534,11 @@ func (c *Controller) publishRetree(g *GroupState, enc *Encoding, changed topolog
 	// their headers.
 	if !sharedEqual(oldEnc, enc) {
 		for h, r := range g.Members {
-			if r.CanSend() && h != changed {
+			if r.CanSend() && h != host {
 				c.stats.Hypervisor[h]++
 			}
 		}
 	}
-}
-
-func encLeafSRules(e *Encoding) map[topology.LeafID]bitmap.Bitmap {
-	if e == nil {
-		return nil
-	}
-	return e.LeafSRules
-}
-
-func encSpineSRules(e *Encoding) map[topology.PodID]bitmap.Bitmap {
-	if e == nil {
-		return nil
-	}
-	return e.SpineSRules
 }
 
 // traceEncode records one encoding run with the clustering constraints
@@ -648,9 +586,6 @@ func (c *Controller) releaseSRulesCharged(e *Encoding) {
 // sender-independent sections on the wire: the same downstream rules in
 // the same order, the same defaults and the same pods.
 func sharedEqual(a, b *Encoding) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
 	rulesEqual := func(x, y header.PRule) bool {
 		return slices.Equal(x.Switches, y.Switches) && x.Bitmap.Equal(y.Bitmap)
 	}

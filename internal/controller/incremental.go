@@ -22,9 +22,9 @@ import (
 // Encodings are immutable once committed, so the new encoding may
 // freely alias maps and bitmaps of the old one: deltaTree clones only
 // what it mutates (copy-on-write), and the reused spine section is
-// shared outright. Occupancy stays exact because retree releases the
-// old encoding and commits the new one — a shared SpineSRules map nets
-// to zero.
+// shared outright. Occupancy stays exact because the admission
+// transaction releases the old encoding and commits the new one — a
+// shared SpineSRules map nets to zero.
 //
 // Under s-rule capacity contention the reused spine section can differ
 // from what a full recompute at the same instant would produce: a pod
@@ -33,8 +33,7 @@ import (
 // upgrade it to an s-rule. The reuse keeps the old placement instead.
 // That is capacity-safe (the held rules are re-committed, never grown)
 // and the redundancy accounting matches the encoding actually
-// installed; the serial fallback in retree (on capacity-validation
-// failure) always full-recomputes.
+// installed.
 
 // deltaTree builds the tree section (Pods / LeafPorts / PodLeaves) of
 // a new encoding by applying a single receiver delta to old: host was

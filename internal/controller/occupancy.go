@@ -8,11 +8,11 @@ import (
 )
 
 // Occupancy tracks s-rule group-table occupancy per physical switch
-// with atomically-readable counters, so concurrent encoder runs can
-// consult capacity without locks while admission transactions, one at
-// a time, mutate the counts.
+// with atomically-readable counters, so a bulk install's encode workers
+// can consult capacity without locks while admission transactions, one
+// at a time, mutate the counts.
 //
-// The commit protocol is optimistic: encoders compute against a
+// Batch workers speculate: they encode a new group against a
 // point-in-time read of the counters, recording every capacity answer
 // they consumed (capRecorder); admission (admit.go) re-checks the
 // recorded answers against the live counters and re-encodes on any
@@ -22,12 +22,10 @@ type Occupancy struct {
 	topo     *topology.Topology
 	capacity int
 
-	// admit serializes admission transactions (admit.go) so capacity
-	// answers stay exact when several admitters run concurrently
-	// (batches, creates, churn retrees). It is held only around the
-	// transaction's few atomic reads/writes, its publish step and the
-	// rare recompute fallback, never during speculative encoding; it is
-	// always taken before Controller.mu.
+	// admit serializes admission transactions (admit.go): every create,
+	// membership change, removal and batch element runs whole under it,
+	// and it is always taken before Controller.mu. A batch's speculative
+	// encoding runs outside it.
 	admit sync.Mutex
 
 	leaf  []int64
@@ -58,32 +56,26 @@ func (o *Occupancy) SpineCount(s topology.SpineID) int {
 	return int(atomic.LoadInt64(&o.spine[s]))
 }
 
-// leafFree reports whether leaf l has room for one more entry after
-// discounting bias entries (entries about to be released, e.g. the old
-// encoding a recompute replaces).
-func (o *Occupancy) leafFree(l topology.LeafID, bias int) bool {
-	return int(atomic.LoadInt64(&o.leaf[l]))-bias < o.capacity
+// leafFree reports whether leaf l has room for one more entry.
+func (o *Occupancy) leafFree(l topology.LeafID) bool {
+	return int(atomic.LoadInt64(&o.leaf[l])) < o.capacity
 }
 
-// podFree reports whether every physical spine of pod p has room,
-// discounting bias entries per spine (the logical-spine rule is
-// replicated to each physical spine of the pod).
-func (o *Occupancy) podFree(p topology.PodID, bias int) bool {
+// podFree reports whether every physical spine of pod p has room (the
+// logical-spine rule is replicated to each physical spine of the pod).
+func (o *Occupancy) podFree(p topology.PodID) bool {
 	for plane := 0; plane < o.topo.Config().SpinesPerPod; plane++ {
-		if int(atomic.LoadInt64(&o.spine[o.topo.SpineAt(p, plane)]))-bias >= o.capacity {
+		if int(atomic.LoadInt64(&o.spine[o.topo.SpineAt(p, plane)])) >= o.capacity {
 			return false
 		}
 	}
 	return true
 }
 
-// CapacityFunc returns an unbiased capacity view over the live
-// counters, suitable for serial encoding at the commit point.
+// CapacityFunc returns a capacity view over the live counters, suitable
+// for serial encoding at the commit point.
 func (o *Occupancy) CapacityFunc() CapacityFunc {
-	return CapacityFunc{
-		Leaf: func(l topology.LeafID) bool { return o.leafFree(l, 0) },
-		Pod:  func(p topology.PodID) bool { return o.podFree(p, 0) },
-	}
+	return CapacityFunc{Leaf: o.leafFree, Pod: o.podFree}
 }
 
 // Commit charges an encoding's s-rules to the counters.
@@ -116,49 +108,29 @@ func (o *Occupancy) Release(e *Encoding) {
 	}
 }
 
-// capRecorder wraps an Occupancy for one speculative encoding run. It
-// memoizes every capacity answer handed to the encoder (so one run sees
-// a consistent view, exactly as a serial run over unchanging counters
-// would) and can later validate those answers against the live
-// counters. A bias derived from the encoding being replaced makes the
-// speculative view behave as if the old s-rules were already released,
-// mirroring the serial release-then-recompute order. It also carries
-// what the run produced (enc, err), so one pointer hands a speculation
-// to the admission transaction (admit.go).
+// capRecorder wraps an Occupancy for one speculative encoding of a new
+// group (a batch element). It memoizes every capacity answer handed to
+// the encoder (so one run sees a consistent view, exactly as a serial
+// run over unchanging counters would) and can later validate those
+// answers against the live counters. It also carries what the run
+// produced (enc, err), so one pointer hands a speculation to the
+// admission transaction (admit.go).
 type capRecorder struct {
-	occ      *Occupancy
-	leafBias map[topology.LeafID]int
-	podBias  map[topology.PodID]int
-	leafAns  map[topology.LeafID]bool
-	podAns   map[topology.PodID]bool
+	occ     *Occupancy
+	leafAns map[topology.LeafID]bool
+	podAns  map[topology.PodID]bool
 
 	enc *Encoding
 	err error
 }
 
-// newCapRecorder builds a recorder; oldEnc (may be nil) contributes the
-// release bias.
-func newCapRecorder(occ *Occupancy, oldEnc *Encoding) *capRecorder {
-	r := &capRecorder{
+// newCapRecorder builds a recorder with no answers yet.
+func newCapRecorder(occ *Occupancy) *capRecorder {
+	return &capRecorder{
 		occ:     occ,
 		leafAns: make(map[topology.LeafID]bool),
 		podAns:  make(map[topology.PodID]bool),
 	}
-	if oldEnc != nil {
-		if len(oldEnc.LeafSRules) > 0 {
-			r.leafBias = make(map[topology.LeafID]int, len(oldEnc.LeafSRules))
-			for l := range oldEnc.LeafSRules {
-				r.leafBias[l]++
-			}
-		}
-		if len(oldEnc.SpineSRules) > 0 {
-			r.podBias = make(map[topology.PodID]int, len(oldEnc.SpineSRules))
-			for p := range oldEnc.SpineSRules {
-				r.podBias[p]++
-			}
-		}
-	}
-	return r
 }
 
 // capacity returns the recording capacity view for the encoder run.
@@ -170,7 +142,7 @@ func (r *capRecorder) capacity() CapacityFunc {
 			if ans, ok := r.leafAns[l]; ok {
 				return ans
 			}
-			ans := r.occ.leafFree(l, r.leafBias[l])
+			ans := r.occ.leafFree(l)
 			r.leafAns[l] = ans
 			return ans
 		},
@@ -178,25 +150,24 @@ func (r *capRecorder) capacity() CapacityFunc {
 			if ans, ok := r.podAns[p]; ok {
 				return ans
 			}
-			ans := r.occ.podFree(p, r.podBias[p])
+			ans := r.occ.podFree(p)
 			r.podAns[p] = ans
 			return ans
 		},
 	}
 }
 
-// valid re-evaluates every recorded answer against the live counters
-// (unbiased — the caller must have released the old encoding first). If
-// every answer still holds, the speculative encoding is exactly what a
-// serial run at the commit point would produce.
+// valid re-evaluates every recorded answer against the live counters.
+// If every answer still holds, the speculative encoding is exactly what
+// a serial run at the commit point would produce.
 func (r *capRecorder) valid() bool {
 	for l, ans := range r.leafAns {
-		if r.occ.leafFree(l, 0) != ans {
+		if r.occ.leafFree(l) != ans {
 			return false
 		}
 	}
 	for p, ans := range r.podAns {
-		if r.occ.podFree(p, 0) != ans {
+		if r.occ.podFree(p) != ans {
 			return false
 		}
 	}

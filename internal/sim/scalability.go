@@ -49,7 +49,7 @@ type ScalabilityConfig struct {
 	// Seed drives sender selection.
 	Seed int64
 	// Workers shards the per-group encoding phase across that many
-	// goroutines (resolved by controller.ResolveWorkers: <=0 uses
+	// goroutines (controller.EncodeBatch's workers: <=0 uses
 	// GOMAXPROCS); measurement and admission stay serialized in group
 	// order under the occupancy admission mutex, so results are
 	// identical for every worker count.

@@ -156,7 +156,7 @@ func TestScrapeDuringChurnSoak(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := churn.Run(ctrl, dep, gs, churn.Config{
-			Events: 4000, EventsPerSecond: 1000, Seed: 9, Workers: 2,
+			Events: 4000, EventsPerSecond: 1000, Seed: 9,
 			Metrics: churn.NewMetrics(reg),
 		})
 		done <- err

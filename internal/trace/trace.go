@@ -14,7 +14,7 @@
 // On(r, cat), a nil check plus a single atomic load, and builds the
 // event only when it passes, so a disabled (or absent) recorder adds
 // zero allocations and no locking to packet forwarding. When enabled,
-// events go through per-category 1-in-N sampling and land in a
+// every event of an enabled category is kept: it lands in a
 // fixed-capacity ring that overwrites the oldest entries, so the
 // recorder is safe to leave attached to long runs.
 //
@@ -30,9 +30,9 @@ import (
 	"time"
 )
 
-// Category is a coarse event class with its own enable bit and
-// sampling rate. Hot-path packet events and cold control-plane events
-// are separate categories so one can be sampled without the other.
+// Category is a coarse event class with its own bit in the recorder's
+// enable mask. Hot-path packet events and cold control-plane events
+// are separate categories so one can be recorded without the other.
 type Category uint8
 
 const (
@@ -367,7 +367,7 @@ type Event struct {
 type Recorder interface {
 	// Enabled reports whether the category is being recorded.
 	Enabled(Category) bool
-	// Record stores the event (subject to sampling).
+	// Record stores the event if its category is enabled.
 	Record(Event)
 }
 

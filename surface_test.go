@@ -66,6 +66,9 @@ func TestNoUnreachableSurface(t *testing.T) {
 		"internal/wal.TruncateFrom":                                     true,
 		"internal/durable.EncodeBatchChunks":                            true,
 		"internal/durable.RecoveryStats.DroppedTail":                    true,
+		"internal/churn.Config.Workers":                                 true,
+		"internal/churn.Result.Workers":                                 true,
+		"internal/controller.ResolveWorkers":                            true,
 	}
 
 	fset, files := parseShipped(t)
