@@ -111,9 +111,13 @@ chaos:
 	$(GO) test -race -run 'Chaos|Monitor|Injector|FaultPlan' -count=1 ./internal/chaos/
 	$(GO) run ./cmd/elmo-sim -chaos -seed 7
 
-# durable runs the narrated WAL/snapshot/crash-recovery/failover
+# durable runs the WAL and durable-controller tests under the race
+# detector — append and commit from concurrent callers, group commit,
+# write-failure poisoning, the pinned segment bytes, crash recovery and
+# replication — then the narrated WAL/snapshot/crash-recovery/failover
 # scenario.
 durable:
+	$(GO) test -race -count=1 ./internal/wal/ ./internal/durable/
 	$(GO) run ./cmd/elmo-sim -durable
 
 # partition runs the leadership-fencing checks under the race detector

@@ -13,7 +13,7 @@
 //     replaying the log against a fresh controller reproduces the
 //     crashed instance exactly.
 //   - Durability is prefix-closed: a record is durable only if all
-//     records before it are (single flusher commits in order).
+//     records before it are (an fsync covers every earlier append).
 //   - A snapshot at LSN n plus the log after n is equivalent to the
 //     full log; TruncateThrough(n) is safe the moment the snapshot
 //     file is atomically in place.
@@ -301,11 +301,11 @@ func (d *DurableController) ResyncState() (epoch uint64, state []byte, err error
 }
 
 // mutate is the log-before-apply spine every state-changing op runs
-// through: append the op's one record, apply the op, and stream the
+// through: write the op's one record, apply the op, and stream the
 // record to followers — all under d.mu so WAL order, apply order, and
-// stream order coincide — then wait for durability OUTSIDE the lock,
-// which lets concurrent ops share one fsync (group commit). The op's
-// own error is returned only once it is durable: a failed op is
+// stream order coincide — then commit OUTSIDE the lock, so ops that
+// commit while an fsync runs share the next one (group commit). The
+// op's own error is returned only once it is durable: a failed op is
 // logged, and fails identically on replay and followers.
 func (d *DurableController) mutate(payload []byte, op OpRecord, batch controller.BatchOptions) (*controller.BatchResult, error) {
 	d.mu.Lock()
@@ -318,16 +318,16 @@ func (d *DurableController) mutate(payload []byte, op OpRecord, batch controller
 		d.mu.Unlock()
 		return nil, err
 	}
-	ack, err := d.log.Append(payload[0], payload)
+	lsn, err := d.log.Append(payload[0], payload)
 	if err != nil {
 		d.mu.Unlock()
 		return nil, err
 	}
 	res, applyErr := applyOp(d.ctrl, op, batch)
-	d.streamLocked(ack.LSN(), payload)
+	d.streamLocked(lsn, payload)
 	d.mu.Unlock()
-	if err := ack.Wait(); err != nil {
-		return nil, fmt.Errorf("durable: commit lsn %d: %w", ack.LSN(), err)
+	if err := d.log.Commit(lsn); err != nil {
+		return nil, fmt.Errorf("durable: commit lsn %d: %w", lsn, err)
 	}
 	return res, applyErr
 }
@@ -434,11 +434,11 @@ func (d *DurableController) Snapshot() (uint64, error) {
 		d.mu.Unlock()
 		return 0, fmt.Errorf("durable: controller closed")
 	}
-	if err := d.log.Sync(); err != nil {
+	lsn := d.log.LastLSN()
+	if err := d.log.Commit(lsn); err != nil {
 		d.mu.Unlock()
 		return 0, err
 	}
-	lsn := d.log.LastLSN()
 	var buf bytes.Buffer
 	err := d.ctrl.WriteState(&buf)
 	d.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"elmo/internal/controller"
+	"elmo/internal/telemetry"
 	"elmo/internal/topology"
 )
 
@@ -378,6 +379,60 @@ func TestDurableTornBatchTail(t *testing.T) {
 				t.Fatalf("recovered %d groups, want %d", n, 1+len(fresh))
 			}
 		})
+	}
+}
+
+// TestDurableOpsShareFsync: ops serialize on the controller's mutex
+// only up to their commit, so concurrent Join/Leave callers share
+// fsyncs — fewer commit rounds than ops — and a reopen still recovers
+// the live state.
+func TestDurableOpsShareFsync(t *testing.T) {
+	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	d, _, err := Open(durableTopo(), durableCfg(), Options{Dir: dir, Registry: reg}) // real fsync
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers, each = 8, 100
+	for c := 0; c < callers; c++ {
+		if err := d.CreateGroup(controller.GroupKey{Tenant: 1, Group: uint32(c + 1)},
+			map[topology.HostID]controller.Role{topology.HostID(c): controller.RoleBoth}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := reg.Snapshot().Get("elmo_wal_batches_total")
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			key, host := controller.GroupKey{Tenant: 1, Group: uint32(c + 1)}, topology.HostID(32+c)
+			for i := 0; i < each; i++ {
+				op := d.Join
+				if i%2 == 1 {
+					op = d.Leave
+				}
+				if err := op(key, host, controller.RoleReceiver); err != nil {
+					t.Errorf("caller %d op %d: %v", c, i, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	rounds := reg.Snapshot().Get("elmo_wal_batches_total") - before
+	if rounds <= 0 || rounds >= callers*each {
+		t.Fatalf("%v commit rounds for %d ops; expected ops to share fsyncs", rounds, callers*each)
+	}
+	t.Logf("%v commit rounds for %d ops", rounds, callers*each)
+	want := d.Controller().Fingerprint()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, _ := openTest(t, dir)
+	defer d2.Close()
+	if got := d2.Controller().Fingerprint(); got != want {
+		t.Fatalf("recovered fingerprint %s != live %s", got, want)
 	}
 }
 

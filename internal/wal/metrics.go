@@ -22,15 +22,15 @@ type Metrics struct {
 // NewMetrics registers the WAL metric families in reg.
 func NewMetrics(reg *telemetry.Registry) *Metrics {
 	lat := reg.HistogramVec("elmo_wal_latency_seconds",
-		"Group-commit latency by stage: queue (behind the previous batch), flush (write+fsync of own batch), commit (enqueue to durable).",
+		"Commit latency by stage, from Commit entry: queue (behind the fsync already running), flush (own commit round), commit (entry to durable).",
 		telemetry.LatencyBuckets, "stage")
 	return &Metrics{
 		appends: reg.Counter("elmo_wal_appends_total",
-			"Records enqueued for group commit."),
+			"Records written to segments."),
 		batches: reg.Counter("elmo_wal_batches_total",
-			"Group-commit batches flushed."),
+			"Commit rounds that advanced the durable LSN."),
 		fsyncs: reg.Counter("elmo_wal_fsyncs_total",
-			"fsync calls issued (one per batch plus segment rotations)."),
+			"fsync calls issued (one per commit round plus segment rotations)."),
 		segments: reg.Counter("elmo_wal_segments_created_total",
 			"Segment files created."),
 		truncated: reg.Counter("elmo_wal_segments_truncated_total",
@@ -38,7 +38,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		bytes: reg.Counter("elmo_wal_bytes_total",
 			"Frame bytes written to segments."),
 		batchRecords: reg.Histogram("elmo_wal_batch_records",
-			"Records coalesced per group-commit batch.",
+			"LSNs made durable per commit round.",
 			telemetry.ExponentialBuckets(1, 2, 13)),
 		queueLat:  lat.With("queue"),
 		flushLat:  lat.With("flush"),

@@ -1,13 +1,13 @@
 // Package wal implements the controller's write-ahead log: a
-// segmented, CRC-checksummed, append-only record log with a
-// channel-based group-commit batcher. Callers enqueue records and get
-// back an Ack; a single flusher goroutine drains the queue, writes a
-// whole batch, fsyncs once, and then releases every Ack in the batch
-// with its queue/flush/commit latencies. Batching amortizes the fsync —
-// the dominant cost of durability — across every record that arrived
-// while the previous batch was on the platter, which is what lets the
-// control plane sustain high op rates while still acking only after
-// the bytes are durable.
+// segmented, CRC-checksummed, append-only record log with group commit
+// at the fsync. Append frames one record and writes it to the current
+// segment in the caller, so a failed write is the caller's error at
+// once; Commit(lsn) returns when every record up to lsn is durable. One
+// fsync runs at a time and covers everything appended before it began,
+// so committers that arrive while it is on the disk share the next one.
+// That amortizes the fsync — the dominant cost of durability — across
+// concurrent writers, while each is still acked only after its bytes
+// are durable.
 //
 // On-disk layout: the log directory holds segment files named by the
 // LSN of their first record (0000000000000001.wal). Each record is
@@ -20,8 +20,8 @@
 // stamped on every frame, and required to be non-decreasing across the
 // log — a regression is corruption, not a torn tail. Replay validates
 // every frame and requires LSNs to be contiguous; a torn frame at the
-// very tail of the last segment (the crash window of an in-flight
-// batch) terminates replay cleanly, while corruption anywhere else is
+// very tail of the last segment (the crash window of an uncommitted
+// write) terminates replay cleanly, while corruption anywhere else is
 // an error.
 package wal
 
@@ -46,10 +46,6 @@ const (
 
 	// DefaultSegmentBytes rotates segments at 16 MiB.
 	DefaultSegmentBytes = 16 << 20
-	// DefaultBatchRecords caps records coalesced into one fsync.
-	DefaultBatchRecords = 4096
-	// batchBytes caps the byte size of one batch.
-	batchBytes = 4 << 20
 )
 
 // castagnoli is the CRC32-C table (hardware-accelerated on amd64).
@@ -62,13 +58,10 @@ type Options struct {
 	// SegmentBytes rotates to a new segment once the current one
 	// reaches this size (0 = DefaultSegmentBytes).
 	SegmentBytes int
-	// BatchRecords caps the records of one group-commit batch
-	// (0 = DefaultBatchRecords).
-	BatchRecords int
 	// NoSync skips fsync (tests and benchmarks that measure the
-	// batching pipeline rather than the disk).
+	// logging path rather than the disk).
 	NoSync bool
-	// Metrics, when non-nil, receives append/batch/fsync counters and
+	// Metrics, when non-nil, receives append/commit/fsync counters and
 	// the queue/flush/commit latency histograms; nil becomes the zero
 	// bundle, whose nil handles do nothing.
 	Metrics *Metrics
@@ -87,9 +80,6 @@ func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = DefaultSegmentBytes
 	}
-	if o.BatchRecords <= 0 {
-		o.BatchRecords = DefaultBatchRecords
-	}
 	if o.Metrics == nil {
 		o.Metrics = &Metrics{}
 	}
@@ -105,34 +95,35 @@ type Record struct {
 	Data  []byte
 }
 
-// Log is an append-only segmented record log. Append may be called
-// concurrently; one flusher goroutine owns the files.
+// Log is an append-only segmented record log. Append, Commit and Close
+// may be called concurrently.
 type Log struct {
 	opts  Options
 	epoch uint64 // immutable after Open
 
-	mu      sync.Mutex // serializes LSN assignment + enqueue order
+	// mu orders appends: it assigns LSNs and owns the current segment.
+	// w is cur as the writer frames go through; frame is one record's
+	// scratch. err is the first write or fsync error, which poisons the
+	// log.
+	mu      sync.Mutex
 	nextLSN uint64
 	closed  bool
+	err     error
+	cur     *os.File
+	w       io.Writer
+	curSize int64
+	frame   []byte
 
-	queue chan *Ack
-	done  chan struct{}
-
-	// flusher-owned state (no locking: single goroutine). w is cur as
-	// the writer frames go through; frames gathers one batch's frames
-	// for cur, and curSize counts them from the moment they are framed.
-	cur      *os.File
-	w        io.Writer
-	curSize  int64
-	curFirst uint64
-	frames   []byte
-	flushErr error
+	// syncMu lets one fsync run at a time; durable is the highest LSN
+	// known to be on disk.
+	syncMu  sync.Mutex
+	durable uint64
 }
 
 // Open opens (or creates) the log in opts.Dir, scanning existing
 // segments to find the next LSN. A torn frame at the tail of the last
-// segment — the signature of a crash mid-batch — is truncated away so
-// appends resume cleanly; the records before it were never acked.
+// segment — the signature of a crash mid-write — is truncated away so
+// appends resume cleanly; its record was never committed.
 func Open(opts Options) (*Log, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -145,13 +136,7 @@ func Open(opts Options) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{
-		opts:    opts,
-		epoch:   opts.Epoch,
-		nextLSN: 1,
-		queue:   make(chan *Ack, opts.BatchRecords),
-		done:    make(chan struct{}),
-	}
+	l := &Log{opts: opts, epoch: opts.Epoch, nextLSN: 1}
 	if len(segs) > 0 {
 		last := segs[len(segs)-1]
 		lastLSN, lastEpoch, validLen, err := walkSegment(filepath.Join(opts.Dir, last.name), last.first, 0, true, nil)
@@ -196,9 +181,10 @@ func Open(opts Options) (*Log, error) {
 			f.Close()
 			return nil, fmt.Errorf("wal: %w", err)
 		}
-		l.setSegment(f, validLen, last.first)
+		l.setSegment(f, validLen)
 	}
-	go l.flusher()
+	// What recovery found is what it replays as committed.
+	l.durable = l.nextLSN - 1
 	return l, nil
 }
 
@@ -213,84 +199,12 @@ func (l *Log) NextLSN() uint64 {
 	return l.nextLSN
 }
 
-// LastLSN returns the LSN of the most recently enqueued record (0 when
+// LastLSN returns the LSN of the most recently appended record (0 when
 // the log is empty).
 func (l *Log) LastLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.nextLSN - 1
-}
-
-// Append enqueues one record for group commit and returns its Ack. The
-// record's LSN is assigned in enqueue order — callers that need the
-// log order to match an apply order hold their own mutex across
-// Append and the apply. Wait for durability with Ack.Wait.
-func (l *Log) Append(typ uint8, data []byte) (*Ack, error) {
-	a := newAck(typ, data)
-	a.epoch = l.epoch
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil, fmt.Errorf("wal: log closed")
-	}
-	a.lsn = l.nextLSN
-	l.nextLSN++
-	l.queue <- a
-	l.mu.Unlock()
-	l.opts.Metrics.appends.Inc()
-	return a, nil
-}
-
-// AppendSync appends one record and blocks until it is durable,
-// returning its LSN.
-func (l *Log) AppendSync(typ uint8, data []byte) (uint64, error) {
-	a, err := l.Append(typ, data)
-	if err != nil {
-		return 0, err
-	}
-	if err := a.Wait(); err != nil {
-		return 0, err
-	}
-	return a.LSN(), nil
-}
-
-// Sync enqueues a barrier and waits for every record enqueued before
-// it to be durable.
-func (l *Log) Sync() error {
-	a := newAck(0, nil)
-	a.barrier = true
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return fmt.Errorf("wal: log closed")
-	}
-	l.queue <- a
-	l.mu.Unlock()
-	return a.Wait()
-}
-
-// Close drains the queue, syncs, and releases the files. Appends after
-// Close fail.
-func (l *Log) Close() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil
-	}
-	l.closed = true
-	close(l.queue)
-	l.mu.Unlock()
-	<-l.done
-	if l.cur != nil {
-		if err := l.syncFile(); err != nil {
-			l.cur.Close()
-			return err
-		}
-		err := l.cur.Close()
-		l.cur = nil
-		return err
-	}
-	return l.flushErr
 }
 
 // TruncateThrough removes whole segments whose records all have

@@ -2,9 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -24,20 +28,19 @@ func openTest(t *testing.T, dir string, opts Options) *Log {
 	return l
 }
 
+// appendN appends n records and commits them with one Commit.
 func appendN(t *testing.T, l *Log, start, n int) {
 	t.Helper()
-	acks := make([]*Ack, 0, n)
+	var last uint64
 	for i := 0; i < n; i++ {
-		a, err := l.Append(uint8(1+(start+i)%3), []byte(fmt.Sprintf("record-%d", start+i)))
+		lsn, err := l.Append(uint8(1+(start+i)%3), []byte(fmt.Sprintf("record-%d", start+i)))
 		if err != nil {
 			t.Fatalf("Append: %v", err)
 		}
-		acks = append(acks, a)
+		last = lsn
 	}
-	for _, a := range acks {
-		if err := a.Wait(); err != nil {
-			t.Fatalf("Wait: %v", err)
-		}
+	if err := l.Commit(last); err != nil {
+		t.Fatalf("Commit: %v", err)
 	}
 }
 
@@ -201,9 +204,11 @@ func TestConcurrentAppendersGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
 	m := NewMetrics(reg)
-	// Real fsync: while one batch is on the disk, the other producers
-	// enqueue behind it, which is what makes group commit coalesce.
-	l, err := Open(Options{Dir: dir, Metrics: m})
+	// Real fsync: while one is on the disk, the other producers append
+	// and queue to commit behind it, which is what makes group commit
+	// coalesce. Small segments make appenders rotate the file a
+	// committer is syncing out from under it.
+	l, err := Open(Options{Dir: dir, Metrics: m, SegmentBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +219,12 @@ func TestConcurrentAppendersGroupCommit(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if _, err := l.AppendSync(1, []byte(fmt.Sprintf("p%d-%d", p, i))); err != nil {
-					t.Errorf("AppendSync: %v", err)
+				lsn, err := l.Append(1, []byte(fmt.Sprintf("p%d-%d", p, i)))
+				if err == nil {
+					err = l.Commit(lsn)
+				}
+				if err != nil {
+					t.Errorf("Append/Commit: %v", err)
 					return
 				}
 			}
@@ -232,32 +241,68 @@ func TestConcurrentAppendersGroupCommit(t *testing.T) {
 			t.Fatalf("LSN gap at %d: %d", i, r.LSN)
 		}
 	}
-	// Group commit must have coalesced: strictly fewer fsync batches
+	// Group commit must have coalesced: strictly fewer commit rounds
 	// than records. With 8 producers blocked behind real fsyncs, at
-	// least one batch carries more than one record.
+	// least one round covers more than one record.
 	snap := reg.Snapshot()
 	batches := snap.Get("elmo_wal_batches_total")
 	if batches <= 0 || batches >= float64(producers*each) {
 		t.Fatalf("batches = %v for %d records; expected coalescing", batches, producers*each)
 	}
+	t.Logf("%v commit rounds for %d records", batches, producers*each)
 }
 
-func TestSyncBarrier(t *testing.T) {
+// TestCommitCoversEarlierAppends: one Commit of the last LSN is one
+// round that makes every record appended before it durable, and a
+// Commit of an LSN already covered starts no round of its own.
+func TestCommitCoversEarlierAppends(t *testing.T) {
 	dir := t.TempDir()
-	l := openTest(t, dir, Options{})
+	reg := telemetry.NewRegistry()
+	l := openTest(t, dir, Options{Metrics: NewMetrics(reg)})
+	defer l.Close()
 	for i := 0; i < 10; i++ {
 		if _, err := l.Append(1, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
+	if err := l.Commit(10); err != nil {
+		t.Fatalf("Commit: %v", err)
 	}
-	// Everything enqueued before the barrier is on disk now.
+	if err := l.Commit(4); err != nil {
+		t.Fatalf("Commit of a covered LSN: %v", err)
+	}
 	if recs := collect(t, dir, 1); len(recs) != 10 {
-		t.Fatalf("replayed %d after Sync, want 10", len(recs))
+		t.Fatalf("replayed %d after Commit, want 10", len(recs))
 	}
-	l.Close()
+	snap := reg.Snapshot()
+	if got := snap.Get("elmo_wal_batches_total"); got != 1 {
+		t.Fatalf("batches_total = %v, want 1 round", got)
+	}
+	if got := snap.Get("elmo_wal_batch_records_sum"); got != 10 {
+		t.Fatalf("batch_records_sum = %v, want the round to cover 10 LSNs", got)
+	}
+}
+
+// TestRotatedSegmentSyncIsErrClosed pins what Commit relies on when an
+// appender rotates the segment a committer is about to sync: the sync
+// of the closed file returns os.ErrClosed, which Commit counts as
+// covered, because rotate synced that file before closing it.
+func TestRotatedSegmentSyncIsErrClosed(t *testing.T) {
+	l := openTest(t, t.TempDir(), Options{SegmentBytes: 1})
+	defer l.Close()
+	if _, err := l.Append(1, []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	old := l.cur
+	if _, err := l.Append(1, []byte("b")); err != nil { // rotates
+		t.Fatal(err)
+	}
+	if err := old.Sync(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("sync of a rotated-away segment returned %v, want os.ErrClosed", err)
+	}
+	if err := l.Commit(2); err != nil {
+		t.Fatalf("Commit after rotation: %v", err)
+	}
 }
 
 func TestAppendAfterCloseFails(t *testing.T) {
@@ -267,21 +312,118 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if _, err := l.Append(1, []byte("x")); err == nil {
 		t.Fatal("Append after Close should fail")
 	}
-	if err := l.Sync(); err == nil {
-		t.Fatal("Sync after Close should fail")
-	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
 }
 
+// failingWriter is the segment-writer seam of the poisoning test: it
+// fails the fail-th write through it and passes every other.
+type failingWriter struct {
+	w      io.Writer
+	writes *int
+	fail   int
+}
+
+func (f failingWriter) Write(p []byte) (int, error) {
+	if *f.writes++; *f.writes == f.fail {
+		return 0, errInjected
+	}
+	return f.w.Write(p)
+}
+
+var errInjected = errors.New("injected write failure")
+
+// TestWriteFailurePoisonsLog: the Append whose write fails returns the
+// error, every later Append, Commit and Close returns it too, and a
+// reopen replays exactly the records written before it.
+func TestWriteFailurePoisonsLog(t *testing.T) {
+	dir := t.TempDir()
+	writes := 0
+	l := openTest(t, dir, Options{wrapWriter: func(w io.Writer) io.Writer {
+		return failingWriter{w: w, writes: &writes, fail: 3}
+	}})
+	for i := 1; i <= 2; i++ {
+		lsn, err := l.Append(1, []byte{byte(i)})
+		if err == nil {
+			err = l.Commit(lsn)
+		}
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
+	if _, err := l.Append(1, []byte{3}); !errors.Is(err, errInjected) {
+		t.Fatalf("third Append returned err=%v, want the write's error", err)
+	}
+	if _, err := l.Append(1, []byte{4}); !errors.Is(err, errInjected) {
+		t.Errorf("Append after the failed write returned %v", err)
+	}
+	if err := l.Commit(2); !errors.Is(err, errInjected) {
+		t.Errorf("Commit after the failed write returned %v", err)
+	}
+	if err := l.Close(); !errors.Is(err, errInjected) {
+		t.Errorf("Close after the failed write returned %v", err)
+	}
+	recs := collect(t, dir, 1)
+	if len(recs) != 2 || recs[0].Data[0] != 1 || recs[1].Data[0] != 2 {
+		t.Fatalf("replayed %d records, want exactly records 1-2", len(recs))
+	}
+	l2 := openTest(t, dir, Options{})
+	defer l2.Close()
+	if next := l2.NextLSN(); next != 3 {
+		t.Fatalf("reopened NextLSN = %d, want 3", next)
+	}
+}
+
+// TestSegmentBytesGolden pins the on-disk format: ten records of types
+// 1-3 with 100-byte payloads, at epoch 3 through 400-byte segments,
+// hash to three pinned segment digests — frames, CRCs, LSNs, epochs and
+// rotation points all fixed.
+func TestSegmentBytesGolden(t *testing.T) {
+	dir := t.TempDir()
+	l := openTest(t, dir, Options{SegmentBytes: 400, Epoch: 3})
+	for i := 0; i < 10; i++ {
+		lsn, err := l.Append(uint8(1+i%3), bytes.Repeat([]byte{byte('a' + i)}, 100))
+		if err == nil {
+			err = l.Commit(lsn)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"0000000000000001.wal": "be0f21939cfa7298a1ccb2ec6bc89a32737d259020f84b4b0c29b68a151dfa3a",
+		"0000000000000005.wal": "664d7df89e29b2e2c765a2d14ccd9b1b35a572708bf4efc8021fc0170f2fbf9c",
+		"0000000000000009.wal": "557d0cf3e370483e3ea71657d1aa2f33ae00647173b79032d7f1a459455c48c4",
+	}
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != len(want) {
+		t.Fatalf("%d segments, want %d", len(segs), len(want))
+	}
+	for _, s := range segs {
+		data, err := os.ReadFile(filepath.Join(dir, s.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != want[s.name] {
+			t.Errorf("segment %s (%d bytes) hashes to %x, want %s", s.name, len(data), sum, want[s.name])
+		}
+	}
+}
+
 // TestAbandonedLogRecovers models a crash: the first Log is never
-// closed (its flusher stays alive but idle), and a second Open on the
-// same directory must see every acked record.
+// closed (its segment file stays open), and a second Open on the same
+// directory must see every committed record.
 func TestAbandonedLogRecovers(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, dir, Options{})
-	appendN(t, l, 0, 30) // all acked => durable
+	appendN(t, l, 0, 30) // all committed => durable
 	// No Close: simulate the process dying here.
 	l2 := openTest(t, dir+"-next", Options{})
 	_ = l2 // silence; the real assertion is on dir below
@@ -302,13 +444,15 @@ func FuzzReplay(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if _, err := l.AppendSync(1, []byte("seed-one")); err != nil {
+	if _, err := l.Append(1, []byte("seed-one")); err != nil {
 		f.Fatal(err)
 	}
-	if _, err := l.AppendSync(2, []byte("seed-two")); err != nil {
+	if _, err := l.Append(2, []byte("seed-two")); err != nil {
 		f.Fatal(err)
 	}
-	l.Close()
+	if err := l.Close(); err != nil {
+		f.Fatal(err)
+	}
 	segs, _ := listSegments(dir)
 	buf, _ := os.ReadFile(filepath.Join(dir, segs[0].name))
 	f.Add(buf)
@@ -344,7 +488,9 @@ func TestMetricsCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := NewMetrics(reg)
 	l := openTest(t, dir, Options{Metrics: m, SegmentBytes: 128})
-	appendN(t, l, 0, 50)
+	for i := 0; i < 5; i++ {
+		appendN(t, l, 10*i, 10) // one Commit round per ten records
+	}
 	l.Close()
 	snap := reg.Snapshot()
 	if got := snap.Get("elmo_wal_appends_total"); got != 50 {
@@ -356,12 +502,11 @@ func TestMetricsCounters(t *testing.T) {
 	if got := snap.Get("elmo_wal_segments_created_total"); got < 2 {
 		t.Fatalf("segments_created_total = %v, want >= 2", got)
 	}
-	if got := snap.Get(`elmo_wal_latency_seconds_count{stage="commit"}`); got != 50 {
-		// Key format depends on telemetry snapshot naming; fall back to
-		// the histogram handle.
-		if m.commitLat.Count() != 50 {
-			t.Fatalf("commit latency count = %d, want 50", m.commitLat.Count())
-		}
+	if got := snap.Get("elmo_wal_batches_total"); got != 5 {
+		t.Fatalf("batches_total = %v, want 5 commit rounds", got)
+	}
+	if got := snap.Get(`elmo_wal_latency_seconds_count{stage="commit"}`); got != 5 {
+		t.Fatalf("commit latency count = %v, want one per Commit (5)", got)
 	}
 }
 

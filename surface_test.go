@@ -36,7 +36,6 @@ func TestNoUnreachableSurface(t *testing.T) {
 		"internal/controller.Config.LegacyLeaves":         "§7 incremental deployment is exercised by tests and the fabric's SetLegacyLeaf only",
 		"internal/controller.Config.LegacyPods":           "as LegacyLeaves, one layer up",
 		"internal/controller.BatchOptions.Workers":        "serial-vs-parallel equivalence tests pin the worker count",
-		"internal/wal.Options.BatchRecords":               "the one-write-per-batch test compares batches of 1 against the default",
 		"internal/chaos.MonitorConfig.MaxRecoveryRetries": "the retry-exhaustion test shortens the budget",
 		"internal/chaos.MonitorConfig.Sleep":              "tests replace time.Sleep to observe the backoff schedule",
 		"internal/chaos.MonitorConfig.InstallFn":          "tests inject transient install errors",
@@ -64,6 +63,10 @@ func TestNoUnreachableSurface(t *testing.T) {
 		"internal/controller.Controller.InspectShards":                  true,
 		"internal/controller.ShardInfo":                                 true,
 		"internal/wal.TruncateFrom":                                     true,
+		"internal/wal.Ack":                                              true,
+		"internal/wal.Log.AppendSync":                                   true,
+		"internal/wal.Log.Sync":                                         true,
+		"internal/wal.DefaultBatchRecords":                              true,
 		"internal/durable.EncodeBatchChunks":                            true,
 		"internal/durable.RecoveryStats.DroppedTail":                    true,
 		"internal/churn.Config.Workers":                                 true,
@@ -129,6 +132,11 @@ func TestNoUnreachableSurface(t *testing.T) {
 					declared(dir, name, decl.Pos())
 				case *ast.GenDecl:
 					for _, spec := range decl.Specs {
+						if vs, ok := spec.(*ast.ValueSpec); ok {
+							for _, n := range vs.Names {
+								declared(dir, n.Name, n.Pos())
+							}
+						}
 						ts, ok := spec.(*ast.TypeSpec)
 						if !ok {
 							continue
