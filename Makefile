@@ -54,7 +54,8 @@ loc:
 # the sync forwarder is a 32-byte event that queues exactly what the
 # frozen whole-packet forwarder queued, a controller dropped after a
 # membership op is collected by the next GC (no per-instance pool pins
-# it into the next bulk install's heap), every hypervisor of
+# it into the next bulk install's heap), the controller state stream is
+# the pinned bytes and the same at 1, 2 and 4 Ps, every hypervisor of
 # the bench topology accepts its own groups and counts each copy once
 # (BenchmarkDeliverFull checks its counts; its ns/op is printed, not
 # gated), a packet
@@ -72,7 +73,7 @@ bench-gate:
 	$(GO) test -run 'TestAssignIntoWarmScratchZeroAlloc' -count=1 ./internal/cluster/
 	$(GO) test -run 'TestObserverDisabledAddsNoAllocations' -count=1 -v ./internal/obs/
 	$(GO) test -run 'TestProcessIntoZeroAllocs|TestProcessIntoEquivalence' -bench 'BenchmarkDeliverFull' -benchtime 200000x -count=1 ./internal/dataplane/
-	$(GO) test -run 'TestSenderStreamMatchesOracle|TestAppendSenderStreamZeroAllocs|TestAbandonedControllerIsCollected' -count=1 ./internal/controller/
+	$(GO) test -run 'TestSenderStreamMatchesOracle|TestAppendSenderStreamZeroAllocs|TestAbandonedControllerIsCollected|TestWriteStateSameBytesAnyProcs|TestStateFormatGolden' -count=1 ./internal/controller/
 	$(GO) test -run 'TestInstallWalkAllocationBudget|TestINTAfterAbsentDownstreamSection|TestSendAllocsIndependentOfGroupSize|TestForwardEventIsCompact|TestForwardMatchesEagerDelivery' -count=1 ./internal/fabric/
 	bash benchmark/run.sh --workload fanout-sync --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload fanout-degraded --seed 1 --seconds 2 --trace 0

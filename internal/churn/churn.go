@@ -11,9 +11,10 @@
 package churn
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"elmo/internal/baselines"
 	"elmo/internal/controller"
@@ -106,44 +107,27 @@ func key(g *groupgen.Group) controller.GroupKey {
 
 // shadowGroup mirrors one group's membership during event generation,
 // so sampling (and the Li baseline) never reads live controller state:
-// hosts stays sorted, which keeps sampling deterministic.
-type shadowGroup struct {
-	roles map[topology.HostID]controller.Role
-	hosts []topology.HostID // members, ascending (deterministic sampling)
-}
+// its Members (the only field set) stay in ascending host order, which
+// keeps sampling deterministic.
+type shadowGroup struct{ controller.GroupState }
 
 func newShadowGroup(st *controller.GroupState) *shadowGroup {
-	s := &shadowGroup{roles: make(map[topology.HostID]controller.Role, len(st.Members))}
-	for h, r := range st.Members {
-		s.roles[h] = r
-		s.hosts = append(s.hosts, h)
-	}
-	sort.Slice(s.hosts, func(i, j int) bool { return s.hosts[i] < s.hosts[j] })
-	return s
+	return &shadowGroup{controller.GroupState{Members: slices.Clone(st.Members)}}
+}
+
+// index returns h's position in Members, or where it would be inserted.
+func (s *shadowGroup) index(h topology.HostID) int {
+	i, _ := slices.BinarySearchFunc(s.Members, h, func(m controller.Member, h topology.HostID) int { return cmp.Compare(m.Host, h) })
+	return i
 }
 
 func (s *shadowGroup) add(h topology.HostID, r controller.Role) {
-	s.roles[h] = r
-	i := sort.Search(len(s.hosts), func(i int) bool { return s.hosts[i] >= h })
-	s.hosts = append(s.hosts, 0)
-	copy(s.hosts[i+1:], s.hosts[i:])
-	s.hosts[i] = h
+	s.Members = slices.Insert(s.Members, s.index(h), controller.Member{Host: h, Role: r})
 }
 
 func (s *shadowGroup) remove(h topology.HostID) {
-	delete(s.roles, h)
-	i := sort.Search(len(s.hosts), func(i int) bool { return s.hosts[i] >= h })
-	s.hosts = append(s.hosts[:i], s.hosts[i+1:]...)
-}
-
-func (s *shadowGroup) receivers() []topology.HostID {
-	out := make([]topology.HostID, 0, len(s.hosts))
-	for _, h := range s.hosts {
-		if s.roles[h].CanReceive() {
-			out = append(out, h)
-		}
-	}
-	return out
+	i := s.index(h)
+	s.Members = slices.Delete(s.Members, i, i+1)
 }
 
 // Run generates cfg.Events join/leave events against the controller
@@ -173,7 +157,7 @@ func Run(ctrl *controller.Controller, dep *placement.Deployment, groups []groupg
 			return nil, fmt.Errorf("churn: group %d missing from controller", groups[i].ID)
 		}
 		shadows[i] = newShadowGroup(st)
-		weights[i] = len(shadows[i].hosts)
+		weights[i] = len(shadows[i].Members)
 	}
 	fw := newFenwick(weights)
 
@@ -189,7 +173,7 @@ func Run(ctrl *controller.Controller, dep *placement.Deployment, groups []groupg
 		g := &groups[gi]
 		sh := shadows[gi]
 		join := rng.Intn(2) == 0
-		if len(sh.hosts) <= 1 {
+		if len(sh.Members) <= 1 {
 			join = true
 		}
 		var err error
@@ -205,8 +189,9 @@ func Run(ctrl *controller.Controller, dep *placement.Deployment, groups []groupg
 			fw.add(gi, 1)
 			err = ctrl.Join(key(g), host, role)
 		} else {
-			host := sh.hosts[rng.Intn(len(sh.hosts))]
-			role := sh.roles[host] // the leaving member's full role
+			// The leaving member leaves with its full role.
+			mem := sh.Members[rng.Intn(len(sh.Members))]
+			host, role := mem.Host, mem.Role
 			sh.remove(host)
 			fw.add(gi, -1)
 			err = ctrl.Leave(key(g), host, role)
@@ -216,10 +201,10 @@ func Run(ctrl *controller.Controller, dep *placement.Deployment, groups []groupg
 		}
 		m.applied.Inc()
 		res.EventsApplied++
-		li.ApplyChurnEvent(g.ID, sh.receivers())
+		li.ApplyChurnEvent(g.ID, sh.Receivers())
 	}
 	for i := range shadows {
-		if d := fw.weight(i) - len(shadows[i].hosts); d > res.WeightDrift {
+		if d := fw.weight(i) - len(shadows[i].Members); d > res.WeightDrift {
 			res.WeightDrift = d
 		} else if -d > res.WeightDrift {
 			res.WeightDrift = -d
@@ -256,7 +241,7 @@ func pickNonMember(rng *rand.Rand, dep *placement.Deployment, g *groupgen.Group,
 	tenant := &dep.Tenants[g.Tenant]
 	for try := 0; try < 16; try++ {
 		vm := tenant.VMs[rng.Intn(len(tenant.VMs))]
-		if _, member := sh.roles[vm.Host]; !member {
+		if sh.RoleOf(vm.Host) == 0 {
 			return vm.Host, true
 		}
 	}

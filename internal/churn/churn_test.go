@@ -104,9 +104,9 @@ func TestChurnMembershipStaysConsistent(t *testing.T) {
 		for _, vm := range dep.Tenants[g.Tenant].VMs {
 			tenantHosts[vm.Host] = true
 		}
-		for h := range st.Members {
-			if !tenantHosts[h] {
-				t.Fatalf("group %d member %d not in tenant", g.ID, h)
+		for _, m := range st.Members {
+			if !tenantHosts[m.Host] {
+				t.Fatalf("group %d member %d not in tenant", g.ID, m.Host)
 			}
 		}
 	}

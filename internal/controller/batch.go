@@ -3,7 +3,6 @@ package controller
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -233,12 +232,9 @@ func (c *Controller) InstallBatch(specs []BatchSpec, opts BatchOptions) (*BatchR
 			// panic on.
 			return nil
 		}
-		g := &GroupState{Key: spec.Key, Members: make(map[topology.HostID]Role, len(spec.Members))}
-		for h, r := range spec.Members {
-			g.Members[h] = r
-		}
+		g := &GroupState{Key: spec.Key, Members: membersOf(spec.Members)}
 		prep[i] = g
-		return receiversOf(spec.Members)
+		return g.Receivers()
 	}
 	commit := func(i int, enc *Encoding) error {
 		if err := prepErr[i]; err != nil {
@@ -262,17 +258,4 @@ func (c *Controller) InstallBatch(specs []BatchSpec, opts BatchOptions) (*BatchR
 		return res, fmt.Errorf("controller: install %w", err)
 	}
 	return res, nil
-}
-
-// receiversOf lists the receiving hosts of a member map, ascending —
-// the same order GroupState.Receivers produces.
-func receiversOf(members map[topology.HostID]Role) []topology.HostID {
-	hosts := make([]topology.HostID, 0, len(members))
-	for h, r := range members {
-		if r.CanReceive() {
-			hosts = append(hosts, h)
-		}
-	}
-	slices.Sort(hosts)
-	return hosts
 }

@@ -380,7 +380,7 @@ func TestJoinRollbackAccounting(t *testing.T) {
 	if got := c.Stats().Hypervisor[2]; got != hypBefore {
 		t.Fatalf("hypervisor 2 charged %d updates for a rolled-back join", got-hypBefore)
 	}
-	if _, ok := gb.Members[2]; ok {
+	if gb.RoleOf(2) != 0 {
 		t.Fatal("membership not reverted after failed join")
 	}
 	if gb.Enc != oldEnc {
@@ -439,7 +439,7 @@ func TestLeaveRollbackAccounting(t *testing.T) {
 	}
 	// Plant a leaf-0 receiver without retreeing: the next re-encode will
 	// demand leaf 0's (full) legacy table.
-	gb.Members[1] = RoleReceiver
+	gb.Members = append([]Member{{Host: 1, Role: RoleReceiver}}, gb.Members...)
 	gb.Enc.LeafPorts[topo.HostLeaf(1)] = bitmap.FromPorts(topo.LeafDownWidth(), topo.HostPort(1))
 	oldEnc := gb.Enc
 	hypBefore := c.Stats().Hypervisor[17]
@@ -450,7 +450,7 @@ func TestLeaveRollbackAccounting(t *testing.T) {
 	if got := c.Stats().Hypervisor[17]; got != hypBefore {
 		t.Fatalf("hypervisor 17 charged for a rolled-back leave")
 	}
-	if gb.Members[17] != RoleReceiver {
+	if gb.RoleOf(17) != RoleReceiver {
 		t.Fatal("membership not restored after failed leave")
 	}
 	if gb.Enc != oldEnc {
@@ -660,7 +660,7 @@ func TestInstallBatchRacesExternalCreates(t *testing.T) {
 			if created[i] == (i < stop) {
 				t.Fatalf("trial %d: key %d (batch stopped at %d): create succeeded = %t", trial, i, stop, created[i])
 			}
-			if g := c.Group(s.Key); g == nil || !reflect.DeepEqual(g.Members, s.Members) {
+			if g := c.Group(s.Key); g == nil || !reflect.DeepEqual(g.Members, membersOf(s.Members)) {
 				t.Fatalf("trial %d: key %d not installed with its members", trial, i)
 			}
 		}

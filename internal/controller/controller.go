@@ -55,16 +55,50 @@ func (r Role) CanSend() bool { return r&RoleSender != 0 }
 // CanReceive reports whether the role includes receiving.
 func (r Role) CanReceive() bool { return r&RoleReceiver != 0 }
 
+// Member is one host of a group with its (non-zero) role.
+type Member struct {
+	Host topology.HostID
+	Role Role
+}
+
 // GroupState is the controller's record of one group.
 //
-// Concurrency: once the group is in the controller, its fields are
-// written only while holding BOTH the admission mutex and the
-// controller's mutex in write mode, so a reader holding either lock
-// sees consistent state (see the locking notes on Controller).
+// Concurrency: once the group is in the controller, its fields — the
+// Members slice and its elements included — are written only while
+// holding BOTH the admission mutex and the controller's mutex in write
+// mode, so a reader holding either lock sees consistent state (see the
+// locking notes on Controller).
 type GroupState struct {
-	Key     GroupKey
-	Members map[topology.HostID]Role
+	Key GroupKey
+	// Members lists each member once, in ascending Host order, so every
+	// reader walks it in the order the state stream and the install
+	// walk need, without sorting.
+	Members []Member
 	Enc     *Encoding
+}
+
+// membersOf lists a member map in ascending host order.
+func membersOf(m map[topology.HostID]Role) []Member {
+	ms := make([]Member, 0, len(m))
+	for h, r := range m {
+		ms = append(ms, Member{Host: h, Role: r})
+	}
+	slices.SortFunc(ms, func(a, b Member) int { return cmp.Compare(a.Host, b.Host) })
+	return ms
+}
+
+// find returns the index of host in g.Members and whether it is there;
+// when it is not, the index is where it would be inserted.
+func (g *GroupState) find(host topology.HostID) (int, bool) {
+	return slices.BinarySearchFunc(g.Members, host, func(m Member, h topology.HostID) int { return cmp.Compare(m.Host, h) })
+}
+
+// RoleOf returns host's role in the group, zero for a non-member.
+func (g *GroupState) RoleOf(host topology.HostID) Role {
+	if i, ok := g.find(host); ok {
+		return g.Members[i].Role
+	}
+	return 0
 }
 
 // Receivers returns the member hosts with a receiving role, ascending.
@@ -79,12 +113,11 @@ func (g *GroupState) Senders() []topology.HostID {
 
 func (g *GroupState) hostsWith(pred func(Role) bool) []topology.HostID {
 	hosts := make([]topology.HostID, 0, len(g.Members))
-	for h, r := range g.Members {
-		if pred(r) {
-			hosts = append(hosts, h)
+	for _, m := range g.Members {
+		if pred(m.Role) {
+			hosts = append(hosts, m.Host)
 		}
 	}
-	slices.Sort(hosts)
 	return hosts
 }
 
@@ -320,10 +353,7 @@ func (c *Controller) validateMembers(members map[topology.HostID]Role) error {
 func (c *Controller) CreateGroup(key GroupKey, members map[topology.HostID]Role) (*GroupState, error) {
 	m := c.getMetrics()
 	start := time.Now()
-	g := &GroupState{Key: key, Members: make(map[topology.HostID]Role, len(members))}
-	for h, r := range members {
-		g.Members[h] = r
-	}
+	g := &GroupState{Key: key, Members: membersOf(members)}
 	var encodeErr error
 	_, err := c.occ.admitEncoding(func() (*Encoding, error) {
 		if c.Group(key) != nil {
@@ -361,8 +391,8 @@ func (c *Controller) insertGroup(g *GroupState, enc *Encoding) error {
 	}
 	g.Enc = enc
 	c.groups[g.Key] = g
-	for h := range g.Members {
-		c.stats.Hypervisor[h]++
+	for _, m := range g.Members {
+		c.stats.Hypervisor[m.Host]++
 	}
 	c.mu.Unlock()
 	c.traceEncode(g.Key, enc)
@@ -382,8 +412,8 @@ func (c *Controller) RemoveGroup(key GroupKey) error {
 	}
 	delete(c.groups, key)
 	c.releaseSRulesCharged(g.Enc)
-	for h := range g.Members {
-		c.stats.Hypervisor[h]++
+	for _, m := range g.Members {
+		c.stats.Hypervisor[m.Host]++
 	}
 	c.traceControl(trace.KindRemoveGroup, key, int64(len(g.Members)), "")
 	c.getMetrics().ops.remove.Inc()
@@ -432,13 +462,13 @@ func (c *Controller) setRole(key GroupKey, host topology.HostID, role Role, join
 		if g = c.Group(key); g == nil {
 			return nil, fmt.Errorf("controller: group %v not found", key)
 		}
-		old, present := g.Members[host]
+		old := g.RoleOf(host)
 		switch {
-		case join && present && old|role == old:
+		case join && old|role == old:
 			return nil, errNoChange
 		case join:
 			next = old | role
-		case !present || old&role == 0:
+		case old&role == 0:
 			return nil, fmt.Errorf("controller: host %d does not hold role in %v", host, key)
 		default:
 			next = old &^ role
@@ -481,8 +511,9 @@ func (c *Controller) setRole(key GroupKey, host topology.HostID, role Role, join
 	return nil
 }
 
-// publishRole stores host's next role (zero drops the member) and the
-// group's new encoding under the controller's write lock, charging the
+// publishRole stores host's next role (zero drops the member; the
+// member slice stays sorted) and the group's new encoding under the
+// controller's write lock, charging the
 // switch updates the change costs: the member's own hypervisor always;
 // for a retree also the s-rule diffs to leaf/spine switches, and a
 // header refresh to every other sender hypervisor when the shared
@@ -490,10 +521,13 @@ func (c *Controller) setRole(key GroupKey, host topology.HostID, role Role, join
 func (c *Controller) publishRole(g *GroupState, host topology.HostID, next Role, enc *Encoding) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if next == 0 {
-		delete(g.Members, host)
-	} else {
-		g.Members[host] = next
+	switch i, present := g.find(host); {
+	case next == 0:
+		g.Members = slices.Delete(g.Members, i, i+1)
+	case present:
+		g.Members[i].Role = next
+	default:
+		g.Members = slices.Insert(g.Members, i, Member{Host: host, Role: next})
 	}
 	c.stats.Hypervisor[host]++
 	oldEnc := g.Enc
@@ -533,9 +567,9 @@ func (c *Controller) publishRole(g *GroupState, host topology.HostID, next Role,
 	// Shared downstream change → all sender hypervisors re-encode
 	// their headers.
 	if !sharedEqual(oldEnc, enc) {
-		for h, r := range g.Members {
-			if r.CanSend() && h != host {
-				c.stats.Hypervisor[h]++
+		for _, m := range g.Members {
+			if m.Role.CanSend() && m.Host != host {
+				c.stats.Hypervisor[m.Host]++
 			}
 		}
 	}
@@ -609,7 +643,7 @@ func (c *Controller) SenderStream(key GroupKey, sender topology.HostID) ([]byte,
 	if !ok {
 		return nil, fmt.Errorf("controller: group %v not found", key)
 	}
-	if !g.Members[sender].CanSend() {
+	if !g.RoleOf(sender).CanSend() {
 		return nil, fmt.Errorf("controller: host %d is not a sender in %v", sender, key)
 	}
 	var s SenderScratch
@@ -691,12 +725,12 @@ func (c *Controller) transitsCore(co topology.CoreID) func(*GroupState) bool {
 			return false
 		}
 		addr := dataplane.GroupAddr{VNI: g.Key.Tenant, Group: g.Key.Group}
-		for h, r := range g.Members {
-			if !r.CanSend() {
+		for _, m := range g.Members {
+			if !m.Role.CanSend() {
 				continue
 			}
-			outer := dataplane.SenderOuter(c.topo, h, addr)
-			if _, core := dataplane.PredictPath(c.topo, outer, h); core == co {
+			outer := dataplane.SenderOuter(c.topo, m.Host, addr)
+			if _, core := dataplane.PredictPath(c.topo, outer, m.Host); core == co {
 				return true
 			}
 		}
@@ -713,8 +747,8 @@ func (c *Controller) groupTransitsSpine(g *GroupState, pod topology.PodID, plane
 	if _, present := g.Enc.PodLeaves[pod]; !present {
 		// The pod can still be the sender's pod for sender-only hosts.
 		found := false
-		for h, r := range g.Members {
-			if r.CanSend() && c.topo.HostPod(h) == pod {
+		for _, m := range g.Members {
+			if m.Role.CanSend() && c.topo.HostPod(m.Host) == pod {
 				found = true
 				break
 			}
@@ -724,16 +758,16 @@ func (c *Controller) groupTransitsSpine(g *GroupState, pod topology.PodID, plane
 		}
 	}
 	addr := dataplane.GroupAddr{VNI: g.Key.Tenant, Group: g.Key.Group}
-	for h, r := range g.Members {
-		if !r.CanSend() {
+	for _, m := range g.Members {
+		if !m.Role.CanSend() {
 			continue
 		}
-		outer := dataplane.SenderOuter(c.topo, h, addr)
-		p, _ := dataplane.PredictPath(c.topo, outer, h)
+		outer := dataplane.SenderOuter(c.topo, m.Host, addr)
+		p, _ := dataplane.PredictPath(c.topo, outer, m.Host)
 		if p != plane {
 			continue
 		}
-		if c.topo.HostPod(h) == pod {
+		if c.topo.HostPod(m.Host) == pod {
 			return true // upstream spine of this sender
 		}
 		if _, member := g.Enc.PodLeaves[pod]; member {
@@ -752,9 +786,9 @@ func (c *Controller) chargeFailure(affected func(*GroupState) bool) int {
 			continue
 		}
 		n++
-		for h, r := range g.Members {
-			if r.CanSend() {
-				c.stats.Hypervisor[h]++
+		for _, m := range g.Members {
+			if m.Role.CanSend() {
+				c.stats.Hypervisor[m.Host]++
 			}
 		}
 	}

@@ -168,7 +168,7 @@ func TestJoinRollbackRevertsMembership(t *testing.T) {
 	if err := c.Join(g2, 63, RoleReceiver); err == nil {
 		t.Fatal("expected join failure")
 	}
-	if _, member := c.Group(g2).Members[63]; member {
+	if c.Group(g2).RoleOf(63) != 0 {
 		t.Fatal("failed join left the member in the group")
 	}
 }

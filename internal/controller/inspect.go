@@ -98,11 +98,11 @@ func roleString(r Role) string {
 // summarize builds a GroupSummary from a group the caller has locked.
 func summarize(g *GroupState) GroupSummary {
 	s := GroupSummary{VNI: g.Key.Tenant, Group: g.Key.Group, Members: len(g.Members)}
-	for _, r := range g.Members {
-		if r.CanSend() {
+	for _, m := range g.Members {
+		if m.Role.CanSend() {
 			s.Senders++
 		}
-		if r.CanReceive() {
+		if m.Role.CanReceive() {
 			s.Receivers++
 		}
 	}
@@ -141,10 +141,9 @@ func (c *Controller) InspectGroup(key GroupKey) (*GroupDetail, bool) {
 		return nil, false
 	}
 	d := &GroupDetail{GroupSummary: summarize(g)}
-	for h, r := range g.Members {
-		d.MemberList = append(d.MemberList, MemberInfo{Host: h, Role: roleString(r)})
+	for _, m := range g.Members {
+		d.MemberList = append(d.MemberList, MemberInfo{Host: m.Host, Role: roleString(m.Role)})
 	}
-	sort.Slice(d.MemberList, func(i, j int) bool { return d.MemberList[i].Host < d.MemberList[j].Host })
 	e := g.Enc
 	if e != nil {
 		d.Encoding = EncodingInfo{

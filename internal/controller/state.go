@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 
 	"elmo/internal/bitmap"
 	"elmo/internal/header"
@@ -36,75 +37,140 @@ import (
 // stateVersion guards the binary state format.
 const stateVersion = 1
 
-// stateWriter frames the WriteState stream. bufio.Writer errors are
-// sticky, so only the final Flush is checked.
+// stateChunkGroups is the number of consecutive groups of the sorted
+// key list in one WriteState chunk: the unit a worker serializes and
+// the caller writes.
+const stateChunkGroups = 128
+
+// stateWriter appends the WriteState encoding to b.
 type stateWriter struct {
-	bw      *bufio.Writer
-	scratch []byte
+	b    []byte
+	keys []int // writeBitmapMap's sort scratch
 }
 
-func (sw *stateWriter) uvarint(v uint64) {
-	sw.scratch = binary.AppendUvarint(sw.scratch[:0], v)
-	sw.bw.Write(sw.scratch)
-}
+func (sw *stateWriter) uvarint(v uint64) { sw.b = binary.AppendUvarint(sw.b, v) }
 
-func (sw *stateWriter) bitmap(b bitmap.Bitmap) {
-	sw.scratch = b.AppendWire(sw.scratch[:0])
-	sw.bw.Write(sw.scratch)
-}
+func (sw *stateWriter) bitmap(b bitmap.Bitmap) { sw.b = b.AppendWire(sw.b) }
 
 // optBitmap writes a presence flag and, when present, the bitmap.
 func (sw *stateWriter) optBitmap(b *bitmap.Bitmap) {
 	if b == nil {
-		sw.bw.WriteByte(0)
+		sw.b = append(sw.b, 0)
 		return
 	}
-	sw.bw.WriteByte(1)
+	sw.b = append(sw.b, 1)
 	sw.bitmap(*b)
 }
 
 // writeBitmapMap writes a switch→bitmap map as its length followed by
 // (key, bitmap) pairs in ascending key order.
 func writeBitmapMap[K ~int](sw *stateWriter, m map[K]bitmap.Bitmap) {
-	keys := make([]K, 0, len(m))
+	sw.keys = sw.keys[:0]
 	for k := range m {
-		keys = append(keys, k)
+		sw.keys = append(sw.keys, int(k))
 	}
-	slices.Sort(keys)
-	sw.uvarint(uint64(len(keys)))
-	for _, k := range keys {
+	slices.Sort(sw.keys)
+	sw.uvarint(uint64(len(sw.keys)))
+	for _, k := range sw.keys {
 		sw.uvarint(uint64(k))
-		sw.bitmap(m[k])
+		sw.bitmap(m[K(k)])
 	}
 }
 
+// group writes one group's record: key, members, encoding.
+func (sw *stateWriter) group(key GroupKey, g *GroupState) {
+	sw.uvarint(uint64(key.Tenant))
+	sw.uvarint(uint64(key.Group))
+	sw.uvarint(uint64(len(g.Members)))
+	for _, m := range g.Members {
+		sw.uvarint(uint64(m.Host))
+		sw.b = append(sw.b, byte(m.Role))
+	}
+	sw.b = append(sw.b, 1) // encoding present: every live group has one
+	sw.encoding(g.Enc)
+}
+
 // WriteState serializes the full controller state deterministically.
+// The groups go out in chunks of consecutive keys; with more than one P
+// a worker per P serializes chunks while the caller writes them in key
+// order, so the bytes are the same for every worker count. Every worker
+// has exited before the read lock is released. The first write error
+// is returned.
 func (c *Controller) WriteState(w io.Writer) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	sw := &stateWriter{bw: bufio.NewWriterSize(w, 1<<20)}
-
-	sw.uvarint(stateVersion)
 	keys := c.sortedKeysLocked()
+	var sw stateWriter
+	sw.uvarint(stateVersion)
 	sw.uvarint(uint64(len(keys)))
-	for _, key := range keys {
-		g := c.groups[key]
-		sw.uvarint(uint64(key.Tenant))
-		sw.uvarint(uint64(key.Group))
-		hosts := make([]topology.HostID, 0, len(g.Members))
-		for h := range g.Members {
-			hosts = append(hosts, h)
-		}
-		slices.Sort(hosts)
-		sw.uvarint(uint64(len(hosts)))
-		for _, h := range hosts {
-			sw.uvarint(uint64(h))
-			sw.bw.WriteByte(byte(g.Members[h]))
-		}
-		sw.bw.WriteByte(1) // encoding present: every live group has one
-		sw.encoding(g.Enc)
+	if _, err := w.Write(sw.b); err != nil {
+		return err
 	}
-	return sw.bw.Flush()
+	chunks := (len(keys) + stateChunkGroups - 1) / stateChunkGroups
+	chunk := func(sw *stateWriter, ci int) {
+		sw.b = sw.b[:0]
+		for _, key := range keys[ci*stateChunkGroups : min((ci+1)*stateChunkGroups, len(keys))] {
+			sw.group(key, c.groups[key])
+		}
+	}
+	workers := min(resolveWorkers(0), chunks)
+	if workers <= 1 {
+		for ci := 0; ci < chunks; ci++ {
+			chunk(&sw, ci)
+			if _, err := w.Write(sw.b); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	// Chunk ci+slots is handed out only after chunk ci is written, with
+	// ci's buffer: at most slots chunks are in flight, so neither work
+	// nor a slot's done channel ever blocks its sender, and the buffers
+	// are reused.
+	type job struct {
+		ci  int
+		buf []byte
+	}
+	slots := 2 * workers
+	work := make(chan job, slots)
+	done := make([]chan []byte, slots)
+	for i := range done {
+		done[i] = make(chan []byte, 1)
+	}
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var ws stateWriter
+			for j := range work {
+				ws.b = j.buf
+				chunk(&ws, j.ci)
+				done[j.ci%slots] <- ws.b
+			}
+		}()
+	}
+	for ci := 0; ci < slots && ci < chunks; ci++ {
+		work <- job{ci: ci}
+	}
+	err := func() error {
+		for ci := 0; ci < chunks; ci++ {
+			buf := <-done[ci%slots]
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			if next := ci + slots; next < chunks {
+				work <- job{ci: next, buf: buf}
+			}
+		}
+		return nil
+	}()
+	// After an error the chunks already handed out are serialized and
+	// dropped; none is handed out after it.
+	close(work)
+	wg.Wait()
+	return err
 }
 
 // encoding serializes one encoding (sorted map order throughout).
@@ -224,7 +290,7 @@ func (c *Controller) ReadState(r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		g := &GroupState{Key: key, Members: make(map[topology.HostID]Role, nm)}
+		g := &GroupState{Key: key, Members: make([]Member, 0, nm)}
 		var prev uint64
 		for mi := 0; mi < nm; mi++ {
 			h, err := sr.uvarint()
@@ -245,7 +311,7 @@ func (c *Controller) ReadState(r io.Reader) error {
 			if Role(role) == 0 || Role(role)&^RoleBoth != 0 {
 				return fmt.Errorf("controller: state host %d has invalid role %d", h, role)
 			}
-			g.Members[topology.HostID(h)] = Role(role)
+			g.Members = append(g.Members, Member{Host: topology.HostID(h), Role: Role(role)})
 		}
 		hasEnc, err := sr.r.ReadByte()
 		if err != nil {

@@ -113,6 +113,11 @@ func (r *recReader) uvarint() (uint64, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("durable: truncated varint at %d", r.off)
 	}
+	// A longer form than the encoder writes ends in a zero byte; the
+	// record would decode to an op that re-encodes to other bytes.
+	if n > 1 && r.b[r.off+n-1] == 0 {
+		return 0, fmt.Errorf("durable: non-minimal varint at %d", r.off)
+	}
 	r.off += n
 	return v, nil
 }
@@ -147,7 +152,7 @@ func (r *recReader) key() (controller.GroupKey, error) {
 	return controller.GroupKey{Tenant: t, Group: g}, nil
 }
 
-func (r *recReader) members() (map[topology.HostID]controller.Role, error) {
+func (r *recReader) members(key controller.GroupKey) (map[topology.HostID]controller.Role, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -156,16 +161,26 @@ func (r *recReader) members() (map[topology.HostID]controller.Role, error) {
 		return nil, fmt.Errorf("durable: member count %d exceeds record", n)
 	}
 	m := make(map[topology.HostID]controller.Role, n)
+	var prev topology.HostID
 	for i := uint64(0); i < n; i++ {
-		h, err := r.uvarint()
+		v, err := r.uvarint()
 		if err != nil {
 			return nil, err
 		}
+		// appendMembers writes each host once, ascending (in HostID
+		// order, the order it sorts in): a repeat would collapse into one
+		// entry, and either would apply a membership the bytes do not
+		// carry.
+		h := topology.HostID(v)
+		if i > 0 && h <= prev {
+			return nil, fmt.Errorf("durable: record group %v hosts out of order at %d", key, v)
+		}
+		prev = h
 		role, err := r.byte()
 		if err != nil {
 			return nil, err
 		}
-		m[topology.HostID(h)] = controller.Role(role)
+		m[h] = controller.Role(role)
 	}
 	return m, nil
 }
@@ -186,7 +201,7 @@ func DecodeRecord(b []byte) (OpRecord, error) {
 		if rec.Key, err = r.key(); err != nil {
 			return rec, err
 		}
-		if rec.Members, err = r.members(); err != nil {
+		if rec.Members, err = r.members(rec.Key); err != nil {
 			return rec, err
 		}
 	case RecJoin, RecLeave:
@@ -221,7 +236,7 @@ func DecodeRecord(b []byte) (OpRecord, error) {
 			if err != nil {
 				return rec, err
 			}
-			m, err := r.members()
+			m, err := r.members(key)
 			if err != nil {
 				return rec, err
 			}

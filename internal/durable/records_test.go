@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -81,6 +82,11 @@ func TestDecodeRecordRejectsCorruptInput(t *testing.T) {
 		"trailing":     append(append([]byte{}, valid...), 0xcc),
 		"huge count":   {RecCreate, 0, 0, 0, 1, 0, 0, 0, 2, 0xff, 0xff, 0xff, 0xff, 0x0f},
 		"spec overrun": {RecBatch, 7, 0},
+		// appendMembers writes each host once, ascending.
+		"repeated host":    {RecCreate, 0, 0, 0, 7, 0, 0, 0, 42, 2, 5, 1, 5, 2},
+		"unordered hosts":  {RecCreate, 0, 0, 0, 7, 0, 0, 0, 42, 2, 9, 1, 5, 2},
+		"non-minimal lsn":  {RecHeartbeat, 0x80, 0x00},
+		"non-minimal host": {RecJoin, 0, 0, 0, 7, 0, 0, 0, 42, 0x85, 0x00, 2},
 	}
 	for name, b := range bad {
 		if _, err := DecodeRecord(b); err == nil {
@@ -161,11 +167,32 @@ func TestBatchChunkingByteBound(t *testing.T) {
 	}
 }
 
+// reencode builds a decoded record's payload again with the encoder of
+// its type.
+func reencode(rec OpRecord, payload []byte) []byte {
+	switch rec.Type {
+	case RecCreate:
+		return EncodeCreate(rec.Key, rec.Members)
+	case RecJoin, RecLeave:
+		return EncodeMembership(rec.Type, rec.Key, rec.Host, rec.Role)
+	case RecRemove:
+		return EncodeRemove(rec.Key)
+	case RecBatch:
+		return EncodeBatch(rec.Specs)
+	case RecHeartbeat:
+		lsn, _ := binary.Uvarint(payload[1:]) // OpRecord does not keep it
+		return EncodeHeartbeat(lsn)
+	}
+	return nil
+}
+
 // FuzzApplyRecord pushes arbitrary bytes through DecodeRecord and the
 // one record applier onto a small follower that already holds a group:
 // whatever a log or stream carries — hosts outside the topology, roles
 // with unknown bits, batches naming an existing group — is an error or
-// a failed op, never a panic in recovery or on a standby.
+// a failed op, never a panic in recovery or on a standby. A payload
+// DecodeRecord accepts re-encodes to the same bytes, so what is applied
+// is exactly what the record carries.
 func FuzzApplyRecord(f *testing.F) {
 	key := controller.GroupKey{Tenant: 7, Group: 42}
 	members := map[topology.HostID]controller.Role{
@@ -184,9 +211,17 @@ func FuzzApplyRecord(f *testing.F) {
 	f.Add(EncodeCreate(controller.GroupKey{Tenant: 7, Group: 45},
 		map[topology.HostID]controller.Role{0: controller.RoleSender, 99999: controller.RoleReceiver}))
 	f.Add(EncodeMembership(RecJoin, key, 99999, controller.RoleReceiver))
+	// Host 5 twice, and hosts 9, 5: corrupt, and refused.
+	f.Add([]byte{RecCreate, 0, 0, 0, 7, 0, 0, 0, 42, 2, 5, 1, 5, 2})
+	f.Add([]byte{RecCreate, 0, 0, 0, 7, 0, 0, 0, 42, 2, 9, 1, 5, 2})
 
 	topo := durableTopo()
 	f.Fuzz(func(t *testing.T, b []byte) {
+		if rec, err := DecodeRecord(b); err == nil {
+			if again := reencode(rec, b); !bytes.Equal(again, b) {
+				t.Fatalf("record %x decodes to %+v, which encodes as %x", b, rec, again)
+			}
+		}
 		fo, err := NewFollower(topo, durableCfg())
 		if err != nil {
 			t.Fatal(err)

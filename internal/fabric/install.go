@@ -102,21 +102,10 @@ func (f *Fabric) InstallGroupAt(epoch uint64, ctrl *controller.Controller, key c
 		return nil, fmt.Errorf("fabric: group %v not found", key)
 	}
 	a := addr(key)
-	// One pass over the member map; both walks below go in ascending
-	// host order, so the device a stale epoch aborts at and the order
-	// of noPath do not depend on map iteration.
-	receivers := make([]topology.HostID, 0, len(g.Members))
-	var senders []topology.HostID
-	for h, r := range g.Members {
-		if r.CanReceive() {
-			receivers = append(receivers, h)
-		}
-		if r.CanSend() {
-			senders = append(senders, h)
-		}
-	}
-	slices.Sort(receivers)
-	slices.Sort(senders)
+	// Both walks below go in ascending host order (the member order),
+	// so the device a stale epoch aborts at and the order of noPath are
+	// fixed.
+	receivers, senders := g.Receivers(), g.Senders()
 	if err := f.InstallEncodingAt(epoch, a, g.Enc, receivers); err != nil {
 		return nil, err
 	}
@@ -155,11 +144,10 @@ func (f *Fabric) UninstallGroupAt(epoch uint64, ctrl *controller.Controller, key
 		return fmt.Errorf("fabric: group %v not found", key)
 	}
 	a := addr(key)
-	members := make([]topology.HostID, 0, len(g.Members))
-	for h := range g.Members {
-		members = append(members, h)
+	members := make([]topology.HostID, len(g.Members))
+	for i, m := range g.Members {
+		members[i] = m.Host
 	}
-	slices.Sort(members)
 	if err := f.UninstallEncodingAt(epoch, a, g.Enc, members); err != nil {
 		return err
 	}
