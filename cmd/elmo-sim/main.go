@@ -22,6 +22,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
 
@@ -67,6 +68,12 @@ func main() {
 		watch       = flag.Duration("watch", 0, "print a periodic ops summary (SLO health, top links, heavy hitters) every interval (e.g. 2s; 0 = off)")
 	)
 	flag.Parse()
+	rs, err := parseInts(*rList)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "invalid value %q for flag -r: %v\n", *rList, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	topoCfg := topology.Config{
 		Pods: *pods, SpinesPerPod: *spines, LeavesPerPod: *leaves,
@@ -120,7 +127,6 @@ func main() {
 	if *dist == "uniform" {
 		distribution = groupgen.Uniform
 	}
-	rs := parseInts(*rList)
 
 	for _, scenario := range []struct {
 		name string
@@ -537,21 +543,15 @@ func (c *csvWriter) close() error {
 	return c.f.Close()
 }
 
-func parseInts(s string) []int {
-	var out []int
-	cur, has := 0, false
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if has {
-				out = append(out, cur)
-			}
-			cur, has = 0, false
-			continue
+func parseInts(s string) ([]int, error) {
+	fields := strings.Split(s, ",")
+	out := make([]int, 0, len(fields))
+	for _, f := range fields {
+		n, err := strconv.Atoi(f)
+		if err != nil || n < 0 {
+			return nil, fmt.Errorf("field %q is not a non-negative integer", f)
 		}
-		if s[i] >= '0' && s[i] <= '9' {
-			cur = cur*10 + int(s[i]-'0')
-			has = true
-		}
+		out = append(out, n)
 	}
-	return out
+	return out, nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,22 +10,28 @@ import (
 )
 
 func TestParseInts(t *testing.T) {
-	cases := map[string][]int{
+	for in, want := range map[string][]int{
 		"0,6,12": {0, 6, 12},
 		"5":      {5},
-		"":       nil,
-		"a,3,b4": {3, 4},
-		",,7,":   {7},
-	}
-	for in, want := range cases {
-		got := parseInts(in)
-		if len(got) != len(want) {
-			t.Fatalf("parseInts(%q) = %v, want %v", in, got, want)
+	} {
+		got, err := parseInts(in)
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("parseInts(%q) = %v, %v; want %v", in, got, err, want)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("parseInts(%q) = %v, want %v", in, got, want)
-			}
+	}
+	// Every bad list is refused, naming the first bad field.
+	for in, field := range map[string]string{
+		"":       `""`,
+		"a,3,b4": `"a"`,
+		",,7,":   `""`,
+		"-3":     `"-3"`,
+		"6,1x2":  `"1x2"`,
+		"3,,4":   `""`,
+		"0, 6":   `" 6"`,
+	} {
+		got, err := parseInts(in)
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("parseInts(%q) = %v, %v; want an error naming field %s", in, got, err, field)
 		}
 	}
 }

@@ -92,20 +92,6 @@ func (b Bitmap) Or(other Bitmap) Bitmap {
 	return c
 }
 
-// OrWithGrowth sets b = b | other and returns the number of bits the
-// union grew by (bits set in other but not previously in b). It is the
-// fused form of AndNotCount + OrInPlace the clustering hot loop uses to
-// maintain a running union and its popcount without temporaries.
-// Widths must match.
-func (b Bitmap) OrWithGrowth(other Bitmap) (growth int) {
-	b.mustMatch(other)
-	for i, w := range other.words {
-		growth += bits.OnesCount64(w &^ b.words[i])
-		b.words[i] |= w
-	}
-	return growth
-}
-
 // AndNotCount returns PopCount(b &^ other) without materializing the
 // difference bitmap. Widths must match.
 func (b Bitmap) AndNotCount(other Bitmap) int {
@@ -156,16 +142,6 @@ func (b Bitmap) AndNot(other Bitmap) Bitmap {
 	c := b.Clone()
 	for i, w := range other.words {
 		c.words[i] &^= w
-	}
-	return c
-}
-
-// And returns b & other as a new bitmap. Widths must match.
-func (b Bitmap) And(other Bitmap) Bitmap {
-	b.mustMatch(other)
-	c := b.Clone()
-	for i, w := range other.words {
-		c.words[i] &= w
 	}
 	return c
 }
@@ -345,17 +321,4 @@ func (b Bitmap) String() string {
 		}
 	}
 	return sb.String()
-}
-
-// Union returns the bitwise OR of all the given bitmaps, which must
-// share a width. It panics if bitmaps is empty.
-func Union(bitmaps ...Bitmap) Bitmap {
-	if len(bitmaps) == 0 {
-		panic("bitmap: Union of no bitmaps")
-	}
-	u := bitmaps[0].Clone()
-	for _, b := range bitmaps[1:] {
-		u.OrInPlace(b)
-	}
-	return u
 }

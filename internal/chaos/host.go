@@ -12,13 +12,3 @@ func (inj *Injector) CrashHost(h topology.HostID) {
 	inj.SetSwitchLoss(dataplane.LinkHost, int32(h), 1.0)
 	inj.Enable()
 }
-
-// RestoreHost clears a CrashHost override, reconnecting the machine.
-func (inj *Injector) RestoreHost(h topology.HostID) {
-	inj.SetSwitchLoss(dataplane.LinkHost, int32(h), 0)
-}
-
-// HostDown reports whether the host is currently crashed.
-func (inj *Injector) HostDown(h topology.HostID) bool {
-	return inj.SwitchLoss(dataplane.LinkHost, int32(h)) >= 1
-}

@@ -171,24 +171,6 @@ func (inj *Injector) SetLinkLoss(l dataplane.Link, loss float64) {
 	inj.mu.Unlock()
 }
 
-// SwitchLoss returns the current loss override for a switch (0 if none).
-func (inj *Injector) SwitchLoss(tier dataplane.LinkTier, id int32) float64 {
-	inj.mu.RLock()
-	defer inj.mu.RUnlock()
-	return inj.switchLoss[endpoint{tier, id}]
-}
-
-// ClearOverrides removes every switch and link loss override. Active
-// partitions are NOT cleared — they are a distinct fault class, undone
-// only by Heal.
-func (inj *Injector) ClearOverrides() {
-	inj.mu.Lock()
-	inj.switchLoss = make(map[endpoint]float64)
-	inj.linkLoss = make(map[dataplane.Link]float64)
-	inj.refreshOverridesLocked()
-	inj.mu.Unlock()
-}
-
 // overrideLoss returns the strongest loss override touching the link.
 func (inj *Injector) overrideLoss(l dataplane.Link) float64 {
 	if !inj.overrides.Load() {

@@ -1,8 +1,6 @@
 package chaos
 
 import (
-	"time"
-
 	"elmo/internal/bitmap"
 	"elmo/internal/controller"
 	"elmo/internal/dataplane"
@@ -14,16 +12,6 @@ import (
 
 // MonitorConfig tunes failure detection and recovery.
 type MonitorConfig struct {
-	// MaxRecoveryRetries bounds the re-attempts of a failed flow
-	// refresh (header recompute + install). Zero means
-	// DefaultMaxRecoveryRetries.
-	MaxRecoveryRetries int
-	// Sleep replaces time.Sleep for backoff pacing (tests pass a no-op).
-	Sleep func(time.Duration)
-	// InstallFn replaces the default sender-flow install (write the
-	// sender's section stream into its hypervisor); tests inject
-	// transient install errors through it.
-	InstallFn func(fl MonitoredFlow, stream []byte) error
 	// Tracer receives detect-fail/detect-repair events.
 	Tracer trace.Recorder
 }
@@ -34,12 +22,6 @@ const (
 	// declare it repaired.
 	failAfter   = 2
 	repairAfter = 2
-	// DefaultMaxRecoveryRetries is MonitorConfig.MaxRecoveryRetries'
-	// zero value.
-	DefaultMaxRecoveryRetries = 3
-	// backoffBase is the first refresh retry's sleep, doubled per
-	// attempt.
-	backoffBase = time.Millisecond
 )
 
 // MonitoredFlow is one (group, sender) whose flow the monitor keeps
@@ -76,10 +58,9 @@ type switchHealth struct {
 // Monitor detects switch failures from probe loss — rather than being
 // told via FailSpine/FailCore — and drives recovery: on a detection it
 // declares the failure to the controller, recomputes the headers of
-// every watched flow with bounded retry and exponential backoff, and
-// degrades flows the controller can no longer route (ErrNoPath) to
-// unicast by removing their sender flows; on detected repair it
-// reverses all of it.
+// every watched flow, and degrades flows the controller can no longer
+// route (ErrNoPath) to unicast by removing their sender flows; on
+// detected repair it reverses all of it.
 //
 // Each spine probe is a source-routed packet pinned through that spine
 // (explicit upstream ports, §3.3 mechanism) between two hosts of its
@@ -105,29 +86,15 @@ type Monitor struct {
 	flows    []MonitoredFlow
 	degraded map[MonitoredFlow]bool
 
-	// Rounds counts probe rounds run; RecoveryRetries counts flow
-	// refresh attempts beyond the first; RefreshFailures counts flows
-	// whose refresh exhausted its retry budget.
+	// Rounds counts probe rounds run; RefreshFailures counts flow
+	// refreshes the controller or the hypervisor refused.
 	Rounds          int
-	RecoveryRetries int
 	RefreshFailures int
 }
 
 // NewMonitor builds the monitor and installs its probe flows (sender
 // flows on probe source hosts, receive filters on probe targets).
 func NewMonitor(ctrl *controller.Controller, fab *fabric.Fabric, cfg MonitorConfig) (*Monitor, error) {
-	if cfg.MaxRecoveryRetries <= 0 {
-		cfg.MaxRecoveryRetries = DefaultMaxRecoveryRetries
-	}
-	if cfg.Sleep == nil {
-		cfg.Sleep = time.Sleep
-	}
-	if cfg.InstallFn == nil {
-		cfg.InstallFn = func(fl MonitoredFlow, stream []byte) error {
-			addr := dataplane.GroupAddr{VNI: fl.Key.Tenant, Group: fl.Key.Group}
-			return fab.Hypervisors[fl.Sender].InstallSenderFlowAt(0, addr, stream)
-		}
-	}
 	m := &Monitor{
 		topo:     fab.Topology(),
 		ctrl:     ctrl,
@@ -351,38 +318,28 @@ func (m *Monitor) declare(tier dataplane.LinkTier, id int32, down bool, rounds i
 }
 
 // refreshFlows recomputes and reinstalls every watched flow's header
-// under the controller's current failure view, with bounded retry and
-// exponential backoff. Flows the controller cannot route (ErrNoPath /
+// under the controller's current failure view, one attempt per flow.
+// Every refusal the fabric can return (a fenced epoch, a malformed
+// stream) is deterministic, so it counts in RefreshFailures instead of
+// being retried. Flows the controller cannot route (ErrNoPath /
 // ErrLegacyPath) have their sender flows removed so publishers degrade
 // to unicast until a later refresh restores them.
 func (m *Monitor) refreshFlows() {
 	for _, fl := range m.flows {
 		addr := dataplane.GroupAddr{VNI: fl.Key.Tenant, Group: fl.Key.Group}
-		done := false
-		for attempt := 0; attempt <= m.cfg.MaxRecoveryRetries && !done; attempt++ {
-			if attempt > 0 {
-				m.RecoveryRetries++
-				m.cfg.Sleep(backoffBase << (attempt - 1))
-			}
-			stream, err := m.ctrl.SenderStream(fl.Key, fl.Sender)
-			if err == controller.ErrNoPath || err == controller.ErrLegacyPath {
-				if err := m.fab.Hypervisors[fl.Sender].RemoveSenderFlowAt(0, addr); err != nil {
-					continue
-				}
+		hv := m.fab.Hypervisors[fl.Sender]
+		stream, err := m.ctrl.SenderStream(fl.Key, fl.Sender)
+		switch {
+		case err == controller.ErrNoPath || err == controller.ErrLegacyPath:
+			if err = hv.RemoveSenderFlowAt(0, addr); err == nil {
 				m.degraded[fl] = true
-				done = true
-				break
 			}
-			if err != nil {
-				continue
+		case err == nil:
+			if err = hv.InstallSenderFlowAt(0, addr, stream); err == nil {
+				delete(m.degraded, fl)
 			}
-			if err := m.cfg.InstallFn(fl, stream); err != nil {
-				continue
-			}
-			delete(m.degraded, fl)
-			done = true
 		}
-		if !done {
+		if err != nil {
 			m.RefreshFailures++
 		}
 	}

@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"time"
 
 	"elmo/internal/dataplane"
 	"elmo/internal/topology"
 	"elmo/internal/trace"
 )
-
-func noSleep(time.Duration) {}
 
 // TestMonitorDetectsSpineFlap kills a spine at the physical layer (an
 // injector loss override — the controller is never told directly),
@@ -29,7 +26,7 @@ func TestMonitorDetectsSpineFlap(t *testing.T) {
 
 	rec := trace.New(trace.Config{})
 	rec.Enable()
-	mon, err := NewMonitor(ctrl, fab, MonitorConfig{Sleep: noSleep, Tracer: rec})
+	mon, err := NewMonitor(ctrl, fab, MonitorConfig{Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +107,7 @@ func TestMonitorDetectsSpineFlap(t *testing.T) {
 func TestMonitorDetectsCoreFailure(t *testing.T) {
 	_, ctrl, fab, inj, key := chaosFixture(t, Config{Seed: 2})
 	inj.Enable()
-	mon, err := NewMonitor(ctrl, fab, MonitorConfig{Sleep: noSleep})
+	mon, err := NewMonitor(ctrl, fab, MonitorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +136,7 @@ func TestMonitorDetectsCoreFailure(t *testing.T) {
 func TestMonitorDegradesToUnicast(t *testing.T) {
 	_, ctrl, fab, inj, key := chaosFixture(t, Config{Seed: 3})
 	inj.Enable()
-	mon, err := NewMonitor(ctrl, fab, MonitorConfig{Sleep: noSleep})
+	mon, err := NewMonitor(ctrl, fab, MonitorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +157,8 @@ func TestMonitorDegradesToUnicast(t *testing.T) {
 		t.Fatalf("degraded flow still has a sender flow (err=%v)", err)
 	}
 
-	inj.ClearOverrides()
+	inj.SetSwitchLoss(dataplane.LinkSpine, 0, 0)
+	inj.SetSwitchLoss(dataplane.LinkSpine, 1, 0)
 	mon.ProbeRound()
 	mon.ProbeRound()
 	if mon.Degraded(key, fixtureSender) {
@@ -177,62 +175,34 @@ func TestMonitorDegradesToUnicast(t *testing.T) {
 	}
 }
 
-// TestMonitorRecoveryRetryBackoff: transient install failures are
-// retried with exponential backoff; a permanently failing install
-// exhausts the budget and is counted, not spun on.
-func TestMonitorRecoveryRetryBackoff(t *testing.T) {
+// TestMonitorStaleEpochRefreshFails: a fabric a leader has written at
+// epoch 1 refuses the monitor's epoch-0 refresh. The refusal is
+// deterministic, so the monitor makes one install attempt — no retry,
+// no backoff — and counts one refresh failure.
+func TestMonitorStaleEpochRefreshFails(t *testing.T) {
 	_, ctrl, fab, inj, key := chaosFixture(t, Config{Seed: 4})
 	inj.Enable()
-	var sleeps []time.Duration
-	installs := 0
-	mon, err := NewMonitor(ctrl, fab, MonitorConfig{
-		Sleep: func(d time.Duration) { sleeps = append(sleeps, d) },
-		InstallFn: func(fl MonitoredFlow, stream []byte) error {
-			installs++
-			if installs <= 2 {
-				return errors.New("transient install failure")
-			}
-			return fab.Hypervisors[fl.Sender].InstallSenderFlowAt(0,
-				dataplane.GroupAddr{VNI: fl.Key.Tenant, Group: fl.Key.Group}, stream)
-		},
-	})
+	mon, err := NewMonitor(ctrl, fab, MonitorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mon.Watch(key, fixtureSender)
+	if _, err := fab.InstallGroupAt(1, ctrl, key); err != nil {
+		t.Fatal(err)
+	}
+	fence := fab.Hypervisors[fixtureSender].Fence()
+	before := fence.Rejected()
 
 	inj.SetSwitchLoss(dataplane.LinkSpine, 0, 1.0)
 	mon.ProbeRound()
-	mon.ProbeRound()
-	if installs != 3 {
-		t.Fatalf("want 3 install attempts (2 transient failures), got %d", installs)
+	if tr := mon.ProbeRound(); len(tr) != 1 || !tr[0].Down {
+		t.Fatalf("spine 0 not declared down: %+v", tr)
 	}
-	if mon.RecoveryRetries != 2 || mon.RefreshFailures != 0 {
-		t.Fatalf("retries=%d refreshFailures=%d, want 2/0", mon.RecoveryRetries, mon.RefreshFailures)
+	if mon.RefreshFailures != 1 {
+		t.Fatalf("RefreshFailures = %d, want 1", mon.RefreshFailures)
 	}
-	want := []time.Duration{backoffBase, 2 * backoffBase}
-	if len(sleeps) != len(want) || sleeps[0] != want[0] || sleeps[1] != want[1] {
-		t.Fatalf("backoff sleeps = %v, want %v", sleeps, want)
-	}
-
-	// Permanent failure: budget exhausts, RefreshFailures increments.
-	mon2, err := NewMonitor(ctrl, fab, MonitorConfig{
-		Sleep:              noSleep,
-		MaxRecoveryRetries: 2,
-		InstallFn: func(MonitoredFlow, []byte) error {
-			return errors.New("permanent install failure")
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon2.Watch(key, fixtureSender)
-	inj.SetSwitchLoss(dataplane.LinkSpine, 0, 0)
-	inj.SetSwitchLoss(dataplane.LinkSpine, 2, 1.0)
-	mon2.ProbeRound()
-	mon2.ProbeRound()
-	if mon2.RefreshFailures != 1 {
-		t.Fatalf("want 1 exhausted refresh, got %d", mon2.RefreshFailures)
+	if got := fence.Rejected() - before; got != 1 {
+		t.Fatalf("sender's fence rejected %d refreshes, want exactly 1 attempt", got)
 	}
 }
 
@@ -246,7 +216,7 @@ func TestMonitorAmbientChaosNoFalsePositives(t *testing.T) {
 		Seed: 5, Drop: 0.3, Duplicate: 0.2, Corrupt: 0.1, Reorder: 0.2,
 	})
 	inj.Enable()
-	mon, err := NewMonitor(ctrl, fab, MonitorConfig{Sleep: noSleep})
+	mon, err := NewMonitor(ctrl, fab, MonitorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

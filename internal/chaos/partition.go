@@ -12,8 +12,8 @@ import "elmo/internal/topology"
 //
 // Partition state is held apart from the loss overrides so the two
 // fault classes compose: Heal reconnects the partitioned hosts without
-// resurrecting hosts killed by CrashHost, and ClearOverrides repairs
-// gray failures without silently mending a partition.
+// resurrecting hosts killed by CrashHost, and clearing a loss override
+// repairs a gray failure without silently mending a partition.
 
 // Partition cuts the given hosts off from the rest of the fabric
 // (bidirectionally), arming the injector if needed. Calling it again
@@ -35,18 +35,4 @@ func (inj *Injector) Heal() {
 	inj.partitioned = make(map[int32]bool)
 	inj.refreshOverridesLocked()
 	inj.mu.Unlock()
-}
-
-// Partitioned reports whether a host is currently cut off.
-func (inj *Injector) Partitioned(h topology.HostID) bool {
-	inj.mu.RLock()
-	defer inj.mu.RUnlock()
-	return inj.partitioned[int32(h)]
-}
-
-// PartitionSize reports how many hosts are currently partitioned.
-func (inj *Injector) PartitionSize() int {
-	inj.mu.RLock()
-	defer inj.mu.RUnlock()
-	return len(inj.partitioned)
 }

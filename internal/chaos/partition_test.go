@@ -7,6 +7,11 @@ import (
 	"elmo/internal/topology"
 )
 
+// cut reports whether host h's outbound data packets drop.
+func cut(inj *Injector, h topology.HostID) bool {
+	return inj.Cross(hostLink(h, 0, true), 1, 1).Drop
+}
+
 // hostLink builds the NIC link between host h and leaf l, in the given
 // direction (up: host -> leaf).
 func hostLink(h topology.HostID, l int32, up bool) dataplane.Link {
@@ -24,9 +29,6 @@ func TestPartitionIsBidirectional(t *testing.T) {
 	inj.Partition(5)
 	if !inj.Active() {
 		t.Fatal("Partition did not arm the injector")
-	}
-	if !inj.Partitioned(5) || inj.Partitioned(6) {
-		t.Fatal("Partitioned() wrong membership")
 	}
 	if v := inj.Cross(hostLink(5, 0, true), 1, 1); !v.Drop {
 		t.Fatal("partitioned host's outbound packet survived")
@@ -47,38 +49,32 @@ func TestPartitionIsBidirectional(t *testing.T) {
 }
 
 // TestHealRestoresOnlyPartition: Heal reconnects partitioned hosts but
-// leaves crash overrides in place, and ClearOverrides conversely does
-// not mend a partition.
+// leaves crash overrides in place, and clearing the crash's override
+// conversely does not mend a partition.
 func TestHealRestoresOnlyPartition(t *testing.T) {
 	inj := New(Config{Seed: 11})
 	inj.CrashHost(2)
 	inj.Partition(5, 7)
-	if inj.PartitionSize() != 2 {
-		t.Fatalf("PartitionSize = %d, want 2", inj.PartitionSize())
+	if !cut(inj, 2) || !cut(inj, 5) || !cut(inj, 7) {
+		t.Fatal("crashed or partitioned host still forwarding")
 	}
 
-	// ClearOverrides repairs the crash but keeps the partition.
-	inj.ClearOverrides()
-	if inj.HostDown(2) {
-		t.Fatal("ClearOverrides left host 2 crashed")
+	// Clearing the override repairs the crash but keeps the partition.
+	inj.SetSwitchLoss(dataplane.LinkHost, 2, 0)
+	if cut(inj, 2) {
+		t.Fatal("clearing the override left host 2 crashed")
 	}
-	if v := inj.Cross(hostLink(5, 0, true), 1, 1); !v.Drop {
-		t.Fatal("ClearOverrides silently healed the partition")
+	if !cut(inj, 5) {
+		t.Fatal("clearing a loss override silently healed the partition")
 	}
 
 	// Re-crash, then Heal: the partition lifts, the crash stays.
 	inj.CrashHost(2)
 	inj.Heal()
-	if inj.Partitioned(5) || inj.Partitioned(7) || inj.PartitionSize() != 0 {
-		t.Fatal("Heal left hosts partitioned")
-	}
-	if v := inj.Cross(hostLink(5, 0, true), 1, 1); v.Drop {
+	if cut(inj, 5) || cut(inj, 7) {
 		t.Fatal("healed host still dropping")
 	}
-	if !inj.HostDown(2) {
-		t.Fatal("Heal cleared the CrashHost override")
-	}
-	if v := inj.Cross(hostLink(2, 0, true), 1, 1); !v.Drop {
+	if !cut(inj, 2) {
 		t.Fatal("crashed host forwarding after Heal")
 	}
 }
@@ -93,18 +89,18 @@ func TestPlanPartitionEvents(t *testing.T) {
 		{Step: 4, HealPartition: true},
 	})
 	inj.Step() // step 1: nothing
-	if inj.Partitioned(1) {
+	if cut(inj, 1) {
 		t.Fatal("partition fired early")
 	}
 	if ev := inj.Step(); len(ev) != 1 { // step 2: cut
 		t.Fatalf("step 2 applied %d events", len(ev))
 	}
-	if !inj.Partitioned(1) || !inj.Partitioned(4) {
+	if !cut(inj, 1) || !cut(inj, 4) {
 		t.Fatal("scripted partition not applied")
 	}
 	inj.Step() // step 3
 	inj.Step() // step 4: heal
-	if inj.PartitionSize() != 0 {
+	if cut(inj, 1) || cut(inj, 4) {
 		t.Fatal("scripted heal not applied")
 	}
 }

@@ -43,7 +43,7 @@ func TestChaosSoakSyncFabric(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mon, err := NewMonitor(ctrl, fab, MonitorConfig{Sleep: noSleep})
+	mon, err := NewMonitor(ctrl, fab, MonitorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ import (
 //
 // Because admission order is exactly input order and occupancy answers
 // are revalidated at the admit point, the committed encodings and the
-// final LeafSRuleCount/SpineSRuleCount are byte-identical to a serial
+// final leaf and spine s-rule occupancy are byte-identical to a serial
 // loop for any worker count.
 
 // BatchError wraps an error raised while encoding or committing one
@@ -189,8 +189,6 @@ type BatchResult struct {
 	// Recomputed counts encodings redone at the commit point because a
 	// concurrent admission changed a capacity answer they relied on.
 	Recomputed int
-	// Workers is the effective worker count used.
-	Workers int
 }
 
 // InstallBatch creates all the given groups through the two-stage
@@ -209,7 +207,7 @@ type BatchResult struct {
 // a quiescent controller (no concurrent mutations admitting s-rules).
 func (c *Controller) InstallBatch(specs []BatchSpec, opts BatchOptions) (*BatchResult, error) {
 	workers := resolveWorkers(opts.Workers)
-	res := &BatchResult{Workers: workers}
+	res := &BatchResult{}
 	n := len(specs)
 	m := c.getMetrics()
 	// commit runs on this goroutine only, so a plain local carries the

@@ -48,11 +48,11 @@ func occSnapshot(c *Controller) ([]int, []int) {
 	topo := c.Topology()
 	leaves := make([]int, topo.NumLeaves())
 	for l := range leaves {
-		leaves[l] = c.LeafSRuleCount(topology.LeafID(l))
+		leaves[l] = c.occ.LeafCount(topology.LeafID(l))
 	}
 	spines := make([]int, topo.NumSpines())
 	for s := range spines {
-		spines[s] = c.SpineSRuleCount(topology.SpineID(s))
+		spines[s] = c.occ.SpineCount(topology.SpineID(s))
 	}
 	return leaves, spines
 }
@@ -568,7 +568,7 @@ func TestConcurrentControllerStress(t *testing.T) {
 					}
 				}
 				for l := 0; l < topo.NumLeaves(); l++ {
-					c.LeafSRuleCount(topology.LeafID(l))
+					c.occ.LeafCount(topology.LeafID(l))
 				}
 				c.GroupKeys()
 				c.NumGroups()

@@ -318,15 +318,6 @@ func (c *Controller) sortedKeysLocked() []GroupKey {
 	return keys
 }
 
-// Occupancy exposes the live s-rule occupancy counters.
-func (c *Controller) Occupancy() *Occupancy { return c.occ }
-
-// LeafSRuleCount returns the s-rule occupancy of a leaf switch.
-func (c *Controller) LeafSRuleCount(l topology.LeafID) int { return c.occ.LeafCount(l) }
-
-// SpineSRuleCount returns the s-rule occupancy of a physical spine.
-func (c *Controller) SpineSRuleCount(s topology.SpineID) int { return c.occ.SpineCount(s) }
-
 // validateMembers rejects a membership the controller cannot hold: a
 // role with no or unknown bits, or a host outside the topology (which
 // the topology accessors would panic on). Every path that takes

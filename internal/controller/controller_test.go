@@ -377,15 +377,15 @@ func TestSRuleAccounting(t *testing.T) {
 		t.Fatal("expected leaf s-rules with zero p-rule budget")
 	}
 	for l := range g.Enc.LeafSRules {
-		if c.LeafSRuleCount(l) != 1 {
-			t.Fatalf("leaf %d occupancy = %d", l, c.LeafSRuleCount(l))
+		if c.occ.LeafCount(l) != 1 {
+			t.Fatalf("leaf %d occupancy = %d", l, c.occ.LeafCount(l))
 		}
 	}
 	if err := c.RemoveGroup(key); err != nil {
 		t.Fatal(err)
 	}
 	for l := 0; l < topo.NumLeaves(); l++ {
-		if c.LeafSRuleCount(topology.LeafID(l)) != 0 {
+		if c.occ.LeafCount(topology.LeafID(l)) != 0 {
 			t.Fatalf("leaf %d occupancy leaked", l)
 		}
 	}
@@ -589,11 +589,11 @@ func TestFailureRepairCycleRestoresState(t *testing.T) {
 		}
 		leaves := make([]int, topo.NumLeaves())
 		for l := range leaves {
-			leaves[l] = c.LeafSRuleCount(topology.LeafID(l))
+			leaves[l] = c.occ.LeafCount(topology.LeafID(l))
 		}
 		spines := make([]int, topo.NumSpines())
 		for s := range spines {
-			spines[s] = c.SpineSRuleCount(topology.SpineID(s))
+			spines[s] = c.occ.SpineCount(topology.SpineID(s))
 		}
 		return wire, leaves, spines
 	}

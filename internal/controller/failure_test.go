@@ -112,14 +112,14 @@ func TestRecomputeRollbackOnLegacyFailure(t *testing.T) {
 		map[topology.HostID]Role{0: RoleBoth, 40: RoleReceiver}); err != nil {
 		t.Fatal(err)
 	}
-	occBefore := c.LeafSRuleCount(7)
+	occBefore := c.occ.LeafCount(7)
 	// Joining a host under the legacy leaf must fail (table full)...
 	if err := c.Join(GroupKey{Tenant: 1, Group: 2}, 63, RoleReceiver); err == nil {
 		t.Fatal("join through full legacy table accepted")
 	}
 	// ...without corrupting occupancy or the existing group.
-	if c.LeafSRuleCount(7) != occBefore {
-		t.Fatalf("occupancy changed: %d -> %d", occBefore, c.LeafSRuleCount(7))
+	if c.occ.LeafCount(7) != occBefore {
+		t.Fatalf("occupancy changed: %d -> %d", occBefore, c.occ.LeafCount(7))
 	}
 	g1 := c.Group(GroupKey{Tenant: 1, Group: 1})
 	if _, ok := g1.Enc.LeafSRules[7]; !ok {

@@ -61,7 +61,7 @@ func TestIncrementalRetreeMatchesFullRecompute(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", op.desc, err)
 				}
-				full, ferr := ComputeEncoding(topo, cfg, c.Occupancy().CapacityFunc(), g.Receivers())
+				full, ferr := ComputeEncoding(topo, cfg, c.occ.CapacityFunc(), g.Receivers())
 				if ferr != nil {
 					t.Fatalf("%s: full recompute: %v", op.desc, ferr)
 				}
@@ -164,7 +164,7 @@ func TestIncrementalRetreeRandomizedChurn(t *testing.T) {
 		if err != nil {
 			t.Fatalf("op %d host %d: %v", i, h, err)
 		}
-		full, ferr := ComputeEncoding(topo, cfg, c.Occupancy().CapacityFunc(), g.Receivers())
+		full, ferr := ComputeEncoding(topo, cfg, c.occ.CapacityFunc(), g.Receivers())
 		if ferr != nil {
 			t.Fatalf("op %d: full recompute: %v", i, ferr)
 		}

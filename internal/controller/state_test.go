@@ -86,12 +86,12 @@ func TestWriteReadStateRoundTrip(t *testing.T) {
 	}
 	topo := c1.Topology()
 	for l := 0; l < topo.NumLeaves(); l++ {
-		if c1.LeafSRuleCount(topology.LeafID(l)) != c2.LeafSRuleCount(topology.LeafID(l)) {
+		if c1.occ.LeafCount(topology.LeafID(l)) != c2.occ.LeafCount(topology.LeafID(l)) {
 			t.Fatalf("leaf %d occupancy differs", l)
 		}
 	}
 	for s := 0; s < topo.NumSpines(); s++ {
-		if c1.SpineSRuleCount(topology.SpineID(s)) != c2.SpineSRuleCount(topology.SpineID(s)) {
+		if c1.occ.SpineCount(topology.SpineID(s)) != c2.occ.SpineCount(topology.SpineID(s)) {
 			t.Fatalf("spine %d occupancy differs", s)
 		}
 	}
@@ -273,8 +273,8 @@ func FuzzReadState(f *testing.F) {
 		}
 		requireOccupancyConserved(t, c)
 		leaves, spines := occSnapshot(c)
-		if most := max(slices.Max(leaves), slices.Max(spines)); most > c.Occupancy().Capacity() {
-			t.Fatalf("a switch holds %d s-rules, capacity %d", most, c.Occupancy().Capacity())
+		if most := max(slices.Max(leaves), slices.Max(spines)); most > c.occ.Capacity() {
+			t.Fatalf("a switch holds %d s-rules, capacity %d", most, c.occ.Capacity())
 		}
 		var out bytes.Buffer
 		if err := c.WriteState(&out); err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"elmo/internal/header"
+	"elmo/internal/telemetry"
 	"elmo/internal/topology"
 )
 
@@ -195,7 +196,8 @@ func TestReceiveDigestUnchanged(t *testing.T) {
 func TestDeliverFullConcurrentWithSetReceiving(t *testing.T) {
 	const readers, calls = 4, 2000
 	hv := NewHypervisor(paperTopo(), 3)
-	hv.Probe = new(Probe)
+	reg := telemetry.NewRegistry()
+	hv.Probe = &Probe{Metrics: NewMetrics(reg)}
 	member, other, toggled := GroupAddr{VNI: 1, Group: 1}, GroupAddr{VNI: 1, Group: 2}, GroupAddr{VNI: 1, Group: 3}
 	if err := hv.SetReceivingAt(5, member, true); err != nil {
 		t.Fatal(err)
@@ -253,11 +255,13 @@ func TestDeliverFullConcurrentWithSetReceiving(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if got := hv.Delivered() + hv.Filtered(); got != 3*readers*calls {
-		t.Fatalf("Delivered()+Filtered() = %d, made %d calls", got, 3*readers*calls)
+	snap := reg.Snapshot()
+	delivered, filtered := int(snap.Get("elmo_host_delivered_total")), int(snap.Get("elmo_host_filtered_total"))
+	if got := delivered + filtered; got != 3*readers*calls {
+		t.Fatalf("delivered+filtered = %d, made %d calls", got, 3*readers*calls)
 	}
-	if hv.Delivered() < readers*calls || hv.Filtered() < readers*calls {
-		t.Fatalf("delivered %d filtered %d, each at least %d", hv.Delivered(), hv.Filtered(), readers*calls)
+	if delivered < readers*calls || filtered < readers*calls {
+		t.Fatalf("delivered %d filtered %d, each at least %d", delivered, filtered, readers*calls)
 	}
 	if got := hv.Fence().Rejected(); got != stale.Load() {
 		t.Fatalf("fence rejected %d writes, %d stale writes were made", got, stale.Load())
@@ -272,7 +276,8 @@ func TestDeliverFullConcurrentWithSetReceiving(t *testing.T) {
 func BenchmarkDeliverFull(b *testing.B) {
 	topo := topology.MustNew(topology.Config{Pods: 8, SpinesPerPod: 4, LeavesPerPod: 16, HostsPerLeaf: 16, CoresPerPlane: 4})
 	const groupsPerHost = 32
-	probe := new(Probe)
+	reg := telemetry.NewRegistry()
+	probe := &Probe{Metrics: NewMetrics(reg)}
 	hvs := make([]*Hypervisor, topo.NumHosts())
 	pkts := make([]Packet, len(hvs))
 	for h := range hvs {
@@ -299,11 +304,7 @@ func BenchmarkDeliverFull(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	delivered := 0
-	for _, hv := range hvs {
-		delivered += hv.Delivered()
-	}
-	if delivered != b.N {
+	if delivered := int(reg.Snapshot().Get("elmo_host_delivered_total")); delivered != b.N {
 		b.Fatalf("hypervisors counted %d deliveries, made %d", delivered, b.N)
 	}
 }

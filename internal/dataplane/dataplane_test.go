@@ -6,6 +6,7 @@ import (
 
 	"elmo/internal/bitmap"
 	"elmo/internal/header"
+	"elmo/internal/telemetry"
 	"elmo/internal/topology"
 )
 
@@ -87,6 +88,8 @@ func encodeFor(t testing.TB, topo *topology.Topology, h *header.Header) []byte {
 func TestHypervisorEncapDeliver(t *testing.T) {
 	topo := paperTopo()
 	hv := NewHypervisor(topo, 3)
+	reg := telemetry.NewRegistry()
+	hv.Probe = &Probe{Metrics: NewMetrics(reg)}
 	addr := GroupAddr{VNI: 7, Group: 12}
 	if err := hv.InstallSenderFlowAt(0, addr, encodeFor(t, topo, &header.Header{})); err != nil {
 		t.Fatal(err)
@@ -118,8 +121,10 @@ func TestHypervisorEncapDeliver(t *testing.T) {
 	if _, _, ok := hv.DeliverFull(pkt); ok {
 		t.Fatal("filter not removed")
 	}
-	if hv.Encapsulated() != 1 || hv.Delivered() != 1 || hv.Filtered() != 2 {
-		t.Fatalf("counters: %d %d %d", hv.Encapsulated(), hv.Delivered(), hv.Filtered())
+	snap := reg.Snapshot()
+	encap, delivered, filtered := snap.Get("elmo_host_encapsulated_total"), snap.Get("elmo_host_delivered_total"), snap.Get("elmo_host_filtered_total")
+	if encap != 1 || delivered != 1 || filtered != 2 {
+		t.Fatalf("counters: %v %v %v", encap, delivered, filtered)
 	}
 	hv.RemoveSenderFlowAt(0, addr)
 	if _, err := hv.Encap(addr, nil); err == nil {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"elmo/internal/header"
 	"elmo/internal/topology"
@@ -42,20 +41,15 @@ type Hypervisor struct {
 	mu sync.RWMutex
 	// receiving is the receive filter: the groups with a local member.
 	receiving addrSet
-	// Counters (atomic: the receive path may run on concurrent leaf
-	// goroutines in the live fabric).
-	delivered atomic.Int64
-	filtered  atomic.Int64
 	// Probe is where the hypervisor reports encap, deliver and filter
 	// events (see probe.go); the fabric that builds it sets it, and a
-	// stand-alone hypervisor leaves it nil and keeps only its counters.
+	// stand-alone hypervisor leaves it nil and counts nothing.
 	Probe  *Probe
 	layout header.Layout
 
-	topo         *topology.Topology
-	host         topology.HostID
-	flows        map[GroupAddr]*SenderFlow
-	encapsulated atomic.Int64
+	topo  *topology.Topology
+	host  topology.HostID
+	flows map[GroupAddr]*SenderFlow
 
 	// fence is the leadership epoch floor: installs stamped with a
 	// lower epoch are rejected (see fence.go).
@@ -177,15 +171,6 @@ func (hv *Hypervisor) DeliverFull(p Packet) ([]byte, []header.INTRecord, bool) {
 	}
 	return p.Inner, records, true
 }
-
-// Encapsulated reports the packets this hypervisor encapsulated.
-func (hv *Hypervisor) Encapsulated() int { return int(hv.encapsulated.Load()) }
-
-// Delivered reports the packets accepted for local member VMs.
-func (hv *Hypervisor) Delivered() int { return int(hv.delivered.Load()) }
-
-// Filtered reports the spurious packets discarded on receive.
-func (hv *Hypervisor) Filtered() int { return int(hv.filtered.Load()) }
 
 // groupMAC maps a group address to the standard IPv4-multicast MAC
 // (01:00:5e + low 23 bits).

@@ -160,7 +160,6 @@ func (sw *NetworkSwitch) SRuleCount() int { return len(sw.groupTable) }
 // it by pointer, and each emission is written in place in the scratch.
 func (sw *NetworkSwitch) ProcessInto(p Packet, s *SwitchScratch) ([]Emission, error) {
 	s.emissions = s.emissions[:0]
-	s.stamped = false
 	if p.Outer.TTL <= 1 {
 		sw.Probe.dropped(sw, &p, DropTTL)
 		return nil, nil
@@ -427,7 +426,6 @@ func (sw *NetworkSwitch) stampInto(stream []byte, ttl byte, s *SwitchScratch) []
 		return stream
 	}
 	s.arena = arena
-	s.stamped = true
 	// Full slice expression: an append to the returned stream must
 	// reallocate rather than grow into later arena bytes.
 	return s.arena[start:len(s.arena):len(s.arena)]

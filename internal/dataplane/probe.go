@@ -204,7 +204,6 @@ func (sw *NetworkSwitch) hopEvent(kind trace.Kind, pkt *Packet) trace.Event {
 
 // encap reports one packet encapsulated with streamLen header bytes.
 func (p *Probe) encap(hv *Hypervisor, addr GroupAddr, streamLen int) {
-	hv.encapsulated.Add(1)
 	if p == nil {
 		return
 	}
@@ -217,7 +216,6 @@ func (p *Probe) encap(hv *Hypervisor, addr GroupAddr, streamLen int) {
 
 // deliver reports one packet accepted for a local member VM.
 func (p *Probe) deliver(hv *Hypervisor, addr GroupAddr) {
-	hv.delivered.Add(1)
 	if p == nil {
 		return
 	}
@@ -229,7 +227,6 @@ func (p *Probe) deliver(hv *Hypervisor, addr GroupAddr) {
 
 // filter reports one spurious packet discarded on receive.
 func (p *Probe) filter(hv *Hypervisor, addr GroupAddr) {
-	hv.filtered.Add(1)
 	if p == nil {
 		return
 	}

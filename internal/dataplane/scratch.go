@@ -30,10 +30,6 @@ type SwitchScratch struct {
 	alive     []int
 	// arena backs INT-stamped streams (append-only between Resets).
 	arena []byte
-	// stamped reports whether the latest ProcessInto wrote the arena —
-	// i.e. whether any returned emission aliases scratch-owned bytes
-	// rather than the input stream.
-	stamped bool
 
 	uRule header.UpstreamRule
 	match header.DownstreamMatch
@@ -45,11 +41,4 @@ type SwitchScratch struct {
 // may alias the arena and are clobbered by subsequent stamping.
 func (s *SwitchScratch) Reset() {
 	s.arena = s.arena[:0]
-	s.stamped = false
 }
-
-// Stamped reports whether the most recent ProcessInto emitted packets
-// whose section streams alias the scratch arena (INT stamping
-// happened). Callers that hand emissions to an unknown-lifetime
-// consumer can use it to decide when a defensive copy is needed.
-func (s *SwitchScratch) Stamped() bool { return s.stamped }

@@ -14,8 +14,8 @@ func TestDetectorBoundary(t *testing.T) {
 		if d.Observe(1) {
 			t.Fatalf("declared dead after %d misses, budget %d", i, d.DeadAfter)
 		}
-		if d.Misses() != i {
-			t.Fatalf("Misses() = %d, want %d", d.Misses(), i)
+		if d.misses != i {
+			t.Fatalf("misses = %d, want %d", d.misses, i)
 		}
 	}
 	if !d.Observe(1) {
@@ -42,8 +42,8 @@ func TestDetectorHeartbeatOnDeclaringRound(t *testing.T) {
 	if d.Observe(2) {
 		t.Fatal("progress on the declaring round still declared dead")
 	}
-	if d.Misses() != 0 {
-		t.Fatalf("Misses() = %d after progress, want 0", d.Misses())
+	if d.misses != 0 {
+		t.Fatalf("misses = %d after progress, want 0", d.misses)
 	}
 	// The budget restarts from scratch.
 	if d.Observe(2) || d.Observe(2) {

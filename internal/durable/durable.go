@@ -307,7 +307,8 @@ func (d *DurableController) ResyncState() (epoch uint64, state []byte, err error
 // commit while an fsync runs share the next one (group commit). The
 // op's own error is returned only once it is durable: a failed op is
 // logged, and fails identically on replay and followers.
-func (d *DurableController) mutate(payload []byte, op OpRecord, batch controller.BatchOptions) (*controller.BatchResult, error) {
+func (d *DurableController) mutate(op OpRecord, batch controller.BatchOptions) (*controller.BatchResult, error) {
+	payload := AppendRecord(nil, op)
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -318,7 +319,7 @@ func (d *DurableController) mutate(payload []byte, op OpRecord, batch controller
 		d.mu.Unlock()
 		return nil, err
 	}
-	lsn, err := d.log.Append(payload[0], payload)
+	lsn, err := d.log.Append(op.Type, payload)
 	if err != nil {
 		d.mu.Unlock()
 		return nil, err
@@ -348,27 +349,25 @@ func (d *DurableController) streamLocked(lsn uint64, payload []byte) {
 
 // CreateGroup durably creates a group.
 func (d *DurableController) CreateGroup(key controller.GroupKey, members map[topology.HostID]controller.Role) error {
-	_, err := d.mutate(EncodeCreate(key, members), OpRecord{Type: RecCreate, Key: key, Members: members}, controller.BatchOptions{})
+	_, err := d.mutate(OpRecord{Type: RecCreate, Key: key, Members: members}, controller.BatchOptions{})
 	return err
 }
 
 // Join durably adds (or upgrades) a member.
 func (d *DurableController) Join(key controller.GroupKey, host topology.HostID, role controller.Role) error {
-	_, err := d.mutate(EncodeMembership(RecJoin, key, host, role),
-		OpRecord{Type: RecJoin, Key: key, Host: host, Role: role}, controller.BatchOptions{})
+	_, err := d.mutate(OpRecord{Type: RecJoin, Key: key, Host: host, Role: role}, controller.BatchOptions{})
 	return err
 }
 
 // Leave durably removes a member role.
 func (d *DurableController) Leave(key controller.GroupKey, host topology.HostID, role controller.Role) error {
-	_, err := d.mutate(EncodeMembership(RecLeave, key, host, role),
-		OpRecord{Type: RecLeave, Key: key, Host: host, Role: role}, controller.BatchOptions{})
+	_, err := d.mutate(OpRecord{Type: RecLeave, Key: key, Host: host, Role: role}, controller.BatchOptions{})
 	return err
 }
 
 // RemoveGroup durably deletes a group.
 func (d *DurableController) RemoveGroup(key controller.GroupKey) error {
-	_, err := d.mutate(EncodeRemove(key), OpRecord{Type: RecRemove, Key: key}, controller.BatchOptions{})
+	_, err := d.mutate(OpRecord{Type: RecRemove, Key: key}, controller.BatchOptions{})
 	return err
 }
 
@@ -376,7 +375,7 @@ func (d *DurableController) RemoveGroup(key controller.GroupKey) error {
 // record, so a crash mid-write leaves a torn tail that recovery drops
 // like any other: a half-applied batch can never surface.
 func (d *DurableController) InstallBatch(specs []controller.BatchSpec, opts controller.BatchOptions) (*controller.BatchResult, error) {
-	return d.mutate(EncodeBatch(specs), OpRecord{Type: RecBatch, Specs: specs}, opts)
+	return d.mutate(OpRecord{Type: RecBatch, Specs: specs}, opts)
 }
 
 // Heartbeat runs a liveness record (no state change) through the spine
@@ -390,7 +389,7 @@ func (d *DurableController) InstallBatch(specs []controller.BatchSpec, opts cont
 // this fires in the same round currency as the followers' Detector,
 // bounding the split-brain window to the lease budget.
 func (d *DurableController) Heartbeat() error {
-	if _, err := d.mutate(EncodeHeartbeat(d.log.LastLSN()), OpRecord{Type: RecHeartbeat}, controller.BatchOptions{}); err != nil {
+	if _, err := d.mutate(OpRecord{Type: RecHeartbeat, LSN: d.log.LastLSN()}, controller.BatchOptions{}); err != nil {
 		return err
 	}
 	if err := d.auditLease(); err != nil {

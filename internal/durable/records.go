@@ -39,6 +39,7 @@ type OpRecord struct {
 	Role    controller.Role
 	Members map[topology.HostID]controller.Role // RecCreate
 	Specs   []controller.BatchSpec              // RecBatch
+	LSN     uint64                              // RecHeartbeat: the leader's last LSN
 }
 
 func appendKey(b []byte, key controller.GroupKey) []byte {
@@ -60,47 +61,32 @@ func appendMembers(b []byte, members map[topology.HostID]controller.Role) []byte
 	return b
 }
 
-// EncodeCreate builds a RecCreate payload.
-func EncodeCreate(key controller.GroupKey, members map[topology.HostID]controller.Role) []byte {
-	b := make([]byte, 0, 16+3*len(members))
-	b = append(b, RecCreate)
-	b = appendKey(b, key)
-	return appendMembers(b, members)
-}
-
-// EncodeMembership builds a RecJoin or RecLeave payload.
-func EncodeMembership(typ byte, key controller.GroupKey, host topology.HostID, role controller.Role) []byte {
-	b := make([]byte, 0, 16)
-	b = append(b, typ)
-	b = appendKey(b, key)
-	b = binary.AppendUvarint(b, uint64(host))
-	return append(b, byte(role))
-}
-
-// EncodeRemove builds a RecRemove payload.
-func EncodeRemove(key controller.GroupKey) []byte {
-	b := make([]byte, 0, 9)
-	b = append(b, RecRemove)
-	return appendKey(b, key)
-}
-
-// EncodeBatch builds a RecBatch payload carrying every spec.
-func EncodeBatch(specs []controller.BatchSpec) []byte {
-	b := []byte{RecBatch}
-	b = binary.AppendUvarint(b, uint64(len(specs)))
-	for _, s := range specs {
-		b = appendKey(b, s.Key)
-		b = appendMembers(b, s.Members)
+// AppendRecord appends op's record payload to dst and returns the
+// extended slice. It is DecodeRecord's inverse: a payload DecodeRecord
+// accepts re-encodes to the same bytes. Members are written once each,
+// in ascending host order.
+func AppendRecord(dst []byte, op OpRecord) []byte {
+	dst = append(dst, op.Type)
+	switch op.Type {
+	case RecCreate:
+		dst = appendKey(dst, op.Key)
+		dst = appendMembers(dst, op.Members)
+	case RecJoin, RecLeave:
+		dst = appendKey(dst, op.Key)
+		dst = binary.AppendUvarint(dst, uint64(op.Host))
+		dst = append(dst, byte(op.Role))
+	case RecRemove:
+		dst = appendKey(dst, op.Key)
+	case RecBatch:
+		dst = binary.AppendUvarint(dst, uint64(len(op.Specs)))
+		for _, s := range op.Specs {
+			dst = appendKey(dst, s.Key)
+			dst = appendMembers(dst, s.Members)
+		}
+	case RecHeartbeat:
+		dst = binary.AppendUvarint(dst, op.LSN)
 	}
-	return b
-}
-
-// EncodeHeartbeat builds a RecHeartbeat payload carrying the leader's
-// committed LSN.
-func EncodeHeartbeat(lsn uint64) []byte {
-	b := make([]byte, 0, 10)
-	b = append(b, RecHeartbeat)
-	return binary.AppendUvarint(b, lsn)
+	return dst
 }
 
 type recReader struct {
@@ -243,7 +229,7 @@ func DecodeRecord(b []byte) (OpRecord, error) {
 			rec.Specs = append(rec.Specs, controller.BatchSpec{Key: key, Members: m})
 		}
 	case RecHeartbeat:
-		if _, err := r.uvarint(); err != nil {
+		if rec.LSN, err = r.uvarint(); err != nil {
 			return rec, err
 		}
 	default:

@@ -2,7 +2,7 @@ package durable
 
 import (
 	"bytes"
-	"encoding/binary"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -16,35 +16,56 @@ func TestRecordRoundTrip(t *testing.T) {
 	members := map[topology.HostID]controller.Role{
 		0: controller.RoleBoth, 17: controller.RoleReceiver, 63: controller.RoleSender,
 	}
-
-	cases := []struct {
-		name string
-		b    []byte
-		want OpRecord
-	}{
-		{"create", EncodeCreate(key, members),
-			OpRecord{Type: RecCreate, Key: key, Members: members}},
-		{"join", EncodeMembership(RecJoin, key, 5, controller.RoleReceiver),
-			OpRecord{Type: RecJoin, Key: key, Host: 5, Role: controller.RoleReceiver}},
-		{"leave", EncodeMembership(RecLeave, key, 5, controller.RoleBoth),
-			OpRecord{Type: RecLeave, Key: key, Host: 5, Role: controller.RoleBoth}},
-		{"remove", EncodeRemove(key),
-			OpRecord{Type: RecRemove, Key: key}},
-	}
-	for _, tc := range cases {
-		got, err := DecodeRecord(tc.b)
+	for _, op := range []OpRecord{
+		{Type: RecCreate, Key: key, Members: members},
+		{Type: RecJoin, Key: key, Host: 5, Role: controller.RoleReceiver},
+		{Type: RecLeave, Key: key, Host: 5, Role: controller.RoleBoth},
+		{Type: RecRemove, Key: key},
+		{Type: RecHeartbeat, LSN: 12345},
+	} {
+		got, err := DecodeRecord(AppendRecord(nil, op))
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatalf("type %d: %v", op.Type, err)
 		}
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Fatalf("%s: %+v != %+v", tc.name, got, tc.want)
+		if !reflect.DeepEqual(got, op) {
+			t.Fatalf("type %d: %+v != %+v", op.Type, got, op)
 		}
 	}
+}
 
-	hb := EncodeHeartbeat(12345)
-	got, err := DecodeRecord(hb)
-	if err != nil || got.Type != RecHeartbeat {
-		t.Fatalf("heartbeat: %+v, %v", got, err)
+// TestRecordBytesGolden pins one payload per record type: the WAL and
+// the replication stream carry these bytes, so a change to the record
+// encoding must fail here rather than move wal.bytes_per_op unnoticed.
+// Appending to a non-empty dst leaves the prefix alone.
+func TestRecordBytesGolden(t *testing.T) {
+	key := controller.GroupKey{Tenant: 7, Group: 42}
+	members := map[topology.HostID]controller.Role{
+		0: controller.RoleBoth, 17: controller.RoleReceiver, 300: controller.RoleSender,
+	}
+	for _, tc := range []struct {
+		op  OpRecord
+		hex string
+	}{
+		{OpRecord{Type: RecCreate, Key: key, Members: members}, "01000000070000002a0300031102ac0201"},
+		{OpRecord{Type: RecJoin, Key: key, Host: 5, Role: controller.RoleReceiver}, "02000000070000002a0502"},
+		{OpRecord{Type: RecLeave, Key: key, Host: 200, Role: controller.RoleBoth}, "03000000070000002ac80103"},
+		{OpRecord{Type: RecRemove, Key: key}, "04000000070000002a"},
+		{OpRecord{Type: RecBatch, Specs: []controller.BatchSpec{
+			{Key: controller.GroupKey{Tenant: 7, Group: 43}, Members: members},
+			{Key: controller.GroupKey{Tenant: 1 << 20, Group: 44}, Members: map[topology.HostID]controller.Role{63: controller.RoleReceiver}},
+		}}, "0502000000070000002b0300031102ac0201001000000000002c013f02"},
+		{OpRecord{Type: RecHeartbeat, LSN: 12345}, "06b960"},
+	} {
+		want, err := hex.DecodeString(tc.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendRecord([]byte{0xee}, tc.op); got[0] != 0xee || !bytes.Equal(got[1:], want) {
+			t.Fatalf("type %d encodes as %x, want ee%x", tc.op.Type, got, want)
+		}
+		if got, err := DecodeRecord(want); err != nil || !reflect.DeepEqual(got, tc.op) {
+			t.Fatalf("type %d: %x decodes as %+v (%v)", tc.op.Type, want, got, err)
+		}
 	}
 }
 
@@ -62,7 +83,7 @@ func TestBatchRoundTrip(t *testing.T) {
 				},
 			})
 		}
-		rec, err := DecodeRecord(EncodeBatch(specs))
+		rec, err := DecodeRecord(AppendRecord(nil, OpRecord{Type: RecBatch, Specs: specs}))
 		if err != nil {
 			t.Fatalf("%d specs: %v", n, err)
 		}
@@ -73,8 +94,8 @@ func TestBatchRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRecordRejectsCorruptInput(t *testing.T) {
-	valid := EncodeCreate(controller.GroupKey{Tenant: 1, Group: 2},
-		map[topology.HostID]controller.Role{3: controller.RoleBoth})
+	valid := AppendRecord(nil, OpRecord{Type: RecCreate, Key: controller.GroupKey{Tenant: 1, Group: 2},
+		Members: map[topology.HostID]controller.Role{3: controller.RoleBoth}})
 	bad := map[string][]byte{
 		"empty":        {},
 		"unknown type": {0x7f, 0, 0, 0},
@@ -141,7 +162,7 @@ func TestBatchChunkingByteBound(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			b := EncodeBatch(tc.specs)
+			b := AppendRecord(nil, OpRecord{Type: RecBatch, Specs: tc.specs})
 			if len(b) <= 0xffff {
 				t.Fatalf("batch encodes to %d bytes; not past a 16-bit length", len(b))
 			}
@@ -167,25 +188,6 @@ func TestBatchChunkingByteBound(t *testing.T) {
 	}
 }
 
-// reencode builds a decoded record's payload again with the encoder of
-// its type.
-func reencode(rec OpRecord, payload []byte) []byte {
-	switch rec.Type {
-	case RecCreate:
-		return EncodeCreate(rec.Key, rec.Members)
-	case RecJoin, RecLeave:
-		return EncodeMembership(rec.Type, rec.Key, rec.Host, rec.Role)
-	case RecRemove:
-		return EncodeRemove(rec.Key)
-	case RecBatch:
-		return EncodeBatch(rec.Specs)
-	case RecHeartbeat:
-		lsn, _ := binary.Uvarint(payload[1:]) // OpRecord does not keep it
-		return EncodeHeartbeat(lsn)
-	}
-	return nil
-}
-
 // FuzzApplyRecord pushes arbitrary bytes through DecodeRecord and the
 // one record applier onto a small follower that already holds a group:
 // whatever a log or stream carries — hosts outside the topology, roles
@@ -198,19 +200,19 @@ func FuzzApplyRecord(f *testing.F) {
 	members := map[topology.HostID]controller.Role{
 		0: controller.RoleBoth, 17: controller.RoleReceiver, 63: controller.RoleSender,
 	}
-	seed := EncodeCreate(key, members)
+	seed := AppendRecord(nil, OpRecord{Type: RecCreate, Key: key, Members: members})
 	f.Add(seed)
-	f.Add(EncodeMembership(RecJoin, key, 5, controller.RoleReceiver))
-	f.Add(EncodeMembership(RecLeave, key, 17, controller.RoleReceiver))
-	f.Add(EncodeRemove(key))
-	f.Add(EncodeHeartbeat(12345))
-	f.Add(EncodeBatch([]controller.BatchSpec{
+	f.Add(AppendRecord(nil, OpRecord{Type: RecJoin, Key: key, Host: 5, Role: controller.RoleReceiver}))
+	f.Add(AppendRecord(nil, OpRecord{Type: RecLeave, Key: key, Host: 17, Role: controller.RoleReceiver}))
+	f.Add(AppendRecord(nil, OpRecord{Type: RecRemove, Key: key}))
+	f.Add(AppendRecord(nil, OpRecord{Type: RecHeartbeat, LSN: 12345}))
+	f.Add(AppendRecord(nil, OpRecord{Type: RecBatch, Specs: []controller.BatchSpec{
 		{Key: controller.GroupKey{Tenant: 7, Group: 43}, Members: members},
 		{Key: controller.GroupKey{Tenant: 7, Group: 44}, Members: members},
-	}))
-	f.Add(EncodeCreate(controller.GroupKey{Tenant: 7, Group: 45},
-		map[topology.HostID]controller.Role{0: controller.RoleSender, 99999: controller.RoleReceiver}))
-	f.Add(EncodeMembership(RecJoin, key, 99999, controller.RoleReceiver))
+	}}))
+	f.Add(AppendRecord(nil, OpRecord{Type: RecCreate, Key: controller.GroupKey{Tenant: 7, Group: 45},
+		Members: map[topology.HostID]controller.Role{0: controller.RoleSender, 99999: controller.RoleReceiver}}))
+	f.Add(AppendRecord(nil, OpRecord{Type: RecJoin, Key: key, Host: 99999, Role: controller.RoleReceiver}))
 	// Host 5 twice, and hosts 9, 5: corrupt, and refused.
 	f.Add([]byte{RecCreate, 0, 0, 0, 7, 0, 0, 0, 42, 2, 5, 1, 5, 2})
 	f.Add([]byte{RecCreate, 0, 0, 0, 7, 0, 0, 0, 42, 2, 9, 1, 5, 2})
@@ -218,7 +220,7 @@ func FuzzApplyRecord(f *testing.F) {
 	topo := durableTopo()
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if rec, err := DecodeRecord(b); err == nil {
-			if again := reencode(rec, b); !bytes.Equal(again, b) {
+			if again := AppendRecord(nil, rec); !bytes.Equal(again, b) {
 				t.Fatalf("record %x decodes to %+v, which encodes as %x", b, rec, again)
 			}
 		}

@@ -220,9 +220,6 @@ func (d *Detector) Observe(records int) bool {
 	return d.dead
 }
 
-// Misses reports the current consecutive-miss count.
-func (d *Detector) Misses() int { return d.misses }
-
 // Promote turns a warm standby into a new durable controller rooted at
 // opts.Dir: the standby's state is written as the initial snapshot and
 // a fresh WAL starts after it. Promotion mints the next leadership

@@ -117,9 +117,6 @@ func TestFailoverUnderChaos(t *testing.T) {
 	// Kill the leader's host. Its local WAL keeps working, but nothing
 	// reaches the followers any more.
 	fx.inj.CrashHost(replLeader)
-	if !fx.inj.HostDown(replLeader) {
-		t.Fatal("CrashHost did not register")
-	}
 	_ = fx.dc.Heartbeat() // lost in the fabric
 
 	rounds := 0
@@ -150,12 +147,6 @@ func TestFailoverUnderChaos(t *testing.T) {
 	if err := promoted.CreateGroup(controller.GroupKey{Tenant: 77, Group: 1},
 		map[topology.HostID]controller.Role{1: controller.RoleBoth, 40: controller.RoleReceiver}); err != nil {
 		t.Fatal(err)
-	}
-
-	// And the host coming back does not resurrect the old overrides.
-	fx.inj.RestoreHost(replLeader)
-	if fx.inj.HostDown(replLeader) {
-		t.Fatal("RestoreHost did not clear the crash")
 	}
 }
 
@@ -273,7 +264,7 @@ func TestOutOfRangeHostIsNotAPoisonPill(t *testing.T) {
 // each — through one applier, so both must land on the leader's
 // fingerprint.
 func TestReplicateOversizedCreate(t *testing.T) {
-	bigTopo := topology.MustNew(topology.TwoTierLeafSpine(4, 96, 256)) // 24576 hosts
+	bigTopo := topology.MustNew(topology.Config{Pods: 1, SpinesPerPod: 4, LeavesPerPod: 96, HostsPerLeaf: 256, CoresPerPlane: 1}) // 24576 hosts
 	bigCfg := controller.PaperConfig(0)
 
 	netTopo := durableTopo()
@@ -307,7 +298,7 @@ func TestReplicateOversizedCreate(t *testing.T) {
 	for h := 1; h < bigTopo.NumHosts(); h++ {
 		members[topology.HostID(h)] = controller.RoleReceiver
 	}
-	if n := len(EncodeCreate(controller.GroupKey{Tenant: 1, Group: 1}, members)); n <= 1<<16 {
+	if n := len(AppendRecord(nil, OpRecord{Type: RecCreate, Key: controller.GroupKey{Tenant: 1, Group: 1}, Members: members})); n <= 1<<16 {
 		t.Fatalf("test membership encodes to %d bytes; not oversized", n)
 	}
 	if err := dc.CreateGroup(controller.GroupKey{Tenant: 1, Group: 1}, members); err != nil {

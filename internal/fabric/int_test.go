@@ -149,8 +149,8 @@ func TestINTAfterAbsentDownstreamSection(t *testing.T) {
 	}
 	h := newWireHarness(f)
 	got := h.send(t, sender, a, []byte("s-rules only"))
-	if d.Malformed != 0 || d.Lost != 0 || h.eng.Malformed() != 0 {
-		t.Fatalf("sync malformed=%d lost=%d, wire malformed=%d", d.Malformed, d.Lost, h.eng.Malformed())
+	if d.Malformed != 0 || d.Lost != 0 || h.malformed.Value() != 0 {
+		t.Fatalf("sync malformed=%d lost=%d, wire malformed=%d", d.Malformed, d.Lost, h.malformed.Value())
 	}
 	if len(d.Received) != len(receivers) || len(got) != len(receivers) {
 		t.Fatalf("sync reached %d hosts, wire %d, want %d", len(d.Received), len(got), len(receivers))

@@ -73,9 +73,13 @@ func TestNextHopMatchesTopology(t *testing.T) {
 		if len(seen) != lt.NumLinks() {
 			t.Fatalf("%+v: %d links produced, table has %d", cfg, len(seen), lt.NumLinks())
 		}
-		for idx := 0; idx < lt.NumLinks(); idx++ {
-			if _, pkts := lt.Totals(idx); pkts != 1 {
-				t.Fatalf("%+v: table index %d hit %d times, want 1", cfg, idx, pkts)
+		rates := lt.TopN(lt.NumLinks(), 0)
+		if len(rates) != lt.NumLinks() {
+			t.Fatalf("%+v: %d of %d table indexes hit", cfg, len(rates), lt.NumLinks())
+		}
+		for _, r := range rates {
+			if r.Packets != 1 {
+				t.Fatalf("%+v: table index %d hit %d times, want 1", cfg, r.ID, r.Packets)
 			}
 		}
 	}

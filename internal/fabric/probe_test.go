@@ -69,8 +69,8 @@ var (
 		}, func() {}
 	}}
 	liveTier = tier{"livefabric", func(_ *testing.T, base *fabric.Fabric, reg *telemetry.Registry) (sendFunc, func()) {
+		base.SetMetrics(fabric.NewMetrics(reg))
 		lf := livefabric.New(base)
-		lf.SetMetrics(livefabric.NewMetrics(reg))
 		lf.Start()
 		return lf.Send, lf.Stop
 	}}
@@ -94,11 +94,9 @@ func parityConfig() controller.Config {
 
 // hostArrivals counts the copies that have reached a hypervisor,
 // accepted or filtered: on a healthy fabric every copy ends as one.
-func hostArrivals(base *fabric.Fabric) (n int) {
-	for _, hv := range base.Hypervisors {
-		n += hv.Delivered() + hv.Filtered()
-	}
-	return n
+func hostArrivals(reg *telemetry.Registry) int {
+	s := reg.Snapshot()
+	return int(s.Get("elmo_host_delivered_total") + s.Get("elmo_host_filtered_total"))
 }
 
 func waitUntil(t *testing.T, what string, cond func() bool) {
@@ -198,7 +196,7 @@ func TestInstrumentParityAcrossTiers(t *testing.T) {
 				}
 				send, stop := tr.start(t, base, reg)
 				for g, key := range keys {
-					before := hostArrivals(base)
+					before := hostArrivals(reg)
 					if senders[g] >= 0 {
 						a := dataplane.GroupAddr{VNI: key.Tenant, Group: key.Group}
 						if err := send(topology.HostID(senders[g]), a, []byte(fmt.Sprintf("%s group %d", p.name, g))); err != nil {
@@ -206,11 +204,11 @@ func TestInstrumentParityAcrossTiers(t *testing.T) {
 						}
 					}
 					if tr.name == syncTier.name {
-						arrivals = append(arrivals, hostArrivals(base)-before)
+						arrivals = append(arrivals, hostArrivals(reg)-before)
 					}
 					// One send in flight at a time: wait for its copies.
 					waitUntil(t, fmt.Sprintf("%s group %d arrivals", tr.name, g), func() bool {
-						return hostArrivals(base)-before >= arrivals[g]
+						return hostArrivals(reg)-before >= arrivals[g]
 					})
 				}
 				stop()
@@ -224,9 +222,10 @@ func TestInstrumentParityAcrossTiers(t *testing.T) {
 				}
 
 				r := readings{hops: map[string]int{}, hosts: map[string]int{}, counters: map[string]float64{}}
-				for i := 0; i < plane.Links().NumLinks(); i++ {
-					b, n := plane.Links().Totals(i)
-					r.linkBytes, r.linkPkts = append(r.linkBytes, b), append(r.linkPkts, n)
+				n := plane.Links().NumLinks()
+				r.linkBytes, r.linkPkts = make([]int64, n), make([]int64, n)
+				for _, lr := range plane.Links().TopN(n, 0) {
+					r.linkBytes[lr.ID], r.linkPkts[lr.ID] = lr.Bytes, lr.Packets
 				}
 				for _, ev := range rec.Snapshot() {
 					switch ev.Cat {

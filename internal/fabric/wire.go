@@ -3,7 +3,6 @@ package fabric
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"elmo/internal/dataplane"
@@ -52,8 +51,6 @@ type WireEngine struct {
 	started bool
 	stopped chan struct{}
 	wg      sync.WaitGroup
-
-	malformed, hostDrops atomic.Int64
 }
 
 // NewWireEngine wraps an already configured fabric. hostQueue is each
@@ -141,7 +138,7 @@ func (e *WireEngine) Send(sender topology.HostID, addr dataplane.GroupAddr, inne
 func (e *WireEngine) Step(tier dataplane.LinkTier, id int32, wire []byte, sc *WireScratch) {
 	pkt, err := dataplane.Unmarshal(e.f.layout, wire)
 	if err != nil {
-		e.countMalformed()
+		e.f.probe.Malformed()
 		return
 	}
 	if tier == dataplane.LinkHost {
@@ -151,13 +148,13 @@ func (e *WireEngine) Step(tier dataplane.LinkTier, id int32, wire []byte, sc *Wi
 	sc.sw.Reset()
 	ems, err := e.f.switchAt(tier, id).ProcessInto(pkt, &sc.sw)
 	if err != nil {
-		e.countMalformed()
+		e.f.probe.Malformed()
 		return
 	}
 	for i := range ems {
 		em := &ems[i]
 		if sc.buf, err = em.Packet.Marshal(sc.buf[:0]); err != nil {
-			e.countMalformed()
+			e.f.probe.Malformed()
 			continue
 		}
 		// Transmit errors are the transport's to count.
@@ -209,21 +206,9 @@ func (e *WireEngine) deliver(h topology.HostID, pkt *dataplane.Packet) {
 	select {
 	case e.hostRx[h] <- hp:
 	default:
-		e.hostDrops.Add(1)
 		e.f.probe.HostDrop(int32(h), addr)
 	}
 }
-
-func (e *WireEngine) countMalformed() {
-	e.malformed.Add(1)
-	e.f.probe.Malformed()
-}
-
-// Malformed counts frames a device could not parse.
-func (e *WireEngine) Malformed() int64 { return e.malformed.Load() }
-
-// HostDrops counts frames discarded at full host delivery channels.
-func (e *WireEngine) HostDrops() int64 { return e.hostDrops.Load() }
 
 // HostRx returns the delivery channel for a host.
 func (e *WireEngine) HostRx(h topology.HostID) <-chan HostPacket { return e.hostRx[h] }

@@ -11,18 +11,22 @@ import (
 
 	"elmo/internal/controller"
 	"elmo/internal/dataplane"
+	"elmo/internal/telemetry"
 	"elmo/internal/topology"
 )
 
 // wireHarness is an in-memory transport for the wire engine: Transmit
 // appends the frame to a FIFO, run steps the addressed devices until
 // the FIFO is empty. No goroutines, no sockets, so a send's outcome is
-// as deterministic as Fabric.Send's.
+// as deterministic as Fabric.Send's. It attaches metrics to the fabric
+// so the engine's unparseable frames and full host queues are counted.
 type wireHarness struct {
 	eng   *WireEngine
 	queue []wireHop
 	// links, linkBytes and hops mirror Delivery's accounting.
 	links, linkBytes, hops int
+	// malformed and hostDrops are the engine's wire counters.
+	malformed, hostDrops *telemetry.Counter
 }
 
 type wireHop struct {
@@ -31,7 +35,12 @@ type wireHop struct {
 }
 
 func newWireHarness(f *Fabric) *wireHarness {
-	h := &wireHarness{}
+	reg := telemetry.NewRegistry()
+	m := NewMetrics(reg)
+	m.WireMalformed = reg.Counter("elmo_wire_malformed_total", "Undecodable frames.")
+	m.HostQueueDrops = reg.Counter("elmo_wire_host_queue_drops_total", "Frames dropped at full host queues.")
+	f.SetMetrics(m)
+	h := &wireHarness{malformed: m.WireMalformed, hostDrops: m.HostQueueDrops}
 	h.eng = NewWireEngine(f, 16, func(l dataplane.Link, wire []byte) error {
 		h.links++
 		h.linkBytes += len(wire)
@@ -179,8 +188,8 @@ func TestWireEngineMatchesSyncForwarder(t *testing.T) {
 			if !p.used(f, telemetry) {
 				t.Fatalf("no send exercised the %s path", p.name)
 			}
-			if h.eng.Malformed() != 0 || h.eng.HostDrops() != 0 {
-				t.Fatalf("malformed=%d hostDrops=%d", h.eng.Malformed(), h.eng.HostDrops())
+			if h.malformed.Value() != 0 || h.hostDrops.Value() != 0 {
+				t.Fatalf("malformed=%d hostDrops=%d", h.malformed.Value(), h.hostDrops.Value())
 			}
 		})
 	}

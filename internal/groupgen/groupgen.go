@@ -54,12 +54,6 @@ type Config struct {
 	Seed int64
 }
 
-// PaperConfig returns the evaluation's group workload for a
-// distribution at a given total group count.
-func PaperConfig(total int, dist Distribution) Config {
-	return Config{TotalGroups: total, MinSize: 5, Dist: dist, Seed: 7}
-}
-
 // Group is one multicast group: the owning tenant and the member VMs'
 // hosts. A host appears once per member VM placed on it; because
 // placement never co-locates two VMs of a tenant, hosts are distinct.

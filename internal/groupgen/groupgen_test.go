@@ -174,8 +174,7 @@ func TestSummarizeEmpty(t *testing.T) {
 
 func BenchmarkGenerate(b *testing.B) {
 	topo := topology.MustNew(topology.FacebookFabric())
-	cfg := placement.PaperConfig(12)
-	cfg.Tenants = 100
+	cfg := placement.Config{Tenants: 100, VMsPerHost: 20, MinVMs: 10, MaxVMs: 5000, MeanVMs: 178.77, P: 12, Seed: 1}
 	d, err := placement.Place(topo, cfg)
 	if err != nil {
 		b.Fatal(err)

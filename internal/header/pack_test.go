@@ -237,7 +237,7 @@ func TestLayoutIdentifierBits(t *testing.T) {
 		{"bench", benchTopo, 3, 7},
 		{"udp", udpTopo, 2, 4},
 		{"facebook", topology.FacebookFabric(), 4, 10},
-		{"two-tier", topology.TwoTierLeafSpine(4, 24, 8), 1, 5},
+		{"two-tier", topology.Config{Pods: 1, SpinesPerPod: 4, LeavesPerPod: 24, HostsPerLeaf: 8, CoresPerPlane: 1}, 1, 5},
 	} {
 		l := LayoutFor(topology.MustNew(c.cfg))
 		if got := [2]int{l.IdentifierBits(TagDSpine), l.IdentifierBits(TagDLeaf)}; got != [2]int{c.spine, c.leaf} {

@@ -9,12 +9,12 @@
 // measurement, livefabric exercises the same switch pipelines under
 // real concurrency and real (de)serialization per hop — the form the
 // example applications (market data feeds, chat) run on. This package
-// is only the channel transport: queues and Drain.
+// is only the channel transport: one ingress queue per switch, one
+// goroutine draining each.
 package livefabric
 
 import (
 	"fmt"
-	"time"
 
 	"elmo/internal/dataplane"
 	"elmo/internal/fabric"
@@ -29,13 +29,14 @@ const (
 	// enough to block model congestion; frames are never dropped.
 	queueDepth = 4096
 	// hostQueueDepth is each host RX channel's capacity; overflow
-	// drops the frame (receiver too slow), counted in HostDrops.
+	// drops the frame (receiver too slow), reported to the base
+	// fabric's probe.
 	hostQueueDepth = 4096
 )
 
 // LiveFabric wraps a fabric's switches with goroutines and channels.
-// Tracer, injector and observer are the base fabric's: set them there
-// before Start.
+// Tracer, metrics, injector and observer are the base fabric's: set
+// them there before Start.
 type LiveFabric struct {
 	base *fabric.Fabric
 	eng  *fabric.WireEngine
@@ -46,8 +47,8 @@ type LiveFabric struct {
 
 // New wraps an existing (already configured) fabric. Group state must
 // be installed through the base fabric (Base().InstallGroupAt) before
-// Start, or after Drain while senders are quiet — switch goroutines
-// read the same group tables; the live fabric only moves packets.
+// Start — switch goroutines read the same group tables; the live
+// fabric only moves packets.
 func New(base *fabric.Fabric) *LiveFabric {
 	topo := base.Topology()
 	lf := &LiveFabric{base: base}
@@ -71,12 +72,6 @@ func (lf *LiveFabric) Base() *fabric.Fabric { return lf.base }
 
 // HostRx returns the delivery channel for a host.
 func (lf *LiveFabric) HostRx(h topology.HostID) <-chan HostPacket { return lf.eng.HostRx(h) }
-
-// HostDrops counts frames dropped at full host queues.
-func (lf *LiveFabric) HostDrops() int64 { return lf.eng.HostDrops() }
-
-// Malformed counts frames a switch or host failed to parse.
-func (lf *LiveFabric) Malformed() int64 { return lf.eng.Malformed() }
 
 // Send encapsulates at the sender's hypervisor and injects the frame
 // at its leaf. It returns once the frame is queued; deliveries arrive
@@ -125,37 +120,6 @@ func (lf *LiveFabric) run(tier dataplane.LinkTier, id int32, ch <-chan []byte) {
 	}
 }
 
-// Stop terminates the switch goroutines. In-flight frames may be lost;
-// call Drain first for a clean shutdown.
+// Stop terminates the switch goroutines. In-flight frames may be lost:
+// a clean shutdown waits for the deliveries it expects on HostRx first.
 func (lf *LiveFabric) Stop() { lf.eng.Stop(nil) }
-
-// Drain waits until all switch ingress queues are empty (quiescence),
-// up to the timeout. It does not guarantee host channels were read.
-func (lf *LiveFabric) Drain(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if lf.queuesEmpty() {
-			// Double-check after a settle period: a frame may be
-			// between queues (popped but not yet re-enqueued).
-			time.Sleep(2 * time.Millisecond)
-			if lf.queuesEmpty() {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("livefabric: drain timeout")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func (lf *LiveFabric) queuesEmpty() bool {
-	for _, chs := range lf.in {
-		for _, ch := range chs {
-			if len(ch) > 0 {
-				return false
-			}
-		}
-	}
-	return true
-}

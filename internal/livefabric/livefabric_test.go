@@ -81,12 +81,6 @@ func TestLiveDelivery(t *testing.T) {
 			t.Fatalf("host %d: %d distinct messages, want %d", h, len(seen), n)
 		}
 	}
-	if err := lf.Drain(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if lf.Malformed() != 0 || lf.HostDrops() != 0 {
-		t.Fatalf("malformed=%d drops=%d", lf.Malformed(), lf.HostDrops())
-	}
 }
 
 func TestLiveConcurrentSenders(t *testing.T) {
@@ -195,14 +189,6 @@ func TestLiveSendUnknownGroupFails(t *testing.T) {
 	}
 }
 
-func TestLiveDrainTimesOutWhenStopped(t *testing.T) {
-	lf, _, _, _ := liveFixture(t, false)
-	// Not started: queues are empty, drain returns immediately.
-	if err := lf.Drain(100 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLiveBaseAccessor(t *testing.T) {
 	lf, _, _, _ := liveFixture(t, false)
 	if lf.Base() == nil || lf.Base().Topology() == nil {
@@ -266,8 +252,13 @@ func BenchmarkLivePipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if err := lf.Drain(30 * time.Second); err != nil {
-		b.Fatal(err)
+	want := int64(b.N * len(hosts[1:]))
+	deadline := time.Now().Add(30 * time.Second)
+	for atomic.LoadInt64(&received) < want {
+		if time.Now().After(deadline) {
+			b.Fatalf("%d of %d deliveries before timeout", atomic.LoadInt64(&received), want)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	b.StopTimer()
 	close(done)

@@ -11,19 +11,16 @@ import (
 	"strings"
 )
 
-// Summary accumulates streaming count/mean/max/min statistics without
+// Summary accumulates streaming count/mean/max statistics without
 // retaining samples.
 type Summary struct {
-	n        int
-	sum      float64
-	min, max float64
+	n   int
+	sum float64
+	max float64
 }
 
 // Add records one sample.
 func (s *Summary) Add(x float64) {
-	if s.n == 0 || x < s.min {
-		s.min = x
-	}
 	if s.n == 0 || x > s.max {
 		s.max = x
 	}
@@ -38,9 +35,6 @@ func (s *Summary) Mean() float64 {
 	}
 	return s.sum / float64(s.n)
 }
-
-// Min returns the smallest sample (0 when empty).
-func (s *Summary) Min() float64 { return s.min }
 
 // Max returns the largest sample (0 when empty).
 func (s *Summary) Max() float64 { return s.max }

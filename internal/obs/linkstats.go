@@ -234,9 +234,3 @@ func (lt *LinkTable) TopN(n, buckets int) []LinkRate {
 	}
 	return out
 }
-
-// Totals returns the cumulative (bytes, packets) for one dense link id
-// — the exact counters the rate buckets are differenced from.
-func (lt *LinkTable) Totals(idx int) (bytes, pkts int64) {
-	return lt.bytes[idx].Load(), lt.pkts[idx].Load()
-}

@@ -59,11 +59,6 @@ type Options struct {
 	EnableINT bool
 }
 
-// PaperOptions mirrors the evaluation's budgets.
-func PaperOptions() Options {
-	return Options{MaxSpineRules: 2, MaxLeafRules: 30, MaxSwitchesPerRule: 2}
-}
-
 // NetworkSwitchProgram generates the P4_16 program for one switch tier
 // under the given layout.
 func NetworkSwitchProgram(l header.Layout, tier Tier, opts Options) (string, error) {

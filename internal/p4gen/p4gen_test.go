@@ -12,10 +12,14 @@ func paperLayout() header.Layout {
 	return header.LayoutFor(topology.MustNew(topology.FacebookFabric()))
 }
 
+// paperOptions are the evaluation's budgets: 2 spine and 30 leaf
+// p-rules, Kmax 2.
+var paperOptions = Options{MaxSpineRules: 2, MaxLeafRules: 30, MaxSwitchesPerRule: 2}
+
 func TestProgramsGenerateForAllTiers(t *testing.T) {
 	l := paperLayout()
 	for _, tier := range []Tier{TierLeaf, TierSpine, TierCore} {
-		prog, err := NetworkSwitchProgram(l, tier, PaperOptions())
+		prog, err := NetworkSwitchProgram(l, tier, paperOptions)
 		if err != nil {
 			t.Fatalf("%v: %v", tier, err)
 		}
@@ -52,7 +56,7 @@ func balance(s string) int {
 
 func TestParserUnrollMatchesBudget(t *testing.T) {
 	l := paperLayout()
-	opts := PaperOptions() // 30 leaf rules, 2 spine rules
+	opts := paperOptions // 30 leaf rules, 2 spine rules
 	prog, err := NetworkSwitchProgram(l, TierLeaf, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +99,7 @@ func TestParserUnrollMatchesBudget(t *testing.T) {
 
 func TestINTOptionAddsStamping(t *testing.T) {
 	l := paperLayout()
-	opts := PaperOptions()
+	opts := paperOptions
 	opts.EnableINT = true
 	prog, err := NetworkSwitchProgram(l, TierSpine, opts)
 	if err != nil {
@@ -104,7 +108,7 @@ func TestINTOptionAddsStamping(t *testing.T) {
 	if !strings.Contains(prog, "elmo_int_record_t") || !strings.Contains(prog, "append_int_record") {
 		t.Fatal("INT support missing")
 	}
-	plain, _ := NetworkSwitchProgram(l, TierSpine, PaperOptions())
+	plain, _ := NetworkSwitchProgram(l, TierSpine, paperOptions)
 	if strings.Contains(plain, "append_int_record") {
 		t.Fatal("INT emitted without the option")
 	}
@@ -112,7 +116,7 @@ func TestINTOptionAddsStamping(t *testing.T) {
 
 func TestCoreProgramHasNoGroupTableLookup(t *testing.T) {
 	l := paperLayout()
-	prog, err := NetworkSwitchProgram(l, TierCore, PaperOptions())
+	prog, err := NetworkSwitchProgram(l, TierCore, paperOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,18 +131,18 @@ func TestCoreProgramHasNoGroupTableLookup(t *testing.T) {
 
 func TestGenerationDeterministic(t *testing.T) {
 	l := paperLayout()
-	a, _ := NetworkSwitchProgram(l, TierLeaf, PaperOptions())
-	b, _ := NetworkSwitchProgram(l, TierLeaf, PaperOptions())
+	a, _ := NetworkSwitchProgram(l, TierLeaf, paperOptions)
+	b, _ := NetworkSwitchProgram(l, TierLeaf, paperOptions)
 	if a != b {
 		t.Fatal("generation not deterministic")
 	}
 }
 
 func TestInvalidInputs(t *testing.T) {
-	if _, err := NetworkSwitchProgram(header.Layout{}, TierLeaf, PaperOptions()); err == nil {
+	if _, err := NetworkSwitchProgram(header.Layout{}, TierLeaf, paperOptions); err == nil {
 		t.Fatal("invalid layout accepted")
 	}
-	bad := PaperOptions()
+	bad := paperOptions
 	bad.MaxSwitchesPerRule = 0
 	if _, err := NetworkSwitchProgram(paperLayout(), TierLeaf, bad); err == nil {
 		t.Fatal("invalid options accepted")

@@ -39,20 +39,6 @@ type Config struct {
 	Seed int64
 }
 
-// PaperConfig returns the evaluation's placement parameters for a
-// given locality P.
-func PaperConfig(p int) Config {
-	return Config{
-		Tenants:    3000,
-		VMsPerHost: 20,
-		MinVMs:     10,
-		MaxVMs:     5000,
-		MeanVMs:    178.77,
-		P:          p,
-		Seed:       1,
-	}
-}
-
 // VM is one tenant virtual machine placed on a host.
 type VM struct {
 	Tenant int

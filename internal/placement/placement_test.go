@@ -145,8 +145,9 @@ func TestPlaceFabricFull(t *testing.T) {
 
 func TestTenantSizeDistribution(t *testing.T) {
 	topo := topology.MustNew(topology.FacebookFabric())
-	cfg := PaperConfig(12)
-	cfg.Tenants = 300 // keep the test fast; shape is what matters
+	// The evaluation's placement at P=12, with 300 of its 3,000 tenants
+	// to keep the test fast; shape is what matters.
+	cfg := Config{Tenants: 300, VMsPerHost: 20, MinVMs: 10, MaxVMs: 5000, MeanVMs: 178.77, P: 12, Seed: 1}
 	d, err := Place(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -174,8 +175,7 @@ func TestTenantSizeDistribution(t *testing.T) {
 
 func BenchmarkPlacePaperScaleP12(b *testing.B) {
 	topo := topology.MustNew(topology.FacebookFabric())
-	cfg := PaperConfig(12)
-	cfg.Tenants = 500
+	cfg := Config{Tenants: 500, VMsPerHost: 20, MinVMs: 10, MaxVMs: 5000, MeanVMs: 178.77, P: 12, Seed: 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Place(topo, cfg); err != nil {

@@ -281,9 +281,6 @@ func (r *Receiver) OutstandingNAK() []byte {
 // Next reports the next in-order sequence the receiver expects.
 func (r *Receiver) Next() uint32 { return r.next }
 
-// Pending reports the reorder-buffer occupancy.
-func (r *Receiver) Pending() int { return len(r.pending) }
-
 func maxSeq(m map[uint32][]byte) uint32 {
 	var hi uint32
 	for s := range m {

@@ -70,8 +70,8 @@ func TestInOrderDelivery(t *testing.T) {
 			t.Fatalf("delivery at %d: %v", i, out)
 		}
 	}
-	if r.Next() != 10 || r.Pending() != 0 {
-		t.Fatalf("receiver state: next=%d pending=%d", r.Next(), r.Pending())
+	if r.Next() != 10 || len(r.pending) != 0 {
+		t.Fatalf("receiver state: next=%d pending=%d", r.Next(), len(r.pending))
 	}
 }
 

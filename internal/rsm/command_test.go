@@ -172,9 +172,6 @@ func TestReplicaFencesStaleEpoch(t *testing.T) {
 	if len(applied) != 1 || string(applied[0]) != "payload-2" {
 		t.Fatalf("applier saw %q, want only payload-2", applied)
 	}
-	if r.Fenced() != 3 {
-		t.Fatalf("Fenced = %d, want 3", r.Fenced())
-	}
 	if r.Applied() != 6 {
 		t.Fatalf("Applied = %d, want 6 (fenced commands advance the log)", r.Applied())
 	}

@@ -104,7 +104,6 @@ type Replica struct {
 	store   map[string]string
 	applied int
 	epoch   uint64 // highest epoch applied; lower-epoch commands are fenced
-	fenced  int
 	applier func(epoch uint64, payload []byte) error
 }
 
@@ -123,14 +122,13 @@ func (r *Replica) SetApplier(fn func(epoch uint64, payload []byte) error) { r.ap
 // Apply executes one command payload (called in log order). A command
 // stamped with a lower epoch than the highest this replica has seen is
 // a deposed leader's residue: it advances the log position but is
-// never applied (counted in Fenced).
+// never applied.
 func (r *Replica) Apply(payload []byte) error {
 	c, err := UnmarshalCommand(payload)
 	if err != nil {
 		return err
 	}
 	if c.Epoch < r.epoch {
-		r.fenced++
 		r.applied++
 		return nil
 	}
@@ -154,9 +152,6 @@ func (r *Replica) Apply(payload []byte) error {
 // Epoch reports the highest leadership epoch this replica has applied
 // a command from.
 func (r *Replica) Epoch() uint64 { return r.epoch }
-
-// Fenced reports how many stale-epoch commands were discarded.
-func (r *Replica) Fenced() int { return r.fenced }
 
 // Get reads a key.
 func (r *Replica) Get(key string) (string, bool) {

@@ -287,32 +287,3 @@ func (r *ScalabilityResult) CoveredFraction() float64 {
 	}
 	return float64(r.GroupsPRulesOnly+r.GroupsWithSRules) / float64(r.TotalGroups)
 }
-
-// Table renders the run as an aligned results table.
-func (r *ScalabilityResult) Table(name string) *metrics.Table {
-	t := metrics.NewTable(name,
-		"metric", "value")
-	t.AddRow("groups", r.TotalGroups)
-	t.AddRow("covered by p-rules only", r.GroupsPRulesOnly)
-	t.AddRow("leaf layer p-rules only", r.LeafPRulesOnly)
-	t.AddRow("covered with s-rules", r.GroupsWithSRules)
-	t.AddRow("needing default p-rule", r.GroupsWithDefault)
-	t.AddRow("covered fraction", r.CoveredFraction())
-	t.AddRow("leaf s-rules mean", r.LeafSRules.Mean())
-	t.AddRow("leaf s-rules p95", r.LeafSRules.Percentile(95))
-	t.AddRow("leaf s-rules max", r.LeafSRules.Max())
-	t.AddRow("spine s-rules mean", r.SpineSRules.Mean())
-	t.AddRow("spine s-rules max", r.SpineSRules.Max())
-	t.AddRow("Li leaf entries mean", r.LiLeafEntries.Mean())
-	t.AddRow("Li leaf entries max", r.LiLeafEntries.Max())
-	t.AddRow("header bytes mean", r.HeaderBytes.Mean())
-	t.AddRow("header bytes min", r.HeaderBytes.Min())
-	t.AddRow("header bytes max", r.HeaderBytes.Max())
-	for _, n := range r.Config.PacketSizes {
-		t.AddRow(fmt.Sprintf("traffic overhead %dB", n), r.TrafficOverhead[n])
-		t.AddRow(fmt.Sprintf("unicast overhead %dB", n), r.UnicastOverhead[n])
-		t.AddRow(fmt.Sprintf("overlay overhead %dB", n), r.OverlayOverhead[n])
-	}
-	t.AddRow("delivery failures", r.DeliveryFailures)
-	return t
-}

@@ -136,17 +136,6 @@ func TestScalabilityClusteredPlacementCoversMore(t *testing.T) {
 	}
 }
 
-func TestScalabilityTableRenders(t *testing.T) {
-	res, err := RunScalability(smallScalability(4, 0, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := res.Table("test run").String()
-	if len(out) == 0 {
-		t.Fatal("empty table")
-	}
-}
-
 func TestScalabilityErrorsAndOptions(t *testing.T) {
 	// Invalid topology surfaces as an error.
 	bad := smallScalability(4, 0, 10)

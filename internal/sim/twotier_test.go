@@ -16,7 +16,7 @@ import (
 // and coverage is governed purely by the leaf-layer budget.
 func TestTwoTierLeafSpine(t *testing.T) {
 	cfg := ScalabilityConfig{
-		Topology: topology.TwoTierLeafSpine(4, 24, 12), // 288 hosts
+		Topology: topology.Config{Pods: 1, SpinesPerPod: 4, LeavesPerPod: 24, HostsPerLeaf: 12, CoresPerPlane: 1}, // 288 hosts
 		Placement: placement.Config{
 			Tenants: 60, VMsPerHost: 20, MinVMs: 5, MaxVMs: 24, MeanVMs: 14, P: 1, Seed: 21,
 		},

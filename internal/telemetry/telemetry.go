@@ -211,15 +211,6 @@ func (h *Histogram) cumulative(out []int64) int64 {
 	return acc
 }
 
-// LinearBuckets returns n bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // ExponentialBuckets returns n bounds start, start*factor, ...
 func ExponentialBuckets(start, factor float64, n int) []float64 {
 	out := make([]float64, n)

@@ -351,7 +351,7 @@ func BenchmarkVecWithCached(b *testing.B) {
 
 func TestHistogramQuantile(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("elmo_test_quantile", "q", LinearBuckets(10, 10, 10)) // 10..100
+	h := r.Histogram("elmo_test_quantile", "q", []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
 	// Empty histogram has no answer.
 	if !math.IsNaN(h.Quantile(0.5)) {
 		t.Fatal("empty histogram produced a quantile")

@@ -72,19 +72,6 @@ func (f *FailureSet) String() string {
 	return fmt.Sprintf("failures(spines=%d cores=%d)", s, c)
 }
 
-// HealthySpinePlanes returns, for a pod, the set of spine planes whose
-// spine in that pod is healthy. Used by the controller's greedy
-// set-cover when recomputing upstream ports under failures.
-func (f *FailureSet) HealthySpinePlanes(t *Topology, p PodID) []int {
-	planes := make([]int, 0, t.Config().SpinesPerPod)
-	for plane := 0; plane < t.Config().SpinesPerPod; plane++ {
-		if !f.SpineFailed(t.SpineAt(p, plane)) {
-			planes = append(planes, plane)
-		}
-	}
-	return planes
-}
-
 // HealthyCoresInPlane returns the cores of the given plane that are
 // healthy.
 func (f *FailureSet) HealthyCoresInPlane(t *Topology, plane int) []CoreID {

@@ -67,28 +67,6 @@ func TestFailureSetFailRepairRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFailureSetHealthySpinePlanes(t *testing.T) {
-	topo := MustNew(PaperExample()) // 2 spine planes per pod
-	f := NewFailureSet()
-	if got := f.HealthySpinePlanes(topo, 0); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Fatalf("healthy planes = %v", got)
-	}
-
-	// Failing pod 0 plane 0 affects only pod 0's plane list.
-	f.FailSpine(topo.SpineAt(0, 0))
-	if got := f.HealthySpinePlanes(topo, 0); !reflect.DeepEqual(got, []int{1}) {
-		t.Fatalf("pod 0 healthy planes = %v", got)
-	}
-	if got := f.HealthySpinePlanes(topo, 1); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Fatalf("pod 1 healthy planes = %v", got)
-	}
-
-	f.RepairSpine(topo.SpineAt(0, 0))
-	if got := f.HealthySpinePlanes(topo, 0); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Fatalf("healthy planes after repair = %v", got)
-	}
-}
-
 func TestFailureSetHealthyCoresInPlane(t *testing.T) {
 	topo := MustNew(PaperExample()) // 2 cores per plane
 	cfg := topo.Config()

@@ -90,14 +90,6 @@ func FacebookFabric() Config {
 	return Config{Pods: 12, SpinesPerPod: 4, LeavesPerPod: 48, HostsPerLeaf: 48, CoresPerPlane: 4}
 }
 
-// TwoTierLeafSpine is the CONGA-style two-tier topology the paper also
-// evaluated ("qualitatively similar results", §5.1.1): a single pod
-// whose spines are the top tier. Groups never leave the pod, so Elmo
-// headers carry no core or downstream-spine sections.
-func TwoTierLeafSpine(spines, leaves, hostsPerLeaf int) Config {
-	return Config{Pods: 1, SpinesPerPod: spines, LeavesPerPod: leaves, HostsPerLeaf: hostsPerLeaf, CoresPerPlane: 1}
-}
-
 // Topology is an immutable description of a Clos fabric built from a
 // Config. All lookups are O(1) arithmetic; the struct holds no
 // per-element storage, so fabrics of any size are free to create.
@@ -307,16 +299,6 @@ func (t *Topology) checkPod(p PodID) {
 	if int(p) < 0 || int(p) >= t.cfg.Pods {
 		panic(fmt.Sprintf("topology: pod %d out of range [0,%d)", p, t.cfg.Pods))
 	}
-}
-
-// HostsUnderLeaf returns all hosts attached to the leaf, in port order.
-func (t *Topology) HostsUnderLeaf(l LeafID) []HostID {
-	t.checkLeaf(l)
-	hosts := make([]HostID, t.cfg.HostsPerLeaf)
-	for i := range hosts {
-		hosts[i] = HostID(int(l)*t.cfg.HostsPerLeaf + i)
-	}
-	return hosts
 }
 
 // String describes the fabric dimensions.

@@ -134,25 +134,25 @@ func TestWidths(t *testing.T) {
 
 func TestHostsUnderLeaf(t *testing.T) {
 	topo := MustNew(PaperExample())
-	hosts := topo.HostsUnderLeaf(2)
-	if len(hosts) != 8 || hosts[0] != 16 || hosts[7] != 23 {
-		t.Fatalf("HostsUnderLeaf(2) = %v", hosts)
+	for i := 0; i < topo.Config().HostsPerLeaf; i++ {
+		if h := topo.HostAt(2, i); h != HostID(16+i) || topo.HostLeaf(h) != 2 {
+			t.Fatalf("HostAt(2, %d) = %d under leaf %d, want host %d under leaf 2", i, h, topo.HostLeaf(h), 16+i)
+		}
 	}
 }
 
 func TestOutOfRangePanics(t *testing.T) {
 	topo := MustNew(PaperExample())
 	cases := map[string]func(){
-		"HostLeaf":       func() { topo.HostLeaf(64) },
-		"LeafPod":        func() { topo.LeafPod(-1) },
-		"SpinePod":       func() { topo.SpinePod(8) },
-		"CorePlane":      func() { topo.CorePlane(4) },
-		"LeafUpstream":   func() { topo.LeafUpstream(0, 2) },
-		"SpineUpstream":  func() { topo.SpineUpstream(0, 2) },
-		"LeafAt":         func() { topo.LeafAt(0, 2) },
-		"SpineAt":        func() { topo.SpineAt(4, 0) },
-		"HostAt":         func() { topo.HostAt(0, 8) },
-		"HostsUnderLeaf": func() { topo.HostsUnderLeaf(8) },
+		"HostLeaf":      func() { topo.HostLeaf(64) },
+		"LeafPod":       func() { topo.LeafPod(-1) },
+		"SpinePod":      func() { topo.SpinePod(8) },
+		"CorePlane":     func() { topo.CorePlane(4) },
+		"LeafUpstream":  func() { topo.LeafUpstream(0, 2) },
+		"SpineUpstream": func() { topo.SpineUpstream(0, 2) },
+		"LeafAt":        func() { topo.LeafAt(0, 2) },
+		"SpineAt":       func() { topo.SpineAt(4, 0) },
+		"HostAt":        func() { topo.HostAt(0, 8) },
 	}
 	for name, fn := range cases {
 		func() {
@@ -212,14 +212,6 @@ func TestFailureSet(t *testing.T) {
 	if s, c := f.NumFailed(); s != 1 || c != 1 {
 		t.Fatalf("NumFailed = %d,%d", s, c)
 	}
-	planes := f.HealthySpinePlanes(topo, 2)
-	if len(planes) != 1 || planes[0] != 1 {
-		t.Fatalf("HealthySpinePlanes(pod 2) = %v, want [1]", planes)
-	}
-	planesOther := f.HealthySpinePlanes(topo, 0)
-	if len(planesOther) != 2 {
-		t.Fatalf("HealthySpinePlanes(pod 0) = %v, want both planes", planesOther)
-	}
 	cores := f.HealthyCoresInPlane(topo, 0)
 	if len(cores) != 1 || cores[0] != 0 {
 		t.Fatalf("HealthyCoresInPlane(0) = %v, want [0]", cores)
@@ -232,7 +224,9 @@ func TestFailureSet(t *testing.T) {
 }
 
 func TestTwoTierLeafSpine(t *testing.T) {
-	topo := MustNew(TwoTierLeafSpine(4, 24, 12))
+	// The CONGA-style two-tier fabric of §5.1.1: one pod whose spines
+	// are the top tier.
+	topo := MustNew(Config{Pods: 1, SpinesPerPod: 4, LeavesPerPod: 24, HostsPerLeaf: 12, CoresPerPlane: 1})
 	if topo.NumPods() != 1 || topo.NumSpines() != 4 || topo.NumLeaves() != 24 {
 		t.Fatalf("two-tier dims: %s", topo)
 	}

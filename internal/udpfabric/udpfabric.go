@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"elmo/internal/dataplane"
@@ -49,8 +48,6 @@ type UDPFabric struct {
 	addr [dataplane.LinkCore + 1][]*net.UDPAddr
 
 	metrics Metrics // zero = off: nil telemetry handles do nothing
-	// sendErrors counts datagram writes the socket rejected.
-	sendErrors atomic.Int64
 }
 
 // New binds one ephemeral localhost UDP socket per switch and host of
@@ -111,29 +108,14 @@ func (u *UDPFabric) Close() {
 // HostRx returns the delivery channel for a host.
 func (u *UDPFabric) HostRx(h topology.HostID) <-chan HostPacket { return u.eng.HostRx(h) }
 
-// HostAddr returns the UDP address a host endpoint listens on (the
-// "NIC" applications would send through).
-func (u *UDPFabric) HostAddr(h topology.HostID) *net.UDPAddr {
-	return u.addr[dataplane.LinkHost][h]
-}
-
-// Malformed counts undecodable datagrams.
-func (u *UDPFabric) Malformed() int64 { return u.eng.Malformed() }
-
-// HostDrops counts frames discarded at full host queues.
-func (u *UDPFabric) HostDrops() int64 { return u.eng.HostDrops() }
-
-// SendErrors counts datagram writes the socket rejected.
-func (u *UDPFabric) SendErrors() int64 { return u.sendErrors.Load() }
-
 // transmit writes one datagram from the link's source socket to its
 // destination and keeps the send accounting honest: only a successful
 // write counts toward the sent totals; failures are tallied separately
-// as SendErrors. WriteToUDP copies the payload into the kernel before
-// returning, so the engine's scratch is free again on return.
+// in elmo_udpfabric_send_errors_total. WriteToUDP copies the payload
+// into the kernel before returning, so the engine's scratch is free
+// again on return.
 func (u *UDPFabric) transmit(l dataplane.Link, wire []byte) error {
 	if _, err := u.conn[l.FromTier][l.From].WriteToUDP(wire, u.addr[l.ToTier][l.To]); err != nil {
-		u.sendErrors.Add(1)
 		u.metrics.sendErrors.Inc()
 		return err
 	}

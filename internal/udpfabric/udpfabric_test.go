@@ -42,6 +42,7 @@ func udpFixture(t *testing.T, enableINT bool) (*UDPFabric, controller.GroupKey, 
 	if _, err := base.InstallGroupAt(0, ctrl, key); err != nil {
 		t.Fatal(err)
 	}
+	u.SetMetrics(NewMetrics(telemetry.NewRegistry()))
 	u.Start()
 	return u, key, hosts
 }
@@ -71,8 +72,8 @@ func TestDeliveryOverRealUDP(t *testing.T) {
 			t.Fatalf("host %d: %d distinct of %d", h, len(seen), n)
 		}
 	}
-	if u.Malformed() != 0 || u.HostDrops() != 0 {
-		t.Fatalf("malformed=%d dropped=%d", u.Malformed(), u.HostDrops())
+	if m := u.metrics.Fabric; m.WireMalformed.Value() != 0 || m.HostQueueDrops.Value() != 0 {
+		t.Fatalf("malformed=%d dropped=%d", m.WireMalformed.Value(), m.HostQueueDrops.Value())
 	}
 }
 
@@ -97,12 +98,11 @@ func TestINTOverRealUDP(t *testing.T) {
 
 func TestHostAddrStable(t *testing.T) {
 	u, _, _ := udpFixture(t, false)
-	a1 := u.HostAddr(5)
-	a2 := u.HostAddr(5)
-	if a1.Port == 0 || a1.String() != a2.String() {
-		t.Fatalf("host addr unstable: %v vs %v", a1, a2)
+	hosts := u.addr[dataplane.LinkHost]
+	if a := hosts[5]; a.Port == 0 || a.String() != u.conn[dataplane.LinkHost][5].LocalAddr().String() {
+		t.Fatalf("host addr %v is not its socket's %v", a, u.conn[dataplane.LinkHost][5].LocalAddr())
 	}
-	if u.HostAddr(6).Port == a1.Port {
+	if hosts[6].Port == hosts[5].Port {
 		t.Fatal("distinct hosts share a port")
 	}
 }
@@ -116,7 +116,7 @@ func TestGarbageDatagramCounted(t *testing.T) {
 	}
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		if u.Malformed() == 1 {
+		if u.metrics.Fabric.WireMalformed.Value() == 1 {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -164,7 +164,7 @@ func TestSendAccountingCountsSuccessesOnly(t *testing.T) {
 	}
 
 	// Closing the sender's socket makes the next write fail; the failure
-	// must land in SendErrors, never in the sent totals.
+	// must land in the send-error count, never in the sent totals.
 	u.conn[dataplane.LinkHost][0].Close()
 	if err := u.Send(0, addr, []byte("broken")); err == nil {
 		t.Fatal("Send on closed socket did not error")
@@ -174,9 +174,6 @@ func TestSendAccountingCountsSuccessesOnly(t *testing.T) {
 	}
 	if got := u.metrics.sendErrors.Value(); got != 1 {
 		t.Fatalf("sendErrors after failure = %d, want 1", got)
-	}
-	if se := u.SendErrors(); se != 1 {
-		t.Fatalf("SendErrors() = %d, want 1", se)
 	}
 }
 

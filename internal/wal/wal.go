@@ -192,13 +192,6 @@ func Open(opts Options) (*Log, error) {
 // maximum of Options.Epoch and the last epoch found in the log at Open.
 func (l *Log) Epoch() uint64 { return l.epoch }
 
-// NextLSN returns the LSN the next appended record will receive.
-func (l *Log) NextLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextLSN
-}
-
 // LastLSN returns the LSN of the most recently appended record (0 when
 // the log is empty).
 func (l *Log) LastLSN() uint64 {

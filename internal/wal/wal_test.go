@@ -103,8 +103,8 @@ func TestReopenContinuesLSNs(t *testing.T) {
 	appendN(t, l, 0, 10)
 	l.Close()
 	l2 := openTest(t, dir, Options{})
-	if next := l2.NextLSN(); next != 11 {
-		t.Fatalf("NextLSN after reopen = %d, want 11", next)
+	if next := l2.LastLSN() + 1; next != 11 {
+		t.Fatalf("next LSN after reopen = %d, want 11", next)
 	}
 	appendN(t, l2, 10, 10)
 	l2.Close()
@@ -170,8 +170,8 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 	}
 	// Reopen truncates the tail and resumes the LSN sequence.
 	l2 := openTest(t, dir, Options{})
-	if next := l2.NextLSN(); next != 21 {
-		t.Fatalf("NextLSN = %d, want 21", next)
+	if next := l2.LastLSN() + 1; next != 21 {
+		t.Fatalf("next LSN = %d, want 21", next)
 	}
 	appendN(t, l2, 20, 5)
 	l2.Close()
@@ -370,8 +370,8 @@ func TestWriteFailurePoisonsLog(t *testing.T) {
 	}
 	l2 := openTest(t, dir, Options{})
 	defer l2.Close()
-	if next := l2.NextLSN(); next != 3 {
-		t.Fatalf("reopened NextLSN = %d, want 3", next)
+	if next := l2.LastLSN() + 1; next != 3 {
+		t.Fatalf("reopened next LSN = %d, want 3", next)
 	}
 }
 
@@ -583,8 +583,8 @@ func TestEpochSurvivesEmptiedTail(t *testing.T) {
 	if got := l2.Epoch(); got != 4 {
 		t.Fatalf("Epoch after emptied-tail reopen = %d, want 4", got)
 	}
-	if got := l2.NextLSN(); got != 41 {
-		t.Fatalf("NextLSN after emptied-tail reopen = %d, want 41", got)
+	if got := l2.LastLSN() + 1; got != 41 {
+		t.Fatalf("next LSN after emptied-tail reopen = %d, want 41", got)
 	}
 }
 

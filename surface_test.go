@@ -25,7 +25,11 @@ import (
 //     or an assignment (or &field) outside the declaring package, whose
 //     own `if o.X == 0 { o.X = default }` is not a caller — or is one of
 //     the named test seams below;
-//   - the exported forks deleted with that rule stay deleted.
+//   - every exported function and method under internal/ is named by a
+//     non-test file outside its own declaration (see funcReach), or is
+//     one of the named test-only functions below;
+//   - the exported forks and test-only names deleted with these rules
+//     stay deleted.
 func TestNoUnreachableSurface(t *testing.T) {
 	// Packages only tests import, on purpose.
 	testSupport := map[string]string{
@@ -33,15 +37,33 @@ func TestNoUnreachableSurface(t *testing.T) {
 	}
 	// Options no shipped caller sets, kept because a test needs the seam.
 	testSeams := map[string]string{
-		"internal/controller.Config.LegacyLeaves":         "§7 incremental deployment is exercised by tests and the fabric's SetLegacyLeaf only",
-		"internal/controller.Config.LegacyPods":           "as LegacyLeaves, one layer up",
-		"internal/controller.BatchOptions.Workers":        "serial-vs-parallel equivalence tests pin the worker count",
-		"internal/chaos.MonitorConfig.MaxRecoveryRetries": "the retry-exhaustion test shortens the budget",
-		"internal/chaos.MonitorConfig.Sleep":              "tests replace time.Sleep to observe the backoff schedule",
-		"internal/chaos.MonitorConfig.InstallFn":          "tests inject transient install errors",
-		"internal/obs.Options.Durable":                    "readiness tests pass a fake DurableStatus; no main runs obs beside a durable controller yet",
-		"internal/obs.Options.FollowerAcks":               "as Durable: the replication-currency gate of /readyz",
-		"internal/durable.Options.SegmentBytes":           "the snapshot-truncation test needs segments small enough to rotate",
+		"internal/controller.Config.LegacyLeaves":  "§7 incremental deployment is exercised by tests and the fabric's SetLegacyLeaf only",
+		"internal/controller.Config.LegacyPods":    "as LegacyLeaves, one layer up",
+		"internal/controller.BatchOptions.Workers": "serial-vs-parallel equivalence tests pin the worker count",
+		"internal/obs.Options.Durable":             "readiness tests pass a fake DurableStatus; no main runs obs beside a durable controller yet",
+		"internal/obs.Options.FollowerAcks":        "as Durable: the replication-currency gate of /readyz",
+		"internal/durable.Options.SegmentBytes":    "the snapshot-truncation test needs segments small enough to rotate",
+	}
+	// Exported functions and methods no shipped path calls, kept because a
+	// test needs them: "dir.Name" or "dir.Type.Method".
+	testOnly := map[string]string{
+		"internal/bitmap.Bitmap.Or":                      "the frozen ReferenceAssign/ReferenceProcess oracles use it",
+		"internal/bitmap.Bitmap.AndNot":                  "as Or: the frozen oracles",
+		"internal/bitmap.Bitmap.HammingDistance":         "as Or: the frozen oracles",
+		"internal/bitmap.Bitmap.ForEach":                 "as Or: the frozen oracles",
+		"internal/controller.Ablation":                   "root bench_test.go regenerates the paper's §3.1 ablation through it",
+		"internal/controller.NoPopBytes":                 "as Ablation: the §3.1 no-pop header sizes",
+		"internal/baselines.AllLimits":                   "root bench_test.go regenerates Table 3 through it",
+		"internal/baselines.XpanderFeasibility":          "root bench_test.go regenerates the §5.1.2 Xpander rows through it",
+		"internal/groupgen.Summarize":                    "root bench_test.go prints the group-size distribution through it",
+		"internal/fabric.Fabric.SetLegacyLeaf":           "the §7 incremental-deployment pair of the LegacyLeaves/LegacyPods test seams",
+		"internal/fabric.Fabric.SetLegacyPod":            "as SetLegacyLeaf, one layer up",
+		"internal/durable.ReplicaSet.AdoptFollower":      "the last step of the follower rejoin path the replication tests drive",
+		"internal/multidc.Bridge.RemoveGlobalGroup":      "the bridge's teardown, the inverse of CreateGlobalGroup",
+		"internal/dataplane.NetworkSwitch.SRuleCount":    "the install-walk tests read switch table occupancy through it",
+		"internal/raceflag.SkipExactAllocs":              "the test-support package's one function",
+		"internal/telemetry.Histogram.Quantile":          "quantile_test.go pins its Prometheus-style edge cases; retiring them is its own change",
+		"internal/sim.ScalabilityResult.CoveredFraction": "root bench_test.go reports the Figure 4/5 coverage and the §5.1.3 Fmax rows through it",
 	}
 	// The exported forks deleted for being a second implementation of one
 	// job or a hook only tests turned: "dir.Name", "dir.Type.Method" or
@@ -72,6 +94,61 @@ func TestNoUnreachableSurface(t *testing.T) {
 		"internal/churn.Config.Workers":                                 true,
 		"internal/churn.Result.Workers":                                 true,
 		"internal/controller.ResolveWorkers":                            true,
+		// Deleted with the function rule. Name matching cannot tell a
+		// method from another type's method of the same name, so these
+		// are listed whether or not the rule would flag them again.
+		"internal/bitmap.Bitmap.And":                      true,
+		"internal/bitmap.Bitmap.OrWithGrowth":             true,
+		"internal/bitmap.Union":                           true,
+		"internal/chaos.Injector.RestoreHost":             true,
+		"internal/chaos.Injector.HostDown":                true,
+		"internal/chaos.Injector.ClearOverrides":          true,
+		"internal/chaos.Injector.SwitchLoss":              true,
+		"internal/chaos.Injector.Partitioned":             true,
+		"internal/chaos.Injector.PartitionSize":           true,
+		"internal/chaos.MonitorConfig.MaxRecoveryRetries": true,
+		"internal/chaos.MonitorConfig.Sleep":              true,
+		"internal/chaos.MonitorConfig.InstallFn":          true,
+		"internal/chaos.DefaultMaxRecoveryRetries":        true,
+		"internal/chaos.Monitor.RecoveryRetries":          true,
+		"internal/controller.Controller.Occupancy":        true,
+		"internal/controller.Controller.LeafSRuleCount":   true,
+		"internal/controller.Controller.SpineSRuleCount":  true,
+		"internal/controller.BatchResult.Workers":         true,
+		"internal/dataplane.Hypervisor.Encapsulated":      true,
+		"internal/dataplane.Hypervisor.Delivered":         true,
+		"internal/dataplane.Hypervisor.Filtered":          true,
+		"internal/dataplane.SwitchScratch.Stamped":        true,
+		"internal/durable.Detector.Misses":                true,
+		"internal/durable.EncodeCreate":                   true,
+		"internal/durable.EncodeMembership":               true,
+		"internal/durable.EncodeRemove":                   true,
+		"internal/durable.EncodeBatch":                    true,
+		"internal/durable.EncodeHeartbeat":                true,
+		"internal/fabric.WireEngine.Malformed":            true,
+		"internal/fabric.WireEngine.HostDrops":            true,
+		"internal/groupgen.PaperConfig":                   true,
+		"internal/livefabric.LiveFabric.Drain":            true,
+		"internal/livefabric.LiveFabric.HostDrops":        true,
+		"internal/livefabric.LiveFabric.Malformed":        true,
+		"internal/livefabric.LiveFabric.SetMetrics":       true,
+		"internal/livefabric.NewMetrics":                  true,
+		"internal/obs.LinkTable.Totals":                   true,
+		"internal/p4gen.PaperOptions":                     true,
+		"internal/placement.PaperConfig":                  true,
+		"internal/reliable.Receiver.Pending":              true,
+		"internal/rsm.Replica.Fenced":                     true,
+		"internal/metrics.Summary.Min":                    true,
+		"internal/sim.ScalabilityResult.Table":            true,
+		"internal/telemetry.LinearBuckets":                true,
+		"internal/topology.FailureSet.HealthySpinePlanes": true,
+		"internal/topology.Topology.HostsUnderLeaf":       true,
+		"internal/topology.TwoTierLeafSpine":              true,
+		"internal/udpfabric.UDPFabric.HostAddr":           true,
+		"internal/udpfabric.UDPFabric.SendErrors":         true,
+		"internal/udpfabric.UDPFabric.Malformed":          true,
+		"internal/udpfabric.UDPFabric.HostDrops":          true,
+		"internal/wal.Log.NextLSN":                        true,
 	}
 
 	fset, files := parseShipped(t)
@@ -117,7 +194,7 @@ func TestNoUnreachableSurface(t *testing.T) {
 	ownField := map[string]bool{}     // "dir.Field": dir declares an option field of that name
 	declared := func(dir, name string, pos token.Pos) {
 		if gone[dir+"."+name] {
-			t.Errorf("%s: %s is back; it was deleted as a fork no shipped path took", fset.Position(pos), name)
+			t.Errorf("%s: %s is back; it was deleted because no shipped path took it", fset.Position(pos), name)
 		}
 	}
 	for dir, fs := range files {
@@ -255,6 +332,28 @@ func TestNoUnreachableSurface(t *testing.T) {
 		}
 	}
 	t.Logf("%d exported Config/Options fields under internal/, %d of them test seams", len(options), len(testSeams))
+
+	// 4. Functions and methods.
+	decls, reachedFn := funcReach(fset, files)
+	var unreached []string
+	for key := range decls {
+		switch {
+		case !reachedFn[key] && testOnly[key] == "":
+			unreached = append(unreached, key)
+		case reachedFn[key] && testOnly[key] != "":
+			t.Errorf("%s is called by shipped code now; drop it from testOnly", key)
+		}
+	}
+	sort.Strings(unreached)
+	for _, key := range unreached {
+		t.Errorf("%s: %s is named by no non-test file; delete it, or name the test that needs it in testOnly", fset.Position(decls[key]), key)
+	}
+	for key := range testOnly {
+		if _, ok := decls[key]; !ok {
+			t.Errorf("testOnly names %s, which is not an exported function or method under internal/", key)
+		}
+	}
+	t.Logf("%d exported functions and methods under internal/, %d of them test-only", len(decls), len(testOnly))
 }
 
 // parseShipped parses every non-test Go file under the repository root
@@ -399,4 +498,192 @@ func recvName(e ast.Expr) string {
 			return ""
 		}
 	}
+}
+
+// TestFuncReachRule runs the function rule on an in-memory tree: a
+// function only a _test.go file calls is flagged, and so is one whose
+// only caller is itself; one named as pkg.Name, taken as a method
+// value, declared by an interface, called bare inside its own package,
+// or named String is not.
+func TestFuncReachRule(t *testing.T) {
+	src := map[string]string{
+		"internal/a/a.go": `package a
+
+type T struct{}
+
+func (T) Value()         {}
+func (T) ViaIface()      {}
+func (T) Unused()        {}
+func (T) String() string { return "" }
+
+type I interface{ ViaIface() }
+
+func Qualified() {}
+func Bare()      {}
+func OnlyTests() {}
+func Recursive() { Recursive() }
+
+func helper() { Bare() }
+`,
+		"internal/a/a_test.go": `package a
+
+import "testing"
+
+func TestA(t *testing.T) { OnlyTests(); T{}.Unused() }
+`,
+		"cmd/m/main.go": `package main
+
+import "elmo/internal/a"
+
+func main() {
+	a.Qualified()
+	f := a.T{}.Value
+	f()
+}
+`,
+	}
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{}
+	for name, body := range src {
+		f, err := parser.ParseFile(fset, name, body, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[filepath.Dir(name)] = append(files[filepath.Dir(name)], f)
+	}
+	decls, reached := funcReach(fset, files)
+	want := map[string]bool{ // key -> reached
+		"internal/a.T.Value": true, "internal/a.T.ViaIface": true, "internal/a.T.String": true,
+		"internal/a.Qualified": true, "internal/a.Bare": true,
+		"internal/a.T.Unused": false, "internal/a.OnlyTests": false, "internal/a.Recursive": false,
+	}
+	if len(decls) != len(want) {
+		t.Errorf("declared %d exported functions, want %d", len(decls), len(want))
+	}
+	for key, w := range want {
+		if _, ok := decls[key]; !ok {
+			t.Errorf("%s not declared", key)
+		} else if reached[key] != w {
+			t.Errorf("%s: reached = %v, want %v", key, reached[key], w)
+		}
+	}
+}
+
+// funcReach finds every exported function and method declared in a
+// non-test file under internal/, keyed "dir.Name" or "dir.Type.Method",
+// and reports which of them a non-test file names outside the
+// declaration itself. A package function is named as pkg.Name from an
+// importer or as a bare Name inside its own package; a method by any
+// .Name selector (a call, a method value or a method expression). Names
+// are matched, not types: a method counts as reached when any selector
+// anywhere shares its name, when an interface in the tree declares that
+// name, or when it is String, Error or Unwrap. files holds parsed files
+// keyed by package directory; _test.go files among them are skipped.
+func funcReach(fset *token.FileSet, files map[string][]*ast.File) (decls map[string]token.Pos, reached map[string]bool) {
+	decls = map[string]token.Pos{}
+	reached = map[string]bool{}
+	isTest := func(f *ast.File) bool {
+		return strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
+	}
+	declKey := func(dir string, fd *ast.FuncDecl) string {
+		if fd.Recv != nil {
+			return dir + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name
+		}
+		return dir + "." + fd.Name.Name
+	}
+	byName := map[string][]string{} // method name -> keys of the methods so named
+	for dir, fs := range files {
+		if !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		for _, f := range fs {
+			if isTest(f) {
+				continue
+			}
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+					key := declKey(dir, fd)
+					decls[key] = fd.Pos()
+					if fd.Recv != nil {
+						byName[fd.Name.Name] = append(byName[fd.Name.Name], key)
+					}
+				}
+			}
+		}
+	}
+	methodUse := func(name, from string) {
+		for _, key := range byName[name] {
+			if key != from {
+				reached[key] = true
+			}
+		}
+	}
+	for _, name := range []string{"String", "Error", "Unwrap"} {
+		methodUse(name, "")
+	}
+	for dir, fs := range files {
+		for _, f := range fs {
+			if isTest(f) {
+				continue
+			}
+			imports := map[string]string{} // local name -> package dir
+			for _, imp := range f.Imports {
+				p, _ := strconv.Unquote(imp.Path.Value)
+				if !strings.HasPrefix(p, "elmo/") {
+					continue
+				}
+				name := p[strings.LastIndex(p, "/")+1:]
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				imports[name] = strings.TrimPrefix(p, "elmo/")
+			}
+			for _, decl := range f.Decls {
+				from := "" // the declaration a use sits in
+				var nodes []ast.Node
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					from = declKey(dir, fd)
+					nodes = []ast.Node{fd.Type}
+					if fd.Recv != nil {
+						nodes = append(nodes, fd.Recv)
+					}
+					if fd.Body != nil {
+						nodes = append(nodes, fd.Body)
+					}
+				} else {
+					nodes = []ast.Node{decl}
+				}
+				var visit func(n ast.Node) bool
+				visit = func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.InterfaceType:
+						for _, m := range n.Methods.List {
+							for _, name := range m.Names {
+								methodUse(name.Name, "")
+							}
+						}
+					case *ast.SelectorExpr:
+						if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+							if key := imports[x.Name] + "." + n.Sel.Name; key != from {
+								reached[key] = true
+							}
+							return false
+						}
+						methodUse(n.Sel.Name, from)
+						ast.Inspect(n.X, visit)
+						return false
+					case *ast.Ident:
+						if key := dir + "." + n.Name; key != from {
+							reached[key] = true
+						}
+					}
+					return true
+				}
+				for _, n := range nodes {
+					ast.Inspect(n, visit)
+				}
+			}
+		}
+	}
+	return decls, reached
 }
