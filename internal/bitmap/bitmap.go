@@ -30,7 +30,26 @@ func New(width int) Bitmap {
 	if width < 0 {
 		panic("bitmap: negative width")
 	}
-	return Bitmap{width: width, words: make([]uint64, (width+63)/64)}
+	return Bitmap{width: width, words: make([]uint64, WordLen(width))}
+}
+
+// WordLen returns the number of 64-bit words a bitmap of the given
+// width occupies: the slab room Carve takes for it.
+func WordLen(width int) int { return (width + 63) / 64 }
+
+// Carve returns an empty bitmap of the given width over the first
+// WordLen(width) words of slab, and the rest of slab. The bitmap's
+// capacity ends at its last word, so Reset and CopyFrom reallocate
+// rather than grow into the next bitmap carved from the same slab. It
+// panics if width is negative or slab is too short.
+func Carve(width int, slab []uint64) (Bitmap, []uint64) {
+	if width < 0 {
+		panic("bitmap: negative width")
+	}
+	n := WordLen(width)
+	w := slab[:n:n]
+	clear(w)
+	return Bitmap{width: width, words: w}, slab[n:]
 }
 
 // FromPorts returns a bitmap of the given width with the listed port
@@ -110,7 +129,7 @@ func (b *Bitmap) Reset(width int) {
 	if width < 0 {
 		panic("bitmap: negative width")
 	}
-	n := (width + 63) / 64
+	n := WordLen(width)
 	if cap(b.words) < n {
 		b.words = make([]uint64, n)
 	} else {

@@ -324,6 +324,37 @@ func TestResetAndCopyFrom(t *testing.T) {
 	}
 }
 
+// Bitmaps carved from one slab start empty whatever the slab held, and
+// none can grow into its neighbour: Set stays in its own words, and a
+// wider Reset or CopyFrom moves it to storage of its own.
+func TestCarveKeepsNeighbours(t *testing.T) {
+	slab := []uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	a, rest := Carve(70, slab)
+	b, rest := Carve(64, rest)
+	if len(rest) != 1 || a.Width() != 70 || !a.IsEmpty() || !b.IsEmpty() {
+		t.Fatalf("carved widths %d, %d, %d words left, empty %t %t", a.Width(), b.Width(), len(rest), a.IsEmpty(), b.IsEmpty())
+	}
+	a.Set(69)
+	b.Set(0)
+	if a.PopCount() != 1 || b.PopCount() != 1 {
+		t.Fatal("a Set reached the neighbouring bitmap")
+	}
+	a.CopyFrom(FromPorts(200, 199))
+	a.Reset(300)
+	if b.PopCount() != 1 || !b.Test(0) || rest[0] != ^uint64(0) {
+		t.Fatal("growing a carved bitmap overwrote the rest of its slab")
+	}
+	if WordLen(0) != 0 || WordLen(64) != 1 || WordLen(65) != 2 {
+		t.Fatal("WordLen disagrees with the word size")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("carving past the end of the slab did not panic")
+		}
+	}()
+	Carve(65, rest)
+}
+
 // Reset and CopyFrom must reuse storage: a warm bitmap cycled through
 // same-or-smaller widths performs no allocations.
 func TestResetCopyFromNoAlloc(t *testing.T) {

@@ -11,11 +11,14 @@ import (
 )
 
 // This file implements the parallel bulk-install pipeline (§5.1.3
-// controller scale). Group encodings are independent except for the
-// shared s-rule capacity counters, so the pipeline has two stages:
+// controller scale). A batch is first prepared — each spec's member map
+// listed in ascending host order, once (PrepareBatch) — and installed
+// from those lists. Group encodings are independent except for the
+// shared s-rule capacity counters, so the install has two stages:
 //
-//   - Encode: workers claim chunks and encode speculatively against
-//     point-in-time occupancy reads (capRecorder).
+//   - Encode: workers claim chunks, validate each member list and
+//     encode speculatively against point-in-time occupancy reads
+//     (capRecorder).
 //   - Admit: one sequencer takes the elements in strict input order
 //     through the admission transaction (admit.go), whose publish step
 //     inserts the group and charges its update stats under the
@@ -46,8 +49,8 @@ func (e *BatchError) Unwrap() error { return e.Err }
 const batchChunkSize = 64
 
 // resolveWorkers resolves a requested worker count: values <= 0 mean
-// one worker per available CPU (GOMAXPROCS). EncodeBatch and
-// InstallBatch both resolve through this one helper so their pool
+// one worker per available CPU (GOMAXPROCS). EncodeBatch, PrepareBatch
+// and InstallPrepared all resolve through this one helper so their pool
 // sizing can never diverge.
 func resolveWorkers(workers int) int {
 	if workers <= 0 {
@@ -191,21 +194,74 @@ type BatchResult struct {
 	Recomputed int
 }
 
-// InstallBatch creates all the given groups through the two-stage
-// pipeline described at the top of this file: parallel speculative
-// encoding, then strict input-order admission whose publish step inserts
-// the group under the controller's write lock. The installed state —
-// encodings, occupancy counters, update stats, trace events — is
-// byte-identical to calling CreateGroup for each spec in slice order,
-// for any worker count. On error (duplicate key,
-// invalid member, legacy table overflow) the batch stops with a
-// *BatchError; specs before the failing index remain installed, exactly
-// like the serial loop.
+// PreparedSpec is a BatchSpec made ready to install: its members listed
+// once each in ascending host order, the order a batch's WAL record
+// carries them in and a group keeps them in. PrepareBatch makes them;
+// InstallPrepared trusts the order.
+type PreparedSpec struct {
+	Key     GroupKey
+	Members []Member
+}
+
+// PrepareBatch lists every spec's members in ascending host order, on
+// the given number of workers (<=0 means GOMAXPROCS; one runs inline).
+// The result is the same for every worker count.
+func PrepareBatch(specs []BatchSpec, workers int) []PreparedSpec {
+	n := len(specs)
+	out := make([]PreparedSpec, n)
+	prepare := func(lo int) {
+		for i := lo; i < min(lo+batchChunkSize, n); i++ {
+			out[i] = PreparedSpec{Key: specs[i].Key, Members: membersOf(specs[i].Members)}
+		}
+	}
+	workers = min(resolveWorkers(workers), (n+batchChunkSize-1)/batchChunkSize)
+	if workers <= 1 {
+		for lo := 0; lo < n; lo += batchChunkSize {
+			prepare(lo)
+		}
+		return out
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(batchChunkSize)) - batchChunkSize
+				if lo >= n {
+					return
+				}
+				prepare(lo)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// InstallBatch prepares the specs (PrepareBatch, on opts.Workers) and
+// installs them (InstallPrepared): each spec's members are sorted once
+// and validated once.
+func (c *Controller) InstallBatch(specs []BatchSpec, opts BatchOptions) (*BatchResult, error) {
+	return c.InstallPrepared(PrepareBatch(specs, opts.Workers), opts)
+}
+
+// InstallPrepared creates all the given groups through the two-stage
+// pipeline described at the top of this file: parallel validation and
+// speculative encoding, then strict input-order admission whose publish
+// step inserts the group under the controller's write lock. Each group
+// keeps its spec's member list as its own, so the caller must not touch
+// the lists afterwards. The installed state — encodings, occupancy
+// counters, update stats, trace events — is byte-identical to calling
+// CreateGroup for each spec in slice order, for any worker count. On
+// error (duplicate key, invalid member, legacy table overflow) the batch stops with a *BatchError; specs before the failing
+// index remain installed, exactly like the serial loop.
 //
-// InstallBatch is safe to run concurrently with other controller
+// InstallPrepared is safe to run concurrently with other controller
 // operations, but the byte-identical-to-serial guarantee holds only for
 // a quiescent controller (no concurrent mutations admitting s-rules).
-func (c *Controller) InstallBatch(specs []BatchSpec, opts BatchOptions) (*BatchResult, error) {
+func (c *Controller) InstallPrepared(specs []PreparedSpec, opts BatchOptions) (*BatchResult, error) {
 	workers := resolveWorkers(opts.Workers)
 	res := &BatchResult{}
 	n := len(specs)
@@ -214,31 +270,26 @@ func (c *Controller) InstallBatch(specs []BatchSpec, opts BatchOptions) (*BatchR
 	// inter-commit latency baseline race-free.
 	last := time.Now()
 
-	// The encode workers prepare each group's state alongside its
-	// receiver list: prep[i] and prepErr[i] are written before the
-	// element's ready signal (or, on the inline and recompute paths, by
-	// the sequencer itself just before use), so commit always reads them
-	// after a happens-before edge. Rebuilding on a recompute is
-	// idempotent.
-	prep := make([]*GroupState, n)
+	// The encode workers validate each spec alongside listing its
+	// receivers: prepErr[i] is written before the element's ready signal
+	// (or, on the inline and recompute paths, by the sequencer itself
+	// just before use), so commit always reads it after a happens-before
+	// edge. Revalidating on a recompute is idempotent.
 	prepErr := make([]error, n)
 	receivers := func(i int) []topology.HostID {
-		spec := specs[i]
-		if prepErr[i] = c.validateMembers(spec.Members); prepErr[i] != nil {
+		if prepErr[i] = c.validateMembers(specs[i].Members); prepErr[i] != nil {
 			// The commit step fails this element before its encoding is
 			// used; encode nothing rather than hosts the topology would
 			// panic on.
 			return nil
 		}
-		g := &GroupState{Key: spec.Key, Members: membersOf(spec.Members)}
-		prep[i] = g
-		return g.Receivers()
+		return hostsWith(specs[i].Members, Role.CanReceive)
 	}
 	commit := func(i int, enc *Encoding) error {
 		if err := prepErr[i]; err != nil {
 			return err
 		}
-		if err := c.insertGroup(prep[i], enc); err != nil {
+		if err := c.insertGroup(&GroupState{Key: specs[i].Key, Members: specs[i].Members}, enc); err != nil {
 			return err
 		}
 		res.Installed++

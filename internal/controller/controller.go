@@ -103,17 +103,19 @@ func (g *GroupState) RoleOf(host topology.HostID) Role {
 
 // Receivers returns the member hosts with a receiving role, ascending.
 func (g *GroupState) Receivers() []topology.HostID {
-	return g.hostsWith(Role.CanReceive)
+	return hostsWith(g.Members, Role.CanReceive)
 }
 
 // Senders returns the member hosts with a sending role, ascending.
 func (g *GroupState) Senders() []topology.HostID {
-	return g.hostsWith(Role.CanSend)
+	return hostsWith(g.Members, Role.CanSend)
 }
 
-func (g *GroupState) hostsWith(pred func(Role) bool) []topology.HostID {
-	hosts := make([]topology.HostID, 0, len(g.Members))
-	for _, m := range g.Members {
+// hostsWith lists the hosts of members whose role satisfies pred, in
+// member order.
+func hostsWith(members []Member, pred func(Role) bool) []topology.HostID {
+	hosts := make([]topology.HostID, 0, len(members))
+	for _, m := range members {
 		if pred(m.Role) {
 			hosts = append(hosts, m.Host)
 		}
@@ -318,15 +320,17 @@ func (c *Controller) sortedKeysLocked() []GroupKey {
 	return keys
 }
 
-// validateMembers rejects a membership the controller cannot hold: a
-// role with no or unknown bits, or a host outside the topology (which
-// the topology accessors would panic on). Every path that takes
-// members from outside — create, join, batch, restore — checks here, so
-// a bad member is an ordinary op error that fails the same way on the
-// leader, on replay and on every follower.
-func (c *Controller) validateMembers(members map[topology.HostID]Role) error {
+// validateMembers rejects a member the controller cannot hold: a role
+// with no or unknown bits, or a host outside the topology (which the
+// topology accessors would panic on). Every path that takes members from
+// outside — create, join, batch — checks here, so a bad member is an
+// ordinary op error that fails the same way on the leader, on replay
+// and on every follower; the first bad member in host order is the one
+// named.
+func (c *Controller) validateMembers(members []Member) error {
 	numHosts := c.topo.NumHosts()
-	for h, r := range members {
+	for _, m := range members {
+		h, r := m.Host, m.Role
 		if r == 0 || r&^RoleBoth != 0 {
 			return fmt.Errorf("controller: host %d has invalid role %d", h, r)
 		}
@@ -350,7 +354,7 @@ func (c *Controller) CreateGroup(key GroupKey, members map[topology.HostID]Role)
 		if c.Group(key) != nil {
 			return nil, fmt.Errorf("controller: group %v already exists", key)
 		}
-		return nil, c.validateMembers(members)
+		return nil, c.validateMembers(g.Members)
 	}, nil, func(cap CapacityFunc) (*Encoding, error) {
 		enc, err := ComputeEncodingInto(c.topo, c.cfg, cap, g.Receivers(), &c.scratch)
 		encodeErr = err
@@ -418,7 +422,7 @@ func (c *Controller) RemoveGroup(key GroupKey) error {
 // re-encode leaves the group untouched and emits only the rollback
 // trace, so update-rate results never count rolled-back events.
 func (c *Controller) Join(key GroupKey, host topology.HostID, role Role) error {
-	if err := c.validateMembers(map[topology.HostID]Role{host: role}); err != nil {
+	if err := c.validateMembers([]Member{{Host: host, Role: role}}); err != nil {
 		return err
 	}
 	return c.setRole(key, host, role, true)

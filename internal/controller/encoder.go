@@ -163,13 +163,37 @@ func NoCapacity() CapacityFunc {
 }
 
 // EncodeScratch owns the reusable working memory of one encoder: the
-// clustering scratch plus the member slice of the layer being encoded.
-// One scratch serves one goroutine; the batch pipeline gives each
-// worker its own and the controller pools them for the serial
-// Join/Leave/Create paths. The zero value is ready to use.
+// clustering scratch, the member slice of the layer being encoded, and
+// the tree-building marks. One scratch serves one goroutine; the batch
+// pipeline gives each worker its own and the controller keeps one for
+// the serial Join/Leave/Create paths. The zero value is ready to use.
 type EncodeScratch struct {
 	cluster cluster.Scratch
 	members []cluster.Member
+
+	// stamp names the encoding being built: leafStamp[l] == stamp marks
+	// leaf l as seen by it, with its bitmap at leafBms[leafSlot[l]], and
+	// likewise for pods. A new stamp forgets every mark at once.
+	stamp               uint32
+	leafStamp, podStamp []uint32
+	leafSlot, podSlot   []int32
+	leaves              []topology.LeafID
+	pods                []topology.PodID
+	leafBms, podBms     []bitmap.Bitmap
+}
+
+// nextStamp starts a new encoding's marks over a topology with the
+// given leaf and pod counts.
+func (s *EncodeScratch) nextStamp(numLeaves, numPods int) {
+	s.stamp++
+	if s.stamp == 0 || len(s.leafStamp) < numLeaves || len(s.podStamp) < numPods {
+		s.leafStamp = make([]uint32, max(numLeaves, len(s.leafStamp)))
+		s.podStamp = make([]uint32, max(numPods, len(s.podStamp)))
+		s.leafSlot = make([]int32, len(s.leafStamp))
+		s.podSlot = make([]int32, len(s.podStamp))
+		s.stamp = 1
+	}
+	s.leaves, s.pods = s.leaves[:0], s.pods[:0]
 }
 
 // ComputeEncoding builds the sender-independent encoding for the given
@@ -184,16 +208,15 @@ func ComputeEncoding(topo *topology.Topology, cfg Config, cap CapacityFunc, rece
 
 // ComputeEncodingInto is ComputeEncoding with caller-provided scratch
 // memory: all clustering temporaries are reused across calls, so a warm
-// scratch allocates only the returned Encoding itself. The result owns
-// all of its memory (nothing aliases the scratch).
+// scratch allocates only the returned Encoding itself — the struct, its
+// tree maps and one word slab for the tree, then per layer a rule
+// slice, a switch slab, one word slab and any s-rule map. The result
+// owns all of its memory (nothing aliases the scratch).
 func ComputeEncodingInto(topo *topology.Topology, cfg Config, cap CapacityFunc, receivers []topology.HostID, s *EncodeScratch) (*Encoding, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := newTreeEncoding(topo)
-	for _, h := range receivers {
-		addReceiver(topo, e, h)
-	}
+	e := buildTree(topo, receivers, s)
 	if len(receivers) == 0 {
 		return e, nil
 	}
@@ -207,32 +230,58 @@ func ComputeEncodingInto(topo *topology.Topology, cfg Config, cap CapacityFunc, 
 	return e, nil
 }
 
-// newTreeEncoding returns an encoding with empty tree maps.
-func newTreeEncoding(topo *topology.Topology) *Encoding {
-	return &Encoding{
-		Pods:      bitmap.New(topo.CoreDownWidth()),
-		LeafPorts: make(map[topology.LeafID]bitmap.Bitmap),
-		PodLeaves: make(map[topology.PodID]bitmap.Bitmap),
+// buildTree returns an encoding holding only the tree section (Pods,
+// LeafPorts, PodLeaves) of the given receivers. It first numbers the
+// receivers' distinct leaves and pods, so both maps are made at their
+// final size and every tree bitmap is carved from one word slab.
+func buildTree(topo *topology.Topology, receivers []topology.HostID, s *EncodeScratch) *Encoding {
+	s.nextStamp(topo.NumLeaves(), topo.NumPods())
+	for _, h := range receivers {
+		leaf := topo.HostLeaf(h)
+		if s.leafStamp[leaf] == s.stamp {
+			continue
+		}
+		s.leafStamp[leaf] = s.stamp
+		s.leafSlot[leaf] = int32(len(s.leaves))
+		s.leaves = append(s.leaves, leaf)
+		pod := topo.LeafPod(leaf)
+		if s.podStamp[pod] != s.stamp {
+			s.podStamp[pod] = s.stamp
+			s.podSlot[pod] = int32(len(s.pods))
+			s.pods = append(s.pods, pod)
+		}
 	}
-}
 
-// addReceiver folds one receiver host into the tree maps.
-func addReceiver(topo *topology.Topology, e *Encoding, h topology.HostID) {
-	leaf := topo.HostLeaf(h)
-	pod := topo.LeafPod(leaf)
-	lp, ok := e.LeafPorts[leaf]
-	if !ok {
-		lp = bitmap.New(topo.LeafDownWidth())
-		e.LeafPorts[leaf] = lp
+	leafWidth, podWidth := topo.LeafDownWidth(), topo.SpineDownWidth()
+	slab := make([]uint64, bitmap.WordLen(topo.CoreDownWidth())+
+		len(s.leaves)*bitmap.WordLen(leafWidth)+len(s.pods)*bitmap.WordLen(podWidth))
+	e := &Encoding{
+		LeafPorts: make(map[topology.LeafID]bitmap.Bitmap, len(s.leaves)),
+		PodLeaves: make(map[topology.PodID]bitmap.Bitmap, len(s.pods)),
 	}
-	lp.Set(topo.HostPort(h))
-	pl, ok := e.PodLeaves[pod]
-	if !ok {
-		pl = bitmap.New(topo.SpineDownWidth())
-		e.PodLeaves[pod] = pl
+	e.Pods, slab = bitmap.Carve(topo.CoreDownWidth(), slab)
+	s.leafBms = slices.Grow(s.leafBms[:0], len(s.leaves))[:len(s.leaves)]
+	for i := range s.leafBms {
+		s.leafBms[i], slab = bitmap.Carve(leafWidth, slab)
 	}
-	pl.Set(topo.LeafIndexInPod(leaf))
-	e.Pods.Set(int(pod))
+	s.podBms = slices.Grow(s.podBms[:0], len(s.pods))[:len(s.pods)]
+	for i := range s.podBms {
+		s.podBms[i], slab = bitmap.Carve(podWidth, slab)
+	}
+
+	for _, h := range receivers {
+		s.leafBms[s.leafSlot[topo.HostLeaf(h)]].Set(topo.HostPort(h))
+	}
+	for i, leaf := range s.leaves {
+		pod := topo.LeafPod(leaf)
+		s.podBms[s.podSlot[pod]].Set(topo.LeafIndexInPod(leaf))
+		e.LeafPorts[leaf] = s.leafBms[i]
+	}
+	for i, pod := range s.pods {
+		e.Pods.Set(int(pod))
+		e.PodLeaves[pod] = s.podBms[i]
+	}
+	return e
 }
 
 // encodeLeafLayer runs Algorithm 1 over the leaf layer of e's tree,
@@ -284,9 +333,23 @@ func encodeLayer[K ~int](layer string, tree map[K]bitmap.Bitmap, legacy []K, fre
 	}
 	lim.HasSRuleCapacity = func(sw uint16) bool { return free != nil && free(K(sw)) }
 	assign := assignLayer(s.members, lim, &s.cluster)
-	rules = rulesFrom(assign.PRules)
+	// Every bitmap the layer keeps — p-rules, default rule, s-rules — is
+	// carved from one word slab.
+	words := 0
+	for _, r := range assign.PRules {
+		words += bitmap.WordLen(r.Bitmap.Width())
+	}
 	if assign.Default != nil {
-		d := assign.Default.Clone()
+		words += bitmap.WordLen(assign.Default.Width())
+	}
+	for _, bm := range assign.SRules {
+		words += bitmap.WordLen(bm.Width())
+	}
+	slab := make([]uint64, words)
+	rules, slab = rulesFrom(assign.PRules, slab)
+	if assign.Default != nil {
+		var d bitmap.Bitmap
+		d, slab = keep(*assign.Default, slab)
 		def = &d
 	}
 	if len(assign.SRules) > 0 {
@@ -294,10 +357,18 @@ func encodeLayer[K ~int](layer string, tree map[K]bitmap.Bitmap, legacy []K, fre
 			srules = make(map[K]bitmap.Bitmap, len(assign.SRules))
 		}
 		for sw, bm := range assign.SRules {
-			srules[K(sw)] = bm.Clone()
+			srules[K(sw)], slab = keep(bm, slab)
 		}
 	}
 	return rules, def, srules, assign.Redundancy, nil
+}
+
+// keep copies b into a bitmap carved from slab and returns it with the
+// rest of slab.
+func keep(b bitmap.Bitmap, slab []uint64) (bitmap.Bitmap, []uint64) {
+	c, rest := bitmap.Carve(b.Width(), slab)
+	c.CopyFrom(b)
+	return c, rest
 }
 
 // effectiveLeafLimit derives the leaf-section rule budget from the
@@ -325,7 +396,7 @@ func effectiveLeafLimit(topo *topology.Topology, cfg Config) int {
 // bounded by the overflow groups instead of taxing every group.
 // The returned assignment aliases the scratch (and possibly the input
 // member bitmaps) and is valid only until the scratch's next use; the
-// encode layer deep-copies what it keeps via rulesFrom and Clone.
+// encode layer deep-copies what it keeps via rulesFrom and keep.
 func assignLayer(members []cluster.Member, c cluster.Constraints, s *cluster.Scratch) cluster.Assignment {
 	exactC := c
 	exactC.R = 0
@@ -340,13 +411,22 @@ func assignLayer(members []cluster.Member, c cluster.Constraints, s *cluster.Scr
 
 // rulesFrom deep-copies clustering rules into owned header p-rules:
 // the inputs alias the encode scratch, the outputs must outlive it.
-func rulesFrom(rules []cluster.Rule) []header.PRule {
+// Every rule's switch list is cut from one switch slab at cap = len,
+// and its bitmap carved from words; the rest of words is returned.
+func rulesFrom(rules []cluster.Rule, words []uint64) ([]header.PRule, []uint64) {
 	if len(rules) == 0 {
-		return nil
+		return nil, words
+	}
+	n := 0
+	for _, r := range rules {
+		n += len(r.Switches)
 	}
 	out := make([]header.PRule, len(rules))
+	sws := make([]uint16, n)
 	for i, r := range rules {
-		out[i] = header.PRule{Switches: slices.Clone(r.Switches), Bitmap: r.Bitmap.Clone()}
+		k := copy(sws, r.Switches)
+		out[i].Switches, sws = sws[:k:k], sws[k:]
+		out[i].Bitmap, words = keep(r.Bitmap, words)
 	}
-	return out
+	return out, words
 }

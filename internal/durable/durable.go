@@ -301,36 +301,41 @@ func (d *DurableController) ResyncState() (epoch uint64, state []byte, err error
 }
 
 // mutate is the log-before-apply spine every state-changing op runs
-// through: write the op's one record, apply the op, and stream the
-// record to followers — all under d.mu so WAL order, apply order, and
-// stream order coincide — then commit OUTSIDE the lock, so ops that
-// commit while an fsync runs share the next one (group commit). The
-// op's own error is returned only once it is durable: a failed op is
-// logged, and fails identically on replay and followers.
-func (d *DurableController) mutate(op OpRecord, batch controller.BatchOptions) (*controller.BatchResult, error) {
-	payload := AppendRecord(nil, op)
+// through: write the op's one record (payload, whose first byte is its
+// type), apply the op, and stream the record to followers — all under
+// d.mu so WAL order, apply order, and stream order coincide — then
+// commit OUTSIDE the lock, so ops that commit while an fsync runs share
+// the next one (group commit). The op's own error is returned only once
+// it is durable: a failed op is logged, and fails identically on replay
+// and followers.
+func (d *DurableController) mutate(payload []byte, apply func() error) error {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
-		return nil, fmt.Errorf("durable: controller closed")
+		return fmt.Errorf("durable: controller closed")
 	}
 	if d.notLeader != nil {
 		err := d.notLeader
 		d.mu.Unlock()
-		return nil, err
+		return err
 	}
-	lsn, err := d.log.Append(op.Type, payload)
+	lsn, err := d.log.Append(payload[0], payload)
 	if err != nil {
 		d.mu.Unlock()
-		return nil, err
+		return err
 	}
-	res, applyErr := applyOp(d.ctrl, op, batch)
+	applyErr := apply()
 	d.streamLocked(lsn, payload)
 	d.mu.Unlock()
 	if err := d.log.Commit(lsn); err != nil {
-		return nil, fmt.Errorf("durable: commit lsn %d: %w", lsn, err)
+		return fmt.Errorf("durable: commit lsn %d: %w", lsn, err)
 	}
-	return res, applyErr
+	return applyErr
+}
+
+// logOp runs a single-group op (or a heartbeat) through mutate.
+func (d *DurableController) logOp(op OpRecord) error {
+	return d.mutate(AppendRecord(nil, op), func() error { return applyOp(d.ctrl, op) })
 }
 
 func (d *DurableController) streamLocked(lsn uint64, payload []byte) {
@@ -349,33 +354,38 @@ func (d *DurableController) streamLocked(lsn uint64, payload []byte) {
 
 // CreateGroup durably creates a group.
 func (d *DurableController) CreateGroup(key controller.GroupKey, members map[topology.HostID]controller.Role) error {
-	_, err := d.mutate(OpRecord{Type: RecCreate, Key: key, Members: members}, controller.BatchOptions{})
-	return err
+	return d.logOp(OpRecord{Type: RecCreate, Key: key, Members: members})
 }
 
 // Join durably adds (or upgrades) a member.
 func (d *DurableController) Join(key controller.GroupKey, host topology.HostID, role controller.Role) error {
-	_, err := d.mutate(OpRecord{Type: RecJoin, Key: key, Host: host, Role: role}, controller.BatchOptions{})
-	return err
+	return d.logOp(OpRecord{Type: RecJoin, Key: key, Host: host, Role: role})
 }
 
 // Leave durably removes a member role.
 func (d *DurableController) Leave(key controller.GroupKey, host topology.HostID, role controller.Role) error {
-	_, err := d.mutate(OpRecord{Type: RecLeave, Key: key, Host: host, Role: role}, controller.BatchOptions{})
-	return err
+	return d.logOp(OpRecord{Type: RecLeave, Key: key, Host: host, Role: role})
 }
 
 // RemoveGroup durably deletes a group.
 func (d *DurableController) RemoveGroup(key controller.GroupKey) error {
-	_, err := d.mutate(OpRecord{Type: RecRemove, Key: key}, controller.BatchOptions{})
-	return err
+	return d.logOp(OpRecord{Type: RecRemove, Key: key})
 }
 
-// InstallBatch durably bulk-creates groups. The whole batch is one WAL
-// record, so a crash mid-write leaves a torn tail that recovery drops
-// like any other: a half-applied batch can never surface.
+// InstallBatch durably bulk-creates groups. The specs are prepared
+// before the lock — each member map sorted once, on opts.Workers — and
+// the one WAL record is written from the same lists the batch is then
+// installed from. The whole batch is one record, so a crash mid-write
+// leaves a torn tail that recovery drops like any other: a half-applied
+// batch can never surface.
 func (d *DurableController) InstallBatch(specs []controller.BatchSpec, opts controller.BatchOptions) (*controller.BatchResult, error) {
-	return d.mutate(OpRecord{Type: RecBatch, Specs: specs}, opts)
+	prepared := controller.PrepareBatch(specs, opts.Workers)
+	var res *controller.BatchResult
+	err := d.mutate(appendBatch(nil, prepared), func() (err error) {
+		res, err = d.ctrl.InstallPrepared(prepared, opts)
+		return err
+	})
+	return res, err
 }
 
 // Heartbeat runs a liveness record (no state change) through the spine
@@ -389,7 +399,7 @@ func (d *DurableController) InstallBatch(specs []controller.BatchSpec, opts cont
 // this fires in the same round currency as the followers' Detector,
 // bounding the split-brain window to the lease budget.
 func (d *DurableController) Heartbeat() error {
-	if _, err := d.mutate(OpRecord{Type: RecHeartbeat, LSN: d.log.LastLSN()}, controller.BatchOptions{}); err != nil {
+	if err := d.logOp(OpRecord{Type: RecHeartbeat, LSN: d.log.LastLSN()}); err != nil {
 		return err
 	}
 	if err := d.auditLease(); err != nil {

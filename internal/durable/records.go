@@ -3,7 +3,6 @@ package durable
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"elmo/internal/controller"
 	"elmo/internal/topology"
@@ -47,18 +46,28 @@ func appendKey(b []byte, key controller.GroupKey) []byte {
 	return binary.BigEndian.AppendUint32(b, key.Group)
 }
 
-func appendMembers(b []byte, members map[topology.HostID]controller.Role) []byte {
-	hosts := make([]topology.HostID, 0, len(members))
-	for h := range members {
-		hosts = append(hosts, h)
-	}
-	slices.Sort(hosts)
-	b = binary.AppendUvarint(b, uint64(len(hosts)))
-	for _, h := range hosts {
-		b = binary.AppendUvarint(b, uint64(h))
-		b = append(b, byte(members[h]))
+// appendSpec appends one group's key | members, each member once, in
+// the ascending host order a PreparedSpec lists them in: the one member
+// writer, shared by RecCreate and RecBatch.
+func appendSpec(b []byte, s controller.PreparedSpec) []byte {
+	b = appendKey(b, s.Key)
+	b = binary.AppendUvarint(b, uint64(len(s.Members)))
+	for _, m := range s.Members {
+		b = binary.AppendUvarint(b, uint64(m.Host))
+		b = append(b, byte(m.Role))
 	}
 	return b
+}
+
+// appendBatch appends the RecBatch payload of a prepared batch: the
+// record InstallBatch logs, written from the member lists it installs.
+func appendBatch(dst []byte, specs []controller.PreparedSpec) []byte {
+	dst = append(dst, RecBatch)
+	dst = binary.AppendUvarint(dst, uint64(len(specs)))
+	for _, s := range specs {
+		dst = appendSpec(dst, s)
+	}
+	return dst
 }
 
 // AppendRecord appends op's record payload to dst and returns the
@@ -66,23 +75,22 @@ func appendMembers(b []byte, members map[topology.HostID]controller.Role) []byte
 // accepts re-encodes to the same bytes. Members are written once each,
 // in ascending host order.
 func AppendRecord(dst []byte, op OpRecord) []byte {
-	dst = append(dst, op.Type)
 	switch op.Type {
 	case RecCreate:
-		dst = appendKey(dst, op.Key)
-		dst = appendMembers(dst, op.Members)
+		// A create's body is one batch spec's.
+		spec := controller.PrepareBatch([]controller.BatchSpec{{Key: op.Key, Members: op.Members}}, 1)[0]
+		return appendSpec(append(dst, op.Type), spec)
+	case RecBatch:
+		return appendBatch(dst, controller.PrepareBatch(op.Specs, 1))
+	}
+	dst = append(dst, op.Type)
+	switch op.Type {
 	case RecJoin, RecLeave:
 		dst = appendKey(dst, op.Key)
 		dst = binary.AppendUvarint(dst, uint64(op.Host))
 		dst = append(dst, byte(op.Role))
 	case RecRemove:
 		dst = appendKey(dst, op.Key)
-	case RecBatch:
-		dst = binary.AppendUvarint(dst, uint64(len(op.Specs)))
-		for _, s := range op.Specs {
-			dst = appendKey(dst, s.Key)
-			dst = appendMembers(dst, s.Members)
-		}
 	case RecHeartbeat:
 		dst = binary.AppendUvarint(dst, op.LSN)
 	}
@@ -138,37 +146,75 @@ func (r *recReader) key() (controller.GroupKey, error) {
 	return controller.GroupKey{Tenant: t, Group: g}, nil
 }
 
-func (r *recReader) members(key controller.GroupKey) (map[topology.HostID]controller.Role, error) {
+// spec reads one group's key | members — the one member reader. It
+// holds the form appendSpec writes: each host once, ascending (in HostID
+// order, the order PrepareBatch sorts in), so a repeat, which would
+// collapse into one map entry, or any other order is refused, and the
+// list it returns is one a group can keep as it is.
+func (r *recReader) spec() (controller.PreparedSpec, error) {
+	key, err := r.key()
+	if err != nil {
+		return controller.PreparedSpec{}, err
+	}
+	n, err := r.uvarint()
+	if err != nil {
+		return controller.PreparedSpec{}, err
+	}
+	if n > uint64(len(r.b)-r.off) {
+		return controller.PreparedSpec{}, fmt.Errorf("durable: member count %d exceeds record", n)
+	}
+	members := make([]controller.Member, n)
+	for i := range members {
+		v, err := r.uvarint()
+		if err != nil {
+			return controller.PreparedSpec{}, err
+		}
+		h := topology.HostID(v)
+		if i > 0 && h <= members[i-1].Host {
+			return controller.PreparedSpec{}, fmt.Errorf("durable: record group %v hosts out of order at %d", key, v)
+		}
+		role, err := r.byte()
+		if err != nil {
+			return controller.PreparedSpec{}, err
+		}
+		members[i] = controller.Member{Host: h, Role: controller.Role(role)}
+	}
+	return controller.PreparedSpec{Key: key, Members: members}, nil
+}
+
+// batch reads a RecBatch body: spec count | (key | members)….
+func (r *recReader) batch() ([]controller.PreparedSpec, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
 	}
 	if n > uint64(len(r.b)-r.off) {
-		return nil, fmt.Errorf("durable: member count %d exceeds record", n)
+		return nil, fmt.Errorf("durable: spec count %d exceeds record", n)
 	}
-	m := make(map[topology.HostID]controller.Role, n)
-	var prev topology.HostID
-	for i := uint64(0); i < n; i++ {
-		v, err := r.uvarint()
-		if err != nil {
+	specs := make([]controller.PreparedSpec, n)
+	for i := range specs {
+		if specs[i], err = r.spec(); err != nil {
 			return nil, err
 		}
-		// appendMembers writes each host once, ascending (in HostID
-		// order, the order it sorts in): a repeat would collapse into one
-		// entry, and either would apply a membership the bytes do not
-		// carry.
-		h := topology.HostID(v)
-		if i > 0 && h <= prev {
-			return nil, fmt.Errorf("durable: record group %v hosts out of order at %d", key, v)
-		}
-		prev = h
-		role, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		m[h] = controller.Role(role)
 	}
-	return m, nil
+	return specs, nil
+}
+
+// end refuses bytes left over after a record.
+func (r *recReader) end() error {
+	if r.off != len(r.b) {
+		return fmt.Errorf("durable: %d trailing bytes in record", len(r.b)-r.off)
+	}
+	return nil
+}
+
+// memberMap is a member list as the map OpRecord carries.
+func memberMap(members []controller.Member) map[topology.HostID]controller.Role {
+	m := make(map[topology.HostID]controller.Role, len(members))
+	for _, mb := range members {
+		m[mb.Host] = mb.Role
+	}
+	return m
 }
 
 // DecodeRecord parses a WAL record payload. It is strict: unknown
@@ -184,12 +230,11 @@ func DecodeRecord(b []byte) (OpRecord, error) {
 	rec.Type = typ
 	switch typ {
 	case RecCreate:
-		if rec.Key, err = r.key(); err != nil {
+		spec, err := r.spec()
+		if err != nil {
 			return rec, err
 		}
-		if rec.Members, err = r.members(rec.Key); err != nil {
-			return rec, err
-		}
+		rec.Key, rec.Members = spec.Key, memberMap(spec.Members)
 	case RecJoin, RecLeave:
 		if rec.Key, err = r.key(); err != nil {
 			return rec, err
@@ -209,24 +254,13 @@ func DecodeRecord(b []byte) (OpRecord, error) {
 			return rec, err
 		}
 	case RecBatch:
-		n, err := r.uvarint()
+		specs, err := r.batch()
 		if err != nil {
 			return rec, err
 		}
-		if n > uint64(len(r.b)-r.off) {
-			return rec, fmt.Errorf("durable: spec count %d exceeds record", n)
-		}
-		rec.Specs = make([]controller.BatchSpec, 0, n)
-		for i := uint64(0); i < n; i++ {
-			key, err := r.key()
-			if err != nil {
-				return rec, err
-			}
-			m, err := r.members(key)
-			if err != nil {
-				return rec, err
-			}
-			rec.Specs = append(rec.Specs, controller.BatchSpec{Key: key, Members: m})
+		rec.Specs = make([]controller.BatchSpec, len(specs))
+		for i, spec := range specs {
+			rec.Specs[i] = controller.BatchSpec{Key: spec.Key, Members: memberMap(spec.Members)}
 		}
 	case RecHeartbeat:
 		if rec.LSN, err = r.uvarint(); err != nil {
@@ -235,33 +269,41 @@ func DecodeRecord(b []byte) (OpRecord, error) {
 	default:
 		return rec, fmt.Errorf("durable: unknown record type %d", typ)
 	}
-	if r.off != len(b) {
-		return rec, fmt.Errorf("durable: %d trailing bytes in record", len(b)-r.off)
-	}
-	return rec, nil
+	return rec, r.end()
 }
 
-// applyOp performs one op on ctrl: the only place a record type
-// becomes a controller mutation. The leader calls it with the op it
-// just logged; recovery and followers call it (through applyRecord)
-// with the op they decoded, so recovered ≡ follower ≡ leader holds by
-// construction. A RecBatch op carries the whole batch in Specs.
-func applyOp(ctrl *controller.Controller, op OpRecord, batch controller.BatchOptions) (*controller.BatchResult, error) {
+// decodeBatch reads a RecBatch payload as strictly as DecodeRecord, into
+// the ascending member lists the record carries: what replay and
+// followers install, with nothing rebuilt or sorted again.
+func decodeBatch(b []byte) ([]controller.PreparedSpec, error) {
+	r := &recReader{b: b, off: 1}
+	specs, err := r.batch()
+	if err != nil {
+		return nil, err
+	}
+	return specs, r.end()
+}
+
+// applyOp performs one single-group op on ctrl: the only place such a
+// record type becomes a controller mutation. The leader calls it with
+// the op it just logged; recovery and followers call it (through
+// applyRecord) with the op they decoded, so recovered ≡ follower ≡
+// leader holds by construction. A batch goes through InstallPrepared on
+// every path instead, from the member lists its record carries.
+func applyOp(ctrl *controller.Controller, op OpRecord) error {
 	switch op.Type {
 	case RecCreate:
 		_, err := ctrl.CreateGroup(op.Key, op.Members)
-		return nil, err
+		return err
 	case RecJoin:
-		return nil, ctrl.Join(op.Key, op.Host, op.Role)
+		return ctrl.Join(op.Key, op.Host, op.Role)
 	case RecLeave:
-		return nil, ctrl.Leave(op.Key, op.Host, op.Role)
+		return ctrl.Leave(op.Key, op.Host, op.Role)
 	case RecRemove:
-		return nil, ctrl.RemoveGroup(op.Key)
-	case RecBatch:
-		return ctrl.InstallBatch(op.Specs, batch)
+		return ctrl.RemoveGroup(op.Key)
 	}
 	// RecHeartbeat: liveness only, no state.
-	return nil, nil
+	return nil
 }
 
 // applyRecord turns one record payload — from the WAL on crash
@@ -269,10 +311,18 @@ func applyOp(ctrl *controller.Controller, op OpRecord, batch controller.BatchOpt
 // controller op. Op-level errors are dropped (the op failed identically
 // on the leader that logged it); a decode error is returned.
 func applyRecord(ctrl *controller.Controller, payload []byte) error {
+	if len(payload) > 0 && payload[0] == RecBatch {
+		specs, err := decodeBatch(payload)
+		if err != nil {
+			return err
+		}
+		_, _ = ctrl.InstallPrepared(specs, controller.BatchOptions{})
+		return nil
+	}
 	op, err := DecodeRecord(payload)
 	if err != nil {
 		return err
 	}
-	_, _ = applyOp(ctrl, op, controller.BatchOptions{})
+	_ = applyOp(ctrl, op)
 	return nil
 }
