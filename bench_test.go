@@ -496,34 +496,6 @@ func yn(v bool) string {
 	return "no"
 }
 
-// buildBatchSpecs converts a generated workload into controller batch
-// specs with randomized roles (one forced receiver per group).
-func buildBatchSpecs(dep *placement.Deployment, groups []groupgen.Group, seed int64) []controller.BatchSpec {
-	_ = dep
-	rng := rand.New(rand.NewSource(seed))
-	specs := make([]controller.BatchSpec, len(groups))
-	for gi := range groups {
-		g := &groups[gi]
-		members := make(map[topology.HostID]controller.Role, len(g.Hosts))
-		hasReceiver := false
-		for _, h := range g.Hosts {
-			r := churn.RoleFor(rng)
-			members[h] = r
-			if r.CanReceive() {
-				hasReceiver = true
-			}
-		}
-		if !hasReceiver {
-			members[g.Hosts[0]] = controller.RoleBoth
-		}
-		specs[gi] = controller.BatchSpec{
-			Key:     controller.GroupKey{Tenant: uint32(g.Tenant), Group: g.ID},
-			Members: members,
-		}
-	}
-	return specs
-}
-
 // BenchmarkControllerInstallBatch measures the parallel bulk-install
 // pipeline (§5.1.3 controller scale): groups/sec at 1 worker vs
 // GOMAXPROCS workers, with the byte-identical-result guarantee checked
@@ -541,7 +513,7 @@ func BenchmarkControllerInstallBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	specs := buildBatchSpecs(dep, groups, 7)
+	specs := churn.Specs(groups, rand.New(rand.NewSource(7)))
 	for _, workers := range []int{1, parallelWorkers()} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()

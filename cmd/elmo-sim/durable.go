@@ -78,29 +78,13 @@ func runDurable(topoCfg topology.Config, tenants, groups, srules int, meanVMs fl
 	}
 	rng := rand.New(rand.NewSource(seed + 2))
 	start := time.Now()
-	created := 0
-	for gi := range gs {
-		g := &gs[gi]
-		members := make(map[topology.HostID]controller.Role, len(g.Hosts))
-		hasReceiver := false
-		for _, h := range g.Hosts {
-			r := churn.RoleFor(rng)
-			members[h] = r
-			if r.CanReceive() {
-				hasReceiver = true
-			}
-		}
-		if !hasReceiver {
-			members[g.Hosts[0]] = controller.RoleBoth
-		}
-		key := controller.GroupKey{Tenant: uint32(g.Tenant), Group: g.ID}
-		if err := d.CreateGroup(key, members); err != nil {
+	for _, s := range churn.Specs(gs, rng) {
+		if err := d.CreateGroup(s.Key, s.Members); err != nil {
 			log.Fatal(err)
 		}
-		created++
 	}
 	fmt.Printf("created %d groups durably in %v (every op logged before apply, group-committed fsync)\n",
-		created, time.Since(start).Round(time.Millisecond))
+		len(gs), time.Since(start).Round(time.Millisecond))
 
 	// Phase 2: snapshot + post-snapshot churn tail.
 	lsn, err := d.Snapshot()

@@ -92,25 +92,11 @@ func runPartition(topoCfg topology.Config, tenants, groups, srules int, meanVMs 
 	rng := rand.New(rand.NewSource(seed + 2))
 	keys := make([]controller.GroupKey, 0, len(gs))
 	start := time.Now()
-	for gi := range gs {
-		g := &gs[gi]
-		members := make(map[topology.HostID]controller.Role, len(g.Hosts))
-		hasReceiver := false
-		for _, h := range g.Hosts {
-			r := churn.RoleFor(rng)
-			members[h] = r
-			if r.CanReceive() {
-				hasReceiver = true
-			}
-		}
-		if !hasReceiver {
-			members[g.Hosts[0]] = controller.RoleBoth
-		}
-		key := controller.GroupKey{Tenant: uint32(g.Tenant), Group: g.ID}
-		if err := d.CreateGroup(key, members); err != nil {
+	for _, s := range churn.Specs(gs, rng) {
+		if err := d.CreateGroup(s.Key, s.Members); err != nil {
 			log.Fatal(err)
 		}
-		keys = append(keys, key)
+		keys = append(keys, s.Key)
 	}
 	dp := fabric.New(topo, cfg.SRuleCapacity)
 	dpGroups := 20

@@ -61,9 +61,9 @@ type Result struct {
 	WeightDrift int
 }
 
-// RoleFor deterministically assigns one of the three roles (§5.1.3a:
+// roleFor deterministically assigns one of the three roles (§5.1.3a:
 // "we randomly assign one of these three types to each member").
-func RoleFor(rng *rand.Rand) controller.Role {
+func roleFor(rng *rand.Rand) controller.Role {
 	switch rng.Intn(3) {
 	case 0:
 		return controller.RoleSender
@@ -74,19 +74,17 @@ func RoleFor(rng *rand.Rand) controller.Role {
 	}
 }
 
-// Setup creates all groups in the controller with randomized roles.
-// Groups whose receiver set would be empty get one forced receiver so
-// trees exist. Role assignment is serial (one rng); the installs go
-// through the controller's parallel bulk pipeline, whose result is
-// byte-identical to serial CreateGroup calls in group order.
-func Setup(ctrl *controller.Controller, dep *placement.Deployment, groups []groupgen.Group, rng *rand.Rand) error {
+// Specs draws every group's member roles from rng, group by group and
+// host by host in order. A group whose receiver set would be empty gets
+// its first host as a forced receiver, so trees exist.
+func Specs(groups []groupgen.Group, rng *rand.Rand) []controller.BatchSpec {
 	specs := make([]controller.BatchSpec, len(groups))
 	for gi := range groups {
 		g := &groups[gi]
 		members := make(map[topology.HostID]controller.Role, len(g.Hosts))
 		hasReceiver := false
 		for _, h := range g.Hosts {
-			r := RoleFor(rng)
+			r := roleFor(rng)
 			members[h] = r
 			if r.CanReceive() {
 				hasReceiver = true
@@ -97,7 +95,15 @@ func Setup(ctrl *controller.Controller, dep *placement.Deployment, groups []grou
 		}
 		specs[gi] = controller.BatchSpec{Key: key(g), Members: members}
 	}
-	_, err := ctrl.InstallBatch(specs, controller.BatchOptions{})
+	return specs
+}
+
+// Setup creates all groups in the controller with the roles Specs
+// draws. Role assignment is serial (one rng); the installs go through
+// the controller's parallel bulk pipeline, whose result is
+// byte-identical to serial CreateGroup calls in group order.
+func Setup(ctrl *controller.Controller, dep *placement.Deployment, groups []groupgen.Group, rng *rand.Rand) error {
+	_, err := ctrl.InstallBatch(Specs(groups, rng), controller.BatchOptions{})
 	return err
 }
 
@@ -184,7 +190,7 @@ func Run(ctrl *controller.Controller, dep *placement.Deployment, groups []groupg
 				m.skipped.Inc()
 				continue
 			}
-			role := RoleFor(rng)
+			role := roleFor(rng)
 			sh.add(host, role)
 			fw.add(gi, 1)
 			err = ctrl.Join(key(g), host, role)

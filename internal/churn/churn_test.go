@@ -137,7 +137,7 @@ func TestRoleForCoversAllRoles(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	seen := make(map[controller.Role]bool)
 	for i := 0; i < 100; i++ {
-		seen[RoleFor(rng)] = true
+		seen[roleFor(rng)] = true
 	}
 	if !seen[controller.RoleSender] || !seen[controller.RoleReceiver] || !seen[controller.RoleBoth] {
 		t.Fatalf("roles seen: %v", seen)

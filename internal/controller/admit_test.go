@@ -21,7 +21,8 @@ import (
 // of the protocol, the batch pipeline's third stage, the JSON
 // snapshot's second restore path, the hash-partitioned group map, the
 // per-controller scratch pool and the biased single-op speculation must
-// not come back.
+// not come back; nor may a bulk path's own worker pool: inOrder is the
+// only function in the package that starts goroutines or makes channels.
 func TestOneAdmissionSite(t *testing.T) {
 	// What may appear outside admit.go, by enclosing function.
 	allowed := map[string]map[string]bool{
@@ -63,9 +64,12 @@ func TestOneAdmissionSite(t *testing.T) {
 				continue
 			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				if g, ok := n.(*ast.GoStmt); ok && fn.Name.Name == "InstallBatch" {
-					t.Errorf("%s: InstallBatch starts a goroutine; only EncodeBatch's encode workers run beside the sequencer",
-						fset.Position(g.Pos()))
+				switch n.(type) {
+				case *ast.GoStmt, *ast.ChanType:
+					if fn.Name.Name != "inOrder" {
+						t.Errorf("%s: %s starts goroutines or makes channels; every bulk path runs on inOrder",
+							fset.Position(n.Pos()), fn.Name.Name)
+					}
 				}
 				call, ok := n.(*ast.CallExpr)
 				if !ok {

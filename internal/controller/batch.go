@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"elmo/internal/topology"
@@ -16,13 +15,16 @@ import (
 // from those lists. Group encodings are independent except for the
 // shared s-rule capacity counters, so the install has two stages:
 //
-//   - Encode: workers claim chunks, validate each member list and
+//   - Encode: workers take chunks, validate each member list and
 //     encode speculatively against point-in-time occupancy reads
 //     (capRecorder).
-//   - Admit: one sequencer takes the elements in strict input order
+//   - Admit: the caller takes the elements in strict input order
 //     through the admission transaction (admit.go), whose publish step
 //     inserts the group and charges its update stats under the
 //     controller's write lock.
+//
+// Both stages run on inOrder, the bounded in-order chunk runner that
+// PrepareBatch and WriteState use too.
 //
 // Because admission order is exactly input order and occupancy answers
 // are revalidated at the admit point, the committed encodings and the
@@ -49,14 +51,78 @@ func (e *BatchError) Unwrap() error { return e.Err }
 const batchChunkSize = 64
 
 // resolveWorkers resolves a requested worker count: values <= 0 mean
-// one worker per available CPU (GOMAXPROCS). EncodeBatch, PrepareBatch
-// and InstallPrepared all resolve through this one helper so their pool
-// sizing can never diverge.
+// one worker per available CPU (GOMAXPROCS).
 func resolveWorkers(workers int) int {
 	if workers <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
 	return workers
+}
+
+// inOrder is the one pipeline behind every bulk path (EncodeBatch,
+// PrepareBatch, WriteState): it calls produce for chunks 0..chunks-1 on
+// up to workers goroutines (<=0 means resolveWorkers) and consume for
+// each on the caller, in ascending chunk order. Chunk ci+2·workers is
+// handed out only after chunk ci is consumed, so at most 2·workers
+// chunks are in flight and slot ci mod 2·workers has one owner at a
+// time and is reused. With one worker, or one chunk, produce and
+// consume run inline and alternate. The first consume error stops the
+// hand-out and is returned; every worker has exited before inOrder
+// returns.
+func inOrder[T any](chunks, workers int, produce func(ci int, slot *T), consume func(ci int, slot *T) error) error {
+	workers = min(resolveWorkers(workers), chunks)
+	if workers <= 1 {
+		var slot T
+		for ci := 0; ci < chunks; ci++ {
+			produce(ci, &slot)
+			if err := consume(ci, &slot); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	slots := make([]T, 2*workers)
+	// At most len(slots) chunks are handed out and not yet consumed, so
+	// neither a hand-out nor a done signal ever blocks its sender.
+	work := make(chan int, len(slots))
+	done := make([]chan struct{}, len(slots))
+	for i := range done {
+		done[i] = make(chan struct{}, 1)
+	}
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ci := range work {
+				produce(ci, &slots[ci%len(slots)])
+				done[ci%len(slots)] <- struct{}{}
+			}
+		}()
+	}
+	for ci := range min(len(slots), chunks) {
+		work <- ci
+	}
+	var err error
+	for ci := 0; ci < chunks && err == nil; ci++ {
+		<-done[ci%len(slots)]
+		err = consume(ci, &slots[ci%len(slots)])
+		if next := ci + len(slots); err == nil && next < chunks {
+			work <- next
+		}
+	}
+	// After an error the chunks already handed out are produced and
+	// dropped; none is handed out after it.
+	close(work)
+	wg.Wait()
+	return err
+}
+
+// encodeSlot is one EncodeBatch chunk in flight: the speculations of
+// its elements and the scratch they were encoded with.
+type encodeSlot struct {
+	s   EncodeScratch
+	sps []*capRecorder
 }
 
 // EncodeBatch computes the encodings for n receiver sets using the
@@ -76,100 +142,50 @@ func resolveWorkers(workers int) int {
 //
 //	for i := range n { enc := ComputeEncoding(..., occ.CapacityFunc(), receivers(i)); commit(i, enc); occ.Commit(enc) }
 //
-// for every worker count. Returned is the number of elements whose
+// for every worker count. Workers speculate at most 2·workers chunks of
+// batchChunkSize ahead of the committed element (inOrder); one worker
+// speculates one element ahead of its own admission, so with no
+// concurrent admitter its recorded answers always revalidate and
+// nothing is recomputed. Returned is the number of elements whose
 // speculative encoding was discarded and recomputed at the commit point
 // because a capacity answer changed under it (contention on nearly-full
 // tables).
 func EncodeBatch(topo *topology.Topology, cfg Config, occ *Occupancy, n, workers int,
 	receivers func(i int) []topology.HostID,
 	commit func(i int, enc *Encoding) error) (recomputed int, err error) {
-	if n == 0 {
-		return 0, nil
-	}
-	workers = min(resolveWorkers(workers), n)
-	speculateAt := func(i int, s *EncodeScratch) *capRecorder {
-		sp := newCapRecorder(occ)
-		sp.enc, sp.err = ComputeEncodingInto(topo, cfg, sp.capacity(), receivers(i), s)
-		return sp
-	}
-	// admitAt takes element i through the admission transaction; the
-	// sequencer's own scratch serves the rare recompute.
-	var seqScratch EncodeScratch
-	admitAt := func(i int, sp *capRecorder) error {
-		atCommit, err := occ.admitEncoding(nil, sp,
-			func(cap CapacityFunc) (*Encoding, error) {
-				return ComputeEncodingInto(topo, cfg, cap, receivers(i), &seqScratch)
-			},
-			func(enc *Encoding) error { return commit(i, enc) })
-		if atCommit {
-			recomputed++
-		}
-		if err != nil {
-			return &BatchError{Index: i, Err: err}
-		}
-		return nil
-	}
-
+	workers = resolveWorkers(workers)
+	size := batchChunkSize
 	if workers == 1 {
-		// One worker speculates inline, one element ahead of its own
-		// admission: with no concurrent admitter the recorded answers
-		// always revalidate, so nothing is recomputed. (A pipelined
-		// worker speculates a whole chunk ahead of the admissions that
-		// change its answers.)
-		for i := 0; i < n; i++ {
-			if err := admitAt(i, speculateAt(i, &seqScratch)); err != nil {
-				return recomputed, err
+		size = 1
+	}
+	err = inOrder((n+size-1)/size, workers,
+		func(ci int, slot *encodeSlot) {
+			slot.sps = slot.sps[:0]
+			for i := ci * size; i < min((ci+1)*size, n); i++ {
+				sp := newCapRecorder(occ)
+				sp.enc, sp.err = ComputeEncodingInto(topo, cfg, sp.capacity(), receivers(i), &slot.s)
+				slot.sps = append(slot.sps, sp)
 			}
-		}
-		return recomputed, nil
-	}
-
-	results := make([]*capRecorder, n)
-	chunks := (n + batchChunkSize - 1) / batchChunkSize
-	ready := make([]chan struct{}, chunks)
-	for i := range ready {
-		ready[i] = make(chan struct{})
-	}
-	var next atomic.Int64
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One scratch per worker: encodings never alias it, so it
-			// is reused across every element this worker encodes.
-			var s EncodeScratch
-			for !stop.Load() {
-				ci := int(next.Add(1)) - 1
-				if ci >= chunks {
-					return
+		},
+		func(ci int, slot *encodeSlot) error {
+			for j, sp := range slot.sps {
+				i := ci*size + j
+				slot.sps[j] = nil // release speculative memory early
+				atCommit, err := occ.admitEncoding(nil, sp,
+					func(cap CapacityFunc) (*Encoding, error) {
+						return ComputeEncodingInto(topo, cfg, cap, receivers(i), &slot.s)
+					},
+					func(enc *Encoding) error { return commit(i, enc) })
+				if atCommit {
+					recomputed++
 				}
-				lo := ci * batchChunkSize
-				for i := lo; i < min(lo+batchChunkSize, n); i++ {
-					results[i] = speculateAt(i, &s)
+				if err != nil {
+					return &BatchError{Index: i, Err: err}
 				}
-				close(ready[ci])
 			}
-		}()
-	}
-	defer func() {
-		stop.Store(true)
-		wg.Wait()
-	}()
-
-	// Deterministic admission order: admit element i only after 0..i-1.
-	for ci := 0; ci < chunks; ci++ {
-		<-ready[ci]
-		lo := ci * batchChunkSize
-		for i := lo; i < min(lo+batchChunkSize, n); i++ {
-			if err := admitAt(i, results[i]); err != nil {
-				return recomputed, err
-			}
-			results[i] = nil // release speculative memory early
-		}
-	}
-	return recomputed, nil
+			return nil
+		})
+	return recomputed, err
 }
 
 // BatchSpec is one group to install: its key and members with roles.
@@ -209,34 +225,13 @@ type PreparedSpec struct {
 func PrepareBatch(specs []BatchSpec, workers int) []PreparedSpec {
 	n := len(specs)
 	out := make([]PreparedSpec, n)
-	prepare := func(lo int) {
-		for i := lo; i < min(lo+batchChunkSize, n); i++ {
-			out[i] = PreparedSpec{Key: specs[i].Key, Members: membersOf(specs[i].Members)}
-		}
-	}
-	workers = min(resolveWorkers(workers), (n+batchChunkSize-1)/batchChunkSize)
-	if workers <= 1 {
-		for lo := 0; lo < n; lo += batchChunkSize {
-			prepare(lo)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(batchChunkSize)) - batchChunkSize
-				if lo >= n {
-					return
-				}
-				prepare(lo)
+	inOrder((n+batchChunkSize-1)/batchChunkSize, workers,
+		func(ci int, _ *struct{}) {
+			for i := ci * batchChunkSize; i < min((ci+1)*batchChunkSize, n); i++ {
+				out[i] = PreparedSpec{Key: specs[i].Key, Members: membersOf(specs[i].Members)}
 			}
-		}()
-	}
-	wg.Wait()
+		},
+		func(int, *struct{}) error { return nil })
 	return out
 }
 
@@ -262,7 +257,6 @@ func (c *Controller) InstallBatch(specs []BatchSpec, opts BatchOptions) (*BatchR
 // operations, but the byte-identical-to-serial guarantee holds only for
 // a quiescent controller (no concurrent mutations admitting s-rules).
 func (c *Controller) InstallPrepared(specs []PreparedSpec, opts BatchOptions) (*BatchResult, error) {
-	workers := resolveWorkers(opts.Workers)
 	res := &BatchResult{}
 	n := len(specs)
 	m := c.getMetrics()
@@ -271,10 +265,10 @@ func (c *Controller) InstallPrepared(specs []PreparedSpec, opts BatchOptions) (*
 	last := time.Now()
 
 	// The encode workers validate each spec alongside listing its
-	// receivers: prepErr[i] is written before the element's ready signal
-	// (or, on the inline and recompute paths, by the sequencer itself
-	// just before use), so commit always reads it after a happens-before
-	// edge. Revalidating on a recompute is idempotent.
+	// receivers: prepErr[i] is written before its chunk is handed to the
+	// sequencer (or, on the inline and recompute paths, by the sequencer
+	// itself just before use), so commit always reads it after a
+	// happens-before edge. Revalidating on a recompute is idempotent.
 	prepErr := make([]error, n)
 	receivers := func(i int) []topology.HostID {
 		if prepErr[i] = c.validateMembers(specs[i].Members); prepErr[i] != nil {
@@ -300,7 +294,7 @@ func (c *Controller) InstallPrepared(specs []PreparedSpec, opts BatchOptions) (*
 		return nil
 	}
 
-	recomputed, err := EncodeBatch(c.topo, c.cfg, c.occ, n, workers, receivers, commit)
+	recomputed, err := EncodeBatch(c.topo, c.cfg, c.occ, n, opts.Workers, receivers, commit)
 	res.Recomputed = recomputed
 	m.batchRecompute.Add(int64(recomputed))
 	if err != nil {

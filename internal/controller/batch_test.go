@@ -7,7 +7,9 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"elmo/internal/bitmap"
 	"elmo/internal/topology"
@@ -211,41 +213,127 @@ func TestInstallBatchMatchesSerialCreateGroup(t *testing.T) {
 
 // TestInstallBatchDuplicateKey checks that a failing element stops the
 // batch with a *BatchError carrying its index, leaving all earlier
-// elements committed exactly like the serial loop would.
+// elements committed exactly like the serial loop would: in a batch of
+// one chunk, and mid-way through a batch of several at 4 workers, whose
+// later chunks are in flight when the error comes back.
 func TestInstallBatchDuplicateKey(t *testing.T) {
 	topo := paperTopo()
-	specs := randSpecs(5, 30, 7, topo.NumHosts())
-	specs[17].Key = specs[4].Key // duplicate mid-batch
+	for _, tc := range []struct{ n, dup int }{{30, 17}, {5*batchChunkSize + 11, 3*batchChunkSize + 5}} {
+		specs := randSpecs(5, tc.n, 7, topo.NumHosts())
+		specs[tc.dup].Key = specs[4].Key // duplicate mid-batch
 
-	c, err := New(topo, testConfig(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.InstallBatch(specs, BatchOptions{Workers: 4})
-	if err == nil {
-		t.Fatal("expected duplicate-key error")
-	}
-	var be *BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("error %v is not a *BatchError", err)
-	}
-	if be.Index != 17 {
-		t.Fatalf("failing index %d, want 17", be.Index)
-	}
-	if got := c.NumGroups(); got != 17 {
-		t.Fatalf("%d groups committed, want 17", got)
-	}
-	// The committed prefix matches a serial replay of specs[:17].
-	serial, err := New(topo, testConfig(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range specs[:17] {
-		if _, err := serial.CreateGroup(s.Key, s.Members); err != nil {
+		c, err := New(topo, testConfig(0))
+		if err != nil {
 			t.Fatal(err)
 		}
+		_, err = c.InstallBatch(specs, BatchOptions{Workers: 4})
+		if err == nil {
+			t.Fatalf("%d specs: expected duplicate-key error", tc.n)
+		}
+		var be *BatchError
+		if !errors.As(err, &be) {
+			t.Fatalf("error %v is not a *BatchError", err)
+		}
+		if be.Index != tc.dup {
+			t.Fatalf("%d specs: failing index %d, want %d", tc.n, be.Index, tc.dup)
+		}
+		if got := c.NumGroups(); got != tc.dup {
+			t.Fatalf("%d specs: %d groups committed, want %d", tc.n, got, tc.dup)
+		}
+		// The committed prefix matches a serial replay of specs[:dup].
+		serial, err := New(topo, testConfig(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range specs[:tc.dup] {
+			if _, err := serial.CreateGroup(s.Key, s.Members); err != nil {
+				t.Fatal(err)
+			}
+		}
+		requireSameState(t, fmt.Sprintf("%d-spec prefix", tc.n), serial, c)
 	}
-	requireSameState(t, "prefix", serial, c)
+}
+
+// TestEncodeBatchLookAheadIsBounded: however slow the commit step (the
+// sim's installs, sends and uninstalls), the workers speculate at most
+// 2·workers chunks ahead of the element being committed, so the
+// encodings held ahead of it stay bounded instead of growing with n.
+func TestEncodeBatchLookAheadIsBounded(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	topo := paperTopo()
+	cfg := testConfig(0)
+	const workers = 4
+	n := 24 * batchChunkSize
+	specs := PrepareBatch(randSpecs(1, n, 5, topo.NumHosts()), 1)
+	var highest atomic.Int64 // the highest index receivers was called for
+	highest.Store(-1)
+	receivers := func(i int) []topology.HostID {
+		for h := highest.Load(); int64(i) > h; h = highest.Load() {
+			if highest.CompareAndSwap(h, int64(i)) {
+				break
+			}
+		}
+		return hostsWith(specs[i].Members, Role.CanReceive)
+	}
+	worst := 0
+	commit := func(i int, _ *Encoding) error {
+		worst = max(worst, int(highest.Load())-i)
+		if i%batchChunkSize == 0 {
+			time.Sleep(time.Millisecond) // a commit step slower than encoding
+		}
+		runtime.Gosched()
+		return nil
+	}
+	if _, err := EncodeBatch(topo, cfg, NewOccupancy(topo, cfg.SRuleCapacity), n, workers, receivers, commit); err != nil {
+		t.Fatal(err)
+	}
+	if bound := 2 * workers * batchChunkSize; worst > bound {
+		t.Fatalf("speculated %d elements ahead of the commit, bound %d", worst, bound)
+	}
+}
+
+// TestInOrderContract pins the runner every bulk path shares: consume
+// sees each chunk once, in ascending order; a chunk is produced only
+// after the chunk 2·workers before it was consumed, so its slot is
+// never overwritten while it waits; and the first consume error is
+// returned with no consume after it.
+func TestInOrderContract(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	errStop := errors.New("stop")
+	for _, workers := range []int{1, 2, 4} {
+		for _, chunks := range []int{0, 1, 3, 50} {
+			for _, failAt := range []int{-1, chunks / 2} {
+				label := fmt.Sprintf("workers=%d chunks=%d failAt=%d", workers, chunks, failAt)
+				var consumed atomic.Int64
+				next := 0
+				err := inOrder(chunks, workers,
+					func(ci int, slot *int) {
+						if done := int(consumed.Load()); ci >= done+2*workers {
+							t.Errorf("%s: chunk %d produced with %d consumed", label, ci, done)
+						}
+						*slot = ci
+					},
+					func(ci int, slot *int) error {
+						if ci != next || *slot != ci {
+							t.Errorf("%s: consumed chunk %d (slot holds %d), want %d", label, ci, *slot, next)
+						}
+						next++
+						consumed.Add(1)
+						if ci == failAt {
+							return errStop
+						}
+						return nil
+					})
+				wantErr, wantNext := error(nil), chunks
+				if failAt >= 0 && failAt < chunks {
+					wantErr, wantNext = errStop, failAt+1
+				}
+				if !errors.Is(err, wantErr) || next != wantNext {
+					t.Errorf("%s: err %v after %d consumes, want %v after %d", label, err, next, wantErr, wantNext)
+				}
+			}
+		}
+	}
 }
 
 // TestInvalidMemberIsAnOpError: a host outside the topology or a role

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync"
 
 	"elmo/internal/bitmap"
 	"elmo/internal/header"
@@ -91,86 +90,30 @@ func (sw *stateWriter) group(key GroupKey, g *GroupState) {
 }
 
 // WriteState serializes the full controller state deterministically.
-// The groups go out in chunks of consecutive keys; with more than one P
-// a worker per P serializes chunks while the caller writes them in key
-// order, so the bytes are the same for every worker count. Every worker
-// has exited before the read lock is released. The first write error
-// is returned.
+// The groups go out in chunks of consecutive keys, serialized on one
+// worker per P and written by the caller in key order (inOrder), so the
+// bytes are the same for every worker count. Every worker has exited
+// before the read lock is released. The first write error is returned,
+// and nothing is written after it.
 func (c *Controller) WriteState(w io.Writer) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	keys := c.sortedKeysLocked()
-	var sw stateWriter
-	sw.uvarint(stateVersion)
-	sw.uvarint(uint64(len(keys)))
-	if _, err := w.Write(sw.b); err != nil {
+	head := binary.AppendUvarint(binary.AppendUvarint(nil, stateVersion), uint64(len(keys)))
+	if _, err := w.Write(head); err != nil {
 		return err
 	}
-	chunks := (len(keys) + stateChunkGroups - 1) / stateChunkGroups
-	chunk := func(sw *stateWriter, ci int) {
-		sw.b = sw.b[:0]
-		for _, key := range keys[ci*stateChunkGroups : min((ci+1)*stateChunkGroups, len(keys))] {
-			sw.group(key, c.groups[key])
-		}
-	}
-	workers := min(resolveWorkers(0), chunks)
-	if workers <= 1 {
-		for ci := 0; ci < chunks; ci++ {
-			chunk(&sw, ci)
-			if _, err := w.Write(sw.b); err != nil {
-				return err
+	return inOrder((len(keys)+stateChunkGroups-1)/stateChunkGroups, 0,
+		func(ci int, sw *stateWriter) {
+			sw.b = sw.b[:0]
+			for _, key := range keys[ci*stateChunkGroups : min((ci+1)*stateChunkGroups, len(keys))] {
+				sw.group(key, c.groups[key])
 			}
-		}
-		return nil
-	}
-
-	// Chunk ci+slots is handed out only after chunk ci is written, with
-	// ci's buffer: at most slots chunks are in flight, so neither work
-	// nor a slot's done channel ever blocks its sender, and the buffers
-	// are reused.
-	type job struct {
-		ci  int
-		buf []byte
-	}
-	slots := 2 * workers
-	work := make(chan job, slots)
-	done := make([]chan []byte, slots)
-	for i := range done {
-		done[i] = make(chan []byte, 1)
-	}
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var ws stateWriter
-			for j := range work {
-				ws.b = j.buf
-				chunk(&ws, j.ci)
-				done[j.ci%slots] <- ws.b
-			}
-		}()
-	}
-	for ci := 0; ci < slots && ci < chunks; ci++ {
-		work <- job{ci: ci}
-	}
-	err := func() error {
-		for ci := 0; ci < chunks; ci++ {
-			buf := <-done[ci%slots]
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			if next := ci + slots; next < chunks {
-				work <- job{ci: next, buf: buf}
-			}
-		}
-		return nil
-	}()
-	// After an error the chunks already handed out are serialized and
-	// dropped; none is handed out after it.
-	close(work)
-	wg.Wait()
-	return err
+		},
+		func(_ int, sw *stateWriter) error {
+			_, err := w.Write(sw.b)
+			return err
+		})
 }
 
 // encoding serializes one encoding (sorted map order throughout).

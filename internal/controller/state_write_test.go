@@ -123,6 +123,42 @@ func TestWriteStateSameBytesAnyProcs(t *testing.T) {
 	}
 }
 
+// failOnWrite fails its k-th Write and every later one, counting the
+// calls.
+type failOnWrite struct{ k, calls int }
+
+func (f *failOnWrite) Write(p []byte) (int, error) {
+	if f.calls++; f.calls >= f.k {
+		return 0, errWriteFailed
+	}
+	return len(p), nil
+}
+
+// TestWriteStateStopsAtFirstError: at 1, 2 and 4 Ps, a writer failing
+// on its k-th Write — the header, the first chunk, one mid-stream or
+// the last — gets that error back, is not written to after it, and no
+// worker outlives the call.
+func TestWriteStateStopsAtFirstError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	c := bulkState(t, 8*stateChunkGroups+37)
+	writes := 1 + 9 // the header, then one per chunk
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		before := runtime.NumGoroutine()
+		for _, k := range []int{1, 2, writes / 2, writes} {
+			f := &failOnWrite{k: k}
+			if err := c.WriteState(f); !errors.Is(err, errWriteFailed) || f.calls != k {
+				t.Fatalf("GOMAXPROCS=%d, write %d fails: WriteState returned %v after %d writes", procs, k, err, f.calls)
+			}
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("GOMAXPROCS=%d: %d goroutines after failed writes, %d before", procs, runtime.NumGoroutine(), before)
+			}
+		}
+	}
+}
+
 // TestMembersStaySortedUnderChurn runs a seeded Join/Leave sequence —
 // role splits, whole leaves, and joins rolled back on a full legacy
 // table — against a map oracle, checking the member slice and a state

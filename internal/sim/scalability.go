@@ -14,7 +14,9 @@
 //     325-byte cap).
 //
 // The harness streams: per-group state is discarded after measurement,
-// so paper-scale runs (27,648 hosts, one million groups) fit in memory.
+// and the batch encoder holds at most 2·workers chunks of encodings
+// ahead of it, so a paper-scale run (27,648 hosts, one million groups,
+// R=0) peaks at about 1.05 GB RSS.
 package sim
 
 import (

@@ -93,6 +93,7 @@ func TestNoUnreachableSurface(t *testing.T) {
 		"internal/durable.RecoveryStats.DroppedTail":                    true,
 		"internal/churn.Config.Workers":                                 true,
 		"internal/churn.Result.Workers":                                 true,
+		"internal/churn.RoleFor":                                        true,
 		"internal/controller.ResolveWorkers":                            true,
 		// Deleted with the function rule. Name matching cannot tell a
 		// method from another type's method of the same name, so these
