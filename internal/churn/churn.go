@@ -11,10 +11,8 @@
 package churn
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"elmo/internal/baselines"
 	"elmo/internal/controller"
@@ -111,39 +109,17 @@ func key(g *groupgen.Group) controller.GroupKey {
 	return controller.GroupKey{Tenant: uint32(g.Tenant), Group: g.ID}
 }
 
-// shadowGroup mirrors one group's membership during event generation,
-// so sampling (and the Li baseline) never reads live controller state:
-// its Members (the only field set) stay in ascending host order, which
-// keeps sampling deterministic.
-type shadowGroup struct{ controller.GroupState }
-
-func newShadowGroup(st *controller.GroupState) *shadowGroup {
-	return &shadowGroup{controller.GroupState{Members: slices.Clone(st.Members)}}
-}
-
-// index returns h's position in Members, or where it would be inserted.
-func (s *shadowGroup) index(h topology.HostID) int {
-	i, _ := slices.BinarySearchFunc(s.Members, h, func(m controller.Member, h topology.HostID) int { return cmp.Compare(m.Host, h) })
-	return i
-}
-
-func (s *shadowGroup) add(h topology.HostID, r controller.Role) {
-	s.Members = slices.Insert(s.Members, s.index(h), controller.Member{Host: h, Role: r})
-}
-
-func (s *shadowGroup) remove(h topology.HostID) {
-	i := s.index(h)
-	s.Members = slices.Delete(s.Members, i, i+1)
-}
-
 // Run generates cfg.Events join/leave events against the controller
 // (already Setup) and measures update rates. The Li et al. baseline is
 // charged from the same event stream.
 //
-// Events are generated against shadow membership state (with sampling
-// weights tracked live in a Fenwick tree, so per-group event frequency
-// stays proportional to the *current* group size) and applied to the
-// controller one at a time, in generation order.
+// Events are generated against the controller's own member lists (with
+// sampling weights tracked live in a Fenwick tree, so per-group event
+// frequency stays proportional to the *current* group size) and applied
+// one at a time, in generation order: each event reads the members the
+// previous one left, and a failed op aborts the run. Run reads those
+// lists without the controller's lock, so it must be the controller's
+// only writer while it runs.
 func Run(ctrl *controller.Controller, dep *placement.Deployment, groups []groupgen.Group, cfg Config) (*Result, error) {
 	if cfg.Events <= 0 || cfg.EventsPerSecond <= 0 {
 		return nil, fmt.Errorf("churn: Events and EventsPerSecond must be positive")
@@ -153,17 +129,16 @@ func Run(ctrl *controller.Controller, dep *placement.Deployment, groups []groupg
 	li := baselines.NewLiState(topo)
 	ctrl.ResetStats()
 
-	// Shadow membership + live size-proportional sampling weights
-	// (largest groups churn most — and keep churning most as they grow).
-	shadows := make([]*shadowGroup, len(groups))
+	// Each group's controller state + live size-proportional sampling
+	// weights (largest groups churn most — and keep churning most as
+	// they grow).
+	states := make([]*controller.GroupState, len(groups))
 	weights := make([]int, len(groups))
 	for i := range groups {
-		st := ctrl.Group(key(&groups[i]))
-		if st == nil {
+		if states[i] = ctrl.Group(key(&groups[i])); states[i] == nil {
 			return nil, fmt.Errorf("churn: group %d missing from controller", groups[i].ID)
 		}
-		shadows[i] = newShadowGroup(st)
-		weights[i] = len(shadows[i].Members)
+		weights[i] = len(states[i].Members)
 	}
 	fw := newFenwick(weights)
 
@@ -177,40 +152,37 @@ func Run(ctrl *controller.Controller, dep *placement.Deployment, groups []groupg
 	for e := 0; e < cfg.Events; e++ {
 		gi := fw.find(rng.Intn(fw.total()))
 		g := &groups[gi]
-		sh := shadows[gi]
+		st := states[gi]
 		join := rng.Intn(2) == 0
-		if len(sh.Members) <= 1 {
+		if len(st.Members) <= 1 {
 			join = true
 		}
 		var err error
 		if join {
-			host, ok := pickNonMember(rng, dep, g, sh)
+			host, ok := pickNonMember(rng, dep, g, st)
 			if !ok {
 				res.EventsSkipped++
 				m.skipped.Inc()
 				continue
 			}
 			role := roleFor(rng)
-			sh.add(host, role)
 			fw.add(gi, 1)
 			err = ctrl.Join(key(g), host, role)
 		} else {
 			// The leaving member leaves with its full role.
-			mem := sh.Members[rng.Intn(len(sh.Members))]
-			host, role := mem.Host, mem.Role
-			sh.remove(host)
+			mem := st.Members[rng.Intn(len(st.Members))]
 			fw.add(gi, -1)
-			err = ctrl.Leave(key(g), host, role)
+			err = ctrl.Leave(key(g), mem.Host, mem.Role)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("churn: event %d: %w", res.EventsApplied, err)
 		}
 		m.applied.Inc()
 		res.EventsApplied++
-		li.ApplyChurnEvent(g.ID, sh.Receivers())
+		li.ApplyChurnEvent(g.ID, st.Receivers())
 	}
-	for i := range shadows {
-		if d := fw.weight(i) - len(shadows[i].Members); d > res.WeightDrift {
+	for i, st := range states {
+		if d := fw.weight(i) - len(st.Members); d > res.WeightDrift {
 			res.WeightDrift = d
 		} else if -d > res.WeightDrift {
 			res.WeightDrift = -d
@@ -243,11 +215,11 @@ func Run(ctrl *controller.Controller, dep *placement.Deployment, groups []groupg
 	return res, nil
 }
 
-func pickNonMember(rng *rand.Rand, dep *placement.Deployment, g *groupgen.Group, sh *shadowGroup) (topology.HostID, bool) {
+func pickNonMember(rng *rand.Rand, dep *placement.Deployment, g *groupgen.Group, st *controller.GroupState) (topology.HostID, bool) {
 	tenant := &dep.Tenants[g.Tenant]
 	for try := 0; try < 16; try++ {
 		vm := tenant.VMs[rng.Intn(len(tenant.VMs))]
-		if sh.RoleOf(vm.Host) == 0 {
+		if st.RoleOf(vm.Host) == 0 {
 			return vm.Host, true
 		}
 	}

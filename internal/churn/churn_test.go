@@ -13,6 +13,15 @@ import (
 // churnFixture builds a controller with placed tenants and groups.
 func churnFixture(t *testing.T, nGroups int) (*controller.Controller, *placement.Deployment, []groupgen.Group) {
 	t.Helper()
+	return churnFixtureWith(t, nGroups, controller.Config{
+		MaxHeaderBytes: 325, SpineRuleLimit: 2, LeafRuleLimit: 30,
+		KMaxSpine: 2, KMaxLeaf: 2, R: 0, SRuleCapacity: 500,
+	})
+}
+
+// churnFixtureWith is churnFixture under the given controller config.
+func churnFixtureWith(t *testing.T, nGroups int, cfg controller.Config) (*controller.Controller, *placement.Deployment, []groupgen.Group) {
+	t.Helper()
 	topo := topology.MustNew(topology.Config{Pods: 4, SpinesPerPod: 2, LeavesPerPod: 8, HostsPerLeaf: 8, CoresPerPlane: 2})
 	dep, err := placement.Place(topo, placement.Config{
 		Tenants: 40, VMsPerHost: 20, MinVMs: 6, MaxVMs: 28, MeanVMs: 14, P: 1, Seed: 3,
@@ -24,10 +33,7 @@ func churnFixture(t *testing.T, nGroups int) (*controller.Controller, *placement
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := controller.New(topo, controller.Config{
-		MaxHeaderBytes: 325, SpineRuleLimit: 2, LeafRuleLimit: 30,
-		KMaxSpine: 2, KMaxLeaf: 2, R: 0, SRuleCapacity: 500,
-	})
+	ctrl, err := controller.New(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,13 +205,80 @@ func TestChurnWeightsTrackSize(t *testing.T) {
 	if res.WeightDrift != 0 {
 		t.Fatalf("sampling weights drifted %d from membership sizes", res.WeightDrift)
 	}
-	// The shadow replay driving the weights must agree with the
-	// controller's actual final membership.
+	// WeightDrift compared the weights against the controller's own
+	// member lists; every group must still be there.
 	for gi := range groups {
 		g := &groups[gi]
 		st := ctrl.Group(controller.GroupKey{Tenant: uint32(g.Tenant), Group: g.ID})
 		if st == nil {
 			t.Fatalf("group %d lost", g.ID)
 		}
+	}
+}
+
+// TestTable2AndFailuresPinned pins the exact Table 2, failure rows and
+// final controller fingerprint of two small seeded runs: the fixture's
+// p-rule-only shape, and a tight one (few rules, 40 table entries per
+// switch, R=6) where leaf and spine s-rules come and go under capacity
+// contention. The values were recorded before churn generated against
+// the controller's own members and before an encoding's s-rules became
+// switch IDs, so they prove both changes preserve every count.
+func TestTable2AndFailuresPinned(t *testing.T) {
+	failures := FailureResult{SpineImpactedFrac: 0.6, CoreImpactedFrac: 0.68,
+		SpineHypervisorUpdates: 1020, CoreHypervisorUpdates: 1184}
+	cases := []struct {
+		name        string
+		cfg         controller.Config
+		table2      string
+		fingerprint string
+	}{
+		{
+			name: "fixture",
+			cfg: controller.Config{MaxHeaderBytes: 325, SpineRuleLimit: 2, LeafRuleLimit: 30,
+				KMaxSpine: 2, KMaxLeaf: 2, R: 0, SRuleCapacity: 500},
+			table2: "Table 2: avg (max) switch updates per second\n" +
+				"switch      Elmo avg  Elmo max  Li et al. avg  Li et al. max\n" +
+				"----------  --------  --------  -------------  -------------\n" +
+				"hypervisor  2.655     11.167    NE             NE           \n" +
+				"leaf        0         0         29.339         37.167       \n" +
+				"spine       9.167     11.500    31.521         39.167       \n" +
+				"core        0         0         18.833         41.833       \n",
+			fingerprint: "887248649d7224b99d87737a5ecf9774f75ef0aee65760126037f49ecf0f2174",
+		},
+		{
+			name: "tight",
+			cfg: controller.Config{MaxHeaderBytes: 325, SpineRuleLimit: 1, LeafRuleLimit: 3,
+				KMaxSpine: 2, KMaxLeaf: 2, R: 6, SRuleCapacity: 40},
+			table2: "Table 2: avg (max) switch updates per second\n" +
+				"switch      Elmo avg  Elmo max  Li et al. avg  Li et al. max\n" +
+				"----------  --------  --------  -------------  -------------\n" +
+				"hypervisor  1.985     8.833     NE             NE           \n" +
+				"leaf        2.021     4.500     29.339         37.167       \n" +
+				"spine       9.958     11.500    31.521         39.167       \n" +
+				"core        0         0         18.833         41.833       \n",
+			fingerprint: "f34ef5710840ad296fa38f462ea48f94b6f763fd979c16398177d428a4612f24",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctrl, dep, groups := churnFixtureWith(t, 150, tc.cfg)
+			res, err := Run(ctrl, dep, groups, Config{Events: 600, EventsPerSecond: 100, Seed: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.EventsApplied != 484 || res.EventsSkipped != 116 || res.WeightDrift != 0 {
+				t.Errorf("events applied %d skipped %d drift %d, want 484 116 0",
+					res.EventsApplied, res.EventsSkipped, res.WeightDrift)
+			}
+			if got := res.Table2().String(); got != tc.table2 {
+				t.Errorf("Table 2:\n%s\nwant:\n%s", got, tc.table2)
+			}
+			if got := ctrl.Fingerprint(); got != tc.fingerprint {
+				t.Errorf("controller fingerprint %s, want %s", got, tc.fingerprint)
+			}
+			if got := *RunFailures(ctrl, 42); got != failures {
+				t.Errorf("failure rows %+v, want %+v", got, failures)
+			}
+		})
 	}
 }

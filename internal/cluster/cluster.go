@@ -24,7 +24,7 @@
 // Scratch, the greedy loop maintains its union and redundancy sums
 // incrementally (O(1) per candidate instead of O(picked) bitmap
 // temporaries), and the returned Assignment aliases scratch memory;
-// callers that keep a result Clone it.
+// callers that keep a result copy what they keep.
 package cluster
 
 import (
@@ -78,9 +78,10 @@ type Assignment struct {
 	// PRules are the non-default p-rules, each covering one or more
 	// switches.
 	PRules []Rule
-	// SRules maps switches that received a group-table entry to their
-	// exact port bitmap.
-	SRules map[uint16]bitmap.Bitmap
+	// SRules lists, ascending, the switches that received a group-table
+	// entry. An entry holds the switch's own port bitmap (its Member's
+	// Ports), so the list names the switches and nothing else.
+	SRules []uint16
 	// Default is the OR of the bitmaps of all switches that neither
 	// fit a p-rule nor had s-rule capacity; nil if every switch was
 	// covered exactly.
@@ -97,31 +98,6 @@ type Assignment struct {
 // evaluation's "groups covered with p-rules" counts groups whose
 // layers are all covered by p-rules and s-rules only.
 func (a *Assignment) CoveredExactly() bool { return a.Default == nil }
-
-// Clone returns a deep copy of the assignment owning all of its memory:
-// fresh rule slices, bitmap clones, and a fresh SRules map. Use it to
-// persist an AssignInto result beyond the scratch's next use.
-func (a Assignment) Clone() Assignment {
-	out := Assignment{
-		SRules:     make(map[uint16]bitmap.Bitmap, len(a.SRules)),
-		Redundancy: a.Redundancy,
-	}
-	if len(a.PRules) > 0 {
-		out.PRules = make([]Rule, len(a.PRules))
-		for i, r := range a.PRules {
-			out.PRules[i] = Rule{Switches: slices.Clone(r.Switches), Bitmap: r.Bitmap.Clone()}
-		}
-	}
-	for sw, bm := range a.SRules {
-		out.SRules[sw] = bm.Clone()
-	}
-	if a.Default != nil {
-		d := a.Default.Clone()
-		out.Default = &d
-	}
-	out.DefaultSwitches = slices.Clone(a.DefaultSwitches)
-	return out
-}
 
 // classRec groups members sharing an identical bitmap. ports aliases
 // the first member's (read-only) bitmap; switches is a sub-slice of the
@@ -152,7 +128,7 @@ type Scratch struct {
 	prules      []Rule
 	ruleSw      []uint16        // backing array for all rules' Switches
 	ruleBMs     []bitmap.Bitmap // reusable storage for rule bitmaps
-	srules      map[uint16]bitmap.Bitmap
+	srules      []uint16
 	defaultBM   bitmap.Bitmap
 	defSwitches []uint16
 	defPops     []int
@@ -162,21 +138,16 @@ type Scratch struct {
 // must have bitmaps of equal width and unique Switch IDs; the slice may
 // be in any order, and is not modified. The result is deterministic.
 //
-// Every temporary lives in s, and the returned Assignment's slices,
-// bitmaps, and SRules map alias scratch memory (SRules values and the
-// Default bitmap may also alias input member bitmaps). The result is
-// valid only until the next AssignInto call with the same scratch;
-// callers that persist it must Clone. It never mutates the member
-// bitmaps, so workers may share member slices, but the scratch itself is
-// not safe for concurrent use, and the HasSRuleCapacity callback must be
-// safe to call from every worker that runs (the controller passes
-// closures over atomic occupancy counters).
+// Every temporary lives in s, and the returned Assignment's slices and
+// bitmaps alias scratch memory. The result is valid only until the next
+// AssignInto call with the same scratch; callers that persist it must
+// copy it. It never mutates the member bitmaps, so workers may share
+// member slices, but the scratch itself is not safe for concurrent use,
+// and the HasSRuleCapacity callback must be safe to call from every
+// worker that runs (the controller passes closures over atomic
+// occupancy counters).
 func AssignInto(members []Member, c Constraints, s *Scratch) Assignment {
-	if s.srules == nil {
-		s.srules = make(map[uint16]bitmap.Bitmap)
-	}
-	clear(s.srules)
-	out := Assignment{SRules: s.srules}
+	var out Assignment
 	if len(members) == 0 {
 		return out
 	}
@@ -220,6 +191,7 @@ func AssignInto(members []Member, c Constraints, s *Scratch) Assignment {
 	}
 
 	// Spill: s-rules where capacity remains, default p-rule otherwise.
+	s.srules = s.srules[:0]
 	s.defSwitches = s.defSwitches[:0]
 	s.defPops = s.defPops[:0]
 	haveDefault := false
@@ -227,7 +199,7 @@ func AssignInto(members []Member, c Constraints, s *Scratch) Assignment {
 		cl := &work[i]
 		for _, sw := range cl.switches {
 			if c.HasSRuleCapacity != nil && c.HasSRuleCapacity(sw) {
-				out.SRules[sw] = cl.ports
+				s.srules = append(s.srules, sw)
 				continue
 			}
 			if !haveDefault {
@@ -239,6 +211,10 @@ func AssignInto(members []Member, c Constraints, s *Scratch) Assignment {
 			s.defSwitches = append(s.defSwitches, sw)
 			s.defPops = append(s.defPops, cl.pop)
 		}
+	}
+	if len(s.srules) > 0 {
+		slices.Sort(s.srules)
+		out.SRules = s.srules
 	}
 	// Account default-rule redundancy after the final OR is known: each
 	// default switch's ports ⊆ default, so its spurious ports are

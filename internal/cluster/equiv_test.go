@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"elmo/internal/bitmap"
@@ -32,14 +33,8 @@ func equalAssignments(a, b Assignment) error {
 			return fmt.Errorf("rule %d bitmap %s != %s", i, ra.Bitmap, rb.Bitmap)
 		}
 	}
-	if len(a.SRules) != len(b.SRules) {
-		return fmt.Errorf("s-rule count %d != %d", len(a.SRules), len(b.SRules))
-	}
-	for sw, bm := range a.SRules {
-		other, ok := b.SRules[sw]
-		if !ok || !bm.Equal(other) {
-			return fmt.Errorf("s-rule for switch %d differs", sw)
-		}
+	if !slices.Equal(a.SRules, b.SRules) {
+		return fmt.Errorf("s-rules %v != %v", a.SRules, b.SRules)
 	}
 	if (a.Default == nil) != (b.Default == nil) {
 		return fmt.Errorf("default presence %t != %t", a.Default != nil, b.Default != nil)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
 
 	"elmo/internal/bitmap"
@@ -25,7 +26,7 @@ import (
 // is O(classes²·picked) bitmap temporaries per rule plus a linear
 // member scan per default-rule switch.
 func ReferenceAssign(members []Member, c Constraints) Assignment {
-	out := Assignment{SRules: make(map[uint16]bitmap.Bitmap)}
+	var out Assignment
 	if len(members) == 0 {
 		return out
 	}
@@ -53,7 +54,8 @@ func ReferenceAssign(members []Member, c Constraints) Assignment {
 	for _, cl := range classes {
 		for _, sw := range cl.switches {
 			if c.HasSRuleCapacity != nil && c.HasSRuleCapacity(sw) {
-				out.SRules[sw] = cl.ports.Clone()
+				out.SRules = append(out.SRules, sw)
+				slices.Sort(out.SRules)
 				continue
 			}
 			if out.Default == nil {

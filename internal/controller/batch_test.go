@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -70,12 +71,12 @@ func requireOccupancyConserved(t *testing.T, c *Controller) {
 	wantLeaf := make([]int, topo.NumLeaves())
 	wantSpine := make([]int, topo.NumSpines())
 	for _, enc := range encSnapshot(c) {
-		for l := range enc.LeafSRules {
+		for _, l := range enc.LeafSRules {
 			wantLeaf[l]++
 		}
-		for p := range enc.SpineSRules {
-			for plane := 0; plane < topo.Config().SpinesPerPod; plane++ {
-				wantSpine[topo.SpineAt(p, plane)]++
+		for s := range wantSpine {
+			if slices.Contains(enc.SpineSRules, topo.SpinePod(topology.SpineID(s))) {
+				wantSpine[s]++
 			}
 		}
 	}

@@ -441,7 +441,7 @@ var errNoChange = errors.New("controller: no membership change")
 
 // setRole is the one membership edit, run whole as one admission
 // transaction: it looks the group up, adds role to (join) or takes it
-// from (leave) host's membership, re-encodes incrementally when the
+// from (leave) host's membership, rebuilds the encoding when the
 // receiver set changed (see incremental.go), and publishes the role,
 // the encoding and their switch updates together. Nothing is written
 // before the encode succeeds, so a failed op leaves the group as it
@@ -476,7 +476,7 @@ func (c *Controller) setRole(key GroupKey, host topology.HostID, role Role, join
 		if !retree {
 			return g.Enc, nil
 		}
-		return incrementalEncoding(c.topo, c.cfg, cap, g.Enc, host, join, &c.scratch)
+		return incrementalEncoding(c.topo, c.cfg, cap, g.Enc, g.Members, host, join, &c.scratch)
 	}, func(enc *Encoding) error {
 		c.publishRole(g, host, next, enc)
 		if retree {
@@ -530,35 +530,7 @@ func (c *Controller) publishRole(g *GroupState, host topology.HostID, next Role,
 		return
 	}
 	g.Enc = enc
-	// Leaf s-rule diffs.
-	for l, bm := range oldEnc.LeafSRules {
-		nbm, ok := enc.LeafSRules[l]
-		if !ok || !nbm.Equal(bm) {
-			c.stats.Leaf[l]++
-		}
-	}
-	for l := range enc.LeafSRules {
-		if _, ok := oldEnc.LeafSRules[l]; !ok {
-			c.stats.Leaf[l]++
-		}
-	}
-	// Spine s-rule diffs (replicated per physical spine of the pod).
-	chargePod := func(p topology.PodID) {
-		for plane := 0; plane < c.topo.Config().SpinesPerPod; plane++ {
-			c.stats.Spine[c.topo.SpineAt(p, plane)]++
-		}
-	}
-	for p, bm := range oldEnc.SpineSRules {
-		nbm, ok := enc.SpineSRules[p]
-		if !ok || !nbm.Equal(bm) {
-			chargePod(p)
-		}
-	}
-	for p := range enc.SpineSRules {
-		if _, ok := oldEnc.SpineSRules[p]; !ok {
-			chargePod(p)
-		}
-	}
+	c.chargeSRules(oldEnc, enc)
 	// Shared downstream change → all sender hypervisors re-encode
 	// their headers.
 	if !sharedEqual(oldEnc, enc) {
@@ -568,6 +540,41 @@ func (c *Controller) publishRole(g *GroupState, host topology.HostID, next Role,
 			}
 		}
 	}
+}
+
+// diffSRules calls charge for every switch whose group-table entry
+// changes between two encodings: one in only one of the ascending s-rule
+// lists a and b, or in both with a different tree bitmap (an entry holds
+// the switch's tree bitmap, aTree or bTree).
+func diffSRules[K ~int](a, b []K, aTree, bTree map[K]bitmap.Bitmap, charge func(K)) {
+	for len(a) > 0 || len(b) > 0 {
+		switch {
+		case len(b) == 0 || (len(a) > 0 && a[0] < b[0]):
+			charge(a[0])
+			a = a[1:]
+		case len(a) == 0 || b[0] < a[0]:
+			charge(b[0])
+			b = b[1:]
+		default:
+			if !aTree[a[0]].Equal(bTree[b[0]]) {
+				charge(a[0])
+			}
+			a, b = a[1:], b[1:]
+		}
+	}
+}
+
+// chargeSRules counts the switch updates of replacing encoding a by b:
+// one per leaf, and one per spine holding a pod's entry, whose s-rule
+// entry is added, removed or changed. The caller holds mu.
+func (c *Controller) chargeSRules(a, b *Encoding) {
+	diffSRules(a.LeafSRules, b.LeafSRules, a.LeafPorts, b.LeafPorts, func(l topology.LeafID) { c.stats.Leaf[l]++ })
+	diffSRules(a.SpineSRules, b.SpineSRules, a.PodLeaves, b.PodLeaves, func(p topology.PodID) {
+		first, end := SRuleSpines(c.topo, p)
+		for s := first; s < end; s++ {
+			c.stats.Spine[s]++
+		}
+	})
 }
 
 // traceEncode records one encoding run with the clustering constraints
@@ -601,14 +608,7 @@ func (c *Controller) releaseSRulesCharged(e *Encoding) {
 		return
 	}
 	c.occ.Release(e)
-	for l := range e.LeafSRules {
-		c.stats.Leaf[l]++
-	}
-	for p := range e.SpineSRules {
-		for plane := 0; plane < c.topo.Config().SpinesPerPod; plane++ {
-			c.stats.Spine[c.topo.SpineAt(p, plane)]++
-		}
-	}
+	c.chargeSRules(e, &Encoding{})
 }
 
 // sharedEqual reports whether two encodings put the same

@@ -3,6 +3,7 @@ package controller
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -117,7 +118,7 @@ func TestComputeEncodingWithSRules(t *testing.T) {
 	if enc.DLeafDefault != nil {
 		t.Fatal("default rule used despite s-rule capacity")
 	}
-	if _, ok := enc.LeafSRules[7]; !ok {
+	if !slices.Contains(enc.LeafSRules, 7) {
 		t.Fatalf("expected s-rule on L7, got %v", enc.LeafSRules)
 	}
 	if !enc.Exact() || !enc.UsesSRules() {
@@ -376,7 +377,7 @@ func TestSRuleAccounting(t *testing.T) {
 	if len(g.Enc.LeafSRules) == 0 {
 		t.Fatal("expected leaf s-rules with zero p-rule budget")
 	}
-	for l := range g.Enc.LeafSRules {
+	for _, l := range g.Enc.LeafSRules {
 		if c.occ.LeafCount(l) != 1 {
 			t.Fatalf("leaf %d occupancy = %d", l, c.occ.LeafCount(l))
 		}

@@ -120,11 +120,13 @@ type Encoding struct {
 	DLeaf        []header.PRule
 	DLeafDefault *bitmap.Bitmap
 
-	// SpineSRules lists pods whose logical spine takes a group-table
-	// entry (installed in every physical spine of the pod).
-	SpineSRules map[topology.PodID]bitmap.Bitmap
-	// LeafSRules lists leaves taking a group-table entry.
-	LeafSRules map[topology.LeafID]bitmap.Bitmap
+	// SpineSRules lists, ascending, the pods whose logical spine takes a
+	// group-table entry. The entry holds the pod's tree bitmap,
+	// PodLeaves[p], in every physical spine SRuleSpines names.
+	SpineSRules []topology.PodID
+	// LeafSRules lists, ascending, the leaves taking a group-table
+	// entry. The entry holds the leaf's tree bitmap, LeafPorts[l].
+	LeafSRules []topology.LeafID
 
 	// Redundancy is the total spurious transmissions introduced by
 	// p-rule sharing and default rules across both layers. It is the
@@ -163,13 +165,16 @@ func NoCapacity() CapacityFunc {
 }
 
 // EncodeScratch owns the reusable working memory of one encoder: the
-// clustering scratch, the member slice of the layer being encoded, and
-// the tree-building marks. One scratch serves one goroutine; the batch
-// pipeline gives each worker its own and the controller keeps one for
-// the serial Join/Leave/Create paths. The zero value is ready to use.
+// clustering scratch, the member slice and s-rule switches of the layer
+// being encoded, a Join/Leave's receiver list, and the tree-building
+// marks. One scratch serves one goroutine; the batch pipeline gives each
+// worker its own and the controller keeps one for the serial
+// Join/Leave/Create paths. The zero value is ready to use.
 type EncodeScratch struct {
-	cluster cluster.Scratch
-	members []cluster.Member
+	cluster   cluster.Scratch
+	members   []cluster.Member
+	srules    []uint16
+	receivers []topology.HostID
 
 	// stamp names the encoding being built: leafStamp[l] == stamp marks
 	// leaf l as seen by it, with its bitmap at leafBms[leafSlot[l]], and
@@ -210,13 +215,13 @@ func ComputeEncoding(topo *topology.Topology, cfg Config, cap CapacityFunc, rece
 // memory: all clustering temporaries are reused across calls, so a warm
 // scratch allocates only the returned Encoding itself — the struct, its
 // tree maps and one word slab for the tree, then per layer a rule
-// slice, a switch slab, one word slab and any s-rule map. The result
+// slice, a switch slab, one word slab and any s-rule list. The result
 // owns all of its memory (nothing aliases the scratch).
 func ComputeEncodingInto(topo *topology.Topology, cfg Config, cap CapacityFunc, receivers []topology.HostID, s *EncodeScratch) (*Encoding, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := buildTree(topo, receivers, s)
+	e := buildTree(topo, receivers, nil, s)
 	if len(receivers) == 0 {
 		return e, nil
 	}
@@ -231,10 +236,13 @@ func ComputeEncodingInto(topo *topology.Topology, cfg Config, cap CapacityFunc, 
 }
 
 // buildTree returns an encoding holding only the tree section (Pods,
-// LeafPorts, PodLeaves) of the given receivers. It first numbers the
-// receivers' distinct leaves and pods, so both maps are made at their
-// final size and every tree bitmap is carved from one word slab.
-func buildTree(topo *topology.Topology, receivers []topology.HostID, s *EncodeScratch) *Encoding {
+// LeafPorts, PodLeaves) of the given receivers, in any order. It first
+// numbers the receivers' distinct leaves and pods, so the maps are made
+// at their final size and every tree bitmap is carved from one word
+// slab. A non-nil same is an encoding whose receivers span the same
+// leaves: its pod half (Pods, PodLeaves) is taken as it is, and only the
+// leaf half is built.
+func buildTree(topo *topology.Topology, receivers []topology.HostID, same *Encoding, s *EncodeScratch) *Encoding {
 	s.nextStamp(topo.NumLeaves(), topo.NumPods())
 	for _, h := range receivers {
 		leaf := topo.HostLeaf(h)
@@ -253,29 +261,35 @@ func buildTree(topo *topology.Topology, receivers []topology.HostID, s *EncodeSc
 	}
 
 	leafWidth, podWidth := topo.LeafDownWidth(), topo.SpineDownWidth()
-	slab := make([]uint64, bitmap.WordLen(topo.CoreDownWidth())+
-		len(s.leaves)*bitmap.WordLen(leafWidth)+len(s.pods)*bitmap.WordLen(podWidth))
-	e := &Encoding{
-		LeafPorts: make(map[topology.LeafID]bitmap.Bitmap, len(s.leaves)),
-		PodLeaves: make(map[topology.PodID]bitmap.Bitmap, len(s.pods)),
+	words := len(s.leaves) * bitmap.WordLen(leafWidth)
+	if same == nil {
+		words += bitmap.WordLen(topo.CoreDownWidth()) + len(s.pods)*bitmap.WordLen(podWidth)
 	}
-	e.Pods, slab = bitmap.Carve(topo.CoreDownWidth(), slab)
+	slab := make([]uint64, words)
+	e := &Encoding{LeafPorts: make(map[topology.LeafID]bitmap.Bitmap, len(s.leaves))}
 	s.leafBms = slices.Grow(s.leafBms[:0], len(s.leaves))[:len(s.leaves)]
 	for i := range s.leafBms {
 		s.leafBms[i], slab = bitmap.Carve(leafWidth, slab)
 	}
-	s.podBms = slices.Grow(s.podBms[:0], len(s.pods))[:len(s.pods)]
-	for i := range s.podBms {
-		s.podBms[i], slab = bitmap.Carve(podWidth, slab)
-	}
-
 	for _, h := range receivers {
 		s.leafBms[s.leafSlot[topo.HostLeaf(h)]].Set(topo.HostPort(h))
 	}
 	for i, leaf := range s.leaves {
-		pod := topo.LeafPod(leaf)
-		s.podBms[s.podSlot[pod]].Set(topo.LeafIndexInPod(leaf))
 		e.LeafPorts[leaf] = s.leafBms[i]
+	}
+	if same != nil {
+		e.Pods, e.PodLeaves = same.Pods, same.PodLeaves
+		return e
+	}
+
+	e.Pods, slab = bitmap.Carve(topo.CoreDownWidth(), slab)
+	e.PodLeaves = make(map[topology.PodID]bitmap.Bitmap, len(s.pods))
+	s.podBms = slices.Grow(s.podBms[:0], len(s.pods))[:len(s.pods)]
+	for i := range s.podBms {
+		s.podBms[i], slab = bitmap.Carve(podWidth, slab)
+	}
+	for _, leaf := range s.leaves {
+		s.podBms[s.podSlot[topo.LeafPod(leaf)]].Set(topo.LeafIndexInPod(leaf))
 	}
 	for i, pod := range s.pods {
 		e.Pods.Set(int(pod))
@@ -312,12 +326,13 @@ func encodeSpineLayer(cfg Config, cap CapacityFunc, e *Encoding, s *EncodeScratc
 // lim carries the layer's R, HMax and KMax. Legacy switches can only
 // forward from their group tables, so they are forced onto s-rules and
 // only the modern ones are clustered. It returns the layer's p-rules,
-// default rule, s-rules and redundancy, all owning their memory.
+// default rule, s-rule switches (ascending; each entry holds the
+// switch's tree bitmap) and redundancy, all owning their memory.
 func encodeLayer[K ~int](layer string, tree map[K]bitmap.Bitmap, legacy []K, free func(K) bool,
 	s *EncodeScratch, lim cluster.Constraints,
-) (rules []header.PRule, def *bitmap.Bitmap, srules map[K]bitmap.Bitmap, redundancy int, err error) {
+) (rules []header.PRule, def *bitmap.Bitmap, srules []K, redundancy int, err error) {
 	isLegacy := legacySet(legacy)
-	s.members = s.members[:0]
+	s.members, s.srules = s.members[:0], s.srules[:0]
 	for sw, ports := range tree {
 		if !isLegacy[sw] {
 			s.members = append(s.members, cluster.Member{Switch: uint16(sw), Ports: ports})
@@ -326,15 +341,19 @@ func encodeLayer[K ~int](layer string, tree map[K]bitmap.Bitmap, legacy []K, fre
 		if free == nil || !free(sw) {
 			return nil, nil, nil, 0, fmt.Errorf("controller: %w (%s %d)", ErrLegacyTableFull, layer, sw)
 		}
-		if srules == nil {
-			srules = make(map[K]bitmap.Bitmap)
-		}
-		srules[sw] = ports.Clone()
+		s.srules = append(s.srules, uint16(sw))
 	}
 	lim.HasSRuleCapacity = func(sw uint16) bool { return free != nil && free(K(sw)) }
 	assign := assignLayer(s.members, lim, &s.cluster)
-	// Every bitmap the layer keeps — p-rules, default rule, s-rules — is
-	// carved from one word slab.
+	if s.srules = append(s.srules, assign.SRules...); len(s.srules) > 0 {
+		srules = make([]K, len(s.srules))
+		for i, sw := range s.srules {
+			srules[i] = K(sw)
+		}
+		slices.Sort(srules)
+	}
+	// Every bitmap the layer keeps — p-rules and default rule — is carved
+	// from one word slab.
 	words := 0
 	for _, r := range assign.PRules {
 		words += bitmap.WordLen(r.Bitmap.Width())
@@ -342,23 +361,12 @@ func encodeLayer[K ~int](layer string, tree map[K]bitmap.Bitmap, legacy []K, fre
 	if assign.Default != nil {
 		words += bitmap.WordLen(assign.Default.Width())
 	}
-	for _, bm := range assign.SRules {
-		words += bitmap.WordLen(bm.Width())
-	}
 	slab := make([]uint64, words)
 	rules, slab = rulesFrom(assign.PRules, slab)
 	if assign.Default != nil {
 		var d bitmap.Bitmap
-		d, slab = keep(*assign.Default, slab)
+		d, _ = keep(*assign.Default, slab)
 		def = &d
-	}
-	if len(assign.SRules) > 0 {
-		if srules == nil {
-			srules = make(map[K]bitmap.Bitmap, len(assign.SRules))
-		}
-		for sw, bm := range assign.SRules {
-			srules[K(sw)], slab = keep(bm, slab)
-		}
 	}
 	return rules, def, srules, assign.Redundancy, nil
 }

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"slices"
 	"testing"
 
 	"elmo/internal/topology"
@@ -122,7 +123,7 @@ func TestRecomputeRollbackOnLegacyFailure(t *testing.T) {
 		t.Fatalf("occupancy changed: %d -> %d", occBefore, c.occ.LeafCount(7))
 	}
 	g1 := c.Group(GroupKey{Tenant: 1, Group: 1})
-	if _, ok := g1.Enc.LeafSRules[7]; !ok {
+	if !slices.Contains(g1.Enc.LeafSRules, 7) {
 		t.Fatal("group 1 lost its legacy s-rule")
 	}
 	// Group 2 remains usable for its previous members.

@@ -41,7 +41,9 @@ type TreeLeaf struct {
 // EncodingInfo breaks down how the group's tree is encoded: p-rules
 // carried in the packet header versus s-rules installed in switch
 // group tables, defaults, and the redundancy (spurious transmissions)
-// the sharing introduced.
+// the sharing introduced. SpineSRules and LeafSRules count the pods and
+// leaves that hold the group's s-rule, as the p-rule fields count
+// rules.
 type EncodingInfo struct {
 	Pods            []int `json:"pods"`
 	SpinePRules     int   `json:"spine_prules"`
@@ -152,15 +154,11 @@ func (c *Controller) InspectGroup(key GroupKey) (*GroupDetail, bool) {
 			LeafPRules:      len(e.DLeaf),
 			SpineDefault:    e.DSpineDefault != nil,
 			LeafDefault:     e.DLeafDefault != nil,
+			SpineSRules:     len(e.SpineSRules),
+			LeafSRules:      len(e.LeafSRules),
 			Redundancy:      e.Redundancy,
 			LeafRedundancy:  e.LeafRedundancy,
 			SpineRedundancy: e.SpineRedundancy,
-		}
-		for _, bm := range e.SpineSRules {
-			d.Encoding.SpineSRules += bm.PopCount()
-		}
-		for _, bm := range e.LeafSRules {
-			d.Encoding.LeafSRules += bm.PopCount()
 		}
 		for leaf, ports := range e.LeafPorts {
 			d.Tree = append(d.Tree, TreeLeaf{Leaf: leaf, Pod: c.topo.LeafPod(leaf), Ports: ports.Ports()})

@@ -90,3 +90,35 @@ func TestInspectGroupsAndController(t *testing.T) {
 		t.Fatalf("controller info %+v disagrees with stats %+v", info, st)
 	}
 }
+
+// TestInspectGroupCountsSRuleEntries pins what the s-rule fields of the
+// group view count: the switches holding the group's entry, as the
+// p-rule fields beside them count rules — not the ports those entries
+// cover. With no p-rule budget, the Figure 3 group takes an s-rule on
+// each of its 4 leaves (6 receiver ports) and 3 pods (4 receiver leaves).
+func TestInspectGroupCountsSRuleEntries(t *testing.T) {
+	cfg := testConfig(0)
+	cfg.LeafRuleLimit, cfg.SpineRuleLimit = 0, 0
+	c, err := New(paperTopo(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := GroupKey{Tenant: 1, Group: 3}
+	members := make(map[topology.HostID]Role)
+	for _, h := range figure3Receivers() {
+		members[h] = RoleBoth
+	}
+	if _, err := c.CreateGroup(key, members); err != nil {
+		t.Fatal(err)
+	}
+	d, ok := c.InspectGroup(key)
+	if !ok {
+		t.Fatal("group not found")
+	}
+	if e := d.Encoding; e.LeafSRules != 4 || e.SpineSRules != 3 || e.LeafPRules != 0 || e.SpinePRules != 0 {
+		t.Fatalf("encoding view %+v, want 4 leaf and 3 spine s-rules, no p-rules", e)
+	}
+	if !d.UsesSRules || !d.Exact {
+		t.Fatalf("summary %+v, want an exact encoding on s-rules", d.GroupSummary)
+	}
+}

@@ -61,11 +61,20 @@ func (o *Occupancy) leafFree(l topology.LeafID) bool {
 	return int(atomic.LoadInt64(&o.leaf[l])) < o.capacity
 }
 
-// podFree reports whether every physical spine of pod p has room (the
-// logical-spine rule is replicated to each physical spine of the pod).
+// SRuleSpines returns, as the ID range [first, end), the physical
+// spines that hold pod p's logical-spine s-rule: every spine of the pod,
+// since the rule is replicated to each plane (DESIGN.md, limitation 1).
+// Occupancy, update charging, state restore and the fabric install walk
+// all ask here.
+func SRuleSpines(topo *topology.Topology, p topology.PodID) (first, end topology.SpineID) {
+	return topo.PodSpines(p)
+}
+
+// podFree reports whether every spine holding pod p's s-rule has room.
 func (o *Occupancy) podFree(p topology.PodID) bool {
-	for plane := 0; plane < o.topo.Config().SpinesPerPod; plane++ {
-		if int(atomic.LoadInt64(&o.spine[o.topo.SpineAt(p, plane)])) >= o.capacity {
+	first, end := SRuleSpines(o.topo, p)
+	for s := first; s < end; s++ {
+		if int(atomic.LoadInt64(&o.spine[s])) >= o.capacity {
 			return false
 		}
 	}
@@ -79,31 +88,24 @@ func (o *Occupancy) CapacityFunc() CapacityFunc {
 }
 
 // Commit charges an encoding's s-rules to the counters.
-func (o *Occupancy) Commit(e *Encoding) {
-	if e == nil {
-		return
-	}
-	for l := range e.LeafSRules {
-		atomic.AddInt64(&o.leaf[l], 1)
-	}
-	for p := range e.SpineSRules {
-		for plane := 0; plane < o.topo.Config().SpinesPerPod; plane++ {
-			atomic.AddInt64(&o.spine[o.topo.SpineAt(p, plane)], 1)
-		}
-	}
-}
+func (o *Occupancy) Commit(e *Encoding) { o.add(e, 1) }
 
 // Release returns an encoding's s-rules to the counters.
-func (o *Occupancy) Release(e *Encoding) {
+func (o *Occupancy) Release(e *Encoding) { o.add(e, -1) }
+
+// add adds delta to the counter of every switch holding one of e's
+// s-rules.
+func (o *Occupancy) add(e *Encoding, delta int64) {
 	if e == nil {
 		return
 	}
-	for l := range e.LeafSRules {
-		atomic.AddInt64(&o.leaf[l], -1)
+	for _, l := range e.LeafSRules {
+		atomic.AddInt64(&o.leaf[l], delta)
 	}
-	for p := range e.SpineSRules {
-		for plane := 0; plane < o.topo.Config().SpinesPerPod; plane++ {
-			atomic.AddInt64(&o.spine[o.topo.SpineAt(p, plane)], -1)
+	for _, p := range e.SpineSRules {
+		first, end := SRuleSpines(o.topo, p)
+		for s := first; s < end; s++ {
+			atomic.AddInt64(&o.spine[s], delta)
 		}
 	}
 }

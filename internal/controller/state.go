@@ -76,6 +76,16 @@ func writeBitmapMap[K ~int](sw *stateWriter, m map[K]bitmap.Bitmap) {
 	}
 }
 
+// writeSRules writes an ascending s-rule list in writeBitmapMap's
+// layout: each switch with the bitmap its entry holds, its tree bitmap.
+func writeSRules[K ~int](sw *stateWriter, ids []K, tree map[K]bitmap.Bitmap) {
+	sw.uvarint(uint64(len(ids)))
+	for _, k := range ids {
+		sw.uvarint(uint64(k))
+		sw.bitmap(tree[k])
+	}
+}
+
 // group writes one group's record: key, members, encoding.
 func (sw *stateWriter) group(key GroupKey, g *GroupState) {
 	sw.uvarint(uint64(key.Tenant))
@@ -125,8 +135,8 @@ func (sw *stateWriter) encoding(e *Encoding) {
 	sw.optBitmap(e.DSpineDefault)
 	sw.rules(e.DLeaf)
 	sw.optBitmap(e.DLeafDefault)
-	writeBitmapMap(sw, e.SpineSRules)
-	writeBitmapMap(sw, e.LeafSRules)
+	writeSRules(sw, e.SpineSRules, e.PodLeaves)
+	writeSRules(sw, e.LeafSRules, e.LeafPorts)
 	sw.uvarint(uint64(e.LeafRedundancy))
 	sw.uvarint(uint64(e.SpineRedundancy))
 	sw.uvarint(uint64(e.Redundancy))
@@ -146,8 +156,9 @@ func (sw *stateWriter) rules(rules []header.PRule) {
 // stateReader decodes the WriteState stream with bounds checking; any
 // malformed input surfaces as an error, never a panic.
 type stateReader struct {
-	r   *bufio.Reader
-	buf []byte
+	r     *bufio.Reader
+	buf   []byte
+	srule bitmap.Bitmap // an s-rule's bitmap, compared and dropped
 }
 
 func (sr *stateReader) uvarint() (uint64, error) {
@@ -172,19 +183,26 @@ func (sr *stateReader) count(cap uint64, what string) (int, error) {
 }
 
 func (sr *stateReader) bitmap(width int) (bitmap.Bitmap, error) {
+	var b bitmap.Bitmap
+	err := sr.bitmapInto(width, &b)
+	return b, err
+}
+
+// bitmapInto decodes a bitmap of the given width into b, reusing its
+// words when wide enough.
+func (sr *stateReader) bitmapInto(width int, b *bitmap.Bitmap) error {
 	n := bitmap.ByteLen(width)
 	if cap(sr.buf) < n {
 		sr.buf = make([]byte, n)
 	}
 	sr.buf = sr.buf[:n]
 	if _, err := io.ReadFull(sr.r, sr.buf); err != nil {
-		return bitmap.Bitmap{}, fmt.Errorf("controller: state truncated bitmap: %w", err)
+		return fmt.Errorf("controller: state truncated bitmap: %w", err)
 	}
-	b, _, err := bitmap.FromWire(width, sr.buf)
-	if err != nil {
-		return bitmap.Bitmap{}, fmt.Errorf("controller: state bitmap: %w", err)
+	if _, err := bitmap.FromWireInto(width, sr.buf, b); err != nil {
+		return fmt.Errorf("controller: state bitmap: %w", err)
 	}
-	return b, nil
+	return nil
 }
 
 // ReadState restores a controller from a WriteState stream. The
@@ -280,19 +298,12 @@ func (c *Controller) ReadState(r io.Reader) error {
 	}
 	// A stream written under a larger Fmax (another -srules, or forged)
 	// can hold more s-rules for one switch than this controller's
-	// tables; a logical-spine rule takes an entry in every spine of its
-	// pod, so a pod's tally is each of its spines'.
-	leafRules := make([]int, c.topo.NumLeaves())
-	podRules := make([]int, c.topo.Config().Pods)
+	// tables: tally them as the live counters would.
+	tally := NewOccupancy(c.topo, c.occ.Capacity())
 	for _, lg := range groups {
-		for l := range lg.g.Enc.LeafSRules {
-			leafRules[l]++
-		}
-		for p := range lg.g.Enc.SpineSRules {
-			podRules[p]++
-		}
+		tally.Commit(lg.g.Enc)
 	}
-	if most := max(slices.Max(leafRules), slices.Max(podRules)); most > c.occ.Capacity() {
+	if most := int(max(slices.Max(tally.leaf), slices.Max(tally.spine))); most > c.occ.Capacity() {
 		return fmt.Errorf("controller: state holds %d s-rules for one switch, capacity %d", most, c.occ.Capacity())
 	}
 
@@ -312,40 +323,76 @@ func (c *Controller) ReadState(r io.Reader) error {
 	return nil
 }
 
-// readBitmapMap decodes a map written by writeBitmapMap: at most limit
-// entries, keys strictly ascending and below limit, every bitmap of the
-// given width. what names the section in errors. An empty section
-// decodes to an empty map (the tree maps) or, with nilIfEmpty, to nil
-// (the s-rule maps) — the shapes the encoder itself produces.
-func readBitmapMap[K ~int](sr *stateReader, what string, limit uint64, width int, nilIfEmpty bool) (map[K]bitmap.Bitmap, error) {
+// readBitmapMap decodes a tree map written by writeBitmapMap: at most
+// limit entries, keys strictly ascending and below limit, every bitmap
+// of the given width. what names the section in errors.
+func readBitmapMap[K ~int](sr *stateReader, what string, limit uint64, width int) (map[K]bitmap.Bitmap, error) {
 	n, err := sr.count(limit, what)
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 && nilIfEmpty {
-		return nil, nil
-	}
 	m := make(map[K]bitmap.Bitmap, n)
-	var prev uint64
-	for i := 0; i < n; i++ {
-		k, err := sr.uvarint()
+	for i, prev := 0, -1; i < n; i++ {
+		k, err := sr.key(what, limit, prev)
 		if err != nil {
 			return nil, err
 		}
-		if k >= limit {
-			return nil, fmt.Errorf("%s %d outside topology", what, k)
-		}
-		// A repeated key would collapse into one entry and the restored
-		// state would not re-serialise to the stream it was read from.
-		if i > 0 && k <= prev {
-			return nil, fmt.Errorf("%s %d out of order", what, k)
-		}
-		prev = k
+		prev = int(k)
 		if m[K(k)], err = sr.bitmap(width); err != nil {
 			return nil, err
 		}
 	}
 	return m, nil
+}
+
+// readSRules decodes an s-rule list written by writeSRules against the
+// group's tree: every switch must be on it and carry exactly its tree
+// bitmap, the only bitmap an entry can hold. The bitmaps are checked and
+// dropped; the switch IDs are kept, and an empty list is nil — the
+// shape the encoder produces.
+func readSRules[K ~int](sr *stateReader, what string, limit uint64, width int, tree map[K]bitmap.Bitmap) ([]K, error) {
+	n, err := sr.count(limit, what)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	ids := make([]K, n)
+	for i, prev := 0, -1; i < n; i++ {
+		k, err := sr.key(what, limit, prev)
+		if err != nil {
+			return nil, err
+		}
+		prev = int(k)
+		if err := sr.bitmapInto(width, &sr.srule); err != nil {
+			return nil, err
+		}
+		ports, ok := tree[K(k)]
+		if !ok {
+			return nil, fmt.Errorf("%s %d is not on the group's tree", what, k)
+		}
+		if !sr.srule.Equal(ports) {
+			return nil, fmt.Errorf("%s %d holds ports %s, its tree bitmap is %s", what, k, sr.srule, ports)
+		}
+		ids[i] = K(k)
+	}
+	return ids, nil
+}
+
+// key reads one switch key of a table: below limit and above prev, the
+// key before it (-1 for the first). A repeated key would collapse into
+// one entry and the restored state would not re-serialise to the stream
+// it was read from.
+func (sr *stateReader) key(what string, limit uint64, prev int) (uint64, error) {
+	k, err := sr.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if k >= limit {
+		return 0, fmt.Errorf("%s %d outside topology", what, k)
+	}
+	if int(k) <= prev {
+		return 0, fmt.Errorf("%s %d out of order", what, k)
+	}
+	return k, nil
 }
 
 // optBitmap decodes what stateWriter.optBitmap wrote.
@@ -413,10 +460,10 @@ func (sr *stateReader) readEncoding(topo *topology.Topology) (*Encoding, error) 
 	if e.Pods, err = sr.bitmap(topo.CoreDownWidth()); err != nil {
 		return nil, err
 	}
-	if e.LeafPorts, err = readBitmapMap[topology.LeafID](sr, "tree leaf", numLeaves, leafWidth, false); err != nil {
+	if e.LeafPorts, err = readBitmapMap[topology.LeafID](sr, "tree leaf", numLeaves, leafWidth); err != nil {
 		return nil, err
 	}
-	if e.PodLeaves, err = readBitmapMap[topology.PodID](sr, "tree pod", numPods, spineWidth, false); err != nil {
+	if e.PodLeaves, err = readBitmapMap[topology.PodID](sr, "tree pod", numPods, spineWidth); err != nil {
 		return nil, err
 	}
 	if e.DSpine, err = sr.rules(spineWidth, numPods); err != nil {
@@ -431,10 +478,10 @@ func (sr *stateReader) readEncoding(topo *topology.Topology) (*Encoding, error) 
 	if e.DLeafDefault, err = sr.optBitmap(leafWidth); err != nil {
 		return nil, err
 	}
-	if e.SpineSRules, err = readBitmapMap[topology.PodID](sr, "s-rule pod", numPods, spineWidth, true); err != nil {
+	if e.SpineSRules, err = readSRules(sr, "s-rule pod", numPods, spineWidth, e.PodLeaves); err != nil {
 		return nil, err
 	}
-	if e.LeafSRules, err = readBitmapMap[topology.LeafID](sr, "s-rule leaf", numLeaves, leafWidth, true); err != nil {
+	if e.LeafSRules, err = readSRules(sr, "s-rule leaf", numLeaves, leafWidth, e.LeafPorts); err != nil {
 		return nil, err
 	}
 	var red [3]uint64

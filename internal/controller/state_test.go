@@ -200,6 +200,65 @@ func TestReadStateRejectsCorruptInput(t *testing.T) {
 	}
 }
 
+// sruleStream is the state stream of one group whose two receiver
+// leaves both hold s-rules (no leaf p-rule budget): host 0 on leaf 0,
+// host 9 on port 1 of leaf 1. It ends with the leaf s-rule table —
+// leaf 0 with bitmap 0x01, leaf 1 with 0x02 — and three zero
+// redundancies.
+func sruleStream(t testing.TB) (Config, []byte) {
+	t.Helper()
+	cfg := testConfig(0)
+	cfg.LeafRuleLimit = 0
+	c, _ := New(paperTopo(), cfg)
+	if _, err := c.CreateGroup(GroupKey{Tenant: 1, Group: 1}, map[topology.HostID]Role{0: RoleBoth, 9: RoleReceiver}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := c.WriteState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	if n := len(b); !bytes.Equal(b[n-8:], []byte{2, 0, 0x01, 1, 0x02, 0, 0, 0}) {
+		t.Fatalf("the s-rule stream is not laid out as the cases assume: %x", b)
+	}
+	return cfg, b
+}
+
+// TestReadStateRefusesSRuleOffItsTree: an s-rule's entry holds its
+// switch's tree bitmap, so a stream whose s-rule names other ports, or a
+// switch off the group's tree, is refused with an error naming the
+// switch, and leaves the controller empty.
+func TestReadStateRefusesSRuleOffItsTree(t *testing.T) {
+	cfg, valid := sruleStream(t)
+	n := len(valid)
+	flipped := bytes.Clone(valid)
+	flipped[n-4] ^= 0x01 // leaf 1's entry now also covers port 0
+	offTree := bytes.Clone(valid)
+	offTree[n-5] = 2 // leaf 2 has no receiver
+	for name, tc := range map[string]struct {
+		data []byte
+		want string
+	}{
+		"flipped bitmap": {flipped, "s-rule leaf 1 holds ports"},
+		"off-tree leaf":  {offTree, "s-rule leaf 2 is not on the group's tree"},
+	} {
+		c, _ := New(paperTopo(), cfg)
+		err := c.ReadState(bytes.NewReader(tc.data))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err %v, want one naming %q", name, err, tc.want)
+		}
+		leaves, spines := occSnapshot(c)
+		if c.NumGroups() != 0 || slices.Max(leaves) != 0 || slices.Max(spines) != 0 {
+			t.Fatalf("%s left %d groups, occupancy %v / %v", name, c.NumGroups(), leaves, spines)
+		}
+	}
+	c, _ := New(paperTopo(), cfg)
+	if err := c.ReadState(bytes.NewReader(valid)); err != nil {
+		t.Fatalf("the unmodified stream: %v", err)
+	}
+	requireOccupancyConserved(t, c)
+}
+
 // TestRestoreNeverHalfRestores: a well-formed stream that does not fit
 // this controller's s-rule tables (it was written under a larger Fmax)
 // is refused whole — no group and no occupancy left behind — and loads

@@ -128,8 +128,9 @@ func (f *Fabric) SetLegacyLeaf(l topology.LeafID) { f.Leaves[l].Legacy = true }
 // SetLegacyPod switches every spine of a pod into legacy mode; pair
 // with controller.Config.LegacyPods.
 func (f *Fabric) SetLegacyPod(p topology.PodID) {
-	for plane := 0; plane < f.topo.Config().SpinesPerPod; plane++ {
-		f.Spines[f.topo.SpineAt(p, plane)].Legacy = true
+	first, end := f.topo.PodSpines(p)
+	for s := first; s < end; s++ {
+		f.Spines[s].Legacy = true
 	}
 }
 

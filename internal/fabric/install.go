@@ -2,9 +2,7 @@ package fabric
 
 import (
 	"fmt"
-	"slices"
 
-	"elmo/internal/bitmap"
 	"elmo/internal/controller"
 	"elmo/internal/dataplane"
 	"elmo/internal/header"
@@ -26,16 +24,18 @@ import (
 
 // InstallEncodingAt pushes one group's s-rules and receiver filters
 // into the data plane directly from its encoding: leaves, then spines,
-// each in ascending ID order, then receivers in the order given.
+// each in ascending ID order, then receivers in the order given. A
+// switch's entry holds its bitmap in the group's tree.
 func (f *Fabric) InstallEncodingAt(epoch uint64, a dataplane.GroupAddr, enc *controller.Encoding, receivers []topology.HostID) error {
-	for _, leaf := range sortedKeys(enc.LeafSRules) {
-		if err := f.Leaves[leaf].InstallSRuleAt(epoch, a, enc.LeafSRules[leaf]); err != nil {
+	for _, leaf := range enc.LeafSRules {
+		if err := f.Leaves[leaf].InstallSRuleAt(epoch, a, enc.LeafPorts[leaf]); err != nil {
 			return err
 		}
 	}
-	for _, pod := range sortedKeys(enc.SpineSRules) {
-		for plane := 0; plane < f.topo.Config().SpinesPerPod; plane++ {
-			if err := f.Spines[f.topo.SpineAt(pod, plane)].InstallSRuleAt(epoch, a, enc.SpineSRules[pod]); err != nil {
+	for _, pod := range enc.SpineSRules {
+		first, end := controller.SRuleSpines(f.topo, pod)
+		for s := first; s < end; s++ {
+			if err := f.Spines[s].InstallSRuleAt(epoch, a, enc.PodLeaves[pod]); err != nil {
 				return err
 			}
 		}
@@ -50,14 +50,15 @@ func (f *Fabric) InstallEncodingAt(epoch uint64, a dataplane.GroupAddr, enc *con
 
 // UninstallEncodingAt reverses InstallEncodingAt, in the same order.
 func (f *Fabric) UninstallEncodingAt(epoch uint64, a dataplane.GroupAddr, enc *controller.Encoding, receivers []topology.HostID) error {
-	for _, leaf := range sortedKeys(enc.LeafSRules) {
+	for _, leaf := range enc.LeafSRules {
 		if err := f.Leaves[leaf].RemoveSRuleAt(epoch, a); err != nil {
 			return err
 		}
 	}
-	for _, pod := range sortedKeys(enc.SpineSRules) {
-		for plane := 0; plane < f.topo.Config().SpinesPerPod; plane++ {
-			if err := f.Spines[f.topo.SpineAt(pod, plane)].RemoveSRuleAt(epoch, a); err != nil {
+	for _, pod := range enc.SpineSRules {
+		first, end := controller.SRuleSpines(f.topo, pod)
+		for s := first; s < end; s++ {
+			if err := f.Spines[s].RemoveSRuleAt(epoch, a); err != nil {
 				return err
 			}
 		}
@@ -68,21 +69,6 @@ func (f *Fabric) UninstallEncodingAt(epoch uint64, a dataplane.GroupAddr, enc *c
 		}
 	}
 	return nil
-}
-
-// sortedKeys lists the switches of an s-rule map in ascending ID order
-// (nil for none), so which device a walk reaches first does not depend
-// on map iteration.
-func sortedKeys[K ~int](m map[K]bitmap.Bitmap) []K {
-	if len(m) == 0 {
-		return nil
-	}
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
 }
 
 // InstallGroupAt pushes a group's state into the data plane: s-rules to

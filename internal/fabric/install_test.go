@@ -115,7 +115,7 @@ func TestSendWithoutFlowFails(t *testing.T) {
 // sender again — a dozen allocations each — breaks the budget.
 func TestInstallWalkAllocationBudget(t *testing.T) {
 	raceflag.SkipExactAllocs(t)
-	const budget = 60 // 27 today; 127 with a *header.Header built per sender
+	const budget = 60 // 25 today; 127 with a *header.Header built per sender
 	topo := paperTopo()
 	ctrl, f := setup(t, topo, testConfig(0))
 	key := controller.GroupKey{Tenant: 3, Group: 1}

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"slices"
 	"testing"
 
 	"elmo/internal/controller"
@@ -53,10 +54,10 @@ func TestLegacyInterop(t *testing.T) {
 
 	g := ctrl.Group(key)
 	// The legacy leaf and pod must have been forced onto s-rules.
-	if _, ok := g.Enc.LeafSRules[7]; !ok {
+	if !slices.Contains(g.Enc.LeafSRules, 7) {
 		t.Fatalf("legacy leaf 7 has no s-rule: %v", g.Enc.LeafSRules)
 	}
-	if _, ok := g.Enc.SpineSRules[1]; !ok {
+	if !slices.Contains(g.Enc.SpineSRules, 1) {
 		t.Fatalf("legacy pod 1 has no spine s-rule: %v", g.Enc.SpineSRules)
 	}
 

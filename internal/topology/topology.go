@@ -221,6 +221,13 @@ func (t *Topology) SpineAt(p PodID, plane int) SpineID {
 	return SpineID(int(p)*t.cfg.SpinesPerPod + plane)
 }
 
+// PodSpines returns the pod's spines as the ID range [first, end): a
+// pod's spines are numbered consecutively, plane by plane.
+func (t *Topology) PodSpines(p PodID) (first, end SpineID) {
+	first = t.SpineAt(p, 0)
+	return first, first + SpineID(t.cfg.SpinesPerPod)
+}
+
 // SpineDownstream returns the leaf reached by the spine's downstream
 // port.
 func (t *Topology) SpineDownstream(s SpineID, port int) LeafID {

@@ -150,6 +150,9 @@ func TestNoUnreachableSurface(t *testing.T) {
 		"internal/udpfabric.UDPFabric.Malformed":          true,
 		"internal/udpfabric.UDPFabric.HostDrops":          true,
 		"internal/wal.Log.NextLSN":                        true,
+		// Only tests copied an assignment; the rule missed it because
+		// any ".Clone" selector (bitmap.Bitmap.Clone) counted.
+		"internal/cluster.Assignment.Clone": true,
 	}
 
 	fset, files := parseShipped(t)
