@@ -49,8 +49,11 @@ loc:
 # bare one, the forwarding fast path allocates nothing and emits what
 # the frozen reference pipeline emits, a sender's header stream is
 # written without allocating and equals the frozen header assembly byte
-# for byte, a group install stays inside its allocation budget, a send
-# allocates the same whatever the size of its group, a copy in flight on
+# for byte, a group install stays inside its allocation budget, a warm
+# send allocates nothing whatever the size of its group, and nothing on
+# the degraded fabric either (INT, s-rules, default p-rules, a failed
+# spine), the Delivery a fabric reuses holds exactly what a send into
+# fresh state holds, a copy in flight on
 # the sync forwarder is a 32-byte event that queues exactly what the
 # frozen whole-packet forwarder queued, a controller dropped after a
 # membership op is collected by the next GC (no per-instance pool pins
@@ -81,7 +84,7 @@ bench-gate:
 	$(GO) test -run 'TestProcessIntoZeroAllocs|TestProcessIntoEquivalence' -bench 'BenchmarkDeliverFull' -benchtime 200000x -count=1 ./internal/dataplane/
 	$(GO) test -run 'TestSenderStreamMatchesOracle|TestAppendSenderStreamZeroAllocs|TestAbandonedControllerIsCollected|TestWriteStateSameBytesAnyProcs|TestStateFormatGolden|TestEncodeAllocationBudget|TestEncodeBatchLookAheadIsBounded' -count=1 ./internal/controller/
 	$(GO) test -run 'TestRecordBytesGolden|TestBatchRecordSameBytesAnyProcs' -count=1 ./internal/durable/
-	$(GO) test -run 'TestInstallWalkAllocationBudget|TestINTAfterAbsentDownstreamSection|TestSendAllocsIndependentOfGroupSize|TestForwardEventIsCompact|TestForwardMatchesEagerDelivery' -count=1 ./internal/fabric/
+	$(GO) test -run 'TestInstallWalkAllocationBudget|TestINTAfterAbsentDownstreamSection|TestSendAllocsIndependentOfGroupSize|TestSendAllocsZeroDegraded|TestDeliveryReusedAcrossSends|TestForwardEventIsCompact|TestForwardMatchesEagerDelivery' -count=1 ./internal/fabric/
 	bash benchmark/run.sh --workload fanout-sync --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload fanout-degraded --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload fanout-udp --seed 1 --seconds 2 --trace 0

@@ -66,7 +66,8 @@ type (
 	GroupKey = controller.GroupKey
 	// Role is a member's participation: sender, receiver, or both.
 	Role = controller.Role
-	// Delivery reports the outcome of a multicast send.
+	// Delivery reports the outcome of a multicast send; the one Send
+	// returns is valid until the next Send.
 	Delivery = fabric.Delivery
 )
 
@@ -185,6 +186,11 @@ func (c *Cluster) reinstall(key GroupKey) {
 }
 
 // Send multicasts an inner frame from a sender to the group.
+//
+// The Delivery belongs to the cluster's fabric and stays valid until the
+// cluster's next Send, which reuses it: a caller that keeps any part of
+// it (Received, Telemetry, a record slice) past that copies it. Send is
+// for one goroutine at a time.
 func (c *Cluster) Send(sender HostID, key GroupKey, inner []byte) (*Delivery, error) {
 	if err := c.checkHost(sender); err != nil {
 		return nil, err

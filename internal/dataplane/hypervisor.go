@@ -31,7 +31,7 @@ type SenderFlow struct {
 // header, and on receive it filters packets to groups with local
 // members, discarding the rest.
 type Hypervisor struct {
-	// The fields DeliverFull touches come first and together: with one
+	// The fields AppendDeliver touches come first and together: with one
 	// hypervisor per host the struct is cold in cache on every copy, and
 	// 176 bytes in declaration order spread the receive path over three
 	// lines.
@@ -80,15 +80,17 @@ func (hv *Hypervisor) InstallSenderFlowAt(epoch uint64, addr GroupAddr, stream [
 	if err := hv.admit(epoch); err != nil {
 		return err
 	}
-	n, hasINT, err := header.StreamInfo(hv.layout, stream)
+	// The copy is validated, not stream: then stream does not escape, and
+	// a caller may build it in a stack buffer.
+	own := make([]byte, len(stream))
+	copy(own, stream)
+	n, hasINT, err := header.StreamInfo(hv.layout, own)
 	if err != nil {
 		return fmt.Errorf("dataplane: sender flow: %w", err)
 	}
-	if n != len(stream) {
-		return fmt.Errorf("dataplane: sender flow: %d bytes after the %d-byte section stream", len(stream)-n, n)
+	if n != len(own) {
+		return fmt.Errorf("dataplane: sender flow: %d bytes after the %d-byte section stream", len(own)-n, n)
 	}
-	own := make([]byte, len(stream))
-	copy(own, stream)
 	hv.mu.Lock()
 	hv.flows[addr] = &SenderFlow{
 		addr:   addr,
@@ -152,8 +154,17 @@ func (hv *Hypervisor) Encap(addr GroupAddr, inner []byte) (Packet, error) {
 // redundancy) are filtered, mirroring "each hypervisor switch only
 // maintains flow rules for multicast groups that have member VMs
 // running on the same host, discarding packets belonging to other
-// groups" (§2).
+// groups" (§2). The records are the caller's own: DeliverFull is
+// AppendDeliver into a nil slice.
 func (hv *Hypervisor) DeliverFull(p Packet) ([]byte, []header.INTRecord, bool) {
+	return hv.AppendDeliver(nil, p)
+}
+
+// AppendDeliver is DeliverFull appending the packet's telemetry records
+// to dst, which grows at most once: a caller that delivers many copies
+// decodes them all into one buffer. It returns the extended slice, or
+// dst unchanged for a filtered packet and for one without records.
+func (hv *Hypervisor) AppendDeliver(dst []header.INTRecord, p Packet) (inner []byte, records []header.INTRecord, ok bool) {
 	addr, ok := GroupAddrFromOuter(p.Outer)
 	if ok {
 		hv.mu.RLock()
@@ -162,13 +173,12 @@ func (hv *Hypervisor) DeliverFull(p Packet) ([]byte, []header.INTRecord, bool) {
 	}
 	if !ok {
 		hv.Probe.filter(hv, addr)
-		return nil, nil, false
+		return nil, dst, false
 	}
 	hv.Probe.deliver(hv, addr)
-	records, err := header.ExtractINT(hv.layout, p.Elmo)
-	if err != nil {
-		records = nil
-	}
+	// A section that fails to parse yields no records, not an error: the
+	// frame itself arrived.
+	records, _ = header.AppendINT(dst, hv.layout, p.Elmo)
 	return p.Inner, records, true
 }
 

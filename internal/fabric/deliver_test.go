@@ -444,12 +444,11 @@ func TestForwardEventIsCompact(t *testing.T) {
 	}
 }
 
-// TestSendAllocsIndependentOfGroupSize is the exact gate on what
-// delivering after the walk bought: Received is made once at the number
-// of host copies, so a send allocates the same whether it reaches 20
-// hosts or 400 (before, every doubling past 16 paid a rehash). A group
-// of 5 allocates less, never more — the runtime keeps a map of at most 8
-// entries in a single group.
+// TestSendAllocsIndependentOfGroupSize is the exact gate on a warm send:
+// the fabric owns the Delivery, its maps and the walk's working memory,
+// and clears them per send, so a send allocates nothing whether it
+// reaches 4 hosts or 399 (before, Received was made per send and every
+// send paid for it).
 func TestSendAllocsIndependentOfGroupSize(t *testing.T) {
 	raceflag.SkipExactAllocs(t)
 	topo := topology.MustNew(topology.Config{Pods: 8, SpinesPerPod: 4, LeavesPerPod: 16, HostsPerLeaf: 16, CoresPerPlane: 4})
@@ -475,10 +474,169 @@ func TestSendAllocsIndependentOfGroupSize(t *testing.T) {
 		})
 	}
 	t.Logf("allocations per send by group size: %v", allocs)
-	if allocs[20] != allocs[400] || allocs[100] != allocs[400] {
-		t.Errorf("allocations per send grow with the group: %v", allocs)
+	for _, size := range sizes {
+		if allocs[size] != 0 {
+			t.Errorf("a warm send allocates: %v", allocs)
+			break
+		}
 	}
-	if allocs[5] > allocs[400] {
-		t.Errorf("a 5-member send allocates more than a 400-member one: %v", allocs)
+}
+
+// TestSendAllocsZeroDegraded holds the slow paths to the same bar: with
+// INT on, s-rules and default p-rules in use and a spine and a core
+// declared failed, a warm send still allocates nothing — the INT records
+// of every copy land in the fabric's one record buffer.
+func TestSendAllocsZeroDegraded(t *testing.T) {
+	raceflag.SkipExactAllocs(t)
+	topo := topology.MustNew(topology.Config{Pods: 8, SpinesPerPod: 4, LeavesPerPod: 16, HostsPerLeaf: 16, CoresPerPlane: 4})
+	cfg := controller.PaperConfig(4)
+	cfg.LeafRuleLimit, cfg.SRuleCapacity, cfg.EnableINT = 4, 2, true
+	ctrl, f := setup(t, topo, cfg)
+	ctrl.FailSpine(0)
+	ctrl.FailCore(1)
+	rng := rand.New(rand.NewSource(7))
+	type group struct {
+		key    controller.GroupKey
+		sender topology.HostID
+		size   int
 	}
+	var groups []group
+	for g := 0; g < 16; g++ {
+		size := 20 + rng.Intn(100)
+		hosts := make([]topology.HostID, 0, size)
+		for _, h := range rng.Perm(topo.NumHosts())[:size] {
+			hosts = append(hosts, topology.HostID(h))
+		}
+		key := controller.GroupKey{Tenant: 1, Group: uint32(g)}
+		installGroup(t, ctrl, f, key, hosts)
+		groups = append(groups, group{key, hosts[0], size})
+	}
+	inner := []byte("alloc probe")
+	sendAll := func() {
+		for _, g := range groups {
+			d, err := f.Send(g.sender, addr(g.key), inner)
+			if err != nil || len(d.Received) != g.size-1 || len(d.Telemetry) != len(d.Received) {
+				t.Fatalf("group %d: %v, err %v", g.key.Group, d, err)
+			}
+		}
+	}
+	sendAll()
+	var sRules, defaults int
+	for _, sw := range append(append([]*dataplane.NetworkSwitch{}, f.Leaves...), f.Spines...) {
+		sRules += sw.Stats().SRuleHits
+		defaults += sw.Stats().Defaults
+	}
+	if sRules == 0 || defaults == 0 {
+		t.Fatalf("sends took %d s-rule and %d default p-rule hits, want both", sRules, defaults)
+	}
+	allocs := testing.AllocsPerRun(20, sendAll)
+	t.Logf("allocations per %d degraded sends: %v", len(groups), allocs)
+	if allocs != 0 {
+		t.Errorf("a warm degraded send allocates: %v per %d sends", allocs, len(groups))
+	}
+}
+
+// TestDeliveryReusedAcrossSends pins the ownership rule from the
+// caller's side: sends back to back on one fabric — two groups with
+// different members, then a group whose copies carry INT and one whose
+// copies do not, then a send that loses copies at a failed spine and a
+// healthy one after it — each return the fabric's one Delivery holding
+// exactly what the same send into fresh state holds: its own Received
+// keys, every counter reset, and Telemetry nil when no copy carried INT.
+func TestDeliveryReusedAcrossSends(t *testing.T) {
+	topo := paperTopo()
+	cfg := testConfig(0)
+	// Default p-rules everywhere, so sends deliver spurious copies.
+	cfg.LeafRuleLimit, cfg.SpineRuleLimit, cfg.SRuleCapacity = 0, 0, 0
+	ctrl, f := setup(t, topo, cfg)
+	groups := [][]topology.HostID{
+		figure3Hosts(),
+		{2, 17, 33, 50, 51},
+		{3, 9, 40, 58},
+		{4, 24, 44},
+	}
+	for g, hosts := range groups {
+		installGroup(t, ctrl, f, controller.GroupKey{Tenant: 1, Group: uint32(g)}, hosts)
+	}
+	// Group 2's first two members stamp INT: their flows are the
+	// controller's headers with the telemetry section added.
+	l := header.LayoutFor(topo)
+	for _, sender := range groups[2][:2] {
+		stream, err := controller.AppendSenderStream(nil, new(controller.SenderScratch), topo, cfg, ctrl.Group(controller.GroupKey{Tenant: 1, Group: 2}).Enc, sender, ctrl.Failures())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr, _, err := header.Decode(l, stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr.INTEnabled = true
+		if err := installHeader(f, 0, sender, dataplane.GroupAddr{VNI: 1, Group: 2}, hdr); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var owned *Delivery
+	send := func(g, from int, healthy bool) *Delivery {
+		t.Helper()
+		sender, a, inner := groups[g][from], dataplane.GroupAddr{VNI: 1, Group: uint32(g)}, []byte{byte(g)}
+		pkt, err := f.Hypervisors[sender].Encap(a, inner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := f.forward(new(procState), sender, pkt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := f.Send(sender, a, inner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if owned == nil {
+			owned = d
+		} else if d != owned {
+			t.Fatalf("group %d: Send returned a new Delivery, not the fabric's own", g)
+		}
+		if !reflect.DeepEqual(d, want) {
+			t.Fatalf("group %d: reused Delivery %+v, fresh state %+v", g, *d, *want)
+		}
+		if healthy {
+			if len(d.Received) != len(groups[g])-1 {
+				t.Fatalf("group %d: received %d copies, want %d", g, len(d.Received), len(groups[g])-1)
+			}
+			for _, h := range groups[g] {
+				if h != sender && !bytes.Equal(d.Received[h], inner) {
+					t.Fatalf("group %d: host %d received %q", g, h, d.Received[h])
+				}
+			}
+		}
+		return d
+	}
+	if d := send(0, 0, true); d.Spurious == 0 || d.Hops == 0 || d.Links == 0 || d.LinkBytes == 0 {
+		t.Fatalf("group 0 exercised nothing to reset: %+v", *d)
+	}
+	send(1, 0, true)
+	// Two INT sends from different members: the second must not keep the
+	// first's path for the host that sends it.
+	for from := 0; from < 2; from++ {
+		if d := send(2, from, true); len(d.Telemetry) != len(d.Received) {
+			t.Fatalf("INT send: telemetry for %d of %d receivers", len(d.Telemetry), len(d.Received))
+		}
+	}
+	if d := send(3, 0, true); d.Telemetry != nil {
+		t.Fatalf("non-INT send after an INT send: telemetry %v", d.Telemetry)
+	}
+	// With every spine of host 40's pod declared failed, group 0's copies
+	// to that pod die on the way down.
+	first, end := topo.PodSpines(topo.HostPod(40))
+	for s := first; s < end; s++ {
+		ctrl.FailSpine(s)
+	}
+	if d := send(0, 0, false); d.Lost == 0 {
+		t.Fatalf("failed pod lost nothing: %+v", *d)
+	}
+	for s := first; s < end; s++ {
+		ctrl.RepairSpine(s)
+	}
+	send(1, 0, true)
 }

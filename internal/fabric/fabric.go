@@ -9,7 +9,6 @@ package fabric
 
 import (
 	"fmt"
-	"sync"
 
 	"elmo/internal/controller"
 	"elmo/internal/dataplane"
@@ -35,6 +34,10 @@ type Fabric struct {
 	// probe is the one instrumentation seam every device of this fabric
 	// reports to; the four Set* hooks each store one of its fields.
 	probe *dataplane.Probe
+
+	// send is all the memory a Send uses, the Delivery it returns
+	// included, reused by the next Send (see Send).
+	send procState
 }
 
 // New builds the fabric with the given per-switch s-rule capacity.
@@ -140,6 +143,13 @@ func addr(key controller.GroupKey) dataplane.GroupAddr {
 }
 
 // Delivery is the outcome of one multicast send.
+//
+// The Delivery that Fabric.Send returns is the fabric's own, and so are
+// its Received and Telemetry maps and the record slices in Telemetry:
+// they stay valid until that fabric's next Send, which clears and
+// refills them. A caller that keeps any part of a Delivery past that
+// copies it. The baselines (SendUnicast, SendOverlay) return a Delivery
+// of the caller's own.
 type Delivery struct {
 	// Received maps each host whose hypervisor accepted the packet to
 	// the inner frame it saw.
@@ -196,12 +206,13 @@ type heldEvent struct {
 	due int
 }
 
-// procState is the reusable per-send working memory: the switch
-// scratch plus the event queue and delay buffer. Pooled so repeated
-// sends allocate nothing for forwarding state. A single scratch serves
-// all switches of a send — forward is synchronous, and the scratch
-// arena is append-only until the send completes, so stamped streams
-// queued behind other events stay valid.
+// procState is a fabric's send state: the switch scratch, the event
+// queue and delay buffer, and the Delivery with the maps and the INT
+// record buffer it points into. Each Send resets and refills it, so a
+// warm send allocates nothing. A single scratch serves all switches of
+// a send — forward is synchronous, and the scratch arena is append-only
+// until the send completes, so stamped streams queued behind other
+// events stay valid.
 type procState struct {
 	scratch dataplane.SwitchScratch
 	queue   []event
@@ -209,20 +220,33 @@ type procState struct {
 	// of re-slicing queue[1:]) keeps the backing array reusable.
 	head int
 	held []heldEvent
+
+	d Delivery
+	// telemetry is d.Telemetry once a copy of the send carries INT
+	// records (d.Telemetry stays nil until then), and records holds the
+	// records of every copy of the send, each entry of telemetry a
+	// sub-slice of it.
+	telemetry map[topology.HostID][]header.INTRecord
+	records   []header.INTRecord
 }
 
-var fwdPool = sync.Pool{New: func() any { return new(procState) }}
-
-func (ps *procState) reset() {
+// reset readies ps for the next send and returns its emptied Delivery.
+func (ps *procState) reset() *Delivery {
 	ps.scratch.Reset()
 	ps.queue = ps.queue[:0]
 	ps.head = 0
 	ps.held = ps.held[:0]
+	clear(ps.telemetry)
+	ps.records = ps.records[:0]
+	received := ps.d.Received
+	clear(received)
+	ps.d = Delivery{Received: received}
+	return &ps.d
 }
 
-// fwd is the per-send forwarding state shared with admit.
+// fwd is the per-send forwarding state shared with admit; the outcome
+// accumulates in ps.d.
 type fwd struct {
-	d          *Delivery
 	ps         *procState
 	n          int
 	vni, group uint32
@@ -252,12 +276,12 @@ func (f *Fabric) admit(st *fwd, l dataplane.Link, p *dataplane.Packet) {
 		return
 	}
 	if v.Drop {
-		st.d.FaultDrops++
+		st.ps.d.FaultDrops++
 		return
 	}
 	ev := event{tier: l.ToTier, ttl: p.Outer.TTL, noINT: p.NoINT, id: l.To, elmo: p.Elmo}
 	if v.Corrupt {
-		st.d.FaultCorrupts++
+		st.ps.d.FaultCorrupts++
 		// The Elmo stream aliases the sender flow's precomputed bytes;
 		// corrupt a copy so other packets (and retransmissions) are
 		// unaffected.
@@ -267,13 +291,13 @@ func (f *Fabric) admit(st *fwd, l dataplane.Link, p *dataplane.Packet) {
 	copies := 1
 	if v.Duplicate {
 		copies = 2
-		st.d.FaultDups++
+		st.ps.d.FaultDups++
 		// The extra copy crosses this link too.
-		st.d.LinkBytes += p.WireSize()
-		st.d.Links++
+		st.ps.d.LinkBytes += p.WireSize()
+		st.ps.d.Links++
 	}
 	if v.DelaySteps > 0 {
-		st.d.FaultDelays++
+		st.ps.d.FaultDelays++
 	}
 	for i := 0; i < copies; i++ {
 		if v.DelaySteps > 0 {
@@ -286,14 +310,16 @@ func (f *Fabric) admit(st *fwd, l dataplane.Link, p *dataplane.Packet) {
 
 // Send encapsulates inner at the sender's hypervisor and forwards the
 // packet through the fabric, returning the delivery outcome.
+//
+// The Delivery is the fabric's own and stays valid until the fabric's
+// next Send (see Delivery): a warm send allocates nothing. Send is for
+// one goroutine at a time per fabric.
 func (f *Fabric) Send(sender topology.HostID, a dataplane.GroupAddr, inner []byte) (*Delivery, error) {
 	pkt, err := f.Hypervisors[sender].Encap(a, inner)
 	if err != nil {
 		return nil, err
 	}
-	ps := fwdPool.Get().(*procState)
-	defer fwdPool.Put(ps)
-	return f.forward(ps, sender, pkt)
+	return f.forward(&f.send, sender, pkt)
 }
 
 // forward walks the packet through the fabric synchronously, with ps
@@ -307,9 +333,8 @@ func (f *Fabric) Send(sender topology.HostID, a dataplane.GroupAddr, inner []byt
 // deliver and filter events follow its switch events, and a send that
 // fails returns before any host sees a copy.
 func (f *Fabric) forward(ps *procState, src topology.HostID, pkt dataplane.Packet) (*Delivery, error) {
-	ps.reset()
-	st := fwd{d: new(Delivery), ps: ps, pkt: pkt}
-	d := st.d
+	d := ps.reset()
+	st := fwd{ps: ps, pkt: pkt}
 	if a, ok := dataplane.GroupAddrFromOuter(pkt.Outer); ok {
 		st.vni, st.group = a.VNI, a.Group
 	}
@@ -377,13 +402,16 @@ func (f *Fabric) forward(ps *procState, src topology.HostID, pkt dataplane.Packe
 			f.admit(&st, l, &em.Packet)
 		}
 	}
-	// Host copies are delivered after the walk, in queue order, into maps
-	// made once at their final size: the queue is drained by index, so it
-	// still holds every event of the send.
-	d.Received = make(map[topology.HostID][]byte, hostCopies)
+	// Host copies are delivered after the walk, in queue order, into the
+	// maps ps owns, cleared per send (made at this send's number of host
+	// copies the first time): the queue is drained by index, so it still
+	// holds every event of the send.
+	if d.Received == nil {
+		d.Received = make(map[topology.HostID][]byte, hostCopies)
+	}
 	for i := range ps.queue {
 		if ev := &ps.queue[i]; ev.tier == dataplane.LinkHost {
-			f.deliverHost(d, hostCopies, topology.HostID(ev.id), st.rebuild(ev))
+			f.deliverHost(ps, hostCopies, topology.HostID(ev.id), st.rebuild(ev))
 		}
 	}
 	f.probe.Sent(dataplane.SendSample{
@@ -411,14 +439,18 @@ func (f *Fabric) declaredFailed(tier dataplane.LinkTier, id int32) bool {
 }
 
 // deliverHost hands one copy to host h's hypervisor and records the
-// outcome in d; hostCopies, the number of copies this send brought to
+// outcome in ps's Delivery, decoding the copy's INT records onto the end
+// of ps.records; hostCopies, the number of copies this send brought to
 // hosts, sizes the telemetry map the first time a copy carries records.
-func (f *Fabric) deliverHost(d *Delivery, hostCopies int, h topology.HostID, pkt *dataplane.Packet) {
-	inner, tel, ok := f.Hypervisors[h].DeliverFull(*pkt)
+func (f *Fabric) deliverHost(ps *procState, hostCopies int, h topology.HostID, pkt *dataplane.Packet) {
+	d := &ps.d
+	start := len(ps.records)
+	inner, records, ok := f.Hypervisors[h].AppendDeliver(ps.records, *pkt)
 	if !ok {
 		d.Spurious++
 		return
 	}
+	ps.records = records
 	// One map operation, not a lookup and a store: a copy that adds no key
 	// is a duplicate.
 	n := len(d.Received)
@@ -426,10 +458,13 @@ func (f *Fabric) deliverHost(d *Delivery, hostCopies int, h topology.HostID, pkt
 	if len(d.Received) == n {
 		d.Duplicates++
 	}
-	if len(tel) > 0 {
-		if d.Telemetry == nil {
-			d.Telemetry = make(map[topology.HostID][]header.INTRecord, hostCopies)
+	if len(records) > start {
+		if ps.telemetry == nil {
+			ps.telemetry = make(map[topology.HostID][]header.INTRecord, hostCopies)
 		}
-		d.Telemetry[h] = tel
+		d.Telemetry = ps.telemetry
+		// Capped, so a caller appending to one host's path cannot write
+		// over the next host's.
+		d.Telemetry[h] = records[start:len(records):len(records)]
 	}
 }

@@ -27,6 +27,33 @@ import (
 // each in ascending ID order, then receivers in the order given. A
 // switch's entry holds its bitmap in the group's tree.
 func (f *Fabric) InstallEncodingAt(epoch uint64, a dataplane.GroupAddr, enc *controller.Encoding, receivers []topology.HostID) error {
+	if err := f.installSRules(epoch, a, enc); err != nil {
+		return err
+	}
+	for _, h := range receivers {
+		if err := f.Hypervisors[h].SetReceivingAt(epoch, a, true); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// UninstallEncodingAt reverses InstallEncodingAt, in the same order.
+func (f *Fabric) UninstallEncodingAt(epoch uint64, a dataplane.GroupAddr, enc *controller.Encoding, receivers []topology.HostID) error {
+	if err := f.removeSRules(epoch, a, enc); err != nil {
+		return err
+	}
+	for _, h := range receivers {
+		if err := f.Hypervisors[h].SetReceivingAt(epoch, a, false); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// installSRules writes the encoding's s-rules: leaves, then spines, each
+// in ascending ID order.
+func (f *Fabric) installSRules(epoch uint64, a dataplane.GroupAddr, enc *controller.Encoding) error {
 	for _, leaf := range enc.LeafSRules {
 		if err := f.Leaves[leaf].InstallSRuleAt(epoch, a, enc.LeafPorts[leaf]); err != nil {
 			return err
@@ -40,16 +67,11 @@ func (f *Fabric) InstallEncodingAt(epoch uint64, a dataplane.GroupAddr, enc *con
 			}
 		}
 	}
-	for _, h := range receivers {
-		if err := f.Hypervisors[h].SetReceivingAt(epoch, a, true); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-// UninstallEncodingAt reverses InstallEncodingAt, in the same order.
-func (f *Fabric) UninstallEncodingAt(epoch uint64, a dataplane.GroupAddr, enc *controller.Encoding, receivers []topology.HostID) error {
+// removeSRules removes what installSRules writes, in the same order.
+func (f *Fabric) removeSRules(epoch uint64, a dataplane.GroupAddr, enc *controller.Encoding) error {
 	for _, leaf := range enc.LeafSRules {
 		if err := f.Leaves[leaf].RemoveSRuleAt(epoch, a); err != nil {
 			return err
@@ -61,11 +83,6 @@ func (f *Fabric) UninstallEncodingAt(epoch uint64, a dataplane.GroupAddr, enc *c
 			if err := f.Spines[s].RemoveSRuleAt(epoch, a); err != nil {
 				return err
 			}
-		}
-	}
-	for _, h := range receivers {
-		if err := f.Hypervisors[h].SetReceivingAt(epoch, a, false); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -80,20 +97,28 @@ func (f *Fabric) UninstallEncodingAt(epoch uint64, a dataplane.GroupAddr, enc *c
 //
 // The s-rules and receive filters are per group; per sender the walk
 // only specialises the shared encoding into that sender's header
-// stream, every sender into the same buffer — the hypervisor keeps its
-// own copy of the bytes it is sent.
+// stream, every sender into the same stack buffer — the hypervisor
+// keeps its own copy of the bytes it is sent. Apart from the sender
+// scratch, what the walk allocates is what the devices keep.
 func (f *Fabric) InstallGroupAt(epoch uint64, ctrl *controller.Controller, key controller.GroupKey) (noPath []topology.HostID, err error) {
 	g := ctrl.Group(key)
 	if g == nil {
 		return nil, fmt.Errorf("fabric: group %v not found", key)
 	}
 	a := addr(key)
-	// Both walks below go in ascending host order (the member order),
-	// so the device a stale epoch aborts at and the order of noPath are
-	// fixed.
-	receivers, senders := g.Receivers(), g.Senders()
-	if err := f.InstallEncodingAt(epoch, a, g.Enc, receivers); err != nil {
+	// Both member walks below go in ascending host order (the member
+	// order), so the device a stale epoch aborts at and the order of
+	// noPath are fixed.
+	if err := f.installSRules(epoch, a, g.Enc); err != nil {
 		return nil, err
+	}
+	for _, m := range g.Members {
+		if !m.Role.CanReceive() {
+			continue
+		}
+		if err := f.Hypervisors[m.Host].SetReceivingAt(epoch, a, true); err != nil {
+			return nil, err
+		}
 	}
 	topo, cfg, failures := ctrl.Topology(), ctrl.Config(), ctrl.Failures()
 	var scratch controller.SenderScratch
@@ -101,7 +126,11 @@ func (f *Fabric) InstallGroupAt(epoch uint64, ctrl *controller.Controller, key c
 	// one only costs the append a heap buffer.
 	var room [header.RMTHeaderVectorSize]byte
 	buf := room[:0]
-	for _, h := range senders {
+	for _, m := range g.Members {
+		if !m.Role.CanSend() {
+			continue
+		}
+		h := m.Host
 		stream, err := controller.AppendSenderStream(buf, &scratch, topo, cfg, g.Enc, h, failures)
 		if err == controller.ErrNoPath || err == controller.ErrLegacyPath {
 			noPath = append(noPath, h)
@@ -130,15 +159,16 @@ func (f *Fabric) UninstallGroupAt(epoch uint64, ctrl *controller.Controller, key
 		return fmt.Errorf("fabric: group %v not found", key)
 	}
 	a := addr(key)
-	members := make([]topology.HostID, len(g.Members))
-	for i, m := range g.Members {
-		members[i] = m.Host
-	}
-	if err := f.UninstallEncodingAt(epoch, a, g.Enc, members); err != nil {
+	if err := f.removeSRules(epoch, a, g.Enc); err != nil {
 		return err
 	}
-	for _, h := range members {
-		if err := f.Hypervisors[h].RemoveSenderFlowAt(epoch, a); err != nil {
+	for _, m := range g.Members {
+		if err := f.Hypervisors[m.Host].SetReceivingAt(epoch, a, false); err != nil {
+			return err
+		}
+	}
+	for _, m := range g.Members {
+		if err := f.Hypervisors[m.Host].RemoveSenderFlowAt(epoch, a); err != nil {
 			return err
 		}
 	}

@@ -109,13 +109,15 @@ func TestSendWithoutFlowFails(t *testing.T) {
 }
 
 // TestInstallWalkAllocationBudget bounds what one install + uninstall of
-// a 32-member, 8-sender group allocates. The walk's own share is two
-// host slices and the sender scratch; the rest is what the devices keep
-// (one flow and one stream per sender). Building a header.Header per
-// sender again — a dozen allocations each — breaks the budget.
+// a 32-member, 8-sender group allocates. The walk's own share is the
+// sender scratch (five bitmaps); the rest is what the devices keep (one
+// flow and one stream per sender). The members are walked in place and
+// the stream buffer stays on the stack: a host slice per role, a member
+// copy or an escaping buffer breaks the budget, and so does building a
+// header.Header per sender again — a dozen allocations each.
 func TestInstallWalkAllocationBudget(t *testing.T) {
 	raceflag.SkipExactAllocs(t)
-	const budget = 60 // 25 today; 127 with a *header.Header built per sender
+	const budget = 21 // 5 scratch + 8 × (flow + stream); 25 with role slices, a member copy and a heap buffer
 	topo := paperTopo()
 	ctrl, f := setup(t, topo, testConfig(0))
 	key := controller.GroupKey{Tenant: 3, Group: 1}

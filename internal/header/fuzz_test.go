@@ -91,7 +91,7 @@ func FuzzScanPipeline(f *testing.F) {
 		var rule UpstreamRule
 		ConsumeUpstreamInto(l, TagULeaf, data, &rule)
 		ConsumeCoreInto(l, data, &rule.Down)
-		ExtractINT(l, data)
+		AppendINT(nil, l, data)
 		AppendINTRecordTo(l, nil, data, INTRecord{Tier: 1, ID: 2, Meta: 3})
 		for tag := byte(TagEnd); tag <= TagINT+1; tag++ {
 			Seek(l, data, tag)

@@ -3,6 +3,7 @@ package header
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // In-band network telemetry (INT) support — the §7 "Monitoring"
@@ -71,19 +72,30 @@ func appendINTRecord(dst []byte, r INTRecord) []byte {
 	return append(dst, r.Meta)
 }
 
-// decodeINTSection parses the INT section at the front of data and
-// returns its records and the remaining stream.
-func decodeINTSection(data []byte) ([]INTRecord, []byte, error) {
+// appendINTSection appends the records of the INT section at the front
+// of data to dst, growing dst once by the section's record count, and
+// returns the stream after the section. It is the one reader of the
+// record layout: Decode and AppendINT both go through it. On error dst
+// comes back unchanged.
+func appendINTSection(dst []INTRecord, data []byte) ([]INTRecord, []byte, error) {
 	n, err := intSectionLen(data)
 	if err != nil {
-		return nil, nil, err
+		return dst, nil, err
 	}
-	records := make([]INTRecord, data[1])
-	for i := range records {
+	count, n0 := int(data[1]), len(dst)
+	if cap(dst) == 0 {
+		// A first or lone section (DeliverFull's): one exact make, not
+		// slices.Grow, which takes the slower growslice path from empty.
+		dst = make([]INTRecord, 0, count)
+	} else {
+		dst = slices.Grow(dst, count)
+	}
+	dst = dst[:n0+count]
+	for i := range dst[n0:] {
 		rec := data[intSize(i):]
-		records[i] = INTRecord{Tier: rec[0], ID: binary.BigEndian.Uint16(rec[1:]), Meta: rec[1+intIDBytes]}
+		dst[n0+i] = INTRecord{Tier: rec[0], ID: binary.BigEndian.Uint16(rec[1:]), Meta: rec[1+intIDBytes]}
 	}
-	return records, data[n:], nil
+	return dst, data[n:], nil
 }
 
 // intSectionLen returns the full section length (tag byte included) at
@@ -128,12 +140,15 @@ func AppendINTRecordTo(l Layout, dst, stream []byte, rec INTRecord) ([]byte, boo
 	return dst, true, nil
 }
 
-// ExtractINT parses the INT section (if any) from a section stream.
-func ExtractINT(l Layout, stream []byte) ([]INTRecord, error) {
+// AppendINT appends the records of the INT section of a section stream,
+// if it carries one, to dst and returns the extended slice; dst grows at
+// most once. A stream without the section returns dst unchanged, and so
+// does one that fails to parse, with the error.
+func AppendINT(dst []INTRecord, l Layout, stream []byte) ([]INTRecord, error) {
 	sec, found, err := Seek(l, stream, TagINT)
 	if err != nil || !found {
-		return nil, err
+		return dst, err
 	}
-	records, _, err := decodeINTSection(sec)
-	return records, err
+	dst, _, err = appendINTSection(dst, sec)
+	return dst, err
 }

@@ -48,9 +48,9 @@ func TestINTEmptySection(t *testing.T) {
 	if !dec.INTEnabled || len(dec.INT) != 0 {
 		t.Fatalf("empty INT mishandled: %+v", dec)
 	}
-	records, err := ExtractINT(l, wire)
+	records, err := AppendINT(nil, l, wire)
 	if err != nil || len(records) != 0 {
-		t.Fatalf("ExtractINT = %v, %v", records, err)
+		t.Fatalf("AppendINT = %v, %v", records, err)
 	}
 }
 
@@ -92,7 +92,7 @@ func TestAppendINTRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records, err := ExtractINT(l, s2)
+	records, err := AppendINT(nil, l, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestAppendINTRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs2, err := ExtractINT(l, rest)
+	recs2, err := AppendINT(nil, l, rest)
 	if err != nil || len(recs2) != 2 {
 		t.Fatalf("after pop: %v %v", recs2, err)
 	}

@@ -327,7 +327,7 @@ func Decode(l Layout, data []byte) (*Header, int, error) {
 			rest, err = decodeRules(l, rest, &h.DLeaf, &h.DLeafDefault)
 		case TagINT:
 			h.INTEnabled = true
-			h.INT, rest, err = decodeINTSection(rest)
+			h.INT, rest, err = appendINTSection(nil, rest)
 		}
 		if err != nil {
 			return nil, 0, err
