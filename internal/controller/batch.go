@@ -211,9 +211,9 @@ type BatchResult struct {
 }
 
 // PreparedSpec is a BatchSpec made ready to install: its members listed
-// once each in ascending host order, the order a batch's WAL record
-// carries them in and a group keeps them in. PrepareBatch makes them;
-// InstallPrepared trusts the order.
+// once each in ascending host order, the order a WAL record carries them
+// in and a group keeps them in. PrepareBatch makes them; InstallPrepared
+// and CreatePrepared trust the order.
 type PreparedSpec struct {
 	Key     GroupKey
 	Members []Member

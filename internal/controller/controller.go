@@ -342,13 +342,23 @@ func (c *Controller) validateMembers(members []Member) error {
 }
 
 // CreateGroup registers a group with the given members and computes
-// its encoding, installing any s-rules. Returns an error if the key
-// exists or a member is invalid (see validateMembers). The lookup, the
-// encode and the insert are one admission transaction.
+// its encoding, installing any s-rules: CreatePrepared of the members
+// listed in ascending host order.
 func (c *Controller) CreateGroup(key GroupKey, members map[topology.HostID]Role) (*GroupState, error) {
+	return c.CreatePrepared(key, membersOf(members))
+}
+
+// CreatePrepared registers a group whose members are listed once each in
+// ascending host order — the form a WAL record carries and a group keeps
+// — and computes its encoding, installing any s-rules. It trusts the
+// order and keeps the list as the group's own, so the caller must not
+// touch it afterwards. Returns an error if the key exists or a member is
+// invalid (see validateMembers). The lookup, the encode and the insert
+// are one admission transaction.
+func (c *Controller) CreatePrepared(key GroupKey, members []Member) (*GroupState, error) {
 	m := c.getMetrics()
 	start := time.Now()
-	g := &GroupState{Key: key, Members: membersOf(members)}
+	g := &GroupState{Key: key, Members: members}
 	var encodeErr error
 	_, err := c.occ.admitEncoding(func() (*Encoding, error) {
 		if c.Group(key) != nil {

@@ -161,12 +161,25 @@ type stateReader struct {
 	srule bitmap.Bitmap // an s-rule's bitmap, compared and dropped
 }
 
+// uvarint reads one varint in the form WriteState writes: minimal, so
+// a padded one — whose longer form ends in a zero byte — is refused, as
+// the stream would not re-encode to the bytes it was read from.
 func (sr *stateReader) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(sr.r)
-	if err != nil {
-		return 0, fmt.Errorf("controller: state truncated: %w", err)
+	var v uint64
+	for i := 0; ; i++ {
+		b, err := sr.r.ReadByte()
+		switch {
+		case err != nil:
+			return 0, fmt.Errorf("controller: state truncated: %w", err)
+		case i == binary.MaxVarintLen64-1 && b > 1:
+			return 0, fmt.Errorf("controller: state varint overflows 64 bits")
+		case b == 0 && i > 0:
+			return 0, fmt.Errorf("controller: state non-minimal varint")
+		case b < 0x80:
+			return v | uint64(b)<<(7*i), nil
+		}
+		v |= uint64(b&0x7f) << (7 * i)
 	}
-	return v, nil
 }
 
 // count reads a length that bounds a following repetition; cap guards

@@ -301,41 +301,43 @@ func (d *DurableController) ResyncState() (epoch uint64, state []byte, err error
 }
 
 // mutate is the log-before-apply spine every state-changing op runs
-// through: write the op's one record (payload, whose first byte is its
-// type), apply the op, and stream the record to followers — all under
+// through: write the op's one record, apply the op (applyOp, as replay
+// and followers do), and stream the record to followers — all under
 // d.mu so WAL order, apply order, and stream order coincide — then
 // commit OUTSIDE the lock, so ops that commit while an fsync runs share
-// the next one (group commit). The op's own error is returned only once
-// it is durable: a failed op is logged, and fails identically on replay
-// and followers.
-func (d *DurableController) mutate(payload []byte, apply func() error) error {
+// the next one (group commit). The op's own outcome is returned only
+// once it is durable: a failed op is logged, and fails identically on
+// replay and followers.
+func (d *DurableController) mutate(op OpRecord, opts controller.BatchOptions) (*controller.BatchResult, error) {
+	payload := AppendRecord(nil, op)
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
-		return fmt.Errorf("durable: controller closed")
+		return nil, fmt.Errorf("durable: controller closed")
 	}
 	if d.notLeader != nil {
 		err := d.notLeader
 		d.mu.Unlock()
-		return err
+		return nil, err
 	}
-	lsn, err := d.log.Append(payload[0], payload)
+	lsn, err := d.log.Append(op.Type, payload)
 	if err != nil {
 		d.mu.Unlock()
-		return err
+		return nil, err
 	}
-	applyErr := apply()
+	res, applyErr := applyOp(d.ctrl, op, opts)
 	d.streamLocked(lsn, payload)
 	d.mu.Unlock()
 	if err := d.log.Commit(lsn); err != nil {
-		return fmt.Errorf("durable: commit lsn %d: %w", lsn, err)
+		return res, fmt.Errorf("durable: commit lsn %d: %w", lsn, err)
 	}
-	return applyErr
+	return res, applyErr
 }
 
 // logOp runs a single-group op (or a heartbeat) through mutate.
 func (d *DurableController) logOp(op OpRecord) error {
-	return d.mutate(AppendRecord(nil, op), func() error { return applyOp(d.ctrl, op) })
+	_, err := d.mutate(op, controller.BatchOptions{})
+	return err
 }
 
 func (d *DurableController) streamLocked(lsn uint64, payload []byte) {
@@ -352,9 +354,12 @@ func (d *DurableController) streamLocked(lsn uint64, payload []byte) {
 	}
 }
 
-// CreateGroup durably creates a group.
+// CreateGroup durably creates a group. Its members are listed in
+// ascending host order once, here; the record is written from that list
+// and the group keeps it.
 func (d *DurableController) CreateGroup(key controller.GroupKey, members map[topology.HostID]controller.Role) error {
-	return d.logOp(OpRecord{Type: RecCreate, Key: key, Members: members})
+	spec := controller.PrepareBatch([]controller.BatchSpec{{Key: key, Members: members}}, 1)[0]
+	return d.logOp(OpRecord{Type: RecCreate, Key: key, Members: spec.Members})
 }
 
 // Join durably adds (or upgrades) a member.
@@ -379,13 +384,7 @@ func (d *DurableController) RemoveGroup(key controller.GroupKey) error {
 // leaves a torn tail that recovery drops like any other: a half-applied
 // batch can never surface.
 func (d *DurableController) InstallBatch(specs []controller.BatchSpec, opts controller.BatchOptions) (*controller.BatchResult, error) {
-	prepared := controller.PrepareBatch(specs, opts.Workers)
-	var res *controller.BatchResult
-	err := d.mutate(appendBatch(nil, prepared), func() (err error) {
-		res, err = d.ctrl.InstallPrepared(prepared, opts)
-		return err
-	})
-	return res, err
+	return d.mutate(OpRecord{Type: RecBatch, Specs: controller.PrepareBatch(specs, opts.Workers)}, opts)
 }
 
 // Heartbeat runs a liveness record (no state change) through the spine

@@ -314,7 +314,7 @@ func TestDurableTornBatchTail(t *testing.T) {
 		return specs
 	}
 	torn := specsFor(9, 306)
-	if n := len(AppendRecord(nil, OpRecord{Type: RecBatch, Specs: torn})); n <= 2000 {
+	if n := len(AppendRecord(nil, OpRecord{Type: RecBatch, Specs: controller.PrepareBatch(torn, 1)})); n <= 2000 {
 		t.Fatalf("batch record is %d bytes; every cut must land inside it", n)
 	}
 	noTorn := func(t *testing.T, c *controller.Controller) {

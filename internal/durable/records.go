@@ -30,15 +30,18 @@ const (
 	RecHeartbeat byte = 6
 )
 
-// OpRecord is a decoded WAL record.
+// OpRecord is one WAL record as an op. Member lists are in the form a
+// group keeps them in — each host once, in ascending host order — and
+// are written and read as they are: DecodeRecord refuses any other
+// order, and AppendRecord sorts nothing.
 type OpRecord struct {
 	Type    byte
 	Key     controller.GroupKey
 	Host    topology.HostID
 	Role    controller.Role
-	Members map[topology.HostID]controller.Role // RecCreate
-	Specs   []controller.BatchSpec              // RecBatch
-	LSN     uint64                              // RecHeartbeat: the leader's last LSN
+	Members []controller.Member       // RecCreate
+	Specs   []controller.PreparedSpec // RecBatch
+	LSN     uint64                    // RecHeartbeat: the leader's last LSN
 }
 
 func appendKey(b []byte, key controller.GroupKey) []byte {
@@ -46,51 +49,38 @@ func appendKey(b []byte, key controller.GroupKey) []byte {
 	return binary.BigEndian.AppendUint32(b, key.Group)
 }
 
-// appendSpec appends one group's key | members, each member once, in
-// the ascending host order a PreparedSpec lists them in: the one member
-// writer, shared by RecCreate and RecBatch.
-func appendSpec(b []byte, s controller.PreparedSpec) []byte {
-	b = appendKey(b, s.Key)
-	b = binary.AppendUvarint(b, uint64(len(s.Members)))
-	for _, m := range s.Members {
+// appendGroup appends one group's key | members: the one member writer,
+// shared by RecCreate and RecBatch.
+func appendGroup(b []byte, key controller.GroupKey, members []controller.Member) []byte {
+	b = appendKey(b, key)
+	b = binary.AppendUvarint(b, uint64(len(members)))
+	for _, m := range members {
 		b = binary.AppendUvarint(b, uint64(m.Host))
 		b = append(b, byte(m.Role))
 	}
 	return b
 }
 
-// appendBatch appends the RecBatch payload of a prepared batch: the
-// record InstallBatch logs, written from the member lists it installs.
-func appendBatch(dst []byte, specs []controller.PreparedSpec) []byte {
-	dst = append(dst, RecBatch)
-	dst = binary.AppendUvarint(dst, uint64(len(specs)))
-	for _, s := range specs {
-		dst = appendSpec(dst, s)
-	}
-	return dst
-}
-
 // AppendRecord appends op's record payload to dst and returns the
-// extended slice. It is DecodeRecord's inverse: a payload DecodeRecord
-// accepts re-encodes to the same bytes. Members are written once each,
-// in ascending host order.
+// extended slice: the one writer of every record type. It is
+// DecodeRecord's inverse: a payload DecodeRecord accepts re-encodes to
+// the same bytes.
 func AppendRecord(dst []byte, op OpRecord) []byte {
-	switch op.Type {
-	case RecCreate:
-		// A create's body is one batch spec's.
-		spec := controller.PrepareBatch([]controller.BatchSpec{{Key: op.Key, Members: op.Members}}, 1)[0]
-		return appendSpec(append(dst, op.Type), spec)
-	case RecBatch:
-		return appendBatch(dst, controller.PrepareBatch(op.Specs, 1))
-	}
 	dst = append(dst, op.Type)
 	switch op.Type {
+	case RecCreate:
+		dst = appendGroup(dst, op.Key, op.Members)
 	case RecJoin, RecLeave:
 		dst = appendKey(dst, op.Key)
 		dst = binary.AppendUvarint(dst, uint64(op.Host))
 		dst = append(dst, byte(op.Role))
 	case RecRemove:
 		dst = appendKey(dst, op.Key)
+	case RecBatch:
+		dst = binary.AppendUvarint(dst, uint64(len(op.Specs)))
+		for _, s := range op.Specs {
+			dst = appendGroup(dst, s.Key, s.Members)
+		}
 	case RecHeartbeat:
 		dst = binary.AppendUvarint(dst, op.LSN)
 	}
@@ -147,10 +137,10 @@ func (r *recReader) key() (controller.GroupKey, error) {
 }
 
 // spec reads one group's key | members — the one member reader. It
-// holds the form appendSpec writes: each host once, ascending (in HostID
-// order, the order PrepareBatch sorts in), so a repeat, which would
-// collapse into one map entry, or any other order is refused, and the
-// list it returns is one a group can keep as it is.
+// holds the form appendGroup writes: each host once, ascending (in
+// HostID order, the order PrepareBatch sorts in), so a repeat or any
+// other order is refused, and the list it returns is one a group can
+// keep as it is.
 func (r *recReader) spec() (controller.PreparedSpec, error) {
 	key, err := r.key()
 	if err != nil {
@@ -208,18 +198,11 @@ func (r *recReader) end() error {
 	return nil
 }
 
-// memberMap is a member list as the map OpRecord carries.
-func memberMap(members []controller.Member) map[topology.HostID]controller.Role {
-	m := make(map[topology.HostID]controller.Role, len(members))
-	for _, mb := range members {
-		m[mb.Host] = mb.Role
-	}
-	return m
-}
-
-// DecodeRecord parses a WAL record payload. It is strict: unknown
-// types and trailing bytes are errors, so a corrupted-but-CRC-valid
-// record (software bug, not media fault) cannot be half-applied.
+// DecodeRecord parses a WAL record payload: the one reader of every
+// record type. It is strict: unknown types, trailing bytes, non-minimal
+// varints and member lists out of ascending host order are errors, so a
+// corrupted-but-CRC-valid record (software bug, not media fault) cannot
+// be half-applied, and what it accepts re-encodes to the same bytes.
 func DecodeRecord(b []byte) (OpRecord, error) {
 	var rec OpRecord
 	r := &recReader{b: b}
@@ -234,7 +217,7 @@ func DecodeRecord(b []byte) (OpRecord, error) {
 		if err != nil {
 			return rec, err
 		}
-		rec.Key, rec.Members = spec.Key, memberMap(spec.Members)
+		rec.Key, rec.Members = spec.Key, spec.Members
 	case RecJoin, RecLeave:
 		if rec.Key, err = r.key(); err != nil {
 			return rec, err
@@ -254,13 +237,8 @@ func DecodeRecord(b []byte) (OpRecord, error) {
 			return rec, err
 		}
 	case RecBatch:
-		specs, err := r.batch()
-		if err != nil {
+		if rec.Specs, err = r.batch(); err != nil {
 			return rec, err
-		}
-		rec.Specs = make([]controller.BatchSpec, len(specs))
-		for i, spec := range specs {
-			rec.Specs[i] = controller.BatchSpec{Key: spec.Key, Members: memberMap(spec.Members)}
 		}
 	case RecHeartbeat:
 		if rec.LSN, err = r.uvarint(); err != nil {
@@ -272,38 +250,29 @@ func DecodeRecord(b []byte) (OpRecord, error) {
 	return rec, r.end()
 }
 
-// decodeBatch reads a RecBatch payload as strictly as DecodeRecord, into
-// the ascending member lists the record carries: what replay and
-// followers install, with nothing rebuilt or sorted again.
-func decodeBatch(b []byte) ([]controller.PreparedSpec, error) {
-	r := &recReader{b: b, off: 1}
-	specs, err := r.batch()
-	if err != nil {
-		return nil, err
-	}
-	return specs, r.end()
-}
-
-// applyOp performs one single-group op on ctrl: the only place such a
-// record type becomes a controller mutation. The leader calls it with
-// the op it just logged; recovery and followers call it (through
-// applyRecord) with the op they decoded, so recovered ≡ follower ≡
-// leader holds by construction. A batch goes through InstallPrepared on
-// every path instead, from the member lists its record carries.
-func applyOp(ctrl *controller.Controller, op OpRecord) error {
+// applyOp performs op on ctrl: the one place a record becomes a
+// controller mutation. The leader calls it with the op it just logged;
+// recovery and followers call it (through applyRecord) with the op they
+// decoded, so recovered ≡ follower ≡ leader holds by construction. A
+// create and a batch install the ascending member lists the op carries,
+// sorted by no one again; opts sizes a batch's encoders, and the
+// outcome is the same for every value.
+func applyOp(ctrl *controller.Controller, op OpRecord, opts controller.BatchOptions) (*controller.BatchResult, error) {
 	switch op.Type {
 	case RecCreate:
-		_, err := ctrl.CreateGroup(op.Key, op.Members)
-		return err
+		_, err := ctrl.CreatePrepared(op.Key, op.Members)
+		return nil, err
 	case RecJoin:
-		return ctrl.Join(op.Key, op.Host, op.Role)
+		return nil, ctrl.Join(op.Key, op.Host, op.Role)
 	case RecLeave:
-		return ctrl.Leave(op.Key, op.Host, op.Role)
+		return nil, ctrl.Leave(op.Key, op.Host, op.Role)
 	case RecRemove:
-		return ctrl.RemoveGroup(op.Key)
+		return nil, ctrl.RemoveGroup(op.Key)
+	case RecBatch:
+		return ctrl.InstallPrepared(op.Specs, opts)
 	}
 	// RecHeartbeat: liveness only, no state.
-	return nil
+	return nil, nil
 }
 
 // applyRecord turns one record payload — from the WAL on crash
@@ -311,18 +280,10 @@ func applyOp(ctrl *controller.Controller, op OpRecord) error {
 // controller op. Op-level errors are dropped (the op failed identically
 // on the leader that logged it); a decode error is returned.
 func applyRecord(ctrl *controller.Controller, payload []byte) error {
-	if len(payload) > 0 && payload[0] == RecBatch {
-		specs, err := decodeBatch(payload)
-		if err != nil {
-			return err
-		}
-		_, _ = ctrl.InstallPrepared(specs, controller.BatchOptions{})
-		return nil
-	}
 	op, err := DecodeRecord(payload)
 	if err != nil {
 		return err
 	}
-	_ = applyOp(ctrl, op)
+	_, _ = applyOp(ctrl, op, controller.BatchOptions{})
 	return nil
 }

@@ -13,8 +13,8 @@ import (
 
 func TestRecordRoundTrip(t *testing.T) {
 	key := controller.GroupKey{Tenant: 7, Group: 42}
-	members := map[topology.HostID]controller.Role{
-		0: controller.RoleBoth, 17: controller.RoleReceiver, 63: controller.RoleSender,
+	members := []controller.Member{
+		{Host: 0, Role: controller.RoleBoth}, {Host: 17, Role: controller.RoleReceiver}, {Host: 63, Role: controller.RoleSender},
 	}
 	for _, op := range []OpRecord{
 		{Type: RecCreate, Key: key, Members: members},
@@ -39,8 +39,8 @@ func TestRecordRoundTrip(t *testing.T) {
 // Appending to a non-empty dst leaves the prefix alone.
 func TestRecordBytesGolden(t *testing.T) {
 	key := controller.GroupKey{Tenant: 7, Group: 42}
-	members := map[topology.HostID]controller.Role{
-		0: controller.RoleBoth, 17: controller.RoleReceiver, 300: controller.RoleSender,
+	members := []controller.Member{
+		{Host: 0, Role: controller.RoleBoth}, {Host: 17, Role: controller.RoleReceiver}, {Host: 300, Role: controller.RoleSender},
 	}
 	for _, tc := range []struct {
 		op  OpRecord
@@ -50,9 +50,9 @@ func TestRecordBytesGolden(t *testing.T) {
 		{OpRecord{Type: RecJoin, Key: key, Host: 5, Role: controller.RoleReceiver}, "02000000070000002a0502"},
 		{OpRecord{Type: RecLeave, Key: key, Host: 200, Role: controller.RoleBoth}, "03000000070000002ac80103"},
 		{OpRecord{Type: RecRemove, Key: key}, "04000000070000002a"},
-		{OpRecord{Type: RecBatch, Specs: []controller.BatchSpec{
+		{OpRecord{Type: RecBatch, Specs: []controller.PreparedSpec{
 			{Key: controller.GroupKey{Tenant: 7, Group: 43}, Members: members},
-			{Key: controller.GroupKey{Tenant: 1 << 20, Group: 44}, Members: map[topology.HostID]controller.Role{63: controller.RoleReceiver}},
+			{Key: controller.GroupKey{Tenant: 1 << 20, Group: 44}, Members: []controller.Member{{Host: 63, Role: controller.RoleReceiver}}},
 		}}, "0502000000070000002b0300031102ac0201001000000000002c013f02"},
 		{OpRecord{Type: RecHeartbeat, LSN: 12345}, "06b960"},
 	} {
@@ -70,7 +70,7 @@ func TestRecordBytesGolden(t *testing.T) {
 }
 
 // TestBatchRoundTrip: a batch of any size — none, one or hundreds of
-// specs — is one record that decodes to exactly its specs.
+// specs — is one record that decodes to exactly its prepared specs.
 func TestBatchRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 522} {
 		specs := make([]controller.BatchSpec, 0, n)
@@ -83,11 +83,12 @@ func TestBatchRoundTrip(t *testing.T) {
 				},
 			})
 		}
-		rec, err := DecodeRecord(AppendRecord(nil, OpRecord{Type: RecBatch, Specs: specs}))
+		prepared := controller.PrepareBatch(specs, 1)
+		rec, err := DecodeRecord(AppendRecord(nil, OpRecord{Type: RecBatch, Specs: prepared}))
 		if err != nil {
 			t.Fatalf("%d specs: %v", n, err)
 		}
-		if rec.Type != RecBatch || !reflect.DeepEqual(rec.Specs, specs) {
+		if rec.Type != RecBatch || !reflect.DeepEqual(rec.Specs, prepared) {
 			t.Fatalf("%d specs decoded as %d specs of type %d", n, len(rec.Specs), rec.Type)
 		}
 	}
@@ -95,7 +96,7 @@ func TestBatchRoundTrip(t *testing.T) {
 
 func TestDecodeRecordRejectsCorruptInput(t *testing.T) {
 	valid := AppendRecord(nil, OpRecord{Type: RecCreate, Key: controller.GroupKey{Tenant: 1, Group: 2},
-		Members: map[topology.HostID]controller.Role{3: controller.RoleBoth}})
+		Members: []controller.Member{{Host: 3, Role: controller.RoleBoth}}})
 	bad := map[string][]byte{
 		"empty":        {},
 		"unknown type": {0x7f, 0, 0, 0},
@@ -103,7 +104,7 @@ func TestDecodeRecordRejectsCorruptInput(t *testing.T) {
 		"trailing":     append(append([]byte{}, valid...), 0xcc),
 		"huge count":   {RecCreate, 0, 0, 0, 1, 0, 0, 0, 2, 0xff, 0xff, 0xff, 0xff, 0x0f},
 		"spec overrun": {RecBatch, 7, 0},
-		// appendMembers writes each host once, ascending.
+		// appendGroup writes each host once, ascending.
 		"repeated host":    {RecCreate, 0, 0, 0, 7, 0, 0, 0, 42, 2, 5, 1, 5, 2},
 		"unordered hosts":  {RecCreate, 0, 0, 0, 7, 0, 0, 0, 42, 2, 9, 1, 5, 2},
 		"non-minimal lsn":  {RecHeartbeat, 0x80, 0x00},
@@ -129,32 +130,32 @@ func TestDecodeRecordRejectsCorruptInput(t *testing.T) {
 // to the exact original specs, a giant membership between small ones
 // included.
 func TestBatchChunkingByteBound(t *testing.T) {
-	bigMembers := func(n, base int) map[topology.HostID]controller.Role {
-		m := make(map[topology.HostID]controller.Role, n)
-		for i := 0; i < n; i++ {
-			m[topology.HostID(base+i)] = controller.Role(1 + i%3)
+	bigMembers := func(n, base int) []controller.Member {
+		m := make([]controller.Member, n)
+		for i := range m {
+			m[i] = controller.Member{Host: topology.HostID(base + i), Role: controller.Role(1 + i%3)}
 		}
 		return m
 	}
 	cases := []struct {
 		name  string
-		specs []controller.BatchSpec
+		specs []controller.PreparedSpec
 	}{
-		{"many-medium-specs", func() []controller.BatchSpec {
-			var specs []controller.BatchSpec
+		{"many-medium-specs", func() []controller.PreparedSpec {
+			var specs []controller.PreparedSpec
 			for i := 0; i < 200; i++ {
-				specs = append(specs, controller.BatchSpec{
+				specs = append(specs, controller.PreparedSpec{
 					Key:     controller.GroupKey{Tenant: 1, Group: uint32(i + 1)},
 					Members: bigMembers(500, i),
 				})
 			}
 			return specs
 		}()},
-		{"one-giant-spec", []controller.BatchSpec{{
+		{"one-giant-spec", []controller.PreparedSpec{{
 			Key:     controller.GroupKey{Tenant: 2, Group: 7},
 			Members: bigMembers(25000, 0),
 		}}},
-		{"giant-between-small", []controller.BatchSpec{
+		{"giant-between-small", []controller.PreparedSpec{
 			{Key: controller.GroupKey{Tenant: 3, Group: 1}, Members: bigMembers(3, 0)},
 			{Key: controller.GroupKey{Tenant: 3, Group: 2}, Members: bigMembers(30000, 0)},
 			{Key: controller.GroupKey{Tenant: 3, Group: 3}, Members: bigMembers(2, 9)},
@@ -197,8 +198,8 @@ func TestBatchChunkingByteBound(t *testing.T) {
 // is exactly what the record carries.
 func FuzzApplyRecord(f *testing.F) {
 	key := controller.GroupKey{Tenant: 7, Group: 42}
-	members := map[topology.HostID]controller.Role{
-		0: controller.RoleBoth, 17: controller.RoleReceiver, 63: controller.RoleSender,
+	members := []controller.Member{
+		{Host: 0, Role: controller.RoleBoth}, {Host: 17, Role: controller.RoleReceiver}, {Host: 63, Role: controller.RoleSender},
 	}
 	seed := AppendRecord(nil, OpRecord{Type: RecCreate, Key: key, Members: members})
 	f.Add(seed)
@@ -206,12 +207,12 @@ func FuzzApplyRecord(f *testing.F) {
 	f.Add(AppendRecord(nil, OpRecord{Type: RecLeave, Key: key, Host: 17, Role: controller.RoleReceiver}))
 	f.Add(AppendRecord(nil, OpRecord{Type: RecRemove, Key: key}))
 	f.Add(AppendRecord(nil, OpRecord{Type: RecHeartbeat, LSN: 12345}))
-	f.Add(AppendRecord(nil, OpRecord{Type: RecBatch, Specs: []controller.BatchSpec{
+	f.Add(AppendRecord(nil, OpRecord{Type: RecBatch, Specs: []controller.PreparedSpec{
 		{Key: controller.GroupKey{Tenant: 7, Group: 43}, Members: members},
 		{Key: controller.GroupKey{Tenant: 7, Group: 44}, Members: members},
 	}}))
 	f.Add(AppendRecord(nil, OpRecord{Type: RecCreate, Key: controller.GroupKey{Tenant: 7, Group: 45},
-		Members: map[topology.HostID]controller.Role{0: controller.RoleSender, 99999: controller.RoleReceiver}}))
+		Members: []controller.Member{{Host: 0, Role: controller.RoleSender}, {Host: 99999, Role: controller.RoleReceiver}}}))
 	f.Add(AppendRecord(nil, OpRecord{Type: RecJoin, Key: key, Host: 99999, Role: controller.RoleReceiver}))
 	// Host 5 twice, and hosts 9, 5: corrupt, and refused.
 	f.Add([]byte{RecCreate, 0, 0, 0, 7, 0, 0, 0, 42, 2, 5, 1, 5, 2})

@@ -298,7 +298,8 @@ func TestReplicateOversizedCreate(t *testing.T) {
 	for h := 1; h < bigTopo.NumHosts(); h++ {
 		members[topology.HostID(h)] = controller.RoleReceiver
 	}
-	if n := len(AppendRecord(nil, OpRecord{Type: RecCreate, Key: controller.GroupKey{Tenant: 1, Group: 1}, Members: members})); n <= 1<<16 {
+	spec := controller.PrepareBatch([]controller.BatchSpec{{Key: controller.GroupKey{Tenant: 1, Group: 1}, Members: members}}, 1)[0]
+	if n := len(AppendRecord(nil, OpRecord{Type: RecCreate, Key: spec.Key, Members: spec.Members})); n <= 1<<16 {
 		t.Fatalf("test membership encodes to %d bytes; not oversized", n)
 	}
 	if err := dc.CreateGroup(controller.GroupKey{Tenant: 1, Group: 1}, members); err != nil {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 )
@@ -43,37 +44,72 @@ func DefaultBurnRules() []BurnRule {
 	}
 }
 
-// sloSample is one cumulative (good, total) reading.
+// sloSample is one cumulative (good, total) reading taken at Unix
+// time at (nanoseconds): 24 bytes.
 type sloSample struct {
-	at          time.Time
-	good, total int64
+	at, good, total int64
 }
 
-// sloSeries is the sample ring for one objective.
+// sloDepth is the samples one history tier keeps, and sloSteps the
+// least spacing of each tier's samples: the first keeps every tick,
+// each next one a sample at least eight times further apart. At the
+// sampler's one-second cadence the tiers reach back 8.5 min, 68 min,
+// 9.1 h and 72.8 h, so each window of DefaultBurnRules (up to 3 d) is
+// read from the finest tier that reaches it, and starts at most one
+// step — under 1 % of the window — before its nominal start. An
+// objective keeps 4 × 512 × 24 B = 48 KiB of samples.
+const sloDepth = 512
+
+var sloSteps = [...]time.Duration{0, 8 * time.Second, 64 * time.Second, 512 * time.Second}
+
+// sloRing is one tier: a ring of samples, oldest overwritten first.
+type sloRing struct {
+	samples      [sloDepth]sloSample
+	next, filled int
+}
+
+// add keeps s when it is at least step after the newest sample.
+func (r *sloRing) add(s sloSample, step time.Duration) {
+	if r.filled > 0 && s.at-r.at(1).at < int64(step) {
+		return
+	}
+	r.samples[r.next] = s
+	r.next = (r.next + 1) % sloDepth
+	r.filled = min(r.filled+1, sloDepth)
+}
+
+// at returns the i-th newest sample (1 = newest).
+func (r *sloRing) at(i int) sloSample {
+	return r.samples[(r.next-i+sloDepth)%sloDepth]
+}
+
+// sloSeries is the sample history of one objective.
 type sloSeries struct {
-	obj     Objective
-	samples []sloSample // ring
-	next    int
-	filled  int
+	obj   Objective
+	tiers [len(sloSteps)]sloRing
 }
 
 // burnOver computes the burn rate for the window ending at the newest
-// sample. With fewer than two samples, or a window reaching past the
-// oldest sample with zero traffic in between, it returns 0 (no
-// evidence of burn).
+// sample, from the newest sample at least window older than it, taken
+// from the finest tier that reaches that far back; when none does, the
+// whole retained history is used. With fewer than two samples, or zero
+// traffic in the window, it returns 0 (no evidence of burn).
 func (ss *sloSeries) burnOver(window time.Duration) float64 {
-	if ss.filled < 2 {
+	fine := &ss.tiers[0]
+	if fine.filled == 0 {
 		return 0
 	}
-	newest := ss.at(1)
-	// Walk newest to oldest until a sample at or beyond the window
-	// start: the burn covers at least `window` when the ring reaches
-	// that far, else the whole retained history.
-	base := ss.at(2)
-	for i := 2; i <= ss.filled; i++ {
-		base = ss.at(i)
-		if newest.at.Sub(base.at) >= window {
+	newest := fine.at(1)
+	reach := max(int64(window), 1)
+	base := newest
+	for i := range ss.tiers {
+		r := &ss.tiers[i]
+		if j := sort.Search(r.filled, func(j int) bool { return newest.at-r.at(j+1).at >= reach }); j < r.filled {
+			base = r.at(j + 1)
 			break
+		}
+		if oldest := r.at(r.filled); oldest.at < base.at {
+			base = oldest
 		}
 	}
 	dTotal := newest.total - base.total
@@ -89,18 +125,12 @@ func (ss *sloSeries) burnOver(window time.Duration) float64 {
 	return badRatio / budget
 }
 
-// at returns the i-th newest sample (1 = newest).
-func (ss *sloSeries) at(i int) sloSample {
-	n := len(ss.samples)
-	return ss.samples[((ss.next-i)%n+n)%n]
-}
-
 // goodRatio is the all-time good ratio of the newest sample.
 func (ss *sloSeries) goodRatio() float64 {
-	if ss.filled == 0 {
+	if ss.tiers[0].filled == 0 {
 		return 1
 	}
-	s := ss.at(1)
+	s := ss.tiers[0].at(1)
 	if s.total == 0 {
 		return 1
 	}
@@ -144,17 +174,12 @@ type SLOEngine struct {
 	rules  []BurnRule
 }
 
-// sloDepth is the samples retained per objective: at one sample per
-// second it spans the 5m/30m fast windows; slow windows degrade
-// gracefully to the oldest retained sample.
-const sloDepth = 512
-
 // NewSLOEngine builds an engine over the objectives with the given
 // rules.
 func NewSLOEngine(objectives []Objective, rules []BurnRule) *SLOEngine {
 	e := &SLOEngine{rules: rules}
 	for _, o := range objectives {
-		e.series = append(e.series, &sloSeries{obj: o, samples: make([]sloSample, sloDepth)})
+		e.series = append(e.series, &sloSeries{obj: o})
 	}
 	return e
 }
@@ -164,10 +189,9 @@ func (e *SLOEngine) Tick(now time.Time) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, ss := range e.series {
-		ss.samples[ss.next] = sloSample{at: now, good: ss.obj.Good(), total: ss.obj.Total()}
-		ss.next = (ss.next + 1) % len(ss.samples)
-		if ss.filled < len(ss.samples) {
-			ss.filled++
+		s := sloSample{at: now.UnixNano(), good: ss.obj.Good(), total: ss.obj.Total()}
+		for i := range ss.tiers {
+			ss.tiers[i].add(s, sloSteps[i])
 		}
 	}
 }
@@ -180,8 +204,8 @@ func (e *SLOEngine) Status() SLOStatus {
 	st := SLOStatus{Healthy: true}
 	for _, ss := range e.series {
 		obj := ObjectiveStatus{Name: ss.obj.Name, Target: ss.obj.Target, GoodRatio: ss.goodRatio()}
-		if ss.filled > 0 {
-			s := ss.at(1)
+		if ss.tiers[0].filled > 0 {
+			s := ss.tiers[0].at(1)
 			obj.Good, obj.Total = s.good, s.total
 		}
 		st.Objectives = append(st.Objectives, obj)

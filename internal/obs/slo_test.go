@@ -120,3 +120,58 @@ func TestBurnRateUnknownObjective(t *testing.T) {
 		t.Fatal("expected error for unknown objective")
 	}
 }
+
+// TestBurnRateLongWindows: clean traffic at 100 sends/s, then a spell
+// at 10 % loss, sampled once a second. Every window of the default
+// rules reads its true burn within 5 % — the bad seconds over the
+// window's own traffic, or over the whole history when the window is
+// longer. After two clean hours and five bad minutes neither page rule
+// fires: each short window burns past its threshold, but the 1 h and
+// 6 h long windows do not. After four clean days and six bad hours
+// every tier has wrapped and the 3 d window still reads true.
+func TestBurnRateLongWindows(t *testing.T) {
+	for _, tc := range []struct {
+		clean, bad int // seconds
+		healthy    bool
+	}{
+		{clean: 7200, bad: 300, healthy: true},
+		{clean: 4 * 86400, bad: 6 * 3600, healthy: false},
+	} {
+		var good, total atomic.Int64
+		e := NewSLOEngine([]Objective{{Name: "x", Target: 0.999, Good: good.Load, Total: total.Load}}, DefaultBurnRules())
+		t0 := time.Unix(1000, 0)
+		e.Tick(t0)
+		for s := 1; s <= tc.clean+tc.bad; s++ {
+			total.Add(100)
+			if s <= tc.clean {
+				good.Add(100)
+			} else {
+				good.Add(90)
+			}
+			e.Tick(t0.Add(time.Duration(s) * time.Second))
+		}
+		want := func(w time.Duration) float64 {
+			secs := min(w.Seconds(), float64(tc.clean+tc.bad))
+			return min(secs, float64(tc.bad)) * 10 / (secs * 100) / 0.001
+		}
+		near := func(what string, w time.Duration, got float64) {
+			t.Helper()
+			if exp := want(w); got < 0.95*exp || got > 1.05*exp {
+				t.Errorf("%ds clean, %ds bad: %s burn over %v = %.2f, want %.2f ± 5 %%", tc.clean, tc.bad, what, w, got, exp)
+			}
+		}
+		st := e.Status()
+		for i, r := range DefaultBurnRules() {
+			near("short", r.Short, st.Rules[i].ShortBurn)
+			near("long", r.Long, st.Rules[i].LongBurn)
+			got, err := e.BurnRate("x", r.Long)
+			if err != nil {
+				t.Fatal(err)
+			}
+			near("BurnRate", r.Long, got)
+		}
+		if st.Healthy != tc.healthy {
+			t.Errorf("%ds clean, %ds bad: healthy %t, want %t: %+v", tc.clean, tc.bad, st.Healthy, tc.healthy, st.Rules)
+		}
+	}
+}

@@ -128,7 +128,10 @@ func (l *Log) appendFrame(lsn uint64, typ uint8, data []byte) []byte {
 
 // rotate syncs and closes the current segment and opens a new one
 // whose name records its first LSN. The sync comes before the close,
-// so a committer that finds its file closed is already covered.
+// so a committer that finds its file closed is already covered. The
+// new segment's directory entry is synced before any frame goes into
+// it: until then a power loss could drop the whole segment, records
+// Commit acknowledged included, and leave the log with a hole.
 func (l *Log) rotate(firstLSN uint64) error {
 	if l.cur != nil {
 		if err := l.syncFile(l.cur); err != nil {
@@ -146,6 +149,25 @@ func (l *Log) rotate(firstLSN uint64) error {
 	}
 	l.setSegment(f, 0)
 	l.opts.Metrics.segments.Inc()
+	return l.syncDir()
+}
+
+// syncDir fsyncs the segment directory (unless NoSync).
+func (l *Log) syncDir() error {
+	if l.opts.NoSync {
+		return nil
+	}
+	dir, err := os.Open(l.opts.Dir)
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	if err := dir.Sync(); err != nil {
+		return err
+	}
+	if l.opts.dirSynced != nil {
+		l.opts.dirSynced()
+	}
 	return nil
 }
 

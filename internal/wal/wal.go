@@ -71,9 +71,11 @@ type Options struct {
 	// so 0 — the lowest epoch — defers to whatever the log holds.
 	Epoch uint64
 
-	// wrapWriter, when set (by this package's tests), wraps every
-	// segment file as the writer its frames go through.
+	// The package's test seams: wrapWriter, when set, wraps every
+	// segment file as the writer its frames go through, and dirSynced is
+	// called after every fsync of the segment directory.
 	wrapWriter func(io.Writer) io.Writer
+	dirSynced  func()
 }
 
 func (o Options) withDefaults() Options {

@@ -375,6 +375,59 @@ func TestWriteFailurePoisonsLog(t *testing.T) {
 	}
 }
 
+// orderWriter is the segment-writer seam of the directory-sync test:
+// it runs check before every write through it.
+type orderWriter struct {
+	w     io.Writer
+	check func()
+}
+
+func (o orderWriter) Write(p []byte) (int, error) {
+	o.check()
+	return o.w.Write(p)
+}
+
+// TestNewSegmentSyncsDirectory: with sync on, the directory entry of
+// every segment the log creates — the first and each rotation's — is
+// fsynced before a frame is written into it, so a power loss cannot
+// drop a segment of committed records; with NoSync (the benchmark's
+// mode) the directory is never synced.
+func TestNewSegmentSyncsDirectory(t *testing.T) {
+	for _, noSync := range []bool{false, true} {
+		dir := t.TempDir()
+		segments, synced := 0, 0
+		l, err := Open(Options{Dir: dir, NoSync: noSync, SegmentBytes: 256,
+			wrapWriter: func(w io.Writer) io.Writer {
+				segments++
+				return orderWriter{w: w, check: func() {
+					want := segments
+					if noSync {
+						want = 0
+					}
+					if synced != want {
+						t.Fatalf("NoSync %t: frame written into segment %d after %d directory syncs", noSync, segments, synced)
+					}
+				}}
+			},
+			dirSynced: func() { synced++ },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendN(t, l, 0, 40)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := listSegments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(segs) < 4 || len(segs) != segments {
+			t.Fatalf("NoSync %t: %d segments on disk, %d created; want several, all seen", noSync, len(segs), segments)
+		}
+	}
+}
+
 // TestSegmentBytesGolden pins the on-disk format: ten records of types
 // 1-3 with 100-byte payloads, at epoch 3 through 400-byte segments,
 // hash to three pinned segment digests — frames, CRCs, LSNs, epochs and
