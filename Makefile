@@ -61,8 +61,9 @@ loc:
 # the pinned bytes and the same at 1, 2 and 4 Ps, a bulk encode never
 # speculates more than 2·workers chunks ahead of the element it commits
 # (however slow the commit), a warm-scratch encoding
-# stays inside its allocation budget (one word slab for the tree, one
-# per layer for its rules), every WAL record type is its pinned payload
+# stays inside its allocation budget (one word slab for the tree, the
+# section bytes of each layer), a controller holding 5,000 bench-shaped
+# groups stays inside its live heap per group, every WAL record type is its pinned payload
 # and a batch's record — its members sorted by one worker per P — is the
 # same pinned bytes at 1, 2 and 4 Ps, every hypervisor of
 # the bench topology accepts its own groups and counts each copy once
@@ -82,7 +83,7 @@ bench-gate:
 	$(GO) test -run 'TestAssignIntoWarmScratchZeroAlloc' -count=1 ./internal/cluster/
 	$(GO) test -run 'TestObserverDisabledAddsNoAllocations' -count=1 -v ./internal/obs/
 	$(GO) test -run 'TestProcessIntoZeroAllocs|TestProcessIntoEquivalence' -bench 'BenchmarkDeliverFull' -benchtime 200000x -count=1 ./internal/dataplane/
-	$(GO) test -run 'TestSenderStreamMatchesOracle|TestAppendSenderStreamZeroAllocs|TestAbandonedControllerIsCollected|TestWriteStateSameBytesAnyProcs|TestStateFormatGolden|TestEncodeAllocationBudget|TestEncodeBatchLookAheadIsBounded' -count=1 ./internal/controller/
+	$(GO) test -run 'TestSenderStreamMatchesOracle|TestAppendSenderStreamZeroAllocs|TestAbandonedControllerIsCollected|TestWriteStateSameBytesAnyProcs|TestStateFormatGolden|TestEncodeAllocationBudget|TestLiveHeapPerGroup|TestEncodeBatchLookAheadIsBounded' -count=1 ./internal/controller/
 	$(GO) test -run 'TestRecordBytesGolden|TestBatchRecordSameBytesAnyProcs' -count=1 ./internal/durable/
 	$(GO) test -run 'TestInstallWalkAllocationBudget|TestINTAfterAbsentDownstreamSection|TestSendAllocsIndependentOfGroupSize|TestSendAllocsZeroDegraded|TestDeliveryReusedAcrossSends|TestForwardEventIsCompact|TestForwardMatchesEagerDelivery' -count=1 ./internal/fabric/
 	bash benchmark/run.sh --workload fanout-sync --seed 1 --seconds 2 --trace 0

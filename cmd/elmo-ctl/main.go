@@ -384,7 +384,7 @@ func (s *server) show(f []string) (string, error) {
 	fmt.Fprintf(&sb, "group %v: %d members (%d senders, %d receivers)\n",
 		key, len(g.Members), len(g.Senders()), len(g.Receivers()))
 	fmt.Fprintf(&sb, "  exact=%v  spine p-rules=%d  leaf p-rules=%d  spine s-rules=%d  leaf s-rules=%d",
-		g.Enc.Exact(), len(g.Enc.DSpine), len(g.Enc.DLeaf), len(g.Enc.SpineSRules), len(g.Enc.LeafSRules))
+		g.Enc.Exact(), header.RuleCount(g.Enc.DSpineSection), header.RuleCount(g.Enc.DLeafSection), len(g.Enc.SpineSRules), len(g.Enc.LeafSRules))
 	return sb.String(), nil
 }
 

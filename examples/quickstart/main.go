@@ -12,6 +12,7 @@ import (
 
 	"elmo"
 	"elmo/internal/fabric"
+	"elmo/internal/header"
 )
 
 func main() {
@@ -38,7 +39,7 @@ func main() {
 	}
 	g := cl.Ctrl.Group(key)
 	fmt.Printf("group %v: %d members, %d leaf p-rules, %d leaf s-rules, exact=%v\n",
-		key, len(g.Members), len(g.Enc.DLeaf), len(g.Enc.LeafSRules), g.Enc.Exact())
+		key, len(g.Members), header.RuleCount(g.Enc.DLeafSection), len(g.Enc.LeafSRules), g.Enc.Exact())
 
 	payload := []byte("hello, source-routed multicast!")
 	for name, sender := range hosts {

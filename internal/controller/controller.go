@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -600,7 +601,7 @@ func (c *Controller) traceEncode(key GroupKey, enc *Encoding) {
 		"Hmax=%d/%d Kmax=%d/%d R=%d Fmax=%d -> dleaf=%d dspine=%d srules=%d+%d default=%t redundancy=%d",
 		c.cfg.LeafRuleLimit, c.cfg.SpineRuleLimit, c.cfg.KMaxLeaf, c.cfg.KMaxSpine,
 		c.cfg.R, c.cfg.SRuleCapacity,
-		len(enc.DLeaf), len(enc.DSpine), len(enc.LeafSRules), len(enc.SpineSRules),
+		header.RuleCount(enc.DLeafSection), header.RuleCount(enc.DSpineSection), len(enc.LeafSRules), len(enc.SpineSRules),
 		!enc.Exact(), enc.Redundancy)
 	t.Record(trace.Event{
 		Cat: trace.CatEncoder, Kind: trace.KindEncode, Tier: trace.TierController,
@@ -622,17 +623,10 @@ func (c *Controller) releaseSRulesCharged(e *Encoding) {
 }
 
 // sharedEqual reports whether two encodings put the same
-// sender-independent sections on the wire: the same downstream rules in
-// the same order, the same defaults and the same pods.
+// sender-independent sections on the wire: the same downstream section
+// bytes and the same pods.
 func sharedEqual(a, b *Encoding) bool {
-	rulesEqual := func(x, y header.PRule) bool {
-		return slices.Equal(x.Switches, y.Switches) && x.Bitmap.Equal(y.Bitmap)
-	}
-	defEqual := func(x, y *bitmap.Bitmap) bool {
-		return (x == nil) == (y == nil) && (x == nil || x.Equal(*y))
-	}
-	return slices.EqualFunc(a.DSpine, b.DSpine, rulesEqual) && defEqual(a.DSpineDefault, b.DSpineDefault) &&
-		slices.EqualFunc(a.DLeaf, b.DLeaf, rulesEqual) && defEqual(a.DLeafDefault, b.DLeafDefault) &&
+	return bytes.Equal(a.DSpineSection, b.DSpineSection) && bytes.Equal(a.DLeafSection, b.DLeafSection) &&
 		a.Pods.Equal(b.Pods)
 }
 

@@ -91,10 +91,10 @@ func TestComputeEncodingFigure3(t *testing.T) {
 	}
 	// R=0, no s-rule capacity: L0 and L6 share a p-rule (identical
 	// bitmaps); L5 gets one; L7 overflows to the default.
-	if len(enc.DLeaf) != 2 {
-		t.Fatalf("leaf p-rules = %d, want 2", len(enc.DLeaf))
+	if n := header.RuleCount(enc.DLeafSection); n != 2 {
+		t.Fatalf("leaf p-rules = %d, want 2", n)
 	}
-	if enc.DLeafDefault == nil {
+	if !enc.DLeafDefault {
 		t.Fatal("expected leaf default rule")
 	}
 	if enc.Exact() {
@@ -115,7 +115,7 @@ func TestComputeEncodingWithSRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With capacity, L7 takes an s-rule instead of the default (D5).
-	if enc.DLeafDefault != nil {
+	if enc.DLeafDefault {
 		t.Fatal("default rule used despite s-rule capacity")
 	}
 	if !slices.Contains(enc.LeafSRules, 7) {
@@ -135,8 +135,8 @@ func TestComputeEncodingR2SharesAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Paper Fig. 3a, R=2: two leaf p-rules, no s-rules, no default.
-	if len(enc.DLeaf) != 2 || enc.DLeafDefault != nil || len(enc.LeafSRules) != 0 {
-		t.Fatalf("R=2: rules=%d default=%v srules=%v", len(enc.DLeaf), enc.DLeafDefault, enc.LeafSRules)
+	if n := header.RuleCount(enc.DLeafSection); n != 2 || enc.DLeafDefault || len(enc.LeafSRules) != 0 {
+		t.Fatalf("R=2: rules=%d default=%v srules=%v", n, enc.DLeafDefault, enc.LeafSRules)
 	}
 	if enc.Redundancy == 0 {
 		t.Fatal("R=2 sharing should record redundancy")
@@ -148,7 +148,7 @@ func TestComputeEncodingEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !enc.Exact() || len(enc.DLeaf) != 0 || enc.Pods.PopCount() != 0 {
+	if !enc.Exact() || enc.DLeafSection != nil || enc.Pods.PopCount() != 0 {
 		t.Fatal("empty receiver set should produce empty encoding")
 	}
 }
@@ -409,7 +409,7 @@ func TestSRuleCapacityExhaustionFallsToDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.Enc.DLeafDefault == nil {
+	if !g2.Enc.DLeafDefault {
 		t.Fatal("second group should use a default leaf rule")
 	}
 }

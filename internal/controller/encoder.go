@@ -9,6 +9,7 @@
 package controller
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -113,12 +114,17 @@ type Encoding struct {
 	// PodLeaves maps each receiver pod to its member leaf bitmap.
 	PodLeaves map[topology.PodID]bitmap.Bitmap
 
-	// DSpine are the shared downstream spine p-rules (pod IDs).
-	DSpine        []header.PRule
-	DSpineDefault *bitmap.Bitmap
-	// DLeaf are the shared downstream leaf p-rules (global leaf IDs).
-	DLeaf        []header.PRule
-	DLeafDefault *bitmap.Bitmap
+	// DSpineSection and DLeafSection are the shared downstream sections
+	// — spine p-rules over pod IDs, leaf p-rules over global leaf IDs —
+	// as the bytes header.AppendDownstream writes for them with
+	// header.KeepAll: the rules and the optional default rule, nil when a
+	// layer has neither. A sender's header copies them
+	// (header.CopyDownstream). DSpineDefault and DLeafDefault report
+	// whether the section ends in a default rule.
+	DSpineSection []byte
+	DLeafSection  []byte
+	DSpineDefault bool
+	DLeafDefault  bool
 
 	// SpineSRules lists, ascending, the pods whose logical spine takes a
 	// group-table entry. The entry holds the pod's tree bitmap,
@@ -142,7 +148,7 @@ type Encoding struct {
 // Exact reports whether the encoding needs no default p-rule at either
 // layer — the "groups covered with p-rules (and s-rules)" metric of
 // Figures 4/5 (left).
-func (e *Encoding) Exact() bool { return e.DSpineDefault == nil && e.DLeafDefault == nil }
+func (e *Encoding) Exact() bool { return !e.DSpineDefault && !e.DLeafDefault }
 
 // UsesSRules reports whether any s-rule was installed.
 func (e *Encoding) UsesSRules() bool { return len(e.SpineSRules) > 0 || len(e.LeafSRules) > 0 }
@@ -175,6 +181,10 @@ type EncodeScratch struct {
 	members   []cluster.Member
 	srules    []uint16
 	receivers []topology.HostID
+	// rules and section hold the layer being written: its p-rules, as
+	// header rules aliasing the clustering result, and their bytes.
+	rules   []header.PRule
+	section []byte
 
 	// stamp names the encoding being built: leafStamp[l] == stamp marks
 	// leaf l as seen by it, with its bitmap at leafBms[leafSlot[l]], and
@@ -214,9 +224,9 @@ func ComputeEncoding(topo *topology.Topology, cfg Config, cap CapacityFunc, rece
 // ComputeEncodingInto is ComputeEncoding with caller-provided scratch
 // memory: all clustering temporaries are reused across calls, so a warm
 // scratch allocates only the returned Encoding itself — the struct, its
-// tree maps and one word slab for the tree, then per layer a rule
-// slice, a switch slab, one word slab and any s-rule list. The result
-// owns all of its memory (nothing aliases the scratch).
+// tree maps and one word slab for the tree, then per layer its section
+// bytes and any s-rule list. The result owns all of its memory (nothing
+// aliases the scratch).
 func ComputeEncodingInto(topo *topology.Topology, cfg Config, cap CapacityFunc, receivers []topology.HostID, s *EncodeScratch) (*Encoding, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -228,7 +238,7 @@ func ComputeEncodingInto(topo *topology.Topology, cfg Config, cap CapacityFunc, 
 	if err := encodeLeafLayer(topo, cfg, cap, e, s); err != nil {
 		return nil, err
 	}
-	if err := encodeSpineLayer(cfg, cap, e, s); err != nil {
+	if err := encodeSpineLayer(topo, cfg, cap, e, s); err != nil {
 		return nil, err
 	}
 	e.Redundancy = e.LeafRedundancy + e.SpineRedundancy
@@ -299,23 +309,23 @@ func buildTree(topo *topology.Topology, receivers []topology.HostID, same *Encod
 }
 
 // encodeLeafLayer runs Algorithm 1 over the leaf layer of e's tree,
-// filling DLeaf, DLeafDefault, LeafSRules, and LeafRedundancy. Leaves
+// filling DLeafSection, DLeafDefault, LeafSRules, and LeafRedundancy. Leaves
 // reachable entirely through the sender's own u-leaf rule still need
 // downstream rules because any member may send; the encoding is shared
 // across senders (D2c).
 func encodeLeafLayer(topo *topology.Topology, cfg Config, cap CapacityFunc, e *Encoding, s *EncodeScratch) (err error) {
-	e.DLeaf, e.DLeafDefault, e.LeafSRules, e.LeafRedundancy, err = encodeLayer(
-		"leaf", e.LeafPorts, cfg.LegacyLeaves, cap.Leaf, s,
+	e.DLeafSection, e.DLeafDefault, e.LeafSRules, e.LeafRedundancy, err = encodeLayer(
+		"leaf", header.TagDLeaf, header.LayoutFor(topo), e.LeafPorts, cfg.LegacyLeaves, cap.Leaf, s,
 		cluster.Constraints{R: cfg.R, HMax: effectiveLeafLimit(topo, cfg), KMax: cfg.KMaxLeaf})
 	return err
 }
 
 // encodeSpineLayer runs Algorithm 1 over the spine layer (one member
-// per pod with receivers), filling DSpine, DSpineDefault, SpineSRules,
-// and SpineRedundancy.
-func encodeSpineLayer(cfg Config, cap CapacityFunc, e *Encoding, s *EncodeScratch) (err error) {
-	e.DSpine, e.DSpineDefault, e.SpineSRules, e.SpineRedundancy, err = encodeLayer(
-		"pod", e.PodLeaves, cfg.LegacyPods, cap.Pod, s,
+// per pod with receivers), filling DSpineSection, DSpineDefault,
+// SpineSRules, and SpineRedundancy.
+func encodeSpineLayer(topo *topology.Topology, cfg Config, cap CapacityFunc, e *Encoding, s *EncodeScratch) (err error) {
+	e.DSpineSection, e.DSpineDefault, e.SpineSRules, e.SpineRedundancy, err = encodeLayer(
+		"pod", header.TagDSpine, header.LayoutFor(topo), e.PodLeaves, cfg.LegacyPods, cap.Pod, s,
 		cluster.Constraints{R: cfg.R, HMax: cfg.SpineRuleLimit, KMax: cfg.KMaxSpine})
 	return err
 }
@@ -325,12 +335,13 @@ func encodeSpineLayer(cfg Config, cap CapacityFunc, e *Encoding, s *EncodeScratc
 // downstream ports, free answers the s-rule capacity question for it and
 // lim carries the layer's R, HMax and KMax. Legacy switches can only
 // forward from their group tables, so they are forced onto s-rules and
-// only the modern ones are clustered. It returns the layer's p-rules,
-// default rule, s-rule switches (ascending; each entry holds the
-// switch's tree bitmap) and redundancy, all owning their memory.
-func encodeLayer[K ~int](layer string, tree map[K]bitmap.Bitmap, legacy []K, free func(K) bool,
+// only the modern ones are clustered. It returns the layer's section
+// (tag, under layout l) with whether it holds a default rule, the s-rule
+// switches (ascending; each entry holds the switch's tree bitmap) and
+// the redundancy, all owning their memory.
+func encodeLayer[K ~int](layer string, tag byte, l header.Layout, tree map[K]bitmap.Bitmap, legacy []K, free func(K) bool,
 	s *EncodeScratch, lim cluster.Constraints,
-) (rules []header.PRule, def *bitmap.Bitmap, srules []K, redundancy int, err error) {
+) (section []byte, hasDef bool, srules []K, redundancy int, err error) {
 	isLegacy := legacySet(legacy)
 	s.members, s.srules = s.members[:0], s.srules[:0]
 	for sw, ports := range tree {
@@ -339,7 +350,7 @@ func encodeLayer[K ~int](layer string, tree map[K]bitmap.Bitmap, legacy []K, fre
 			continue
 		}
 		if free == nil || !free(sw) {
-			return nil, nil, nil, 0, fmt.Errorf("controller: %w (%s %d)", ErrLegacyTableFull, layer, sw)
+			return nil, false, nil, 0, fmt.Errorf("controller: %w (%s %d)", ErrLegacyTableFull, layer, sw)
 		}
 		s.srules = append(s.srules, uint16(sw))
 	}
@@ -352,31 +363,19 @@ func encodeLayer[K ~int](layer string, tree map[K]bitmap.Bitmap, legacy []K, fre
 		}
 		slices.Sort(srules)
 	}
-	// Every bitmap the layer keeps — p-rules and default rule — is carved
-	// from one word slab.
-	words := 0
+	// The layer keeps its rules as the section bytes only, written in
+	// scratch and copied out at their exact size.
+	s.rules = s.rules[:0]
 	for _, r := range assign.PRules {
-		words += bitmap.WordLen(r.Bitmap.Width())
+		s.rules = append(s.rules, header.PRule(r))
 	}
-	if assign.Default != nil {
-		words += bitmap.WordLen(assign.Default.Width())
+	if s.section, err = header.AppendDownstream(s.section[:0], l, tag, s.rules, assign.Default, header.KeepAll); err != nil {
+		return nil, false, nil, 0, fmt.Errorf("controller: %s section: %w", layer, err)
 	}
-	slab := make([]uint64, words)
-	rules, slab = rulesFrom(assign.PRules, slab)
-	if assign.Default != nil {
-		var d bitmap.Bitmap
-		d, _ = keep(*assign.Default, slab)
-		def = &d
+	if len(s.section) > 0 {
+		section = bytes.Clone(s.section)
 	}
-	return rules, def, srules, assign.Redundancy, nil
-}
-
-// keep copies b into a bitmap carved from slab and returns it with the
-// rest of slab.
-func keep(b bitmap.Bitmap, slab []uint64) (bitmap.Bitmap, []uint64) {
-	c, rest := bitmap.Carve(b.Width(), slab)
-	c.CopyFrom(b)
-	return c, rest
+	return section, assign.Default != nil, srules, assign.Redundancy, nil
 }
 
 // effectiveLeafLimit derives the leaf-section rule budget from the
@@ -404,7 +403,7 @@ func effectiveLeafLimit(topo *topology.Topology, cfg Config) int {
 // bounded by the overflow groups instead of taxing every group.
 // The returned assignment aliases the scratch (and possibly the input
 // member bitmaps) and is valid only until the scratch's next use; the
-// encode layer deep-copies what it keeps via rulesFrom and keep.
+// encode layer keeps only the section bytes it writes from it.
 func assignLayer(members []cluster.Member, c cluster.Constraints, s *cluster.Scratch) cluster.Assignment {
 	exactC := c
 	exactC.R = 0
@@ -415,26 +414,4 @@ func assignLayer(members []cluster.Member, c cluster.Constraints, s *cluster.Scr
 	// The exact attempt is discarded, so reusing the scratch (which
 	// invalidates it) is safe.
 	return cluster.AssignInto(members, c, s)
-}
-
-// rulesFrom deep-copies clustering rules into owned header p-rules:
-// the inputs alias the encode scratch, the outputs must outlive it.
-// Every rule's switch list is cut from one switch slab at cap = len,
-// and its bitmap carved from words; the rest of words is returned.
-func rulesFrom(rules []cluster.Rule, words []uint64) ([]header.PRule, []uint64) {
-	if len(rules) == 0 {
-		return nil, words
-	}
-	n := 0
-	for _, r := range rules {
-		n += len(r.Switches)
-	}
-	out := make([]header.PRule, len(rules))
-	sws := make([]uint16, n)
-	for i, r := range rules {
-		k := copy(sws, r.Switches)
-		out[i].Switches, sws = sws[:k:k], sws[k:]
-		out[i].Bitmap, words = keep(r.Bitmap, words)
-	}
-	return out, words
 }

@@ -1,6 +1,8 @@
 package controller
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"elmo/internal/groupgen"
@@ -39,7 +41,7 @@ func benchReceiverSets(t *testing.T, n int) (*topology.Topology, [][]topology.Ho
 // list. A bitmap or rule list allocated on its own shows here.
 func TestEncodeAllocationBudget(t *testing.T) {
 	raceflag.SkipExactAllocs(t)
-	const budget = 13 // 14 with s-rule maps; 55 on these sets when every tree and rule bitmap was its own allocation
+	const budget = 9 // 13 when each layer kept its rules as structs (a rule slice, a switch slab and a word slab); 55 when every tree and rule bitmap was its own allocation
 	topo, sets := benchReceiverSets(t, 512)
 	cfg := PaperConfig(0)
 	capFn := NewOccupancy(topo, cfg.SRuleCapacity).CapacityFunc()
@@ -59,4 +61,51 @@ func TestEncodeAllocationBudget(t *testing.T) {
 		t.Fatalf("warm ComputeEncodingInto allocated %.2f times per encoding, budget %d", allocs, budget)
 	}
 	t.Logf("warm ComputeEncodingInto: %.2f allocations per encoding", allocs)
+}
+
+// TestLiveHeapPerGroup pins the live heap a controller holds per group:
+// 5,000 seeded WVE groups on the benchmark's fabric, each member a
+// receiver and a quarter of them (and the first) senders too, installed
+// in one batch at R=0. The bound is the measured bytes per group plus
+// under 2 % slack; it may only tighten. A group's live heap is its
+// member list, its tree maps and bitmaps, its two downstream sections
+// and its s-rule lists; it was 3,495 B when each layer kept its
+// p-rules as structs beside the tree.
+func TestLiveHeapPerGroup(t *testing.T) {
+	raceflag.SkipExactAllocs(t)
+	const boundBytes = 2650 // per group; 2,600 measured
+	topo, sets := benchReceiverSets(t, 5000)
+	rng := rand.New(rand.NewSource(41))
+	specs := make([]BatchSpec, len(sets))
+	for i, hosts := range sets {
+		members := make(map[topology.HostID]Role, len(hosts))
+		for j, h := range hosts {
+			members[h] = RoleReceiver
+			if j == 0 || rng.Intn(4) == 0 {
+				members[h] = RoleBoth
+			}
+		}
+		specs[i] = BatchSpec{Key: GroupKey{Tenant: 1, Group: uint32(i + 1)}, Members: members}
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	c, err := New(topo, PaperConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.InstallBatch(specs, BatchOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	perGroup := float64(heap()-before) / float64(len(specs))
+	runtime.KeepAlive(c)
+	runtime.KeepAlive(specs)
+	if perGroup > boundBytes {
+		t.Fatalf("live heap %.0f B per group, bound %d", perGroup, boundBytes)
+	}
+	t.Logf("live heap: %.0f B per group", perGroup)
 }

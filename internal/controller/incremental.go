@@ -65,11 +65,11 @@ func incrementalEncoding(topo *topology.Topology, cfg Config, cap CapacityFunc, 
 		return nil, err
 	}
 	if leavesChanged {
-		if err := encodeSpineLayer(cfg, cap, e, s); err != nil {
+		if err := encodeSpineLayer(topo, cfg, cap, e, s); err != nil {
 			return nil, err
 		}
 	} else {
-		e.DSpine = old.DSpine
+		e.DSpineSection = old.DSpineSection
 		e.DSpineDefault = old.DSpineDefault
 		e.SpineSRules = old.SpineSRules
 		e.SpineRedundancy = old.SpineRedundancy

@@ -97,7 +97,7 @@ func TestIncrementalRetreeReusesSpineSection(t *testing.T) {
 	}
 	g := c.Group(key)
 	before := g.Enc
-	if len(before.DSpine) == 0 && len(before.SpineSRules) == 0 {
+	if before.DSpineSection == nil && len(before.SpineSRules) == 0 {
 		t.Fatal("test premise broken: spine section is empty")
 	}
 
@@ -109,11 +109,11 @@ func TestIncrementalRetreeReusesSpineSection(t *testing.T) {
 	if after == before {
 		t.Fatal("encoding not replaced by retree")
 	}
-	if len(before.DSpine) > 0 && &after.DSpine[0] != &before.DSpine[0] {
-		t.Error("DSpine was re-encoded, want aliased reuse")
+	if before.DSpineSection != nil && &after.DSpineSection[0] != &before.DSpineSection[0] {
+		t.Error("DSpineSection was re-encoded, want aliased reuse")
 	}
 	if before.DSpineDefault != after.DSpineDefault {
-		t.Error("DSpineDefault not aliased")
+		t.Error("DSpineDefault not reused")
 	}
 	if len(before.SpineSRules) > 0 &&
 		reflect.ValueOf(after.SpineSRules).Pointer() != reflect.ValueOf(before.SpineSRules).Pointer() {

@@ -3,6 +3,7 @@ package controller
 import (
 	"sort"
 
+	"elmo/internal/header"
 	"elmo/internal/topology"
 )
 
@@ -150,10 +151,10 @@ func (c *Controller) InspectGroup(key GroupKey) (*GroupDetail, bool) {
 	if e != nil {
 		d.Encoding = EncodingInfo{
 			Pods:            e.Pods.Ports(),
-			SpinePRules:     len(e.DSpine),
-			LeafPRules:      len(e.DLeaf),
-			SpineDefault:    e.DSpineDefault != nil,
-			LeafDefault:     e.DLeafDefault != nil,
+			SpinePRules:     header.RuleCount(e.DSpineSection),
+			LeafPRules:      header.RuleCount(e.DLeafSection),
+			SpineDefault:    e.DSpineDefault,
+			LeafDefault:     e.DLeafDefault,
 			SpineSRules:     len(e.SpineSRules),
 			LeafSRules:      len(e.LeafSRules),
 			Redundancy:      e.Redundancy,

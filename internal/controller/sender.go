@@ -135,11 +135,11 @@ func AppendSenderStream(dst []byte, s *SenderScratch, topo *topology.Topology, c
 		}
 		// The downstream path never revisits the sender's own pod or
 		// leaf, so a rule naming only that switch is left out.
-		if out, err = header.AppendDownstream(out, l, header.TagDSpine, e.DSpine, e.DSpineDefault, int(senderPod)); err != nil {
+		if out, err = header.CopyDownstream(out, l, e.DSpineSection, int(senderPod)); err != nil {
 			return dst, err
 		}
 	}
-	if out, err = header.AppendDownstream(out, l, header.TagDLeaf, e.DLeaf, e.DLeafDefault, int(senderLeaf)); err != nil {
+	if out, err = header.CopyDownstream(out, l, e.DLeafSection, int(senderLeaf)); err != nil {
 		return dst, err
 	}
 	if cfg.EnableINT {

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 
 	"elmo/internal/bitmap"
 	"elmo/internal/header"
@@ -37,6 +38,10 @@ func oracleSenderHeader(topo *topology.Topology, cfg Config, e *Encoding, sender
 	}
 
 	h := &header.Header{}
+	shared, err := encodingRules(l, e)
+	if err != nil {
+		return nil, err
+	}
 
 	// Receivers under the sender's own leaf, minus the sender itself:
 	// the hypervisor delivers any co-located member VM locally.
@@ -101,12 +106,12 @@ func oracleSenderHeader(topo *topology.Topology, cfg Config, e *Encoding, sender
 		}
 		h.Core = &core
 
-		h.DSpine = filterRules(e.DSpine, uint16(senderPod))
-		h.DSpineDefault = e.DSpineDefault
+		h.DSpine = filterRules(shared.DSpine, uint16(senderPod))
+		h.DSpineDefault = shared.DSpineDefault
 	}
 
-	h.DLeaf = filterRules(e.DLeaf, uint16(senderLeaf))
-	h.DLeafDefault = e.DLeafDefault
+	h.DLeaf = filterRules(shared.DLeaf, uint16(senderLeaf))
+	h.DLeafDefault = shared.DLeafDefault
 
 	// Upstream port selection: multipath when the fabric is healthy,
 	// explicit set-cover ports under failures.
@@ -132,6 +137,13 @@ func oracleSenderHeader(topo *topology.Topology, cfg Config, e *Encoding, sender
 		return nil, fmt.Errorf("controller: assembled header %d bytes exceeds budget %d", size, cfg.MaxHeaderBytes)
 	}
 	return h, nil
+}
+
+// encodingRules reads the downstream sections of e back as rules
+// through header.Decode.
+func encodingRules(l header.Layout, e *Encoding) (*header.Header, error) {
+	h, _, err := header.Decode(l, slices.Concat(e.DSpineSection, e.DLeafSection, []byte{header.TagEnd}))
+	return h, err
 }
 
 // filterRules drops rules that exclusively name the sender's own

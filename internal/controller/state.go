@@ -2,6 +2,7 @@ package controller
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -43,23 +44,16 @@ const stateChunkGroups = 128
 
 // stateWriter appends the WriteState encoding to b.
 type stateWriter struct {
-	b    []byte
-	keys []int // writeBitmapMap's sort scratch
+	b      []byte
+	keys   []int // writeBitmapMap's sort scratch
+	layout header.Layout
+	walk   header.RuleWalker // reads a downstream section's rules
+	err    error             // the first section the walk refused
 }
 
 func (sw *stateWriter) uvarint(v uint64) { sw.b = binary.AppendUvarint(sw.b, v) }
 
 func (sw *stateWriter) bitmap(b bitmap.Bitmap) { sw.b = b.AppendWire(sw.b) }
-
-// optBitmap writes a presence flag and, when present, the bitmap.
-func (sw *stateWriter) optBitmap(b *bitmap.Bitmap) {
-	if b == nil {
-		sw.b = append(sw.b, 0)
-		return
-	}
-	sw.b = append(sw.b, 1)
-	sw.bitmap(*b)
-}
 
 // writeBitmapMap writes a switch→bitmap map as its length followed by
 // (key, bitmap) pairs in ascending key order.
@@ -109,18 +103,22 @@ func (c *Controller) WriteState(w io.Writer) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	keys := c.sortedKeysLocked()
+	l := header.LayoutFor(c.topo)
 	head := binary.AppendUvarint(binary.AppendUvarint(nil, stateVersion), uint64(len(keys)))
 	if _, err := w.Write(head); err != nil {
 		return err
 	}
 	return inOrder((len(keys)+stateChunkGroups-1)/stateChunkGroups, 0,
 		func(ci int, sw *stateWriter) {
-			sw.b = sw.b[:0]
+			sw.b, sw.layout, sw.err = sw.b[:0], l, nil
 			for _, key := range keys[ci*stateChunkGroups : min((ci+1)*stateChunkGroups, len(keys))] {
 				sw.group(key, c.groups[key])
 			}
 		},
 		func(_ int, sw *stateWriter) error {
+			if sw.err != nil {
+				return sw.err
+			}
 			_, err := w.Write(sw.b)
 			return err
 		})
@@ -131,10 +129,8 @@ func (sw *stateWriter) encoding(e *Encoding) {
 	sw.bitmap(e.Pods)
 	writeBitmapMap(sw, e.LeafPorts)
 	writeBitmapMap(sw, e.PodLeaves)
-	sw.rules(e.DSpine)
-	sw.optBitmap(e.DSpineDefault)
-	sw.rules(e.DLeaf)
-	sw.optBitmap(e.DLeafDefault)
+	sw.section(e.DSpineSection)
+	sw.section(e.DLeafSection)
 	writeSRules(sw, e.SpineSRules, e.PodLeaves)
 	writeSRules(sw, e.LeafSRules, e.LeafPorts)
 	sw.uvarint(uint64(e.LeafRedundancy))
@@ -142,14 +138,28 @@ func (sw *stateWriter) encoding(e *Encoding) {
 	sw.uvarint(uint64(e.Redundancy))
 }
 
-func (sw *stateWriter) rules(rules []header.PRule) {
-	sw.uvarint(uint64(len(rules)))
-	for _, r := range rules {
-		sw.uvarint(uint64(len(r.Switches)))
-		for _, id := range r.Switches {
+// section writes a downstream section in the state form: its rule
+// count, then per rule the identifier count, the identifiers as
+// uvarints (not at the header's packed width) and the bitmap, then a
+// default flag and, when set, the default bitmap. TestStateFormatGolden
+// pins these bytes.
+func (sw *stateWriter) section(section []byte) {
+	sw.uvarint(uint64(header.RuleCount(section)))
+	sw.walk.Reset(sw.layout, section)
+	for sw.walk.Next() {
+		sw.uvarint(uint64(len(sw.walk.Switches)))
+		for _, id := range sw.walk.Switches {
 			sw.uvarint(uint64(id))
 		}
-		sw.bitmap(r.Bitmap)
+		sw.b = append(sw.b, sw.walk.Ports...)
+	}
+	if def, ok := sw.walk.Default(); ok {
+		sw.b = append(append(sw.b, 1), def...)
+	} else {
+		sw.b = append(sw.b, 0)
+	}
+	if err := sw.walk.Err(); err != nil && sw.err == nil {
+		sw.err = fmt.Errorf("controller: state: %w", err)
 	}
 }
 
@@ -159,6 +169,13 @@ type stateReader struct {
 	r     *bufio.Reader
 	buf   []byte
 	srule bitmap.Bitmap // an s-rule's bitmap, compared and dropped
+
+	// A downstream section is read into rules and def, reused from
+	// section to section, and written as header bytes into sec.
+	layout header.Layout
+	rules  []header.PRule
+	def    bitmap.Bitmap
+	sec    []byte
 }
 
 // uvarint reads one varint in the form WriteState writes: minimal, so
@@ -228,7 +245,7 @@ func (c *Controller) ReadState(r io.Reader) error {
 		key GroupKey
 		g   *GroupState
 	}
-	sr := &stateReader{r: bufio.NewReaderSize(r, 1<<20)}
+	sr := &stateReader{r: bufio.NewReaderSize(r, 1<<20), layout: header.LayoutFor(c.topo)}
 	version, err := sr.uvarint()
 	if err != nil {
 		return err
@@ -408,60 +425,62 @@ func (sr *stateReader) key(what string, limit uint64, prev int) (uint64, error) 
 	return k, nil
 }
 
-// optBitmap decodes what stateWriter.optBitmap wrote.
-func (sr *stateReader) optBitmap(width int) (*bitmap.Bitmap, error) {
-	flag, err := sr.r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("truncated default flag: %w", err)
-	}
-	switch flag {
-	case 0:
-		return nil, nil
-	case 1:
-		bm, err := sr.bitmap(width)
-		if err != nil {
-			return nil, err
-		}
-		return &bm, nil
-	default:
-		return nil, fmt.Errorf("bad default flag %d", flag)
-	}
-}
-
-// rules decodes one p-rule section: switch ids below maxSwitch, bitmaps
-// of the given width.
-func (sr *stateReader) rules(width int, maxSwitch uint64) ([]header.PRule, error) {
+// section decodes what stateWriter.section wrote for the downstream
+// section with the given tag: switch ids below maxSwitch, bitmaps of the
+// given width. The rules are read into reused scratch and written
+// through header.AppendDownstream, so a section the header cannot carry
+// is refused; the one allocation is the returned bytes, at their exact
+// size (nil for an absent section). It also reports whether the section
+// holds a default rule.
+func (sr *stateReader) section(tag byte, width int, maxSwitch uint64) ([]byte, bool, error) {
 	n, err := sr.count(1<<16, "p-rule")
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	rules := make([]header.PRule, n)
-	for i := range rules {
+	sr.rules = slices.Grow(sr.rules[:0], n)[:n]
+	for i := range sr.rules {
+		r := &sr.rules[i]
 		ns, err := sr.count(maxSwitch, "rule-switch")
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		sws := make([]uint16, ns)
-		for j := range sws {
+		r.Switches = r.Switches[:0]
+		for range ns {
 			sw, err := sr.uvarint()
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			if sw >= maxSwitch {
-				return nil, fmt.Errorf("rule switch %d out of range", sw)
+				return nil, false, fmt.Errorf("rule switch %d out of range", sw)
 			}
-			sws[j] = uint16(sw)
+			r.Switches = append(r.Switches, uint16(sw))
 		}
-		bm, err := sr.bitmap(width)
-		if err != nil {
-			return nil, err
+		if err := sr.bitmapInto(width, &r.Bitmap); err != nil {
+			return nil, false, err
 		}
-		rules[i] = header.PRule{Switches: sws, Bitmap: bm}
 	}
-	return rules, nil
+	flag, err := sr.r.ReadByte()
+	if err != nil {
+		return nil, false, fmt.Errorf("truncated default flag: %w", err)
+	}
+	var def *bitmap.Bitmap
+	switch flag {
+	case 0:
+	case 1:
+		if err := sr.bitmapInto(width, &sr.def); err != nil {
+			return nil, false, err
+		}
+		def = &sr.def
+	default:
+		return nil, false, fmt.Errorf("bad default flag %d", flag)
+	}
+	if sr.sec, err = header.AppendDownstream(sr.sec[:0], sr.layout, tag, sr.rules, def, header.KeepAll); err != nil {
+		return nil, false, err
+	}
+	if len(sr.sec) == 0 {
+		return nil, false, nil
+	}
+	return bytes.Clone(sr.sec), def != nil, nil
 }
 
 // readEncoding decodes one encoding with topology-derived widths.
@@ -479,16 +498,10 @@ func (sr *stateReader) readEncoding(topo *topology.Topology) (*Encoding, error) 
 	if e.PodLeaves, err = readBitmapMap[topology.PodID](sr, "tree pod", numPods, spineWidth); err != nil {
 		return nil, err
 	}
-	if e.DSpine, err = sr.rules(spineWidth, numPods); err != nil {
+	if e.DSpineSection, e.DSpineDefault, err = sr.section(header.TagDSpine, spineWidth, numPods); err != nil {
 		return nil, err
 	}
-	if e.DSpineDefault, err = sr.optBitmap(spineWidth); err != nil {
-		return nil, err
-	}
-	if e.DLeaf, err = sr.rules(leafWidth, numLeaves); err != nil {
-		return nil, err
-	}
-	if e.DLeafDefault, err = sr.optBitmap(leafWidth); err != nil {
+	if e.DLeafSection, e.DLeafDefault, err = sr.section(header.TagDLeaf, leafWidth, numLeaves); err != nil {
 		return nil, err
 	}
 	if e.SpineSRules, err = readSRules(sr, "s-rule pod", numPods, spineWidth, e.PodLeaves); err != nil {
@@ -514,7 +527,8 @@ func (sr *stateReader) readEncoding(topo *topology.Topology) (*Encoding, error) 
 func (c *Controller) Fingerprint() string {
 	h := sha256.New()
 	if err := c.WriteState(h); err != nil {
-		// WriteState only fails on writer errors; sha256 never errors.
+		// WriteState fails on writer errors, which sha256 never returns,
+		// and on a section no encoder writes.
 		return "fingerprint-error: " + err.Error()
 	}
 	return hex.EncodeToString(h.Sum(nil))

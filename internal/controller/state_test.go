@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"elmo/internal/bitmap"
+	"elmo/internal/header"
 	"elmo/internal/topology"
 )
 
@@ -201,6 +203,77 @@ func TestReadStateRejectsCorruptInput(t *testing.T) {
 		mut[off] ^= 0xff
 		c2, _ := New(paperTopo(), cfg)
 		_ = c2.ReadState(bytes.NewReader(mut)) // must not panic
+	}
+
+	// A d-leaf section the header cannot carry, spliced into a one-group
+	// stream of the evaluation fabric: its 576 leaves let one rule list
+	// more identifiers than a rule's limit of 255. Each re-encodes to the
+	// bytes it was read from, so only the reader can refuse it.
+	big := topology.MustNew(topology.FacebookFabric())
+	bc, _ := New(big, cfg)
+	key := GroupKey{Tenant: 1, Group: 1}
+	if _, err := bc.CreateGroup(key, map[topology.HostID]Role{0: RoleBoth, 48 * 5: RoleReceiver}); err != nil {
+		t.Fatal(err)
+	}
+	var bigState bytes.Buffer
+	if err := bc.WriteState(&bigState); err != nil {
+		t.Fatal(err)
+	}
+	e := bc.Group(key).Enc
+	leaf := stateWriter{layout: header.LayoutFor(big)}
+	leaf.section(e.DLeafSection)
+	var tail stateWriter
+	writeSRules(&tail, e.SpineSRules, e.PodLeaves)
+	writeSRules(&tail, e.LeafSRules, e.LeafPorts)
+	for _, r := range []int{e.LeafRedundancy, e.SpineRedundancy, e.Redundancy} {
+		tail.uvarint(uint64(r))
+	}
+	if !bytes.HasSuffix(bigState.Bytes(), slices.Concat(leaf.b, tail.b)) {
+		t.Fatalf("the evaluation-fabric stream does not end with its d-leaf section and tail: %x", bigState.Bytes())
+	}
+	prefix := bigState.Bytes()[:bigState.Len()-len(leaf.b)-len(tail.b)]
+	leafSection := func(rules ...[]uint64) []byte {
+		out := binary.AppendUvarint(slices.Clone(prefix), uint64(len(rules)))
+		for _, ids := range rules {
+			out = binary.AppendUvarint(out, uint64(len(ids)))
+			for _, id := range ids {
+				out = binary.AppendUvarint(out, id)
+			}
+			out = append(out, make([]byte, bitmap.ByteLen(big.LeafDownWidth()))...)
+		}
+		return slices.Concat(out, []byte{0}, tail.b)
+	}
+	oneID := make([][]uint64, header.MaxRulesPerSection+1)
+	for i := range oneID {
+		oneID[i] = []uint64{uint64(i)}
+	}
+	manyIDs := make([]uint64, header.MaxSwitchesPerRule+1)
+	for i := range manyIDs {
+		manyIDs[i] = uint64(i)
+	}
+	for name, tc := range map[string]struct {
+		data []byte
+		want string
+	}{
+		"rule without identifiers":      {leafSection([]uint64{}), "no switch identifiers"},
+		"256 rules in a section":        {leafSection(oneID...), "exceeds section limit"},
+		"256 identifiers in one rule":   {leafSection(manyIDs), "limit 255"},
+		"the spliced section unchanged": {leafSection([]uint64{0}, []uint64{5}), ""},
+	} {
+		c2, _ := New(big, cfg)
+		err := c2.ReadState(bytes.NewReader(tc.data))
+		if tc.want == "" {
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err %v, want one naming %q", name, err, tc.want)
+		}
+		if c2.NumGroups() != 0 {
+			t.Fatalf("%s: %d groups restored", name, c2.NumGroups())
+		}
 	}
 }
 
@@ -403,9 +476,9 @@ func TestStateFormatGolden(t *testing.T) {
 	if len(first.LeafSRules) < 4 || len(first.SpineSRules) < 2 {
 		t.Fatalf("s-rule-heavy group took %d leaf and %d spine s-rules", len(first.LeafSRules), len(first.SpineSRules))
 	}
-	if last.UsesSRules() || last.DLeafDefault == nil || last.DSpineDefault == nil {
+	if last.UsesSRules() || !last.DLeafDefault || !last.DSpineDefault {
 		t.Fatalf("default-rule group: s-rules=%t leaf default=%t spine default=%t",
-			last.UsesSRules(), last.DLeafDefault != nil, last.DSpineDefault != nil)
+			last.UsesSRules(), last.DLeafDefault, last.DSpineDefault)
 	}
 	if got := c.Fingerprint(); got != stateFormatGolden {
 		t.Fatalf("state stream hash %s, want %s", got, stateFormatGolden)

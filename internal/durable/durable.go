@@ -163,10 +163,9 @@ func Open(topo *topology.Topology, cfg controller.Config, opts Options) (*Durabl
 	if err != nil {
 		return nil, nil, err
 	}
+	// wal.Open makes the log directory (and Dir), durably, in step 3;
+	// until then a fresh directory reads as an empty one.
 	walDir := filepath.Join(opts.Dir, "wal")
-	if err := os.MkdirAll(walDir, 0o755); err != nil {
-		return nil, nil, err
-	}
 	stats := &RecoveryStats{}
 
 	// 1. Snapshot.

@@ -481,3 +481,34 @@ func TestDurableConcurrentSnapshots(t *testing.T) {
 		t.Fatalf("recovery after racing snapshots: %s != %s", got, want)
 	}
 }
+
+// TestOpenFreshNestedDirectory opens, with sync on, a durable controller
+// in a directory that does not exist yet, two levels down: recovery
+// reads the missing log as an empty one and the WAL makes the directory
+// (durably: wal's TestOpenSyncsNewDirectories), and a reopen recovers
+// the group created in it.
+func TestOpenFreshNestedDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data", "elmo")
+	d, stats, err := Open(durableTopo(), durableCfg(), Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Replayed != 0 || stats.Groups != 0 {
+		t.Fatalf("fresh directory recovered %+v", stats)
+	}
+	key := controller.GroupKey{Tenant: 1, Group: 1}
+	if err := d.CreateGroup(key, map[topology.HostID]controller.Role{0: controller.RoleBoth, 9: controller.RoleReceiver}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, stats, err := Open(durableTopo(), durableCfg(), Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if stats.Replayed != 1 || stats.Groups != 1 {
+		t.Fatalf("reopen recovered %+v, want the one create", stats)
+	}
+}

@@ -139,7 +139,7 @@ func TestINTAfterAbsentDownstreamSection(t *testing.T) {
 	if noPath, err := f.InstallGroupAt(0, ctrl, key); err != nil || len(noPath) != 0 {
 		t.Fatalf("install: %v, no-path senders %v", err, noPath)
 	}
-	if g := ctrl.Group(key); len(g.Enc.DLeaf)+len(g.Enc.DSpine) != 0 || g.Enc.DLeafDefault != nil || !g.Enc.UsesSRules() {
+	if g := ctrl.Group(key); g.Enc.DLeafSection != nil || g.Enc.DSpineSection != nil || !g.Enc.UsesSRules() {
 		t.Fatalf("encoding still carries downstream sections: %+v", g.Enc)
 	}
 

@@ -86,6 +86,11 @@ func FuzzDecode(f *testing.F) {
 func FuzzScanPipeline(f *testing.F) {
 	l := LayoutFor(topology.MustNew(topology.PaperExample()))
 	fuzzSeeds(f)
+	// The downstream sections the controller's encoder writes for the
+	// paper's Figure 3 group at R=0 with two leaf p-rules: two spine rules
+	// and a default, a two-leaf rule, a one-leaf rule and a default.
+	f.Add([]byte{TagDSpine, 2, 1, 0x00, 0x01, 1, 0x80, 0x02, 1, 0x03,
+		TagDLeaf, 2, 2, 0x18, 0x03, 1, 0xa0, 0x01, 1, 0x80, TagEnd})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// None of these may panic on arbitrary bytes.
 		var rule UpstreamRule
@@ -211,6 +216,14 @@ func checkDownstreamReaders(t *testing.T, l Layout, tag byte, stream, next []byt
 		}
 		if m.HasDefault != (def != nil) || (def != nil && !m.Default.Equal(*def)) {
 			t.Fatalf("id %d: default %t %v, Decode's: %v", id, m.HasDefault, m.Default, def)
+		}
+		// The section copier leaves out what the rule appender leaves out.
+		kept, err := AppendDownstream(nil, l, tag, rules, def, int(id))
+		if err != nil {
+			t.Fatalf("AppendDownstream of a decoded section: %v", err)
+		}
+		if got, err := CopyDownstream(nil, l, section[:len(section)-EndSize], int(id)); err != nil || !bytes.Equal(got, kept) {
+			t.Fatalf("CopyDownstream omitting %d: % x (%v), AppendDownstream: % x", id, got, err, kept)
 		}
 	}
 }

@@ -297,3 +297,109 @@ func TestEncodedSizeExact(t *testing.T) {
 		}
 	}
 }
+
+// TestCopyDownstreamEqualsAppendDownstream holds the section copier to
+// the rule appender on seeded sections of both tags at identifier
+// widths of 1 to 10 bits, with and without a default rule: copying
+// AppendDownstream(rules, def, KeepAll) while leaving out omit writes
+// the bytes AppendDownstream(rules, def, omit) writes, after the same
+// prefix, for omit as KeepAll, as a switch a one-identifier rule names
+// (the section's only rule among them, so the section is absent), as one
+// identifier of a rule of several, and as a switch no rule names. The
+// rule walker reads the same section back as the rules and default it
+// was written from.
+func TestCopyDownstreamEqualsAppendDownstream(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	prefix := []byte{TagCore, 0xa5}
+	var walk RuleWalker
+	for w := 1; w <= 10; w++ {
+		l := idLayout(w)
+		for trial := 0; trial < 80; trial++ {
+			tag := []byte{TagDSpine, TagDLeaf}[trial%2]
+			width, _, _ := downstreamWidths(l, tag)
+			rules := make([]PRule, rng.Intn(9))
+			if trial%10 == 4 {
+				rules = make([]PRule, 1) // one rule, a singleton below: omitting it empties the section
+			}
+			named := map[uint16]bool{}
+			for i := range rules {
+				n := []int{1, 1, 1, 2, 3, 1 + rng.Intn(12)}[rng.Intn(6)]
+				if trial%10 == 4 {
+					n = 1
+				}
+				ids := make([]uint16, n)
+				for j := range ids {
+					ids[j] = uint16(rng.Intn(1 << w))
+					named[ids[j]] = true
+				}
+				rules[i] = PRule{Switches: ids, Bitmap: bitmap.FromPorts(width, rng.Intn(width))}
+			}
+			var def *bitmap.Bitmap
+			if trial%3 == 1 && trial%10 != 4 {
+				d := bitmap.FromPorts(width, rng.Intn(width))
+				def = &d
+			}
+			section, err := AppendDownstream(nil, l, tag, rules, def, KeepAll)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			omits := []int{KeepAll}
+			for _, r := range rules {
+				if len(r.Switches) == 1 {
+					omits = append(omits, int(r.Switches[0]))
+					break
+				}
+			}
+			for _, r := range rules {
+				if len(r.Switches) > 1 {
+					omits = append(omits, int(r.Switches[rng.Intn(len(r.Switches))]))
+					break
+				}
+			}
+			for id := 0; id < 1<<w; id++ {
+				if !named[uint16(id)] {
+					omits = append(omits, id)
+					break
+				}
+			}
+			for _, omit := range omits {
+				want, err := AppendDownstream(append([]byte(nil), prefix...), l, tag, rules, def, omit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := CopyDownstream(append([]byte(nil), prefix...), l, section, omit)
+				if err != nil {
+					t.Fatalf("w=%d trial %d omit %d: %v", w, trial, omit, err)
+				}
+				if string(got) != string(want) {
+					t.Fatalf("w=%d trial %d omit %d: copied\n% x\nappended\n% x", w, trial, omit, got, want)
+				}
+				if trial%10 == 4 && omit == int(rules[0].Switches[0]) && len(got) != len(prefix) {
+					t.Fatalf("w=%d trial %d: omitting the only rule left %d section bytes", w, trial, len(got)-len(prefix))
+				}
+			}
+
+			walk.Reset(l, section)
+			for i := 0; walk.Next(); i++ {
+				if i >= len(rules) || !equalIDs(walk.Switches, rules[i].Switches) ||
+					string(walk.Ports) != string(rules[i].Bitmap.AppendWire(nil)) {
+					t.Fatalf("w=%d trial %d: walked rule %d as %v %x", w, trial, i, walk.Switches, walk.Ports)
+				}
+			}
+			ports, ok := walk.Default()
+			if walk.Err() != nil || ok != (def != nil) || (ok && string(ports) != string(def.AppendWire(nil))) {
+				t.Fatalf("w=%d trial %d: walked default %x (%t), err %v", w, trial, ports, ok, walk.Err())
+			}
+		}
+	}
+	section, err := AppendDownstream(nil, idLayout(4), TagDLeaf, []PRule{{Switches: []uint16{3}, Bitmap: bitmap.FromPorts(8, 1)}}, nil, KeepAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 1; cut < len(section); cut++ {
+		if got, err := CopyDownstream(prefix, idLayout(4), section[:cut], KeepAll); err == nil || len(got) != len(prefix) {
+			t.Fatalf("a section cut to %d of %d bytes was copied: % x, %v", cut, len(section), got, err)
+		}
+	}
+}

@@ -331,17 +331,10 @@ func scanRule(data []byte, off int, w uint, bmLen int, id uint16) (end int, hit 
 // no visitor and Decode with one that materializes the rules, so the
 // structural walk accepts exactly the sections Decode does.
 func walkDownstream(l Layout, data []byte, visit func(n int, ids, ports []byte) error) ([]byte, error) {
-	if len(data) < 2 {
-		return nil, fmt.Errorf("header: truncated downstream section")
-	}
-	width, w, err := downstreamWidths(l, data[0])
+	width, w, bmLen, err := downstreamFrame(l, data)
 	if err != nil {
 		return nil, err
 	}
-	if w-1 >= maxIDBits {
-		return nil, errIDWidth
-	}
-	bmLen := bitmap.ByteLen(width)
 	off := 2
 	for i := 0; i < int(data[1]); i++ {
 		end, err := frameRule(data, off, w, bmLen)
@@ -377,6 +370,96 @@ func walkDownstream(l Layout, data []byte, visit func(n int, ids, ports []byte) 
 		return nil, fmt.Errorf("header: bad default-presence byte %#x", rest[0])
 	}
 }
+
+// downstreamFrame checks the front of the downstream section at data —
+// its tag and rule count present, a downstream tag, an identifier width
+// the rule framing handles — and returns the section's bitmap width,
+// identifier width and bitmap length in bytes.
+func downstreamFrame(l Layout, data []byte) (width int, w uint, bmLen int, err error) {
+	if len(data) < 2 {
+		return 0, 0, 0, fmt.Errorf("header: truncated downstream section")
+	}
+	if width, w, err = downstreamWidths(l, data[0]); err != nil {
+		return 0, 0, 0, err
+	}
+	if w-1 >= maxIDBits {
+		return 0, 0, 0, errIDWidth
+	}
+	return width, w, bitmap.ByteLen(width), nil
+}
+
+// RuleWalker reads the p-rules of a downstream section one at a time,
+// for a caller that rewrites them in another form (the controller's
+// state file) and so takes no callback per section. It frames every
+// rule as walkDownstream does; its identifier slice is reused from rule
+// to rule and section to section, so a warm walker allocates nothing.
+// The zero value is ready for Reset.
+type RuleWalker struct {
+	// Switches and Ports are the rule Next read: its identifiers and its
+	// port bitmap in wire form (Ports aliases the section). Both are
+	// valid until the next call.
+	Switches []uint16
+	Ports    []byte
+
+	section   []byte
+	off, left int
+	w         uint
+	bmLen     int
+	err       error
+}
+
+// Reset starts a walk over section, the bytes AppendDownstream wrote
+// with KeepAll, or nil for an absent section: no rules and no default.
+func (r *RuleWalker) Reset(l Layout, section []byte) {
+	*r = RuleWalker{Switches: r.Switches[:0], section: section}
+	if len(section) == 0 {
+		return
+	}
+	if _, r.w, r.bmLen, r.err = downstreamFrame(l, section); r.err == nil {
+		r.off, r.left = 2, int(section[1])
+	}
+}
+
+// Next reads the next p-rule into Switches and Ports. It returns false
+// after the last rule, and on a malformed rule (see Err).
+func (r *RuleWalker) Next() bool {
+	if r.left == 0 || r.err != nil {
+		return false
+	}
+	end, err := frameRule(r.section, r.off, r.w, r.bmLen)
+	if err != nil {
+		r.err = fmt.Errorf("header: rule %d: %w", int(r.section[1])-r.left, err)
+		return false
+	}
+	n := int(r.section[r.off])
+	r.Switches = r.Switches[:0]
+	for i := 0; i < n; i++ {
+		r.Switches = append(r.Switches, idAt(r.section[r.off+1:], uint(i)*r.w, r.w))
+	}
+	r.Ports = r.section[end-r.bmLen : end]
+	r.off, r.left = end, r.left-1
+	return true
+}
+
+// Default returns the default rule's port bitmap in wire form and
+// whether the section has one. It is read once Next has returned false.
+func (r *RuleWalker) Default() ([]byte, bool) {
+	if len(r.section) == 0 || r.err != nil || r.left != 0 {
+		return nil, false
+	}
+	rest := r.section[r.off:]
+	switch {
+	case len(rest) == 1 && rest[0] == 0:
+		return nil, false
+	case len(rest) == 1+r.bmLen && rest[0] == 1:
+		return rest[1:], true
+	}
+	r.err = fmt.Errorf("header: bad default rule in downstream section")
+	return nil, false
+}
+
+// Err returns the framing error that stopped the walk, if any.
+func (r *RuleWalker) Err() error { return r.err }
 
 // cutBitmap splits the width-bit bitmap off the front of data without
 // decoding it, checking what bitmap.FromWire checks: length and zeroed

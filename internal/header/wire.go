@@ -210,6 +210,57 @@ func AppendDownstream(dst []byte, l Layout, tag byte, rules []PRule, def *bitmap
 	return def.AppendWire(append(dst, 1)), nil
 }
 
+// CopyDownstream appends the downstream section held in section — the
+// bytes AppendDownstream wrote with KeepAll, or nil for an absent
+// section — leaving out every rule that names switch omit and no other:
+// it writes exactly what AppendDownstream writes for the same rules,
+// default and omit, without decoding a rule. When no rule remains and
+// there is no default, nothing is appended. A section whose framing is
+// malformed is an error, and dst is then returned as it came.
+func CopyDownstream(dst []byte, l Layout, section []byte, omit int) ([]byte, error) {
+	if len(section) == 0 {
+		return dst, nil
+	}
+	_, w, bmLen, err := downstreamFrame(l, section)
+	if err != nil {
+		return dst, err
+	}
+	start, kept := len(dst), int(section[1])
+	dst = append(dst, section[:2]...)
+	off, run := 2, 2 // run: the first byte of section not yet copied
+	for i := 0; i < int(section[1]); i++ {
+		end, err := frameRule(section, off, w, bmLen)
+		if err != nil {
+			return dst[:start], fmt.Errorf("header: rule %d: %w", i, err)
+		}
+		if section[off] == 1 && int(idAt(section[off+1:], 0, w)) == omit {
+			dst, run, kept = append(dst, section[run:off]...), end, kept-1
+		}
+		off = end
+	}
+	if off >= len(section) || section[off] > 1 {
+		return dst[:start], fmt.Errorf("header: bad default-presence in downstream section")
+	}
+	hasDef := section[off] == 1
+	if end := off + 1 + int(section[off])*bmLen; end != len(section) {
+		return dst[:start], fmt.Errorf("header: downstream section of %d bytes ends at byte %d", len(section), end)
+	}
+	if kept == 0 && !hasDef {
+		return dst[:start], nil
+	}
+	dst[start+1] = byte(kept)
+	return append(dst, section[run:]...), nil
+}
+
+// RuleCount returns the number of p-rules in a downstream section as
+// AppendDownstream wrote it: 0 for an absent (nil) section.
+func RuleCount(section []byte) int {
+	if len(section) < 2 {
+		return 0
+	}
+	return int(section[1])
+}
+
 // downstreamWidths returns the port-bitmap width and the identifier
 // width of the downstream section with the given tag.
 func downstreamWidths(l Layout, tag byte) (ports int, ids uint, err error) {

@@ -176,7 +176,7 @@ func RunScalability(cfg ScalabilityConfig) (*ScalabilityResult, error) {
 		default:
 			res.GroupsPRulesOnly++
 		}
-		if len(enc.LeafSRules) == 0 && enc.DLeafDefault == nil {
+		if len(enc.LeafSRules) == 0 && !enc.DLeafDefault {
 			res.LeafPRulesOnly++
 		}
 		li.InstallGroup(g.ID, g.Hosts)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
@@ -157,7 +158,12 @@ func (l *Log) syncDir() error {
 	if l.opts.NoSync {
 		return nil
 	}
-	dir, err := os.Open(l.opts.Dir)
+	return syncDir(l.opts.Dir, l.opts.dirSynced)
+}
+
+// syncDir fsyncs directory path and reports it to synced, when set.
+func syncDir(path string, synced func(string)) error {
+	dir, err := os.Open(path)
 	if err != nil {
 		return err
 	}
@@ -165,8 +171,38 @@ func (l *Log) syncDir() error {
 	if err := dir.Sync(); err != nil {
 		return err
 	}
-	if l.opts.dirSynced != nil {
-		l.opts.dirSynced()
+	if synced != nil {
+		synced(path)
+	}
+	return nil
+}
+
+// mkdirAll makes dir and its missing parents, as os.MkdirAll does, then
+// (unless noSync) fsyncs the parent of each directory it made, deepest
+// first: a new directory's entry is durable only once its parent is.
+func mkdirAll(dir string, noSync bool, synced func(string)) error {
+	if noSync {
+		return os.MkdirAll(dir, 0o755)
+	}
+	var made []string // the directories missing, deepest first
+	for d := filepath.Clean(dir); ; d = filepath.Dir(d) {
+		if _, err := os.Stat(d); err == nil {
+			break
+		} else if !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+		made = append(made, d)
+		if filepath.Dir(d) == d {
+			break
+		}
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, d := range made {
+		if err := syncDir(filepath.Dir(d), synced); err != nil {
+			return err
+		}
 	}
 	return nil
 }

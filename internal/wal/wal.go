@@ -27,9 +27,11 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -73,9 +75,9 @@ type Options struct {
 
 	// The package's test seams: wrapWriter, when set, wraps every
 	// segment file as the writer its frames go through, and dirSynced is
-	// called after every fsync of the segment directory.
+	// called with the directory after every directory fsync.
 	wrapWriter func(io.Writer) io.Writer
-	dirSynced  func()
+	dirSynced  func(dir string)
 }
 
 func (o Options) withDefaults() Options {
@@ -125,13 +127,16 @@ type Log struct {
 // Open opens (or creates) the log in opts.Dir, scanning existing
 // segments to find the next LSN. A torn frame at the tail of the last
 // segment — the signature of a crash mid-write — is truncated away so
-// appends resume cleanly; its record was never committed.
+// appends resume cleanly; its record was never committed. With sync on,
+// the parent of every directory Open makes is fsynced before it
+// returns, so a power loss cannot drop a fresh log directory, and the
+// records acknowledged in it, from the tree.
 func Open(opts Options) (*Log, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("wal: empty dir")
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+	if err := mkdirAll(opts.Dir, opts.NoSync, opts.dirSynced); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	segs, err := listSegments(opts.Dir)
@@ -317,7 +322,7 @@ func walkSegment(path string, first, prevEpoch uint64, final bool, fn func(Recor
 func Replay(dir string, from uint64, fn func(Record) error) (last uint64, err error) {
 	segs, err := listSegments(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return 0, nil
 		}
 		return 0, err

@@ -11,6 +11,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -409,7 +410,7 @@ func TestNewSegmentSyncsDirectory(t *testing.T) {
 					}
 				}}
 			},
-			dirSynced: func() { synced++ },
+			dirSynced: func(string) { synced++ },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -424,6 +425,44 @@ func TestNewSegmentSyncsDirectory(t *testing.T) {
 		}
 		if len(segs) < 4 || len(segs) != segments {
 			t.Fatalf("NoSync %t: %d segments on disk, %d created; want several, all seen", noSync, len(segs), segments)
+		}
+	}
+}
+
+// TestOpenSyncsNewDirectories pins that a fresh log directory is made
+// durable: Open on a directory two levels below an existing one fsyncs
+// the parent of each directory it makes, deepest first, before it
+// returns; with NoSync it syncs nothing, and reopening makes nothing and
+// so syncs nothing either.
+func TestOpenSyncsNewDirectories(t *testing.T) {
+	for _, noSync := range []bool{false, true} {
+		root := t.TempDir()
+		dir := filepath.Join(root, "data", "wal")
+		var synced []string
+		opts := Options{Dir: dir, NoSync: noSync, dirSynced: func(d string) { synced = append(synced, d) }}
+		l, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{filepath.Join(root, "data"), root}
+		if noSync {
+			want = nil
+		}
+		if !slices.Equal(synced, want) {
+			t.Fatalf("NoSync %t: Open synced %q, want %q", noSync, synced, want)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		synced = nil
+		if l, err = Open(opts); err != nil {
+			t.Fatal(err)
+		}
+		if len(synced) != 0 {
+			t.Fatalf("NoSync %t: reopening synced %q", noSync, synced)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
