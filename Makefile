@@ -49,7 +49,9 @@ loc:
 # bare one, the forwarding fast path allocates nothing and emits what
 # the frozen reference pipeline emits, a sender's header stream is
 # written without allocating and equals the frozen header assembly byte
-# for byte, a group install stays inside its allocation budget, a warm
+# for byte, the structural walk over the encoder's fanout-shaped streams
+# (header.StreamInfo, run per hop by Seek and Unmarshal) allocates
+# nothing (BenchmarkStreamInfo prints its ns/op, not gated), a group install stays inside its allocation budget, a warm
 # send allocates nothing whatever the size of its group, and nothing on
 # the degraded fabric either (INT, s-rules, default p-rules, a failed
 # spine), the Delivery a fabric reuses holds exactly what a send into
@@ -75,7 +77,7 @@ loc:
 # path (fanout-sync); its slow paths — default p-rules, s-rules, INT
 # stamped after the downstream sections, failed switches
 # (fanout-degraded); every header through Marshal -> Unmarshal ->
-# walkDownstream on real loopback sockets (fanout-udp); the control path
+# StreamInfo on real loopback sockets (fanout-udp); the control path
 # (lifecycle); and bulk install + snapshot + crash recovery, the only
 # workload that drives InstallBatch, WriteState/ReadState and replay
 # through a fingerprint oracle (bulk-recover).
@@ -83,7 +85,7 @@ bench-gate:
 	$(GO) test -run 'TestAssignIntoWarmScratchZeroAlloc' -count=1 ./internal/cluster/
 	$(GO) test -run 'TestObserverDisabledAddsNoAllocations' -count=1 -v ./internal/obs/
 	$(GO) test -run 'TestProcessIntoZeroAllocs|TestProcessIntoEquivalence' -bench 'BenchmarkDeliverFull' -benchtime 200000x -count=1 ./internal/dataplane/
-	$(GO) test -run 'TestSenderStreamMatchesOracle|TestAppendSenderStreamZeroAllocs|TestAbandonedControllerIsCollected|TestWriteStateSameBytesAnyProcs|TestStateFormatGolden|TestEncodeAllocationBudget|TestLiveHeapPerGroup|TestEncodeBatchLookAheadIsBounded' -count=1 ./internal/controller/
+	$(GO) test -run 'TestSenderStreamMatchesOracle|TestAppendSenderStreamZeroAllocs|TestStreamInfoZeroAllocs|TestAbandonedControllerIsCollected|TestWriteStateSameBytesAnyProcs|TestStateFormatGolden|TestEncodeAllocationBudget|TestLiveHeapPerGroup|TestEncodeBatchLookAheadIsBounded' -bench 'BenchmarkStreamInfo' -benchtime 1000000x -count=1 ./internal/controller/
 	$(GO) test -run 'TestRecordBytesGolden|TestBatchRecordSameBytesAnyProcs' -count=1 ./internal/durable/
 	$(GO) test -run 'TestInstallWalkAllocationBudget|TestINTAfterAbsentDownstreamSection|TestSendAllocsIndependentOfGroupSize|TestSendAllocsZeroDegraded|TestDeliveryReusedAcrossSends|TestForwardEventIsCompact|TestForwardMatchesEagerDelivery' -count=1 ./internal/fabric/
 	bash benchmark/run.sh --workload fanout-sync --seed 1 --seconds 2 --trace 0

@@ -13,7 +13,6 @@ import (
 	"elmo/internal/durable"
 	"elmo/internal/fabric"
 	"elmo/internal/groupgen"
-	"elmo/internal/placement"
 	"elmo/internal/topology"
 )
 
@@ -29,30 +28,7 @@ func runDurable(topoCfg topology.Config, tenants, groups, srules int, meanVMs fl
 	}
 	defer os.RemoveAll(dir)
 
-	// Replication group: the durable controller's host plus two warm
-	// standbys, multicast over the same fabric the controller manages.
-	netCtrl, err := controller.New(topo, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fab := fabric.New(topo, cfg.SRuleCapacity)
-	fab.SetFailures(netCtrl.Failures())
-	inj := chaos.New(chaos.Config{Seed: uint64(seed)})
-	fab.SetInjector(inj)
-	leader := topology.HostID(0)
-	standby := topology.HostID(topo.NumHosts() / 2)
-	rs, err := durable.NewReplicaSet(durable.ReplicaSetConfig{
-		Net:       durable.Net(netCtrl, fab),
-		Key:       controller.GroupKey{Tenant: 4000, Group: 1},
-		Leader:    leader,
-		Followers: []topology.HostID{standby},
-		Window:    64,
-		Topo:      topo,
-		Cfg:       cfg,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	rs, inj, leader, standby := replicaPlane(topo, cfg, 1, seed)
 
 	d, _, err := durable.Open(topo, cfg, durable.Options{Dir: dir, Replicate: rs.Replicator()})
 	if err != nil {
@@ -62,52 +38,16 @@ func runDurable(topoCfg topology.Config, tenants, groups, srules int, meanVMs fl
 	fmt.Printf("=== durable controller: WAL + snapshot + replicated failover ===\n")
 	fmt.Printf("durability root: %s (WAL segments under wal/)\n\n", dir)
 
-	// Phase 1: durable group creation + churn.
-	dep, err := placement.Place(topo, placement.Config{
-		Tenants: tenants, VMsPerHost: 20, MinVMs: 5,
-		MaxVMs:  maxVMsFor(topoCfg, 1),
-		MeanVMs: effectiveMeanVMs(meanVMs, topoCfg, tenants),
-		P:       1, Seed: seed,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	gs, err := groupgen.Generate(dep, groupgen.Config{TotalGroups: groups, MinSize: 5, Dist: groupgen.WVE, Seed: seed + 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(seed + 2))
+	// Phases 1 and 2: durable group creation, snapshot, churn tail.
 	start := time.Now()
-	for _, s := range churn.Specs(gs, rng) {
-		if err := d.CreateGroup(s.Key, s.Members); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fmt.Printf("created %d groups durably in %v (every op logged before apply, group-committed fsync)\n",
-		len(gs), time.Since(start).Round(time.Millisecond))
-
-	// Phase 2: snapshot + post-snapshot churn tail.
-	lsn, err := d.Snapshot()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("snapshot covers LSN %d; log segments before it truncated\n", lsn)
-	tailOps := 200
-	for i := 0; i < tailOps; i++ {
-		g := &gs[rng.Intn(len(gs))]
-		key := controller.GroupKey{Tenant: uint32(g.Tenant), Group: g.ID}
-		h := g.Hosts[rng.Intn(len(g.Hosts))]
-		if rng.Intn(2) == 0 {
-			_ = d.Join(key, h, controller.RoleReceiver)
-		} else {
-			_ = d.Leave(key, h, controller.RoleReceiver)
-		}
-	}
+	lsn := durableWorkload(d, topo, tenants, groups, meanVMs, seed)
 	if err := rs.Sync(); err != nil {
 		log.Fatal(err)
 	}
 	want := d.Controller().Fingerprint()
-	fmt.Printf("applied %d churn ops past the snapshot; state fingerprint %s\n\n", tailOps, want[:16])
+	fmt.Printf("created %d groups durably (every op logged before apply, group-committed fsync), snapshotted at LSN %d\n", groups, lsn)
+	fmt.Printf("and applied %d churn ops past the snapshot in %v; state fingerprint %s\n\n",
+		durableTailOps, time.Since(start).Round(time.Millisecond), want[:16])
 
 	// Phase 3: crash + recover. Dropping the instance without Close is
 	// the crash; the WAL's durable prefix is all that survives.
@@ -157,4 +97,67 @@ func runDurable(topoCfg topology.Config, tenants, groups, srules int, meanVMs fl
 		log.Fatal("promoted replica diverged from the leader's replicated state")
 	}
 	fmt.Println("promoted controller matches the dead leader's last replicated state; new WAL epoch open for writes")
+}
+
+// replicaPlane builds the replication plane of the durable scenarios:
+// leader host 0 and a warm standby halfway along the hosts, replicating
+// through group (4000, group) over a fabric with a chaos injector on
+// every link.
+func replicaPlane(topo *topology.Topology, cfg controller.Config, group uint32, seed int64) (*durable.ReplicaSet, *chaos.Injector, topology.HostID, topology.HostID) {
+	netCtrl, err := controller.New(topo, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fab := fabric.New(topo, cfg.SRuleCapacity)
+	fab.SetFailures(netCtrl.Failures())
+	inj := chaos.New(chaos.Config{Seed: uint64(seed)})
+	fab.SetInjector(inj)
+	leader, standby := topology.HostID(0), topology.HostID(topo.NumHosts()/2)
+	rs, err := durable.NewReplicaSet(durable.ReplicaSetConfig{
+		Net:       durable.Net(netCtrl, fab),
+		Key:       controller.GroupKey{Tenant: 4000, Group: group},
+		Leader:    leader,
+		Followers: []topology.HostID{standby},
+		Window:    64,
+		Topo:      topo,
+		Cfg:       cfg,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return rs, inj, leader, standby
+}
+
+// durableTailOps is the number of joins and leaves durableWorkload
+// applies past its snapshot.
+const durableTailOps = 200
+
+// durableWorkload is the deterministic part of the -durable scenario: it
+// creates the groups controlGroups draws through d, snapshots, and
+// applies durableTailOps seeded joins and leaves past the snapshot,
+// whose LSN it returns. The state it leaves in d, and so d's
+// fingerprint, depends only on its arguments (TestDurableFingerprint).
+func durableWorkload(d *durable.DurableController, topo *topology.Topology, tenants, groups int, meanVMs float64, seed int64) uint64 {
+	_, gs := controlGroups(topo, tenants, groups, groupgen.WVE, meanVMs, seed)
+	rng := rand.New(rand.NewSource(seed + 2))
+	for _, s := range churn.Specs(gs, rng) {
+		if err := d.CreateGroup(s.Key, s.Members); err != nil {
+			log.Fatal(err)
+		}
+	}
+	lsn, err := d.Snapshot()
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i := 0; i < durableTailOps; i++ {
+		g := &gs[rng.Intn(len(gs))]
+		key := controller.GroupKey{Tenant: uint32(g.Tenant), Group: g.ID}
+		h := g.Hosts[rng.Intn(len(g.Hosts))]
+		if rng.Intn(2) == 0 {
+			_ = d.Join(key, h, controller.RoleReceiver)
+		} else {
+			_ = d.Leave(key, h, controller.RoleReceiver)
+		}
+	}
+	return lsn
 }

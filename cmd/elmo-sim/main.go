@@ -412,6 +412,26 @@ func paperController(r, srules int) controller.Config {
 	return cfg
 }
 
+// controlGroups places the tenants at P=1 and draws the groups that the
+// control-plane scenarios (-churn, -failures, -durable, -partition) run
+// on, the placement seeded with seed and the groups with seed+1.
+func controlGroups(topo *topology.Topology, tenants, groups int, dist groupgen.Distribution, meanVMs float64, seed int64) (*placement.Deployment, []groupgen.Group) {
+	dep, err := placement.Place(topo, placement.Config{
+		Tenants: tenants, VMsPerHost: 20, MinVMs: 5,
+		MaxVMs:  maxVMsFor(topo.Config(), 1),
+		MeanVMs: effectiveMeanVMs(meanVMs, topo.Config(), tenants),
+		P:       1, Seed: seed,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	gs, err := groupgen.Generate(dep, groupgen.Config{TotalGroups: groups, MinSize: 5, Dist: dist, Seed: seed + 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return dep, gs
+}
+
 // maxVMsFor keeps tenants placeable: a tenant can hold at most
 // min(P, hosts-per-leaf) VMs per rack (one VM per host), so its size
 // must fit within 3/4 of the fabric's per-tenant capacity.
@@ -449,19 +469,7 @@ func effectiveMeanVMs(flagVal float64, t topology.Config, tenants int) float64 {
 
 func runControlPlane(topoCfg topology.Config, tenants, groups, srules int, dist groupgen.Distribution, events int, meanVMs float64, seed int64, doChurn, doFail bool, reg *telemetry.Registry) {
 	topo := topology.MustNew(topoCfg)
-	dep, err := placement.Place(topo, placement.Config{
-		Tenants: tenants, VMsPerHost: 20, MinVMs: 5,
-		MaxVMs:  maxVMsFor(topoCfg, 1),
-		MeanVMs: effectiveMeanVMs(meanVMs, topoCfg, tenants),
-		P:       1, Seed: seed,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	gs, err := groupgen.Generate(dep, groupgen.Config{TotalGroups: groups, MinSize: 5, Dist: dist, Seed: seed + 1})
-	if err != nil {
-		log.Fatal(err)
-	}
+	dep, gs := controlGroups(topo, tenants, groups, dist, meanVMs, seed)
 	ctrl, err := controller.New(topo, paperController(0, srules))
 	if err != nil {
 		log.Fatal(err)

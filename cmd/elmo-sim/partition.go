@@ -8,14 +8,12 @@ import (
 	"os"
 	"time"
 
-	"elmo/internal/chaos"
 	"elmo/internal/churn"
 	"elmo/internal/controller"
 	"elmo/internal/dataplane"
 	"elmo/internal/durable"
 	"elmo/internal/fabric"
 	"elmo/internal/groupgen"
-	"elmo/internal/placement"
 	"elmo/internal/topology"
 )
 
@@ -35,30 +33,7 @@ func runPartition(topoCfg topology.Config, tenants, groups, srules int, meanVMs 
 	}
 	defer os.RemoveAll(dir)
 
-	// Replication plane: leader host plus one warm standby, multicast
-	// over a fabric with a chaos injector on every link.
-	netCtrl, err := controller.New(topo, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fab := fabric.New(topo, cfg.SRuleCapacity)
-	fab.SetFailures(netCtrl.Failures())
-	inj := chaos.New(chaos.Config{Seed: uint64(seed)})
-	fab.SetInjector(inj)
-	leader := topology.HostID(0)
-	standby := topology.HostID(topo.NumHosts() / 2)
-	rs, err := durable.NewReplicaSet(durable.ReplicaSetConfig{
-		Net:       durable.Net(netCtrl, fab),
-		Key:       controller.GroupKey{Tenant: 4000, Group: 2},
-		Leader:    leader,
-		Followers: []topology.HostID{standby},
-		Window:    64,
-		Topo:      topo,
-		Cfg:       cfg,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	rs, inj, leader, standby := replicaPlane(topo, cfg, 2, seed)
 	const missBudget = 3
 	d, _, err := durable.Open(topo, cfg, durable.Options{
 		Dir:          dir,
@@ -76,19 +51,7 @@ func runPartition(topoCfg topology.Config, tenants, groups, srules int, meanVMs 
 
 	// Phase 1: epoch-1 regime — durable groups, replicated, installed
 	// into the data plane with the leader's epoch stamped.
-	dep, err := placement.Place(topo, placement.Config{
-		Tenants: tenants, VMsPerHost: 20, MinVMs: 5,
-		MaxVMs:  maxVMsFor(topoCfg, 1),
-		MeanVMs: effectiveMeanVMs(meanVMs, topoCfg, tenants),
-		P:       1, Seed: seed,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	gs, err := groupgen.Generate(dep, groupgen.Config{TotalGroups: groups, MinSize: 5, Dist: groupgen.WVE, Seed: seed + 1})
-	if err != nil {
-		log.Fatal(err)
-	}
+	_, gs := controlGroups(topo, tenants, groups, groupgen.WVE, meanVMs, seed)
 	rng := rand.New(rand.NewSource(seed + 2))
 	keys := make([]controller.GroupKey, 0, len(gs))
 	start := time.Now()

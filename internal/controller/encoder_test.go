@@ -14,7 +14,7 @@ import (
 // benchReceiverSets places 200 tenants on the benchmark's 2,048-host
 // fabric and returns the host lists of n WVE-sized groups: the shapes the
 // benchmark's controller.encode_allocs kernel encodes.
-func benchReceiverSets(t *testing.T, n int) (*topology.Topology, [][]topology.HostID) {
+func benchReceiverSets(t testing.TB, n int) (*topology.Topology, [][]topology.HostID) {
 	t.Helper()
 	topo := topology.MustNew(topology.Config{Pods: 8, SpinesPerPod: 4, LeavesPerPod: 16, HostsPerLeaf: 16, CoresPerPlane: 4})
 	dep, err := placement.Place(topo, placement.Config{

@@ -238,3 +238,54 @@ func TestAppendSenderStreamZeroAllocs(t *testing.T) {
 		t.Fatalf("warm AppendSenderStream allocated %.1f per %d senders, want 0", allocs, len(senders))
 	}
 }
+
+// fanoutStreams returns the sender streams of n bench-shaped groups as
+// the fanout workloads carry them: the benchmark's fabric, PaperConfig(0)
+// with INT on, and each group's first host as its sender.
+func fanoutStreams(t testing.TB, n int) (header.Layout, [][]byte) {
+	topo, sets := benchReceiverSets(t, n)
+	cfg := PaperConfig(0)
+	cfg.EnableINT = true
+	failures := topology.NewFailureSet()
+	var s SenderScratch
+	streams := make([][]byte, len(sets))
+	for i, hosts := range sets {
+		enc, err := ComputeEncoding(topo, cfg, NoCapacity(), hosts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if streams[i], err = AppendSenderStream(nil, &s, topo, cfg, enc, hosts[0], failures); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return header.LayoutFor(topo), streams
+}
+
+// TestStreamInfoZeroAllocs: the structural walk that Seek and Unmarshal
+// run per hop allocates nothing over the sections the encoder writes.
+func TestStreamInfoZeroAllocs(t *testing.T) {
+	l, streams := fanoutStreams(t, 256)
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, s := range streams {
+			if n, _, err := header.StreamInfo(l, s); err != nil || n != len(s) {
+				t.Fatalf("StreamInfo = %d, %v over a %d-byte stream", n, err, len(s))
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("StreamInfo allocated %.1f per %d streams, want 0", allocs, len(streams))
+	}
+}
+
+// BenchmarkStreamInfo walks the sender streams of bench-shaped groups
+// one per op, as a hop's Seek or Unmarshal walks them.
+func BenchmarkStreamInfo(b *testing.B) {
+	l, streams := fanoutStreams(b, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := header.StreamInfo(l, streams[i%len(streams)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -47,8 +47,7 @@ type stateWriter struct {
 	b      []byte
 	keys   []int // writeBitmapMap's sort scratch
 	layout header.Layout
-	walk   header.RuleWalker // reads a downstream section's rules
-	err    error             // the first section the walk refused
+	err    error // the first section the header.RuleWalker refused
 }
 
 func (sw *stateWriter) uvarint(v uint64) { sw.b = binary.AppendUvarint(sw.b, v) }
@@ -145,20 +144,25 @@ func (sw *stateWriter) encoding(e *Encoding) {
 // pins these bytes.
 func (sw *stateWriter) section(section []byte) {
 	sw.uvarint(uint64(header.RuleCount(section)))
-	sw.walk.Reset(sw.layout, section)
-	for sw.walk.Next() {
-		sw.uvarint(uint64(len(sw.walk.Switches)))
-		for _, id := range sw.walk.Switches {
-			sw.uvarint(uint64(id))
+	var w header.RuleWalker
+	w.Reset(sw.layout, section)
+	for w.Next() {
+		sw.uvarint(uint64(w.N))
+		for i := range w.N {
+			sw.uvarint(uint64(w.Switch(i)))
 		}
-		sw.b = append(sw.b, sw.walk.Ports...)
+		sw.b = append(sw.b, w.Ports...)
 	}
-	if def, ok := sw.walk.Default(); ok {
+	def, rest, err := w.End()
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("downstream section has %d bytes after its default rule", len(rest))
+	}
+	if def != nil {
 		sw.b = append(append(sw.b, 1), def...)
 	} else {
 		sw.b = append(sw.b, 0)
 	}
-	if err := sw.walk.Err(); err != nil && sw.err == nil {
+	if err != nil && sw.err == nil {
 		sw.err = fmt.Errorf("controller: state: %w", err)
 	}
 }
@@ -313,7 +317,10 @@ func (c *Controller) ReadState(r io.Reader) error {
 		if hasEnc != 1 {
 			return fmt.Errorf("controller: state group %v: bad encoding flag %d", key, hasEnc)
 		}
-		if g.Enc, err = sr.readEncoding(c.topo); err != nil {
+		if g.Enc, err = sr.readEncoding(c.topo); err == nil {
+			err = checkTree(c.topo, g.Members, g.Enc)
+		}
+		if err != nil {
 			return fmt.Errorf("controller: state group %v: %w", key, err)
 		}
 		groups = append(groups, loadedGroup{key: key, g: g})
@@ -350,6 +357,50 @@ func (c *Controller) ReadState(r io.Reader) error {
 		c.occ.Commit(lg.g.Enc)
 	}
 	c.stats = newUpdateStats()
+	return nil
+}
+
+// checkTree refuses an encoding whose Redundancy is not the sum of its
+// layers', or whose tree is not the one its receivers span: each
+// receiver's port, leaf and pod set, and no other entry or bit. Members
+// ascend leaf-major, so each leaf and pod is looked up once, and no map
+// is ranged over.
+func checkTree(topo *topology.Topology, members []Member, e *Encoding) error {
+	if e.Redundancy != e.LeafRedundancy+e.SpineRedundancy {
+		return fmt.Errorf("redundancy %d is not %d + %d", e.Redundancy, e.LeafRedundancy, e.SpineRedundancy)
+	}
+	var span, set [3]int // receivers, their leaves and their pods; the bits the tree sets for each
+	var ports, leaves bitmap.Bitmap
+	pod := topology.PodID(-1)
+	var first, next topology.HostID // the hosts of the last leaf looked up: first, next-1
+	for _, m := range members {
+		if m.Role&RoleReceiver == 0 {
+			continue
+		}
+		if m.Host >= next {
+			l := topo.HostLeaf(m.Host)
+			first = topo.HostAt(l, 0)
+			next = first + topology.HostID(topo.LeafDownWidth())
+			if p := topo.LeafPod(l); p != pod {
+				pod, leaves, span[2] = p, e.PodLeaves[p], span[2]+1
+				set[1] += leaves.PopCount()
+			}
+			ports, span[1] = e.LeafPorts[l], span[1]+1
+			set[0] += ports.PopCount()
+			if ports.Width() == 0 || leaves.Width() == 0 || !leaves.Test(topo.LeafIndexInPod(l)) || !e.Pods.Test(int(pod)) {
+				return fmt.Errorf("receiver leaf %d is not on the tree", l)
+			}
+		}
+		if span[0]++; !ports.Test(int(m.Host - first)) { // hosts are numbered leaf-major
+			return fmt.Errorf("receiver %d's port is clear in its leaf's tree bitmap", m.Host)
+		}
+	}
+	// Every receiver leaf and pod has an entry, so equal counts leave no
+	// other entry, and equal sums no other bit.
+	if set[2] = e.Pods.PopCount(); set != span || len(e.LeafPorts) != span[1] || len(e.PodLeaves) != span[2] {
+		return fmt.Errorf("tree sets %v ports, leaves and pods in %d leaf and %d pod entries; its receivers span %v",
+			set, len(e.LeafPorts), len(e.PodLeaves), span)
+	}
 	return nil
 }
 

@@ -155,6 +155,23 @@ func TestReadStateRejectsCorruptInput(t *testing.T) {
 		return out
 	}
 	repeatedSRule := slices.Concat(single.Bytes()[:n-4], []byte{2, 0, 1, 0, 1}, single.Bytes()[n-3:])
+	// The stream of the group {0: both, 1: receiver, 40: receiver} — leaf
+	// 0 in pod 0, leaf 5 in pod 2 — with its encoding edited first: a
+	// tree that is not its receivers' would steer packets to a
+	// non-member, or away from a member, in every sender stream.
+	editedTree := func(edit func(e *Encoding)) []byte {
+		c, _ := New(paperTopo(), cfg)
+		key := GroupKey{Tenant: 1, Group: 1}
+		if _, err := c.CreateGroup(key, map[topology.HostID]Role{0: RoleBoth, 1: RoleReceiver, 40: RoleReceiver}); err != nil {
+			t.Fatal(err)
+		}
+		edit(c.groups[key].Enc)
+		var b bytes.Buffer
+		if err := c.WriteState(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
 
 	cases := map[string]struct {
 		data []byte
@@ -180,6 +197,14 @@ func TestReadStateRejectsCorruptInput(t *testing.T) {
 		// a state that re-encodes to other bytes.
 		"padded version": {append([]byte{stateVersion | 0x80, 0}, valid[1:]...), "non-minimal varint"},
 		"padded host":    {group(1, 0x85, 0, 2), "non-minimal varint"},
+		// A tree that is not the one the receivers span.
+		"non-member port":        {editedTree(func(e *Encoding) { e.LeafPorts[0].Set(2) }), "its receivers span"},
+		"receiver port cleared":  {editedTree(func(e *Encoding) { e.LeafPorts[0].Clear(1) }), "receiver 1's port is clear"},
+		"memberless leaf in pod": {editedTree(func(e *Encoding) { e.PodLeaves[0].Set(1) }), "its receivers span"},
+		"memberless pod":         {editedTree(func(e *Encoding) { e.Pods.Set(3) }), "its receivers span"},
+		"receiver pod cleared":   {editedTree(func(e *Encoding) { e.Pods.Clear(2) }), "receiver leaf 5 is not on the tree"},
+		"receiver leaf cleared":  {editedTree(func(e *Encoding) { e.PodLeaves[2].Clear(1) }), "receiver leaf 5 is not on the tree"},
+		"redundancy not the sum": {editedTree(func(e *Encoding) { e.Redundancy += 7 }), "redundancy 7 is not 0 + 0"},
 	}
 	for name, tc := range cases {
 		c2, _ := New(paperTopo(), cfg)

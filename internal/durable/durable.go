@@ -102,6 +102,9 @@ type Options struct {
 	// lease: how many followers have applied everything streamed so
 	// far. Typically ReplicaSet.FollowerAcks.
 	FollowerAcks func() (acked, total int)
+	// dirSynced, a test seam, is called with each directory Promote
+	// fsyncs when it makes Dir.
+	dirSynced func(dir string)
 }
 
 // RecoveryStats reports what Open did to rebuild state.

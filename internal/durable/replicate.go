@@ -10,6 +10,7 @@ import (
 	"elmo/internal/fabric"
 	"elmo/internal/rsm"
 	"elmo/internal/topology"
+	"elmo/internal/wal"
 )
 
 // This file wires the durable controller's WAL stream through the RSM
@@ -249,7 +250,7 @@ func Promote(f *Follower, opts Options) (*DurableController, *RecoveryStats, err
 	if err := f.ctrl.WriteState(&buf); err != nil {
 		return nil, nil, err
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+	if err := wal.MkdirAll(opts.Dir, opts.NoSync, opts.dirSynced); err != nil {
 		return nil, nil, err
 	}
 	if err := writeSnapshotFile(filepath.Join(opts.Dir, snapshotFile), 0, opts.Epoch, buf.Bytes(), opts.NoSync); err != nil {

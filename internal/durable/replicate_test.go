@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"elmo/internal/chaos"
@@ -199,6 +200,29 @@ func TestPromoteRefusesDirtyDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	promoted.Close()
+}
+
+// TestPromoteSyncsNewDirectories pins that a promoted leader's
+// directory is made durable: with sync on, Promote into a directory two
+// levels below an existing one fsyncs the parent of each directory it
+// makes, deepest first, so a power loss cannot drop the new snapshot
+// with its directory.
+func TestPromoteSyncsNewDirectories(t *testing.T) {
+	f, err := NewFollower(durableTopo(), durableCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	var synced []string
+	promoted, _, err := Promote(f, Options{Dir: filepath.Join(root, "leader", "2"),
+		dirSynced: func(d string) { synced = append(synced, d) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer promoted.Close()
+	if want := []string{filepath.Join(root, "leader"), root}; !slices.Equal(synced, want) {
+		t.Fatalf("Promote synced %q, want %q", synced, want)
+	}
 }
 
 // TestOutOfRangeHostIsNotAPoisonPill is the regression for the

@@ -105,7 +105,7 @@ func FuzzScanPipeline(f *testing.F) {
 		// A set padding bit in an identifier block is refused by the
 		// per-hop reader too, whichever switch reads the section.
 		if tag, _ := PeekTag(data); tag == TagDSpine || tag == TagDLeaf {
-			if _, err := walkDownstream(l, data, nil); errors.Is(err, errIDPadding) {
+			if _, _, err := SkipSection(l, data); errors.Is(err, errIDPadding) {
 				for id := uint16(0); id <= 1<<l.IdentifierBits(tag); id++ {
 					if _, err := ConsumeDownstreamInto(l, tag, id, data, new(DownstreamMatch)); err == nil {
 						t.Fatalf("ConsumeDownstreamInto(%d) accepts a set identifier padding bit", id)

@@ -1,6 +1,7 @@
 package header
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -201,6 +202,37 @@ func TestBothReadersRefuseIDPadding(t *testing.T) {
 	}
 }
 
+// TestColdReaderRefusesPortPadding: a set padding bit in a port bitmap,
+// of a p-rule or of the default, is refused by every cold read of the
+// section: the structural walk, Decode and CopyDownstream.
+func TestColdReaderRefusesPortPadding(t *testing.T) {
+	l := paperLayout() // 2 leaves per pod: a d-spine bitmap has 6 padding bits
+	bm := bitmap.FromPorts(l.SpineDown, 1)
+	rules := []PRule{{Switches: []uint16{1}, Bitmap: bm}, {Switches: []uint16{2, 3}, Bitmap: bm}}
+	section, err := AppendDownstream(nil, l, TagDSpine, rules, &bm, KeepAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// tag, count; count, ids, bitmap; count, ids, bitmap; presence, bitmap
+	for _, at := range []int{4, 7, 9} {
+		if section[at] != 0x02 {
+			t.Fatalf("byte %d of % x is not a bitmap", at, section)
+		}
+		padded := bytes.Clone(section)
+		padded[at] |= 0x80
+		stream := append(bytes.Clone(padded), TagEnd)
+		if _, _, err := StreamInfo(l, stream); !errors.Is(err, errBitmapPadding) {
+			t.Fatalf("bitmap at byte %d: StreamInfo: %v", at, err)
+		}
+		if _, _, err := Decode(l, stream); err == nil {
+			t.Fatalf("bitmap at byte %d: Decode accepts it", at)
+		}
+		if _, err := CopyDownstream(nil, l, padded, KeepAll); !errors.Is(err, errBitmapPadding) {
+			t.Fatalf("bitmap at byte %d: CopyDownstream: %v", at, err)
+		}
+	}
+}
+
 // TestAppendDownstreamRefusesWideIdentifier: an identifier the layout's
 // width cannot carry is an error, not a truncation.
 func TestAppendDownstreamRefusesWideIdentifier(t *testing.T) {
@@ -382,14 +414,18 @@ func TestCopyDownstreamEqualsAppendDownstream(t *testing.T) {
 
 			walk.Reset(l, section)
 			for i := 0; walk.Next(); i++ {
-				if i >= len(rules) || !equalIDs(walk.Switches, rules[i].Switches) ||
+				ids := make([]uint16, walk.N)
+				for j := range ids {
+					ids[j] = walk.Switch(j)
+				}
+				if i >= len(rules) || !equalIDs(ids, rules[i].Switches) ||
 					string(walk.Ports) != string(rules[i].Bitmap.AppendWire(nil)) {
-					t.Fatalf("w=%d trial %d: walked rule %d as %v %x", w, trial, i, walk.Switches, walk.Ports)
+					t.Fatalf("w=%d trial %d: walked rule %d as %v %x", w, trial, i, ids, walk.Ports)
 				}
 			}
-			ports, ok := walk.Default()
-			if walk.Err() != nil || ok != (def != nil) || (ok && string(ports) != string(def.AppendWire(nil))) {
-				t.Fatalf("w=%d trial %d: walked default %x (%t), err %v", w, trial, ports, ok, walk.Err())
+			ports, rest, err := walk.End()
+			if err != nil || len(rest) != 0 || (ports != nil) != (def != nil) || (ports != nil && string(ports) != string(def.AppendWire(nil))) {
+				t.Fatalf("w=%d trial %d: walked default %x with %d bytes after it, err %v", w, trial, ports, len(rest), err)
 			}
 		}
 	}

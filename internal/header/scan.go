@@ -120,12 +120,12 @@ type DownstreamMatch struct {
 // storage, so the data-plane fast path calls it per packet and allocates
 // nothing once warm. m is fully overwritten; the decoded match is valid
 // until the next call with the same m. It is the per-hop reader of the
-// downstream grammar, one fused pass on purpose; walkDownstream is the
+// downstream grammar, one fused pass on purpose; the RuleWalker is the
 // cold one (DESIGN.md § Header).
 //
 // Rules of one and two identifiers, every rule at Kmax ≤ 2, go through
 // testRules and skipRules; any other rule, and any malformed one,
-// through scanRule and frameRule, the framing walkDownstream uses.
+// through scanRule and frameRule, the framing the RuleWalker uses.
 func ConsumeDownstreamInto(l Layout, tag byte, id uint16, data []byte, m *DownstreamMatch) ([]byte, error) {
 	var width int
 	var w uint
@@ -286,8 +286,9 @@ var idPadMask = [8]byte{0x00, 0x7f, 0x3f, 0x1f, 0x0f, 0x07, 0x03, 0x01}
 // frameRule frames the p-rule at data[off:] of a downstream section with
 // w-bit identifiers and bmLen-byte bitmaps: it returns the end of the
 // rule, checking its length, a non-zero identifier count and zeroed
-// identifier padding; the bitmap is not read. walkDownstream frames
-// every rule with it, the per-hop reader those its fast loops leave.
+// identifier padding; the bitmap is not read. The RuleWalker frames
+// every rule with it (and then checks the bitmap's padding), the per-hop
+// reader those its fast loops leave.
 func frameRule(data []byte, off int, w uint, bmLen int) (end int, err error) {
 	if off >= len(data) {
 		return 0, errRuleTruncated
@@ -322,144 +323,117 @@ func scanRule(data []byte, off int, w uint, bmLen int, id uint16) (end int, hit 
 	return end, false, nil
 }
 
-// walkDownstream is the cold reader of the downstream grammar: it
-// validates the whole section at the front of data — every rule, not
-// only those before a match — and returns the remaining stream. visit,
-// when non-nil, is given each p-rule's identifier count, packed
-// identifier block and port bitmap in wire form, then the default
-// rule's bitmap if there is one (n 0, ids nil). SkipSection walks with
-// no visitor and Decode with one that materializes the rules, so the
-// structural walk accepts exactly the sections Decode does.
-func walkDownstream(l Layout, data []byte, visit func(n int, ids, ports []byte) error) ([]byte, error) {
-	width, w, bmLen, err := downstreamFrame(l, data)
-	if err != nil {
-		return nil, err
+// RuleWalker is the cold reader of the downstream grammar: it validates
+// a whole section — every rule, not only those before a match — one rule
+// at a time, without decoding a bitmap or allocating. SkipSection and
+// Decode read a section at the front of a stream with it, CopyDownstream
+// and the controller's state writer the section bytes an encoding holds,
+// so the structural walk accepts exactly the sections Decode does. The
+// zero value is ready for Reset.
+type RuleWalker struct {
+	// N, IDs and Ports are the rule Next read: its identifier count,
+	// its packed identifier block (read with Switch) and its port bitmap
+	// in wire form. IDs and Ports alias the section.
+	N          int
+	IDs, Ports []byte
+
+	data         []byte
+	off, left    int // the next rule, and the rules not yet read
+	width, bmLen int
+	w            uint
+	pad          byte // padBits of the port bitmaps
+	err          error
+}
+
+// Reset starts a walk over the downstream section at the front of data.
+// An empty data is an absent section: no rules and no default. The
+// front is checked here: the tag and rule count present, a downstream
+// tag, and an identifier width the rule framing handles.
+func (r *RuleWalker) Reset(l Layout, data []byte) {
+	r.data, r.left, r.err = data, 0, nil
+	switch {
+	case len(data) == 0:
+	case len(data) < 2:
+		r.err = fmt.Errorf("header: truncated downstream section")
+	default:
+		r.width, r.w, r.err = downstreamWidths(l, data[0])
+		if r.err == nil && r.w-1 >= maxIDBits {
+			r.err = errIDWidth
+		}
+		if r.err == nil {
+			r.off, r.left, r.bmLen, r.pad = 2, int(data[1]), bitmap.ByteLen(r.width), padBits(r.width)
+		}
 	}
-	off := 2
-	for i := 0; i < int(data[1]); i++ {
+}
+
+// Next reads the next p-rule into N, IDs and Ports. It returns false
+// after the last rule, and on a malformed rule (End returns the error).
+func (r *RuleWalker) Next() bool { return r.seek(anyRule) }
+
+// anyRule is the seek target that every rule matches.
+const anyRule = -2
+
+// seek frames the rules not yet read, in one loop that keeps the walk
+// in registers, until one names switch stop and no other (any rule for
+// anyRule, none for KeepAll); it reads that rule as Next does and
+// returns true. It returns false once every rule is read, and on a
+// malformed rule, which ends the walk with its error. Each rule is
+// framed by frameRule and its bitmap's padding checked.
+func (r *RuleWalker) seek(stop int) bool {
+	data, off, w, bmLen, pad := r.data, r.off, r.w, r.bmLen, r.pad
+	// A one-identifier block naming stop reads as want in its first and
+	// last bytes, masked to the block's own: stop in the top w bits, then
+	// zero padding (frameRule checks it).
+	want, mask := uint16(stop)<<(16-w), ^uint16(0)<<(16-8*idBlockLen(1, w))
+	if stop >= 0 && stop>>w != 0 {
+		stop = KeepAll // no w-bit identifier is stop
+	}
+	for left := r.left; left > 0; left-- { // 0 once the walk has failed
 		end, err := frameRule(data, off, w, bmLen)
-		if err != nil {
-			return nil, fmt.Errorf("header: rule %d: %w", i, err)
+		if err == nil && data[end-1]&pad != 0 {
+			err = errBitmapPadding
 		}
-		idsEnd := end - bmLen
-		ports, _, err := cutBitmap(width, data[idsEnd:end])
 		if err != nil {
-			return nil, fmt.Errorf("header: rule %d: %w", i, err)
+			r.err, r.left = fmt.Errorf("header: rule %d: %w", int(data[1])-left, err), 0
+			return false
 		}
-		if visit != nil {
-			if err := visit(int(data[off]), data[off+1:idsEnd], ports); err != nil {
-				return nil, err
-			}
+		if n := int(data[off]); stop == anyRule || stop >= 0 && n == 1 && (uint16(data[off+1])<<8|uint16(data[end-bmLen-1]))&mask == want {
+			r.N, r.IDs, r.Ports = n, data[off+1:end-bmLen], data[end-bmLen:end]
+			r.off, r.left = end, left-1
+			return true
 		}
 		off = end
 	}
-	rest := data[off:]
+	r.off, r.left = off, 0
+	return false
+}
+
+// Switch returns the i-th identifier of the rule Next read.
+func (r *RuleWalker) Switch(i int) uint16 { return idAt(r.IDs, uint(i)*r.w, r.w) }
+
+// End steps over the rules Next has not read and returns the default
+// rule's port bitmap in wire form (nil when the section has none), the
+// stream after the section, and the walk's first error. An absent
+// section ends with neither.
+func (r *RuleWalker) End() (def, rest []byte, err error) {
+	if r.left > 0 {
+		r.seek(KeepAll)
+	}
+	if r.err != nil || len(r.data) == 0 {
+		return nil, nil, r.err
+	}
+	rest = r.data[r.off:]
 	if len(rest) == 0 {
-		return nil, fmt.Errorf("header: truncated default-presence byte")
+		return nil, nil, fmt.Errorf("header: truncated default-presence byte")
 	}
 	switch rest[0] {
 	case 0:
-		return rest[1:], nil
+		return nil, rest[1:], nil
 	case 1:
-		ports, after, err := cutBitmap(width, rest[1:])
-		if err == nil && visit != nil {
-			err = visit(0, nil, ports)
-		}
-		return after, err
-	default:
-		return nil, fmt.Errorf("header: bad default-presence byte %#x", rest[0])
+		return cutBitmap(r.width, rest[1:])
 	}
+	return nil, nil, fmt.Errorf("header: bad default-presence byte %#x", rest[0])
 }
-
-// downstreamFrame checks the front of the downstream section at data —
-// its tag and rule count present, a downstream tag, an identifier width
-// the rule framing handles — and returns the section's bitmap width,
-// identifier width and bitmap length in bytes.
-func downstreamFrame(l Layout, data []byte) (width int, w uint, bmLen int, err error) {
-	if len(data) < 2 {
-		return 0, 0, 0, fmt.Errorf("header: truncated downstream section")
-	}
-	if width, w, err = downstreamWidths(l, data[0]); err != nil {
-		return 0, 0, 0, err
-	}
-	if w-1 >= maxIDBits {
-		return 0, 0, 0, errIDWidth
-	}
-	return width, w, bitmap.ByteLen(width), nil
-}
-
-// RuleWalker reads the p-rules of a downstream section one at a time,
-// for a caller that rewrites them in another form (the controller's
-// state file) and so takes no callback per section. It frames every
-// rule as walkDownstream does; its identifier slice is reused from rule
-// to rule and section to section, so a warm walker allocates nothing.
-// The zero value is ready for Reset.
-type RuleWalker struct {
-	// Switches and Ports are the rule Next read: its identifiers and its
-	// port bitmap in wire form (Ports aliases the section). Both are
-	// valid until the next call.
-	Switches []uint16
-	Ports    []byte
-
-	section   []byte
-	off, left int
-	w         uint
-	bmLen     int
-	err       error
-}
-
-// Reset starts a walk over section, the bytes AppendDownstream wrote
-// with KeepAll, or nil for an absent section: no rules and no default.
-func (r *RuleWalker) Reset(l Layout, section []byte) {
-	*r = RuleWalker{Switches: r.Switches[:0], section: section}
-	if len(section) == 0 {
-		return
-	}
-	if _, r.w, r.bmLen, r.err = downstreamFrame(l, section); r.err == nil {
-		r.off, r.left = 2, int(section[1])
-	}
-}
-
-// Next reads the next p-rule into Switches and Ports. It returns false
-// after the last rule, and on a malformed rule (see Err).
-func (r *RuleWalker) Next() bool {
-	if r.left == 0 || r.err != nil {
-		return false
-	}
-	end, err := frameRule(r.section, r.off, r.w, r.bmLen)
-	if err != nil {
-		r.err = fmt.Errorf("header: rule %d: %w", int(r.section[1])-r.left, err)
-		return false
-	}
-	n := int(r.section[r.off])
-	r.Switches = r.Switches[:0]
-	for i := 0; i < n; i++ {
-		r.Switches = append(r.Switches, idAt(r.section[r.off+1:], uint(i)*r.w, r.w))
-	}
-	r.Ports = r.section[end-r.bmLen : end]
-	r.off, r.left = end, r.left-1
-	return true
-}
-
-// Default returns the default rule's port bitmap in wire form and
-// whether the section has one. It is read once Next has returned false.
-func (r *RuleWalker) Default() ([]byte, bool) {
-	if len(r.section) == 0 || r.err != nil || r.left != 0 {
-		return nil, false
-	}
-	rest := r.section[r.off:]
-	switch {
-	case len(rest) == 1 && rest[0] == 0:
-		return nil, false
-	case len(rest) == 1+r.bmLen && rest[0] == 1:
-		return rest[1:], true
-	}
-	r.err = fmt.Errorf("header: bad default rule in downstream section")
-	return nil, false
-}
-
-// Err returns the framing error that stopped the walk, if any.
-func (r *RuleWalker) Err() error { return r.err }
 
 // cutBitmap splits the width-bit bitmap off the front of data without
 // decoding it, checking what bitmap.FromWire checks: length and zeroed
@@ -469,10 +443,18 @@ func cutBitmap(width int, data []byte) (bm, rest []byte, err error) {
 	if len(data) < n {
 		return nil, nil, errBitmapTruncated
 	}
-	if pad := width % 8; pad != 0 && data[n-1]>>pad != 0 {
+	if pad := padBits(width); pad != 0 && data[n-1]&pad != 0 {
 		return nil, nil, errBitmapPadding
 	}
 	return data[:n], data[n:], nil
+}
+
+// padBits masks the padding bits in the last byte of a width-bit bitmap.
+func padBits(width int) byte {
+	if width%8 == 0 {
+		return 0
+	}
+	return ^byte(0) << (width % 8)
 }
 
 // Static errors keep cutBitmap small enough to inline into the walks.
@@ -513,7 +495,9 @@ func SkipSection(l Layout, data []byte) (byte, []byte, error) {
 	case TagCore:
 		_, rest, err = cutBitmap(l.CoreDown, data[1:])
 	case TagDSpine, TagDLeaf:
-		rest, err = walkDownstream(l, data, nil)
+		var walk RuleWalker
+		walk.Reset(l, data)
+		_, rest, err = walk.End()
 	case TagINT:
 		var n int
 		if n, err = intSectionLen(data); err == nil {

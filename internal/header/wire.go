@@ -32,7 +32,7 @@ const (
 // fields, first identifier in the most significant bits, the unused
 // low bits of the last byte zero. Only this package depends on it:
 // AppendDownstream writes identifiers (appendIDs), ConsumeDownstreamInto
-// and walkDownstream read them, DownstreamSize and EncodedSize count
+// and the RuleWalker read them, DownstreamSize and EncodedSize count
 // them.
 
 // idBlockLen is the byte length of n identifiers packed at w bits.
@@ -214,39 +214,26 @@ func AppendDownstream(dst []byte, l Layout, tag byte, rules []PRule, def *bitmap
 // bytes AppendDownstream wrote with KeepAll, or nil for an absent
 // section — leaving out every rule that names switch omit and no other:
 // it writes exactly what AppendDownstream writes for the same rules,
-// default and omit, without decoding a rule. When no rule remains and
-// there is no default, nothing is appended. A section whose framing is
-// malformed is an error, and dst is then returned as it came.
+// default and omit, copying the runs of rules kept without decoding a
+// rule. When no rule remains and there is no default, nothing is
+// appended. A section the RuleWalker refuses, or one with bytes after
+// its default rule, is an error, and dst is then returned as it came.
 func CopyDownstream(dst []byte, l Layout, section []byte, omit int) ([]byte, error) {
-	if len(section) == 0 {
-		return dst, nil
+	var walk RuleWalker
+	walk.Reset(l, section)
+	start, kept := len(dst), RuleCount(section)
+	dst = append(dst, section[:min(2, len(section))]...)
+	run := 2 // the first byte of section not yet copied
+	for omit >= 0 && walk.seek(omit) {
+		ruleStart := walk.off - 1 - len(walk.IDs) - len(walk.Ports)
+		dst, run, kept = append(dst, section[run:ruleStart]...), walk.off, kept-1
 	}
-	_, w, bmLen, err := downstreamFrame(l, section)
-	if err != nil {
-		return dst, err
+	def, rest, err := walk.End()
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("header: downstream section of %d bytes ends at byte %d", len(section), len(section)-len(rest))
 	}
-	start, kept := len(dst), int(section[1])
-	dst = append(dst, section[:2]...)
-	off, run := 2, 2 // run: the first byte of section not yet copied
-	for i := 0; i < int(section[1]); i++ {
-		end, err := frameRule(section, off, w, bmLen)
-		if err != nil {
-			return dst[:start], fmt.Errorf("header: rule %d: %w", i, err)
-		}
-		if section[off] == 1 && int(idAt(section[off+1:], 0, w)) == omit {
-			dst, run, kept = append(dst, section[run:off]...), end, kept-1
-		}
-		off = end
-	}
-	if off >= len(section) || section[off] > 1 {
-		return dst[:start], fmt.Errorf("header: bad default-presence in downstream section")
-	}
-	hasDef := section[off] == 1
-	if end := off + 1 + int(section[off])*bmLen; end != len(section) {
-		return dst[:start], fmt.Errorf("header: downstream section of %d bytes ends at byte %d", len(section), end)
-	}
-	if kept == 0 && !hasDef {
-		return dst[:start], nil
+	if err != nil || (kept == 0 && def == nil) {
+		return dst[:start], err
 	}
 	dst[start+1] = byte(kept)
 	return append(dst, section[run:]...), nil
@@ -387,27 +374,25 @@ func Decode(l Layout, data []byte) (*Header, int, error) {
 }
 
 // decodeRules materializes the downstream section at the front of data
-// (its tag already peeked) into rules and def, as walkDownstream reads it.
+// (its tag already peeked) into rules and def, as the RuleWalker reads it.
 func decodeRules(l Layout, data []byte, rules *[]PRule, def **bitmap.Bitmap) ([]byte, error) {
-	width, w, _ := downstreamWidths(l, data[0])
-	if len(data) > 1 {
-		*rules = make([]PRule, 0, data[1])
-	}
-	return walkDownstream(l, data, func(n int, ids, ports []byte) error {
-		bm, _, err := bitmap.FromWire(width, ports)
-		if err != nil {
-			return err
-		}
-		if ids == nil {
-			d := bm // a copy, so only the default's bitmap header escapes
-			*def = &d
-			return nil
-		}
-		sw := make([]uint16, n)
+	width, _, _ := downstreamWidths(l, data[0])
+	var walk RuleWalker
+	walk.Reset(l, data)
+	*rules = make([]PRule, 0, RuleCount(data))
+	// FromWire checks a bitmap's length and padding, as the walk has.
+	for walk.Next() {
+		sw := make([]uint16, walk.N)
 		for i := range sw {
-			sw[i] = idAt(ids, uint(i)*w, w)
+			sw[i] = walk.Switch(i)
 		}
+		bm, _, _ := bitmap.FromWire(width, walk.Ports)
 		*rules = append(*rules, PRule{Switches: sw, Bitmap: bm})
-		return nil
-	})
+	}
+	ports, rest, err := walk.End()
+	if ports != nil {
+		bm, _, _ := bitmap.FromWire(width, ports)
+		*def = &bm
+	}
+	return rest, err
 }

@@ -177,10 +177,11 @@ func syncDir(path string, synced func(string)) error {
 	return nil
 }
 
-// mkdirAll makes dir and its missing parents, as os.MkdirAll does, then
+// MkdirAll makes dir and its missing parents, as os.MkdirAll does, then
 // (unless noSync) fsyncs the parent of each directory it made, deepest
 // first: a new directory's entry is durable only once its parent is.
-func mkdirAll(dir string, noSync bool, synced func(string)) error {
+// synced, a test seam, is called with each directory fsynced when set.
+func MkdirAll(dir string, noSync bool, synced func(string)) error {
 	if noSync {
 		return os.MkdirAll(dir, 0o755)
 	}

@@ -136,7 +136,7 @@ func Open(opts Options) (*Log, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("wal: empty dir")
 	}
-	if err := mkdirAll(opts.Dir, opts.NoSync, opts.dirSynced); err != nil {
+	if err := MkdirAll(opts.Dir, opts.NoSync, opts.dirSynced); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	segs, err := listSegments(opts.Dir)

@@ -80,6 +80,10 @@ func TestNoUnreachableSurface(t *testing.T) {
 		"internal/livefabric.LiveFabric.EnableCongestionAwareMultipath": true,
 		"internal/reliable.Metrics":                                     true,
 		"internal/header.ConsumeDownstream":                             true,
+		"internal/header.walkDownstream":                                true,
+		"internal/header.RuleWalker.Switches":                           true,
+		"internal/header.RuleWalker.Default":                            true,
+		"internal/header.RuleWalker.Err":                                true,
 		"internal/controller.Config.Shards":                             true,
 		"internal/controller.Controller.NumShards":                      true,
 		"internal/controller.Controller.InspectShards":                  true,
