@@ -277,7 +277,7 @@ func (c *Controller) InstallPrepared(specs []PreparedSpec, opts BatchOptions) (*
 			// panic on.
 			return nil
 		}
-		return hostsWith(specs[i].Members, Role.CanReceive)
+		return appendHosts(make([]topology.HostID, 0, len(specs[i].Members)), specs[i].Members, Role.CanReceive)
 	}
 	commit := func(i int, enc *Encoding) error {
 		if err := prepErr[i]; err != nil {

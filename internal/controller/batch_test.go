@@ -274,7 +274,7 @@ func TestEncodeBatchLookAheadIsBounded(t *testing.T) {
 				break
 			}
 		}
-		return hostsWith(specs[i].Members, Role.CanReceive)
+		return appendHosts(nil, specs[i].Members, Role.CanReceive)
 	}
 	worst := 0
 	commit := func(i int, _ *Encoding) error {

@@ -104,24 +104,23 @@ func (g *GroupState) RoleOf(host topology.HostID) Role {
 
 // Receivers returns the member hosts with a receiving role, ascending.
 func (g *GroupState) Receivers() []topology.HostID {
-	return hostsWith(g.Members, Role.CanReceive)
+	return appendHosts(make([]topology.HostID, 0, len(g.Members)), g.Members, Role.CanReceive)
 }
 
 // Senders returns the member hosts with a sending role, ascending.
 func (g *GroupState) Senders() []topology.HostID {
-	return hostsWith(g.Members, Role.CanSend)
+	return appendHosts(make([]topology.HostID, 0, len(g.Members)), g.Members, Role.CanSend)
 }
 
-// hostsWith lists the hosts of members whose role satisfies pred, in
-// member order.
-func hostsWith(members []Member, pred func(Role) bool) []topology.HostID {
-	hosts := make([]topology.HostID, 0, len(members))
+// appendHosts appends to dst the hosts of members whose role satisfies
+// pred, in member order.
+func appendHosts(dst []topology.HostID, members []Member, pred func(Role) bool) []topology.HostID {
 	for _, m := range members {
 		if pred(m.Role) {
-			hosts = append(hosts, m.Host)
+			dst = append(dst, m.Host)
 		}
 	}
-	return hosts
+	return dst
 }
 
 // UpdateStats counts control-plane rule updates issued to each switch
@@ -602,11 +601,11 @@ func (c *Controller) traceEncode(key GroupKey, enc *Encoding) {
 		c.cfg.LeafRuleLimit, c.cfg.SpineRuleLimit, c.cfg.KMaxLeaf, c.cfg.KMaxSpine,
 		c.cfg.R, c.cfg.SRuleCapacity,
 		header.RuleCount(enc.DLeafSection), header.RuleCount(enc.DSpineSection), len(enc.LeafSRules), len(enc.SpineSRules),
-		!enc.Exact(), enc.Redundancy)
+		!enc.Exact(), enc.Redundancy())
 	t.Record(trace.Event{
 		Cat: trace.CatEncoder, Kind: trace.KindEncode, Tier: trace.TierController,
 		VNI: key.Tenant, Group: key.Group,
-		Arg:  int64(enc.Redundancy),
+		Arg:  int64(enc.Redundancy()),
 		Note: note,
 	})
 }

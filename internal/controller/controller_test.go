@@ -138,7 +138,7 @@ func TestComputeEncodingR2SharesAll(t *testing.T) {
 	if n := header.RuleCount(enc.DLeafSection); n != 2 || enc.DLeafDefault || len(enc.LeafSRules) != 0 {
 		t.Fatalf("R=2: rules=%d default=%v srules=%v", n, enc.DLeafDefault, enc.LeafSRules)
 	}
-	if enc.Redundancy == 0 {
+	if enc.Redundancy() == 0 {
 		t.Fatal("R=2 sharing should record redundancy")
 	}
 }

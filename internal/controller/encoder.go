@@ -134,16 +134,16 @@ type Encoding struct {
 	// entry. The entry holds the leaf's tree bitmap, LeafPorts[l].
 	LeafSRules []topology.LeafID
 
-	// Redundancy is the total spurious transmissions introduced by
-	// p-rule sharing and default rules across both layers. It is the
-	// sum of the per-layer splits below, which the incremental churn
-	// path needs to recombine a fresh leaf layer with a reused spine
-	// section.
-	Redundancy int
-	// LeafRedundancy / SpineRedundancy split Redundancy by layer.
+	// LeafRedundancy / SpineRedundancy are the spurious transmissions
+	// each layer's p-rule sharing and default rule introduce: kept per
+	// layer, so the incremental churn path can recombine a fresh leaf
+	// layer with a reused spine section.
 	LeafRedundancy  int
 	SpineRedundancy int
 }
+
+// Redundancy is the total spurious transmissions across both layers.
+func (e *Encoding) Redundancy() int { return e.LeafRedundancy + e.SpineRedundancy }
 
 // Exact reports whether the encoding needs no default p-rule at either
 // layer — the "groups covered with p-rules (and s-rules)" metric of
@@ -182,9 +182,11 @@ type EncodeScratch struct {
 	srules    []uint16
 	receivers []topology.HostID
 	// rules and section hold the layer being written: its p-rules, as
-	// header rules aliasing the clustering result, and their bytes.
+	// header rules aliasing the clustering result, and their bytes;
+	// deriveLayer ORs its default rule into def.
 	rules   []header.PRule
 	section []byte
+	def     bitmap.Bitmap
 
 	// stamp names the encoding being built: leafStamp[l] == stamp marks
 	// leaf l as seen by it, with its bitmap at leafBms[leafSlot[l]], and
@@ -241,7 +243,6 @@ func ComputeEncodingInto(topo *topology.Topology, cfg Config, cap CapacityFunc, 
 	if err := encodeSpineLayer(topo, cfg, cap, e, s); err != nil {
 		return nil, err
 	}
-	e.Redundancy = e.LeafRedundancy + e.SpineRedundancy
 	return e, nil
 }
 
@@ -356,26 +357,90 @@ func encodeLayer[K ~int](layer string, tag byte, l header.Layout, tree map[K]bit
 	}
 	lim.HasSRuleCapacity = func(sw uint16) bool { return free != nil && free(K(sw)) }
 	assign := assignLayer(s.members, lim, &s.cluster)
-	if s.srules = append(s.srules, assign.SRules...); len(s.srules) > 0 {
-		srules = make([]K, len(s.srules))
-		for i, sw := range s.srules {
-			srules[i] = K(sw)
-		}
-		slices.Sort(srules)
-	}
-	// The layer keeps its rules as the section bytes only, written in
-	// scratch and copied out at their exact size.
 	s.rules = s.rules[:0]
 	for _, r := range assign.PRules {
 		s.rules = append(s.rules, header.PRule(r))
 	}
-	if s.section, err = header.AppendDownstream(s.section[:0], l, tag, s.rules, assign.Default, header.KeepAll); err != nil {
-		return nil, false, nil, 0, fmt.Errorf("controller: %s section: %w", layer, err)
+	if section, err = s.writeSection(layer, tag, l, s.rules, assign.Default); err != nil {
+		return nil, false, nil, 0, fmt.Errorf("controller: %w", err)
 	}
-	if len(s.section) > 0 {
-		section = bytes.Clone(s.section)
+	s.srules = append(s.srules, assign.SRules...)
+	return section, assign.Default != nil, switchList[K](s.srules), assign.Redundancy, nil
+}
+
+// deriveLayer is encodeLayer given the layer's choices — each p-rule's
+// switches and the s-rule switches — on the tree buildTree last built in
+// s. The layer's switches on the tree are listed in tree; sw is on it
+// while on[sw] == s.stamp, with bitmap bms[slot[sw]]. As in
+// cluster.AssignInto, a rule's
+// bitmap is the OR of its switches', the default rule ORs every switch
+// left unnamed, and the redundancy counts the ports sent beyond each
+// switch's own. Naming a switch takes it off the tree, so one named
+// twice is refused like one off it. The rules' bitmaps are overwritten.
+func deriveLayer[K ~int](layer string, tag byte, l header.Layout, width int, tree []K, on []uint32, slot []int32, bms []bitmap.Bitmap,
+	rules []header.PRule, srules []uint16, s *EncodeScratch,
+) (section []byte, hasDef bool, ids []K, redundancy int, err error) {
+	for i := -1; i < len(rules); i++ { // the s-rules, whose OR is dropped, then each p-rule
+		kind, sws, bm := "s-rule", srules, &s.def
+		if i >= 0 {
+			kind, sws, bm = "p-rule", rules[i].Switches, &rules[i].Bitmap
+		}
+		bm.Reset(width)
+		pop := 0
+		for _, sw := range sws {
+			if on[sw] != s.stamp {
+				return nil, false, nil, 0, fmt.Errorf("%s %s %d is not on the group's tree, or is named by an earlier rule", kind, layer, sw)
+			}
+			on[sw]--
+			bm.OrInPlace(bms[slot[sw]])
+			pop += bms[slot[sw]].PopCount()
+		}
+		if i >= 0 { // each switch's tree bitmap is a subset of the rule's
+			redundancy += len(sws)*bm.PopCount() - pop
+		}
 	}
-	return section, assign.Default != nil, srules, assign.Redundancy, nil
+	var def *bitmap.Bitmap
+	s.def.Reset(width)
+	n, pop := 0, 0
+	for j, sw := range tree {
+		if on[sw] == s.stamp {
+			def, n, pop = &s.def, n+1, pop+bms[j].PopCount()
+			def.OrInPlace(bms[j])
+		}
+	}
+	redundancy += n*s.def.PopCount() - pop
+	if section, err = s.writeSection(layer, tag, l, rules, def); err != nil {
+		return nil, false, nil, 0, err
+	}
+	return section, def != nil, switchList[K](srules), redundancy, nil
+}
+
+// writeSection writes a layer's rules and default as its section bytes,
+// in scratch, and returns them copied out at their exact size (nil for
+// an empty section).
+func (s *EncodeScratch) writeSection(layer string, tag byte, l header.Layout, rules []header.PRule, def *bitmap.Bitmap) ([]byte, error) {
+	var err error
+	if s.section, err = header.AppendDownstream(s.section[:0], l, tag, rules, def, header.KeepAll); err != nil {
+		return nil, fmt.Errorf("%s section: %w", layer, err)
+	}
+	if len(s.section) == 0 {
+		return nil, nil
+	}
+	return bytes.Clone(s.section), nil
+}
+
+// switchList returns a layer's s-rule switches as a new ascending []K,
+// nil when there are none.
+func switchList[K ~int](ids []uint16) []K {
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]K, len(ids))
+	for i, sw := range ids {
+		out[i] = K(sw)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // effectiveLeafLimit derives the leaf-section rule budget from the

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -63,17 +64,11 @@ func TestEncodeAllocationBudget(t *testing.T) {
 	t.Logf("warm ComputeEncodingInto: %.2f allocations per encoding", allocs)
 }
 
-// TestLiveHeapPerGroup pins the live heap a controller holds per group:
-// 5,000 seeded WVE groups on the benchmark's fabric, each member a
-// receiver and a quarter of them (and the first) senders too, installed
-// in one batch at R=0. The bound is the measured bytes per group plus
-// under 2 % slack; it may only tighten. A group's live heap is its
-// member list, its tree maps and bitmaps, its two downstream sections
-// and its s-rule lists; it was 3,495 B when each layer kept its
-// p-rules as structs beside the tree.
-func TestLiveHeapPerGroup(t *testing.T) {
-	raceflag.SkipExactAllocs(t)
-	const boundBytes = 2650 // per group; 2,600 measured
+// benchGroups is 5,000 seeded WVE groups on the benchmark's fabric,
+// each member a receiver and a quarter of them (and the first) senders
+// too, as one batch.
+func benchGroups(t testing.TB) (*topology.Topology, []BatchSpec) {
+	t.Helper()
 	topo, sets := benchReceiverSets(t, 5000)
 	rng := rand.New(rand.NewSource(41))
 	specs := make([]BatchSpec, len(sets))
@@ -87,13 +82,12 @@ func TestLiveHeapPerGroup(t *testing.T) {
 		}
 		specs[i] = BatchSpec{Key: GroupKey{Tenant: 1, Group: uint32(i + 1)}, Members: members}
 	}
-	heap := func() uint64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := heap()
+	return topo, specs
+}
+
+// install installs specs in one batch at R=0.
+func install(t testing.TB, topo *topology.Topology, specs []BatchSpec) *Controller {
+	t.Helper()
 	c, err := New(topo, PaperConfig(0))
 	if err != nil {
 		t.Fatal(err)
@@ -101,11 +95,79 @@ func TestLiveHeapPerGroup(t *testing.T) {
 	if _, err := c.InstallBatch(specs, BatchOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	perGroup := float64(heap()-before) / float64(len(specs))
-	runtime.KeepAlive(c)
-	runtime.KeepAlive(specs)
-	if perGroup > boundBytes {
-		t.Fatalf("live heap %.0f B per group, bound %d", perGroup, boundBytes)
+	return c
+}
+
+// restore reads c's state stream into a fresh controller on c's
+// topology and configuration.
+func restore(t testing.TB, c *Controller, state []byte) *Controller {
+	t.Helper()
+	back, err := New(c.Topology(), c.Config())
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("live heap: %.0f B per group", perGroup)
+	if err := back.ReadState(bytes.NewReader(state)); err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
+
+// TestLiveHeapPerGroup pins the live heap a controller holds per group
+// of benchGroups, installed, and then restored from its state stream by
+// ReadState into a fresh controller: a restore derives the groups with
+// the encoder's code, so it must keep the encoder's memory shape. The
+// bound is the measured bytes per group plus under 2 % slack; it may
+// only tighten. A group's live heap is its member list, its tree maps
+// and bitmaps, its two downstream sections and its s-rule lists; it was
+// 3,495 B when each layer kept its p-rules as structs beside the tree.
+func TestLiveHeapPerGroup(t *testing.T) {
+	raceflag.SkipExactAllocs(t)
+	const boundBytes = 2650 // per group; 2,600 measured, installed and restored
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	topo, specs := benchGroups(t)
+	before := heap()
+	c := install(t, topo, specs)
+	installed := float64(heap()-before) / float64(len(specs))
+	var state bytes.Buffer
+	if err := c.WriteState(&state); err != nil {
+		t.Fatal(err)
+	}
+	before = heap()
+	back := restore(t, c, state.Bytes())
+	restored := float64(heap()-before) / float64(len(specs))
+	runtime.KeepAlive(specs)
+	runtime.KeepAlive(&state)
+	runtime.KeepAlive(c)
+	runtime.KeepAlive(back)
+	if installed > boundBytes || restored > boundBytes {
+		t.Fatalf("live heap %.0f B per group installed, %.0f B restored, bound %d", installed, restored, boundBytes)
+	}
+	t.Logf("live heap: %.0f B per group installed, %.0f B restored", installed, restored)
+}
+
+// TestReadStateAllocationBudget pins what ReadState allocates per group
+// restoring benchGroups: the group and its member list, then what an
+// encoding with a warm scratch allocates (the Encoding, its tree maps,
+// one word slab, each layer's section bytes and any s-rule list). The
+// bound is the measured count plus under 2 % slack; a bitmap decoded on
+// its own, or a scratch made per group, shows here.
+func TestReadStateAllocationBudget(t *testing.T) {
+	raceflag.SkipExactAllocs(t)
+	const budget = 12.0 // per group; 11.83 measured; 29.33 when each tree bitmap was decoded on its own and checked in a second pass
+	topo, specs := benchGroups(t)
+	c := install(t, topo, specs)
+	var state bytes.Buffer
+	if err := c.WriteState(&state); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1, func() { restore(t, c, state.Bytes()) }) / float64(len(specs))
+	if allocs > budget {
+		t.Fatalf("ReadState allocated %.2f times per group, budget %.2f", allocs, budget)
+	}
+	t.Logf("ReadState: %.2f allocations per group", allocs)
 }

@@ -74,6 +74,5 @@ func incrementalEncoding(topo *topology.Topology, cfg Config, cap CapacityFunc, 
 		e.SpineSRules = old.SpineSRules
 		e.SpineRedundancy = old.SpineRedundancy
 	}
-	e.Redundancy = e.LeafRedundancy + e.SpineRedundancy
 	return e, nil
 }

@@ -112,7 +112,7 @@ func summarize(g *GroupState) GroupSummary {
 	if g.Enc != nil {
 		s.Exact = g.Enc.Exact()
 		s.UsesSRules = g.Enc.UsesSRules()
-		s.Redundancy = g.Enc.Redundancy
+		s.Redundancy = g.Enc.Redundancy()
 	}
 	return s
 }
@@ -157,7 +157,7 @@ func (c *Controller) InspectGroup(key GroupKey) (*GroupDetail, bool) {
 			LeafDefault:     e.DLeafDefault,
 			SpineSRules:     len(e.SpineSRules),
 			LeafSRules:      len(e.LeafSRules),
-			Redundancy:      e.Redundancy,
+			Redundancy:      e.Redundancy(),
 			LeafRedundancy:  e.LeafRedundancy,
 			SpineRedundancy: e.SpineRedundancy,
 		}

@@ -1,11 +1,11 @@
 package controller
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -19,14 +19,31 @@ import (
 // plus the computed encodings and their s-rule installations, in a
 // deterministic binary form. The paper's controller keeps only soft
 // state (§2) — membership, from which every rule is recomputable — but
-// recomputing on restore is slow and, on a capacity-constrained fabric,
-// can legally land s-rules on different switches than the crashed
-// instance had (the encoder's choices depend on table occupancy, which
-// depends on op history). A recovered instance must be byte-identical
-// to the one that crashed, so ReadState restores encodings verbatim and
-// recommits occupancy from them: no recompute, no history dependence.
-// A membership-only rebuild is what WAL replay of RecCreate and
-// InstallBatch records already does (internal/durable).
+// re-running the encoder on restore is slow and, on a
+// capacity-constrained fabric, can legally land s-rules on different
+// switches than the crashed instance had (the encoder's choices depend
+// on table occupancy, which depends on op history). A recovered
+// instance must be byte-identical to the one that crashed, so the
+// stream keeps the encoder's choices and ReadState recommits occupancy
+// from them: no re-encode, no history dependence. A membership-only
+// rebuild is what WAL replay of RecCreate and InstallBatch records
+// already does (internal/durable).
+//
+// A group record is its key, its members, then its encoding: the pod
+// bitmap and the tree tables (each receiver leaf with its host ports,
+// each receiver pod with its leaves), each layer's section (per rule
+// its switch list and bitmap, then a default flag and bitmap), each
+// layer's s-rules (switch and tree bitmap), and the leaf, spine and
+// total redundancy. Of the encoding only the choices are free: each
+// p-rule's switch list, in order, and the s-rule switches. The rest
+// follows from them and the members (§3.2): the tree from the
+// receivers, a rule's bitmap as the OR of its switches' tree bitmaps,
+// the default flag and bitmap from the switches no rule or s-rule
+// names, an s-rule's bitmap as its switch's tree bitmap, and the
+// redundancies as the spurious ports these send to. ReadState reads
+// the choices, derives the rest with the encoder's code (buildTree,
+// deriveLayer) and accepts a record only if the derived group writes
+// it back byte for byte.
 //
 // The format is versioned and deliberately simple: uvarint-framed,
 // sorted group and host order, bitmap wire bytes with widths implied by
@@ -37,41 +54,28 @@ import (
 // stateVersion guards the binary state format.
 const stateVersion = 1
 
-// stateChunkGroups is the number of consecutive groups of the sorted
-// key list in one WriteState chunk: the unit a worker serializes and
-// the caller writes.
+// stateChunkGroups is the number of consecutive groups in one
+// WriteState or ReadState chunk: the unit a worker serializes, or
+// derives and writes back.
 const stateChunkGroups = 128
 
 // stateWriter appends the WriteState encoding to b.
 type stateWriter struct {
 	b      []byte
-	keys   []int // writeBitmapMap's sort scratch
+	topo   *topology.Topology
 	layout header.Layout
-	err    error // the first section the header.RuleWalker refused
+	leaves []topology.LeafID // the receivers' leaves, ascending
+	pods   []topology.PodID  // the receivers' pods, ascending
+	err    error             // the first section the header.RuleWalker refused
 }
 
 func (sw *stateWriter) uvarint(v uint64) { sw.b = binary.AppendUvarint(sw.b, v) }
 
 func (sw *stateWriter) bitmap(b bitmap.Bitmap) { sw.b = b.AppendWire(sw.b) }
 
-// writeBitmapMap writes a switch→bitmap map as its length followed by
-// (key, bitmap) pairs in ascending key order.
-func writeBitmapMap[K ~int](sw *stateWriter, m map[K]bitmap.Bitmap) {
-	sw.keys = sw.keys[:0]
-	for k := range m {
-		sw.keys = append(sw.keys, int(k))
-	}
-	slices.Sort(sw.keys)
-	sw.uvarint(uint64(len(sw.keys)))
-	for _, k := range sw.keys {
-		sw.uvarint(uint64(k))
-		sw.bitmap(m[K(k)])
-	}
-}
-
-// writeSRules writes an ascending s-rule list in writeBitmapMap's
-// layout: each switch with the bitmap its entry holds, its tree bitmap.
-func writeSRules[K ~int](sw *stateWriter, ids []K, tree map[K]bitmap.Bitmap) {
+// writeTable writes the switches of an ascending list with their tree
+// bitmaps: its length, then (switch, bitmap) pairs.
+func writeTable[K ~int](sw *stateWriter, ids []K, tree map[K]bitmap.Bitmap) {
 	sw.uvarint(uint64(len(ids)))
 	for _, k := range ids {
 		sw.uvarint(uint64(k))
@@ -89,7 +93,7 @@ func (sw *stateWriter) group(key GroupKey, g *GroupState) {
 		sw.b = append(sw.b, byte(m.Role))
 	}
 	sw.b = append(sw.b, 1) // encoding present: every live group has one
-	sw.encoding(g.Enc)
+	sw.encoding(g.Members, g.Enc)
 }
 
 // WriteState serializes the full controller state deterministically.
@@ -109,7 +113,7 @@ func (c *Controller) WriteState(w io.Writer) error {
 	}
 	return inOrder((len(keys)+stateChunkGroups-1)/stateChunkGroups, 0,
 		func(ci int, sw *stateWriter) {
-			sw.b, sw.layout, sw.err = sw.b[:0], l, nil
+			sw.b, sw.topo, sw.layout, sw.err = sw.b[:0], c.topo, l, nil
 			for _, key := range keys[ci*stateChunkGroups : min((ci+1)*stateChunkGroups, len(keys))] {
 				sw.group(key, c.groups[key])
 			}
@@ -123,18 +127,35 @@ func (c *Controller) WriteState(w io.Writer) error {
 		})
 }
 
-// encoding serializes one encoding (sorted map order throughout).
-func (sw *stateWriter) encoding(e *Encoding) {
+// encoding serializes one group's encoding: its tree as the pod bitmap
+// and two tables, one entry per receiver leaf and per receiver pod in
+// ascending order, then each layer's section, its s-rules and the
+// redundancies. The tables' keys come from the ascending members, as
+// hosts are numbered leaf-major and leaves pod-major: buildTree gives
+// the tree maps exactly these keys.
+func (sw *stateWriter) encoding(members []Member, e *Encoding) {
+	sw.leaves, sw.pods = sw.leaves[:0], sw.pods[:0]
+	for _, m := range members {
+		if !m.Role.CanReceive() {
+			continue
+		}
+		if l := sw.topo.HostLeaf(m.Host); len(sw.leaves) == 0 || sw.leaves[len(sw.leaves)-1] != l {
+			sw.leaves = append(sw.leaves, l)
+			if p := sw.topo.LeafPod(l); len(sw.pods) == 0 || sw.pods[len(sw.pods)-1] != p {
+				sw.pods = append(sw.pods, p)
+			}
+		}
+	}
 	sw.bitmap(e.Pods)
-	writeBitmapMap(sw, e.LeafPorts)
-	writeBitmapMap(sw, e.PodLeaves)
+	writeTable(sw, sw.leaves, e.LeafPorts)
+	writeTable(sw, sw.pods, e.PodLeaves)
 	sw.section(e.DSpineSection)
 	sw.section(e.DLeafSection)
-	writeSRules(sw, e.SpineSRules, e.PodLeaves)
-	writeSRules(sw, e.LeafSRules, e.LeafPorts)
+	writeTable(sw, e.SpineSRules, e.PodLeaves)
+	writeTable(sw, e.LeafSRules, e.LeafPorts)
 	sw.uvarint(uint64(e.LeafRedundancy))
 	sw.uvarint(uint64(e.SpineRedundancy))
-	sw.uvarint(uint64(e.Redundancy))
+	sw.uvarint(uint64(e.Redundancy()))
 }
 
 // section writes a downstream section in the state form: its rule
@@ -167,171 +188,169 @@ func (sw *stateWriter) section(section []byte) {
 	}
 }
 
-// stateReader decodes the WriteState stream with bounds checking; any
-// malformed input surfaces as an error, never a panic.
+// stateReader decodes a WriteState stream held in memory. No input
+// makes it panic: the first field it refuses sets err, and every read
+// after it returns zero, so a caller checks err once, after a group. It
+// reads each record's choices — each layer's p-rule switches and s-rule
+// switches — into scratch reused from group to group, and writes the
+// group derived from them back into back.
 type stateReader struct {
-	r     *bufio.Reader
-	buf   []byte
-	srule bitmap.Bitmap // an s-rule's bitmap, compared and dropped
+	buf      []byte // the stream: the record being read is buf[rec:off]
+	rec, off int
+	err      error
 
-	// A downstream section is read into rules and def, reused from
-	// section to section, and written as header bytes into sec.
+	topo   *topology.Topology
 	layout header.Layout
-	rules  []header.PRule
-	def    bitmap.Bitmap
-	sec    []byte
+	ids    []uint16          // the tree tables' keys, read and dropped
+	rules  [2][]header.PRule // per layer (spine, leaf): its p-rules' switches
+	srules [2][]uint16       // per layer: its s-rule switches
+	enc    EncodeScratch     // the tree and sections being derived
+	back   stateWriter       // the derived record
+}
+
+// fail records the first field refused.
+func (sr *stateReader) fail(format string, args ...any) {
+	if sr.err == nil {
+		sr.err = fmt.Errorf(format, args...)
+	}
+}
+
+// skip consumes n bytes, reporting whether there were n: a bitmap is
+// derived, and only the write-back reads it.
+func (sr *stateReader) skip(n int) bool {
+	if sr.err != nil || len(sr.buf)-sr.off < n {
+		sr.fail("truncated")
+		return false
+	}
+	sr.off += n
+	return true
+}
+
+func (sr *stateReader) byte() byte {
+	if !sr.skip(1) {
+		return 0
+	}
+	return sr.buf[sr.off-1]
 }
 
 // uvarint reads one varint in the form WriteState writes: minimal, so
 // a padded one — whose longer form ends in a zero byte — is refused, as
 // the stream would not re-encode to the bytes it was read from.
-func (sr *stateReader) uvarint() (uint64, error) {
+func (sr *stateReader) uvarint() uint64 {
+	if sr.err != nil {
+		return 0
+	}
 	var v uint64
-	for i := 0; ; i++ {
-		b, err := sr.r.ReadByte()
+	for i, b := range sr.buf[sr.off:min(len(sr.buf), sr.off+binary.MaxVarintLen64)] {
 		switch {
-		case err != nil:
-			return 0, fmt.Errorf("controller: state truncated: %w", err)
 		case i == binary.MaxVarintLen64-1 && b > 1:
-			return 0, fmt.Errorf("controller: state varint overflows 64 bits")
+			sr.fail("varint overflows 64 bits")
+			return 0
 		case b == 0 && i > 0:
-			return 0, fmt.Errorf("controller: state non-minimal varint")
+			sr.fail("non-minimal varint")
+			return 0
 		case b < 0x80:
-			return v | uint64(b)<<(7*i), nil
+			sr.off += i + 1
+			return v | uint64(b)<<(7*i)
 		}
 		v |= uint64(b&0x7f) << (7 * i)
 	}
+	sr.fail("truncated")
+	return 0
 }
 
 // count reads a length that bounds a following repetition; cap guards
 // absurd values from corrupt input before any allocation.
-func (sr *stateReader) count(cap uint64, what string) (int, error) {
-	v, err := sr.uvarint()
-	if err != nil {
-		return 0, err
-	}
+func (sr *stateReader) count(cap uint64, what string) int {
+	v := sr.uvarint()
 	if v > cap {
-		return 0, fmt.Errorf("controller: state %s count %d exceeds bound %d", what, v, cap)
+		sr.fail("%s count %d exceeds bound %d", what, v, cap)
+		return 0
 	}
-	return int(v), nil
-}
-
-func (sr *stateReader) bitmap(width int) (bitmap.Bitmap, error) {
-	var b bitmap.Bitmap
-	err := sr.bitmapInto(width, &b)
-	return b, err
-}
-
-// bitmapInto decodes a bitmap of the given width into b, reusing its
-// words when wide enough.
-func (sr *stateReader) bitmapInto(width int, b *bitmap.Bitmap) error {
-	n := bitmap.ByteLen(width)
-	if cap(sr.buf) < n {
-		sr.buf = make([]byte, n)
-	}
-	sr.buf = sr.buf[:n]
-	if _, err := io.ReadFull(sr.r, sr.buf); err != nil {
-		return fmt.Errorf("controller: state truncated bitmap: %w", err)
-	}
-	if _, err := bitmap.FromWireInto(width, sr.buf, b); err != nil {
-		return fmt.Errorf("controller: state bitmap: %w", err)
-	}
-	return nil
+	return int(v)
 }
 
 // ReadState restores a controller from a WriteState stream. The
 // receiving controller must be empty; on any decode or validation
 // error it is left empty (all-or-nothing), never half-restored.
-// Encodings are installed verbatim and occupancy recommitted from
-// them; update counters reset (recovery is a bulk push).
+// Each group's encoding is derived from its record's choices and
+// written back, in chunks on one worker per P: a record is accepted
+// only as the exact bytes its derived group writes. Occupancy is
+// recommitted from the encodings; update counters reset (recovery is a
+// bulk push).
 func (c *Controller) ReadState(r io.Reader) error {
-	type loadedGroup struct {
-		key GroupKey
-		g   *GroupState
+	var in bytes.Buffer
+	if _, err := io.Copy(&in, r); err != nil {
+		return fmt.Errorf("controller: state: %w", err)
 	}
-	sr := &stateReader{r: bufio.NewReaderSize(r, 1<<20), layout: header.LayoutFor(c.topo)}
-	version, err := sr.uvarint()
-	if err != nil {
-		return err
+	l := header.LayoutFor(c.topo)
+	newReader := func() stateReader {
+		return stateReader{buf: in.Bytes(), topo: c.topo, layout: l, back: stateWriter{topo: c.topo, layout: l}}
 	}
-	if version != stateVersion {
-		return fmt.Errorf("controller: state version %d, want %d", version, stateVersion)
+	sr := newReader()
+	if v := sr.uvarint(); v != stateVersion {
+		sr.fail("version %d, want %d", v, stateVersion)
 	}
-	numHosts := uint64(c.topo.NumHosts())
-	numGroups, err := sr.count(1<<48, "group")
-	if err != nil {
-		return err
+	numGroups, numHosts := sr.count(1<<48, "group"), uint64(c.topo.NumHosts())
+	if sr.err != nil {
+		return fmt.Errorf("controller: state: %w", sr.err)
 	}
-	groups := make([]loadedGroup, 0, min(numGroups, 1<<20))
-	seen := GroupKey{}
-	for gi := 0; gi < numGroups; gi++ {
-		tenant, err := sr.uvarint()
-		if err != nil {
-			return err
-		}
-		group, err := sr.uvarint()
-		if err != nil {
-			return err
-		}
-		if tenant > 0xffffffff || group > 0xffffffff {
-			return fmt.Errorf("controller: state key out of range")
-		}
+	groups := make([]loadedGroup, 0, min(numGroups, len(sr.buf))) // a record takes more than a byte
+	for range numGroups {
+		rec := sr.off
+		tenant, group := sr.uvarint(), sr.uvarint()
 		key := GroupKey{Tenant: uint32(tenant), Group: uint32(group)}
-		if gi > 0 && (key.Tenant < seen.Tenant || (key.Tenant == seen.Tenant && key.Group <= seen.Group)) {
-			return fmt.Errorf("controller: state groups out of order at %v", key)
+		if tenant > 0xffffffff || group > 0xffffffff {
+			sr.fail("key out of range")
+		} else if n := len(groups); n > 0 && (key.Tenant < groups[n-1].g.Key.Tenant ||
+			key.Tenant == groups[n-1].g.Key.Tenant && key.Group <= groups[n-1].g.Key.Group) {
+			sr.fail("groups out of order")
 		}
-		seen = key
-		nm, err := sr.count(numHosts, "member")
-		if err != nil {
-			return err
-		}
-		g := &GroupState{Key: key, Members: make([]Member, 0, nm)}
-		var prev uint64
-		for mi := 0; mi < nm; mi++ {
-			h, err := sr.uvarint()
-			if err != nil {
-				return err
-			}
+		g := &GroupState{Key: key, Members: make([]Member, 0, sr.count(numHosts, "member"))}
+		for range cap(g.Members) {
+			h := sr.uvarint()
 			if h >= numHosts {
-				return fmt.Errorf("controller: state host %d outside topology", h)
+				sr.fail("host %d outside topology", h)
+			} else if n := len(g.Members); n > 0 && h <= uint64(g.Members[n-1].Host) {
+				sr.fail("hosts out of order at %d", h)
 			}
-			if mi > 0 && h <= prev {
-				return fmt.Errorf("controller: state group %v hosts out of order at %d", key, h)
+			role := Role(sr.byte())
+			if role == 0 || role&^RoleBoth != 0 {
+				sr.fail("host %d has invalid role %d", h, role)
 			}
-			prev = h
-			role, err := sr.r.ReadByte()
-			if err != nil {
-				return fmt.Errorf("controller: state truncated role: %w", err)
-			}
-			if Role(role) == 0 || Role(role)&^RoleBoth != 0 {
-				return fmt.Errorf("controller: state host %d has invalid role %d", h, role)
-			}
-			g.Members = append(g.Members, Member{Host: topology.HostID(h), Role: Role(role)})
-		}
-		hasEnc, err := sr.r.ReadByte()
-		if err != nil {
-			return fmt.Errorf("controller: state truncated: %w", err)
+			g.Members = append(g.Members, Member{Host: topology.HostID(h), Role: role})
 		}
 		// No writer emits a group without its encoding, and every reader
 		// of GroupState.Enc (install, occupancy) assumes one.
-		if hasEnc != 1 {
-			return fmt.Errorf("controller: state group %v: bad encoding flag %d", key, hasEnc)
+		if flag := sr.byte(); flag != 1 {
+			sr.fail("bad encoding flag %d", flag)
 		}
-		if g.Enc, err = sr.readEncoding(c.topo); err == nil {
-			err = checkTree(c.topo, g.Members, g.Enc)
+		enc := sr.off
+		if sr.choices(); sr.err != nil {
+			return fmt.Errorf("controller: state group %v: %w", key, sr.err)
 		}
-		if err != nil {
-			return fmt.Errorf("controller: state group %v: %w", key, err)
-		}
-		groups = append(groups, loadedGroup{key: key, g: g})
+		groups = append(groups, loadedGroup{g: g, rec: rec, enc: enc})
 	}
 	// WriteState ends with the last group: whatever follows is not state
 	// this reader understood, and accepting it would lose it silently.
-	switch _, err := sr.r.ReadByte(); {
-	case err == nil:
+	if sr.off != len(sr.buf) {
 		return fmt.Errorf("controller: state has trailing data after the last group")
-	case err != io.EOF:
-		return fmt.Errorf("controller: state: %w", err)
+	}
+	// Every record is framed: derive and write back the groups in chunks
+	// on one worker per P, reporting the first refusal in stream order.
+	if err := inOrder((len(groups)+stateChunkGroups-1)/stateChunkGroups, 0,
+		func(ci int, w *stateReader) {
+			if w.topo == nil {
+				*w = newReader()
+			}
+			for _, lg := range groups[ci*stateChunkGroups : min((ci+1)*stateChunkGroups, len(groups))] {
+				if w.restore(lg); w.err != nil {
+					return
+				}
+			}
+		},
+		func(_ int, w *stateReader) error { return w.err }); err != nil {
+		return err
 	}
 	// A stream written under a larger Fmax (another -srules, or forged)
 	// can hold more s-rules for one switch than this controller's
@@ -353,222 +372,120 @@ func (c *Controller) ReadState(r io.Reader) error {
 		return fmt.Errorf("controller: state restore into non-empty controller (%d groups)", n)
 	}
 	for _, lg := range groups {
-		c.groups[lg.key] = lg.g
+		c.groups[lg.g.Key] = lg.g
 		c.occ.Commit(lg.g.Enc)
 	}
 	c.stats = newUpdateStats()
 	return nil
 }
 
-// checkTree refuses an encoding whose Redundancy is not the sum of its
-// layers', or whose tree is not the one its receivers span: each
-// receiver's port, leaf and pod set, and no other entry or bit. Members
-// ascend leaf-major, so each leaf and pod is looked up once, and no map
-// is ranged over.
-func checkTree(topo *topology.Topology, members []Member, e *Encoding) error {
-	if e.Redundancy != e.LeafRedundancy+e.SpineRedundancy {
-		return fmt.Errorf("redundancy %d is not %d + %d", e.Redundancy, e.LeafRedundancy, e.SpineRedundancy)
-	}
-	var span, set [3]int // receivers, their leaves and their pods; the bits the tree sets for each
-	var ports, leaves bitmap.Bitmap
-	pod := topology.PodID(-1)
-	var first, next topology.HostID // the hosts of the last leaf looked up: first, next-1
-	for _, m := range members {
-		if m.Role&RoleReceiver == 0 {
-			continue
-		}
-		if m.Host >= next {
-			l := topo.HostLeaf(m.Host)
-			first = topo.HostAt(l, 0)
-			next = first + topology.HostID(topo.LeafDownWidth())
-			if p := topo.LeafPod(l); p != pod {
-				pod, leaves, span[2] = p, e.PodLeaves[p], span[2]+1
-				set[1] += leaves.PopCount()
-			}
-			ports, span[1] = e.LeafPorts[l], span[1]+1
-			set[0] += ports.PopCount()
-			if ports.Width() == 0 || leaves.Width() == 0 || !leaves.Test(topo.LeafIndexInPod(l)) || !e.Pods.Test(int(pod)) {
-				return fmt.Errorf("receiver leaf %d is not on the tree", l)
-			}
-		}
-		if span[0]++; !ports.Test(int(m.Host - first)) { // hosts are numbered leaf-major
-			return fmt.Errorf("receiver %d's port is clear in its leaf's tree bitmap", m.Host)
-		}
-	}
-	// Every receiver leaf and pod has an entry, so equal counts leave no
-	// other entry, and equal sums no other bit.
-	if set[2] = e.Pods.PopCount(); set != span || len(e.LeafPorts) != span[1] || len(e.PodLeaves) != span[2] {
-		return fmt.Errorf("tree sets %v ports, leaves and pods in %d leaf and %d pod entries; its receivers span %v",
-			set, len(e.LeafPorts), len(e.PodLeaves), span)
-	}
-	return nil
+// loadedGroup is a group read by ReadState: its record is the stream
+// from rec, and its encoding's from enc.
+type loadedGroup struct {
+	g        *GroupState
+	rec, enc int
 }
 
-// readBitmapMap decodes a tree map written by writeBitmapMap: at most
-// limit entries, keys strictly ascending and below limit, every bitmap
-// of the given width. what names the section in errors.
-func readBitmapMap[K ~int](sr *stateReader, what string, limit uint64, width int) (map[K]bitmap.Bitmap, error) {
-	n, err := sr.count(limit, what)
+// restore derives lg's encoding from its record's choices with the
+// encoder's code — buildTree makes the tree from the receivers,
+// deriveLayer each layer's section, s-rules and redundancy — and refuses
+// the group unless it writes back exactly the bytes of the record: the
+// one check that the stored tree, bitmaps, default flags and
+// redundancies are the derived ones.
+func (sr *stateReader) restore(lg loadedGroup) {
+	sr.rec, sr.off = lg.rec, lg.enc
+	sr.choices() // read once already, without error
+	s := &sr.enc
+	s.receivers = appendHosts(s.receivers[:0], lg.g.Members, Role.CanReceive)
+	e := buildTree(sr.topo, s.receivers, nil, s)
+	var err error
+	if e.DLeafSection, e.DLeafDefault, e.LeafSRules, e.LeafRedundancy, err = deriveLayer[topology.LeafID](
+		"leaf", header.TagDLeaf, sr.layout, sr.topo.LeafDownWidth(), s.leaves, s.leafStamp, s.leafSlot, s.leafBms, sr.rules[1], sr.srules[1], s); err == nil {
+		e.DSpineSection, e.DSpineDefault, e.SpineSRules, e.SpineRedundancy, err = deriveLayer[topology.PodID](
+			"pod", header.TagDSpine, sr.layout, sr.topo.SpineDownWidth(), s.pods, s.podStamp, s.podSlot, s.podBms, sr.rules[0], sr.srules[0], s)
+	}
+	if err == nil {
+		lg.g.Enc, sr.back.b = e, sr.back.b[:0]
+		if sr.back.group(lg.g.Key, lg.g); sr.back.err != nil {
+			err = sr.back.err
+		} else if !bytes.Equal(sr.back.b, sr.buf[sr.rec:sr.off]) {
+			err = errors.New("record differs from the record its members and rule choices derive")
+		}
+	}
 	if err != nil {
-		return nil, err
+		sr.err = fmt.Errorf("controller: state group %v: %w", lg.g.Key, err)
 	}
-	m := make(map[K]bitmap.Bitmap, n)
-	for i, prev := 0, -1; i < n; i++ {
-		k, err := sr.key(what, limit, prev)
-		if err != nil {
-			return nil, err
-		}
-		prev = int(k)
-		if m[K(k)], err = sr.bitmap(width); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
 }
 
-// readSRules decodes an s-rule list written by writeSRules against the
-// group's tree: every switch must be on it and carry exactly its tree
-// bitmap, the only bitmap an entry can hold. The bitmaps are checked and
-// dropped; the switch IDs are kept, and an empty list is nil — the
-// shape the encoder produces.
-func readSRules[K ~int](sr *stateReader, what string, limit uint64, width int, tree map[K]bitmap.Bitmap) ([]K, error) {
-	n, err := sr.count(limit, what)
-	if err != nil || n == 0 {
-		return nil, err
+// choices reads the rest of a group record, after its members: the
+// tree, each layer's section, its s-rules and the redundancies. It keeps
+// only the choices, each layer's p-rule switches and s-rule switches;
+// every other field is derived from them and the members, so its bytes
+// are read for the write-back alone.
+func (sr *stateReader) choices() {
+	limits := [2]uint64{uint64(sr.topo.Config().Pods), uint64(sr.topo.NumLeaves())} // per layer: spine, leaf
+	widths := [2]int{sr.topo.SpineDownWidth(), sr.topo.LeafDownWidth()}
+	sr.skip(bitmap.ByteLen(sr.topo.CoreDownWidth()))
+	sr.ids = sr.table("tree leaf", limits[1], widths[1], sr.ids[:0])
+	sr.ids = sr.table("tree pod", limits[0], widths[0], sr.ids[:0])
+	for i := range 2 {
+		sr.rules[i] = sr.section(sr.rules[i], widths[i], limits[i])
 	}
-	ids := make([]K, n)
-	for i, prev := 0, -1; i < n; i++ {
-		k, err := sr.key(what, limit, prev)
-		if err != nil {
-			return nil, err
-		}
-		prev = int(k)
-		if err := sr.bitmapInto(width, &sr.srule); err != nil {
-			return nil, err
-		}
-		ports, ok := tree[K(k)]
-		if !ok {
-			return nil, fmt.Errorf("%s %d is not on the group's tree", what, k)
-		}
-		if !sr.srule.Equal(ports) {
-			return nil, fmt.Errorf("%s %d holds ports %s, its tree bitmap is %s", what, k, sr.srule, ports)
-		}
-		ids[i] = K(k)
+	for i, what := range [2]string{"s-rule pod", "s-rule leaf"} {
+		sr.srules[i] = sr.table(what, limits[i], widths[i], sr.srules[i][:0])
 	}
-	return ids, nil
+	sr.uvarint() // the leaf, spine and total redundancy
+	sr.uvarint()
+	sr.uvarint()
 }
 
-// key reads one switch key of a table: below limit and above prev, the
-// key before it (-1 for the first). A repeated key would collapse into
-// one entry and the restored state would not re-serialise to the stream
-// it was read from.
-func (sr *stateReader) key(what string, limit uint64, prev int) (uint64, error) {
-	k, err := sr.uvarint()
-	if err != nil {
-		return 0, err
+// table reads a switch table as writeTable writes it: at most limit
+// entries, keys strictly ascending and below limit, each with a bitmap
+// of the given width. It appends the keys to ids; the bitmaps are the
+// switches' tree bitmaps, and only their bytes are read.
+func (sr *stateReader) table(what string, limit uint64, width int, ids []uint16) []uint16 {
+	var prev uint64
+	for i := range sr.count(limit, what) {
+		k := sr.uvarint()
+		if k >= limit {
+			sr.fail("%s %d outside topology", what, k)
+		} else if i > 0 && k <= prev {
+			sr.fail("%s %d out of order", what, k)
+		}
+		prev = k
+		ids = append(ids, uint16(k))
+		sr.skip(bitmap.ByteLen(width))
 	}
-	if k >= limit {
-		return 0, fmt.Errorf("%s %d outside topology", what, k)
-	}
-	if int(k) <= prev {
-		return 0, fmt.Errorf("%s %d out of order", what, k)
-	}
-	return k, nil
+	return ids
 }
 
-// section decodes what stateWriter.section wrote for the downstream
-// section with the given tag: switch ids below maxSwitch, bitmaps of the
-// given width. The rules are read into reused scratch and written
-// through header.AppendDownstream, so a section the header cannot carry
-// is refused; the one allocation is the returned bytes, at their exact
-// size (nil for an absent section). It also reports whether the section
-// holds a default rule.
-func (sr *stateReader) section(tag byte, width int, maxSwitch uint64) ([]byte, bool, error) {
-	n, err := sr.count(1<<16, "p-rule")
-	if err != nil {
-		return nil, false, err
-	}
-	sr.rules = slices.Grow(sr.rules[:0], n)[:n]
-	for i := range sr.rules {
-		r := &sr.rules[i]
-		ns, err := sr.count(maxSwitch, "rule-switch")
-		if err != nil {
-			return nil, false, err
-		}
+// section reads what stateWriter.section wrote for one layer, keeping
+// the switch list of each rule in rules, reused from group to group, at
+// most the header's limits: the rule and default bitmaps are derived.
+// Switch ids are below maxSwitch; bitmaps have the given width.
+func (sr *stateReader) section(rules []header.PRule, width int, maxSwitch uint64) []header.PRule {
+	n := sr.count(header.MaxRulesPerSection, "p-rule")
+	rules = slices.Grow(rules[:0], n)[:n]
+	for i := range rules {
+		r := &rules[i]
 		r.Switches = r.Switches[:0]
-		for range ns {
-			sw, err := sr.uvarint()
-			if err != nil {
-				return nil, false, err
-			}
+		for range sr.count(min(maxSwitch, header.MaxSwitchesPerRule), "rule-switch") {
+			sw := sr.uvarint()
 			if sw >= maxSwitch {
-				return nil, false, fmt.Errorf("rule switch %d out of range", sw)
+				sr.fail("rule switch %d out of range", sw)
 			}
 			r.Switches = append(r.Switches, uint16(sw))
 		}
-		if err := sr.bitmapInto(width, &r.Bitmap); err != nil {
-			return nil, false, err
-		}
+		sr.skip(bitmap.ByteLen(width))
 	}
-	flag, err := sr.r.ReadByte()
-	if err != nil {
-		return nil, false, fmt.Errorf("truncated default flag: %w", err)
-	}
-	var def *bitmap.Bitmap
-	switch flag {
+	switch flag := sr.byte(); flag {
 	case 0:
 	case 1:
-		if err := sr.bitmapInto(width, &sr.def); err != nil {
-			return nil, false, err
-		}
-		def = &sr.def
+		sr.skip(bitmap.ByteLen(width))
 	default:
-		return nil, false, fmt.Errorf("bad default flag %d", flag)
+		sr.fail("bad default flag %d", flag)
 	}
-	if sr.sec, err = header.AppendDownstream(sr.sec[:0], sr.layout, tag, sr.rules, def, header.KeepAll); err != nil {
-		return nil, false, err
-	}
-	if len(sr.sec) == 0 {
-		return nil, false, nil
-	}
-	return bytes.Clone(sr.sec), def != nil, nil
-}
-
-// readEncoding decodes one encoding with topology-derived widths.
-func (sr *stateReader) readEncoding(topo *topology.Topology) (*Encoding, error) {
-	e := &Encoding{}
-	numLeaves, leafWidth := uint64(topo.NumLeaves()), topo.LeafDownWidth()
-	numPods, spineWidth := uint64(topo.Config().Pods), topo.SpineDownWidth()
-	var err error
-	if e.Pods, err = sr.bitmap(topo.CoreDownWidth()); err != nil {
-		return nil, err
-	}
-	if e.LeafPorts, err = readBitmapMap[topology.LeafID](sr, "tree leaf", numLeaves, leafWidth); err != nil {
-		return nil, err
-	}
-	if e.PodLeaves, err = readBitmapMap[topology.PodID](sr, "tree pod", numPods, spineWidth); err != nil {
-		return nil, err
-	}
-	if e.DSpineSection, e.DSpineDefault, err = sr.section(header.TagDSpine, spineWidth, numPods); err != nil {
-		return nil, err
-	}
-	if e.DLeafSection, e.DLeafDefault, err = sr.section(header.TagDLeaf, leafWidth, numLeaves); err != nil {
-		return nil, err
-	}
-	if e.SpineSRules, err = readSRules(sr, "s-rule pod", numPods, spineWidth, e.PodLeaves); err != nil {
-		return nil, err
-	}
-	if e.LeafSRules, err = readSRules(sr, "s-rule leaf", numLeaves, leafWidth, e.LeafPorts); err != nil {
-		return nil, err
-	}
-	var red [3]uint64
-	for i := range red {
-		if red[i], err = sr.uvarint(); err != nil {
-			return nil, err
-		}
-	}
-	e.LeafRedundancy, e.SpineRedundancy, e.Redundancy = int(red[0]), int(red[1]), int(red[2])
-	return e, nil
+	return rules
 }
 
 // Fingerprint hashes the full controller state (WriteState bytes):

@@ -155,22 +155,14 @@ func TestReadStateRejectsCorruptInput(t *testing.T) {
 		return out
 	}
 	repeatedSRule := slices.Concat(single.Bytes()[:n-4], []byte{2, 0, 1, 0, 1}, single.Bytes()[n-3:])
-	// The stream of the group {0: both, 1: receiver, 40: receiver} — leaf
-	// 0 in pod 0, leaf 5 in pod 2 — with its encoding edited first: a
-	// tree that is not its receivers' would steer packets to a
-	// non-member, or away from a member, in every sender stream.
-	editedTree := func(edit func(e *Encoding)) []byte {
-		c, _ := New(paperTopo(), cfg)
-		key := GroupKey{Tenant: 1, Group: 1}
-		if _, err := c.CreateGroup(key, map[topology.HostID]Role{0: RoleBoth, 1: RoleReceiver, 40: RoleReceiver}); err != nil {
-			t.Fatal(err)
-		}
-		edit(c.groups[key].Enc)
-		var b bytes.Buffer
-		if err := c.WriteState(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.Bytes()
+	// A tree or section that is not the one the receivers and rule
+	// choices derive would steer packets to a non-member, or away from a
+	// member, in every sender stream.
+	editedTree := func(edit func(e *Encoding)) []byte { return editedGroupStream(t, edit) }
+	withTotalRedundancy := func(b []byte, total byte) []byte {
+		b = bytes.Clone(b)
+		b[len(b)-1] = total
+		return b
 	}
 
 	cases := map[string]struct {
@@ -198,13 +190,29 @@ func TestReadStateRejectsCorruptInput(t *testing.T) {
 		"padded version": {append([]byte{stateVersion | 0x80, 0}, valid[1:]...), "non-minimal varint"},
 		"padded host":    {group(1, 0x85, 0, 2), "non-minimal varint"},
 		// A tree that is not the one the receivers span.
-		"non-member port":        {editedTree(func(e *Encoding) { e.LeafPorts[0].Set(2) }), "its receivers span"},
-		"receiver port cleared":  {editedTree(func(e *Encoding) { e.LeafPorts[0].Clear(1) }), "receiver 1's port is clear"},
-		"memberless leaf in pod": {editedTree(func(e *Encoding) { e.PodLeaves[0].Set(1) }), "its receivers span"},
-		"memberless pod":         {editedTree(func(e *Encoding) { e.Pods.Set(3) }), "its receivers span"},
-		"receiver pod cleared":   {editedTree(func(e *Encoding) { e.Pods.Clear(2) }), "receiver leaf 5 is not on the tree"},
-		"receiver leaf cleared":  {editedTree(func(e *Encoding) { e.PodLeaves[2].Clear(1) }), "receiver leaf 5 is not on the tree"},
-		"redundancy not the sum": {editedTree(func(e *Encoding) { e.Redundancy += 7 }), "redundancy 7 is not 0 + 0"},
+		"non-member port":        {editedTree(func(e *Encoding) { e.LeafPorts[0].Set(2) }), derived},
+		"receiver port cleared":  {editedTree(func(e *Encoding) { e.LeafPorts[0].Clear(1) }), derived},
+		"memberless leaf in pod": {editedTree(func(e *Encoding) { e.PodLeaves[0].Set(1) }), derived},
+		"memberless pod":         {editedTree(func(e *Encoding) { e.Pods.Set(3) }), derived},
+		"receiver pod cleared":   {editedTree(func(e *Encoding) { e.Pods.Clear(2) }), derived},
+		"receiver leaf cleared":  {editedTree(func(e *Encoding) { e.PodLeaves[2].Clear(1) }), derived},
+		"redundancy not the sum": {withTotalRedundancy(editedTree(func(*Encoding) {}), 7), derived},
+		// Sections that are not the ones the rule choices derive.
+		"non-member port in both leaf rules": {editedTree(nonMemberLeafRules(t)), derived},
+		"receiver leaf uncovered": {editedTree(func(e *Encoding) {
+			setLeafRules(t, e, nil, leafRule([]int{0, 1}, 0))
+		}), derived},
+		"default with every leaf covered": {editedTree(func(e *Encoding) {
+			setLeafRules(t, e, leafPorts(0), leafRule([]int{0}, 5), leafRule([]int{0, 1}, 0))
+		}), derived},
+		"default with an extra port": {editedTree(func(e *Encoding) {
+			setLeafRules(t, e, leafPorts(0, 3), leafRule([]int{0, 1}, 0))
+		}), derived},
+		"leaf in a p-rule and an s-rule": {editedTree(func(e *Encoding) { e.LeafSRules = []topology.LeafID{5} }), "p-rule leaf 5 is not on the group's tree, or is named by an earlier rule"},
+		"redundancy split swapped": {editedTree(func(e *Encoding) {
+			setLeafRules(t, e, nil, leafRule([]int{0, 1}, 0, 5))
+			e.SpineRedundancy = 1
+		}), derived},
 	}
 	for name, tc := range cases {
 		c2, _ := New(paperTopo(), cfg)
@@ -216,6 +224,24 @@ func TestReadStateRejectsCorruptInput(t *testing.T) {
 		leaves, spines := occSnapshot(c2)
 		if c2.NumGroups() != 0 || slices.Max(leaves) != 0 || slices.Max(spines) != 0 {
 			t.Fatalf("%s input left %d groups, occupancy %v / %v", name, c2.NumGroups(), leaves, spines)
+		}
+	}
+
+	// The same group with its leaf rules rewritten as the encoder wrote
+	// them, and as one rule shared by both leaves, whose redundancy is the
+	// port it sends to leaf 5 beyond host 40's.
+	for name, edit := range map[string]func(e *Encoding){
+		"leaf rules as encoded": func(e *Encoding) {
+			setLeafRules(t, e, nil, leafRule([]int{0}, 5), leafRule([]int{0, 1}, 0))
+		},
+		"one shared leaf rule": func(e *Encoding) {
+			setLeafRules(t, e, nil, leafRule([]int{0, 1}, 0, 5))
+			e.LeafRedundancy = 1
+		},
+	} {
+		c2, _ := New(paperTopo(), cfg)
+		if err := c2.ReadState(bytes.NewReader(editedTree(edit))); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 
@@ -248,9 +274,9 @@ func TestReadStateRejectsCorruptInput(t *testing.T) {
 	leaf := stateWriter{layout: header.LayoutFor(big)}
 	leaf.section(e.DLeafSection)
 	var tail stateWriter
-	writeSRules(&tail, e.SpineSRules, e.PodLeaves)
-	writeSRules(&tail, e.LeafSRules, e.LeafPorts)
-	for _, r := range []int{e.LeafRedundancy, e.SpineRedundancy, e.Redundancy} {
+	writeTable(&tail, e.SpineSRules, e.PodLeaves)
+	writeTable(&tail, e.LeafSRules, e.LeafPorts)
+	for _, r := range []int{e.LeafRedundancy, e.SpineRedundancy, e.Redundancy()} {
 		tail.uvarint(uint64(r))
 	}
 	if !bytes.HasSuffix(bigState.Bytes(), slices.Concat(leaf.b, tail.b)) {
@@ -264,7 +290,8 @@ func TestReadStateRejectsCorruptInput(t *testing.T) {
 			for _, id := range ids {
 				out = binary.AppendUvarint(out, id)
 			}
-			out = append(out, make([]byte, bitmap.ByteLen(big.LeafDownWidth()))...)
+			// Port 0: the tree bitmap of leaves 0 and 5 alike.
+			out = bitmap.FromPorts(big.LeafDownWidth(), 0).AppendWire(out)
 		}
 		return slices.Concat(out, []byte{0}, tail.b)
 	}
@@ -281,8 +308,8 @@ func TestReadStateRejectsCorruptInput(t *testing.T) {
 		want string
 	}{
 		"rule without identifiers":      {leafSection([]uint64{}), "no switch identifiers"},
-		"256 rules in a section":        {leafSection(oneID...), "exceeds section limit"},
-		"256 identifiers in one rule":   {leafSection(manyIDs), "limit 255"},
+		"256 rules in a section":        {leafSection(oneID...), "p-rule count 256 exceeds bound 255"},
+		"256 identifiers in one rule":   {leafSection(manyIDs), "rule-switch count 256 exceeds bound 255"},
 		"the spliced section unchanged": {leafSection([]uint64{0}, []uint64{5}), ""},
 	} {
 		c2, _ := New(big, cfg)
@@ -299,6 +326,58 @@ func TestReadStateRejectsCorruptInput(t *testing.T) {
 		if c2.NumGroups() != 0 {
 			t.Fatalf("%s: %d groups restored", name, c2.NumGroups())
 		}
+	}
+}
+
+// derived is what ReadState's error names when a group record is not the
+// bytes the group derived from its members and rule choices writes.
+const derived = "differs from the record its members and rule choices derive"
+
+// editedGroupStream is the state stream of the group {0: both, 1:
+// receiver, 40: receiver} — leaf 0 in pod 0, leaf 5 in pod 2; d-leaf
+// rules [5]{port 0} and [0]{ports 0, 1} — with its encoding edited before
+// it is written.
+func editedGroupStream(tb testing.TB, edit func(e *Encoding)) []byte {
+	tb.Helper()
+	c, _ := New(paperTopo(), testConfig(0))
+	key := GroupKey{Tenant: 1, Group: 1}
+	if _, err := c.CreateGroup(key, map[topology.HostID]Role{0: RoleBoth, 1: RoleReceiver, 40: RoleReceiver}); err != nil {
+		tb.Fatal(err)
+	}
+	edit(c.groups[key].Enc)
+	var b bytes.Buffer
+	if err := c.WriteState(&b); err != nil {
+		tb.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// leafPorts is a port bitmap of one leaf of paperTopo.
+func leafPorts(ports ...int) *bitmap.Bitmap {
+	b := bitmap.FromPorts(paperTopo().LeafDownWidth(), ports...)
+	return &b
+}
+
+// leafRule is a d-leaf p-rule of paperTopo: the given ports, on leaves.
+func leafRule(ports []int, leaves ...uint16) header.PRule {
+	return header.PRule{Switches: leaves, Bitmap: *leafPorts(ports...)}
+}
+
+// setLeafRules rewrites e's d-leaf section from rules and def.
+func setLeafRules(tb testing.TB, e *Encoding, def *bitmap.Bitmap, rules ...header.PRule) {
+	tb.Helper()
+	sec, err := header.AppendDownstream(nil, header.LayoutFor(paperTopo()), header.TagDLeaf, rules, def, header.KeepAll)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e.DLeafSection, e.DLeafDefault = sec, def != nil
+}
+
+// nonMemberLeafRules sets port 2 — host 2, not a member — in both of the
+// edited group's d-leaf rule bitmaps.
+func nonMemberLeafRules(tb testing.TB) func(e *Encoding) {
+	return func(e *Encoding) {
+		setLeafRules(tb, e, nil, leafRule([]int{0, 2}, 5), leafRule([]int{0, 1, 2}, 0))
 	}
 }
 
@@ -341,7 +420,7 @@ func TestReadStateRefusesSRuleOffItsTree(t *testing.T) {
 		data []byte
 		want string
 	}{
-		"flipped bitmap": {flipped, "s-rule leaf 1 holds ports"},
+		"flipped bitmap": {flipped, derived},
 		"off-tree leaf":  {offTree, "s-rule leaf 2 is not on the group's tree"},
 	} {
 		c, _ := New(paperTopo(), cfg)
@@ -422,6 +501,9 @@ func FuzzReadState(f *testing.F) {
 	roomy := cfg
 	roomy.SRuleCapacity = 64
 	f.Add(stream(roomy))
+	// Leaf rules that reach a non-member: refused, as the rules derived
+	// from their switches do not.
+	f.Add(editedGroupStream(f, nonMemberLeafRules(f)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, _ := New(paperTopo(), cfg)

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -121,6 +122,49 @@ func TestWriteStateSameBytesAnyProcs(t *testing.T) {
 			t.Fatalf("%d goroutines after failed writes, %d before", runtime.NumGoroutine(), before)
 		}
 	}
+}
+
+// TestReadStateSameAnyProcs: ReadState derives and writes back its
+// groups in chunks on one worker per P, so at 1, 2 and 4 Ps a stream of
+// nine chunks restores to the controller it came from, and a stream
+// with two refused groups in different late chunks names the first of
+// them and leaves the controller empty.
+func TestReadStateSameAnyProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	c := bulkState(t, 8*stateChunkGroups+37)
+	var valid, refused bytes.Buffer
+	if err := c.WriteState(&valid); err != nil {
+		t.Fatal(err)
+	}
+	keys := c.GroupKeys()
+	first, second := keys[5*stateChunkGroups+3], keys[7*stateChunkGroups+1]
+	c.groups[first].Enc.SpineRedundancy++
+	c.groups[second].Enc.SpineRedundancy++
+	if err := c.WriteState(&refused); err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		back := restore(t, c, valid.Bytes())
+		if back.Fingerprint() != fingerprintOf(valid.Bytes()) {
+			t.Fatalf("GOMAXPROCS=%d: the restored controller does not write the stream it read", procs)
+		}
+		fresh, _ := New(c.Topology(), c.Config())
+		err := fresh.ReadState(bytes.NewReader(refused.Bytes()))
+		if err == nil || !strings.Contains(err.Error(), first.String()) || !strings.Contains(err.Error(), derived) {
+			t.Fatalf("GOMAXPROCS=%d: err %v, want one naming group %v", procs, err, first)
+		}
+		if fresh.NumGroups() != 0 {
+			t.Fatalf("GOMAXPROCS=%d: a refused stream left %d groups", procs, fresh.NumGroups())
+		}
+	}
+}
+
+// fingerprintOf is the Fingerprint of a controller whose WriteState
+// writes state.
+func fingerprintOf(state []byte) string {
+	sum := sha256.Sum256(state)
+	return hex.EncodeToString(sum[:])
 }
 
 // failOnWrite fails its k-th Write and every later one, counting the
