@@ -19,7 +19,7 @@ func TestDurableFingerprint(t *testing.T) {
 	}
 	defer d.Close()
 	durableWorkload(d, topo, 80, 2000, 0, 1)
-	if got, want := d.Controller().Fingerprint(), "d5f73e1f96069be4"; !strings.HasPrefix(got, want) {
+	if got, want := d.Controller().Fingerprint(), "5e80d7871e999570"; !strings.HasPrefix(got, want) {
 		t.Fatalf("fingerprint %s, want %s…", got, want)
 	}
 }

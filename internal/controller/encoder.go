@@ -11,6 +11,7 @@ package controller
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"elmo/internal/bitmap"
@@ -413,6 +414,83 @@ func deriveLayer[K ~int](layer string, tag byte, l header.Layout, width int, tre
 		return nil, false, nil, 0, err
 	}
 	return section, def != nil, switchList[K](srules), redundancy, nil
+}
+
+// admissible reports, with an error naming the bound, an encoding that
+// breaks what the encoder guarantees under cfg, so one this controller's
+// encoder could not have made:
+//   - both sections, with the layout's upstream, core and end sections,
+//     within MaxHeaderBytes;
+//   - at most SpineRuleLimit spine p-rules and effectiveLeafLimit leaf
+//     p-rules, each listing at most KMaxSpine or KMaxLeaf switches;
+//   - no p-rule whose own redundancy, the sum of its switches' distances
+//     to its bitmap (cluster.AssignInto), exceeds R;
+//   - every legacy switch on the tree holds an s-rule: it ignores
+//     p-rules, so one named by a p-rule or left to the default rule
+//     would forward nothing.
+//
+// ReadState holds every restored encoding to it; the encoder and the
+// incremental Join/Leave path meet it by construction.
+func admissible(topo *topology.Topology, cfg Config, e *Encoding) error {
+	l := header.LayoutFor(topo)
+	size := len(e.DSpineSection) + len(e.DLeafSection) + header.EndSize + header.UpstreamSize(l, header.TagULeaf) +
+		header.UpstreamSize(l, header.TagUSpine) + header.CoreSize(l)
+	if size > cfg.MaxHeaderBytes {
+		return fmt.Errorf("header of %d bytes exceeds MaxHeaderBytes %d", size, cfg.MaxHeaderBytes)
+	}
+	if err := admissibleLayer("pod", l, e.DSpineSection, e.PodLeaves, e.SpineSRules, cfg.LegacyPods, e.SpineRedundancy,
+		cfg.SpineRuleLimit, cfg.KMaxSpine, cfg.R); err != nil {
+		return err
+	}
+	if err := admissibleLayer("leaf", l, e.DLeafSection, e.LeafPorts, e.LeafSRules, cfg.LegacyLeaves, e.LeafRedundancy,
+		effectiveLeafLimit(topo, cfg), cfg.KMaxLeaf, cfg.R); err != nil {
+		return err
+	}
+	return nil
+}
+
+// admissibleLayer checks one layer's section, under layout l, against
+// its rule limit hmax, identifier limit kmax and redundancy limit r,
+// and its legacy switches against its s-rules; tree maps each switch of
+// the layer's tree to its bitmap and redundancy is the layer's. A layer
+// whose whole redundancy is within r has no rule beyond it.
+func admissibleLayer[K ~int](layer string, l header.Layout, section []byte, tree map[K]bitmap.Bitmap, srules, legacy []K,
+	redundancy, hmax, kmax, r int,
+) error {
+	if n := header.RuleCount(section); n > hmax {
+		return fmt.Errorf("%d %s p-rules exceed the limit of %d", n, layer, hmax)
+	}
+	var w header.RuleWalker
+	w.Reset(l, section)
+	for i := 0; w.Next(); i++ {
+		if w.N > kmax {
+			return fmt.Errorf("%s p-rule %d lists %d switches, KMax %d", layer, i, w.N, kmax)
+		}
+		if redundancy <= r {
+			continue
+		}
+		spurious := 0
+		for _, b := range w.Ports {
+			spurious += w.N * bits.OnesCount8(b)
+		}
+		for j := range w.N {
+			spurious -= tree[K(w.Switch(j))].PopCount()
+		}
+		if spurious > r {
+			return fmt.Errorf("%s p-rule %d has redundancy %d, R %d", layer, i, spurious, r)
+		}
+	}
+	if _, _, err := w.End(); err != nil {
+		return err
+	}
+	for _, sw := range legacy {
+		if _, on := tree[sw]; on {
+			if _, found := slices.BinarySearch(srules, sw); !found {
+				return fmt.Errorf("legacy %s %d is on the tree without an s-rule", layer, sw)
+			}
+		}
+	}
+	return nil
 }
 
 // writeSection writes a layer's rules and default as its section bytes,

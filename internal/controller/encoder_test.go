@@ -2,6 +2,7 @@ package controller
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -158,7 +159,7 @@ func TestLiveHeapPerGroup(t *testing.T) {
 // its own, or a scratch made per group, shows here.
 func TestReadStateAllocationBudget(t *testing.T) {
 	raceflag.SkipExactAllocs(t)
-	const budget = 12.0 // per group; 11.83 measured; 29.33 when each tree bitmap was decoded on its own and checked in a second pass
+	const budget = 11.9 // per group; 11.82 measured; 29.33 when each tree bitmap was decoded on its own and checked in a second pass
 	topo, specs := benchGroups(t)
 	c := install(t, topo, specs)
 	var state bytes.Buffer
@@ -170,4 +171,96 @@ func TestReadStateAllocationBudget(t *testing.T) {
 		t.Fatalf("ReadState allocated %.2f times per group, budget %.2f", allocs, budget)
 	}
 	t.Logf("ReadState: %.2f allocations per group", allocs)
+}
+
+// TestStateBytesPerGroup pins the state stream's size per group of
+// benchGroups. A record holds only the choices: its key, its members
+// then per layer each p-rule's switch list and the
+// s-rule switches. The bound is the measured size plus under 2 % slack;
+// version 1 of the format, which also stored the tree, every bitmap, the
+// default flags and the redundancies, wrote 227 B per group.
+func TestStateBytesPerGroup(t *testing.T) {
+	const bound = 139.0 // per group; 136.83 measured
+	topo, specs := benchGroups(t)
+	c := install(t, topo, specs)
+	var state bytes.Buffer
+	if err := c.WriteState(&state); err != nil {
+		t.Fatal(err)
+	}
+	per := float64(state.Len()) / float64(len(specs))
+	if per > bound {
+		t.Fatalf("state stream %.2f B per group, bound %.2f", per, bound)
+	}
+	t.Logf("state stream: %.2f B per group", per)
+}
+
+// TestEncodingsAreAdmissible: every encoding the encoder emits passes
+// admissible under the config that made it — through CreateGroup and
+// the incremental Join/Leave path (buildBusyController, and a seeded
+// churn over a legacy leaf, a legacy pod and scarce s-rule tables), and
+// through InstallBatch (the 5,000 benchGroups at R=0 and R=12).
+func TestEncodingsAreAdmissible(t *testing.T) {
+	requireAdmissible := func(c *Controller, when string, keys ...GroupKey) {
+		t.Helper()
+		if keys == nil {
+			keys = c.GroupKeys()
+		}
+		for _, key := range keys {
+			if g := c.Group(key); g != nil {
+				if err := admissible(c.Topology(), c.Config(), g.Enc); err != nil {
+					t.Fatalf("%s: group %v: %v", when, key, err)
+				}
+			}
+		}
+	}
+	tight, small := testConfig(2), testConfig(2)
+	tight.LeafRuleLimit, tight.SpineRuleLimit, tight.SRuleCapacity = 2, 1, 12
+	small.MaxHeaderBytes = 40 // room for 5 leaf p-rules
+	for _, cfg := range []Config{testConfig(0), testConfig(2), tight, small} {
+		requireAdmissible(buildBusyController(t, cfg), fmt.Sprintf("busy controller under %+v", cfg))
+	}
+	topo, specs := benchGroups(t)
+	for _, r := range []int{0, 12} {
+		c, err := New(topo, PaperConfig(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.InstallBatch(specs, BatchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		requireAdmissible(c, fmt.Sprintf("benchGroups at R=%d", r))
+	}
+
+	cfg := testConfig(2)
+	cfg.LeafRuleLimit, cfg.SRuleCapacity = 3, 3
+	cfg.LegacyLeaves, cfg.LegacyPods = []topology.LeafID{7}, []topology.PodID{1}
+	c, err := New(paperTopo(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]GroupKey, 8)
+	for i := range keys {
+		keys[i] = GroupKey{Tenant: 1, Group: uint32(i)}
+		if _, err := c.CreateGroup(keys[i], map[topology.HostID]Role{topology.HostID(i): RoleBoth}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(46))
+	n, changed := c.Topology().NumHosts(), 0
+	for op := 0; op < 3000; op++ {
+		key, h, role := keys[rng.Intn(len(keys))], topology.HostID(rng.Intn(n)), Role(1+rng.Intn(3))
+		var err error
+		if rng.Intn(3) > 0 {
+			err = c.Join(key, h, role)
+		} else {
+			err = c.Leave(key, h, role)
+		}
+		if err == nil {
+			changed++
+		}
+		requireAdmissible(c, fmt.Sprintf("churn op %d", op), key)
+	}
+	if changed < 1000 {
+		t.Fatalf("only %d of 3000 churn ops changed a group", changed)
+	}
 }

@@ -5,85 +5,64 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"io"
 	"slices"
 
-	"elmo/internal/bitmap"
 	"elmo/internal/header"
 	"elmo/internal/topology"
 )
 
 // This file is the controller's one whole-state format: membership
-// plus the computed encodings and their s-rule installations, in a
-// deterministic binary form. The paper's controller keeps only soft
-// state (§2) — membership, from which every rule is recomputable — but
-// re-running the encoder on restore is slow and, on a
-// capacity-constrained fabric, can legally land s-rules on different
-// switches than the crashed instance had (the encoder's choices depend
-// on table occupancy, which depends on op history). A recovered
-// instance must be byte-identical to the one that crashed, so the
-// stream keeps the encoder's choices and ReadState recommits occupancy
-// from them: no re-encode, no history dependence. A membership-only
-// rebuild is what WAL replay of RecCreate and InstallBatch records
-// already does (internal/durable).
+// plus each group's encoder choices, in a deterministic binary form.
+// The paper's controller keeps only soft state (§2) — membership, from
+// which every rule is recomputable — but re-running the encoder on
+// restore is slow and, on a capacity-constrained fabric, can legally
+// land s-rules on different switches than the crashed instance had (the
+// encoder's choices depend on table occupancy, which depends on op
+// history). A recovered instance must be byte-identical to the one that
+// crashed, so the stream keeps the encoder's choices and ReadState
+// recommits occupancy from them: no re-encode, no history dependence. A
+// membership-only rebuild is what WAL replay of RecCreate and
+// InstallBatch records already does (internal/durable).
 //
-// A group record is its key, its members, then its encoding: the pod
-// bitmap and the tree tables (each receiver leaf with its host ports,
-// each receiver pod with its leaves), each layer's section (per rule
-// its switch list and bitmap, then a default flag and bitmap), each
-// layer's s-rules (switch and tree bitmap), and the leaf, spine and
-// total redundancy. Of the encoding only the choices are free: each
-// p-rule's switch list, in order, and the s-rule switches. The rest
-// follows from them and the members (§3.2): the tree from the
+// A group record is its key, its members, then per layer (spine, then
+// leaf) the choices of its encoding: each p-rule's switch list, in
+// order, and the s-rule switches, ascending. Nothing else is stored, as
+// the rest follows from these and the members (§3.2): the tree from the
 // receivers, a rule's bitmap as the OR of its switches' tree bitmaps,
-// the default flag and bitmap from the switches no rule or s-rule
-// names, an s-rule's bitmap as its switch's tree bitmap, and the
-// redundancies as the spurious ports these send to. ReadState reads
-// the choices, derives the rest with the encoder's code (buildTree,
-// deriveLayer) and accepts a record only if the derived group writes
-// it back byte for byte.
+// the default rule from the switches no rule or s-rule names, an
+// s-rule's bitmap as its switch's tree bitmap, and the redundancies as
+// the spurious ports these send to. ReadState derives the rest with the
+// encoder's code (buildTree, deriveLayer) and accepts the group only if
+// this controller's encoder could have made it (admissible).
 //
-// The format is versioned and deliberately simple: uvarint-framed,
-// sorted group and host order, bitmap wire bytes with widths implied by
-// the topology. Fingerprint hashes exactly these bytes, so two
-// controllers with equal fingerprints have identical groups, members,
-// encodings, and (derived) occupancy.
+// The format is versioned: a change to it bumps stateVersion, and a
+// stream of another version is refused by its first byte. Fields are
+// minimal uvarints in sorted group and host order. Fingerprint hashes exactly these bytes; as
+// the choices determine the whole encoding, two controllers with equal
+// fingerprints have identical groups, members, encodings, and (derived)
+// occupancy.
 
 // stateVersion guards the binary state format.
-const stateVersion = 1
+const stateVersion = 2
 
 // stateChunkGroups is the number of consecutive groups in one
 // WriteState or ReadState chunk: the unit a worker serializes, or
-// derives and writes back.
+// derives.
 const stateChunkGroups = 128
 
 // stateWriter appends the WriteState encoding to b.
 type stateWriter struct {
 	b      []byte
-	topo   *topology.Topology
 	layout header.Layout
-	leaves []topology.LeafID // the receivers' leaves, ascending
-	pods   []topology.PodID  // the receivers' pods, ascending
-	err    error             // the first section the header.RuleWalker refused
+	err    error // the first section the header.RuleWalker refused
 }
 
 func (sw *stateWriter) uvarint(v uint64) { sw.b = binary.AppendUvarint(sw.b, v) }
 
-func (sw *stateWriter) bitmap(b bitmap.Bitmap) { sw.b = b.AppendWire(sw.b) }
-
-// writeTable writes the switches of an ascending list with their tree
-// bitmaps: its length, then (switch, bitmap) pairs.
-func writeTable[K ~int](sw *stateWriter, ids []K, tree map[K]bitmap.Bitmap) {
-	sw.uvarint(uint64(len(ids)))
-	for _, k := range ids {
-		sw.uvarint(uint64(k))
-		sw.bitmap(tree[k])
-	}
-}
-
-// group writes one group's record: key, members, encoding.
+// group writes one group's record: key, members, then per layer its
+// p-rule switch lists and its s-rule switches.
 func (sw *stateWriter) group(key GroupKey, g *GroupState) {
 	sw.uvarint(uint64(key.Tenant))
 	sw.uvarint(uint64(key.Group))
@@ -92,8 +71,41 @@ func (sw *stateWriter) group(key GroupKey, g *GroupState) {
 		sw.uvarint(uint64(m.Host))
 		sw.b = append(sw.b, byte(m.Role))
 	}
-	sw.b = append(sw.b, 1) // encoding present: every live group has one
-	sw.encoding(g.Members, g.Enc)
+	e := g.Enc
+	sw.rules(e.DSpineSection)
+	writeIDs(sw, e.SpineSRules)
+	sw.rules(e.DLeafSection)
+	writeIDs(sw, e.LeafSRules)
+}
+
+// writeIDs writes an ascending switch list: its length, then the ids.
+func writeIDs[K ~int](sw *stateWriter, ids []K) {
+	sw.uvarint(uint64(len(ids)))
+	for _, k := range ids {
+		sw.uvarint(uint64(k))
+	}
+}
+
+// rules writes the p-rule choices of a downstream section: its rule
+// count, then per rule the identifier count and the identifiers. The
+// bitmaps and the default rule are derived, and not written.
+func (sw *stateWriter) rules(section []byte) {
+	sw.uvarint(uint64(header.RuleCount(section)))
+	var w header.RuleWalker
+	w.Reset(sw.layout, section)
+	for w.Next() {
+		sw.uvarint(uint64(w.N))
+		for i := range w.N {
+			sw.uvarint(uint64(w.Switch(i)))
+		}
+	}
+	_, rest, err := w.End()
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("downstream section has %d bytes after its default rule", len(rest))
+	}
+	if err != nil && sw.err == nil {
+		sw.err = fmt.Errorf("controller: state: %w", err)
+	}
 }
 
 // WriteState serializes the full controller state deterministically.
@@ -113,7 +125,7 @@ func (c *Controller) WriteState(w io.Writer) error {
 	}
 	return inOrder((len(keys)+stateChunkGroups-1)/stateChunkGroups, 0,
 		func(ci int, sw *stateWriter) {
-			sw.b, sw.topo, sw.layout, sw.err = sw.b[:0], c.topo, l, nil
+			sw.b, sw.layout, sw.err = sw.b[:0], l, nil
 			for _, key := range keys[ci*stateChunkGroups : min((ci+1)*stateChunkGroups, len(keys))] {
 				sw.group(key, c.groups[key])
 			}
@@ -127,85 +139,22 @@ func (c *Controller) WriteState(w io.Writer) error {
 		})
 }
 
-// encoding serializes one group's encoding: its tree as the pod bitmap
-// and two tables, one entry per receiver leaf and per receiver pod in
-// ascending order, then each layer's section, its s-rules and the
-// redundancies. The tables' keys come from the ascending members, as
-// hosts are numbered leaf-major and leaves pod-major: buildTree gives
-// the tree maps exactly these keys.
-func (sw *stateWriter) encoding(members []Member, e *Encoding) {
-	sw.leaves, sw.pods = sw.leaves[:0], sw.pods[:0]
-	for _, m := range members {
-		if !m.Role.CanReceive() {
-			continue
-		}
-		if l := sw.topo.HostLeaf(m.Host); len(sw.leaves) == 0 || sw.leaves[len(sw.leaves)-1] != l {
-			sw.leaves = append(sw.leaves, l)
-			if p := sw.topo.LeafPod(l); len(sw.pods) == 0 || sw.pods[len(sw.pods)-1] != p {
-				sw.pods = append(sw.pods, p)
-			}
-		}
-	}
-	sw.bitmap(e.Pods)
-	writeTable(sw, sw.leaves, e.LeafPorts)
-	writeTable(sw, sw.pods, e.PodLeaves)
-	sw.section(e.DSpineSection)
-	sw.section(e.DLeafSection)
-	writeTable(sw, e.SpineSRules, e.PodLeaves)
-	writeTable(sw, e.LeafSRules, e.LeafPorts)
-	sw.uvarint(uint64(e.LeafRedundancy))
-	sw.uvarint(uint64(e.SpineRedundancy))
-	sw.uvarint(uint64(e.Redundancy()))
-}
-
-// section writes a downstream section in the state form: its rule
-// count, then per rule the identifier count, the identifiers as
-// uvarints (not at the header's packed width) and the bitmap, then a
-// default flag and, when set, the default bitmap. TestStateFormatGolden
-// pins these bytes.
-func (sw *stateWriter) section(section []byte) {
-	sw.uvarint(uint64(header.RuleCount(section)))
-	var w header.RuleWalker
-	w.Reset(sw.layout, section)
-	for w.Next() {
-		sw.uvarint(uint64(w.N))
-		for i := range w.N {
-			sw.uvarint(uint64(w.Switch(i)))
-		}
-		sw.b = append(sw.b, w.Ports...)
-	}
-	def, rest, err := w.End()
-	if err == nil && len(rest) != 0 {
-		err = fmt.Errorf("downstream section has %d bytes after its default rule", len(rest))
-	}
-	if def != nil {
-		sw.b = append(append(sw.b, 1), def...)
-	} else {
-		sw.b = append(sw.b, 0)
-	}
-	if err != nil && sw.err == nil {
-		sw.err = fmt.Errorf("controller: state: %w", err)
-	}
-}
-
 // stateReader decodes a WriteState stream held in memory. No input
 // makes it panic: the first field it refuses sets err, and every read
 // after it returns zero, so a caller checks err once, after a group. It
 // reads each record's choices — each layer's p-rule switches and s-rule
-// switches — into scratch reused from group to group, and writes the
-// group derived from them back into back.
+// switches — into scratch reused from group to group.
 type stateReader struct {
-	buf      []byte // the stream: the record being read is buf[rec:off]
-	rec, off int
-	err      error
+	buf []byte // the stream
+	off int    // the next byte to read
+	err error
 
 	topo   *topology.Topology
+	cfg    Config
 	layout header.Layout
-	ids    []uint16          // the tree tables' keys, read and dropped
 	rules  [2][]header.PRule // per layer (spine, leaf): its p-rules' switches
 	srules [2][]uint16       // per layer: its s-rule switches
 	enc    EncodeScratch     // the tree and sections being derived
-	back   stateWriter       // the derived record
 }
 
 // fail records the first field refused.
@@ -215,21 +164,12 @@ func (sr *stateReader) fail(format string, args ...any) {
 	}
 }
 
-// skip consumes n bytes, reporting whether there were n: a bitmap is
-// derived, and only the write-back reads it.
-func (sr *stateReader) skip(n int) bool {
-	if sr.err != nil || len(sr.buf)-sr.off < n {
-		sr.fail("truncated")
-		return false
-	}
-	sr.off += n
-	return true
-}
-
 func (sr *stateReader) byte() byte {
-	if !sr.skip(1) {
+	if sr.err != nil || sr.off == len(sr.buf) {
+		sr.fail("truncated")
 		return 0
 	}
+	sr.off++
 	return sr.buf[sr.off-1]
 }
 
@@ -273,11 +213,12 @@ func (sr *stateReader) count(cap uint64, what string) int {
 // ReadState restores a controller from a WriteState stream. The
 // receiving controller must be empty; on any decode or validation
 // error it is left empty (all-or-nothing), never half-restored.
-// Each group's encoding is derived from its record's choices and
-// written back, in chunks on one worker per P: a record is accepted
-// only as the exact bytes its derived group writes. Occupancy is
-// recommitted from the encodings; update counters reset (recovery is a
-// bulk push).
+// Each group's encoding is derived from its record's choices, in chunks
+// on one worker per P, and a group is accepted only if this
+// controller's encoder could have made its encoding (admissible): a
+// restart or resync under a config that forbids a stored encoding is
+// refused, naming the group and the bound. Occupancy is recommitted
+// from the encodings; update counters reset (recovery is a bulk push).
 func (c *Controller) ReadState(r io.Reader) error {
 	var in bytes.Buffer
 	if _, err := io.Copy(&in, r); err != nil {
@@ -285,7 +226,7 @@ func (c *Controller) ReadState(r io.Reader) error {
 	}
 	l := header.LayoutFor(c.topo)
 	newReader := func() stateReader {
-		return stateReader{buf: in.Bytes(), topo: c.topo, layout: l, back: stateWriter{topo: c.topo, layout: l}}
+		return stateReader{buf: in.Bytes(), topo: c.topo, cfg: c.cfg, layout: l}
 	}
 	sr := newReader()
 	if v := sr.uvarint(); v != stateVersion {
@@ -297,7 +238,6 @@ func (c *Controller) ReadState(r io.Reader) error {
 	}
 	groups := make([]loadedGroup, 0, min(numGroups, len(sr.buf))) // a record takes more than a byte
 	for range numGroups {
-		rec := sr.off
 		tenant, group := sr.uvarint(), sr.uvarint()
 		key := GroupKey{Tenant: uint32(tenant), Group: uint32(group)}
 		if tenant > 0xffffffff || group > 0xffffffff {
@@ -320,24 +260,19 @@ func (c *Controller) ReadState(r io.Reader) error {
 			}
 			g.Members = append(g.Members, Member{Host: topology.HostID(h), Role: role})
 		}
-		// No writer emits a group without its encoding, and every reader
-		// of GroupState.Enc (install, occupancy) assumes one.
-		if flag := sr.byte(); flag != 1 {
-			sr.fail("bad encoding flag %d", flag)
-		}
 		enc := sr.off
 		if sr.choices(); sr.err != nil {
 			return fmt.Errorf("controller: state group %v: %w", key, sr.err)
 		}
-		groups = append(groups, loadedGroup{g: g, rec: rec, enc: enc})
+		groups = append(groups, loadedGroup{g: g, enc: enc})
 	}
 	// WriteState ends with the last group: whatever follows is not state
 	// this reader understood, and accepting it would lose it silently.
 	if sr.off != len(sr.buf) {
 		return fmt.Errorf("controller: state has trailing data after the last group")
 	}
-	// Every record is framed: derive and write back the groups in chunks
-	// on one worker per P, reporting the first refusal in stream order.
+	// Every record is framed: derive the groups in chunks on one worker
+	// per P, reporting the first refusal in stream order.
 	if err := inOrder((len(groups)+stateChunkGroups-1)/stateChunkGroups, 0,
 		func(ci int, w *stateReader) {
 			if w.topo == nil {
@@ -379,21 +314,19 @@ func (c *Controller) ReadState(r io.Reader) error {
 	return nil
 }
 
-// loadedGroup is a group read by ReadState: its record is the stream
-// from rec, and its encoding's from enc.
+// loadedGroup is a group read by ReadState, whose encoding's choices
+// start at stream offset enc.
 type loadedGroup struct {
-	g        *GroupState
-	rec, enc int
+	g   *GroupState
+	enc int
 }
 
 // restore derives lg's encoding from its record's choices with the
 // encoder's code — buildTree makes the tree from the receivers,
 // deriveLayer each layer's section, s-rules and redundancy — and refuses
-// the group unless it writes back exactly the bytes of the record: the
-// one check that the stored tree, bitmaps, default flags and
-// redundancies are the derived ones.
+// the group unless its encoding is admissible under the reader's config.
 func (sr *stateReader) restore(lg loadedGroup) {
-	sr.rec, sr.off = lg.rec, lg.enc
+	sr.off = lg.enc
 	sr.choices() // read once already, without error
 	s := &sr.enc
 	s.receivers = appendHosts(s.receivers[:0], lg.g.Members, Role.CanReceive)
@@ -405,87 +338,50 @@ func (sr *stateReader) restore(lg loadedGroup) {
 			"pod", header.TagDSpine, sr.layout, sr.topo.SpineDownWidth(), s.pods, s.podStamp, s.podSlot, s.podBms, sr.rules[0], sr.srules[0], s)
 	}
 	if err == nil {
-		lg.g.Enc, sr.back.b = e, sr.back.b[:0]
-		if sr.back.group(lg.g.Key, lg.g); sr.back.err != nil {
-			err = sr.back.err
-		} else if !bytes.Equal(sr.back.b, sr.buf[sr.rec:sr.off]) {
-			err = errors.New("record differs from the record its members and rule choices derive")
-		}
+		err = admissible(sr.topo, sr.cfg, e)
 	}
 	if err != nil {
 		sr.err = fmt.Errorf("controller: state group %v: %w", lg.g.Key, err)
+		return
 	}
+	lg.g.Enc = e
 }
 
-// choices reads the rest of a group record, after its members: the
-// tree, each layer's section, its s-rules and the redundancies. It keeps
-// only the choices, each layer's p-rule switches and s-rule switches;
-// every other field is derived from them and the members, so its bytes
-// are read for the write-back alone.
+// choices reads the rest of a group record, after its members: per
+// layer, spine then leaf, each p-rule's switch list and the s-rule
+// switches, into scratch reused from group to group. A rule lists at
+// most the header's limits; switch ids lie inside the topology, and
+// s-rule switches ascend.
 func (sr *stateReader) choices() {
 	limits := [2]uint64{uint64(sr.topo.Config().Pods), uint64(sr.topo.NumLeaves())} // per layer: spine, leaf
-	widths := [2]int{sr.topo.SpineDownWidth(), sr.topo.LeafDownWidth()}
-	sr.skip(bitmap.ByteLen(sr.topo.CoreDownWidth()))
-	sr.ids = sr.table("tree leaf", limits[1], widths[1], sr.ids[:0])
-	sr.ids = sr.table("tree pod", limits[0], widths[0], sr.ids[:0])
-	for i := range 2 {
-		sr.rules[i] = sr.section(sr.rules[i], widths[i], limits[i])
-	}
-	for i, what := range [2]string{"s-rule pod", "s-rule leaf"} {
-		sr.srules[i] = sr.table(what, limits[i], widths[i], sr.srules[i][:0])
-	}
-	sr.uvarint() // the leaf, spine and total redundancy
-	sr.uvarint()
-	sr.uvarint()
-}
-
-// table reads a switch table as writeTable writes it: at most limit
-// entries, keys strictly ascending and below limit, each with a bitmap
-// of the given width. It appends the keys to ids; the bitmaps are the
-// switches' tree bitmaps, and only their bytes are read.
-func (sr *stateReader) table(what string, limit uint64, width int, ids []uint16) []uint16 {
-	var prev uint64
-	for i := range sr.count(limit, what) {
-		k := sr.uvarint()
-		if k >= limit {
-			sr.fail("%s %d outside topology", what, k)
-		} else if i > 0 && k <= prev {
-			sr.fail("%s %d out of order", what, k)
-		}
-		prev = k
-		ids = append(ids, uint16(k))
-		sr.skip(bitmap.ByteLen(width))
-	}
-	return ids
-}
-
-// section reads what stateWriter.section wrote for one layer, keeping
-// the switch list of each rule in rules, reused from group to group, at
-// most the header's limits: the rule and default bitmaps are derived.
-// Switch ids are below maxSwitch; bitmaps have the given width.
-func (sr *stateReader) section(rules []header.PRule, width int, maxSwitch uint64) []header.PRule {
-	n := sr.count(header.MaxRulesPerSection, "p-rule")
-	rules = slices.Grow(rules[:0], n)[:n]
-	for i := range rules {
-		r := &rules[i]
-		r.Switches = r.Switches[:0]
-		for range sr.count(min(maxSwitch, header.MaxSwitchesPerRule), "rule-switch") {
-			sw := sr.uvarint()
-			if sw >= maxSwitch {
-				sr.fail("rule switch %d out of range", sw)
+	whats := [2]string{"s-rule pod", "s-rule leaf"}
+	for i, limit := range limits {
+		n := sr.count(header.MaxRulesPerSection, "p-rule")
+		rules := slices.Grow(sr.rules[i][:0], n)[:n]
+		for j := range rules {
+			r := &rules[j]
+			r.Switches = r.Switches[:0]
+			for range sr.count(min(limit, header.MaxSwitchesPerRule), "rule-switch") {
+				sw := sr.uvarint()
+				if sw >= limit {
+					sr.fail("rule switch %d out of range", sw)
+				}
+				r.Switches = append(r.Switches, uint16(sw))
 			}
-			r.Switches = append(r.Switches, uint16(sw))
 		}
-		sr.skip(bitmap.ByteLen(width))
+		sr.rules[i] = rules
+		ids := sr.srules[i][:0]
+		for j := range sr.count(limit, whats[i]) {
+			k := sr.uvarint()
+			if k >= limit {
+				sr.fail("%s %d outside topology", whats[i], k)
+			} else if j > 0 && k <= uint64(ids[j-1]) {
+				sr.fail("%s %d out of order", whats[i], k)
+			}
+			ids = append(ids, uint16(k))
+		}
+		sr.srules[i] = ids
 	}
-	switch flag := sr.byte(); flag {
-	case 0:
-	case 1:
-		sr.skip(bitmap.ByteLen(width))
-	default:
-		sr.fail("bad default flag %d", flag)
-	}
-	return rules
 }
 
 // Fingerprint hashes the full controller state (WriteState bytes):

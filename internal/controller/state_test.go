@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"os"
 	"reflect"
 	"slices"
 	"strings"
@@ -127,95 +128,74 @@ func TestReadStateRejectsCorruptInput(t *testing.T) {
 	}
 	valid := buf.Bytes()
 
-	// Hand-built streams: one group whose member list or encoding flag is
+	// Hand-built streams: one group whose member list or choices are
 	// malformed, and one valid group written twice.
 	numHosts := uint64(paperTopo().NumHosts())
 	group := func(body ...byte) []byte { return append([]byte{stateVersion, 1, 1, 1}, body...) }
-	one, _ := New(paperTopo(), cfg)
-	if _, err := one.CreateGroup(GroupKey{Tenant: 1, Group: 1}, map[topology.HostID]Role{0: RoleBoth, 9: RoleReceiver}); err != nil {
-		t.Fatal(err)
+	single := groupStream(t, cfg, map[topology.HostID]Role{0: RoleBoth, 9: RoleReceiver}, nil)
+	// Key (1, 1); host 0 and host 9 with their roles; the spine
+	// layer, one rule naming pod 0 and no s-rule; the leaf layer, rules
+	// naming leaf 0 and leaf 1 and no s-rule.
+	if !bytes.Equal(single, []byte{stateVersion, 1, 1, 1, 2, 0, 3, 9, 2, 1, 1, 0, 0, 2, 1, 0, 1, 1, 0}) {
+		t.Fatalf("the single-group stream is not laid out as the cases assume: %x", single)
 	}
-	var single bytes.Buffer
-	if err := one.WriteState(&single); err != nil {
-		t.Fatal(err)
+	body := single[2:]                                                           // after version and group count
+	leafLayer := func(b ...byte) []byte { return slices.Concat(single[:13], b) } // single, its leaf layer replaced by b
+	// Streams this controller's encoder could not have written under the
+	// reader's config: the busy state, whose largest group has 6 leaf
+	// p-rules; a group whose leaf 5 takes a p-rule; rules over KMaxLeaf
+	// and over R.
+	most := 0
+	for _, key := range c1.GroupKeys() {
+		most = max(most, header.RuleCount(c1.Group(key).Enc.DLeafSection))
 	}
-	body := single.Bytes()[2:] // after version and group count
-	// The same stream with a table key rewritten. Its tree-leaf table
-	// starts at byte 11 (count 2, leaf 0, bitmap, leaf 1, bitmap) and it
-	// ends with two empty s-rule tables and three one-byte redundancies.
-	n := single.Len()
-	if !bytes.Equal(single.Bytes()[11:13], []byte{2, 0}) || single.Bytes()[14] != 1 || !bytes.Equal(single.Bytes()[n-5:n-3], []byte{0, 0}) {
-		t.Fatalf("the single-group stream is not laid out as the table cases assume: %x", single.Bytes())
+	if most != 6 {
+		t.Fatalf("the busy state's largest group has %d leaf p-rules, want 6", most)
 	}
-	patch := func(offsetValue ...int) []byte {
-		out := bytes.Clone(single.Bytes())
-		for i := 0; i < len(offsetValue); i += 2 {
-			out[offsetValue[i]] = byte(offsetValue[i+1])
-		}
-		return out
-	}
-	repeatedSRule := slices.Concat(single.Bytes()[:n-4], []byte{2, 0, 1, 0, 1}, single.Bytes()[n-3:])
-	// A tree or section that is not the one the receivers and rule
-	// choices derive would steer packets to a non-member, or away from a
-	// member, in every sender stream.
-	editedTree := func(edit func(e *Encoding)) []byte { return editedGroupStream(t, edit) }
-	withTotalRedundancy := func(b []byte, total byte) []byte {
-		b = bytes.Clone(b)
-		b[len(b)-1] = total
-		return b
-	}
+	tight, small, legacy := cfg, cfg, cfg
+	tight.LeafRuleLimit = 1
+	small.MaxHeaderBytes = 20
+	legacy.LegacyLeaves = []topology.LeafID{5}
 
 	cases := map[string]struct {
-		data []byte
-		want string
+		data   []byte
+		reader *Config // cfg when nil
+		want   string
 	}{
-		"empty":             {nil, "truncated"},
-		"truncated":         {valid[:len(valid)/3], "truncated"},
-		"garbage":           {bytes.Repeat([]byte{0xfe, 0x01, 0x77}, 100), "version"},
-		"version":           {append([]byte{99}, valid[1:]...), "version"},
-		"zero role":         {group(1, 0, 0), "invalid role"},
-		"bad role":          {group(1, 0, 4), "invalid role"},
-		"host out of range": {group(binary.AppendUvarint([]byte{1}, numHosts)...), "outside topology"},
-		"duplicate host":    {group(2, 5, 1, 5, 2), "hosts out of order"},
-		"no encoding":       {group(1, 48, 2, 0), "bad encoding flag"},
-		"duplicate group":   {slices.Concat([]byte{stateVersion, 2}, body, body), "groups out of order"},
-		// A table that names a switch twice would collapse to one entry
-		// and re-serialise to other bytes than were read.
-		"repeated tree leaf":   {patch(14, 0), "tree leaf 0 out of order"},
-		"descending tree leaf": {patch(12, 1, 14, 0), "tree leaf 0 out of order"},
-		"repeated s-rule leaf": {repeatedSRule, "s-rule leaf 0 out of order"},
-		"trailing bytes":       {append(bytes.Clone(valid), 0xde, 0xad), "trailing data"},
+		"empty":                      {nil, nil, "truncated"},
+		"truncated":                  {valid[:len(valid)/3], nil, "truncated"},
+		"garbage":                    {bytes.Repeat([]byte{0xfe, 0x01, 0x77}, 100), nil, "version"},
+		"version":                    {append([]byte{99}, valid[1:]...), nil, "version"},
+		"zero role":                  {group(1, 0, 0), nil, "invalid role"},
+		"bad role":                   {group(1, 0, 4), nil, "invalid role"},
+		"host out of range":          {group(binary.AppendUvarint([]byte{1}, numHosts)...), nil, "outside topology"},
+		"duplicate host":             {group(2, 5, 1, 5, 2), nil, "hosts out of order"},
+		"group without its encoding": {group(1, 48, 2), nil, "truncated"},
+		"duplicate group":            {slices.Concat([]byte{stateVersion, 2}, body, body), nil, "groups out of order"},
+		// A list that names a switch twice would collapse to one entry.
+		"leaf named twice in a rule": {leafLayer(1, 2, 0, 0, 0), nil, "p-rule leaf 0 is not on the group's tree, or is named by an earlier rule"},
+		"descending s-rule leaves":   {leafLayer(0, 2, 1, 0), nil, "s-rule leaf 0 out of order"},
+		"repeated s-rule leaf":       {leafLayer(0, 2, 0, 0), nil, "s-rule leaf 0 out of order"},
+		"trailing bytes":             {append(bytes.Clone(valid), 0xde, 0xad), nil, "trailing data"},
 		// WriteState writes minimal varints; a padded one would read to
 		// a state that re-encodes to other bytes.
-		"padded version": {append([]byte{stateVersion | 0x80, 0}, valid[1:]...), "non-minimal varint"},
-		"padded host":    {group(1, 0x85, 0, 2), "non-minimal varint"},
-		// A tree that is not the one the receivers span.
-		"non-member port":        {editedTree(func(e *Encoding) { e.LeafPorts[0].Set(2) }), derived},
-		"receiver port cleared":  {editedTree(func(e *Encoding) { e.LeafPorts[0].Clear(1) }), derived},
-		"memberless leaf in pod": {editedTree(func(e *Encoding) { e.PodLeaves[0].Set(1) }), derived},
-		"memberless pod":         {editedTree(func(e *Encoding) { e.Pods.Set(3) }), derived},
-		"receiver pod cleared":   {editedTree(func(e *Encoding) { e.Pods.Clear(2) }), derived},
-		"receiver leaf cleared":  {editedTree(func(e *Encoding) { e.PodLeaves[2].Clear(1) }), derived},
-		"redundancy not the sum": {withTotalRedundancy(editedTree(func(*Encoding) {}), 7), derived},
-		// Sections that are not the ones the rule choices derive.
-		"non-member port in both leaf rules": {editedTree(nonMemberLeafRules(t)), derived},
-		"receiver leaf uncovered": {editedTree(func(e *Encoding) {
-			setLeafRules(t, e, nil, leafRule([]int{0, 1}, 0))
-		}), derived},
-		"default with every leaf covered": {editedTree(func(e *Encoding) {
-			setLeafRules(t, e, leafPorts(0), leafRule([]int{0}, 5), leafRule([]int{0, 1}, 0))
-		}), derived},
-		"default with an extra port": {editedTree(func(e *Encoding) {
-			setLeafRules(t, e, leafPorts(0, 3), leafRule([]int{0, 1}, 0))
-		}), derived},
-		"leaf in a p-rule and an s-rule": {editedTree(func(e *Encoding) { e.LeafSRules = []topology.LeafID{5} }), "p-rule leaf 5 is not on the group's tree, or is named by an earlier rule"},
-		"redundancy split swapped": {editedTree(func(e *Encoding) {
-			setLeafRules(t, e, nil, leafRule([]int{0, 1}, 0, 5))
-			e.SpineRedundancy = 1
-		}), derived},
+		"padded version": {append([]byte{stateVersion | 0x80, 0}, valid[1:]...), nil, "non-minimal varint"},
+		"padded host":    {group(1, 0x85, 0, 2), nil, "non-minimal varint"},
+		"leaf in a p-rule and an s-rule": {editedGroupStream(t, func(e *Encoding) { e.LeafSRules = []topology.LeafID{5} }), nil,
+			"p-rule leaf 5 is not on the group's tree, or is named by an earlier rule"},
+		// Encodings the reader's config forbids.
+		"6 leaf rules under LeafRuleLimit 1":   {valid, &tight, "leaf p-rules exceed the limit of 1"},
+		"6 leaf rules under MaxHeaderBytes 20": {valid, &small, "exceeds MaxHeaderBytes 20"},
+		"legacy leaf 5 on a p-rule":            {editedGroupStream(t, nil), &legacy, "legacy leaf 5 is on the tree without an s-rule"},
+		"rule over KMaxLeaf":                   {kmaxStream(t), nil, "leaf p-rule 0 lists 4 switches, KMax 2"},
+		"shared rule over R":                   {editedGroupStream(t, oneSharedLeafRule(t)), nil, "leaf p-rule 0 has redundancy 1, R 0"},
 	}
 	for name, tc := range cases {
-		c2, _ := New(paperTopo(), cfg)
+		reader := cfg
+		if tc.reader != nil {
+			reader = *tc.reader
+		}
+		c2, _ := New(paperTopo(), reader)
 		err := c2.ReadState(bytes.NewReader(tc.data))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s input: err %v, want one naming %q", name, err, tc.want)
@@ -228,20 +208,47 @@ func TestReadStateRejectsCorruptInput(t *testing.T) {
 	}
 
 	// The same group with its leaf rules rewritten as the encoder wrote
-	// them, and as one rule shared by both leaves, whose redundancy is the
-	// port it sends to leaf 5 beyond host 40's.
-	for name, edit := range map[string]func(e *Encoding){
-		"leaf rules as encoded": func(e *Encoding) {
-			setLeafRules(t, e, nil, leafRule([]int{0}, 5), leafRule([]int{0, 1}, 0))
-		},
-		"one shared leaf rule": func(e *Encoding) {
-			setLeafRules(t, e, nil, leafRule([]int{0, 1}, 0, 5))
-			e.LeafRedundancy = 1
-		},
+	// them, with leaf 5 left to the default rule, and as one rule shared
+	// by both leaves, whose redundancy — the port it sends to leaf 5
+	// beyond host 40's — a reader at R=1 allows.
+	for name, tc := range map[string]struct {
+		edit func(e *Encoding)
+		r    int
+	}{
+		"leaf rules as encoded": {func(e *Encoding) { setLeafRules(t, e, nil, leafRule([]int{0}, 5), leafRule([]int{0, 1}, 0)) }, 0},
+		"leaf 5 on the default": {leafFiveOnDefault(t), 0},
+		"one shared leaf rule":  {oneSharedLeafRule(t), 1},
 	} {
-		c2, _ := New(paperTopo(), cfg)
-		if err := c2.ReadState(bytes.NewReader(editedTree(edit))); err != nil {
+		c2, _ := New(paperTopo(), testConfig(tc.r))
+		if err := c2.ReadState(bytes.NewReader(editedGroupStream(t, tc.edit))); err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+	}
+
+	// A stream holds no derived field, so an encoding whose tree,
+	// bitmaps, default rule or redundancy are not the ones its choices
+	// derive writes the same bytes as the one they derive: no stream can
+	// carry the inconsistency.
+	for name, tc := range map[string]struct{ edit, same func(e *Encoding) }{
+		"non-member port":        {func(e *Encoding) { e.LeafPorts[0].Set(2) }, nil},
+		"receiver port cleared":  {func(e *Encoding) { e.LeafPorts[0].Clear(1) }, nil},
+		"memberless leaf in pod": {func(e *Encoding) { e.PodLeaves[0].Set(1) }, nil},
+		"memberless pod":         {func(e *Encoding) { e.Pods.Set(3) }, nil},
+		"receiver pod cleared":   {func(e *Encoding) { e.Pods.Clear(2) }, nil},
+		"receiver leaf cleared":  {func(e *Encoding) { e.PodLeaves[2].Clear(1) }, nil},
+		"redundancy not the sum": {func(e *Encoding) { e.SpineRedundancy = 7 }, nil},
+		"non-member port in both leaf rules": {func(e *Encoding) {
+			setLeafRules(t, e, nil, leafRule([]int{0, 2}, 5), leafRule([]int{0, 1, 2}, 0))
+		}, nil},
+		"default with every leaf covered": {func(e *Encoding) {
+			setLeafRules(t, e, leafPorts(0), leafRule([]int{0}, 5), leafRule([]int{0, 1}, 0))
+		}, nil},
+		"default with an extra port": {func(e *Encoding) {
+			setLeafRules(t, e, leafPorts(0, 3), leafRule([]int{0, 1}, 0))
+		}, leafFiveOnDefault(t)},
+	} {
+		if !bytes.Equal(editedGroupStream(t, tc.edit), editedGroupStream(t, tc.same)) {
+			t.Fatalf("%s: the stream carries a derived field", name)
 		}
 	}
 
@@ -272,17 +279,12 @@ func TestReadStateRejectsCorruptInput(t *testing.T) {
 	}
 	e := bc.Group(key).Enc
 	leaf := stateWriter{layout: header.LayoutFor(big)}
-	leaf.section(e.DLeafSection)
-	var tail stateWriter
-	writeTable(&tail, e.SpineSRules, e.PodLeaves)
-	writeTable(&tail, e.LeafSRules, e.LeafPorts)
-	for _, r := range []int{e.LeafRedundancy, e.SpineRedundancy, e.Redundancy()} {
-		tail.uvarint(uint64(r))
+	leaf.rules(e.DLeafSection)
+	writeIDs(&leaf, e.LeafSRules)
+	if !bytes.HasSuffix(bigState.Bytes(), leaf.b) || len(e.LeafSRules) != 0 {
+		t.Fatalf("the evaluation-fabric stream does not end with its d-leaf rules and no s-rule: %x", bigState.Bytes())
 	}
-	if !bytes.HasSuffix(bigState.Bytes(), slices.Concat(leaf.b, tail.b)) {
-		t.Fatalf("the evaluation-fabric stream does not end with its d-leaf section and tail: %x", bigState.Bytes())
-	}
-	prefix := bigState.Bytes()[:bigState.Len()-len(leaf.b)-len(tail.b)]
+	prefix := bigState.Bytes()[:bigState.Len()-len(leaf.b)]
 	leafSection := func(rules ...[]uint64) []byte {
 		out := binary.AppendUvarint(slices.Clone(prefix), uint64(len(rules)))
 		for _, ids := range rules {
@@ -290,10 +292,8 @@ func TestReadStateRejectsCorruptInput(t *testing.T) {
 			for _, id := range ids {
 				out = binary.AppendUvarint(out, id)
 			}
-			// Port 0: the tree bitmap of leaves 0 and 5 alike.
-			out = bitmap.FromPorts(big.LeafDownWidth(), 0).AppendWire(out)
 		}
-		return slices.Concat(out, []byte{0}, tail.b)
+		return append(out, 0) // no s-rule
 	}
 	oneID := make([][]uint64, header.MaxRulesPerSection+1)
 	for i := range oneID {
@@ -329,27 +329,56 @@ func TestReadStateRejectsCorruptInput(t *testing.T) {
 	}
 }
 
-// derived is what ReadState's error names when a group record is not the
-// bytes the group derived from its members and rule choices writes.
-const derived = "differs from the record its members and rule choices derive"
+// groupStream is the state stream of one group, key (1, 1), with the
+// given members, created under cfg, with its encoding edited (when edit
+// is not nil) before it is written.
+func groupStream(tb testing.TB, cfg Config, members map[topology.HostID]Role, edit func(e *Encoding)) []byte {
+	tb.Helper()
+	c, _ := New(paperTopo(), cfg)
+	key := GroupKey{Tenant: 1, Group: 1}
+	if _, err := c.CreateGroup(key, members); err != nil {
+		tb.Fatal(err)
+	}
+	if edit != nil {
+		edit(c.groups[key].Enc)
+	}
+	var b bytes.Buffer
+	if err := c.WriteState(&b); err != nil {
+		tb.Fatal(err)
+	}
+	return b.Bytes()
+}
 
 // editedGroupStream is the state stream of the group {0: both, 1:
 // receiver, 40: receiver} — leaf 0 in pod 0, leaf 5 in pod 2; d-leaf
 // rules [5]{port 0} and [0]{ports 0, 1} — with its encoding edited before
 // it is written.
 func editedGroupStream(tb testing.TB, edit func(e *Encoding)) []byte {
-	tb.Helper()
-	c, _ := New(paperTopo(), testConfig(0))
-	key := GroupKey{Tenant: 1, Group: 1}
-	if _, err := c.CreateGroup(key, map[topology.HostID]Role{0: RoleBoth, 1: RoleReceiver, 40: RoleReceiver}); err != nil {
-		tb.Fatal(err)
+	return groupStream(tb, testConfig(0), map[topology.HostID]Role{0: RoleBoth, 1: RoleReceiver, 40: RoleReceiver}, edit)
+}
+
+// kmaxStream is the state stream of the group {0: both, 8, 16, 24:
+// receiver} — port 0 of leaves 0 to 3 — with one d-leaf rule naming all
+// four leaves, two more than KMaxLeaf.
+func kmaxStream(tb testing.TB) []byte {
+	return groupStream(tb, testConfig(0), map[topology.HostID]Role{0: RoleBoth, 8: RoleReceiver, 16: RoleReceiver, 24: RoleReceiver},
+		func(e *Encoding) { setLeafRules(tb, e, nil, leafRule([]int{0}, 0, 1, 2, 3)) })
+}
+
+// oneSharedLeafRule rewrites the edited group's d-leaf section as one
+// rule naming both leaves: redundancy 1, the port it sends to leaf 5
+// beyond host 40's.
+func oneSharedLeafRule(tb testing.TB) func(e *Encoding) {
+	return func(e *Encoding) {
+		setLeafRules(tb, e, nil, leafRule([]int{0, 1}, 0, 5))
+		e.LeafRedundancy = 1
 	}
-	edit(c.groups[key].Enc)
-	var b bytes.Buffer
-	if err := c.WriteState(&b); err != nil {
-		tb.Fatal(err)
-	}
-	return b.Bytes()
+}
+
+// leafFiveOnDefault rewrites the edited group's d-leaf section as the
+// rule for leaf 0 and a default rule for leaf 5.
+func leafFiveOnDefault(tb testing.TB) func(e *Encoding) {
+	return func(e *Encoding) { setLeafRules(tb, e, leafPorts(0), leafRule([]int{0, 1}, 0)) }
 }
 
 // leafPorts is a port bitmap of one leaf of paperTopo.
@@ -373,67 +402,45 @@ func setLeafRules(tb testing.TB, e *Encoding, def *bitmap.Bitmap, rules ...heade
 	e.DLeafSection, e.DLeafDefault = sec, def != nil
 }
 
-// nonMemberLeafRules sets port 2 — host 2, not a member — in both of the
-// edited group's d-leaf rule bitmaps.
-func nonMemberLeafRules(tb testing.TB) func(e *Encoding) {
-	return func(e *Encoding) {
-		setLeafRules(tb, e, nil, leafRule([]int{0, 2}, 5), leafRule([]int{0, 1, 2}, 0))
-	}
-}
-
 // sruleStream is the state stream of one group whose two receiver
 // leaves both hold s-rules (no leaf p-rule budget): host 0 on leaf 0,
-// host 9 on port 1 of leaf 1. It ends with the leaf s-rule table —
-// leaf 0 with bitmap 0x01, leaf 1 with 0x02 — and three zero
-// redundancies.
+// host 9 on port 1 of leaf 1. It ends with its leaf layer: no p-rule,
+// then the s-rules on leaves 0 and 1.
 func sruleStream(t testing.TB) (Config, []byte) {
 	t.Helper()
 	cfg := testConfig(0)
 	cfg.LeafRuleLimit = 0
-	c, _ := New(paperTopo(), cfg)
-	if _, err := c.CreateGroup(GroupKey{Tenant: 1, Group: 1}, map[topology.HostID]Role{0: RoleBoth, 9: RoleReceiver}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := c.WriteState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	if n := len(b); !bytes.Equal(b[n-8:], []byte{2, 0, 0x01, 1, 0x02, 0, 0, 0}) {
+	b := groupStream(t, cfg, map[topology.HostID]Role{0: RoleBoth, 9: RoleReceiver}, nil)
+	if n := len(b); !bytes.Equal(b[n-4:], []byte{0, 2, 0, 1}) {
 		t.Fatalf("the s-rule stream is not laid out as the cases assume: %x", b)
 	}
 	return cfg, b
 }
 
 // TestReadStateRefusesSRuleOffItsTree: an s-rule's entry holds its
-// switch's tree bitmap, so a stream whose s-rule names other ports, or a
-// switch off the group's tree, is refused with an error naming the
-// switch, and leaves the controller empty.
+// switch's tree bitmap, so a stream whose s-rule names a switch off the
+// group's tree is refused with an error naming the switch, and leaves
+// the controller empty.
 func TestReadStateRefusesSRuleOffItsTree(t *testing.T) {
 	cfg, valid := sruleStream(t)
-	n := len(valid)
-	flipped := bytes.Clone(valid)
-	flipped[n-4] ^= 0x01 // leaf 1's entry now also covers port 0
-	offTree := bytes.Clone(valid)
-	offTree[n-5] = 2 // leaf 2 has no receiver
-	for name, tc := range map[string]struct {
-		data []byte
-		want string
-	}{
-		"flipped bitmap": {flipped, derived},
-		"off-tree leaf":  {offTree, "s-rule leaf 2 is not on the group's tree"},
-	} {
-		c, _ := New(paperTopo(), cfg)
-		err := c.ReadState(bytes.NewReader(tc.data))
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%s: err %v, want one naming %q", name, err, tc.want)
-		}
-		leaves, spines := occSnapshot(c)
-		if c.NumGroups() != 0 || slices.Max(leaves) != 0 || slices.Max(spines) != 0 {
-			t.Fatalf("%s left %d groups, occupancy %v / %v", name, c.NumGroups(), leaves, spines)
-		}
+	// An s-rule bitmap is not stored: a tree with another bitmap on leaf
+	// 1 writes the same stream.
+	flipped := groupStream(t, cfg, map[topology.HostID]Role{0: RoleBoth, 9: RoleReceiver}, func(e *Encoding) { e.LeafPorts[1].Set(0) })
+	if !bytes.Equal(flipped, valid) {
+		t.Fatal("the stream carries an s-rule bitmap")
 	}
+	offTree := bytes.Clone(valid)
+	offTree[len(offTree)-1] = 2 // leaf 2 has no receiver
 	c, _ := New(paperTopo(), cfg)
+	err := c.ReadState(bytes.NewReader(offTree))
+	if want := "s-rule leaf 2 is not on the group's tree"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err %v, want one naming %q", err, want)
+	}
+	leaves, spines := occSnapshot(c)
+	if c.NumGroups() != 0 || slices.Max(leaves) != 0 || slices.Max(spines) != 0 {
+		t.Fatalf("the off-tree s-rule left %d groups, occupancy %v / %v", c.NumGroups(), leaves, spines)
+	}
+	c, _ = New(paperTopo(), cfg)
 	if err := c.ReadState(bytes.NewReader(valid)); err != nil {
 		t.Fatalf("the unmodified stream: %v", err)
 	}
@@ -470,13 +477,18 @@ func TestRestoreNeverHalfRestores(t *testing.T) {
 }
 
 // FuzzReadState feeds ReadState what `elmo-ctl load` and a durable
-// snapshot file can: arbitrary bytes. It must never panic; a refused
-// stream leaves the controller empty; an accepted one leaves occupancy
-// equal to what the restored encodings hold and within every switch's
-// table, and WriteState of it is the accepted stream, byte for byte.
+// snapshot file can: arbitrary bytes, read under two configs, the second
+// stricter (a legacy leaf 5, one leaf p-rule). It must never panic; a
+// refused stream leaves the controller empty; an accepted one leaves
+// occupancy equal to what the restored encodings hold and within every
+// switch's table, and WriteState of it is the accepted stream, byte for
+// byte; and what the stricter config accepts, the other accepts too.
 func FuzzReadState(f *testing.F) {
 	cfg := testConfig(0)
 	cfg.LeafRuleLimit = 2 // force s-rules into the stream
+	strict := cfg
+	strict.LegacyLeaves = []topology.LeafID{5}
+	strict.LeafRuleLimit = 1
 	stream := func(cfg Config) []byte {
 		var buf bytes.Buffer
 		if err := buildBusyController(f, cfg).WriteState(&buf); err != nil {
@@ -501,30 +513,41 @@ func FuzzReadState(f *testing.F) {
 	roomy := cfg
 	roomy.SRuleCapacity = 64
 	f.Add(stream(roomy))
-	// Leaf rules that reach a non-member: refused, as the rules derived
-	// from their switches do not.
-	f.Add(editedGroupStream(f, nonMemberLeafRules(f)))
+	// Encodings the readers' configs forbid: 6 leaf p-rules in one group,
+	// a p-rule on leaf 5 (refused by the stricter reader), a rule over
+	// KMaxLeaf and a shared rule over R.
+	f.Add(stream(testConfig(0)))
+	f.Add(editedGroupStream(f, nil))
+	f.Add(kmaxStream(f))
+	f.Add(editedGroupStream(f, oneSharedLeafRule(f)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, _ := New(paperTopo(), cfg)
-		if err := c.ReadState(bytes.NewReader(data)); err != nil {
-			leaves, spines := occSnapshot(c)
-			if c.NumGroups() != 0 || slices.Max(leaves) != 0 || slices.Max(spines) != 0 {
-				t.Fatalf("refused stream (%v) left %d groups, occupancy %v / %v", err, c.NumGroups(), leaves, spines)
+		accepted := false
+		for _, cfg := range []Config{strict, cfg} {
+			c, _ := New(paperTopo(), cfg)
+			if err := c.ReadState(bytes.NewReader(data)); err != nil {
+				if accepted {
+					t.Fatalf("accepted under the stricter config, refused under %+v: %v", cfg, err)
+				}
+				leaves, spines := occSnapshot(c)
+				if c.NumGroups() != 0 || slices.Max(leaves) != 0 || slices.Max(spines) != 0 {
+					t.Fatalf("refused stream (%v) left %d groups, occupancy %v / %v", err, c.NumGroups(), leaves, spines)
+				}
+				continue
 			}
-			return
-		}
-		requireOccupancyConserved(t, c)
-		leaves, spines := occSnapshot(c)
-		if most := max(slices.Max(leaves), slices.Max(spines)); most > c.occ.Capacity() {
-			t.Fatalf("a switch holds %d s-rules, capacity %d", most, c.occ.Capacity())
-		}
-		var out bytes.Buffer
-		if err := c.WriteState(&out); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out.Bytes(), data) {
-			t.Fatalf("accepted stream %x re-encodes as %x", data, out.Bytes())
+			accepted = true
+			requireOccupancyConserved(t, c)
+			leaves, spines := occSnapshot(c)
+			if most := max(slices.Max(leaves), slices.Max(spines)); most > c.occ.Capacity() {
+				t.Fatalf("a switch holds %d s-rules, capacity %d", most, c.occ.Capacity())
+			}
+			var out bytes.Buffer
+			if err := c.WriteState(&out); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), data) {
+				t.Fatalf("accepted stream %x re-encodes as %x", data, out.Bytes())
+			}
 		}
 	})
 }
@@ -547,17 +570,22 @@ func TestReadStateIntoNonEmptyFails(t *testing.T) {
 }
 
 // stateFormatGolden is the SHA-256 of the WriteState stream of the
-// controller TestStateFormatGolden builds, recorded at the commit before
-// the codec's map writers and readers were folded into one generic pair.
-const stateFormatGolden = "93d0c673b3f6a1f8fb8e188c572a96c2142e6ba5c7e533c9f9c69ca3cbade3c1"
+// controller TestStateFormatGolden builds, in format version 2.
+const stateFormatGolden = "94079b71955b553deead1156c621c3549e5b384edd80f0eba2f4f1375845e5ef"
 
-// TestStateFormatGolden pins the on-disk state format byte for byte: a
-// snapshot written by an older build must still load, so a codec rewrite
-// may not move a byte. The stream covers every encoding field: the busy
-// controller's mixed groups, then groups with a receiver under every
-// leaf, of which the first spills most of its leaves and pods onto
-// s-rules and the last, finding those tables full, falls to the default
-// rule at both layers.
+// stateFormatV1Golden is what stateFormatGolden was in format version 1,
+// which also stored the tree, every bitmap, the default flags and the
+// redundancies: the SHA-256 of testdata/state-v1.bin.
+const stateFormatV1Golden = "93d0c673b3f6a1f8fb8e188c572a96c2142e6ba5c7e533c9f9c69ca3cbade3c1"
+
+// TestStateFormatGolden pins the on-disk state format byte for byte. A
+// snapshot of another format version is refused by its version byte
+// (TestStateV1Refused), so a change to the format bumps stateVersion,
+// and a codec rewrite that keeps the version may not move a byte. The
+// stream covers every encoding field: the busy controller's mixed
+// groups, then groups with a receiver under every leaf, of which the
+// first spills most of its leaves and pods onto s-rules and the last,
+// finding those tables full, falls to the default rule at both layers.
 func TestStateFormatGolden(t *testing.T) {
 	cfg := testConfig(0)
 	cfg.LeafRuleLimit = 2
@@ -589,5 +617,24 @@ func TestStateFormatGolden(t *testing.T) {
 	}
 	if got := c.Fingerprint(); got != stateFormatGolden {
 		t.Fatalf("state stream hash %s, want %s", got, stateFormatGolden)
+	}
+}
+
+// TestStateV1Refused: the version-1 stream of TestStateFormatGolden's
+// controller, checked in as written, is refused by its version byte.
+func TestStateV1Refused(t *testing.T) {
+	v1, err := os.ReadFile("testdata/state-v1.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fingerprintOf(v1); got != stateFormatV1Golden {
+		t.Fatalf("testdata/state-v1.bin hash %s, want %s", got, stateFormatV1Golden)
+	}
+	c, _ := New(paperTopo(), testConfig(0))
+	if err := c.ReadState(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
+		t.Fatalf("err %v, want a refusal of version 1", err)
+	}
+	if c.NumGroups() != 0 {
+		t.Fatalf("a refused stream left %d groups", c.NumGroups())
 	}
 }
