@@ -68,8 +68,8 @@ loc:
 # groups stays inside its live heap per group, installed and restored by
 # ReadState, ReadState restores them inside its allocation budget per
 # group, and their state stream stays inside its bytes per group
-# (BenchmarkWriteState and BenchmarkReadState print their ns/op, not
-# gated), every WAL
+# (BenchmarkInstallBatch, BenchmarkWriteState and BenchmarkReadState
+# print their ns/op, not gated), every WAL
 # record type is its pinned payload
 # and a batch's record — its members sorted by one worker per P — is the
 # same pinned bytes at 1, 2 and 4 Ps, every hypervisor of
@@ -91,7 +91,7 @@ bench-gate:
 	$(GO) test -run 'TestObserverDisabledAddsNoAllocations' -count=1 -v ./internal/obs/
 	$(GO) test -run 'TestProcessIntoZeroAllocs|TestProcessIntoEquivalence' -bench 'BenchmarkDeliverFull' -benchtime 200000x -count=1 ./internal/dataplane/
 	$(GO) test -run 'TestSenderStreamMatchesOracle|TestAppendSenderStreamZeroAllocs|TestStreamInfoZeroAllocs|TestAbandonedControllerIsCollected|TestWriteStateSameBytesAnyProcs|TestStateFormatGolden|TestEncodeAllocationBudget|TestLiveHeapPerGroup|TestReadStateAllocationBudget|TestStateBytesPerGroup|TestEncodeBatchLookAheadIsBounded' -bench 'BenchmarkStreamInfo' -benchtime 1000000x -count=1 ./internal/controller/
-	$(GO) test -run '^$$' -bench 'BenchmarkWriteState$$|BenchmarkReadState$$' -benchtime 10x -count=1 ./internal/controller/
+	$(GO) test -run '^$$' -bench 'BenchmarkInstallBatch$$|BenchmarkWriteState$$|BenchmarkReadState$$' -benchtime 10x -count=1 ./internal/controller/
 	$(GO) test -run 'TestRecordBytesGolden|TestBatchRecordSameBytesAnyProcs' -count=1 ./internal/durable/
 	$(GO) test -run 'TestInstallWalkAllocationBudget|TestINTAfterAbsentDownstreamSection|TestSendAllocsIndependentOfGroupSize|TestSendAllocsZeroDegraded|TestDeliveryReusedAcrossSends|TestForwardEventIsCompact|TestForwardMatchesEagerDelivery' -count=1 ./internal/fabric/
 	bash benchmark/run.sh --workload fanout-sync --seed 1 --seconds 2 --trace 0

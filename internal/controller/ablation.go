@@ -3,6 +3,7 @@ package controller
 import (
 	"math/bits"
 
+	"elmo/internal/bitmap"
 	"elmo/internal/header"
 	"elmo/internal/topology"
 )
@@ -42,6 +43,10 @@ func Ablation(topo *topology.Topology, cfg Config, receivers []topology.HostID, 
 
 	// --- D1: per-physical-switch rules. ---
 	tcfg := topo.Config()
+	pods := bitmap.New(tcfg.Pods)
+	for leaf := range enc.LeafPorts {
+		pods.Set(int(topo.LeafPod(leaf)))
+	}
 	leafID := bitlen(topo.NumLeaves())
 	spineID := bitlen(topo.NumSpines())
 	coreID := bitlen(topo.NumCores())
@@ -51,7 +56,7 @@ func Ablation(topo *topology.Topology, cfg Config, receivers []topology.HostID, 
 	// Every member leaf, every physical spine of every member pod, and
 	// every core can appear on some sender's tree; D1 encodes them all.
 	out.D1Bits = len(enc.LeafPorts)*(leafID+leafPorts) +
-		len(enc.PodLeaves)*tcfg.SpinesPerPod*(spineID+spinePorts) +
+		pods.PopCount()*tcfg.SpinesPerPod*(spineID+spinePorts) +
 		topo.NumCores()*(coreID+corePorts)
 
 	// --- D2: logical topology, no sharing. ---
@@ -62,12 +67,8 @@ func Ablation(topo *topology.Topology, cfg Config, receivers []topology.HostID, 
 		(tcfg.LeavesPerPod + tcfg.CoresPerPlane + 1) // u-spine
 	d2 += tcfg.Pods // logical core bitmap
 	podBits := bitlen(tcfg.Pods)
-	for pod := range enc.PodLeaves {
-		if pod == senderPod {
-			continue // served by the u-spine rule
-		}
-		d2 += podBits + tcfg.LeavesPerPod
-	}
+	pods.Clear(int(senderPod)) // served by the u-spine rule
+	d2 += pods.PopCount() * (podBits + tcfg.LeavesPerPod)
 	for leaf := range enc.LeafPorts {
 		if leaf == senderLeaf && len(enc.LeafPorts) == 1 {
 			continue
@@ -77,7 +78,11 @@ func Ablation(topo *topology.Topology, cfg Config, receivers []topology.HostID, 
 	out.D2Bits = d2
 
 	// --- D3: the real encoding (sharing per cfg), same bit accounting. ---
-	h, err := SenderHeader(topo, cfg, enc, sender, nil)
+	roles := make(map[topology.HostID]Role, len(receivers))
+	for _, h := range receivers {
+		roles[h] = RoleReceiver
+	}
+	h, err := SenderHeader(topo, cfg, enc.Encoding, membersOf(roles), sender, nil)
 	if err != nil {
 		return out, err
 	}

@@ -118,7 +118,11 @@ func TestAdmitEncodingRestoresOccupancyOnError(t *testing.T) {
 	}
 	receivers := append(figure3Receivers(), 17)
 	encode := func(cap CapacityFunc) (*Encoding, error) {
-		return ComputeEncoding(topo, cfg, cap, receivers)
+		enc, err := ComputeEncoding(topo, cfg, cap, receivers)
+		if err != nil {
+			return nil, err
+		}
+		return enc.Encoding, nil
 	}
 	refused := errors.New("publish refused")
 	encodeFails := func(CapacityFunc) (*Encoding, error) { return nil, ErrLegacyTableFull }

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"elmo/internal/bitmap"
 	"elmo/internal/topology"
 	"elmo/internal/trace"
 )
@@ -529,7 +528,6 @@ func TestLeaveRollbackAccounting(t *testing.T) {
 	// Plant a leaf-0 receiver without retreeing: the next re-encode will
 	// demand leaf 0's (full) legacy table.
 	gb.Members = append([]Member{{Host: 1, Role: RoleReceiver}}, gb.Members...)
-	gb.Enc.LeafPorts[topo.HostLeaf(1)] = bitmap.FromPorts(topo.LeafDownWidth(), topo.HostPort(1))
 	oldEnc := gb.Enc
 	hypBefore := c.Stats().Hypervisor[17]
 

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"elmo/internal/bitmap"
 	"elmo/internal/dataplane"
 	"elmo/internal/header"
 	"elmo/internal/topology"
@@ -91,7 +90,18 @@ func membersOf(m map[topology.HostID]Role) []Member {
 // find returns the index of host in g.Members and whether it is there;
 // when it is not, the index is where it would be inserted.
 func (g *GroupState) find(host topology.HostID) (int, bool) {
-	return slices.BinarySearchFunc(g.Members, host, func(m Member, h topology.HostID) int { return cmp.Compare(m.Host, h) })
+	return slices.BinarySearchFunc(g.Members, host, byHost)
+}
+
+// byHost orders a member against a host: the binary search of members.
+func byHost(m Member, h topology.HostID) int { return cmp.Compare(m.Host, h) }
+
+// receives reports whether m holds a receiving role.
+func receives(m Member) bool { return m.Role.CanReceive() }
+
+// otherReceiver reports whether a member other than host receives.
+func otherReceiver(members []Member, host topology.HostID) bool {
+	return slices.ContainsFunc(members, func(m Member) bool { return m.Host != host && m.Role.CanReceive() })
 }
 
 // RoleOf returns host's role in the group, zero for a non-member.
@@ -203,6 +213,9 @@ type tracerBox struct{ r trace.Recorder }
 func New(topo *topology.Topology, cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if floor := headerFloor(topo, cfg); cfg.MaxHeaderBytes < floor {
+		return nil, fmt.Errorf("controller: MaxHeaderBytes %d is below the %d bytes of a header with no leaf p-rule", cfg.MaxHeaderBytes, floor)
 	}
 	c := &Controller{
 		topo:     topo,
@@ -522,10 +535,15 @@ func (c *Controller) setRole(key GroupKey, host topology.HostID, role Role, join
 // switch updates the change costs: the member's own hypervisor always;
 // for a retree also the s-rule diffs to leaf/spine switches, and a
 // header refresh to every other sender hypervisor when the shared
-// downstream sections changed.
+// sections changed. A retree flips host's receiving alone: it moves the
+// tree bitmaps of host's leaf, of its pod unless another receiver shares
+// the leaf, and the pods unless one shares the pod.
 func (c *Controller) publishRole(g *GroupState, host topology.HostID, next Role, enc *Encoding) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	leaf, pod := c.topo.HostLeaf(host), c.topo.HostPod(host)
+	aloneOnLeaf := !otherReceiver(hostBlock(g.Members, int(leaf), c.topo.LeafDownWidth()), host)
+	aloneInPod := !otherReceiver(hostBlock(g.Members, int(pod), podHosts(c.topo)), host)
 	switch i, present := g.find(host); {
 	case next == 0:
 		g.Members = slices.Delete(g.Members, i, i+1)
@@ -540,10 +558,13 @@ func (c *Controller) publishRole(g *GroupState, host topology.HostID, next Role,
 		return
 	}
 	g.Enc = enc
-	c.chargeSRules(oldEnc, enc)
-	// Shared downstream change → all sender hypervisors re-encode
-	// their headers.
-	if !sharedEqual(oldEnc, enc) {
+	if !aloneOnLeaf {
+		pod = -1
+	}
+	c.chargeSRules(oldEnc, enc, leaf, pod)
+	// A change to the pods or a downstream section → all sender
+	// hypervisors re-encode their headers.
+	if aloneInPod || !bytes.Equal(oldEnc.DSpineSection, enc.DSpineSection) || !bytes.Equal(oldEnc.DLeafSection, enc.DLeafSection) {
 		for _, m := range g.Members {
 			if m.Role.CanSend() && m.Host != host {
 				c.stats.Hypervisor[m.Host]++
@@ -554,9 +575,9 @@ func (c *Controller) publishRole(g *GroupState, host topology.HostID, next Role,
 
 // diffSRules calls charge for every switch whose group-table entry
 // changes between two encodings: one in only one of the ascending s-rule
-// lists a and b, or in both with a different tree bitmap (an entry holds
-// the switch's tree bitmap, aTree or bTree).
-func diffSRules[K ~int](a, b []K, aTree, bTree map[K]bitmap.Bitmap, charge func(K)) {
+// lists a and b, or in both and moved, the one switch whose tree bitmap
+// (what an entry holds) changed, or -1.
+func diffSRules[K ~int](a, b []K, moved K, charge func(K)) {
 	for len(a) > 0 || len(b) > 0 {
 		switch {
 		case len(b) == 0 || (len(a) > 0 && a[0] < b[0]):
@@ -566,7 +587,7 @@ func diffSRules[K ~int](a, b []K, aTree, bTree map[K]bitmap.Bitmap, charge func(
 			charge(b[0])
 			b = b[1:]
 		default:
-			if !aTree[a[0]].Equal(bTree[b[0]]) {
+			if a[0] == moved {
 				charge(a[0])
 			}
 			a, b = a[1:], b[1:]
@@ -576,10 +597,11 @@ func diffSRules[K ~int](a, b []K, aTree, bTree map[K]bitmap.Bitmap, charge func(
 
 // chargeSRules counts the switch updates of replacing encoding a by b:
 // one per leaf, and one per spine holding a pod's entry, whose s-rule
-// entry is added, removed or changed. The caller holds mu.
-func (c *Controller) chargeSRules(a, b *Encoding) {
-	diffSRules(a.LeafSRules, b.LeafSRules, a.LeafPorts, b.LeafPorts, func(l topology.LeafID) { c.stats.Leaf[l]++ })
-	diffSRules(a.SpineSRules, b.SpineSRules, a.PodLeaves, b.PodLeaves, func(p topology.PodID) {
+// entry is added, removed or changed; of the switches in both, the tree
+// bitmap changed only on leaf and pod (-1 for none). The caller holds mu.
+func (c *Controller) chargeSRules(a, b *Encoding, leaf topology.LeafID, pod topology.PodID) {
+	diffSRules(a.LeafSRules, b.LeafSRules, leaf, func(l topology.LeafID) { c.stats.Leaf[l]++ })
+	diffSRules(a.SpineSRules, b.SpineSRules, pod, func(p topology.PodID) {
 		first, end := SRuleSpines(c.topo, p)
 		for s := first; s < end; s++ {
 			c.stats.Spine[s]++
@@ -618,15 +640,7 @@ func (c *Controller) releaseSRulesCharged(e *Encoding) {
 		return
 	}
 	c.occ.Release(e)
-	c.chargeSRules(e, &Encoding{})
-}
-
-// sharedEqual reports whether two encodings put the same
-// sender-independent sections on the wire: the same downstream section
-// bytes and the same pods.
-func sharedEqual(a, b *Encoding) bool {
-	return bytes.Equal(a.DSpineSection, b.DSpineSection) && bytes.Equal(a.DLeafSection, b.DLeafSection) &&
-		a.Pods.Equal(b.Pods)
+	c.chargeSRules(e, &Encoding{}, -1, -1)
 }
 
 // SenderStream returns the Elmo section stream (through TagEnd) the
@@ -645,7 +659,9 @@ func (c *Controller) SenderStream(key GroupKey, sender topology.HostID) ([]byte,
 		return nil, fmt.Errorf("controller: host %d is not a sender in %v", sender, key)
 	}
 	var s SenderScratch
-	return AppendSenderStream(nil, &s, c.topo, c.cfg, g.Enc, sender, c.failures)
+	var t Tree
+	t.Read(c.topo, g.Members)
+	return AppendSenderStream(nil, &s, c.topo, c.cfg, g.Enc, &t, sender, c.failures)
 }
 
 // HeaderFor returns the decoded view of SenderStream, for callers that
@@ -719,7 +735,7 @@ func (c *Controller) transitsSpine(s topology.SpineID) func(*GroupState) bool {
 // core co while crossing pods.
 func (c *Controller) transitsCore(co topology.CoreID) func(*GroupState) bool {
 	return func(g *GroupState) bool {
-		if g.Enc.Pods.PopCount() <= 1 {
+		if !crossesPods(c.topo, g.Members) {
 			return false
 		}
 		addr := dataplane.GroupAddr{VNI: g.Key.Tenant, Group: g.Key.Group}
@@ -740,39 +756,28 @@ func (c *Controller) transitsCore(co topology.CoreID) func(*GroupState) bool {
 // would cross spine (pod, plane) on a healthy fabric: as the upstream
 // spine (sender in the pod, flow hashed to the plane) or as the
 // downstream entry spine of a member pod (the plane is chosen at the
-// source leaf and preserved through the core).
+// source leaf and preserved through the core). Only a sender in the
+// pod, or any sender when the pod has a receiver, can cross it, so only
+// their flows are hashed.
 func (c *Controller) groupTransitsSpine(g *GroupState, pod topology.PodID, plane int) bool {
-	if _, present := g.Enc.PodLeaves[pod]; !present {
-		// The pod can still be the sender's pod for sender-only hosts.
-		found := false
-		for _, m := range g.Members {
-			if m.Role.CanSend() && c.topo.HostPod(m.Host) == pod {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
+	onTree := slices.ContainsFunc(hostBlock(g.Members, int(pod), podHosts(c.topo)), receives)
 	addr := dataplane.GroupAddr{VNI: g.Key.Tenant, Group: g.Key.Group}
 	for _, m := range g.Members {
-		if !m.Role.CanSend() {
+		if !m.Role.CanSend() || !onTree && c.topo.HostPod(m.Host) != pod {
 			continue
 		}
-		outer := dataplane.SenderOuter(c.topo, m.Host, addr)
-		p, _ := dataplane.PredictPath(c.topo, outer, m.Host)
-		if p != plane {
-			continue
-		}
-		if c.topo.HostPod(m.Host) == pod {
-			return true // upstream spine of this sender
-		}
-		if _, member := g.Enc.PodLeaves[pod]; member {
-			return true // downstream entry spine into a member pod
+		if p, _ := dataplane.PredictPath(c.topo, dataplane.SenderOuter(c.topo, m.Host, addr), m.Host); p == plane {
+			return true
 		}
 	}
 	return false
+}
+
+// crossesPods reports whether the receivers of the ascending members
+// span more than one pod: whether one follows the first one's pod.
+func crossesPods(topo *topology.Topology, members []Member) bool {
+	i := slices.IndexFunc(members, receives)
+	return i >= 0 && slices.ContainsFunc(members[i+len(hostBlock(members[i:], int(topo.HostPod(members[i].Host)), podHosts(topo))):], receives)
 }
 
 // chargeFailure runs with the controller's write lock held: group

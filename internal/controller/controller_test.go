@@ -2,6 +2,7 @@ package controller
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -20,6 +21,17 @@ func paperTopo() *topology.Topology { return topology.MustNew(topology.PaperExam
 // hosts 56-63.
 func figure3Receivers() []topology.HostID {
 	return []topology.HostID{0, 1, 40, 48, 49, 63}
+}
+
+// receiving lists hosts, in any order, as the ascending members of a
+// group in which each only receives.
+func receiving(hosts []topology.HostID) []Member {
+	ms := make([]Member, len(hosts))
+	for i, h := range hosts {
+		ms[i] = Member{Host: h, Role: RoleReceiver}
+	}
+	slices.SortFunc(ms, func(a, b Member) int { return cmp.Compare(a.Host, b.Host) })
+	return ms
 }
 
 func testConfig(r int) Config {
@@ -59,6 +71,41 @@ func TestEffectiveLeafLimitAtPackedWidths(t *testing.T) {
 	}
 }
 
+// TestNewRefusesBudgetBelowHeaderFloor: the encoder clamps its leaf
+// p-rule limit at 0, so a MaxHeaderBytes below the fixed sections, the
+// worst-case spine section and a lone leaf default rule (25 B here)
+// once let a controller write a state its own ReadState refused. Every
+// budget from 1 to 40 is either refused by New or holds a group whose
+// state round-trips.
+func TestNewRefusesBudgetBelowHeaderFloor(t *testing.T) {
+	members := map[topology.HostID]Role{0: RoleBoth, 1: RoleReceiver, 40: RoleReceiver, 48: RoleBoth, 49: RoleReceiver, 63: RoleReceiver}
+	for budget := 1; budget <= 40; budget++ {
+		cfg := testConfig(0)
+		cfg.MaxHeaderBytes = budget
+		c, err := New(paperTopo(), cfg)
+		if (err != nil) != (budget < 25) {
+			t.Fatalf("MaxHeaderBytes %d: New error %v, want one exactly below 25", budget, err)
+		}
+		if err != nil {
+			continue
+		}
+		if _, err := c.CreateGroup(GroupKey{Tenant: 1, Group: 1}, members); err != nil {
+			t.Fatalf("MaxHeaderBytes %d: %v", budget, err)
+		}
+		var state bytes.Buffer
+		if err := c.WriteState(&state); err != nil {
+			t.Fatal(err)
+		}
+		back, _ := New(paperTopo(), cfg)
+		if err := back.ReadState(&state); err != nil {
+			t.Fatalf("MaxHeaderBytes %d: the controller's own state is refused: %v", budget, err)
+		}
+		if back.Fingerprint() != c.Fingerprint() {
+			t.Fatalf("MaxHeaderBytes %d: the state round trip changed the controller", budget)
+		}
+	}
+}
+
 func TestComputeEncodingFigure3(t *testing.T) {
 	topo := paperTopo()
 	cfg := testConfig(0)
@@ -68,8 +115,9 @@ func TestComputeEncodingFigure3(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pods 0, 2, 3 have receivers.
-	if !enc.Pods.Test(0) || !enc.Pods.Test(2) || !enc.Pods.Test(3) || enc.Pods.Test(1) {
-		t.Fatalf("pods = %s", enc.Pods.String())
+	var tree Tree
+	if tree.Read(topo, receiving(figure3Receivers())); !slices.Equal(tree.pods, []topology.PodID{0, 2, 3}) {
+		t.Fatalf("pods = %v", tree.pods)
 	}
 	// Leaf ports: L0 -> hosts 0,1; L5 -> port 0; L6 -> ports 0,1; L7 -> port 7.
 	if got := enc.LeafPorts[0].String(); got != "11000000" {
@@ -81,12 +129,18 @@ func TestComputeEncodingFigure3(t *testing.T) {
 	if got := enc.LeafPorts[7].String(); got != "00000001" {
 		t.Fatalf("L7 ports = %s", got)
 	}
+	// The members give each leaf the same ports.
+	for leaf, ports := range enc.LeafPorts {
+		if got, _ := tree.Leaf(leaf); !got.Equal(ports) {
+			t.Fatalf("L%d ports from the members = %s, want %s", leaf, got, ports)
+		}
+	}
 	// Pod leaves: pod 0 -> leaf 0 (index 0), pod 2 -> leaf 5 (index 1),
 	// pod 3 -> both leaves.
-	if got := enc.PodLeaves[0].String(); got != "10" {
+	if got, _ := tree.Pod(0); got.String() != "10" {
 		t.Fatalf("pod 0 leaves = %s", got)
 	}
-	if got := enc.PodLeaves[3].String(); got != "11" {
+	if got, _ := tree.Pod(3); got.String() != "11" {
 		t.Fatalf("pod 3 leaves = %s", got)
 	}
 	// R=0, no s-rule capacity: L0 and L6 share a p-rule (identical
@@ -148,7 +202,7 @@ func TestComputeEncodingEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !enc.Exact() || enc.DLeafSection != nil || enc.Pods.PopCount() != 0 {
+	if !enc.Exact() || enc.DLeafSection != nil || len(enc.LeafPorts) != 0 {
 		t.Fatal("empty receiver set should produce empty encoding")
 	}
 }
@@ -161,7 +215,7 @@ func TestSenderHeaderFigure3(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sender Ha = host 0 (L0, pod 0).
-	h, err := SenderHeader(topo, cfg, enc, 0, nil)
+	h, err := SenderHeader(topo, cfg, enc.Encoding, receiving(figure3Receivers()), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +256,7 @@ func TestSenderHeaderSameRackOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := SenderHeader(topo, cfg, enc, 0, nil)
+	h, err := SenderHeader(topo, cfg, enc.Encoding, receiving([]topology.HostID{1, 2, 3}), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +283,7 @@ func TestSenderHeaderSenderOnlyHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := SenderHeader(topo, cfg, enc, 0, nil)
+	h, err := SenderHeader(topo, cfg, enc.Encoding, receiving([]topology.HostID{48, 56}), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +302,7 @@ func TestSenderHeaderNoReceivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := SenderHeader(topo, cfg, enc, 0, nil)
+	h, err := SenderHeader(topo, cfg, enc.Encoding, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +578,7 @@ func TestQuickSenderHeaderFitsBudgetAndParses(t *testing.T) {
 			return false
 		}
 		sender := receivers[rng.Intn(len(receivers))]
-		h, err := SenderHeader(topo, cfg, enc, sender, nil)
+		h, err := SenderHeader(topo, cfg, enc.Encoding, receiving(receivers), sender, nil)
 		if err != nil {
 			return false
 		}

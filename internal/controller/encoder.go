@@ -58,18 +58,6 @@ type Config struct {
 	EnableINT bool
 }
 
-// legacySet builds an O(1) lookup over a legacy switch list.
-func legacySet[K comparable](ids []K) map[K]bool {
-	if len(ids) == 0 {
-		return nil
-	}
-	m := make(map[K]bool, len(ids))
-	for _, id := range ids {
-		m[id] = true
-	}
-	return m
-}
-
 // PaperConfig mirrors the evaluation's defaults at a given R.
 func PaperConfig(r int) Config {
 	return Config{
@@ -105,16 +93,10 @@ func (c Config) Validate() error {
 
 // Encoding is the sender-independent representation of one group's
 // multicast tree: the shared downstream rules (D2c) plus the s-rule
-// installations. Per-sender header streams are written from it by
-// AppendSenderStream.
+// installations. It holds no tree: the group's ascending members are
+// the tree (Tree.Read). Per-sender header streams are written
+// from the encoding and its tree by AppendSenderStream.
 type Encoding struct {
-	// Pods is the bitmap of pods containing receivers.
-	Pods bitmap.Bitmap
-	// LeafPorts maps each receiver leaf to its member host ports.
-	LeafPorts map[topology.LeafID]bitmap.Bitmap
-	// PodLeaves maps each receiver pod to its member leaf bitmap.
-	PodLeaves map[topology.PodID]bitmap.Bitmap
-
 	// DSpineSection and DLeafSection are the shared downstream sections
 	// — spine p-rules over pod IDs, leaf p-rules over global leaf IDs —
 	// as the bytes header.AppendDownstream writes for them with
@@ -128,11 +110,11 @@ type Encoding struct {
 	DLeafDefault  bool
 
 	// SpineSRules lists, ascending, the pods whose logical spine takes a
-	// group-table entry. The entry holds the pod's tree bitmap,
-	// PodLeaves[p], in every physical spine SRuleSpines names.
+	// group-table entry. The entry holds the pod's tree bitmap (Tree.Pod)
+	// in every physical spine SRuleSpines names.
 	SpineSRules []topology.PodID
 	// LeafSRules lists, ascending, the leaves taking a group-table
-	// entry. The entry holds the leaf's tree bitmap, LeafPorts[l].
+	// entry. The entry holds the leaf's tree bitmap (Tree.Leaf).
 	LeafSRules []topology.LeafID
 
 	// LeafRedundancy / SpineRedundancy are the spurious transmissions
@@ -173,9 +155,9 @@ func NoCapacity() CapacityFunc {
 
 // EncodeScratch owns the reusable working memory of one encoder: the
 // clustering scratch, the member slice and s-rule switches of the layer
-// being encoded, a Join/Leave's receiver list, and the tree-building
-// marks. One scratch serves one goroutine; the batch pipeline gives each
-// worker its own and the controller keeps one for the serial
+// being encoded, a Join/Leave's receiver list, and the tree being
+// encoded. One scratch serves one goroutine; the batch pipeline gives
+// each worker its own and the controller keeps one for the serial
 // Join/Leave/Create paths. The zero value is ready to use.
 type EncodeScratch struct {
 	cluster   cluster.Scratch
@@ -184,57 +166,124 @@ type EncodeScratch struct {
 	receivers []topology.HostID
 	// rules and section hold the layer being written: its p-rules, as
 	// header rules aliasing the clustering result, and their bytes;
-	// deriveLayer ORs its default rule into def.
+	// deriveLayer ORs its default rule into def, and marks in named the
+	// tree switches it has seen named.
 	rules   []header.PRule
 	section []byte
 	def     bitmap.Bitmap
-
-	// stamp names the encoding being built: leafStamp[l] == stamp marks
-	// leaf l as seen by it, with its bitmap at leafBms[leafSlot[l]], and
-	// likewise for pods. A new stamp forgets every mark at once.
-	stamp               uint32
-	leafStamp, podStamp []uint32
-	leafSlot, podSlot   []int32
-	leaves              []topology.LeafID
-	pods                []topology.PodID
-	leafBms, podBms     []bitmap.Bitmap
+	named   []bool
+	tree    Tree
 }
 
-// nextStamp starts a new encoding's marks over a topology with the
-// given leaf and pod counts.
-func (s *EncodeScratch) nextStamp(numLeaves, numPods int) {
-	s.stamp++
-	if s.stamp == 0 || len(s.leafStamp) < numLeaves || len(s.podStamp) < numPods {
-		s.leafStamp = make([]uint32, max(numLeaves, len(s.leafStamp)))
-		s.podStamp = make([]uint32, max(numPods, len(s.podStamp)))
-		s.leafSlot = make([]int32, len(s.leafStamp))
-		s.podSlot = make([]int32, len(s.podStamp))
-		s.stamp = 1
+// Tree is a group's multicast tree: its receiver leaves and pods,
+// ascending, each with its downstream bitmap (a leaf's receiver ports, a
+// pod's receiver leaves by index in the pod), all carved from one slab.
+// An Encoding holds none: the encoder builds one in its scratch, and a
+// walk over a group's senders or s-rules reads one from the members
+// (Read). The zero value is ready to use; a rebuild reuses its memory.
+type Tree struct {
+	receivers       []topology.HostID
+	leaves          []topology.LeafID
+	pods            []topology.PodID
+	leafBms, podBms []bitmap.Bitmap
+	slab            []uint64
+}
+
+// Read builds t from a group's ascending members: the tree of those
+// that receive.
+func (t *Tree) Read(topo *topology.Topology, members []Member) {
+	t.receivers = appendHosts(slices.Grow(t.receivers[:0], len(members)), members, Role.CanReceive)
+	t.build(topo, t.receivers)
+}
+
+// build builds t from ascending receiver hosts in one pass: hosts are
+// numbered leaf-major and leaves pod-major, so their leaves and pods come
+// in ascending runs, each carved a bitmap as it starts.
+func (t *Tree) build(topo *topology.Topology, receivers []topology.HostID) {
+	leafWidth, podWidth := topo.LeafDownWidth(), topo.SpineDownWidth()
+	nl, np := min(len(receivers), topo.NumLeaves()), min(len(receivers), topo.NumPods())
+	t.leaves, t.leafBms = slices.Grow(t.leaves[:0], nl), slices.Grow(t.leafBms[:0], nl)
+	t.pods, t.podBms = slices.Grow(t.pods[:0], np), slices.Grow(t.podBms[:0], np)
+	t.slab = slices.Grow(t.slab[:0], nl*bitmap.WordLen(leafWidth)+np*bitmap.WordLen(podWidth))
+	slab := t.slab[:cap(t.slab)]
+	var bm bitmap.Bitmap
+	for _, h := range receivers {
+		if leaf := topo.HostLeaf(h); len(t.leaves) == 0 || t.leaves[len(t.leaves)-1] != leaf {
+			if pod := topo.LeafPod(leaf); len(t.pods) == 0 || t.pods[len(t.pods)-1] != pod {
+				bm, slab = bitmap.Carve(podWidth, slab)
+				t.pods, t.podBms = append(t.pods, pod), append(t.podBms, bm)
+			}
+			t.podBms[len(t.podBms)-1].Set(topo.LeafIndexInPod(leaf))
+			bm, slab = bitmap.Carve(leafWidth, slab)
+			t.leaves, t.leafBms = append(t.leaves, leaf), append(t.leafBms, bm)
+		}
+		t.leafBms[len(t.leafBms)-1].Set(topo.HostPort(h))
 	}
-	s.leaves, s.pods = s.leaves[:0], s.pods[:0]
+}
+
+// Leaf returns leaf's tree bitmap, what its s-rule entry holds, and
+// whether leaf is on t. The bitmap aliases t.
+func (t *Tree) Leaf(leaf topology.LeafID) (bitmap.Bitmap, bool) {
+	return treeBitmap(t.leaves, t.leafBms, leaf)
+}
+
+// Pod returns pod's tree bitmap, what its spines' s-rule entries hold,
+// and whether pod is on t. The bitmap aliases t.
+func (t *Tree) Pod(pod topology.PodID) (bitmap.Bitmap, bool) {
+	return treeBitmap(t.pods, t.podBms, pod)
+}
+
+// treeBitmap returns the bitmap of switch sw of a tree layer listing
+// switches ascending with bitmaps bms, and whether sw is on it.
+func treeBitmap[K ~int](switches []K, bms []bitmap.Bitmap, sw K) (bitmap.Bitmap, bool) {
+	if i, on := slices.BinarySearch(switches, sw); on {
+		return bms[i], true
+	}
+	return bitmap.Bitmap{}, false
+}
+
+// TreeEncoding is an encoding with its leaf tree beside it, for callers
+// that hold receivers as bare hosts; no controller path holds one.
+type TreeEncoding struct {
+	*Encoding
+	LeafPorts map[topology.LeafID]bitmap.Bitmap // each receiver leaf's receiver ports
 }
 
 // ComputeEncoding builds the sender-independent encoding for the given
-// receiver hosts. It is deterministic and does not mutate any state:
-// capacity checks go through cap, and the caller is responsible for
-// committing the returned s-rule installations. An empty receiver set
-// yields an empty encoding.
-func ComputeEncoding(topo *topology.Topology, cfg Config, cap CapacityFunc, receivers []topology.HostID) (*Encoding, error) {
+// receiver hosts, in any order, with its leaf tree. It is deterministic
+// and does not mutate any state: capacity checks go through cap, and the
+// caller is responsible for committing the returned s-rule
+// installations. An empty receiver set yields an empty encoding.
+func ComputeEncoding(topo *topology.Topology, cfg Config, cap CapacityFunc, receivers []topology.HostID) (*TreeEncoding, error) {
 	var s EncodeScratch
-	return ComputeEncodingInto(topo, cfg, cap, receivers, &s)
+	receivers = slices.Clone(receivers)
+	slices.Sort(receivers)
+	e, err := ComputeEncodingInto(topo, cfg, cap, receivers, &s)
+	if err != nil {
+		return nil, err
+	}
+	t := &TreeEncoding{Encoding: e, LeafPorts: make(map[topology.LeafID]bitmap.Bitmap, len(s.tree.leaves))}
+	for i, leaf := range s.tree.leaves { // the scratch is this call's, so its bitmaps are the result's
+		t.LeafPorts[leaf] = s.tree.leafBms[i]
+	}
+	return t, nil
 }
 
-// ComputeEncodingInto is ComputeEncoding with caller-provided scratch
-// memory: all clustering temporaries are reused across calls, so a warm
-// scratch allocates only the returned Encoding itself — the struct, its
-// tree maps and one word slab for the tree, then per layer its section
-// bytes and any s-rule list. The result owns all of its memory (nothing
-// aliases the scratch).
+// ComputeEncodingInto is ComputeEncoding of ascending receivers, with
+// caller-provided scratch memory and no tree in the result: the tree and
+// all clustering temporaries are reused across calls, so a warm scratch
+// allocates only the returned Encoding itself — the struct, then per
+// layer its section bytes and any s-rule list. The result owns all of
+// its memory (nothing aliases the scratch).
 func ComputeEncodingInto(topo *topology.Topology, cfg Config, cap CapacityFunc, receivers []topology.HostID, s *EncodeScratch) (*Encoding, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := buildTree(topo, receivers, nil, s)
+	if !slices.IsSorted(receivers) {
+		return nil, fmt.Errorf("controller: receivers not in ascending host order")
+	}
+	s.tree.build(topo, receivers)
+	e := &Encoding{}
 	if len(receivers) == 0 {
 		return e, nil
 	}
@@ -247,77 +296,27 @@ func ComputeEncodingInto(topo *topology.Topology, cfg Config, cap CapacityFunc, 
 	return e, nil
 }
 
-// buildTree returns an encoding holding only the tree section (Pods,
-// LeafPorts, PodLeaves) of the given receivers, in any order. It first
-// numbers the receivers' distinct leaves and pods, so the maps are made
-// at their final size and every tree bitmap is carved from one word
-// slab. A non-nil same is an encoding whose receivers span the same
-// leaves: its pod half (Pods, PodLeaves) is taken as it is, and only the
-// leaf half is built.
-func buildTree(topo *topology.Topology, receivers []topology.HostID, same *Encoding, s *EncodeScratch) *Encoding {
-	s.nextStamp(topo.NumLeaves(), topo.NumPods())
-	for _, h := range receivers {
-		leaf := topo.HostLeaf(h)
-		if s.leafStamp[leaf] == s.stamp {
-			continue
-		}
-		s.leafStamp[leaf] = s.stamp
-		s.leafSlot[leaf] = int32(len(s.leaves))
-		s.leaves = append(s.leaves, leaf)
-		pod := topo.LeafPod(leaf)
-		if s.podStamp[pod] != s.stamp {
-			s.podStamp[pod] = s.stamp
-			s.podSlot[pod] = int32(len(s.pods))
-			s.pods = append(s.pods, pod)
-		}
-	}
-
-	leafWidth, podWidth := topo.LeafDownWidth(), topo.SpineDownWidth()
-	words := len(s.leaves) * bitmap.WordLen(leafWidth)
-	if same == nil {
-		words += bitmap.WordLen(topo.CoreDownWidth()) + len(s.pods)*bitmap.WordLen(podWidth)
-	}
-	slab := make([]uint64, words)
-	e := &Encoding{LeafPorts: make(map[topology.LeafID]bitmap.Bitmap, len(s.leaves))}
-	s.leafBms = slices.Grow(s.leafBms[:0], len(s.leaves))[:len(s.leaves)]
-	for i := range s.leafBms {
-		s.leafBms[i], slab = bitmap.Carve(leafWidth, slab)
-	}
-	for _, h := range receivers {
-		s.leafBms[s.leafSlot[topo.HostLeaf(h)]].Set(topo.HostPort(h))
-	}
-	for i, leaf := range s.leaves {
-		e.LeafPorts[leaf] = s.leafBms[i]
-	}
-	if same != nil {
-		e.Pods, e.PodLeaves = same.Pods, same.PodLeaves
-		return e
-	}
-
-	e.Pods, slab = bitmap.Carve(topo.CoreDownWidth(), slab)
-	e.PodLeaves = make(map[topology.PodID]bitmap.Bitmap, len(s.pods))
-	s.podBms = slices.Grow(s.podBms[:0], len(s.pods))[:len(s.pods)]
-	for i := range s.podBms {
-		s.podBms[i], slab = bitmap.Carve(podWidth, slab)
-	}
-	for _, leaf := range s.leaves {
-		s.podBms[s.podSlot[topo.LeafPod(leaf)]].Set(topo.LeafIndexInPod(leaf))
-	}
-	for i, pod := range s.pods {
-		e.Pods.Set(int(pod))
-		e.PodLeaves[pod] = s.podBms[i]
-	}
-	return e
+// hostBlock returns the members, of an ascending list, whose hosts lie in
+// block i of size hosts: leaf i's for a leaf's hosts, pod i's for
+// podHosts. Hosts are numbered leaf-major and leaves pod-major, so a
+// leaf's or a pod's members are one run of the list.
+func hostBlock(members []Member, i, size int) []Member {
+	lo, _ := slices.BinarySearchFunc(members, topology.HostID(i*size), byHost)
+	hi, _ := slices.BinarySearchFunc(members[lo:], topology.HostID((i+1)*size), byHost)
+	return members[lo : lo+hi]
 }
 
-// encodeLeafLayer runs Algorithm 1 over the leaf layer of e's tree,
+// podHosts is the number of hosts in a pod.
+func podHosts(topo *topology.Topology) int { return topo.SpineDownWidth() * topo.LeafDownWidth() }
+
+// encodeLeafLayer runs Algorithm 1 over the leaf layer of s's tree,
 // filling DLeafSection, DLeafDefault, LeafSRules, and LeafRedundancy. Leaves
 // reachable entirely through the sender's own u-leaf rule still need
 // downstream rules because any member may send; the encoding is shared
 // across senders (D2c).
 func encodeLeafLayer(topo *topology.Topology, cfg Config, cap CapacityFunc, e *Encoding, s *EncodeScratch) (err error) {
 	e.DLeafSection, e.DLeafDefault, e.LeafSRules, e.LeafRedundancy, err = encodeLayer(
-		"leaf", header.TagDLeaf, header.LayoutFor(topo), e.LeafPorts, cfg.LegacyLeaves, cap.Leaf, s,
+		"leaf", header.TagDLeaf, header.LayoutFor(topo), s.tree.leaves, s.tree.leafBms, cfg.LegacyLeaves, cap.Leaf, s,
 		cluster.Constraints{R: cfg.R, HMax: effectiveLeafLimit(topo, cfg), KMax: cfg.KMaxLeaf})
 	return err
 }
@@ -327,28 +326,27 @@ func encodeLeafLayer(topo *topology.Topology, cfg Config, cap CapacityFunc, e *E
 // SpineSRules, and SpineRedundancy.
 func encodeSpineLayer(topo *topology.Topology, cfg Config, cap CapacityFunc, e *Encoding, s *EncodeScratch) (err error) {
 	e.DSpineSection, e.DSpineDefault, e.SpineSRules, e.SpineRedundancy, err = encodeLayer(
-		"pod", header.TagDSpine, header.LayoutFor(topo), e.PodLeaves, cfg.LegacyPods, cap.Pod, s,
+		"pod", header.TagDSpine, header.LayoutFor(topo), s.tree.pods, s.tree.podBms, cfg.LegacyPods, cap.Pod, s,
 		cluster.Constraints{R: cfg.R, HMax: cfg.SpineRuleLimit, KMax: cfg.KMaxSpine})
 	return err
 }
 
-// encodeLayer runs Algorithm 1 over one layer of a tree: tree maps each
-// switch of the layer (a leaf, or a pod's logical spine) to its
-// downstream ports, free answers the s-rule capacity question for it and
-// lim carries the layer's R, HMax and KMax. Legacy switches can only
-// forward from their group tables, so they are forced onto s-rules and
-// only the modern ones are clustered. It returns the layer's section
-// (tag, under layout l) with whether it holds a default rule, the s-rule
-// switches (ascending; each entry holds the switch's tree bitmap) and
-// the redundancy, all owning their memory.
-func encodeLayer[K ~int](layer string, tag byte, l header.Layout, tree map[K]bitmap.Bitmap, legacy []K, free func(K) bool,
+// encodeLayer runs Algorithm 1 over one layer of a tree: tree lists the
+// layer's switches (leaves, or pods' logical spines) and bms their
+// downstream ports, free answers the s-rule capacity question for a
+// switch and lim carries the layer's R, HMax and KMax. Legacy switches
+// can only forward from their group tables, so they are forced onto
+// s-rules and only the modern ones are clustered. It returns the layer's
+// section (tag, under layout l) with whether it holds a default rule,
+// the s-rule switches (ascending; each entry holds the switch's tree
+// bitmap) and the redundancy, all owning their memory.
+func encodeLayer[K ~int](layer string, tag byte, l header.Layout, tree []K, bms []bitmap.Bitmap, legacy []K, free func(K) bool,
 	s *EncodeScratch, lim cluster.Constraints,
 ) (section []byte, hasDef bool, srules []K, redundancy int, err error) {
-	isLegacy := legacySet(legacy)
 	s.members, s.srules = s.members[:0], s.srules[:0]
-	for sw, ports := range tree {
-		if !isLegacy[sw] {
-			s.members = append(s.members, cluster.Member{Switch: uint16(sw), Ports: ports})
+	for i, sw := range tree {
+		if !slices.Contains(legacy, sw) {
+			s.members = append(s.members, cluster.Member{Switch: uint16(sw), Ports: bms[i]})
 			continue
 		}
 		if free == nil || !free(sw) {
@@ -370,17 +368,16 @@ func encodeLayer[K ~int](layer string, tag byte, l header.Layout, tree map[K]bit
 }
 
 // deriveLayer is encodeLayer given the layer's choices — each p-rule's
-// switches and the s-rule switches — on the tree buildTree last built in
-// s. The layer's switches on the tree are listed in tree; sw is on it
-// while on[sw] == s.stamp, with bitmap bms[slot[sw]]. As in
-// cluster.AssignInto, a rule's
-// bitmap is the OR of its switches', the default rule ORs every switch
-// left unnamed, and the redundancy counts the ports sent beyond each
-// switch's own. Naming a switch takes it off the tree, so one named
-// twice is refused like one off it. The rules' bitmaps are overwritten.
-func deriveLayer[K ~int](layer string, tag byte, l header.Layout, width int, tree []K, on []uint32, slot []int32, bms []bitmap.Bitmap,
+// switches and the s-rule switches — on a layer of a tree: its switches
+// tree, ascending, and their bitmaps bms.
+// As in cluster.AssignInto, a rule's bitmap is the OR of its switches',
+// the default rule ORs every switch left unnamed, and the redundancy
+// counts the ports sent beyond each switch's own. A switch named twice
+// is refused like one off the tree. The rules' bitmaps are overwritten.
+func deriveLayer[K ~int](layer string, tag byte, l header.Layout, width int, tree []K, bms []bitmap.Bitmap,
 	rules []header.PRule, srules []uint16, s *EncodeScratch,
 ) (section []byte, hasDef bool, ids []K, redundancy int, err error) {
+	s.named = append(s.named[:0], make([]bool, len(tree))...)
 	for i := -1; i < len(rules); i++ { // the s-rules, whose OR is dropped, then each p-rule
 		kind, sws, bm := "s-rule", srules, &s.def
 		if i >= 0 {
@@ -389,12 +386,13 @@ func deriveLayer[K ~int](layer string, tag byte, l header.Layout, width int, tre
 		bm.Reset(width)
 		pop := 0
 		for _, sw := range sws {
-			if on[sw] != s.stamp {
+			k, on := slices.BinarySearch(tree, K(sw))
+			if !on || s.named[k] {
 				return nil, false, nil, 0, fmt.Errorf("%s %s %d is not on the group's tree, or is named by an earlier rule", kind, layer, sw)
 			}
-			on[sw]--
-			bm.OrInPlace(bms[slot[sw]])
-			pop += bms[slot[sw]].PopCount()
+			s.named[k] = true
+			bm.OrInPlace(bms[k])
+			pop += bms[k].PopCount()
 		}
 		if i >= 0 { // each switch's tree bitmap is a subset of the rule's
 			redundancy += len(sws)*bm.PopCount() - pop
@@ -403,8 +401,8 @@ func deriveLayer[K ~int](layer string, tag byte, l header.Layout, width int, tre
 	var def *bitmap.Bitmap
 	s.def.Reset(width)
 	n, pop := 0, 0
-	for j, sw := range tree {
-		if on[sw] == s.stamp {
+	for j := range tree {
+		if !s.named[j] {
 			def, n, pop = &s.def, n+1, pop+bms[j].PopCount()
 			def.OrInPlace(bms[j])
 		}
@@ -429,21 +427,22 @@ func deriveLayer[K ~int](layer string, tag byte, l header.Layout, width int, tre
 //     p-rules, so one named by a p-rule or left to the default rule
 //     would forward nothing.
 //
-// ReadState holds every restored encoding to it; the encoder and the
-// incremental Join/Leave path meet it by construction.
-func admissible(topo *topology.Topology, cfg Config, e *Encoding) error {
+// t is the group's tree. ReadState holds every restored encoding to it;
+// the encoder and the incremental Join/Leave path meet it by
+// construction.
+func admissible(topo *topology.Topology, cfg Config, e *Encoding, t *Tree) error {
 	l := header.LayoutFor(topo)
 	size := len(e.DSpineSection) + len(e.DLeafSection) + header.EndSize + header.UpstreamSize(l, header.TagULeaf) +
 		header.UpstreamSize(l, header.TagUSpine) + header.CoreSize(l)
 	if size > cfg.MaxHeaderBytes {
 		return fmt.Errorf("header of %d bytes exceeds MaxHeaderBytes %d", size, cfg.MaxHeaderBytes)
 	}
-	if err := admissibleLayer("pod", l, e.DSpineSection, e.PodLeaves, e.SpineSRules, cfg.LegacyPods, e.SpineRedundancy,
-		cfg.SpineRuleLimit, cfg.KMaxSpine, cfg.R); err != nil {
+	if err := admissibleLayer("pod", l, e.DSpineSection, t.pods, t.podBms, e.SpineSRules, cfg.LegacyPods,
+		e.SpineRedundancy, cfg.SpineRuleLimit, cfg.KMaxSpine, cfg.R); err != nil {
 		return err
 	}
-	if err := admissibleLayer("leaf", l, e.DLeafSection, e.LeafPorts, e.LeafSRules, cfg.LegacyLeaves, e.LeafRedundancy,
-		effectiveLeafLimit(topo, cfg), cfg.KMaxLeaf, cfg.R); err != nil {
+	if err := admissibleLayer("leaf", l, e.DLeafSection, t.leaves, t.leafBms, e.LeafSRules, cfg.LegacyLeaves,
+		e.LeafRedundancy, effectiveLeafLimit(topo, cfg), cfg.KMaxLeaf, cfg.R); err != nil {
 		return err
 	}
 	return nil
@@ -451,11 +450,11 @@ func admissible(topo *topology.Topology, cfg Config, e *Encoding) error {
 
 // admissibleLayer checks one layer's section, under layout l, against
 // its rule limit hmax, identifier limit kmax and redundancy limit r,
-// and its legacy switches against its s-rules; tree maps each switch of
-// the layer's tree to its bitmap and redundancy is the layer's. A layer
-// whose whole redundancy is within r has no rule beyond it.
-func admissibleLayer[K ~int](layer string, l header.Layout, section []byte, tree map[K]bitmap.Bitmap, srules, legacy []K,
-	redundancy, hmax, kmax, r int,
+// and its legacy switches against its s-rules; tree and bms are the
+// layer of the group's tree and redundancy is the layer's. A layer whose
+// whole redundancy is within r has no rule beyond it.
+func admissibleLayer[K ~int](layer string, l header.Layout, section []byte, tree []K, bms []bitmap.Bitmap,
+	srules, legacy []K, redundancy, hmax, kmax, r int,
 ) error {
 	if n := header.RuleCount(section); n > hmax {
 		return fmt.Errorf("%d %s p-rules exceed the limit of %d", n, layer, hmax)
@@ -474,7 +473,8 @@ func admissibleLayer[K ~int](layer string, l header.Layout, section []byte, tree
 			spurious += w.N * bits.OnesCount8(b)
 		}
 		for j := range w.N {
-			spurious -= tree[K(w.Switch(j))].PopCount()
+			bm, _ := treeBitmap(tree, bms, K(w.Switch(j)))
+			spurious -= bm.PopCount()
 		}
 		if spurious > r {
 			return fmt.Errorf("%s p-rule %d has redundancy %d, R %d", layer, i, spurious, r)
@@ -484,7 +484,7 @@ func admissibleLayer[K ~int](layer string, l header.Layout, section []byte, tree
 		return err
 	}
 	for _, sw := range legacy {
-		if _, on := tree[sw]; on {
+		if _, on := slices.BinarySearch(tree, sw); on {
 			if _, found := slices.BinarySearch(srules, sw); !found {
 				return fmt.Errorf("legacy %s %d is on the tree without an s-rule", layer, sw)
 			}
@@ -522,18 +522,22 @@ func switchList[K ~int](ids []uint16) []K {
 }
 
 // effectiveLeafLimit derives the leaf-section rule budget from the
-// byte budget: the header must fit the upstream sections, the core
-// bitmap, the worst-case spine section, and the leaf section with its
-// default rule, every leaf p-rule at KMaxLeaf identifiers.
+// byte budget: the header must fit its floor (headerFloor) and every
+// leaf p-rule at KMaxLeaf identifiers.
 func effectiveLeafLimit(topo *topology.Topology, cfg Config) int {
 	l := header.LayoutFor(topo)
-	leaf := func(rules int) int {
-		return header.DownstreamSize(l, header.TagDLeaf, rules, cfg.KMaxLeaf, true)
-	}
-	others := header.EndSize + header.UpstreamSize(l, header.TagULeaf) + header.UpstreamSize(l, header.TagUSpine) +
-		header.CoreSize(l) + header.DownstreamSize(l, header.TagDSpine, cfg.SpineRuleLimit, cfg.KMaxSpine, true)
-	limit := (cfg.MaxHeaderBytes - others - leaf(0)) / (leaf(1) - leaf(0))
-	return max(0, min(limit, cfg.LeafRuleLimit))
+	rule := header.DownstreamSize(l, header.TagDLeaf, 1, cfg.KMaxLeaf, true) - header.DownstreamSize(l, header.TagDLeaf, 0, cfg.KMaxLeaf, true)
+	return max(0, min((cfg.MaxHeaderBytes-headerFloor(topo, cfg))/rule, cfg.LeafRuleLimit))
+}
+
+// headerFloor is the size of the largest header with no leaf p-rule: the
+// upstream and core sections, the worst-case spine section and a lone
+// leaf default rule. New refuses a budget below it.
+func headerFloor(topo *topology.Topology, cfg Config) int {
+	l := header.LayoutFor(topo)
+	return header.EndSize + header.UpstreamSize(l, header.TagULeaf) + header.UpstreamSize(l, header.TagUSpine) + header.CoreSize(l) +
+		header.DownstreamSize(l, header.TagDSpine, cfg.SpineRuleLimit, cfg.KMaxSpine, true) +
+		header.DownstreamSize(l, header.TagDLeaf, 0, cfg.KMaxLeaf, true)
 }
 
 // assignLayer runs Algorithm 1, spending the redundancy budget R only

@@ -37,13 +37,12 @@ func benchReceiverSets(t testing.TB, n int) (*topology.Topology, [][]topology.Ho
 }
 
 // TestEncodeAllocationBudget pins what one encoding allocates with a warm
-// scratch: the Encoding, its two tree maps and one word slab for every
-// tree bitmap, then per layer one rule slice, one switch slab, one word
-// slab for every bitmap the layer keeps, and any default rule or s-rule
-// list. A bitmap or rule list allocated on its own shows here.
+// scratch: the Encoding, then per layer its section bytes and any s-rule
+// list; the tree lives in the scratch. A tree map, or a bitmap or rule
+// list allocated on its own, shows here.
 func TestEncodeAllocationBudget(t *testing.T) {
 	raceflag.SkipExactAllocs(t)
-	const budget = 9 // 13 when each layer kept its rules as structs (a rule slice, a switch slab and a word slab); 55 when every tree and rule bitmap was its own allocation
+	const budget = 3 // 3.00 measured; 9 when an encoding held its tree as two maps and a word slab, 13 when each layer kept its rules as structs, 55 when every tree and rule bitmap was its own allocation
 	topo, sets := benchReceiverSets(t, 512)
 	cfg := PaperConfig(0)
 	capFn := NewOccupancy(topo, cfg.SRuleCapacity).CapacityFunc()
@@ -118,12 +117,13 @@ func restore(t testing.TB, c *Controller, state []byte) *Controller {
 // ReadState into a fresh controller: a restore derives the groups with
 // the encoder's code, so it must keep the encoder's memory shape. The
 // bound is the measured bytes per group plus under 2 % slack; it may
-// only tighten. A group's live heap is its member list, its tree maps
-// and bitmaps, its two downstream sections and its s-rule lists; it was
-// 3,495 B when each layer kept its p-rules as structs beside the tree.
+// only tighten. A group's live heap is its member list, its two
+// downstream sections and its s-rule lists; it was 2,600 B when an
+// encoding held its tree as two maps, a pod bitmap and their bitmaps,
+// and 3,495 B when each layer also kept its p-rules as structs.
 func TestLiveHeapPerGroup(t *testing.T) {
 	raceflag.SkipExactAllocs(t)
-	const boundBytes = 2650 // per group; 2,600 measured, installed and restored
+	const boundBytes = 875 // per group; 859 measured installed, 842 restored
 	heap := func() uint64 {
 		var ms runtime.MemStats
 		runtime.GC()
@@ -153,13 +153,13 @@ func TestLiveHeapPerGroup(t *testing.T) {
 
 // TestReadStateAllocationBudget pins what ReadState allocates per group
 // restoring benchGroups: the group and its member list, then what an
-// encoding with a warm scratch allocates (the Encoding, its tree maps,
-// one word slab, each layer's section bytes and any s-rule list). The
-// bound is the measured count plus under 2 % slack; a bitmap decoded on
-// its own, or a scratch made per group, shows here.
+// encoding with a warm scratch allocates (the Encoding, each layer's
+// section bytes and any s-rule list). The bound is the measured count
+// plus under 2 % slack; a tree map, a bitmap decoded on its own, or a
+// scratch made per group, shows here.
 func TestReadStateAllocationBudget(t *testing.T) {
 	raceflag.SkipExactAllocs(t)
-	const budget = 11.9 // per group; 11.82 measured; 29.33 when each tree bitmap was decoded on its own and checked in a second pass
+	const budget = 5.4 // per group; 5.33 measured; 11.82 when an encoding held its tree as two maps and a word slab, 29.33 when each tree bitmap was also decoded on its own
 	topo, specs := benchGroups(t)
 	c := install(t, topo, specs)
 	var state bytes.Buffer
@@ -207,7 +207,9 @@ func TestEncodingsAreAdmissible(t *testing.T) {
 		}
 		for _, key := range keys {
 			if g := c.Group(key); g != nil {
-				if err := admissible(c.Topology(), c.Config(), g.Enc); err != nil {
+				var tree Tree
+				tree.Read(c.Topology(), g.Members)
+				if err := admissible(c.Topology(), c.Config(), g.Enc, &tree); err != nil {
 					t.Fatalf("%s: group %v: %v", when, key, err)
 				}
 			}

@@ -25,7 +25,7 @@ func TestCoverUpstreamMultiPlane(t *testing.T) {
 	failures.FailSpine(4)
 	failures.FailSpine(7)
 
-	h, err := SenderHeader(topo, cfg, enc, 0, failures)
+	h, err := SenderHeader(topo, cfg, enc.Encoding, receiving(receivers), 0, failures)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestCoverUpstreamCoreOnlyFailure(t *testing.T) {
 	failures := topology.NewFailureSet()
 	failures.FailCore(0) // plane 0
 	failures.FailCore(1) // plane 0 (cores 0,1 are plane 0)
-	h, err := SenderHeader(topo, cfg, enc, 0, failures)
+	h, err := SenderHeader(topo, cfg, enc.Encoding, receiving([]topology.HostID{40}), 0, failures)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestCoverUpstreamSinglePodUnderFailure(t *testing.T) {
 	}
 	failures := topology.NewFailureSet()
 	failures.FailSpine(0) // pod 0 plane 0
-	h, err := SenderHeader(topo, cfg, enc, 0, failures)
+	h, err := SenderHeader(topo, cfg, enc.Encoding, receiving([]topology.HostID{1, 9}), 0, failures)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package controller
 
 import (
+	"slices"
+
 	"elmo/internal/topology"
 )
 
@@ -13,9 +15,8 @@ import (
 //     bitmap changed by construction.
 //   - The spine layer re-encodes only when the set of receiver leaves
 //     changed (a leaf gained its first receiver or lost its last one).
-//     Otherwise the pod half of the tree (Pods, PodLeaves) is what it
-//     was, and it is reused verbatim together with the spine section
-//     encoded from it.
+//     Otherwise the pod half of the tree is what it was, and the spine
+//     section encoded from it is reused verbatim.
 //
 // Encodings are immutable once committed, so sharing the reused half
 // with the old encoding is safe. Occupancy stays exact because the
@@ -32,30 +33,23 @@ import (
 // installed.
 
 // incrementalEncoding computes the encoding of a group whose receiving
-// members gain (joined) or lose host, given its members and encoding old
-// before the op. The tree is rebuilt from the post-op receivers,
-// collected in s; old is never modified, and only its pod half of the
-// tree and its spine section are reused, when the receiver leaves stay
-// the same. Capacity checks go through cap exactly as in
-// ComputeEncodingInto; the caller owns validation and commit.
+// members gain (joined) or lose host, given its ascending members and
+// encoding old before the op. The tree is rebuilt in s from the post-op
+// receivers; old is never modified, and only its spine section is
+// reused, when the receiver leaves stay the same. Capacity checks go
+// through cap exactly as in ComputeEncodingInto; the caller owns
+// validation and commit.
 func incrementalEncoding(topo *topology.Topology, cfg Config, cap CapacityFunc, old *Encoding, members []Member, host topology.HostID, joined bool, s *EncodeScratch) (*Encoding, error) {
-	ports, had := old.LeafPorts[topo.HostLeaf(host)]
-	leavesChanged := !had || (!joined && ports.PopCount() == 1)
-
-	s.receivers = s.receivers[:0]
-	for _, m := range members {
-		if m.Host != host && m.Role.CanReceive() {
-			s.receivers = append(s.receivers, m.Host)
-		}
+	s.receivers = appendHosts(s.receivers[:0], members, Role.CanReceive)
+	if i, _ := slices.BinarySearch(s.receivers, host); joined {
+		s.receivers = slices.Insert(s.receivers, i, host)
+	} else {
+		s.receivers = slices.Delete(s.receivers, i, i+1)
 	}
-	if joined {
-		s.receivers = append(s.receivers, host)
-	}
-	var same *Encoding
-	if !leavesChanged {
-		same = old
-	}
-	e := buildTree(topo, s.receivers, same, s)
+	s.tree.build(topo, s.receivers)
+	ports, on := s.tree.Leaf(topo.HostLeaf(host))
+	leavesChanged := !on || (joined && ports.PopCount() == 1)
+	e := &Encoding{}
 	if len(s.receivers) == 0 {
 		// Last receiver left: bare empty tree, same as a full encode
 		// of an empty receiver set.

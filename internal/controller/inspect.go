@@ -1,8 +1,6 @@
 package controller
 
 import (
-	"sort"
-
 	"elmo/internal/header"
 	"elmo/internal/topology"
 )
@@ -149,8 +147,10 @@ func (c *Controller) InspectGroup(key GroupKey) (*GroupDetail, bool) {
 	}
 	e := g.Enc
 	if e != nil {
+		var t Tree
+		t.Read(c.topo, g.Members)
 		d.Encoding = EncodingInfo{
-			Pods:            e.Pods.Ports(),
+			Pods:            make([]int, 0, len(t.pods)),
 			SpinePRules:     header.RuleCount(e.DSpineSection),
 			LeafPRules:      header.RuleCount(e.DLeafSection),
 			SpineDefault:    e.DSpineDefault,
@@ -161,10 +161,12 @@ func (c *Controller) InspectGroup(key GroupKey) (*GroupDetail, bool) {
 			LeafRedundancy:  e.LeafRedundancy,
 			SpineRedundancy: e.SpineRedundancy,
 		}
-		for leaf, ports := range e.LeafPorts {
-			d.Tree = append(d.Tree, TreeLeaf{Leaf: leaf, Pod: c.topo.LeafPod(leaf), Ports: ports.Ports()})
+		for _, pod := range t.pods {
+			d.Encoding.Pods = append(d.Encoding.Pods, int(pod))
 		}
-		sort.Slice(d.Tree, func(i, j int) bool { return d.Tree[i].Leaf < d.Tree[j].Leaf })
+		for i, leaf := range t.leaves {
+			d.Tree = append(d.Tree, TreeLeaf{Leaf: leaf, Pod: c.topo.LeafPod(leaf), Ports: t.leafBms[i].Ports()})
+		}
 		var scratch SenderScratch
 		var stream []byte
 		for _, h := range d.MemberList {
@@ -173,7 +175,7 @@ func (c *Controller) InspectGroup(key GroupKey) (*GroupDetail, bool) {
 			}
 			info := SenderHeaderInfo{Sender: h.Host}
 			var err error
-			stream, err = AppendSenderStream(stream[:0], &scratch, c.topo, c.cfg, e, h.Host, c.failures)
+			stream, err = AppendSenderStream(stream[:0], &scratch, c.topo, c.cfg, e, &t, h.Host, c.failures)
 			if err != nil {
 				info.Err = err.Error()
 			} else {

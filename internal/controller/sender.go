@@ -26,9 +26,10 @@ var ErrLegacyPath = fmt.Errorf("controller: sender is behind a legacy switch")
 var ErrLegacyTableFull = fmt.Errorf("legacy switch group table full")
 
 // SenderScratch is the reusable working memory of AppendSenderStream:
-// the sender's own copies of the three shared bitmaps it clears its own
-// port, leaf or pod in, and the two upstream-port bitmaps. The zero
-// value is ready to use; one scratch serves one goroutine.
+// the sender's own copies of its leaf's and pod's tree bitmaps and of the
+// receiver pods, with its own port, leaf or pod cleared, and the two
+// upstream-port bitmaps. The zero value is ready to use; one scratch
+// serves one goroutine.
 type SenderScratch struct {
 	leafDown, leafUp   bitmap.Bitmap
 	spineDown, spineUp bitmap.Bitmap
@@ -37,9 +38,10 @@ type SenderScratch struct {
 
 // AppendSenderStream appends to dst the Elmo section stream (through
 // TagEnd) a hypervisor pushes onto packets the given sender host emits
-// into the group encoded by e — the bytes the controller sends the
-// hypervisor, written straight from the encoding. On error dst is
-// returned as it came.
+// into the group encoded by e, whose tree is t — the bytes the
+// controller sends the hypervisor, written straight from the encoding.
+// A walk over a group's senders reads t once (Tree.Read). On error dst
+// is returned as it came.
 //
 // The downstream sections are shared across senders (D2c); only the
 // sender-dependent parts are specialised: the upstream leaf and spine
@@ -52,7 +54,7 @@ type SenderScratch struct {
 // greedy set cover (§3.3); ErrNoPath is returned when no cover exists.
 // On a healthy fabric, with a warm scratch and room in dst, nothing is
 // allocated.
-func AppendSenderStream(dst []byte, s *SenderScratch, topo *topology.Topology, cfg Config, e *Encoding, sender topology.HostID, failures *topology.FailureSet) ([]byte, error) {
+func AppendSenderStream(dst []byte, s *SenderScratch, topo *topology.Topology, cfg Config, e *Encoding, t *Tree, sender topology.HostID, failures *topology.FailureSet) ([]byte, error) {
 	l := header.LayoutFor(topo)
 	senderLeaf := topo.HostLeaf(sender)
 	senderPod := topo.LeafPod(senderLeaf)
@@ -62,8 +64,8 @@ func AppendSenderStream(dst []byte, s *SenderScratch, topo *topology.Topology, c
 
 	// Receivers under the sender's own leaf, minus the sender itself:
 	// the hypervisor delivers any co-located member VM locally.
-	otherLeaves := len(e.LeafPorts)
-	if lp, ok := e.LeafPorts[senderLeaf]; ok {
+	otherLeaves := len(t.leaves)
+	if lp, ok := t.Leaf(senderLeaf); ok {
 		otherLeaves--
 		s.leafDown.CopyFrom(lp)
 		s.leafDown.Clear(topo.HostPort(sender))
@@ -91,9 +93,9 @@ func AppendSenderStream(dst []byte, s *SenderScratch, topo *topology.Topology, c
 	}
 
 	// The packet must ascend: deliveries to other member leaves of the
-	// sender's pod happen on the way up.
-	otherPods := len(e.PodLeaves)
-	if pl, ok := e.PodLeaves[senderPod]; ok {
+	// sender's pod happen on the way up. The core serves the other pods.
+	otherPods := len(t.pods)
+	if pl, ok := t.Pod(senderPod); ok {
 		otherPods--
 		s.spineDown.CopyFrom(pl)
 		s.spineDown.Clear(topo.LeafIndexInPod(senderLeaf))
@@ -102,12 +104,18 @@ func AppendSenderStream(dst []byte, s *SenderScratch, topo *topology.Topology, c
 	}
 	beyondPod := otherPods > 0
 	s.spineUp.Reset(l.SpineUp)
+	s.core.Reset(topo.CoreDownWidth())
+	for _, pod := range t.pods {
+		if pod != senderPod {
+			s.core.Set(int(pod))
+		}
+	}
 
 	// Upstream port selection: multipath when the fabric is healthy,
 	// explicit set-cover ports under failures.
-	multipath := failures.Empty() || !groupAffected(topo, e, senderPod, failures)
+	multipath := failures.Empty() || !groupAffected(topo, s.core, senderPod, failures)
 	if !multipath {
-		planes, corePorts, err := coverUpstream(topo, e, senderPod, beyondPod, failures)
+		planes, corePorts, err := coverUpstream(topo, s.core, senderPod, beyondPod, failures)
 		if err != nil {
 			return dst, err
 		}
@@ -128,8 +136,6 @@ func AppendSenderStream(dst []byte, s *SenderScratch, topo *topology.Topology, c
 		return dst, err
 	}
 	if beyondPod {
-		s.core.CopyFrom(e.Pods)
-		s.core.Clear(int(senderPod))
 		if out, err = header.AppendCore(out, l, s.core); err != nil {
 			return dst, err
 		}
@@ -155,10 +161,13 @@ func AppendSenderStream(dst []byte, s *SenderScratch, topo *topology.Topology, c
 }
 
 // SenderHeader is the decoded view of AppendSenderStream's bytes, for
-// callers that inspect a sender's header section by section.
-func SenderHeader(topo *topology.Topology, cfg Config, e *Encoding, sender topology.HostID, failures *topology.FailureSet) (*header.Header, error) {
+// callers that inspect a sender's header section by section, with the
+// tree read from the group's ascending members.
+func SenderHeader(topo *topology.Topology, cfg Config, e *Encoding, members []Member, sender topology.HostID, failures *topology.FailureSet) (*header.Header, error) {
 	var s SenderScratch
-	stream, err := AppendSenderStream(nil, &s, topo, cfg, e, sender, failures)
+	var t Tree
+	t.Read(topo, members)
+	stream, err := AppendSenderStream(nil, &s, topo, cfg, e, &t, sender, failures)
 	if err != nil {
 		return nil, err
 	}
@@ -167,15 +176,14 @@ func SenderHeader(topo *topology.Topology, cfg Config, e *Encoding, sender topol
 }
 
 // groupAffected reports whether any failed switch lies on a path this
-// group's packets could take from the sender's pod.
-func groupAffected(topo *topology.Topology, e *Encoding, senderPod topology.PodID, f *topology.FailureSet) bool {
+// group's packets could take from the sender's pod to its receiver pods,
+// of the bitmap pods.
+func groupAffected(topo *topology.Topology, pods bitmap.Bitmap, senderPod topology.PodID, f *topology.FailureSet) bool {
 	cfg := topo.Config()
-	for plane := 0; plane < cfg.SpinesPerPod; plane++ {
-		if f.SpineFailed(topo.SpineAt(senderPod, plane)) {
-			return true
+	for pod := range topology.PodID(cfg.Pods) {
+		if pod != senderPod && !pods.Test(int(pod)) {
+			continue
 		}
-	}
-	for pod := range e.PodLeaves {
 		for plane := 0; plane < cfg.SpinesPerPod; plane++ {
 			if f.SpineFailed(topo.SpineAt(pod, plane)) {
 				return true
@@ -191,30 +199,26 @@ func groupAffected(topo *topology.Topology, e *Encoding, senderPod topology.PodI
 }
 
 // coverUpstream chooses spine planes (u-leaf upstream ports) and core
-// uplink ports (u-spine upstream ports) such that every receiver pod
-// is reachable, greedily covering the most pods per plane (the same
-// set-cover approach as PortLand, §3.3).
-func coverUpstream(topo *topology.Topology, e *Encoding, senderPod topology.PodID, beyondPod bool, f *topology.FailureSet) (planes, corePorts []int, err error) {
+// uplink ports (u-spine upstream ports) such that every receiver pod,
+// of the bitmap pods, is reachable, greedily covering the most pods per
+// plane (the same set-cover approach as PortLand, §3.3).
+func coverUpstream(topo *topology.Topology, pods bitmap.Bitmap, senderPod topology.PodID, beyondPod bool, f *topology.FailureSet) (planes, corePorts []int, err error) {
 	cfg := topo.Config()
 	// Pods (other than the sender's) that must be reached via core.
-	need := make(map[topology.PodID]bool)
-	for pod := range e.PodLeaves {
-		if pod != senderPod {
-			need[pod] = true
-		}
-	}
+	need := pods.Clone()
+	need.Clear(int(senderPod))
 
 	type planeInfo struct {
 		plane    int
-		corePort int // healthy core uplink, -1 if none
-		covers   []topology.PodID
+		corePort int           // healthy core uplink, -1 if none
+		covers   bitmap.Bitmap // the pods of need it reaches
 	}
 	candidates := make([]planeInfo, 0, cfg.SpinesPerPod)
 	for plane := 0; plane < cfg.SpinesPerPod; plane++ {
 		if f.SpineFailed(topo.SpineAt(senderPod, plane)) {
 			continue
 		}
-		pi := planeInfo{plane: plane, corePort: -1}
+		pi := planeInfo{plane: plane, corePort: -1, covers: bitmap.New(need.Width())}
 		for j := 0; j < cfg.CoresPerPlane; j++ {
 			if !f.CoreFailed(topology.CoreID(plane*cfg.CoresPerPlane + j)) {
 				pi.corePort = j
@@ -222,11 +226,11 @@ func coverUpstream(topo *topology.Topology, e *Encoding, senderPod topology.PodI
 			}
 		}
 		if pi.corePort >= 0 {
-			for pod := range need {
-				if !f.SpineFailed(topo.SpineAt(pod, plane)) {
-					pi.covers = append(pi.covers, pod)
+			need.ForEach(func(pod int) {
+				if !f.SpineFailed(topo.SpineAt(topology.PodID(pod), plane)) {
+					pi.covers.Set(pod)
 				}
-			}
+			})
 		}
 		candidates = append(candidates, pi)
 	}
@@ -238,17 +242,10 @@ func coverUpstream(topo *topology.Topology, e *Encoding, senderPod topology.PodI
 		return []int{candidates[0].plane}, nil, nil
 	}
 	uncovered := need
-	for len(uncovered) > 0 {
-		best := -1
-		bestCover := 0
+	for !uncovered.IsEmpty() {
+		best, bestCover := -1, 0
 		for i, pi := range candidates {
-			n := 0
-			for _, pod := range pi.covers {
-				if uncovered[pod] {
-					n++
-				}
-			}
-			if n > bestCover {
+			if n := pi.covers.PopCount() - pi.covers.AndNotCount(uncovered); n > bestCover {
 				best, bestCover = i, n
 			}
 		}
@@ -256,23 +253,13 @@ func coverUpstream(topo *topology.Topology, e *Encoding, senderPod topology.PodI
 			return nil, nil, ErrNoPath
 		}
 		planes = append(planes, candidates[best].plane)
-		corePorts = appendUnique(corePorts, candidates[best].corePort)
-		for _, pod := range candidates[best].covers {
-			delete(uncovered, pod)
+		if !slices.Contains(corePorts, candidates[best].corePort) {
+			corePorts = append(corePorts, candidates[best].corePort)
 		}
-		candidates[best].covers = nil
+		uncovered = uncovered.AndNot(candidates[best].covers)
 	}
 	// If the sender's pod also has receiver leaves, the first chosen
 	// plane's spine delivers them; a plane was always chosen because
 	// beyondPod implies at least one uncovered pod existed.
 	return planes, corePorts, nil
-}
-
-func appendUnique(xs []int, x int) []int {
-	for _, v := range xs {
-		if v == x {
-			return xs
-		}
-	}
-	return append(xs, x)
 }

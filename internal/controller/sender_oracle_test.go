@@ -12,7 +12,45 @@ import (
 // This file is the frozen oracle of §3.1's sender specialisation: the
 // pointer-rich header assembly AppendSenderStream replaced, kept word
 // for word so the equivalence test can hold the stream-first
-// implementation to it byte for byte and error for error.
+// implementation to it byte for byte and error for error. It reads the
+// tree maps an encoding held before the tree moved to the group's
+// members, built beside the encoding by withTreeMaps.
+
+// oracleEncoding is an encoding with its receivers' tree maps.
+type oracleEncoding struct {
+	*Encoding
+	// Pods is the bitmap of pods containing receivers.
+	Pods bitmap.Bitmap
+	// LeafPorts maps each receiver leaf to its member host ports.
+	LeafPorts map[topology.LeafID]bitmap.Bitmap
+	// PodLeaves maps each receiver pod to its member leaf bitmap.
+	PodLeaves map[topology.PodID]bitmap.Bitmap
+}
+
+// withTreeMaps returns e with the tree maps of the given receivers, in
+// any order, built one bitmap per tree switch as the encoder once did.
+func withTreeMaps(topo *topology.Topology, e *Encoding, receivers []topology.HostID) *oracleEncoding {
+	o := &oracleEncoding{
+		Encoding:  e,
+		Pods:      bitmap.New(topo.CoreDownWidth()),
+		LeafPorts: make(map[topology.LeafID]bitmap.Bitmap),
+		PodLeaves: make(map[topology.PodID]bitmap.Bitmap),
+	}
+	for _, h := range receivers {
+		leaf := topo.HostLeaf(h)
+		pod := topo.LeafPod(leaf)
+		if _, ok := o.LeafPorts[leaf]; !ok {
+			o.LeafPorts[leaf] = bitmap.New(topo.LeafDownWidth())
+		}
+		o.LeafPorts[leaf].Set(topo.HostPort(h))
+		if _, ok := o.PodLeaves[pod]; !ok {
+			o.PodLeaves[pod] = bitmap.New(topo.SpineDownWidth())
+		}
+		o.PodLeaves[pod].Set(topo.LeafIndexInPod(leaf))
+		o.Pods.Set(int(pod))
+	}
+	return o
+}
 
 // oracleSenderHeader assembles the Elmo header a hypervisor pushes for
 // packets the given sender host emits into the group encoded by e.
@@ -26,7 +64,7 @@ import (
 // When failures is non-nil and affects the group's reachable paths,
 // multipathing is disabled and explicit upstream ports are chosen by
 // greedy set cover (§3.3); ErrNoPath is returned when no cover exists.
-func oracleSenderHeader(topo *topology.Topology, cfg Config, e *Encoding, sender topology.HostID, failures *topology.FailureSet) (*header.Header, error) {
+func oracleSenderHeader(topo *topology.Topology, cfg Config, e *oracleEncoding, sender topology.HostID, failures *topology.FailureSet) (*header.Header, error) {
 	l := header.LayoutFor(topo)
 	senderLeaf := topo.HostLeaf(sender)
 	senderPod := topo.LeafPod(senderLeaf)
@@ -38,7 +76,7 @@ func oracleSenderHeader(topo *topology.Topology, cfg Config, e *Encoding, sender
 	}
 
 	h := &header.Header{}
-	shared, err := encodingRules(l, e)
+	shared, err := encodingRules(l, e.Encoding)
 	if err != nil {
 		return nil, err
 	}
@@ -115,11 +153,11 @@ func oracleSenderHeader(topo *topology.Topology, cfg Config, e *Encoding, sender
 
 	// Upstream port selection: multipath when the fabric is healthy,
 	// explicit set-cover ports under failures.
-	if failures.Empty() || !groupAffected(topo, e, senderPod, failures) {
+	if failures.Empty() || !groupAffected(topo, e.Pods, senderPod, failures) {
 		uleaf.Multipath = true
 		uspine.Multipath = beyondPod
 	} else {
-		planes, corePorts, err := coverUpstream(topo, e, senderPod, beyondPod, failures)
+		planes, corePorts, err := coverUpstream(topo, e.Pods, senderPod, beyondPod, failures)
 		if err != nil {
 			return nil, err
 		}

@@ -97,14 +97,17 @@ func TestSenderStreamMatchesOracle(t *testing.T) {
 
 	var scratch SenderScratch // one scratch throughout: no bit may leak from one sender to the next
 	streams, noPath, legacyPath, overBudget := 0, 0, 0, 0
-	check := func(where string, cfg Config, enc *Encoding, sender topology.HostID, failures *topology.FailureSet) {
+	check := func(where string, cfg Config, enc *Encoding, receivers []topology.HostID, sender topology.HostID, failures *topology.FailureSet) {
 		var want []byte
-		hdr, wantErr := oracleSenderHeader(topo, cfg, enc, sender, failures)
+		hdr, wantErr := oracleSenderHeader(topo, cfg, withTreeMaps(topo, enc, receivers), sender, failures)
 		if wantErr == nil {
 			want, wantErr = header.Encode(l, hdr)
 		}
 		prefix := []byte{0xAA, 0xBB}
-		got, err := AppendSenderStream(prefix, &scratch, topo, cfg, enc, sender, failures)
+		members := receiving(receivers)
+		var tree Tree
+		tree.Read(topo, members)
+		got, err := AppendSenderStream(prefix, &scratch, topo, cfg, enc, &tree, sender, failures)
 		if !sameErr(err, wantErr) {
 			t.Fatalf("%s: error %v, oracle %v", where, err, wantErr)
 		}
@@ -137,7 +140,7 @@ func TestSenderStreamMatchesOracle(t *testing.T) {
 		if sec := diffHeader(dec, hdr); sec != "" {
 			t.Fatalf("%s: decoded stream differs from the oracle header in its %s section", where, sec)
 		}
-		view, err := SenderHeader(topo, cfg, enc, sender, failures)
+		view, err := SenderHeader(topo, cfg, enc, members, sender, failures)
 		if err != nil || diffHeader(view, hdr) != "" {
 			t.Fatalf("%s: SenderHeader is not the decoded stream: %v", where, err)
 		}
@@ -195,8 +198,8 @@ func TestSenderStreamMatchesOracle(t *testing.T) {
 				fs.fail(failures)
 				for _, sender := range senders {
 					where := fmt.Sprintf("variant %#x (R4 INT limit1 granted legacy) %s group %d sender %d", v, fs.name, g, sender)
-					check(where, cfg, enc, sender, failures)
-					check(where+" tight budget", tight, enc, sender, failures)
+					check(where, cfg, enc.Encoding, receivers, sender, failures)
+					check(where+" tight budget", tight, enc.Encoding, receivers, sender, failures)
 				}
 			}
 		}
@@ -221,15 +224,17 @@ func TestAppendSenderStreamZeroAllocs(t *testing.T) {
 	failures := topology.NewFailureSet()
 	var scratch SenderScratch
 	buf := make([]byte, 0, cfg.MaxHeaderBytes)
+	var tree Tree
+	tree.Read(topo, receiving(figure3Receivers()))
 	senders := []topology.HostID{0, 8, 20, 63} // member leaf, same pod, memberless pod, lone member of a leaf
 	for _, s := range senders {
-		if _, err := AppendSenderStream(buf, &scratch, topo, cfg, enc, s, failures); err != nil {
+		if _, err := AppendSenderStream(buf, &scratch, topo, cfg, enc.Encoding, &tree, s, failures); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		for _, s := range senders {
-			if _, err := AppendSenderStream(buf, &scratch, topo, cfg, enc, s, failures); err != nil {
+			if _, err := AppendSenderStream(buf, &scratch, topo, cfg, enc.Encoding, &tree, s, failures); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -248,13 +253,15 @@ func fanoutStreams(t testing.TB, n int) (header.Layout, [][]byte) {
 	cfg.EnableINT = true
 	failures := topology.NewFailureSet()
 	var s SenderScratch
+	var tree Tree
 	streams := make([][]byte, len(sets))
 	for i, hosts := range sets {
 		enc, err := ComputeEncoding(topo, cfg, NoCapacity(), hosts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if streams[i], err = AppendSenderStream(nil, &s, topo, cfg, enc, hosts[0], failures); err != nil {
+		tree.Read(topo, receiving(hosts))
+		if streams[i], err = AppendSenderStream(nil, &s, topo, cfg, enc.Encoding, &tree, hosts[0], failures); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -34,7 +34,7 @@ import (
 // the default rule from the switches no rule or s-rule names, an
 // s-rule's bitmap as its switch's tree bitmap, and the redundancies as
 // the spurious ports these send to. ReadState derives the rest with the
-// encoder's code (buildTree, deriveLayer) and accepts the group only if
+// encoder's code (Tree, deriveLayer) and accepts the group only if
 // this controller's encoder could have made it (admissible).
 //
 // The format is versioned: a change to it bumps stateVersion, and a
@@ -322,23 +322,23 @@ type loadedGroup struct {
 }
 
 // restore derives lg's encoding from its record's choices with the
-// encoder's code — buildTree makes the tree from the receivers,
+// encoder's code — Tree.Read makes the tree from the members,
 // deriveLayer each layer's section, s-rules and redundancy — and refuses
 // the group unless its encoding is admissible under the reader's config.
 func (sr *stateReader) restore(lg loadedGroup) {
 	sr.off = lg.enc
 	sr.choices() // read once already, without error
 	s := &sr.enc
-	s.receivers = appendHosts(s.receivers[:0], lg.g.Members, Role.CanReceive)
-	e := buildTree(sr.topo, s.receivers, nil, s)
+	s.tree.Read(sr.topo, lg.g.Members)
+	e := &Encoding{}
 	var err error
 	if e.DLeafSection, e.DLeafDefault, e.LeafSRules, e.LeafRedundancy, err = deriveLayer[topology.LeafID](
-		"leaf", header.TagDLeaf, sr.layout, sr.topo.LeafDownWidth(), s.leaves, s.leafStamp, s.leafSlot, s.leafBms, sr.rules[1], sr.srules[1], s); err == nil {
+		"leaf", header.TagDLeaf, sr.layout, sr.topo.LeafDownWidth(), s.tree.leaves, s.tree.leafBms, sr.rules[1], sr.srules[1], s); err == nil {
 		e.DSpineSection, e.DSpineDefault, e.SpineSRules, e.SpineRedundancy, err = deriveLayer[topology.PodID](
-			"pod", header.TagDSpine, sr.layout, sr.topo.SpineDownWidth(), s.pods, s.podStamp, s.podSlot, s.podBms, sr.rules[0], sr.srules[0], s)
+			"pod", header.TagDSpine, sr.layout, sr.topo.SpineDownWidth(), s.tree.pods, s.tree.podBms, sr.rules[0], sr.srules[0], s)
 	}
 	if err == nil {
-		err = admissible(sr.topo, sr.cfg, e)
+		err = admissible(sr.topo, sr.cfg, e, &s.tree)
 	}
 	if err != nil {
 		sr.err = fmt.Errorf("controller: state group %v: %w", lg.g.Key, err)

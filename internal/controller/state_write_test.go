@@ -140,9 +140,10 @@ func TestReadStateSameAnyProcs(t *testing.T) {
 	keys := c.GroupKeys()
 	first, second := keys[5*stateChunkGroups+3], keys[7*stateChunkGroups+1]
 	for _, key := range []GroupKey{first, second} { // an s-rule on the lowest leaf off the tree
-		e := c.groups[key].Enc
+		g := c.groups[key]
+		e := g.Enc
 		l := topology.LeafID(0)
-		for e.LeafPorts[l].Width() != 0 {
+		for slices.ContainsFunc(hostBlock(g.Members, int(l), c.Topology().LeafDownWidth()), receives) {
 			l++
 		}
 		e.LeafSRules = append(slices.Clone(e.LeafSRules), l)
@@ -323,6 +324,26 @@ func BenchmarkWriteState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := c.WriteState(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkInstallBatch installs the 5,000 benchGroups as one batch into
+// a fresh controller (at the P count of -cpu): the encode half of the
+// state round trip that BenchmarkReadState restores.
+func BenchmarkInstallBatch(b *testing.B) {
+	topo, specs := benchGroups(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c, err := New(topo, PaperConfig(0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := c.InstallBatch(specs, BatchOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -562,7 +562,10 @@ func TestDeliveryReusedAcrossSends(t *testing.T) {
 	// controller's headers with the telemetry section added.
 	l := header.LayoutFor(topo)
 	for _, sender := range groups[2][:2] {
-		stream, err := controller.AppendSenderStream(nil, new(controller.SenderScratch), topo, cfg, ctrl.Group(controller.GroupKey{Tenant: 1, Group: 2}).Enc, sender, ctrl.Failures())
+		g := ctrl.Group(controller.GroupKey{Tenant: 1, Group: 2})
+		var tree controller.Tree
+		tree.Read(topo, g.Members)
+		stream, err := controller.AppendSenderStream(nil, new(controller.SenderScratch), topo, cfg, g.Enc, &tree, sender, ctrl.Failures())
 		if err != nil {
 			t.Fatal(err)
 		}

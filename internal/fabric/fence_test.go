@@ -114,8 +114,13 @@ func TestStaleEpochFencesEveryWrite(t *testing.T) {
 		if got := walked.FencingRejections(); got != 1 {
 			t.Fatalf("walk with host %d fenced: %d rejections, want 1", host, got)
 		}
-		if err := parts.InstallEncodingAt(stale, wa, g.Enc, receivers[:min(k, len(receivers))]); err != nil {
+		if err := parts.InstallEncodingAt(stale, wa, g.Enc, g.Members); err != nil {
 			t.Fatal(err)
+		}
+		for _, h := range receivers[min(k, len(receivers)):] { // the receivers the struck walk never reached
+			if err := parts.Hypervisors[h].SetReceivingAt(stale, wa, false); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for _, s := range senders[:max(0, k-len(receivers))] {
 			hdr, err := ctrl.HeaderFor(walkKey, s)
@@ -238,7 +243,7 @@ func TestInstallWalkParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				noPaths += len(noPath)
-				if err := parts.InstallEncodingAt(epoch, a, gs.Enc, gs.Receivers()); err != nil {
+				if err := parts.InstallEncodingAt(epoch, a, gs.Enc, gs.Members); err != nil {
 					t.Fatal(err)
 				}
 				routable := 0
@@ -271,7 +276,7 @@ func TestInstallWalkParity(t *testing.T) {
 				if walked.Fingerprint() != empty {
 					t.Fatalf("group %d: UninstallGroupAt did not restore the fabric", g)
 				}
-				if err := parts.UninstallEncodingAt(epoch, a, gs.Enc, gs.Receivers()); err != nil {
+				if err := parts.UninstallEncodingAt(epoch, a, gs.Enc, gs.Members); err != nil {
 					t.Fatal(err)
 				}
 				for _, s := range gs.Senders() {

@@ -166,8 +166,15 @@ func RunScalability(cfg ScalabilityConfig) (*ScalabilityResult, error) {
 	// the rng draw sequence and all aggregates match a serial run.
 	var senderScratch controller.SenderScratch
 	var streamBuf []byte
+	var members []controller.Member // the group's hosts, ascending as groupgen lists them, each sending and receiving
+	var tree controller.Tree
 	measure := func(gi int, enc *controller.Encoding) error {
 		g := &groups[gi]
+		members = members[:0]
+		for _, h := range g.Hosts {
+			members = append(members, controller.Member{Host: h, Role: controller.RoleBoth})
+		}
+		tree.Read(topo, members)
 		switch {
 		case !enc.Exact():
 			res.GroupsWithDefault++
@@ -184,7 +191,7 @@ func RunScalability(cfg ScalabilityConfig) (*ScalabilityResult, error) {
 		// Traffic measurement: one packet from a random member through
 		// the real data plane.
 		sender := g.Hosts[rng.Intn(len(g.Hosts))]
-		stream, err := controller.AppendSenderStream(streamBuf[:0], &senderScratch, topo, cfg.Controller, enc, sender, nil)
+		stream, err := controller.AppendSenderStream(streamBuf[:0], &senderScratch, topo, cfg.Controller, enc, &tree, sender, nil)
 		if err != nil {
 			return fmt.Errorf("sim: header for group %d: %w", g.ID, err)
 		}
@@ -192,7 +199,7 @@ func RunScalability(cfg ScalabilityConfig) (*ScalabilityResult, error) {
 		res.HeaderBytes.Add(float64(len(stream)))
 
 		addr := dataplane.GroupAddr{VNI: uint32(g.Tenant), Group: g.ID}
-		if err := fab.InstallEncodingAt(0, addr, enc, g.Hosts); err != nil {
+		if err := fab.InstallEncodingAt(0, addr, enc, members); err != nil {
 			return err
 		}
 		if err := fab.Hypervisors[sender].InstallSenderFlowAt(0, addr, stream); err != nil {
@@ -227,7 +234,7 @@ func RunScalability(cfg ScalabilityConfig) (*ScalabilityResult, error) {
 		if err := fab.Hypervisors[sender].RemoveSenderFlowAt(0, addr); err != nil {
 			return err
 		}
-		if err := fab.UninstallEncodingAt(0, addr, enc, g.Hosts); err != nil {
+		if err := fab.UninstallEncodingAt(0, addr, enc, members); err != nil {
 			return err
 		}
 		progress.Add(1)
