@@ -73,35 +73,97 @@ func TestEffectiveLeafLimitAtPackedWidths(t *testing.T) {
 
 // TestNewRefusesBudgetBelowHeaderFloor: the encoder clamps its leaf
 // p-rule limit at 0, so a MaxHeaderBytes below the fixed sections, the
-// worst-case spine section and a lone leaf default rule (25 B here)
-// once let a controller write a state its own ReadState refused. Every
-// budget from 1 to 40 is either refused by New or holds a group whose
-// state round-trips.
+// worst-case spine section and a lone leaf default rule (25 B here, 27 B
+// with the sender's INT section) once let a controller write a state its
+// own ReadState refused. Every budget from 1 to 40 is either refused by
+// New or holds a group whose state round-trips and whose senders all get
+// a header.
 func TestNewRefusesBudgetBelowHeaderFloor(t *testing.T) {
 	members := map[topology.HostID]Role{0: RoleBoth, 1: RoleReceiver, 40: RoleReceiver, 48: RoleBoth, 49: RoleReceiver, 63: RoleReceiver}
-	for budget := 1; budget <= 40; budget++ {
-		cfg := testConfig(0)
-		cfg.MaxHeaderBytes = budget
-		c, err := New(paperTopo(), cfg)
-		if (err != nil) != (budget < 25) {
-			t.Fatalf("MaxHeaderBytes %d: New error %v, want one exactly below 25", budget, err)
+	withINT := testConfig(0)
+	withINT.EnableINT = true
+	for _, tc := range []struct {
+		cfg   Config
+		floor int
+	}{{testConfig(0), 25}, {withINT, 27}} {
+		for budget := 1; budget <= 40; budget++ {
+			cfg := tc.cfg
+			cfg.MaxHeaderBytes = budget
+			c, err := New(paperTopo(), cfg)
+			if (err != nil) != (budget < tc.floor) {
+				t.Fatalf("INT %v, MaxHeaderBytes %d: New error %v, want one exactly below %d", cfg.EnableINT, budget, err, tc.floor)
+			}
+			if err != nil {
+				continue
+			}
+			key := GroupKey{Tenant: 1, Group: 1}
+			if _, err := c.CreateGroup(key, members); err != nil {
+				t.Fatalf("INT %v, MaxHeaderBytes %d: %v", cfg.EnableINT, budget, err)
+			}
+			for h, role := range members {
+				if _, err := c.SenderStream(key, h); role.CanSend() && err != nil {
+					t.Fatalf("INT %v, MaxHeaderBytes %d: sender %d: %v", cfg.EnableINT, budget, h, err)
+				}
+			}
+			var state bytes.Buffer
+			if err := c.WriteState(&state); err != nil {
+				t.Fatal(err)
+			}
+			back, _ := New(paperTopo(), cfg)
+			if err := back.ReadState(&state); err != nil {
+				t.Fatalf("INT %v, MaxHeaderBytes %d: the controller's own state is refused: %v", cfg.EnableINT, budget, err)
+			}
+			if back.Fingerprint() != c.Fingerprint() {
+				t.Fatalf("INT %v, MaxHeaderBytes %d: the state round trip changed the controller", cfg.EnableINT, budget)
+			}
 		}
-		if err != nil {
-			continue
+	}
+}
+
+// intBudgetController is a controller of the evaluation fabric with INT
+// on, no s-rule space and a 316-byte header budget, holding group (1, 1):
+// port 0 of leaves 0 to 4 in each of the 12 pods, every member sending.
+// Its 60 leaves need more leaf p-rules than the budget has room for, so
+// its leaf section is as large as the leaf limit lets it be.
+func intBudgetController(tb testing.TB) (*Controller, GroupKey) {
+	tb.Helper()
+	topo := topology.MustNew(topology.FacebookFabric())
+	cfg := PaperConfig(0)
+	cfg.SRuleCapacity, cfg.EnableINT, cfg.MaxHeaderBytes = 0, true, 316
+	c, err := New(topo, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	members := map[topology.HostID]Role{}
+	for pod := range topo.NumPods() {
+		for i := range 5 {
+			members[topology.HostID((pod*topo.Config().LeavesPerPod+i)*topo.Config().HostsPerLeaf)] = RoleBoth
 		}
-		if _, err := c.CreateGroup(GroupKey{Tenant: 1, Group: 1}, members); err != nil {
-			t.Fatalf("MaxHeaderBytes %d: %v", budget, err)
-		}
-		var state bytes.Buffer
-		if err := c.WriteState(&state); err != nil {
-			t.Fatal(err)
-		}
-		back, _ := New(paperTopo(), cfg)
-		if err := back.ReadState(&state); err != nil {
-			t.Fatalf("MaxHeaderBytes %d: the controller's own state is refused: %v", budget, err)
-		}
-		if back.Fingerprint() != c.Fingerprint() {
-			t.Fatalf("MaxHeaderBytes %d: the state round trip changed the controller", budget)
+	}
+	key := GroupKey{Tenant: 1, Group: 1}
+	if _, err := c.CreateGroup(key, members); err != nil {
+		tb.Fatal(err)
+	}
+	return c, key
+}
+
+// TestINTHeaderFitsBudget: the header floor counts the 2-byte INT
+// section every sender writes under EnableINT (58 B here, leaf limit
+// 25), so a group that fills its leaf p-rule budget gives every sender a
+// header. A floor without it (56 B, leaf limit 26) let each of this
+// group's 60 senders assemble 318 bytes against a 316-byte budget.
+func TestINTHeaderFitsBudget(t *testing.T) {
+	c, key := intBudgetController(t)
+	if floor, limit := headerFloor(c.Topology(), c.Config()), effectiveLeafLimit(c.Topology(), c.Config()); floor != 58 || limit != 25 {
+		t.Errorf("header floor %d B and leaf limit %d, want 58 B and 25", floor, limit)
+	}
+	g := c.Group(key)
+	if n := header.RuleCount(g.Enc.DLeafSection); n != effectiveLeafLimit(c.Topology(), c.Config()) || !g.Enc.DLeafDefault {
+		t.Fatalf("the group's leaf section holds %d p-rules (default %v), want the limit and a default rule", n, g.Enc.DLeafDefault)
+	}
+	for _, m := range g.Members { // SenderStream refuses a header over MaxHeaderBytes
+		if _, err := c.SenderStream(key, m.Host); err != nil {
+			t.Fatalf("sender %d: %v", m.Host, err)
 		}
 	}
 }

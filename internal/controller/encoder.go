@@ -11,7 +11,6 @@ package controller
 import (
 	"bytes"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"elmo/internal/bitmap"
@@ -316,8 +315,7 @@ func podHosts(topo *topology.Topology) int { return topo.SpineDownWidth() * topo
 // across senders (D2c).
 func encodeLeafLayer(topo *topology.Topology, cfg Config, cap CapacityFunc, e *Encoding, s *EncodeScratch) (err error) {
 	e.DLeafSection, e.DLeafDefault, e.LeafSRules, e.LeafRedundancy, err = encodeLayer(
-		"leaf", header.TagDLeaf, header.LayoutFor(topo), s.tree.leaves, s.tree.leafBms, cfg.LegacyLeaves, cap.Leaf, s,
-		cluster.Constraints{R: cfg.R, HMax: effectiveLeafLimit(topo, cfg), KMax: cfg.KMaxLeaf})
+		"leaf", header.TagDLeaf, header.LayoutFor(topo), s.tree.leaves, s.tree.leafBms, cfg.LegacyLeaves, cap.Leaf, s, leafLimits(topo, cfg))
 	return err
 }
 
@@ -326,8 +324,7 @@ func encodeLeafLayer(topo *topology.Topology, cfg Config, cap CapacityFunc, e *E
 // SpineSRules, and SpineRedundancy.
 func encodeSpineLayer(topo *topology.Topology, cfg Config, cap CapacityFunc, e *Encoding, s *EncodeScratch) (err error) {
 	e.DSpineSection, e.DSpineDefault, e.SpineSRules, e.SpineRedundancy, err = encodeLayer(
-		"pod", header.TagDSpine, header.LayoutFor(topo), s.tree.pods, s.tree.podBms, cfg.LegacyPods, cap.Pod, s,
-		cluster.Constraints{R: cfg.R, HMax: cfg.SpineRuleLimit, KMax: cfg.KMaxSpine})
+		"pod", header.TagDSpine, header.LayoutFor(topo), s.tree.pods, s.tree.podBms, cfg.LegacyPods, cap.Pod, s, spineLimits(cfg))
 	return err
 }
 
@@ -374,14 +371,28 @@ func encodeLayer[K ~int](layer string, tag byte, l header.Layout, tree []K, bms 
 // the default rule ORs every switch left unnamed, and the redundancy
 // counts the ports sent beyond each switch's own. A switch named twice
 // is refused like one off the tree. The rules' bitmaps are overwritten.
-func deriveLayer[K ~int](layer string, tag byte, l header.Layout, width int, tree []K, bms []bitmap.Bitmap,
-	rules []header.PRule, srules []uint16, s *EncodeScratch,
+//
+// It refuses, with an error naming the bound, a layer the encoder could
+// not have made under the layer's limits lim and legacy switches legacy:
+// more than HMax p-rules, a p-rule listing more than KMax switches, a
+// p-rule whose own redundancy exceeds R, or a legacy switch on the tree
+// without an s-rule (it ignores p-rules, so one named by a p-rule or
+// left to the default rule would forward nothing). A layer within its
+// limits fits the header budget (effectiveLeafLimit).
+func deriveLayer[K ~int](layer string, tag byte, l header.Layout, width int, tree []K, bms []bitmap.Bitmap, legacy []K,
+	rules []header.PRule, srules []uint16, s *EncodeScratch, lim cluster.Constraints,
 ) (section []byte, hasDef bool, ids []K, redundancy int, err error) {
+	if len(rules) > lim.HMax {
+		return nil, false, nil, 0, fmt.Errorf("%d %s p-rules exceed the limit of %d", len(rules), layer, lim.HMax)
+	}
 	s.named = append(s.named[:0], make([]bool, len(tree))...)
 	for i := -1; i < len(rules); i++ { // the s-rules, whose OR is dropped, then each p-rule
 		kind, sws, bm := "s-rule", srules, &s.def
 		if i >= 0 {
 			kind, sws, bm = "p-rule", rules[i].Switches, &rules[i].Bitmap
+			if len(sws) > lim.KMax {
+				return nil, false, nil, 0, fmt.Errorf("%s p-rule %d lists %d switches, KMax %d", layer, i, len(sws), lim.KMax)
+			}
 		}
 		bm.Reset(width)
 		pop := 0
@@ -394,9 +405,20 @@ func deriveLayer[K ~int](layer string, tag byte, l header.Layout, width int, tre
 			bm.OrInPlace(bms[k])
 			pop += bms[k].PopCount()
 		}
-		if i >= 0 { // each switch's tree bitmap is a subset of the rule's
-			redundancy += len(sws)*bm.PopCount() - pop
+		if i < 0 { // only the s-rules are named yet
+			for _, sw := range legacy {
+				if k, on := slices.BinarySearch(tree, sw); on && !s.named[k] {
+					return nil, false, nil, 0, fmt.Errorf("legacy %s %d is on the tree without an s-rule", layer, sw)
+				}
+			}
+			continue
 		}
+		// each switch's tree bitmap is a subset of the rule's
+		spurious := len(sws)*bm.PopCount() - pop
+		if spurious > lim.R {
+			return nil, false, nil, 0, fmt.Errorf("%s p-rule %d has redundancy %d, R %d", layer, i, spurious, lim.R)
+		}
+		redundancy += spurious
 	}
 	var def *bitmap.Bitmap
 	s.def.Reset(width)
@@ -412,85 +434,6 @@ func deriveLayer[K ~int](layer string, tag byte, l header.Layout, width int, tre
 		return nil, false, nil, 0, err
 	}
 	return section, def != nil, switchList[K](srules), redundancy, nil
-}
-
-// admissible reports, with an error naming the bound, an encoding that
-// breaks what the encoder guarantees under cfg, so one this controller's
-// encoder could not have made:
-//   - both sections, with the layout's upstream, core and end sections,
-//     within MaxHeaderBytes;
-//   - at most SpineRuleLimit spine p-rules and effectiveLeafLimit leaf
-//     p-rules, each listing at most KMaxSpine or KMaxLeaf switches;
-//   - no p-rule whose own redundancy, the sum of its switches' distances
-//     to its bitmap (cluster.AssignInto), exceeds R;
-//   - every legacy switch on the tree holds an s-rule: it ignores
-//     p-rules, so one named by a p-rule or left to the default rule
-//     would forward nothing.
-//
-// t is the group's tree. ReadState holds every restored encoding to it;
-// the encoder and the incremental Join/Leave path meet it by
-// construction.
-func admissible(topo *topology.Topology, cfg Config, e *Encoding, t *Tree) error {
-	l := header.LayoutFor(topo)
-	size := len(e.DSpineSection) + len(e.DLeafSection) + header.EndSize + header.UpstreamSize(l, header.TagULeaf) +
-		header.UpstreamSize(l, header.TagUSpine) + header.CoreSize(l)
-	if size > cfg.MaxHeaderBytes {
-		return fmt.Errorf("header of %d bytes exceeds MaxHeaderBytes %d", size, cfg.MaxHeaderBytes)
-	}
-	if err := admissibleLayer("pod", l, e.DSpineSection, t.pods, t.podBms, e.SpineSRules, cfg.LegacyPods,
-		e.SpineRedundancy, cfg.SpineRuleLimit, cfg.KMaxSpine, cfg.R); err != nil {
-		return err
-	}
-	if err := admissibleLayer("leaf", l, e.DLeafSection, t.leaves, t.leafBms, e.LeafSRules, cfg.LegacyLeaves,
-		e.LeafRedundancy, effectiveLeafLimit(topo, cfg), cfg.KMaxLeaf, cfg.R); err != nil {
-		return err
-	}
-	return nil
-}
-
-// admissibleLayer checks one layer's section, under layout l, against
-// its rule limit hmax, identifier limit kmax and redundancy limit r,
-// and its legacy switches against its s-rules; tree and bms are the
-// layer of the group's tree and redundancy is the layer's. A layer whose
-// whole redundancy is within r has no rule beyond it.
-func admissibleLayer[K ~int](layer string, l header.Layout, section []byte, tree []K, bms []bitmap.Bitmap,
-	srules, legacy []K, redundancy, hmax, kmax, r int,
-) error {
-	if n := header.RuleCount(section); n > hmax {
-		return fmt.Errorf("%d %s p-rules exceed the limit of %d", n, layer, hmax)
-	}
-	var w header.RuleWalker
-	w.Reset(l, section)
-	for i := 0; w.Next(); i++ {
-		if w.N > kmax {
-			return fmt.Errorf("%s p-rule %d lists %d switches, KMax %d", layer, i, w.N, kmax)
-		}
-		if redundancy <= r {
-			continue
-		}
-		spurious := 0
-		for _, b := range w.Ports {
-			spurious += w.N * bits.OnesCount8(b)
-		}
-		for j := range w.N {
-			bm, _ := treeBitmap(tree, bms, K(w.Switch(j)))
-			spurious -= bm.PopCount()
-		}
-		if spurious > r {
-			return fmt.Errorf("%s p-rule %d has redundancy %d, R %d", layer, i, spurious, r)
-		}
-	}
-	if _, _, err := w.End(); err != nil {
-		return err
-	}
-	for _, sw := range legacy {
-		if _, on := slices.BinarySearch(tree, sw); on {
-			if _, found := slices.BinarySearch(srules, sw); !found {
-				return fmt.Errorf("legacy %s %d is on the tree without an s-rule", layer, sw)
-			}
-		}
-	}
-	return nil
 }
 
 // writeSection writes a layer's rules and default as its section bytes,
@@ -521,9 +464,30 @@ func switchList[K ~int](ids []uint16) []K {
 	return out
 }
 
+// leafLimits is the leaf layer's bounds under cfg: R, the leaf p-rule
+// limit the byte budget leaves (effectiveLeafLimit) and KMaxLeaf. The
+// encoder clusters within them, and deriveLayer holds a restored leaf
+// layer to them.
+func leafLimits(topo *topology.Topology, cfg Config) cluster.Constraints {
+	return cluster.Constraints{R: cfg.R, HMax: effectiveLeafLimit(topo, cfg), KMax: cfg.KMaxLeaf}
+}
+
+// spineLimits is the spine layer's bounds under cfg: R, SpineRuleLimit
+// and KMaxSpine.
+func spineLimits(cfg Config) cluster.Constraints {
+	return cluster.Constraints{R: cfg.R, HMax: cfg.SpineRuleLimit, KMax: cfg.KMaxSpine}
+}
+
 // effectiveLeafLimit derives the leaf-section rule budget from the
 // byte budget: the header must fit its floor (headerFloor) and every
-// leaf p-rule at KMaxLeaf identifiers.
+// leaf p-rule at KMaxLeaf identifiers. So a header whose layers keep
+// their limits (leafLimits, spineLimits) needs no size check of its own:
+// a section of at most HMax p-rules listing at most KMax identifiers each
+// is at most DownstreamSize(HMax, KMax, with a default), the floor holds
+// every other section at its largest (INT included) and a leaf section
+// of only a default, and each leaf p-rule adds rule bytes, so
+//
+//	size ≤ floor + limit·rule ≤ floor + (MaxHeaderBytes − floor) = MaxHeaderBytes.
 func effectiveLeafLimit(topo *topology.Topology, cfg Config) int {
 	l := header.LayoutFor(topo)
 	rule := header.DownstreamSize(l, header.TagDLeaf, 1, cfg.KMaxLeaf, true) - header.DownstreamSize(l, header.TagDLeaf, 0, cfg.KMaxLeaf, true)
@@ -531,13 +495,18 @@ func effectiveLeafLimit(topo *topology.Topology, cfg Config) int {
 }
 
 // headerFloor is the size of the largest header with no leaf p-rule: the
-// upstream and core sections, the worst-case spine section and a lone
-// leaf default rule. New refuses a budget below it.
+// upstream and core sections, the worst-case spine section, a lone leaf
+// default rule and, under EnableINT, the sender's empty INT section. New
+// refuses a budget below it.
 func headerFloor(topo *topology.Topology, cfg Config) int {
 	l := header.LayoutFor(topo)
-	return header.EndSize + header.UpstreamSize(l, header.TagULeaf) + header.UpstreamSize(l, header.TagUSpine) + header.CoreSize(l) +
+	floor := header.EndSize + header.UpstreamSize(l, header.TagULeaf) + header.UpstreamSize(l, header.TagUSpine) + header.CoreSize(l) +
 		header.DownstreamSize(l, header.TagDSpine, cfg.SpineRuleLimit, cfg.KMaxSpine, true) +
 		header.DownstreamSize(l, header.TagDLeaf, 0, cfg.KMaxLeaf, true)
+	if cfg.EnableINT {
+		floor += header.INTSectionSize
+	}
+	return floor
 }
 
 // assignLayer runs Algorithm 1, spending the redundancy budget R only

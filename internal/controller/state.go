@@ -34,8 +34,11 @@ import (
 // the default rule from the switches no rule or s-rule names, an
 // s-rule's bitmap as its switch's tree bitmap, and the redundancies as
 // the spurious ports these send to. ReadState derives the rest with the
-// encoder's code (Tree, deriveLayer) and accepts the group only if
-// this controller's encoder could have made it (admissible).
+// encoder's code (Tree, deriveLayer), which refuses, as it derives, a
+// layer this controller's encoder could not have made: over the rule,
+// identifier or redundancy limits the encoder clusters within, or a
+// legacy switch without an s-rule. The header byte budget follows from
+// those limits (effectiveLeafLimit), so it needs no check of its own.
 //
 // The format is versioned: a change to it bumps stateVersion, and a
 // stream of another version is refused by its first byte. Fields are
@@ -215,7 +218,8 @@ func (sr *stateReader) count(cap uint64, what string) int {
 // error it is left empty (all-or-nothing), never half-restored.
 // Each group's encoding is derived from its record's choices, in chunks
 // on one worker per P, and a group is accepted only if this
-// controller's encoder could have made its encoding (admissible): a
+// controller's encoder could have made its encoding (deriveLayer checks
+// each layer against the encoder's limits as it derives it): a
 // restart or resync under a config that forbids a stored encoding is
 // refused, naming the group and the bound. Occupancy is recommitted
 // from the encodings; update counters reset (recovery is a bulk push).
@@ -324,7 +328,8 @@ type loadedGroup struct {
 // restore derives lg's encoding from its record's choices with the
 // encoder's code — Tree.Read makes the tree from the members,
 // deriveLayer each layer's section, s-rules and redundancy — and refuses
-// the group unless its encoding is admissible under the reader's config.
+// the group when a layer breaks the limits the reader's encoder keeps
+// (leafLimits, spineLimits, the legacy switches).
 func (sr *stateReader) restore(lg loadedGroup) {
 	sr.off = lg.enc
 	sr.choices() // read once already, without error
@@ -332,13 +337,12 @@ func (sr *stateReader) restore(lg loadedGroup) {
 	s.tree.Read(sr.topo, lg.g.Members)
 	e := &Encoding{}
 	var err error
-	if e.DLeafSection, e.DLeafDefault, e.LeafSRules, e.LeafRedundancy, err = deriveLayer[topology.LeafID](
-		"leaf", header.TagDLeaf, sr.layout, sr.topo.LeafDownWidth(), s.tree.leaves, s.tree.leafBms, sr.rules[1], sr.srules[1], s); err == nil {
-		e.DSpineSection, e.DSpineDefault, e.SpineSRules, e.SpineRedundancy, err = deriveLayer[topology.PodID](
-			"pod", header.TagDSpine, sr.layout, sr.topo.SpineDownWidth(), s.tree.pods, s.tree.podBms, sr.rules[0], sr.srules[0], s)
-	}
-	if err == nil {
-		err = admissible(sr.topo, sr.cfg, e, &s.tree)
+	if e.DLeafSection, e.DLeafDefault, e.LeafSRules, e.LeafRedundancy, err = deriveLayer(
+		"leaf", header.TagDLeaf, sr.layout, sr.topo.LeafDownWidth(), s.tree.leaves, s.tree.leafBms, sr.cfg.LegacyLeaves,
+		sr.rules[1], sr.srules[1], s, leafLimits(sr.topo, sr.cfg)); err == nil {
+		e.DSpineSection, e.DSpineDefault, e.SpineSRules, e.SpineRedundancy, err = deriveLayer(
+			"pod", header.TagDSpine, sr.layout, sr.topo.SpineDownWidth(), s.tree.pods, s.tree.podBms, sr.cfg.LegacyPods,
+			sr.rules[0], sr.srules[0], s, spineLimits(sr.cfg))
 	}
 	if err != nil {
 		sr.err = fmt.Errorf("controller: state group %v: %w", lg.g.Key, err)

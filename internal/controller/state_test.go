@@ -3,6 +3,7 @@ package controller
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"reflect"
@@ -185,7 +186,7 @@ func TestReadStateRejectsCorruptInput(t *testing.T) {
 			"p-rule leaf 5 is not on the group's tree, or is named by an earlier rule"},
 		// Encodings the reader's config forbids.
 		"6 leaf rules under LeafRuleLimit 1":   {valid, &tight, "leaf p-rules exceed the limit of 1"},
-		"6 leaf rules under MaxHeaderBytes 25": {valid, &small, "exceeds MaxHeaderBytes 25"},
+		"leaf p-rules under MaxHeaderBytes 25": {valid, &small, "2 leaf p-rules exceed the limit of 0"},
 		"legacy leaf 5 on a p-rule":            {editedGroupStream(t, nil), &legacy, "legacy leaf 5 is on the tree without an s-rule"},
 		"rule over KMaxLeaf":                   {kmaxStream(t), nil, "leaf p-rule 0 lists 4 switches, KMax 2"},
 		"shared rule over R":                   {editedGroupStream(t, oneSharedLeafRule(t)), nil, "leaf p-rule 0 has redundancy 1, R 0"},
@@ -470,7 +471,9 @@ func TestRestoreNeverHalfRestores(t *testing.T) {
 // refused stream leaves the controller empty; an accepted one leaves
 // occupancy equal to what the restored encodings hold and within every
 // switch's table, and WriteState of it is the accepted stream, byte for
-// byte; and what the stricter config accepts, the other accepts too.
+// byte; every sender of every accepted group gets a header (one behind
+// a legacy leaf excepted), as the layers' limits imply the byte budget;
+// and what the stricter config accepts, the other accepts too.
 func FuzzReadState(f *testing.F) {
 	cfg := testConfig(0)
 	cfg.LeafRuleLimit = 2 // force s-rules into the stream
@@ -535,6 +538,13 @@ func FuzzReadState(f *testing.F) {
 			}
 			if !bytes.Equal(out.Bytes(), data) {
 				t.Fatalf("accepted stream %x re-encodes as %x", data, out.Bytes())
+			}
+			for _, key := range c.GroupKeys() {
+				for _, m := range c.Group(key).Members {
+					if _, err := c.SenderStream(key, m.Host); m.Role.CanSend() && err != nil && !errors.Is(err, ErrLegacyPath) {
+						t.Fatalf("accepted group %v: sender %d: %v", key, m.Host, err)
+					}
+				}
 			}
 		}
 	})

@@ -50,8 +50,12 @@ const (
 // intRecordSize is the wire size of one record: tier, identifier, meta.
 const intRecordSize = 1 + intIDBytes + 1
 
+// INTSectionSize is the wire size of an INT section with no records,
+// what a sender's header carries: tag and record count.
+const INTSectionSize = 2
+
 // intSize returns the wire size of an INT section holding n records.
-func intSize(n int) int { return 2 + n*intRecordSize }
+func intSize(n int) int { return INTSectionSize + n*intRecordSize }
 
 // AppendINTSection appends an (initially empty or pre-filled) INT
 // section to dst.

@@ -78,7 +78,6 @@ type Plane struct {
 	lost      atomic.Int64 // copies lost in flight
 	sends     atomic.Int64 // completed sends
 	fastSends atomic.Int64 // sends within latencyBound
-	sendBytes atomic.Int64
 
 	slo         *SLOEngine
 	latencyHist *telemetry.Histogram
@@ -178,7 +177,6 @@ func (p *Plane) ObserveSend(s dataplane.SendSample) {
 	p.delivered.Add(int64(s.Delivered))
 	p.lost.Add(int64(s.Lost))
 	p.sends.Add(1)
-	p.sendBytes.Add(s.Bytes)
 	if s.Nanos <= latencyBound.Nanoseconds() {
 		p.fastSends.Add(1)
 	}
